@@ -151,9 +151,15 @@ func SetPanicHook(h func(id int32)) {
 }
 
 // joinAlgs are the join operators of a predicate-connected split, in the
-// engine's canonical enumeration order. Hoisted to package level so the
-// candidate loops do not rebuild the slice per split.
-var joinAlgs = []plan.JoinAlg{plan.HashJoin, plan.SortMergeJoin, plan.BlockNLJoin}
+// engine's canonical enumeration order.
+var joinAlgs = [...]plan.JoinAlg{plan.HashJoin, plan.SortMergeJoin, plan.BlockNLJoin}
+
+// cartesianAlgs are the operators of a split without a join predicate:
+// hash and sort-merge joins need an equi-join predicate.
+var cartesianAlgs = joinAlgs[2:]
+
+// maxSplitTerms bounds the (operator, DOP) combinations of one split.
+const maxSplitTerms = len(joinAlgs) * plan.MaxDOP
 
 // newEngine prepares an engine run. alphaInternal >= 1 is the archive
 // pruning precision (1 = exact). opts must be normalized (Workers >= 1).
@@ -530,20 +536,14 @@ func (v splitView) stored() bool {
 	return v.arch != nil && (v.only >= 0 || v.arch.Len() > 0)
 }
 
-// each yields the view's (index, cost) pairs; indexes are always positions
-// in the underlying archive, so entries built from them materialize
-// against the memo regardless of the view's narrowing.
-func (v splitView) each(fn func(idx int32, c objective.Vector) bool) bool {
+// span returns the half-open range of archive positions the view covers.
+// Positions are always those of the underlying archive, so entries built
+// from them materialize against the memo regardless of the narrowing.
+func (v splitView) span() (lo, hi int32) {
 	if v.only >= 0 {
-		return fn(v.only, v.arch.CostAt(v.only))
+		return v.only, v.only + 1
 	}
-	n := int32(v.arch.Len())
-	for i := int32(0); i < n; i++ {
-		if !fn(i, v.arch.CostAt(i)) {
-			return false
-		}
-	}
-	return true
+	return 0, int32(v.arch.Len())
 }
 
 // candidateFn receives one candidate of the enumeration: its cost vector
@@ -619,19 +619,7 @@ func (w *worker) forEachCandidateFrom(s query.TableSet, lookup func(query.TableS
 		if !vl.stored() || !vr.stored() {
 			return true
 		}
-		vl.each(func(li int32, cl objective.Vector) bool {
-			return vr.each(func(ri int32, cr objective.Vector) bool {
-				for dop := 1; dop <= e.opts.MaxDOP; dop++ {
-					w.considered++
-					cost := e.m.JoinCostVec(plan.BlockNLJoin, dop, left, right, &cl, &cr)
-					if !fn(cost, plan.JoinEntry(plan.BlockNLJoin, dop, left, li, right, ri)) {
-						abort = true
-						return false
-					}
-				}
-				return true
-			})
-		})
+		abort = !w.joinPairs(cartesianAlgs, vl, vr, left, right, fn)
 		return !abort
 	})
 	return !abort
@@ -866,18 +854,7 @@ func (w *worker) forEachCandidateChain(s query.TableSet, lookup func(query.Table
 		if e.opts.LeftDeepOnly && !b.Single() {
 			return true
 		}
-		return va.each(func(ai int32, ca objective.Vector) bool {
-			return vb.each(func(bi int32, cb objective.Vector) bool {
-				for dop := 1; dop <= e.opts.MaxDOP; dop++ {
-					w.considered++
-					cost := e.m.JoinCostVec(plan.BlockNLJoin, dop, a, b, &ca, &cb)
-					if !fn(cost, plan.JoinEntry(plan.BlockNLJoin, dop, a, ai, b, bi)) {
-						return false
-					}
-				}
-				return true
-			})
-		})
+		return w.joinPairs(cartesianAlgs, va, vb, a, b, fn)
 	}
 	if !cartesian(vr, vl, peel, left) {
 		return false
@@ -893,33 +870,50 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 	// plan, so it is generated once per outer plan.
 	if right.Single() {
 		if rel := right.First(); e.m.InnerIndexColumn(left, rel) != "" {
-			ok := vl.each(func(li int32, cl objective.Vector) bool {
+			terms := e.m.PrepareIndexNL(left, rel)
+			for li, hi := vl.span(); li < hi; li++ {
 				w.considered++
-				cost := e.m.IndexNLCostVec(left, &cl, rel)
-				return fn(cost, plan.IndexNLEntry(left, li, rel))
-			})
-			if !ok {
-				return false
+				if !fn(terms.Apply(vl.arch.CostRow(li)), plan.IndexNLEntry(left, li, rel)) {
+					return false
+				}
 			}
 		}
 	}
-	abort := false
-	vl.each(func(li int32, cl objective.Vector) bool {
-		return vr.each(func(ri int32, cr objective.Vector) bool {
-			for _, alg := range joinAlgs {
-				for dop := 1; dop <= e.opts.MaxDOP; dop++ {
-					w.considered++
-					cost := e.m.JoinCostVec(alg, dop, left, right, &cl, &cr)
-					if !fn(cost, plan.JoinEntry(alg, dop, left, li, right, ri)) {
-						abort = true
-						return false
-					}
+	return w.joinPairs(joinAlgs[:], vl, vr, left, right, fn)
+}
+
+// joinPairs yields one candidate per (left plan, right plan, operator,
+// DOP), in that nesting order. The operators' cost terms do not depend on
+// the plans (the paper's Observation 2), so they are prepared once per
+// split into the worker's scratch and only applied in the loop. The cost
+// rows are read in place: both archives belong to lower levels, which fn
+// cannot touch.
+func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right query.TableSet, fn candidateFn) bool {
+	e := w.e
+	n := 0
+	for _, alg := range algs {
+		for dop := 1; dop <= e.opts.MaxDOP; dop++ {
+			w.terms[n] = e.m.PrepareJoin(alg, dop, left, right)
+			n++
+		}
+	}
+	terms := w.terms[:n]
+	llo, lhi := vl.span()
+	rlo, rhi := vr.span()
+	for li := llo; li < lhi; li++ {
+		cl := vl.arch.CostRow(li)
+		for ri := rlo; ri < rhi; ri++ {
+			cr := vr.arch.CostRow(ri)
+			for k := range terms {
+				t := &terms[k]
+				w.considered++
+				if !fn(t.Apply(cl, cr), plan.JoinEntry(t.Alg, t.DOP, left, li, right, ri)) {
+					return false
 				}
 			}
-			return true
-		})
-	})
-	return !abort
+		}
+	}
+	return true
 }
 
 // stats summarizes the run, folding the worker-private counters together.

@@ -193,6 +193,43 @@ func BenchmarkEXA(b *testing.B) {
 	}
 }
 
+// TestColdRunAllocsPerWorker gates the cold path's allocation count against
+// growing with Options.Workers: everything a worker needs per run lives in
+// its fixed-size scratch, so an extra worker may cost only what the pool
+// itself allocates for it. The run uses the exhaustive strategy, whose
+// candidate loop needs no growable scratch (the graph-aware loops buffer
+// their splits in a per-worker slice).
+func TestColdRunAllocsPerWorker(t *testing.T) {
+	// newLevelPool: the pool, its deques and its wake-channel slice once
+	// per run; one wake channel and one goroutine closure per spawned
+	// worker, and now and then the sudog it parks on (a GC empties the
+	// runtime's sudog cache). A per-worker buffer grown by append to the
+	// twelve (operator, DOP) terms of a split would cost five more each.
+	const poolAllocs, poolAllocsPerWorker = 3, 3
+
+	_, q := synthetic.MustBuild(synthetic.Spec{
+		Shape: synthetic.Chain, Tables: 9, MaxRows: 1e5, Seed: 1,
+	})
+	m := costmodel.NewDefault(q)
+	w := objective.UniformWeights(threeObjs)
+	allocs := func(workers int) float64 {
+		opts := Options{Objectives: threeObjs, Alpha: 2, Workers: workers, Enumeration: EnumExhaustive}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := RTA(m, w, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(1)
+	for _, workers := range []int{2, 4, 8} {
+		budget := float64(poolAllocs + poolAllocsPerWorker*(workers-1))
+		if extra := allocs(workers) - base; extra > budget {
+			t.Errorf("Workers=%d allocates %v more than Workers=1 (%v); the pool accounts for %v",
+				workers, extra, base, budget)
+		}
+	}
+}
+
 // BenchmarkReferenceEXA is the pre-refactor arm of BenchmarkEXA: the same
 // dynamic program with per-candidate *plan.Node allocation and the
 // pointer-backed legacy archives.

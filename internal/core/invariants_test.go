@@ -1,0 +1,195 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"moqo/internal/catalog"
+	"moqo/internal/costmodel"
+	"moqo/internal/objective"
+	"moqo/internal/pareto"
+	"moqo/internal/synthetic"
+	"moqo/internal/workload"
+)
+
+// enginePin is what one run must reproduce exactly: the candidate and
+// split counters and a digest over the IEEE bits of every frontier cost
+// vector in canonical order.
+type enginePin struct {
+	considered, stored, enumSets, enumSplits int
+	frontier                                 int
+	bits                                     uint64
+}
+
+func (p enginePin) String() string {
+	return fmt.Sprintf("{%d, %d, %d, %d, %d, %#x}", p.considered, p.stored, p.enumSets, p.enumSplits, p.frontier, p.bits)
+}
+
+func frontierBits(a *pareto.Archive) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, p := range a.Plans() {
+		for _, x := range p.Cost {
+			b := math.Float64bits(x)
+			for i := range buf {
+				buf[i] = byte(b >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+func pinOf(res Result) enginePin {
+	return enginePin{
+		considered: res.Stats.Considered,
+		stored:     res.Stats.Stored,
+		enumSets:   res.Stats.EnumSets,
+		enumSplits: res.Stats.EnumSplits,
+		frontier:   res.Frontier.Len(),
+		bits:       frontierBits(res.Frontier),
+	}
+}
+
+// TestEngineInvariantsPinned pins the engine's observable work — how many
+// candidates it costed, how many plans it stored, how many sets and splits
+// it enumerated, and every bit of the resulting frontier — to the values
+// of the commit before join costing was split into prepare and apply. The
+// candidate loops are where that split lives; a loop that dropped,
+// duplicated or reordered a candidate would move a counter or (through
+// insertion-order-dependent approximate pruning) a frontier bit here.
+//
+// Each instance runs under every enumeration strategy with one and four
+// workers (the pins do not depend on the worker count), left-deep, and
+// degraded. The degraded run uses a 1 ns budget on one worker: the
+// deadline has passed before the first poll, so the run degrades at
+// exactly the 1024th candidate — a 1 ms budget would degrade wherever the
+// clock happened to stand.
+func TestEngineInvariantsPinned(t *testing.T) {
+	cat := catalog.TPCH(1)
+	all := objective.AllSet()
+	two := objective.NewSet(objective.TotalTime, objective.Energy)
+	three := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.TupleLoss)
+
+	q10 := costmodel.NewDefault(workload.MustQuery(10, cat))
+	minima, err := ObjectiveMinima(q10, Options{Objectives: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q10Bounds := objective.NoBounds().With(objective.TotalTime, minima[objective.TotalTime]*3)
+
+	type variant struct {
+		name    string
+		enum    EnumerationStrategy
+		left    bool
+		timeout time.Duration
+		workers []int
+	}
+	variants := []variant{
+		{name: "auto", enum: EnumAuto, workers: []int{1, 4}},
+		{name: "graph", enum: EnumGraph, workers: []int{1, 4}},
+		{name: "exhaustive", enum: EnumExhaustive, workers: []int{1, 4}},
+		{name: "leftdeep", enum: EnumAuto, left: true, workers: []int{1, 4}},
+		{name: "degraded", enum: EnumAuto, timeout: time.Nanosecond, workers: []int{1}},
+	}
+	cases := []struct {
+		name string
+		run  func(Options) (Result, error)
+		want map[string]enginePin
+	}{
+		{
+			name: "chain-8/EXA/2obj",
+			run: func(o Options) (Result, error) {
+				_, q := synthetic.MustBuild(synthetic.Spec{Shape: synthetic.Chain, Tables: 8, Seed: 7})
+				o.Objectives = two
+				return EXA(costmodel.NewDefault(q), objective.UniformWeights(two), objective.NoBounds(), o)
+			},
+			want: map[string]enginePin{
+				"auto":       {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77},
+				"graph":      {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77},
+				"exhaustive": {1832783, 3420, 255, 932, 341, 0xcfd520273ce2ad77},
+				"leftdeep":   {139228, 4950, 36, 308, 483, 0x5c7390315be44e98},
+				"degraded":   {2872, 110, 36, 308, 1, 0xb8fb99336cd4ed99},
+			},
+		},
+		{
+			name: "tpch-q5/RTA1.5/3obj",
+			run: func(o Options) (Result, error) {
+				o.Objectives, o.Alpha = three, 1.5
+				return RTA(costmodel.NewDefault(workload.MustQuery(5, cat)), objective.UniformWeights(three), o)
+			},
+			want: map[string]enginePin{
+				"auto":       {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da},
+				"graph":      {84073, 381, 33, 190, 28, 0xdd71b4b83bbd58da},
+				"exhaustive": {84073, 381, 63, 378, 28, 0xdd71b4b83bbd58da},
+				"leftdeep":   {19499, 356, 33, 338, 23, 0xd10bb4fd7ce45a54},
+				"degraded":   {2911, 77, 33, 337, 1, 0x40da87e042ba87b7},
+			},
+		},
+		{
+			name: "tpch-q10/IRA1.5/9obj",
+			run: func(o Options) (Result, error) {
+				o.Objectives, o.Alpha = all, 1.5
+				return IRA(q10, objective.UniformWeights(all), q10Bounds, o)
+			},
+			want: map[string]enginePin{
+				"auto":       {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde},
+				"graph":      {187956, 983, 30, 66, 468, 0x4e07af44dbff7fde},
+				"exhaustive": {187956, 983, 45, 96, 468, 0x4e07af44dbff7fde},
+				"leftdeep":   {17381, 815, 10, 32, 396, 0xa8fbb37ffdcfdc99},
+				"degraded":   {1172, 175, 10, 27, 1, 0xd9017284fae37d7f},
+			},
+		},
+	}
+	for _, c := range cases {
+		for _, v := range variants {
+			for _, workers := range v.workers {
+				res, err := c.run(Options{Enumeration: v.enum, LeftDeepOnly: v.left, Timeout: v.timeout, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s/w%d: %v", c.name, v.name, workers, err)
+				}
+				if got, want := pinOf(res), c.want[v.name]; got != want {
+					t.Errorf("%s/%s/w%d:\n got  %v\n want %v", c.name, v.name, workers, got, want)
+				}
+				if v.timeout > 0 && !res.Stats.TimedOut {
+					t.Errorf("%s/%s: run did not degrade", c.name, v.name)
+				}
+			}
+		}
+	}
+}
+
+// TestCorpusRegeneratesIdentically: the runs behind the committed snapshot
+// corpus (testdata/snapshots) still produce the committed bytes — memo
+// entries, cost rows, counters and all. The one field that cannot repeat
+// is the embedded wall-clock Stats.Duration, zeroed on both sides.
+func TestCorpusRegeneratesIdentically(t *testing.T) {
+	for name, snap := range corpusSnapshots(t) {
+		data, err := os.ReadFile(filepath.Join(corpusDir, name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed, err := UnmarshalFrontierSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		committed.stats.Duration, snap.stats.Duration = 0, 0
+		want, err := committed.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snap.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: regenerated snapshot differs from the committed corpus file", name)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"moqo/internal/costmodel"
 	"moqo/internal/query"
 )
 
@@ -48,6 +49,11 @@ type worker struct {
 	treeOrder  [64]int8
 	treeParent [64]int8
 	treeSub    [64]query.TableSet
+	// terms is the candidate loops' scratch: the prepared cost terms of
+	// the current split, one per (operator, DOP), in emission order. A
+	// fixed array, so a run allocates nothing for it however many workers
+	// it has.
+	terms [maxSplitTerms]costmodel.JoinTerms
 	// keyBuf is the shared-memo key scratch (sharedKey); sharedHits counts
 	// table sets this worker served from the batch's shared memo.
 	keyBuf     []byte

@@ -1,0 +1,52 @@
+package costmodel
+
+import (
+	"testing"
+
+	"moqo/internal/plan"
+	"moqo/internal/query"
+)
+
+// The three benchmarks split one join costing into its parts: what the
+// engine pays once per (split, operator, DOP), what it pays per candidate,
+// and the two together as every caller outside the candidate loops (and the
+// scoreboard's costmodel.joincost_ns probe) pays them.
+
+func benchJoin(b *testing.B, fn func(b *testing.B, m *Model, alg plan.JoinAlg, left, right query.TableSet)) {
+	m := NewDefault(testQuery(b))
+	left, right := query.Singleton(0).Add(1), query.Singleton(2)
+	for _, alg := range storedJoinAlgs {
+		m.PrepareJoin(alg, 1, left, right) // fill the cardinality memo
+		b.Run(alg.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			fn(b, m, alg, left, right)
+		})
+	}
+}
+
+func BenchmarkJoinPrepare(b *testing.B) {
+	benchJoin(b, func(b *testing.B, m *Model, alg plan.JoinAlg, left, right query.TableSet) {
+		for b.Loop() {
+			sinkJoinTerms = m.PrepareJoin(alg, 2, left, right)
+		}
+	})
+}
+
+func BenchmarkJoinApply(b *testing.B) {
+	benchJoin(b, func(b *testing.B, m *Model, alg plan.JoinAlg, left, right query.TableSet) {
+		cl, cr := m.ScanCost(0, plan.SeqScan, 0), m.ScanCost(2, plan.SeqScan, 0)
+		terms := m.PrepareJoin(alg, 2, left, right)
+		for b.Loop() {
+			sinkVector = terms.Apply(&cl, &cr)
+		}
+	})
+}
+
+func BenchmarkJoinCostVec(b *testing.B) {
+	benchJoin(b, func(b *testing.B, m *Model, alg plan.JoinAlg, left, right query.TableSet) {
+		cl, cr := m.ScanCost(0, plan.SeqScan, 0), m.ScanCost(2, plan.SeqScan, 0)
+		for b.Loop() {
+			sinkVector = m.JoinCostVec(alg, 2, left, right, &cl, &cr)
+		}
+	})
+}

@@ -117,7 +117,13 @@ func (m *Model) baseTable(rel int) *catalog.Table {
 // coordCPU returns the CPU work for w units at the given DOP, including the
 // coordination overhead that makes more cores cost more total work.
 func (m *Model) coordCPU(w float64, dop int) float64 {
-	return w * (1 + m.p.CPUCoordination*float64(dop-1))
+	return w * m.coordFactor(dop)
+}
+
+// coordFactor is the factor by which coordination inflates CPU work at
+// the given DOP.
+func (m *Model) coordFactor(dop int) float64 {
+	return 1 + m.p.CPUCoordination*float64(dop-1)
 }
 
 // ScanCost returns the cost vector of scanning relation rel with the given
@@ -174,79 +180,160 @@ func (m *Model) JoinCost(alg plan.JoinAlg, dop int, left, right *plan.Node) obje
 	return m.JoinCostVec(alg, dop, left.Tables, right.Tables, &left.Cost, &right.Cost)
 }
 
-// JoinCostVec is JoinCost over raw operand table sets and cost vectors. It
-// is the hot-path entry point of the allocation-free engine, which carries
-// candidates as compact entries rather than plan trees; cl and cr point
-// into caller-owned scratch and are not retained.
+// JoinCostVec is JoinCost over raw operand table sets and cost vectors:
+// PrepareJoin followed by Apply. Callers costing many sub-plan pairs of one
+// split prepare once and apply per pair instead (the engine's candidate
+// loops do); cl and cr are not retained.
 func (m *Model) JoinCostVec(alg plan.JoinAlg, dop int, lt, rt query.TableSet, cl, cr *objective.Vector) objective.Vector {
+	t := m.PrepareJoin(alg, dop, lt, rt)
+	return t.Apply(cl, cr)
+}
+
+// JoinTerms are the split-constant terms of one join operator at one degree
+// of parallelism over one ordered pair of operand table sets — everything
+// in the join's cost formulas that the paper's Observation 2 says does not
+// depend on the sub-plans. PrepareJoin computes them from cardinality and
+// width estimates without ever seeing a child cost; Apply combines them
+// with two child cost vectors by pure arithmetic. A field an operator's
+// formulas do not use stays zero and is never read for that operator.
+//
+// Where a formula adds a product straight to a child-dependent value
+// (child + work*factor), the two factors are stored and Apply multiplies:
+// compilers for FMA architectures fuse such a product and its addition
+// into one rounding, and a product rounded on its own in PrepareJoin would
+// differ from that in the last bit. Products whose factor is a power of
+// two (2*pages, pages*PageSize) are exact either way and are stored whole.
+type JoinTerms struct {
+	Alg plan.JoinAlg
+	DOP int
+
+	d       float64 // float64(DOP)
+	startup float64 // Params.StartupMs
+	cpuMs   float64 // Params.CPUTupleMs
+
+	// work*coord is the coordinated CPU work of the operator itself.
+	work, coord float64
+	ownIO       float64 // spill page accesses (write + read)
+	energy      float64 // energy of the operator's own CPU work and I/O
+	disk        float64 // spilled bytes
+
+	// HashJoin: buildCPU*cpuMs is the build time (on the right, build
+	// side); probeTime includes the spill I/O.
+	buildCPU, probeTime float64
+	// SortMergeJoin: the operands' sort times including external-run I/O.
+	sortLTime, sortRTime float64
+	// outCPU*cpuMs is the merge time (SortMergeJoin) or the pair time
+	// (BlockNLJoin).
+	outCPU float64
+	// BlockNLJoin: inner re-evaluations, one per block of the outer.
+	blocks float64
+	// Buffer additions: the hash table (bufR), the two sort areas (bufL,
+	// bufR) or the block buffer (bufR). Kept apart because the formulas add
+	// them one after the other, and floating-point addition does not
+	// re-associate.
+	bufL, bufR float64
+}
+
+// PrepareJoin computes the split-constant terms of joining table sets lt
+// and rt with the given algorithm and degree of parallelism.
+func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) (t JoinTerms) {
 	out := lt.Union(rt)
 	lRows, rRows := m.rows(lt), m.rows(rt)
 	oRows := m.rows(out)
 	d := float64(dop)
 
-	var v objective.Vector
+	t = JoinTerms{Alg: alg, DOP: dop, d: d, startup: m.p.StartupMs, cpuMs: m.p.CPUTupleMs, coord: m.coordFactor(dop)}
 	switch alg {
 	case plan.HashJoin:
 		build := rRows * m.p.HashBuild
 		probe := lRows*m.p.HashProbe + oRows*m.p.TupleWork
-		spillPages := math.Max(0, (m.bytes(rt)-m.p.WorkMemBytes)/catalog.PageSize)
-		ownIO := 2 * spillPages // write + read spilled partitions
-		buildTime := m.coordCPU(build, dop) / d * m.p.CPUTupleMs
-		probeTime := (m.coordCPU(probe, dop)/d)*m.p.CPUTupleMs + ownIO*m.p.SeqPageMs
-
-		v[objective.TotalTime] = math.Max(cl[objective.TotalTime], cr[objective.TotalTime]+buildTime) + probeTime + m.p.StartupMs
-		v[objective.StartupTime] = math.Max(cl[objective.StartupTime], cr[objective.TotalTime]+buildTime) + m.p.StartupMs
-		v[objective.IOLoad] = cl[objective.IOLoad] + cr[objective.IOLoad] + ownIO
-		v[objective.CPULoad] = cl[objective.CPULoad] + cr[objective.CPULoad] + m.coordCPU(build+probe, dop)
-		v[objective.Cores] = math.Max(d, cl[objective.Cores]+cr[objective.Cores])
-		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint] + spillPages*catalog.PageSize
-		v[objective.BufferFootprint] = cl[objective.BufferFootprint] + cr[objective.BufferFootprint] +
-			math.Min(m.bytes(rt), m.p.WorkMemBytes)
-		v[objective.Energy] = cl[objective.Energy] + cr[objective.Energy] + m.ownEnergy(build+probe, ownIO, dop)
+		rBytes := m.bytes(rt)
+		spillPages := math.Max(0, (rBytes-m.p.WorkMemBytes)/catalog.PageSize)
+		t.ownIO = 2 * spillPages // write + read spilled partitions
+		t.buildCPU = m.coordCPU(build, dop) / d
+		t.probeTime = (m.coordCPU(probe, dop)/d)*m.p.CPUTupleMs + t.ownIO*m.p.SeqPageMs
+		t.work = build + probe
+		t.disk = spillPages * catalog.PageSize
+		t.bufR = math.Min(rBytes, m.p.WorkMemBytes)
 
 	case plan.SortMergeJoin:
 		sortL := m.sortWork(lRows)
 		sortR := m.sortWork(rRows)
 		merge := (lRows+rRows)*m.p.MergeWork + oRows*m.p.TupleWork
-		spillL := math.Max(0, (m.bytes(lt)-m.p.SortMemBytes)/catalog.PageSize)
-		spillR := math.Max(0, (m.bytes(rt)-m.p.SortMemBytes)/catalog.PageSize)
-		ownIO := 2 * (spillL + spillR) // external sort run write + read
-		sortLTime := m.coordCPU(sortL, dop)/d*m.p.CPUTupleMs + 2*spillL*m.p.SeqPageMs
-		sortRTime := m.coordCPU(sortR, dop)/d*m.p.CPUTupleMs + 2*spillR*m.p.SeqPageMs
-		mergeTime := m.coordCPU(merge, dop) / d * m.p.CPUTupleMs
-		sortedBy := math.Max(cl[objective.TotalTime]+sortLTime, cr[objective.TotalTime]+sortRTime)
-
-		v[objective.TotalTime] = sortedBy + mergeTime + m.p.StartupMs
-		v[objective.StartupTime] = sortedBy + m.p.StartupMs
-		v[objective.IOLoad] = cl[objective.IOLoad] + cr[objective.IOLoad] + ownIO
-		v[objective.CPULoad] = cl[objective.CPULoad] + cr[objective.CPULoad] + m.coordCPU(sortL+sortR+merge, dop)
-		v[objective.Cores] = math.Max(d, cl[objective.Cores]+cr[objective.Cores])
-		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint] +
-			(spillL+spillR)*catalog.PageSize
-		v[objective.BufferFootprint] = cl[objective.BufferFootprint] + cr[objective.BufferFootprint] +
-			math.Min(m.bytes(lt), m.p.SortMemBytes) + math.Min(m.bytes(rt), m.p.SortMemBytes)
-		v[objective.Energy] = cl[objective.Energy] + cr[objective.Energy] + m.ownEnergy(sortL+sortR+merge, ownIO, dop)
+		lBytes, rBytes := m.bytes(lt), m.bytes(rt)
+		spillL := math.Max(0, (lBytes-m.p.SortMemBytes)/catalog.PageSize)
+		spillR := math.Max(0, (rBytes-m.p.SortMemBytes)/catalog.PageSize)
+		t.ownIO = 2 * (spillL + spillR) // external sort run write + read
+		t.sortLTime = m.coordCPU(sortL, dop)/d*m.p.CPUTupleMs + 2*spillL*m.p.SeqPageMs
+		t.sortRTime = m.coordCPU(sortR, dop)/d*m.p.CPUTupleMs + 2*spillR*m.p.SeqPageMs
+		t.outCPU = m.coordCPU(merge, dop) / d
+		t.work = sortL + sortR + merge
+		t.disk = (spillL + spillR) * catalog.PageSize
+		t.bufL = math.Min(lBytes, m.p.SortMemBytes)
+		t.bufR = math.Min(rBytes, m.p.SortMemBytes)
 
 	case plan.BlockNLJoin:
 		// The inner sub-plan is re-evaluated once per block of the outer —
 		// a child cost multiplied by a per-table-set constant, the t_L*c_R
 		// term of the paper's Observation 2.
-		blocks := math.Max(1, math.Ceil(m.bytes(lt)/m.p.BNLBufBytes))
+		t.blocks = math.Max(1, math.Ceil(m.bytes(lt)/m.p.BNLBufBytes))
 		pairs := lRows*rRows*m.p.PairWork + oRows*m.p.TupleWork
-		pairTime := m.coordCPU(pairs, dop) / d * m.p.CPUTupleMs
-
-		v[objective.TotalTime] = cl[objective.TotalTime] + blocks*cr[objective.TotalTime] + pairTime + m.p.StartupMs
-		v[objective.StartupTime] = cl[objective.StartupTime] + cr[objective.StartupTime] + m.p.StartupMs
-		v[objective.IOLoad] = cl[objective.IOLoad] + blocks*cr[objective.IOLoad]
-		v[objective.CPULoad] = cl[objective.CPULoad] + blocks*cr[objective.CPULoad] + m.coordCPU(pairs, dop)
-		v[objective.Cores] = math.Max(d, math.Max(cl[objective.Cores], cr[objective.Cores]))
-		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint]
-		v[objective.BufferFootprint] = math.Max(cl[objective.BufferFootprint], cr[objective.BufferFootprint]) +
-			m.p.BNLBufBytes
-		v[objective.Energy] = cl[objective.Energy] + blocks*cr[objective.Energy] + m.ownEnergy(pairs, 0, dop)
+		t.outCPU = m.coordCPU(pairs, dop) / d
+		t.work = pairs
+		t.bufR = m.p.BNLBufBytes
 
 	default:
 		panic("costmodel: JoinCost does not handle " + alg.String())
+	}
+	t.energy = m.ownEnergy(t.work, t.ownIO, dop)
+	return t
+}
+
+// Apply returns the cost vector of the prepared join over sub-plans with
+// cost vectors cl and cr. Every expression keeps the shape and evaluation
+// order of the formula it was split from — floating-point arithmetic does
+// not re-associate, and the engine's archives are compared bit for bit.
+func (t *JoinTerms) Apply(cl, cr *objective.Vector) objective.Vector {
+	var v objective.Vector
+	switch t.Alg {
+	case plan.HashJoin:
+		buildTime := t.buildCPU * t.cpuMs
+
+		v[objective.TotalTime] = math.Max(cl[objective.TotalTime], cr[objective.TotalTime]+buildTime) + t.probeTime + t.startup
+		v[objective.StartupTime] = math.Max(cl[objective.StartupTime], cr[objective.TotalTime]+buildTime) + t.startup
+		v[objective.IOLoad] = cl[objective.IOLoad] + cr[objective.IOLoad] + t.ownIO
+		v[objective.CPULoad] = cl[objective.CPULoad] + cr[objective.CPULoad] + t.work*t.coord
+		v[objective.Cores] = math.Max(t.d, cl[objective.Cores]+cr[objective.Cores])
+		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint] + t.disk
+		v[objective.BufferFootprint] = cl[objective.BufferFootprint] + cr[objective.BufferFootprint] + t.bufR
+		v[objective.Energy] = cl[objective.Energy] + cr[objective.Energy] + t.energy
+
+	case plan.SortMergeJoin:
+		mergeTime := t.outCPU * t.cpuMs
+		sortedBy := math.Max(cl[objective.TotalTime]+t.sortLTime, cr[objective.TotalTime]+t.sortRTime)
+
+		v[objective.TotalTime] = sortedBy + mergeTime + t.startup
+		v[objective.StartupTime] = sortedBy + t.startup
+		v[objective.IOLoad] = cl[objective.IOLoad] + cr[objective.IOLoad] + t.ownIO
+		v[objective.CPULoad] = cl[objective.CPULoad] + cr[objective.CPULoad] + t.work*t.coord
+		v[objective.Cores] = math.Max(t.d, cl[objective.Cores]+cr[objective.Cores])
+		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint] + t.disk
+		v[objective.BufferFootprint] = cl[objective.BufferFootprint] + cr[objective.BufferFootprint] +
+			t.bufL + t.bufR
+		v[objective.Energy] = cl[objective.Energy] + cr[objective.Energy] + t.energy
+
+	case plan.BlockNLJoin:
+		pairTime := t.outCPU * t.cpuMs
+
+		v[objective.TotalTime] = cl[objective.TotalTime] + t.blocks*cr[objective.TotalTime] + pairTime + t.startup
+		v[objective.StartupTime] = cl[objective.StartupTime] + cr[objective.StartupTime] + t.startup
+		v[objective.IOLoad] = cl[objective.IOLoad] + t.blocks*cr[objective.IOLoad]
+		v[objective.CPULoad] = cl[objective.CPULoad] + t.blocks*cr[objective.CPULoad] + t.work*t.coord
+		v[objective.Cores] = math.Max(t.d, math.Max(cl[objective.Cores], cr[objective.Cores]))
+		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint]
+		v[objective.BufferFootprint] = math.Max(cl[objective.BufferFootprint], cr[objective.BufferFootprint]) +
+			t.bufR
+		v[objective.Energy] = cl[objective.Energy] + t.blocks*cr[objective.Energy] + t.energy
 	}
 	// Tuple loss composes multiplicatively: 1-(1-a)(1-b).
 	a, b := cl[objective.TupleLoss], cr[objective.TupleLoss]
@@ -262,32 +349,68 @@ func (m *Model) IndexNLCost(left *plan.Node, innerRel int) objective.Vector {
 	return m.IndexNLCostVec(left.Tables, &left.Cost, innerRel)
 }
 
-// IndexNLCostVec is IndexNLCost over a raw outer table set and cost vector
-// (see JoinCostVec).
+// IndexNLCostVec is IndexNLCost over a raw outer table set and cost vector:
+// PrepareIndexNL followed by Apply (see JoinCostVec).
 func (m *Model) IndexNLCostVec(lt query.TableSet, cl *objective.Vector, innerRel int) objective.Vector {
+	t := m.PrepareIndexNL(lt, innerRel)
+	return t.Apply(cl)
+}
+
+// IndexNLTerms are the terms of an index-nested-loop join that are constant
+// per outer table set and inner relation (see JoinTerms, also for why some
+// products are left to Apply).
+type IndexNLTerms struct {
+	lRows, pagesPerLookup float64 // their product is the lookup I/O
+	lookupCPU, lookupTime float64
+	// The three additions to the outer's startup time: the first lookup's
+	// page reads (pagesPerLookup*randPageMs), its CPU (lookupWork*cpuMs),
+	// the operator's own start-up.
+	randPageMs, lookupWork, cpuMs, startup float64
+	buf                                    float64 // Params.IndexBufBytes
+	energy                                 float64
+}
+
+// PrepareIndexNL computes the terms of an index-nested-loop join of outer
+// table set lt with the inner base relation innerRel.
+func (m *Model) PrepareIndexNL(lt query.TableSet, innerRel int) IndexNLTerms {
 	out := lt.Add(innerRel)
 	lRows := m.rows(lt)
 	oRows := m.rows(out)
-	t := m.baseTable(innerRel)
-	tuplesPerPage := math.Max(1, catalog.PageSize/float64(t.Width))
+	tbl := m.baseTable(innerRel)
+	tuplesPerPage := math.Max(1, catalog.PageSize/float64(tbl.Width))
 	// Matching inner tuples per outer tuple determine pages per lookup.
 	matchPerLookup := oRows / math.Max(1, lRows)
 	pagesPerLookup := 1 + matchPerLookup/tuplesPerPage // descent amortized into 1
 
 	lookupIO := lRows * pagesPerLookup
 	lookupCPU := lRows*m.p.LookupWork + oRows*m.p.TupleWork
-	lookupTime := lookupIO*m.p.RandPageMs + lookupCPU*m.p.CPUTupleMs
+	return IndexNLTerms{
+		lRows:          lRows,
+		pagesPerLookup: pagesPerLookup,
+		lookupCPU:      lookupCPU,
+		lookupTime:     lookupIO*m.p.RandPageMs + lookupCPU*m.p.CPUTupleMs,
+		randPageMs:     m.p.RandPageMs,
+		lookupWork:     m.p.LookupWork,
+		cpuMs:          m.p.CPUTupleMs,
+		startup:        m.p.StartupMs,
+		buf:            m.p.IndexBufBytes,
+		energy:         m.ownEnergy(lookupCPU, lookupIO, 1),
+	}
+}
 
+// Apply returns the cost vector of the prepared index-nested-loop join over
+// an outer sub-plan with cost vector cl (see JoinTerms.Apply).
+func (t *IndexNLTerms) Apply(cl *objective.Vector) objective.Vector {
 	var v objective.Vector
-	v[objective.TotalTime] = cl[objective.TotalTime] + lookupTime + m.p.StartupMs
-	v[objective.StartupTime] = cl[objective.StartupTime] + pagesPerLookup*m.p.RandPageMs +
-		m.p.LookupWork*m.p.CPUTupleMs + m.p.StartupMs
-	v[objective.IOLoad] = cl[objective.IOLoad] + lookupIO
-	v[objective.CPULoad] = cl[objective.CPULoad] + lookupCPU
+	v[objective.TotalTime] = cl[objective.TotalTime] + t.lookupTime + t.startup
+	v[objective.StartupTime] = cl[objective.StartupTime] + t.pagesPerLookup*t.randPageMs +
+		t.lookupWork*t.cpuMs + t.startup
+	v[objective.IOLoad] = cl[objective.IOLoad] + t.lRows*t.pagesPerLookup
+	v[objective.CPULoad] = cl[objective.CPULoad] + t.lookupCPU
 	v[objective.Cores] = math.Max(1, cl[objective.Cores])
 	v[objective.DiskFootprint] = cl[objective.DiskFootprint]
-	v[objective.BufferFootprint] = cl[objective.BufferFootprint] + m.p.IndexBufBytes
-	v[objective.Energy] = cl[objective.Energy] + m.ownEnergy(lookupCPU, lookupIO, 1)
+	v[objective.BufferFootprint] = cl[objective.BufferFootprint] + t.buf
+	v[objective.Energy] = cl[objective.Energy] + t.energy
 	v[objective.TupleLoss] = cl[objective.TupleLoss] // inner side is loss-free
 	return v
 }

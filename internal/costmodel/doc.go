@@ -16,4 +16,19 @@
 // paper's Observation 2 (see DESIGN.md §2 for why sampling must not change
 // downstream cardinality estimates if the approximation guarantee is to
 // hold).
+//
+// The join formulas are written in the two halves Observation 2 separates.
+// PrepareJoin and PrepareIndexNL see operand table sets, never a sub-plan,
+// and return the operator's own terms — hash build and probe, sort and
+// merge, block count, spill I/O, coordinated CPU, energy, buffer and disk
+// additions — as a small value (JoinTerms, IndexNLTerms). Apply sees two
+// child cost vectors, never the query, and is pure arithmetic: no
+// cardinality lookup, no logarithm. The dynamic program prepares once per
+// split and applies once per candidate; JoinCost, JoinCostVec, IndexNLCost
+// and IndexNLCostVec are the two steps back to back, so every operator
+// has one formula. The split keeps each expression's shape and evaluation
+// order (oracle_test.go freezes the unsplit formulas and compares all nine
+// objectives bit for bit), because floating-point arithmetic does not
+// re-associate and the engine's differential tests compare archives
+// bitwise.
 package costmodel

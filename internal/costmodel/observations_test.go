@@ -113,6 +113,14 @@ func tname(i int) string { return string(rune('a' + i)) }
 // Observation 2 (structure): the join formulas' own terms depend only on
 // table-set constants, so combining identical-cost children over
 // different physical child operators yields identical join costs.
+//
+// The types enforce the stronger statement: PrepareJoin and PrepareIndexNL
+// take operand table sets and nothing of a sub-plan, so a term cannot
+// depend on a child cost, and Apply takes child cost vectors and nothing
+// of the query, so it cannot look a cardinality up. What remains to test
+// is that the pair is the formula: terms prepared once, before any child
+// exists, cost every pair of children exactly as costing the finished
+// plan nodes does.
 func TestObservation2CostsDependOnlyOnChildCostAndSets(t *testing.T) {
 	q := testQuery(t)
 	m := NewDefault(q)
@@ -127,6 +135,25 @@ func TestObservation2CostsDependOnlyOnChildCostAndSets(t *testing.T) {
 		vb := m.JoinCost(alg, 2, b, r)
 		if va != vb {
 			t.Errorf("%v: join cost depends on child identity beyond cost/tables:\n%v\nvs\n%v", alg, va, vb)
+		}
+	}
+
+	left, right := query.Singleton(0), query.Singleton(1)
+	var joins []JoinTerms
+	for _, alg := range storedJoinAlgs {
+		joins = append(joins, m.PrepareJoin(alg, 2, left, right))
+	}
+	indexNL := m.PrepareIndexNL(left, 1)
+	for _, l := range m.ScanAlternatives(0, true) {
+		for _, r := range m.ScanAlternatives(1, true) {
+			for i := range joins {
+				if got, want := joins[i].Apply(&l.Cost, &r.Cost), m.JoinCost(joins[i].Alg, 2, l, r); got != want {
+					t.Errorf("%v over %v, %v: prepared terms give\n%v\nthe plan nodes\n%v", joins[i].Alg, l.Scan, r.Scan, got, want)
+				}
+			}
+		}
+		if got, want := indexNL.Apply(&l.Cost), m.IndexNLCost(l, 1); got != want {
+			t.Errorf("IndexNL over %v: prepared terms give\n%v\nthe plan node\n%v", l.Scan, got, want)
 		}
 	}
 }

@@ -221,6 +221,13 @@ func (a *FlatArchive) CostAt(i int32) objective.Vector {
 	return v
 }
 
+// CostRow returns the i-th stored cost vector in place, for read-only use
+// on hot paths where CostAt's copy shows. The pointer aliases the archive's
+// backing array: it is invalidated by the next Insert or Reset.
+func (a *FlatArchive) CostRow(i int32) *objective.Vector {
+	return (*objective.Vector)(a.costs[int(i)*stride:])
+}
+
 // Alpha returns the archive's pruning precision.
 func (a *FlatArchive) Alpha() float64 { return a.cfg.alpha }
 
