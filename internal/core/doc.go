@@ -44,13 +44,14 @@
 //   - a deferred materializer (internal/plan) that rebuilds *plan.Node
 //     trees from the memo's compact entries only at frontier extraction.
 //
-// The candidate loop is allocation-free: a candidate is a (cost vector,
-// plan.Entry) pair on the stack, offered to a flat archive whose insert
-// allocates nothing after warm-up. Costing is split-constant: each
+// The candidate loop is allocation-free: a candidate is a cost vector in
+// the worker's scratch and a plan.Entry value, offered to a flat archive
+// whose insert reads the vector in place and allocates nothing after
+// warm-up. Costing is split-constant: each
 // operator's terms that depend only on the operand table sets are
 // prepared once per split into worker scratch (costmodel.PrepareJoin) and
 // applied to the sub-plans' cost rows, read in place, once per candidate
-// (costmodel.JoinTerms.Apply). Extracted frontiers are
+// (costmodel.JoinTerms.ApplyTo). Extracted frontiers are
 // canonically sorted, so results are byte-for-byte reproducible across
 // worker counts and schedules. The pre-refactor tree-allocating engine is
 // preserved (reference.go: ReferenceEXA, ReferenceRTA) as the

@@ -446,8 +446,8 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	}
 	a := e.newArchive()
 	e.memo.archives[id] = a
-	complete := w.forEachCandidate(s, func(cost objective.Vector, ent plan.Entry) bool {
-		a.Insert(cost, ent)
+	complete := w.forEachCandidate(s, func(cost *objective.Vector, ent plan.Entry) bool {
+		a.InsertRow(cost, ent)
 		return !w.expired()
 	})
 	if complete {
@@ -500,8 +500,8 @@ func (w *worker) degradedSet(id int32, s query.TableSet) {
 	// exhaustive strategy), so let a cancellation escape mid-set — there
 	// is no caller left to serve. A plain timeout keeps going: degraded
 	// mode exists to still produce a plan.
-	w.forEachCandidateFrom(s, lookup, func(cost objective.Vector, ent plan.Entry) bool {
-		t.offer(cost, ent, scalar(cost))
+	w.forEachCandidateFrom(s, lookup, func(cost *objective.Vector, ent plan.Entry) bool {
+		t.offer(*cost, ent, scalar(*cost))
 		return !w.interrupted()
 	})
 	e.memo.archives[id] = t.archive(e)
@@ -514,8 +514,8 @@ func (w *worker) degradedSet(id int32, s query.TableSet) {
 // scalar DP has no degraded mode, so the timeout is ignored here.
 func (w *worker) bestOnlySet(id int32, s query.TableSet, scalar func(objective.Vector) float64) {
 	t := newBestTracker()
-	w.forEachCandidate(s, func(cost objective.Vector, ent plan.Entry) bool {
-		t.offer(cost, ent, scalar(cost))
+	w.forEachCandidate(s, func(cost *objective.Vector, ent plan.Entry) bool {
+		t.offer(*cost, ent, scalar(*cost))
 		return !w.interrupted()
 	})
 	a := t.archive(w.e)
@@ -547,9 +547,11 @@ func (v splitView) span() (lo, hi int32) {
 }
 
 // candidateFn receives one candidate of the enumeration: its cost vector
-// and its compact encoding. Both live on the stack — a candidate that the
-// archive rejects costs no allocation at all.
-type candidateFn func(cost objective.Vector, ent plan.Entry) bool
+// and its compact encoding. The vector is the worker's scratch (worker.cost),
+// valid until fn returns and overwritten by the next candidate; the entry is
+// a small value. A candidate that the archive rejects costs no allocation
+// and no copy of its costs.
+type candidateFn func(cost *objective.Vector, ent plan.Entry) bool
 
 // forEachCandidate constructs every candidate plan for table set s —
 // all splits into two non-empty subsets, all join operators and DOPs, all
@@ -873,7 +875,8 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 			terms := e.m.PrepareIndexNL(left, rel)
 			for li, hi := vl.span(); li < hi; li++ {
 				w.considered++
-				if !fn(terms.Apply(vl.arch.CostRow(li)), plan.IndexNLEntry(left, li, rel)) {
+				terms.ApplyTo(&w.cost, vl.arch.CostRow(li))
+				if !fn(&w.cost, plan.IndexNLEntry(left, li, rel)) {
 					return false
 				}
 			}
@@ -907,7 +910,8 @@ func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right qu
 			for k := range terms {
 				t := &terms[k]
 				w.considered++
-				if !fn(t.Apply(cl, cr), plan.JoinEntry(t.Alg, t.DOP, left, li, right, ri)) {
+				t.ApplyTo(&w.cost, cl, cr)
+				if !fn(&w.cost, plan.JoinEntry(t.Alg, t.DOP, left, li, right, ri)) {
 					return false
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"moqo/internal/costmodel"
+	"moqo/internal/objective"
 	"moqo/internal/query"
 )
 
@@ -54,10 +55,19 @@ type worker struct {
 	// fixed array, so a run allocates nothing for it however many workers
 	// it has.
 	terms [maxSplitTerms]costmodel.JoinTerms
+	// cost is the current candidate's cost vector: the candidate loops
+	// apply the split's terms into it and the archive reads it in place
+	// (candidateFn), so a candidate's costs never travel by value through
+	// the loop's call frames.
+	cost objective.Vector
 	// keyBuf is the shared-memo key scratch (sharedKey); sharedHits counts
 	// table sets this worker served from the batch's shared memo.
 	keyBuf     []byte
 	sharedHits int
+	// Workers sit side by side in engine.workers and each writes its own
+	// cost and considered once per candidate; the pad keeps the tail of one
+	// worker and the head of the next on different cache lines.
+	_ [64]byte
 }
 
 // observe polls the run's stop signals (amortized by the caller): the

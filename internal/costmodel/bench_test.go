@@ -37,7 +37,7 @@ func BenchmarkJoinApply(b *testing.B) {
 		cl, cr := m.ScanCost(0, plan.SeqScan, 0), m.ScanCost(2, plan.SeqScan, 0)
 		terms := m.PrepareJoin(alg, 2, left, right)
 		for b.Loop() {
-			sinkVector = terms.Apply(&cl, &cr)
+			terms.ApplyTo(&sinkVector, &cl, &cr)
 		}
 	})
 }

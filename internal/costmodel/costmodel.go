@@ -290,11 +290,22 @@ func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) (t
 }
 
 // Apply returns the cost vector of the prepared join over sub-plans with
-// cost vectors cl and cr. Every expression keeps the shape and evaluation
-// order of the formula it was split from — floating-point arithmetic does
-// not re-associate, and the engine's archives are compared bit for bit.
-func (t *JoinTerms) Apply(cl, cr *objective.Vector) objective.Vector {
-	var v objective.Vector
+// cost vectors cl and cr: ApplyTo into a fresh vector.
+func (t *JoinTerms) Apply(cl, cr *objective.Vector) (v objective.Vector) {
+	t.ApplyTo(&v, cl, cr)
+	return v
+}
+
+// ApplyTo writes the cost vector of the prepared join over sub-plans with
+// cost vectors cl and cr into v — every entry, so v's old contents do not
+// matter; v must not alias cl or cr. Every expression keeps the shape and
+// evaluation order of the formula it was split from — floating-point
+// arithmetic does not re-associate, and the engine's archives are compared
+// bit for bit. The engine's candidate loops apply into one vector of the
+// worker's scratch, which the archive then reads in place: a candidate's
+// cost is written once, not copied from frame to frame on its way to the
+// dominance scan.
+func (t *JoinTerms) ApplyTo(v, cl, cr *objective.Vector) {
 	switch t.Alg {
 	case plan.HashJoin:
 		buildTime := t.buildCPU * t.cpuMs
@@ -338,7 +349,6 @@ func (t *JoinTerms) Apply(cl, cr *objective.Vector) objective.Vector {
 	// Tuple loss composes multiplicatively: 1-(1-a)(1-b).
 	a, b := cl[objective.TupleLoss], cr[objective.TupleLoss]
 	v[objective.TupleLoss] = 1 - (1-a)*(1-b)
-	return v
 }
 
 // IndexNLCost returns the cost vector of an index-nested-loop join: for
@@ -400,8 +410,15 @@ func (m *Model) PrepareIndexNL(lt query.TableSet, innerRel int) IndexNLTerms {
 
 // Apply returns the cost vector of the prepared index-nested-loop join over
 // an outer sub-plan with cost vector cl (see JoinTerms.Apply).
-func (t *IndexNLTerms) Apply(cl *objective.Vector) objective.Vector {
-	var v objective.Vector
+func (t *IndexNLTerms) Apply(cl *objective.Vector) (v objective.Vector) {
+	t.ApplyTo(&v, cl)
+	return v
+}
+
+// ApplyTo writes every entry of the prepared index-nested-loop join's cost
+// vector over an outer sub-plan with cost vector cl into v, which must not
+// alias cl (see JoinTerms.ApplyTo).
+func (t *IndexNLTerms) ApplyTo(v, cl *objective.Vector) {
 	v[objective.TotalTime] = cl[objective.TotalTime] + t.lookupTime + t.startup
 	v[objective.StartupTime] = cl[objective.StartupTime] + t.pagesPerLookup*t.randPageMs +
 		t.lookupWork*t.cpuMs + t.startup
@@ -412,7 +429,6 @@ func (t *IndexNLTerms) Apply(cl *objective.Vector) objective.Vector {
 	v[objective.BufferFootprint] = cl[objective.BufferFootprint] + t.buf
 	v[objective.Energy] = cl[objective.Energy] + t.energy
 	v[objective.TupleLoss] = cl[objective.TupleLoss] // inner side is loss-free
-	return v
 }
 
 // sortWork returns the CPU work units to sort n tuples.

@@ -21,10 +21,11 @@
 // PrepareJoin and PrepareIndexNL see operand table sets, never a sub-plan,
 // and return the operator's own terms — hash build and probe, sort and
 // merge, block count, spill I/O, coordinated CPU, energy, buffer and disk
-// additions — as a small value (JoinTerms, IndexNLTerms). Apply sees two
+// additions — as a small value (JoinTerms, IndexNLTerms). ApplyTo sees two
 // child cost vectors, never the query, and is pure arithmetic: no
-// cardinality lookup, no logarithm. The dynamic program prepares once per
-// split and applies once per candidate; JoinCost, JoinCostVec, IndexNLCost
+// cardinality lookup, no logarithm; it writes into the caller's vector, and
+// Apply is ApplyTo into a fresh one. The dynamic program prepares once per
+// split and applies once per candidate, into worker scratch; JoinCost, JoinCostVec, IndexNLCost
 // and IndexNLCostVec are the two steps back to back, so every operator
 // has one formula. The split keeps each expression's shape and evaluation
 // order (oracle_test.go freezes the unsplit formulas and compares all nine

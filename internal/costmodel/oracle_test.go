@@ -222,6 +222,12 @@ func TestCostingOracle(t *testing.T) {
 								if got := terms.Apply(cl, cr); !bitsEqual(got, want) {
 									t.Fatalf("%s %v dop %d %v|%v: prepare+apply\n%v\nfrozen\n%v", q.Name, alg, dop, left, right, got, want)
 								}
+								// The engine applies into reused scratch: every
+								// entry must be overwritten, whatever was there.
+								got := nanVector()
+								if terms.ApplyTo(&got, cl, cr); !bitsEqual(got, want) {
+									t.Fatalf("%s %v dop %d %v|%v: ApplyTo over a dirty vector\n%v\nfrozen\n%v", q.Name, alg, dop, left, right, got, want)
+								}
 								if got := m.JoinCostVec(alg, dop, left, right, cl, cr); !bitsEqual(got, want) {
 									t.Fatalf("%s %v dop %d %v|%v: JoinCostVec\n%v\nfrozen\n%v", q.Name, alg, dop, left, right, got, want)
 								}
@@ -241,6 +247,10 @@ func TestCostingOracle(t *testing.T) {
 					if got := terms.Apply(cl); !bitsEqual(got, want) {
 						t.Fatalf("%s IndexNL %v|%d: prepare+apply\n%v\nfrozen\n%v", q.Name, left, inner, got, want)
 					}
+					got := nanVector()
+					if terms.ApplyTo(&got, cl); !bitsEqual(got, want) {
+						t.Fatalf("%s IndexNL %v|%d: ApplyTo over a dirty vector\n%v\nfrozen\n%v", q.Name, left, inner, got, want)
+					}
 					if got := m.IndexNLCostVec(left, cl, inner); !bitsEqual(got, want) {
 						t.Fatalf("%s IndexNL %v|%d: IndexNLCostVec\n%v\nfrozen\n%v", q.Name, left, inner, got, want)
 					}
@@ -253,6 +263,15 @@ func TestCostingOracle(t *testing.T) {
 		}
 		t.Logf("%s: %d splits, %d (operator, dop, split, calibration) cells", q.Name, splits, cells)
 	}
+}
+
+// nanVector is a vector no formula produces, so an entry ApplyTo left
+// unwritten shows.
+func nanVector() (v objective.Vector) {
+	for i := range v {
+		v[i] = math.NaN()
+	}
+	return v
 }
 
 var (
@@ -274,15 +293,15 @@ func TestPrepareApplyZeroAlloc(t *testing.T) {
 			t.Errorf("PrepareJoin(%v): %v allocs/op, want 0", alg, n)
 		}
 		terms := m.PrepareJoin(alg, 2, left, right)
-		if n := testing.AllocsPerRun(100, func() { sinkVector = terms.Apply(&cl, &cr) }); n != 0 {
-			t.Errorf("JoinTerms.Apply(%v): %v allocs/op, want 0", alg, n)
+		if n := testing.AllocsPerRun(100, func() { terms.ApplyTo(&sinkVector, &cl, &cr) }); n != 0 {
+			t.Errorf("JoinTerms.ApplyTo(%v): %v allocs/op, want 0", alg, n)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { sinkIndexNLTerms = m.PrepareIndexNL(left, 2) }); n != 0 {
 		t.Errorf("PrepareIndexNL: %v allocs/op, want 0", n)
 	}
 	terms := m.PrepareIndexNL(left, 2)
-	if n := testing.AllocsPerRun(100, func() { sinkVector = terms.Apply(&cl) }); n != 0 {
-		t.Errorf("IndexNLTerms.Apply: %v allocs/op, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { terms.ApplyTo(&sinkVector, &cl) }); n != 0 {
+		t.Errorf("IndexNLTerms.ApplyTo: %v allocs/op, want 0", n)
 	}
 }

@@ -128,6 +128,14 @@ func NewFlat(cfg *FlatConfig) *FlatArchive { return &FlatArchive{cfg: cfg} }
 // comparisons as insertGeneric, so results and counters are bit-identical
 // regardless of the kernel taken.
 func (a *FlatArchive) Insert(c objective.Vector, e plan.Entry) bool {
+	return a.InsertRow(&c, e)
+}
+
+// InsertRow is Insert over a cost vector read in place: c is not retained
+// (a stored candidate's costs are copied into the archive's own rows) and
+// must not point into this archive. The engine's candidate loops offer the
+// vector of the worker's scratch this way.
+func (a *FlatArchive) InsertRow(c *objective.Vector, e plan.Entry) bool {
 	cfg := a.cfg
 	var rejected bool
 	switch cfg.kind {
@@ -179,9 +187,9 @@ func (a *FlatArchive) Insert(c objective.Vector, e plan.Entry) bool {
 		a.evict6(cfg.o0, cfg.o1, cfg.o2, cfg.o3, cfg.o4, cfg.o5,
 			c[cfg.o0], c[cfg.o1], c[cfg.o2], c[cfg.o3], c[cfg.o4], c[cfg.o5])
 	case kernelFull:
-		a.evictFull(&c)
+		a.evictFull(c)
 	default:
-		a.evictGeneric(cfg.ids, &c)
+		a.evictGeneric(cfg.ids, c)
 	}
 	a.entries = append(a.entries, e)
 	a.costs = append(a.costs, c[:]...)

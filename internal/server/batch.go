@@ -40,6 +40,43 @@ type batchMember struct {
 	buildErr     error
 	errCode      string
 	retryAfterMs int64
+
+	// turn and ticket order the member among those sharing its query
+	// object (handleOptimizeBatch).
+	turn   *queryTurn
+	ticket int
+}
+
+// queryTurn serializes the batch members that share one query object in
+// the order their tickets were issued. Members are claimed in schedule
+// order, so whoever holds ticket k-1 was claimed before the holder of k
+// and is being served: a waiter only ever waits on work in progress.
+type queryTurn struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	issued  int // tickets handed out while scheduling
+	serving int // the ticket whose turn it is
+}
+
+func newQueryTurn() *queryTurn {
+	qt := &queryTurn{}
+	qt.cond.L = &qt.mu
+	return qt
+}
+
+func (qt *queryTurn) wait(ticket int) {
+	qt.mu.Lock()
+	for qt.serving != ticket {
+		qt.cond.Wait()
+	}
+	qt.mu.Unlock()
+}
+
+func (qt *queryTurn) done() {
+	qt.mu.Lock()
+	qt.serving++
+	qt.mu.Unlock()
+	qt.cond.Broadcast()
 }
 
 // handleOptimizeBatch serves POST /optimize/batch: a workload of member
@@ -181,13 +218,20 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Members sharing a query object must not optimize concurrently (its
 	// cardinality memo is written without locks; the first run warms it
-	// for the rest). Serving under the lock also covers the re-weight and
-	// cache-hit paths, which are microseconds.
-	queryLocks := make(map[*moqo.Query]*sync.Mutex)
+	// for the rest). They take turns in schedule order, not in whatever
+	// order their servers reach a lock: which member of a group runs the
+	// dynamic program and which ones reuse it (stats.reused_frontier,
+	// cached) is then the same on every run. Serving in turn also covers
+	// the re-weight and cache-hit paths, which are microseconds.
+	turns := make(map[*moqo.Query]*queryTurn)
 	for _, m := range runnable {
-		if queryLocks[m.req.Query] == nil {
-			queryLocks[m.req.Query] = new(sync.Mutex)
+		qt := turns[m.req.Query]
+		if qt == nil {
+			qt = newQueryTurn()
+			turns[m.req.Query] = qt
 		}
+		m.turn, m.ticket = qt, qt.issued
+		qt.issued++
 	}
 
 	parallel := wire.Parallel
@@ -201,44 +245,61 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		parallel = len(runnable)
 	}
 
+	// The batch fans out across members, so a member's own dynamic program
+	// gets its share of the cores, not all of them: the two levels of
+	// parallelism do not multiply into more runnable threads than the
+	// machine has, and a batch's latency does not hang on how many cores
+	// happen to be idle. Members of one query object serialize (above), so
+	// at most one member per distinct query is in flight.
+	share := workerShare(runtime.NumCPU(), min(parallel, len(turns)))
+	for _, m := range runnable {
+		m.req.Workers = min(m.req.Workers, share)
+	}
+
+	// serve claims and serves members until none are left. The handler's
+	// own goroutine is one of the parallel servers: a batch with parallel 1
+	// spawns nothing, and otherwise the handler works instead of waiting.
 	var next atomic.Int64
+	serve := func() {
+		for {
+			n := int(next.Add(1) - 1)
+			if n >= len(runnable) {
+				return
+			}
+			m := runnable[n]
+			memberStart := time.Now()
+			// Per-member deadline budget: the member's wall budget starts
+			// when a worker picks it up, so scheduler queue wait inside
+			// serving consumes it and the DP gets exactly the remainder.
+			// A budget that dies while queued sheds that member alone.
+			mctx, cancel := context.WithDeadline(ctx, memberStart.Add(m.req.Timeout))
+			m.turn.wait(m.ticket)
+			resp, err := s.serveMember(mctx, m.req, m.key, m.ten)
+			m.turn.done()
+			cancel()
+			if err != nil {
+				s.errors.Add(1)
+				emit(BatchMemberResponse{Member: m.idx, Error: err.Error(), ErrorCode: classifyServeError(err)})
+				continue
+			}
+			if !m.frontier {
+				resp.Frontier = nil // field-level copy; cached value keeps its slice
+			}
+			ms := float64(time.Since(memberStart)) / float64(time.Millisecond)
+			s.recordLatency(ms)
+			s.tenants.RecordLatency(m.ten, ms)
+			emit(BatchMemberResponse{Member: m.idx, Result: &resp})
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < parallel; g++ {
+	for g := 1; g < parallel; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				n := int(next.Add(1) - 1)
-				if n >= len(runnable) {
-					return
-				}
-				m := runnable[n]
-				memberStart := time.Now()
-				// Per-member deadline budget: the member's wall budget starts
-				// when a worker picks it up, so scheduler queue wait inside
-				// serving consumes it and the DP gets exactly the remainder.
-				// A budget that dies while queued sheds that member alone.
-				mctx, cancel := context.WithDeadline(ctx, memberStart.Add(m.req.Timeout))
-				lock := queryLocks[m.req.Query]
-				lock.Lock()
-				resp, err := s.serveMember(mctx, m.req, m.key, m.ten)
-				lock.Unlock()
-				cancel()
-				if err != nil {
-					s.errors.Add(1)
-					emit(BatchMemberResponse{Member: m.idx, Error: err.Error(), ErrorCode: classifyServeError(err)})
-					continue
-				}
-				if !m.frontier {
-					resp.Frontier = nil // field-level copy; cached value keeps its slice
-				}
-				ms := float64(time.Since(memberStart)) / float64(time.Millisecond)
-				s.recordLatency(ms)
-				s.tenants.RecordLatency(m.ten, ms)
-				emit(BatchMemberResponse{Member: m.idx, Result: &resp})
-			}
+			serve()
 		}()
 	}
+	serve()
 	wg.Wait()
 
 	if ctx.Err() != nil && wire.Stream {
@@ -264,6 +325,15 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 			DurationMs:        float64(time.Since(started)) / float64(time.Millisecond),
 		},
 	})
+}
+
+// workerShare is the most workers one member's dynamic program gets when
+// inFlight members of a batch run side by side on cpus cores.
+func workerShare(cpus, inFlight int) int {
+	if inFlight <= 1 {
+		return cpus
+	}
+	return max(1, cpus/inFlight)
 }
 
 // buildBatchMembers resolves every member spec against the batch catalog:

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
@@ -160,7 +161,11 @@ func TestBatchDedupeAndReuse(t *testing.T) {
 // memo, and the response surfaces the sharing in its stats.
 func TestBatchSharedMemoOnWire(t *testing.T) {
 	ts := newTestServer(t, Options{})
+	// One member at a time: run side by side, the two dynamic programs
+	// solve their common subsets concurrently and how many the slower one
+	// finds published is a race (two of three, about one run in three).
 	body := `{
+		"parallel": 1,
 		"catalog": {
 			"tables": [
 				{"name": "a", "rows": 100000, "width": 64, "pk": "id"},
@@ -206,8 +211,8 @@ func TestBatchSharedMemoOnWire(t *testing.T) {
 		t.Error("batch published no shared subproblems")
 	}
 	// The chain's every non-singleton connected prefix subset ({a,b},
-	// {b,c}, {a,b,c}) is shared with the extension; whichever member ran
-	// second hit them all.
+	// {b,c}, {a,b,c}) is shared with the extension, which is scheduled
+	// first (most expensive first); the chain, run after it, hits them all.
 	if resp.Stats.SharedHits < 3 {
 		t.Errorf("shared hits = %d, want >= 3", resp.Stats.SharedHits)
 	}
@@ -324,5 +329,49 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /optimize/batch: %d", res.StatusCode)
+	}
+}
+
+// TestBatchWorkerShare: the members of a batch divide the cores between
+// them — fan-out across members times fan-out inside one never exceeds the
+// machine — and a batch that runs one member at a time keeps them all.
+func TestBatchWorkerShare(t *testing.T) {
+	for _, c := range []struct{ cpus, inFlight, want int }{
+		{8, 0, 8}, {8, 1, 8}, {8, 2, 4}, {8, 3, 2}, {8, 8, 1}, {2, 2, 1}, {2, 3, 1}, {1, 1, 1},
+	} {
+		if got := workerShare(c.cpus, c.inFlight); got != c.want {
+			t.Errorf("workerShare(%d cores, %d in flight) = %d, want %d", c.cpus, c.inFlight, got, c.want)
+		}
+		if c.inFlight > 0 && c.inFlight <= c.cpus && workerShare(c.cpus, c.inFlight)*c.inFlight > c.cpus {
+			t.Errorf("%d members x %d workers oversubscribe %d cores", c.inFlight, workerShare(c.cpus, c.inFlight), c.cpus)
+		}
+	}
+}
+
+// TestQueryTurnOrder: holders of a query's tickets are served one at a
+// time in ticket order, whatever order they arrive in (the appends below
+// are unsynchronized but for the turn: -race checks the exclusion).
+func TestQueryTurnOrder(t *testing.T) {
+	qt := newQueryTurn()
+	const n = 64
+	var order []int
+	var wg sync.WaitGroup
+	for k := n - 1; k >= 0; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			qt.wait(k)
+			order = append(order, k)
+			qt.done()
+		}()
+	}
+	wg.Wait()
+	for k, got := range order {
+		if got != k {
+			t.Fatalf("served %v, want tickets in order", order)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("served %d of %d", len(order), n)
 	}
 }

@@ -84,7 +84,9 @@ type BatchRequest struct {
 	Members []BatchMemberRequest `json:"members"`
 
 	// Parallel caps how many member dynamic programs run concurrently
-	// (0 = the server's worker default, clamped to the CPU count).
+	// (0 = the server's worker default, clamped to the CPU count). The
+	// members in flight share the cores: each one's workers knob is capped
+	// at CPU count / members in flight.
 	Parallel int `json:"parallel,omitempty"`
 
 	// Stream switches the response to NDJSON: one BatchMemberResponse
