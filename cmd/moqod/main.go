@@ -73,10 +73,10 @@
 //	curl -s localhost:8080/metrics
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener
-// stops accepting, in-flight requests drain (up to 30s), the
-// eviction-demotion queue is flushed to the store, and the store's
-// segments are synced and closed — a clean shutdown never loses an
-// enqueued demotion and never tears a segment.
+// stops accepting, in-flight requests drain (up to 30s), and the store's
+// segments are synced and closed. Store appends are fsynced on the
+// request's goroutine before it answers, so there is nothing queued to
+// flush and a clean shutdown never tears a segment.
 package main
 
 import (
@@ -202,7 +202,7 @@ func main() {
 		defer cancel()
 		if err := httpServer.Shutdown(ctx); err != nil {
 			// Report but fall through: the deferred svc.Close must still
-			// flush the demotion queue and close the store cleanly.
+			// close the store cleanly.
 			fmt.Fprintf(os.Stderr, "moqod: shutdown: %v\n", err)
 		}
 	}

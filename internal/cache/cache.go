@@ -159,9 +159,8 @@ const (
 	// Replaced: a Put overwrote the key with a fresh value.
 	Replaced EvictReason = iota
 	// Evicted: the shard was full and the value was its least recently
-	// used entry. Eviction victims are the natural candidates for
-	// demotion to a colder tier (the moqod frontier tier demotes them to
-	// the disk-backed store).
+	// used entry (the moqod frontier tier tells the disk store the
+	// victim was in use until now).
 	Evicted
 )
 
@@ -169,23 +168,14 @@ const (
 // the cache — an LRU eviction, or replacement of an existing key by Put
 // (the reason distinguishes the two). It lets a tier keep gauge-style
 // accounting of what it currently holds (e.g. the moqod frontier tier's
-// snapshot-bytes gauge) and react to capacity pressure (demotion), and a
-// second registration lets an orthogonal concern — the per-tenant
-// cache-partition attribution — observe the same departures without the
-// tiers threading one composite closure around. Callbacks run in
-// registration order, with the value's shard locked: they must be fast
-// and must not call back into the cache. Register them before the cache
-// is shared.
+// snapshot-bytes gauge) and tell a colder tier what capacity pressure
+// pushed out. Callbacks run in registration order on the goroutine of the
+// Put that displaced the value, after that Put has released the shard
+// lock: they may block, take other locks and call back into the cache,
+// and callbacks of concurrent Puts may interleave. Register them before
+// the cache is shared.
 func (c *Cache[V]) OnEvict(fn func(key string, v V, reason EvictReason)) {
 	c.onEvict = append(c.onEvict, fn)
-}
-
-// notifyEvict runs the eviction callbacks in registration order. Caller
-// holds the entry's shard lock.
-func (c *Cache[V]) notifyEvict(key string, v V, reason EvictReason) {
-	for _, fn := range c.onEvict {
-		fn(key, v, reason)
-	}
 }
 
 // shardFor hashes the key onto its shard: an inlined FNV-1a over the
@@ -225,29 +215,37 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Put stores the value, evicting the shard's least-recently-used entry if
 // the shard is full. Storing an existing key refreshes its value and
-// recency.
+// recency. At most one value leaves per Put; its OnEvict callbacks run
+// after the shard unlocks.
 func (c *Cache[V]) Put(key string, v V) {
 	s := c.shardFor(key)
+	var (
+		gone   entry[V] // the value this Put pushed out, if left is set
+		reason EvictReason
+		left   bool
+	)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
 		e := el.Value.(*entry[V])
-		c.notifyEvict(e.key, e.val, Replaced)
+		gone, reason, left = *e, Replaced, true
 		e.val = v
 		s.lru.MoveToFront(el)
-		return
-	}
-	if s.lru.Len() >= s.cap {
-		oldest := s.lru.Back()
-		if oldest != nil {
+	} else {
+		if oldest := s.lru.Back(); oldest != nil && s.lru.Len() >= s.cap {
 			s.lru.Remove(oldest)
 			e := oldest.Value.(*entry[V])
 			delete(s.m, e.key)
 			c.evictions.Add(1)
-			c.notifyEvict(e.key, e.val, Evicted)
+			gone, reason, left = *e, Evicted, true
+		}
+		s.m[key] = s.lru.PushFront(&entry[V]{key: key, val: v})
+	}
+	s.mu.Unlock()
+	if left {
+		for _, fn := range c.onEvict {
+			fn(gone.key, gone.val, reason)
 		}
 	}
-	s.m[key] = s.lru.PushFront(&entry[V]{key: key, val: v})
 }
 
 // Do returns the cached value for key, or computes it exactly once even

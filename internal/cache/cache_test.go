@@ -39,7 +39,8 @@ func TestEvictionOrder(t *testing.T) {
 // TestOnEvict: the eviction hook fires for LRU evictions and for Put
 // replacements — exactly once per value leaving the cache, with the
 // reason telling the two apart — so a gauge-style accounting (the moqod
-// snapshot-bytes gauge) balances and demotion only sees true evictions.
+// snapshot-bytes gauge) balances and the colder tier only hears of true
+// evictions.
 func TestOnEvict(t *testing.T) {
 	c := New[int](2, 1)
 	var gone []string
@@ -65,7 +66,7 @@ func TestOnEvict(t *testing.T) {
 
 // TestOnEvictMultiple: independently registered hooks all observe every
 // departure, in registration order — the contract the moqod frontier
-// tier (gauge + demotion) and the tenant cache-attribution hook rely on
+// tier (gauge + disk touch) and the tenant cache-attribution hook rely on
 // to coexist without knowing about each other.
 func TestOnEvictMultiple(t *testing.T) {
 	c := New[int](1, 1)
@@ -90,6 +91,48 @@ func TestOnEvictMultiple(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("hook calls %v, want %v", order, want)
 		}
+	}
+}
+
+// TestOnEvictUnlocked: callbacks run after Put has released the shard
+// lock, so they may call back into the same cache (with the lock held,
+// Get and Len on the one shard would deadlock), and a gauge kept by
+// add-on-Put / subtract-in-callback still balances when many goroutines
+// displace each other's values. Run with -race.
+func TestOnEvictUnlocked(t *testing.T) {
+	c := New[int](4, 1) // one shard: every key contends for the same lock
+	var gauge atomic.Int64
+	c.OnEvict(func(key string, v int, _ EvictReason) {
+		gauge.Add(-int64(v))
+		c.Get(key)
+		c.Len()
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= 500; i++ {
+				gauge.Add(int64(i))
+				c.Put(fmt.Sprintf("k%d", (g+i)%16), i)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Put deadlocked against its own OnEvict callback")
+	}
+	var held int64
+	for k := 0; k < 16; k++ {
+		if v, ok := c.Get(fmt.Sprintf("k%d", k)); ok {
+			held += int64(v)
+		}
+	}
+	if got := gauge.Load(); got != held {
+		t.Fatalf("gauge %d, cache holds %d", got, held)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"moqo"
-	"moqo/internal/cache"
 	"moqo/internal/core"
 )
 
@@ -159,8 +158,8 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	// member DPs queue — per tenant, inside serving).
 	release, gerr := s.gateRequest(ctx, headerTen)
 	if gerr != nil {
-		s.errors.Add(1)
-		return // client gone while queued
+		s.writeServeError(w, r, gerr)
+		return
 	}
 	defer release()
 
@@ -274,7 +273,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 			// A budget that dies while queued sheds that member alone.
 			mctx, cancel := context.WithDeadline(ctx, memberStart.Add(m.req.Timeout))
 			m.turn.wait(m.ticket)
-			resp, err := s.serveMember(mctx, m.req, m.key, m.ten)
+			resp, err := s.serveMember(mctx, m.req, m.key, m.ten, false)
 			m.turn.done()
 			cancel()
 			if err != nil {
@@ -458,22 +457,4 @@ func (s *Server) batchMemo(members []batchMember) *moqo.SharedMemo {
 		}
 	}
 	return moqo.NewSharedMemo()
-}
-
-// serveMember serves one batch member through the same path as a single
-// /optimize request: the exact tier's single-flight (identical members
-// run one dynamic program), then the frontier tier (re-weight members are
-// answered by a SelectBest scan), then a cold optimization carrying the
-// batch's shared memo.
-func (s *Server) serveMember(ctx context.Context, req moqo.Request, key, ten string) (OptimizeResponse, error) {
-	if s.cache == nil {
-		resp, _, err := s.compute(ctx, req, ten)
-		return resp, err
-	}
-	resp, src, err := s.cache.Do(ctx, key, s.cachedCompute(req, ten))
-	if err != nil {
-		return OptimizeResponse{}, err
-	}
-	resp.Cached = src != cache.Miss
-	return resp, nil
 }

@@ -54,6 +54,17 @@ func toChaosAnswer(r OptimizeResponse) chaosAnswer {
 	return chaosAnswer{Algorithm: r.Algorithm, Plan: string(r.Plan), Cost: r.Cost, Frontier: r.Frontier}
 }
 
+// waitFor polls cond every millisecond until it holds; the test fails if
+// it has not within timeout.
+func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // decodeErrResp decodes a non-2xx body.
 func decodeErrResp(t *testing.T, raw string) ErrorResponse {
 	t.Helper()
@@ -248,7 +259,7 @@ func TestChaosDeadDiskBreaker(t *testing.T) {
 			t.Fatalf("request %d failed on dead disk (%d): %s — must serve memory-only", i, status, raw)
 		}
 	}
-	if st := svc.breaker.State(); st != fault.Open {
+	if st := svc.disk.breaker.State(); st != fault.Open {
 		t.Fatalf("breaker state %v after dead-disk traffic, want Open", st)
 	}
 
@@ -292,11 +303,11 @@ func TestChaosDeadDiskBreaker(t *testing.T) {
 	for {
 		sel := 0.8 + 0.01*float64(time.Now().UnixNano()%100) // distinct cold shapes force store traffic
 		post(t, ts, chainBody(6, sel, "rta", map[string]float64{"total_time": 1}))
-		if svc.breaker.State() == fault.Closed {
+		if svc.disk.breaker.State() == fault.Closed {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker did not close after disk recovery: %+v", svc.breaker.Stats())
+			t.Fatalf("breaker did not close after disk recovery: %+v", svc.disk.breaker.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -397,57 +408,60 @@ func TestChaosHandlerPanicRecovered(t *testing.T) {
 // TestChaosQueueBoundSheds: with the scheduler's slot held and its
 // queue full, a new arrival is shed immediately — 503, Retry-After,
 // code "overload", reason "queue_full" — instead of queuing unboundedly.
+// Both handler-level gates (FIFO baseline) answer it the same way; the
+// batch one used to return 200 with an empty body.
 func TestChaosQueueBoundSheds(t *testing.T) {
-	svc, err := NewE(Options{FIFOScheduling: true, MaxColdDPs: 1, MaxQueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	for path, body := range map[string]string{
+		"/optimize":       chainBody(5, 0.4, "rta", map[string]float64{"total_time": 1}),
+		"/optimize/batch": tpchBatch,
+	} {
+		t.Run(path, func(t *testing.T) {
+			svc, err := NewE(Options{FIFOScheduling: true, MaxColdDPs: 1, MaxQueueDepth: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
 
-	// Hold the single slot directly, then park one request in the queue.
-	if err := svc.sched.Acquire(t.Context(), "", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	queuedDone := make(chan int, 1)
-	go func() {
-		status, _, _ := post(t, ts, chainBody(5, 0.5, "rta", map[string]float64{"total_time": 1}))
-		queuedDone <- status
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.sched.Queued() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued request never reached the scheduler")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			// Hold the single slot directly, then park one request in the queue.
+			if err := svc.sched.Acquire(t.Context(), "", 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			queuedDone := make(chan int, 1)
+			go func() {
+				status, _, _ := post(t, ts, chainBody(5, 0.5, "rta", map[string]float64{"total_time": 1}))
+				queuedDone <- status
+			}()
+			waitFor(t, 5*time.Second, "the queued request to reach the scheduler",
+				func() bool { return svc.sched.Queued() >= 1 })
 
-	// Queue full: the next arrival is shed without doing any work.
-	res, err := http.Post(ts.URL+"/optimize", "application/json",
-		bytes.NewBufferString(chainBody(5, 0.4, "rta", map[string]float64{"total_time": 1})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d at queue bound, want 503: %s", res.StatusCode, buf.String())
-	}
-	if res.Header.Get("Retry-After") == "" {
-		t.Error("503 shed response missing Retry-After")
-	}
-	if e := decodeErrResp(t, buf.String()); e.Code != CodeOverload || e.Reason != "queue_full" {
-		t.Errorf("shed error = %+v, want code %q reason queue_full", e, CodeOverload)
-	}
+			// Queue full: the next arrival is shed without doing any work.
+			res, err := http.Post(ts.URL+path, "application/json", bytes.NewBufferString(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			_, _ = buf.ReadFrom(res.Body)
+			res.Body.Close()
+			if res.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status %d at queue bound, want 503: %s", res.StatusCode, buf.String())
+			}
+			if res.Header.Get("Retry-After") == "" {
+				t.Error("503 shed response missing Retry-After")
+			}
+			if e := decodeErrResp(t, buf.String()); e.Code != CodeOverload || e.Reason != "queue_full" {
+				t.Errorf("shed error = %+v, want code %q reason queue_full", e, CodeOverload)
+			}
 
-	// Release the slot: the queued request drains normally.
-	svc.sched.Release("")
-	if status := <-queuedDone; status != http.StatusOK {
-		t.Fatalf("queued request failed after release: %d", status)
-	}
-	if m := metrics(t, ts); m.Requests.ShedOverload != 1 {
-		t.Errorf("shed_overload = %d, want 1", m.Requests.ShedOverload)
+			// Release the slot: the queued request drains normally.
+			svc.sched.Release("")
+			if status := <-queuedDone; status != http.StatusOK {
+				t.Fatalf("queued request failed after release: %d", status)
+			}
+			if m := metrics(t, ts); m.Requests.ShedOverload != 1 {
+				t.Errorf("shed_overload = %d, want 1", m.Requests.ShedOverload)
+			}
+		})
 	}
 }
 
@@ -486,14 +500,15 @@ func TestChaosBudgetExhaustedWhileQueued(t *testing.T) {
 	}
 }
 
-// TestChaosCloseUnderDemotionLoad: closing the server while requests
-// are actively evicting snapshots into the demotion queue must neither
-// panic (send on closed channel) nor deadlock; every demotion enqueued
-// before shutdown is flushed or counted dropped. Run under -race this
-// is the regression test for the eviction→close race.
-func TestChaosCloseUnderDemotionLoad(t *testing.T) {
+// TestChaosCloseUnderEvictionLoad: closing the server while requests
+// are actively evicting snapshots from the frontier tier (each eviction
+// touches the store) must neither panic nor deadlock; Close is
+// idempotent, and an eviction that lands after it is a no-op — it
+// neither writes nor reopens anything. Run under -race.
+func TestChaosCloseUnderEvictionLoad(t *testing.T) {
 	svc, err := NewE(Options{
 		StorePath:             t.TempDir(),
+		CacheShards:           1,
 		FrontierCacheCapacity: 2, // tiny: almost every cold shape evicts one
 	})
 	if err != nil {
@@ -525,13 +540,25 @@ func TestChaosCloseUnderDemotionLoad(t *testing.T) {
 		}(g)
 	}
 
-	time.Sleep(100 * time.Millisecond) // let evictions and demotions flow
-	if err := svc.Close(); err != nil {
-		t.Errorf("close under demotion load: %v", err)
+	// Close once evictions are flowing, and keep them flowing past it.
+	evictions := func() uint64 { return svc.frontier.Stats().Evictions }
+	waitEvictions := func(n uint64) {
+		t.Helper()
+		waitFor(t, 10*time.Second, fmt.Sprintf("%d frontier-tier evictions", n),
+			func() bool { return evictions() >= n })
 	}
+	waitEvictions(8)
+	if err := svc.Close(); err != nil {
+		t.Errorf("close under eviction load: %v", err)
+	}
+	closed := svc.disk.Stats()
+	waitEvictions(evictions() + 8)
 	close(stop)
 	wg.Wait()
 	if err := svc.Close(); err != nil { // idempotent
 		t.Errorf("second close: %v", err)
+	}
+	if after := svc.disk.Stats(); after.Writes != closed.Writes || after.Bytes != closed.Bytes || after.Entries != closed.Entries {
+		t.Errorf("the closed store changed under evictions: %+v -> %+v", closed, after)
 	}
 }

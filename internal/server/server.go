@@ -59,7 +59,6 @@ import (
 	"moqo"
 	"moqo/internal/cache"
 	"moqo/internal/fault"
-	"moqo/internal/store"
 	"moqo/internal/tenant"
 )
 
@@ -184,33 +183,11 @@ type Server struct {
 	// algorithms with reusable frontiers; a hit serves the request by a
 	// SelectBest scan over the cached snapshot (moqo.ReoptimizeContext).
 	frontier *cache.Cache[frontierEntry]
-	// store persists frontier snapshots across restarts (nil when
-	// disabled): written through on DP completion, consulted on frontier
-	// tier misses before a cold DP runs, refreshed on memory eviction
-	// (demotion). Keys are FrontierKeys, which embed the catalog
-	// fingerprint and key-format version — so a catalog or version
-	// change invalidates stale disk entries by never looking them up.
-	store *store.Store
-	// demote carries snapshots from the frontier tier's eviction hook
-	// (which runs under a shard lock and must not block) to the
-	// background writer that refreshes their recency in the store. Set
-	// once at construction, closed once by Close. demoteMu orders
-	// senders against the close: the hook sends under RLock after
-	// checking demoteClosed, Close flips the flag under Lock before
-	// closing the channel — without it a send could race the close and
-	// panic the evicting request's goroutine.
-	demote       chan *moqo.FrontierSnapshot
-	demoteMu     sync.RWMutex
-	demoteClosed bool
-	demoteWG     sync.WaitGroup
-	closeOnce    sync.Once
-	start        time.Time
-
-	// breaker guards the store tier (nil when the store is disabled or
-	// NoStoreBreaker): repeated disk errors trip it and serving
-	// degrades to memory-only instead of paying the failing disk's
-	// latency on every request.
-	breaker *fault.Breaker
+	// disk persists the frontier tier's snapshots across restarts (nil
+	// when disabled; every method is nil-safe): the store, its breaker and
+	// the snapshot codec are reachable only through it.
+	disk  *diskTier
+	start time.Time
 
 	// tenants resolves identities, enforces quotas and keeps per-tenant
 	// metrics; sched queues cold dynamic programs behind per-tenant
@@ -234,20 +211,6 @@ type Server struct {
 	// snapshotBytes gauges the estimated bytes of snapshots currently in
 	// the frontier tier (adds on store, subtracts via the eviction hook).
 	snapshotBytes atomic.Int64
-	// storeDecodeDropped counts disk entries that passed the store's
-	// checksums but failed snapshot decoding or key verification —
-	// dropped and deleted, never served. /metrics folds it into the
-	// store's corrupt_dropped.
-	storeDecodeDropped atomic.Uint64
-	// demoteDropped counts evicted snapshots the demotion queue had no
-	// room for (the store still holds their write-through copy, just
-	// with stale recency).
-	demoteDropped atomic.Uint64
-	// storeErrors counts store operations that failed with a disk
-	// error; storeSkipped counts operations not attempted because the
-	// breaker was open (served memory-only instead).
-	storeErrors  atomic.Uint64
-	storeSkipped atomic.Uint64
 	// shedOverload counts requests shed with 503 (queue bound hit, or
 	// deadline budget exhausted while queued).
 	shedOverload atomic.Uint64
@@ -310,59 +273,25 @@ func NewE(opts Options) (*Server, error) {
 		})
 		if opts.FrontierCacheCapacity > 0 {
 			s.frontier = cache.New[frontierEntry](opts.FrontierCacheCapacity, opts.CacheShards)
-			if opts.StorePath != "" {
-				st, err := store.Open(store.Options{
-					Dir:      opts.StorePath,
-					MaxBytes: opts.StoreMaxBytes,
-					NoSync:   opts.StoreNoSync,
-					FS:       opts.StoreFS,
-				})
-				if err != nil {
-					return nil, err
-				}
-				s.store = st
-				if !opts.NoStoreBreaker {
-					s.breaker = fault.NewBreaker(fault.BreakerConfig{
-						Threshold:   opts.BreakerThreshold,
-						Cooldown:    opts.BreakerCooldown,
-						MaxCooldown: opts.BreakerMaxCooldown,
-					})
-				}
-				s.demote = make(chan *moqo.FrontierSnapshot, demoteQueueDepth)
-				s.demoteWG.Add(1)
-				go s.demoteLoop()
+			disk, err := openDiskTier(opts)
+			if err != nil {
+				return nil, err
 			}
-			s.frontier.OnEvict(func(_ string, ent frontierEntry, reason cache.EvictReason) {
-				s.snapshotBytes.Add(-int64(ent.snap.SizeBytes()))
-				if s.demote != nil && reason == cache.Evicted && ent.snap != nil {
-					// Demotion: a capacity eviction refreshes the snapshot's
-					// recency in the disk store (its bytes were already
-					// written through on DP completion; this keeps hot
-					// shapes from aging out of the disk budget). Replaced
-					// entries are superseded by a finer snapshot the caller
-					// writes through itself. The hook runs under a shard
-					// lock, so hand off without blocking and drop on a full
-					// queue. The RLock pairs with Close: after shutdown
-					// begins the snapshot is counted as dropped, never sent
-					// on a closed channel.
-					s.demoteMu.RLock()
-					if s.demoteClosed {
-						s.demoteDropped.Add(1)
-					} else {
-						select {
-						case s.demote <- ent.snap:
-						default:
-							s.demoteDropped.Add(1)
-						}
-					}
-					s.demoteMu.RUnlock()
+			s.disk = disk
+			s.frontier.OnEvict(func(key string, ent frontierEntry, reason cache.EvictReason) {
+				size := int64(ent.snap.SizeBytes())
+				s.snapshotBytes.Add(-size)
+				if ent.ten != "" {
+					s.tenants.CacheEvict(ent.ten, size, reason == cache.Evicted)
 				}
-			})
-			// Second, independent hook: per-tenant attribution for the
-			// frontier tier, mirroring the exact tier's.
-			s.frontier.OnEvict(func(_ string, ent frontierEntry, reason cache.EvictReason) {
-				if ent.ten != "" && ent.snap != nil {
-					s.tenants.CacheEvict(ent.ten, int64(ent.snap.SizeBytes()), reason == cache.Evicted)
+				if reason == cache.Evicted {
+					// Touch, not rewrite: the store already holds the
+					// snapshot's bytes from its write-through, so all the disk
+					// tier needs to learn is that the shape was in use until
+					// now — hot shapes then do not age out of the disk budget
+					// while they sit in memory. A Replaced entry is superseded
+					// by a finer snapshot the caller writes through itself.
+					s.disk.Touch(key)
 				}
 			})
 		}
@@ -370,128 +299,12 @@ func NewE(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// demoteQueueDepth bounds the eviction→store demotion queue.
-const demoteQueueDepth = 64
-
-// demoteLoop drains the demotion queue: marshaling off the eviction
-// hook's shard lock, then re-putting to refresh the store's recency.
-// Writes honor the breaker — while the disk is tripped a demotion is
-// counted as dropped rather than hammering the dead device (the store
-// still holds the snapshot's write-through copy, just with stale
-// recency).
-func (s *Server) demoteLoop() {
-	defer s.demoteWG.Done()
-	for snap := range s.demote {
-		if !s.storeAllow() {
-			s.demoteDropped.Add(1)
-			continue
-		}
-		data, err := snap.MarshalBinary()
-		if err != nil {
-			continue
-		}
-		s.storeResult(s.store.Put(snap.Key(), data))
-	}
-}
-
-// storeAllow reports whether the store tier may be touched right now:
-// there is a store, and the circuit breaker (when enabled) is not
-// open. Skipped operations are counted — they are the "serving
-// memory-only" signal on /metrics.
-func (s *Server) storeAllow() bool {
-	if s.store == nil {
-		return false
-	}
-	if s.breaker != nil && !s.breaker.Allow() {
-		s.storeSkipped.Add(1)
-		return false
-	}
-	return true
-}
-
-// storeResult feeds one store operation's outcome to the breaker and
-// the error counter.
-func (s *Server) storeResult(err error) {
-	if err != nil {
-		s.storeErrors.Add(1)
-		if s.breaker != nil {
-			s.breaker.Failure()
-		}
-		return
-	}
-	if s.breaker != nil {
-		s.breaker.Success()
-	}
-}
-
-// storePut marshals a snapshot and writes it through to the disk store
-// (no-op without a store or while the breaker is open).
-func (s *Server) storePut(snap *moqo.FrontierSnapshot) {
-	if snap == nil || !s.storeAllow() {
-		return
-	}
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		return
-	}
-	s.storeResult(s.store.Put(snap.Key(), data))
-}
-
-// storeGet consults the disk store for a frontier snapshot under fkey.
-// Entries that fail decoding or key verification — version skew, or
-// damage the store's checksums cannot see — are deleted and counted,
-// never served. A device-level read error is a miss that feeds the
-// breaker (the entry survives in the store's index for after the disk
-// recovers).
-func (s *Server) storeGet(fkey string) *moqo.FrontierSnapshot {
-	if !s.storeAllow() {
-		return nil
-	}
-	data, ok, err := s.store.GetE(fkey)
-	if err != nil {
-		s.storeResult(err)
-		return nil
-	}
-	if !ok {
-		// Index miss: the device was never touched, so this proves
-		// nothing about its health — feeding it to the breaker as a
-		// success would reset the failure streak (and strand a half-open
-		// probe) on an operation that did no I/O.
-		if s.breaker != nil {
-			s.breaker.Cancel()
-		}
-		return nil
-	}
-	s.storeResult(nil)
-	snap, err := moqo.UnmarshalFrontierSnapshot(data)
-	if err != nil || snap.Key() != fkey {
-		s.storeDecodeDropped.Add(1)
-		_ = s.store.Delete(fkey)
-		return nil
-	}
-	return snap
-}
-
-// Close shuts the server's background work down and closes the frontier
-// store: the demotion channel is closed and fully drained first (every
-// demotion enqueued before shutdown is flushed to disk or counted as
-// dropped — never lost silently, never blocked on), then the store's
-// segments are synced and closed. Call it only after the HTTP handler
-// has stopped serving (http.Server.Shutdown); it is safe on a
+// Close syncs and closes the frontier store. Call it only after the HTTP
+// handler has stopped serving (http.Server.Shutdown): a request still in
+// flight afterwards is answered from memory — its store reads miss, its
+// write-through fails and its eviction touch is a no-op. Safe on a
 // store-less server and more than once.
-func (s *Server) Close() error {
-	if s.store == nil {
-		return nil
-	}
-	s.closeOnce.Do(func() {
-		s.demoteMu.Lock()
-		s.demoteClosed = true
-		s.demoteMu.Unlock()
-		close(s.demote)
-		s.demoteWG.Wait()
-	})
-	return s.store.Close()
-}
+func (s *Server) Close() error { return s.disk.Close() }
 
 // Handler returns the service's HTTP handler. Every route runs inside
 // the panic-recovery middleware: a handler panic answers that one
@@ -615,33 +428,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	release, gerr := s.gateRequest(ctx, ten) // FIFO baseline only; no-op under Fair
 	if gerr != nil {
-		if r.Context().Err() != nil {
-			s.errors.Add(1)
-			return // client gone while queued
-		}
-		s.writeShedError(w, gerr)
+		s.writeServeError(w, r, gerr)
 		return
 	}
 	defer release()
 
-	var resp OptimizeResponse
-	if s.cache == nil || wire.NoCache {
-		resp, _, err = s.compute(ctx, req, ten)
-	} else {
-		var src cache.Source
-		resp, src, err = s.cache.Do(ctx, key, s.cachedCompute(req, ten))
-		if err == nil {
-			resp.Cached = src != cache.Miss
-		}
-	}
+	resp, err := s.serveMember(ctx, req, key, ten, wire.NoCache)
 	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone; there is nobody to answer. Count it and
-			// drop the connection.
-			s.errors.Add(1)
-			return
-		}
-		s.writeServeError(w, err)
+		s.writeServeError(w, r, err)
 		return
 	}
 
@@ -654,22 +448,35 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// cachedCompute is the exact tier's compute closure for one request: an
-// exact-tier miss consults the frontier tier before running a cold
-// dynamic program (the re-weight fast path), and a storable result is
-// stamped with and attributed to the computing tenant before the tier
-// stores it — so the eviction hook can charge the departure back
-// exactly. The stamp is an unexported field: it never serializes, and
-// answers stay bit-for-bit tenant-independent.
-func (s *Server) cachedCompute(req moqo.Request, ten string) func(context.Context) (OptimizeResponse, bool, error) {
-	return func(cctx context.Context) (OptimizeResponse, bool, error) {
+// serveMember serves one resolved request — a single /optimize or one
+// batch member — through the tiers: the exact tier's single-flight
+// (identical requests run one dynamic program), then the frontier tier
+// (re-weights are answered by a SelectBest scan), then the disk tier,
+// then a cold optimization. noCache (the request's no_cache) bypasses
+// all of them.
+func (s *Server) serveMember(ctx context.Context, req moqo.Request, key, ten string, noCache bool) (OptimizeResponse, error) {
+	if s.cache == nil || noCache {
+		resp, _, err := s.compute(ctx, req, ten)
+		return resp, err
+	}
+	resp, src, err := s.cache.Do(ctx, key, func(cctx context.Context) (OptimizeResponse, bool, error) {
 		resp, store, err := s.computeViaFrontier(cctx, req, ten)
 		if err == nil && store {
+			// Stamp and attribute a storable result to the computing
+			// tenant before the tier stores it, so the eviction hook can
+			// charge the departure back exactly. The stamp is an
+			// unexported field: it never serializes, and answers stay
+			// bit-for-bit tenant-independent.
 			resp.tenant = ten
 			s.tenants.CacheAdd(ten, respSizeBytes(resp))
 		}
 		return resp, store, err
+	})
+	if err != nil {
+		return OptimizeResponse{}, err
 	}
+	resp.Cached = src != cache.Miss
+	return resp, nil
 }
 
 // frontierEntry is one frontier-tier record: the snapshot plus its
@@ -684,6 +491,16 @@ type frontierEntry struct {
 	// ten is the tenant whose request populated the entry — partition
 	// accounting only, never part of the key or the answer.
 	ten string
+}
+
+// newFrontierEntry builds the frontier-tier record for a snapshot about
+// to enter the tier and accounts its arrival (bytes gauge, tenant
+// attribution); the tier's eviction hook accounts the departure.
+func (s *Server) newFrontierEntry(sn *moqo.FrontierSnapshot, frontier []map[string]float64, ten string) frontierEntry {
+	size := int64(sn.SizeBytes())
+	s.snapshotBytes.Add(size)
+	s.tenants.CacheAdd(ten, size)
+	return frontierEntry{snap: sn, frontier: frontier, ten: ten}
 }
 
 // computeViaFrontier serves an exact-tier miss through the frontier
@@ -706,10 +523,8 @@ func (s *Server) computeViaFrontier(ctx context.Context, req moqo.Request, ten s
 		// Memory miss: consult the disk store before running a cold DP —
 		// the warm-restart fast path. A disk hit repopulates the memory
 		// tier and is served exactly like a memory hit below.
-		if sn := s.storeGet(fkey); sn != nil {
-			s.snapshotBytes.Add(int64(sn.SizeBytes()))
-			s.tenants.CacheAdd(ten, int64(sn.SizeBytes()))
-			return frontierEntry{snap: sn, frontier: renderSnapshotFrontier(sn), ten: ten}, true, nil
+		if sn := s.disk.Get(fkey); sn != nil {
+			return s.newFrontierEntry(sn, renderSnapshotFrontier(sn), ten), true, nil
 		}
 		// Cold dynamic program: wait for a fair-scheduler slot. This is
 		// the only place tenancy can delay work — every cache, frontier
@@ -730,13 +545,11 @@ func (s *Server) computeViaFrontier(ctx context.Context, req moqo.Request, ten s
 			// this one.
 			return frontierEntry{}, false, nil
 		}
-		s.snapshotBytes.Add(int64(sn.SizeBytes()))
-		s.tenants.CacheAdd(ten, int64(sn.SizeBytes()))
 		// Write through on DP completion: one appended record per cold DP,
 		// so a restart replays the tier from disk instead of re-running
 		// dynamic programs.
-		s.storePut(sn)
-		return frontierEntry{snap: sn, frontier: renderFrontier(res), ten: ten}, true, nil
+		s.disk.Put(sn)
+		return s.newFrontierEntry(sn, renderFrontier(res), ten), true, nil
 	})
 	if err != nil {
 		return OptimizeResponse{}, false, err
@@ -765,10 +578,8 @@ func (s *Server) computeViaFrontier(ctx context.Context, req moqo.Request, ten s
 		// re-render the wire form the refined result implies. The store
 		// gets the finer snapshot too, superseding its seed on disk.
 		shared = renderFrontier(res)
-		s.snapshotBytes.Add(int64(newSnap.SizeBytes()))
-		s.tenants.CacheAdd(ten, int64(newSnap.SizeBytes()))
-		s.frontier.Put(fkey, frontierEntry{snap: newSnap, frontier: shared, ten: ten})
-		s.storePut(newSnap)
+		s.frontier.Put(fkey, s.newFrontierEntry(newSnap, shared, ten))
+		s.disk.Put(newSnap)
 	}
 	resp, err := toResponseWithFrontier(res, shared)
 	if err != nil {
@@ -827,6 +638,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
+	s.writeJSON(w, http.StatusOK, s.metricsSnapshot())
+}
+
+// metricsSnapshot gathers every metric once. /metrics encodes the value
+// as JSON and /metrics/prometheus walks the same value, so the two
+// endpoints cannot disagree about what exists.
+func (s *Server) metricsSnapshot() MetricsResponse {
 	m := MetricsResponse{
 		UptimeMs: float64(time.Since(s.start)) / float64(time.Millisecond),
 		Requests: RequestMetrics{
@@ -838,58 +656,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ShedOverload: s.shedOverload.Load(),
 			Panics:       s.panics.Load(),
 		},
-		Latency: s.latencySnapshot(),
+		FrontierStore: s.disk.Stats(),
+		Latency:       s.latencySnapshot(),
+		Tenants:       s.tenantMetrics(),
 	}
 	if s.cache != nil {
-		st := s.cache.Stats()
-		m.Cache = CacheMetrics{
-			Enabled:   true,
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Coalesced: st.Coalesced,
-			Evictions: st.Evictions,
-			Entries:   st.Entries,
-			Capacity:  st.Capacity,
-			HitRatio:  st.HitRatio(),
-		}
+		m.Cache = cacheMetrics(s.cache.Stats())
 	}
 	if s.frontier != nil {
-		st := s.frontier.Stats()
 		m.FrontierCache = FrontierCacheMetrics{
-			Enabled:        true,
-			Hits:           st.Hits,
-			Misses:         st.Misses,
-			Coalesced:      st.Coalesced,
-			Evictions:      st.Evictions,
-			Entries:        st.Entries,
-			Capacity:       st.Capacity,
-			HitRatio:       st.HitRatio(),
+			CacheMetrics:   cacheMetrics(s.frontier.Stats()),
 			ReweightServed: s.reweightServed.Load(),
 			SnapshotBytes:  s.snapshotBytes.Load(),
 		}
 	}
-	m.Tenants = s.tenantMetrics()
-	if s.store != nil {
-		st := s.store.Stats()
-		m.FrontierStore = FrontierStoreMetrics{
-			Enabled:        true,
-			Hits:           st.Hits,
-			Misses:         st.Misses,
-			Writes:         st.Writes,
-			Bytes:          st.Bytes,
-			Evictions:      st.Evictions,
-			CorruptDropped: st.CorruptDropped + s.storeDecodeDropped.Load(),
-			Compactions:    st.Compactions,
-			Entries:        st.Entries,
-			IOErrors:       st.IOErrors,
-			Skipped:        s.storeSkipped.Load(),
-		}
-		if s.breaker != nil {
-			bst := s.breaker.Stats()
-			m.FrontierStore.Breaker = &bst
-		}
+	return m
+}
+
+// cacheMetrics renders one enabled cache tier's counters.
+func cacheMetrics(st cache.Stats) CacheMetrics {
+	return CacheMetrics{
+		Enabled:   true,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Coalesced: st.Coalesced,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Capacity:  st.Capacity,
+		HitRatio:  st.HitRatio(),
 	}
-	s.writeJSON(w, http.StatusOK, m)
 }
 
 // tenantMetrics renders the per-tenant metrics section: registry
@@ -933,15 +728,13 @@ func (s *Server) healthSnapshot() HealthResponse {
 		Shed:       s.sched.Shed(),
 		InFlight:   s.inFlight.Load(),
 	}
-	if s.store != nil {
-		h.Store = "ok"
-		if s.breaker != nil {
-			st := s.breaker.Stats()
-			h.Breaker = &st
-			switch s.breaker.State() {
-			case fault.Open:
+	if enabled, bst := s.disk.Breaker(); enabled {
+		h.Store, h.Breaker = "ok", bst
+		if bst != nil {
+			switch bst.State {
+			case fault.Open.String():
 				h.Store, h.Status, h.Degraded = "degraded", "degraded", true
-			case fault.HalfOpen:
+			case fault.HalfOpen.String():
 				h.Store, h.Status, h.Degraded = "probing", "degraded", true
 			}
 		}

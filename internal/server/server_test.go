@@ -823,3 +823,58 @@ func TestCatalogChangeInvalidatesStoreEntries(t *testing.T) {
 		t.Errorf("store hits=%d, want 1 (the unchanged catalog)", m.FrontierStore.Hits)
 	}
 }
+
+// TestMemoryEvictionTouchesStore: a frontier-tier capacity eviction
+// tells the store "in use until now" and writes nothing. With a memory
+// tier of one entry, every new shape evicts its predecessor: the store's
+// write count moves only with write-throughs, the evicted shape is still
+// a store hit, and — under a disk budget that holds two of the three
+// snapshots — the store sheds the shape memory gave up first, not the one
+// it was still holding a request ago.
+func TestMemoryEvictionTouchesStore(t *testing.T) {
+	shape := func(i int, w float64) string {
+		return chainBody(5, 0.2+0.2*float64(i), "rta", map[string]float64{"total_time": 1, "buffer_footprint": w})
+	}
+	run := func(maxBytes int64) (*httptest.Server, int64) {
+		opts := storeOpts(t.TempDir())
+		opts.CacheShards, opts.FrontierCacheCapacity, opts.StoreMaxBytes = 1, 1, maxBytes
+		ts := newTestServer(t, opts)
+		for i := 0; i < 3; i++ { // a, b, c: each arrival evicts its predecessor from memory
+			if status, _, raw := post(t, ts, shape(i, 0)); status != http.StatusOK {
+				t.Fatalf("shape %d: status %d: %s", i, status, raw)
+			}
+		}
+		m := metrics(t, ts)
+		if m.FrontierCache.Evictions != 2 || m.FrontierStore.Writes != 3 {
+			t.Fatalf("after three cold shapes: %d memory evictions, %d store writes; want 2 and 3 (write-throughs only)",
+				m.FrontierCache.Evictions, m.FrontierStore.Writes)
+		}
+		return ts, m.FrontierStore.Bytes
+	}
+
+	// Unbounded disk: every evicted shape is still a store hit.
+	ts, total := run(-1)
+	for i := 0; i < 2; i++ {
+		if _, resp, raw := post(t, ts, shape(i, 1)); !resp.Stats.ReusedFrontier {
+			t.Errorf("evicted shape %d re-ran its dynamic program: %s", i, raw)
+		}
+	}
+	if m := metrics(t, ts); m.FrontierStore.Hits != 2 || m.FrontierStore.Writes != 3 {
+		t.Errorf("store hits=%d writes=%d, want 2 and 3", m.FrontierStore.Hits, m.FrontierStore.Writes)
+	}
+
+	// One byte short of all three: c's write-through sheds one snapshot.
+	// Store write order is a, b, c, so untouched recency would shed a; but
+	// b's arrival evicted a from memory after b's write-through, which
+	// makes b the entry the store heard of least recently.
+	ts, _ = run(total - 1)
+	if m := metrics(t, ts); m.FrontierStore.Evictions != 1 || m.FrontierStore.Entries != 2 {
+		t.Fatalf("store evictions=%d entries=%d, want 1 and 2", m.FrontierStore.Evictions, m.FrontierStore.Entries)
+	}
+	if _, resp, _ := post(t, ts, shape(0, 1)); !resp.Stats.ReusedFrontier {
+		t.Error("shape a (touched by its memory eviction) was shed from the store")
+	}
+	if _, resp, _ := post(t, ts, shape(1, 1)); resp.Stats.ReusedFrontier {
+		t.Error("shape b survived in the store although a was touched after it")
+	}
+}

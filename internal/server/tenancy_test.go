@@ -568,12 +568,113 @@ func TestTenancyHotReload(t *testing.T) {
 	}
 }
 
+// promSeries maps every number in the /metrics JSON body (dotted path;
+// tenant entries are keyed without their index and take the tenant name
+// as %s) to the series that carries the same value on
+// /metrics/prometheus. "" marks the values the text endpoint leaves out
+// on purpose. TestPrometheusExposition fails on a JSON number that has
+// no row here, so a metric added to one endpoint cannot be forgotten on
+// the other: add the series to handleMetricsPrometheus and its row below.
+var promSeries = map[string]string{
+	"uptime_ms": "", // exported in seconds, and never the same twice
+
+	"requests.optimize":      `moqo_requests_total{endpoint="optimize"}`,
+	"requests.batch":         `moqo_requests_total{endpoint="batch"}`,
+	"requests.batch_members": "moqo_batch_members_total",
+	"requests.errors":        "moqo_errors_total",
+	"requests.in_flight":     "moqo_in_flight",
+	"requests.shed_overload": "moqo_shed_overload_total",
+	"requests.panics":        "moqo_panics_total",
+
+	"latency_ms.window": "",
+	"latency_ms.p50":    `moqo_latency_quantile_ms{quantile="0.5"}`,
+	"latency_ms.p99":    `moqo_latency_quantile_ms{quantile="0.99"}`,
+
+	"cache.hits":      `moqo_cache_hits_total{tier="exact"}`,
+	"cache.misses":    `moqo_cache_misses_total{tier="exact"}`,
+	"cache.coalesced": `moqo_cache_coalesced_total{tier="exact"}`,
+	"cache.evictions": `moqo_cache_evictions_total{tier="exact"}`,
+	"cache.entries":   `moqo_cache_entries{tier="exact"}`,
+	"cache.capacity":  "", // configuration, not a measurement
+	"cache.hit_ratio": "", // derivable from hits, misses and coalesced
+
+	"frontier_cache.hits":            `moqo_cache_hits_total{tier="frontier"}`,
+	"frontier_cache.misses":          `moqo_cache_misses_total{tier="frontier"}`,
+	"frontier_cache.coalesced":       `moqo_cache_coalesced_total{tier="frontier"}`,
+	"frontier_cache.evictions":       `moqo_cache_evictions_total{tier="frontier"}`,
+	"frontier_cache.entries":         `moqo_cache_entries{tier="frontier"}`,
+	"frontier_cache.capacity":        "",
+	"frontier_cache.hit_ratio":       "",
+	"frontier_cache.reweight_served": "moqo_reweight_served_total",
+	"frontier_cache.snapshot_bytes":  "moqo_snapshot_bytes",
+
+	"frontier_store.hits":            "moqo_store_hits_total",
+	"frontier_store.misses":          "moqo_store_misses_total",
+	"frontier_store.writes":          "moqo_store_writes_total",
+	"frontier_store.bytes":           "moqo_store_bytes",
+	"frontier_store.evictions":       "moqo_store_evictions_total",
+	"frontier_store.corrupt_dropped": "moqo_store_corrupt_dropped_total",
+	"frontier_store.compactions":     "moqo_store_compactions_total",
+	"frontier_store.entries":         "moqo_store_entries",
+	"frontier_store.io_errors":       "moqo_store_io_errors_total",
+	"frontier_store.skipped":         "moqo_store_skipped_total",
+
+	"frontier_store.breaker.trips":                "moqo_store_breaker_trips_total",
+	"frontier_store.breaker.consecutive_failures": "", // transient detail of the state gauge
+	"frontier_store.breaker.retry_in_ms":          "",
+
+	"tenants.requests":          `moqo_tenant_requests_total{tenant="%s"}`,
+	"tenants.admitted":          `moqo_tenant_admitted_total{tenant="%s"}`,
+	"tenants.rejected.rate":     `moqo_tenant_rejected_total{tenant="%s",reason="rate"}`,
+	"tenants.rejected.tables":   `moqo_tenant_rejected_total{tenant="%s",reason="tables"}`,
+	"tenants.rejected.cost":     `moqo_tenant_rejected_total{tenant="%s",reason="cost"}`,
+	"tenants.queue_depth":       `moqo_tenant_queue_depth{tenant="%s"}`,
+	"tenants.granted":           `moqo_tenant_granted_total{tenant="%s"}`,
+	"tenants.cache_bytes":       `moqo_tenant_cache_bytes{tenant="%s"}`,
+	"tenants.cache_entries":     `moqo_tenant_cache_entries{tenant="%s"}`,
+	"tenants.cache_evictions":   `moqo_tenant_cache_evictions_total{tenant="%s"}`,
+	"tenants.latency_ms.window": "",
+	"tenants.latency_ms.p50":    `moqo_tenant_latency_quantile_ms{tenant="%s",quantile="0.5"}`,
+	"tenants.latency_ms.p99":    `moqo_tenant_latency_quantile_ms{tenant="%s",quantile="0.99"}`,
+}
+
+// checkPromParity walks the decoded /metrics body and requires, for
+// every number, the promSeries row's series in the text samples with the
+// same value.
+func checkPromParity(t *testing.T, path, tenant string, v any, samples map[string]float64) {
+	t.Helper()
+	switch v := v.(type) {
+	case map[string]any:
+		for k, child := range v {
+			checkPromParity(t, strings.TrimPrefix(path+"."+k, "."), tenant, child, samples)
+		}
+	case []any: // only the tenants section is a list
+		for _, child := range v {
+			checkPromParity(t, path, child.(map[string]any)["name"].(string), child, samples)
+		}
+	case float64:
+		series, ok := promSeries[path]
+		if !ok {
+			t.Errorf("/metrics %s has no promSeries row: export it on /metrics/prometheus too", path)
+		} else if series != "" {
+			if tenant != "" {
+				series = fmt.Sprintf(series, tenant)
+			}
+			if got, ok := samples[series]; !ok || got != v {
+				t.Errorf("/metrics %s = %v, but %s = %v (present: %t)", path, v, series, got, ok)
+			}
+		}
+	}
+}
+
 // TestPrometheusExposition: the hand-rolled text endpoint carries the
-// server-wide and per-tenant series in valid exposition shape.
+// server-wide and per-tenant series in valid exposition shape, and on a
+// quiescent server every counter of the JSON endpoint with the same
+// value — both are one gather (metricsSnapshot) rendered twice.
 func TestPrometheusExposition(t *testing.T) {
-	ts := newTestServer(t, Options{
-		Tenants: tenant.NewRegistry(tenantConfig(t, `{"tenants": {"acme": {"max_tables": 4}}}`)),
-	})
+	opts := storeOpts(t.TempDir())
+	opts.Tenants = tenant.NewRegistry(tenantConfig(t, `{"tenants": {"acme": {"max_tables": 4}}}`))
+	ts := newTestServer(t, opts)
 	if status, _, raw := postAs(t, ts, "acme", q3Request); status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, raw)
 	}
@@ -614,6 +715,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	// Every non-comment line is "name{labels} value" with a parseable
 	// float value — the format contract a scraper depends on.
+	samples := make(map[string]float64)
 	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
@@ -622,8 +724,24 @@ func TestPrometheusExposition(t *testing.T) {
 		if sp < 0 {
 			t.Fatalf("malformed sample line %q", line)
 		}
-		if _, err := strconv.ParseFloat(line[sp+1:], 64); err != nil {
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
 			t.Fatalf("unparseable value in %q: %v", line, err)
 		}
+		samples[line[:sp]] = v
+	}
+
+	res, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(res.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	checkPromParity(t, "", "", body, samples)
+	if state := body["frontier_store"].(map[string]any)["breaker"].(map[string]any)["state"]; state != "closed" || samples["moqo_store_breaker_state"] != 0 {
+		t.Errorf("breaker state %v on /metrics, gauge %v on /metrics/prometheus; want closed and 0", state, samples["moqo_store_breaker_state"])
 	}
 }

@@ -119,34 +119,16 @@ func classifyServeError(err error) string {
 	}
 }
 
-// writeShedError renders a load-shed rejection: 503 + Retry-After with
-// code "overload". Used when the scheduler queue is at its bound
-// (ErrQueueFull) or a request's deadline budget died while it was
-// still queued.
-func (s *Server) writeShedError(w http.ResponseWriter, err error) {
-	s.errors.Add(1)
-	s.shedOverload.Add(1)
-	retry := time.Second
-	w.Header().Set("Retry-After", "1")
-	reason := "queue_full"
-	if errors.Is(err, context.DeadlineExceeded) {
-		reason = "budget_exhausted"
-	}
-	s.writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
-		Error:        err.Error(),
-		Code:         CodeOverload,
-		Reason:       reason,
-		RetryAfterMs: retry.Milliseconds(),
-	})
-}
-
-// writeServeError renders a post-admission serving failure with its
-// structured code: contained worker panics are a 500 that fails only
-// this request (the pool survives — see internal/core), shed
-// conditions a 503 + Retry-After, everything else a 400 with the
-// message.
-func (s *Server) writeServeError(w http.ResponseWriter, err error) {
+// writeServeError answers a request that failed after admission — at the
+// handler-level gate or while being served — with its structured code. A
+// client that went away is counted and dropped: there is nobody to
+// answer. Contained worker panics are a 500 that fails only this request
+// (the pool survives — see internal/core), shed conditions a 503 +
+// Retry-After, everything else a 400 with the message.
+func (s *Server) writeServeError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
+	case r.Context().Err() != nil:
+		s.errors.Add(1)
 	case errors.Is(err, moqo.ErrInternalPanic):
 		s.panics.Add(1)
 		s.errors.Add(1)
@@ -155,7 +137,21 @@ func (s *Server) writeServeError(w http.ResponseWriter, err error) {
 			Code:  CodeInternal,
 		})
 	case errors.Is(err, tenant.ErrQueueFull), errors.Is(err, context.DeadlineExceeded):
-		s.writeShedError(w, err)
+		// Load shed: the scheduler queue is at its bound, or the request's
+		// deadline budget died while it was still queued.
+		s.errors.Add(1)
+		s.shedOverload.Add(1)
+		reason := "queue_full"
+		if errors.Is(err, context.DeadlineExceeded) {
+			reason = "budget_exhausted"
+		}
+		w.Header().Set("Retry-After", "1")
+		s.writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
+			Error:        err.Error(),
+			Code:         CodeOverload,
+			Reason:       reason,
+			RetryAfterMs: time.Second.Milliseconds(),
+		})
 	default:
 		s.writeError(w, http.StatusBadRequest, err)
 	}

@@ -358,14 +358,7 @@ type CacheMetrics struct {
 // the tier is only consulted on exact-tier misses for algorithms with
 // reusable frontiers (exa, rta, ira).
 type FrontierCacheMetrics struct {
-	Enabled   bool    `json:"enabled"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Coalesced uint64  `json:"coalesced"`
-	Evictions uint64  `json:"evictions"`
-	Entries   int     `json:"entries"`
-	Capacity  int     `json:"capacity"`
-	HitRatio  float64 `json:"hit_ratio"`
+	CacheMetrics
 	// ReweightServed counts requests answered from a cached snapshot —
 	// a SelectBest scan (or seeded IRA) instead of a cold optimization.
 	ReweightServed uint64 `json:"reweight_served"`
@@ -383,8 +376,9 @@ type FrontierStoreMetrics struct {
 	// re-promotion after memory eviction.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Writes counts snapshot appends: DP-completion write-throughs,
-	// seeded-IRA refinements, and eviction demotions.
+	// Writes counts snapshot appends: DP-completion write-throughs and
+	// seeded-IRA refinements. A memory eviction only touches the entry's
+	// recency and writes nothing.
 	Writes uint64 `json:"writes"`
 	// Bytes is the store's live payload footprint on disk; Evictions
 	// counts entries dropped to keep it under the configured budget.
@@ -419,8 +413,8 @@ type HealthResponse struct {
 	// the server is answering from memory only.
 	Status string `json:"status"`
 	// Degraded is true when persistence is configured but quarantined by
-	// the breaker: the server still answers, but warm-restart durability
-	// and demotion are suspended.
+	// the breaker: the server still answers, but nothing is read from or
+	// written through to disk until it recovers.
 	Degraded bool `json:"degraded"`
 	// Store reports the persistence tier: "disabled", "ok", "degraded"
 	// (breaker open), or "probing" (half-open).

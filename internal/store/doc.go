@@ -60,6 +60,14 @@
 // of superseded, deleted and evicted records once they outweigh
 // Options.CompactFraction of the log.
 //
+// Recency is kept in memory only. A Get hit and a Touch — the tier
+// above saying "this entry was in use in memory until now" — move the
+// entry to the front of the same list, and neither writes: the log
+// already holds the record. Open rebuilds the order from write order
+// (compaction copies live records least recent first, so a compacted log
+// replays into the order it had). What a restart forgets is only which
+// entries were read or touched since their last write.
+//
 // The store knows nothing of snapshots — keys are moqo FrontierKeys and
 // values are opaque bytes. Invalidation on catalog change needs no
 // machinery here: the FrontierKey embeds catalog.Fingerprint and the

@@ -532,6 +532,18 @@ func (s *Store) GetE(key string) ([]byte, bool, error) {
 	return out, true, nil
 }
 
+// Touch marks key most recently used, exactly as a GetE hit does, without
+// reading it: how the tier above says "this entry was in use in memory
+// until now". No I/O and no counter; unknown keys and closed stores are
+// no-ops.
+func (s *Store) Touch(key string) {
+	s.mu.Lock()
+	if ent, ok := s.index[key]; ok && !s.closed {
+		s.lru.MoveToFront(ent.el)
+	}
+	s.mu.Unlock()
+}
+
 // dropDamaged removes a record that failed its read-time verification.
 func (s *Store) dropDamaged(key string, ent *indexEntry) {
 	s.corruptDrop++

@@ -158,6 +158,53 @@ func TestBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestTouch: Touch is the recency bump of a Get hit without the read —
+// the touched entry outlives an untouched older one at the next budget
+// eviction — and it never writes: not for a live key, a missing key or a
+// closed store.
+func TestTouch(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, func(o *Options) { o.MaxBytes = 2 * 274 }) // 13 + 1 + 256 + 4 per record
+	val := bytes.Repeat([]byte("x"), 256)
+	for _, k := range []string{"a", "b"} {
+		if err := s.Put(k, val); err != nil {
+			t.Fatalf("Put %s: %v", k, err)
+		}
+	}
+	segSize := func() int64 {
+		fi, err := os.Stat(seg1(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before, size := s.Stats(), segSize()
+	s.Touch("a")
+	s.Touch("missing")
+	if after := s.Stats(); after != before || segSize() != size {
+		t.Fatalf("Touch changed the store: stats %+v -> %+v, segment %d -> %d bytes", before, after, size, segSize())
+	}
+
+	if err := s.Put("c", val); err != nil { // over budget: evicts the LRU entry
+		t.Fatalf("Put c: %v", err)
+	}
+	if _, ok := s.Get("a"); !ok {
+		t.Error("touched a was evicted")
+	}
+	if _, ok := s.Get("b"); ok {
+		t.Error("untouched b survived the over-budget Put")
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, size = s.Stats(), segSize()
+	s.Touch("a")
+	if after := s.Stats(); after != before || segSize() != size {
+		t.Fatalf("Touch on a closed store changed it: stats %+v -> %+v", before, after)
+	}
+}
+
 func TestCompactReclaimsDeadBytes(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, func(o *Options) { o.SegmentBytes = 1024 })
@@ -492,8 +539,15 @@ func TestConcurrentAccess(t *testing.T) {
 					break
 				}
 				s.Get(k)
+				s.Touch(fmt.Sprintf("key-%d-%d", (w+1)%8, i%10)) // a neighbour's key: present, deleted or never written
 				if i%7 == 0 {
 					s.Delete(k)
+				}
+				if i%25 == 0 {
+					if e := s.Compact(); e != nil {
+						err = e
+						break
+					}
 				}
 			}
 			done <- err
