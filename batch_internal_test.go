@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"moqo/internal/core"
+	"moqo/internal/workload"
 )
 
 // batchChain builds a customer–orders–lineitem chain against cat.
@@ -110,5 +111,51 @@ func TestBatchSharedMemoCounters(t *testing.T) {
 	}
 	if s := items[0].Result.Stats.SharedMemoHits + items[1].Result.Stats.SharedMemoHits; s < 3 {
 		t.Fatalf("members' Stats.SharedMemoHits sum to %d, want >= 3", s)
+	}
+}
+
+// TestBatchMixedWorkloadRunsOneDPPerProblem pins dedupe, re-weighting and
+// cross-query sharing together on the recurring-traffic mix batch_fresh is
+// built from: workload.MixedBatch's 20 shuffled members — a chain, two of
+// its prefixes and two TPC-H shapes, each with one exact duplicate and two
+// re-weights — run exactly five dynamic programs, and the prefixes are
+// served subproblems the full chain published.
+func TestBatchMixedWorkloadRunsOneDPPerProblem(t *testing.T) {
+	members, err := workload.MixedBatch(workload.BatchSpec{Tables: 7, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, len(members))
+	for i, m := range members {
+		reqs[i] = Request{Query: m.Query, Objectives: m.Objectives.IDs(), Weights: map[Objective]float64{}}
+		for _, o := range reqs[i].Objectives {
+			reqs[i].Weights[o] = m.Weights[o]
+		}
+		if reqs[i].Algorithm = AlgoEXA; m.Algorithm != "exa" {
+			reqs[i].Algorithm, reqs[i].Alpha = AlgoRTA, 1.5
+		}
+	}
+	sm := NewSharedMemo()
+	before := core.EngineRuns()
+	items := OptimizeBatchContext(context.Background(), reqs, BatchOptions{Shared: sm})
+	if ran := core.EngineRuns() - before; len(members) != 20 || ran != 5 {
+		t.Errorf("%d members ran %d DPs, want 20 members and 5 DPs", len(members), ran)
+	}
+	reused := 0
+	for i, it := range items {
+		if it.Err != nil {
+			t.Fatalf("member %d (%s): %v", i, members[i].Kind, it.Err)
+		}
+		if it.Reused {
+			reused++
+		}
+	}
+	if reused != len(members)-5 {
+		t.Errorf("%d members reused, want %d", reused, len(members)-5)
+	}
+	// The prefixes share every non-singleton connected subset with the
+	// full chain: {t0..t1}..{t0..t4} and {t0..t1}..{t0..t2}.
+	if hits, _, _ := sm.Counters(); hits < 6 {
+		t.Errorf("shared memo hits = %d, want >= 6", hits)
 	}
 }

@@ -1,48 +1,67 @@
 // Command experiments regenerates the evaluation of the paper: every
 // figure of "Approximation Schemes for Many-Objective Query Optimization"
-// (Trummer & Koch, SIGMOD 2014) has a corresponding section in the output.
+// (Trummer & Koch, SIGMOD 2014) has a corresponding section in the output,
+// next to three comparative experiments (enumeration strategies, tenant
+// scheduling policies, the store circuit breaker). How fast the optimizer
+// or the service is, is measured by the scoreboard in benchmark/ instead.
 //
 // Usage:
 //
-//	experiments [-fig all|1|2|3|4|5|7|9|10|scaling|parallel|server|topology]
-//	            [-timeout 2s] [-cases 3] [-sf 1] [-seed 1] [-queries 1,12,3]
-//	            [-out dir] [-workers N] [-tables 10,12,14]
+//	experiments [-fig all|<arm>] [-timeout 2s] [-cases 3] [-sf 1] [-seed 1]
+//	            [-queries 1,12,3] [-workers N] [-tables 16,20] [-out dir]
 //
-// The defaults are scaled down from the paper's setup (two-hour timeout,
-// 20 test cases per configuration) so the full run finishes in minutes;
-// raise -timeout and -cases to approach the original scale. With -out,
-// machine-readable CSV files are written next to the textual report.
+// -fig takes one arm of bench.Arms; run with -h for the list. The defaults
+// are scaled down from the paper's setup (two-hour timeout, 20 test cases
+// per configuration) so the full run finishes in minutes; raise -timeout
+// and -cases to approach the original scale. Files (CSV, SVG, JSON) are
+// written only with -out, next to the textual report.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"moqo/internal/bench"
-	"moqo/internal/objective"
 	"moqo/internal/synthetic"
-	"moqo/internal/viz"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it returns the exit status (0 ok, 1 an
+// arm or a write failed, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: all, 1, 2, 3, 4, 5, 7, 9, 10, scaling, parallel, server, reuse, store, batch, tenant, chaos, topology (ignores -timeout; fixed 60s per-run ceiling), or hotpath (explicit only — not part of all; ignores -timeout)")
-		timeout = flag.Duration("timeout", 2*time.Second, "optimizer timeout per run (paper: 2h)")
-		cases   = flag.Int("cases", 3, "test cases per configuration (paper: 20)")
-		sf      = flag.Float64("sf", 1, "TPC-H scale factor")
-		seed    = flag.Int64("seed", 1, "workload random seed")
-		queries = flag.String("queries", "", "comma-separated TPC-H query numbers (default: all 22)")
-		outDir  = flag.String("out", "", "directory for CSV output (optional)")
-		workers = flag.Int("workers", 1, "optimizer worker goroutines per run (default 1 keeps the figure experiments paper-faithful sequential; -fig parallel defaults its parallel arm to NumCPU)")
-		tables  = flag.String("tables", "", "comma-separated query sizes for -fig parallel (default 10,12,14), -fig hotpath (default 6,8,10; the exact arm caps at 8 tables), and -fig topology (overrides the chain/cycle/star/tree arms, max 26 — the exhaustive arm scans 2^n subsets; cliques keep their 8,10 defaults)")
+		fig     = fs.String("fig", "all", "experiment to run: all, or one of "+armNames())
+		timeout = fs.Duration("timeout", 2*time.Second, "optimizer timeout per run (paper: 2h); topology, tenant and chaos ignore it")
+		cases   = fs.Int("cases", 3, "test cases per configuration (paper: 20)")
+		sf      = fs.Float64("sf", 1, "TPC-H scale factor")
+		seed    = fs.Int64("seed", 1, "workload random seed")
+		queries = fs.String("queries", "", "comma-separated TPC-H query numbers (default: all 22)")
+		outDir  = fs.String("out", "", "directory for CSV/SVG/JSON output (default: write no files)")
+		workers = fs.Int("workers", 1, "optimizer worker goroutines per run (default 1 keeps the figure experiments paper-faithful sequential)")
+		tables  = fs.String("tables", "", "comma-separated query sizes for -fig topology's chain/cycle/star/tree shapes (max 26; cliques keep 8,10)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "experiments: "+format+"\n", a...)
+		return status
+	}
 
 	cfg := bench.DefaultConfig()
 	cfg.Timeout = *timeout
@@ -50,584 +69,90 @@ func main() {
 	cfg.ScaleFactor = *sf
 	cfg.Seed = *seed
 	cfg.EngineWorkers = *workers
-	for _, part := range splitArg(*queries) {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			fatalf("bad -queries entry %q: %v", part, err)
-		}
-		cfg.Queries = append(cfg.Queries, n)
+	var err error
+	if cfg.Queries, err = intList(*queries); err != nil {
+		return fail(2, "bad -queries entry: %v", err)
 	}
-
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatalf("create output dir: %v", err)
-		}
-	}
-
-	if want("1") || want("2") {
-		runningExample()
-	}
-	if want("3") {
-		figure3(cfg)
-	}
-	if want("4") {
-		figure4(cfg, *outDir)
-	}
-	if want("5") {
-		figure5(cfg, *outDir)
-	}
-	if want("7") {
-		figure7()
-	}
-	if want("9") {
-		figure9(cfg, *outDir)
-	}
-	if want("10") {
-		figure10(cfg, *outDir)
-	}
-	if *fig == "scaling" || *fig == "all" {
-		scaling(cfg)
-	}
-	if *fig == "parallel" || *fig == "all" {
-		parallelScaling(cfg, *workers, *tables, *outDir)
-	}
-	if *fig == "server" || *fig == "all" {
-		serverLoad(cfg, *outDir)
-	}
-	if *fig == "topology" || *fig == "all" {
-		topology(cfg, *tables, *outDir)
-	}
-	if *fig == "reuse" || *fig == "all" {
-		reuse(cfg, *tables, *outDir)
-	}
-	if *fig == "store" || *fig == "all" {
-		storeRestart(cfg, *tables, *outDir)
-	}
-	if *fig == "batch" || *fig == "all" {
-		batchThroughput(cfg, *tables, *outDir)
-	}
-	if *fig == "tenant" || *fig == "all" {
-		tenantFairness(cfg, *outDir)
-	}
-	if *fig == "chaos" || *fig == "all" {
-		chaosAvailability(cfg, *outDir)
-	}
-	if *fig == "quality" || *fig == "all" {
-		quality(cfg)
-	}
-	if *fig == "hotpath" {
-		// Only on explicit request: the comparison runs the pre-refactor
-		// reference engine to completion and cannot honor -timeout, so it
-		// would add an unbounded arm to the default -fig all invocation.
-		hotpath(cfg, *tables, *outDir)
-	}
-}
-
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n\n", title)
-}
-
-func runningExample() {
-	header("Figures 1-2: running example (weighted vs bounded MOQO, Pareto frontier)")
-	e := bench.NewRunningExample()
-	toXY := func(vs []objective.Vector) [][2]float64 {
-		out := make([][2]float64, len(vs))
-		for i, v := range vs {
-			out[i] = [2]float64{v[objective.BufferFootprint], v[objective.TotalTime]}
-		}
-		return out
-	}
-	fmt.Println("plan cost vectors (o) and Pareto frontier (*):")
-	fmt.Println(bench.Scatter(toXY(e.Points), toXY(e.ParetoFrontier()), 40, 12, "buffer space", "time"))
-	w := e.WeightedOptimum()
-	b := e.BoundedOptimum()
-	fmt.Printf("weighted optimum:        buffer=%.1f time=%.1f (weighted cost %.1f)\n",
-		w[objective.BufferFootprint], w[objective.TotalTime], e.Weights.Cost(w))
-	fmt.Printf("bounded optimum (B=%.1f): buffer=%.1f time=%.1f — the bound changes the optimal plan\n",
-		e.Bounds[objective.BufferFootprint], b[objective.BufferFootprint], b[objective.TotalTime])
-}
-
-func figure3(cfg bench.Config) {
-	header("Figure 3: optimal-plan evolution for TPC-H Q3 under changing preferences")
-	steps, err := bench.Figure3(cfg)
+	sizes, err := intList(*tables)
 	if err != nil {
-		fatalf("figure 3: %v", err)
+		return fail(2, "bad -tables entry: %v", err)
 	}
-	fmt.Print(bench.RenderEvolution(steps))
-}
-
-func figure4(cfg bench.Config, outDir string) {
-	header("Figure 4: 3-D approximate Pareto frontiers for TPC-H Q5 (loss x buffer x time)")
-	res, err := bench.Figure4(cfg)
-	if err != nil {
-		fatalf("figure 4: %v", err)
-	}
-	for _, r := range res {
-		fmt.Println(bench.RenderFrontier(r))
-		writeCSV(outDir, fmt.Sprintf("fig4_alpha%.4g.csv", r.Alpha), bench.FrontierCSV(r))
-		if outDir != "" {
-			vectors := make([]objective.Vector, len(r.Points))
-			for i, p := range r.Points {
-				vectors[i] = objective.Vector{}.
-					With(objective.TupleLoss, p.TupleLoss).
-					With(objective.BufferFootprint, p.Buffer).
-					With(objective.TotalTime, p.Time)
-			}
-			title := fmt.Sprintf("TPC-H Q5 approximate Pareto frontier (alpha=%.4g)", r.Alpha)
-			svg := viz.Scatter3D(vectors, objective.TupleLoss, objective.BufferFootprint,
-				objective.TotalTime, viz.DefaultStyle(title))
-			writeCSV(outDir, fmt.Sprintf("fig4_alpha%.4g.svg", r.Alpha), svg)
+	for _, n := range sizes {
+		if n > 26 {
+			// See bench.TopologySpec: past this size the arm would time the
+			// exhaustive run's fallback, not its scan.
+			return fail(2, "-tables entry %d exceeds 26: the exhaustive comparison arm scans 2^n subsets", n)
 		}
 	}
-}
-
-func scaling(cfg bench.Config) {
-	header("Empirical scaling (companion to Figure 7): optimization time vs #tables")
-	spec := bench.ScalingSpec{Timeout: cfg.Timeout, Seed: cfg.Seed, Workers: cfg.EngineWorkers}
-	pts, err := bench.Scaling(spec)
-	if err != nil {
-		fatalf("scaling: %v", err)
-	}
-	fmt.Println("synthetic chain queries, m=1e5, three objectives; '>' marks timeout (lower bound):")
-	fmt.Print(bench.RenderScaling(pts, spec))
-}
-
-// parallelScaling measures the level-synchronized engine's Workers=1 vs
-// Workers=N speedup and always emits BENCH_parallel.json (into -out when
-// set, the working directory otherwise) for the CI pipeline to archive.
-// A -workers value of 1 (the flag default, chosen for the sequential
-// figure experiments) means "let the parallel arm default to NumCPU".
-func parallelScaling(cfg bench.Config, workers int, tables, outDir string) {
-	header("Engine parallelism: RTA wall-clock, Workers=1 vs Workers=N")
-	if workers <= 1 {
-		workers = 0 // ParallelSpec defaults 0 to NumCPU
-	}
-	spec := bench.ParallelSpec{
-		Workers: workers,
-		Timeout: cfg.Timeout,
-		Seed:    cfg.Seed,
-	}
-	for _, part := range splitArg(tables) {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			fatalf("bad -tables entry %q: %v", part, err)
-		}
-		spec.Tables = append(spec.Tables, n)
-	}
-	pts, err := bench.ParallelScaling(spec)
-	if err != nil {
-		fatalf("parallel: %v", err)
-	}
-	fmt.Printf("synthetic chain queries, three objectives, alpha=1.5, NumCPU=%d; '>' marks timeout:\n", runtime.NumCPU())
-	fmt.Print(bench.RenderParallel(pts))
-
-	raw, err := bench.ParallelJSON(pts)
-	if err != nil {
-		fatalf("parallel: %v", err)
-	}
-	path := "BENCH_parallel.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// serverLoad measures the moqod service under closed-loop concurrent load
-// at varying cache-hit ratios and always emits BENCH_server.json (into
-// -out when set, the working directory otherwise) for the CI pipeline to
-// archive.
-func serverLoad(cfg bench.Config, outDir string) {
-	header("moqod service: closed-loop load, throughput and latency vs cache-hit ratio")
-	spec := bench.ServerSpec{Seed: cfg.Seed}
-	pts, err := bench.ServerLoad(spec)
-	if err != nil {
-		fatalf("server: %v", err)
-	}
-	fmt.Printf("TPC-H q3, three objectives, alpha=1.5, in-process moqod over loopback HTTP, NumCPU=%d:\n",
-		runtime.NumCPU())
-	fmt.Print(bench.RenderServerLoad(pts))
-
-	raw, err := bench.ServerLoadJSON(pts)
-	if err != nil {
-		fatalf("server: %v", err)
-	}
-	path := "BENCH_server.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// topology measures the enumeration strategies against each other across
-// join-graph topologies (tables x topology x strategy: scanned sets and
-// splits, candidates, wall time) and always emits BENCH_topology.json
-// (into -out when set, the working directory otherwise) for the CI
-// pipeline to archive. A -tables override applies to the sparse arms
-// (chain, cycle, star, random tree); cliques — where every subset is
-// connected and the graph-aware strategy can only match the scan — keep
-// their default sizes. The -timeout flag is deliberately not plumbed in:
-// its 2s default (tuned for the paper figures) would truncate the
-// largest exhaustive arms into degraded lower bounds, so the experiment
-// keeps TopologySpec's own 60s per-run ceiling, like hotpath.
-func topology(cfg bench.Config, tables, outDir string) {
-	header("Enumeration topology scaling: exhaustive subset scan vs graph-aware csg-cmp")
-	spec := bench.TopologySpec{Seed: cfg.Seed, Workers: cfg.EngineWorkers}
-	if sizes := splitArg(tables); len(sizes) > 0 {
-		var ns []int
-		for _, part := range sizes {
-			n, err := strconv.Atoi(part)
-			if err != nil {
-				fatalf("bad -tables entry %q: %v", part, err)
-			}
-			if n > 26 {
-				// The experiment always runs the exhaustive arm, whose level
-				// materialization Gosper-scans 2^n subsets — beyond ~26
-				// tables the scan cannot finish within the 60s ceiling, so
-				// the arm would degrade to the chain fallback and measure
-				// that instead of the scan.
-				fatalf("-tables entry %d exceeds 26: the exhaustive comparison arm scans 2^n subsets", n)
-			}
-			ns = append(ns, n)
-		}
-		spec.Arms = []bench.TopologyArm{
-			{Shape: synthetic.Chain, Tables: ns},
-			{Shape: synthetic.Cycle, Tables: ns},
-			{Shape: synthetic.Star, Tables: ns},
-			{Shape: synthetic.RandomTree, Tables: ns},
+	if len(sizes) > 0 {
+		// Cliques — every subset connected, so the graph-aware strategy can
+		// only match the scan — keep their default sizes.
+		cfg.Topology.Arms = []bench.TopologyArm{
+			{Shape: synthetic.Chain, Tables: sizes},
+			{Shape: synthetic.Cycle, Tables: sizes},
+			{Shape: synthetic.Star, Tables: sizes},
+			{Shape: synthetic.RandomTree, Tables: sizes},
 			{Shape: synthetic.Clique, Tables: []int{8, 10}},
 		}
 	}
-	pts, err := bench.TopologyScaling(spec)
-	if err != nil {
-		fatalf("topology: %v", err)
-	}
-	fmt.Println("synthetic queries, two objectives, RTA alpha=3, Workers=1; both arms construct")
-	fmt.Println("identical candidates — reductions and speedups are pure enumeration overhead:")
-	fmt.Print(bench.RenderTopology(pts))
-
-	raw, err := bench.TopologyJSON(pts)
-	if err != nil {
-		fatalf("topology: %v", err)
-	}
-	path := "BENCH_topology.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// reuse measures the parametric frontier-reuse serving path — a weight
-// change answered from a cached FrontierSnapshot (SelectBest scan) vs a
-// cold full DP at the same weights, plus the snapshot serialization
-// round trip — and always emits BENCH_reuse.json (into -out when set,
-// the working directory otherwise) for the CI pipeline to archive. A
-// -tables override replaces the synthetic arms (chain + star per size);
-// the TPC-H arms always run.
-func reuse(cfg bench.Config, tables, outDir string) {
-	header("Frontier reuse: re-weight requests from a cached Pareto snapshot vs cold DP")
-	spec := bench.ReuseSpec{Seed: cfg.Seed, Workers: cfg.EngineWorkers}
-	if sizes := splitArg(tables); len(sizes) > 0 {
-		spec.Arms = []bench.ReuseArm{
-			{Name: "tpch-q3", TPCH: 3},
-			{Name: "tpch-q8", TPCH: 8},
-		}
-		for _, part := range sizes {
-			n, err := strconv.Atoi(part)
-			if err != nil {
-				fatalf("bad -tables entry %q: %v", part, err)
-			}
-			spec.Arms = append(spec.Arms,
-				bench.ReuseArm{Name: fmt.Sprintf("chain-%d", n), Shape: synthetic.Chain, Tables: n},
-				bench.ReuseArm{Name: fmt.Sprintf("star-%d", n), Shape: synthetic.Star, Tables: n},
-			)
+	var arms []bench.Arm
+	for _, a := range bench.Arms {
+		if a.Name == *fig || (*fig == "all" && a.All) {
+			arms = append(arms, a)
 		}
 	}
-	pts, err := bench.ReuseScaling(spec)
-	if err != nil {
-		fatalf("reuse: %v", err)
+	if len(arms) == 0 {
+		return fail(2, "unknown -fig %q; valid: all, %s", *fig, armNames())
 	}
-	fmt.Println("RTA alpha=1.5, three objectives; hits are served from a decoded (round-tripped)")
-	fmt.Println("snapshot and one sweep per workload is verified bit-for-bit against a cold run:")
-	fmt.Print(bench.RenderReuse(pts))
-
-	raw, err := bench.ReuseJSON(pts)
-	if err != nil {
-		fatalf("reuse: %v", err)
-	}
-	path := "BENCH_reuse.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// storeRestart measures the disk-backed frontier store's warm-restart
-// serving path — a restarted process answering known query shapes from
-// the store (lookup + decode + SelectBest scan) vs cold dynamic programs
-// — and always emits BENCH_store.json (into -out when set, the working
-// directory otherwise) for the CI pipeline to archive. A -tables
-// override replaces the synthetic arms (chain + star per size); the
-// TPC-H arms always run.
-func storeRestart(cfg bench.Config, tables, outDir string) {
-	header("Frontier store: warm-restart first requests from disk vs cold DP")
-	spec := bench.StoreSpec{Seed: cfg.Seed, Workers: cfg.EngineWorkers}
-	if sizes := splitArg(tables); len(sizes) > 0 {
-		spec.Arms = []bench.ReuseArm{
-			{Name: "tpch-q3", TPCH: 3},
-			{Name: "tpch-q8", TPCH: 8},
-		}
-		for _, part := range sizes {
-			n, err := strconv.Atoi(part)
-			if err != nil {
-				fatalf("bad -tables entry %q: %v", part, err)
-			}
-			spec.Arms = append(spec.Arms,
-				bench.ReuseArm{Name: fmt.Sprintf("chain-%d", n), Shape: synthetic.Chain, Tables: n},
-				bench.ReuseArm{Name: fmt.Sprintf("star-%d", n), Shape: synthetic.Star, Tables: n},
-			)
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return fail(1, "create output dir: %v", err)
 		}
 	}
-	pts, sum, err := bench.StoreWarmRestart(spec)
-	if err != nil {
-		fatalf("store: %v", err)
-	}
-	fmt.Println("RTA alpha=1.5, three objectives; every restart cycle re-opens one shared store")
-	fmt.Println("holding all arms, and one warm answer per arm is verified against a cold run:")
-	fmt.Print(bench.RenderStore(pts, sum))
 
-	raw, err := bench.StoreJSON(pts, sum)
-	if err != nil {
-		fatalf("store: %v", err)
-	}
-	path := "BENCH_store.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// batchThroughput measures batch workload optimization — a mixed
-// overlapping workload (a synthetic chain plus two prefixes over one
-// catalog, TPC-H members, exact duplicates and re-weights) optimized as
-// one moqo.OptimizeBatch against one standalone request at a time — and
-// always emits BENCH_batch.json (into -out when set, the working
-// directory otherwise) for the CI pipeline to archive. Every batch answer
-// is verified bit-for-bit against its standalone counterpart. A single
-// -tables entry resizes the largest chain (its prefixes follow at -2 and
-// -4 relations). The -timeout flag is not plumbed in: the harness
-// verifies answers bit-for-bit, and a truncating timeout would degrade
-// them into incomparability, so it keeps its own 60s per-member ceiling.
-func batchThroughput(cfg bench.Config, tables, outDir string) {
-	header("Batch workloads: shared-memo batch optimization vs sequential standalone requests")
-	spec := bench.BatchSpec{Seed: cfg.Seed, Workers: cfg.EngineWorkers}
-	if sizes := splitArg(tables); len(sizes) > 0 {
-		n, err := strconv.Atoi(sizes[0])
+	for _, a := range arms {
+		fmt.Fprintf(stdout, "\n=== %s ===\n\n", a.Title)
+		rep, err := a.Run(cfg)
 		if err != nil {
-			fatalf("bad -tables entry %q: %v", sizes[0], err)
+			return fail(1, "-fig %s: %v", a.Name, err)
 		}
-		spec.Tables = n
+		fmt.Fprint(stdout, rep.Text)
+		if *outDir == "" {
+			continue
+		}
+		for _, f := range rep.Files {
+			path := filepath.Join(*outDir, f.Name)
+			if err := os.WriteFile(path, f.Data, 0o644); err != nil {
+				return fail(1, "write %s: %v", path, err)
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", path)
+		}
 	}
-	pts, sum, err := bench.BatchThroughput(spec)
-	if err != nil {
-		fatalf("batch: %v", err)
-	}
-	fmt.Println("chain + prefixes (EXA, shared subproblems), TPC-H q3/q5 (RTA alpha=1.5), one")
-	fmt.Println("duplicate and two re-weights per base; latencies are completion offsets from")
-	fmt.Println("workload start, and every batch answer is verified against a standalone run:")
-	fmt.Print(bench.RenderBatch(pts, sum))
-
-	raw, err := bench.BatchJSON(pts, sum)
-	if err != nil {
-		fatalf("batch: %v", err)
-	}
-	path := "BENCH_batch.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
+	return 0
 }
 
-// tenantFairness measures the multi-tenant serving path: a light tenant
-// living on the frontier re-weight fast path while a flood tenant
-// saturates the cold-DP scheduler, under the fair scheduler and the
-// -fifo baseline, and always emits BENCH_tenant.json (into -out when
-// set, the working directory otherwise) for the CI pipeline to archive.
-func tenantFairness(cfg bench.Config, outDir string) {
-	header("Multi-tenant serving: light-tenant latency under a flood, fair vs FIFO")
-	pts, sum, err := bench.TenantLoad(bench.TenantSpec{Seed: cfg.Seed})
-	if err != nil {
-		fatalf("tenant: %v", err)
+// armNames lists the -fig values of bench.Arms, for the flag help and the
+// unknown-arm error.
+func armNames() string {
+	names := make([]string, len(bench.Arms))
+	for i, a := range bench.Arms {
+		names[i] = a.Name
 	}
-	fmt.Println("flood = distinct cold EXA chains (nothing caches); light = re-weights of one")
-	fmt.Println("warmed RTA chain; fair gates only cold DPs, fifo queues every request globally:")
-	fmt.Print(bench.RenderTenantLoad(pts, sum))
-
-	raw, err := bench.TenantLoadJSON(pts, sum)
-	if err != nil {
-		fatalf("tenant: %v", err)
-	}
-	path := "BENCH_tenant.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
+	return strings.Join(names, ", ")
 }
 
-// chaosAvailability measures serving through a dead store disk with and
-// without the circuit breaker — availability, tail latency, and device
-// operations attempted — and always emits BENCH_chaos.json (into -out
-// when set, the working directory otherwise) for the CI pipeline to
-// archive.
-func chaosAvailability(cfg bench.Config, outDir string) {
-	header("Disk chaos: serving through a dead frontier-store disk, breaker vs no breaker")
-	pts, sum, err := bench.ChaosAvailability(bench.ChaosSpec{Seed: cfg.Seed})
-	if err != nil {
-		fatalf("chaos: %v", err)
-	}
-	fmt.Println("the disk hangs 10ms then fails on every operation; a tiny frontier memory tier")
-	fmt.Println("keeps the store on the hot path; answers are verified against a fault-free run:")
-	fmt.Print(bench.RenderChaos(pts, sum))
-
-	raw, err := bench.ChaosJSON(pts, sum)
-	if err != nil {
-		fatalf("chaos: %v", err)
-	}
-	path := "BENCH_chaos.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// hotpath measures the allocation-free DP hot path against the preserved
-// pre-refactor engine (time, allocs/op, bytes/op per candidate) and always
-// emits BENCH_hotpath.json (into -out when set, the working directory
-// otherwise) for the CI pipeline to archive.
-func hotpath(cfg bench.Config, tables, outDir string) {
-	header("Hot path: flat (allocation-free) engine vs pre-refactor reference")
-	spec := bench.HotpathSpec{Seed: cfg.Seed}
-	for _, part := range splitArg(tables) {
+// intList parses a comma-separated flag value, dropping blanks.
+func intList(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
 		n, err := strconv.Atoi(part)
 		if err != nil {
-			fatalf("bad -tables entry %q: %v", part, err)
+			return nil, err
 		}
-		spec.Tables = append(spec.Tables, n)
+		out = append(out, n)
 	}
-	pts, err := bench.Hotpath(spec)
-	if err != nil {
-		fatalf("hotpath: %v", err)
-	}
-	fmt.Println("synthetic chain queries, EXA and RTA (alpha=1.5), Workers=1, averages over 3 runs;")
-	fmt.Println("alloc/c = heap allocations per constructed candidate plan:")
-	fmt.Print(bench.RenderHotpath(pts))
-
-	raw, err := bench.HotpathJSON(pts)
-	if err != nil {
-		fatalf("hotpath: %v", err)
-	}
-	path := "BENCH_hotpath.json"
-	if outDir != "" {
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// splitArg splits a comma-separated flag value, dropping blanks.
-func splitArg(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func quality(cfg bench.Config) {
-	header("Frontier quality: measured RTA cover factor vs the alpha guarantee")
-	rows, err := bench.FrontierQuality(cfg)
-	if err != nil {
-		fatalf("quality: %v", err)
-	}
-	fmt.Println("(queries whose exact optimization timed out are skipped)")
-	fmt.Print(bench.RenderQuality(rows))
-}
-
-func figure5(cfg bench.Config, outDir string) {
-	header("Figure 5: exact algorithm (EXA) on TPC-H — time, memory, Pareto plans")
-	rows, err := bench.Figure5(cfg)
-	if err != nil {
-		fatalf("figure 5: %v", err)
-	}
-	fmt.Print(bench.RenderRows(rows, "objs"))
-	writeCSV(outDir, "fig5.csv", bench.RowsCSV(rows, "objs"))
-}
-
-func figure7() {
-	header("Figure 7: analytic time complexity (j=6, l=3, m=1e5)")
-	fmt.Print(bench.RenderComplexity(bench.Figure7(bench.DefaultComplexityParams())))
-}
-
-func figure9(cfg bench.Config, outDir string) {
-	header("Figure 9: weighted MOQO — EXA vs RTA")
-	rows, err := bench.Figure9(cfg)
-	if err != nil {
-		fatalf("figure 9: %v", err)
-	}
-	fmt.Print(bench.RenderRows(rows, "objs"))
-	writeCSV(outDir, "fig9.csv", bench.RowsCSV(rows, "objs"))
-}
-
-func figure10(cfg bench.Config, outDir string) {
-	header("Figure 10: bounded MOQO — EXA vs IRA")
-	rows, err := bench.Figure10(cfg)
-	if err != nil {
-		fatalf("figure 10: %v", err)
-	}
-	fmt.Print(bench.RenderRows(rows, "bounds"))
-	writeCSV(outDir, "fig10.csv", bench.RowsCSV(rows, "bounds"))
-}
-
-func writeCSV(dir, name, content string) {
-	if dir == "" {
-		return
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
-	os.Exit(1)
+	return out, nil
 }

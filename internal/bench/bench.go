@@ -9,6 +9,7 @@ import (
 	"moqo/internal/core"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/query"
 	"moqo/internal/workload"
 )
 
@@ -46,6 +47,11 @@ type Config struct {
 	// Unlike Workers, this parallelizes within a single optimization, so
 	// measured per-run times genuinely shrink.
 	EngineWorkers int
+	// Topology, Tenant and Chaos size the three comparative arms; their
+	// zero values are the published setups, tests scale them down.
+	Topology TopologySpec
+	Tenant   TenantSpec
+	Chaos    ChaosSpec
 }
 
 // DefaultConfig returns the scaled-down default setup.
@@ -60,6 +66,12 @@ func DefaultConfig() Config {
 		ObjectiveCounts: []int{3, 6, 9},
 		BoundCounts:     []int{3, 6, 9},
 	}
+}
+
+// engine returns the optimizer options of one run over objs at precision
+// alpha (0 for the exact algorithm and single-objective minima).
+func (c Config) engine(objs objective.Set, alpha float64) core.Options {
+	return core.Options{Objectives: objs, Alpha: alpha, Timeout: c.Timeout, Workers: c.EngineWorkers}
 }
 
 // queries resolves the query list in paper order.
@@ -180,9 +192,7 @@ func exaAlgo(cfg Config) namedAlgo {
 	return namedAlgo{
 		name: "EXA",
 		run: func(m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
-			return core.EXA(m, tc.Weights, tc.Bounds, core.Options{
-				Objectives: tc.Objectives, Timeout: cfg.Timeout, Workers: cfg.EngineWorkers,
-			})
+			return core.EXA(m, tc.Weights, tc.Bounds, cfg.engine(tc.Objectives, 0))
 		},
 	}
 }
@@ -192,9 +202,7 @@ func rtaAlgo(alpha float64, cfg Config) namedAlgo {
 	return namedAlgo{
 		name: fmt.Sprintf("RTA(%.4g)", alpha),
 		run: func(m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
-			return core.RTA(m, tc.Weights, core.Options{
-				Objectives: tc.Objectives, Alpha: alpha, Timeout: cfg.Timeout, Workers: cfg.EngineWorkers,
-			})
+			return core.RTA(m, tc.Weights, cfg.engine(tc.Objectives, alpha))
 		},
 	}
 }
@@ -204,9 +212,7 @@ func iraAlgo(alpha float64, cfg Config) namedAlgo {
 	return namedAlgo{
 		name: fmt.Sprintf("IRA(%.4g)", alpha),
 		run: func(m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
-			return core.IRA(m, tc.Weights, tc.Bounds, core.Options{
-				Objectives: tc.Objectives, Alpha: alpha, Timeout: cfg.Timeout, Workers: cfg.EngineWorkers,
-			})
+			return core.IRA(m, tc.Weights, tc.Bounds, cfg.engine(tc.Objectives, alpha))
 		},
 	}
 }
@@ -268,6 +274,55 @@ func runCells(workers int, jobs []func() (Row, error)) ([]Row, error) {
 	return rows, nil
 }
 
+// caseGen draws one test case of a (query, param) cell.
+type caseGen func(param int, r *rand.Rand) workload.TestCase
+
+// weightedCases is the test-case generator of Figures 5 and 9: param
+// random objectives under uniform random weights.
+func weightedCases(q *query.Query, _ *costmodel.Model) (caseGen, error) {
+	return func(k int, r *rand.Rand) workload.TestCase { return workload.WeightedCase(q, k, r) }, nil
+}
+
+// figureRows runs one Figure 5/9/10 experiment: per (query, param) cell,
+// CasesPerConfig seeded random test cases through every algorithm of the
+// comparison, folded into one Row. newGen binds a cell's query and model
+// into its generator (Figure 10 computes the per-query minima there).
+func (c Config) figureRows(figure string, params []int, algs []namedAlgo,
+	newGen func(*query.Query, *costmodel.Model) (caseGen, error)) ([]Row, error) {
+	var jobs []func() (Row, error)
+	for _, qn := range c.queries() {
+		for _, k := range params {
+			jobs = append(jobs, func() (Row, error) {
+				// Each job owns its query and model: the cardinality
+				// estimator memoizes per query and is not safe for
+				// concurrent use across cells.
+				q := workload.MustQuery(qn, c.catalog())
+				m := costmodel.NewDefault(q)
+				gen, err := newGen(q, m)
+				if err != nil {
+					return Row{}, err
+				}
+				r := c.newRNG(figure, qn, k)
+				var perCase [][]caseRun
+				for i := 0; i < c.CasesPerConfig; i++ {
+					runs, err := runAlgorithms(gen(k, r), m, algs)
+					if err != nil {
+						return Row{}, err
+					}
+					perCase = append(perCase, runs)
+				}
+				cells := make([]Cell, len(algs))
+				for i, a := range algs {
+					cells[i].Algorithm = a.name
+				}
+				aggregate(cells, perCase)
+				return Row{QueryNum: qn, NumTables: q.NumRelations(), Param: k, Cells: cells}, nil
+			})
+		}
+	}
+	return runCells(c.Workers, jobs)
+}
+
 // newRNG derives a deterministic RNG for one (figure, query, param) cell,
 // so single figures can be regenerated in isolation with identical
 // workloads.
@@ -281,14 +336,3 @@ func (c Config) newRNG(figure string, queryNum, param int) *rand.Rand {
 
 // catalogFor builds the TPC-H catalog for the run.
 func (c Config) catalog() *catalog.Catalog { return catalog.TPCH(c.ScaleFactor) }
-
-// minimaFor computes per-objective minima (all nine objectives) for bounds
-// generation; sampling availability must match the bounded runs, where all
-// nine objectives (including tuple loss) are active.
-func minimaFor(m *costmodel.Model, cfg Config) (objective.Vector, error) {
-	return core.ObjectiveMinima(m, core.Options{
-		Objectives: objective.AllSet(),
-		Timeout:    cfg.Timeout,
-		Workers:    cfg.EngineWorkers,
-	})
-}

@@ -7,6 +7,7 @@ import (
 
 	"moqo/internal/objective"
 	"moqo/internal/pareto"
+	"moqo/internal/workload"
 )
 
 // quickConfig keeps harness tests fast: a few small queries, small scale
@@ -206,7 +207,7 @@ func TestFigure3Evolution(t *testing.T) {
 	if len(steps) != 3 {
 		t.Fatalf("got %d steps", len(steps))
 	}
-	q := Figure3Query(cfg)
+	q := workload.MustQuery(3, cfg.catalog())
 	sigs := make([]string, 3)
 	for i, s := range steps {
 		if s.Plan == nil {

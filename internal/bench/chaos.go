@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -41,9 +39,6 @@ type ChaosSpec struct {
 	Shapes int
 	// DeadDelay is the dying disk's per-operation hang (default 10ms).
 	DeadDelay time.Duration
-	// Seed drives the injector (only dead-disk mode is used here, so it
-	// only matters for reproducibility of the schedule metadata).
-	Seed int64
 }
 
 func (s ChaosSpec) withDefaults() ChaosSpec {
@@ -116,7 +111,7 @@ func ChaosAvailability(spec ChaosSpec) ([]ChaosPoint, ChaosSummary, error) {
 	var sum ChaosSummary
 
 	// Fault-free reference answers, keyed by request body.
-	reference := make(map[string]chaosRefAnswer)
+	reference := make(map[string]chaosAnswer)
 	refSvc, err := server.NewE(server.Options{})
 	if err != nil {
 		return nil, sum, err
@@ -126,10 +121,10 @@ func ChaosAvailability(spec ChaosSpec) ([]ChaosPoint, ChaosSummary, error) {
 		if _, seen := reference[body]; seen {
 			continue
 		}
-		ans, status, err := chaosPost(refTS, body)
-		if err != nil || status != http.StatusOK {
+		var ans chaosAnswer
+		if _, err := postTimed(refTS, "", body, &ans); err != nil {
 			refTS.Close()
-			return nil, sum, fmt.Errorf("bench: chaos reference request: status %d, err %v", status, err)
+			return nil, sum, fmt.Errorf("bench: chaos reference request: %w", err)
 		}
 		reference[body] = ans
 	}
@@ -151,27 +146,22 @@ func ChaosAvailability(spec ChaosSpec) ([]ChaosPoint, ChaosSummary, error) {
 			sum.BaselineAvailability = pt.Availability
 		}
 	}
-	ratio := func(num, den float64) float64 {
-		if den < 0.01 {
-			den = 0.01
-		}
-		return num / den
-	}
-	sum.P50Ratio = ratio(sum.NoBreakerP50Ms, sum.BreakerP50Ms)
-	sum.P99Ratio = ratio(sum.NoBreakerP99Ms, sum.BreakerP99Ms)
+	sum.P50Ratio = flooredRatio(sum.NoBreakerP50Ms, sum.BreakerP50Ms)
+	sum.P99Ratio = flooredRatio(sum.NoBreakerP99Ms, sum.BreakerP99Ms)
 	return pts, sum, nil
 }
 
-// chaosRefAnswer is the compared answer content (serving metadata like
-// cached/duration legitimately differs under faults).
-type chaosRefAnswer struct {
-	Algorithm string
-	Plan      json.RawMessage
-	Cost      map[string]float64
+// chaosAnswer is the compared answer content of an /optimize response
+// (serving metadata like cached/duration legitimately differs under
+// faults).
+type chaosAnswer struct {
+	Algorithm string             `json:"algorithm"`
+	Plan      json.RawMessage    `json:"plan"`
+	Cost      map[string]float64 `json:"cost"`
 }
 
 // chaosArm measures one (breaker?) arm against a dead disk.
-func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosRefAnswer) (ChaosPoint, error) {
+func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosAnswer) (ChaosPoint, error) {
 	pt := ChaosPoint{Arm: arm, Requests: spec.Requests}
 	dir, err := os.MkdirTemp("", "moqo-chaos-")
 	if err != nil {
@@ -180,7 +170,6 @@ func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosRefAnswer) (
 	defer os.RemoveAll(dir)
 
 	inj := fault.NewInjector(nil, fault.Config{
-		Seed:      uint64(spec.Seed) + 1,
 		DeadDelay: spec.DeadDelay,
 	})
 	svc, err := server.NewE(server.Options{
@@ -210,8 +199,9 @@ func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosRefAnswer) (
 	// Warm every shape on a healthy disk: each lands in the store, and
 	// all but two fall out of the memory tier immediately.
 	for i := 0; i < spec.Shapes; i++ {
-		if _, status, err := chaosPost(ts, chaosBody(spec, i, 0)); err != nil || status != http.StatusOK {
-			return pt, fmt.Errorf("bench: chaos warm-up: status %d, err %v", status, err)
+		var sink chaosAnswer
+		if _, err := postTimed(ts, "", chaosBody(spec, i, 0), &sink); err != nil {
+			return pt, fmt.Errorf("bench: chaos warm-up: %w", err)
 		}
 	}
 
@@ -219,10 +209,9 @@ func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosRefAnswer) (
 	inj.SetDead(true)
 	var latency []float64
 	for _, body := range chaosStream(spec) {
-		start := time.Now()
-		ans, status, err := chaosPost(ts, body)
-		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil || status != http.StatusOK {
+		var ans chaosAnswer
+		ms, err := postTimed(ts, "", body, &ans)
+		if err != nil {
 			pt.Errors++
 			continue
 		}
@@ -237,11 +226,7 @@ func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosRefAnswer) (
 	pt.DeadOps = chaosOps(inj) - opsBefore
 
 	pt.Availability = float64(spec.Requests-pt.Errors) / float64(spec.Requests)
-	if len(latency) > 0 {
-		sort.Float64s(latency)
-		pt.P50Ms = server.Percentile(latency, 0.50)
-		pt.P99Ms = server.Percentile(latency, 0.99)
-	}
+	pt.P50Ms, pt.P99Ms = p50p99(latency)
 
 	// Breaker/skip accounting from the public metrics surface.
 	res, err := http.Get(ts.URL + "/metrics")
@@ -276,8 +261,8 @@ func chaosOps(inj *fault.Injector) uint64 {
 // distinct bufferWeights are distinct re-weights of one shape — the
 // same FrontierKey but a fresh exact-tier cache key.
 func chaosBody(spec ChaosSpec, i int, bufferWeight float64) string {
-	return tenantBody(tenantChainSpec(spec.Tables, 0.2+0.1*float64(i), "rta", 1.2,
-		[]string{"total_time", "buffer_footprint"}, bufferWeight, false))
+	return chainBody(spec.Tables, 0.2+0.1*float64(i), "rta", 1.2,
+		[]string{"total_time", "buffer_footprint"}, bufferWeight, false)
 }
 
 // chaosStream is the measured request sequence: re-weights cycling over
@@ -294,24 +279,6 @@ func chaosStream(spec ChaosSpec) []string {
 	return bodies
 }
 
-// chaosPost posts one request and decodes the compared answer content.
-func chaosPost(ts *httptest.Server, body string) (chaosRefAnswer, int, error) {
-	res, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader(body))
-	if err != nil {
-		return chaosRefAnswer{}, 0, err
-	}
-	defer res.Body.Close()
-	var wire struct {
-		Algorithm string             `json:"algorithm"`
-		Plan      json.RawMessage    `json:"plan"`
-		Cost      map[string]float64 `json:"cost"`
-	}
-	if err := json.NewDecoder(res.Body).Decode(&wire); err != nil {
-		return chaosRefAnswer{}, res.StatusCode, err
-	}
-	return chaosRefAnswer{Algorithm: wire.Algorithm, Plan: wire.Plan, Cost: wire.Cost}, res.StatusCode, nil
-}
-
 // RenderChaos renders the experiment as an aligned text table.
 func RenderChaos(pts []ChaosPoint, sum ChaosSummary) string {
 	var b strings.Builder
@@ -326,21 +293,4 @@ func RenderChaos(pts []ChaosPoint, sum ChaosSummary) string {
 		sum.NoBreakerP50Ms, sum.BreakerP50Ms, sum.P50Ratio,
 		sum.NoBreakerP99Ms, sum.BreakerP99Ms, sum.P99Ratio)
 	return b.String()
-}
-
-// ChaosJSON serializes the measurements as the BENCH_chaos.json payload
-// the CI pipeline archives.
-func ChaosJSON(pts []ChaosPoint, sum ChaosSummary) ([]byte, error) {
-	payload := struct {
-		Benchmark string       `json:"benchmark"`
-		NumCPU    int          `json:"num_cpu"`
-		Points    []ChaosPoint `json:"points"`
-		Summary   ChaosSummary `json:"summary"`
-	}{
-		Benchmark: "moqod-disk-chaos-availability",
-		NumCPU:    runtime.NumCPU(),
-		Points:    pts,
-		Summary:   sum,
-	}
-	return json.MarshalIndent(payload, "", "  ")
 }

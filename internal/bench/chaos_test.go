@@ -18,7 +18,6 @@ func TestChaosAvailability(t *testing.T) {
 		Tables:    6,
 		Shapes:    4,
 		DeadDelay: 2 * time.Millisecond,
-		Seed:      3,
 	}
 	pts, sum, err := ChaosAvailability(spec)
 	if err != nil {
@@ -53,10 +52,11 @@ func TestChaosAvailability(t *testing.T) {
 	if !strings.Contains(table, "no-breaker") {
 		t.Errorf("render missing baseline arm:\n%s", table)
 	}
-	raw, err := ChaosJSON(pts, sum)
+	file, err := benchJSON("chaos", "moqod-disk-chaos-availability", pts, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw := file.Data
 	var decoded struct {
 		Benchmark string `json:"benchmark"`
 		Summary   ChaosSummary

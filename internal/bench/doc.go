@@ -1,7 +1,6 @@
 // Package bench is the experiment harness that regenerates the evaluation
-// of the paper and measures the beyond-paper subsystems. Every figure of
-// the paper has a corresponding Figure* function returning structured
-// results plus a text renderer:
+// of the paper. Every figure of the paper has a corresponding Figure*
+// function returning structured results plus a text renderer:
 //
 //	Figure 1/2  — running example: weighted vs bounded optima, Pareto
 //	              frontier and dominated area (conceptual illustrations).
@@ -23,27 +22,19 @@
 // weighted cost of the produced plan relative to the best plan any
 // algorithm produced for the same test case.
 //
-// Beyond the paper's figures, the harness measures the systems layers this
-// reproduction adds:
+// Two companions sit next to the figures — Scaling (optimization time vs
+// table count on synthetic queries, the empirical Figure 7) and
+// FrontierQuality (measured RTA cover factor vs the α guarantee) — and
+// three comparative experiments whose baseline is a knob no scoreboard
+// workload sets:
 //
-//	Scaling          — optimization time vs table count on synthetic
-//	                   queries (companion to Figure 7).
-//	ParallelScaling  — Workers=1 vs Workers=N wall-clock speedup of the
-//	                   level-synchronized engine (BENCH_parallel.json).
-//	ServerLoad       — closed-loop throughput and p50/p99 latency of the
-//	                   moqod service at varying concurrency and cache-hit
-//	                   ratios (BENCH_server.json).
-//	TopologyScaling  — enumeration work (scanned sets, split visits) and
-//	                   wall time of the exhaustive vs the graph-aware
-//	                   csg-cmp strategy across join-graph topologies and
-//	                   query sizes (BENCH_topology.json).
-//	Hotpath          — allocation-free flat engine vs the preserved
-//	                   pre-refactor reference (BENCH_hotpath.json).
-//	BatchThroughput  — aggregate throughput and completion latency of a
-//	                   mixed overlapping workload optimized as one batch
-//	                   (shared catalog warm-up, dedupe, frontier
-//	                   re-weights, cross-query subproblem sharing,
-//	                   cost-ordered scheduling) vs one request at a
-//	                   time, every answer verified bit-for-bit
-//	                   (BENCH_batch.json).
+//	TopologyScaling   — exhaustive vs graph-aware csg-cmp enumeration
+//	                    across join-graph shapes (BENCH_topology.json).
+//	TenantLoad        — a light tenant's latency under a flood, fair
+//	                    scheduler vs moqod -fifo (BENCH_tenant.json).
+//	ChaosAvailability — serving through a dead store disk, breaker vs
+//	                    moqod -no-store-breaker (BENCH_chaos.json).
+//
+// Arms lists every experiment cmd/experiments can run. How fast a layer
+// or a request is, is measured by the scoreboard in benchmark/, not here.
 package bench

@@ -1,7 +1,12 @@
 package bench
 
 import (
+	"math/rand"
+
+	"moqo/internal/core"
 	"moqo/internal/costmodel"
+	"moqo/internal/objective"
+	"moqo/internal/query"
 	"moqo/internal/workload"
 )
 
@@ -23,40 +28,10 @@ func Figure10(cfg Config) ([]Row, error) {
 	for _, a := range cfg.Alphas {
 		algs = append(algs, iraAlgo(a, cfg))
 	}
-	var jobs []func() (Row, error)
-	for _, qn := range cfg.queries() {
-		for _, k := range counts {
-			qn, k := qn, k
-			jobs = append(jobs, func() (Row, error) {
-				q := workload.MustQuery(qn, cfg.catalog())
-				m := costmodel.NewDefault(q)
-				minima, err := minimaFor(m, cfg)
-				if err != nil {
-					return Row{}, err
-				}
-				r := cfg.newRNG("fig10", qn, k)
-				var perCase [][]caseRun
-				for i := 0; i < cfg.CasesPerConfig; i++ {
-					tc := workload.BoundedCase(q, k, minima, r)
-					runs, err := runAlgorithms(tc, m, algs)
-					if err != nil {
-						return Row{}, err
-					}
-					perCase = append(perCase, runs)
-				}
-				cells := make([]Cell, len(algs))
-				for i, a := range algs {
-					cells[i].Algorithm = a.name
-				}
-				aggregate(cells, perCase)
-				return Row{
-					QueryNum:  qn,
-					NumTables: q.NumRelations(),
-					Param:     k,
-					Cells:     cells,
-				}, nil
-			})
-		}
-	}
-	return runCells(cfg.Workers, jobs)
+	return cfg.figureRows("fig10", counts, algs, func(q *query.Query, m *costmodel.Model) (caseGen, error) {
+		// Minima over all nine objectives: sampling availability must match
+		// the bounded runs, where tuple loss is active too.
+		minima, err := core.ObjectiveMinima(m, cfg.engine(objective.AllSet(), 0))
+		return func(k int, r *rand.Rand) workload.TestCase { return workload.BoundedCase(q, k, minima, r) }, err
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 	"moqo/internal/plan"
-	"moqo/internal/query"
 	"moqo/internal/workload"
 )
 
@@ -38,9 +37,7 @@ func Figure3(cfg Config) ([]EvolutionStep, error) {
 	q := workload.MustQuery(3, cat)
 	m := costmodel.NewDefault(q)
 
-	minima, err := core.ObjectiveMinima(m, core.Options{
-		Objectives: Figure3Objectives, Timeout: cfg.Timeout, Workers: cfg.EngineWorkers,
-	})
+	minima, err := core.ObjectiveMinima(m, cfg.engine(Figure3Objectives, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -76,9 +73,7 @@ func Figure3(cfg Config) ([]EvolutionStep, error) {
 		},
 	}
 	for i := range steps {
-		res, err := core.EXA(m, steps[i].Weights, steps[i].Bounds, core.Options{
-			Objectives: Figure3Objectives, Timeout: cfg.Timeout, Workers: cfg.EngineWorkers,
-		})
+		res, err := core.EXA(m, steps[i].Weights, steps[i].Bounds, cfg.engine(Figure3Objectives, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -86,9 +81,4 @@ func Figure3(cfg Config) ([]EvolutionStep, error) {
 		steps[i].PlanText = res.Best.Format(q)
 	}
 	return steps, nil
-}
-
-// Figure3Query returns the query of the experiment, for rendering.
-func Figure3Query(cfg Config) *query.Query {
-	return workload.MustQuery(3, cfg.catalog())
 }

@@ -42,12 +42,7 @@ func Figure4(cfg Config, alphas ...float64) ([]Figure4Result, error) {
 
 	var out []Figure4Result
 	for _, alpha := range alphas {
-		res, err := core.RTA(m, w, core.Options{
-			Objectives: Figure4Objectives,
-			Alpha:      alpha,
-			Timeout:    cfg.Timeout,
-			Workers:    cfg.EngineWorkers,
-		})
+		res, err := core.RTA(m, w, cfg.engine(Figure4Objectives, alpha))
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,5 @@
 package bench
 
-import (
-	"moqo/internal/costmodel"
-	"moqo/internal/workload"
-)
-
 // Figure5 reproduces the paper's Figure 5: the performance of the exact
 // algorithm (EXA) on the TPC-H queries for 1, 3, 6 and 9 objectives —
 // optimization time, allocated memory, and the number of Pareto plans of
@@ -19,36 +14,5 @@ func Figure5(cfg Config) ([]Row, error) {
 	if counts[0] != 1 {
 		counts = append([]int{1}, counts...)
 	}
-	var jobs []func() (Row, error)
-	for _, qn := range cfg.queries() {
-		for _, k := range counts {
-			qn, k := qn, k
-			jobs = append(jobs, func() (Row, error) {
-				// Each job owns its query and model: the cardinality
-				// estimator memoizes per query and is not safe for
-				// concurrent use across cells.
-				q := workload.MustQuery(qn, cfg.catalog())
-				m := costmodel.NewDefault(q)
-				r := cfg.newRNG("fig5", qn, k)
-				var perCase [][]caseRun
-				for i := 0; i < cfg.CasesPerConfig; i++ {
-					tc := workload.WeightedCase(q, k, r)
-					runs, err := runAlgorithms(tc, m, []namedAlgo{exaAlgo(cfg)})
-					if err != nil {
-						return Row{}, err
-					}
-					perCase = append(perCase, runs)
-				}
-				cells := []Cell{{Algorithm: "EXA"}}
-				aggregate(cells, perCase)
-				return Row{
-					QueryNum:  qn,
-					NumTables: q.NumRelations(),
-					Param:     k,
-					Cells:     cells,
-				}, nil
-			})
-		}
-	}
-	return runCells(cfg.Workers, jobs)
+	return cfg.figureRows("fig5", counts, []namedAlgo{exaAlgo(cfg)}, weightedCases)
 }

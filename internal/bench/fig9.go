@@ -1,10 +1,5 @@
 package bench
 
-import (
-	"moqo/internal/costmodel"
-	"moqo/internal/workload"
-)
-
 // Figure9 reproduces the paper's Figure 9: the weighted-MOQO comparison of
 // the EXA against the RTA at α ∈ Alphas over the TPC-H queries with 3, 6
 // and 9 objectives. Reported per (query, #objectives): timeout percentage,
@@ -21,36 +16,5 @@ func Figure9(cfg Config) ([]Row, error) {
 	for _, a := range cfg.Alphas {
 		algs = append(algs, rtaAlgo(a, cfg))
 	}
-	var jobs []func() (Row, error)
-	for _, qn := range cfg.queries() {
-		for _, k := range counts {
-			qn, k := qn, k
-			jobs = append(jobs, func() (Row, error) {
-				q := workload.MustQuery(qn, cfg.catalog())
-				m := costmodel.NewDefault(q)
-				r := cfg.newRNG("fig9", qn, k)
-				var perCase [][]caseRun
-				for i := 0; i < cfg.CasesPerConfig; i++ {
-					tc := workload.WeightedCase(q, k, r)
-					runs, err := runAlgorithms(tc, m, algs)
-					if err != nil {
-						return Row{}, err
-					}
-					perCase = append(perCase, runs)
-				}
-				cells := make([]Cell, len(algs))
-				for i, a := range algs {
-					cells[i].Algorithm = a.name
-				}
-				aggregate(cells, perCase)
-				return Row{
-					QueryNum:  qn,
-					NumTables: q.NumRelations(),
-					Param:     k,
-					Cells:     cells,
-				}, nil
-			})
-		}
-	}
-	return runCells(cfg.Workers, jobs)
+	return cfg.figureRows("fig9", counts, algs, weightedCases)
 }

@@ -45,9 +45,7 @@ func FrontierQuality(cfg Config) ([]QualityRow, error) {
 		q := workload.MustQuery(qn, cfg.catalog())
 		m := costmodel.NewDefault(q)
 		w := objective.UniformWeights(QualityObjectives)
-		exact, err := core.EXA(m, w, objective.NoBounds(), core.Options{
-			Objectives: QualityObjectives, Timeout: cfg.Timeout, Workers: cfg.EngineWorkers,
-		})
+		exact, err := core.EXA(m, w, objective.NoBounds(), cfg.engine(QualityObjectives, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -56,9 +54,7 @@ func FrontierQuality(cfg Config) ([]QualityRow, error) {
 		}
 		ref := exact.Frontier.Frontier()
 		for _, alpha := range cfg.Alphas {
-			approx, err := core.RTA(m, w, core.Options{
-				Objectives: QualityObjectives, Alpha: alpha, Timeout: cfg.Timeout, Workers: cfg.EngineWorkers,
-			})
+			approx, err := core.RTA(m, w, cfg.engine(QualityObjectives, alpha))
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,6 @@ import (
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 	"moqo/internal/synthetic"
-	"moqo/internal/workload"
 )
 
 // ScalingPoint is one measured x-position of the empirical scaling
@@ -34,9 +33,6 @@ type ScalingSpec struct {
 	MinTables, MaxTables int
 	// MaxRows is the maximal base-table cardinality m (default 1e5).
 	MaxRows float64
-	// Objectives used by the multi-objective algorithms (default: a
-	// three-objective set, matching Figure 7's l = 3).
-	Objectives objective.Set
 	// Alphas are the RTA precisions (default {1.05, 1.5}, as Figure 7).
 	Alphas []float64
 	// Repeats averages each point over several seeds (default 3).
@@ -50,6 +46,10 @@ type ScalingSpec struct {
 	Workers int
 }
 
+// scalingObjectives is the objective set of the multi-objective runs: three
+// objectives, matching Figure 7's l = 3.
+var scalingObjectives = objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
+
 // withDefaults fills in the Figure 7 defaults.
 func (s ScalingSpec) withDefaults() ScalingSpec {
 	if s.MinTables == 0 {
@@ -60,9 +60,6 @@ func (s ScalingSpec) withDefaults() ScalingSpec {
 	}
 	if s.MaxRows == 0 {
 		s.MaxRows = 1e5
-	}
-	if s.Objectives.Len() == 0 {
-		s.Objectives = objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
 	}
 	if len(s.Alphas) == 0 {
 		s.Alphas = []float64{1.05, 1.5}
@@ -107,8 +104,8 @@ func Scaling(spec ScalingSpec) ([]ScalingPoint, error) {
 				return nil, err
 			}
 			m := costmodel.NewDefault(q)
-			w := objective.UniformWeights(spec.Objectives)
-			opts := core.Options{Objectives: spec.Objectives, Timeout: spec.Timeout, Workers: spec.Workers}
+			w := objective.UniformWeights(scalingObjectives)
+			opts := core.Options{Objectives: scalingObjectives, Timeout: spec.Timeout, Workers: spec.Workers}
 
 			record := func(name string, res core.Result, err error) error {
 				if err != nil {
@@ -170,16 +167,4 @@ func RenderScaling(pts []ScalingPoint, spec ScalingSpec) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// ScalingTPCHReference returns, for context in reports, the paper-order
-// TPC-H query numbers with their table counts — useful when relating the
-// synthetic x-axis to the TPC-H x-axis of Figures 5/9/10.
-func ScalingTPCHReference(cfg Config) map[int]int {
-	cat := cfg.catalog()
-	out := make(map[int]int, workload.NumQueries)
-	for _, qn := range workload.PaperOrder {
-		out[qn] = workload.MustQuery(qn, cat).NumRelations()
-	}
-	return out
 }

@@ -80,13 +80,3 @@ func TestRenderScaling(t *testing.T) {
 		}
 	}
 }
-
-func TestScalingTPCHReference(t *testing.T) {
-	ref := ScalingTPCHReference(DefaultConfig())
-	if len(ref) != 22 {
-		t.Fatalf("got %d entries", len(ref))
-	}
-	if ref[8] != 8 || ref[1] != 1 {
-		t.Errorf("q8=%d q1=%d, want 8 and 1", ref[8], ref[1])
-	}
-}

@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,7 +33,7 @@ import (
 // The headline number is the flooded/unloaded p99 ratio per policy.
 type TenantSpec struct {
 	// LightRequests is the light tenant's measured request count per
-	// scenario (default 30).
+	// scenario (default 100).
 	LightRequests int
 	// FloodClients is the flood tenant's closed-loop client count
 	// (default 3).
@@ -48,11 +45,6 @@ type TenantSpec struct {
 	// a few-millisecond re-weight serve, so the percentiles measure real
 	// work rather than scheduler noise).
 	LightTables int
-	// MaxColdDPs is the scheduler's slot count (default 1).
-	MaxColdDPs int
-	// Seed is accepted for interface symmetry with the other specs; the
-	// workload is deterministic.
-	Seed int64
 }
 
 func (s TenantSpec) withDefaults() TenantSpec {
@@ -67,9 +59,6 @@ func (s TenantSpec) withDefaults() TenantSpec {
 	}
 	if s.LightTables == 0 {
 		s.LightTables = 11
-	}
-	if s.MaxColdDPs == 0 {
-		s.MaxColdDPs = 1
 	}
 	return s
 }
@@ -130,11 +119,7 @@ func TenantLoad(spec TenantSpec) ([]TenantPoint, TenantSummary, error) {
 			return nil, sum, err
 		}
 		pts = append(pts, unloaded, flooded)
-		base := unloaded.LightP99Ms
-		if base < 0.01 {
-			base = 0.01 // sub-10µs baselines would make the ratio noise
-		}
-		ratio := flooded.LightP99Ms / base
+		ratio := flooredRatio(flooded.LightP99Ms, unloaded.LightP99Ms)
 		if policy == "fair" {
 			sum.FairP99Ratio = ratio
 		} else {
@@ -154,7 +139,7 @@ func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, 
 	}
 	svc, err := server.NewE(server.Options{
 		Tenants:        tenant.NewRegistry(cfg),
-		MaxColdDPs:     spec.MaxColdDPs,
+		MaxColdDPs:     1, // one slot: the flood queues, which is what a policy arbitrates
 		FIFOScheduling: policy == "fifo",
 	})
 	if err != nil {
@@ -163,39 +148,23 @@ func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, 
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	defer svc.Close()
-	client := ts.Client()
-
-	post := func(ten, body string) (int, error) {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/optimize", bytes.NewBufferString(body))
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(server.TenantHeader, ten)
-		res, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		defer res.Body.Close()
+	post := func(ten, body string) (float64, error) {
 		var sink json.RawMessage
-		if err := json.NewDecoder(res.Body).Decode(&sink); err != nil {
-			return 0, err
-		}
-		return res.StatusCode, nil
+		return postTimed(ts, ten, body, &sink)
 	}
 
 	// The light tenant's request: a re-weight of one warmed RTA shape,
 	// asking for the frontier (473 points at these parameters), so each
 	// serve is a SelectBest scan plus real response rendering.
 	lightBody := func(bufferWeight float64) string {
-		return tenantBody(tenantChainSpec(spec.LightTables, 0.25, "rta", 1.1,
+		return chainBody(spec.LightTables, 0.25, "rta", 1.1,
 			[]string{"total_time", "buffer_footprint", "tuple_loss", "io_load"},
-			bufferWeight, true))
+			bufferWeight, true)
 	}
 	// Warm the light tenant's shape: one cold DP, after which each
 	// re-weight is a frontier hit.
-	if status, err := post("light", lightBody(1)); err != nil || status != http.StatusOK {
-		return TenantPoint{}, fmt.Errorf("bench: tenant warm-up: status %d, err %v", status, err)
+	if _, err := post("light", lightBody(1)); err != nil {
+		return TenantPoint{}, fmt.Errorf("bench: tenant warm-up: %w", err)
 	}
 
 	pt := TenantPoint{
@@ -224,9 +193,8 @@ func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, 
 				for !stop.Load() {
 					sel := 0.1 + 0.0001*float64(seq.Add(1)%8000)
 					floodStarted.Add(1)
-					status, err := post("flood", tenantBody(tenantChainSpec(spec.FloodTables, sel, "exa", 0,
-						[]string{"total_time", "buffer_footprint"}, 0, false)))
-					if err != nil || status != http.StatusOK {
+					if _, err := post("flood", chainBody(spec.FloodTables, sel, "exa", 0,
+						[]string{"total_time", "buffer_footprint"}, 0, false)); err != nil {
 						floodErrs.Add(1)
 						continue
 					}
@@ -246,11 +214,8 @@ func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, 
 		// back-to-back requests would end the flooded window before the
 		// flood got to queue anything.
 		time.Sleep(time.Millisecond)
-		body := lightBody(2 + 0.01*float64(i))
-		start := time.Now()
-		status, err := post("light", body)
-		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil || status != http.StatusOK {
+		ms, err := post("light", lightBody(2+0.01*float64(i)))
+		if err != nil {
 			pt.Errors++
 			continue
 		}
@@ -263,18 +228,14 @@ func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, 
 		pt.Errors += int(floodErrs.Load())
 	}
 
-	if len(latency) > 0 {
-		sort.Float64s(latency)
-		pt.LightP50Ms = server.Percentile(latency, 0.50)
-		pt.LightP99Ms = server.Percentile(latency, 0.99)
-	}
+	pt.LightP50Ms, pt.LightP99Ms = p50p99(latency)
 	return pt, nil
 }
 
-// tenantChainSpec builds the /optimize request for an n-table chain
+// chainBody renders the /optimize request body for an n-table chain
 // over an inline catalog. sel distinguishes query shapes; bufferWeight
 // distinguishes re-weights of one shape (0 omits weights).
-func tenantChainSpec(n int, sel float64, alg string, alpha float64, objectives []string, bufferWeight float64, frontier bool) server.OptimizeRequest {
+func chainBody(n int, sel float64, alg string, alpha float64, objectives []string, bufferWeight float64, frontier bool) string {
 	cat := server.CatalogSpec{}
 	q := server.QuerySpec{Name: "tenant-chain"}
 	for i := 0; i < n; i++ {
@@ -305,13 +266,9 @@ func tenantChainSpec(n int, sel float64, alg string, alpha float64, objectives [
 	if bufferWeight != 0 {
 		spec.Weights = map[string]float64{"total_time": 1, "buffer_footprint": bufferWeight}
 	}
-	return spec
-}
-
-func tenantBody(spec server.OptimizeRequest) string {
 	b, err := json.Marshal(spec)
 	if err != nil {
-		panic(err)
+		panic(err) // a struct of strings, numbers and bools always marshals
 	}
 	return string(b)
 }
@@ -328,21 +285,4 @@ func RenderTenantLoad(pts []TenantPoint, sum TenantSummary) string {
 	fmt.Fprintf(&b, "light-tenant p99 inflation under flood: fair %.1fx, fifo %.1fx\n",
 		sum.FairP99Ratio, sum.FIFOP99Ratio)
 	return b.String()
-}
-
-// TenantLoadJSON serializes the measurements as the BENCH_tenant.json
-// payload the CI pipeline archives.
-func TenantLoadJSON(pts []TenantPoint, sum TenantSummary) ([]byte, error) {
-	payload := struct {
-		Benchmark string        `json:"benchmark"`
-		NumCPU    int           `json:"num_cpu"`
-		Points    []TenantPoint `json:"points"`
-		Summary   TenantSummary `json:"summary"`
-	}{
-		Benchmark: "moqod-tenant-fairness",
-		NumCPU:    runtime.NumCPU(),
-		Points:    pts,
-		Summary:   sum,
-	}
-	return json.MarshalIndent(payload, "", "  ")
 }

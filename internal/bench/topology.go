@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -37,15 +35,6 @@ type TopologySpec struct {
 	// (on a clique every subset is connected, so the graph-aware arm can
 	// only match, not beat, the scan — the honest baseline case).
 	Arms []TopologyArm
-	// Objectives of the RTA runs (default: time and buffer footprint —
-	// two objectives keep archives small so enumeration, not candidate
-	// costing, dominates).
-	Objectives objective.Set
-	// Alpha is the RTA precision (default 3; coarse pruning for the same
-	// reason).
-	Alpha float64
-	// MaxRows is the maximal base-table cardinality (default 1e5).
-	MaxRows float64
 	// Workers per run (default 1: the experiment measures enumeration,
 	// not parallel speedup).
 	Workers int
@@ -55,6 +44,15 @@ type TopologySpec struct {
 	// Seed of the synthetic workload.
 	Seed int64
 }
+
+// The RTA runs of the experiment use two objectives and a coarse precision:
+// small archives, so enumeration, not candidate costing, dominates.
+var topologyObjectives = objective.NewSet(objective.TotalTime, objective.BufferFootprint)
+
+const (
+	topologyAlpha   = 3
+	topologyMaxRows = 1e5 // maximal base-table cardinality
+)
 
 // TopologyArm is one topology of the experiment with its query sizes.
 type TopologyArm struct {
@@ -72,15 +70,6 @@ func (s TopologySpec) withDefaults() TopologySpec {
 			{synthetic.RandomTree, []int{14, 16, 18}},
 			{synthetic.Clique, []int{8, 10}},
 		}
-	}
-	if s.Objectives.Len() == 0 {
-		s.Objectives = objective.NewSet(objective.TotalTime, objective.BufferFootprint)
-	}
-	if s.Alpha == 0 {
-		s.Alpha = 3
-	}
-	if s.MaxRows == 0 {
-		s.MaxRows = 1e5
 	}
 	if s.Workers == 0 {
 		s.Workers = 1
@@ -149,21 +138,21 @@ func TopologyScaling(spec TopologySpec) ([]TopologyPoint, error) {
 			_, q, err := synthetic.Build(synthetic.Spec{
 				Shape:   arm.Shape,
 				Tables:  n,
-				MaxRows: spec.MaxRows,
+				MaxRows: topologyMaxRows,
 				Seed:    spec.Seed,
 			})
 			if err != nil {
 				return nil, err
 			}
-			w := objective.UniformWeights(spec.Objectives)
-			pt := TopologyPoint{Shape: arm.Shape.String(), N: n, Alpha: spec.Alpha}
+			w := objective.UniformWeights(topologyObjectives)
+			pt := TopologyPoint{Shape: arm.Shape.String(), N: n, Alpha: topologyAlpha}
 
 			run := func(strategy core.EnumerationStrategy) (TopologyRun, error) {
 				m := costmodel.NewDefault(q)
 				start := time.Now()
 				res, err := core.RTA(m, w, core.Options{
-					Objectives:  spec.Objectives,
-					Alpha:       spec.Alpha,
+					Objectives:  topologyObjectives,
+					Alpha:       topologyAlpha,
 					Workers:     spec.Workers,
 					Timeout:     spec.Timeout,
 					Enumeration: strategy,
@@ -236,19 +225,4 @@ func RenderTopology(pts []TopologyPoint) string {
 			p.Speedup, p.AutoSpeedup)
 	}
 	return b.String()
-}
-
-// TopologyJSON serializes the measurements as the BENCH_topology.json
-// payload the CI pipeline archives.
-func TopologyJSON(pts []TopologyPoint) ([]byte, error) {
-	payload := struct {
-		Benchmark string          `json:"benchmark"`
-		NumCPU    int             `json:"num_cpu"`
-		Points    []TopologyPoint `json:"points"`
-	}{
-		Benchmark: "enumeration-topology-scaling",
-		NumCPU:    runtime.NumCPU(),
-		Points:    pts,
-	}
-	return json.MarshalIndent(payload, "", "  ")
 }

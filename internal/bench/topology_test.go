@@ -58,10 +58,11 @@ func TestTopologyRenderAndJSON(t *testing.T) {
 			t.Errorf("rendered table missing %q:\n%s", want, text)
 		}
 	}
-	raw, err := TopologyJSON(pts)
+	file, err := benchJSON("topology", "enumeration-topology-scaling", pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw := file.Data
 	var payload struct {
 		Benchmark string          `json:"benchmark"`
 		Points    []TopologyPoint `json:"points"`

@@ -55,8 +55,8 @@
 // canonically sorted, so results are byte-for-byte reproducible across
 // worker counts and schedules. The pre-refactor tree-allocating engine is
 // preserved (reference.go: ReferenceEXA, ReferenceRTA) as the
-// differential-testing oracle and as the baseline arm of the hotpath
-// benchmark (internal/bench, cmd/experiments -fig hotpath).
+// differential oracle of this package's tests and of the scoreboard's
+// α-guarantee check (benchmark/cold.go).
 //
 // Every algorithm has a Context variant (EXAContext, RTAContext, ...):
 // cancelling the context aborts the dynamic program promptly with the

@@ -14,16 +14,15 @@ import (
 
 // This file preserves the pre-refactor, tree-allocating dynamic program:
 // every candidate heap-allocates a full *plan.Node and archives are the
-// legacy pointer-backed pareto.Archive. It exists for two reasons:
+// legacy pointer-backed pareto.Archive. It exists as the oracle:
 //
 //   - differential testing: the flat engine must produce frontiers
 //     identical to this implementation, candidate for candidate;
-//   - the hotpath benchmark (internal/bench, cmd/experiments -fig
-//     hotpath): the "before" arm the allocation-free engine is measured
-//     against.
+//   - the scoreboard (benchmark/cold.go): every cold_w1/cold_wn answer is
+//     checked against ReferenceEXA's optimum within the α guarantee.
 //
 // It is sequential and supports no timeout, cancellation or degraded
-// mode — it measures and certifies the exhaustive candidate loop only.
+// mode — it certifies the exhaustive candidate loop only.
 
 // ReferenceEXA runs the exact multi-objective dynamic program in the
 // pre-refactor representation (see the file comment). The result's

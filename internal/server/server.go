@@ -792,8 +792,8 @@ func (s *Server) latencySnapshot() LatencyMetrics {
 }
 
 // Percentile reads the p-quantile from an ascending-sorted sample
-// (nearest-rank). Shared with the load generator of internal/bench so
-// /metrics and BENCH_server.json agree on what a percentile means.
+// (nearest-rank). Shared with benchmark/ and internal/bench's tenant and
+// chaos experiments, so /metrics and they agree on what a percentile means.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -29,5 +29,5 @@
 //     Cache and frontier hits never enter the scheduler (the serving
 //     fast path bypasses it entirely). A FIFO policy — one global queue,
 //     every request — exists as the unfairness baseline the fairness
-//     benchmark (internal/bench.TenantFairness) measures against.
+//     experiment (internal/bench.TenantLoad) measures against.
 package tenant
