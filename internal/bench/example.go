@@ -3,7 +3,6 @@ package bench
 import (
 	"moqo/internal/objective"
 	"moqo/internal/pareto"
-	"moqo/internal/plan"
 )
 
 // RunningExample is the two-dimensional cost-vector set the paper uses to
@@ -62,11 +61,11 @@ func (e RunningExample) BoundedOptimum() objective.Vector {
 }
 
 func (e RunningExample) selectBest(b objective.Bounds) objective.Vector {
-	nodes := make([]*plan.Node, len(e.Points))
-	for i, v := range e.Points {
-		nodes[i] = &plan.Node{Cost: v}
+	var rows []float64
+	for _, v := range e.Points {
+		rows = append(rows, v[:]...)
 	}
-	return pareto.SelectBest(nodes, e.Weights, b, e.Objectives).Cost
+	return e.Points[pareto.SelectBestRows(rows, e.Weights, b, e.Objectives)]
 }
 
 // ApproximatelyDominated returns, for a given precision alpha, the example

@@ -18,9 +18,10 @@ type Result struct {
 	// Best is the selected plan (nil only for queries with no plans,
 	// which cannot occur for validated queries).
 	Best *plan.Node
-	// Frontier is the (approximate) Pareto archive of the full table set
-	// — the paper's "Pareto frontier as byproduct of optimization".
-	Frontier *pareto.Archive
+	// Frontier is the (approximate) Pareto frontier of the full table set
+	// — the paper's "Pareto frontier as byproduct of optimization". Best
+	// is Frontier.Plans()[Frontier.SelectBest(w, b)].
+	Frontier *Frontier
 	// Stats reports the optimization effort.
 	Stats Stats
 	// Snapshot is the compact, weight/bound-free frontier extraction, set
@@ -58,13 +59,7 @@ func EXAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, b 
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
 	}
-	final := e.materializeFrontier(flat)
-	st := e.stats(start)
-	res := Result{Best: final.SelectBest(w, b), Frontier: final, Stats: st}
-	if opts.CaptureSnapshot && !st.TimedOut {
-		res.Snapshot = e.snapshot(flat, 1, st)
-	}
-	return res, nil
+	return e.finish(flat, w, b, 1, e.stats(start)), nil
 }
 
 // startErr rejects a context that is already cancelled before any work
@@ -109,21 +104,14 @@ func RTAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, op
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
 	}
-	final := e.materializeFrontier(flat)
-	st := e.stats(start)
-	res := Result{Best: final.SelectBest(w, objective.NoBounds()), Frontier: final, Stats: st}
-	if opts.CaptureSnapshot && !st.TimedOut {
-		res.Snapshot = e.snapshot(flat, opts.Alpha, st)
-	}
-	return res, nil
+	return e.finish(flat, w, objective.NoBounds(), opts.Alpha, e.stats(start)), nil
 }
 
 // rtaParetoPlans is FindParetoPlans of Algorithm 2: it derives the internal
 // pruning precision αi = setAlpha^(1/|Q|) from the requested Pareto-set
-// precision and runs the shared engine. The returned archive is the flat
-// (unmaterialized) representation: IRA evaluates its stopping condition
-// on it directly and materializes plan trees only for the iteration it
-// actually returns.
+// precision and runs the shared engine. The returned archive is the DP's
+// own: IRA evaluates its stopping condition on its rows directly and
+// extracts a Frontier only for the iteration it actually returns.
 func rtaParetoPlans(ctx context.Context, m *costmodel.Model, w objective.Weights, opts Options, setAlpha float64) (*pareto.FlatArchive, *engine) {
 	n := m.Query().NumRelations()
 	alphaInternal := math.Pow(setAlpha, 1/float64(n))
@@ -199,7 +187,7 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	start := time.Now()
 	alphaU := opts.Alpha
 
-	if seed != nil && (seed.setAlpha <= 1 || iraStop(seed, w, b, opts.Objectives, seed.setAlpha, alphaU)) {
+	if seed != nil && (seed.setAlpha <= 1 || iraStop(seed.costs, w, b, opts.Objectives, seed.setAlpha, alphaU)) {
 		// The seed alone certifies an αU-approximate answer: it is exact,
 		// or the stopping condition holds over it at its own precision.
 		res, err := SelectFromSnapshot(seed, w, b)
@@ -216,8 +204,8 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	}
 
 	var total Stats
-	// The refinement loop works entirely on the flat representation; plan
-	// trees are materialized once, for the iteration actually returned.
+	// The refinement loop works on the archives' rows; a Frontier is
+	// extracted once, for the iteration actually returned.
 	var finalFlat *pareto.FlatArchive
 	var finalEngine *engine
 	lastAlpha := alphaU
@@ -279,7 +267,7 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 		})
 		finalFlat, finalEngine = flat, e
 
-		if iraStop(flat, w, b, opts.Objectives, alpha, alphaU) {
+		if iraStop(flat.Rows(), w, b, opts.Objectives, alpha, alphaU) {
 			break
 		}
 		if alpha == 1 || i >= maxIRAIterations || total.TimedOut {
@@ -293,20 +281,7 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	// absorbed every iteration at or above its precision, and the wire
 	// contract (stats.reused_frontier) covers seeded refinements too.
 	total.ReusedFrontier = seed != nil
-	final := finalEngine.materializeFrontier(finalFlat)
-	res := Result{Best: final.SelectBest(w, b), Frontier: final, Stats: total}
-	if opts.CaptureSnapshot && !total.TimedOut {
-		res.Snapshot = finalEngine.snapshot(finalFlat, lastAlpha, total)
-	}
-	return res, nil
-}
-
-// frontierView is read-only access to a frontier's cost rows, satisfied
-// by both pareto.FlatArchive (the running iteration) and FrontierSnapshot
-// (the cached seed).
-type frontierView interface {
-	Len() int
-	CostAt(i int32) objective.Vector
+	return finalEngine.finish(finalFlat, w, b, lastAlpha, total), nil
 }
 
 // iraStop evaluates the termination condition of Algorithm 3:
@@ -319,9 +294,9 @@ type frontierView interface {
 // cheaper and at most factor α over the bounds) could beat the incumbent's
 // αU-slack, the incumbent is certifiably αU-approximate (Theorem 6).
 //
-// The archive is any frontier view at precision alpha — a flat archive of
-// the running iteration, or a cached FrontierSnapshot at its recorded
-// precision (the seeded path).
+// rows are the cost rows (stride nine) of a frontier at precision alpha —
+// the flat archive of the running iteration, or a cached FrontierSnapshot
+// at its recorded precision (the seeded path).
 //
 // When P holds no strictly-in-bounds plan the incumbent's weighted cost is
 // taken as +Inf: any plan within the relaxed bounds then forces another
@@ -334,20 +309,19 @@ type frontierView interface {
 // plan respects even the relaxed bounds, no feasible plan can exist at all
 // — the α-approximate Pareto set would contain a within-αB representative
 // of it — and stopping with the weighted-cost fallback is sound.
-func iraStop(archive frontierView, w objective.Weights, b objective.Bounds,
+func iraStop(rows []float64, w objective.Weights, b objective.Bounds,
 	objs objective.Set, alpha, alphaU float64) bool {
 	threshold := math.Inf(1)
-	n := int32(archive.Len())
-	for i := int32(0); i < n; i++ {
-		v := archive.CostAt(i)
+	for i := 0; i < len(rows); i += costStride {
+		v := objective.Vector(rows[i : i+costStride])
 		if b.Respects(v, objs) {
 			if c := w.Cost(v) / alphaU; c < threshold {
 				threshold = c
 			}
 		}
 	}
-	for i := int32(0); i < n; i++ {
-		v := archive.CostAt(i)
+	for i := 0; i < len(rows); i += costStride {
+		v := objective.Vector(rows[i : i+costStride])
 		if b.RespectsRelaxed(v, alpha, objs) && w.Cost(v)/alpha < threshold {
 			return false
 		}
@@ -400,16 +374,17 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	}
 	start := time.Now()
 	e := newEngine(ctx, m, opts, 1, w)
-	best := e.runScalar(func(v objective.Vector) float64 { return w.Cost(v) })
+	flat := e.runScalar(func(v objective.Vector) float64 { return w.Cost(v) })
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
 	}
-	st := e.stats(start)
-	a := pareto.NewArchive(opts.Objectives, 1)
-	if best != nil {
-		a.Insert(best)
+	// The scalar program keeps one plan per set: its frontier is that plan,
+	// and — being weight-specific — is never captured as a snapshot.
+	res := Result{Frontier: e.newFrontier(flat), Stats: e.stats(start)}
+	if res.Frontier.Len() > 0 {
+		res.Best = res.Frontier.Plans()[0]
 	}
-	return Result{Best: best, Frontier: a, Stats: st}, nil
+	return res, nil
 }
 
 // ObjectiveMinima returns, for every active objective, the minimal
@@ -447,15 +422,13 @@ func singleObjectiveMin(ctx context.Context, m *costmodel.Model, o objective.ID,
 	if err := startErr(ctx); err != nil {
 		return 0, err
 	}
-	start := time.Now()
 	e := newEngine(ctx, m, opts, 1, objective.SingleWeight(o))
-	best := e.runScalar(func(v objective.Vector) float64 { return v[o] })
+	flat := e.runScalar(func(v objective.Vector) float64 { return v[o] })
 	if err := e.cancelErr(); err != nil {
 		return 0, err
 	}
-	_ = e.stats(start)
-	if best == nil {
+	if flat == nil || flat.Len() == 0 {
 		return 0, fmt.Errorf("core: no plan found for objective %v", o)
 	}
-	return best.Cost[o], nil
+	return flat.CostRow(0)[o], nil
 }

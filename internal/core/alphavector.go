@@ -59,11 +59,5 @@ func RTAVectorContext(ctx context.Context, m *costmodel.Model, w objective.Weigh
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
 	}
-	final := e.materializeFrontier(flat)
-	st := e.stats(start)
-	res := Result{Best: final.SelectBest(w, objective.NoBounds()), Frontier: final, Stats: st}
-	if opts.CaptureSnapshot && !st.TimedOut {
-		res.Snapshot = e.snapshot(flat, prec.Max(opts.Objectives), st)
-	}
-	return res, nil
+	return e.finish(flat, w, objective.NoBounds(), prec.Max(opts.Objectives), e.stats(start)), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,8 +13,25 @@ import (
 	"moqo/internal/synthetic"
 )
 
+// cancelAtSet arranges for cancel to be called as the k-th table set of
+// the next run is about to be treated (through the engine's per-set hook).
+// With k past the scan level of a query whose remaining sets hold far more
+// than one poll interval of candidates, the cancellation lands mid-run by
+// construction — where a timer would have to guess how long the dynamic
+// program takes on this machine.
+func cancelAtSet(t *testing.T, k int32, cancel func()) {
+	var treated atomic.Int32
+	SetPanicHook(func(int32) {
+		if treated.Add(1) == k {
+			cancel()
+		}
+	})
+	t.Cleanup(func() { SetPanicHook(nil) })
+}
+
 // bigModel builds a query large enough that its dynamic program runs for
-// hundreds of milliseconds, leaving a window to cancel mid-level.
+// hundreds of milliseconds: a cancellation or a 100 ms deadline lands
+// well before it would finish.
 func bigModel(t testing.TB) *costmodel.Model {
 	t.Helper()
 	_, q := synthetic.MustBuild(synthetic.Spec{
@@ -32,10 +50,8 @@ func TestCancelPrompt(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	cancelAtSet(t, 20, cancel)
 	start := time.Now()
 	_, err := RTAContext(ctx, m, w, opts)
 	elapsed := time.Since(start)
@@ -63,18 +79,16 @@ func TestCancelPrompt(t *testing.T) {
 // than returning a partially enumerated (possibly non-optimal) plan.
 func TestCancelScalar(t *testing.T) {
 	// A clique keeps every split predicate-connected, so the scalar DP —
-	// much cheaper per set than the Pareto DP — still runs long enough to
-	// observe the cancellation.
+	// much cheaper per set than the Pareto DP — still has thousands of sets
+	// left to treat when the cancellation lands.
 	_, q := synthetic.MustBuild(synthetic.Spec{
 		Shape: synthetic.Clique, Tables: 13, MaxRows: 1e5, Seed: 3,
 	})
 	m := costmodel.NewDefault(q)
 	opts := Options{Objectives: threeObjs, Workers: 2}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	cancelAtSet(t, 20, cancel)
 	_, err := SelingerContext(ctx, m, objective.TotalTime, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SelingerContext after cancel: err = %v, want context.Canceled", err)
@@ -199,10 +213,8 @@ func TestCancelCause(t *testing.T) {
 
 	sentinel := errors.New("client went away")
 	ctx, cancel := context.WithCancelCause(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel(sentinel)
-	}()
+	defer cancel(nil)
+	cancelAtSet(t, 20, func() { cancel(sentinel) })
 	_, err := RTAContext(ctx, m, w, opts)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the cancellation cause %v", err, sentinel)

@@ -42,7 +42,8 @@
 //     cardinality level across Options.Workers goroutines without
 //     weakening any approximation guarantee;
 //   - a deferred materializer (internal/plan) that rebuilds *plan.Node
-//     trees from the memo's compact entries only at frontier extraction.
+//     trees from the memo's compact entries only when an extracted
+//     Frontier's plans are read.
 //
 // The candidate loop is allocation-free: a candidate is a cost vector in
 // the worker's scratch and a plan.Entry value, offered to a flat archive
@@ -51,12 +52,22 @@
 // operator's terms that depend only on the operand table sets are
 // prepared once per split into worker scratch (costmodel.PrepareJoin) and
 // applied to the sub-plans' cost rows, read in place, once per candidate
-// (costmodel.JoinTerms.ApplyTo). Extracted frontiers are
-// canonically sorted, so results are byte-for-byte reproducible across
-// worker counts and schedules. The pre-refactor tree-allocating engine is
-// preserved (reference.go: ReferenceEXA, ReferenceRTA) as the
-// differential oracle of this package's tests and of the scoreboard's
-// α-guarantee check (benchmark/cold.go).
+// (costmodel.JoinTerms.ApplyTo).
+//
+// A finished frontier has one form, Frontier (frontier.go): the full
+// set's cost rows and compact entries in canonical order, the memo that
+// resolves them, and the archive counters. EXA, RTA, RTAVector and IRA
+// share one epilogue (engine.finish) that orders the final archive once
+// (pareto.FlatArchive.Canonical), selects over the rows
+// (pareto.SelectBestRows) and takes Result.Best from the frontier's one,
+// memoized materialization — so results are byte-for-byte reproducible
+// across worker counts and schedules, and Best is always
+// Frontier.Plans()[Frontier.SelectBest(w, b)]. The pre-refactor
+// tree-allocating engine is preserved (reference.go: ReferenceEXA,
+// ReferenceRTA) as the differential oracle of this package's tests and of
+// the scoreboard's α-guarantee check (benchmark/cold.go); it is the only
+// non-test code that still names the tree-backed archive of
+// internal/pareto.
 //
 // Every algorithm has a Context variant (EXAContext, RTAContext, ...):
 // cancelling the context aborts the dynamic program promptly with the
@@ -73,11 +84,13 @@
 // Because archive pruning never reads the user's weights or bounds, the
 // final frontier of a completed run is reusable across weight and bound
 // changes. Options.CaptureSnapshot extracts it as a FrontierSnapshot —
-// the frontier's cost rows and compact entries in canonical order plus
-// the closed sub-memo they reference, with a versioned binary
-// serialization — and Result.Snapshot returns it. SelectFromSnapshot
-// answers a re-weighted request from a snapshot with a SelectBest scan
-// (bit-for-bit the cold EXA/RTA answer), and IRASeededContext seeds the
+// the same Frontier closed over the sub-memo its entries reference
+// (sharing the run's canonical rows), plus the set-level precision, the
+// run's origin and effort, and a versioned binary serialization — and
+// Result.Snapshot returns it. SelectFromSnapshot answers a re-weighted
+// request from a snapshot with a SelectBest scan over those rows
+// (bit-for-bit the cold EXA/RTA answer, the plan taken from the
+// snapshot's one materialization), and IRASeededContext seeds the
 // bounded refinement loop from one (the Theorem 6 stopping condition
 // evaluated at the snapshot's recorded precision). The moqo package and
 // the moqod service build their frontier-cache tier on these.

@@ -8,7 +8,6 @@ import (
 	"math"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -32,12 +31,12 @@ import (
 //   - a level-synchronized worker pool (pool.go) that shards each level
 //     across Options.Workers goroutines, and
 //   - a deferred materializer (internal/plan) that rebuilds plan trees
-//     from the memo's compact entries at frontier extraction.
+//     from the memo's compact entries when a Frontier's plans are read.
 //
 // The hot path is allocation-free: candidates are (cost vector, compact
 // entry) pairs on the stack, archives store cost rows in one contiguous
 // backing array (pareto.FlatArchive), and *plan.Node trees exist only for
-// the ≤ frontier-size plans the caller extracts at the end of the run.
+// the ≤ frontier-size plans of the extracted Frontier.
 //
 // All table sets of cardinality k depend only on sets of cardinality
 // < k, so levels parallelize without locks: workers write disjoint memo
@@ -275,7 +274,7 @@ func (e *engine) newArchive() *pareto.FlatArchive {
 // run executes the dynamic program and returns the flat archive of the
 // full table set. It mirrors FindParetoPlans of Algorithm 1/2: plans for
 // singleton sets first, then table sets of increasing cardinality. The
-// caller extracts plan trees with materializeFrontier.
+// caller extracts the result with finish.
 func (e *engine) run() *pareto.FlatArchive {
 	engineRuns.Add(1)
 	e.flatConfig()
@@ -305,8 +304,8 @@ func (e *engine) run() *pareto.FlatArchive {
 // metric. With a scalar that reads one objective this is Selinger's
 // algorithm generalized to bushy plans; with a weighted sum over multiple
 // diverse objectives it is the unsound baseline of the paper's Example 1.
-// Returns the best plan for the full table set, materialized.
-func (e *engine) runScalar(scalar func(objective.Vector) float64) *plan.Node {
+// Returns the full table set's one-plan archive.
+func (e *engine) runScalar(scalar func(objective.Vector) float64) *pareto.FlatArchive {
 	engineRuns.Add(1)
 	e.flatConfig()
 	e.runLevels(func(w *worker, id int32, s query.TableSet) {
@@ -316,50 +315,7 @@ func (e *engine) runScalar(scalar func(objective.Vector) float64) *plan.Node {
 			w.bestOnlySet(id, s, scalar)
 		}
 	})
-	a := e.memo.lookup(e.enum.all)
-	if a == nil || a.Len() == 0 {
-		return nil
-	}
-	return plan.NewMaterializer(e.memo).Plan(e.enum.all, 0)
-}
-
-// materializeFrontier rebuilds the plan trees of the full table set's
-// archive — the only point of the run where *plan.Node trees are
-// allocated — and rehydrates them into a legacy pareto.Archive with the
-// flat archive's counters. The extracted frontier is canonically sorted,
-// so results are reproducible byte for byte regardless of Options.Workers
-// or any internal scheduling.
-func (e *engine) materializeFrontier(a *pareto.FlatArchive) *pareto.Archive {
-	cfg := e.flatConfig()
-	if a == nil {
-		return pareto.NewMaterialized(cfg.Objectives(), cfg.Alpha(), cfg.Precision(), nil, 0, 0, 0)
-	}
-	mt := plan.NewMaterializer(e.memo)
-	plans := make([]*plan.Node, a.Len())
-	for i := range plans {
-		plans[i] = mt.Plan(e.enum.all, int32(i))
-	}
-	sortPlansCanonically(plans)
-	ins, rej, ev := a.Stats()
-	return pareto.NewMaterialized(cfg.Objectives(), cfg.Alpha(), cfg.Precision(), plans, ins, rej, ev)
-}
-
-// sortPlansCanonically orders extracted frontier plans by their full cost
-// vectors, lexicographically over all nine objectives. The sort is stable,
-// so plans with identical cost vectors keep the archive's (deterministic)
-// insertion order. The canonical order makes the extracted frontier — and
-// the tie-breaking of SelectBest over it — independent of how the run was
-// scheduled.
-func sortPlansCanonically(plans []*plan.Node) {
-	sort.SliceStable(plans, func(i, j int) bool {
-		a, b := &plans[i].Cost, &plans[j].Cost
-		for o := 0; o < int(objective.NumObjectives); o++ {
-			if a[o] != b[o] {
-				return a[o] < b[o]
-			}
-		}
-		return false
-	})
+	return e.memo.lookup(e.enum.all)
 }
 
 // bestTracker tracks the scalar-minimal candidate of one enumeration —

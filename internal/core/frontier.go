@@ -1,0 +1,144 @@
+package core
+
+import (
+	"sync"
+
+	"moqo/internal/objective"
+	"moqo/internal/pareto"
+	"moqo/internal/plan"
+	"moqo/internal/query"
+)
+
+// costStride is the size of one cost row in a frontier's backing array
+// (full nine-dimensional vectors, like pareto.FlatArchive).
+const costStride = int(objective.NumObjectives)
+
+// Frontier is the flat, canonically ordered (α-approximate) Pareto
+// frontier of the full table set — the paper's "Pareto frontier as
+// byproduct of optimization" — and the one form a finished frontier takes
+// in this package: every run returns it, and a FrontierSnapshot is the
+// same value over a closed sub-memo. Rows are sorted by
+// pareto.CompareCanonical (stably, so insertion order breaks ties), which
+// makes the frontier, and the tie-breaking of SelectBest over it,
+// independent of Options.Workers and of any internal scheduling.
+//
+// A Frontier is immutable and safe for concurrent use.
+type Frontier struct {
+	objs objective.Set
+	all  query.TableSet
+	// costs/entries are the frontier rows in canonical order.
+	costs   []float64
+	entries []plan.Entry
+	// memo resolves the sub-plan references of entries: the engine's memo
+	// table for a run's result, the closed sub-memo for a snapshot.
+	memo plan.Memo
+	// inserted/rejected/evicted are the full set's archive counters.
+	inserted, rejected, evicted int
+
+	// materialize memoizes Plans: a cached snapshot answers many re-weight
+	// requests, and building every frontier tree per request would put
+	// O(frontier) work back on the fast path. The trees are immutable, so
+	// one materialization serves every later (and concurrent) selection.
+	materialize sync.Once
+	plans       []*plan.Node
+}
+
+// newFrontier extracts the canonically ordered frontier of a finished
+// run's full-set archive (nil for a run that stored nothing).
+func (e *engine) newFrontier(flat *pareto.FlatArchive) *Frontier {
+	f := &Frontier{objs: e.opts.Objectives, all: e.enum.all, memo: e.memo}
+	if flat != nil {
+		f.costs, f.entries = flat.Canonical()
+		f.inserted, f.rejected, f.evicted = flat.Stats()
+	}
+	return f
+}
+
+// finish is the shared epilogue of EXA, RTA, RTAVector and IRA: order the
+// final archive canonically once, select over the canonical rows, take the
+// selected plan from the frontier's one materialization, and — when
+// Options.CaptureSnapshot is on and the run did not degrade — capture the
+// snapshot from the same ordering. setAlpha is the set-level precision the
+// snapshot records.
+func (e *engine) finish(flat *pareto.FlatArchive, w objective.Weights, b objective.Bounds, setAlpha float64, st Stats) Result {
+	f := e.newFrontier(flat)
+	res := Result{Frontier: f, Stats: st}
+	if f.Len() == 0 {
+		return res
+	}
+	res.Best = f.Plans()[f.SelectBest(w, b)]
+	if e.opts.CaptureSnapshot && !st.TimedOut {
+		res.Snapshot = f.snapshot(setAlpha, e.cfg, st)
+	}
+	return res
+}
+
+// Len returns the number of frontier plans.
+func (f *Frontier) Len() int { return len(f.costs) / costStride }
+
+// Objectives returns the active objective set of the originating run.
+func (f *Frontier) Objectives() objective.Set { return f.objs }
+
+// CostAt returns the i-th frontier cost vector (canonical order).
+func (f *Frontier) CostAt(i int32) objective.Vector {
+	return objective.Vector(f.costs[int(i)*costStride : (int(i)+1)*costStride])
+}
+
+// Frontier returns the cost vectors of the frontier plans.
+func (f *Frontier) Frontier() []objective.Vector {
+	out := make([]objective.Vector, f.Len())
+	for i := range out {
+		out[i] = f.CostAt(int32(i))
+	}
+	return out
+}
+
+// Stats returns the cumulative insert/reject/evict counters of the
+// archive the frontier was extracted from.
+func (f *Frontier) Stats() (inserted, rejected, evicted int) {
+	return f.inserted, f.rejected, f.evicted
+}
+
+// SelectBest implements the paper's SelectBest(P, W, B) over the frontier
+// rows: the index of the plan with minimal weighted cost among those
+// respecting the bounds, falling back to the overall minimum. Ties break
+// toward the earliest (canonical-order) plan. Returns -1 only for an empty
+// frontier.
+func (f *Frontier) SelectBest(w objective.Weights, b objective.Bounds) int32 {
+	return pareto.SelectBestRows(f.costs, w, b, f.objs)
+}
+
+// Plans returns the frontier's plan trees in canonical order, sharing
+// common subtrees. They are materialized on the first call — the only
+// point where *plan.Node trees are allocated — and shared by every later
+// one; the returned slice must not be modified.
+func (f *Frontier) Plans() []*plan.Node {
+	f.materialize.Do(func() {
+		mt := plan.NewMaterializer(frontierMemo{f})
+		f.plans = make([]*plan.Node, f.Len())
+		for i := range f.plans {
+			f.plans[i] = mt.Plan(f.all, int32(i))
+		}
+	})
+	return f.plans
+}
+
+// frontierMemo is the plan.Memo the materializer reads a frontier
+// through: the full set resolves to the canonical rows, every other set
+// to the frontier's memo. (The frontier accessor CostAt(i) and the memo's
+// CostAt(set, i) differ in signature, hence the separate type.)
+type frontierMemo struct{ f *Frontier }
+
+func (m frontierMemo) EntryAt(t query.TableSet, idx int32) plan.Entry {
+	if t == m.f.all {
+		return m.f.entries[idx]
+	}
+	return m.f.memo.EntryAt(t, idx)
+}
+
+func (m frontierMemo) CostAt(t query.TableSet, idx int32) objective.Vector {
+	if t == m.f.all {
+		return m.f.CostAt(idx)
+	}
+	return m.f.memo.CostAt(t, idx)
+}

@@ -13,7 +13,6 @@ import (
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
-	"moqo/internal/pareto"
 	"moqo/internal/synthetic"
 	"moqo/internal/workload"
 )
@@ -31,7 +30,7 @@ func (p enginePin) String() string {
 	return fmt.Sprintf("{%d, %d, %d, %d, %d, %#x}", p.considered, p.stored, p.enumSets, p.enumSplits, p.frontier, p.bits)
 }
 
-func frontierBits(a *pareto.Archive) uint64 {
+func frontierBits(a *Frontier) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, p := range a.Plans() {

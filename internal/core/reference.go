@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"moqo/internal/costmodel"
@@ -14,7 +15,8 @@ import (
 
 // This file preserves the pre-refactor, tree-allocating dynamic program:
 // every candidate heap-allocates a full *plan.Node and archives are the
-// legacy pointer-backed pareto.Archive. It exists as the oracle:
+// pointer-backed pareto.Archive, which nothing else outside tests names.
+// It exists as the oracle:
 //
 //   - differential testing: the flat engine must produce frontiers
 //     identical to this implementation, candidate for candidate;
@@ -91,13 +93,21 @@ func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, o
 	for _, a := range memo {
 		stored += a.Len()
 	}
+	// The oracle orders and selects over its own trees, independently of
+	// the flat path it certifies, and only then takes the result's shape.
 	plans := append([]*plan.Node(nil), final.Plans()...)
-	sortPlansCanonically(plans)
-	ins, rej, ev := final.Stats()
-	sorted := pareto.NewMaterialized(opts.Objectives, final.Alpha(), prec, plans, ins, rej, ev)
+	sort.SliceStable(plans, func(i, j int) bool {
+		return pareto.CompareCanonical(plans[i].Cost, plans[j].Cost) < 0
+	})
+	f := &Frontier{objs: opts.Objectives, all: enum.all}
+	f.inserted, f.rejected, f.evicted = final.Stats()
+	for _, p := range plans {
+		f.costs = append(f.costs, p.Cost[:]...)
+	}
+	f.materialize.Do(func() { f.plans = plans })
 	return Result{
-		Best:     sorted.SelectBest(w, b),
-		Frontier: sorted,
+		Best:     pareto.SelectBest(plans, w, b, opts.Objectives),
+		Frontier: f,
 		Stats: Stats{
 			Duration:    time.Since(start),
 			Considered:  considered,

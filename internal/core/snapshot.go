@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"moqo/internal/objective"
@@ -15,68 +14,42 @@ import (
 	"moqo/internal/query"
 )
 
-// costStride is the size of one cost row in a snapshot's backing arrays
-// (full nine-dimensional vectors, like pareto.FlatArchive).
-const costStride = int(objective.NumObjectives)
-
-// FrontierSnapshot is a compact, immutable, self-contained copy of the
-// (α-approximate) Pareto frontier of one finished optimization run — the
+// FrontierSnapshot is a self-contained Frontier: the frontier of one
+// finished run over the closed sub-memo its entries transitively
+// reference, plus the run's set-level precision, origin and effort — the
 // unit the frontier cache stores and ships. The frontier itself is
 // independent of the user's weights and bounds (the paper's central
 // observation, §3: pruning compares cost vectors, never weighted costs),
 // so a snapshot computed under one preference vector answers any later
-// weight or bound change with a SelectBest scan plus a single plan
-// materialization — microseconds instead of a dynamic program.
+// weight or bound change with a SelectBest scan over its rows —
+// microseconds instead of a dynamic program.
 //
-// A snapshot holds the frontier's cost rows and compact plan entries in
-// canonical order, plus the closed sub-memo those entries transitively
-// reference, re-indexed densely. Materialization is deferred exactly as
-// in the engine's hot path: *plan.Node trees are rebuilt from the entry
-// chains only for the plans a caller extracts, with shared subtrees
-// cached (plan.Materializer). Because the sub-memo is closed, a snapshot
+// Because the sub-memo is closed and densely re-indexed, a snapshot
 // survives serialization (MarshalBinary) and can persist to disk or ship
-// between moqod replicas.
+// between moqod replicas; its plan trees are materialized once, on first
+// use, like any Frontier's.
 //
 // Snapshots are never built from degraded (timed-out) runs: a truncated
 // frontier carries no reuse guarantee.
 type FrontierSnapshot struct {
-	objs objective.Set
+	Frontier
 	// setAlpha is the set-level approximation precision of the frontier:
 	// 1 for EXA (exact Pareto set), the requested αU for RTA, the final
 	// iteration's α(i) for IRA. It is what the seeded-IRA stopping
 	// condition may assume about the snapshot.
 	setAlpha float64
-	// pruneAlpha and prec mirror the originating run's per-level pruning
-	// configuration (internal precision), so rehydrated archives report
-	// the same Alpha()/Precision() as the cold run's.
+	// pruneAlpha and prec record the originating run's per-level pruning
+	// configuration (internal precision): origin data, validated and
+	// round-tripped, that no selection reads.
 	pruneAlpha float64
 	prec       *objective.Precision
-	all        query.TableSet
-
-	// costs/entries are the frontier rows in canonical order (sorted by
-	// pareto.CompareCanonical, stable over insertion order) — the same
-	// permutation materializeFrontier applies, so SelectBest over the
-	// snapshot picks the same plan as SelectBest over a cold run.
-	costs   []float64
-	entries []plan.Entry
-	// subs is the closed sub-memo: every (table set, index) reachable
-	// from the frontier entries, sets ascending, densely re-indexed.
-	subs []snapshotSet
-
-	// inserted/rejected/evicted are the originating archive's counters.
-	inserted, rejected, evicted int
+	// subs is the closed sub-memo (Frontier.memo reads it): every (table
+	// set, index) reachable from the frontier entries, sets ascending,
+	// densely re-indexed.
+	subs subMemo
 	// stats is the originating run's effort (reuse answers report it
 	// with ReusedFrontier set).
 	stats Stats
-
-	// rehydrate memoizes archive(): a cached snapshot answers many
-	// re-weight requests, and materializing every frontier plan tree per
-	// request would put O(frontier) work back on the fast path. The trees
-	// and the archive are immutable once built, so one materialization
-	// serves all subsequent selections (and concurrent ones: sync.Once
-	// publishes the fully built archive).
-	rehydrate  sync.Once
-	rehydrated *pareto.Archive
 }
 
 // snapshotSet is the retained slice of one table set's archive.
@@ -86,92 +59,32 @@ type snapshotSet struct {
 	entries []plan.Entry
 }
 
-// Len returns the number of frontier plans.
-func (s *FrontierSnapshot) Len() int { return len(s.entries) }
+// subMemo is a snapshot's closed sub-memo as a plan.Memo.
+type subMemo []snapshotSet
 
-// CostAt returns the i-th frontier cost vector (canonical order).
-func (s *FrontierSnapshot) CostAt(i int32) objective.Vector {
-	var v objective.Vector
-	copy(v[:], s.costs[int(i)*costStride:(int(i)+1)*costStride])
-	return v
-}
-
-// Objectives returns the active objective set of the originating run.
-func (s *FrontierSnapshot) Objectives() objective.Set { return s.objs }
-
-// SetAlpha returns the set-level approximation precision of the frontier
-// (1 = exact Pareto set).
-func (s *FrontierSnapshot) SetAlpha() float64 { return s.setAlpha }
-
-// Stats returns the originating run's effort statistics.
-func (s *FrontierSnapshot) Stats() Stats { return s.stats }
-
-// SelectBest implements the paper's SelectBest(P, W, B) over the snapshot
-// rows: the index of the frontier plan with minimal weighted cost among
-// those respecting the bounds, falling back to the overall minimum. Ties
-// break toward the earliest (canonical-order) plan, exactly as in the
-// cold path.
-func (s *FrontierSnapshot) SelectBest(w objective.Weights, b objective.Bounds) int32 {
-	return pareto.SelectBestRows(s.costs, w, b, s.objs)
-}
-
-// snapshotMemo adapts a snapshot to plan.Memo for materialization (the
-// frontier-accessor CostAt(i) and the memo CostAt(set, i) differ in
-// signature, so the adapter is a separate type).
-type snapshotMemo struct{ s *FrontierSnapshot }
-
-// find returns the retained slice for a table set (nil for the full set,
-// which lives in the frontier arrays).
-func (m snapshotMemo) find(t query.TableSet) *snapshotSet {
-	subs := m.s.subs
-	i := sort.Search(len(subs), func(i int) bool { return subs[i].set >= t })
-	if i < len(subs) && subs[i].set == t {
-		return &subs[i]
+// find returns the retained slice for a table set (nil when absent, as
+// for the full set, which lives in the frontier rows).
+func (m subMemo) find(t query.TableSet) *snapshotSet {
+	i := sort.Search(len(m), func(i int) bool { return m[i].set >= t })
+	if i < len(m) && m[i].set == t {
+		return &m[i]
 	}
 	return nil
 }
 
-// EntryAt implements plan.Memo over the snapshot's closed sub-memo.
-func (m snapshotMemo) EntryAt(t query.TableSet, idx int32) plan.Entry {
-	if t == m.s.all {
-		return m.s.entries[idx]
-	}
+// EntryAt implements plan.Memo.
+func (m subMemo) EntryAt(t query.TableSet, idx int32) plan.Entry {
 	return m.find(t).entries[idx]
 }
 
-// CostAt implements plan.Memo over the snapshot's closed sub-memo.
-func (m snapshotMemo) CostAt(t query.TableSet, idx int32) objective.Vector {
-	if t == m.s.all {
-		return m.s.CostAt(idx)
-	}
-	sub := m.find(t)
-	var v objective.Vector
-	copy(v[:], sub.costs[int(idx)*costStride:(int(idx)+1)*costStride])
-	return v
+// CostAt implements plan.Memo.
+func (m subMemo) CostAt(t query.TableSet, idx int32) objective.Vector {
+	return objective.Vector(m.find(t).costs[int(idx)*costStride : (int(idx)+1)*costStride])
 }
 
-// Plans materializes all frontier plans, in canonical order, sharing
-// common subtrees — the snapshot counterpart of materializeFrontier.
-func (s *FrontierSnapshot) Plans() []*plan.Node {
-	mt := plan.NewMaterializer(snapshotMemo{s})
-	out := make([]*plan.Node, s.Len())
-	for i := range out {
-		out[i] = mt.Plan(s.all, int32(i))
-	}
-	return out
-}
-
-// archive rehydrates the snapshot into the legacy tree-backed archive,
-// with the originating run's pruning configuration and counters. The
-// rehydration is memoized: the first selection after a snapshot is cached
-// (or deserialized) pays the plan materialization, every later re-weight
-// against the same snapshot reuses the archive and allocates nothing here.
-func (s *FrontierSnapshot) archive() *pareto.Archive {
-	s.rehydrate.Do(func() {
-		s.rehydrated = pareto.NewMaterialized(s.objs, s.pruneAlpha, s.prec, s.Plans(), s.inserted, s.rejected, s.evicted)
-	})
-	return s.rehydrated
-}
+// SetAlpha returns the set-level approximation precision of the frontier
+// (1 = exact Pareto set).
+func (s *FrontierSnapshot) SetAlpha() float64 { return s.setAlpha }
 
 // SizeBytes estimates the snapshot's in-memory footprint (cost rows plus
 // entry records across the frontier and the sub-memo) — the figure behind
@@ -188,11 +101,12 @@ func (s *FrontierSnapshot) SizeBytes() int {
 
 // SelectFromSnapshot answers a weighted (and, for exact snapshots,
 // bounded) request from a cached frontier: a SelectBest scan over the
-// snapshot rows plus plan materialization. This is the re-weight fast
-// path — no dynamic program runs. The returned result is bit-for-bit the
-// one a cold run at the same weights and bounds would produce (plan,
-// cost vector, frontier); its Stats carry the originating run's effort
-// counters with ReusedFrontier set and Duration measuring the scan.
+// snapshot rows, the plan taken from the snapshot's one materialization.
+// This is the re-weight fast path — no dynamic program runs. The returned
+// result is bit-for-bit the one a cold run at the same weights and bounds
+// would produce (plan, cost vector, frontier); its Stats carry the
+// originating run's effort counters with ReusedFrontier set and Duration
+// measuring the scan.
 func SelectFromSnapshot(snap *FrontierSnapshot, w objective.Weights, b objective.Bounds) (Result, error) {
 	if snap == nil || snap.Len() == 0 {
 		return Result{}, fmt.Errorf("core: empty frontier snapshot")
@@ -201,12 +115,11 @@ func SelectFromSnapshot(snap *FrontierSnapshot, w objective.Weights, b objective
 		return Result{}, fmt.Errorf("core: invalid weights or bounds")
 	}
 	start := time.Now()
-	final := snap.archive()
-	best := final.Plans()[snap.SelectBest(w, b)]
+	best := snap.Plans()[snap.SelectBest(w, b)]
 	st := snap.stats
 	st.ReusedFrontier = true
 	st.Duration = time.Since(start)
-	return Result{Best: best, Frontier: final, Stats: st, Snapshot: snap}, nil
+	return Result{Best: best, Frontier: &snap.Frontier, Stats: st, Snapshot: snap}, nil
 }
 
 // planRef identifies one stored sub-plan during snapshot extraction.
@@ -215,35 +128,21 @@ type planRef struct {
 	idx int32
 }
 
-// snapshot extracts a FrontierSnapshot from a finished run: the full
-// set's frontier in canonical order plus the transitively reachable
-// sub-plans, densely re-indexed. Returns nil for an empty archive.
-func (e *engine) snapshot(flat *pareto.FlatArchive, setAlpha float64, st Stats) *FrontierSnapshot {
-	if flat == nil || flat.Len() == 0 {
-		return nil
-	}
-	cfg := e.flatConfig()
-	n := flat.Len()
-
-	// Canonical frontier order: the permutation materializeFrontier's
-	// stable sort applies to the extracted plans.
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return pareto.CompareCanonical(flat.CostAt(order[i]), flat.CostAt(order[j])) < 0
-	})
-
+// snapshot closes a run's frontier over the sub-plans it transitively
+// reaches, densely re-indexed. The canonical rows are shared with f (both
+// are immutable); only the entries are rewritten. cfg is the originating
+// run's pruning configuration.
+func (f *Frontier) snapshot(setAlpha float64, cfg *pareto.FlatConfig, st Stats) *FrontierSnapshot {
 	s := &FrontierSnapshot{
-		objs:       cfg.Objectives(),
+		Frontier: Frontier{
+			objs: f.objs, all: f.all, costs: f.costs,
+			inserted: f.inserted, rejected: f.rejected, evicted: f.evicted,
+		},
 		setAlpha:   setAlpha,
 		pruneAlpha: cfg.Alpha(),
 		prec:       cfg.Precision(),
-		all:        e.enum.all,
 		stats:      st,
 	}
-	s.inserted, s.rejected, s.evicted = flat.Stats()
 
 	// Transitive reachability over the memo, from the frontier entries
 	// down. Index-nested-loop inners (SyntheticInner) are synthetic index
@@ -259,8 +158,8 @@ func (e *engine) snapshot(flat *pareto.FlatArchive, setAlpha float64, st Stats) 
 			stack = append(stack, planRef{ent.RightSet, ent.RightIdx})
 		}
 	}
-	for _, i := range order {
-		push(flat.EntryAt(i))
+	for _, ent := range f.entries {
+		push(ent)
 	}
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
@@ -274,7 +173,7 @@ func (e *engine) snapshot(flat *pareto.FlatArchive, setAlpha float64, st Stats) 
 			continue
 		}
 		m[r.idx] = true
-		push(e.memo.EntryAt(r.set, r.idx))
+		push(f.memo.EntryAt(r.set, r.idx))
 	}
 
 	// Dense re-indexing: sets ascending, retained indices ascending.
@@ -284,7 +183,7 @@ func (e *engine) snapshot(flat *pareto.FlatArchive, setAlpha float64, st Stats) 
 	}
 	slices.Sort(sets)
 	remap := make(map[planRef]int32, len(needed))
-	s.subs = make([]snapshotSet, len(sets))
+	s.subs = make(subMemo, len(sets))
 	for si, t := range sets {
 		idxs := make([]int32, 0, len(needed[t]))
 		for idx := range needed[t] {
@@ -298,8 +197,8 @@ func (e *engine) snapshot(flat *pareto.FlatArchive, setAlpha float64, st Stats) 
 		}
 		for ni, oi := range idxs {
 			remap[planRef{t, oi}] = int32(ni)
-			sub.entries[ni] = e.memo.EntryAt(t, oi)
-			v := e.memo.CostAt(t, oi)
+			sub.entries[ni] = f.memo.EntryAt(t, oi)
+			v := f.memo.CostAt(t, oi)
 			sub.costs = append(sub.costs, v[:]...)
 		}
 		s.subs[si] = sub
@@ -319,13 +218,11 @@ func (e *engine) snapshot(flat *pareto.FlatArchive, setAlpha float64, st Stats) 
 			s.subs[i].entries[j] = rewrite(s.subs[i].entries[j])
 		}
 	}
-	s.entries = make([]plan.Entry, n)
-	s.costs = make([]float64, 0, n*costStride)
-	for ni, oi := range order {
-		s.entries[ni] = rewrite(flat.EntryAt(oi))
-		v := flat.CostAt(oi)
-		s.costs = append(s.costs, v[:]...)
+	s.entries = make([]plan.Entry, len(f.entries))
+	for i, ent := range f.entries {
+		s.entries[i] = rewrite(ent)
 	}
+	s.memo = s.subs
 	return s
 }
 
@@ -420,7 +317,7 @@ func UnmarshalFrontierSnapshot(data []byte) (*FrontierSnapshot, error) {
 		return nil, fmt.Errorf("core: corrupt frontier snapshot: sub-memo count %d exceeds payload", nsubs)
 	}
 	if r.err == nil {
-		s.subs = make([]snapshotSet, nsubs)
+		s.subs = make(subMemo, nsubs)
 		for i := 0; i < nsubs && r.err == nil; i++ {
 			s.subs[i].set = query.TableSet(r.u64())
 			s.subs[i].entries, s.subs[i].costs = r.section()
@@ -435,6 +332,7 @@ func UnmarshalFrontierSnapshot(data []byte) (*FrontierSnapshot, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
+	s.memo = s.subs
 	return s, nil
 }
 
@@ -467,7 +365,7 @@ func (s *FrontierSnapshot) validate() error {
 		return fmt.Errorf("core: corrupt frontier snapshot: empty table set")
 	}
 	lenOf := func(t query.TableSet) (int, bool) {
-		if sub := (snapshotMemo{s}).find(t); sub != nil {
+		if sub := s.subs.find(t); sub != nil {
 			return len(sub.entries), true
 		}
 		return 0, false

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/plan"
+	"moqo/internal/query"
 )
 
 // snapRTA runs RTA with snapshot capture and returns both.
@@ -24,65 +28,214 @@ func snapRTA(t *testing.T, m *costmodel.Model, w objective.Weights, opts Options
 	return res, res.Snapshot
 }
 
-// TestSnapshotMatchesRun: the snapshot's frontier is exactly the run's
-// materialized frontier — same length, same canonical order, same cost
-// vectors, same plan trees.
-func TestSnapshotMatchesRun(t *testing.T) {
-	for _, alpha := range []float64{1, 1.5, 3} {
-		m := costmodel.NewDefault(starQuery(t))
-		opts := smallOpts(threeObjs)
-		opts.Alpha = alpha
-		w := objective.UniformWeights(threeObjs)
-		res, snap := snapRTA(t, m, w, opts)
+// routeAlgorithms are the frontier-extracting algorithms of the route
+// matrix. reweightable marks those whose frontier does not depend on the
+// weights and bounds of the run (IRA's does: they steer where its
+// refinement loop stops), so a snapshot captured under one preference
+// must answer any other exactly like a cold run.
+var routeAlgorithms = []struct {
+	name         string
+	bounded      bool
+	reweightable bool
+	run          func(m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options) (Result, error)
+}{
+	{"EXA", true, true, EXA},
+	{"RTA", false, true, func(m *costmodel.Model, w objective.Weights, _ objective.Bounds, opts Options) (Result, error) {
+		return RTA(m, w, opts)
+	}},
+	{"RTAVector", false, true, func(m *costmodel.Model, w objective.Weights, _ objective.Bounds, opts Options) (Result, error) {
+		prec := objective.UniformPrecision(1, opts.Objectives).With(objective.BufferFootprint, opts.Alpha)
+		opts.Alpha = 0
+		return RTAVector(m, w, prec, opts)
+	}},
+	{"IRA", true, false, IRA},
+}
 
-		if snap.Len() != res.Frontier.Len() {
-			t.Fatalf("alpha %v: snapshot has %d plans, frontier %d", alpha, snap.Len(), res.Frontier.Len())
-		}
-		plans := snap.Plans()
-		for i, p := range res.Frontier.Plans() {
-			if snap.CostAt(int32(i)) != p.Cost {
-				t.Fatalf("alpha %v: cost %d differs: %v vs %v", alpha, i, snap.CostAt(int32(i)), p.Cost)
+// routeAnswer is what every route to an answer must agree on: the bits of
+// the frontier rows, the archive counters, the SelectBest index and the
+// selected plan.
+type routeAnswer struct {
+	bits          uint64
+	ins, rej, evi int
+	best          int32
+	signature     string
+}
+
+// answerOf fingerprints one result, and checks on the way that Best is
+// the frontier's own tree for the selected row, not a second copy.
+func answerOf(t *testing.T, label string, q *query.Query, res Result, w objective.Weights, b objective.Bounds) routeAnswer {
+	t.Helper()
+	a := routeAnswer{bits: frontierBits(res.Frontier), best: res.Frontier.SelectBest(w, b)}
+	a.ins, a.rej, a.evi = res.Frontier.Stats()
+	if a.best < 0 || res.Best != res.Frontier.Plans()[a.best] {
+		t.Fatalf("%s: Best is not Frontier.Plans()[%d]", label, a.best)
+	}
+	a.signature = res.Best.Signature(q)
+	return a
+}
+
+// roundTrip returns the snapshot as a reader of its serialized form sees it.
+func roundTrip(t *testing.T, snap *FrontierSnapshot) *FrontierSnapshot {
+	t.Helper()
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalFrontierSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestSnapshotMatchesRun: for every frontier-extracting algorithm, the
+// snapshot's frontier is exactly the run's — same length, same canonical
+// order, same cost vectors, same plan trees — and capturing it changes
+// nothing about the run's answer.
+func TestSnapshotMatchesRun(t *testing.T) {
+	q := starQuery(t)
+	m := costmodel.NewDefault(q)
+	w := objective.UniformWeights(threeObjs)
+	for _, alg := range routeAlgorithms {
+		for _, alpha := range []float64{1, 1.5, 3} {
+			label := fmt.Sprintf("%s alpha %v", alg.name, alpha)
+			opts := smallOpts(threeObjs)
+			opts.Alpha = alpha
+			cold, err := alg.run(m, w, objective.NoBounds(), opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if plans[i].Format(m.Query()) != p.Format(m.Query()) {
-				t.Fatalf("alpha %v: plan %d differs:\n%s\nvs\n%s", alpha, i,
-					plans[i].Format(m.Query()), p.Format(m.Query()))
+			opts.CaptureSnapshot = true
+			res, err := alg.run(m, w, objective.NoBounds(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := res.Snapshot
+			if snap == nil {
+				t.Fatalf("%s: CaptureSnapshot returned no snapshot", label)
+			}
+			if got, want := answerOf(t, label, q, res, w, objective.NoBounds()), answerOf(t, label, q, cold, w, objective.NoBounds()); got != want {
+				t.Fatalf("%s: capturing changed the answer: %+v vs %+v", label, got, want)
+			}
+
+			if snap.Len() != res.Frontier.Len() {
+				t.Fatalf("%s: snapshot has %d plans, frontier %d", label, snap.Len(), res.Frontier.Len())
+			}
+			plans := snap.Plans()
+			for i, p := range res.Frontier.Plans() {
+				if snap.CostAt(int32(i)) != p.Cost {
+					t.Fatalf("%s: cost %d differs: %v vs %v", label, i, snap.CostAt(int32(i)), p.Cost)
+				}
+				if plans[i].Format(q) != p.Format(q) {
+					t.Fatalf("%s: plan %d differs:\n%s\nvs\n%s", label, i, plans[i].Format(q), p.Format(q))
+				}
 			}
 		}
 	}
 }
 
-// TestSelectFromSnapshotMatchesCold: for random re-weights (and, for
-// exact snapshots, re-bounds) the snapshot-served result is bit-for-bit
-// the cold run's — plan, cost vector, frontier.
+// TestSelectFromSnapshotMatchesCold is the route matrix: {EXA, RTA,
+// RTAVector, IRA} × {cold, cold with CaptureSnapshot, SelectFromSnapshot,
+// SelectFromSnapshot after a serialization round trip}. Under random
+// weights (and bounds, where the algorithm takes them) all four routes
+// give the same frontier bits, archive counters, SelectBest index and
+// plan. For the reweightable algorithms the snapshot served is one
+// captured under different weights.
 func TestSelectFromSnapshotMatchesCold(t *testing.T) {
 	q := starQuery(t)
 	m := costmodel.NewDefault(q)
+	r := rand.New(rand.NewSource(7))
+
+	for _, alg := range routeAlgorithms {
+		opts := smallOpts(threeObjs)
+		opts.Alpha = 1.5
+		capture := opts
+		capture.CaptureSnapshot = true
+		seed, err := alg.run(m, objective.UniformWeights(threeObjs), objective.NoBounds(), capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for trial := 0; trial < 25; trial++ {
+			label := fmt.Sprintf("%s trial %d", alg.name, trial)
+			w, b := randomWeights(r, threeObjs), objective.NoBounds()
+			if alg.bounded && trial%2 == 1 {
+				b = b.With(objective.TupleLoss, r.Float64())
+			}
+			cold, err := alg.run(m, w, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			captured, err := alg.run(m, w, b, capture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := seed.Snapshot
+			if !alg.reweightable {
+				snap = captured.Snapshot
+			}
+			warm, err := SelectFromSnapshot(snap, w, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shipped, err := SelectFromSnapshot(roundTrip(t, snap), w, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if !warm.Stats.ReusedFrontier || !shipped.Stats.ReusedFrontier {
+				t.Fatalf("%s: reuse result not flagged ReusedFrontier", label)
+			}
+			want := answerOf(t, label+" cold", q, cold, w, b)
+			for route, res := range map[string]Result{"captured": captured, "snapshot": warm, "round trip": shipped} {
+				if got := answerOf(t, label+" "+route, q, res, w, b); got != want {
+					t.Fatalf("%s: %s route answers %+v, cold %+v", label, route, got, want)
+				}
+			}
+			if warm.Best.Cost != cold.Best.Cost {
+				t.Fatalf("%s: best cost differs: %v vs %v", label, warm.Best.Cost, cold.Best.Cost)
+			}
+			if warm.Best.Format(q) != cold.Best.Format(q) {
+				t.Fatalf("%s: best plan differs:\n%s\nvs\n%s", label, warm.Best.Format(q), cold.Best.Format(q))
+			}
+			if !reflect.DeepEqual(warm.Frontier.Frontier(), cold.Frontier.Frontier()) {
+				t.Fatalf("%s: frontier vectors differ", label)
+			}
+		}
+	}
+}
+
+// TestSelectFromSnapshotConcurrent: moqod serves every re-weight of a
+// shape from one cached snapshot, concurrently. Sixteen goroutines
+// selecting from one freshly decoded snapshot (nothing materialized yet)
+// must all be handed the same tree — one materialization, shared — which
+// -race checks is also published safely.
+func TestSelectFromSnapshotConcurrent(t *testing.T) {
+	m := costmodel.NewDefault(starQuery(t))
 	opts := smallOpts(threeObjs)
 	opts.Alpha = 1.5
-	r := rand.New(rand.NewSource(7))
-	_, snap := snapRTA(t, m, objective.UniformWeights(threeObjs), opts)
+	w := objective.UniformWeights(threeObjs)
+	_, snap := snapRTA(t, m, w, opts)
+	snap = roundTrip(t, snap)
 
-	for trial := 0; trial < 25; trial++ {
-		w := randomWeights(r, threeObjs)
-		cold, err := RTA(m, w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := SelectFromSnapshot(snap, w, objective.NoBounds())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !warm.Stats.ReusedFrontier {
-			t.Fatal("reuse result not flagged ReusedFrontier")
-		}
-		if warm.Best.Cost != cold.Best.Cost {
-			t.Fatalf("trial %d: best cost differs: %v vs %v", trial, warm.Best.Cost, cold.Best.Cost)
-		}
-		if warm.Best.Format(q) != cold.Best.Format(q) {
-			t.Fatalf("trial %d: best plan differs:\n%s\nvs\n%s", trial, warm.Best.Format(q), cold.Best.Format(q))
-		}
-		if !reflect.DeepEqual(warm.Frontier.Frontier(), cold.Frontier.Frontier()) {
-			t.Fatalf("trial %d: frontier vectors differ", trial)
+	var wg sync.WaitGroup
+	best := make([]*plan.Node, 16)
+	for g := range best {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := SelectFromSnapshot(snap, w, objective.NoBounds())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			best[g] = res.Best
+		}()
+	}
+	wg.Wait()
+	for g := range best {
+		if best[g] == nil || best[g] != best[0] {
+			t.Fatalf("goroutine %d was served tree %p, goroutine 0 %p", g, best[g], best[0])
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
-	"moqo/internal/pareto"
 	"moqo/internal/query"
 	"moqo/internal/synthetic"
 )
@@ -37,7 +36,7 @@ func buildShape(t testing.TB, shape synthetic.Shape, n int, seed int64) *query.Q
 
 // sameFrontier asserts two canonically sorted frontiers carry identical
 // cost vectors.
-func sameFrontier(t *testing.T, label string, a, b *pareto.Archive) {
+func sameFrontier(t *testing.T, label string, a, b *Frontier) {
 	t.Helper()
 	pa, pb := a.Plans(), b.Plans()
 	if len(pa) != len(pb) {

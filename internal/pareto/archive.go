@@ -7,7 +7,9 @@ import (
 
 // Archive holds a set of mutually non-dominating plans for one table set.
 // Alpha >= 1 is the pruning precision: 1 yields exact Pareto pruning (EXA),
-// larger values yield the RTA's approximate pruning.
+// larger values yield the RTA's approximate pruning. It is the oracle
+// FlatArchive is tested against (see the package comment); the engine
+// neither runs on it nor returns it.
 type Archive struct {
 	objs  objective.Set
 	alpha float64
@@ -37,20 +39,6 @@ func NewPrecisionArchive(objs objective.Set, prec objective.Precision) *Archive 
 		panic("pareto: pruning precisions must be >= 1")
 	}
 	return &Archive{objs: objs, alpha: prec.Max(objs), prec: &prec}
-}
-
-// NewMaterialized builds an archive directly from already mutually
-// non-dominating plans and their pre-computed counters. It is the bridge
-// from the flat hot-path representation back to the legacy tree-backed
-// archive: the engine materializes a FlatArchive's frontier into plan
-// trees once per run and rehydrates it here, preserving the counters the
-// experiment harness reports. The plans are stored as given — no pruning
-// is re-run.
-func NewMaterialized(objs objective.Set, alpha float64, prec *objective.Precision, plans []*plan.Node, inserted, rejected, evicted int) *Archive {
-	return &Archive{
-		objs: objs, alpha: alpha, prec: prec, plans: plans,
-		inserted: inserted, rejected: rejected, evicted: evicted,
-	}
 }
 
 // Insert offers a new plan to the archive, implementing the paper's
@@ -93,12 +81,6 @@ func (a *Archive) Plans() []*plan.Node { return a.plans }
 
 // Len returns the number of stored plans.
 func (a *Archive) Len() int { return len(a.plans) }
-
-// Alpha returns the archive's pruning precision.
-func (a *Archive) Alpha() float64 { return a.alpha }
-
-// Objectives returns the archive's active objective set.
-func (a *Archive) Objectives() objective.Set { return a.objs }
 
 // Stats returns cumulative insert/reject/evict counters.
 func (a *Archive) Stats() (inserted, rejected, evicted int) {

@@ -17,13 +17,12 @@
 //     active-objective ids and per-objective pruning precisions are
 //     resolved once per run into the shared FlatConfig — and dominance
 //     checks walk contiguous cost rows instead of chasing pointers.
-//   - Archive is the legacy tree-backed representation, kept as the
-//     frontier container callers see: the engine materializes the final
-//     FlatArchive into plan trees at extraction time and rehydrates it
-//     via NewMaterialized, counters preserved. It also serves as the
-//     differential-testing oracle for FlatArchive (the package's
-//     differential tests drive both with identical random cost streams
-//     and require identical frontiers and counters).
+//   - Archive is the tree-backed representation the seed ran on, kept as
+//     the oracle and nothing else: the package's differential tests drive
+//     both with identical random cost streams and require identical
+//     frontiers and counters, and internal/core's reference engine
+//     (reference.go) runs on it. No result is ever converted into one — a
+//     finished frontier leaves the engine as FlatArchive.Canonical's rows.
 //
 // Both archives intentionally mix two relations: a new plan is
 // *rejected* if an already-stored plan approximately dominates it, but
@@ -36,10 +35,10 @@
 // Precision-vector variants (NewPrecisionArchive, NewFlatPrecisionConfig)
 // support the per-objective RTA extension of internal/core.RTAVector.
 //
-// CompareCanonical and SelectBestRows are the shared row-level
-// primitives behind result reproducibility and frontier reuse: the
-// engine's extracted frontiers and core.FrontierSnapshot both sort by
-// CompareCanonical and select with SelectBestRows' tie-breaking, which
-// is what makes a snapshot-served re-weight answer bit-for-bit equal to
-// a cold run's.
+// Canonical (ordering by CompareCanonical) and SelectBestRows are the
+// row-level primitives behind result reproducibility and frontier reuse:
+// every frontier internal/core hands out — a cold run's or a cached
+// snapshot's — is ordered by the first and read by the second, which is
+// what makes a snapshot-served re-weight answer bit-for-bit equal to a
+// cold run's.
 package pareto

@@ -2,6 +2,7 @@ package pareto
 
 import (
 	"math"
+	"slices"
 
 	"moqo/internal/objective"
 	"moqo/internal/plan"
@@ -77,9 +78,6 @@ func NewFlatPrecisionConfig(objs objective.Set, prec objective.Precision) *FlatC
 	c.resolve()
 	return c
 }
-
-// Objectives returns the configuration's active objective set.
-func (c *FlatConfig) Objectives() objective.Set { return c.objs }
 
 // Alpha returns the scalar pruning precision (the maximum per-objective
 // precision when a precision vector is configured).
@@ -236,12 +234,6 @@ func (a *FlatArchive) CostRow(i int32) *objective.Vector {
 	return (*objective.Vector)(a.costs[int(i)*stride:])
 }
 
-// Alpha returns the archive's pruning precision.
-func (a *FlatArchive) Alpha() float64 { return a.cfg.alpha }
-
-// Objectives returns the archive's active objective set.
-func (a *FlatArchive) Objectives() objective.Set { return a.cfg.objs }
-
 // Stats returns cumulative insert/reject/evict counters.
 func (a *FlatArchive) Stats() (inserted, rejected, evicted int) {
 	return a.inserted, a.rejected, a.evicted
@@ -256,11 +248,34 @@ func (a *FlatArchive) Frontier() []objective.Vector {
 	return out
 }
 
+// Rows returns the stored cost rows (stride nine, insertion order) in
+// place, for read-only scans; invalidated by the next Insert or Reset.
+func (a *FlatArchive) Rows() []float64 { return a.costs }
+
+// Canonical returns a copy of the archive's cost rows and entries in
+// canonical order: sorted by CompareCanonical, stably, so rows with
+// identical cost vectors keep the archive's (deterministic) insertion
+// order. It is the one place a finished frontier is ordered.
+func (a *FlatArchive) Canonical() ([]float64, []plan.Entry) {
+	order := make([]int32, a.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(i, j int32) int {
+		return CompareCanonical(a.CostAt(i), a.CostAt(j))
+	})
+	costs := make([]float64, 0, len(a.costs))
+	entries := make([]plan.Entry, len(order))
+	for ni, oi := range order {
+		costs = append(costs, a.costs[int(oi)*stride:(int(oi)+1)*stride]...)
+		entries[ni] = a.entries[oi]
+	}
+	return costs, entries
+}
+
 // CompareCanonical orders two cost vectors lexicographically over all nine
-// objectives — the canonical frontier order shared by the engine's
-// materialized frontiers and the frontier snapshots of the reuse path.
-// Sorting by it (stably, so insertion order breaks ties) makes an
-// extracted frontier independent of how the run was scheduled, which is
+// objectives — the canonical order of every extracted frontier. Sorting by
+// it makes a frontier independent of how the run was scheduled, which is
 // what lets a snapshot-served answer match a cold run bit for bit.
 func CompareCanonical(a, b objective.Vector) int {
 	for o := 0; o < stride; o++ {
@@ -279,8 +294,7 @@ func CompareCanonical(a, b objective.Vector) int {
 // snapshots): the index of the row with minimal weighted cost among those
 // respecting the bounds, falling back to the minimal weighted cost overall
 // when no row is within bounds. Ties break toward the earliest row, so the
-// choice is deterministic and — over canonically sorted rows — identical
-// to SelectBest over the materialized plans. Returns -1 for no rows.
+// choice is deterministic. Returns -1 for no rows.
 func SelectBestRows(costs []float64, w objective.Weights, b objective.Bounds, objs objective.Set) int32 {
 	bestIn, bestAny := int32(-1), int32(-1)
 	bestInCost, bestAnyCost := 0.0, 0.0

@@ -524,7 +524,7 @@ func (s *Server) computeViaFrontier(ctx context.Context, req moqo.Request, ten s
 		// the warm-restart fast path. A disk hit repopulates the memory
 		// tier and is served exactly like a memory hit below.
 		if sn := s.disk.Get(fkey); sn != nil {
-			return s.newFrontierEntry(sn, renderSnapshotFrontier(sn), ten), true, nil
+			return s.newFrontierEntry(sn, renderFrontier(sn.Objectives(), sn.FrontierVectors()), ten), true, nil
 		}
 		// Cold dynamic program: wait for a fair-scheduler slot. This is
 		// the only place tenancy can delay work — every cache, frontier
@@ -549,7 +549,7 @@ func (s *Server) computeViaFrontier(ctx context.Context, req moqo.Request, ten s
 		// so a restart replays the tier from disk instead of re-running
 		// dynamic programs.
 		s.disk.Put(sn)
-		return s.newFrontierEntry(sn, renderFrontier(res), ten), true, nil
+		return s.newFrontierEntry(sn, renderFrontier(res.Objectives(), res.FrontierVectors()), ten), true, nil
 	})
 	if err != nil {
 		return OptimizeResponse{}, false, err
@@ -577,7 +577,7 @@ func (s *Server) computeViaFrontier(ctx context.Context, req moqo.Request, ten s
 		// frontier (Put's eviction hook releases the replaced one), and
 		// re-render the wire form the refined result implies. The store
 		// gets the finer snapshot too, superseding its seed on disk.
-		shared = renderFrontier(res)
+		shared = renderFrontier(res.Objectives(), res.FrontierVectors())
 		s.frontier.Put(fkey, s.newFrontierEntry(newSnap, shared, ten))
 		s.disk.Put(newSnap)
 	}

@@ -678,29 +678,13 @@ func (m *BatchMemberRequest) asOptimizeRequest() OptimizeRequest {
 	}
 }
 
-// renderFrontier renders a result's frontier points on the wire. The
-// rendered slice depends only on the frontier (not on the request's
-// weights or bounds), so the frontier tier renders it once per snapshot
-// and shares it across every re-weight response.
-func renderFrontier(res *moqo.Result) []map[string]float64 {
-	frontier := make([]map[string]float64, len(res.Frontier))
-	for i, v := range res.FrontierVectors() {
-		point := make(map[string]float64, len(res.Objectives()))
-		for _, o := range res.Objectives() {
-			point[o.String()] = v.Get(o)
-		}
-		frontier[i] = point
-	}
-	return frontier
-}
-
-// renderSnapshotFrontier renders a snapshot's frontier points on the
-// wire — the same rendering renderFrontier produces for the run the
-// snapshot came from (same canonical order, same vectors), used when the
-// entry is repopulated from the disk store and no Result exists yet.
-func renderSnapshotFrontier(snap *moqo.FrontierSnapshot) []map[string]float64 {
-	objs := snap.Objectives()
-	vecs := snap.FrontierVectors()
+// renderFrontier renders frontier points on the wire. The rendered slice
+// depends only on the frontier (not on the request's weights or bounds),
+// and a result and the snapshot of its run carry the same vectors in the
+// same canonical order — so the frontier tier renders it once per snapshot,
+// from whichever of the two it holds, and shares it across every re-weight
+// response.
+func renderFrontier(objs []moqo.Objective, vecs []moqo.CostVector) []map[string]float64 {
 	frontier := make([]map[string]float64, len(vecs))
 	for i, v := range vecs {
 		point := make(map[string]float64, len(objs))
@@ -716,7 +700,7 @@ func renderSnapshotFrontier(snap *moqo.FrontierSnapshot) []map[string]float64 {
 // always rendered; the handler strips it when the request did not ask for
 // it, so cached entries can serve both shapes.
 func toResponse(res *moqo.Result) (OptimizeResponse, error) {
-	return toResponseWithFrontier(res, renderFrontier(res))
+	return toResponseWithFrontier(res, renderFrontier(res.Objectives(), res.FrontierVectors()))
 }
 
 // toResponseWithFrontier renders a result around an already rendered

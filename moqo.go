@@ -468,27 +468,9 @@ func optimizeContext(ctx context.Context, req Request, capture bool) (*Result, *
 		return nil, nil, err
 	}
 
-	params := costmodel.Default()
-	if req.CostParams != nil {
-		params = *req.CostParams
-	}
-	enum, err := req.Enumeration.coreStrategy()
+	m, opts, err := req.coreOptions(objs, alpha, capture)
 	if err != nil {
 		return nil, nil, err
-	}
-	m := costmodel.New(req.Query, params)
-	opts := core.Options{
-		Objectives:      objs,
-		Alpha:           alpha,
-		Timeout:         req.Timeout,
-		MaxDOP:          req.MaxDOP,
-		AllowSampling:   req.AllowSampling,
-		Workers:         req.Workers,
-		Enumeration:     enum,
-		CaptureSnapshot: capture,
-	}
-	if req.Shared != nil {
-		opts.Shared = req.Shared.m
 	}
 
 	var res core.Result
@@ -521,20 +503,55 @@ func optimizeContext(ctx context.Context, req Request, capture bool) (*Result, *
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &Result{
+	out, err := newResult(req, res, alg, objs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, res.Snapshot, nil
+}
+
+// coreOptions builds the cost model and the engine options of a resolved
+// request — the one place a Request's knobs become core.Options, so every
+// entry point (cold, snapshot-capturing, seeded re-optimization) honors
+// the same set.
+func (req Request) coreOptions(objs objective.Set, alpha float64, capture bool) (*costmodel.Model, core.Options, error) {
+	params := costmodel.Default()
+	if req.CostParams != nil {
+		params = *req.CostParams
+	}
+	enum, err := req.Enumeration.coreStrategy()
+	if err != nil {
+		return nil, core.Options{}, err
+	}
+	opts := core.Options{
+		Objectives:      objs,
+		Alpha:           alpha,
+		Timeout:         req.Timeout,
+		MaxDOP:          req.MaxDOP,
+		AllowSampling:   req.AllowSampling,
+		Workers:         req.Workers,
+		Enumeration:     enum,
+		CaptureSnapshot: capture,
+	}
+	if req.Shared != nil {
+		opts.Shared = req.Shared.m
+	}
+	return costmodel.New(req.Query, params), opts, nil
+}
+
+// newResult converts an engine result into the public Result.
+func newResult(req Request, res core.Result, alg Algorithm, objs objective.Set) (*Result, error) {
+	if res.Best == nil {
+		return nil, fmt.Errorf("moqo: no plan found")
+	}
+	return &Result{
 		Plan:      res.Best,
+		Frontier:  res.Frontier.Plans(),
 		Stats:     res.Stats,
 		Algorithm: alg,
 		objs:      objs,
 		q:         req.Query,
-	}
-	if res.Frontier != nil {
-		out.Frontier = res.Frontier.Plans()
-	}
-	if out.Plan == nil {
-		return nil, nil, fmt.Errorf("moqo: no plan found")
-	}
-	return out, res.Snapshot, nil
+	}, nil
 }
 
 // TPCHQuery builds TPC-H query num (1-22) against the catalog. The query

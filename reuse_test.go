@@ -277,3 +277,53 @@ func TestSnapshotAPISurface(t *testing.T) {
 		t.Fatal("nil snapshot accepted")
 	}
 }
+
+// TestReoptimizeSeededHonorsSharedMemo: a seeded IRA refinement is an
+// engine run like any other, so Request.Shared applies to it. The same
+// refining Reoptimize twice against one SharedMemo: the second must be
+// served subproblems the first published, with an identical answer.
+func TestReoptimizeSeededHonorsSharedMemo(t *testing.T) {
+	objs := []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint, moqo.TupleLoss}
+	base := moqo.Request{
+		Query:      reuseQuery(t, 3),
+		Algorithm:  moqo.AlgoIRA,
+		Alpha:      2,
+		Objectives: objs,
+		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.BufferFootprint: 0.3},
+	}
+	cold, seed, err := moqo.OptimizeSnapshot(base)
+	if err != nil || seed == nil {
+		t.Fatalf("seed: snapshot %v, err %v", seed, err)
+	}
+
+	// Bounds just under the unbounded optimum: the coarse seed cannot
+	// certify them, so Reoptimize has to run dynamic programs (it hands
+	// back a finer snapshot when it did).
+	req := base
+	req.Bounds = map[moqo.Objective]float64{
+		moqo.BufferFootprint: 0.9 * cold.Cost(moqo.BufferFootprint),
+		moqo.TupleLoss:       0,
+	}
+	if _, out, err := moqo.Reoptimize(req, seed); err != nil {
+		t.Fatal(err)
+	} else if out == seed {
+		t.Fatal("the seeded IRA did not refine; the test exercises nothing")
+	}
+
+	req.Shared = moqo.NewSharedMemo()
+	first, _, err := moqo.Reoptimize(req, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.SharedMemoHits != 0 {
+		t.Fatalf("first run against an empty memo reported %d hits", first.Stats.SharedMemoHits)
+	}
+	second, _, err := moqo.Reoptimize(req, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Stats.SharedMemoHits == 0 {
+		t.Fatal("seeded refinement ignored Request.Shared: no shared-memo hits on the second identical run")
+	}
+	assertSameAnswer(t, "shared seeded refinement", second, first)
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"moqo/internal/core"
-	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 )
 
@@ -75,11 +74,7 @@ func (s *FrontierSnapshot) Objectives() []Objective {
 // only a snapshot (say, one deserialized from a disk store) render the
 // frontier without materializing any plans.
 func (s *FrontierSnapshot) FrontierVectors() []CostVector {
-	out := make([]CostVector, s.core.Len())
-	for i := range out {
-		out[i] = s.core.CostAt(int32(i))
-	}
-	return out
+	return s.core.Frontier.Frontier()
 }
 
 // snapshotWireMagic and snapshotWireVersion frame the moqo-level binary
@@ -231,25 +226,11 @@ func ReoptimizeContext(ctx context.Context, req Request, snap *FrontierSnapshot)
 		}
 		res, err = core.SelectFromSnapshot(snap.core, w, objective.NoBounds())
 	case AlgoIRA:
-		params := costmodel.Default()
-		if req.CostParams != nil {
-			params = *req.CostParams
+		m, opts, oerr := req.coreOptions(objs, alpha, true)
+		if oerr != nil {
+			return nil, nil, oerr
 		}
-		enum, eerr := req.Enumeration.coreStrategy()
-		if eerr != nil {
-			return nil, nil, eerr
-		}
-		opts := core.Options{
-			Objectives:      objs,
-			Alpha:           alpha,
-			Timeout:         req.Timeout,
-			MaxDOP:          req.MaxDOP,
-			AllowSampling:   req.AllowSampling,
-			Workers:         req.Workers,
-			Enumeration:     enum,
-			CaptureSnapshot: true,
-		}
-		res, err = core.IRASeededContext(ctx, costmodel.New(req.Query, params), w, b, opts, snap.core)
+		res, err = core.IRASeededContext(ctx, m, w, b, opts, snap.core)
 		if err == nil && res.Snapshot != nil && res.Snapshot != snap.core {
 			// The seeded refinement produced a finer frontier; hand it back
 			// for the cache to replace the seed with.
@@ -262,18 +243,9 @@ func ReoptimizeContext(ctx context.Context, req Request, snap *FrontierSnapshot)
 		return nil, nil, err
 	}
 
-	out := &Result{
-		Plan:      res.Best,
-		Stats:     res.Stats,
-		Algorithm: alg,
-		objs:      objs,
-		q:         req.Query,
-	}
-	if res.Frontier != nil {
-		out.Frontier = res.Frontier.Plans()
-	}
-	if out.Plan == nil {
-		return nil, nil, fmt.Errorf("moqo: no plan found")
+	out, err := newResult(req, res, alg, objs)
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, outSnap, nil
 }
