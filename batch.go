@@ -2,10 +2,9 @@ package moqo
 
 import (
 	"context"
-	"sort"
 	"sync"
-	"sync/atomic"
 
+	"moqo/internal/batchplan"
 	"moqo/internal/core"
 )
 
@@ -37,20 +36,14 @@ func (s *SharedMemo) Counters() (hits, misses, published int64) { return s.m.Cou
 // BatchOptions configures OptimizeBatchContext.
 type BatchOptions struct {
 	// Parallel is the number of members optimized concurrently (default
-	// 1). Members sharing a *Query object are serialized internally, so
-	// any value is safe.
+	// 1), the caller's goroutine included. Members sharing a *Query object
+	// take turns internally, so any value is safe.
 	Parallel int
 
 	// Shared is the memo the batch publishes solved subproblems to. Nil
 	// creates a fresh one for this batch; pass your own to share across
 	// batches over the same catalog, or to read its Counters afterwards.
 	Shared *SharedMemo
-
-	// DisableSharing turns off the shared memo (members still dedupe by
-	// cache key, and re-weights still reuse member frontiers). Intended
-	// for measuring the memo's contribution; results are identical either
-	// way.
-	DisableSharing bool
 }
 
 // BatchItem is the outcome of one batch member.
@@ -85,7 +78,9 @@ type BatchItem struct {
 //     table sets, and
 //   - distinct dynamic programs are scheduled most-expensive-first
 //     (core.PredictCost), which minimizes the makespan of the parallel
-//     fan-out and maximizes what cheap members find pre-published.
+//     fan-out and maximizes what cheap members find pre-published — the
+//     schedule of internal/batchplan, the same one moqod's
+//     POST /optimize/batch serves its members under.
 //
 // Every member's result is bit-for-bit the result a standalone
 // Optimize(req) call would return — plans, cost vectors, frontiers; only
@@ -101,12 +96,7 @@ func OptimizeBatch(reqs []Request) []BatchItem {
 // not-yet-started ones with the context's error.
 func OptimizeBatchContext(ctx context.Context, reqs []Request, opts BatchOptions) []BatchItem {
 	items := make([]BatchItem, len(reqs))
-	var mu sync.Mutex
-	runBatch(ctx, reqs, opts, func(i int, item BatchItem) {
-		mu.Lock()
-		items[i] = item
-		mu.Unlock()
-	})
+	runBatch(ctx, reqs, opts, func(i int, item BatchItem) { items[i] = item }) // one write per index
 	return items
 }
 
@@ -138,30 +128,24 @@ type batchUnit struct {
 // frontier (IRA refinement is seeded, not bit-for-bit; the scalar
 // baselines have no frontier) form singleton groups — for IRA the shared
 // memo still carries the cross-member reuse.
-type batchGroup struct {
-	units []*batchUnit
-}
+type batchGroup []*batchUnit
 
 // runBatch is the shared body of the collecting and streaming entry
-// points. done is called exactly once per member index, serialized by the
-// callers.
+// points. done is called exactly once per member index — concurrently for
+// different indexes, and never after runBatch returns.
 func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(int, BatchItem)) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	shared := opts.Shared
-	if shared == nil && !opts.DisableSharing {
+	if shared == nil {
 		shared = NewSharedMemo()
 	}
-	if opts.DisableSharing {
-		shared = nil
-	}
 
-	// Resolve members into distinct-cache-key units; invalid members fail
-	// immediately and independently.
+	// Resolve members into distinct-cache-key units, and units into
+	// frontier groups: units sharing a FrontierKey differ only in weights
+	// and bounds, so one dynamic program serves the whole group. Invalid
+	// members fail immediately and independently.
 	byCK := make(map[string]*batchUnit)
-	var units []*batchUnit
-	frontierable := make(map[*batchUnit]string) // unit -> FrontierKey, EXA/RTA only
+	byFK := make(map[string]int) // FrontierKey -> index into groups
+	var groups []batchGroup
 	for i, req := range reqs {
 		ck, err := req.CacheKey()
 		if err != nil {
@@ -173,121 +157,87 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 			continue
 		}
 		req.Shared = shared
-		_, _, _, alg, _, _ := req.resolve() // already validated by CacheKey
+		alg := req.ResolvedAlgorithm()
 		u := &batchUnit{
 			req:     req,
 			members: []int{i},
 			cost:    core.PredictCost(len(req.Query.Relations), len(req.Objectives), alg.String()),
 		}
 		byCK[ck] = u
-		units = append(units, u)
-		if alg == AlgoEXA || alg == AlgoRTA {
-			// Only these answer re-weights bit-for-bit from a frontier
-			// snapshot (see ReoptimizeContext); IRA's seeded path refines
-			// and may return a finer frontier than a cold run.
-			fk, _ := u.req.FrontierKey()
-			frontierable[u] = fk
-		}
-	}
-
-	// Frontier groups: units sharing a FrontierKey differ only in weights
-	// and bounds, so one dynamic program serves the whole group.
-	byFK := make(map[string]*batchGroup)
-	var groups []*batchGroup
-	for _, u := range units {
-		fk, ok := frontierable[u]
-		if !ok {
-			groups = append(groups, &batchGroup{units: []*batchUnit{u}})
+		if alg != AlgoEXA && alg != AlgoRTA {
+			groups = append(groups, batchGroup{u})
 			continue
 		}
+		// Only EXA and RTA answer re-weights bit-for-bit from a frontier
+		// snapshot (see ReoptimizeContext); IRA's seeded path refines and
+		// may return a finer frontier than a cold run.
+		fk, _ := req.FrontierKey() // already validated by CacheKey
 		if g, exists := byFK[fk]; exists {
-			g.units = append(g.units, u)
+			groups[g] = append(groups[g], u)
 			continue
 		}
-		g := &batchGroup{units: []*batchUnit{u}}
-		byFK[fk] = g
-		groups = append(groups, g)
+		byFK[fk] = len(groups)
+		groups = append(groups, batchGroup{u})
 	}
 
-	// Most-expensive-first: long dynamic programs start immediately (the
-	// classic LPT makespan heuristic), and the cheap overlapping members
-	// that follow find their shared subproblems already published.
-	sort.SliceStable(groups, func(i, j int) bool {
-		return groups[i].units[0].cost > groups[j].units[0].cost
-	})
-
-	// Members sharing a *Query object must not optimize concurrently: the
-	// query's cardinality/selectivity estimates are memoized on the Query
-	// itself (the first run warms them for everyone — the batch's shared
-	// warm-up), and that memo is not written under a lock.
-	queryLocks := make(map[*Query]*sync.Mutex)
-	for _, u := range units {
-		if queryLocks[u.req.Query] == nil {
-			queryLocks[u.req.Query] = new(sync.Mutex)
+	// One lane per leader *Query: members sharing a query object must not
+	// optimize concurrently — its cardinality/selectivity estimates are
+	// memoized on the Query itself, written without a lock, and warmed by
+	// the first run for everyone. A group holds its leader's lane only, so
+	// a unit that must fall back to its own run on another query object is
+	// deferred until the schedule has drained and nothing else is running.
+	var (
+		lateMu sync.Mutex
+		late   []*batchUnit
+	)
+	plan := batchplan.New(len(groups),
+		func(i int) float64 { return groups[i][0].cost },
+		func(i int) *Query { return groups[i][0].req.Query })
+	plan.Run(opts.Parallel, func(i int) {
+		if deferred := runGroup(ctx, groups[i], done); len(deferred) > 0 {
+			lateMu.Lock()
+			late = append(late, deferred...)
+			lateMu.Unlock()
 		}
+	})
+	for _, u := range late {
+		res, err := OptimizeContext(ctx, u.req)
+		emitUnit(u, res, err, false, done)
 	}
-
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(groups) {
-		parallel = len(groups)
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < parallel; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1) - 1)
-				if n >= len(groups) {
-					return
-				}
-				runGroup(ctx, groups[n], queryLocks, done)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
-// runGroup executes one scheduling unit: the leader's dynamic program,
-// then the group's re-weights from the leader's frontier snapshot.
-func runGroup(ctx context.Context, g *batchGroup, queryLocks map[*Query]*sync.Mutex, done func(int, BatchItem)) {
-	leader := g.units[0]
-	captureFrontier := len(g.units) > 1
-
-	lock := queryLocks[leader.req.Query]
-	lock.Lock()
+// runGroup executes one scheduling unit under its leader's lane: the
+// leader's dynamic program, then the group's re-weights from the leader's
+// frontier snapshot. It returns the units it could not serve there.
+func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) (deferred []*batchUnit) {
+	leader := g[0]
 	var res *Result
 	var snap *FrontierSnapshot
 	var err error
-	if captureFrontier {
+	if len(g) > 1 {
 		res, snap, err = OptimizeSnapshotContext(ctx, leader.req)
 	} else {
 		res, err = OptimizeContext(ctx, leader.req)
 	}
-	lock.Unlock()
 	emitUnit(leader, res, err, false, done)
 
-	for _, u := range g.units[1:] {
-		if err != nil || snap == nil {
+	for _, u := range g[1:] {
+		switch {
+		case err == nil && snap != nil:
+			// A pure SelectBest scan over the snapshot — no dynamic program,
+			// bit-for-bit the cold answer at the unit's weights/bounds.
+			r, _, e := ReoptimizeContext(ctx, u.req, snap)
+			emitUnit(u, r, e, true, done)
+		case u.req.Query == leader.req.Query:
 			// Leader failed or produced no reusable frontier (degraded
 			// run): fall back to each unit's own cold optimization.
-			qlock := queryLocks[u.req.Query]
-			qlock.Lock()
 			r, e := OptimizeContext(ctx, u.req)
-			qlock.Unlock()
 			emitUnit(u, r, e, false, done)
-			continue
+		default:
+			deferred = append(deferred, u)
 		}
-		// A pure SelectBest scan over the snapshot — no dynamic program,
-		// bit-for-bit the cold answer at the unit's weights/bounds.
-		r, _, e := ReoptimizeContext(ctx, u.req, snap)
-		emitUnit(u, r, e, true, done)
 	}
+	return deferred
 }
 
 // emitUnit fans one unit's outcome out to all its members: the first

@@ -87,9 +87,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		req.Algorithm = alg
-		// Not set for "auto": HasAlgorithm with a zero Algorithm is the
-		// legacy combination that forces AlgoEXA.
-		req.HasAlgorithm = alg != moqo.AlgoAuto
 	}
 
 	res, err := moqo.Optimize(req)

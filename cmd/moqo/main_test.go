@@ -61,12 +61,9 @@ func TestAlgName(t *testing.T) {
 	if got := algName(moqo.Request{Bounds: map[moqo.Objective]float64{moqo.TotalTime: 1}}); got != "ira (default for bounded requests)" {
 		t.Errorf("algName bounded = %q", got)
 	}
-	if got := algName(moqo.Request{HasAlgorithm: true, Algorithm: moqo.AlgoEXA}); got != "exa" {
-		t.Errorf("algName explicit = %q", got)
-	}
-	// An explicit algorithm is honored even without HasAlgorithm — the
-	// zero value of Algorithm is AlgoAuto, not AlgoEXA.
+	// An explicit algorithm is honored as-is — the zero value of Algorithm
+	// is AlgoAuto, not AlgoEXA.
 	if got := algName(moqo.Request{Algorithm: moqo.AlgoEXA}); got != "exa" {
-		t.Errorf("algName explicit without HasAlgorithm = %q", got)
+		t.Errorf("algName explicit = %q", got)
 	}
 }

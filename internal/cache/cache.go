@@ -122,7 +122,7 @@ type Cache[V any] struct {
 	evictions atomic.Uint64
 	capacity  int
 
-	onEvict []func(key string, v V, reason EvictReason)
+	onEvict func(key string, v V, reason EvictReason) // nil: no hook
 }
 
 // New builds a cache holding about capacity entries across the given
@@ -164,18 +164,17 @@ const (
 	Evicted
 )
 
-// OnEvict registers a callback invoked whenever a stored value leaves
-// the cache — an LRU eviction, or replacement of an existing key by Put
-// (the reason distinguishes the two). It lets a tier keep gauge-style
+// OnEvict sets the cache's one hook, invoked whenever a stored value
+// leaves the cache — an LRU eviction, or replacement of an existing key by
+// Put (the reason distinguishes the two). It lets a tier keep gauge-style
 // accounting of what it currently holds (e.g. the moqod frontier tier's
 // snapshot-bytes gauge) and tell a colder tier what capacity pressure
-// pushed out. Callbacks run in registration order on the goroutine of the
-// Put that displaced the value, after that Put has released the shard
-// lock: they may block, take other locks and call back into the cache,
-// and callbacks of concurrent Puts may interleave. Register them before
-// the cache is shared.
+// pushed out. The hook runs on the goroutine of the Put that displaced the
+// value, after that Put has released the shard lock: it may block, take
+// other locks and call back into the cache, and the hooks of concurrent
+// Puts may interleave. Set it before the cache is shared.
 func (c *Cache[V]) OnEvict(fn func(key string, v V, reason EvictReason)) {
-	c.onEvict = append(c.onEvict, fn)
+	c.onEvict = fn
 }
 
 // shardFor hashes the key onto its shard: an inlined FNV-1a over the
@@ -215,7 +214,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Put stores the value, evicting the shard's least-recently-used entry if
 // the shard is full. Storing an existing key refreshes its value and
-// recency. At most one value leaves per Put; its OnEvict callbacks run
+// recency. At most one value leaves per Put; the OnEvict hook sees it
 // after the shard unlocks.
 func (c *Cache[V]) Put(key string, v V) {
 	s := c.shardFor(key)
@@ -241,10 +240,8 @@ func (c *Cache[V]) Put(key string, v V) {
 		s.m[key] = s.lru.PushFront(&entry[V]{key: key, val: v})
 	}
 	s.mu.Unlock()
-	if left {
-		for _, fn := range c.onEvict {
-			fn(gone.key, gone.val, reason)
-		}
+	if left && c.onEvict != nil {
+		c.onEvict(gone.key, gone.val, reason)
 	}
 }
 

@@ -64,36 +64,6 @@ func TestOnEvict(t *testing.T) {
 	}
 }
 
-// TestOnEvictMultiple: independently registered hooks all observe every
-// departure, in registration order — the contract the moqod frontier
-// tier (gauge + disk touch) and the tenant cache-attribution hook rely on
-// to coexist without knowing about each other.
-func TestOnEvictMultiple(t *testing.T) {
-	c := New[int](1, 1)
-	var order []string
-	c.OnEvict(func(key string, _ int, reason EvictReason) {
-		order = append(order, fmt.Sprintf("first:%s/%d", key, reason))
-	})
-	c.OnEvict(func(key string, _ int, reason EvictReason) {
-		order = append(order, fmt.Sprintf("second:%s/%d", key, reason))
-	})
-	c.Put("a", 1)
-	c.Put("a", 2) // replacement
-	c.Put("b", 3) // evicts a
-	want := []string{
-		fmt.Sprintf("first:a/%d", Replaced), fmt.Sprintf("second:a/%d", Replaced),
-		fmt.Sprintf("first:a/%d", Evicted), fmt.Sprintf("second:a/%d", Evicted),
-	}
-	if len(order) != len(want) {
-		t.Fatalf("hook calls %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("hook calls %v, want %v", order, want)
-		}
-	}
-}
-
 // TestOnEvictUnlocked: callbacks run after Put has released the shard
 // lock, so they may call back into the same cache (with the lock held,
 // Get and Len on the one shard would deadlock), and a gauge kept by

@@ -36,7 +36,7 @@ func TestRequestPathAllocs(t *testing.T) {
 		}
 	}
 	do(1) // cold run: populates the frontier tier
-	if served := srv.reweightServed.Load(); served != 0 {
+	if served := srv.tiers.reweightServed.Load(); served != 0 {
 		t.Fatalf("cold request already served from frontier (%d)", served)
 	}
 
@@ -46,7 +46,7 @@ func TestRequestPathAllocs(t *testing.T) {
 		weight += 0.25 // distinct weights: exact tier misses, frontier tier hits
 		do(weight)
 	})
-	if served := srv.reweightServed.Load(); served < runs {
+	if served := srv.tiers.reweightServed.Load(); served < runs {
 		t.Fatalf("only %d of %d measured requests took the frontier fast path", served, runs)
 	}
 	t.Logf("frontier-served request: %.0f allocs (budget %d)", avg, requestPathAllocBudget)

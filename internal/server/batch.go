@@ -1,18 +1,16 @@
 package server
 
 import (
-	"context"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"moqo"
-	"moqo/internal/core"
+	"moqo/internal/batchplan"
 )
 
 // maxBatchMembers bounds one batch; a workload larger than this should be
@@ -24,70 +22,17 @@ const maxBatchMembers = 1024
 // single-request limit because one batch carries many member specs.
 const maxBatchBody = 8 << 20
 
-// batchMember is one member's serving state: the resolved request (nil
-// Query when buildErr is set), its cache key, its tenant, and the
-// response slot. A failed member carries its wire error code (and, for
-// rate-limited admission, a retry hint) alongside buildErr.
-type batchMember struct {
-	idx      int
-	req      moqo.Request
-	key      string
-	ten      string
-	frontier bool // include the frontier in this member's response
-	cost     float64
-
-	buildErr     error
-	errCode      string
-	retryAfterMs int64
-
-	// turn and ticket order the member among those sharing its query
-	// object (handleOptimizeBatch).
-	turn   *queryTurn
-	ticket int
-}
-
-// queryTurn serializes the batch members that share one query object in
-// the order their tickets were issued. Members are claimed in schedule
-// order, so whoever holds ticket k-1 was claimed before the holder of k
-// and is being served: a waiter only ever waits on work in progress.
-type queryTurn struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	issued  int // tickets handed out while scheduling
-	serving int // the ticket whose turn it is
-}
-
-func newQueryTurn() *queryTurn {
-	qt := &queryTurn{}
-	qt.cond.L = &qt.mu
-	return qt
-}
-
-func (qt *queryTurn) wait(ticket int) {
-	qt.mu.Lock()
-	for qt.serving != ticket {
-		qt.cond.Wait()
-	}
-	qt.mu.Unlock()
-}
-
-func (qt *queryTurn) done() {
-	qt.mu.Lock()
-	qt.serving++
-	qt.mu.Unlock()
-	qt.cond.Broadcast()
-}
-
-// handleOptimizeBatch serves POST /optimize/batch: a workload of member
-// requests optimized against one shared catalog. The catalog is resolved
+// handleOptimizeBatch serves POST /optimize/batch: decode, N members
+// through the lifecycle /optimize sends one through, under one schedule.
+// What the members share is what makes it a batch: the catalog is resolved
 // once; distinct member query specs build one query object each, so
-// members of the same shape share one cardinality/selectivity warm-up;
-// all members publish solved subproblems to one batch-scoped shared memo
-// (moqo.SharedMemo) and are scheduled most-expensive-first
-// (core.PredictCost). Every member is served through the same two cache
-// tiers as /optimize — identical members coalesce to one dynamic program
-// and re-weights are answered from a sibling's frontier snapshot — and
-// every member's answer is bit-for-bit its standalone /optimize answer.
+// members of the same shape share one cardinality/selectivity warm-up; all
+// members publish solved subproblems to one batch-scoped shared memo
+// (moqo.SharedMemo); and they are served most-expensive-first
+// (internal/batchplan). The tiers do the rest — identical members coalesce
+// to one dynamic program and re-weights are answered from a sibling's
+// frontier snapshot — and every member's answer is bit-for-bit its
+// standalone /optimize answer.
 //
 // With "stream": true the response is NDJSON — one BatchMemberResponse
 // per line in completion order, flushed as members finish; otherwise one
@@ -104,19 +49,15 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 
 	// The header tenant is the default identity for every member; a
 	// member's tenant field overrides it (a gateway batching many
-	// tenants' traffic sets it per member). Member identities are
-	// resolved, counted and admitted per member in buildBatchMembers.
-	headerTen, terr := s.resolveTenant(r)
-	if terr != nil {
-		s.writeError(w, http.StatusBadRequest, terr)
+	// tenants' traffic sets it per member). Members are resolved, counted
+	// and admitted one by one, under their own identities.
+	headerTen, err := s.tenants.Resolve(r.Header.Get(TenantHeader))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
 	var wire BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !s.decode(w, r, maxBatchBody, &wire) {
 		return
 	}
 	if len(wire.Members) == 0 {
@@ -131,45 +72,31 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchMembers.Add(uint64(len(wire.Members)))
 
 	// One catalog for the whole batch: inline, or TPC-H at scale_factor.
-	var cat *moqo.Catalog
-	inline := wire.Catalog != nil
-	if inline {
-		c, err := buildCatalog(wire.Catalog)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		cat = c
-	} else {
-		sf := wire.ScaleFactor
-		if sf == 0 {
-			sf = 1
-		}
-		if sf < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("scale_factor must be positive"))
-			return
-		}
-		cat = s.tpchCatalog(sf)
+	cat, err := s.catalogFor(wire.Catalog, wire.ScaleFactor)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
 	}
 
 	ctx := r.Context()
 	// The FIFO unfairness baseline gates the whole batch in the global
 	// arrival-order queue (no-op under the fair policy, where only cold
-	// member DPs queue — per tenant, inside serving).
-	release, gerr := s.gateRequest(ctx, headerTen)
-	if gerr != nil {
-		s.writeServeError(w, r, gerr)
+	// member DPs queue — per tenant, inside the tiers).
+	release, err := s.gateRequest(ctx, headerTen)
+	if err != nil {
+		if fail := s.serveFailure(err); ctx.Err() == nil {
+			s.writeFailure(w, fail)
+		}
 		return
 	}
 	defer release()
-
-	members := s.buildBatchMembers(&wire, cat, inline, headerTen)
 
 	// Emit serialized: the streaming writer and the collecting slice are
 	// both single-writer under this mutex.
 	var (
 		emitMu  sync.Mutex
 		results []BatchMemberResponse
+		errs    int
 		flusher http.Flusher
 		enc     *json.Encoder
 	)
@@ -179,11 +106,14 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		flusher, _ = w.(http.Flusher)
 		enc = json.NewEncoder(w)
 	} else {
-		results = make([]BatchMemberResponse, len(members))
+		results = make([]BatchMemberResponse, len(wire.Members))
 	}
 	emit := func(resp BatchMemberResponse) {
 		emitMu.Lock()
 		defer emitMu.Unlock()
+		if resp.Error != "" {
+			errs++
+		}
 		if wire.Stream {
 			_ = enc.Encode(resp) // one JSON object per line
 			if flusher != nil {
@@ -193,127 +123,70 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		results[resp.Member] = resp
 	}
+	emitFailure := func(i int, f *failure) {
+		emit(BatchMemberResponse{
+			Member:       i,
+			Error:        fmt.Sprintf("member %d: %v", i, f.err),
+			ErrorCode:    f.code,
+			RetryAfterMs: f.retryAfter.Milliseconds(),
+		})
+	}
 
-	// Fail invalid and quota-rejected members immediately and
-	// independently; schedule the rest most-expensive-first so long
-	// dynamic programs start at once and cheap overlapping members find
-	// their subproblems pre-published.
-	var runnable []*batchMember
-	for i := range members {
-		m := &members[i]
-		if m.buildErr != nil {
-			s.errors.Add(1)
-			emit(BatchMemberResponse{
-				Member:       m.idx,
-				Error:        m.buildErr.Error(),
-				ErrorCode:    m.errCode,
-				RetryAfterMs: m.retryAfterMs,
-			})
+	// Resolve every member against the batch catalog. Invalid and
+	// quota-rejected members fail immediately and independently; the rest
+	// are scheduled.
+	shared := moqo.NewSharedMemo()
+	queries := make(map[string]*moqo.Query)
+	members := make([]member, len(wire.Members))
+	runnable := make([]int, 0, len(members)) // indices into members
+	for i := range wire.Members {
+		spec, m := &wire.Members[i], &members[i]
+		view := spec.asOptimizeRequest(wire.Catalog)
+		m.req.Shared = shared
+		if fail := s.resolve(m, &view, cmp.Or(spec.Tenant, headerTen), cat, queries); fail != nil {
+			emitFailure(i, fail)
 			continue
 		}
-		runnable = append(runnable, m)
-	}
-	sort.SliceStable(runnable, func(i, j int) bool { return runnable[i].cost > runnable[j].cost })
-
-	// Members sharing a query object must not optimize concurrently (its
-	// cardinality memo is written without locks; the first run warms it
-	// for the rest). They take turns in schedule order, not in whatever
-	// order their servers reach a lock: which member of a group runs the
-	// dynamic program and which ones reuse it (stats.reused_frontier,
-	// cached) is then the same on every run. Serving in turn also covers
-	// the re-weight and cache-hit paths, which are microseconds.
-	turns := make(map[*moqo.Query]*queryTurn)
-	for _, m := range runnable {
-		qt := turns[m.req.Query]
-		if qt == nil {
-			qt = newQueryTurn()
-			turns[m.req.Query] = qt
-		}
-		m.turn, m.ticket = qt, qt.issued
-		qt.issued++
+		runnable = append(runnable, i)
 	}
 
-	parallel := wire.Parallel
-	if parallel <= 0 {
-		parallel = s.opts.DefaultWorkers
-	}
-	if max := runtime.NumCPU(); parallel > max {
-		parallel = max
-	}
-	if parallel > len(runnable) {
-		parallel = len(runnable)
-	}
+	// Most-expensive-first, so long dynamic programs start at once and
+	// cheap overlapping members find their subproblems pre-published; one
+	// lane per query object, because members sharing one must not optimize
+	// concurrently (its cardinality memo is written without locks; the
+	// first run warms it for the rest). Serving a lane in schedule order
+	// also covers the re-weight and cache-hit paths, which are microseconds.
+	plan := batchplan.New(len(runnable),
+		func(k int) float64 { return members[runnable[k]].cost },
+		func(k int) *moqo.Query { return members[runnable[k]].req.Query })
+
+	parallel := min(s.clampWorkers(wire.Parallel), len(runnable))
 
 	// The batch fans out across members, so a member's own dynamic program
 	// gets its share of the cores, not all of them: the two levels of
 	// parallelism do not multiply into more runnable threads than the
 	// machine has, and a batch's latency does not hang on how many cores
-	// happen to be idle. Members of one query object serialize (above), so
-	// at most one member per distinct query is in flight.
-	share := workerShare(runtime.NumCPU(), min(parallel, len(turns)))
-	for _, m := range runnable {
-		m.req.Workers = min(m.req.Workers, share)
+	// happen to be idle. At most one member per lane is in flight.
+	share := workerShare(runtime.NumCPU(), min(parallel, plan.Lanes()))
+	for _, i := range runnable {
+		members[i].req.Workers = min(members[i].req.Workers, share)
 	}
 
-	// serve claims and serves members until none are left. The handler's
-	// own goroutine is one of the parallel servers: a batch with parallel 1
-	// spawns nothing, and otherwise the handler works instead of waiting.
-	var next atomic.Int64
-	serve := func() {
-		for {
-			n := int(next.Add(1) - 1)
-			if n >= len(runnable) {
-				return
-			}
-			m := runnable[n]
-			memberStart := time.Now()
-			// Per-member deadline budget: the member's wall budget starts
-			// when a worker picks it up, so scheduler queue wait inside
-			// serving consumes it and the DP gets exactly the remainder.
-			// A budget that dies while queued sheds that member alone.
-			mctx, cancel := context.WithDeadline(ctx, memberStart.Add(m.req.Timeout))
-			m.turn.wait(m.ticket)
-			resp, err := s.serveMember(mctx, m.req, m.key, m.ten, false)
-			m.turn.done()
-			cancel()
-			if err != nil {
-				s.errors.Add(1)
-				emit(BatchMemberResponse{Member: m.idx, Error: err.Error(), ErrorCode: classifyServeError(err)})
-				continue
-			}
-			if !m.frontier {
-				resp.Frontier = nil // field-level copy; cached value keeps its slice
-			}
-			ms := float64(time.Since(memberStart)) / float64(time.Millisecond)
-			s.recordLatency(ms)
-			s.tenants.RecordLatency(m.ten, ms)
-			emit(BatchMemberResponse{Member: m.idx, Result: &resp})
+	plan.Run(parallel, func(k int) {
+		i := runnable[k]
+		// The member's deadline budget starts when its turn comes.
+		resp, fail := s.serve(ctx, &members[i], time.Now(), false)
+		if fail != nil {
+			emitFailure(i, fail)
+			return
 		}
-	}
-	var wg sync.WaitGroup
-	for g := 1; g < parallel; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			serve()
-		}()
-	}
-	serve()
-	wg.Wait()
+		emit(BatchMemberResponse{Member: i, Result: &resp})
+	})
 
-	if ctx.Err() != nil && wire.Stream {
-		return // client gone mid-stream; nothing left to write
-	}
 	if wire.Stream {
 		return
 	}
-	errs := 0
-	for i := range results {
-		if results[i].Error != "" {
-			errs++
-		}
-	}
-	hits, _, published := s.batchMemo(members).Counters()
+	hits, _, published := shared.Counters()
 	s.writeJSON(w, http.StatusOK, BatchResponse{
 		Members: results,
 		Stats: BatchStatsResponse{
@@ -333,128 +206,4 @@ func workerShare(cpus, inFlight int) int {
 		return cpus
 	}
 	return max(1, cpus/inFlight)
-}
-
-// buildBatchMembers resolves every member spec against the batch catalog:
-// distinct query specs build one query object each (deduped, so members
-// of one shape share its cardinality memo), knobs parse exactly like
-// /optimize, and one fresh shared memo is attached to every valid member.
-// Each member resolves its own tenant (its tenant field, falling back to
-// the request header) and passes that tenant's admission checks before
-// it may run. Build and admission failures are per-member (buildErr plus
-// a wire error code), never batch-wide.
-func (s *Server) buildBatchMembers(wire *BatchRequest, cat *moqo.Catalog, inline bool, headerTen string) []batchMember {
-	shared := moqo.NewSharedMemo()
-	queries := make(map[string]*moqo.Query)
-	members := make([]batchMember, len(wire.Members))
-	for i := range wire.Members {
-		spec := &wire.Members[i]
-		m := &members[i]
-		m.idx = i
-		m.frontier = spec.Frontier
-
-		m.ten = headerTen
-		if spec.Tenant != "" {
-			ten, err := s.tenants.Resolve(spec.Tenant)
-			if err != nil {
-				m.buildErr = fmt.Errorf("member %d: %w", i, err)
-				m.errCode = CodeValidation
-				continue
-			}
-			m.ten = ten
-		}
-		s.tenants.CountRequest(m.ten)
-
-		q, err := s.buildMemberQuery(spec, cat, inline, queries)
-		if err != nil {
-			m.buildErr = fmt.Errorf("member %d: %w", i, err)
-			m.errCode = CodeValidation
-			continue
-		}
-		m.req.Query = q
-		view := spec.asOptimizeRequest()
-		if err := s.applyKnobs(&m.req, &view); err != nil {
-			m.buildErr = fmt.Errorf("member %d: %w", i, err)
-			m.errCode = CodeValidation
-			continue
-		}
-		m.req.Timeout = s.clampTimeout(spec.TimeoutMs)
-		m.req.Workers = s.clampWorkers(spec.Workers)
-		m.req.Shared = shared
-
-		// The cache key doubles as the member validator, exactly as on
-		// /optimize.
-		key, err := m.req.CacheKey()
-		if err != nil {
-			m.buildErr = fmt.Errorf("member %d: %w", i, err)
-			m.errCode = CodeValidation
-			continue
-		}
-		m.key = key
-		m.cost = core.PredictCost(len(q.Relations), len(m.req.Objectives), spec.Algorithm)
-
-		// Admission runs once the member is known valid, so a rejected
-		// member reports its quota problem, not a parsing one.
-		if d := s.tenants.Admit(m.ten, len(q.Relations), len(m.req.Objectives), spec.Algorithm); !d.OK {
-			m.buildErr = fmt.Errorf("member %d: %w", i, d.Err)
-			m.errCode = CodeAdmission
-			m.retryAfterMs = d.RetryAfter.Milliseconds()
-			continue
-		}
-	}
-	return members
-}
-
-// buildMemberQuery resolves one member's query against the batch catalog,
-// deduping identical specs to one query object.
-func (s *Server) buildMemberQuery(spec *BatchMemberRequest, cat *moqo.Catalog, inline bool, queries map[string]*moqo.Query) (*moqo.Query, error) {
-	switch {
-	case spec.TPCH != 0 && spec.Query != nil:
-		return nil, fmt.Errorf("tpch and query are mutually exclusive")
-	case spec.TPCH != 0:
-		if inline {
-			return nil, fmt.Errorf("tpch members require the TPC-H catalog (omit the batch catalog)")
-		}
-		key := fmt.Sprintf("t:%d", spec.TPCH)
-		if q, ok := queries[key]; ok {
-			return q, nil
-		}
-		q, err := moqo.TPCHQuery(spec.TPCH, cat)
-		if err != nil {
-			return nil, err
-		}
-		queries[key] = q
-		return q, nil
-	case spec.Query != nil:
-		// Struct marshaling is deterministic, so equal specs dedupe to one
-		// query object (and its warmed cardinality memo).
-		raw, err := json.Marshal(spec.Query)
-		if err != nil {
-			return nil, err
-		}
-		key := "q:" + string(raw)
-		if q, ok := queries[key]; ok {
-			return q, nil
-		}
-		q, err := buildQuery(spec.Query, cat)
-		if err != nil {
-			return nil, err
-		}
-		queries[key] = q
-		return q, nil
-	default:
-		return nil, fmt.Errorf("either tpch or query is required")
-	}
-}
-
-// batchMemo recovers the batch's shared memo from any valid member (they
-// all carry the same one); a batch of only invalid members gets an empty
-// memo for its stats.
-func (s *Server) batchMemo(members []batchMember) *moqo.SharedMemo {
-	for i := range members {
-		if members[i].req.Shared != nil {
-			return members[i].req.Shared
-		}
-	}
-	return moqo.NewSharedMemo()
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 )
 
@@ -102,10 +101,9 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Differential against a fresh server with no batch sharing. The
-	// inline-query member (4) has no standalone form — /optimize requires
-	// an inline catalog with an inline query — so the replay covers the
-	// TPC-H members; the library-level differential covers inline shapes.
+	// Differential against a fresh server with no batch sharing, over the
+	// TPC-H members; TestLifecycleEquivalence replays an inline query over
+	// the TPC-H catalog, and the library-level differential inline shapes.
 	solo := newTestServer(t, Options{})
 	for i := 0; i < 4; i++ {
 		st, one, sraw := post(t, solo, memberAsOptimize(t, i))
@@ -345,33 +343,5 @@ func TestBatchWorkerShare(t *testing.T) {
 		if c.inFlight > 0 && c.inFlight <= c.cpus && workerShare(c.cpus, c.inFlight)*c.inFlight > c.cpus {
 			t.Errorf("%d members x %d workers oversubscribe %d cores", c.inFlight, workerShare(c.cpus, c.inFlight), c.cpus)
 		}
-	}
-}
-
-// TestQueryTurnOrder: holders of a query's tickets are served one at a
-// time in ticket order, whatever order they arrive in (the appends below
-// are unsynchronized but for the turn: -race checks the exclusion).
-func TestQueryTurnOrder(t *testing.T) {
-	qt := newQueryTurn()
-	const n = 64
-	var order []int
-	var wg sync.WaitGroup
-	for k := n - 1; k >= 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			qt.wait(k)
-			order = append(order, k)
-			qt.done()
-		}()
-	}
-	wg.Wait()
-	for k, got := range order {
-		if got != k {
-			t.Fatalf("served %v, want tickets in order", order)
-		}
-	}
-	if len(order) != n {
-		t.Fatalf("served %d of %d", len(order), n)
 	}
 }

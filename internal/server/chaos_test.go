@@ -259,7 +259,7 @@ func TestChaosDeadDiskBreaker(t *testing.T) {
 			t.Fatalf("request %d failed on dead disk (%d): %s — must serve memory-only", i, status, raw)
 		}
 	}
-	if st := svc.disk.breaker.State(); st != fault.Open {
+	if st := svc.tiers.disk.breaker.State(); st != fault.Open {
 		t.Fatalf("breaker state %v after dead-disk traffic, want Open", st)
 	}
 
@@ -303,11 +303,11 @@ func TestChaosDeadDiskBreaker(t *testing.T) {
 	for {
 		sel := 0.8 + 0.01*float64(time.Now().UnixNano()%100) // distinct cold shapes force store traffic
 		post(t, ts, chainBody(6, sel, "rta", map[string]float64{"total_time": 1}))
-		if svc.disk.breaker.State() == fault.Closed {
+		if svc.tiers.disk.breaker.State() == fault.Closed {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker did not close after disk recovery: %+v", svc.disk.breaker.Stats())
+			t.Fatalf("breaker did not close after disk recovery: %+v", svc.tiers.disk.breaker.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -541,7 +541,7 @@ func TestChaosCloseUnderEvictionLoad(t *testing.T) {
 	}
 
 	// Close once evictions are flowing, and keep them flowing past it.
-	evictions := func() uint64 { return svc.frontier.Stats().Evictions }
+	evictions := func() uint64 { return svc.tiers.frontier.Stats().Evictions }
 	waitEvictions := func(n uint64) {
 		t.Helper()
 		waitFor(t, 10*time.Second, fmt.Sprintf("%d frontier-tier evictions", n),
@@ -551,14 +551,14 @@ func TestChaosCloseUnderEvictionLoad(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Errorf("close under eviction load: %v", err)
 	}
-	closed := svc.disk.Stats()
+	closed := svc.tiers.disk.Stats()
 	waitEvictions(evictions() + 8)
 	close(stop)
 	wg.Wait()
 	if err := svc.Close(); err != nil { // idempotent
 		t.Errorf("second close: %v", err)
 	}
-	if after := svc.disk.Stats(); after.Writes != closed.Writes || after.Bytes != closed.Bytes || after.Entries != closed.Entries {
+	if after := svc.tiers.disk.Stats(); after.Writes != closed.Writes || after.Bytes != closed.Bytes || after.Entries != closed.Entries {
 		t.Errorf("the closed store changed under evictions: %+v -> %+v", closed, after)
 	}
 }

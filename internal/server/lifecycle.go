@@ -1,0 +1,248 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"runtime"
+	"strconv"
+	"time"
+
+	"moqo"
+	"moqo/internal/core"
+	"moqo/internal/tenant"
+)
+
+// member is one request on its way through the lifecycle — a whole
+// /optimize, or one member of a batch: what resolve built from the wire
+// and serve needs to answer it.
+type member struct {
+	req      moqo.Request
+	key      string // the request's cache key
+	ten      string
+	frontier bool // include the frontier in the response
+	noCache  bool // bypass every tier
+	// cost is the predicted effort of the member's dynamic program
+	// (core.PredictCost under its resolved algorithm): what admission
+	// checked and what a batch schedules by.
+	cost float64
+}
+
+// failure is a member's classified error: the wire code a batch member
+// carries, the HTTP status /optimize answers with, and the admission or
+// shed reason and retry hint where there is one.
+type failure struct {
+	err        error
+	code       string
+	status     int
+	reason     string
+	retryAfter time.Duration
+}
+
+// resolve builds the member for one wire request, in this order so that a
+// bad member reports its parsing problem before its quota one: tenant →
+// catalog → query → knobs → clamp → CacheKey → admission. cat is the
+// batch's catalog (nil on /optimize, where the request names its own) and
+// queries dedupes a batch's query objects (nil on /optimize). A non-nil
+// failure means the member must not be served.
+func (s *Server) resolve(m *member, wire *OptimizeRequest, tenantName string, cat *moqo.Catalog, queries map[string]*moqo.Query) *failure {
+	err := s.build(m, wire, tenantName, cat, queries)
+	if err != nil {
+		s.errors.Add(1)
+		return &failure{err: err, code: CodeValidation, status: http.StatusBadRequest}
+	}
+	// Admission: the tenant's table ceiling, predicted-cost ceiling and
+	// request budget, checked before any optimization work — under the
+	// algorithm that will run, not the one the wire spelled ("" and "auto"
+	// with bounds are IRA).
+	tables, objectives := len(m.req.Query.Relations), len(m.req.Objectives)
+	alg := m.req.ResolvedAlgorithm().String()
+	m.cost = core.PredictCost(tables, objectives, alg)
+	if d := s.tenants.Admit(m.ten, tables, objectives, alg); !d.OK {
+		s.errors.Add(1)
+		return &failure{err: d.Err, code: CodeAdmission, status: http.StatusTooManyRequests, reason: d.Reason, retryAfter: d.RetryAfter}
+	}
+	return nil
+}
+
+// build is resolve up to the cache key; every error it returns is a
+// validation failure.
+func (s *Server) build(m *member, wire *OptimizeRequest, tenantName string, cat *moqo.Catalog, queries map[string]*moqo.Query) (err error) {
+	if m.ten, err = s.tenants.Resolve(tenantName); err != nil {
+		return err
+	}
+	s.tenants.CountRequest(m.ten)
+	m.frontier, m.noCache = wire.Frontier, wire.NoCache
+	if m.req.Query, err = s.memberQuery(wire, cat, queries); err != nil {
+		return err
+	}
+	if err = s.applyKnobs(&m.req, wire); err != nil {
+		return err
+	}
+	m.req.Timeout = s.clampTimeout(wire.TimeoutMs)
+	m.req.Workers = s.clampWorkers(wire.Workers)
+	// The cache key doubles as the request validator: anything it rejects
+	// could never produce a result.
+	m.key, err = m.req.CacheKey()
+	return err
+}
+
+// catalogFor resolves a request's — or a whole batch's — catalog: the
+// inline one, or TPC-H at the scale factor (default 1).
+func (s *Server) catalogFor(spec *CatalogSpec, sf float64) (*moqo.Catalog, error) {
+	if spec != nil {
+		return buildCatalog(spec)
+	}
+	if sf < 0 {
+		return nil, fmt.Errorf("scale_factor must be positive")
+	}
+	if sf == 0 {
+		sf = 1
+	}
+	return s.tpchCatalog(sf), nil
+}
+
+// memberQuery resolves the request's query — a TPC-H number or an inline
+// spec — against cat (nil: the request's own catalog). With a dedupe map,
+// identical specs resolve to one query object, so the members of one shape
+// share its cardinality memo.
+func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries map[string]*moqo.Query) (q *moqo.Query, err error) {
+	switch {
+	case wire.TPCH != 0 && (wire.Catalog != nil || wire.Query != nil):
+		return nil, fmt.Errorf("tpch and an inline catalog or query are mutually exclusive")
+	case wire.TPCH == 0 && wire.Query == nil:
+		return nil, fmt.Errorf("either tpch or query is required")
+	}
+	if cat == nil {
+		if cat, err = s.catalogFor(wire.Catalog, wire.ScaleFactor); err != nil {
+			return nil, err
+		}
+	}
+	var key string
+	if queries != nil {
+		if wire.TPCH != 0 {
+			key = "t:" + strconv.Itoa(wire.TPCH)
+		} else {
+			// Struct marshaling is deterministic, so equal specs dedupe to
+			// one query object (and its warmed cardinality memo).
+			raw, merr := json.Marshal(wire.Query)
+			if merr != nil {
+				return nil, merr
+			}
+			key = "q:" + string(raw)
+		}
+		if known, ok := queries[key]; ok {
+			return known, nil
+		}
+	}
+	if wire.TPCH != 0 {
+		q, err = moqo.TPCHQuery(wire.TPCH, cat)
+	} else {
+		q, err = buildQuery(wire.Query, cat)
+	}
+	if err == nil && queries != nil {
+		queries[key] = q
+	}
+	return q, err
+}
+
+// clampTimeout resolves a request's timeout_ms against the server limits.
+func (s *Server) clampTimeout(ms int64) time.Duration {
+	d := s.opts.DefaultTimeout
+	if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
+	}
+	return min(d, s.opts.MaxTimeout)
+}
+
+// clampWorkers resolves a request's workers knob (or a batch's parallel);
+// the cap keeps one request from oversubscribing the machine.
+func (s *Server) clampWorkers(workers int) int {
+	if workers <= 0 {
+		workers = s.opts.DefaultWorkers
+	}
+	return min(workers, runtime.NumCPU())
+}
+
+// serve answers a resolved member: deadline budget → tiers → strip
+// frontier → latency, or the failure's class.
+//
+// The member's wall budget starts at started — arrival for /optimize, its
+// turn in the schedule for a batch member — and is carried by the context,
+// so every wait downstream (the FIFO gate, the cold-DP scheduler queue)
+// consumes it, and the dynamic program, which folds the context deadline
+// into the §5.1 degrade path, gets exactly the remainder. A budget that
+// dies while still queued surfaces as DeadlineExceeded and is shed.
+//
+// gate says the member is a whole request, which passes the FIFO
+// baseline's arrival gate under its own budget; a batch passes it once for
+// all its members.
+func (s *Server) serve(ctx context.Context, m *member, started time.Time, gate bool) (OptimizeResponse, *failure) {
+	ctx, cancelBudget := context.WithDeadline(ctx, started.Add(m.req.Timeout))
+	defer cancelBudget()
+	if gate {
+		release, err := s.gateRequest(ctx, m.ten)
+		if err != nil {
+			return OptimizeResponse{}, s.serveFailure(err)
+		}
+		defer release()
+	}
+	resp, err := s.tiers.Serve(ctx, m.req, m.key, m.ten, m.noCache)
+	if err != nil {
+		return OptimizeResponse{}, s.serveFailure(err)
+	}
+	if !m.frontier {
+		resp.Frontier = nil // field-level copy; the cached value keeps its slice
+	}
+	ms := float64(time.Since(started)) / float64(time.Millisecond)
+	s.latMu.Lock()
+	s.latency.Record(ms)
+	s.latMu.Unlock()
+	s.tenants.RecordLatency(m.ten, ms)
+	return resp, nil
+}
+
+// serveFailure classifies — and counts — a failure after admission, at the
+// FIFO gate or in the tiers. Validation failures never reach it: resolve
+// rejects them.
+func (s *Server) serveFailure(err error) *failure {
+	s.errors.Add(1)
+	switch {
+	case errors.Is(err, tenant.ErrQueueFull):
+		// Load shed: the scheduler queue is at its bound.
+		s.shedOverload.Add(1)
+		return &failure{err: err, code: CodeOverload, status: http.StatusServiceUnavailable, reason: "queue_full", retryAfter: time.Second}
+	case errors.Is(err, moqo.ErrInternalPanic):
+		// A contained worker panic fails only this request (the pool
+		// survives — see internal/core); its text carries the stack, which
+		// stays off the wire.
+		s.panics.Add(1)
+		return &failure{err: errors.New("internal: optimization aborted by a contained panic"), code: CodeInternal, status: http.StatusInternalServerError}
+	case errors.Is(err, context.DeadlineExceeded):
+		// Load shed: the deadline budget died while the request was queued.
+		s.shedOverload.Add(1)
+		return &failure{err: err, code: CodeTimeout, status: http.StatusServiceUnavailable, reason: "budget_exhausted", retryAfter: time.Second}
+	case errors.Is(err, context.Canceled):
+		return &failure{err: err, code: CodeCanceled, status: http.StatusBadRequest}
+	default:
+		return &failure{err: err, code: CodeInternal, status: http.StatusBadRequest}
+	}
+}
+
+// writeFailure answers /optimize (or a batch shed at the gate) with a
+// member's failure: its status, a Retry-After header when waiting would
+// help (rate rejections and sheds), and the structured body.
+func (s *Server) writeFailure(w http.ResponseWriter, f *failure) {
+	resp := ErrorResponse{Error: f.err.Error(), Code: f.code, Reason: f.reason, RetryAfterMs: f.retryAfter.Milliseconds()}
+	if f.status == http.StatusServiceUnavailable {
+		// A request that never ran reports overload, not a timeout of work
+		// it never did; the reason says which way it was shed.
+		resp.Code = CodeOverload
+	}
+	if f.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(max(1, int64(f.retryAfter.Seconds()+0.999)), 10))
+	}
+	s.writeJSON(w, f.status, resp)
+}

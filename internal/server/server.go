@@ -1,63 +1,69 @@
 // Package server implements moqod's HTTP/JSON optimization service: the
 // multi-user, repeated-invocation setting of the paper's Cloud-provider
 // scenario (Trummer & Koch, SIGMOD 2014, Section 1), where one optimizer
-// serves many tenants that submit recurring query shapes under varying
+// serves many tenants that resubmit recurring query shapes under varying
 // weights and bounds.
-//
-// Four endpoints:
 //
 //	POST /optimize        — solve one MOQO problem (TPC-H shortcut or
 //	                        inline catalog/query; per-request algorithm,
 //	                        alpha, objectives, weights, bounds, workers
 //	                        and deadline)
 //	POST /optimize/batch  — solve a workload of problems over one shared
-//	                        catalog as a batch: one catalog resolution
-//	                        and per-shape cardinality warm-up, identical
-//	                        members coalesced to one dynamic program,
-//	                        re-weights answered from sibling frontiers,
-//	                        cross-query subproblem reuse through a
-//	                        batch-scoped shared memo, members scheduled
-//	                        most-expensive-first; optional NDJSON
-//	                        streaming of per-member results
-//	GET  /metrics         — JSON snapshot of request, latency and cache
-//	                        counters
-//	GET  /healthz         — liveness probe
+//	                        catalog; optional NDJSON streaming of
+//	                        per-member results
+//	GET  /metrics, /metrics/prometheus — request, latency, tier and
+//	                        per-tenant counters
+//	GET  /healthz, /readyz — liveness and readiness
 //
-// Requests are served through a two-tier plan cache (internal/cache):
+// Every request, single or batched, is one value with one lifecycle;
+// /optimize is a batch of one:
 //
-//   - An exact-result tier keyed by moqo.Request.CacheKey — a repeat of
-//     the identical request (weights and bounds included) is a lookup.
-//   - A frontier tier keyed by the weight/bound-free
-//     moqo.Request.FrontierKey, holding compact Pareto-frontier
-//     snapshots. A request that differs from a cached one only in
-//     weights or bounds — the paper's Figure 3 re-weighting scenario —
-//     is answered by a SelectBest scan over the snapshot in
-//     microseconds instead of a new dynamic program (EXA/RTA reuse the
-//     frontier outright; IRA seeds its refinement from it).
+//	decode → resolve → [schedule] → serve → tiers → encode
 //
-// Both tiers coalesce concurrent identical keys (single-flight), so a
-// burst of requests for one query shape — even under distinct weights —
-// runs the engine once. Cancellations propagate: a client disconnect
-// aborts the in-flight dynamic program via moqo.OptimizeContext, and
-// per-request deadlines degrade gracefully through the paper's timeout
-// path. Timed-out (degraded) results are never stored in either tier, so
-// every cached answer is a full-fidelity result.
+// Each arrow is a single function:
+//
+//   - decode (Server.decode): the size-limited, unknown-field-rejecting
+//     JSON decode of the body.
+//   - resolve (Server.resolve): wire request → member. Tenant, catalog,
+//     query, knobs, clamped timeout and workers, CacheKey, then admission
+//     under the resolved algorithm; fails with a classified failure
+//     (validation or admission).
+//   - schedule (batchplan.New/Run, batches only): members most-expensive-
+//     first, those sharing a query object taking turns in that order, on
+//     `parallel` claimers of which the handler is one — the same schedule
+//     moqo.OptimizeBatch runs the library's batches under.
+//   - serve (Server.serve): deadline budget, tiers, frontier stripping,
+//     latency; a failure is classified by Server.serveFailure, the one
+//     switch from a serve error to (wire code, HTTP status, reason).
+//   - tiers (tiers.Serve): the ladder exact plan cache (keyed by
+//     moqo.Request.CacheKey) → frontier tier (keyed by the weight/bound-free
+//     FrontierKey, so the paper's Figure 3 re-weighting scenario is a
+//     SelectBest scan over a snapshot, microseconds instead of a dynamic
+//     program) → disk store → cold dynamic program. Both memory tiers
+//     coalesce concurrent identical keys (single-flight), so a burst for
+//     one query shape, even under distinct weights, runs the engine once;
+//     only the cold dynamic program waits for a fair-scheduler slot.
+//   - encode (Server.writeJSON / writeFailure; a batch's emit): the
+//     response, or the failure's status line and structured body.
+//
+// Cancellations propagate: a client disconnect aborts the in-flight
+// dynamic program via moqo.OptimizeContext, and per-request deadlines
+// degrade gracefully through the paper's timeout path. Timed-out
+// (degraded) results are never stored in any tier, so every cached answer
+// is a full-fidelity result.
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"moqo"
-	"moqo/internal/cache"
 	"moqo/internal/fault"
 	"moqo/internal/tenant"
 )
@@ -177,17 +183,11 @@ func (o Options) withDefaults() Options {
 // safe for concurrent use.
 type Server struct {
 	opts  Options
-	cache *cache.Cache[OptimizeResponse] // nil when caching is disabled
-	// frontier is the snapshot tier, keyed by moqo.Request.FrontierKey
-	// (nil when disabled). It is consulted on exact-tier misses for
-	// algorithms with reusable frontiers; a hit serves the request by a
-	// SelectBest scan over the cached snapshot (moqo.ReoptimizeContext).
-	frontier *cache.Cache[frontierEntry]
-	// disk persists the frontier tier's snapshots across restarts (nil
-	// when disabled; every method is nil-safe): the store, its breaker and
-	// the snapshot codec are reachable only through it.
-	disk  *diskTier
 	start time.Time
+
+	// tiers answers resolved requests: plan cache → frontier tier → disk
+	// store → cold dynamic program.
+	tiers *tiers
 
 	// tenants resolves identities, enforces quotas and keeps per-tenant
 	// metrics; sched queues cold dynamic programs behind per-tenant
@@ -205,24 +205,16 @@ type Server struct {
 	batchMembers  atomic.Uint64
 	errors        atomic.Uint64
 	inFlight      atomic.Int64
-	// reweightServed counts requests answered from a cached frontier
-	// snapshot (hit or coalesced on the frontier tier) rather than a DP.
-	reweightServed atomic.Uint64
-	// snapshotBytes gauges the estimated bytes of snapshots currently in
-	// the frontier tier (adds on store, subtracts via the eviction hook).
-	snapshotBytes atomic.Int64
-	// shedOverload counts requests shed with 503 (queue bound hit, or
-	// deadline budget exhausted while queued).
+	// shedOverload counts requests and batch members shed (queue bound
+	// hit, or deadline budget exhausted while queued).
 	shedOverload atomic.Uint64
 	// panics counts contained panics — worker-pool panics surfaced as
 	// ErrInternalPanic and handler panics caught by the recover
-	// middleware. Each failed exactly one request.
+	// middleware. Each failed exactly one request or member.
 	panics atomic.Uint64
 
-	latMu      sync.Mutex
-	latencies  []float64 // ring buffer of recent /optimize latencies (ms)
-	latNext    int
-	latSamples int
+	latMu   sync.Mutex
+	latency tenant.Window // recent served latencies (ms), requests and members
 }
 
 // latencyWindow is the sliding-window size of the latency metrics.
@@ -245,11 +237,11 @@ func New(opts Options) *Server {
 func NewE(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:      opts,
-		start:     time.Now(),
-		catalogs:  make(map[float64]*moqo.Catalog),
-		latencies: make([]float64, latencyWindow),
-		tenants:   opts.Tenants,
+		opts:     opts,
+		start:    time.Now(),
+		catalogs: make(map[float64]*moqo.Catalog),
+		latency:  tenant.NewWindow(latencyWindow),
+		tenants:  opts.Tenants,
 	}
 	if s.tenants == nil {
 		s.tenants = tenant.NewRegistry(nil)
@@ -260,42 +252,11 @@ func NewE(opts Options) (*Server, error) {
 	}
 	s.sched = tenant.NewScheduler(opts.MaxColdDPs, policy)
 	s.sched.SetMaxQueue(opts.MaxQueueDepth)
-	if opts.CacheCapacity > 0 {
-		s.cache = cache.New[OptimizeResponse](opts.CacheCapacity, opts.CacheShards)
-		// Cache-partition accounting: each stored response carries the
-		// tenant whose request computed it, so its departure is charged
-		// back exactly (attribution only — keys and values are
-		// tenant-free, tenancy never changes what a lookup returns).
-		s.cache.OnEvict(func(_ string, v OptimizeResponse, reason cache.EvictReason) {
-			if v.tenant != "" {
-				s.tenants.CacheEvict(v.tenant, respSizeBytes(v), reason == cache.Evicted)
-			}
-		})
-		if opts.FrontierCacheCapacity > 0 {
-			s.frontier = cache.New[frontierEntry](opts.FrontierCacheCapacity, opts.CacheShards)
-			disk, err := openDiskTier(opts)
-			if err != nil {
-				return nil, err
-			}
-			s.disk = disk
-			s.frontier.OnEvict(func(key string, ent frontierEntry, reason cache.EvictReason) {
-				size := int64(ent.snap.SizeBytes())
-				s.snapshotBytes.Add(-size)
-				if ent.ten != "" {
-					s.tenants.CacheEvict(ent.ten, size, reason == cache.Evicted)
-				}
-				if reason == cache.Evicted {
-					// Touch, not rewrite: the store already holds the
-					// snapshot's bytes from its write-through, so all the disk
-					// tier needs to learn is that the shape was in use until
-					// now — hot shapes then do not age out of the disk budget
-					// while they sit in memory. A Replaced entry is superseded
-					// by a finer snapshot the caller writes through itself.
-					s.disk.Touch(key)
-				}
-			})
-		}
+	tiers, err := newTiers(opts, s.tenants, s.acquireCold)
+	if err != nil {
+		return nil, err
 	}
+	s.tiers = tiers
 	return s, nil
 }
 
@@ -304,7 +265,7 @@ func NewE(opts Options) (*Server, error) {
 // flight afterwards is answered from memory — its store reads miss, its
 // write-through fails and its eviction touch is a no-op. Safe on a
 // store-less server and more than once.
-func (s *Server) Close() error { return s.disk.Close() }
+func (s *Server) Close() error { return s.tiers.Close() }
 
 // Handler returns the service's HTTP handler. Every route runs inside
 // the panic-recovery middleware: a handler panic answers that one
@@ -367,7 +328,21 @@ func (s *Server) tpchCatalog(sf float64) *moqo.Catalog {
 	return cat
 }
 
-// handleOptimize serves POST /optimize.
+// decode reads the request's JSON body into v, bounded by limit and
+// rejecting unknown fields; on failure it answers 400 (413 past the limit)
+// and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		return false
+	}
+	return true
+}
+
+// handleOptimize serves POST /optimize: decode, one member through the
+// lifecycle, and the HTTP rendering of its answer or failure.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -378,258 +353,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer s.inFlight.Add(-1)
 	started := time.Now()
 
-	ten, terr := s.resolveTenant(r)
-	if terr != nil {
-		s.writeError(w, http.StatusBadRequest, terr)
-		return
-	}
-	s.tenants.CountRequest(ten)
-
 	var wire OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !s.decode(w, r, 1<<20, &wire) {
 		return
 	}
-
-	req, err := s.toMoqoRequest(&wire)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req.Timeout = s.clampTimeout(wire.TimeoutMs)
-	req.Workers = s.clampWorkers(wire.Workers)
-
-	// The cache key doubles as the request validator: anything it rejects
-	// could never produce a result.
-	key, err := req.CacheKey()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	// Admission: the tenant's table ceiling, predicted-cost ceiling and
-	// request budget, checked before any optimization work.
-	if d := s.tenants.Admit(ten, len(req.Query.Relations), len(req.Objectives), wire.Algorithm); !d.OK {
-		s.writeAdmissionError(w, d)
-		return
-	}
-
-	// Deadline budget: the request's wall budget starts at admission and
-	// is carried by the context, so every wait downstream — the FIFO
-	// gate, the cold-DP scheduler queue — consumes it. The dynamic
-	// program folds the context deadline into the §5.1 degrade path, so
-	// it gets exactly the remainder: queue time never silently eats
-	// compute time and then some. A budget that dies while still queued
-	// surfaces as DeadlineExceeded from Acquire and is shed with 503.
-	ctx, cancelBudget := context.WithDeadline(r.Context(), started.Add(req.Timeout))
-	defer cancelBudget()
-
-	release, gerr := s.gateRequest(ctx, ten) // FIFO baseline only; no-op under Fair
-	if gerr != nil {
-		s.writeServeError(w, r, gerr)
-		return
-	}
-	defer release()
-
-	resp, err := s.serveMember(ctx, req, key, ten, wire.NoCache)
-	if err != nil {
-		s.writeServeError(w, r, err)
-		return
-	}
-
-	if !wire.Frontier {
-		resp.Frontier = nil // field-level copy; the cached value keeps its slice
-	}
-	ms := float64(time.Since(started)) / float64(time.Millisecond)
-	s.recordLatency(ms)
-	s.tenants.RecordLatency(ten, ms)
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// serveMember serves one resolved request — a single /optimize or one
-// batch member — through the tiers: the exact tier's single-flight
-// (identical requests run one dynamic program), then the frontier tier
-// (re-weights are answered by a SelectBest scan), then the disk tier,
-// then a cold optimization. noCache (the request's no_cache) bypasses
-// all of them.
-func (s *Server) serveMember(ctx context.Context, req moqo.Request, key, ten string, noCache bool) (OptimizeResponse, error) {
-	if s.cache == nil || noCache {
-		resp, _, err := s.compute(ctx, req, ten)
-		return resp, err
-	}
-	resp, src, err := s.cache.Do(ctx, key, func(cctx context.Context) (OptimizeResponse, bool, error) {
-		resp, store, err := s.computeViaFrontier(cctx, req, ten)
-		if err == nil && store {
-			// Stamp and attribute a storable result to the computing
-			// tenant before the tier stores it, so the eviction hook can
-			// charge the departure back exactly. The stamp is an
-			// unexported field: it never serializes, and answers stay
-			// bit-for-bit tenant-independent.
-			resp.tenant = ten
-			s.tenants.CacheAdd(ten, respSizeBytes(resp))
+	var m member
+	fail := s.resolve(&m, &wire, r.Header.Get(TenantHeader), nil, nil)
+	if fail == nil {
+		var resp OptimizeResponse
+		if resp, fail = s.serve(r.Context(), &m, started, true); fail == nil {
+			s.writeJSON(w, http.StatusOK, resp)
+			return
 		}
-		return resp, store, err
-	})
-	if err != nil {
-		return OptimizeResponse{}, err
-	}
-	resp.Cached = src != cache.Miss
-	return resp, nil
-}
-
-// frontierEntry is one frontier-tier record: the snapshot plus its
-// response-form frontier, rendered once when the entry is stored. Every
-// re-weight answered from the snapshot shares the rendered slice (it is
-// weight-independent and never mutated — handlers strip the field on
-// their response copy), so the fast path does not rebuild O(frontier)
-// maps per request.
-type frontierEntry struct {
-	snap     *moqo.FrontierSnapshot
-	frontier []map[string]float64
-	// ten is the tenant whose request populated the entry — partition
-	// accounting only, never part of the key or the answer.
-	ten string
-}
-
-// newFrontierEntry builds the frontier-tier record for a snapshot about
-// to enter the tier and accounts its arrival (bytes gauge, tenant
-// attribution); the tier's eviction hook accounts the departure.
-func (s *Server) newFrontierEntry(sn *moqo.FrontierSnapshot, frontier []map[string]float64, ten string) frontierEntry {
-	size := int64(sn.SizeBytes())
-	s.snapshotBytes.Add(size)
-	s.tenants.CacheAdd(ten, size)
-	return frontierEntry{snap: sn, frontier: frontier, ten: ten}
-}
-
-// computeViaFrontier serves an exact-tier miss through the frontier
-// tier: if a snapshot for the request's weight/bound-free FrontierKey is
-// cached (or being computed by a concurrent request for the same shape
-// under different weights — the tier's single-flight coalesces them),
-// the request is answered by a SelectBest scan over the snapshot in
-// microseconds. Otherwise this caller runs the cold optimization, and
-// its snapshot populates the tier for every later re-weight.
-func (s *Server) computeViaFrontier(ctx context.Context, req moqo.Request, ten string) (OptimizeResponse, bool, error) {
-	if s.frontier == nil || !req.ReusableFrontier() {
-		return s.compute(ctx, req, ten)
-	}
-	fkey, err := req.FrontierKey()
-	if err != nil {
-		return OptimizeResponse{}, false, err
-	}
-	var lead *moqo.Result
-	ent, _, err := s.frontier.Do(ctx, fkey, func(cctx context.Context) (frontierEntry, bool, error) {
-		// Memory miss: consult the disk store before running a cold DP —
-		// the warm-restart fast path. A disk hit repopulates the memory
-		// tier and is served exactly like a memory hit below.
-		if sn := s.disk.Get(fkey); sn != nil {
-			return s.newFrontierEntry(sn, renderFrontier(sn.Objectives(), sn.FrontierVectors()), ten), true, nil
+		if r.Context().Err() != nil {
+			return // the client went away: counted, and nobody to answer
 		}
-		// Cold dynamic program: wait for a fair-scheduler slot. This is
-		// the only place tenancy can delay work — every cache, frontier
-		// and disk hit above bypasses the queue entirely.
-		release, aerr := s.acquireCold(cctx, ten)
-		if aerr != nil {
-			return frontierEntry{}, false, aerr
-		}
-		res, sn, cerr := moqo.OptimizeSnapshotContext(cctx, req)
-		release()
-		if cerr != nil {
-			return frontierEntry{}, false, cerr
-		}
-		lead = res
-		if sn == nil {
-			// Degraded runs return sn == nil and are stored in neither
-			// tier nor the disk store; the store flag keeps them out of
-			// this one.
-			return frontierEntry{}, false, nil
-		}
-		// Write through on DP completion: one appended record per cold DP,
-		// so a restart replays the tier from disk instead of re-running
-		// dynamic programs.
-		s.disk.Put(sn)
-		return s.newFrontierEntry(sn, renderFrontier(res.Objectives(), res.FrontierVectors()), ten), true, nil
-	})
-	if err != nil {
-		return OptimizeResponse{}, false, err
 	}
-	if lead != nil {
-		// This caller ran the cold DP (leader, or a retrier after a
-		// non-shareable outcome): answer from its own full result.
-		resp, rerr := toResponse(lead)
-		if rerr != nil {
-			return OptimizeResponse{}, false, rerr
-		}
-		return resp, !lead.Stats.TimedOut, nil
-	}
-	if ent.snap == nil {
-		return s.compute(ctx, req, ten)
-	}
-	res, newSnap, err := moqo.ReoptimizeContext(ctx, req, ent.snap)
-	if err != nil {
-		return OptimizeResponse{}, false, err
-	}
-	s.reweightServed.Add(1)
-	shared := ent.frontier
-	if newSnap != nil && newSnap != ent.snap {
-		// A seeded IRA refined past the cached snapshot: keep the finer
-		// frontier (Put's eviction hook releases the replaced one), and
-		// re-render the wire form the refined result implies. The store
-		// gets the finer snapshot too, superseding its seed on disk.
-		shared = renderFrontier(res.Objectives(), res.FrontierVectors())
-		s.frontier.Put(fkey, s.newFrontierEntry(newSnap, shared, ten))
-		s.disk.Put(newSnap)
-	}
-	resp, err := toResponseWithFrontier(res, shared)
-	if err != nil {
-		return OptimizeResponse{}, false, err
-	}
-	return resp, !res.Stats.TimedOut, nil
-}
-
-// compute runs one optimization and renders it; the bool reports whether
-// the response may be cached (degraded results may not). The run is a
-// cold dynamic program, so it waits for a fair-scheduler slot first.
-func (s *Server) compute(ctx context.Context, req moqo.Request, ten string) (OptimizeResponse, bool, error) {
-	release, aerr := s.acquireCold(ctx, ten)
-	if aerr != nil {
-		return OptimizeResponse{}, false, aerr
-	}
-	defer release()
-	res, err := moqo.OptimizeContext(ctx, req)
-	if err != nil {
-		return OptimizeResponse{}, false, err
-	}
-	resp, err := toResponse(res)
-	if err != nil {
-		return OptimizeResponse{}, false, err
-	}
-	return resp, !res.Stats.TimedOut, nil
-}
-
-// clampTimeout resolves a request's timeout_ms against the server limits.
-func (s *Server) clampTimeout(ms int64) time.Duration {
-	d := s.opts.DefaultTimeout
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d > s.opts.MaxTimeout {
-		d = s.opts.MaxTimeout
-	}
-	return d
-}
-
-// clampWorkers resolves a request's workers knob; the cap keeps one
-// request from oversubscribing the machine.
-func (s *Server) clampWorkers(workers int) int {
-	if workers <= 0 {
-		workers = s.opts.DefaultWorkers
-	}
-	if max := runtime.NumCPU(); workers > max {
-		workers = max
-	}
-	return workers
+	s.writeFailure(w, fail)
 }
 
 // handleMetrics serves GET /metrics.
@@ -656,35 +396,13 @@ func (s *Server) metricsSnapshot() MetricsResponse {
 			ShedOverload: s.shedOverload.Load(),
 			Panics:       s.panics.Load(),
 		},
-		FrontierStore: s.disk.Stats(),
-		Latency:       s.latencySnapshot(),
-		Tenants:       s.tenantMetrics(),
+		Tenants: s.tenantMetrics(),
 	}
-	if s.cache != nil {
-		m.Cache = cacheMetrics(s.cache.Stats())
-	}
-	if s.frontier != nil {
-		m.FrontierCache = FrontierCacheMetrics{
-			CacheMetrics:   cacheMetrics(s.frontier.Stats()),
-			ReweightServed: s.reweightServed.Load(),
-			SnapshotBytes:  s.snapshotBytes.Load(),
-		}
-	}
+	m.Cache, m.FrontierCache, m.FrontierStore = s.tiers.Metrics()
+	s.latMu.Lock()
+	m.Latency.Window, m.Latency.P50, m.Latency.P99 = s.latency.Quantiles()
+	s.latMu.Unlock()
 	return m
-}
-
-// cacheMetrics renders one enabled cache tier's counters.
-func cacheMetrics(st cache.Stats) CacheMetrics {
-	return CacheMetrics{
-		Enabled:   true,
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Coalesced: st.Coalesced,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-		Capacity:  st.Capacity,
-		HitRatio:  st.HitRatio(),
-	}
 }
 
 // tenantMetrics renders the per-tenant metrics section: registry
@@ -728,7 +446,7 @@ func (s *Server) healthSnapshot() HealthResponse {
 		Shed:       s.sched.Shed(),
 		InFlight:   s.inFlight.Load(),
 	}
-	if enabled, bst := s.disk.Breaker(); enabled {
+	if enabled, bst := s.tiers.disk.Breaker(); enabled {
 		h.Store, h.Breaker = "ok", bst
 		if bst != nil {
 			switch bst.State {
@@ -763,50 +481,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, code, h)
 }
 
-// recordLatency folds one served request into the sliding window.
-func (s *Server) recordLatency(ms float64) {
-	s.latMu.Lock()
-	s.latencies[s.latNext] = ms
-	s.latNext = (s.latNext + 1) % len(s.latencies)
-	if s.latSamples < len(s.latencies) {
-		s.latSamples++
-	}
-	s.latMu.Unlock()
-}
-
-// latencySnapshot computes p50/p99 over the window.
-func (s *Server) latencySnapshot() LatencyMetrics {
-	s.latMu.Lock()
-	window := make([]float64, s.latSamples)
-	copy(window, s.latencies[:s.latSamples])
-	s.latMu.Unlock()
-	if len(window) == 0 {
-		return LatencyMetrics{}
-	}
-	sort.Float64s(window)
-	return LatencyMetrics{
-		Window: len(window),
-		P50:    Percentile(window, 0.50),
-		P99:    Percentile(window, 0.99),
-	}
-}
-
 // Percentile reads the p-quantile from an ascending-sorted sample
-// (nearest-rank). Shared with benchmark/ and internal/bench's tenant and
-// chaos experiments, so /metrics and they agree on what a percentile means.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
+// (nearest-rank): tenant.Percentile, under the name benchmark/ and
+// internal/bench import.
+func Percentile(sorted []float64, p float64) float64 { return tenant.Percentile(sorted, p) }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"moqo"
 	"moqo/internal/tenant"
 )
 
@@ -405,22 +406,32 @@ func TestBatchMemberErrorCodes(t *testing.T) {
 	}
 }
 
-// TestServeErrorClassification pins the serve-time error-code mapping
-// (build-time failures never reach it, so only deadline, cancellation
-// and internal classes exist).
+// TestServeErrorClassification pins the serve-time mapping from an error
+// to its wire code, HTTP status and reason (resolve-time failures never
+// reach it, so only shed, cancellation and internal classes exist), and
+// that classifying counts: every failure is an error, sheds and contained
+// panics additionally their own counters.
 func TestServeErrorClassification(t *testing.T) {
 	cases := []struct {
-		err  error
-		want string
+		err    error
+		code   string
+		status int
+		reason string
 	}{
-		{fmt.Errorf("wrapped: %w", context.DeadlineExceeded), CodeTimeout},
-		{fmt.Errorf("wrapped: %w", context.Canceled), CodeCanceled},
-		{fmt.Errorf("exploded"), CodeInternal},
+		{fmt.Errorf("wrapped: %w", tenant.ErrQueueFull), CodeOverload, http.StatusServiceUnavailable, "queue_full"},
+		{fmt.Errorf("wrapped: %w", context.DeadlineExceeded), CodeTimeout, http.StatusServiceUnavailable, "budget_exhausted"},
+		{fmt.Errorf("wrapped: %w", moqo.ErrInternalPanic), CodeInternal, http.StatusInternalServerError, ""},
+		{fmt.Errorf("wrapped: %w", context.Canceled), CodeCanceled, http.StatusBadRequest, ""},
+		{fmt.Errorf("exploded"), CodeInternal, http.StatusBadRequest, ""},
 	}
+	svc := New(Options{})
 	for _, c := range cases {
-		if got := classifyServeError(c.err); got != c.want {
-			t.Errorf("classifyServeError(%v) = %q, want %q", c.err, got, c.want)
+		if f := svc.serveFailure(c.err); f.code != c.code || f.status != c.status || f.reason != c.reason {
+			t.Errorf("serveFailure(%v) = (%q, %d, %q), want (%q, %d, %q)", c.err, f.code, f.status, f.reason, c.code, c.status, c.reason)
 		}
+	}
+	if e, shed, p := svc.errors.Load(), svc.shedOverload.Load(), svc.panics.Load(); e != 5 || shed != 2 || p != 1 {
+		t.Errorf("counted errors=%d shed=%d panics=%d, want 5, 2, 1", e, shed, p)
 	}
 }
 

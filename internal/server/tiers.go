@@ -1,0 +1,270 @@
+package server
+
+import (
+	"context"
+	"sync/atomic"
+
+	"moqo"
+	"moqo/internal/cache"
+	"moqo/internal/tenant"
+)
+
+// tiers is the ladder every resolved request walks — exact plan cache →
+// frontier tier → disk store → cold dynamic program — the same for every
+// weight vector because the Pareto frontier never looks at weights (paper
+// §3). It owns both memory caches, the disk tier, their eviction hooks and
+// the tier counters; the one thing it asks of its owner is a cold-DP slot.
+type tiers struct {
+	// exact is keyed by moqo.Request.CacheKey (nil when caching is
+	// disabled): a repeat of the identical request is a lookup.
+	exact *cache.Cache[OptimizeResponse]
+	// frontier is the snapshot tier, keyed by moqo.Request.FrontierKey
+	// (nil when disabled). It is consulted on exact-tier misses for
+	// algorithms with reusable frontiers; a hit serves the request by a
+	// SelectBest scan over the cached snapshot (moqo.ReoptimizeContext).
+	frontier *cache.Cache[frontierEntry]
+	// disk persists the frontier tier's snapshots across restarts (nil
+	// when disabled; every method is nil-safe): the store, its breaker and
+	// the snapshot codec are reachable only through it.
+	disk *diskTier
+
+	// tenants attributes cached bytes to the tenant whose request
+	// populated them — accounting only, never part of a key or an answer.
+	tenants *tenant.Registry
+	// acquire waits for a cold-DP slot for the tenant; the returned release
+	// must be called when the dynamic program finishes. This is the only
+	// place tenancy can delay work: every cache, frontier and disk hit
+	// bypasses it entirely.
+	acquire func(ctx context.Context, ten string) (release func(), err error)
+
+	// reweightServed counts requests answered from a cached frontier
+	// snapshot (hit or coalesced on the frontier tier) rather than a DP.
+	reweightServed atomic.Uint64
+	// snapshotBytes gauges the estimated bytes of snapshots currently in
+	// the frontier tier (adds on store, subtracts via the eviction hook).
+	snapshotBytes atomic.Int64
+}
+
+// newTiers builds the tiers opts enables, opening the disk store when
+// Options.StorePath is set.
+func newTiers(opts Options, tenants *tenant.Registry, acquire func(context.Context, string) (func(), error)) (*tiers, error) {
+	t := &tiers{tenants: tenants, acquire: acquire}
+	if opts.CacheCapacity <= 0 {
+		return t, nil
+	}
+	t.exact = cache.New[OptimizeResponse](opts.CacheCapacity, opts.CacheShards)
+	// Cache-partition accounting: each stored response carries the
+	// tenant whose request computed it, so its departure is charged
+	// back exactly (attribution only — keys and values are
+	// tenant-free, tenancy never changes what a lookup returns).
+	t.exact.OnEvict(func(_ string, v OptimizeResponse, reason cache.EvictReason) {
+		if v.tenant != "" {
+			tenants.CacheEvict(v.tenant, respSizeBytes(v), reason == cache.Evicted)
+		}
+	})
+	if opts.FrontierCacheCapacity <= 0 {
+		return t, nil
+	}
+	t.frontier = cache.New[frontierEntry](opts.FrontierCacheCapacity, opts.CacheShards)
+	disk, err := openDiskTier(opts)
+	if err != nil {
+		return nil, err
+	}
+	t.disk = disk
+	t.frontier.OnEvict(func(key string, ent frontierEntry, reason cache.EvictReason) {
+		size := int64(ent.snap.SizeBytes())
+		t.snapshotBytes.Add(-size)
+		if ent.ten != "" {
+			tenants.CacheEvict(ent.ten, size, reason == cache.Evicted)
+		}
+		if reason == cache.Evicted {
+			// Touch, not rewrite: the store already holds the
+			// snapshot's bytes from its write-through, so all the disk
+			// tier needs to learn is that the shape was in use until
+			// now — hot shapes then do not age out of the disk budget
+			// while they sit in memory. A Replaced entry is superseded
+			// by a finer snapshot the caller writes through itself.
+			t.disk.Touch(key)
+		}
+	})
+	return t, nil
+}
+
+// Close syncs and closes the disk store; safe without one and more than once.
+func (t *tiers) Close() error { return t.disk.Close() }
+
+// Metrics snapshots each tier's counters (all-zero for a disabled tier).
+func (t *tiers) Metrics() (exact CacheMetrics, frontier FrontierCacheMetrics, disk FrontierStoreMetrics) {
+	if t.exact != nil {
+		exact = cacheMetrics(t.exact.Stats())
+	}
+	if t.frontier != nil {
+		frontier = FrontierCacheMetrics{
+			CacheMetrics:   cacheMetrics(t.frontier.Stats()),
+			ReweightServed: t.reweightServed.Load(),
+			SnapshotBytes:  t.snapshotBytes.Load(),
+		}
+	}
+	return exact, frontier, t.disk.Stats()
+}
+
+// cacheMetrics renders one enabled cache tier's counters.
+func cacheMetrics(st cache.Stats) CacheMetrics {
+	return CacheMetrics{
+		Enabled:   true,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Coalesced: st.Coalesced,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Capacity:  st.Capacity,
+		HitRatio:  st.HitRatio(),
+	}
+}
+
+// Serve answers one resolved request — a single /optimize or one batch
+// member — from the exact tier, whose single-flight makes identical
+// requests run one dynamic program; a miss goes down the ladder. noCache
+// (the request's no_cache) bypasses every tier.
+func (t *tiers) Serve(ctx context.Context, req moqo.Request, key, ten string, noCache bool) (OptimizeResponse, error) {
+	if t.exact == nil || noCache {
+		resp, _, err := t.serveCold(ctx, req, ten)
+		return resp, err
+	}
+	resp, src, err := t.exact.Do(ctx, key, func(cctx context.Context) (OptimizeResponse, bool, error) {
+		resp, store, err := t.serveFrontier(cctx, req, ten)
+		if err == nil && store {
+			// Stamp and attribute a storable result to the computing
+			// tenant before the tier stores it, so the eviction hook can
+			// charge the departure back exactly. The stamp is an
+			// unexported field: it never serializes, and answers stay
+			// bit-for-bit tenant-independent.
+			resp.tenant = ten
+			t.tenants.CacheAdd(ten, respSizeBytes(resp))
+		}
+		return resp, store, err
+	})
+	if err != nil {
+		return OptimizeResponse{}, err
+	}
+	resp.Cached = src != cache.Miss
+	return resp, nil
+}
+
+// frontierEntry is one frontier-tier record: the snapshot plus its
+// response-form frontier, rendered once when the entry is stored. Every
+// re-weight answered from the snapshot shares the rendered slice (it is
+// weight-independent and never mutated — serve strips the field on its
+// response copy), so the fast path does not rebuild O(frontier) maps per
+// request.
+type frontierEntry struct {
+	snap     *moqo.FrontierSnapshot
+	frontier []map[string]float64
+	// ten is the tenant whose request populated the entry — partition
+	// accounting only, never part of the key or the answer.
+	ten string
+}
+
+// newFrontierEntry builds the frontier-tier record for a snapshot about
+// to enter the tier and accounts its arrival (bytes gauge, tenant
+// attribution); the tier's eviction hook accounts the departure.
+func (t *tiers) newFrontierEntry(sn *moqo.FrontierSnapshot, frontier []map[string]float64, ten string) frontierEntry {
+	size := int64(sn.SizeBytes())
+	t.snapshotBytes.Add(size)
+	t.tenants.CacheAdd(ten, size)
+	return frontierEntry{snap: sn, frontier: frontier, ten: ten}
+}
+
+// serveFrontier serves an exact-tier miss through the frontier tier: if a
+// snapshot for the request's weight/bound-free FrontierKey is cached (or
+// being computed by a concurrent request for the same shape under
+// different weights — the tier's single-flight coalesces them), the
+// request is answered by a SelectBest scan over the snapshot in
+// microseconds. Otherwise this caller fills the tier, and its snapshot
+// serves every later re-weight. The bool reports whether the response may
+// be cached (degraded results may not).
+func (t *tiers) serveFrontier(ctx context.Context, req moqo.Request, ten string) (OptimizeResponse, bool, error) {
+	if t.frontier == nil || !req.ReusableFrontier() {
+		return t.serveCold(ctx, req, ten)
+	}
+	fkey, err := req.FrontierKey()
+	if err != nil {
+		return OptimizeResponse{}, false, err
+	}
+	var lead *moqo.Result
+	ent, _, err := t.frontier.Do(ctx, fkey, func(cctx context.Context) (frontierEntry, bool, error) {
+		filled, res, err := t.fillFrontier(cctx, req, fkey, ten)
+		lead = res
+		return filled, filled.snap != nil, err
+	})
+	if err != nil {
+		return OptimizeResponse{}, false, err
+	}
+	if lead != nil {
+		// This caller ran the cold DP (leader, or a retrier after a
+		// non-shareable outcome): answer from its own full result.
+		resp, rerr := toResponse(lead)
+		return resp, !lead.Stats.TimedOut, rerr
+	}
+	if ent.snap == nil {
+		return t.serveCold(ctx, req, ten)
+	}
+	res, newSnap, err := moqo.ReoptimizeContext(ctx, req, ent.snap)
+	if err != nil {
+		return OptimizeResponse{}, false, err
+	}
+	t.reweightServed.Add(1)
+	shared := ent.frontier
+	if newSnap != nil && newSnap != ent.snap {
+		// A seeded IRA refined past the cached snapshot: keep the finer
+		// frontier (Put's eviction hook releases the replaced one), and
+		// re-render the wire form the refined result implies. The store
+		// gets the finer snapshot too, superseding its seed on disk.
+		shared = renderFrontier(res.Objectives(), res.FrontierVectors())
+		t.frontier.Put(fkey, t.newFrontierEntry(newSnap, shared, ten))
+		t.disk.Put(newSnap)
+	}
+	resp, err := toResponseWithFrontier(res, shared)
+	return resp, !res.Stats.TimedOut, err
+}
+
+// fillFrontier produces the frontier-tier entry for a memory miss: from
+// the disk store if it holds the shape — the warm-restart fast path, served
+// exactly like a memory hit — and otherwise by the cold dynamic program,
+// whose result it hands back as lead. A degraded run yields no snapshot
+// and an empty entry, which is stored in neither tier nor on disk.
+func (t *tiers) fillFrontier(ctx context.Context, req moqo.Request, fkey, ten string) (ent frontierEntry, lead *moqo.Result, err error) {
+	if sn := t.disk.Get(fkey); sn != nil {
+		return t.newFrontierEntry(sn, renderFrontier(sn.Objectives(), sn.FrontierVectors()), ten), nil, nil
+	}
+	release, err := t.acquire(ctx, ten)
+	if err != nil {
+		return frontierEntry{}, nil, err
+	}
+	res, sn, err := moqo.OptimizeSnapshotContext(ctx, req)
+	release()
+	if err != nil || sn == nil {
+		return frontierEntry{}, res, err
+	}
+	// Write through on DP completion: one appended record per cold DP,
+	// so a restart replays the tier from disk instead of re-running
+	// dynamic programs.
+	t.disk.Put(sn)
+	return t.newFrontierEntry(sn, renderFrontier(res.Objectives(), res.FrontierVectors()), ten), res, nil
+}
+
+// serveCold runs one optimization, under a cold-DP slot, and renders it;
+// the bool reports whether the response may be cached.
+func (t *tiers) serveCold(ctx context.Context, req moqo.Request, ten string) (OptimizeResponse, bool, error) {
+	release, err := t.acquire(ctx, ten)
+	if err != nil {
+		return OptimizeResponse{}, false, err
+	}
+	defer release()
+	res, err := moqo.OptimizeContext(ctx, req)
+	if err != nil {
+		return OptimizeResponse{}, false, err
+	}
+	resp, err := toResponse(res)
+	return resp, !res.Stats.TimedOut, err
+}

@@ -9,9 +9,9 @@ import (
 	"moqo/internal/fault"
 )
 
-// OptimizeRequest is the JSON body of POST /optimize. The query comes
-// either as a TPC-H shortcut (tpch + scale_factor) or as an inline
-// catalog + query pair; exactly one of the two forms is required.
+// OptimizeRequest is the JSON body of POST /optimize — a batch of one: the
+// query comes either as a TPC-H shortcut (tpch) or inline (query), against
+// the inline catalog or, without one, TPC-H at scale_factor.
 type OptimizeRequest struct {
 	// TPCH selects TPC-H query 1-22 against the scale_factor catalog.
 	TPCH        int     `json:"tpch,omitempty"`
@@ -137,7 +137,7 @@ type BatchMemberResponse struct {
 	// member), admission (the member tenant's quota rejected it), timeout,
 	// canceled, or internal. Empty when Result is set.
 	ErrorCode string `json:"error_code,omitempty"`
-	// RetryAfterMs accompanies rate-limited admission rejections.
+	// RetryAfterMs accompanies rate-limited admission rejections and sheds.
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
 
@@ -267,12 +267,15 @@ type StatsResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	// Code is the machine-readable failure class (CodeValidation,
-	// CodeAdmission, ...); empty on legacy paths that predate codes.
+	// CodeAdmission, ...); empty for failures ahead of the lifecycle (wrong
+	// method, undecodable body).
 	Code string `json:"code,omitempty"`
-	// Reason refines an admission rejection (rate, tables, cost).
+	// Reason refines an admission rejection (rate, tables, cost) or a shed
+	// (queue_full, budget_exhausted).
 	Reason string `json:"reason,omitempty"`
 	// RetryAfterMs hints when a rate-rejected tenant will have budget
-	// again (mirrors the Retry-After header, at millisecond precision).
+	// again, or a shed request may retry (mirrors the Retry-After header,
+	// at millisecond precision).
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
 
@@ -576,53 +579,9 @@ func buildQuery(spec *QuerySpec, cat *moqo.Catalog) (*moqo.Query, error) {
 	return q, nil
 }
 
-// toMoqoRequest turns a validated wire request into a moqo.Request. The
-// timeout and workers knobs are resolved by the caller (they depend on
-// server options).
-func (s *Server) toMoqoRequest(wire *OptimizeRequest) (moqo.Request, error) {
-	var req moqo.Request
-
-	switch {
-	case wire.TPCH != 0 && (wire.Catalog != nil || wire.Query != nil):
-		return req, fmt.Errorf("tpch and inline catalog/query are mutually exclusive")
-	case wire.TPCH != 0:
-		sf := wire.ScaleFactor
-		if sf == 0 {
-			sf = 1
-		}
-		if sf < 0 {
-			return req, fmt.Errorf("scale_factor must be positive")
-		}
-		cat := s.tpchCatalog(sf)
-		q, err := moqo.TPCHQuery(wire.TPCH, cat)
-		if err != nil {
-			return req, err
-		}
-		req.Query = q
-	case wire.Catalog != nil && wire.Query != nil:
-		cat, err := buildCatalog(wire.Catalog)
-		if err != nil {
-			return req, err
-		}
-		q, err := buildQuery(wire.Query, cat)
-		if err != nil {
-			return req, err
-		}
-		req.Query = q
-	default:
-		return req, fmt.Errorf("either tpch or both catalog and query are required")
-	}
-
-	if err := s.applyKnobs(&req, wire); err != nil {
-		return req, err
-	}
-	return req, nil
-}
-
 // applyKnobs resolves the wire request's algorithm/objective knobs onto a
-// moqo.Request whose query is already set — shared between /optimize
-// requests and /optimize/batch members (which carry the same fields minus
-// the catalog).
+// moqo.Request whose query is already set. The timeout and workers knobs
+// are resolved by the caller (they are clamped, not parsed).
 func (s *Server) applyKnobs(req *moqo.Request, wire *OptimizeRequest) error {
 	if wire.Algorithm != "" {
 		alg, err := moqo.ParseAlgorithm(wire.Algorithm)
@@ -660,10 +619,13 @@ func (s *Server) applyKnobs(req *moqo.Request, wire *OptimizeRequest) error {
 }
 
 // asOptimizeRequest views a batch member as the equivalent standalone
-// wire request (catalog fields unset) so applyKnobs treats members and
-// /optimize requests identically.
-func (m *BatchMemberRequest) asOptimizeRequest() OptimizeRequest {
+// wire request over the batch's inline catalog (nil: TPC-H), so resolve
+// treats members and /optimize requests identically.
+func (m *BatchMemberRequest) asOptimizeRequest(catalog *CatalogSpec) OptimizeRequest {
 	return OptimizeRequest{
+		TPCH:        m.TPCH,
+		Catalog:     catalog,
+		Query:       m.Query,
 		Algorithm:   m.Algorithm,
 		Alpha:       m.Alpha,
 		Objectives:  m.Objectives,
@@ -697,8 +659,8 @@ func renderFrontier(objs []moqo.Objective, vecs []moqo.CostVector) []map[string]
 }
 
 // toResponse renders an optimization result on the wire. The frontier is
-// always rendered; the handler strips it when the request did not ask for
-// it, so cached entries can serve both shapes.
+// always rendered; serve strips it when the request did not ask for it, so
+// cached entries can serve both shapes.
 func toResponse(res *moqo.Result) (OptimizeResponse, error) {
 	return toResponseWithFrontier(res, renderFrontier(res.Objectives(), res.FrontierVectors()))
 }

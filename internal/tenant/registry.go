@@ -83,12 +83,10 @@ type state struct {
 	cacheEntries   int64
 	cacheEvictions uint64
 
-	latencies  []float64 // ring buffer of served-request latencies (ms)
-	latNext    int
-	latSamples int
+	latency Window // served-request latencies (ms)
 }
 
-// tenantLatencyWindow is the per-tenant latency ring size — smaller than
+// tenantLatencyWindow is the per-tenant latency window size — smaller than
 // the server-wide window, since there may be hundreds of tenants.
 const tenantLatencyWindow = 256
 
@@ -169,10 +167,10 @@ func (r *Registry) stateFor(name string) *state {
 		return r.stateFor(Anonymous)
 	}
 	st := &state{
-		name:      name,
-		quota:     r.cfg.quotaFor(name),
-		rejected:  make(map[string]uint64),
-		latencies: make([]float64, tenantLatencyWindow),
+		name:     name,
+		quota:    r.cfg.quotaFor(name),
+		rejected: make(map[string]uint64),
+		latency:  NewWindow(tenantLatencyWindow),
 	}
 	st.bucket = newBucket(st.quota, r.now())
 	r.states[name] = st
@@ -228,16 +226,11 @@ func (r *Registry) Admit(name string, tables, objectives int, algorithm string) 
 	return Decision{OK: true}
 }
 
-// RecordLatency folds one served request into the tenant's latency ring.
+// RecordLatency folds one served request into the tenant's latency window.
 func (r *Registry) RecordLatency(name string, ms float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.stateFor(name)
-	st.latencies[st.latNext] = ms
-	st.latNext = (st.latNext + 1) % len(st.latencies)
-	if st.latSamples < len(st.latencies) {
-		st.latSamples++
-	}
+	r.stateFor(name).latency.Record(ms)
 }
 
 // CacheAdd attributes a newly cached entry of the given size to the
@@ -296,36 +289,13 @@ func (r *Registry) Snapshots() []Snapshot {
 			CacheBytes:     st.cacheBytes,
 			CacheEntries:   st.cacheEntries,
 			CacheEvictions: st.cacheEvictions,
-			LatencyWindow:  st.latSamples,
 		}
 		for reason, n := range st.rejected {
 			snap.Rejected[reason] = n
 		}
-		if st.latSamples > 0 {
-			window := make([]float64, st.latSamples)
-			copy(window, st.latencies[:st.latSamples])
-			sort.Float64s(window)
-			snap.LatencyP50Ms = percentile(window, 0.50)
-			snap.LatencyP99Ms = percentile(window, 0.99)
-		}
+		snap.LatencyWindow, snap.LatencyP50Ms, snap.LatencyP99Ms = st.latency.Quantiles()
 		out = append(out, snap)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// percentile reads the p-quantile from an ascending-sorted sample
-// (nearest-rank, matching internal/server.Percentile).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -247,14 +247,6 @@ type Request struct {
 	// unbounded requests, AlgoIRA when bounds are present. Any other
 	// value — including an explicit AlgoEXA — is honored as-is.
 	Algorithm Algorithm
-	// HasAlgorithm is retained for backward compatibility: explicitly
-	// set algorithms are now always honored (the zero value of Algorithm
-	// is AlgoAuto rather than AlgoEXA), and the one legacy combination —
-	// HasAlgorithm true with Algorithm left at the old zero value —
-	// still forces AlgoEXA as it did before.
-	//
-	// Deprecated: just set Algorithm.
-	HasAlgorithm bool
 
 	// Objectives to optimize (required: at least one). Weights on
 	// objectives outside this set are rejected.
@@ -373,8 +365,7 @@ func Optimize(req Request) (*Result, error) {
 
 // resolve validates the request and resolves the documented defaults: the
 // active objective set, dense weights and bounds, the algorithm that will
-// actually run (AlgoAuto and the legacy HasAlgorithm combination resolved),
-// and the effective alpha. Both OptimizeContext and CacheKey build on it,
+// actually run (AlgoAuto resolved), and the effective alpha. Both OptimizeContext and CacheKey build on it,
 // so a cache key always reflects the run that would happen.
 func (req Request) resolve() (objs objective.Set, w objective.Weights, b objective.Bounds, alg Algorithm, alpha float64, err error) {
 	if req.Query == nil {
@@ -409,15 +400,9 @@ func (req Request) resolve() (objs objective.Set, w objective.Weights, b objecti
 
 	alg = req.Algorithm
 	if alg == AlgoAuto {
-		switch {
-		case req.HasAlgorithm:
-			// Legacy callers marked the old zero value (EXA) explicit
-			// with HasAlgorithm; keep honoring that combination.
-			alg = AlgoEXA
-		case b.Unbounded(objs):
+		alg = AlgoIRA
+		if b.Unbounded(objs) {
 			alg = AlgoRTA
-		default:
-			alg = AlgoIRA
 		}
 	}
 	for o := range req.Precisions {

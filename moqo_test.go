@@ -82,8 +82,8 @@ func TestOptimizeDefaultsToRTAOrIRA(t *testing.T) {
 
 // TestAlgorithmDefaultingRule documents and pins the defaulting rule: the
 // zero value of Request.Algorithm is AlgoAuto (RTA unbounded, IRA
-// bounded), and any explicitly set algorithm — including AlgoEXA, without
-// HasAlgorithm — runs as requested. Result.Algorithm reports what ran.
+// bounded), and any explicitly set algorithm — including AlgoEXA — runs
+// as requested. Result.Algorithm reports what ran.
 func TestAlgorithmDefaultingRule(t *testing.T) {
 	cat := smallCatalog(t)
 	q, _ := moqo.TPCHQuery(12, cat)
@@ -110,24 +110,14 @@ func TestAlgorithmDefaultingRule(t *testing.T) {
 		t.Errorf("auto bounded resolved to %v, want ira", res.Algorithm)
 	}
 
-	// The historical footgun: an explicit AlgoEXA without HasAlgorithm
-	// used to be silently overridden by the default; it must run EXA.
+	// The historical footgun: an explicit AlgoEXA used to be silently
+	// overridden by the default; it must run EXA.
 	res, err = moqo.Optimize(moqo.Request{Query: q, Algorithm: moqo.AlgoEXA, Objectives: objs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Algorithm != moqo.AlgoEXA {
 		t.Errorf("explicit EXA resolved to %v", res.Algorithm)
-	}
-
-	// Legacy combination: HasAlgorithm with Algorithm left at the old
-	// zero value (EXA) still forces EXA.
-	res, err = moqo.Optimize(moqo.Request{Query: q, HasAlgorithm: true, Objectives: objs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Algorithm != moqo.AlgoEXA {
-		t.Errorf("legacy HasAlgorithm zero value resolved to %v, want exa", res.Algorithm)
 	}
 
 	// Parse round-trip for the auto marker.
@@ -178,11 +168,10 @@ func TestOptimizeEXAExplicit(t *testing.T) {
 	cat := smallCatalog(t)
 	q, _ := moqo.TPCHQuery(14, cat)
 	res, err := moqo.Optimize(moqo.Request{
-		Query:        q,
-		Algorithm:    moqo.AlgoEXA,
-		HasAlgorithm: true,
-		Objectives:   []moqo.Objective{moqo.TotalTime, moqo.Energy},
-		Weights:      map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.Energy: 1},
+		Query:      q,
+		Algorithm:  moqo.AlgoEXA,
+		Objectives: []moqo.Objective{moqo.TotalTime, moqo.Energy},
+		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.Energy: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +253,9 @@ func TestOptimizeValidation(t *testing.T) {
 			Objectives: []moqo.Objective{moqo.TotalTime},
 		},
 		"unknown algorithm": {
-			Query:        q,
-			Algorithm:    moqo.Algorithm(42),
-			HasAlgorithm: true,
-			Objectives:   []moqo.Objective{moqo.TotalTime},
+			Query:      q,
+			Algorithm:  moqo.Algorithm(42),
+			Objectives: []moqo.Objective{moqo.TotalTime},
 		},
 	}
 	for name, req := range cases {
@@ -282,12 +270,11 @@ func TestOptimizeTimeout(t *testing.T) {
 	q, _ := moqo.TPCHQuery(8, cat)
 	start := time.Now()
 	res, err := moqo.Optimize(moqo.Request{
-		Query:        q,
-		Algorithm:    moqo.AlgoEXA,
-		HasAlgorithm: true,
-		Objectives:   moqo.AllObjectives(),
-		Weights:      map[moqo.Objective]float64{moqo.TotalTime: 1},
-		Timeout:      200 * time.Millisecond,
+		Query:      q,
+		Algorithm:  moqo.AlgoEXA,
+		Objectives: moqo.AllObjectives(),
+		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1},
+		Timeout:    200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,11 +356,10 @@ func TestPerObjectivePrecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact, err := moqo.Optimize(moqo.Request{
-		Query:        q,
-		Algorithm:    moqo.AlgoEXA,
-		HasAlgorithm: true,
-		Objectives:   []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint},
-		Weights:      map[moqo.Objective]float64{moqo.TotalTime: 1},
+		Query:      q,
+		Algorithm:  moqo.AlgoEXA,
+		Objectives: []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint},
+		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -393,11 +379,10 @@ func TestPerObjectivePrecisions(t *testing.T) {
 		t.Error("precision on inactive objective accepted")
 	}
 	if _, err := moqo.Optimize(moqo.Request{
-		Query:        q,
-		Algorithm:    moqo.AlgoEXA,
-		HasAlgorithm: true,
-		Objectives:   []moqo.Objective{moqo.TotalTime},
-		Precisions:   map[moqo.Objective]float64{moqo.TotalTime: 2},
+		Query:      q,
+		Algorithm:  moqo.AlgoEXA,
+		Objectives: []moqo.Objective{moqo.TotalTime},
+		Precisions: map[moqo.Objective]float64{moqo.TotalTime: 2},
 	}); err == nil {
 		t.Error("precisions with EXA accepted")
 	}

@@ -132,17 +132,26 @@ func UnmarshalFrontierSnapshot(data []byte) (*FrontierSnapshot, error) {
 	return &FrontierSnapshot{core: cs, key: key, alg: alg}, nil
 }
 
+// ResolvedAlgorithm reports the algorithm the request will actually run —
+// AlgoAuto resolved to RTA or IRA, what "|alg=" in its CacheKey says — so
+// callers that cost or route a request (admission, batch scheduling, the
+// frontier tier) agree with the run that would happen. AlgoAuto for
+// invalid requests.
+func (req Request) ResolvedAlgorithm() Algorithm {
+	_, _, _, alg, _, err := req.resolve()
+	if err != nil {
+		return AlgoAuto
+	}
+	return alg
+}
+
 // ReusableFrontier reports whether the request's resolved algorithm
 // produces a reusable frontier (EXA, RTA) or can seed from one (IRA) —
 // the gate the moqod service applies before routing a request through
 // the frontier tier. False for invalid requests and for the
 // single-objective baselines.
 func (req Request) ReusableFrontier() bool {
-	_, _, _, alg, _, err := req.resolve()
-	if err != nil {
-		return false
-	}
-	switch alg {
+	switch req.ResolvedAlgorithm() {
 	case AlgoEXA, AlgoRTA, AlgoIRA:
 		return true
 	}
