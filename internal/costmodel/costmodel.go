@@ -310,24 +310,24 @@ func (t *JoinTerms) ApplyTo(v, cl, cr *objective.Vector) {
 	case plan.HashJoin:
 		buildTime := t.buildCPU * t.cpuMs
 
-		v[objective.TotalTime] = math.Max(cl[objective.TotalTime], cr[objective.TotalTime]+buildTime) + t.probeTime + t.startup
-		v[objective.StartupTime] = math.Max(cl[objective.StartupTime], cr[objective.TotalTime]+buildTime) + t.startup
+		v[objective.TotalTime] = max(cl[objective.TotalTime], cr[objective.TotalTime]+buildTime) + t.probeTime + t.startup
+		v[objective.StartupTime] = max(cl[objective.StartupTime], cr[objective.TotalTime]+buildTime) + t.startup
 		v[objective.IOLoad] = cl[objective.IOLoad] + cr[objective.IOLoad] + t.ownIO
 		v[objective.CPULoad] = cl[objective.CPULoad] + cr[objective.CPULoad] + t.work*t.coord
-		v[objective.Cores] = math.Max(t.d, cl[objective.Cores]+cr[objective.Cores])
+		v[objective.Cores] = max(t.d, cl[objective.Cores]+cr[objective.Cores])
 		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint] + t.disk
 		v[objective.BufferFootprint] = cl[objective.BufferFootprint] + cr[objective.BufferFootprint] + t.bufR
 		v[objective.Energy] = cl[objective.Energy] + cr[objective.Energy] + t.energy
 
 	case plan.SortMergeJoin:
 		mergeTime := t.outCPU * t.cpuMs
-		sortedBy := math.Max(cl[objective.TotalTime]+t.sortLTime, cr[objective.TotalTime]+t.sortRTime)
+		sortedBy := max(cl[objective.TotalTime]+t.sortLTime, cr[objective.TotalTime]+t.sortRTime)
 
 		v[objective.TotalTime] = sortedBy + mergeTime + t.startup
 		v[objective.StartupTime] = sortedBy + t.startup
 		v[objective.IOLoad] = cl[objective.IOLoad] + cr[objective.IOLoad] + t.ownIO
 		v[objective.CPULoad] = cl[objective.CPULoad] + cr[objective.CPULoad] + t.work*t.coord
-		v[objective.Cores] = math.Max(t.d, cl[objective.Cores]+cr[objective.Cores])
+		v[objective.Cores] = max(t.d, cl[objective.Cores]+cr[objective.Cores])
 		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint] + t.disk
 		v[objective.BufferFootprint] = cl[objective.BufferFootprint] + cr[objective.BufferFootprint] +
 			t.bufL + t.bufR
@@ -340,9 +340,9 @@ func (t *JoinTerms) ApplyTo(v, cl, cr *objective.Vector) {
 		v[objective.StartupTime] = cl[objective.StartupTime] + cr[objective.StartupTime] + t.startup
 		v[objective.IOLoad] = cl[objective.IOLoad] + t.blocks*cr[objective.IOLoad]
 		v[objective.CPULoad] = cl[objective.CPULoad] + t.blocks*cr[objective.CPULoad] + t.work*t.coord
-		v[objective.Cores] = math.Max(t.d, math.Max(cl[objective.Cores], cr[objective.Cores]))
+		v[objective.Cores] = max(t.d, max(cl[objective.Cores], cr[objective.Cores]))
 		v[objective.DiskFootprint] = cl[objective.DiskFootprint] + cr[objective.DiskFootprint]
-		v[objective.BufferFootprint] = math.Max(cl[objective.BufferFootprint], cr[objective.BufferFootprint]) +
+		v[objective.BufferFootprint] = max(cl[objective.BufferFootprint], cr[objective.BufferFootprint]) +
 			t.bufR
 		v[objective.Energy] = cl[objective.Energy] + t.blocks*cr[objective.Energy] + t.energy
 	}
@@ -424,7 +424,7 @@ func (t *IndexNLTerms) ApplyTo(v, cl *objective.Vector) {
 		t.lookupWork*t.cpuMs + t.startup
 	v[objective.IOLoad] = cl[objective.IOLoad] + t.lRows*t.pagesPerLookup
 	v[objective.CPULoad] = cl[objective.CPULoad] + t.lookupCPU
-	v[objective.Cores] = math.Max(1, cl[objective.Cores])
+	v[objective.Cores] = max(1, cl[objective.Cores])
 	v[objective.DiskFootprint] = cl[objective.DiskFootprint]
 	v[objective.BufferFootprint] = cl[objective.BufferFootprint] + t.buf
 	v[objective.Energy] = cl[objective.Energy] + t.energy

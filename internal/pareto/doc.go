@@ -16,7 +16,15 @@
 //     *plan.Node trees. Insert is allocation-free after warm-up — the
 //     active-objective ids and per-objective pruning precisions are
 //     resolved once per run into the shared FlatConfig — and dominance
-//     checks walk contiguous cost rows instead of chasing pointers.
+//     checks walk contiguous cost rows instead of chasing pointers. Most
+//     inserts do not walk at all: the archive remembers the row that last
+//     rejected a candidate and tests it first (the engine offers a table
+//     set's candidates in runs of near-copies, and approximate dominance
+//     lets one coarse row reject the whole run — nine inserts in ten end
+//     there). A miss scans with a branch-free kernel at two to four
+//     active objectives and an early-exit loop above (kernels.go).
+//     Rejection is existential and changes no state but a counter, so
+//     the hint never shows in an archive's contents, order or counters.
 //   - Archive is the tree-backed representation the seed ran on, kept as
 //     the oracle and nothing else: the package's differential tests drive
 //     both with identical random cost streams and require identical

@@ -22,10 +22,10 @@ type FlatConfig struct {
 	prec   *objective.Precision
 
 	// kind dispatches Insert to a width-specialized dominance kernel
-	// (see kernels.go); o0..o5 are ids resolved to plain ints for the
-	// two- through six-wide kernels.
-	kind                   kernelKind
-	o0, o1, o2, o3, o4, o5 int
+	// (see kernels.go); o0..o3 are ids resolved to plain ints for the
+	// two- through four-wide kernels.
+	kind           kernelKind
+	o0, o1, o2, o3 int
 }
 
 // resolve fills the kernel-dispatch fields from ids; called by both
@@ -39,11 +39,30 @@ func (c *FlatConfig) resolve() {
 		c.o0, c.o1, c.o2 = int(c.ids[0]), int(c.ids[1]), int(c.ids[2])
 	case kernel4:
 		c.o0, c.o1, c.o2, c.o3 = int(c.ids[0]), int(c.ids[1]), int(c.ids[2]), int(c.ids[3])
-	case kernel5:
-		c.o0, c.o1, c.o2, c.o3, c.o4 = int(c.ids[0]), int(c.ids[1]), int(c.ids[2]), int(c.ids[3]), int(c.ids[4])
-	case kernel6:
-		c.o0, c.o1, c.o2, c.o3, c.o4, c.o5 = int(c.ids[0]), int(c.ids[1]), int(c.ids[2]), int(c.ids[3]), int(c.ids[4]), int(c.ids[5])
 	}
+}
+
+// thresholds writes the rejection thresholds of candidate v into t:
+// t[k] = v[ids[k]] * alphas[k], the right-hand side of "stored row r
+// approximately dominates v" (r[ids[k]] <= t[k] for every k).
+func (c *FlatConfig) thresholds(v *objective.Vector, t *[stride]float64) {
+	for k, o := range c.ids {
+		t[k] = v[o] * c.alphas[k]
+	}
+}
+
+// rowRejects reports whether one stored row approximately dominates
+// candidate v — the test of the hinted row. It forms the same products as
+// thresholds one at a time and leaves at the first objective that fails, so
+// the nine inserts in ten that the hint answers build no threshold array
+// (cold_w1 ops_per_s 147 -> 157).
+func (c *FlatConfig) rowRejects(row []float64, v *objective.Vector) bool {
+	for k, o := range c.ids {
+		if row[o] > v[o]*c.alphas[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // NewFlatConfig builds the shared configuration for scalar-alpha pruning
@@ -110,6 +129,13 @@ type FlatArchive struct {
 	// inserted and rejected count Insert outcomes for the experiment
 	// harness ("number of considered plans").
 	inserted, rejected, evicted int
+
+	// hint is the offset into costs of the row that last rejected a
+	// candidate; InsertRow tests it before scanning. Eviction compaction
+	// may leave it past the end (hence the bounds check) or on another row
+	// — still a stored row, so a hit is still a valid witness. The zero
+	// value names row 0. hintRejected counts the hits.
+	hint, hintRejected int
 }
 
 // NewFlat creates an empty flat archive sharing the run's configuration.
@@ -121,10 +147,14 @@ func NewFlat(cfg *FlatConfig) *FlatArchive { return &FlatArchive{cfg: cfg} }
 // new vector (exactly) dominates are evicted and the candidate is stored.
 // Returns whether the candidate was stored.
 //
-// The scans dispatch to a width-specialized, branch-reduced kernel picked
-// once per configuration (kernels.go); every path computes the exact same
-// comparisons as insertGeneric, so results and counters are bit-identical
-// regardless of the kernel taken.
+// The candidate is first tested against the hinted row alone — consecutive
+// candidates of one table set are near-copies, so the row that rejected the
+// last one rejects most of the next — and only a miss scans. Rejection is
+// existential and changes nothing but the rejected counter, so which stored
+// row witnesses it is unobservable. The scans dispatch to a width-
+// specialized kernel picked once per configuration (kernels.go); every path
+// computes the exact same comparisons as insertGeneric, so results and
+// counters are bit-identical regardless of the path taken.
 func (a *FlatArchive) Insert(c objective.Vector, e plan.Entry) bool {
 	return a.InsertRow(&c, e)
 }
@@ -135,39 +165,15 @@ func (a *FlatArchive) Insert(c objective.Vector, e plan.Entry) bool {
 // vector of the worker's scratch this way.
 func (a *FlatArchive) InsertRow(c *objective.Vector, e plan.Entry) bool {
 	cfg := a.cfg
-	var rejected bool
-	switch cfg.kind {
-	case kernel2:
-		rejected = anyRowLeq2(a.costs, cfg.o0, cfg.o1,
-			c[cfg.o0]*cfg.alphas[0], c[cfg.o1]*cfg.alphas[1])
-	case kernel3:
-		rejected = anyRowLeq3(a.costs, cfg.o0, cfg.o1, cfg.o2,
-			c[cfg.o0]*cfg.alphas[0], c[cfg.o1]*cfg.alphas[1], c[cfg.o2]*cfg.alphas[2])
-	case kernel4:
-		rejected = anyRowLeq4(a.costs, cfg.o0, cfg.o1, cfg.o2, cfg.o3,
-			c[cfg.o0]*cfg.alphas[0], c[cfg.o1]*cfg.alphas[1], c[cfg.o2]*cfg.alphas[2], c[cfg.o3]*cfg.alphas[3])
-	case kernel5:
-		rejected = anyRowLeq5(a.costs, cfg.o0, cfg.o1, cfg.o2, cfg.o3, cfg.o4,
-			c[cfg.o0]*cfg.alphas[0], c[cfg.o1]*cfg.alphas[1], c[cfg.o2]*cfg.alphas[2],
-			c[cfg.o3]*cfg.alphas[3], c[cfg.o4]*cfg.alphas[4])
-	case kernel6:
-		rejected = anyRowLeq6(a.costs, cfg.o0, cfg.o1, cfg.o2, cfg.o3, cfg.o4, cfg.o5,
-			c[cfg.o0]*cfg.alphas[0], c[cfg.o1]*cfg.alphas[1], c[cfg.o2]*cfg.alphas[2],
-			c[cfg.o3]*cfg.alphas[3], c[cfg.o4]*cfg.alphas[4], c[cfg.o5]*cfg.alphas[5])
-	case kernelFull:
-		var t [stride]float64
-		for o := 0; o < stride; o++ {
-			t[o] = c[o] * cfg.alphas[o]
-		}
-		rejected = anyRowLeqFull(a.costs, &t)
-	default:
-		var t [stride]float64
-		for k, o := range cfg.ids {
-			t[k] = c[o] * cfg.alphas[k]
-		}
-		rejected = anyRowLeqGeneric(a.costs, cfg.ids, &t)
+	if h := a.hint; h < len(a.costs) && cfg.rowRejects(a.costs[h:h+stride], c) {
+		a.rejected++
+		a.hintRejected++
+		return false
 	}
-	if rejected {
+	var t [stride]float64
+	cfg.thresholds(c, &t)
+	if r := a.rejectingRow(&t); r >= 0 {
+		a.hint = r
 		a.rejected++
 		return false
 	}
@@ -178,14 +184,6 @@ func (a *FlatArchive) InsertRow(c *objective.Vector, e plan.Entry) bool {
 		a.evict3(cfg.o0, cfg.o1, cfg.o2, c[cfg.o0], c[cfg.o1], c[cfg.o2])
 	case kernel4:
 		a.evict4(cfg.o0, cfg.o1, cfg.o2, cfg.o3, c[cfg.o0], c[cfg.o1], c[cfg.o2], c[cfg.o3])
-	case kernel5:
-		a.evict5(cfg.o0, cfg.o1, cfg.o2, cfg.o3, cfg.o4,
-			c[cfg.o0], c[cfg.o1], c[cfg.o2], c[cfg.o3], c[cfg.o4])
-	case kernel6:
-		a.evict6(cfg.o0, cfg.o1, cfg.o2, cfg.o3, cfg.o4, cfg.o5,
-			c[cfg.o0], c[cfg.o1], c[cfg.o2], c[cfg.o3], c[cfg.o4], c[cfg.o5])
-	case kernelFull:
-		a.evictFull(c)
 	default:
 		a.evictGeneric(cfg.ids, c)
 	}
@@ -195,15 +193,29 @@ func (a *FlatArchive) InsertRow(c *objective.Vector, e plan.Entry) bool {
 	return true
 }
 
+// rejectingRow is the hint-free rejection scan InsertRow runs after a hint
+// miss: the offset of the first stored row within thresholds t on every
+// active objective, or -1.
+func (a *FlatArchive) rejectingRow(t *[stride]float64) int {
+	cfg := a.cfg
+	switch cfg.kind {
+	case kernel2:
+		return anyRowLeq2(a.costs, cfg.o0, cfg.o1, t[0], t[1])
+	case kernel3:
+		return anyRowLeq3(a.costs, cfg.o0, cfg.o1, cfg.o2, t[0], t[1], t[2])
+	case kernel4:
+		return anyRowLeq4(a.costs, cfg.o0, cfg.o1, cfg.o2, cfg.o3, t[0], t[1], t[2], t[3])
+	}
+	return anyRowLeqGeneric(a.costs, cfg.ids, t)
+}
+
 // insertGeneric is Insert restricted to the original early-exit scalar
-// loops, regardless of the configured kernel — the differential oracle the
-// specialized paths are tested against.
+// loops, regardless of the configured kernel, and with no hint — the
+// differential oracle the hinted and specialized paths are tested against.
 func (a *FlatArchive) insertGeneric(c objective.Vector, e plan.Entry) bool {
 	var t [stride]float64
-	for k, o := range a.cfg.ids {
-		t[k] = c[o] * a.cfg.alphas[k]
-	}
-	if anyRowLeqGeneric(a.costs, a.cfg.ids, &t) {
+	a.cfg.thresholds(&c, &t)
+	if anyRowLeqGeneric(a.costs, a.cfg.ids, &t) >= 0 {
 		a.rejected++
 		return false
 	}
@@ -238,6 +250,10 @@ func (a *FlatArchive) CostRow(i int32) *objective.Vector {
 func (a *FlatArchive) Stats() (inserted, rejected, evicted int) {
 	return a.inserted, a.rejected, a.evicted
 }
+
+// HintRejected returns how many of the rejected candidates the hinted row
+// answered without a scan.
+func (a *FlatArchive) HintRejected() int { return a.hintRejected }
 
 // Frontier returns the cost vectors of the stored plans.
 func (a *FlatArchive) Frontier() []objective.Vector {
@@ -338,11 +354,12 @@ func (a *FlatArchive) SelectBest(w objective.Weights, b objective.Bounds) int32 
 	return SelectBestRows(a.costs, w, b, a.cfg.objs)
 }
 
-// Reset empties the archive, keeping the backing arrays (and counters at
-// zero) for reuse — the warm-up discipline of the zero-allocation
-// benchmarks, and the engine's per-worker scratch reuse.
+// Reset empties the archive, keeping the backing arrays (and counters and
+// hint at zero) for reuse — the warm-up discipline of the zero-allocation
+// tests and benchmarks. The engine never resets an archive.
 func (a *FlatArchive) Reset() {
 	a.costs = a.costs[:0]
 	a.entries = a.entries[:0]
 	a.inserted, a.rejected, a.evicted = 0, 0, 0
+	a.hint, a.hintRejected = 0, 0
 }

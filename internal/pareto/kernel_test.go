@@ -2,6 +2,7 @@ package pareto
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 )
 
 // kernelObjSets spans every Insert dispatch path: the two- through
-// six-wide specialized kernels, the generic path (7 active objectives),
-// and the full nine-objective kernel.
+// four-wide specialized kernels and the generic path at every wider
+// workload width (5, 6, 7 and all nine objectives).
 var kernelObjSets = []struct {
 	name string
 	objs objective.Set
@@ -31,8 +32,8 @@ var kernelObjSets = []struct {
 // TestKernelDispatch pins the kernel each objective width resolves to.
 func TestKernelDispatch(t *testing.T) {
 	want := map[string]kernelKind{
-		"w2": kernel2, "w3": kernel3, "w4": kernel4, "w5": kernel5,
-		"w6": kernel6, "w7": kernelGeneric, "w9": kernelFull,
+		"w2": kernel2, "w3": kernel3, "w4": kernel4, "w5": kernelGeneric,
+		"w6": kernelGeneric, "w7": kernelGeneric, "w9": kernelGeneric,
 	}
 	for _, tc := range kernelObjSets {
 		if got := NewFlatConfig(tc.objs, 1.2).kind; got != want[tc.name] {
@@ -94,50 +95,90 @@ func kernelStream(objs objective.Set, n int) []objective.Vector {
 }
 
 // BenchmarkDominanceKernel measures the rejection scan alone — the archive
-// is frozen at a fixed size and every probe is approximately dominated, so
-// the scan runs to a hit (or the full archive) with no mutation. Sweeps the
-// specialized widths and the generic path across archive sizes.
+// is frozen at a fixed size and the probe is approximately dominated by the
+// middle row only, so the scan runs halfway with no mutation. It calls
+// rejectingRow, the scan InsertRow runs after a hint miss: through Insert the
+// one probe would be a hint hit on every iteration but the first, and the
+// benchmark would time no scan at all. Sweeps the specialized widths and the
+// generic path across archive sizes.
 func BenchmarkDominanceKernel(b *testing.B) {
 	for _, tc := range kernelObjSets {
 		for _, size := range []int{16, 64, 256} {
 			b.Run(fmt.Sprintf("%s/n=%d", tc.name, size), func(b *testing.B) {
 				cfg := NewFlatConfig(tc.objs, 1.2)
 				a := NewFlat(cfg)
-				// Mutually non-dominating rows: row i trades objective ids[0]
-				// against the rest, so the archive stays exactly size long.
+				// Rows no other row approximately dominates: row i trades
+				// objective ids[0] against the rest by a factor of two per
+				// row (> alpha), so the archive stays exactly size long.
 				ids := tc.objs.IDs()
-				for i := 0; i < size; i++ {
-					var v objective.Vector
+				row := func(i int) (v objective.Vector) {
 					for k, o := range ids {
 						if k == 0 {
-							v[o] = float64(1 + i)
+							v[o] = math.Ldexp(1, i)
 						} else {
-							v[o] = float64(1 + size - i)
+							v[o] = math.Ldexp(1, size-i)
 						}
 					}
-					a.Insert(v, plan.Entry{Op: int32(i)})
+					return v
+				}
+				for i := 0; i < size; i++ {
+					a.Insert(row(i), plan.Entry{Op: int32(i)})
 				}
 				if a.Len() != size {
 					b.Fatalf("archive size %d, want %d", a.Len(), size)
 				}
-				// A probe dominated by the middle row: the scan hits halfway.
-				var probe objective.Vector
-				for k, o := range ids {
-					if k == 0 {
-						probe[o] = float64(1 + size/2)
-					} else {
-						probe[o] = float64(1 + size - size/2)
-					}
-				}
+				// A probe only the middle row rejects: the scan hits halfway.
+				probe := row(size / 2)
+				var t [stride]float64
+				cfg.thresholds(&probe, &t)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if a.Insert(probe, plan.Entry{}) {
-						b.Fatal("probe must be rejected")
+					if a.rejectingRow(&t) != size/2*stride {
+						b.Fatal("the middle row must reject the probe")
 					}
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkInsertHinted measures Insert on the stream shape the engine
+// produces and the hint is for: runs of jittered near-copies of one base
+// vector (a table set's candidates differ in one sub-plan or operator at a
+// time), so that the row that rejected the last candidate rejects most of
+// the next. The hint share is reported beside the time.
+func BenchmarkInsertHinted(b *testing.B) {
+	for _, tc := range kernelObjSets {
+		b.Run(tc.name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(78))
+			ids := tc.objs.IDs()
+			var stream []objective.Vector
+			for len(stream) < 1000 {
+				base := randomStream(r, 1, tc.objs)[0]
+				for c := 2 + r.Intn(8); c > 0; c-- {
+					for _, o := range ids {
+						base[o] *= 1 + 0.02*r.Float64()
+					}
+					stream = append(stream, base)
+				}
+			}
+			a := NewFlat(NewFlatConfig(tc.objs, 1.2))
+			for i, v := range stream { // warm-up sizes the backing arrays
+				a.Insert(v, plan.Entry{Op: int32(i)})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Reset()
+				for j := range stream {
+					a.InsertRow(&stream[j], plan.Entry{Op: int32(j)})
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/insert")
+			b.ReportMetric(float64(a.HintRejected())/float64(len(stream)), "hint-share")
+		})
 	}
 }
 

@@ -11,9 +11,8 @@ import "moqo/internal/objective"
 // objective?). The generic loops branch per objective per row, which stalls
 // the pipeline on unpredictable comparisons and blocks vectorization.
 //
-// The kernels below restructure both scans for the common active-objective
-// widths — 2 (the bench default), 3 (the TPC-H triple), 4 through 6 (the
-// remaining workload widths), and full 9 — so that
+// The kernels below restructure both scans for the narrow active-objective
+// widths — 2 (the bench default), 3 (the TPC-H triple) and 4 — so that
 // each row contributes one flag computed without data-dependent branches:
 // every comparison becomes a SETcc-style 0/1 value (b2u) and the per-
 // objective results are combined with integer AND. The only branch left per
@@ -23,9 +22,22 @@ import "moqo/internal/objective"
 // computed the identical product per row, so hoisting cannot change results
 // (same inputs, same operation, same rounding).
 //
-// The generic early-exit loops survive as insertGeneric, the differential
-// oracle: TestKernelMatchesGenericOracle drives random streams through both
-// paths and demands bit-identical archives and counters.
+// Widths of five and more run the generic early-exit loops: InsertRow's
+// last-rejector hint keeps 91 % of the inserts away from the scans, what
+// still scans is mostly a candidate no stored row rejects, and a wide row
+// that fails on its first or second objective is cheaper to leave early than
+// to fold nine comparisons for (cold_w1 ops_per_s 121-123 with branch-free
+// five-, six- and nine-wide kernels, 147 without). At two to four objectives
+// the fold is short and still wins (restart_ready_ms 7.1 against 7.8 through
+// the generic loops).
+//
+// A rejection scan returns the offset of the rejecting row (-1 for none), so
+// InsertRow can point its hint at it.
+//
+// The generic early-exit loops are also insertGeneric, the differential
+// oracle: TestKernelMatchesGenericOracle and TestHintMatchesGenericOracle
+// drive streams through both paths and demand bit-identical archives and
+// counters.
 
 // kernelKind selects the specialized Insert path, resolved once per
 // FlatConfig so the hot loop dispatches on a plain switch.
@@ -36,13 +48,10 @@ const (
 	kernel2                         // exactly two active objectives
 	kernel3                         // exactly three active objectives
 	kernel4                         // exactly four active objectives
-	kernel5                         // exactly five active objectives
-	kernel6                         // exactly six active objectives
-	kernelFull                      // all nine objectives active
 )
 
-// resolveKernel picks the widest specialized kernel that matches the
-// active-objective layout.
+// resolveKernel picks the specialized kernel that matches the
+// active-objective count, if one exists.
 func resolveKernel(ids []objective.ID) kernelKind {
 	switch len(ids) {
 	case 2:
@@ -51,12 +60,6 @@ func resolveKernel(ids []objective.ID) kernelKind {
 		return kernel3
 	case 4:
 		return kernel4
-	case 5:
-		return kernel5
-	case 6:
-		return kernel6
-	case stride:
-		return kernelFull
 	default:
 		return kernelGeneric
 	}
@@ -71,11 +74,12 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// anyRowLeq2 reports whether any stride-9 row in costs is <= the two
-// thresholds on both active objectives — the rejection scan for two-wide
-// configurations. Rows are processed four at a time; each row folds into a
-// branch-free flag, and one predictable branch tests the group.
-func anyRowLeq2(costs []float64, o0, o1 int, t0, t1 float64) bool {
+// anyRowLeq2 returns the offset of the first stride-9 row in costs that is
+// <= the two thresholds on both active objectives, or -1 — the rejection
+// scan for two-wide configurations. Rows are processed four at a time; each
+// row folds into a branch-free flag, and one predictable branch tests the
+// group.
+func anyRowLeq2(costs []float64, o0, o1 int, t0, t1 float64) int {
 	n := len(costs)
 	i := 0
 	for ; i+4*stride <= n; i += 4 * stride {
@@ -84,19 +88,33 @@ func anyRowLeq2(costs []float64, o0, o1 int, t0, t1 float64) bool {
 		f2 := b2u(costs[i+2*stride+o0] <= t0) & b2u(costs[i+2*stride+o1] <= t1)
 		f3 := b2u(costs[i+3*stride+o0] <= t0) & b2u(costs[i+3*stride+o1] <= t1)
 		if f0|f1|f2|f3 != 0 {
-			return true
+			return firstOfFour(i, f0, f1, f2)
 		}
 	}
 	for ; i < n; i += stride {
 		if b2u(costs[i+o0] <= t0)&b2u(costs[i+o1] <= t1) != 0 {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// firstOfFour returns the offset of the first of the four rows from i whose
+// flag is set, given that one of f0..f3 is.
+func firstOfFour(i int, f0, f1, f2 uint32) int {
+	switch {
+	case f0 != 0:
+		return i
+	case f1 != 0:
+		return i + stride
+	case f2 != 0:
+		return i + 2*stride
+	}
+	return i + 3*stride
 }
 
 // anyRowLeq3 is anyRowLeq2 for three active objectives.
-func anyRowLeq3(costs []float64, o0, o1, o2 int, t0, t1, t2 float64) bool {
+func anyRowLeq3(costs []float64, o0, o1, o2 int, t0, t1, t2 float64) int {
 	n := len(costs)
 	i := 0
 	for ; i+4*stride <= n; i += 4 * stride {
@@ -105,19 +123,19 @@ func anyRowLeq3(costs []float64, o0, o1, o2 int, t0, t1, t2 float64) bool {
 		f2 := b2u(costs[i+2*stride+o0] <= t0) & b2u(costs[i+2*stride+o1] <= t1) & b2u(costs[i+2*stride+o2] <= t2)
 		f3 := b2u(costs[i+3*stride+o0] <= t0) & b2u(costs[i+3*stride+o1] <= t1) & b2u(costs[i+3*stride+o2] <= t2)
 		if f0|f1|f2|f3 != 0 {
-			return true
+			return firstOfFour(i, f0, f1, f2)
 		}
 	}
 	for ; i < n; i += stride {
 		if b2u(costs[i+o0] <= t0)&b2u(costs[i+o1] <= t1)&b2u(costs[i+o2] <= t2) != 0 {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // anyRowLeq4 is anyRowLeq2 for four active objectives.
-func anyRowLeq4(costs []float64, o0, o1, o2, o3 int, t0, t1, t2, t3 float64) bool {
+func anyRowLeq4(costs []float64, o0, o1, o2, o3 int, t0, t1, t2, t3 float64) int {
 	n := len(costs)
 	i := 0
 	for ; i+4*stride <= n; i += 4 * stride {
@@ -126,83 +144,21 @@ func anyRowLeq4(costs []float64, o0, o1, o2, o3 int, t0, t1, t2, t3 float64) boo
 		f2 := b2u(costs[i+2*stride+o0] <= t0) & b2u(costs[i+2*stride+o1] <= t1) & b2u(costs[i+2*stride+o2] <= t2) & b2u(costs[i+2*stride+o3] <= t3)
 		f3 := b2u(costs[i+3*stride+o0] <= t0) & b2u(costs[i+3*stride+o1] <= t1) & b2u(costs[i+3*stride+o2] <= t2) & b2u(costs[i+3*stride+o3] <= t3)
 		if f0|f1|f2|f3 != 0 {
-			return true
+			return firstOfFour(i, f0, f1, f2)
 		}
 	}
 	for ; i < n; i += stride {
 		if b2u(costs[i+o0] <= t0)&b2u(costs[i+o1] <= t1)&b2u(costs[i+o2] <= t2)&b2u(costs[i+o3] <= t3) != 0 {
-			return true
+			return i
 		}
 	}
-	return false
-}
-
-// anyRowLeq5 is anyRowLeq2 for five active objectives. From this width on
-// the per-row flag already costs five comparisons, so rows are processed
-// two at a time rather than four — the wider unroll stops paying for its
-// register pressure.
-func anyRowLeq5(costs []float64, o0, o1, o2, o3, o4 int, t0, t1, t2, t3, t4 float64) bool {
-	n := len(costs)
-	i := 0
-	for ; i+2*stride <= n; i += 2 * stride {
-		f0 := b2u(costs[i+o0] <= t0) & b2u(costs[i+o1] <= t1) & b2u(costs[i+o2] <= t2) &
-			b2u(costs[i+o3] <= t3) & b2u(costs[i+o4] <= t4)
-		f1 := b2u(costs[i+stride+o0] <= t0) & b2u(costs[i+stride+o1] <= t1) & b2u(costs[i+stride+o2] <= t2) &
-			b2u(costs[i+stride+o3] <= t3) & b2u(costs[i+stride+o4] <= t4)
-		if f0|f1 != 0 {
-			return true
-		}
-	}
-	for ; i < n; i += stride {
-		if b2u(costs[i+o0] <= t0)&b2u(costs[i+o1] <= t1)&b2u(costs[i+o2] <= t2)&
-			b2u(costs[i+o3] <= t3)&b2u(costs[i+o4] <= t4) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// anyRowLeq6 is anyRowLeq5 for six active objectives.
-func anyRowLeq6(costs []float64, o0, o1, o2, o3, o4, o5 int, t0, t1, t2, t3, t4, t5 float64) bool {
-	n := len(costs)
-	i := 0
-	for ; i+2*stride <= n; i += 2 * stride {
-		f0 := b2u(costs[i+o0] <= t0) & b2u(costs[i+o1] <= t1) & b2u(costs[i+o2] <= t2) &
-			b2u(costs[i+o3] <= t3) & b2u(costs[i+o4] <= t4) & b2u(costs[i+o5] <= t5)
-		f1 := b2u(costs[i+stride+o0] <= t0) & b2u(costs[i+stride+o1] <= t1) & b2u(costs[i+stride+o2] <= t2) &
-			b2u(costs[i+stride+o3] <= t3) & b2u(costs[i+stride+o4] <= t4) & b2u(costs[i+stride+o5] <= t5)
-		if f0|f1 != 0 {
-			return true
-		}
-	}
-	for ; i < n; i += stride {
-		if b2u(costs[i+o0] <= t0)&b2u(costs[i+o1] <= t1)&b2u(costs[i+o2] <= t2)&
-			b2u(costs[i+o3] <= t3)&b2u(costs[i+o4] <= t4)&b2u(costs[i+o5] <= t5) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// anyRowLeqFull is the rejection scan with all nine objectives active: the
-// thresholds array is indexed directly by objective, and a row folds its
-// nine comparisons into one flag with no early exit inside the row.
-func anyRowLeqFull(costs []float64, t *[stride]float64) bool {
-	for i := 0; i < len(costs); i += stride {
-		f := b2u(costs[i] <= t[0]) & b2u(costs[i+1] <= t[1]) & b2u(costs[i+2] <= t[2]) &
-			b2u(costs[i+3] <= t[3]) & b2u(costs[i+4] <= t[4]) & b2u(costs[i+5] <= t[5]) &
-			b2u(costs[i+6] <= t[6]) & b2u(costs[i+7] <= t[7]) & b2u(costs[i+8] <= t[8])
-		if f != 0 {
-			return true
-		}
-	}
-	return false
+	return -1
 }
 
 // anyRowLeqGeneric is the rejection scan for arbitrary objective subsets —
 // the original early-exit loop, also serving as the differential oracle for
 // the specialized kernels above.
-func anyRowLeqGeneric(costs []float64, ids []objective.ID, t *[stride]float64) bool {
+func anyRowLeqGeneric(costs []float64, ids []objective.ID, t *[stride]float64) int {
 	for i := 0; i < len(costs); i += stride {
 		dominates := true
 		for k, o := range ids {
@@ -212,10 +168,10 @@ func anyRowLeqGeneric(costs []float64, ids []objective.ID, t *[stride]float64) b
 			}
 		}
 		if dominates {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // evict2 is the eviction-and-compaction scan for two-wide configurations:
@@ -270,71 +226,6 @@ func (a *FlatArchive) evict4(o0, o1, o2, o3 int, c0, c1, c2, c3 float64) {
 		base := i * stride
 		if b2u(c0 <= a.costs[base+o0])&b2u(c1 <= a.costs[base+o1])&
 			b2u(c2 <= a.costs[base+o2])&b2u(c3 <= a.costs[base+o3]) != 0 {
-			a.evicted++
-			continue
-		}
-		if out != i {
-			copy(a.costs[out*stride:(out+1)*stride], a.costs[base:base+stride])
-			a.entries[out] = a.entries[i]
-		}
-		out++
-	}
-	a.entries = a.entries[:out]
-	a.costs = a.costs[:out*stride]
-}
-
-// evict5 is evict2 for five active objectives.
-func (a *FlatArchive) evict5(o0, o1, o2, o3, o4 int, c0, c1, c2, c3, c4 float64) {
-	out := 0
-	n := len(a.entries)
-	for i := 0; i < n; i++ {
-		base := i * stride
-		if b2u(c0 <= a.costs[base+o0])&b2u(c1 <= a.costs[base+o1])&b2u(c2 <= a.costs[base+o2])&
-			b2u(c3 <= a.costs[base+o3])&b2u(c4 <= a.costs[base+o4]) != 0 {
-			a.evicted++
-			continue
-		}
-		if out != i {
-			copy(a.costs[out*stride:(out+1)*stride], a.costs[base:base+stride])
-			a.entries[out] = a.entries[i]
-		}
-		out++
-	}
-	a.entries = a.entries[:out]
-	a.costs = a.costs[:out*stride]
-}
-
-// evict6 is evict2 for six active objectives.
-func (a *FlatArchive) evict6(o0, o1, o2, o3, o4, o5 int, c0, c1, c2, c3, c4, c5 float64) {
-	out := 0
-	n := len(a.entries)
-	for i := 0; i < n; i++ {
-		base := i * stride
-		if b2u(c0 <= a.costs[base+o0])&b2u(c1 <= a.costs[base+o1])&b2u(c2 <= a.costs[base+o2])&
-			b2u(c3 <= a.costs[base+o3])&b2u(c4 <= a.costs[base+o4])&b2u(c5 <= a.costs[base+o5]) != 0 {
-			a.evicted++
-			continue
-		}
-		if out != i {
-			copy(a.costs[out*stride:(out+1)*stride], a.costs[base:base+stride])
-			a.entries[out] = a.entries[i]
-		}
-		out++
-	}
-	a.entries = a.entries[:out]
-	a.costs = a.costs[:out*stride]
-}
-
-// evictFull is the eviction scan with all nine objectives active.
-func (a *FlatArchive) evictFull(c *objective.Vector) {
-	out := 0
-	n := len(a.entries)
-	for i := 0; i < n; i++ {
-		base := i * stride
-		f := b2u(c[0] <= a.costs[base]) & b2u(c[1] <= a.costs[base+1]) & b2u(c[2] <= a.costs[base+2]) &
-			b2u(c[3] <= a.costs[base+3]) & b2u(c[4] <= a.costs[base+4]) & b2u(c[5] <= a.costs[base+5]) &
-			b2u(c[6] <= a.costs[base+6]) & b2u(c[7] <= a.costs[base+7]) & b2u(c[8] <= a.costs[base+8])
-		if f != 0 {
 			a.evicted++
 			continue
 		}
