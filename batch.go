@@ -117,9 +117,8 @@ func OptimizeBatchStream(ctx context.Context, reqs []Request, opts BatchOptions,
 // request that runs (or is re-weighted), and the indexes of every member
 // resolving to that key.
 type batchUnit struct {
-	req     Request
+	r       Resolved
 	members []int
-	cost    float64
 }
 
 // batchGroup is one scheduling unit: a set of batchUnits sharing a
@@ -147,31 +146,27 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 	byFK := make(map[string]int) // FrontierKey -> index into groups
 	var groups []batchGroup
 	for i, req := range reqs {
-		ck, err := req.CacheKey()
+		req.Shared = shared
+		r, err := req.Resolve()
 		if err != nil {
 			done(i, BatchItem{Err: err})
 			continue
 		}
+		ck := r.CacheKey()
 		if u, ok := byCK[ck]; ok {
 			u.members = append(u.members, i)
 			continue
 		}
-		req.Shared = shared
-		alg := req.ResolvedAlgorithm()
-		u := &batchUnit{
-			req:     req,
-			members: []int{i},
-			cost:    core.PredictCost(len(req.Query.Relations), len(req.Objectives), alg.String()),
-		}
+		u := &batchUnit{r: r, members: []int{i}}
 		byCK[ck] = u
-		if alg != AlgoEXA && alg != AlgoRTA {
+		if r.alg != AlgoEXA && r.alg != AlgoRTA {
 			groups = append(groups, batchGroup{u})
 			continue
 		}
 		// Only EXA and RTA answer re-weights bit-for-bit from a frontier
-		// snapshot (see ReoptimizeContext); IRA's seeded path refines and
+		// snapshot (see Resolved.Reoptimize); IRA's seeded path refines and
 		// may return a finer frontier than a cold run.
-		fk, _ := req.FrontierKey() // already validated by CacheKey
+		fk := r.FrontierKey()
 		if g, exists := byFK[fk]; exists {
 			groups[g] = append(groups[g], u)
 			continue
@@ -191,8 +186,8 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 		late   []*batchUnit
 	)
 	plan := batchplan.New(len(groups),
-		func(i int) float64 { return groups[i][0].cost },
-		func(i int) *Query { return groups[i][0].req.Query })
+		func(i int) float64 { return groups[i][0].r.PredictedCost() },
+		func(i int) *Query { return groups[i][0].r.req.Query })
 	plan.Run(opts.Parallel, func(i int) {
 		if deferred := runGroup(ctx, groups[i], done); len(deferred) > 0 {
 			lateMu.Lock()
@@ -201,7 +196,7 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 		}
 	})
 	for _, u := range late {
-		res, err := OptimizeContext(ctx, u.req)
+		res, err := u.r.Optimize(ctx)
 		emitUnit(u, res, err, false, done)
 	}
 }
@@ -215,9 +210,9 @@ func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) (def
 	var snap *FrontierSnapshot
 	var err error
 	if len(g) > 1 {
-		res, snap, err = OptimizeSnapshotContext(ctx, leader.req)
+		res, snap, err = leader.r.OptimizeSnapshot(ctx)
 	} else {
-		res, err = OptimizeContext(ctx, leader.req)
+		res, err = leader.r.Optimize(ctx)
 	}
 	emitUnit(leader, res, err, false, done)
 
@@ -226,12 +221,12 @@ func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) (def
 		case err == nil && snap != nil:
 			// A pure SelectBest scan over the snapshot — no dynamic program,
 			// bit-for-bit the cold answer at the unit's weights/bounds.
-			r, _, e := ReoptimizeContext(ctx, u.req, snap)
+			r, _, e := u.r.Reoptimize(ctx, snap)
 			emitUnit(u, r, e, true, done)
-		case u.req.Query == leader.req.Query:
+		case u.r.req.Query == leader.r.req.Query:
 			// Leader failed or produced no reusable frontier (degraded
 			// run): fall back to each unit's own cold optimization.
-			r, e := OptimizeContext(ctx, u.req)
+			r, e := u.r.Optimize(ctx)
 			emitUnit(u, r, e, false, done)
 		default:
 			deferred = append(deferred, u)

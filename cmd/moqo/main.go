@@ -8,7 +8,7 @@
 //	moqo -query 3 [-algorithm rta] [-alpha 1.5] [-sf 1] [-timeout 10s]
 //	     [-objectives total_time,energy,tuple_loss]
 //	     [-weights total_time=1,energy=0.2] [-bounds tuple_loss=0]
-//	     [-workers N] [-enum auto|graph|exhaustive] [-frontier]
+//	     [-workers N] [-frontier]
 //
 // Examples:
 //
@@ -43,7 +43,6 @@ func main() {
 		weights    = flag.String("weights", "total_time=1", "comma-separated objective=weight pairs")
 		bounds     = flag.String("bounds", "", "comma-separated objective=bound pairs")
 		workers    = flag.Int("workers", runtime.NumCPU(), "optimizer worker goroutines (1 = sequential)")
-		enum       = flag.String("enum", "auto", "search-space enumeration strategy: auto, graph, exhaustive (results are identical; graph avoids exponential scanning on sparse join graphs)")
 		frontier   = flag.Bool("frontier", false, "print the full Pareto frontier")
 		explain    = flag.Bool("explain", false, "print per-node cardinalities and costs")
 		asJSON     = flag.Bool("json", false, "print the plan as JSON and exit")
@@ -61,10 +60,6 @@ func main() {
 		Alpha:   *alpha,
 		Timeout: *timeout,
 		Workers: *workers,
-	}
-	req.Enumeration, err = moqo.ParseEnumerationStrategy(*enum)
-	if err != nil {
-		fatalf("%v", err)
 	}
 	for _, name := range splitList(*objectives) {
 		o, err := parseObjective(name)

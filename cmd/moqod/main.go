@@ -7,7 +7,7 @@
 //
 //	moqod [-addr :8080] [-cache 1024] [-frontier-cache 512]
 //	      [-cache-shards 16] [-default-timeout 30s] [-max-timeout 2m]
-//	      [-workers N] [-enum auto|graph|exhaustive]
+//	      [-workers N]
 //	      [-store DIR] [-store-max-bytes N] [-store-nosync]
 //	      [-no-store-breaker] [-breaker-threshold 5] [-breaker-cooldown 250ms]
 //	      [-tenants FILE] [-max-cold-dps N] [-fifo] [-max-queue N]
@@ -91,7 +91,6 @@ import (
 	"syscall"
 	"time"
 
-	"moqo"
 	"moqo/internal/server"
 	"moqo/internal/tenant"
 )
@@ -105,7 +104,6 @@ func main() {
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "optimization timeout for requests without timeout_ms")
 		maxTimeout     = flag.Duration("max-timeout", 2*time.Minute, "upper clamp on per-request timeouts")
 		workers        = flag.Int("workers", runtime.NumCPU(), "default optimizer worker goroutines per request")
-		enum           = flag.String("enum", "auto", "default search-space enumeration strategy for requests without one: auto, graph, exhaustive")
 		storePath      = flag.String("store", "", "directory for the disk-backed frontier store (empty disables persistence); a restarted daemon serves known query shapes from it without re-optimizing")
 		storeMaxBytes  = flag.Int64("store-max-bytes", 0, "live-byte budget of the frontier store (0 = default 256 MiB, negative = unbounded)")
 		storeNoSync    = flag.Bool("store-nosync", false, "skip fsync after store appends (faster; a crash may lose the newest snapshots)")
@@ -119,10 +117,6 @@ func main() {
 	)
 	flag.Parse()
 
-	defaultEnum, err := moqo.ParseEnumerationStrategy(*enum)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	var registry *tenant.Registry
 	if *tenantsPath != "" {
 		cfg, err := tenant.LoadConfig(*tenantsPath)
@@ -139,7 +133,6 @@ func main() {
 		DefaultTimeout:        *defaultTimeout,
 		MaxTimeout:            *maxTimeout,
 		DefaultWorkers:        *workers,
-		DefaultEnumeration:    defaultEnum,
 		StorePath:             *storePath,
 		StoreMaxBytes:         *storeMaxBytes,
 		StoreNoSync:           *storeNoSync,

@@ -145,12 +145,10 @@ func ExampleOptimizeContext() {
 }
 
 // ExampleOptimize_largeChain optimizes a 20-table chain query — far past
-// the practical ceiling of exhaustive subset scanning — with the
-// graph-aware enumeration strategy: only connected table sets are
-// materialized (a chain has n(n+1)/2, not 2^n) and only
-// predicate-connected csg-cmp splits are tried. EnumGraph is spelled out
-// here for clarity; the default (EnumAuto) already picks it for every
-// connected join graph.
+// the practical ceiling of exhaustive subset scanning. The optimizer
+// derives the enumeration strategy from the join graph: on a connected
+// one only connected table sets are materialized (a chain has n(n+1)/2,
+// not 2^n) and only predicate-connected csg-cmp splits are tried.
 func ExampleOptimize_largeChain() {
 	const tables = 20
 	cat := moqo.NewCatalog()
@@ -165,11 +163,10 @@ func ExampleOptimize_largeChain() {
 	}
 
 	res, err := moqo.Optimize(moqo.Request{
-		Query:       q,
-		Alpha:       4,
-		Enumeration: moqo.EnumGraph,
-		Objectives:  []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint},
-		Weights:     map[moqo.Objective]float64{moqo.TotalTime: 1},
+		Query:      q,
+		Alpha:      4,
+		Objectives: []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint},
+		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1},
 	})
 	if err != nil {
 		panic(err)

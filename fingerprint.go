@@ -25,10 +25,10 @@ import (
 // snapshot tier by: a weight or bound change on a cached frontier is
 // answered with a SelectBest scan instead of a new dynamic program.
 //
-// CacheKey is, by construction, FrontierKey plus a suffix containing
-// only the "|w=" and "|b=" components (the prefix-property test pins
-// this), so the exact-result tier and the frontier tier always agree on
-// what a request is.
+// CacheKey is FrontierKey plus a suffix containing only the "|w=" and
+// "|b=" components — structurally: both are slices of the one string
+// Resolved builds — so the exact-result tier and the frontier tier always
+// agree on what a request is.
 //
 // Note the *resolved* algorithm is part of the prefix: an AlgoAuto
 // request resolves to RTA or IRA depending on whether bounds are
@@ -36,8 +36,11 @@ import (
 // different frontiers (RTA's is reusable outright, IRA's seeds a
 // refinement) and correctly get different FrontierKeys.
 func (req Request) FrontierKey() (string, error) {
-	fk, _, _, _, err := req.frontierKeyResolved()
-	return fk, err
+	r, err := req.Resolve()
+	if err != nil {
+		return "", err
+	}
+	return r.FrontierKey(), nil
 }
 
 // CacheKey returns a canonical fingerprint of everything that determines
@@ -55,13 +58,6 @@ func (req Request) FrontierKey() (string, error) {
 //   - Timeout: a timeout changes the result only by degrading it, and
 //     degraded results must never be cached (the moqod cache skips them),
 //     so every cached result is a full result, valid under any timeout.
-//   - Enumeration: the graph-aware and exhaustive strategies emit
-//     candidates in the same canonical order (the csg-cmp loop sorts its
-//     splits into the subset scan's order), so plans, frontiers and
-//     statistics other than enumeration-work counters are identical for
-//     every strategy — a request answered under one strategy is a valid
-//     answer under any other. internal/core's differential tests pin
-//     this equivalence.
 //   - Shared: a batch's shared memo serves subproblems whose keys encode
 //     everything their archives depend on, so attaching one (or which
 //     one) changes effort statistics only, never the result — a batch
@@ -72,60 +68,37 @@ func (req Request) FrontierKey() (string, error) {
 // requests — e.g. differing in a single weight or bound — always map to
 // distinct keys, so cache collisions are impossible by construction.
 func (req Request) CacheKey() (string, error) {
-	fk, objs, w, b, err := req.frontierKeyResolved()
+	r, err := req.Resolve()
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, 0, len(fk)+64)
-	buf = append(buf, fk...)
-	buf = append(buf, "|w="...)
-	first := true
-	for o := objective.ID(0); o < objective.NumObjectives; o++ {
-		if !objs.Contains(o) {
-			continue
-		}
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		buf = appendFloat(buf, w[o])
-	}
-	buf = append(buf, "|b="...)
-	first = true
-	for o := objective.ID(0); o < objective.NumObjectives; o++ {
-		if !objs.Contains(o) {
-			continue
-		}
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		buf = appendFloat(buf, b[o])
-	}
-	return string(buf), nil
+	return r.CacheKey(), nil
 }
 
-// frontierKeyResolved builds the FrontierKey and hands back the resolved
-// objective set, weights and bounds so CacheKey can append its suffix
-// without re-resolving.
-func (req Request) frontierKeyResolved() (string, objective.Set, objective.Weights, objective.Bounds, error) {
-	objs, w, b, alg, alpha, err := req.resolve()
-	if err != nil {
-		return "", 0, w, b, err
+// CacheKey is Request.CacheKey of the resolved request, built on first
+// use.
+func (r *Resolved) CacheKey() string {
+	if r.key == "" {
+		r.buildKey()
 	}
-	// Excluded from the key (see CacheKey), but still validated: the key
-	// doubles as the request validator in the moqod service, and an
-	// unknown strategy could never produce a result.
-	if _, err := req.Enumeration.coreStrategy(); err != nil {
-		return "", 0, w, b, err
-	}
+	return r.key
+}
+
+// FrontierKey is Request.FrontierKey of the resolved request: the prefix
+// substring of CacheKey, so asking for both builds one string.
+func (r *Resolved) FrontierKey() string { return r.CacheKey()[:r.fkLen] }
+
+// buildKey builds the CacheKey in one buffer and records where its
+// weight/bound suffix starts.
+func (r *Resolved) buildKey() {
+	req, objs := r.req, r.objs
 
 	// The key is built with strconv appends into one buffer rather than
 	// fmt verbs: it is on the serving fast path (the moqod tiers compute
 	// keys on every request, including re-weights answered in
 	// microseconds), and fmt's boxing used to dominate that path's
 	// allocations. The byte stream is unchanged.
-	buf := make([]byte, 0, 256)
+	buf := make([]byte, 0, 512)
 	buf = append(buf, "moqo2|cat="...)
 	cat := req.Query.Catalog()
 	buf = appendHex16(buf, cat.Fingerprint())
@@ -136,33 +109,33 @@ func (req Request) frontierKeyResolved() (string, objective.Set, objective.Weigh
 	// (table and column names) are length-prefixed so no choice of names
 	// can make two different graphs encode identically.
 	buf = append(buf, "|q="...)
-	for i, r := range req.Query.Relations {
+	for i, rel := range req.Query.Relations {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		name := cat.Table(r.Table).Name
+		name := cat.Table(rel.Table).Name
 		buf = strconv.AppendInt(buf, int64(len(name)), 10)
 		buf = append(buf, ':')
 		buf = append(buf, name...)
 		buf = append(buf, '=')
-		buf = appendFloat(buf, r.FilterSel)
+		buf = appendFloat(buf, rel.FilterSel)
 	}
 	buf = append(buf, "|e="...)
 	edges := make([]string, 0, len(req.Query.Edges))
 	var eb []byte
 	for _, e := range req.Query.Edges {
-		l, r, lc, rc := e.Left, e.Right, e.LeftCol, e.RightCol
-		if r < l {
-			l, r, lc, rc = r, l, rc, lc
+		lo, hi, lc, rc := e.Left, e.Right, e.LeftCol, e.RightCol
+		if hi < lo {
+			lo, hi, lc, rc = hi, lo, rc, lc
 		}
 		eb = eb[:0]
-		eb = strconv.AppendInt(eb, int64(l), 10)
+		eb = strconv.AppendInt(eb, int64(lo), 10)
 		eb = append(eb, '.')
 		eb = strconv.AppendInt(eb, int64(len(lc)), 10)
 		eb = append(eb, ':')
 		eb = append(eb, lc...)
 		eb = append(eb, '-')
-		eb = strconv.AppendInt(eb, int64(r), 10)
+		eb = strconv.AppendInt(eb, int64(hi), 10)
 		eb = append(eb, '.')
 		eb = strconv.AppendInt(eb, int64(len(rc)), 10)
 		eb = append(eb, ':')
@@ -180,11 +153,11 @@ func (req Request) frontierKeyResolved() (string, objective.Set, objective.Weigh
 	}
 
 	buf = append(buf, "|alg="...)
-	buf = append(buf, alg.String()...)
-	switch alg {
+	buf = append(buf, r.alg.String()...)
+	switch r.alg {
 	case AlgoRTA, AlgoIRA:
 		buf = append(buf, "|alpha="...)
-		buf = appendFloat(buf, alpha)
+		buf = appendFloat(buf, r.alpha)
 	}
 
 	// Objectives in request order: the order is semantically relevant for
@@ -199,21 +172,7 @@ func (req Request) frontierKeyResolved() (string, objective.Set, objective.Weigh
 	}
 	if len(req.Precisions) > 0 {
 		buf = append(buf, "|prec="...)
-		first := true
-		for o := objective.ID(0); o < objective.NumObjectives; o++ {
-			if !objs.Contains(o) {
-				continue
-			}
-			if !first {
-				buf = append(buf, ',')
-			}
-			first = false
-			p, ok := req.Precisions[o]
-			if !ok {
-				p = 1
-			}
-			buf = appendFloat(buf, p)
-		}
+		buf = appendActive(buf, objs, r.precision())
 	}
 
 	maxDOP := req.MaxDOP
@@ -232,7 +191,30 @@ func (req Request) frontierKeyResolved() (string, objective.Set, objective.Weigh
 	if req.CostParams != nil && *req.CostParams != costmodel.Default() {
 		buf = fmt.Appendf(buf, "|params=%v", *req.CostParams)
 	}
-	return string(buf), objs, w, b, nil
+	r.fkLen = len(buf)
+
+	buf = append(buf, "|w="...)
+	buf = appendActive(buf, objs, r.w)
+	buf = append(buf, "|b="...)
+	buf = appendActive(buf, objs, r.b)
+	r.key = string(buf)
+}
+
+// appendActive appends the active objectives' values in objective order,
+// comma-separated.
+func appendActive(buf []byte, objs objective.Set, vals [objective.NumObjectives]float64) []byte {
+	first := true
+	for o := objective.ID(0); o < objective.NumObjectives; o++ {
+		if !objs.Contains(o) {
+			continue
+		}
+		if !first {
+			buf = append(buf, ',')
+		}
+		first = false
+		buf = appendFloat(buf, vals[o])
+	}
+	return buf
 }
 
 // appendFloat appends a float in shortest round-trip form (handles +Inf,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"moqo"
 )
@@ -114,30 +115,52 @@ func TestCacheKeyCanonicalizes(t *testing.T) {
 	}
 }
 
-// TestCacheKeyRejectsInvalid: CacheKey and Optimize must agree on what a
-// valid request is — a request Optimize rejects (precision on an inactive
-// objective) must not produce a key, or a warm cache would answer what a
-// cold one rejects.
+// TestCacheKeyRejectsInvalid: everything a request's content can get
+// wrong is refused by Resolve — and so, with the same error, by CacheKey,
+// Optimize and OptimizeBatch, none of which checks anything itself.
 func TestCacheKeyRejectsInvalid(t *testing.T) {
-	req := tpchRequest(t, func(r *moqo.Request) {
-		r.Precisions = map[moqo.Objective]float64{moqo.IOLoad: 2} // inactive objective
-	})
-	if _, err := req.CacheKey(); err == nil {
-		t.Error("CacheKey accepted a precision on an inactive objective")
+	cases := map[string]func(*moqo.Request){
+		"precision on an inactive objective": func(r *moqo.Request) {
+			r.Precisions = map[moqo.Objective]float64{moqo.IOLoad: 2}
+		},
+		"precisions on a non-RTA request": func(r *moqo.Request) {
+			r.Bounds = map[moqo.Objective]float64{moqo.TupleLoss: 0.1} // auto -> IRA
+			r.Precisions = map[moqo.Objective]float64{moqo.TotalTime: 2}
+		},
+		"RTA with bounds": func(r *moqo.Request) {
+			r.Algorithm = moqo.AlgoRTA
+			r.Bounds = map[moqo.Objective]float64{moqo.TupleLoss: 0.1}
+		},
+		"alpha below 1":     func(r *moqo.Request) { r.Alpha = 0.5 },
+		"max dop too large": func(r *moqo.Request) { r.MaxDOP = 99 },
+		"negative max dop":  func(r *moqo.Request) { r.MaxDOP = -1 },
+		"negative weight": func(r *moqo.Request) {
+			r.Weights = map[moqo.Objective]float64{moqo.TotalTime: -1}
+		},
+		"negative bound": func(r *moqo.Request) {
+			r.Bounds = map[moqo.Objective]float64{moqo.TupleLoss: -0.1}
+		},
+		"precision below 1": func(r *moqo.Request) {
+			r.Precisions = map[moqo.Objective]float64{moqo.TotalTime: 0.5}
+		},
+		"unknown algorithm": func(r *moqo.Request) { r.Algorithm = moqo.Algorithm(42) },
 	}
-	if _, err := moqo.Optimize(req); err == nil {
-		t.Error("Optimize accepted a precision on an inactive objective")
-	}
-
-	bounded := tpchRequest(t, func(r *moqo.Request) {
-		r.Bounds = map[moqo.Objective]float64{moqo.TupleLoss: 0.1} // auto -> IRA
-		r.Precisions = map[moqo.Objective]float64{moqo.TotalTime: 2}
-	})
-	if _, err := bounded.CacheKey(); err == nil {
-		t.Error("CacheKey accepted Precisions on a non-RTA request")
-	}
-	if _, err := moqo.Optimize(bounded); err == nil {
-		t.Error("Optimize accepted Precisions on a non-RTA request")
+	for name, mutate := range cases {
+		req := tpchRequest(t, mutate)
+		_, want := req.Resolve()
+		if want == nil {
+			t.Errorf("%s: Resolve accepted it", name)
+			continue
+		}
+		_, ckErr := req.CacheKey()
+		_, fkErr := req.FrontierKey()
+		_, optErr := moqo.Optimize(req)
+		batchErr := moqo.OptimizeBatch([]moqo.Request{req})[0].Err
+		for via, err := range map[string]error{"CacheKey": ckErr, "FrontierKey": fkErr, "Optimize": optErr, "OptimizeBatch": batchErr} {
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: %s returned %v, Resolve %v", name, via, err, want)
+			}
+		}
 	}
 }
 
@@ -237,6 +260,37 @@ func TestCacheKeyPrefixProperty(t *testing.T) {
 	}
 }
 
+// TestResolvedKeys: a resolved request builds its keys once, as one
+// string. Over the random corpus both keys equal the Request-level ones
+// byte for byte, a second call allocates nothing, FrontierKey is a slice
+// of CacheKey's bytes rather than a copy, and the Workers knob — outside
+// both keys — changes neither.
+func TestResolvedKeys(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		req := randomizedRequest(t, r)
+		res, err := req.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, fk := res.CacheKey(), res.FrontierKey()
+		if ck != key(t, req) || fk != frontierKey(t, req) {
+			t.Fatalf("trial %d: resolved keys differ from the request's:\n%s\n%s", trial, ck, fk)
+		}
+		if unsafe.StringData(fk) != unsafe.StringData(ck) {
+			t.Fatalf("trial %d: FrontierKey does not share CacheKey's bytes", trial)
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = res.CacheKey(), res.FrontierKey() }); n != 0 {
+			t.Fatalf("trial %d: a second key read allocates %v objects", trial, n)
+		}
+		fresh, _ := req.Resolve()
+		fresh.SetWorkers(3) // before the keys are built
+		if fresh.CacheKey() != ck || fresh.FrontierKey() != fk || fresh.Request().Workers != 3 {
+			t.Fatalf("trial %d: SetWorkers changed a key or did not stick", trial)
+		}
+	}
+}
+
 // TestFrontierKeyDiscriminates: everything that determines the frontier
 // must change the FrontierKey — and the resolved algorithm is part of
 // it, so an AlgoAuto request crossing the bounded/unbounded line (RTA vs
@@ -308,25 +362,5 @@ func TestCacheKeyQueryShape(t *testing.T) {
 			t.Fatalf("TPC-H q%d collides with an earlier query: %s", num, k)
 		}
 		keys[k] = true
-	}
-}
-
-// TestCacheKeyIgnoresEnumeration: the enumeration strategy is excluded
-// from the key like Workers — results are identical for every strategy
-// (the engine emits candidates in the same canonical order), so a cached
-// answer computed under one strategy serves requests under any other.
-// Invalid strategies must still be rejected, since the key doubles as
-// the request validator in the moqod service.
-func TestCacheKeyIgnoresEnumeration(t *testing.T) {
-	base := key(t, tpchRequest(t, nil))
-	for _, e := range []moqo.EnumerationStrategy{moqo.EnumAuto, moqo.EnumGraph, moqo.EnumExhaustive} {
-		got := key(t, tpchRequest(t, func(r *moqo.Request) { r.Enumeration = e }))
-		if got != base {
-			t.Errorf("enumeration %v changed the key:\n%s\n%s", e, got, base)
-		}
-	}
-	_, err := tpchRequest(t, func(r *moqo.Request) { r.Enumeration = moqo.EnumerationStrategy(99) }).CacheKey()
-	if err == nil {
-		t.Error("invalid enumeration strategy accepted by CacheKey")
 	}
 }

@@ -142,11 +142,11 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range wire.Members {
 		spec, m := &wire.Members[i], &members[i]
 		view := spec.asOptimizeRequest(wire.Catalog)
-		m.req.Shared = shared
 		if fail := s.resolve(m, &view, cmp.Or(spec.Tenant, headerTen), cat, queries); fail != nil {
 			emitFailure(i, fail)
 			continue
 		}
+		m.req.SetShared(shared)
 		runnable = append(runnable, i)
 	}
 
@@ -157,8 +157,8 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	// first run warms it for the rest). Serving a lane in schedule order
 	// also covers the re-weight and cache-hit paths, which are microseconds.
 	plan := batchplan.New(len(runnable),
-		func(k int) float64 { return members[runnable[k]].cost },
-		func(k int) *moqo.Query { return members[runnable[k]].req.Query })
+		func(k int) float64 { return members[runnable[k]].req.PredictedCost() },
+		func(k int) *moqo.Query { return members[runnable[k]].req.Request().Query })
 
 	parallel := min(s.clampWorkers(wire.Parallel), len(runnable))
 
@@ -169,7 +169,8 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	// happen to be idle. At most one member per lane is in flight.
 	share := workerShare(runtime.NumCPU(), min(parallel, plan.Lanes()))
 	for _, i := range runnable {
-		members[i].req.Workers = min(members[i].req.Workers, share)
+		req := &members[i].req
+		req.SetWorkers(min(req.Request().Workers, share))
 	}
 
 	plan.Run(parallel, func(k int) {

@@ -46,9 +46,8 @@ func openDiskTier(opts Options) (*diskTier, error) {
 	d := &diskTier{st: st}
 	if !opts.NoStoreBreaker {
 		d.breaker = fault.NewBreaker(fault.BreakerConfig{
-			Threshold:   opts.BreakerThreshold,
-			Cooldown:    opts.BreakerCooldown,
-			MaxCooldown: opts.BreakerMaxCooldown,
+			Threshold: opts.BreakerThreshold,
+			Cooldown:  opts.BreakerCooldown,
 		})
 	}
 	return d, nil

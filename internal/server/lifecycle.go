@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"moqo"
-	"moqo/internal/core"
 	"moqo/internal/tenant"
 )
 
@@ -19,15 +18,12 @@ import (
 // /optimize, or one member of a batch: what resolve built from the wire
 // and serve needs to answer it.
 type member struct {
-	req      moqo.Request
-	key      string // the request's cache key
+	// req is the request after moqo's Resolve: validated, defaulted, its
+	// algorithm decided, its keys built on first use.
+	req      moqo.Resolved
 	ten      string
 	frontier bool // include the frontier in the response
 	noCache  bool // bypass every tier
-	// cost is the predicted effort of the member's dynamic program
-	// (core.PredictCost under its resolved algorithm): what admission
-	// checked and what a batch schedules by.
-	cost float64
 }
 
 // failure is a member's classified error: the wire code a batch member
@@ -43,7 +39,7 @@ type failure struct {
 
 // resolve builds the member for one wire request, in this order so that a
 // bad member reports its parsing problem before its quota one: tenant →
-// catalog → query → knobs → clamp → CacheKey → admission. cat is the
+// catalog → query → knobs → clamp → Resolve → admission. cat is the
 // batch's catalog (nil on /optimize, where the request names its own) and
 // queries dedupes a batch's query objects (nil on /optimize). A non-nil
 // failure means the member must not be served.
@@ -57,35 +53,32 @@ func (s *Server) resolve(m *member, wire *OptimizeRequest, tenantName string, ca
 	// request budget, checked before any optimization work — under the
 	// algorithm that will run, not the one the wire spelled ("" and "auto"
 	// with bounds are IRA).
-	tables, objectives := len(m.req.Query.Relations), len(m.req.Objectives)
-	alg := m.req.ResolvedAlgorithm().String()
-	m.cost = core.PredictCost(tables, objectives, alg)
-	if d := s.tenants.Admit(m.ten, tables, objectives, alg); !d.OK {
+	req := m.req.Request()
+	if d := s.tenants.Admit(m.ten, len(req.Query.Relations), len(req.Objectives), m.req.Algorithm().String()); !d.OK {
 		s.errors.Add(1)
 		return &failure{err: d.Err, code: CodeAdmission, status: http.StatusTooManyRequests, reason: d.Reason, retryAfter: d.RetryAfter}
 	}
 	return nil
 }
 
-// build is resolve up to the cache key; every error it returns is a
-// validation failure.
+// build is resolve up to admission; every error it returns — the wire's
+// or Resolve's — is a validation failure.
 func (s *Server) build(m *member, wire *OptimizeRequest, tenantName string, cat *moqo.Catalog, queries map[string]*moqo.Query) (err error) {
 	if m.ten, err = s.tenants.Resolve(tenantName); err != nil {
 		return err
 	}
 	s.tenants.CountRequest(m.ten)
 	m.frontier, m.noCache = wire.Frontier, wire.NoCache
-	if m.req.Query, err = s.memberQuery(wire, cat, queries); err != nil {
+	var req moqo.Request
+	if req.Query, err = s.memberQuery(wire, cat, queries); err != nil {
 		return err
 	}
-	if err = s.applyKnobs(&m.req, wire); err != nil {
+	if err = applyKnobs(&req, wire); err != nil {
 		return err
 	}
-	m.req.Timeout = s.clampTimeout(wire.TimeoutMs)
-	m.req.Workers = s.clampWorkers(wire.Workers)
-	// The cache key doubles as the request validator: anything it rejects
-	// could never produce a result.
-	m.key, err = m.req.CacheKey()
+	req.Timeout = s.clampTimeout(wire.TimeoutMs)
+	req.Workers = s.clampWorkers(wire.Workers)
+	m.req, err = req.Resolve()
 	return err
 }
 
@@ -180,7 +173,7 @@ func (s *Server) clampWorkers(workers int) int {
 // baseline's arrival gate under its own budget; a batch passes it once for
 // all its members.
 func (s *Server) serve(ctx context.Context, m *member, started time.Time, gate bool) (OptimizeResponse, *failure) {
-	ctx, cancelBudget := context.WithDeadline(ctx, started.Add(m.req.Timeout))
+	ctx, cancelBudget := context.WithDeadline(ctx, started.Add(m.req.Request().Timeout))
 	defer cancelBudget()
 	if gate {
 		release, err := s.gateRequest(ctx, m.ten)
@@ -189,7 +182,7 @@ func (s *Server) serve(ctx context.Context, m *member, started time.Time, gate b
 		}
 		defer release()
 	}
-	resp, err := s.tiers.Serve(ctx, m.req, m.key, m.ten, m.noCache)
+	resp, err := s.tiers.Serve(ctx, &m.req, m.ten, m.noCache)
 	if err != nil {
 		return OptimizeResponse{}, s.serveFailure(err)
 	}
@@ -205,8 +198,9 @@ func (s *Server) serve(ctx context.Context, m *member, started time.Time, gate b
 }
 
 // serveFailure classifies — and counts — a failure after admission, at the
-// FIFO gate or in the tiers. Validation failures never reach it: resolve
-// rejects them.
+// FIFO gate or in the tiers. Nothing a client wrote reaches it: resolve
+// rejects every validation failure, so what is neither a shed, a contained
+// panic nor the client leaving is the server's own fault.
 func (s *Server) serveFailure(err error) *failure {
 	s.errors.Add(1)
 	switch {
@@ -227,7 +221,7 @@ func (s *Server) serveFailure(err error) *failure {
 	case errors.Is(err, context.Canceled):
 		return &failure{err: err, code: CodeCanceled, status: http.StatusBadRequest}
 	default:
-		return &failure{err: err, code: CodeInternal, status: http.StatusBadRequest}
+		return &failure{err: err, code: CodeInternal, status: http.StatusInternalServerError}
 	}
 }
 

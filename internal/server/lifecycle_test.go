@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"moqo/internal/core"
 	"moqo/internal/tenant"
 )
 
@@ -30,7 +31,7 @@ func batchOfOne(t *testing.T, body string) string {
 			Algorithm: req.Algorithm, Alpha: req.Alpha, Objectives: req.Objectives,
 			Weights: req.Weights, Bounds: req.Bounds, Precisions: req.Precisions,
 			TimeoutMs: req.TimeoutMs, Workers: req.Workers, MaxDOP: req.MaxDOP,
-			Enumeration: req.Enumeration, Frontier: req.Frontier,
+			Frontier: req.Frontier,
 		}},
 	})
 	if err != nil {
@@ -50,9 +51,14 @@ func boundedBody(n int, alg string) string {
 // sent to /optimize and as a one-member /optimize/batch, each to a fresh
 // server, yields the same answer bytes or the same error class, and moves
 // the request, error, per-tenant admission and scheduler-grant metrics by
-// the same amounts.
+// the same amounts. A malformed request is refused before admission: it
+// costs its tenant no token and touches no tier, scheduler slot or engine.
 func TestLifecycleEquivalence(t *testing.T) {
-	const quotas = `{"tenants": {"small": {"max_tables": 2}}}`
+	// "once" holds a single token: a request admitted by mistake drains it.
+	const quotas = `{"tenants": {"small": {"max_tables": 2}, "once": {"requests": 1, "interval_ms": 3600000}}}`
+	malformed := func(field string) string {
+		return `{"tpch": 3, "objectives": ["total_time", "energy"], ` + field + `}`
+	}
 	cases := []struct {
 		name, tenant, body string
 		status             int    // of /optimize
@@ -65,12 +71,19 @@ func TestLifecycleEquivalence(t *testing.T) {
 			"joins": [{"left": 1, "right": 0, "left_col": "o_custkey", "right_col": "c_custkey", "selectivity": 0.0000066}]},
 			"scale_factor": 0.1, "algorithm": "exa", "objectives": ["total_time", "buffer_footprint"]}`, 200, ""},
 		{"invalid objective", "acme", `{"tpch": 3, "objectives": ["latency"]}`, 400, CodeValidation},
+		{"rta with bounds", "once", malformed(`"algorithm": "rta", "bounds": {"energy": 1e15}`), 400, CodeValidation},
+		{"alpha below 1", "once", malformed(`"alpha": 0.5`), 400, CodeValidation},
+		{"max_dop out of range", "once", malformed(`"max_dop": 99`), 400, CodeValidation},
+		{"negative weight", "once", malformed(`"weights": {"total_time": -1}`), 400, CodeValidation},
+		{"negative bound", "once", malformed(`"bounds": {"energy": -1}`), 400, CodeValidation},
+		{"precision below 1", "once", malformed(`"precisions": {"energy": 0.5}`), 400, CodeValidation},
 		{"over-quota tenant", "small", chainBody(3, 0.5, "rta", nil), 429, CodeAdmission},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			single := newTestServer(t, Options{Tenants: tenant.NewRegistry(tenantConfig(t, quotas))})
 			batched := newTestServer(t, Options{Tenants: tenant.NewRegistry(tenantConfig(t, quotas))})
+			runsBefore := core.EngineRuns()
 
 			status, want, raw := postAs(t, single, c.tenant, c.body)
 			if status != c.status {
@@ -126,6 +139,24 @@ func TestLifecycleEquivalence(t *testing.T) {
 			if ds, db := deltas(ms), deltas(mb); !reflect.DeepEqual(ds, db) || len(ds) != 1 {
 				t.Errorf("tenant metrics: /optimize %+v, batch %+v", ds, db)
 			}
+			if c.code != CodeValidation {
+				return
+			}
+			for _, m := range []MetricsResponse{ms, mb} {
+				if tm := m.Tenants[0]; tm.Admitted != 0 || tm.Granted != 0 || m.Cache.Misses != 0 || m.FrontierCache.Misses != 0 {
+					t.Errorf("a malformed request got past resolve: admitted %d, granted %d, cache misses %d, frontier misses %d",
+						tm.Admitted, tm.Granted, m.Cache.Misses, m.FrontierCache.Misses)
+				}
+			}
+			if runs := core.EngineRuns(); runs != runsBefore {
+				t.Errorf("a malformed request started %d dynamic programs", runs-runsBefore)
+			}
+			if status, _, raw := postAs(t, single, c.tenant, q3Request); status != http.StatusOK {
+				t.Errorf("valid /optimize after the malformed one: status %d: %s", status, raw)
+			}
+			if _, batch, raw := postBatchAs(t, batched, c.tenant, batchOfOne(t, q3Request)); len(batch.Members) != 1 || batch.Members[0].Result == nil {
+				t.Errorf("valid batch member after the malformed one: %s", raw)
+			}
 		})
 	}
 }
@@ -178,7 +209,7 @@ func TestAdmissionCostsResolvedAlgorithm(t *testing.T) {
 // fuzzServer is the fuzz targets' server: a tight deadline keeps every
 // execution short (a deadline degrades the answer, it never fails it),
 // and a default quota puts admission rejections within the fuzzer's reach.
-func fuzzServer(f *testing.F) http.Handler {
+func fuzzServer(f *testing.F) *Server {
 	cfg, err := tenant.ParseConfig([]byte(`{"default": {"max_tables": 6, "max_predicted_cost": 20000}}`))
 	if err != nil {
 		f.Fatal(err)
@@ -187,7 +218,30 @@ func fuzzServer(f *testing.F) http.Handler {
 		Tenants:        tenant.NewRegistry(cfg),
 		DefaultTimeout: 5 * time.Millisecond,
 		MaxTimeout:     5 * time.Millisecond,
-	}).Handler()
+	})
+}
+
+// fuzzPost sends one fuzzed body and checks what holds for every answer: a
+// 400 was refused before admission — no tenant was charged and no dynamic
+// program started.
+func fuzzPost(t *testing.T, s *Server, path string, body []byte) *httptest.ResponseRecorder {
+	admitted := func() (n uint64) {
+		for _, snap := range s.tenants.Snapshots() {
+			n += snap.Admitted
+		}
+		return n
+	}
+	admittedBefore, runsBefore := admitted(), core.EngineRuns()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if !fuzzStatusOK(rec.Code) {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec.Code == http.StatusBadRequest && (admitted() != admittedBefore || core.EngineRuns() != runsBefore) {
+		t.Fatalf("a 400 was admitted or ran an engine: admitted %d -> %d, engine runs %d -> %d: %s",
+			admittedBefore, admitted(), runsBefore, core.EngineRuns(), rec.Body.String())
+	}
+	return rec
 }
 
 // fuzzStatusOK reports whether a fuzzed body was answered with a status
@@ -202,31 +256,35 @@ func fuzzStatusOK(status int) bool {
 	return false
 }
 
-// FuzzOptimizeBody: no /optimize body panics the handler or gets a status
-// outside {200, 400, 413, 429, 503}, and a 200 carries a plan.
+// FuzzOptimizeBody: no /optimize body panics the handler, gets a status
+// outside {200, 400, 413, 429, 503} or is answered code "internal"; a 200
+// carries a plan.
 func FuzzOptimizeBody(f *testing.F) {
 	for _, seed := range []string{
 		q3Request, reweightRequest(1), iraRequest(1), boundedBody(3, ""),
 		chainBody(3, 0.5, "exa", map[string]float64{"total_time": 1}), chainBody(8, 0.5, "rta", nil),
 		`{}`, `{`, `{"tpch": 77, "objectives": ["total_time"]}`, `{"tpch": 3, "objectives": ["latency"]}`,
 		`{"tpch": 3, "objectives": ["total_time"], "wat": 1}`,
+		`{"tpch": 3, "objectives": ["total_time", "energy"], "alpha": 0.5, "max_dop": 99, "weights": {"energy": -1}}`,
+		`{"tpch": 3, "objectives": ["total_time", "energy"], "algorithm": "rta", "bounds": {"energy": -1}, "precisions": {"energy": 0.5}}`,
 		`{"tpch": 3, "catalog": {"tables": [{"name": "t", "rows": 1, "width": 8}]}, "query": {"relations": [{"table": "t"}]}, "objectives": ["total_time"]}`,
 		`{"catalog": {"tables": [{"name": "a", "rows": 1, "width": 8}]}, "query": {"relations": [{"table": "a"}], "joins": [{"left": 0, "right": 0, "left_col": "x", "right_col": "y", "selectivity": 0.5}]}, "objectives": ["total_time"]}`,
 	} {
 		f.Add([]byte(seed))
 	}
-	h := fuzzServer(f)
+	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body)))
-		if !fuzzStatusOK(rec.Code) {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-		}
+		rec := fuzzPost(t, s, "/optimize", body)
 		if rec.Code == http.StatusOK {
 			var resp OptimizeResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Plan) == 0 {
 				t.Fatalf("200 without a plan (%v): %s", err, rec.Body.String())
 			}
+			return
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code == CodeInternal {
+			t.Fatalf("failure body (%v): %s", err, rec.Body.String())
 		}
 	})
 }
@@ -244,7 +302,7 @@ var batchOfOneSeed = func() string {
 // FuzzBatchBody: no /optimize/batch body panics the handler or gets a
 // status outside {200, 400, 413, 429, 503}, and a 200 — collected or
 // streamed — answers every member exactly once, with exactly one of
-// result and error.
+// result and error, never error_code "internal".
 func FuzzBatchBody(f *testing.F) {
 	for _, seed := range []string{
 		tpchBatch, `{"stream": true,` + tpchBatch[1:], batchOfOneSeed,
@@ -253,13 +311,9 @@ func FuzzBatchBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	h := fuzzServer(f)
+	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/optimize/batch", bytes.NewReader(body)))
-		if !fuzzStatusOK(rec.Code) {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-		}
+		rec := fuzzPost(t, s, "/optimize/batch", body)
 		if rec.Code != http.StatusOK {
 			return
 		}
@@ -289,8 +343,8 @@ func FuzzBatchBody(f *testing.F) {
 				t.Fatalf("member index %d out of range or answered twice (%d members)", m.Member, len(members))
 			}
 			seen[m.Member] = true
-			if (m.Result != nil) == (m.Error != "") || (m.Error != "") != (m.ErrorCode != "") {
-				t.Fatalf("member %d: want exactly one of result and error+code: %+v", m.Member, m)
+			if (m.Result != nil) == (m.Error != "") || (m.Error != "") != (m.ErrorCode != "") || m.ErrorCode == CodeInternal {
+				t.Fatalf("member %d: want exactly one of result and a non-internal error+code: %+v", m.Member, m)
 			}
 		}
 	})

@@ -25,9 +25,13 @@
 //   - decode (Server.decode): the size-limited, unknown-field-rejecting
 //     JSON decode of the body.
 //   - resolve (Server.resolve): wire request → member. Tenant, catalog,
-//     query, knobs, clamped timeout and workers, CacheKey, then admission
-//     under the resolved algorithm; fails with a classified failure
-//     (validation or admission).
+//     query, knobs, clamped timeout and workers, then the service's one
+//     moqo.Request.Resolve call — every check a request's content can
+//     fail, its defaults and its algorithm, as one moqo.Resolved value
+//     that admission, the schedule and the tiers all ask and nothing
+//     re-derives — then admission under the resolved algorithm; fails
+//     with a classified failure (validation before admission, or
+//     admission).
 //   - schedule (batchplan.New/Run, batches only): members most-expensive-
 //     first, those sharing a query object taking turns in that order, on
 //     `parallel` claimers of which the handler is one — the same schedule
@@ -35,11 +39,12 @@
 //   - serve (Server.serve): deadline budget, tiers, frontier stripping,
 //     latency; a failure is classified by Server.serveFailure, the one
 //     switch from a serve error to (wire code, HTTP status, reason).
+//     Nothing a client wrote gets this far, so its default is a 500.
 //   - tiers (tiers.Serve): the ladder exact plan cache (keyed by
-//     moqo.Request.CacheKey) → frontier tier (keyed by the weight/bound-free
-//     FrontierKey, so the paper's Figure 3 re-weighting scenario is a
-//     SelectBest scan over a snapshot, microseconds instead of a dynamic
-//     program) → disk store → cold dynamic program. Both memory tiers
+//     moqo.Resolved.CacheKey) → frontier tier (keyed by FrontierKey, its
+//     weight/bound-free prefix, so the paper's Figure 3 re-weighting
+//     scenario is a SelectBest scan over a snapshot, microseconds instead
+//     of a dynamic program) → disk store → cold dynamic program. Both memory tiers
 //     coalesce concurrent identical keys (single-flight), so a burst for
 //     one query shape, even under distinct weights, runs the engine once;
 //     only the cold dynamic program waits for a fair-scheduler slot.
@@ -78,7 +83,7 @@ type Options struct {
 	// power of two; 0 picks the cache default). Applies to both tiers.
 	CacheShards int
 	// FrontierCacheCapacity bounds the frontier tier: FrontierSnapshots
-	// keyed by the weight/bound-free moqo.Request.FrontierKey, from which
+	// keyed by the weight/bound-free moqo.Resolved.FrontierKey, from which
 	// weight/bound changes are answered with a SelectBest scan instead of
 	// a new optimization. 0 means the default (512); negative disables
 	// the tier (re-weight requests then always recompute).
@@ -91,11 +96,6 @@ type Options struct {
 	// runtime.NumCPU()). Per-request workers are clamped to at most
 	// runtime.NumCPU().
 	DefaultWorkers int
-	// DefaultEnumeration applies to requests without an enumeration
-	// field. The zero value (moqo.EnumAuto) picks the graph-aware
-	// strategy for connected join graphs — results are identical for
-	// every strategy, so this only tunes enumeration work.
-	DefaultEnumeration moqo.EnumerationStrategy
 	// StorePath enables the disk-backed frontier store: marshaled
 	// frontier snapshots persist under this directory, keyed by
 	// FrontierKey, so a restarted server answers known query shapes from
@@ -127,10 +127,9 @@ type Options struct {
 	// store breaker (0 = the fault package default, 5).
 	BreakerThreshold int
 	// BreakerCooldown is the first open window before a half-open
-	// probe; successive failed probes double it up to BreakerMaxCooldown
-	// (0 = the defaults, 250ms and 30s).
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
+	// probe; successive failed probes double it, up to 30s (0 = the
+	// default, 250ms).
+	BreakerCooldown time.Duration
 	// MaxQueueDepth bounds the cold-DP scheduler's total queued
 	// waiters: an arrival past the bound is shed immediately with 503 +
 	// Retry-After instead of growing an unbounded latency cliff. It

@@ -422,7 +422,7 @@ func TestServeErrorClassification(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", context.DeadlineExceeded), CodeTimeout, http.StatusServiceUnavailable, "budget_exhausted"},
 		{fmt.Errorf("wrapped: %w", moqo.ErrInternalPanic), CodeInternal, http.StatusInternalServerError, ""},
 		{fmt.Errorf("wrapped: %w", context.Canceled), CodeCanceled, http.StatusBadRequest, ""},
-		{fmt.Errorf("exploded"), CodeInternal, http.StatusBadRequest, ""},
+		{fmt.Errorf("exploded"), CodeInternal, http.StatusInternalServerError, ""},
 	}
 	svc := New(Options{})
 	for _, c := range cases {

@@ -12,8 +12,9 @@ const TenantHeader = "X-Moqo-Tenant"
 // BatchMemberResponse.ErrorCode, so clients dispatch on the class of a
 // failure instead of parsing its message.
 const (
-	// CodeValidation: the request (or member) is malformed — fixing the
-	// payload is the only remedy.
+	// CodeValidation: the request (or member) is malformed — the wire
+	// could not be built into a request, or moqo.Request.Resolve refused
+	// it. Raised before admission; fixing the payload is the only remedy.
 	CodeValidation = "validation"
 	// CodeAdmission: the tenant's quota rejected the request (rate
 	// budget, table ceiling, or predicted-cost ceiling). Rate rejections
@@ -23,7 +24,8 @@ const (
 	CodeTimeout = "timeout"
 	// CodeCanceled: the caller went away mid-flight.
 	CodeCanceled = "canceled"
-	// CodeInternal: an unexpected serving failure.
+	// CodeInternal: an unexpected serving failure — the server's fault,
+	// answered 500.
 	CodeInternal = "internal"
 	// CodeOverload: the server shed the request — the cold-DP queue is
 	// at its load-shedding bound, or the request's deadline budget was

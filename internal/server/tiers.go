@@ -15,13 +15,13 @@ import (
 // §3). It owns both memory caches, the disk tier, their eviction hooks and
 // the tier counters; the one thing it asks of its owner is a cold-DP slot.
 type tiers struct {
-	// exact is keyed by moqo.Request.CacheKey (nil when caching is
+	// exact is keyed by moqo.Resolved.CacheKey (nil when caching is
 	// disabled): a repeat of the identical request is a lookup.
 	exact *cache.Cache[OptimizeResponse]
-	// frontier is the snapshot tier, keyed by moqo.Request.FrontierKey
+	// frontier is the snapshot tier, keyed by moqo.Resolved.FrontierKey
 	// (nil when disabled). It is consulted on exact-tier misses for
 	// algorithms with reusable frontiers; a hit serves the request by a
-	// SelectBest scan over the cached snapshot (moqo.ReoptimizeContext).
+	// SelectBest scan over the cached snapshot (moqo.Resolved.Reoptimize).
 	frontier *cache.Cache[frontierEntry]
 	// disk persists the frontier tier's snapshots across restarts (nil
 	// when disabled; every method is nil-safe): the store, its breaker and
@@ -126,12 +126,12 @@ func cacheMetrics(st cache.Stats) CacheMetrics {
 // member — from the exact tier, whose single-flight makes identical
 // requests run one dynamic program; a miss goes down the ladder. noCache
 // (the request's no_cache) bypasses every tier.
-func (t *tiers) Serve(ctx context.Context, req moqo.Request, key, ten string, noCache bool) (OptimizeResponse, error) {
+func (t *tiers) Serve(ctx context.Context, req *moqo.Resolved, ten string, noCache bool) (OptimizeResponse, error) {
 	if t.exact == nil || noCache {
 		resp, _, err := t.serveCold(ctx, req, ten)
 		return resp, err
 	}
-	resp, src, err := t.exact.Do(ctx, key, func(cctx context.Context) (OptimizeResponse, bool, error) {
+	resp, src, err := t.exact.Do(ctx, req.CacheKey(), func(cctx context.Context) (OptimizeResponse, bool, error) {
 		resp, store, err := t.serveFrontier(cctx, req, ten)
 		if err == nil && store {
 			// Stamp and attribute a storable result to the computing
@@ -183,14 +183,11 @@ func (t *tiers) newFrontierEntry(sn *moqo.FrontierSnapshot, frontier []map[strin
 // microseconds. Otherwise this caller fills the tier, and its snapshot
 // serves every later re-weight. The bool reports whether the response may
 // be cached (degraded results may not).
-func (t *tiers) serveFrontier(ctx context.Context, req moqo.Request, ten string) (OptimizeResponse, bool, error) {
+func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, bool, error) {
 	if t.frontier == nil || !req.ReusableFrontier() {
 		return t.serveCold(ctx, req, ten)
 	}
-	fkey, err := req.FrontierKey()
-	if err != nil {
-		return OptimizeResponse{}, false, err
-	}
+	fkey := req.FrontierKey()
 	var lead *moqo.Result
 	ent, _, err := t.frontier.Do(ctx, fkey, func(cctx context.Context) (frontierEntry, bool, error) {
 		filled, res, err := t.fillFrontier(cctx, req, fkey, ten)
@@ -209,7 +206,7 @@ func (t *tiers) serveFrontier(ctx context.Context, req moqo.Request, ten string)
 	if ent.snap == nil {
 		return t.serveCold(ctx, req, ten)
 	}
-	res, newSnap, err := moqo.ReoptimizeContext(ctx, req, ent.snap)
+	res, newSnap, err := req.Reoptimize(ctx, ent.snap)
 	if err != nil {
 		return OptimizeResponse{}, false, err
 	}
@@ -233,7 +230,7 @@ func (t *tiers) serveFrontier(ctx context.Context, req moqo.Request, ten string)
 // exactly like a memory hit — and otherwise by the cold dynamic program,
 // whose result it hands back as lead. A degraded run yields no snapshot
 // and an empty entry, which is stored in neither tier nor on disk.
-func (t *tiers) fillFrontier(ctx context.Context, req moqo.Request, fkey, ten string) (ent frontierEntry, lead *moqo.Result, err error) {
+func (t *tiers) fillFrontier(ctx context.Context, req *moqo.Resolved, fkey, ten string) (ent frontierEntry, lead *moqo.Result, err error) {
 	if sn := t.disk.Get(fkey); sn != nil {
 		return t.newFrontierEntry(sn, renderFrontier(sn.Objectives(), sn.FrontierVectors()), ten), nil, nil
 	}
@@ -241,7 +238,7 @@ func (t *tiers) fillFrontier(ctx context.Context, req moqo.Request, fkey, ten st
 	if err != nil {
 		return frontierEntry{}, nil, err
 	}
-	res, sn, err := moqo.OptimizeSnapshotContext(ctx, req)
+	res, sn, err := req.OptimizeSnapshot(ctx)
 	release()
 	if err != nil || sn == nil {
 		return frontierEntry{}, res, err
@@ -255,13 +252,13 @@ func (t *tiers) fillFrontier(ctx context.Context, req moqo.Request, fkey, ten st
 
 // serveCold runs one optimization, under a cold-DP slot, and renders it;
 // the bool reports whether the response may be cached.
-func (t *tiers) serveCold(ctx context.Context, req moqo.Request, ten string) (OptimizeResponse, bool, error) {
+func (t *tiers) serveCold(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, bool, error) {
 	release, err := t.acquire(ctx, ten)
 	if err != nil {
 		return OptimizeResponse{}, false, err
 	}
 	defer release()
-	res, err := moqo.OptimizeContext(ctx, req)
+	res, err := req.Optimize(ctx)
 	if err != nil {
 		return OptimizeResponse{}, false, err
 	}

@@ -45,13 +45,6 @@ type OptimizeRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// MaxDOP caps operator parallelism in produced plans (default 4).
 	MaxDOP int `json:"max_dop,omitempty"`
-	// Enumeration selects the search-space enumeration strategy: auto
-	// (default — graph-aware for connected join graphs), graph, or
-	// exhaustive. Results are identical for any value; only enumeration
-	// work and wall-clock time change, so the plan cache ignores it.
-	// Empty uses the server default.
-	Enumeration string `json:"enumeration,omitempty"`
-
 	// NoCache bypasses the plan cache for this request (it neither reads
 	// nor populates it) — chiefly for measuring, or for forcing a fresh
 	// optimization.
@@ -112,17 +105,16 @@ type BatchMemberRequest struct {
 	// header, then to the anonymous tenant.
 	Tenant string `json:"tenant,omitempty"`
 
-	Algorithm   string             `json:"algorithm,omitempty"`
-	Alpha       float64            `json:"alpha,omitempty"`
-	Objectives  []string           `json:"objectives"`
-	Weights     map[string]float64 `json:"weights,omitempty"`
-	Bounds      map[string]float64 `json:"bounds,omitempty"`
-	Precisions  map[string]float64 `json:"precisions,omitempty"`
-	TimeoutMs   int64              `json:"timeout_ms,omitempty"`
-	Workers     int                `json:"workers,omitempty"`
-	MaxDOP      int                `json:"max_dop,omitempty"`
-	Enumeration string             `json:"enumeration,omitempty"`
-	Frontier    bool               `json:"frontier,omitempty"`
+	Algorithm  string             `json:"algorithm,omitempty"`
+	Alpha      float64            `json:"alpha,omitempty"`
+	Objectives []string           `json:"objectives"`
+	Weights    map[string]float64 `json:"weights,omitempty"`
+	Bounds     map[string]float64 `json:"bounds,omitempty"`
+	Precisions map[string]float64 `json:"precisions,omitempty"`
+	TimeoutMs  int64              `json:"timeout_ms,omitempty"`
+	Workers    int                `json:"workers,omitempty"`
+	MaxDOP     int                `json:"max_dop,omitempty"`
+	Frontier   bool               `json:"frontier,omitempty"`
 }
 
 // BatchMemberResponse is one member's outcome. Exactly one of Result and
@@ -245,8 +237,7 @@ type StatsResponse struct {
 	MemoryBytes int64   `json:"memory_bytes"`
 	ParetoLast  int     `json:"pareto_last"`
 	// EnumSets and EnumSplits report the enumeration work of the run
-	// (table sets scanned, ordered split pairs visited) — the metrics
-	// the enumeration strategy changes.
+	// (table sets scanned, ordered split pairs visited).
 	EnumSets   int  `json:"enum_sets"`
 	EnumSplits int  `json:"enum_splits"`
 	TimedOut   bool `json:"timed_out"`
@@ -582,21 +573,13 @@ func buildQuery(spec *QuerySpec, cat *moqo.Catalog) (*moqo.Query, error) {
 // applyKnobs resolves the wire request's algorithm/objective knobs onto a
 // moqo.Request whose query is already set. The timeout and workers knobs
 // are resolved by the caller (they are clamped, not parsed).
-func (s *Server) applyKnobs(req *moqo.Request, wire *OptimizeRequest) error {
+func applyKnobs(req *moqo.Request, wire *OptimizeRequest) error {
 	if wire.Algorithm != "" {
 		alg, err := moqo.ParseAlgorithm(wire.Algorithm)
 		if err != nil {
 			return err
 		}
 		req.Algorithm = alg
-	}
-	req.Enumeration = s.opts.DefaultEnumeration
-	if wire.Enumeration != "" {
-		enum, err := moqo.ParseEnumerationStrategy(wire.Enumeration)
-		if err != nil {
-			return err
-		}
-		req.Enumeration = enum
 	}
 	req.Alpha = wire.Alpha
 	req.MaxDOP = wire.MaxDOP
@@ -623,20 +606,19 @@ func (s *Server) applyKnobs(req *moqo.Request, wire *OptimizeRequest) error {
 // treats members and /optimize requests identically.
 func (m *BatchMemberRequest) asOptimizeRequest(catalog *CatalogSpec) OptimizeRequest {
 	return OptimizeRequest{
-		TPCH:        m.TPCH,
-		Catalog:     catalog,
-		Query:       m.Query,
-		Algorithm:   m.Algorithm,
-		Alpha:       m.Alpha,
-		Objectives:  m.Objectives,
-		Weights:     m.Weights,
-		Bounds:      m.Bounds,
-		Precisions:  m.Precisions,
-		TimeoutMs:   m.TimeoutMs,
-		Workers:     m.Workers,
-		MaxDOP:      m.MaxDOP,
-		Enumeration: m.Enumeration,
-		Frontier:    m.Frontier,
+		TPCH:       m.TPCH,
+		Catalog:    catalog,
+		Query:      m.Query,
+		Algorithm:  m.Algorithm,
+		Alpha:      m.Alpha,
+		Objectives: m.Objectives,
+		Weights:    m.Weights,
+		Bounds:     m.Bounds,
+		Precisions: m.Precisions,
+		TimeoutMs:  m.TimeoutMs,
+		Workers:    m.Workers,
+		MaxDOP:     m.MaxDOP,
+		Frontier:   m.Frontier,
 	}
 }
 

@@ -34,13 +34,23 @@
 //
 // OptimizeContext adds cancellation (a cancelled context aborts the
 // dynamic program promptly) and deadline handling (a context deadline
-// degrades gracefully, like Request.Timeout). Request.CacheKey computes
-// the canonical result fingerprint that the moqod service (cmd/moqod)
-// uses to cache plans across requests, and Request.FrontierKey its
-// weight/bound-free prefix: OptimizeSnapshot extracts a reusable
-// FrontierSnapshot alongside the result, and Reoptimize answers any
-// later weight or bound change on the same FrontierKey from it — a
-// SelectBest scan instead of a new optimization (see FrontierSnapshot).
+// degrades gracefully, like Request.Timeout).
+//
+// Every entry point is Request.Resolve plus one method of the Resolved it
+// returns. Resolve is the one validator: it applies every check a
+// request's content can fail, fixes the defaults and decides the algorithm
+// (RTA for weighted, IRA for bounded-weighted MOQO). A caller that does
+// more than one thing with a request — the moqod service (cmd/moqod)
+// admits it, looks it up in two cache tiers and then runs it — resolves it
+// once and asks the value: Resolved.CacheKey is the canonical result
+// fingerprint plans are cached under and Resolved.FrontierKey its
+// weight/bound-free prefix, both one string built on first use;
+// Resolved.OptimizeSnapshot extracts a reusable FrontierSnapshot alongside
+// the result, and Resolved.Reoptimize answers any later weight or bound
+// change on the same FrontierKey from it — a SelectBest scan instead of a
+// new optimization (see FrontierSnapshot). Optimize, OptimizeSnapshot,
+// Reoptimize, Request.CacheKey and Request.FrontierKey are the one-shot
+// forms.
 package moqo
 
 import (
@@ -171,73 +181,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("moqo: unknown algorithm %q", s)
 }
 
-// EnumerationStrategy selects how the optimizer materializes and splits
-// the join search space. The strategy never changes the answer — the
-// engine emits candidates in the same canonical order under every
-// strategy, so plans, frontiers and candidate counts are identical (and
-// the plan cache ignores the knob, like Workers) — it changes how much
-// enumeration work finding the answer takes.
-type EnumerationStrategy int
-
-// Available enumeration strategies. The zero value is EnumAuto, so a
-// Request that does not mention enumeration gets the graph-aware
-// strategy exactly when the join graph supports it.
-const (
-	// EnumAuto (the zero value) picks EnumGraph for connected join
-	// graphs and EnumExhaustive otherwise.
-	EnumAuto EnumerationStrategy = iota
-	// EnumGraph walks the join graph: only connected table sets are
-	// materialized, and the candidate loop enumerates only
-	// predicate-connected csg-cmp splits. Chains, cycles, stars and
-	// trees pay polynomial enumeration work instead of 2^n, which is
-	// what makes 20+ table sparse queries practical. Falls back to
-	// EnumExhaustive when the join graph is disconnected.
-	EnumGraph
-	// EnumExhaustive scans all 2^n subsets and tries every 2-split,
-	// filtering by connectivity afterwards — the baseline the
-	// differential tests compare against, and the only possible
-	// strategy for disconnected join graphs.
-	EnumExhaustive
-)
-
-func (e EnumerationStrategy) String() string {
-	switch e {
-	case EnumAuto:
-		return "auto"
-	case EnumGraph:
-		return "graph"
-	case EnumExhaustive:
-		return "exhaustive"
-	default:
-		return fmt.Sprintf("enumeration(%d)", int(e))
-	}
-}
-
-// ParseEnumerationStrategy converts a strategy name (as produced by
-// String) back to its identifier.
-func ParseEnumerationStrategy(s string) (EnumerationStrategy, error) {
-	for _, e := range []EnumerationStrategy{EnumAuto, EnumGraph, EnumExhaustive} {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("moqo: unknown enumeration strategy %q", s)
-}
-
-// coreStrategy maps the public knob onto the engine's.
-func (e EnumerationStrategy) coreStrategy() (core.EnumerationStrategy, error) {
-	switch e {
-	case EnumAuto:
-		return core.EnumAuto, nil
-	case EnumGraph:
-		return core.EnumGraph, nil
-	case EnumExhaustive:
-		return core.EnumExhaustive, nil
-	default:
-		return 0, fmt.Errorf("moqo: unknown enumeration strategy %v", e)
-	}
-}
-
 // Request describes one optimization problem.
 type Request struct {
 	// Query to optimize (required).
@@ -289,15 +232,6 @@ type Request struct {
 	// use the whole machine.
 	Workers int
 
-	// Enumeration selects the search-space enumeration strategy. The
-	// zero value (EnumAuto) uses the graph-aware csg-cmp enumeration
-	// whenever the join graph is connected — polynomial enumeration work
-	// on chains, cycles, stars and trees instead of the exhaustive scan's
-	// 2^n — and the exhaustive scan otherwise. Results are identical
-	// under every strategy; only enumeration work (Stats.EnumSets,
-	// Stats.EnumSplits) and wall-clock time change.
-	Enumeration EnumerationStrategy
-
 	// AllowSampling overrides whether sampling scans are in the plan
 	// space (default: only when TupleLoss is an active objective).
 	AllowSampling *bool
@@ -307,8 +241,8 @@ type Request struct {
 	// canonical subproblem keys, so requests over the same catalog whose
 	// queries join overlapping table sets skip each other's solved
 	// subproblems. Results are bit-for-bit identical with and without a
-	// shared memo — like Workers and Enumeration, the knob changes effort,
-	// never the answer, and is excluded from CacheKey/FrontierKey.
+	// shared memo — like Workers, the knob changes effort, never the
+	// answer, and is excluded from CacheKey/FrontierKey.
 	// OptimizeBatch attaches one automatically; set it directly only to
 	// share across hand-rolled Optimize calls.
 	Shared *SharedMemo
@@ -363,63 +297,155 @@ func Optimize(req Request) (*Result, error) {
 	return OptimizeContext(context.Background(), req)
 }
 
-// resolve validates the request and resolves the documented defaults: the
-// active objective set, dense weights and bounds, the algorithm that will
-// actually run (AlgoAuto resolved), and the effective alpha. Both OptimizeContext and CacheKey build on it,
-// so a cache key always reflects the run that would happen.
-func (req Request) resolve() (objs objective.Set, w objective.Weights, b objective.Bounds, alg Algorithm, alpha float64, err error) {
-	if req.Query == nil {
-		err = fmt.Errorf("moqo: no query")
-		return
+// OptimizeContext solves one MOQO problem under a context: Resolve, then
+// Resolved.Optimize.
+func OptimizeContext(ctx context.Context, req Request) (*Result, error) {
+	r, err := req.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	if err = req.Query.Validate(); err != nil {
-		err = fmt.Errorf("moqo: %w", err)
-		return
+	return r.Optimize(ctx)
+}
+
+// Resolved is a Request after every check its content can fail, with the
+// documented defaults applied: the active objective set, dense weights and
+// bounds, the algorithm that will actually run (AlgoAuto resolved) and the
+// effective alpha. It is what a request is validated, defaulted and keyed
+// into exactly once — Optimize, OptimizeSnapshot, Reoptimize, CacheKey and
+// FrontierKey are its methods, so the run, the admission verdict and both
+// cache keys of one request cannot disagree about what the request is.
+//
+// Only the effort knobs outside both keys stay adjustable (SetWorkers,
+// SetShared); everything else is fixed by Resolve. A Resolved is not safe
+// for concurrent use — the keys are built on first use — but may be
+// copied freely.
+type Resolved struct {
+	req   Request
+	objs  objective.Set
+	w     objective.Weights
+	b     objective.Bounds
+	alg   Algorithm
+	alpha float64
+
+	// key is the CacheKey, built on first use; its first fkLen bytes are
+	// the FrontierKey (see buildKey).
+	key   string
+	fkLen int
+}
+
+// Resolve validates the request and resolves its defaults. Every error a
+// request's content can cause is raised here — before any key is built,
+// any quota charged or any dynamic program started — so nothing
+// downstream re-checks a Resolved.
+func (req Request) Resolve() (Resolved, error) {
+	r := Resolved{req: req, b: objective.NoBounds()}
+	if req.Query == nil {
+		return Resolved{}, fmt.Errorf("moqo: no query")
+	}
+	if err := req.Query.Validate(); err != nil {
+		return Resolved{}, fmt.Errorf("moqo: %w", err)
 	}
 	if len(req.Objectives) == 0 {
-		err = fmt.Errorf("moqo: no objectives")
-		return
+		return Resolved{}, fmt.Errorf("moqo: no objectives")
 	}
-	objs = objective.NewSet(req.Objectives...)
+	r.objs = objective.NewSet(req.Objectives...)
 
 	for o, x := range req.Weights {
-		if !objs.Contains(o) {
-			err = fmt.Errorf("moqo: weight on inactive objective %v", o)
-			return
+		if !r.objs.Contains(o) {
+			return Resolved{}, fmt.Errorf("moqo: weight on inactive objective %v", o)
 		}
-		w[o] = x
+		r.w[o] = x
 	}
-	b = objective.NoBounds()
+	if !r.w.Valid() {
+		return Resolved{}, fmt.Errorf("moqo: weights must be finite and non-negative")
+	}
 	for o, x := range req.Bounds {
-		if !objs.Contains(o) {
-			err = fmt.Errorf("moqo: bound on inactive objective %v", o)
-			return
+		if !r.objs.Contains(o) {
+			return Resolved{}, fmt.Errorf("moqo: bound on inactive objective %v", o)
 		}
-		b[o] = x
+		r.b[o] = x
+	}
+	if !r.b.Valid() {
+		return Resolved{}, fmt.Errorf("moqo: bounds must be non-negative")
 	}
 
-	alg = req.Algorithm
-	if alg == AlgoAuto {
-		alg = AlgoIRA
-		if b.Unbounded(objs) {
-			alg = AlgoRTA
+	r.alg = req.Algorithm
+	switch r.alg {
+	case AlgoAuto:
+		r.alg = AlgoIRA
+		if r.b.Unbounded(r.objs) {
+			r.alg = AlgoRTA
 		}
+	case AlgoRTA:
+		if !r.b.Unbounded(r.objs) {
+			return Resolved{}, fmt.Errorf("moqo: RTA does not support bounds; use AlgoIRA")
+		}
+	case AlgoEXA, AlgoIRA, AlgoSelinger, AlgoWeightedSum:
+	default:
+		return Resolved{}, fmt.Errorf("moqo: unknown algorithm %v", r.alg)
 	}
 	for o := range req.Precisions {
-		if !objs.Contains(o) {
-			err = fmt.Errorf("moqo: precision on inactive objective %v", o)
-			return
+		if !r.objs.Contains(o) {
+			return Resolved{}, fmt.Errorf("moqo: precision on inactive objective %v", o)
 		}
 	}
-	if len(req.Precisions) > 0 && alg != AlgoRTA {
-		err = fmt.Errorf("moqo: Precisions requires AlgoRTA, got %v", alg)
-		return
+	if len(req.Precisions) > 0 {
+		if r.alg != AlgoRTA {
+			return Resolved{}, fmt.Errorf("moqo: Precisions requires AlgoRTA, got %v", r.alg)
+		}
+		if !r.precision().Valid() {
+			return Resolved{}, fmt.Errorf("moqo: precisions must be at least 1")
+		}
 	}
-	alpha = req.Alpha
-	if alpha == 0 {
-		alpha = 1.2
+	r.alpha = req.Alpha
+	if r.alpha == 0 {
+		r.alpha = 1.2
 	}
-	return objs, w, b, alg, alpha, nil
+	// The ranges of Alpha, MaxDOP and Workers are the engine's own;
+	// AllowSampling has none, and set it spares Normalize allocating its
+	// default for a value nobody reads.
+	opts := r.coreOptions(false)
+	opts.AllowSampling = new(bool)
+	if _, err := opts.Normalize(); err != nil {
+		return Resolved{}, err
+	}
+	return r, nil
+}
+
+// Request returns the request as resolved (effort knobs as last set).
+func (r *Resolved) Request() Request { return r.req }
+
+// SetWorkers changes the Workers knob of the resolved request — the
+// selected plan, frontier, statistics and both keys are identical for
+// every value (see Request.Workers).
+func (r *Resolved) SetWorkers(n int) { r.req.Workers = n }
+
+// SetShared attaches a batch's shared memo to the resolved request; like
+// Workers it changes effort, never the answer or a key (see
+// Request.Shared).
+func (r *Resolved) SetShared(m *SharedMemo) { r.req.Shared = m }
+
+// Algorithm reports the algorithm the request runs — AlgoAuto resolved to
+// RTA or IRA, what "|alg=" in its CacheKey says.
+func (r *Resolved) Algorithm() Algorithm { return r.alg }
+
+// ReusableFrontier reports whether the algorithm produces a reusable
+// frontier (EXA, RTA) or can seed from one (IRA) — the gate the moqod
+// service applies before routing a request through the frontier tier.
+// False for the single-objective baselines.
+func (r *Resolved) ReusableFrontier() bool {
+	switch r.alg {
+	case AlgoEXA, AlgoRTA, AlgoIRA:
+		return true
+	}
+	return false
+}
+
+// PredictedCost estimates the relative effort of the request's dynamic
+// program (core.PredictCost under the resolved algorithm): what admission
+// checks and what a batch schedules by.
+func (r *Resolved) PredictedCost() float64 {
+	return core.PredictCost(len(r.req.Query.Relations), len(r.req.Objectives), r.alg.String())
 }
 
 // ErrInternalPanic marks an optimization abandoned because a worker
@@ -429,103 +455,95 @@ func (req Request) resolve() (objs objective.Set, w objective.Weights, b objecti
 // with errors.Is.
 var ErrInternalPanic = core.ErrEnginePanic
 
-// OptimizeContext solves one MOQO problem under a context. Cancelling the
+// Optimize solves the resolved problem under a context. Cancelling the
 // context (a client disconnect, an explicit cancel) aborts the dynamic
 // program promptly — within about a thousand candidate plans — and returns
 // the context's error. A context *deadline* instead folds into the same
 // graceful degradation as Request.Timeout (paper Section 5.1): the earlier
 // of the two fires, untreated table sets get a single best-weighted plan,
 // and the call still returns a Result with Stats.TimedOut set.
-func OptimizeContext(ctx context.Context, req Request) (*Result, error) {
-	res, _, err := optimizeContext(ctx, req, false)
+func (r *Resolved) Optimize(ctx context.Context) (*Result, error) {
+	res, _, err := r.run(ctx, false)
 	return res, err
 }
 
-// optimizeContext is the shared body of OptimizeContext (capture=false)
-// and OptimizeSnapshotContext (capture=true, which additionally extracts
-// the compact frontier snapshot of the run for the frontier cache).
-func optimizeContext(ctx context.Context, req Request, capture bool) (*Result, *core.FrontierSnapshot, error) {
+// run is the shared body of Optimize (capture=false) and OptimizeSnapshot
+// (capture=true, which additionally extracts the compact frontier snapshot
+// of the run for the frontier cache).
+func (r *Resolved) run(ctx context.Context, capture bool) (*Result, *core.FrontierSnapshot, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	objs, w, b, alg, alpha, err := req.resolve()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	m, opts, err := req.coreOptions(objs, alpha, capture)
-	if err != nil {
-		return nil, nil, err
-	}
+	m, opts := r.model(), r.coreOptions(capture)
 
 	var res core.Result
-	switch alg {
+	var err error
+	switch r.alg {
 	case AlgoEXA:
-		res, err = core.EXAContext(ctx, m, w, b, opts)
+		res, err = core.EXAContext(ctx, m, r.w, r.b, opts)
 	case AlgoRTA:
-		if !b.Unbounded(objs) {
-			return nil, nil, fmt.Errorf("moqo: RTA does not support bounds; use AlgoIRA")
-		}
-		if len(req.Precisions) > 0 {
-			// Membership was validated by resolve.
-			prec := objective.UniformPrecision(1, objs)
-			for o, x := range req.Precisions {
-				prec = prec.With(o, x)
-			}
-			res, err = core.RTAVectorContext(ctx, m, w, prec, opts)
+		if len(r.req.Precisions) > 0 {
+			res, err = core.RTAVectorContext(ctx, m, r.w, r.precision(), opts)
 		} else {
-			res, err = core.RTAContext(ctx, m, w, opts)
+			res, err = core.RTAContext(ctx, m, r.w, opts)
 		}
 	case AlgoIRA:
-		res, err = core.IRAContext(ctx, m, w, b, opts)
+		res, err = core.IRAContext(ctx, m, r.w, r.b, opts)
 	case AlgoSelinger:
-		res, err = core.SelingerContext(ctx, m, req.Objectives[0], opts)
+		res, err = core.SelingerContext(ctx, m, r.req.Objectives[0], opts)
 	case AlgoWeightedSum:
-		res, err = core.WeightedSumDPContext(ctx, m, w, opts)
-	default:
-		return nil, nil, fmt.Errorf("moqo: unknown algorithm %v", alg)
+		res, err = core.WeightedSumDPContext(ctx, m, r.w, opts)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := newResult(req, res, alg, objs)
+	out, err := r.newResult(res)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, res.Snapshot, nil
 }
 
-// coreOptions builds the cost model and the engine options of a resolved
-// request — the one place a Request's knobs become core.Options, so every
-// entry point (cold, snapshot-capturing, seeded re-optimization) honors
-// the same set.
-func (req Request) coreOptions(objs objective.Set, alpha float64, capture bool) (*costmodel.Model, core.Options, error) {
+// precision is the request's per-objective precision vector: exact (1) on
+// every objective Precisions does not mention.
+func (r *Resolved) precision() objective.Precision {
+	prec := objective.UniformPrecision(1, r.objs)
+	for o, x := range r.req.Precisions {
+		prec = prec.With(o, x)
+	}
+	return prec
+}
+
+// model builds the request's cost model.
+func (r *Resolved) model() *costmodel.Model {
 	params := costmodel.Default()
-	if req.CostParams != nil {
-		params = *req.CostParams
+	if r.req.CostParams != nil {
+		params = *r.req.CostParams
 	}
-	enum, err := req.Enumeration.coreStrategy()
-	if err != nil {
-		return nil, core.Options{}, err
-	}
+	return costmodel.New(r.req.Query, params)
+}
+
+// coreOptions is the one place a request's knobs become core.Options, so
+// every entry point (cold, snapshot-capturing, seeded re-optimization)
+// honors the same set.
+func (r *Resolved) coreOptions(capture bool) core.Options {
 	opts := core.Options{
-		Objectives:      objs,
-		Alpha:           alpha,
-		Timeout:         req.Timeout,
-		MaxDOP:          req.MaxDOP,
-		AllowSampling:   req.AllowSampling,
-		Workers:         req.Workers,
-		Enumeration:     enum,
+		Objectives:      r.objs,
+		Alpha:           r.alpha,
+		Timeout:         r.req.Timeout,
+		MaxDOP:          r.req.MaxDOP,
+		AllowSampling:   r.req.AllowSampling,
+		Workers:         r.req.Workers,
 		CaptureSnapshot: capture,
 	}
-	if req.Shared != nil {
-		opts.Shared = req.Shared.m
+	if r.req.Shared != nil {
+		opts.Shared = r.req.Shared.m
 	}
-	return costmodel.New(req.Query, params), opts, nil
+	return opts
 }
 
 // newResult converts an engine result into the public Result.
-func newResult(req Request, res core.Result, alg Algorithm, objs objective.Set) (*Result, error) {
+func (r *Resolved) newResult(res core.Result) (*Result, error) {
 	if res.Best == nil {
 		return nil, fmt.Errorf("moqo: no plan found")
 	}
@@ -533,9 +551,9 @@ func newResult(req Request, res core.Result, alg Algorithm, objs objective.Set) 
 		Plan:      res.Best,
 		Frontier:  res.Frontier.Plans(),
 		Stats:     res.Stats,
-		Algorithm: alg,
-		objs:      objs,
-		q:         req.Query,
+		Algorithm: r.alg,
+		objs:      r.objs,
+		q:         r.req.Query,
 	}, nil
 }
 

@@ -415,78 +415,3 @@ func TestCostParamsOverride(t *testing.T) {
 		t.Error("100x IO cost should increase estimated time")
 	}
 }
-
-// TestOptimizeEnumerationInvariance: the documented contract of the
-// Enumeration knob — the selected plan, frontier, and all statistics
-// except the enumeration-work counters are identical for every
-// strategy, while the graph-aware strategy does strictly less scanning
-// on a connected query.
-func TestOptimizeEnumerationInvariance(t *testing.T) {
-	cat := moqo.TPCHCatalog(0.1)
-	q, err := moqo.TPCHQuery(5, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := moqo.Request{
-		Query:      q,
-		Alpha:      1.5,
-		Objectives: []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint},
-		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1},
-	}
-
-	results := map[moqo.EnumerationStrategy]*moqo.Result{}
-	for _, e := range []moqo.EnumerationStrategy{moqo.EnumExhaustive, moqo.EnumGraph, moqo.EnumAuto} {
-		req := base
-		req.Enumeration = e
-		res, err := moqo.Optimize(req)
-		if err != nil {
-			t.Fatalf("enumeration %v: %v", e, err)
-		}
-		results[e] = res
-	}
-	ex, gr := results[moqo.EnumExhaustive], results[moqo.EnumGraph]
-	if ex.Plan.Cost != gr.Plan.Cost {
-		t.Errorf("plans differ across strategies")
-	}
-	if len(ex.Frontier) != len(gr.Frontier) {
-		t.Fatalf("frontier sizes differ: %d vs %d", len(ex.Frontier), len(gr.Frontier))
-	}
-	for i := range ex.Frontier {
-		if ex.Frontier[i].Cost != gr.Frontier[i].Cost {
-			t.Errorf("frontier[%d] differs across strategies", i)
-		}
-	}
-	if ex.Stats.Considered != gr.Stats.Considered || ex.Stats.Stored != gr.Stats.Stored {
-		t.Errorf("considered/stored differ: %d/%d vs %d/%d",
-			ex.Stats.Considered, ex.Stats.Stored, gr.Stats.Considered, gr.Stats.Stored)
-	}
-	if gr.Stats.EnumSets >= ex.Stats.EnumSets || gr.Stats.EnumSplits > ex.Stats.EnumSplits {
-		t.Errorf("graph strategy did not reduce scanning: sets %d vs %d, splits %d vs %d",
-			gr.Stats.EnumSets, ex.Stats.EnumSets, gr.Stats.EnumSplits, ex.Stats.EnumSplits)
-	}
-	if au := results[moqo.EnumAuto]; au.Stats.EnumSets != gr.Stats.EnumSets {
-		t.Errorf("auto did not resolve to the graph strategy on a connected query")
-	}
-	if _, err := moqo.Optimize(func() moqo.Request {
-		r := base
-		r.Enumeration = moqo.EnumerationStrategy(42)
-		return r
-	}()); err == nil {
-		t.Error("invalid enumeration strategy accepted by Optimize")
-	}
-}
-
-func TestEnumerationStrategyStringRoundTrip(t *testing.T) {
-	for _, e := range []moqo.EnumerationStrategy{moqo.EnumAuto, moqo.EnumGraph, moqo.EnumExhaustive} {
-		got, err := moqo.ParseEnumerationStrategy(e.String())
-		if err != nil || got != e {
-			t.Errorf("round trip of %v: got %v, err %v", e, got, err)
-		}
-	}
-	if _, err := moqo.ParseEnumerationStrategy("gosper"); err == nil {
-		t.Error("unknown strategy name accepted")
-	}
-	if moqo.EnumerationStrategy(42).String() != "enumeration(42)" {
-		t.Error("unknown strategy String() wrong")
-	}
-}

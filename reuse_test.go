@@ -239,10 +239,17 @@ func TestSnapshotAPISurface(t *testing.T) {
 	} else if snap != nil {
 		t.Fatal("selinger produced a frontier snapshot")
 	}
-	if selinger.ReusableFrontier() {
+	reusable := func(req moqo.Request) bool {
+		r, err := req.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ReusableFrontier()
+	}
+	if reusable(selinger) {
 		t.Fatal("selinger reported a reusable frontier")
 	}
-	if !base.ReusableFrontier() {
+	if !reusable(base) {
 		t.Fatal("RTA did not report a reusable frontier")
 	}
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"moqo/internal/core"
-	"moqo/internal/objective"
 )
 
 // FrontierSnapshot is a compact, immutable, serializable copy of the
@@ -132,63 +131,51 @@ func UnmarshalFrontierSnapshot(data []byte) (*FrontierSnapshot, error) {
 	return &FrontierSnapshot{core: cs, key: key, alg: alg}, nil
 }
 
-// ResolvedAlgorithm reports the algorithm the request will actually run —
-// AlgoAuto resolved to RTA or IRA, what "|alg=" in its CacheKey says — so
-// callers that cost or route a request (admission, batch scheduling, the
-// frontier tier) agree with the run that would happen. AlgoAuto for
-// invalid requests.
-func (req Request) ResolvedAlgorithm() Algorithm {
-	_, _, _, alg, _, err := req.resolve()
-	if err != nil {
-		return AlgoAuto
-	}
-	return alg
-}
-
-// ReusableFrontier reports whether the request's resolved algorithm
-// produces a reusable frontier (EXA, RTA) or can seed from one (IRA) —
-// the gate the moqod service applies before routing a request through
-// the frontier tier. False for invalid requests and for the
-// single-objective baselines.
-func (req Request) ReusableFrontier() bool {
-	switch req.ResolvedAlgorithm() {
-	case AlgoEXA, AlgoRTA, AlgoIRA:
-		return true
-	}
-	return false
-}
-
 // OptimizeSnapshot is OptimizeSnapshotContext with a background context.
 func OptimizeSnapshot(req Request) (*Result, *FrontierSnapshot, error) {
 	return OptimizeSnapshotContext(context.Background(), req)
 }
 
 // OptimizeSnapshotContext solves one MOQO problem exactly like
-// OptimizeContext and additionally extracts the run's FrontierSnapshot —
-// the unit a frontier cache stores under req.FrontierKey(). The snapshot
-// is nil (with a valid Result) when the run has no reusable frontier: a
-// degraded (timed-out) run, or a single-objective baseline algorithm.
+// OptimizeContext and additionally extracts the run's FrontierSnapshot:
+// Resolve, then Resolved.OptimizeSnapshot.
 func OptimizeSnapshotContext(ctx context.Context, req Request) (*Result, *FrontierSnapshot, error) {
-	res, snap, err := optimizeContext(ctx, req, true)
+	r, err := req.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap == nil {
-		return res, nil, nil
-	}
-	key, err := req.FrontierKey()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &FrontierSnapshot{core: snap, key: key, alg: res.Algorithm}, nil
+	return r.OptimizeSnapshot(ctx)
 }
 
-// ReoptimizeContext answers a request from a cached FrontierSnapshot —
-// the re-weight/re-bound fast path. The request must resolve to the same
-// FrontierKey the snapshot was computed under (same catalog version,
-// join graph, algorithm, alpha, objectives, precisions, DOP, sampling
-// and cost-model calibration; only weights and bounds may differ), or an
-// error is returned and the caller should fall back to a cold optimize.
+// OptimizeSnapshot solves the resolved problem exactly like Optimize and
+// additionally extracts the run's FrontierSnapshot — the unit a frontier
+// cache stores under FrontierKey. The snapshot is nil (with a valid
+// Result) when the run has no reusable frontier: a degraded (timed-out)
+// run, or a single-objective baseline algorithm.
+func (r *Resolved) OptimizeSnapshot(ctx context.Context) (*Result, *FrontierSnapshot, error) {
+	res, snap, err := r.run(ctx, true)
+	if err != nil || snap == nil {
+		return res, nil, err
+	}
+	return res, &FrontierSnapshot{core: snap, key: r.FrontierKey(), alg: r.alg}, nil
+}
+
+// ReoptimizeContext answers a request from a cached FrontierSnapshot:
+// Resolve, then Resolved.Reoptimize.
+func ReoptimizeContext(ctx context.Context, req Request, snap *FrontierSnapshot) (*Result, *FrontierSnapshot, error) {
+	r, err := req.Resolve()
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Reoptimize(ctx, snap)
+}
+
+// Reoptimize answers the resolved request from a cached FrontierSnapshot —
+// the re-weight/re-bound fast path. The request must have the FrontierKey
+// the snapshot was computed under (same catalog version, join graph,
+// algorithm, alpha, objectives, precisions, DOP, sampling and cost-model
+// calibration; only weights and bounds may differ), or an error is
+// returned and the caller should fall back to a cold optimize.
 //
 // For EXA and RTA the answer is a SelectBest scan over the snapshot plus
 // one plan materialization — no dynamic program runs, and the result is
@@ -202,57 +189,39 @@ func OptimizeSnapshotContext(ctx context.Context, req Request) (*Result, *Fronti
 //
 // The returned snapshot is the one to keep cached: the input snapshot,
 // or — when a seeded IRA refined further — a fresh, finer one.
-func ReoptimizeContext(ctx context.Context, req Request, snap *FrontierSnapshot) (*Result, *FrontierSnapshot, error) {
+func (r *Resolved) Reoptimize(ctx context.Context, snap *FrontierSnapshot) (*Result, *FrontierSnapshot, error) {
 	if snap == nil || snap.core == nil {
 		return nil, nil, fmt.Errorf("moqo: nil frontier snapshot")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	objs, w, b, alg, alpha, err := req.resolve()
-	if err != nil {
-		return nil, nil, err
-	}
-	key, err := req.FrontierKey()
-	if err != nil {
-		return nil, nil, err
-	}
-	if key != snap.key {
+	if r.FrontierKey() != snap.key {
 		return nil, nil, fmt.Errorf("moqo: frontier snapshot does not match the request (keys differ)")
 	}
-	if alg != snap.alg {
-		return nil, nil, fmt.Errorf("moqo: frontier snapshot algorithm %v does not match resolved %v", snap.alg, alg)
+	if r.alg != snap.alg {
+		return nil, nil, fmt.Errorf("moqo: frontier snapshot algorithm %v does not match resolved %v", snap.alg, r.alg)
 	}
 
 	var res core.Result
+	var err error
 	outSnap := snap
-	switch alg {
-	case AlgoEXA:
-		res, err = core.SelectFromSnapshot(snap.core, w, b)
-	case AlgoRTA:
-		if !b.Unbounded(objs) {
-			return nil, nil, fmt.Errorf("moqo: RTA does not support bounds; use AlgoIRA")
-		}
-		res, err = core.SelectFromSnapshot(snap.core, w, objective.NoBounds())
+	switch r.alg { // a snapshot's algorithm is one of these three
+	case AlgoEXA, AlgoRTA:
+		res, err = core.SelectFromSnapshot(snap.core, r.w, r.b)
 	case AlgoIRA:
-		m, opts, oerr := req.coreOptions(objs, alpha, true)
-		if oerr != nil {
-			return nil, nil, oerr
-		}
-		res, err = core.IRASeededContext(ctx, m, w, b, opts, snap.core)
+		res, err = core.IRASeededContext(ctx, r.model(), r.w, r.b, r.coreOptions(true), snap.core)
 		if err == nil && res.Snapshot != nil && res.Snapshot != snap.core {
 			// The seeded refinement produced a finer frontier; hand it back
 			// for the cache to replace the seed with.
-			outSnap = &FrontierSnapshot{core: res.Snapshot, key: key, alg: alg}
+			outSnap = &FrontierSnapshot{core: res.Snapshot, key: snap.key, alg: r.alg}
 		}
-	default:
-		return nil, nil, fmt.Errorf("moqo: algorithm %v has no reusable frontier", alg)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 
-	out, err := newResult(req, res, alg, objs)
+	out, err := r.newResult(res)
 	if err != nil {
 		return nil, nil, err
 	}
