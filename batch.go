@@ -36,8 +36,8 @@ func (s *SharedMemo) Counters() (hits, misses, published int64) { return s.m.Cou
 // BatchOptions configures OptimizeBatchContext.
 type BatchOptions struct {
 	// Parallel is the number of members optimized concurrently (default
-	// 1), the caller's goroutine included. Members sharing a *Query object
-	// take turns internally, so any value is safe.
+	// 1), the caller's goroutine included. Any value is safe, whichever
+	// members share a *Query object: a built Query is only read.
 	Parallel int
 
 	// Shared is the memo the batch publishes solved subproblems to. Nil
@@ -175,36 +175,19 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 		groups = append(groups, batchGroup{u})
 	}
 
-	// One lane per leader *Query: members sharing a query object must not
-	// optimize concurrently — its cardinality/selectivity estimates are
-	// memoized on the Query itself, written without a lock, and warmed by
-	// the first run for everyone. A group holds its leader's lane only, so
-	// a unit that must fall back to its own run on another query object is
-	// deferred until the schedule has drained and nothing else is running.
-	var (
-		lateMu sync.Mutex
-		late   []*batchUnit
-	)
+	// A group is its own lane: nothing two groups share is written by a
+	// run (a built Query is immutable, each run fills its own cost model's
+	// estimate table, the shared memo locks), so the schedule only orders
+	// them — most-expensive-first.
 	plan := batchplan.New(len(groups),
 		func(i int) float64 { return groups[i][0].r.PredictedCost() },
-		func(i int) *Query { return groups[i][0].r.req.Query })
-	plan.Run(opts.Parallel, func(i int) {
-		if deferred := runGroup(ctx, groups[i], done); len(deferred) > 0 {
-			lateMu.Lock()
-			late = append(late, deferred...)
-			lateMu.Unlock()
-		}
-	})
-	for _, u := range late {
-		res, err := u.r.Optimize(ctx)
-		emitUnit(u, res, err, false, done)
-	}
+		func(i int) int { return i })
+	plan.Run(opts.Parallel, func(i int) { runGroup(ctx, groups[i], done) })
 }
 
-// runGroup executes one scheduling unit under its leader's lane: the
-// leader's dynamic program, then the group's re-weights from the leader's
-// frontier snapshot. It returns the units it could not serve there.
-func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) (deferred []*batchUnit) {
+// runGroup executes one scheduling unit: the leader's dynamic program,
+// then the group's re-weights from the leader's frontier snapshot.
+func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) {
 	leader := g[0]
 	var res *Result
 	var snap *FrontierSnapshot
@@ -217,22 +200,18 @@ func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) (def
 	emitUnit(leader, res, err, false, done)
 
 	for _, u := range g[1:] {
-		switch {
-		case err == nil && snap != nil:
+		if err == nil && snap != nil {
 			// A pure SelectBest scan over the snapshot — no dynamic program,
 			// bit-for-bit the cold answer at the unit's weights/bounds.
 			r, _, e := u.r.Reoptimize(ctx, snap)
 			emitUnit(u, r, e, true, done)
-		case u.r.req.Query == leader.r.req.Query:
-			// Leader failed or produced no reusable frontier (degraded
-			// run): fall back to each unit's own cold optimization.
-			r, e := u.r.Optimize(ctx)
-			emitUnit(u, r, e, false, done)
-		default:
-			deferred = append(deferred, u)
+			continue
 		}
+		// Leader failed or produced no reusable frontier (degraded run):
+		// fall back to the unit's own cold optimization.
+		r, e := u.r.Optimize(ctx)
+		emitUnit(u, r, e, false, done)
 	}
-	return deferred
 }
 
 // emitUnit fans one unit's outcome out to all its members: the first

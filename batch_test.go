@@ -2,6 +2,7 @@ package moqo_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -61,6 +62,14 @@ func batchWorkload(t testing.TB) []moqo.Request {
 		{Query: q5, Algorithm: moqo.AlgoIRA, Alpha: 1.5, Objectives: objs, Weights: w1,
 			Bounds: map[moqo.Objective]float64{moqo.BufferFootprint: 1e9}},
 		{Query: q3, Algorithm: moqo.AlgoSelinger, Objectives: objs},
+		// One query object under further frontier keys: with Parallel > 1
+		// these run their own dynamic programs while the star and q3
+		// members above run theirs, on the same *Query.
+		{Query: star, Algorithm: moqo.AlgoRTA, Alpha: 2, Objectives: objs, Weights: w2},
+		{Query: star, Algorithm: moqo.AlgoIRA, Alpha: 1.5, Objectives: objs, Weights: w1,
+			Bounds: map[moqo.Objective]float64{moqo.BufferFootprint: 1e9}},
+		{Query: q3, Algorithm: moqo.AlgoEXA, Objectives: objs[:2],
+			Weights: map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.BufferFootprint: 0.1}},
 	}
 }
 
@@ -142,6 +151,37 @@ func TestBatchStreamEmitsEveryMemberOnce(t *testing.T) {
 	for i := range reqs {
 		if seen[i] != 1 {
 			t.Fatalf("member %d emitted %d times", i, seen[i])
+		}
+	}
+}
+
+// TestBatchCancelledAnswersEveryMemberOnce pins the path a frontier group
+// takes when its leader leaves no frontier (here the context is cancelled
+// before the batch starts): every other unit of the group runs — and fails
+// — on its own, whichever query object it holds, and every member is still
+// answered exactly once.
+func TestBatchCancelledAnswersEveryMemberOnce(t *testing.T) {
+	reqs := batchWorkload(t)
+	// The same shapes built again, re-weighted: distinct query objects that
+	// join the first copy's frontier groups as followers.
+	for _, req := range batchWorkload(t) {
+		if len(req.Weights) > 0 {
+			req.Weights = map[moqo.Objective]float64{req.Objectives[0]: 1}
+		}
+		reqs = append(reqs, req)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	seen := make(map[int]int)
+	moqo.OptimizeBatchStream(ctx, reqs, moqo.BatchOptions{Parallel: 4}, func(i int, item moqo.BatchItem) {
+		if !errors.Is(item.Err, context.Canceled) {
+			t.Errorf("member %d: err = %v, want context.Canceled", i, item.Err)
+		}
+		seen[i]++
+	})
+	for i := range reqs {
+		if seen[i] != 1 {
+			t.Errorf("member %d emitted %d times", i, seen[i])
 		}
 	}
 }

@@ -293,8 +293,8 @@ func (c Config) figureRows(figure string, params []int, algs []namedAlgo,
 	for _, qn := range c.queries() {
 		for _, k := range params {
 			jobs = append(jobs, func() (Row, error) {
-				// Each job owns its query and model: the cardinality
-				// estimator memoizes per query and is not safe for
+				// Each job owns its model: a costmodel.Model memoizes the
+				// estimates of one run at a time and is not safe for
 				// concurrent use across cells.
 				q := workload.MustQuery(qn, c.catalog())
 				m := costmodel.NewDefault(q)

@@ -25,8 +25,10 @@
 // The engine is layered into four pieces:
 //
 //   - an enumerator (enumerator.go): level-by-level table-set
-//     materialization with dense integer ids, pre-warming the cost
-//     model's cardinality and width memos on one goroutine. Under
+//     materialization with dense integer ids. The query is immutable, so
+//     the estimates of the enumerated sets are stored in the run's cost
+//     model, once, when the levels are final (newEngine →
+//     costmodel.Model.Warm); the workers then only read them. Under
 //     Options.Enumeration's graph-aware strategy (the default for
 //     connected join graphs) the levels are built by connected-subgraph
 //     traversal (query.EachConnectedSubset) and the candidate loops

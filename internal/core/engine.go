@@ -191,6 +191,10 @@ func newEngine(ctx context.Context, m *costmodel.Model, opts Options, alphaInter
 		e.hasTimeout = true
 	}
 	e.enum = enumerate(e.q, opts.Enumeration, e.enumStop)
+	// The one place a run's estimate table is filled: the workers cost only
+	// table sets that passed a memo lookup, all of them enumerated, so from
+	// here on they read the table and never write it.
+	m.Warm(e.enum.levels, e.enum.total)
 	if e.enum.cancelled {
 		e.cancelled.Store(true)
 	}

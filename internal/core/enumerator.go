@@ -85,11 +85,9 @@ const enumCheckMask = 4095
 // identical levels, identical dense ids, and identical per-set
 // treatment order whenever both apply.
 //
-// As a side effect, every enumerated set's cardinality and width
-// estimates are computed here, on one goroutine. query.EstimateRows and
-// query.EstimateWidth memoize into plain maps, so this warm-up is what
-// makes the cost model safe to call from concurrent workers: during the
-// parallel phases the memos are only ever read.
+// The enumeration reads the query and writes nothing to it: the estimates
+// of the sets it finds are stored by newEngine, once the levels are final,
+// in the run's cost model (costmodel.Model.Warm).
 //
 // stop is polled (amortized, every enumCheckMask+1 scanned sets) during
 // materialization. An expired deadline switches to the chain-fallback
@@ -121,11 +119,9 @@ func enumerate(q *query.Query, strategy EnumerationStrategy, stop func() enumSig
 			e.scanned++
 			k := s.Len()
 			e.levels[k] = append(e.levels[k], s)
-			q.EstimateRows(s)
-			q.EstimateWidth(s)
 			return check()
 		})
-		if e.interrupt(q, interrupted) {
+		if e.interrupt(interrupted) {
 			return e
 		}
 		for k := 1; k <= n; k++ {
@@ -143,11 +139,9 @@ func enumerate(q *query.Query, strategy EnumerationStrategy, stop func() enumSig
 			e.scanned++
 			if !connectedOnly || q.Connected(s) {
 				sets = append(sets, s)
-				q.EstimateRows(s)
-				q.EstimateWidth(s)
 			}
 			if !check() {
-				if e.interrupt(q, interrupted) {
+				if e.interrupt(interrupted) {
 					return e
 				}
 			}
@@ -163,10 +157,10 @@ func enumerate(q *query.Query, strategy EnumerationStrategy, stop func() enumSig
 
 // interrupt applies a non-go stop signal: chain fallback on timeout,
 // abandonment on cancellation. Reports whether materialization is over.
-func (e *enumeration) interrupt(q *query.Query, sig enumSignal) bool {
+func (e *enumeration) interrupt(sig enumSignal) bool {
 	switch sig {
 	case enumTimeout:
-		e.buildChainFallback(q)
+		e.buildChainFallback()
 		return true
 	case enumCancel:
 		e.cancelled = true
@@ -184,22 +178,16 @@ func (e *enumeration) interrupt(q *query.Query, sig enumSignal) bool {
 // candidate loop (forEachCandidateChain) treats the whole query in O(n)
 // splits and the §5.1 path still returns a plan — where the old behavior
 // ground through the rest of a 2^n scan first.
-func (e *enumeration) buildChainFallback(q *query.Query) {
+func (e *enumeration) buildChainFallback() {
 	e.chainFallback = true
 	e.graphAware = false
 	e.adaptive = false
 	e.levels = make([][]query.TableSet, e.n+1)
 	for r := 0; r < e.n; r++ {
-		s := query.Singleton(r)
-		e.levels[1] = append(e.levels[1], s)
-		q.EstimateRows(s)
-		q.EstimateWidth(s)
+		e.levels[1] = append(e.levels[1], query.Singleton(r))
 	}
 	for k := 2; k <= e.n; k++ {
-		s := query.FullSet(k)
-		e.levels[k] = []query.TableSet{s}
-		q.EstimateRows(s)
-		q.EstimateWidth(s)
+		e.levels[k] = []query.TableSet{query.FullSet(k)}
 	}
 	e.total = 2*e.n - 1
 	if e.n == 1 {

@@ -120,8 +120,8 @@ func TestParallelIRAMatchesSerial(t *testing.T) {
 // TestParallelRace exercises the pool with many workers on a query large
 // enough that every level is sharded; run under -race this is the
 // regression test for the lock-free memo discipline (satisfying it also
-// depends on the enumerator's cardinality pre-warming — without it, the
-// cost model would write the query's estimate memo concurrently).
+// depends on newEngine's costmodel.Model.Warm call — without it, the
+// workers would fill the Model's estimate table concurrently).
 func TestParallelRace(t *testing.T) {
 	_, q := synthetic.MustBuild(synthetic.Spec{
 		Shape: synthetic.Chain, Tables: 10, MaxRows: 1e5, Seed: 3,

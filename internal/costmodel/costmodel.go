@@ -69,11 +69,27 @@ func Default() Params {
 	}
 }
 
-// Model computes cost vectors for plan operators over one query.
+// Model computes cost vectors for plan operators over one query, and keeps
+// the memo of the paper's Observation 2 — a table set's cardinality and
+// width depend on the set, never on the plan — for the one optimization it
+// is built for: the query is immutable and shared, the table is the run's.
+//
+// A Model serves one run at a time. The table is an unlocked map filled on
+// a miss, so two goroutines must not use a Model at once — except that once
+// Warm has stored every table set a run costs, costing only reads, and that
+// run's workers may cost concurrently. Runs that follow one another on one
+// goroutine (IRA's iterations, ObjectiveMinima's programs) share a Model
+// and find the table filled.
 type Model struct {
 	q *query.Query
 	p Params
+
+	est map[query.TableSet]estimate
 }
+
+// estimate is one table set's query.EstimateRows and query.EstimateWidth,
+// the width as the float64 the formulas multiply with.
+type estimate struct{ rows, width float64 }
 
 // New creates a cost model for the given query with the given calibration.
 func New(q *query.Query, p Params) *Model {
@@ -92,12 +108,41 @@ func (m *Model) Query() *query.Query { return m.q }
 // with different calibrations cost the same plan differently.
 func (m *Model) Params() Params { return m.p }
 
+// Warm stores the estimates of the table sets in levels, total of them, so
+// that costing any operator over those sets afterwards only reads the table
+// (see Model). The first call sizes the table.
+func (m *Model) Warm(levels [][]query.TableSet, total int) {
+	if m.est == nil {
+		m.est = make(map[query.TableSet]estimate, total)
+	}
+	for _, sets := range levels {
+		for _, s := range sets {
+			m.estimate(s)
+		}
+	}
+}
+
+// estimate returns the estimates of a table set, computed and stored on a
+// miss.
+func (m *Model) estimate(s query.TableSet) estimate {
+	e, ok := m.est[s]
+	if !ok {
+		if m.est == nil {
+			m.est = make(map[query.TableSet]estimate)
+		}
+		e = estimate{rows: m.q.EstimateRows(s), width: float64(m.q.EstimateWidth(s))}
+		m.est[s] = e
+	}
+	return e
+}
+
 // rows returns the estimated output cardinality of a table set.
-func (m *Model) rows(s query.TableSet) float64 { return m.q.EstimateRows(s) }
+func (m *Model) rows(s query.TableSet) float64 { return m.estimate(s).rows }
 
 // bytes returns the estimated output size in bytes of a table set.
 func (m *Model) bytes(s query.TableSet) float64 {
-	return m.rows(s) * float64(m.q.EstimateWidth(s))
+	e := m.estimate(s)
+	return e.rows * e.width
 }
 
 // pages returns the estimated output size in pages of a table set.

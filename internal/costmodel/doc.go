@@ -12,7 +12,8 @@
 // PONO empirically for every operator.
 //
 // Cardinalities entering the formulas are table-set constants supplied by
-// the query's estimator, never plan-dependent values — the premise of the
+// the query's estimator (memoized per run in the Model, which therefore
+// serves one run at a time), never plan-dependent values — the premise of the
 // paper's Observation 2 (see DESIGN.md §2 for why sampling must not change
 // downstream cardinality estimates if the approximation guarantee is to
 // hold).

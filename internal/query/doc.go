@@ -28,9 +28,10 @@
 //     touches 2^n.
 //
 // The package also provides the cardinality estimator used by the cost
-// model: textbook selectivity-based estimation over table-set bitsets,
-// with memoization so every table set is estimated exactly once per query.
+// model: textbook selectivity-based estimation over table-set bitsets.
 // Estimates depend only on the table set, never on the plan producing it —
 // the premise of the paper's Observation 2, which the approximation
-// guarantee relies on.
+// guarantee relies on — and are pure functions: a built Query is immutable
+// and safe for concurrent use, and the memo that makes every table set be
+// estimated once per optimization is the run's costmodel.Model's.
 package query

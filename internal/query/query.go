@@ -26,7 +26,10 @@ type JoinEdge struct {
 	Selectivity       float64
 }
 
-// Query is a join query: relations plus join edges.
+// Query is a join query: relations plus join edges. AddRelation and AddJoin
+// build it, on one goroutine; nothing else writes to it, so a built query
+// is safe for concurrent use — every other method is a pure function of
+// the relations, the edges and the catalog.
 type Query struct {
 	Name      string
 	Relations []Relation
@@ -36,17 +39,11 @@ type Query struct {
 
 	// adjacency[i] is the bitset of relations sharing an edge with i.
 	adjacency []TableSet
-	// cards memoizes EstimateRows per table set.
-	cards map[TableSet]float64
-	// widths memoizes EstimateWidth per table set. Like cards it is
-	// written only on misses, so the optimizer's enumerator pre-warms it
-	// on one goroutine before the parallel phases read it.
-	widths map[TableSet]int
 }
 
 // New creates an empty query against the given catalog.
 func New(name string, cat *catalog.Catalog) *Query {
-	return &Query{Name: name, cat: cat, cards: make(map[TableSet]float64), widths: make(map[TableSet]int)}
+	return &Query{Name: name, cat: cat}
 }
 
 // Catalog returns the catalog the query is defined against.
@@ -68,7 +65,6 @@ func (q *Query) AddRelation(table string, alias string, filterSel float64) int {
 	id := q.cat.MustLookup(table)
 	q.Relations = append(q.Relations, Relation{Table: id, Alias: alias, FilterSel: filterSel})
 	q.adjacency = append(q.adjacency, 0)
-	q.invalidate()
 	return len(q.Relations) - 1
 }
 
@@ -84,13 +80,6 @@ func (q *Query) AddJoin(l, r int, lcol, rcol string, sel float64) {
 	q.Edges = append(q.Edges, JoinEdge{Left: l, Right: r, LeftCol: lcol, RightCol: rcol, Selectivity: sel})
 	q.adjacency[l] = q.adjacency[l].Add(r)
 	q.adjacency[r] = q.adjacency[r].Add(l)
-	q.invalidate()
-}
-
-// invalidate resets the estimate memos after a schema change.
-func (q *Query) invalidate() {
-	q.cards = make(map[TableSet]float64)
-	q.widths = make(map[TableSet]int)
 }
 
 // AddFKJoin appends a foreign-key join edge whose selectivity is derived
@@ -162,19 +151,19 @@ func (q *Query) CrossingEdges(a, b TableSet) []JoinEdge {
 
 // EstimateRows estimates the result cardinality of joining (and filtering)
 // the relations of s: the product of filtered base cardinalities times the
-// product of the selectivities of all join edges internal to s. Estimates
-// are memoized; they depend only on the table set, never on the plan — the
-// premise of the paper's Observation 2.
+// product of the selectivities of all join edges internal to s. The
+// estimate depends only on the table set, never on the plan — the premise
+// of the paper's Observation 2 — and the factors are multiplied in one fixed
+// order (relations ascending, then edges as declared), so it has the same
+// bits on every call. It is computed afresh each time: a run that asks for
+// the same sets over and over keeps its own table (costmodel.Model).
 func (q *Query) EstimateRows(s TableSet) float64 {
 	if s.Empty() {
 		return 0
 	}
-	if card, ok := q.cards[s]; ok {
-		return card
-	}
 	card := 1.0
-	for _, r := range s.Relations() {
-		rel := &q.Relations[r]
+	for v := s; v != 0; v &= v - 1 {
+		rel := &q.Relations[v.First()]
 		card *= q.cat.Table(rel.Table).Rows * rel.FilterSel
 	}
 	for _, e := range q.Edges {
@@ -185,19 +174,13 @@ func (q *Query) EstimateRows(s TableSet) float64 {
 	if card < 1 {
 		card = 1
 	}
-	q.cards[s] = card
 	return card
 }
 
 // EstimateWidth estimates the average output tuple width in bytes for the
-// relations of s (sum of base widths — joins concatenate tuples). Widths
-// are memoized like cardinalities: the cost model reads them several times
-// per candidate plan, and the per-relation catalog lookups plus a bitset
-// expansion would otherwise dominate the candidate loop.
+// relations of s (sum of base widths — joins concatenate tuples). Like
+// EstimateRows it is a pure function of the set.
 func (q *Query) EstimateWidth(s TableSet) int {
-	if w, ok := q.widths[s]; ok {
-		return w
-	}
 	w := 0
 	for v := s; v != 0; v &= v - 1 {
 		w += q.cat.Table(q.Relations[v.First()].Table).Width
@@ -205,7 +188,6 @@ func (q *Query) EstimateWidth(s TableSet) int {
 	if w <= 0 {
 		w = 1
 	}
-	q.widths[s] = w
 	return w
 }
 

@@ -72,12 +72,38 @@ func TestEstimateRowsFloorsAtOne(t *testing.T) {
 	}
 }
 
-func TestEstimateRowsMemoized(t *testing.T) {
+// TestEstimatesArePure: an estimate is a function of the table set alone —
+// the same bits on a repeat call and after estimates of other sets were
+// interleaved (the query keeps no memo they could disturb). The table is
+// every non-empty set of the threeWay fixture, pinned at the commit before
+// the memo left the query: the multiplication order (relations ascending,
+// then edges as declared) must not move a bit.
+func TestEstimatesArePure(t *testing.T) {
 	q := threeWay(t)
-	s := q.AllTables()
-	first := q.EstimateRows(s)
-	if again := q.EstimateRows(s); again != first {
-		t.Errorf("memoized estimate changed: %v then %v", first, again)
+	want := []struct {
+		rows  uint64
+		width int
+	}{
+		1: {0x40dd4c0000000000, 179},
+		2: {0x4126e36000000000, 104},
+		3: {0x41024f8000000000, 283},
+		4: {0x414b774000000000, 112},
+		5: {0x4239254d38000000, 291},
+		6: {0x413b774000000000, 216},
+		7: {0x4115f90000000000, 395},
+	}
+	for pass := 0; pass < 2; pass++ {
+		for s := q.AllTables(); s >= 1; s-- {
+			for other := TableSet(1); other <= q.AllTables(); other++ {
+				q.EstimateRows(other)
+			}
+			if got := math.Float64bits(q.EstimateRows(s)); got != want[s].rows {
+				t.Errorf("pass %d: EstimateRows(%v) = %#x, want %#x", pass, s, got, want[s].rows)
+			}
+			if got := q.EstimateWidth(s); got != want[s].width {
+				t.Errorf("pass %d: EstimateWidth(%v) = %d, want %d", pass, s, got, want[s].width)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // in the size of the dynamic program — a cold DP allocates five to six
 // orders of magnitude more — so the budget is a fixed count with headroom,
 // not a function of the workload.
-const requestPathAllocBudget = 500
+const requestPathAllocBudget = 430
 
 // TestRequestPathAllocs is the serving-path companion of the archive's
 // TestArchiveInsertZeroAlloc CI gate: once a query shape's frontier is

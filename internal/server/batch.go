@@ -152,10 +152,12 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Most-expensive-first, so long dynamic programs start at once and
 	// cheap overlapping members find their subproblems pre-published; one
-	// lane per query object, because members sharing one must not optimize
-	// concurrently (its cardinality memo is written without locks; the
-	// first run warms it for the rest). Serving a lane in schedule order
-	// also covers the re-weight and cache-hit paths, which are microseconds.
+	// lane per query object, so the members of one shape are served in
+	// schedule order: the first runs the dynamic program, the rest answer
+	// from what it cached, the same ones on every run. (Running them side
+	// by side would be safe — a built query is only read — but who leads
+	// would be a race.) The re-weight and cache-hit paths a lane also
+	// orders are microseconds.
 	plan := batchplan.New(len(runnable),
 		func(k int) float64 { return members[runnable[k]].req.PredictedCost() },
 		func(k int) *moqo.Query { return members[runnable[k]].req.Request().Query })

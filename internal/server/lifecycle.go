@@ -99,8 +99,8 @@ func (s *Server) catalogFor(spec *CatalogSpec, sf float64) (*moqo.Catalog, error
 
 // memberQuery resolves the request's query — a TPC-H number or an inline
 // spec — against cat (nil: the request's own catalog). With a dedupe map,
-// identical specs resolve to one query object, so the members of one shape
-// share its cardinality memo.
+// identical specs resolve to one query object: built once, and one lane of
+// the batch schedule.
 func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries map[string]*moqo.Query) (q *moqo.Query, err error) {
 	switch {
 	case wire.TPCH != 0 && (wire.Catalog != nil || wire.Query != nil):
@@ -119,7 +119,7 @@ func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries m
 			key = "t:" + strconv.Itoa(wire.TPCH)
 		} else {
 			// Struct marshaling is deterministic, so equal specs dedupe to
-			// one query object (and its warmed cardinality memo).
+			// one query object.
 			raw, merr := json.Marshal(wire.Query)
 			if merr != nil {
 				return nil, merr

@@ -33,9 +33,10 @@
 //     with a classified failure (validation before admission, or
 //     admission).
 //   - schedule (batchplan.New/Run, batches only): members most-expensive-
-//     first, those sharing a query object taking turns in that order, on
-//     `parallel` claimers of which the handler is one — the same schedule
-//     moqo.OptimizeBatch runs the library's batches under.
+//     first, those of one query shape one after another in that order
+//     (so who leads a shape is not a race), on `parallel` claimers of
+//     which the handler is one — the same schedule moqo.OptimizeBatch
+//     runs the library's batches under.
 //   - serve (Server.serve): deadline budget, tiers, frontier stripping,
 //     latency; a failure is classified by Server.serveFailure, the one
 //     switch from a serve error to (wire code, HTTP status, reason).

@@ -58,14 +58,13 @@ type OptimizeRequest struct {
 // member requests optimized as one batch against one shared catalog.
 // The catalog comes either inline (catalog) or as the TPC-H catalog at
 // scale_factor; it is resolved once, and every member query is built
-// against the same catalog object, so members share its statistics,
-// fingerprint, and — per distinct query shape — one cardinality/
-// selectivity estimate warm-up. Members additionally share a
-// batch-scoped subproblem memo (see moqo.SharedMemo): overlapping
-// queries skip each other's solved table sets, identical members run one
-// dynamic program, and re-weights are answered from a sibling's Pareto
-// frontier. Results are bit-for-bit what each member would get from its
-// own POST /optimize.
+// against the same catalog object, so members share its statistics and
+// fingerprint, and — per distinct query shape — one built query object.
+// Members additionally share a batch-scoped subproblem memo (see
+// moqo.SharedMemo): overlapping queries skip each other's solved table
+// sets, identical members run one dynamic program, and re-weights are
+// answered from a sibling's Pareto frontier. Results are bit-for-bit what
+// each member would get from its own POST /optimize.
 type BatchRequest struct {
 	// Catalog describes the shared schema inline; omitted, the TPC-H
 	// catalog at scale_factor (default 1) is used and members select

@@ -98,7 +98,11 @@ func NewObjectiveSet(ids ...Objective) ObjectiveSet { return objective.NewSet(id
 // Catalog holds base-table statistics and indexes.
 type Catalog = catalog.Catalog
 
-// Query is a join query: base-table references plus equi-join edges.
+// Query is a join query: base-table references plus equi-join edges. Build
+// it on one goroutine (AddRelation, AddJoin, AddFKJoin); once built it is
+// only read — no optimization writes to it — so it is safe for concurrent
+// use: any number of Optimize, OptimizeBatch and Reoptimize calls may share
+// one query object at the same time.
 type Query = query.Query
 
 // Plan is an operator tree with its cost vector.
@@ -514,7 +518,8 @@ func (r *Resolved) precision() objective.Precision {
 	return prec
 }
 
-// model builds the request's cost model.
+// model builds the request's cost model, one per run: it holds the run's
+// table of cardinality estimates (see costmodel.Model).
 func (r *Resolved) model() *costmodel.Model {
 	params := costmodel.Default()
 	if r.req.CostParams != nil {

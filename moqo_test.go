@@ -1,7 +1,9 @@
 package moqo_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,6 +163,65 @@ func TestOptimizeWorkers(t *testing.T) {
 	req.Workers = -1
 	if _, err := moqo.Optimize(req); err == nil {
 		t.Error("negative Workers accepted")
+	}
+}
+
+// TestConcurrentOptimizeSharedQuery: a built Query is only read, so any
+// number of optimizations may run on one query object at once — the paper's
+// Figure 3 and multi-user scenarios are many optimizations of one query.
+// Every goroutine's answer is bit-for-bit the answer of the same request run
+// alone. The concurrent runs are the first to touch their query object:
+// when the estimate memo lived on the Query, unlocked, that was a fatal
+// "concurrent map read and map write" (a race report under -race).
+func TestConcurrentOptimizeSharedQuery(t *testing.T) {
+	cat := smallCatalog(t)
+	requests := func() []moqo.Request {
+		q, err := moqo.TPCHQuery(8, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		two := []moqo.Objective{moqo.TotalTime, moqo.Energy}
+		three := []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint, moqo.Energy}
+		w := map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.BufferFootprint: 0.1, moqo.Energy: 0.3}
+		return []moqo.Request{
+			{Query: q, Algorithm: moqo.AlgoEXA, Objectives: two,
+				Weights: map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.Energy: 0.3}},
+			{Query: q, Algorithm: moqo.AlgoRTA, Alpha: 1.5, Objectives: three, Weights: w},
+			{Query: q, Algorithm: moqo.AlgoIRA, Alpha: 1.5, Objectives: three, Weights: w,
+				Bounds: map[moqo.Objective]float64{moqo.BufferFootprint: 1e9}},
+			{Query: q, Algorithm: moqo.AlgoSelinger, Objectives: two},
+		}
+	}
+	var want []*moqo.Result
+	for i, req := range requests() {
+		res, err := moqo.Optimize(req)
+		if err != nil {
+			t.Fatalf("request %d alone: %v", i, err)
+		}
+		want = append(want, res)
+	}
+
+	reqs := requests() // a second query object, untouched by any run
+	got := make([]*moqo.Result, 3*len(reqs))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = moqo.Optimize(reqs[g%len(reqs)])
+		}()
+	}
+	wg.Wait()
+	for g, res := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		alone := want[g%len(reqs)]
+		assertSameAnswer(t, fmt.Sprintf("goroutine %d", g), res, alone)
+		if res.Plan.Cost != alone.Plan.Cost {
+			t.Errorf("goroutine %d: cost %v, alone %v", g, res.Plan.Cost, alone.Plan.Cost)
+		}
 	}
 }
 
