@@ -9,8 +9,8 @@
 //	      [-cache-shards 16] [-default-timeout 30s] [-max-timeout 2m]
 //	      [-workers N]
 //	      [-store DIR] [-store-max-bytes N] [-store-nosync]
-//	      [-no-store-breaker] [-breaker-threshold 5] [-breaker-cooldown 250ms]
-//	      [-tenants FILE] [-max-cold-dps N] [-fifo] [-max-queue N]
+//	      [-breaker-threshold 5] [-breaker-cooldown 250ms]
+//	      [-tenants FILE] [-max-cold-dps N] [-max-queue N]
 //
 // With -store, frontier snapshots persist to a crash-consistent segment
 // log under DIR: every completed (non-degraded) dynamic program writes
@@ -52,15 +52,15 @@
 //	                            disk, so balancers prefer full-capacity
 //	                            replicas
 //
-// Resilience: store disk errors feed a circuit breaker (disable with
-// -no-store-breaker) — after -breaker-threshold consecutive failures
-// the disk is quarantined and serving degrades to memory-only (both
-// cache tiers keep answering; nothing fails), probing recovery every
-// -breaker-cooldown with exponential backoff. -max-queue bounds the
-// cold-DP admission queue: arrivals past the bound are shed immediately
-// with 503 + Retry-After instead of growing an unbounded latency
-// cliff, and a request whose deadline budget dies while queued is shed
-// the same way.
+// Resilience: store disk errors feed a circuit breaker — after
+// -breaker-threshold consecutive failures the disk is quarantined and
+// serving degrades to memory-only (both cache tiers keep answering;
+// nothing fails), probing recovery every -breaker-cooldown with
+// exponential backoff. -max-queue bounds the cold-DP admission queue,
+// the one place a request can wait: arrivals past the bound are shed
+// immediately with 503 + Retry-After instead of growing an unbounded
+// latency cliff, and a request whose deadline budget dies while queued
+// is shed the same way.
 //
 // Example session:
 //
@@ -107,13 +107,11 @@ func main() {
 		storePath      = flag.String("store", "", "directory for the disk-backed frontier store (empty disables persistence); a restarted daemon serves known query shapes from it without re-optimizing")
 		storeMaxBytes  = flag.Int64("store-max-bytes", 0, "live-byte budget of the frontier store (0 = default 256 MiB, negative = unbounded)")
 		storeNoSync    = flag.Bool("store-nosync", false, "skip fsync after store appends (faster; a crash may lose the newest snapshots)")
-		noBreaker      = flag.Bool("no-store-breaker", false, "disable the store circuit breaker: every request keeps paying a failing disk's latency (chaos baseline; not for production)")
 		breakThreshold = flag.Int("breaker-threshold", 0, "consecutive store failures that trip the breaker (0 = default 5)")
 		breakCooldown  = flag.Duration("breaker-cooldown", 0, "first breaker open window before a recovery probe; failed probes double it (0 = default 250ms)")
 		maxQueue       = flag.Int("max-queue", 0, "total cold-DP admission-queue bound; arrivals past it are shed with 503 (0 = unbounded)")
 		tenantsPath    = flag.String("tenants", "", "JSON tenant-config file: per-tenant quotas, budgets and scheduling weights (empty = no quotas; SIGHUP re-reads it)")
 		maxColdDPs     = flag.Int("max-cold-dps", 0, "concurrently running cold dynamic programs across all tenants (0 = NumCPU); cache hits never count")
-		fifo           = flag.Bool("fifo", false, "replace fair tenant scheduling with one global FIFO queue over every request (unfairness baseline for benchmarks)")
 	)
 	flag.Parse()
 
@@ -136,13 +134,11 @@ func main() {
 		StorePath:             *storePath,
 		StoreMaxBytes:         *storeMaxBytes,
 		StoreNoSync:           *storeNoSync,
-		NoStoreBreaker:        *noBreaker,
 		BreakerThreshold:      *breakThreshold,
 		BreakerCooldown:       *breakCooldown,
 		MaxQueueDepth:         *maxQueue,
 		Tenants:               registry,
 		MaxColdDPs:            *maxColdDPs,
-		FIFOScheduling:        *fifo,
 	})
 	if err != nil {
 		fatalf("open frontier store: %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,16 +19,17 @@ import (
 // ChaosSpec parameterizes the disk-chaos availability experiment: the
 // daemon serves a stream of optimization requests while its frontier
 // store's disk is dead — every device operation hangs DeadDelay and
-// then fails — once with the store circuit breaker (production) and
-// once without it (baseline). The workload is sized so most requests
-// would touch the dead device: the frontier memory tier is tiny, so
-// warmed shapes keep falling out of memory and their serves retry the
+// then fails — once with the store circuit breaker at a production
+// threshold and once, as the baseline, at a threshold the request stream
+// cannot reach, so the breaker never trips. The workload is sized so most
+// requests would touch the dead device: the frontier memory tier is tiny,
+// so warmed shapes keep falling out of memory and their serves retry the
 // store (a read against a known key, then a re-run DP's write-through).
-// Without the breaker every such request pays the dying disk's hang;
-// with it the disk is quarantined after a handful of failures and
-// serving degrades to memory-only latency. Answers are verified against
-// a fault-free reference either way — chaos may slow or shed requests,
-// never change answers.
+// Under a breaker that never trips every such request pays the dying
+// disk's hang; under one that does the disk is quarantined after a
+// handful of failures and serving degrades to memory-only latency.
+// Answers are verified against a fault-free reference either way — chaos
+// may slow or shed requests, never change answers.
 type ChaosSpec struct {
 	// Requests is the measured request count per arm (default 60).
 	Requests int
@@ -79,9 +81,9 @@ type ChaosPoint struct {
 	DeadOps uint64 `json:"dead_ops"`
 	Skipped uint64 `json:"skipped"`
 	// BreakerTrips and BreakerState describe the breaker at the end of
-	// the run (zero/empty in the no-breaker arm).
+	// the run (0 and "closed" in the no-breaker arm).
 	BreakerTrips uint64 `json:"breaker_trips"`
-	BreakerState string `json:"breaker_state,omitempty"`
+	BreakerState string `json:"breaker_state"`
 }
 
 // ChaosSummary carries the headline numbers: p99 under a dead disk
@@ -160,7 +162,9 @@ type chaosAnswer struct {
 	Cost      map[string]float64 `json:"cost"`
 }
 
-// chaosArm measures one (breaker?) arm against a dead disk.
+// chaosArm measures one arm against a dead disk: "breaker" trips after 3
+// consecutive failures; "no-breaker" is the same server with a threshold
+// no request stream reaches, so its breaker stays closed.
 func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosAnswer) (ChaosPoint, error) {
 	pt := ChaosPoint{Arm: arm, Requests: spec.Requests}
 	dir, err := os.MkdirTemp("", "moqo-chaos-")
@@ -172,6 +176,10 @@ func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosAnswer) (Cha
 	inj := fault.NewInjector(nil, fault.Config{
 		DeadDelay: spec.DeadDelay,
 	})
+	threshold := 3
+	if arm == "no-breaker" {
+		threshold = math.MaxInt
+	}
 	svc, err := server.NewE(server.Options{
 		StorePath: dir,
 		StoreFS:   inj,
@@ -183,8 +191,7 @@ func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosAnswer) (Cha
 		// decide how many shapes stay memory-resident).
 		FrontierCacheCapacity: 2,
 		CacheShards:           1,
-		NoStoreBreaker:        arm == "no-breaker",
-		BreakerThreshold:      3,
+		BreakerThreshold:      threshold,
 		BreakerCooldown:       100 * time.Millisecond,
 	})
 	if err != nil {
@@ -240,10 +247,8 @@ func chaosArm(spec ChaosSpec, arm string, reference map[string]chaosAnswer) (Cha
 		return pt, err
 	}
 	pt.Skipped = m.FrontierStore.Skipped
-	if m.FrontierStore.Breaker != nil {
-		pt.BreakerTrips = m.FrontierStore.Breaker.Trips
-		pt.BreakerState = m.FrontierStore.Breaker.State
-	}
+	pt.BreakerTrips = m.FrontierStore.Breaker.Trips
+	pt.BreakerState = m.FrontierStore.Breaker.State
 	return pt, nil
 }
 

@@ -43,6 +43,10 @@ func TestChaosAvailability(t *testing.T) {
 	if breaker.Skipped == 0 {
 		t.Error("breaker arm skipped no store operations")
 	}
+	if baseline.BreakerTrips != 0 || baseline.Skipped != 0 || baseline.BreakerState != "closed" {
+		t.Errorf("baseline breaker moved (trips %d, skipped %d, state %q) under a threshold nothing reaches",
+			baseline.BreakerTrips, baseline.Skipped, baseline.BreakerState)
+	}
 	if baseline.DeadOps <= breaker.DeadOps {
 		t.Errorf("baseline attempted %d dead-device ops, breaker %d — quarantine had no effect",
 			baseline.DeadOps, breaker.DeadOps)

@@ -25,15 +25,16 @@
 // Two companions sit next to the figures — Scaling (optimization time vs
 // table count on synthetic queries, the empirical Figure 7) and
 // FrontierQuality (measured RTA cover factor vs the α guarantee) — and
-// three comparative experiments whose baseline is a knob no scoreboard
-// workload sets:
+// three experiments no scoreboard workload covers, none of which needs a
+// knob moqod does not already have:
 //
 //	TopologyScaling   — exhaustive vs graph-aware csg-cmp enumeration
 //	                    across join-graph shapes (BENCH_topology.json).
-//	TenantLoad        — a light tenant's latency under a flood, fair
-//	                    scheduler vs moqod -fifo (BENCH_tenant.json).
-//	ChaosAvailability — serving through a dead store disk, breaker vs
-//	                    moqod -no-store-breaker (BENCH_chaos.json).
+//	TenantLoad        — a light tenant's latency unloaded and under a
+//	                    flood of cold DPs (BENCH_tenant.json).
+//	ChaosAvailability — serving through a dead store disk, a breaker
+//	                    that trips vs a -breaker-threshold the stream
+//	                    cannot reach (BENCH_chaos.json).
 //
 // Arms lists every experiment cmd/experiments can run. How fast a layer
 // or a request is, is measured by the scoreboard in benchmark/, not here.

@@ -20,17 +20,12 @@ import (
 // EXA dynamic programs (every request a different query shape, so
 // nothing caches) while one "light" tenant lives on the frontier
 // re-weight fast path of a single warmed shape. The experiment measures
-// the light tenant's latency unloaded and under flood, once per
-// scheduling policy:
+// the light tenant's latency unloaded and under flood: the weighted fair
+// scheduler gates only cold dynamic programs, so the light tenant's
+// frontier hits never queue behind the flood, and what inflation is left
+// is the machine's (one core shared with a running DP), not the queue's.
 //
-//   - fair: the default weighted fair scheduler gates only cold dynamic
-//     programs, so the light tenant's frontier hits never queue behind
-//     the flood;
-//   - fifo: the unfairness baseline (moqod -fifo) pushes every request
-//     through one global arrival-order queue, so the light tenant waits
-//     behind whatever the flood queued first.
-//
-// The headline number is the flooded/unloaded p99 ratio per policy.
+// The headline number is the flooded/unloaded p99 ratio.
 type TenantSpec struct {
 	// LightRequests is the light tenant's measured request count per
 	// scenario (default 100).
@@ -63,10 +58,9 @@ func (s TenantSpec) withDefaults() TenantSpec {
 	return s
 }
 
-// TenantPoint is one measured (policy, scenario) cell.
+// TenantPoint is one measured scenario.
 type TenantPoint struct {
-	// Policy is "fair" or "fifo"; Scenario is "unloaded" or "flooded".
-	Policy   string `json:"policy"`
+	// Scenario is "unloaded" or "flooded".
 	Scenario string `json:"scenario"`
 	// LightRequests and Errors count the light tenant's measurement
 	// stream.
@@ -80,22 +74,21 @@ type TenantPoint struct {
 	LightP99Ms float64 `json:"light_p99_ms"`
 }
 
-// TenantSummary carries the headline ratios the CI gate reads: the
-// light tenant's flooded p99 over its unloaded p99, per policy.
+// TenantSummary carries the headline ratio: the light tenant's flooded
+// p99 over its unloaded p99 under the fair scheduler.
 type TenantSummary struct {
 	FairP99Ratio float64 `json:"fair_p99_ratio"`
-	FIFOP99Ratio float64 `json:"fifo_p99_ratio"`
 }
 
-// TenantLoad runs the fairness experiment: for each policy, the light
-// tenant is measured alone and then under flood, against a fresh
-// in-process service each time.
+// TenantLoad runs the fairness experiment: the light tenant is measured
+// alone and then under flood, against a fresh in-process service each
+// time.
 func TenantLoad(spec TenantSpec) ([]TenantPoint, TenantSummary, error) {
 	spec = spec.withDefaults()
 	// Interactive latency needs runtime headroom: with GOMAXPROCS=1 (a
 	// single-core host), a woken serving goroutine waits out the running
 	// dynamic program's whole scheduling slice — tens of milliseconds —
-	// regardless of admission policy. Giving the runtime a few Ps lets the
+	// whatever the scheduler decided. Giving the runtime a few Ps lets the
 	// kernel time-share the core instead, which preempts the CPU-bound DP
 	// thread for the waking handler within microseconds. Multi-core hosts
 	// are unaffected (NumCPU already exceeds the floor).
@@ -104,33 +97,23 @@ func TenantLoad(spec TenantSpec) ([]TenantPoint, TenantSummary, error) {
 	}
 	// The flood's EXA dynamic programs allocate heavily, and on a small
 	// host the resulting GC cycles stall every goroutine — tail noise that
-	// has nothing to do with the scheduling policy under test. Trade heap
+	// has nothing to do with the scheduling under test. Trade heap
 	// for fewer cycles while the experiment runs.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	var pts []TenantPoint
-	var sum TenantSummary
-	for _, policy := range []string{"fair", "fifo"} {
-		unloaded, err := tenantScenario(spec, policy, false)
-		if err != nil {
-			return nil, sum, err
-		}
-		flooded, err := tenantScenario(spec, policy, true)
-		if err != nil {
-			return nil, sum, err
-		}
-		pts = append(pts, unloaded, flooded)
-		ratio := flooredRatio(flooded.LightP99Ms, unloaded.LightP99Ms)
-		if policy == "fair" {
-			sum.FairP99Ratio = ratio
-		} else {
-			sum.FIFOP99Ratio = ratio
-		}
+	unloaded, err := tenantScenario(spec, false)
+	if err != nil {
+		return nil, TenantSummary{}, err
 	}
-	return pts, sum, nil
+	flooded, err := tenantScenario(spec, true)
+	if err != nil {
+		return nil, TenantSummary{}, err
+	}
+	sum := TenantSummary{FairP99Ratio: flooredRatio(flooded.LightP99Ms, unloaded.LightP99Ms)}
+	return []TenantPoint{unloaded, flooded}, sum, nil
 }
 
-// tenantScenario measures one (policy, flooded?) cell.
-func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, error) {
+// tenantScenario measures the light tenant alone, or under the flood.
+func tenantScenario(spec TenantSpec, flooded bool) (TenantPoint, error) {
 	cfg, err := tenant.ParseConfig([]byte(`{
 		"tenants": {"flood": {"weight": 1}, "light": {"weight": 3}}
 	}`))
@@ -138,9 +121,8 @@ func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, 
 		return TenantPoint{}, err
 	}
 	svc, err := server.NewE(server.Options{
-		Tenants:        tenant.NewRegistry(cfg),
-		MaxColdDPs:     1, // one slot: the flood queues, which is what a policy arbitrates
-		FIFOScheduling: policy == "fifo",
+		Tenants:    tenant.NewRegistry(cfg),
+		MaxColdDPs: 1, // one slot: the flood queues, which is what the scheduler arbitrates
 	})
 	if err != nil {
 		return TenantPoint{}, err
@@ -168,7 +150,6 @@ func tenantScenario(spec TenantSpec, policy string, flooded bool) (TenantPoint, 
 	}
 
 	pt := TenantPoint{
-		Policy:        policy,
 		Scenario:      "unloaded",
 		LightRequests: spec.LightRequests,
 	}
@@ -276,13 +257,12 @@ func chainBody(n int, sel float64, alg string, alpha float64, objectives []strin
 // RenderTenantLoad renders the fairness measurements as a text table.
 func RenderTenantLoad(pts []TenantPoint, sum TenantSummary) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %9s %7s %7s %12s %13s %13s\n",
-		"policy", "scenario", "light", "errors", "flood-served", "light-p50(ms)", "light-p99(ms)")
+	fmt.Fprintf(&b, "%9s %7s %7s %12s %13s %13s\n",
+		"scenario", "light", "errors", "flood-served", "light-p50(ms)", "light-p99(ms)")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%6s %9s %7d %7d %12d %13.2f %13.2f\n",
-			p.Policy, p.Scenario, p.LightRequests, p.Errors, p.FloodServed, p.LightP50Ms, p.LightP99Ms)
+		fmt.Fprintf(&b, "%9s %7d %7d %12d %13.2f %13.2f\n",
+			p.Scenario, p.LightRequests, p.Errors, p.FloodServed, p.LightP50Ms, p.LightP99Ms)
 	}
-	fmt.Fprintf(&b, "light-tenant p99 inflation under flood: fair %.1fx, fifo %.1fx\n",
-		sum.FairP99Ratio, sum.FIFOP99Ratio)
+	fmt.Fprintf(&b, "light-tenant p99 inflation under flood (fair scheduler): %.1fx\n", sum.FairP99Ratio)
 	return b.String()
 }

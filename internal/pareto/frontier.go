@@ -2,7 +2,6 @@ package pareto
 
 import (
 	"math"
-	"sort"
 
 	"moqo/internal/objective"
 )
@@ -83,47 +82,4 @@ func CoverFactor(candidate, reference []objective.Vector, objs objective.Set) fl
 		worst = math.Max(worst, best)
 	}
 	return worst
-}
-
-// Hypervolume computes the dominated hypervolume of a two-dimensional
-// frontier with respect to a reference point (larger is better). Only the
-// two given objectives are considered. It is the standard quality
-// indicator for Pareto approximations and is used by tests to compare the
-// RTA frontier against the exact one.
-func Hypervolume(vs []objective.Vector, o1, o2 objective.ID, ref [2]float64) float64 {
-	type pt struct{ x, y float64 }
-	var pts []pt
-	for _, v := range vs {
-		if v[o1] <= ref[0] && v[o2] <= ref[1] {
-			pts = append(pts, pt{v[o1], v[o2]})
-		}
-	}
-	if len(pts) == 0 {
-		return 0
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].x != pts[j].x {
-			return pts[i].x < pts[j].x
-		}
-		return pts[i].y < pts[j].y
-	})
-	// Build the non-dominated staircase (x ascending, y strictly
-	// decreasing), then integrate the strip under each step.
-	var stair []pt
-	bestY := math.Inf(1)
-	for _, p := range pts {
-		if p.y < bestY {
-			stair = append(stair, p)
-			bestY = p.y
-		}
-	}
-	vol := 0.0
-	for i, p := range stair {
-		xRight := ref[0]
-		if i+1 < len(stair) {
-			xRight = stair[i+1].x
-		}
-		vol += (xRight - p.x) * (ref[1] - p.y)
-	}
-	return vol
 }

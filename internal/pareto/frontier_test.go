@@ -2,7 +2,6 @@ package pareto
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"moqo/internal/objective"
@@ -86,64 +85,5 @@ func TestCoverFactorZeroComponent(t *testing.T) {
 	cand2 := []objective.Vector{vec(0, 2)}
 	if got := CoverFactor(cand2, ref, testObjs); got != 2 {
 		t.Errorf("CoverFactor = %v, want 2", got)
-	}
-}
-
-func TestHypervolumeKnownValues(t *testing.T) {
-	// Single point (1,1) with reference (3,3): area 2x2 = 4.
-	vs := []objective.Vector{vec(1, 1)}
-	if got := Hypervolume(vs, objective.TotalTime, objective.BufferFootprint, [2]float64{3, 3}); got != 4 {
-		t.Errorf("hypervolume = %v, want 4", got)
-	}
-	// Staircase (1,2),(2,1) with ref (3,3): 2x1 + 1x2 - overlap... compute:
-	// strip for (1,2): width (2-1)=1 * height (3-2)=1 => 1
-	// strip for (2,1): width (3-2)=1 * height (3-1)=2 => 2
-	// plus (1,2) strip from x=1..2 only, total = 1 + 2 = 3... but area
-	// dominated by (1,2) alone is (3-1)*(3-2)=2; union = 2+ (3-2)*(2-1)=1
-	// => 3. Wait union of both rectangles: rect1 = [1,3]x[2,3] area 2;
-	// rect2 = [2,3]x[1,3] area 2; overlap [2,3]x[2,3] = 1 → union 3.
-	vs = []objective.Vector{vec(1, 2), vec(2, 1)}
-	if got := Hypervolume(vs, objective.TotalTime, objective.BufferFootprint, [2]float64{3, 3}); got != 3 {
-		t.Errorf("hypervolume = %v, want 3", got)
-	}
-	// Points outside the reference box contribute nothing.
-	vs = []objective.Vector{vec(5, 5)}
-	if got := Hypervolume(vs, objective.TotalTime, objective.BufferFootprint, [2]float64{3, 3}); got != 0 {
-		t.Errorf("hypervolume = %v, want 0", got)
-	}
-	if got := Hypervolume(nil, objective.TotalTime, objective.BufferFootprint, [2]float64{3, 3}); got != 0 {
-		t.Errorf("empty hypervolume = %v, want 0", got)
-	}
-}
-
-func TestHypervolumeDominatedPointsIrrelevant(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		var vs []objective.Vector
-		for i := 0; i < 20; i++ {
-			vs = append(vs, vec(r.Float64()*3, r.Float64()*3))
-		}
-		ref := [2]float64{3, 3}
-		all := Hypervolume(vs, objective.TotalTime, objective.BufferFootprint, ref)
-		frontier := Hypervolume(FilterPareto(vs, testObjs), objective.TotalTime, objective.BufferFootprint, ref)
-		if math.Abs(all-frontier) > 1e-9 {
-			t.Fatalf("trial %d: hypervolume differs with dominated points: %v vs %v", trial, all, frontier)
-		}
-	}
-}
-
-func TestHypervolumeMonotoneInPoints(t *testing.T) {
-	// Adding a point never decreases the hypervolume.
-	r := rand.New(rand.NewSource(17))
-	ref := [2]float64{10, 10}
-	var vs []objective.Vector
-	prev := 0.0
-	for i := 0; i < 100; i++ {
-		vs = append(vs, vec(r.Float64()*10, r.Float64()*10))
-		hv := Hypervolume(vs, objective.TotalTime, objective.BufferFootprint, ref)
-		if hv < prev-1e-9 {
-			t.Fatalf("hypervolume decreased: %v -> %v", prev, hv)
-		}
-		prev = hv
 	}
 }

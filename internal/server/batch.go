@@ -78,19 +78,6 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	// The FIFO unfairness baseline gates the whole batch in the global
-	// arrival-order queue (no-op under the fair policy, where only cold
-	// member DPs queue — per tenant, inside the tiers).
-	release, err := s.gateRequest(ctx, headerTen)
-	if err != nil {
-		if fail := s.serveFailure(err); ctx.Err() == nil {
-			s.writeFailure(w, fail)
-		}
-		return
-	}
-	defer release()
-
 	// Emit serialized: the streaming writer and the collecting slice are
 	// both single-writer under this mutex.
 	var (
@@ -128,6 +115,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 			Member:       i,
 			Error:        fmt.Sprintf("member %d: %v", i, f.err),
 			ErrorCode:    f.code,
+			Reason:       f.reason,
 			RetryAfterMs: f.retryAfter.Milliseconds(),
 		})
 	}
@@ -178,7 +166,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	plan.Run(parallel, func(k int) {
 		i := runnable[k]
 		// The member's deadline budget starts when its turn comes.
-		resp, fail := s.serve(ctx, &members[i], time.Now(), false)
+		resp, fail := s.serve(r.Context(), &members[i], time.Now())
 		if fail != nil {
 			emitFailure(i, fail)
 			return

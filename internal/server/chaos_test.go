@@ -13,6 +13,7 @@ import (
 
 	"moqo/internal/core"
 	"moqo/internal/fault"
+	"moqo/internal/tenant"
 )
 
 // chaos_test.go is the chaos suite: randomized disk-fault schedules,
@@ -405,98 +406,220 @@ func TestChaosHandlerPanicRecovered(t *testing.T) {
 	h2.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/x", nil))
 }
 
-// TestChaosQueueBoundSheds: with the scheduler's slot held and its
-// queue full, a new arrival is shed immediately — 503, Retry-After,
-// code "overload", reason "queue_full" — instead of queuing unboundedly.
-// Both handler-level gates (FIFO baseline) answer it the same way; the
-// batch one used to return 200 with an empty body.
-func TestChaosQueueBoundSheds(t *testing.T) {
-	for path, body := range map[string]string{
-		"/optimize":       chainBody(5, 0.4, "rta", map[string]float64{"total_time": 1}),
-		"/optimize/batch": tpchBatch,
-	} {
-		t.Run(path, func(t *testing.T) {
-			svc, err := NewE(Options{FIFOScheduling: true, MaxColdDPs: 1, MaxQueueDepth: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(svc.Handler())
-			defer ts.Close()
-
-			// Hold the single slot directly, then park one request in the queue.
-			if err := svc.sched.Acquire(t.Context(), "", 1, 0); err != nil {
-				t.Fatal(err)
-			}
-			queuedDone := make(chan int, 1)
-			go func() {
-				status, _, _ := post(t, ts, chainBody(5, 0.5, "rta", map[string]float64{"total_time": 1}))
-				queuedDone <- status
-			}()
-			waitFor(t, 5*time.Second, "the queued request to reach the scheduler",
-				func() bool { return svc.sched.Queued() >= 1 })
-
-			// Queue full: the next arrival is shed without doing any work.
-			res, err := http.Post(ts.URL+path, "application/json", bytes.NewBufferString(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			_, _ = buf.ReadFrom(res.Body)
-			res.Body.Close()
-			if res.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("status %d at queue bound, want 503: %s", res.StatusCode, buf.String())
-			}
-			if res.Header.Get("Retry-After") == "" {
-				t.Error("503 shed response missing Retry-After")
-			}
-			if e := decodeErrResp(t, buf.String()); e.Code != CodeOverload || e.Reason != "queue_full" {
-				t.Errorf("shed error = %+v, want code %q reason queue_full", e, CodeOverload)
-			}
-
-			// Release the slot: the queued request drains normally.
-			svc.sched.Release("")
-			if status := <-queuedDone; status != http.StatusOK {
-				t.Fatalf("queued request failed after release: %d", status)
-			}
-			if m := metrics(t, ts); m.Requests.ShedOverload != 1 {
-				t.Errorf("shed_overload = %d, want 1", m.Requests.ShedOverload)
-			}
-		})
-	}
+// wedgedServer is a default server — fair scheduler, no policy option —
+// with one cold-DP slot, set up for the shed tests: the warm shape's plan
+// and frontier are cached, then the slot is held, so every cold arrival
+// queues in acquireCold, the one place moqod queues anything. With
+// maxQueue 1, one cold request is parked there as well and the queue is
+// full. free releases the slot; a parked request must then drain with 200.
+type wedgedServer struct {
+	svc  *Server
+	ts   *httptest.Server
+	free func()
 }
 
-// TestChaosBudgetExhaustedWhileQueued: a request whose deadline budget
-// dies while it is still waiting for a scheduler slot is shed with 503
-// reason "budget_exhausted" — queue wait consumes the budget, and a
-// request that never ran reports overload, not a timeout of work it
-// never did.
-func TestChaosBudgetExhaustedWhileQueued(t *testing.T) {
-	svc, err := NewE(Options{FIFOScheduling: true, MaxColdDPs: 1})
+// Shapes of the shed tests: warm is cached before the wedge, parked fills
+// the queue, cold is the arrival that is shed.
+const warmSel, parkedSel, coldSel = 0.3, 0.5, 0.4
+
+var (
+	warmWeights     = map[string]float64{"total_time": 1}
+	reweightWeights = map[string]float64{"total_time": 1, "buffer_footprint": 2}
+)
+
+func newWedgedServer(t *testing.T, maxQueue int) *wedgedServer {
+	t.Helper()
+	svc, err := NewE(Options{MaxColdDPs: 1, MaxQueueDepth: maxQueue})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	if err := svc.sched.Acquire(t.Context(), "", 1, 0); err != nil {
-		t.Fatal(err)
+	t.Cleanup(ts.Close)
+	if status, _, raw := post(t, ts, chainBody(5, warmSel, "rta", warmWeights)); status != http.StatusOK {
+		t.Fatalf("warm-up failed (%d): %s", status, raw)
 	}
-	defer svc.sched.Release("")
-
-	body := chainBody(5, 0.5, "rta", map[string]float64{"total_time": 1})
-	body = body[:len(body)-1] + `,"timeout_ms":60}`
-	res, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewBufferString(body))
+	release, err := svc.acquireCold(t.Context(), "holder")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var parked chan int
+	if maxQueue > 0 {
+		parked = make(chan int, 1)
+		go func() {
+			res, err := http.Post(ts.URL+"/optimize", "application/json",
+				bytes.NewBufferString(chainBody(5, parkedSel, "rta", warmWeights)))
+			if err != nil {
+				parked <- 0
+				return
+			}
+			_ = res.Body.Close()
+			parked <- res.StatusCode
+		}()
+		waitFor(t, 5*time.Second, "the parked request to reach the scheduler queue",
+			func() bool { return svc.sched.Queued() == maxQueue })
+	}
+	return &wedgedServer{svc: svc, ts: ts, free: func() {
+		t.Helper()
+		release()
+		if parked == nil {
+			return
+		}
+		if status := <-parked; status != http.StatusOK {
+			t.Fatalf("parked request failed after the slot freed: %d", status)
+		}
+	}}
+}
+
+// postShed posts a cold /optimize body that must be shed: 503, a
+// Retry-After header, code "overload" and the given reason. It only
+// calls t.Error, so it is safe off the test goroutine.
+func postShed(t *testing.T, ts *httptest.Server, body, reason string) {
+	t.Helper()
+	res, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewBufferString(body))
+	if err != nil {
+		t.Error(err)
+		return
 	}
 	var buf bytes.Buffer
 	_, _ = buf.ReadFrom(res.Body)
 	res.Body.Close()
 	if res.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d for budget death in queue, want 503: %s", res.StatusCode, buf.String())
+		t.Errorf("status %d for a shed request, want 503: %s", res.StatusCode, buf.String())
+		return
 	}
-	if e := decodeErrResp(t, buf.String()); e.Code != CodeOverload || e.Reason != "budget_exhausted" {
-		t.Errorf("shed error = %+v, want code %q reason budget_exhausted", e, CodeOverload)
+	if res.Header.Get("Retry-After") == "" {
+		t.Error("503 shed response missing Retry-After")
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil || e.Code != CodeOverload || e.Reason != reason || e.RetryAfterMs <= 0 {
+		t.Errorf("shed body %s (%v), want code %q reason %q and a retry hint", buf.String(), err, CodeOverload, reason)
+	}
+}
+
+// shedMember checks a batch member that was shed: the same code, reason
+// and retry hint /optimize answers with, and no result.
+func shedMember(t *testing.T, m BatchMemberResponse, reason string) {
+	t.Helper()
+	if m.Result != nil || m.ErrorCode != CodeOverload || m.Reason != reason || m.RetryAfterMs <= 0 {
+		t.Errorf("shed member = %+v, want error_code %q reason %q and a retry hint", m, CodeOverload, reason)
+	}
+}
+
+// TestChaosQueueBoundSheds: with the one cold-DP slot held and the queue at
+// its bound, the next cold arrival is shed immediately — 503, Retry-After,
+// code "overload", reason "queue_full" — instead of queuing unboundedly,
+// while a plan-cache hit and a frontier re-weight still answer 200: cache
+// hits never queue. In a batch the shed is the member's: the envelope is
+// 200, the cold member carries the failure and its cached siblings their
+// results.
+func TestChaosQueueBoundSheds(t *testing.T) {
+	t.Run("/optimize", func(t *testing.T) {
+		w := newWedgedServer(t, 1)
+		postShed(t, w.ts, chainBody(5, coldSel, "rta", warmWeights), "queue_full")
+
+		status, hit, raw := post(t, w.ts, chainBody(5, warmSel, "rta", warmWeights))
+		if status != http.StatusOK || !hit.Cached {
+			t.Errorf("plan-cache hit behind a full queue: status %d cached %v: %s", status, hit.Cached, raw)
+		}
+		status, rew, raw := post(t, w.ts, chainBody(5, warmSel, "rta", reweightWeights))
+		if status != http.StatusOK || !rew.Stats.ReusedFrontier {
+			t.Errorf("re-weight behind a full queue: status %d reused_frontier %v: %s", status, rew.Stats.ReusedFrontier, raw)
+		}
+
+		w.free()
+		if m := metrics(t, w.ts); m.Requests.ShedOverload != 1 {
+			t.Errorf("shed_overload = %d, want 1", m.Requests.ShedOverload)
+		}
+	})
+	t.Run("/optimize/batch", func(t *testing.T) {
+		w := newWedgedServer(t, 1)
+		member := func(sel float64, weights map[string]float64) BatchMemberRequest {
+			return BatchMemberRequest{Query: chainQuery(5, sel), Algorithm: "rta",
+				Objectives: []string{"total_time", "buffer_footprint"}, Weights: weights, Workers: 1}
+		}
+		body, err := json.Marshal(BatchRequest{Catalog: chainCatalog(5), Members: []BatchMemberRequest{
+			member(coldSel, warmWeights), member(warmSel, warmWeights), member(warmSel, reweightWeights),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, batch, raw := postBatch(t, w.ts, string(body))
+		if status != http.StatusOK || len(batch.Members) != 3 {
+			t.Fatalf("batch behind a full queue: status %d, want 200 with 3 members: %s", status, raw)
+		}
+		shedMember(t, batch.Members[0], "queue_full")
+		if hit := batch.Members[1].Result; hit == nil || !hit.Cached {
+			t.Errorf("cached sibling of a shed member: %+v", batch.Members[1])
+		}
+		if rew := batch.Members[2].Result; rew == nil || !rew.Stats.ReusedFrontier {
+			t.Errorf("re-weighted sibling of a shed member: %+v", batch.Members[2])
+		}
+		if batch.Stats.Errors != 1 {
+			t.Errorf("batch stats errors = %d, want 1", batch.Stats.Errors)
+		}
+
+		w.free()
+		if m := metrics(t, w.ts); m.Requests.ShedOverload != 1 {
+			t.Errorf("shed_overload = %d, want 1", m.Requests.ShedOverload)
+		}
+	})
+}
+
+// TestChaosBudgetExhaustedWhileQueued: a request whose deadline budget
+// dies while it is still waiting for a cold-DP slot is shed with 503
+// reason "budget_exhausted" — queue wait consumes the budget, and a
+// request that never ran reports overload, not a timeout of work it
+// never did. A batch member shed the same way carries the same code and
+// reason.
+func TestChaosBudgetExhaustedWhileQueued(t *testing.T) {
+	w := newWedgedServer(t, 0)
+	defer w.free()
+
+	body := chainBody(5, coldSel, "rta", warmWeights)
+	body = body[:len(body)-1] + `,"timeout_ms":60}`
+	postShed(t, w.ts, body, "budget_exhausted")
+
+	status, batch, raw := postBatch(t, w.ts, batchOfOne(t, body))
+	if status != http.StatusOK || len(batch.Members) != 1 {
+		t.Fatalf("batch with a member dying in the queue: status %d: %s", status, raw)
+	}
+	shedMember(t, batch.Members[0], "budget_exhausted")
+
+	if m := metrics(t, w.ts); m.Requests.ShedOverload != 2 {
+		t.Errorf("shed_overload = %d, want 2 (one request, one member)", m.Requests.ShedOverload)
+	}
+}
+
+// TestChaosCoalescedShed: two identical cold requests arriving together at
+// a full queue both get the structured 503 — whichever of the two nested
+// single-flight tiers coalesced them, the follower neither hangs nor gets
+// a zero response — and neither tier caches the shed: once the slot frees,
+// the same request is a clean miss that runs its dynamic program.
+func TestChaosCoalescedShed(t *testing.T) {
+	w := newWedgedServer(t, 1)
+	body := chainBody(5, coldSel, "rta", warmWeights)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			postShed(t, w.ts, body, "queue_full")
+		}()
+	}
+	wg.Wait()
+	if m := metrics(t, w.ts); m.Requests.ShedOverload != 2 {
+		t.Errorf("shed_overload = %d, want 2", m.Requests.ShedOverload)
+	}
+
+	w.free()
+	before := w.svc.sched.Granted()[tenant.Anonymous]
+	status, resp, raw := post(t, w.ts, body)
+	if status != http.StatusOK || resp.Cached || resp.Stats.ReusedFrontier {
+		t.Fatalf("request after the shed: status %d cached %v reused_frontier %v, want a clean miss: %s",
+			status, resp.Cached, resp.Stats.ReusedFrontier, raw)
+	}
+	if ran := w.svc.sched.Granted()[tenant.Anonymous] - before; ran != 1 {
+		t.Errorf("request after the shed ran %d dynamic programs, want 1", ran)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // *diskTier is the disabled tier: every method is a no-op or a miss.
 type diskTier struct {
 	st      *store.Store
-	breaker *fault.Breaker // nil under NoStoreBreaker: nothing is ever skipped
+	breaker *fault.Breaker
 
 	skipped       atomic.Uint64 // operations not attempted: breaker open
 	decodeDropped atomic.Uint64 // entries with good checksums that failed decoding or key verification
@@ -43,14 +43,10 @@ func openDiskTier(opts Options) (*diskTier, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &diskTier{st: st}
-	if !opts.NoStoreBreaker {
-		d.breaker = fault.NewBreaker(fault.BreakerConfig{
-			Threshold: opts.BreakerThreshold,
-			Cooldown:  opts.BreakerCooldown,
-		})
-	}
-	return d, nil
+	return &diskTier{st: st, breaker: fault.NewBreaker(fault.BreakerConfig{
+		Threshold: opts.BreakerThreshold,
+		Cooldown:  opts.BreakerCooldown,
+	})}, nil
 }
 
 // allow reports whether the device may be touched right now. Skipped
@@ -59,7 +55,7 @@ func (d *diskTier) allow() bool {
 	if d == nil {
 		return false
 	}
-	if d.breaker != nil && !d.breaker.Allow() {
+	if !d.breaker.Allow() {
 		d.skipped.Add(1)
 		return false
 	}
@@ -68,11 +64,9 @@ func (d *diskTier) allow() bool {
 
 // result feeds one device operation's outcome to the breaker.
 func (d *diskTier) result(err error) {
-	switch {
-	case d.breaker == nil:
-	case err != nil:
+	if err != nil {
 		d.breaker.Failure()
-	default:
+	} else {
 		d.breaker.Success()
 	}
 }
@@ -80,11 +74,7 @@ func (d *diskTier) result(err error) {
 // release hands back an allow that did no I/O: it proves nothing about
 // the device, and reporting it as a success would reset the failure
 // streak (or close a half-open breaker) without having touched the disk.
-func (d *diskTier) release() {
-	if d.breaker != nil {
-		d.breaker.Cancel()
-	}
-}
+func (d *diskTier) release() { d.breaker.Cancel() }
 
 // Put marshals a snapshot and appends it to the store.
 func (d *diskTier) Put(snap *moqo.FrontierSnapshot) {
@@ -144,25 +134,22 @@ func (d *diskTier) Close() error {
 	return d.st.Close()
 }
 
-// Breaker reports whether the tier exists and its breaker's stats (nil
-// without one). Unlike Stats it does not take the store's mutex, which a
-// Put holds across an fsync: liveness probes must not wait on the disk.
-func (d *diskTier) Breaker() (enabled bool, bst *fault.BreakerStats) {
+// Breaker returns the breaker's stats: non-nil exactly when the tier
+// exists. Unlike Stats it does not take the store's mutex, which a Put
+// holds across an fsync: liveness probes must not wait on the disk.
+func (d *diskTier) Breaker() *fault.BreakerStats {
 	if d == nil {
-		return false, nil
+		return nil
 	}
-	if d.breaker != nil {
-		st := d.breaker.Stats()
-		bst = &st
-	}
-	return true, bst
+	st := d.breaker.Stats()
+	return &st
 }
 
 // Stats is the tier's one metrics value: the store's counters, the
 // tier's own and the breaker's state. All-zero when disabled.
 func (d *diskTier) Stats() FrontierStoreMetrics {
-	enabled, bst := d.Breaker()
-	if !enabled {
+	bst := d.Breaker()
+	if bst == nil {
 		return FrontierStoreMetrics{}
 	}
 	st := d.st.Stats()

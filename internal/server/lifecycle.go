@@ -164,24 +164,13 @@ func (s *Server) clampWorkers(workers int) int {
 //
 // The member's wall budget starts at started — arrival for /optimize, its
 // turn in the schedule for a batch member — and is carried by the context,
-// so every wait downstream (the FIFO gate, the cold-DP scheduler queue)
+// so the one wait downstream (the cold-DP scheduler queue, acquireCold)
 // consumes it, and the dynamic program, which folds the context deadline
 // into the §5.1 degrade path, gets exactly the remainder. A budget that
 // dies while still queued surfaces as DeadlineExceeded and is shed.
-//
-// gate says the member is a whole request, which passes the FIFO
-// baseline's arrival gate under its own budget; a batch passes it once for
-// all its members.
-func (s *Server) serve(ctx context.Context, m *member, started time.Time, gate bool) (OptimizeResponse, *failure) {
+func (s *Server) serve(ctx context.Context, m *member, started time.Time) (OptimizeResponse, *failure) {
 	ctx, cancelBudget := context.WithDeadline(ctx, started.Add(m.req.Request().Timeout))
 	defer cancelBudget()
-	if gate {
-		release, err := s.gateRequest(ctx, m.ten)
-		if err != nil {
-			return OptimizeResponse{}, s.serveFailure(err)
-		}
-		defer release()
-	}
 	resp, err := s.tiers.Serve(ctx, &m.req, m.ten, m.noCache)
 	if err != nil {
 		return OptimizeResponse{}, s.serveFailure(err)
@@ -197,10 +186,10 @@ func (s *Server) serve(ctx context.Context, m *member, started time.Time, gate b
 	return resp, nil
 }
 
-// serveFailure classifies — and counts — a failure after admission, at the
-// FIFO gate or in the tiers. Nothing a client wrote reaches it: resolve
-// rejects every validation failure, so what is neither a shed, a contained
-// panic nor the client leaving is the server's own fault.
+// serveFailure classifies — and counts — a failure after admission, in the
+// tiers. Nothing a client wrote reaches it: resolve rejects every validation
+// failure, so what is neither a shed, a contained panic nor the client
+// leaving is the server's own fault.
 func (s *Server) serveFailure(err error) *failure {
 	s.errors.Add(1)
 	switch {
@@ -215,9 +204,12 @@ func (s *Server) serveFailure(err error) *failure {
 		s.panics.Add(1)
 		return &failure{err: errors.New("internal: optimization aborted by a contained panic"), code: CodeInternal, status: http.StatusInternalServerError}
 	case errors.Is(err, context.DeadlineExceeded):
-		// Load shed: the deadline budget died while the request was queued.
+		// Load shed: the deadline budget died while the request was queued
+		// (a running dynamic program degrades at its deadline, it does not
+		// fail). A request that never ran reports overload, not a timeout
+		// of work it never did; the reason says which way it was shed.
 		s.shedOverload.Add(1)
-		return &failure{err: err, code: CodeTimeout, status: http.StatusServiceUnavailable, reason: "budget_exhausted", retryAfter: time.Second}
+		return &failure{err: err, code: CodeOverload, status: http.StatusServiceUnavailable, reason: "budget_exhausted", retryAfter: time.Second}
 	case errors.Is(err, context.Canceled):
 		return &failure{err: err, code: CodeCanceled, status: http.StatusBadRequest}
 	default:
@@ -225,18 +217,13 @@ func (s *Server) serveFailure(err error) *failure {
 	}
 }
 
-// writeFailure answers /optimize (or a batch shed at the gate) with a
-// member's failure: its status, a Retry-After header when waiting would
-// help (rate rejections and sheds), and the structured body.
+// writeFailure answers /optimize with a member's failure: its status, a
+// Retry-After header when waiting would help (rate rejections and sheds),
+// and the structured body — code, reason and retry hint exactly as a batch
+// member carries them.
 func (s *Server) writeFailure(w http.ResponseWriter, f *failure) {
-	resp := ErrorResponse{Error: f.err.Error(), Code: f.code, Reason: f.reason, RetryAfterMs: f.retryAfter.Milliseconds()}
-	if f.status == http.StatusServiceUnavailable {
-		// A request that never ran reports overload, not a timeout of work
-		// it never did; the reason says which way it was shed.
-		resp.Code = CodeOverload
-	}
 	if f.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt(max(1, int64(f.retryAfter.Seconds()+0.999)), 10))
 	}
-	s.writeJSON(w, f.status, resp)
+	s.writeJSON(w, f.status, ErrorResponse{Error: f.err.Error(), Code: f.code, Reason: f.reason, RetryAfterMs: f.retryAfter.Milliseconds()})
 }

@@ -116,16 +116,12 @@ type Options struct {
 	// means the real OS). Chaos tests and the -fig chaos harness pass a
 	// fault.Injector to exercise disk failures deterministically.
 	StoreFS fault.FS
-	// NoStoreBreaker disables the store-tier circuit breaker — the
-	// baseline for chaos measurements, where every request keeps paying
-	// a failing disk's latency. The default (false) wraps every store
-	// operation in a Closed/Open/HalfOpen breaker: repeated disk errors
-	// trip it, serving degrades to memory-only (both cache tiers keep
-	// answering), and half-open probes with exponential backoff retry
-	// the disk.
-	NoStoreBreaker bool
 	// BreakerThreshold is the consecutive-failure count that trips the
-	// store breaker (0 = the fault package default, 5).
+	// store breaker (0 = the fault package default, 5). A configured store
+	// always has one: every store operation passes a Closed/Open/HalfOpen
+	// breaker, repeated disk errors trip it, serving degrades to
+	// memory-only (both cache tiers keep answering), and half-open probes
+	// with exponential backoff retry the disk.
 	BreakerThreshold int
 	// BreakerCooldown is the first open window before a half-open
 	// probe; successive failed probes double it, up to 30s (0 = the
@@ -150,10 +146,6 @@ type Options struct {
 	// answered from the caches never consume a slot. 0 means
 	// runtime.NumCPU().
 	MaxColdDPs int
-	// FIFOScheduling replaces fair weighted round-robin with one global
-	// arrival-order queue over every request (cache hits included) — the
-	// unfairness baseline for benchmarks and tests, not for production.
-	FIFOScheduling bool
 }
 
 // withDefaults fills in the documented defaults.
@@ -246,11 +238,7 @@ func NewE(opts Options) (*Server, error) {
 	if s.tenants == nil {
 		s.tenants = tenant.NewRegistry(nil)
 	}
-	policy := tenant.Fair
-	if opts.FIFOScheduling {
-		policy = tenant.FIFO
-	}
-	s.sched = tenant.NewScheduler(opts.MaxColdDPs, policy)
+	s.sched = tenant.NewScheduler(opts.MaxColdDPs, tenant.Fair)
 	s.sched.SetMaxQueue(opts.MaxQueueDepth)
 	tiers, err := newTiers(opts, s.tenants, s.acquireCold)
 	if err != nil {
@@ -361,7 +349,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	fail := s.resolve(&m, &wire, r.Header.Get(TenantHeader), nil, nil)
 	if fail == nil {
 		var resp OptimizeResponse
-		if resp, fail = s.serve(r.Context(), &m, started, true); fail == nil {
+		if resp, fail = s.serve(r.Context(), &m, started); fail == nil {
 			s.writeJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -446,15 +434,13 @@ func (s *Server) healthSnapshot() HealthResponse {
 		Shed:       s.sched.Shed(),
 		InFlight:   s.inFlight.Load(),
 	}
-	if enabled, bst := s.tiers.disk.Breaker(); enabled {
+	if bst := s.tiers.disk.Breaker(); bst != nil {
 		h.Store, h.Breaker = "ok", bst
-		if bst != nil {
-			switch bst.State {
-			case fault.Open.String():
-				h.Store, h.Status, h.Degraded = "degraded", "degraded", true
-			case fault.HalfOpen.String():
-				h.Store, h.Status, h.Degraded = "probing", "degraded", true
-			}
+		switch bst.State {
+		case fault.Open.String():
+			h.Store, h.Status, h.Degraded = "degraded", "degraded", true
+		case fault.HalfOpen.String():
+			h.Store, h.Status, h.Degraded = "probing", "degraded", true
 		}
 	}
 	return h

@@ -419,7 +419,7 @@ func TestServeErrorClassification(t *testing.T) {
 		reason string
 	}{
 		{fmt.Errorf("wrapped: %w", tenant.ErrQueueFull), CodeOverload, http.StatusServiceUnavailable, "queue_full"},
-		{fmt.Errorf("wrapped: %w", context.DeadlineExceeded), CodeTimeout, http.StatusServiceUnavailable, "budget_exhausted"},
+		{fmt.Errorf("wrapped: %w", context.DeadlineExceeded), CodeOverload, http.StatusServiceUnavailable, "budget_exhausted"},
 		{fmt.Errorf("wrapped: %w", moqo.ErrInternalPanic), CodeInternal, http.StatusInternalServerError, ""},
 		{fmt.Errorf("wrapped: %w", context.Canceled), CodeCanceled, http.StatusBadRequest, ""},
 		{fmt.Errorf("exploded"), CodeInternal, http.StatusInternalServerError, ""},

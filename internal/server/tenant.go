@@ -20,8 +20,6 @@ const (
 	// budget, table ceiling, or predicted-cost ceiling). Rate rejections
 	// carry retry_after_ms.
 	CodeAdmission = "admission"
-	// CodeTimeout: the serving deadline expired before an answer.
-	CodeTimeout = "timeout"
 	// CodeCanceled: the caller went away mid-flight.
 	CodeCanceled = "canceled"
 	// CodeInternal: an unexpected serving failure — the server's fault,
@@ -38,30 +36,11 @@ const (
 // the tenant's admission queue is drained by smooth weighted round-robin
 // at the tenant's configured weight, under its max_concurrent cap. Cache
 // and frontier hits never reach this — they bypass queuing entirely, so
-// tenancy adds nothing to the fast paths. In the FIFO baseline the
-// request was already gated as a whole (serve), so this is a no-op. The
-// returned release must be called when the DP finishes.
+// tenancy adds nothing to the fast paths. It is the one place a request
+// can queue. The returned release must be called when the DP finishes.
 func (s *Server) acquireCold(ctx context.Context, ten string) (func(), error) {
-	if s.opts.FIFOScheduling {
-		return func() {}, nil
-	}
 	q := s.tenants.Quota(ten)
 	if err := s.sched.Acquire(ctx, ten, q.Weight, q.MaxConcurrent); err != nil {
-		return nil, err
-	}
-	return func() { s.sched.Release(ten) }, nil
-}
-
-// gateRequest is the unfairness baseline's gate: under FIFOScheduling
-// every request — cache hits included — waits in one global
-// arrival-order queue for a slot. The fair policy gates nothing here
-// (only cold DPs queue, at acquireCold). The returned release must be
-// called when the request finishes.
-func (s *Server) gateRequest(ctx context.Context, ten string) (func(), error) {
-	if !s.opts.FIFOScheduling {
-		return func() {}, nil
-	}
-	if err := s.sched.Acquire(ctx, ten, 1, 0); err != nil {
 		return nil, err
 	}
 	return func() { s.sched.Release(ten) }, nil

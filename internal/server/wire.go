@@ -125,9 +125,13 @@ type BatchMemberResponse struct {
 	Result *OptimizeResponse `json:"result,omitempty"`
 	Error  string            `json:"error,omitempty"`
 	// ErrorCode classifies a member failure: validation (malformed
-	// member), admission (the member tenant's quota rejected it), timeout,
-	// canceled, or internal. Empty when Result is set.
+	// member), admission (the member tenant's quota rejected it), overload
+	// (shed from the cold-DP queue), canceled, or internal — the codes
+	// /optimize answers with. Empty when Result is set.
 	ErrorCode string `json:"error_code,omitempty"`
+	// Reason refines an admission rejection (rate, tables, cost) or a shed
+	// (queue_full, budget_exhausted), as ErrorResponse.Reason does.
+	Reason string `json:"reason,omitempty"`
 	// RetryAfterMs accompanies rate-limited admission rejections and sheds.
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
@@ -391,9 +395,9 @@ type FrontierStoreMetrics struct {
 	// Skipped counts store operations not attempted because the circuit
 	// breaker was open — serving degraded to memory-only for those.
 	Skipped uint64 `json:"skipped"`
-	// Breaker is the store circuit breaker's state (absent when the
-	// breaker is disabled): "closed" (healthy), "open" (disk quarantined,
-	// serving memory-only), or "half-open" (probing recovery).
+	// Breaker is the store circuit breaker's state (present exactly when
+	// the store is): "closed" (healthy), "open" (disk quarantined, serving
+	// memory-only), or "half-open" (probing recovery).
 	Breaker *fault.BreakerStats `json:"breaker,omitempty"`
 }
 
@@ -412,7 +416,8 @@ type HealthResponse struct {
 	// Store reports the persistence tier: "disabled", "ok", "degraded"
 	// (breaker open), or "probing" (half-open).
 	Store string `json:"store"`
-	// Breaker mirrors the store breaker's stats (absent when disabled).
+	// Breaker mirrors the store breaker's stats (present exactly when the
+	// store is configured).
 	Breaker *fault.BreakerStats `json:"breaker,omitempty"`
 	// QueueDepth is the total cold-DP admission queue depth; Shed counts
 	// requests rejected at the load-shedding bound since start.

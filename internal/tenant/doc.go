@@ -23,11 +23,11 @@
 //     and eviction counts attributed to the tenant whose request
 //     populated the entry) — behind a hot-swappable config.
 //   - Scheduler: a weighted-round-robin admission queue gating cold
-//     dynamic programs. Each tenant has its own FIFO queue; free slots
-//     go to queues by smooth weighted round-robin, so one tenant
-//     flooding expensive optimizations cannot starve another's queue.
-//     Cache and frontier hits never enter the scheduler (the serving
-//     fast path bypasses it entirely). A FIFO policy — one global queue,
-//     every request — exists as the unfairness baseline the fairness
-//     experiment (internal/bench.TenantLoad) measures against.
+//     dynamic programs. Each tenant has its own arrival-order queue;
+//     free slots go to queues by smooth weighted round-robin, so one
+//     tenant flooding expensive optimizations cannot starve another's
+//     queue. Cache and frontier hits never enter the scheduler (the
+//     serving fast path bypasses it entirely); the fairness experiment
+//     (internal/bench.TenantLoad) measures what that is worth to a light
+//     tenant under a flood. It is the only place a request can queue.
 package tenant

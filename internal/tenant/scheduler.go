@@ -13,17 +13,15 @@ import (
 // buckets, which cap rate but not simultaneous backlog.
 var ErrQueueFull = errors.New("tenant: scheduler queue full")
 
-// Policy selects how the scheduler orders queued work.
+// Policy is a one-valued vestige: the scheduler has exactly one ordering
+// (Fair). The type and NewScheduler's parameter remain only because
+// benchmark/probes.go compiles against them and a product PR may not touch
+// benchmark/; a benchmark-only PR removes both (ROADMAP item 9(d)).
 type Policy int
 
-const (
-	// Fair: per-tenant FIFO queues drained by smooth weighted
-	// round-robin — the production policy.
-	Fair Policy = iota
-	// FIFO: one global queue in strict arrival order, blind to tenants —
-	// the unfairness baseline for benchmarks and tests.
-	FIFO
-)
+// Fair: per-tenant arrival-order queues drained by smooth weighted
+// round-robin — the only policy.
+const Fair Policy = 0
 
 // waiter is one queued acquisition.
 type waiter struct {
@@ -43,15 +41,13 @@ type schedQueue struct {
 
 // Scheduler gates cold dynamic programs behind per-tenant admission
 // queues: at most slots acquisitions run at once, free slots go to
-// non-empty queues by smooth weighted round-robin (Fair) or to the
-// single global queue in arrival order (FIFO), and a tenant at its
+// non-empty queues by smooth weighted round-robin, and a tenant at its
 // MaxConcurrent cap is skipped until it releases. It is safe for
 // concurrent use.
 type Scheduler struct {
 	mu       sync.Mutex
 	slots    int
 	running  int
-	policy   Policy
 	queues   map[string]*schedQueue
 	queued   int
 	maxQueue int // total queued-waiter bound (0 = unbounded)
@@ -60,14 +56,13 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a scheduler with the given concurrency (slots < 1
-// is raised to 1) and policy.
-func NewScheduler(slots int, policy Policy) *Scheduler {
+// is raised to 1). The Policy argument is ignored (see Policy).
+func NewScheduler(slots int, _ Policy) *Scheduler {
 	if slots < 1 {
 		slots = 1
 	}
 	return &Scheduler{
 		slots:   slots,
-		policy:  policy,
 		queues:  make(map[string]*schedQueue),
 		granted: make(map[string]uint64),
 	}
@@ -75,13 +70,9 @@ func NewScheduler(slots int, policy Policy) *Scheduler {
 
 // Acquire blocks until the scheduler grants the tenant a slot, or ctx
 // ends (the slot is then not held). weight and maxConc come from the
-// tenant's quota; under the FIFO policy both are ignored and every
-// caller shares one queue. Every successful Acquire must be paired with
-// a Release for the same tenant.
+// tenant's quota. Every successful Acquire must be paired with a Release
+// for the same tenant.
 func (s *Scheduler) Acquire(ctx context.Context, tenant string, weight, maxConc int) error {
-	if s.policy == FIFO {
-		tenant, weight, maxConc = "", 1, 0
-	}
 	if weight < 1 {
 		weight = 1
 	}
@@ -125,9 +116,6 @@ func (s *Scheduler) Acquire(ctx context.Context, tenant string, weight, maxConc 
 
 // Release returns the tenant's slot and dispatches queued work.
 func (s *Scheduler) Release(tenant string) {
-	if s.policy == FIFO {
-		tenant = ""
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.releaseLocked(s.queueFor(tenant))

@@ -181,54 +181,6 @@ func TestSchedulerMaxConcurrent(t *testing.T) {
 	}
 }
 
-// TestSchedulerFIFOIgnoresTenants: under the FIFO policy every caller
-// shares one queue in arrival order — the baseline where a flood starves
-// later arrivals.
-func TestSchedulerFIFOIgnoresTenants(t *testing.T) {
-	s := NewScheduler(1, FIFO)
-	ctx := context.Background()
-	if err := s.Acquire(ctx, "flood", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	order := make(chan int, 3)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Stagger arrivals so the FIFO order is the index order.
-			time.Sleep(time.Duration(i) * 30 * time.Millisecond)
-			ten := "flood"
-			if i == 1 {
-				ten = "light"
-			}
-			if err := s.Acquire(ctx, ten, 100, 0); err != nil {
-				t.Errorf("Acquire: %v", err)
-				return
-			}
-			order <- i
-			s.Release(ten)
-		}()
-	}
-	time.Sleep(150 * time.Millisecond)
-	s.Release("flood")
-	wg.Wait()
-	close(order)
-	var got []int
-	for i := range order {
-		got = append(got, i)
-	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("FIFO grant order %v, want [0 1 2] (weights must be ignored)", got)
-		}
-	}
-	if g := s.Granted(); g[""] != 4 {
-		t.Errorf("FIFO grants should pool under the empty tenant: %v", g)
-	}
-}
-
 // TestSchedulerAcquireCancel: a cancelled waiter leaves the queue without
 // holding a slot, and a cancellation racing its own grant releases it.
 func TestSchedulerAcquireCancel(t *testing.T) {
