@@ -29,9 +29,45 @@ func cancelAtSet(t *testing.T, k int32, cancel func()) {
 	t.Cleanup(func() { SetPanicHook(nil) })
 }
 
-// bigModel builds a query large enough that its dynamic program runs for
-// hundreds of milliseconds: a cancellation or a 100 ms deadline lands
-// well before it would finish.
+// hookDeadline is a context whose deadline passes when the test says so,
+// not when a clock does: Done closes and Err turns DeadlineExceeded on
+// expire. It declares no Deadline, so the engine learns of it the way it
+// learns of any context's end — at a poll of Done.
+type hookDeadline struct {
+	context.Context
+	done    chan struct{}
+	expired atomic.Bool
+}
+
+func (c *hookDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *hookDeadline) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (c *hookDeadline) expire() {
+	if c.expired.CompareAndSwap(false, true) {
+		close(c.done)
+	}
+}
+
+// deadlineAtSet is cancelAtSet for a deadline: the returned context's Done
+// closes with context.DeadlineExceeded as the k-th table set of the next run
+// is about to be treated, so the run is mid-flight when its deadline passes
+// however fast the machine or the engine.
+func deadlineAtSet(t *testing.T, k int32) context.Context {
+	ctx := &hookDeadline{Context: context.Background(), done: make(chan struct{})}
+	cancelAtSet(t, k, ctx.expire)
+	return ctx
+}
+
+// bigModel builds a query whose dynamic program is still in its second
+// level at the twentieth of its 91 table sets, with all but a few thousand
+// of its candidates ahead: a cancellation or a deadline placed there
+// (cancelAtSet, deadlineAtSet) lands well before it would finish.
 func bigModel(t testing.TB) *costmodel.Model {
 	t.Helper()
 	_, q := synthetic.MustBuild(synthetic.Spec{
@@ -134,9 +170,7 @@ func TestContextDeadlineDegrades(t *testing.T) {
 	w := objective.UniformWeights(threeObjs)
 	opts := Options{Objectives: threeObjs, Alpha: 1.2, Workers: 2}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	res, err := RTAContext(ctx, m, w, opts)
+	res, err := RTAContext(deadlineAtSet(t, 20), m, w, opts)
 	if err != nil {
 		t.Fatalf("RTAContext with deadline: %v (a deadline should degrade, not error)", err)
 	}
@@ -155,10 +189,8 @@ func TestContextDeadlineMatchesTimeout(t *testing.T) {
 	w := objective.UniformWeights(threeObjs)
 	opts := Options{Objectives: threeObjs, Alpha: 1.2, Timeout: time.Hour}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
 	start := time.Now()
-	res, err := RTAContext(ctx, m, w, opts)
+	res, err := RTAContext(deadlineAtSet(t, 20), m, w, opts)
 	if err != nil {
 		t.Fatalf("RTAContext: %v", err)
 	}

@@ -56,6 +56,24 @@
 // applied to the sub-plans' cost rows, read in place, once per candidate
 // (costmodel.JoinTerms.ApplyTo).
 //
+// Most candidates are not costed at all. The cost formulas are sums,
+// maxima and products of non-negative values, monotone in every term, so
+// the componentwise minimum of an operator's terms over its DOPs
+// (costmodel.MinTerms) costs, over any sub-plan pair, a floor under each
+// of its DOP variants on each objective. When a table set's candidates
+// go to an archive (fullSet), joinPairs applies that floor first and asks
+// the archive whether its hinted row already approximately dominates it
+// (pareto.FlatArchive.RejectsAll — the hint test, never a scan): if so it
+// dominates every variant, each would have been rejected on the same hint
+// test with nothing moving but the rejected and hint counters, and the
+// group is counted and skipped. Two details make that bit-identical and
+// not just equivalent: a skipped group advances the amortized deadline
+// tick by its size and a group that would contain a poll is costed one by
+// one (worker.pollFree), so a timeout lands on the same candidate; and
+// the floor comparison is written so that a NaN fails it, sending
+// overflowed statistics down the per-candidate path. The degraded and
+// scalar modes and the index-nested-loop candidates run the plain loop.
+//
 // A finished frontier has one form, Frontier (frontier.go): the full
 // set's cost rows and compact entries in canonical order, the memo that
 // resolves them, and the archive counters. EXA, RTA, RTAVector and IRA

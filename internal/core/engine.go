@@ -406,10 +406,12 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	}
 	a := e.newArchive()
 	e.memo.archives[id] = a
+	w.fill = a
 	complete := w.forEachCandidate(s, func(cost *objective.Vector, ent plan.Entry) bool {
 		a.InsertRow(cost, ent)
 		return !w.expired()
 	})
+	w.fill = nil
 	if complete {
 		w.markDone(id, a.Len())
 		// w.keyBuf still holds this set's key from the lookup above.
@@ -851,28 +853,56 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 // split into the worker's scratch and only applied in the loop. The cost
 // rows are read in place: both archives belong to lower levels, which fn
 // cannot touch.
+//
+// When the candidates go to an archive (fullSet; w.fill), an operator's DOP
+// variants are first offered as one: the split's terms are folded per
+// operator into their minimum (costmodel.MinTerms), whose cost over a
+// sub-plan pair is a floor under all of the operator's variants, and if the
+// archive's hinted row already dominates the floor (RejectsAll) it dominates
+// each variant — InsertRow would have rejected every one on its hint test,
+// which moves nothing but two counters, so the group is counted as considered
+// and rejected and never costed. Anything else — a hint miss, a NaN, a group
+// in which fn would have polled the clock (pollFree) — takes the loop below,
+// which is the whole of what the other modes run.
 func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right query.TableSet, fn candidateFn) bool {
 	e := w.e
+	dops := e.opts.MaxDOP
 	n := 0
 	for _, alg := range algs {
-		for dop := 1; dop <= e.opts.MaxDOP; dop++ {
+		for dop := 1; dop <= dops; dop++ {
 			w.terms[n] = e.m.PrepareJoin(alg, dop, left, right)
 			n++
 		}
 	}
-	terms := w.terms[:n]
+	gated := w.fill != nil && dops > 1
+	if gated {
+		for g := range algs {
+			w.floors[g] = costmodel.MinTerms(w.terms[g*dops : (g+1)*dops])
+		}
+	}
 	llo, lhi := vl.span()
 	rlo, rhi := vr.span()
 	for li := llo; li < lhi; li++ {
 		cl := vl.arch.CostRow(li)
 		for ri := rlo; ri < rhi; ri++ {
 			cr := vr.arch.CostRow(ri)
-			for k := range terms {
-				t := &terms[k]
-				w.considered++
-				t.ApplyTo(&w.cost, cl, cr)
-				if !fn(&w.cost, plan.JoinEntry(t.Alg, t.DOP, left, li, right, ri)) {
-					return false
+			for g := range algs {
+				if gated && w.pollFree(dops) {
+					w.floors[g].ApplyTo(&w.cost, cl, cr)
+					if w.fill.RejectsAll(&w.cost, dops) {
+						w.considered += dops
+						w.floorRejected += dops
+						w.checkTick += dops
+						continue
+					}
+				}
+				for k := g * dops; k < (g+1)*dops; k++ {
+					t := &w.terms[k]
+					w.considered++
+					t.ApplyTo(&w.cost, cl, cr)
+					if !fn(&w.cost, plan.JoinEntry(t.Alg, t.DOP, left, li, right, ri)) {
+						return false
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"moqo/internal/costmodel"
@@ -54,15 +55,27 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
+// compareRuns holds a run against the reference run: counters, the selected
+// plan's cost and every frontier vector, the floats by their IEEE bits — the
+// engines promise bit-identity, and == would both let a -0 for a +0 pass and
+// fail a NaN against itself (TestOverflowMatchesReference compares NaNs).
 func compareRuns(t *testing.T, name string, got, want Result) {
 	t.Helper()
+	sameBits := func(a, b objective.Vector) bool {
+		for o := range a {
+			if math.Float64bits(a[o]) != math.Float64bits(b[o]) {
+				return false
+			}
+		}
+		return true
+	}
 	if got.Stats.Considered != want.Stats.Considered {
 		t.Errorf("%s considered %d != reference %d", name, got.Stats.Considered, want.Stats.Considered)
 	}
 	if got.Stats.Stored != want.Stats.Stored {
 		t.Errorf("%s stored %d != reference %d", name, got.Stats.Stored, want.Stats.Stored)
 	}
-	if got.Best.Cost != want.Best.Cost {
+	if !sameBits(got.Best.Cost, want.Best.Cost) {
 		t.Errorf("%s best cost %v != reference %v", name, got.Best.Cost, want.Best.Cost)
 	}
 	gi, gr, ge := got.Frontier.Stats()
@@ -75,7 +88,7 @@ func compareRuns(t *testing.T, name string, got, want Result) {
 		t.Fatalf("%s frontier size %d != reference %d", name, len(gf), len(wf))
 	}
 	for i := range gf {
-		if gf[i] != wf[i] {
+		if !sameBits(gf[i], wf[i]) {
 			t.Errorf("%s frontier[%d] %v != reference %v", name, i, gf[i], wf[i])
 		}
 	}

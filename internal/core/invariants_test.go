@@ -19,16 +19,23 @@ import (
 )
 
 // enginePin is what one run must reproduce exactly: the candidate and
-// split counters and a digest over the IEEE bits of every frontier cost
-// vector in canonical order.
+// split counters, a digest over the IEEE bits of every frontier cost
+// vector in canonical order, and — summed over the archives of the run's
+// memo (IRA: its last iteration's) — how many candidates were rejected and
+// how many of those the hinted row answered. The last two are what a
+// shortcut in front of InsertRow must leave alone: one that rejected a
+// candidate the scan would have kept moves the first, one that moved or
+// bypassed the hint moves the second.
 type enginePin struct {
 	considered, stored, enumSets, enumSplits int
 	frontier                                 int
 	bits                                     uint64
+	rejected, hintRejected                   int
 }
 
 func (p enginePin) String() string {
-	return fmt.Sprintf("{%d, %d, %d, %d, %d, %#x}", p.considered, p.stored, p.enumSets, p.enumSplits, p.frontier, p.bits)
+	return fmt.Sprintf("{%d, %d, %d, %d, %d, %#x, %d, %d}", p.considered, p.stored, p.enumSets, p.enumSplits,
+		p.frontier, p.bits, p.rejected, p.hintRejected)
 }
 
 func frontierBits(a *Frontier) uint64 {
@@ -47,13 +54,23 @@ func frontierBits(a *Frontier) uint64 {
 }
 
 func pinOf(res Result) enginePin {
+	rejected, hintRejected := 0, 0
+	for _, a := range res.Frontier.memo.(*memoTable).archives {
+		if a != nil {
+			_, rej, _ := a.Stats()
+			rejected += rej
+			hintRejected += a.HintRejected()
+		}
+	}
 	return enginePin{
-		considered: res.Stats.Considered,
-		stored:     res.Stats.Stored,
-		enumSets:   res.Stats.EnumSets,
-		enumSplits: res.Stats.EnumSplits,
-		frontier:   res.Frontier.Len(),
-		bits:       frontierBits(res.Frontier),
+		considered:   res.Stats.Considered,
+		stored:       res.Stats.Stored,
+		enumSets:     res.Stats.EnumSets,
+		enumSplits:   res.Stats.EnumSplits,
+		frontier:     res.Frontier.Len(),
+		bits:         frontierBits(res.Frontier),
+		rejected:     rejected,
+		hintRejected: hintRejected,
 	}
 }
 
@@ -63,7 +80,9 @@ func pinOf(res Result) enginePin {
 // of the commit before join costing was split into prepare and apply. The
 // candidate loops are where that split lives; a loop that dropped,
 // duplicated or reordered a candidate would move a counter or (through
-// insertion-order-dependent approximate pruning) a frontier bit here.
+// insertion-order-dependent approximate pruning) a frontier bit here. The
+// rejection sums were added with the floor gate in front of InsertRow, at
+// the values of the commit before it.
 //
 // Each instance runs under every enumeration strategy with one and four
 // workers (the pins do not depend on the worker count), left-deep, and
@@ -111,11 +130,11 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return EXA(costmodel.NewDefault(q), objective.UniformWeights(two), objective.NoBounds(), o)
 			},
 			want: map[string]enginePin{
-				"auto":       {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77},
-				"graph":      {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77},
-				"exhaustive": {1832783, 3420, 255, 932, 341, 0xcfd520273ce2ad77},
-				"leftdeep":   {139228, 4950, 36, 308, 483, 0x5c7390315be44e98},
-				"degraded":   {2872, 110, 36, 308, 1, 0xb8fb99336cd4ed99},
+				"auto":       {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1799699},
+				"graph":      {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1799699},
+				"exhaustive": {1832783, 3420, 255, 932, 341, 0xcfd520273ce2ad77, 1825376, 1799699},
+				"leftdeep":   {139228, 4950, 36, 308, 483, 0x5c7390315be44e98, 130083, 124509},
+				"degraded":   {2872, 110, 36, 308, 1, 0xb8fb99336cd4ed99, 875, 819},
 			},
 		},
 		{
@@ -125,11 +144,11 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return RTA(costmodel.NewDefault(workload.MustQuery(5, cat)), objective.UniformWeights(three), o)
 			},
 			want: map[string]enginePin{
-				"auto":       {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da},
-				"graph":      {84073, 381, 33, 190, 28, 0xdd71b4b83bbd58da},
-				"exhaustive": {84073, 381, 63, 378, 28, 0xdd71b4b83bbd58da},
-				"leftdeep":   {19499, 356, 33, 338, 23, 0xd10bb4fd7ce45a54},
-				"degraded":   {2911, 77, 33, 337, 1, 0x40da87e042ba87b7},
+				"auto":       {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da, 82905, 70531},
+				"graph":      {84073, 381, 33, 190, 28, 0xdd71b4b83bbd58da, 82905, 70531},
+				"exhaustive": {84073, 381, 63, 378, 28, 0xdd71b4b83bbd58da, 82905, 70531},
+				"leftdeep":   {19499, 356, 33, 338, 23, 0xd10bb4fd7ce45a54, 18574, 15692},
+				"degraded":   {2911, 77, 33, 337, 1, 0x40da87e042ba87b7, 896, 730},
 			},
 		},
 		{
@@ -139,11 +158,11 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return IRA(q10, objective.UniformWeights(all), q10Bounds, o)
 			},
 			want: map[string]enginePin{
-				"auto":       {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde},
-				"graph":      {187956, 983, 30, 66, 468, 0x4e07af44dbff7fde},
-				"exhaustive": {187956, 983, 45, 96, 468, 0x4e07af44dbff7fde},
-				"leftdeep":   {17381, 815, 10, 32, 396, 0xa8fbb37ffdcfdc99},
-				"degraded":   {1172, 175, 10, 27, 1, 0xd9017284fae37d7f},
+				"auto":       {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde, 63317, 50312},
+				"graph":      {187956, 983, 30, 66, 468, 0x4e07af44dbff7fde, 63317, 50312},
+				"exhaustive": {187956, 983, 45, 96, 468, 0x4e07af44dbff7fde, 63317, 50312},
+				"leftdeep":   {17381, 815, 10, 32, 396, 0xa8fbb37ffdcfdc99, 16342, 12644},
+				"degraded":   {1172, 175, 10, 27, 1, 0xd9017284fae37d7f, 821, 592},
 			},
 		},
 	}
@@ -239,6 +258,57 @@ func TestHintShare(t *testing.T) {
 			t.Logf("hint answered %d of %d candidates (%.1f %%)", hits, considered, 100*share)
 			if share < 0.75 {
 				t.Errorf("hint share %.3f, want >= 0.75", share)
+			}
+		})
+	}
+}
+
+// TestFloorShare pins what the group gate in front of the archives is worth
+// (worker.joinPairs): the share of all candidates that were rejected as a
+// whole DOP group on the floor of their operator's terms and never costed.
+// On the scoreboard's twelve-table chain — most of a cold_w1 round — that
+// must be nine candidates in ten (measured: 97.7 %), on two of its TPC-H
+// instances over a third and over a quarter (46.8 %, 34.5 %). A change to
+// the candidate loops, to MinTerms or to the hint that quietly turned the
+// gate off would still pass every bit-identity test; it fails here. Whether
+// a group is gated depends on its table set's archive alone, so the count is
+// identical across worker counts.
+func TestFloorShare(t *testing.T) {
+	cat := catalog.TPCH(1)
+	three := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
+	_, chain12 := synthetic.MustBuild(synthetic.Spec{Shape: synthetic.Chain, Tables: 12, Seed: 7})
+	cases := []struct {
+		name string
+		m    *costmodel.Model
+		objs objective.Set
+		want float64
+	}{
+		{"chain-12/RTA1.5/3obj", costmodel.NewDefault(chain12), three, 0.90},
+		{"tpch-q5/RTA1.5/3obj", costmodel.NewDefault(workload.MustQuery(5, cat)), three, 0.35},
+		{"tpch-q10/RTA1.5/9obj", costmodel.NewDefault(workload.MustQuery(10, cat)), objective.AllSet(), 0.25},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			floored := func(workers int) (uncosted, considered int) {
+				opts, err := Options{Objectives: tc.objs, Alpha: 1.5, Workers: workers}.Normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				_, e := rtaParetoPlans(context.Background(), tc.m, objective.UniformWeights(tc.objs), opts, opts.Alpha)
+				for i := range e.workers {
+					uncosted += e.workers[i].floorRejected
+				}
+				return uncosted, e.stats(start).Considered
+			}
+			uncosted, considered := floored(1)
+			if u4, c4 := floored(4); u4 != uncosted || c4 != considered {
+				t.Errorf("workers=4: %d of %d candidates rejected uncosted, workers=1: %d of %d", u4, c4, uncosted, considered)
+			}
+			share := float64(uncosted) / float64(considered)
+			t.Logf("%d of %d candidates rejected uncosted (%.1f %%)", uncosted, considered, 100*share)
+			if share < tc.want {
+				t.Errorf("floor share %.3f, want >= %.2f", share, tc.want)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/pareto"
 	"moqo/internal/query"
 )
 
@@ -55,6 +56,15 @@ type worker struct {
 	// fixed array, so a run allocates nothing for it however many workers
 	// it has.
 	terms [maxSplitTerms]costmodel.JoinTerms
+	// floors are the split's terms folded per operator over its DOPs
+	// (costmodel.MinTerms), and fill is the archive the candidates are bound
+	// for — set by fullSet around its candidate loop, nil in every other mode,
+	// whose candidates go to a bestTracker. With both, joinPairs can ask the
+	// archive about an operator's DOP variants at once; floorRejected counts
+	// the candidates rejected that way, never costed.
+	floors        [len(joinAlgs)]costmodel.JoinTerms
+	fill          *pareto.FlatArchive
+	floorRejected int
 	// cost is the current candidate's cost vector: the candidate loops
 	// apply the split's terms into it and the archive reads it in place
 	// (candidateFn), so a candidate's costs never travel by value through
@@ -111,6 +121,23 @@ func (w *worker) expired() bool {
 	}
 	w.observe()
 	return e.cancelled.Load() || e.timedOut.Load()
+}
+
+// pollFree reports whether fullSet's candidate callback would answer "go on"
+// to each of the next n candidates without looking at the clock or the
+// context: no stop is latched, and either nothing is armed or none of the n
+// ticks is a 1024th. Only then may joinPairs reject the n unoffered (adding n
+// to checkTick, which nothing reads when nothing is armed) and have a timeout
+// still land on the candidate it lands on when each is offered.
+func (w *worker) pollFree(n int) bool {
+	e := w.e
+	if e.cancelled.Load() || e.timedOut.Load() {
+		return false
+	}
+	if !e.hasTimeout && e.ctxDone == nil {
+		return true
+	}
+	return w.checkTick&1023+n < 1024
 }
 
 // interrupted reports whether the run's context was cancelled. Unlike

@@ -7,10 +7,11 @@ import (
 	"moqo/internal/query"
 )
 
-// The three benchmarks split one join costing into its parts: what the
-// engine pays once per (split, operator, DOP), what it pays per candidate,
-// and the two together as every caller outside the candidate loops (and the
-// scoreboard's costmodel.joincost_ns probe) pays them.
+// The benchmarks split one join costing into its parts: what the engine
+// pays once per (split, operator, DOP), once per (split, operator) for the
+// floor, and per candidate — and the first and last together, as every
+// caller outside the candidate loops (and the scoreboard's
+// costmodel.joincost_ns probe) pays them.
 
 func benchJoin(b *testing.B, fn func(b *testing.B, m *Model, alg plan.JoinAlg, left, right query.TableSet)) {
 	m := NewDefault(testQuery(b))
@@ -38,6 +39,20 @@ func BenchmarkJoinApply(b *testing.B) {
 		terms := m.PrepareJoin(alg, 2, left, right)
 		for b.Loop() {
 			terms.ApplyTo(&sinkVector, &cl, &cr)
+		}
+	})
+}
+
+// BenchmarkMinTerms is what the engine's group gate adds per (split,
+// operator): folding the operator's MaxDOP prepared terms into their floor.
+func BenchmarkMinTerms(b *testing.B) {
+	benchJoin(b, func(b *testing.B, m *Model, alg plan.JoinAlg, left, right query.TableSet) {
+		var terms [plan.MaxDOP]JoinTerms
+		for dop := 1; dop <= plan.MaxDOP; dop++ {
+			terms[dop-1] = m.PrepareJoin(alg, dop, left, right)
+		}
+		for b.Loop() {
+			sinkJoinTerms = MinTerms(terms[:])
 		}
 	})
 }

@@ -334,6 +334,42 @@ func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) (t
 	return t
 }
 
+// MinTerms folds the prepared terms of one operator over one split — one per
+// degree of parallelism, at least one — into their componentwise minimum: the
+// terms of no real operator, whose ApplyTo is a floor under every one of them.
+// ApplyTo builds each objective from +, × and max over the terms and the child
+// costs, all non-negative, and floating-point +, × and max are monotone in
+// each operand there (rounding is monotone; +Inf is the largest operand). So
+// for any child vectors, ApplyTo on the minimum is, objective by objective, at
+// most ApplyTo on terms[k] for every k — or one of the two is NaN (0×Inf,
+// or a NaN term, which Go's min propagates), which the caller's comparison
+// must treat as "no bound". Tuple loss reads no term and comes out the same.
+// The result keeps terms[0]'s Alg, which selects the formulas; its DOP names
+// no candidate.
+func MinTerms(terms []JoinTerms) JoinTerms {
+	t := terms[0]
+	for i := range terms[1:] {
+		u := &terms[1+i]
+		t.d = min(t.d, u.d)
+		t.startup = min(t.startup, u.startup)
+		t.cpuMs = min(t.cpuMs, u.cpuMs)
+		t.work = min(t.work, u.work)
+		t.coord = min(t.coord, u.coord)
+		t.ownIO = min(t.ownIO, u.ownIO)
+		t.energy = min(t.energy, u.energy)
+		t.disk = min(t.disk, u.disk)
+		t.buildCPU = min(t.buildCPU, u.buildCPU)
+		t.probeTime = min(t.probeTime, u.probeTime)
+		t.sortLTime = min(t.sortLTime, u.sortLTime)
+		t.sortRTime = min(t.sortRTime, u.sortRTime)
+		t.outCPU = min(t.outCPU, u.outCPU)
+		t.blocks = min(t.blocks, u.blocks)
+		t.bufL = min(t.bufL, u.bufL)
+		t.bufR = min(t.bufR, u.bufR)
+	}
+	return t
+}
+
 // Apply returns the cost vector of the prepared join over sub-plans with
 // cost vectors cl and cr: ApplyTo into a fresh vector.
 func (t *JoinTerms) Apply(cl, cr *objective.Vector) (v objective.Vector) {

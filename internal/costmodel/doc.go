@@ -33,4 +33,16 @@
 // objectives bit for bit), because floating-point arithmetic does not
 // re-associate and the engine's differential tests compare archives
 // bitwise.
+//
+// The same function family makes every formula monotone in each of its
+// terms, in floating point as on paper: rounding is monotone and every
+// operand is non-negative. MinTerms folds an operator's terms over its
+// degrees of parallelism into their componentwise minimum; ApplyTo on the
+// result is therefore a floor under that operator's cost at every DOP, on
+// every objective, for any pair of sub-plans — with no tenth formula
+// written down. The engine tests an archive against that floor before it
+// costs the variants (core's worker.joinPairs). TestMinTermsBoundsEveryDOP
+// checks the bound on every split the oracle covers, FuzzMinTermsFloor on
+// arbitrary terms together with the archive-side test, NaN and +Inf
+// included.
 package costmodel

@@ -25,6 +25,12 @@
 //     active objectives and an early-exit loop above (kernels.go).
 //     Rejection is existential and changes no state but a counter, so
 //     the hint never shows in an archive's contents, order or counters.
+//     RejectsAll puts the same hint test to a lower bound of several
+//     candidates at once (the engine's floor under one operator's DOP
+//     variants): a yes is n hint rejections, counted as such, a no —
+//     a miss or a NaN — is nothing at all, and the candidates come one
+//     by one. It never scans and never moves the hint, so that sentence
+//     still holds, HintRejected included.
 //   - Archive is the tree-backed representation the seed ran on, kept as
 //     the oracle and nothing else: the package's differential tests drive
 //     both with identical random cost streams and require identical

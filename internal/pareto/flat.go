@@ -193,6 +193,33 @@ func (a *FlatArchive) InsertRow(c *objective.Vector, e plan.Entry) bool {
 	return true
 }
 
+// RejectsAll offers n candidates at once through a floor: a vector that is,
+// on every active objective, at most each of their cost vectors (or one of
+// the two is NaN there). It reports whether the hinted row approximately
+// dominates the floor — then it does so for each of the n, InsertRow would
+// have rejected each on its hint test, and RejectsAll has counted exactly
+// that: n rejections, n of them by the hint, the hint where it was. It is the
+// hint test only, never a scan, so false means nothing: the caller offers the
+// candidates one by one. The comparison is written row <= floor*alpha and not
+// as the negation of rowRejects' >: a NaN on either side must fail it, where
+// rowRejects lets a NaN candidate through.
+func (a *FlatArchive) RejectsAll(floor *objective.Vector, n int) bool {
+	cfg := a.cfg
+	h := a.hint
+	if h >= len(a.costs) {
+		return false
+	}
+	row := a.costs[h : h+stride]
+	for k, o := range cfg.ids {
+		if !(row[o] <= floor[o]*cfg.alphas[k]) {
+			return false
+		}
+	}
+	a.rejected += n
+	a.hintRejected += n
+	return true
+}
+
 // rejectingRow is the hint-free rejection scan InsertRow runs after a hint
 // miss: the offset of the first stored row within thresholds t on every
 // active objective, or -1.

@@ -147,6 +147,76 @@ func TestHintMatchesGenericOracle(t *testing.T) {
 	}
 }
 
+// TestRejectsAllIsTheHintTest: on twin archives fed one stream with locality,
+// RejectsAll(v, n) on one is held against n InsertRow(v) on the other. A yes
+// must leave the twins indistinguishable — n rejections, n of them the
+// hint's, the hint where it was, contents untouched — and a no must leave the
+// archive exactly as it was, whether or not a scan would have found a
+// rejecting row: it is the hint test and nothing else. A NaN in the offered
+// vector is always a no, where InsertRow's hint test lets it through.
+func TestRejectsAllIsTheHintTest(t *testing.T) {
+	for _, tc := range kernelObjSets {
+		ids := tc.objs.IDs()
+		for _, hc := range hintConfigs(tc.objs) {
+			t.Run(tc.name+"/"+hc.name, func(t *testing.T) {
+				r := rand.New(rand.NewSource(77))
+				group, single := NewFlat(hc.build()), NewFlat(hc.build())
+				yes, no, scanOnly := 0, 0, 0
+				for i := 0; i < 400; i++ {
+					var base objective.Vector
+					for _, o := range ids {
+						base[o] = 1 + 3*r.Float64()
+					}
+					for c := 1 + r.Intn(8); c > 0; c-- {
+						v := base
+						for _, o := range ids {
+							v[o] *= 1 + 0.05*r.Float64()
+						}
+						n := 1 + r.Intn(4)
+						before := *group
+						if group.RejectsAll(&v, n) {
+							yes++
+							for k := 0; k < n; k++ {
+								if single.InsertRow(&v, plan.Entry{}) {
+									t.Fatalf("RejectsAll said yes to %v, InsertRow stored it", v.FormatOn(tc.objs))
+								}
+							}
+						} else {
+							no++
+							if group.rejected != before.rejected || group.hintRejected != before.hintRejected {
+								t.Fatal("RejectsAll said no and counted")
+							}
+							var th [stride]float64
+							group.cfg.thresholds(&v, &th)
+							if group.rejectingRow(&th) >= 0 {
+								scanOnly++
+							}
+						}
+						if group.hint != before.hint || group.inserted != before.inserted || group.evicted != before.evicted {
+							t.Fatal("RejectsAll moved the hint or a counter that is not its own")
+						}
+						if d := diffArchives(group, single); d != "" || group.hintRejected != single.hintRejected || group.hint != single.hint {
+							t.Fatalf("twins differ after RejectsAll: %s (hint %d/%d, hint rejections %d/%d)",
+								d, group.hint, single.hint, group.hintRejected, single.hintRejected)
+						}
+						nan := v
+						nan[ids[len(ids)-1]] = math.NaN()
+						if group.RejectsAll(&nan, n) {
+							t.Fatal("RejectsAll said yes to a NaN")
+						}
+						group.InsertRow(&v, plan.Entry{})
+						single.InsertRow(&v, plan.Entry{})
+					}
+				}
+				// The stream must reach all three answers.
+				if yes == 0 || no == 0 || scanOnly == 0 {
+					t.Errorf("%d yes, %d no, %d of them where a scan would have rejected: want all three", yes, no, scanOnly)
+				}
+			})
+		}
+	}
+}
+
 // fuzzCost maps one fuzz byte to a cost: a coarse grid, so that ties,
 // duplicates and dominance are common, with zero and both infinities at the
 // ends. NaN is left out: no cost formula produces it, and on it "r <= t" (the
