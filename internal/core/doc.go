@@ -63,16 +63,26 @@
 // of its DOP variants on each objective. When a table set's candidates
 // go to an archive (fullSet), joinPairs applies that floor first and asks
 // the archive whether its hinted row already approximately dominates it
-// (pareto.FlatArchive.RejectsAll — the hint test, never a scan): if so it
-// dominates every variant, each would have been rejected on the same hint
-// test with nothing moving but the rejected and hint counters, and the
-// group is counted and skipped. Two details make that bit-identical and
-// not just equivalent: a skipped group advances the amortized deadline
-// tick by its size and a group that would contain a poll is costed one by
-// one (worker.pollFree), so a timeout lands on the same candidate; and
-// the floor comparison is written so that a NaN fails it, sending
-// overflowed statistics down the per-candidate path. The degraded and
-// scalar modes and the index-nested-loop candidates run the plain loop.
+// (pareto.FlatArchive.RejectsAll), and if not whether the row of the
+// split's slot does (RejectsAllNear) — two row tests, never a scan: if
+// either does it dominates every variant, each would have been rejected
+// on a hint test with nothing moving but the rejected and hint counters,
+// and the group is counted and skipped. The slot is the archive's second
+// hint (InsertRowNear): a worker keeps one per inner sub-plan and
+// operator of the split at hand — the key under which the rejecting row
+// changes least from one outer plan to the next — in a fixed table
+// (worker.nears) whose reachable part is zeroed at the top of every
+// split, so what the archives count as answered without a scan is a
+// function of the table set and not of the schedule. Rejection is
+// existential: which stored row witnesses it, a hint's or a scan's,
+// changes nothing that can be observed. Two details make the gate
+// bit-identical and not just equivalent: a skipped group advances the
+// amortized deadline tick by its size and a group that would contain a
+// poll is costed one by one (worker.pollFree), so a timeout lands on the
+// same candidate; and the floor comparison is written so that a NaN
+// fails it, sending overflowed statistics down the per-candidate path.
+// The degraded and scalar modes run the plain loop, and index-nested-loop
+// candidates are offered one by one with one slot between them.
 //
 // A finished frontier has one form, Frontier (frontier.go): the full
 // set's cost rows and compact entries in canonical order, the memo that

@@ -408,7 +408,7 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	e.memo.archives[id] = a
 	w.fill = a
 	complete := w.forEachCandidate(s, func(cost *objective.Vector, ent plan.Entry) bool {
-		a.InsertRow(cost, ent)
+		a.InsertRowNear(cost, ent, w.near)
 		return !w.expired()
 	})
 	w.fill = nil
@@ -835,6 +835,10 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 	if right.Single() {
 		if rel := right.First(); e.m.InnerIndexColumn(left, rel) != "" {
 			terms := e.m.PrepareIndexNL(left, rel)
+			// One second hint for all of the split's index-NL candidates,
+			// zeroed like joinPairs' (which runs after this loop).
+			w.nears[0] = 0
+			w.near = &w.nears[0]
 			for li, hi := vl.span(); li < hi; li++ {
 				w.considered++
 				terms.ApplyTo(&w.cost, vl.arch.CostRow(li))
@@ -854,16 +858,27 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 // rows are read in place: both archives belong to lower levels, which fn
 // cannot touch.
 //
-// When the candidates go to an archive (fullSet; w.fill), an operator's DOP
-// variants are first offered as one: the split's terms are folded per
-// operator into their minimum (costmodel.MinTerms), whose cost over a
-// sub-plan pair is a floor under all of the operator's variants, and if the
-// archive's hinted row already dominates the floor (RejectsAll) it dominates
-// each variant — InsertRow would have rejected every one on its hint test,
-// which moves nothing but two counters, so the group is counted as considered
-// and rejected and never costed. Anything else — a hint miss, a NaN, a group
-// in which fn would have polled the clock (pollFree) — takes the loop below,
-// which is the whole of what the other modes run.
+// When the candidates go to an archive (fullSet; w.fill), each is offered with
+// a second hint (pareto.FlatArchive.InsertRowNear) keyed by what changes least
+// between the candidates one row rejects: the inner sub-plan and the operator.
+// In a fifth to three fifths of the rejecting scans the row found is the one
+// that last rejected the same inner plan under the same operator, one outer
+// plan earlier. The slots are a fixed table in the worker (nears); the ones
+// this split can reach are zeroed first, so what a slot holds — and with it the
+// archives' hint telemetry — is a function of the table set and not of which
+// worker treated which split before. Inner plans past nearSlots/len(algs) share
+// slots, harmlessly: a slot's row is tested before it is believed.
+//
+// An operator's DOP variants are first offered as one: the split's terms are
+// folded per operator into their minimum (costmodel.MinTerms), whose cost over
+// a sub-plan pair is a floor under all of the operator's variants, and if the
+// archive's hinted row already dominates the floor (RejectsAll), or the slot's
+// does (RejectsAllNear), it dominates each variant — InsertRowNear would have
+// rejected every one on a hint test, which moves nothing but two counters, so
+// the group is counted as considered and rejected and never costed. Anything
+// else — both rows miss, a NaN, a group in which fn would have polled the clock
+// (pollFree) — takes the loop below, which is the whole of what the other modes
+// run.
 func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right query.TableSet, fn candidateFn) bool {
 	e := w.e
 	dops := e.opts.MaxDOP
@@ -882,20 +897,23 @@ func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right qu
 	}
 	llo, lhi := vl.span()
 	rlo, rhi := vr.span()
+	clear(w.nears[:min(int(rhi-rlo)*len(algs), nearSlots)])
 	for li := llo; li < lhi; li++ {
 		cl := vl.arch.CostRow(li)
 		for ri := rlo; ri < rhi; ri++ {
 			cr := vr.arch.CostRow(ri)
 			for g := range algs {
+				near := &w.nears[(int(ri-rlo)*len(algs)+g)&(nearSlots-1)]
 				if gated && w.pollFree(dops) {
 					w.floors[g].ApplyTo(&w.cost, cl, cr)
-					if w.fill.RejectsAll(&w.cost, dops) {
+					if w.fill.RejectsAll(&w.cost, dops) || w.fill.RejectsAllNear(&w.cost, dops, near) {
 						w.considered += dops
 						w.floorRejected += dops
 						w.checkTick += dops
 						continue
 					}
 				}
+				w.near = near
 				for k := g * dops; k < (g+1)*dops; k++ {
 					t := &w.terms[k]
 					w.considered++

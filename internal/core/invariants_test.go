@@ -22,10 +22,11 @@ import (
 // split counters, a digest over the IEEE bits of every frontier cost
 // vector in canonical order, and — summed over the archives of the run's
 // memo (IRA: its last iteration's) — how many candidates were rejected and
-// how many of those the hinted row answered. The last two are what a
-// shortcut in front of InsertRow must leave alone: one that rejected a
-// candidate the scan would have kept moves the first, one that moved or
-// bypassed the hint moves the second.
+// how many of those without a scan (by the hint, the split's slot, or the gate
+// on either). The first is what a shortcut in front of the scans must leave
+// alone: one that rejected a candidate the scan would have kept moves it. The
+// second is telemetry of the shortcuts themselves: it moves when one of them
+// answers more or fewer candidates, and must not depend on the schedule.
 type enginePin struct {
 	considered, stored, enumSets, enumSplits int
 	frontier                                 int
@@ -82,7 +83,11 @@ func pinOf(res Result) enginePin {
 // duplicated or reordered a candidate would move a counter or (through
 // insertion-order-dependent approximate pruning) a frontier bit here. The
 // rejection sums were added with the floor gate in front of InsertRow, at
-// the values of the commit before it.
+// the values of the commit before it. The last column, Σ hintRejected, was
+// re-taken — it and nothing else in this table — when the scans started at the
+// hint, the second hint per inner sub-plan and operator arrived and the gate
+// began asking both rows: more candidates are answered without a scan, the same
+// ones are rejected.
 //
 // Each instance runs under every enumeration strategy with one and four
 // workers (the pins do not depend on the worker count), left-deep, and
@@ -130,11 +135,11 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return EXA(costmodel.NewDefault(q), objective.UniformWeights(two), objective.NoBounds(), o)
 			},
 			want: map[string]enginePin{
-				"auto":       {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1799699},
-				"graph":      {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1799699},
-				"exhaustive": {1832783, 3420, 255, 932, 341, 0xcfd520273ce2ad77, 1825376, 1799699},
-				"leftdeep":   {139228, 4950, 36, 308, 483, 0x5c7390315be44e98, 130083, 124509},
-				"degraded":   {2872, 110, 36, 308, 1, 0xb8fb99336cd4ed99, 875, 819},
+				"auto":       {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1813949},
+				"graph":      {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1813949},
+				"exhaustive": {1832783, 3420, 255, 932, 341, 0xcfd520273ce2ad77, 1825376, 1813949},
+				"leftdeep":   {139228, 4950, 36, 308, 483, 0x5c7390315be44e98, 130083, 126785},
+				"degraded":   {2872, 110, 36, 308, 1, 0xb8fb99336cd4ed99, 875, 830},
 			},
 		},
 		{
@@ -144,11 +149,11 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return RTA(costmodel.NewDefault(workload.MustQuery(5, cat)), objective.UniformWeights(three), o)
 			},
 			want: map[string]enginePin{
-				"auto":       {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da, 82905, 70531},
-				"graph":      {84073, 381, 33, 190, 28, 0xdd71b4b83bbd58da, 82905, 70531},
-				"exhaustive": {84073, 381, 63, 378, 28, 0xdd71b4b83bbd58da, 82905, 70531},
-				"leftdeep":   {19499, 356, 33, 338, 23, 0xd10bb4fd7ce45a54, 18574, 15692},
-				"degraded":   {2911, 77, 33, 337, 1, 0x40da87e042ba87b7, 896, 730},
+				"auto":       {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da, 82905, 78918},
+				"graph":      {84073, 381, 33, 190, 28, 0xdd71b4b83bbd58da, 82905, 78918},
+				"exhaustive": {84073, 381, 63, 378, 28, 0xdd71b4b83bbd58da, 82905, 78918},
+				"leftdeep":   {19499, 356, 33, 338, 23, 0xd10bb4fd7ce45a54, 18574, 17321},
+				"degraded":   {2911, 77, 33, 337, 1, 0x40da87e042ba87b7, 896, 808},
 			},
 		},
 		{
@@ -158,11 +163,11 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return IRA(q10, objective.UniformWeights(all), q10Bounds, o)
 			},
 			want: map[string]enginePin{
-				"auto":       {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde, 63317, 50312},
-				"graph":      {187956, 983, 30, 66, 468, 0x4e07af44dbff7fde, 63317, 50312},
-				"exhaustive": {187956, 983, 45, 96, 468, 0x4e07af44dbff7fde, 63317, 50312},
-				"leftdeep":   {17381, 815, 10, 32, 396, 0xa8fbb37ffdcfdc99, 16342, 12644},
-				"degraded":   {1172, 175, 10, 27, 1, 0xd9017284fae37d7f, 821, 592},
+				"auto":       {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde, 63317, 56726},
+				"graph":      {187956, 983, 30, 66, 468, 0x4e07af44dbff7fde, 63317, 56726},
+				"exhaustive": {187956, 983, 45, 96, 468, 0x4e07af44dbff7fde, 63317, 56726},
+				"leftdeep":   {17381, 815, 10, 32, 396, 0xa8fbb37ffdcfdc99, 16342, 13936},
+				"degraded":   {1172, 175, 10, 27, 1, 0xd9017284fae37d7f, 821, 638},
 			},
 		},
 	}
@@ -213,12 +218,12 @@ func TestCorpusRegeneratesIdentically(t *testing.T) {
 	}
 }
 
-// TestHintShare pins what FlatArchive's last-rejector hint is worth on the
+// TestHintShare pins what FlatArchive's last-rejector hints are worth on the
 // engine's own candidate streams, so that a change to the candidate loops or
-// to InsertRow cannot quietly turn it off: on three of the scoreboard's RTA
-// instances the hinted row must answer at least three quarters of all
-// candidates without a scan (measured: 76.4 %, 89.3 % and 78.1 %; a whole
-// cold_w1 round, which the twelve-table chain dominates, is at 91.7 %). Each
+// to InsertRowNear cannot quietly turn them off: on three of the scoreboard's
+// RTA instances at least three quarters of all candidates must be answered
+// without a scan (measured: 84.9 %, 95.6 % and 87.9 %; 76.4 %, 89.3 % and
+// 78.1 % by the archive's own hint alone; TestScanShare holds the rest). Each
 // table set's archive sees its candidates in one order whatever the
 // schedule, so the count is also identical across worker counts.
 func TestHintShare(t *testing.T) {
@@ -267,10 +272,12 @@ func TestHintShare(t *testing.T) {
 // (worker.joinPairs): the share of all candidates that were rejected as a
 // whole DOP group on the floor of their operator's terms and never costed.
 // On the scoreboard's twelve-table chain — most of a cold_w1 round — that
-// must be nine candidates in ten (measured: 97.7 %), on two of its TPC-H
-// instances over a third and over a quarter (46.8 %, 34.5 %). A change to
-// the candidate loops, to MinTerms or to the hint that quietly turned the
-// gate off would still pass every bit-identity test; it fails here. Whether
+// must be nineteen candidates in twenty (measured: 98.7 %), on two of its
+// TPC-H instances two thirds and three fifths (75.9 %, 70.0 %; 46.8 % and
+// 34.5 % while the gate asked the hinted row alone). A change to the
+// candidate loops, to MinTerms, to the hint or to the slots that quietly
+// turned the gate off, or back to one row, would still pass every bit-identity
+// test; it fails here. Whether
 // a group is gated depends on its table set's archive alone, so the count is
 // identical across worker counts.
 func TestFloorShare(t *testing.T) {
@@ -283,9 +290,9 @@ func TestFloorShare(t *testing.T) {
 		objs objective.Set
 		want float64
 	}{
-		{"chain-12/RTA1.5/3obj", costmodel.NewDefault(chain12), three, 0.90},
-		{"tpch-q5/RTA1.5/3obj", costmodel.NewDefault(workload.MustQuery(5, cat)), three, 0.35},
-		{"tpch-q10/RTA1.5/9obj", costmodel.NewDefault(workload.MustQuery(10, cat)), objective.AllSet(), 0.25},
+		{"chain-12/RTA1.5/3obj", costmodel.NewDefault(chain12), three, 0.95},
+		{"tpch-q5/RTA1.5/3obj", costmodel.NewDefault(workload.MustQuery(5, cat)), three, 0.65},
+		{"tpch-q10/RTA1.5/9obj", costmodel.NewDefault(workload.MustQuery(10, cat)), objective.AllSet(), 0.60},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,6 +316,59 @@ func TestFloorShare(t *testing.T) {
 			t.Logf("%d of %d candidates rejected uncosted (%.1f %%)", uncosted, considered, 100*share)
 			if share < tc.want {
 				t.Errorf("floor share %.3f, want >= %.2f", share, tc.want)
+			}
+		})
+	}
+}
+
+// TestScanShare pins the other side of TestHintShare and TestFloorShare: the
+// share of all candidates that still run a dominance scan — the rejected ones
+// no hint answered, and the stored ones — on three of the scoreboard's RTA
+// instances (measured: 15.1 %, 4.4 % and 12.1 %; 23.6 %, 10.7 % and 21.9 %
+// before the split's slots). A change that quietly dropped the slot, stopped
+// zeroing or keying it, or sent the gate back to one row would pass every
+// bit-identity test and fail here, not just on a benchmark. A slot holds what
+// its own split left there and nothing else, so the count is identical across
+// worker counts.
+func TestScanShare(t *testing.T) {
+	cat := catalog.TPCH(1)
+	cases := []struct {
+		name  string
+		query int
+		objs  objective.Set
+		want  float64
+	}{
+		{"tpch-q5/RTA1.5/3obj", 5, objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy), 0.18},
+		{"tpch-q7/RTA1.5/6obj", 7, objective.NewSet(objective.TotalTime, objective.StartupTime, objective.IOLoad,
+			objective.CPULoad, objective.BufferFootprint, objective.Energy), 0.06},
+		{"tpch-q10/RTA1.5/9obj", 10, objective.AllSet(), 0.15},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := costmodel.NewDefault(workload.MustQuery(tc.query, cat))
+			scanned := func(workers int) (scans, considered int) {
+				opts, err := Options{Objectives: tc.objs, Alpha: 1.5, Workers: workers}.Normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				_, e := rtaParetoPlans(context.Background(), m, objective.UniformWeights(tc.objs), opts, opts.Alpha)
+				for _, a := range e.memo.archives {
+					if a != nil {
+						inserted, rejected, _ := a.Stats()
+						scans += rejected - a.HintRejected() + inserted
+					}
+				}
+				return scans, e.stats(start).Considered
+			}
+			scans, considered := scanned(1)
+			if s4, c4 := scanned(4); s4 != scans || c4 != considered {
+				t.Errorf("workers=4: %d scans for %d candidates, workers=1: %d for %d", s4, c4, scans, considered)
+			}
+			share := float64(scans) / float64(considered)
+			t.Logf("%d of %d candidates scanned (%.1f %%)", scans, considered, 100*share)
+			if share > tc.want {
+				t.Errorf("scan share %.3f, want <= %.2f", share, tc.want)
 			}
 		})
 	}

@@ -65,6 +65,12 @@ type worker struct {
 	floors        [len(joinAlgs)]costmodel.JoinTerms
 	fill          *pareto.FlatArchive
 	floorRejected int
+	// nears are the second hints of the split at hand, one per inner sub-plan
+	// and operator (joinPairs), and near is the one of the current candidate:
+	// fullSet's callback hands it to the archive beside cost. A fixed array
+	// like terms, so a run allocates nothing for it.
+	nears [nearSlots]int32
+	near  *int32
 	// cost is the current candidate's cost vector: the candidate loops
 	// apply the split's terms into it and the archive reads it in place
 	// (candidateFn), so a candidate's costs never travel by value through
@@ -79,6 +85,10 @@ type worker struct {
 	// worker and the head of the next on different cache lines.
 	_ [64]byte
 }
+
+// nearSlots is the size of a worker's second-hint table: a power of two, and
+// enough for 341 inner sub-plans under three operators before slots are shared.
+const nearSlots = 1024
 
 // observe polls the run's stop signals (amortized by the caller): the
 // context first — a cancellation latches the engine-wide cancelled flag, a

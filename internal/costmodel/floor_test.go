@@ -101,11 +101,14 @@ func (f *floats) terms(alg plan.JoinAlg, dop int) JoinTerms {
 }
 
 // FuzzMinTermsFloor drives the gate's two halves together over arbitrary
-// non-negative terms, child vectors and stored rows: whenever an archive
-// answers RejectsAll for the floor of a DOP group, an archive in the same
-// state must reject every variant of the group on its hint — so NaNs and
-// infinities anywhere (a NaN term makes the floor NaN; 0×Inf makes one out of
-// finite terms) may only ever make RejectsAll say no.
+// non-negative terms, child vectors and two stored rows — the archive's hint
+// on the first, the caller's slot on either or past the end: whenever an
+// archive answers yes for the floor of a DOP group, from either row
+// (RejectsAll, then RejectsAllNear), an archive in the same state and with the
+// same slot must reject every variant of the group without a scan — so NaNs
+// and infinities anywhere (a NaN term makes the floor NaN; 0×Inf makes one out
+// of finite terms; a NaN alpha makes every threshold one) may only ever make
+// the gate say no.
 func FuzzMinTermsFloor(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var out []byte
@@ -114,15 +117,19 @@ func FuzzMinTermsFloor(f *testing.F) {
 		}
 		return out
 	}
-	f.Add(seed(1, 2, 3), uint8(0), uint8(4), 1.5, false)
-	f.Add(seed(0), uint8(1), uint8(2), 1.0, true)
-	f.Add(seed(math.Inf(1), 0, 7), uint8(2), uint8(3), 1.2, true)
-	f.Add(seed(math.NaN(), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), uint8(0), uint8(4), 2.0, true)
-	f.Add(seed(1e308, 1e-308, 0.5, 1e300), uint8(1), uint8(4), 1.01, true)
-	// onFloor stores the floor itself as the hinted row, the tightest row
-	// that rejects it; otherwise the row is as arbitrary as the rest.
-	f.Fuzz(func(t *testing.T, data []byte, algCode, n uint8, alpha float64, onFloor bool) {
-		if len(data) == 0 || !(alpha >= 1) || math.IsInf(alpha, 1) {
+	f.Add(seed(1, 2, 3), uint8(0), uint8(4), 1.5, false, uint8(0))
+	f.Add(seed(0), uint8(1), uint8(2), 1.0, true, uint8(1))
+	f.Add(seed(math.Inf(1), 0, 7), uint8(2), uint8(3), 1.2, true, uint8(1))
+	f.Add(seed(math.NaN(), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), uint8(0), uint8(4), 2.0, true, uint8(0))
+	f.Add(seed(math.NaN(), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), uint8(0), uint8(4), 2.0, true, uint8(5))
+	f.Add(seed(1e308, 1e-308, 0.5, 1e300), uint8(1), uint8(4), 1.01, true, uint8(2))
+	f.Add(seed(3, 1, 2), uint8(1), uint8(4), math.NaN(), true, uint8(4))
+	// onFloor stores the floor itself as one of the two rows, the tightest row
+	// that rejects it; otherwise both rows are as arbitrary as the rest. rows
+	// picks which of the two is stored first (the hint's: bit 2) and what the
+	// slot names (row 0, row 1, no row: the low two bits).
+	f.Fuzz(func(t *testing.T, data []byte, algCode, n uint8, alpha float64, onFloor bool, rows uint8) {
+		if len(data) == 0 || alpha < 1 || math.IsInf(alpha, 1) {
 			return
 		}
 		in := &floats{data: data}
@@ -131,38 +138,61 @@ func FuzzMinTermsFloor(f *testing.F) {
 		for k := range terms {
 			terms[k] = in.terms(alg, k+1)
 		}
-		cl, cr, row := in.vector(), in.vector(), in.vector()
+		cl, cr, row, other := in.vector(), in.vector(), in.vector(), in.vector()
 		folded := MinTerms(terms)
 		floor := folded.Apply(&cl, &cr)
 		if onFloor {
 			row = floor
 		}
+		if rows&4 != 0 {
+			row, other = other, row
+		}
 
 		cfg := pareto.NewFlatConfig(objective.AllSet(), alpha)
 		group, single := pareto.NewFlat(cfg), pareto.NewFlat(cfg)
-		group.Insert(row, plan.Entry{})
-		single.Insert(row, plan.Entry{})
-		rejected := group.RejectsAll(&floor, len(terms))
-		for o := range floor {
-			if rejected && (math.IsNaN(floor[o]) || math.IsNaN(row[o])) {
-				t.Fatalf("RejectsAll accepted a NaN on %v: row %v floor %v", objective.ID(o), row, floor)
-			}
+		for _, a := range []*pareto.FlatArchive{group, single} {
+			a.Insert(row, plan.Entry{})
+			a.Insert(other, plan.Entry{}) // may be rejected, or evict row: then one row is stored
 		}
-		if !rejected {
+		stored := group.Len()
+		_, base, _ := group.Stats()
+		answered := group.HintRejected()
+		gnear, snear := int32(rows&3), int32(rows&3)
+
+		// The row that says yes holds no NaN, nor does the floor or alpha.
+		asked := -1
+		switch {
+		case group.RejectsAll(&floor, len(terms)):
+			asked = 0
+		case group.RejectsAllNear(&floor, len(terms), &gnear):
+			asked = int(gnear)
+		default:
 			return
+		}
+		if asked >= stored {
+			t.Fatalf("a row the archive does not have said yes: row %d of %d", asked, stored)
+		}
+		yes := group.CostAt(int32(asked))
+		for o := range floor {
+			if math.IsNaN(floor[o]) || math.IsNaN(yes[o]) || math.IsNaN(alpha) {
+				t.Fatalf("the gate accepted a NaN on %v: row %v floor %v alpha %v", objective.ID(o), yes, floor, alpha)
+			}
 		}
 		for k := range terms {
 			v := terms[k].Apply(&cl, &cr)
-			if single.Insert(v, plan.Entry{}) {
+			if single.InsertRowNear(&v, plan.Entry{}, &snear) {
 				t.Fatalf("row %v rejects the floor %v of %d %v variants at alpha %v, yet DOP %d was stored: %v",
-					row, floor, len(terms), alg, alpha, k+1, v)
+					yes, floor, len(terms), alg, alpha, k+1, v)
 			}
 		}
-		if _, rej, _ := single.Stats(); rej != len(terms) || single.HintRejected() != len(terms) {
-			t.Fatalf("one by one: %d rejected, %d by the hint; RejectsAll counted %d of each", rej, single.HintRejected(), len(terms))
+		if gnear != snear || group.Len() != stored || single.Len() != stored {
+			t.Fatalf("slots %d/%d, %d/%d rows stored, want the slot unmoved and %d rows", gnear, snear, group.Len(), single.Len(), stored)
 		}
-		if _, rej, _ := group.Stats(); rej != len(terms) || group.HintRejected() != len(terms) {
-			t.Fatalf("RejectsAll counted %d rejected, %d by the hint, want %d of each", rej, group.HintRejected(), len(terms))
+		for name, a := range map[string]*pareto.FlatArchive{"one by one": single, "the gate": group} {
+			if _, rej, _ := a.Stats(); rej-base != len(terms) || a.HintRejected()-answered != len(terms) {
+				t.Fatalf("%s: %d rejected, %d of them without a scan, want %d of each",
+					name, rej-base, a.HintRejected()-answered, len(terms))
+			}
 		}
 	})
 }

@@ -20,17 +20,26 @@
 //     inserts do not walk at all: the archive remembers the row that last
 //     rejected a candidate and tests it first (the engine offers a table
 //     set's candidates in runs of near-copies, and approximate dominance
-//     lets one coarse row reject the whole run — nine inserts in ten end
-//     there). A miss scans with a branch-free kernel at two to four
-//     active objectives and an early-exit loop above (kernels.go).
-//     Rejection is existential and changes no state but a counter, so
-//     the hint never shows in an archive's contents, order or counters.
-//     RejectsAll puts the same hint test to a lower bound of several
-//     candidates at once (the engine's floor under one operator's DOP
-//     variants): a yes is n hint rejections, counted as such, a no —
-//     a miss or a NaN — is nothing at all, and the candidates come one
-//     by one. It never scans and never moves the hint, so that sentence
-//     still holds, HintRejected included.
+//     lets one coarse row reject the whole run), then the row a second,
+//     caller-owned hint names (InsertRowNear: the engine keeps one per
+//     inner sub-plan and operator of the split at hand). A miss of both
+//     scans, starting at the hinted row and wrapping around — the row
+//     that rejects this candidate sits close to the one that rejected the
+//     last — with a branch-free kernel at two to four active objectives
+//     and an early-exit loop above (kernels.go). Rejection is existential
+//     and changes no state but a counter, so neither hint, nor where a
+//     scan starts, ever shows in an archive's contents, order or
+//     counters. That argument needs every path to ask one question, and
+//     on a NaN the kernels' "row <= t" is not the loops' "no objective
+//     with >": an archive that has met a NaN threshold scans through the
+//     generic loops from then on (scanKind).
+//     RejectsAll and RejectsAllNear put the two hint tests to a lower
+//     bound of several candidates at once (the engine's floor under one
+//     operator's DOP variants): a yes is n rejections without a scan,
+//     counted as such, a no — a miss or a NaN — is nothing at all, and
+//     the candidates come one by one. Neither ever scans, so that
+//     sentence still holds; HintRejected counts every candidate answered
+//     without a scan, by either row, alone or in a group.
 //   - Archive is the tree-backed representation the seed ran on, kept as
 //     the oracle and nothing else: the package's differential tests drive
 //     both with identical random cost streams and require identical

@@ -52,10 +52,10 @@ func (c *FlatConfig) thresholds(v *objective.Vector, t *[stride]float64) {
 }
 
 // rowRejects reports whether one stored row approximately dominates
-// candidate v — the test of the hinted row. It forms the same products as
+// candidate v — the test of the two hinted rows. It forms the same products as
 // thresholds one at a time and leaves at the first objective that fails, so
-// the nine inserts in ten that the hint answers build no threshold array
-// (cold_w1 ops_per_s 147 -> 157).
+// the inserts a hint answers build no threshold array (cold_w1 ops_per_s
+// 147 -> 157).
 func (c *FlatConfig) rowRejects(row []float64, v *objective.Vector) bool {
 	for k, o := range c.ids {
 		if row[o] > v[o]*c.alphas[k] {
@@ -63,6 +63,34 @@ func (c *FlatConfig) rowRejects(row []float64, v *objective.Vector) bool {
 		}
 	}
 	return true
+}
+
+// rowRejectsFloor is rowRejects for the gate (RejectsAll, RejectsAllNear): a
+// yes there stands for candidates that were never built, so it is written
+// row <= floor*alpha and not as the negation of rowRejects' > — a NaN on
+// either side must fail it, where rowRejects lets a NaN candidate through.
+func (c *FlatConfig) rowRejectsFloor(row []float64, floor *objective.Vector) bool {
+	for k, o := range c.ids {
+		if !(row[o] <= floor[o]*c.alphas[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// firstRowLeq is the rejection scan over a run of stored rows: the offset,
+// within costs, of the first row within thresholds t on every active
+// objective, or -1. It is the one place a rejection kernel is called from.
+func (c *FlatConfig) firstRowLeq(costs []float64, t *[stride]float64, kind kernelKind) int {
+	switch kind {
+	case kernel2:
+		return anyRowLeq2(costs, c.o0, c.o1, t[0], t[1])
+	case kernel3:
+		return anyRowLeq3(costs, c.o0, c.o1, c.o2, t[0], t[1], t[2])
+	case kernel4:
+		return anyRowLeq4(costs, c.o0, c.o1, c.o2, c.o3, t[0], t[1], t[2], t[3])
+	}
+	return anyRowLeqGeneric(costs, c.ids, t)
 }
 
 // NewFlatConfig builds the shared configuration for scalar-alpha pruning
@@ -131,11 +159,18 @@ type FlatArchive struct {
 	inserted, rejected, evicted int
 
 	// hint is the offset into costs of the row that last rejected a
-	// candidate; InsertRow tests it before scanning. Eviction compaction
-	// may leave it past the end (hence the bounds check) or on another row
-	// — still a stored row, so a hit is still a valid witness. The zero
-	// value names row 0. hintRejected counts the hits.
+	// candidate; InsertRowNear tests it before anything else. Eviction
+	// compaction may leave it past the end (hence the bounds check) or on
+	// another row — still a stored row, so a hit is still a valid witness. The
+	// zero value names row 0. hintRejected counts the candidates rejected
+	// without a scan: by this row, by the caller's second hint, or by the gate
+	// on either (RejectsAll, RejectsAllNear).
 	hint, hintRejected int
+
+	// nanSeen records that a scanning insert met a NaN threshold: from then on
+	// the archive may hold a NaN cost, and its scans run the generic loops
+	// (scanKind).
+	nanSeen bool
 }
 
 // NewFlat creates an empty flat archive sharing the run's configuration.
@@ -147,37 +182,61 @@ func NewFlat(cfg *FlatConfig) *FlatArchive { return &FlatArchive{cfg: cfg} }
 // new vector (exactly) dominates are evicted and the candidate is stored.
 // Returns whether the candidate was stored.
 //
-// The candidate is first tested against the hinted row alone — consecutive
-// candidates of one table set are near-copies, so the row that rejected the
-// last one rejects most of the next — and only a miss scans. Rejection is
-// existential and changes nothing but the rejected counter, so which stored
-// row witnesses it is unobservable. The scans dispatch to a width-
-// specialized kernel picked once per configuration (kernels.go); every path
-// computes the exact same comparisons as insertGeneric, so results and
-// counters are bit-identical regardless of the path taken.
+// Rejection is existential and changes nothing but the rejected counter, so
+// which stored row witnesses it, and in which order the rows are asked, is
+// unobservable. The candidate is therefore first tested against the hinted
+// row alone — consecutive candidates of one table set are near-copies, so the
+// row that rejected the last one rejects most of the next — then against the
+// caller's second hint (InsertRowNear), and only a miss of both scans, from
+// the hinted row onward and around (rejectingRow). The scans dispatch to a
+// width-specialized kernel picked once per configuration (kernels.go); every
+// path answers the questions insertGeneric asks, so results and counters are
+// bit-identical regardless of the path taken.
 func (a *FlatArchive) Insert(c objective.Vector, e plan.Entry) bool {
 	return a.InsertRow(&c, e)
 }
 
 // InsertRow is Insert over a cost vector read in place: c is not retained
 // (a stored candidate's costs are copied into the archive's own rows) and
-// must not point into this archive. The engine's candidate loops offer the
-// vector of the worker's scratch this way.
+// must not point into this archive. It is InsertRowNear without a second
+// hint worth keeping.
 func (a *FlatArchive) InsertRow(c *objective.Vector, e plan.Entry) bool {
+	var near int32
+	return a.InsertRowNear(c, e, &near)
+}
+
+// InsertRowNear is InsertRow with a second hint the caller owns: *near is the
+// index of a stored row — any value is safe, it is bounds-checked like the
+// hint, and zero names row 0 — tested only after the archive's own hint has
+// missed. On a hit it becomes the hint, and a scan that ends in a rejection
+// writes its row into both. The caller chooses what a slot stands for; the
+// engine keeps one per inner sub-plan and operator of the split at hand, the
+// key under which the last rejector changes least (worker.joinPairs). A slot
+// may be shared, stale or from another archive: a row it names is tested
+// before it is believed.
+func (a *FlatArchive) InsertRowNear(c *objective.Vector, e plan.Entry, near *int32) bool {
 	cfg := a.cfg
 	if h := a.hint; h < len(a.costs) && cfg.rowRejects(a.costs[h:h+stride], c) {
 		a.rejected++
 		a.hintRejected++
 		return false
 	}
+	if s := nearOffset(near); s < len(a.costs) && cfg.rowRejects(a.costs[s:s+stride], c) {
+		a.hint = s
+		a.rejected++
+		a.hintRejected++
+		return false
+	}
 	var t [stride]float64
 	cfg.thresholds(c, &t)
-	if r := a.rejectingRow(&t); r >= 0 {
+	kind := a.scanKind(&t)
+	if r := a.rejectingRow(&t, kind); r >= 0 {
 		a.hint = r
+		*near = int32(r / stride)
 		a.rejected++
 		return false
 	}
-	switch cfg.kind {
+	switch kind {
 	case kernel2:
 		a.evict2(cfg.o0, cfg.o1, c[cfg.o0], c[cfg.o1])
 	case kernel3:
@@ -193,56 +252,93 @@ func (a *FlatArchive) InsertRow(c *objective.Vector, e plan.Entry) bool {
 	return true
 }
 
+// nearOffset is the offset into costs of the row a second hint names. A
+// negative index becomes an offset past the end of any archive.
+func nearOffset(near *int32) int { return int(uint32(*near)) * stride }
+
 // RejectsAll offers n candidates at once through a floor: a vector that is,
 // on every active objective, at most each of their cost vectors (or one of
 // the two is NaN there). It reports whether the hinted row approximately
-// dominates the floor — then it does so for each of the n, InsertRow would
-// have rejected each on its hint test, and RejectsAll has counted exactly
-// that: n rejections, n of them by the hint, the hint where it was. It is the
-// hint test only, never a scan, so false means nothing: the caller offers the
-// candidates one by one. The comparison is written row <= floor*alpha and not
-// as the negation of rowRejects' >: a NaN on either side must fail it, where
-// rowRejects lets a NaN candidate through.
+// dominates the floor — then it does so for each of the n, InsertRowNear
+// would have rejected each on its hint test, and RejectsAll has counted
+// exactly that: n rejections, n of them without a scan, the hint where it was.
+// It is the hint test only, never a scan, so false means nothing: the caller
+// asks RejectsAllNear, then offers the candidates one by one.
 func (a *FlatArchive) RejectsAll(floor *objective.Vector, n int) bool {
-	cfg := a.cfg
 	h := a.hint
-	if h >= len(a.costs) {
+	if h >= len(a.costs) || !a.cfg.rowRejectsFloor(a.costs[h:h+stride], floor) {
 		return false
-	}
-	row := a.costs[h : h+stride]
-	for k, o := range cfg.ids {
-		if !(row[o] <= floor[o]*cfg.alphas[k]) {
-			return false
-		}
 	}
 	a.rejected += n
 	a.hintRejected += n
 	return true
 }
 
-// rejectingRow is the hint-free rejection scan InsertRow runs after a hint
-// miss: the offset of the first stored row within thresholds t on every
-// active objective, or -1.
-func (a *FlatArchive) rejectingRow(t *[stride]float64) int {
-	cfg := a.cfg
-	switch cfg.kind {
-	case kernel2:
-		return anyRowLeq2(a.costs, cfg.o0, cfg.o1, t[0], t[1])
-	case kernel3:
-		return anyRowLeq3(a.costs, cfg.o0, cfg.o1, cfg.o2, t[0], t[1], t[2])
-	case kernel4:
-		return anyRowLeq4(a.costs, cfg.o0, cfg.o1, cfg.o2, cfg.o3, t[0], t[1], t[2], t[3])
+// RejectsAllNear is RejectsAll on the row the second hint names, for a caller
+// RejectsAll has just told no: a row that dominates the floor rejects every
+// one of the n whichever hint it came from. On a yes InsertRowNear would have
+// rejected each of the n on one of its two hint tests, and the row is the
+// hint now, as it would be after the first of them that the old hint missed.
+func (a *FlatArchive) RejectsAllNear(floor *objective.Vector, n int, near *int32) bool {
+	s := nearOffset(near)
+	if s >= len(a.costs) || !a.cfg.rowRejectsFloor(a.costs[s:s+stride], floor) {
+		return false
 	}
-	return anyRowLeqGeneric(a.costs, cfg.ids, t)
+	a.hint = s
+	a.rejected += n
+	a.hintRejected += n
+	return true
+}
+
+// scanKind is the kernel a scanning insert with thresholds t may use. The
+// two- to four-wide kernels ask "row <= t" and "c <= row" where the generic
+// loops — and rowRejects, objective.Vector.ApproxDominates and the reference
+// archive — ask "no objective with >". On a NaN the two differ, and which row
+// the hints happened to name would decide whether such a candidate is kept.
+// So an insert whose thresholds hold a NaN on an active objective, and every
+// scanning insert after it (the candidate may have been stored), runs the
+// generic loops, which are the oracle's own code: width-many t[k] != t[k]
+// tests per scanning insert, nothing per row. Rewriting the kernels as
+// !(row > t) instead costs cold_w1 7 % (Go emits a parity fix-up per
+// comparison).
+func (a *FlatArchive) scanKind(t *[stride]float64) kernelKind {
+	cfg := a.cfg
+	if cfg.kind == kernelGeneric || a.nanSeen {
+		return kernelGeneric
+	}
+	for k := range cfg.ids {
+		if t[k] != t[k] {
+			a.nanSeen = true
+			return kernelGeneric
+		}
+	}
+	return cfg.kind
+}
+
+// rejectingRow is the rejection scan InsertRowNear runs after both hints
+// missed: the offset of a stored row within thresholds t on every active
+// objective, or -1. Any such row is a valid witness, so the scan starts at the
+// hinted row — rejectors are neighbours: the row that rejects this candidate
+// sits on average half an archive away from row 0 but close to the one that
+// rejected the last — and wraps around to the rows before it.
+func (a *FlatArchive) rejectingRow(t *[stride]float64, kind kernelKind) int {
+	h := a.hint
+	if h >= len(a.costs) {
+		h = 0
+	}
+	if r := a.cfg.firstRowLeq(a.costs[h:], t, kind); r >= 0 {
+		return h + r
+	}
+	return a.cfg.firstRowLeq(a.costs[:h], t, kind)
 }
 
 // insertGeneric is Insert restricted to the original early-exit scalar
-// loops, regardless of the configured kernel, and with no hint — the
-// differential oracle the hinted and specialized paths are tested against.
+// loops, regardless of the configured kernel, from row 0 and with no hint —
+// the differential oracle the hinted and specialized paths are tested against.
 func (a *FlatArchive) insertGeneric(c objective.Vector, e plan.Entry) bool {
 	var t [stride]float64
 	a.cfg.thresholds(&c, &t)
-	if anyRowLeqGeneric(a.costs, a.cfg.ids, &t) >= 0 {
+	if a.cfg.firstRowLeq(a.costs, &t, kernelGeneric) >= 0 {
 		a.rejected++
 		return false
 	}
@@ -278,8 +374,9 @@ func (a *FlatArchive) Stats() (inserted, rejected, evicted int) {
 	return a.inserted, a.rejected, a.evicted
 }
 
-// HintRejected returns how many of the rejected candidates the hinted row
-// answered without a scan.
+// HintRejected returns how many of the rejected candidates were answered
+// without a scan: by the hinted row, by the caller's second hint, or by the
+// gate on either.
 func (a *FlatArchive) HintRejected() int { return a.hintRejected }
 
 // Frontier returns the cost vectors of the stored plans.
@@ -388,5 +485,5 @@ func (a *FlatArchive) Reset() {
 	a.costs = a.costs[:0]
 	a.entries = a.entries[:0]
 	a.inserted, a.rejected, a.evicted = 0, 0, 0
-	a.hint, a.hintRejected = 0, 0
+	a.hint, a.hintRejected, a.nanSeen = 0, 0, false
 }

@@ -22,17 +22,28 @@ import "moqo/internal/objective"
 // computed the identical product per row, so hoisting cannot change results
 // (same inputs, same operation, same rounding).
 //
-// Widths of five and more run the generic early-exit loops: InsertRow's
-// last-rejector hint keeps 91 % of the inserts away from the scans, what
-// still scans is mostly a candidate no stored row rejects, and a wide row
+// Widths of five and more run the generic early-exit loops: InsertRowNear's
+// last-rejector hints keep most inserts away from the scans, and a wide row
 // that fails on its first or second objective is cheaper to leave early than
 // to fold nine comparisons for (cold_w1 ops_per_s 121-123 with branch-free
 // five-, six- and nine-wide kernels, 147 without). At two to four objectives
 // the fold is short and still wins (restart_ready_ms 7.1 against 7.8 through
 // the generic loops).
 //
-// A rejection scan returns the offset of the rejecting row (-1 for none), so
-// InsertRow can point its hint at it.
+// What still scans is mostly a candidate that some stored row does reject —
+// counted over a cold_w1 round, scans that end in a rejection outnumber full
+// passes several times over — and the rejecting row sits near the last one,
+// not near row 0. So a rejection scan takes a run of rows, not the archive:
+// FlatArchive.rejectingRow calls it on costs[hint:] and then on costs[:hint],
+// through FlatConfig.firstRowLeq, the one caller these kernels have. A scan
+// returns the offset of the rejecting row within its run (-1 for none), so
+// InsertRowNear can point both hints at it.
+//
+// The specialized kernels compare with <= and the generic loops with "not >",
+// which is the same question except on a NaN. An archive that has met a NaN
+// threshold is routed to the generic loops for good (FlatArchive.scanKind);
+// the kernels themselves stay as they are (!(row > t) in SETcc form costs a
+// parity fix-up per comparison: cold_w1 -7 %).
 //
 // The generic early-exit loops are also insertGeneric, the differential
 // oracle: TestKernelMatchesGenericOracle and TestHintMatchesGenericOracle
