@@ -18,9 +18,13 @@ type Result struct {
 	// Best is the selected plan (nil only for queries with no plans,
 	// which cannot occur for validated queries).
 	Best *plan.Node
+	// BestRow is the frontier row Best was selected from: Best is
+	// Frontier.Plans()[BestRow], and Frontier.PlanJSON(BestRow, ...) is its
+	// rendering.
+	BestRow int32
 	// Frontier is the (approximate) Pareto frontier of the full table set
-	// — the paper's "Pareto frontier as byproduct of optimization". Best
-	// is Frontier.Plans()[Frontier.SelectBest(w, b)].
+	// — the paper's "Pareto frontier as byproduct of optimization".
+	// BestRow is Frontier.SelectBest(w, b).
 	Frontier *Frontier
 	// Stats reports the optimization effort.
 	Stats Stats
@@ -378,8 +382,9 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
 	}
-	// The scalar program keeps one plan per set: its frontier is that plan,
-	// and — being weight-specific — is never captured as a snapshot.
+	// The scalar program keeps one plan per set: its frontier is that plan
+	// (row 0, BestRow's zero value), and — being weight-specific — is never
+	// captured as a snapshot.
 	res := Result{Frontier: e.newFrontier(flat), Stats: e.stats(start)}
 	if res.Frontier.Len() > 0 {
 		res.Best = res.Frontier.Plans()[0]

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"moqo/internal/objective"
 	"moqo/internal/pareto"
@@ -41,6 +43,21 @@ type Frontier struct {
 	// one materialization serves every later (and concurrent) selection.
 	materialize sync.Once
 	plans       []*plan.Node
+
+	// rendered memoizes PlanJSON, one slot per row, allocated on the first
+	// render: a run that never renders pays nothing, and a cached snapshot
+	// renders each row it is ever asked for once instead of once per
+	// re-weight. It is derived state: SizeBytes does not count it, so what
+	// the frontier tier adds for an entry is what its eviction subtracts.
+	renderOnce sync.Once
+	rendered   []atomic.Pointer[rendering]
+}
+
+// rendering is one memoized plan rendering and what it was rendered for.
+type rendering struct {
+	q    *query.Query
+	objs objective.Set
+	json []byte
 }
 
 // newFrontier extracts the canonically ordered frontier of a finished
@@ -66,7 +83,8 @@ func (e *engine) finish(flat *pareto.FlatArchive, w objective.Weights, b objecti
 	if f.Len() == 0 {
 		return res
 	}
-	res.Best = f.Plans()[f.SelectBest(w, b)]
+	res.BestRow = f.SelectBest(w, b)
+	res.Best = f.Plans()[res.BestRow]
 	if e.opts.CaptureSnapshot && !st.TimedOut {
 		res.Snapshot = f.snapshot(setAlpha, e.cfg, st)
 	}
@@ -121,6 +139,43 @@ func (f *Frontier) Plans() []*plan.Node {
 		}
 	})
 	return f.plans
+}
+
+// PlanJSON returns the indented JSON rendering of row i's plan for q, with
+// the costs of objs (plan.Node.JSON): rendered on the first request, the
+// same bytes on every later one. The returned slice is shared and must not
+// be modified.
+//
+// q must be a query this frontier answers — the query of the run, or for a
+// snapshot any query with its FrontierKey — which fixes everything a
+// rendering reads from a query except what the key leaves out: the relation
+// aliases, and the order the join edges were declared in (the order
+// Query.EstimateRows multiplies selectivities in, so the last bit of a
+// "rows" field). A slot therefore remembers what it was rendered for and
+// serves only that query, or one that sameRendering as it, under those
+// objectives; any other request renders afresh and takes the slot over.
+// Two goroutines rendering one row at once both render, to the same bytes
+// for the same request.
+func (f *Frontier) PlanJSON(i int32, q *query.Query, objs objective.Set) ([]byte, error) {
+	f.renderOnce.Do(func() { f.rendered = make([]atomic.Pointer[rendering], f.Len()) })
+	slot := &f.rendered[i]
+	if r := slot.Load(); r != nil && r.objs == objs && sameRendering(r.q, q) {
+		return r.json, nil
+	}
+	raw, err := f.Plans()[i].JSON(q, objs)
+	if err != nil {
+		return nil, err
+	}
+	slot.Store(&rendering{q: q, objs: objs, json: raw})
+	return raw, nil
+}
+
+// sameRendering reports whether two queries answered by one frontier render
+// its plans to the same bytes: the same query, or equal aliases and equal
+// edges, position by position.
+func sameRendering(a, b *query.Query) bool {
+	return a == b || slices.Equal(a.Edges, b.Edges) &&
+		slices.EqualFunc(a.Relations, b.Relations, func(x, y query.Relation) bool { return x.Alias == y.Alias })
 }
 
 // frontierMemo is the plan.Memo the materializer reads a frontier

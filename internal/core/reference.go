@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -105,8 +106,10 @@ func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, o
 		f.costs = append(f.costs, p.Cost[:]...)
 	}
 	f.materialize.Do(func() { f.plans = plans })
+	best := pareto.SelectBest(plans, w, b, opts.Objectives)
 	return Result{
-		Best:     pareto.SelectBest(plans, w, b, opts.Objectives),
+		Best:     best,
+		BestRow:  int32(slices.Index(plans, best)),
 		Frontier: f,
 		Stats: Stats{
 			Duration:    time.Since(start),

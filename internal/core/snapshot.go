@@ -115,11 +115,12 @@ func SelectFromSnapshot(snap *FrontierSnapshot, w objective.Weights, b objective
 		return Result{}, fmt.Errorf("core: invalid weights or bounds")
 	}
 	start := time.Now()
-	best := snap.Plans()[snap.SelectBest(w, b)]
+	row := snap.SelectBest(w, b)
+	best := snap.Plans()[row]
 	st := snap.stats
 	st.ReusedFrontier = true
 	st.Duration = time.Since(start)
-	return Result{Best: best, Frontier: &snap.Frontier, Stats: st, Snapshot: snap}, nil
+	return Result{Best: best, BestRow: row, Frontier: &snap.Frontier, Stats: st, Snapshot: snap}, nil
 }
 
 // planRef identifies one stored sub-plan during snapshot extraction.

@@ -3,6 +3,7 @@ package objective
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -418,10 +419,12 @@ func (b Bounds) BoundedObjectives(objs Set) []ID {
 }
 
 // Respects reports whether cost vector v respects the bounds on every
-// active objective (v_o <= B_o for all o).
+// active objective (v_o <= B_o for all o). It walks the set's bits in
+// declaration order and allocates nothing: SelectBest asks it once per
+// frontier row.
 func (b Bounds) Respects(v Vector, objs Set) bool {
-	for _, o := range objs.IDs() {
-		if v[o] > b[o] {
+	for s := objs & AllSet(); s != 0; s &= s - 1 {
+		if o := bits.TrailingZeros16(uint16(s)); v[o] > b[o] {
 			return false
 		}
 	}
@@ -430,9 +433,10 @@ func (b Bounds) Respects(v Vector, objs Set) bool {
 
 // RespectsRelaxed reports whether v respects the bounds relaxed by factor
 // alpha (v <= alpha*B), the relation used in the IRA stopping condition.
+// Like Respects it allocates nothing.
 func (b Bounds) RespectsRelaxed(v Vector, alpha float64, objs Set) bool {
-	for _, o := range objs.IDs() {
-		if v[o] > b[o]*alpha {
+	for s := objs & AllSet(); s != 0; s &= s - 1 {
+		if o := bits.TrailingZeros16(uint16(s)); v[o] > b[o]*alpha {
 			return false
 		}
 	}

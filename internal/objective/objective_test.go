@@ -400,3 +400,60 @@ func TestFormatOn(t *testing.T) {
 		t.Error("String must not be empty")
 	}
 }
+
+// TestRespectsMatchesIDsOracle holds the bit-walking Respects and
+// RespectsRelaxed against the loop over Set.IDs they replaced, kept here as
+// the oracle: all 511 non-empty objective sets, random vectors and bounds
+// salted with NaN, ±Inf and unbounded (+Inf) entries. A NaN on either side
+// of a comparison never violates a bound, in both forms.
+func TestRespectsMatchesIDsOracle(t *testing.T) {
+	oracle := func(b Bounds, v Vector, alpha float64, objs Set) bool {
+		for _, o := range objs.IDs() {
+			if v[o] > b[o]*alpha {
+				return false
+			}
+		}
+		return true
+	}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	r := rand.New(rand.NewSource(24))
+	draw := func(unbounded float64) float64 {
+		switch p := r.Float64(); {
+		case p < unbounded:
+			return math.Inf(1)
+		case p < unbounded+0.15:
+			return special[r.Intn(len(special))]
+		}
+		return 10 * r.Float64()
+	}
+	verdicts := [2]int{}
+	for objs := Set(1); objs <= AllSet(); objs++ {
+		for trial := 0; trial < 200; trial++ {
+			var v Vector
+			var b Bounds
+			for o := range v {
+				v[o], b[o] = draw(0), draw(0.5)
+			}
+			alpha := 1 + r.Float64()
+			want := oracle(b, v, 1, objs)
+			if got := b.Respects(v, objs); got != want {
+				t.Fatalf("Respects(%v, %v) under %v = %v, the IDs loop says %v", v, objs, b, got, want)
+			}
+			if got, want := b.RespectsRelaxed(v, alpha, objs), oracle(b, v, alpha, objs); got != want {
+				t.Fatalf("RespectsRelaxed(%v, %v, %v) under %v = %v, the IDs loop says %v", v, alpha, objs, b, got, want)
+			}
+			if want {
+				verdicts[1]++
+			} else {
+				verdicts[0]++
+			}
+		}
+	}
+	if verdicts[0] < 1000 || verdicts[1] < 1000 {
+		t.Fatalf("lopsided sample: %d violations, %d respects", verdicts[0], verdicts[1])
+	}
+	// Bits past the ninth objective select nothing, as with IDs.
+	if stray := AllSet() + 1; !NoBounds().With(TotalTime, 1).Respects(Vector{}.With(TotalTime, 2), stray) {
+		t.Error("a set bit outside the nine objectives was read as an objective")
+	}
+}

@@ -13,7 +13,9 @@ import (
 // the per-objective pruning precisions aligned with it. Resolving both
 // once per run is what makes FlatArchive.Insert allocation-free — the
 // legacy Archive re-derived objs.IDs() (a fresh slice) inside every
-// dominance check.
+// dominance check. SelectBestRows was the flat path's last caller doing the
+// same, once per frontier row through Bounds.Respects, until Respects
+// walked the set's bits (TestSelectBestRowsZeroAlloc).
 type FlatConfig struct {
 	objs   objective.Set
 	ids    []objective.ID

@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,3 +102,68 @@ func BenchmarkArchiveInsert(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/insert")
 	})
 }
+
+// selectBestCase is a frontier of rows random cost rows over the first
+// width objectives, uniform weights and — when bounded — a finite bound on
+// every one of them that about half the rows respect.
+func selectBestCase(width, rows int, bounded bool) (costs []float64, w objective.Weights, b objective.Bounds, objs objective.Set) {
+	objs = objective.NewSet(objective.All()[:width]...)
+	for _, v := range randomStream(rand.New(rand.NewSource(int64(width))), rows, objs) {
+		costs = append(costs, v[:]...)
+	}
+	w, b = objective.UniformWeights(objs), objective.NoBounds()
+	if bounded {
+		for _, o := range objs.IDs() {
+			b = b.With(o, 4-0.6/float64(width))
+		}
+	}
+	return costs, w, b, objs
+}
+
+// TestSelectBestRowsZeroAlloc: the SelectBest scan — what a re-weight is,
+// next to a lookup — allocates nothing, at any width and with or without
+// finite bounds. (Bounds.Respects built objs.IDs() once per row until it
+// walked the set's bits.)
+func TestSelectBestRowsZeroAlloc(t *testing.T) {
+	for _, width := range []int{2, 3, 6, 9} {
+		for _, bounded := range []bool{false, true} {
+			costs, w, b, objs := selectBestCase(width, 128, bounded)
+			in := 0
+			for i := 0; i < len(costs); i += stride {
+				if b.Respects(objective.Vector(costs[i:i+stride]), objs) {
+					in++
+				}
+			}
+			if bounded && (in == 0 || in == 128) {
+				t.Fatalf("width %d: %d of 128 rows within the bounds; the case exercises one verdict only", width, in)
+			}
+			var best int32
+			allocs := testing.AllocsPerRun(20, func() { best = SelectBestRows(costs, w, b, objs) })
+			if allocs != 0 || best < 0 {
+				t.Errorf("width %d, bounded %v: SelectBestRows allocates %.1f times per 128-row scan (row %d)", width, bounded, allocs, best)
+			}
+		}
+	}
+}
+
+// BenchmarkSelectBestRows reports the scan's cost per frontier row (the
+// scoreboard's pareto.select_best_ns_per_row) at the widths above.
+func BenchmarkSelectBestRows(b *testing.B) {
+	for _, width := range []int{2, 3, 6, 9} {
+		for _, bounded := range []bool{false, true} {
+			costs, w, bounds, objs := selectBestCase(width, 128, bounded)
+			b.Run(fmt.Sprintf("w%d/bounded=%v", width, bounded), func(b *testing.B) {
+				b.ReportAllocs()
+				var best int32
+				for i := 0; i < b.N; i++ {
+					best += SelectBestRows(costs, w, bounds, objs)
+				}
+				sinkRow = best
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128), "ns/row")
+			})
+		}
+	}
+}
+
+// sinkRow keeps BenchmarkSelectBestRows' scans from being optimized away.
+var sinkRow int32

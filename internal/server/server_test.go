@@ -441,6 +441,58 @@ func TestReweightServedFromFrontier(t *testing.T) {
 	}
 }
 
+// aliasRequest renders one inline two-table shape whose relations are named
+// prefix1 and prefix2, under the given energy weight. The names are in the
+// plan JSON and not in either key, so every such request shares a
+// FrontierKey, and two with equal weights share a CacheKey.
+func aliasRequest(prefix string, energy float64) string {
+	return fmt.Sprintf(`{
+		"catalog": {
+			"tables": [
+				{"name": "users", "rows": 100000, "width": 120, "pk": "id"},
+				{"name": "events", "rows": 5000000, "width": 64, "pk": "eid"}
+			],
+			"indexes": [{"table": "events", "column": "user_id"}]
+		},
+		"query": {
+			"relations": [
+				{"table": "users", "alias": "%[1]s1", "filter_sel": 0.1},
+				{"table": "events", "alias": "%[1]s2"}
+			],
+			"joins": [{"left": 0, "right": 1, "left_col": "id", "right_col": "user_id", "selectivity": 0.00001}]
+		},
+		"algorithm": "exa",
+		"objectives": ["total_time", "energy"],
+		"weights": {"total_time": 1, "energy": %[2]g}
+	}`, prefix, energy)
+}
+
+// TestReweightKeepsRequestAliases: the frontier tier answers a re-weight
+// with the requester's relation names, not those of the request that filled
+// the tier or of the one that last rendered the selected frontier row.
+func TestReweightKeepsRequestAliases(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	if status, _, raw := post(t, ts, aliasRequest("x", 0.5)); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	// Twice: the second x re-weight finds the row rendered for y.
+	for i, prefix := range []string{"y", "x", "y"} {
+		status, resp, raw := post(t, ts, aliasRequest(prefix, 0.6+float64(i)/1e6))
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, raw)
+		}
+		if !resp.Stats.ReusedFrontier || resp.Cached {
+			t.Fatalf("request %d (%s): reused_frontier %v, cached %v; want a re-weight", i, prefix, resp.Stats.ReusedFrontier, resp.Cached)
+		}
+		other := map[string]string{"x": "y", "y": "x"}[prefix]
+		for _, n := range []string{"1", "2"} {
+			if !bytes.Contains(resp.Plan, []byte(`"`+prefix+n+`"`)) || bytes.Contains(resp.Plan, []byte(`"`+other+n+`"`)) {
+				t.Errorf("request %d wrote %s1,%s2; its plan names other relations:\n%s", i, prefix, prefix, resp.Plan)
+			}
+		}
+	}
+}
+
 // TestFrontierSingleFlightUnderConcurrentReweights: concurrent requests
 // for one query shape under DISTINCT weights coalesce on the frontier
 // tier — the optimizer runs the cold DP once, every other request is

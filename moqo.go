@@ -54,6 +54,7 @@
 package moqo
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -268,6 +269,10 @@ type Result struct {
 
 	objs objective.Set
 	q    *Query
+	// front and row locate Plan in the run's frontier, whose per-row
+	// memo PlanJSON reads.
+	front *core.Frontier
+	row   int32
 }
 
 // Objectives returns the active objective set of the run.
@@ -281,8 +286,18 @@ func (r *Result) PlanText() string { return r.Plan.Format(r.q) }
 func (r *Result) Explain() string { return r.Plan.Explain(r.q, r.objs) }
 
 // PlanJSON renders the selected plan as indented JSON (operators,
-// parameters, estimated rows, per-node costs).
-func (r *Result) PlanJSON() ([]byte, error) { return r.Plan.JSON(r.q, r.objs) }
+// parameters, estimated rows, per-node costs). The caller owns the returned
+// slice. Behind it each frontier plan is rendered once: results that share
+// a frontier — every Reoptimize answer from one FrontierSnapshot — copy the
+// bytes the first of them rendered, as long as their queries name the
+// relations alike.
+func (r *Result) PlanJSON() ([]byte, error) {
+	raw, err := r.front.PlanJSON(r.row, r.q, r.objs)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(raw), nil
+}
 
 // Cost returns the selected plan's cost for one objective.
 func (r *Result) Cost(o Objective) float64 { return r.Plan.Cost[o] }
@@ -559,6 +574,8 @@ func (r *Resolved) newResult(res core.Result) (*Result, error) {
 		Algorithm: r.alg,
 		objs:      r.objs,
 		q:         r.req.Query,
+		front:     res.Frontier,
+		row:       res.BestRow,
 	}, nil
 }
 

@@ -2,7 +2,11 @@ package moqo_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -333,4 +337,195 @@ func TestReoptimizeSeededHonorsSharedMemo(t *testing.T) {
 		t.Fatal("seeded refinement ignored Request.Shared: no shared-memo hits on the second identical run")
 	}
 	assertSameAnswer(t, "shared seeded refinement", second, first)
+}
+
+// renderQuery builds a four-table chain whose relations are named
+// prefix1..prefix4 and whose three join edges are declared in the given
+// order. Neither the names nor the declaration order is in FrontierKey —
+// the key carries table names and the sorted edge list — but a rendered
+// plan shows both: the names as "relation", the order as the last bit of
+// "rows" (Query.EstimateRows multiplies selectivities as declared).
+func renderQuery(prefix string, edgeOrder [3]int) *moqo.Query {
+	cat := moqo.NewCatalog()
+	cat.AddTable("a", 1000, 64, "id")
+	cat.AddTable("b", 20000, 32, "id")
+	cat.AddTable("c", 300000, 48, "id")
+	cat.AddTable("d", 7000, 16, "id")
+	q := moqo.NewQuery("chain", cat)
+	for i, table := range []string{"a", "b", "c", "d"} {
+		q.AddRelation(table, fmt.Sprintf("%s%d", prefix, i+1), 1/float64(i+3))
+	}
+	sels := [3]float64{1.0 / 3, 1.0 / 5, 1.0 / 7}
+	for _, e := range edgeOrder {
+		q.AddJoin(e, e+1, "id", "fk", sels[e])
+	}
+	return q
+}
+
+// TestReoptimizeKeepsRequestAliases: a snapshot captured from query A
+// answers Reoptimize for a query B that shares A's FrontierKey but names its
+// relations differently — and for a query C that declares A's edges in
+// another order — with that query's own rendering of the selected plan, what
+// Plan.JSON gives for it afresh: before A has rendered the selected row into
+// the frontier's memo, after, and A's again once the other query has taken
+// the slot over. For B that is also, byte for byte, the cold run's plan.
+// (Not for C: a cold run costs plans with its own last-bit "rows", the
+// snapshot carries A's.)
+func TestReoptimizeKeepsRequestAliases(t *testing.T) {
+	objs := []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint}
+	request := func(q *moqo.Query) moqo.Request {
+		return moqo.Request{
+			Query: q, Algorithm: moqo.AlgoEXA, Objectives: objs,
+			Weights: map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.BufferFootprint: 0.01},
+		}
+	}
+	// warm answers q from the snapshot and returns the memoized rendering
+	// next to a fresh one of the same plan for the same query.
+	warm := func(q *moqo.Query, snap *moqo.FrontierSnapshot) (memo, fresh string) {
+		t.Helper()
+		res, _, err := moqo.Reoptimize(request(q), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := res.PlanJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := res.Plan.JSON(q, moqo.NewObjectiveSet(objs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(m), string(f)
+	}
+
+	a := renderQuery("x", [3]int{0, 1, 2})
+	others := map[string]*moqo.Query{
+		"aliases":    renderQuery("y", [3]int{0, 1, 2}),
+		"edge order": renderQuery("x", [3]int{2, 1, 0}),
+	}
+	for name, b := range others {
+		t.Run(name, func(t *testing.T) {
+			_, snap, err := moqo.OptimizeSnapshot(request(a))
+			if err != nil || snap == nil {
+				t.Fatalf("snapshot %v, err %v", snap, err)
+			}
+			gotB, wantB := warm(b, snap)
+			if gotB != wantB {
+				t.Errorf("before A rendered the row: got\n%s\nwant\n%s", gotB, wantB)
+			}
+			gotA, wantA := warm(a, snap)
+			if gotA != wantA {
+				t.Errorf("A after the other query rendered the row: got\n%s\nwant\n%s", gotA, wantA)
+			}
+			if wantA == wantB {
+				t.Fatal("the two queries render alike: the test exercises nothing")
+			}
+			if gotB, _ = warm(b, snap); gotB != wantB {
+				t.Errorf("after A rendered the row: got\n%s\nwant\n%s", gotB, wantB)
+			}
+			if name != "aliases" {
+				return
+			}
+			if strings.Contains(gotB, `"x`) || !strings.Contains(gotB, `"y1"`) {
+				t.Errorf("the answer to B does not name B's relations:\n%s", gotB)
+			}
+			cold, err := moqo.Optimize(request(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw, err := cold.PlanJSON(); err != nil || string(raw) != gotB {
+				t.Errorf("B from A's snapshot differs from B's cold run (err %v):\n%s\nvs\n%s", err, gotB, raw)
+			}
+		})
+	}
+}
+
+// TestConcurrentReweightSharedSnapshot: sixteen goroutines re-weight one
+// snapshot at once, each under the same 64 weight vectors in its own order
+// and half of them through a query object of their own, so the frontier's
+// plan trees and every rendering slot are filled, hit and taken over
+// concurrently. Every answer is the answer of the same request run alone
+// against a private copy of the snapshot. Under -race this is the memo's
+// concurrency gate.
+func TestConcurrentReweightSharedSnapshot(t *testing.T) {
+	const goroutines, vectors = 16, 64
+	objs := []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint, moqo.Energy}
+	cat := moqo.TPCHCatalog(0.01)
+	newQuery := func() *moqo.Query {
+		q, err := moqo.TPCHQuery(5, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	base := moqo.Request{Query: newQuery(), Algorithm: moqo.AlgoRTA, Alpha: 1.2, Objectives: objs}
+	r := rand.New(rand.NewSource(7))
+	weights := make([]map[moqo.Objective]float64, vectors)
+	for i := range weights {
+		// Log-uniform, because the objectives' units are orders of
+		// magnitude apart: the selection then moves over the frontier.
+		weights[i] = make(map[moqo.Objective]float64, len(objs))
+		for _, o := range objs {
+			weights[i][o] = math.Pow(10, 12*r.Float64()-6)
+		}
+	}
+
+	base.Weights = weights[0]
+	_, shared, err := moqo.OptimizeSnapshot(base)
+	if err != nil || shared == nil {
+		t.Fatalf("snapshot %v, err %v", shared, err)
+	}
+	data, err := shared.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := moqo.UnmarshalFrontierSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(q *moqo.Query, snap *moqo.FrontierSnapshot, i int) (string, error) {
+		req := base
+		req.Query, req.Weights = q, weights[i]
+		res, _, err := moqo.Reoptimize(req, snap)
+		if err != nil {
+			return "", err
+		}
+		raw, err := res.PlanJSON()
+		return string(raw), err
+	}
+	want := make([]string, vectors)
+	rows := make(map[string]bool)
+	for i := range want {
+		if want[i], err = answer(base.Query, private, i); err != nil {
+			t.Fatal(err)
+		}
+		rows[want[i]] = true
+	}
+	if len(rows) < 3 {
+		t.Fatalf("the %d weight vectors select only %d distinct plans", vectors, len(rows))
+	}
+
+	queries := make([]*moqo.Query, goroutines)
+	for g := range queries {
+		queries[g] = base.Query
+		if g%2 == 1 {
+			queries[g] = newQuery()
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < vectors; k++ {
+				i := (k*7 + g*5) % vectors
+				if got, err := answer(queries[g], shared, i); err != nil {
+					t.Errorf("goroutine %d, weights %d: %v", g, i, err)
+				} else if got != want[i] {
+					t.Errorf("goroutine %d, weights %d: got\n%s\nalone\n%s", g, i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
