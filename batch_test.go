@@ -120,6 +120,57 @@ func TestBatchMatchesPerMemberDifferential(t *testing.T) {
 	}
 }
 
+// TestBatchSharedMemoKeepsEdgeOrder: the shared memo may hand a member
+// only the archive its own run would have built. Query.EstimateRows
+// multiplies the selectivities of a set's internal edges in declaration
+// order, so a triangle declared a-b, b-c, a-c estimates {a,b,c} in other
+// bits than the same triangle declared in reverse — and a key that sorted
+// the edges served the second member the first one's archive, costs off
+// in the last bit. Here B is A's first three tables with the triangle
+// reversed: in the batch it may borrow A's three pairs, not the triangle,
+// and must answer what it answers alone.
+func TestBatchSharedMemoKeepsEdgeOrder(t *testing.T) {
+	cat := moqo.NewCatalog()
+	for i, name := range []string{"a", "b", "c", "d"} {
+		cat.AddTable(name, float64(1500*(i+3)), 100, "id")
+	}
+	build := func(name string, tables []string, edges [][2]int, sels []float64) *moqo.Query {
+		q := moqo.NewQuery(name, cat)
+		for _, tb := range tables {
+			q.AddRelation(tb, tb, 1)
+		}
+		for i, e := range edges {
+			q.AddJoin(e[0], e[1], "id", "id", sels[i])
+		}
+		return q
+	}
+	a := build("A", []string{"a", "b", "c", "d"}, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}, []float64{0.1, 0.3, 0.7, 0.01})
+	b := build("B", []string{"a", "b", "c"}, [][2]int{{0, 2}, {1, 2}, {0, 1}}, []float64{0.7, 0.3, 0.1})
+	triangle := b.AllTables() // {a,b,c}: the same local indexes in A
+	if ra, rb := a.EstimateRows(triangle), b.EstimateRows(triangle); ra == rb {
+		t.Fatalf("rows({a,b,c}) is %v in both declaration orders; the test needs them to differ", ra)
+	}
+
+	objs := []moqo.Objective{moqo.TotalTime, moqo.BufferFootprint}
+	weights := map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.BufferFootprint: 0.5}
+	reqA := moqo.Request{Query: a, Algorithm: moqo.AlgoEXA, Objectives: objs, Weights: weights}
+	reqB := moqo.Request{Query: b, Algorithm: moqo.AlgoEXA, Objectives: objs, Weights: weights}
+	alone, err := moqo.Optimize(reqB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := moqo.OptimizeBatch([]moqo.Request{reqA, reqB})
+	for i, it := range items {
+		if it.Err != nil {
+			t.Fatalf("member %d: %v", i, it.Err)
+		}
+	}
+	if hits := items[1].Result.Stats.SharedMemoHits; hits != 3 {
+		t.Errorf("member B took %d shared hits, want 3 (A's pairs, not its triangle)", hits)
+	}
+	assertSameAnswer(t, "member B", items[1].Result, alone)
+}
+
 // TestBatchInvalidMemberIsIndependent pins that one invalid member fails
 // alone without poisoning the batch.
 func TestBatchInvalidMemberIsIndependent(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 
 // TestUsageErrors: an unknown arm is exit status 2 with the valid arms on
 // stderr (it used to print nothing and exit 0), and so is a -tables entry
-// the topology arm's exhaustive run cannot scan.
+// that is not a number.
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if got := run([]string{"-fig", "bogus"}, &out, &errb); got != 2 {
@@ -24,8 +24,8 @@ func TestUsageErrors(t *testing.T) {
 	if out.Len() != 0 {
 		t.Errorf("-fig bogus printed a report: %q", out.String())
 	}
-	if got := run([]string{"-fig", "topology", "-tables", "8,27"}, &out, &errb); got != 2 {
-		t.Errorf("-tables 8,27: exit %d, want 2", got)
+	if got := run([]string{"-fig", "topology", "-tables", "8,x"}, &out, &errb); got != 2 {
+		t.Errorf("-tables 8,x: exit %d, want 2", got)
 	}
 }
 

@@ -146,9 +146,9 @@ func ExampleOptimizeContext() {
 
 // ExampleOptimize_largeChain optimizes a 20-table chain query — far past
 // the practical ceiling of exhaustive subset scanning. The optimizer
-// derives the enumeration strategy from the join graph: on a connected
-// one only connected table sets are materialized (a chain has n(n+1)/2,
-// not 2^n) and only predicate-connected csg-cmp splits are tried.
+// materializes only the connected table sets of the join graph (a chain
+// has n(n+1)/2, not 2^n) and tries only predicate-connected csg-cmp
+// splits.
 func ExampleOptimize_largeChain() {
 	const tables = 20
 	cat := moqo.NewCatalog()

@@ -28,8 +28,9 @@
 // three experiments no scoreboard workload covers, none of which needs a
 // knob moqod does not already have:
 //
-//	TopologyScaling   — exhaustive vs graph-aware csg-cmp enumeration
-//	                    across join-graph shapes (BENCH_topology.json).
+//	TopologyScaling   — the engine's enumeration work across join-graph
+//	                    shapes next to the exhaustive count, computed
+//	                    (ExhaustiveWork; BENCH_topology.json).
 //	TenantLoad        — a light tenant's latency unloaded and under a
 //	                    flood of cold DPs (BENCH_tenant.json).
 //	ChaosAvailability — serving through a dead store disk, a breaker

@@ -8,37 +8,32 @@ import (
 	"moqo/internal/core"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/query"
 	"moqo/internal/synthetic"
 )
 
-// TopologySpec parameterizes the topology-scaling experiment: the same
-// RTA run once with the exhaustive subset-scanning enumeration and once
-// with the graph-aware csg-cmp enumeration, across join-graph
-// topologies and query sizes. The point of the experiment is the
-// asymptotic enumeration win — candidate construction is identical
-// between the arms (the strategies visit the same splits in the same
-// order), so every difference in scanned sets/splits and wall time is
-// enumeration overhead.
+// TopologySpec parameterizes the topology-scaling experiment: one RTA run
+// of the engine per join-graph topology and query size, set against the
+// work an exhaustive enumeration — every subset as a level candidate,
+// every 2-split of every set — would have done on the same query. That
+// work is computed (ExhaustiveWork), not run: the engine has one
+// enumeration, and the counts it is held against are exact.
 //
-// Keep arm sizes at or below ~26 tables: the exhaustive arm's level
-// materialization Gosper-scans all 2^n subsets on one goroutine, and
-// past that size the scan cannot finish within any reasonable Timeout —
-// it now degrades to the chain fallback instead of running for hours,
-// but a degraded arm measures the fallback, not the scan, and the
-// strategy comparison loses its meaning (cmd/experiments enforces the
-// cap on its -tables override).
+// Sizes are bounded by the synthetic generator's caps (40 tables for
+// chains and cycles, 20 for the shapes whose connected sets are
+// exponentially many), not by the experiment.
 type TopologySpec struct {
 	// Arms lists the (topology, sizes) grid. Defaults to chains and
-	// cycles up to 24 tables (past the old 20-table practical ceiling),
-	// stars to 14 (their DP is inherently exponential in the number of
-	// sets, not a scan artifact), random trees to 18, and cliques to 10
-	// (on a clique every subset is connected, so the graph-aware arm can
-	// only match, not beat, the scan — the honest baseline case).
+	// cycles up to 24 tables, stars to 14 (their DP is inherently
+	// exponential in the number of sets, not a scan artifact), random
+	// trees to 18, and cliques to 10 (on a clique every subset is
+	// connected, so the engine can only match, not beat, the exhaustive
+	// count — the honest baseline case).
 	Arms []TopologyArm
 	// Workers per run (default 1: the experiment measures enumeration,
 	// not parallel speedup).
 	Workers int
-	// Timeout per run (default 60s; a timed-out arm is reported as a
+	// Timeout per run (default 60s; a timed-out run is reported as a
 	// lower bound).
 	Timeout time.Duration
 	// Seed of the synthetic workload.
@@ -80,18 +75,16 @@ func (s TopologySpec) withDefaults() TopologySpec {
 	return s
 }
 
-// TopologyRun is one measured enumeration arm of a topology point.
+// TopologyRun is the measured engine run of a topology point.
 type TopologyRun struct {
 	// Ms is the wall-clock optimization time.
 	Ms float64 `json:"ms"`
-	// EnumSets counts table sets scanned while materializing the levels
-	// (2^n - 1 for the exhaustive scan, the connected count for graph).
+	// EnumSets counts table sets visited while materializing the levels:
+	// the connected count.
 	EnumSets int `json:"enum_sets"`
 	// EnumSplits counts ordered split pairs visited by the candidate
 	// loops, including pairs discarded before costing.
-	EnumSplits int `json:"enum_splits"`
-	// Considered counts constructed candidate plans — identical between
-	// the arms by the order-preserving csg-cmp emission.
+	EnumSplits int  `json:"enum_splits"`
 	Considered int  `json:"considered"`
 	Frontier   int  `json:"frontier"`
 	TimedOut   bool `json:"timed_out"`
@@ -104,32 +97,41 @@ type TopologyPoint struct {
 	Alpha  float64 `json:"alpha"`
 	Ntotal int     `json:"connected_sets"` // materialized table sets
 
-	Exhaustive TopologyRun `json:"exhaustive"`
-	Graph      TopologyRun `json:"graph"`
-	// Auto is the density-adaptive arm (EnumAuto): per table set it picks
-	// subset scan, tree edge-cut enumeration, or complement-pruned
-	// traversal — the arm a caller gets by default.
-	Auto TopologyRun `json:"auto"`
+	Run TopologyRun `json:"run"`
 
-	// SplitReduction is Exhaustive.EnumSplits / Graph.EnumSplits — the
-	// headline metric: how much split-scanning work the join graph's
-	// structure saves.
+	// ExhaustiveSets and ExhaustiveSplits are what an exhaustive
+	// enumeration visits on the same query (ExhaustiveWork).
+	ExhaustiveSets   int `json:"exhaustive_sets"`
+	ExhaustiveSplits int `json:"exhaustive_splits"`
+
+	// SplitReduction is ExhaustiveSplits / Run.EnumSplits — the headline
+	// metric: how much split-scanning work the join graph's structure
+	// saves.
 	SplitReduction float64 `json:"split_reduction"`
 	// SetScanReduction is the same ratio for level materialization.
 	SetScanReduction float64 `json:"set_scan_reduction"`
-	// Speedup is Exhaustive.Ms / Graph.Ms.
-	Speedup float64 `json:"speedup"`
-	// AutoSpeedup is Exhaustive.Ms / Auto.Ms — what the adaptive
-	// enumeration delivers end to end, including the mid-density cells
-	// where pure traversal loses to the scan.
-	AutoSpeedup float64 `json:"auto_speedup"`
 }
 
-// TopologyScaling measures enumeration work and wall time across
-// join-graph topologies and sizes, with the exhaustive and the
-// graph-aware strategy on identical queries. Besides the reductions it
-// double-checks the strategy-equivalence claim: both arms must
-// construct exactly the same number of candidate plans.
+// ExhaustiveWork returns what an exhaustive enumeration of q visits: all
+// 2^n - 1 non-empty subsets while materializing the levels, and all
+// 2^|s| - 2 ordered 2-splits of every connected set s with |s| >= 2 in
+// the candidate loop — what a subset-scanning enumeration counts in
+// Stats.EnumSets and Stats.EnumSplits on a connected join graph
+// (TestExhaustiveWorkMatchesMeasured holds the formula to the last such
+// measurement).
+func ExhaustiveWork(q *query.Query) (sets, splits int) {
+	q.EachConnectedSubset(q.AllTables(), func(s query.TableSet) bool {
+		if k := s.Len(); k >= 2 {
+			splits += 1<<k - 2
+		}
+		return true
+	})
+	return 1<<q.NumRelations() - 1, splits
+}
+
+// TopologyScaling measures enumeration work and wall time of the engine
+// across join-graph topologies and sizes, next to the exhaustive
+// enumeration's work on the same queries.
 func TopologyScaling(spec TopologySpec) ([]TopologyPoint, error) {
 	spec = spec.withDefaults()
 	var out []TopologyPoint
@@ -144,62 +146,36 @@ func TopologyScaling(spec TopologySpec) ([]TopologyPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			w := objective.UniformWeights(topologyObjectives)
-			pt := TopologyPoint{Shape: arm.Shape.String(), N: n, Alpha: topologyAlpha}
-
-			run := func(strategy core.EnumerationStrategy) (TopologyRun, error) {
-				m := costmodel.NewDefault(q)
-				start := time.Now()
-				res, err := core.RTA(m, w, core.Options{
-					Objectives:  topologyObjectives,
-					Alpha:       topologyAlpha,
-					Workers:     spec.Workers,
-					Timeout:     spec.Timeout,
-					Enumeration: strategy,
-				})
-				if err != nil {
-					return TopologyRun{}, err
-				}
-				return TopologyRun{
+			start := time.Now()
+			res, err := core.RTA(costmodel.NewDefault(q), objective.UniformWeights(topologyObjectives), core.Options{
+				Objectives: topologyObjectives,
+				Alpha:      topologyAlpha,
+				Workers:    spec.Workers,
+				Timeout:    spec.Timeout,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("%s-%d: %w", arm.Shape, n, err)
+			}
+			pt := TopologyPoint{
+				Shape: arm.Shape.String(),
+				N:     n,
+				Alpha: topologyAlpha,
+				Run: TopologyRun{
 					Ms:         float64(time.Since(start)) / float64(time.Millisecond),
 					EnumSets:   res.Stats.EnumSets,
 					EnumSplits: res.Stats.EnumSplits,
 					Considered: res.Stats.Considered,
 					Frontier:   res.Stats.ParetoLast,
 					TimedOut:   res.Stats.TimedOut,
-				}, nil
+				},
 			}
-			if pt.Exhaustive, err = run(core.EnumExhaustive); err != nil {
-				return nil, fmt.Errorf("%s-%d exhaustive: %w", arm.Shape, n, err)
+			pt.Ntotal = pt.Run.EnumSets
+			pt.ExhaustiveSets, pt.ExhaustiveSplits = ExhaustiveWork(q)
+			if pt.Run.EnumSplits > 0 {
+				pt.SplitReduction = float64(pt.ExhaustiveSplits) / float64(pt.Run.EnumSplits)
 			}
-			if pt.Graph, err = run(core.EnumGraph); err != nil {
-				return nil, fmt.Errorf("%s-%d graph: %w", arm.Shape, n, err)
-			}
-			if pt.Auto, err = run(core.EnumAuto); err != nil {
-				return nil, fmt.Errorf("%s-%d auto: %w", arm.Shape, n, err)
-			}
-			pt.Ntotal = pt.Graph.EnumSets
-			if pt.Graph.EnumSplits > 0 {
-				pt.SplitReduction = float64(pt.Exhaustive.EnumSplits) / float64(pt.Graph.EnumSplits)
-			}
-			if pt.Graph.EnumSets > 0 {
-				pt.SetScanReduction = float64(pt.Exhaustive.EnumSets) / float64(pt.Graph.EnumSets)
-			}
-			if pt.Graph.Ms > 0 {
-				pt.Speedup = pt.Exhaustive.Ms / pt.Graph.Ms
-			}
-			if pt.Auto.Ms > 0 {
-				pt.AutoSpeedup = pt.Exhaustive.Ms / pt.Auto.Ms
-			}
-			if !pt.Exhaustive.TimedOut && !pt.Graph.TimedOut &&
-				pt.Exhaustive.Considered != pt.Graph.Considered {
-				return nil, fmt.Errorf("%s-%d: strategies considered %d vs %d candidates — equivalence broken",
-					arm.Shape, n, pt.Exhaustive.Considered, pt.Graph.Considered)
-			}
-			if !pt.Exhaustive.TimedOut && !pt.Auto.TimedOut &&
-				pt.Exhaustive.Considered != pt.Auto.Considered {
-				return nil, fmt.Errorf("%s-%d: auto considered %d vs exhaustive %d candidates — equivalence broken",
-					arm.Shape, n, pt.Auto.Considered, pt.Exhaustive.Considered)
+			if pt.Run.EnumSets > 0 {
+				pt.SetScanReduction = float64(pt.ExhaustiveSets) / float64(pt.Run.EnumSets)
 			}
 			out = append(out, pt)
 		}
@@ -210,19 +186,16 @@ func TopologyScaling(spec TopologySpec) ([]TopologyPoint, error) {
 // RenderTopology renders the topology measurements as a text table.
 func RenderTopology(pts []TopologyPoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%10s %3s %12s %12s %9s %12s %12s %12s %8s %8s\n",
-		"shape", "n", "scan splits", "graph splits", "reduction", "scan (ms)", "graph (ms)", "auto (ms)", "speedup", "auto spd")
+	fmt.Fprintf(&b, "%10s %3s %10s %12s %12s %9s %10s\n",
+		"shape", "n", "sets", "scan splits", "splits", "reduction", "ms")
 	for _, p := range pts {
 		mark := ""
-		if p.Exhaustive.TimedOut || p.Graph.TimedOut || p.Auto.TimedOut {
+		if p.Run.TimedOut {
 			mark = ">" // timed out: numbers are lower bounds
 		}
-		fmt.Fprintf(&b, "%10s %3d %12d %12d %8.0fx %12s %12s %12s %7.2fx %7.2fx\n",
-			p.Shape, p.N, p.Exhaustive.EnumSplits, p.Graph.EnumSplits, p.SplitReduction,
-			fmt.Sprintf("%s%.1f", mark, p.Exhaustive.Ms),
-			fmt.Sprintf("%s%.1f", mark, p.Graph.Ms),
-			fmt.Sprintf("%s%.1f", mark, p.Auto.Ms),
-			p.Speedup, p.AutoSpeedup)
+		fmt.Fprintf(&b, "%10s %3d %10d %12d %12d %8.0fx %10s\n",
+			p.Shape, p.N, p.Ntotal, p.ExhaustiveSplits, p.Run.EnumSplits, p.SplitReduction,
+			fmt.Sprintf("%s%.1f", mark, p.Run.Ms))
 	}
 	return b.String()
 }

@@ -19,24 +19,27 @@
 //     minima when generating bounds) and the unsound weighted-sum DP that
 //     the paper's Example 1 rules out.
 //
-// All algorithms share one enumeration engine (engine.go) that implements
-// the Postgres search-space heuristic the paper kept in place: Cartesian
-// products are considered only when no predicate-connected split exists.
-// The engine is layered into four pieces:
+// All algorithms share one enumeration engine (engine.go) over one plan
+// space: bushy trees over predicate-connected splits, which is the
+// Postgres search-space heuristic the paper kept in place (Cartesian
+// products only when no predicate-connected split exists) for a connected
+// join graph. A disconnected graph — which would need products — is an
+// error at every entry point (query.Validate, latched by newEngine). The
+// engine is layered into four pieces:
 //
-//   - an enumerator (enumerator.go): level-by-level table-set
-//     materialization with dense integer ids. The query is immutable, so
-//     the estimates of the enumerated sets are stored in the run's cost
-//     model, once, when the levels are final (newEngine →
-//     costmodel.Model.Warm); the workers then only read them. Under
-//     Options.Enumeration's graph-aware strategy (the default for
-//     connected join graphs) the levels are built by connected-subgraph
-//     traversal (query.EachConnectedSubset) and the candidate loops
-//     visit only predicate-connected csg-cmp splits, so sparse
-//     topologies pay polynomial enumeration work instead of the
-//     exhaustive Gosper scan's 2^n; the graph-aware loop emits its
-//     splits in the scan's canonical order, making results bit-for-bit
-//     identical across strategies (the differential tests pin this);
+//   - an enumerator (enumerator.go): level-by-level materialization of
+//     the connected table sets with dense integer ids, by
+//     connected-subgraph traversal (query.EachConnectedSubset), so sparse
+//     topologies pay polynomial enumeration work instead of 2^n. The
+//     query is immutable, so the estimates of the enumerated sets are
+//     stored in the run's cost model, once, when the levels are final
+//     (newEngine → costmodel.Model.Warm); the workers then only read
+//     them. Per table set, the candidate loop dispatches on size and
+//     density between a subset scan, an edge-cut enumeration and a
+//     csg-cmp traversal (forEachCandidateAuto); all three emit the same
+//     splits in the same canonical order, so the dispatch changes the
+//     enumeration work and never a result (the tests pin each loop to
+//     the definition);
 //   - a slice-backed memo table of flat Pareto archives
 //     (pareto.FlatArchive) indexed by those ids — the candidate loops
 //     never hash;
@@ -106,10 +109,9 @@
 // single best-weighted plan and the run still returns a usable Result
 // with Stats.TimedOut set. The deadline is observed from the very first
 // phase: if it expires while the enumerator is still materializing
-// levels (the exhaustive strategy's 2^n Gosper scan on 30+ relation
-// queries, or an exponential connected-subset walk), the enumeration
-// falls back to a minimal left-deep chain and the degraded path still
-// returns a plan in O(n) work.
+// levels (an exponential connected-subset walk: a clique, a wide star),
+// the enumeration falls back to a minimal left-deep chain and the
+// degraded path still returns a plan in O(n) work.
 //
 // Because archive pruning never reads the user's weights or bounds, the
 // final frontier of a completed run is reusable across weight and bound

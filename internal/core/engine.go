@@ -103,6 +103,12 @@ type engine struct {
 	// the pool winds down normally) and cancelErr reports it as
 	// ErrEnginePanic instead of a context error.
 	panicInfo atomic.Pointer[enginePanic]
+	// invalid latches the query's structural error (query.Validate) in
+	// newEngine: a disconnected join graph has no plan without Cartesian
+	// products, which the engine does not enumerate. Nothing is then
+	// enumerated, run and runScalar return at once, and cancelErr reports
+	// it before anything else.
+	invalid error
 }
 
 // enginePanic captures one recovered worker panic.
@@ -178,10 +184,14 @@ func newEngine(ctx context.Context, m *costmodel.Model, opts Options, alphaInter
 		ctx:           ctx,
 		ctxDone:       ctx.Done(),
 	}
+	if err := e.q.Validate(); err != nil {
+		e.invalid = fmt.Errorf("core: %w", err)
+		return e
+	}
 	// The deadline is resolved before the search space is materialized:
-	// level materialization itself observes it (the exhaustive strategy's
-	// 2^n Gosper scan used to run to completion oblivious of any timeout)
-	// and falls back to the chain enumeration of the §5.1 degraded path.
+	// level materialization itself observes it (a clique's walk visits all
+	// 2^n subsets) and falls back to the chain enumeration of the §5.1
+	// degraded path.
 	if opts.Timeout > 0 {
 		e.deadline = time.Now().Add(opts.Timeout)
 		e.hasTimeout = true
@@ -190,7 +200,7 @@ func newEngine(ctx context.Context, m *costmodel.Model, opts Options, alphaInter
 		e.deadline = d
 		e.hasTimeout = true
 	}
-	e.enum = enumerate(e.q, opts.Enumeration, e.enumStop)
+	e.enum = enumerate(e.q, e.enumStop)
 	// The one place a run's estimate table is filled: the workers cost only
 	// table sets that passed a memo lookup, all of them enumerated, so from
 	// here on they read the table and never write it.
@@ -239,11 +249,14 @@ func (e *engine) enumStop() enumSignal {
 // cancelErr returns the context's error if the run was abandoned because
 // of a cancellation (not a deadline — deadlines degrade and still produce
 // a result). Called by the algorithms after run()/runScalar() return.
-// A recovered worker panic is checked first: it latches the same
-// cancelled flag, but the context has no error to report — without the
-// ordering the caller would see a spurious context.Canceled and the
-// panic would vanish.
+// An invalid query is reported first (the run did nothing), then a
+// recovered worker panic: it latches the same cancelled flag, but the
+// context has no error to report — without the ordering the caller would
+// see a spurious context.Canceled and the panic would vanish.
 func (e *engine) cancelErr() error {
+	if e.invalid != nil {
+		return e.invalid
+	}
 	if p := e.panicInfo.Load(); p != nil {
 		return fmt.Errorf("%w: %v\n%s", ErrEnginePanic, p.val, p.stack)
 	}
@@ -280,6 +293,9 @@ func (e *engine) newArchive() *pareto.FlatArchive {
 // singleton sets first, then table sets of increasing cardinality. The
 // caller extracts the result with finish.
 func (e *engine) run() *pareto.FlatArchive {
+	if e.invalid != nil {
+		return nil
+	}
 	engineRuns.Add(1)
 	e.flatConfig()
 	if e.opts.Shared != nil {
@@ -310,6 +326,9 @@ func (e *engine) run() *pareto.FlatArchive {
 // diverse objectives it is the unsound baseline of the paper's Example 1.
 // Returns the full table set's one-plan archive.
 func (e *engine) runScalar(scalar func(objective.Vector) float64) *pareto.FlatArchive {
+	if e.invalid != nil {
+		return nil
+	}
 	engineRuns.Add(1)
 	e.flatConfig()
 	e.runLevels(func(w *worker, id int32, s query.TableSet) {
@@ -429,12 +448,12 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 // every stored pair: the per-worker reduced scratch map narrows a
 // subset's archive to its single weighted-best entry the first time a
 // split touches it (-1 when the subset has nothing stored). Narrowing
-// lazily keeps the degraded mode proportional to the splits the strategy
-// actually enumerates — under the graph-aware strategy that is far fewer
-// than the 2^|s| subsets an eager pre-pass would have to scan, which
-// matters precisely here: the timeout path must finish fast on the large
-// queries that triggered it. Degraded sets do not update the "last table
-// set treated completely" metric.
+// lazily keeps the degraded mode proportional to the splits the candidate
+// loop actually enumerates — on sparse sets far fewer than the 2^|s|
+// subsets an eager pre-pass would have to scan, which matters precisely
+// here: the timeout path must finish fast on the large queries that
+// triggered it. Degraded sets do not update the "last table set treated
+// completely" metric.
 func (w *worker) degradedSet(id int32, s query.TableSet) {
 	e := w.e
 	scalar := func(v objective.Vector) float64 { return e.weights.Cost(v) }
@@ -458,9 +477,9 @@ func (w *worker) degradedSet(id int32, s query.TableSet) {
 		return splitView{arch: e.memo.lookup(t), only: idx}
 	}
 	t := newBestTracker()
-	// The degraded scan still visits every split of s (2^|s| under the
-	// exhaustive strategy), so let a cancellation escape mid-set — there
-	// is no caller left to serve. A plain timeout keeps going: degraded
+	// The degraded scan still visits every split of s (2^|s| on a dense
+	// set), so let a cancellation escape mid-set — there is no caller
+	// left to serve. A plain timeout keeps going: degraded
 	// mode exists to still produce a plan.
 	w.forEachCandidateFrom(s, lookup, func(cost *objective.Vector, ent plan.Entry) bool {
 		t.offer(*cost, ent, scalar(*cost))
@@ -516,106 +535,54 @@ func (v splitView) span() (lo, hi int32) {
 type candidateFn func(cost *objective.Vector, ent plan.Entry) bool
 
 // forEachCandidate constructs every candidate plan for table set s —
-// all splits into two non-empty subsets, all join operators and DOPs, all
+// all splits into two connected halves, all join operators and DOPs, all
 // combinations of stored sub-plans — and yields each to fn as a (cost,
 // entry) pair. It returns false if fn aborted the enumeration.
 //
-// Cartesian-product splits are considered only when s has no
-// predicate-connected split (Postgres heuristic (i), kept in place by the
-// paper); in that fallback case only nested-loop joins apply, since hash
-// and sort-merge joins need an equi-join predicate.
+// s is connected, so every such split is predicate-connected: the
+// Postgres heuristic the paper kept (Cartesian products only when no
+// predicate-connected split exists) never admits a product here. Only the
+// chain fallback's prefixes can lack a predicate (forEachCandidateChain).
 func (w *worker) forEachCandidate(s query.TableSet, fn candidateFn) bool {
 	return w.forEachCandidateFrom(s, w.e.viewMemo, fn)
 }
 
 // forEachCandidateFrom is forEachCandidate over an explicit sub-plan view
 // (the degraded mode passes a reduced one-plan-per-subset view; the full
-// mode passes the slice-backed memo, so no split lookup ever hashes).
-// Under the graph-aware strategy the split loop is the csg-cmp
-// enumeration of forEachCandidateGraph; otherwise it is the exhaustive
-// scan over all 2^|s| - 2 ordered subsets. Both visit the same candidate
-// set whenever both apply — only the visiting order (and the scanning
-// work, Stats.EnumSplits) differs.
+// mode passes the slice-backed memo, so no split lookup ever hashes): the
+// chain fallback's one split per prefix, or else the per-set dispatch of
+// forEachCandidateAuto.
 func (w *worker) forEachCandidateFrom(s query.TableSet, lookup func(query.TableSet) splitView, fn candidateFn) bool {
 	if w.e.enum.chainFallback {
 		return w.forEachCandidateChain(s, lookup, fn)
 	}
-	if w.e.enum.graphAware {
-		if w.e.enum.adaptive {
-			return w.forEachCandidateAuto(s, lookup, fn)
-		}
-		return w.forEachCandidateGraph(s, lookup, fn)
-	}
-	e := w.e
-	hasEdgeSplit := false
-	abort := false
-	s.EachSubset(func(left, right query.TableSet) bool {
-		w.splits++
-		if e.opts.LeftDeepOnly && !right.Single() {
-			return true
-		}
-		vl, vr := lookup(left), lookup(right)
-		if !vl.stored() || !vr.stored() {
-			return true
-		}
-		if e.q.ConnectedTo(left, right) {
-			hasEdgeSplit = true
-			if !w.edgeSplit(vl, vr, left, right, fn) {
-				abort = true
-				return false
-			}
-		}
-		return true
-	})
-	if abort {
-		return false
-	}
-	if hasEdgeSplit {
-		return true
-	}
-	// Cartesian fallback: no predicate-connected split exists.
-	s.EachSubset(func(left, right query.TableSet) bool {
-		w.splits++
-		if e.opts.LeftDeepOnly && !right.Single() {
-			return true
-		}
-		vl, vr := lookup(left), lookup(right)
-		if !vl.stored() || !vr.stored() {
-			return true
-		}
-		abort = !w.joinPairs(cartesianAlgs, vl, vr, left, right, fn)
-		return !abort
-	})
-	return !abort
+	return w.forEachCandidateAuto(s, lookup, fn)
 }
 
-// splitPair is one ordered csg-cmp split buffered by the graph-aware
-// candidate loop before emission.
+// splitPair is one ordered csg-cmp split buffered by the traversal and
+// edge-cut candidate loops before emission.
 type splitPair struct {
 	left, right query.TableSet
 }
 
-// forEachCandidateGraph is the graph-aware candidate loop — the fused
+// forEachCandidateGraph is the traversal candidate loop — the fused
 // form of query.EachConnectedSplit (keep the two in sync; see its
 // comment): instead of scanning every 2-split of s, it enumerates the
 // connected subsets of s minus its anchor relation
 // (query.EachConnectedSubset) and keeps a split only when the anchored
-// complement is stored — which, with the graph-aware enumeration
-// materializing connected sets exclusively, is the csg-cmp condition
-// "both halves connected" as one slice lookup, no per-split BFS. s itself is connected (only connected sets are
-// materialized), so every such split carries a crossing join edge: the
-// ConnectedTo test and the Cartesian fallback of the exhaustive loop
-// cannot apply and are dropped.
+// complement is stored — which, with only connected sets materialized,
+// is the csg-cmp condition "both halves connected" as one slice lookup,
+// no per-split BFS. s itself is connected, so every such split carries a
+// crossing join edge.
 //
 // The surviving ordered pairs (each unordered split in both operand
-// orders, like the exhaustive scan) are buffered in per-worker scratch
-// and emitted in descending left-operand order — exactly the order in
-// which TableSet.EachSubset would have visited them. Candidate order is
-// therefore identical to the exhaustive strategy's, which makes every
-// archive (including approximately pruned ones, whose contents depend
-// on insertion order) bit-for-bit identical across strategies: the
-// enumeration knob changes how fast the answer is found, never the
-// answer. The differential tests pin this equivalence.
+// orders) are buffered in per-worker scratch and emitted in descending
+// left-operand order — exactly the order in which TableSet.EachSubset
+// visits them. All three loops of forEachCandidateAuto emit that one
+// sequence, so which of them treats a set changes how fast its archive is
+// built, never the archive (including approximately pruned ones, whose
+// contents depend on insertion order); TestAutoEnumerationMatchesExhaustive
+// holds each loop to it on every connected set.
 func (w *worker) forEachCandidateGraph(s query.TableSet, lookup func(query.TableSet) splitView, fn candidateFn) bool {
 	e := w.e
 	anchorV := e.q.MaxDegreeVertex(s)
@@ -644,19 +611,14 @@ func (w *worker) forEachCandidateGraph(s query.TableSet, lookup func(query.Table
 	return w.emitPairs(lookup, fn)
 }
 
-// emitPairs sorts the buffered ordered splits into the exhaustive scan's
-// canonical order (left operand descending) and feeds them to edgeSplit,
-// applying the left-deep filter. Shared tail of the graph-aware and
-// edge-cut candidate loops.
+// emitPairs sorts the buffered ordered splits into the subset scan's
+// canonical order (left operand descending) and feeds them to edgeSplit.
+// Shared tail of the traversal and edge-cut candidate loops.
 func (w *worker) emitPairs(lookup func(query.TableSet) splitView, fn candidateFn) bool {
-	e := w.e
 	slices.SortFunc(w.pairs, func(a, b splitPair) int {
 		return cmp.Compare(b.left, a.left) // EachSubset order: left descending
 	})
 	for _, p := range w.pairs {
-		if e.opts.LeftDeepOnly && !p.right.Single() {
-			continue
-		}
 		if !w.edgeSplit(lookup(p.left), lookup(p.right), p.left, p.right, fn) {
 			return false
 		}
@@ -664,14 +626,14 @@ func (w *worker) emitPairs(lookup func(query.TableSet) splitView, fn candidateFn
 	return true
 }
 
-// autoScanMaxLen is the set size up to which the adaptive strategy always
-// takes the subset scan: below it, the 2^|s|-2 ordered subsets are fewer
-// than the bookkeeping of a traversal.
+// autoScanMaxLen is the set size up to which the dispatch always takes
+// the subset scan: below it, the 2^|s|-2 ordered subsets are fewer than
+// the bookkeeping of a traversal.
 const autoScanMaxLen = 5
 
-// forEachCandidateAuto is the density-adaptive candidate loop behind
-// EnumAuto: per table set it inspects size and internal edge count and
-// routes to the cheapest of three equivalent split enumerations —
+// forEachCandidateAuto is the engine's candidate loop: per table set it
+// inspects size and internal edge count and routes to the cheapest of
+// three equivalent split enumerations —
 //
 //	|s| <= autoScanMaxLen        -> subset scan (forEachCandidateScan)
 //	edges == |s|-1 (tree)        -> edge-cut enumeration (forEachCandidateTree)
@@ -680,9 +642,7 @@ const autoScanMaxLen = 5
 //
 // All three emit the identical ordered splits in the identical canonical
 // order (each loop's comment argues its case), so the heuristic changes
-// Stats.EnumSplits — the scanning work — and nothing else. EnumGraph pins
-// the pure traversal precisely so the differential tests can hold this
-// loop against it set for set.
+// Stats.EnumSplits — the scanning work — and nothing else.
 func (w *worker) forEachCandidateAuto(s query.TableSet, lookup func(query.TableSet) splitView, fn candidateFn) bool {
 	k := s.Len()
 	if k <= autoScanMaxLen {
@@ -699,28 +659,21 @@ func (w *worker) forEachCandidateAuto(s query.TableSet, lookup func(query.TableS
 	}
 }
 
-// forEachCandidateScan is the subset scan over a graph-aware memo: every
-// ordered 2-split of s in EachSubset order, kept when both halves are
-// stored. Because the graph-aware enumeration materializes exactly the
-// connected sets, "both stored" is "both connected", and s itself being
-// connected guarantees every surviving split carries a crossing join edge
-// — the exhaustive loop's ConnectedTo test and Cartesian fallback cannot
-// fire and are dropped (a connected s always has at least one valid
-// split, so the fallback is unreachable too). Emission order is literally
-// EachSubset order: canonical by construction, no buffering or sort.
+// forEachCandidateScan is the subset scan: every ordered 2-split of s in
+// EachSubset order, kept when both halves are stored. Because only the
+// connected sets are materialized, "both stored" is "both connected", and
+// s itself being connected guarantees every surviving split carries a
+// crossing join edge. Emission order is literally EachSubset order:
+// canonical by construction, no buffering or sort.
 //
 // On dense sets this beats the traversal: nearly every subset is
 // connected, so the traversal enumerates as many rests as the scan visits
 // subsets but pays neighborhood expansion, pair buffering, and the
 // canonical sort on top.
 func (w *worker) forEachCandidateScan(s query.TableSet, lookup func(query.TableSet) splitView, fn candidateFn) bool {
-	e := w.e
 	abort := false
 	s.EachSubset(func(left, right query.TableSet) bool {
 		w.splits++
-		if e.opts.LeftDeepOnly && !right.Single() {
-			return true
-		}
 		vl, vr := lookup(left), lookup(right)
 		if !vl.stored() || !vr.stored() {
 			return true
@@ -788,15 +741,15 @@ func (w *worker) forEachCandidateTree(s query.TableSet, lookup func(query.TableS
 // forEachCandidateChain is the candidate loop of the enumeration's chain
 // fallback (the deadline expired while the search space was still being
 // materialized): every non-singleton set is a left-deep prefix {r0..rk},
-// and its only split peels the highest relation off — O(1) splits per set
-// where the exhaustive scan would visit 2^|s| - 2, which is what lets the
-// degraded path finish promptly on the 30+ relation queries that trigger
-// it. Predicate-connected splits get the full join-operator menu; a
-// prefix with no edge to the peeled relation falls back to Cartesian
-// nested loops, so a plan always exists. Both operand orders are emitted
-// in the canonical descending-left order.
+// and its only split peels the highest relation off — O(1) splits per set,
+// which is what lets the degraded path finish promptly on the queries
+// that trigger it. Predicate-connected splits get the full join-operator
+// menu; a prefix with no edge to the peeled relation falls back to
+// Cartesian nested loops (hash and sort-merge joins need an equi-join
+// predicate), so a plan always exists. Both operand orders are emitted in
+// the canonical descending-left order: peel holds the highest bit of s,
+// so (peel, left) comes first.
 func (w *worker) forEachCandidateChain(s query.TableSet, lookup func(query.TableSet) splitView, fn candidateFn) bool {
-	e := w.e
 	peel := query.Singleton(s.Top())
 	left := s.Minus(peel)
 	vl, vr := lookup(left), lookup(peel)
@@ -804,26 +757,10 @@ func (w *worker) forEachCandidateChain(s query.TableSet, lookup func(query.Table
 	if !vl.stored() || !vr.stored() {
 		return true
 	}
-	if e.q.ConnectedTo(left, peel) {
-		// peel holds the highest bit of s, so peel > left: the canonical
-		// (descending-left) order is (peel, left) then (left, peel).
-		if !e.opts.LeftDeepOnly || left.Single() {
-			if !w.edgeSplit(vr, vl, peel, left, fn) {
-				return false
-			}
-		}
-		return w.edgeSplit(vl, vr, left, peel, fn)
+	if w.e.q.ConnectedTo(left, peel) {
+		return w.edgeSplit(vr, vl, peel, left, fn) && w.edgeSplit(vl, vr, left, peel, fn)
 	}
-	cartesian := func(va, vb splitView, a, b query.TableSet) bool {
-		if e.opts.LeftDeepOnly && !b.Single() {
-			return true
-		}
-		return w.joinPairs(cartesianAlgs, va, vb, a, b, fn)
-	}
-	if !cartesian(vr, vl, peel, left) {
-		return false
-	}
-	return cartesian(vl, vr, left, peel)
+	return w.joinPairs(cartesianAlgs, vr, vl, peel, left, fn) && w.joinPairs(cartesianAlgs, vl, vr, left, peel, fn)
 }
 
 // edgeSplit enumerates the candidates of one predicate-connected split.

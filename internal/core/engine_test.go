@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
@@ -10,64 +12,92 @@ import (
 	"moqo/internal/query"
 )
 
-// TestCartesianFallback: a query whose join graph is disconnected forces
-// Cartesian products, which the engine supports via block-nested-loop
-// joins only (Postgres heuristic (i): products only when no other join
-// applies). query.Validate rejects such queries for the public API, but
-// the engine must handle them for generality.
+// TestCartesianFallback: the one place the engine still builds Cartesian
+// products is the chain fallback (forEachCandidateChain), for a prefix
+// with no predicate to the relation it peels — and there, as Postgres
+// heuristic (i) requires, only with block-nested-loop joins: hash and
+// sort-merge joins need an equi-join predicate. On a star whose hub is the
+// last relation every prefix below the top is leaves only, so every join
+// of the plan but the top one is such a product.
 func TestCartesianFallback(t *testing.T) {
-	cat := catalog.TPCH(0.01)
-	q := query.New("cross", cat)
-	q.AddRelation(catalog.Region, "r", 1)
-	q.AddRelation(catalog.Nation, "n", 1)
-	// No join edge: the only way to combine is a Cartesian product.
-	m := costmodel.NewDefault(q)
+	q := hubLastStar(t, 14)
 	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
-	res, err := EXA(m, objective.UniformWeights(objs), objective.NoBounds(), Options{Objectives: objs})
+	res, err := RTA(costmodel.NewDefault(q), objective.UniformWeights(objs),
+		Options{Objectives: objs, Alpha: 3, Timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best == nil {
-		t.Fatal("no plan for Cartesian query")
+	if !res.Stats.TimedOut || res.Stats.EnumSets != enumCheckMask+1 {
+		t.Fatalf("TimedOut %v after %d sets: the walk did not fall back at its first poll",
+			res.Stats.TimedOut, res.Stats.EnumSets)
 	}
-	if res.Best.IsScan() {
-		t.Fatal("expected a join plan")
+	if err := res.Best.Validate(q); err != nil {
+		t.Fatal(err)
 	}
-	if res.Best.Join != plan.BlockNLJoin {
-		t.Errorf("Cartesian product should use nested loops, got %v", res.Best.Join)
-	}
-	for _, p := range res.Frontier.Plans() {
-		if !p.IsScan() && p.Join != plan.BlockNLJoin {
-			t.Errorf("non-NL operator %v on a Cartesian product", p.Join)
+	products := 0
+	var walk func(p *plan.Node)
+	walk = func(p *plan.Node) {
+		if p.IsScan() {
+			return
 		}
+		if !q.ConnectedTo(p.Left.Tables, p.Right.Tables) {
+			products++
+			if p.Join != plan.BlockNLJoin {
+				t.Errorf("Cartesian product %v x %v joined by %v", p.Left.Tables, p.Right.Tables, p.Join)
+			}
+		}
+		walk(p.Left)
+		walk(p.Right)
+	}
+	walk(res.Best)
+	if want := q.NumRelations() - 2; products != want {
+		t.Errorf("plan has %d Cartesian products, want %d", products, want)
 	}
 }
 
-// TestMixedCartesian: a three-relation query where two relations are
-// joined by a predicate and the third is disconnected. Plans must join
-// the connected pair with any operator but attach the third via nested
-// loops only.
-func TestMixedCartesian(t *testing.T) {
-	cat := catalog.TPCH(0.01)
-	q := query.New("mixed", cat)
-	a := q.AddRelation(catalog.Customer, "c", 0.1)
-	b := q.AddRelation(catalog.Orders, "o", 0.1)
-	q.AddRelation(catalog.Region, "r", 1)
-	q.AddFKJoin(b, "o_custkey", a, "c_custkey")
-	m := costmodel.NewDefault(q)
+// TestDisconnectedJoinGraphIsAnError: the engine enumerates connected
+// table sets only, so a join graph with two components — which only a
+// Cartesian product could join — is refused by every entry point with the
+// query's validation error, and none of them panics or answers without a
+// plan. (moqo.Resolve and the server reject such a query before it gets
+// here; this is core called directly.)
+func TestDisconnectedJoinGraphIsAnError(t *testing.T) {
 	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
-	res, err := EXA(m, objective.UniformWeights(objs), objective.NoBounds(), Options{Objectives: objs})
-	if err != nil {
-		t.Fatal(err)
+	w := objective.UniformWeights(objs)
+	bounds := objective.NoBounds().With(objective.TotalTime, 1e12)
+	opts := Options{Objectives: objs, Alpha: 1.5}
+	prec := objective.UniformPrecision(1.5, objs)
+	entries := []struct {
+		name string
+		run  func(m *costmodel.Model) (Result, error)
+	}{
+		{"EXA", func(m *costmodel.Model) (Result, error) { return EXA(m, w, objective.NoBounds(), opts) }},
+		{"RTA", func(m *costmodel.Model) (Result, error) { return RTA(m, w, opts) }},
+		{"RTAVector", func(m *costmodel.Model) (Result, error) { return RTAVector(m, w, prec, opts) }},
+		{"IRA", func(m *costmodel.Model) (Result, error) { return IRA(m, w, bounds, opts) }},
+		{"Selinger", func(m *costmodel.Model) (Result, error) { return Selinger(m, objective.TotalTime, opts) }},
+		{"WeightedSumDP", func(m *costmodel.Model) (Result, error) { return WeightedSumDP(m, w, opts) }},
+		{"ObjectiveMinima", func(m *costmodel.Model) (Result, error) {
+			_, err := ObjectiveMinima(m, opts)
+			return Result{}, err
+		}},
+		{"ReferenceEXA", func(m *costmodel.Model) (Result, error) {
+			return ReferenceEXA(m, w, objective.NoBounds(), opts)
+		}},
 	}
-	if res.Best == nil {
-		t.Fatal("no plan")
-	}
-	if res.Best.Tables != q.AllTables() {
-		t.Fatalf("plan covers %v, want all tables", res.Best.Tables)
-	}
-	if err := res.Best.Validate(q); err != nil {
-		t.Error(err)
+	cross := query.New("cross", catalog.TPCH(0.01))
+	cross.AddRelation(catalog.Region, "r", 1)
+	cross.AddRelation(catalog.Nation, "n", 1)
+	for _, q := range []*query.Query{cross, disconnectedQuery(t)} {
+		for _, entry := range entries {
+			res, err := entry.run(costmodel.NewDefault(q))
+			if err == nil || !strings.Contains(err.Error(), "join graph not connected") {
+				t.Errorf("%s on %s: err = %v, want the validation error", entry.name, q.Name, err)
+			}
+			if res.Best != nil {
+				t.Errorf("%s on %s: answered with a plan", entry.name, q.Name)
+			}
+		}
 	}
 }
 
@@ -137,43 +167,4 @@ func TestConsideredCountsGrowWithDOP(t *testing.T) {
 		}
 		prev = res.Stats.Considered
 	}
-}
-
-// TestGosperEnumeration: nextSameCard visits every subset of each
-// cardinality exactly once, in increasing order.
-func TestGosperEnumeration(t *testing.T) {
-	n := 6
-	for k := 1; k <= n; k++ {
-		seen := map[query.TableSet]bool{}
-		first := query.TableSet(1)<<uint(k) - 1
-		count := 0
-		for s := first; s < query.TableSet(1)<<uint(n); s = nextSameCard(s) {
-			if s.Len() != k {
-				t.Fatalf("k=%d: set %v has wrong cardinality", k, s)
-			}
-			if seen[s] {
-				t.Fatalf("k=%d: set %v visited twice", k, s)
-			}
-			seen[s] = true
-			count++
-			if s == query.TableSet(1)<<uint(n)-1 {
-				break
-			}
-		}
-		want := binomial(n, k)
-		if count != want {
-			t.Errorf("k=%d: visited %d sets, want C(%d,%d)=%d", k, count, n, k, want)
-		}
-	}
-}
-
-func binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	r := 1
-	for i := 0; i < k; i++ {
-		r = r * (n - i) / (i + 1)
-	}
-	return r
 }

@@ -10,13 +10,13 @@ import (
 )
 
 // enumeration materializes the search space of the dynamic program: the
-// table sets treated at each cardinality level, in the engine's canonical
-// order (Gosper order within a level), each with a dense integer id.
+// connected table sets treated at each cardinality level, ascending
+// within a level, each with a dense integer id.
 //
-// Materializing levels up front replaces the seed engine's inline Gosper
-// iteration and is what enables the level-synchronized parallel schedule:
-// all sets of cardinality k depend only on sets of cardinality < k, so a
-// level can be sharded across workers once the previous level is complete.
+// Materializing levels up front is what enables the level-synchronized
+// parallel schedule: all sets of cardinality k depend only on sets of
+// cardinality < k, so a level can be sharded across workers once the
+// previous level is complete.
 //
 // Ids are assigned level-major (all sets of cardinality 1 first, then
 // cardinality 2, ...), so a set's id is always larger than the ids of the
@@ -26,21 +26,12 @@ type enumeration struct {
 	n      int
 	levels [][]query.TableSet // levels[k]: sets of cardinality k (k in 1..n)
 	total  int                // number of enumerated sets
-	// scanned counts the table sets visited to build the levels: 2^n - 1
-	// under the exhaustive Gosper scan, exactly `total` under the
-	// graph-aware traversal (Stats.EnumSets).
+	// scanned counts the table sets visited to build the levels: exactly
+	// `total` unless the walk was interrupted (Stats.EnumSets).
 	scanned int
-	// graphAware records which strategy the run resolved to; it also
-	// selects the engine's split enumeration (csg-cmp vs all subsets).
-	graphAware bool
-	// adaptive additionally enables the density-adaptive split enumeration
-	// (forEachCandidateAuto): per table set, scan vs edge-cut vs traversal.
-	// Set only for EnumAuto, so EnumGraph pins the pure traversal as the
-	// differential baseline.
-	adaptive bool
 	// chainFallback records that the run's deadline expired while the
-	// levels were still being materialized (the 2^n Gosper scan, or an
-	// exponentially large connected-subset walk). The levels were rebuilt
+	// levels were still being materialized (an exponentially large
+	// connected-subset walk: a clique, a wide star). The levels were rebuilt
 	// as the minimal left-deep chain — all singletons plus the prefix
 	// sets {r0..rk} — and the engine's candidate loops peel one relation
 	// per split, so the §5.1 degraded path still produces a plan in O(n)
@@ -63,112 +54,56 @@ const (
 	enumCancel
 )
 
-// enumCheckMask amortizes the stop poll to one check per 4096 scanned
+// enumCheckMask amortizes the stop poll to one check per 4096 visited
 // sets — cheap against the per-set work, yet a pre-expired deadline stops
-// a 2^40 scan within microseconds.
+// a clique's 2^n walk within microseconds.
 const enumCheckMask = 4095
 
-// enumerate builds the enumeration for a query. With a connected join
-// graph only connected table sets are materialized (the standard
-// connected-subgraph restriction: optimal plans never join disconnected
-// intermediate results when a predicate-connected split exists); with a
-// disconnected graph every non-empty subset is treated, since Cartesian
-// products are then unavoidable.
-//
-// How the connected sets are found depends on the strategy. The
-// graph-aware strategy (EnumGraph, and EnumAuto on a connected graph)
-// walks the join graph via query.EachConnectedSubset and touches only
-// the sets it materializes — for an n-table chain that is n(n+1)/2 sets
-// instead of the 2^n - 1 subsets the exhaustive Gosper scan visits and
-// connectivity-checks one by one. Each level is then sorted ascending,
-// which is exactly Gosper order, so the two strategies produce
-// identical levels, identical dense ids, and identical per-set
-// treatment order whenever both apply.
+// enumerate builds the enumeration for a query with a connected join
+// graph (newEngine refuses any other): only connected table sets are
+// materialized — the standard connected-subgraph restriction, under which
+// every split the candidate loops combine is predicate-connected. The
+// walk (query.EachConnectedSubset) touches only the sets it keeps: for an
+// n-table chain that is n(n+1)/2 sets, not 2^n - 1. Each level is then
+// sorted ascending, which fixes the dense ids and the per-set treatment
+// order.
 //
 // The enumeration reads the query and writes nothing to it: the estimates
 // of the sets it finds are stored by newEngine, once the levels are final,
 // in the run's cost model (costmodel.Model.Warm).
 //
-// stop is polled (amortized, every enumCheckMask+1 scanned sets) during
+// stop is polled (amortized, every enumCheckMask+1 visited sets) during
 // materialization. An expired deadline switches to the chain-fallback
-// levels — the open-item fix for hand-built 30+ relation queries under
-// the exhaustive strategy, whose 2^n scan used to run to completion
-// before the timeout machinery could see it. A cancellation abandons the
-// enumeration entirely.
-func enumerate(q *query.Query, strategy EnumerationStrategy, stop func() enumSignal) *enumeration {
+// levels, so a query whose connected sets are exponentially many still
+// degrades promptly; a cancellation abandons the enumeration entirely.
+func enumerate(q *query.Query, stop func() enumSignal) *enumeration {
 	n := q.NumRelations()
-	all := q.AllTables()
-	connectedOnly := q.Connected(all)
-	e := &enumeration{all: all, n: n, levels: make([][]query.TableSet, n+1)}
-	if stop == nil {
-		stop = func() enumSignal { return enumGo }
-	}
-	interrupted := enumGo
-	check := func() bool {
-		if e.scanned&enumCheckMask != 0 {
+	e := &enumeration{all: q.AllTables(), n: n, levels: make([][]query.TableSet, n+1)}
+	sig := enumGo
+	q.EachConnectedSubset(e.all, func(s query.TableSet) bool {
+		e.scanned++
+		k := s.Len()
+		e.levels[k] = append(e.levels[k], s)
+		if e.scanned&enumCheckMask != 0 || stop == nil {
 			return true
 		}
-		interrupted = stop()
-		return interrupted == enumGo
-	}
-
-	if strategy != EnumExhaustive && connectedOnly {
-		e.graphAware = true
-		e.adaptive = strategy == EnumAuto
-		q.EachConnectedSubset(all, func(s query.TableSet) bool {
-			e.scanned++
-			k := s.Len()
-			e.levels[k] = append(e.levels[k], s)
-			return check()
-		})
-		if e.interrupt(interrupted) {
-			return e
-		}
+		sig = stop()
+		return sig == enumGo
+	})
+	switch sig {
+	case enumTimeout:
+		e.buildChainFallback()
+	case enumCancel:
+		e.cancelled = true
+		e.levels = make([][]query.TableSet, n+1)
+	default:
 		for k := 1; k <= n; k++ {
 			sets := e.levels[k]
 			sort.Slice(sets, func(i, j int) bool { return sets[i] < sets[j] })
 			e.total += len(sets)
 		}
-		return e
-	}
-
-	for k := 1; k <= n; k++ {
-		var sets []query.TableSet
-		first := query.TableSet(1)<<uint(k) - 1
-		for s := first; s < query.TableSet(1)<<uint(n); s = nextSameCard(s) {
-			e.scanned++
-			if !connectedOnly || q.Connected(s) {
-				sets = append(sets, s)
-			}
-			if !check() {
-				if e.interrupt(interrupted) {
-					return e
-				}
-			}
-			if s == all {
-				break // Gosper past the full set would overflow the range
-			}
-		}
-		e.levels[k] = sets
-		e.total += len(sets)
 	}
 	return e
-}
-
-// interrupt applies a non-go stop signal: chain fallback on timeout,
-// abandonment on cancellation. Reports whether materialization is over.
-func (e *enumeration) interrupt(sig enumSignal) bool {
-	switch sig {
-	case enumTimeout:
-		e.buildChainFallback()
-		return true
-	case enumCancel:
-		e.cancelled = true
-		e.levels = make([][]query.TableSet, e.n+1)
-		e.total = 0
-		return true
-	}
-	return false
 }
 
 // buildChainFallback replaces the partially materialized levels with the
@@ -176,12 +111,10 @@ func (e *enumeration) interrupt(sig enumSignal) bool {
 // level 1, then exactly one prefix set {r0..rk} per higher level. Every
 // prefix splits into (previous prefix, next relation), so the degraded
 // candidate loop (forEachCandidateChain) treats the whole query in O(n)
-// splits and the §5.1 path still returns a plan — where the old behavior
-// ground through the rest of a 2^n scan first.
+// splits and the §5.1 path still returns a plan instead of first walking
+// the rest of an exponential search space.
 func (e *enumeration) buildChainFallback() {
 	e.chainFallback = true
-	e.graphAware = false
-	e.adaptive = false
 	e.levels = make([][]query.TableSet, e.n+1)
 	for r := 0; r < e.n; r++ {
 		e.levels[1] = append(e.levels[1], query.Singleton(r))
@@ -266,13 +199,4 @@ func (t *memoTable) EntryAt(s query.TableSet, idx int32) plan.Entry {
 // CostAt implements plan.Memo: the idx-th stored cost vector for s.
 func (t *memoTable) CostAt(s query.TableSet, idx int32) objective.Vector {
 	return t.archives[t.id(s)].CostAt(idx)
-}
-
-// nextSameCard returns the next larger bitset with the same population
-// count (Gosper's hack).
-func nextSameCard(s query.TableSet) query.TableSet {
-	v := uint64(s)
-	c := v & (^v + 1)
-	r := v + c
-	return query.TableSet(r | (((v ^ r) >> 2) / c))
 }

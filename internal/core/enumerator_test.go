@@ -30,8 +30,8 @@ func twoRelationQuery(t testing.TB) *query.Query {
 }
 
 // disconnectedQuery builds a three-relation query whose join graph has two
-// components, so the enumeration must keep every subset (Cartesian
-// products are unavoidable).
+// components: every plan would need a Cartesian product, so the engine
+// refuses it.
 func disconnectedQuery(t testing.TB) *query.Query {
 	t.Helper()
 	cat := catalog.TPCH(0.01)
@@ -45,7 +45,7 @@ func disconnectedQuery(t testing.TB) *query.Query {
 
 func TestEnumerateSingleRelation(t *testing.T) {
 	q := singleRelationQuery(t)
-	e := enumerate(q, EnumExhaustive, nil)
+	e := enumerate(q, nil)
 	if e.n != 1 || e.total != 1 {
 		t.Fatalf("n=%d total=%d, want 1 and 1", e.n, e.total)
 	}
@@ -59,7 +59,7 @@ func TestEnumerateSingleRelation(t *testing.T) {
 
 func TestEnumerateTwoRelations(t *testing.T) {
 	q := twoRelationQuery(t)
-	e := enumerate(q, EnumExhaustive, nil)
+	e := enumerate(q, nil)
 	if e.total != 3 {
 		t.Fatalf("total = %d, want 3 (two singletons + the pair)", e.total)
 	}
@@ -76,7 +76,7 @@ func TestEnumerateTwoRelations(t *testing.T) {
 // n*(n+1)/2 connected subpaths.
 func TestEnumerateConnectedOnly(t *testing.T) {
 	q := chainQuery(t) // customer–orders–lineitem chain, n = 3
-	e := enumerate(q, EnumExhaustive, nil)
+	e := enumerate(q, nil)
 	if want := 3 * 4 / 2; e.total != want {
 		t.Fatalf("total = %d, want %d connected subpaths", e.total, want)
 	}
@@ -92,50 +92,11 @@ func TestEnumerateConnectedOnly(t *testing.T) {
 	}
 }
 
-// TestEnumerateDisconnectedKeepsAllSubsets: with a disconnected join
-// graph every non-empty subset must be enumerated (2^n - 1 sets), since
-// plans have to cross component boundaries via Cartesian products.
-func TestEnumerateDisconnectedKeepsAllSubsets(t *testing.T) {
-	q := disconnectedQuery(t)
-	e := enumerate(q, EnumExhaustive, nil)
-	if want := 1<<3 - 1; e.total != want {
-		t.Fatalf("total = %d, want %d (all non-empty subsets)", e.total, want)
-	}
-}
-
-// TestEnumerateFullSetEarlyBreak: the top level contains exactly the full
-// set, once — the Gosper iteration must stop there rather than run past
-// the range (clique: every subset is connected, so every level is full).
-func TestEnumerateFullSetEarlyBreak(t *testing.T) {
-	q := starQuery(t) // n = 4, star: subsets containing the center + singletons
-	e := enumerate(q, EnumExhaustive, nil)
-	top := e.levels[e.n]
-	if len(top) != 1 || top[0] != e.all {
-		t.Fatalf("top level = %v, want exactly [%v]", top, e.all)
-	}
-	count := 0
-	for _, s := range top {
-		if s == e.all {
-			count++
-		}
-	}
-	for k := 1; k < e.n; k++ {
-		for _, s := range e.levels[k] {
-			if s == e.all {
-				count++
-			}
-		}
-	}
-	if count != 1 {
-		t.Fatalf("full set enumerated %d times", count)
-	}
-}
-
 // TestMemoTableIDs: ids are dense (0..total-1), level-major, and -1 for
 // sets outside the enumeration.
 func TestMemoTableIDs(t *testing.T) {
 	q := chainQuery(t)
-	e := enumerate(q, EnumExhaustive, nil)
+	e := enumerate(q, nil)
 	m := newMemoTable(e)
 
 	seen := make(map[int32]bool)

@@ -5,9 +5,12 @@ import (
 	"math"
 	"testing"
 
+	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/query"
 	"moqo/internal/synthetic"
+	"moqo/internal/workload"
 )
 
 // hotpath_test.go certifies the allocation-free engine against the
@@ -18,17 +21,31 @@ import (
 // tree-allocating reference engine's results exactly — same candidate
 // count, same frontier cost vectors in the same canonical order, same
 // frontier counters, same selected plan — for both exact (EXA) and
-// approximate (RTA) pruning, on several topologies.
+// approximate (RTA) pruning, on every synthetic topology and two TPC-H
+// queries. The reference splits each set by its own subset loop, so this
+// holds every candidate loop the engine dispatches to against the
+// definition end to end. The TPC-H queries run on two objectives: the
+// tree-allocating reference takes seconds per run on three.
 func TestEngineMatchesReference(t *testing.T) {
-	shapes := []synthetic.Shape{synthetic.Chain, synthetic.Star, synthetic.Clique}
-	for _, shape := range shapes {
-		t.Run(shape.String(), func(t *testing.T) {
-			_, q := synthetic.MustBuild(synthetic.Spec{
-				Shape: shape, Tables: 6, MaxRows: 1e4, Seed: 11,
-			})
-			m := costmodel.NewDefault(q)
-			w := objective.UniformWeights(threeObjs)
-			opts := Options{Objectives: threeObjs, MaxDOP: 2}
+	type instance struct {
+		name string
+		q    *query.Query
+		objs objective.Set
+	}
+	var cases []instance
+	for _, shape := range []synthetic.Shape{synthetic.Chain, synthetic.Star, synthetic.Clique, synthetic.Cycle, synthetic.RandomTree} {
+		_, q := synthetic.MustBuild(synthetic.Spec{Shape: shape, Tables: 6, MaxRows: 1e4, Seed: 11})
+		cases = append(cases, instance{shape.String(), q, threeObjs})
+	}
+	cat := catalog.TPCH(1)
+	for _, num := range []int{5, 8} {
+		cases = append(cases, instance{fmt.Sprintf("tpch-q%d", num), workload.MustQuery(num, cat), timeLoss})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := costmodel.NewDefault(c.q)
+			w := objective.UniformWeights(c.objs)
+			opts := Options{Objectives: c.objs, MaxDOP: 2}
 
 			exa, err := EXA(m, w, objective.NoBounds(), opts)
 			if err != nil {
@@ -209,9 +226,9 @@ func BenchmarkEXA(b *testing.B) {
 // TestColdRunAllocsPerWorker gates the cold path's allocation count against
 // growing with Options.Workers: everything a worker needs per run lives in
 // its fixed-size scratch, so an extra worker may cost only what the pool
-// itself allocates for it. The run uses the exhaustive strategy, whose
-// candidate loop needs no growable scratch (the graph-aware loops buffer
-// their splits in a per-worker slice).
+// itself allocates for it. The run is on a clique, where every set takes
+// the subset scan, which needs no growable scratch (the traversal and
+// edge-cut loops buffer their splits in a per-worker slice).
 func TestColdRunAllocsPerWorker(t *testing.T) {
 	// newLevelPool: the pool, its deques and its wake-channel slice once
 	// per run; one wake channel and one goroutine closure per spawned
@@ -221,12 +238,12 @@ func TestColdRunAllocsPerWorker(t *testing.T) {
 	const poolAllocs, poolAllocsPerWorker = 3, 3
 
 	_, q := synthetic.MustBuild(synthetic.Spec{
-		Shape: synthetic.Chain, Tables: 9, MaxRows: 1e5, Seed: 1,
+		Shape: synthetic.Clique, Tables: 8, MaxRows: 1e5, Seed: 1,
 	})
 	m := costmodel.NewDefault(q)
 	w := objective.UniformWeights(threeObjs)
 	allocs := func(workers int) float64 {
-		opts := Options{Objectives: threeObjs, Alpha: 2, Workers: workers, Enumeration: EnumExhaustive}
+		opts := Options{Objectives: threeObjs, Alpha: 2, Workers: workers}
 		return testing.AllocsPerRun(3, func() {
 			if _, err := RTA(m, w, opts); err != nil {
 				t.Fatal(err)

@@ -89,12 +89,11 @@ func pinOf(res Result) enginePin {
 // began asking both rows: more candidates are answered without a scan, the same
 // ones are rejected.
 //
-// Each instance runs under every enumeration strategy with one and four
-// workers (the pins do not depend on the worker count), left-deep, and
-// degraded. The degraded run uses a 1 ns budget on one worker: the
-// deadline has passed before the first poll, so the run degrades at
-// exactly the 1024th candidate — a 1 ms budget would degrade wherever the
-// clock happened to stand.
+// Each instance runs with one and four workers (the pins do not depend on
+// the worker count), and degraded. The degraded run uses a 1 ns budget on
+// one worker: the deadline has passed before the first poll, so the run
+// degrades at exactly the 1024th candidate — a 1 ms budget would degrade
+// wherever the clock happened to stand.
 func TestEngineInvariantsPinned(t *testing.T) {
 	cat := catalog.TPCH(1)
 	all := objective.AllSet()
@@ -110,17 +109,12 @@ func TestEngineInvariantsPinned(t *testing.T) {
 
 	type variant struct {
 		name    string
-		enum    EnumerationStrategy
-		left    bool
 		timeout time.Duration
 		workers []int
 	}
 	variants := []variant{
-		{name: "auto", enum: EnumAuto, workers: []int{1, 4}},
-		{name: "graph", enum: EnumGraph, workers: []int{1, 4}},
-		{name: "exhaustive", enum: EnumExhaustive, workers: []int{1, 4}},
-		{name: "leftdeep", enum: EnumAuto, left: true, workers: []int{1, 4}},
-		{name: "degraded", enum: EnumAuto, timeout: time.Nanosecond, workers: []int{1}},
+		{name: "auto", workers: []int{1, 4}},
+		{name: "degraded", timeout: time.Nanosecond, workers: []int{1}},
 	}
 	cases := []struct {
 		name string
@@ -135,11 +129,8 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return EXA(costmodel.NewDefault(q), objective.UniformWeights(two), objective.NoBounds(), o)
 			},
 			want: map[string]enginePin{
-				"auto":       {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1813949},
-				"graph":      {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1813949},
-				"exhaustive": {1832783, 3420, 255, 932, 341, 0xcfd520273ce2ad77, 1825376, 1813949},
-				"leftdeep":   {139228, 4950, 36, 308, 483, 0x5c7390315be44e98, 130083, 126785},
-				"degraded":   {2872, 110, 36, 308, 1, 0xb8fb99336cd4ed99, 875, 830},
+				"auto":     {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1813949},
+				"degraded": {2872, 110, 36, 308, 1, 0xb8fb99336cd4ed99, 875, 830},
 			},
 		},
 		{
@@ -149,11 +140,8 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return RTA(costmodel.NewDefault(workload.MustQuery(5, cat)), objective.UniformWeights(three), o)
 			},
 			want: map[string]enginePin{
-				"auto":       {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da, 82905, 78918},
-				"graph":      {84073, 381, 33, 190, 28, 0xdd71b4b83bbd58da, 82905, 78918},
-				"exhaustive": {84073, 381, 63, 378, 28, 0xdd71b4b83bbd58da, 82905, 78918},
-				"leftdeep":   {19499, 356, 33, 338, 23, 0xd10bb4fd7ce45a54, 18574, 17321},
-				"degraded":   {2911, 77, 33, 337, 1, 0x40da87e042ba87b7, 896, 808},
+				"auto":     {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da, 82905, 78918},
+				"degraded": {2911, 77, 33, 337, 1, 0x40da87e042ba87b7, 896, 808},
 			},
 		},
 		{
@@ -163,18 +151,15 @@ func TestEngineInvariantsPinned(t *testing.T) {
 				return IRA(q10, objective.UniformWeights(all), q10Bounds, o)
 			},
 			want: map[string]enginePin{
-				"auto":       {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde, 63317, 56726},
-				"graph":      {187956, 983, 30, 66, 468, 0x4e07af44dbff7fde, 63317, 56726},
-				"exhaustive": {187956, 983, 45, 96, 468, 0x4e07af44dbff7fde, 63317, 56726},
-				"leftdeep":   {17381, 815, 10, 32, 396, 0xa8fbb37ffdcfdc99, 16342, 13936},
-				"degraded":   {1172, 175, 10, 27, 1, 0xd9017284fae37d7f, 821, 638},
+				"auto":     {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde, 63317, 56726},
+				"degraded": {1172, 175, 10, 27, 1, 0xd9017284fae37d7f, 821, 638},
 			},
 		},
 	}
 	for _, c := range cases {
 		for _, v := range variants {
 			for _, workers := range v.workers {
-				res, err := c.run(Options{Enumeration: v.enum, LeftDeepOnly: v.left, Timeout: v.timeout, Workers: workers})
+				res, err := c.run(Options{Timeout: v.timeout, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: %v", c.name, v.name, workers, err)
 				}

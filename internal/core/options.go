@@ -8,46 +8,6 @@ import (
 	"moqo/internal/plan"
 )
 
-// EnumerationStrategy selects how the engine materializes and splits
-// the join search space.
-type EnumerationStrategy int
-
-// Available enumeration strategies. The zero value is EnumAuto, so an
-// Options that does not mention enumeration gets the graph-aware
-// strategy exactly when the join graph supports it.
-const (
-	// EnumAuto (the zero value) resolves to EnumGraph for connected join
-	// graphs and to EnumExhaustive otherwise.
-	EnumAuto EnumerationStrategy = iota
-	// EnumGraph enumerates connected subgraphs and predicate-connected
-	// csg-cmp splits by neighborhood expansion over the join graph
-	// (query.EachConnectedSubset): levels materialize only connected
-	// table sets and the candidate loop visits only splits whose halves
-	// are both connected, so chains, cycles, stars and trees pay
-	// polynomial enumeration work instead of 2^n. Falls back to
-	// EnumExhaustive when the join graph is disconnected (Cartesian
-	// products are then unavoidable and every subset must be treated).
-	EnumGraph
-	// EnumExhaustive Gosper-scans all 2^n subsets when materializing
-	// levels and tries every 2-split of every set, filtering by
-	// connectivity afterwards — the pre-graph-aware behavior, kept as
-	// the differential-testing baseline and for disconnected graphs.
-	EnumExhaustive
-)
-
-func (s EnumerationStrategy) String() string {
-	switch s {
-	case EnumAuto:
-		return "auto"
-	case EnumGraph:
-		return "graph"
-	case EnumExhaustive:
-		return "exhaustive"
-	default:
-		return fmt.Sprintf("enumeration(%d)", int(s))
-	}
-}
-
 // Options configures an optimization run.
 type Options struct {
 	// Objectives is the set of active cost objectives (required).
@@ -74,13 +34,6 @@ type Options struct {
 	// Defaults to plan.MaxDOP (4 cores, as in the paper).
 	MaxDOP int
 
-	// LeftDeepOnly restricts the search to left-deep trees (every join's
-	// inner operand is a base relation). The original algorithm of
-	// Ganguly et al. generated left-deep plans; the paper extended it to
-	// bushy plans (Section 5). This option is the corresponding ablation:
-	// a smaller search space that can miss better bushy plans.
-	LeftDeepOnly bool
-
 	// Workers shards each cardinality level of the dynamic program across
 	// this many goroutines. All table sets of cardinality k depend only on
 	// sets of cardinality < k, so levels parallelize without weakening any
@@ -89,26 +42,14 @@ type Options struct {
 	// runtime.NumCPU() to use the whole machine.
 	Workers int
 
-	// Enumeration selects the search-space enumeration strategy. The
-	// zero value (EnumAuto) uses the graph-aware csg-cmp enumeration
-	// whenever the join graph is connected; EnumExhaustive forces the
-	// subset-scanning baseline. Results are bit-for-bit identical under
-	// every strategy — the graph-aware loop emits its splits in the
-	// subset scan's canonical order, so even approximately pruned
-	// (alpha > 1) archives keep the same representatives (the
-	// differential tests pin this, and the plan cache relies on it to
-	// ignore the knob). Only the enumeration work differs
-	// (Stats.EnumSets, Stats.EnumSplits).
-	Enumeration EnumerationStrategy
-
 	// Shared, when non-nil, attaches a cross-query shared memo: completed
 	// Pareto archives are looked up and published under canonical
 	// subproblem keys, so runs over the same catalog that join overlapping
 	// table sets skip each other's solved subproblems. Results are
 	// bit-for-bit unchanged (see SharedMemo); only the effort stats
 	// (Considered, EnumSplits — and SharedMemoHits, which reports the
-	// sets served from the memo) reflect the skipped work. Like Workers
-	// and Enumeration, this knob is excluded from every cache key.
+	// sets served from the memo) reflect the skipped work. Like Workers,
+	// this knob is excluded from every cache key.
 	Shared *SharedMemo
 
 	// CaptureSnapshot asks the multi-objective algorithms (EXA, RTA,
@@ -148,9 +89,6 @@ func (o Options) Normalize() (Options, error) {
 	if o.Workers < 1 {
 		return o, fmt.Errorf("core: Workers %d out of range (must be >= 1, or 0 for the default)", o.Workers)
 	}
-	if o.Enumeration < EnumAuto || o.Enumeration > EnumExhaustive {
-		return o, fmt.Errorf("core: unknown enumeration strategy %v", o.Enumeration)
-	}
 	return o, nil
 }
 
@@ -183,17 +121,17 @@ type Stats struct {
 	// treated completely (the full query's set when no timeout fired) —
 	// the "number of Pareto plans" metric of Figures 5 and 9.
 	ParetoLast int
-	// EnumSets counts the table sets scanned while materializing the
-	// search space: 2^n - 1 for the exhaustive Gosper scan, exactly the
-	// number of connected sets for the graph-aware strategy.
+	// EnumSets counts the table sets visited while materializing the
+	// search space: exactly the number of connected sets of the join
+	// graph (the walk touches only what it keeps), or fewer when the
+	// deadline cut the walk short.
 	EnumSets int
 	// EnumSplits counts the ordered split pairs visited by the candidate
 	// loops, including pairs discarded before any candidate plan was
-	// costed (disconnected or unstored halves). This is the work metric
-	// the enumeration strategy changes: Considered — candidates actually
-	// constructed — is strategy-invariant for exact runs, while the
-	// exhaustive scan visits 2^|s| - 2 split pairs per table set against
-	// the graph-aware strategy's connected splits only.
+	// costed (disconnected or unstored halves). It is the work the per-set
+	// dispatch between the scan, edge-cut and traversal loops changes;
+	// Considered — candidates actually constructed — does not depend on
+	// which loop ran.
 	EnumSplits int
 	// SharedMemoHits counts the table sets served from an attached
 	// Options.Shared memo instead of being enumerated (0 when no memo is

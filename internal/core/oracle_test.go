@@ -7,36 +7,23 @@ import (
 )
 
 // allPlans enumerates, without any pruning, every plan for table set s in
-// exactly the plan space the engine searches: edge-connected splits (with
-// the Cartesian fallback), hash/sort-merge/block-nested-loop joins at every
-// DOP, index-nested-loop joins where an inner index applies, and all scan
-// alternatives at the leaves. It is the exponential oracle the tests
-// compare the dynamic programs against.
+// exactly the plan space the engine searches: splits into two connected
+// halves that a join edge crosses, hash/sort-merge/block-nested-loop joins
+// at every DOP, index-nested-loop joins where an inner index applies, and
+// all scan alternatives at the leaves. It is the exponential oracle the
+// tests compare the dynamic programs against.
 func allPlans(m *costmodel.Model, opts Options, s query.TableSet) []*plan.Node {
 	q := m.Query()
 	if s.Single() {
 		return m.ScanAlternatives(s.First(), opts.sampling())
 	}
-	graphConnected := q.Connected(q.AllTables())
 	var out []*plan.Node
-	hasEdgeSplit := false
-
-	splitPlans := func(left, right query.TableSet, cartesian bool) {
-		if graphConnected && (!q.Connected(left) || !q.Connected(right)) {
-			return
+	s.EachSubset(func(left, right query.TableSet) bool {
+		if len(q.CrossingEdges(left, right)) == 0 || !q.Connected(left) || !q.Connected(right) {
+			return true
 		}
 		lps := allPlans(m, opts, left)
 		rps := allPlans(m, opts, right)
-		if cartesian {
-			for _, pl := range lps {
-				for _, pr := range rps {
-					for dop := 1; dop <= opts.MaxDOP; dop++ {
-						out = append(out, m.NewJoin(plan.BlockNLJoin, dop, pl, pr))
-					}
-				}
-			}
-			return
-		}
 		if right.Single() {
 			if rel := right.First(); m.InnerIndexColumn(left, rel) != "" {
 				for _, pl := range lps {
@@ -53,20 +40,7 @@ func allPlans(m *costmodel.Model, opts Options, s query.TableSet) []*plan.Node {
 				}
 			}
 		}
-	}
-
-	s.EachSubset(func(left, right query.TableSet) bool {
-		if len(q.CrossingEdges(left, right)) > 0 {
-			hasEdgeSplit = true
-			splitPlans(left, right, false)
-		}
 		return true
 	})
-	if !hasEdgeSplit {
-		s.EachSubset(func(left, right query.TableSet) bool {
-			splitPlans(left, right, true)
-			return true
-		})
-	}
 	return out
 }

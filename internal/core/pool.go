@@ -24,7 +24,7 @@ type worker struct {
 	considered int
 	// splits counts the ordered split pairs this worker's candidate
 	// loops visited, including pairs filtered out before costing
-	// (Stats.EnumSplits) — the scanning work the enumeration strategy
+	// (Stats.EnumSplits) — the scanning work the per-set loop dispatch
 	// changes.
 	splits    int
 	checkTick int
@@ -38,10 +38,10 @@ type worker struct {
 	// entry index of every stored subset, rebuilt (capacity reused) for
 	// each degraded table set instead of allocating a fresh map.
 	reduced map[query.TableSet]int32
-	// pairs is the graph-aware candidate loop's per-worker scratch: the
-	// valid ordered splits of the current table set, buffered so they can
-	// be emitted in the exhaustive scan's canonical order (capacity
-	// reused across sets).
+	// pairs is the traversal and edge-cut candidate loops' per-worker
+	// scratch: the valid ordered splits of the current table set, buffered
+	// so they can be emitted in the subset scan's canonical order
+	// (capacity reused across sets).
 	pairs []splitPair
 	// treeStack/treeOrder/treeParent/treeSub are the edge-cut candidate
 	// loop's per-worker scratch (forEachCandidateTree): DFS stack,

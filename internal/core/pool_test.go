@@ -57,49 +57,47 @@ var invarianceShapes = []struct {
 }
 
 // TestScheduleInvariance is the work-stealing scheduler's differential
-// gate: for every enumeration strategy, runs with Workers 2, 4 and 8 must
-// be bit-identical to the serial run — same canonical frontier, same best
-// plan, and same Stats counters (EnumSets, EnumSplits, Considered,
-// Stored). Under -race this also exercises the persistent pool's wake,
-// steal, and park transitions for data races.
+// gate: runs with Workers 2, 4 and 8 must be bit-identical to the serial
+// run — same canonical frontier, same best plan, and same Stats counters
+// (EnumSets, EnumSplits, Considered, Stored). Under -race this also
+// exercises the persistent pool's wake, steal, and park transitions for
+// data races.
 func TestScheduleInvariance(t *testing.T) {
 	w := objective.UniformWeights(threeObjs)
 	for _, tc := range invarianceShapes {
 		q := buildShape(t, tc.shape, tc.tables, 3)
 		m := costmodel.NewDefault(q)
-		for _, strat := range []EnumerationStrategy{EnumAuto, EnumGraph, EnumExhaustive} {
-			opts := Options{Objectives: threeObjs, Alpha: 1.5, MaxDOP: 2, Workers: 1, Enumeration: strat}
-			base, err := RTA(m, w, opts)
+		opts := Options{Objectives: threeObjs, Alpha: 1.5, MaxDOP: 2, Workers: 1}
+		base, err := RTA(m, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseJSON, err := base.Best.JSON(q, threeObjs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4, 8} {
+			opts.Workers = workers
+			got, err := RTA(m, w, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseJSON, err := base.Best.JSON(q, threeObjs)
+			label := fmt.Sprintf("%s/workers=%d", tc.shape, workers)
+			sameFrontier(t, label, got.Frontier, base.Frontier)
+			gotJSON, err := got.Best.JSON(q, threeObjs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 8} {
-				opts.Workers = workers
-				got, err := RTA(m, w, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s/%v/workers=%d", tc.shape, strat, workers)
-				sameFrontier(t, label, got.Frontier, base.Frontier)
-				gotJSON, err := got.Best.JSON(q, threeObjs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(gotJSON) != string(baseJSON) {
-					t.Errorf("%s: best plan differs from serial run:\n%s\nvs\n%s", label, gotJSON, baseJSON)
-				}
-				if got.Stats.EnumSets != base.Stats.EnumSets || got.Stats.EnumSplits != base.Stats.EnumSplits {
-					t.Errorf("%s: EnumSets/EnumSplits %d/%d vs serial %d/%d",
-						label, got.Stats.EnumSets, got.Stats.EnumSplits, base.Stats.EnumSets, base.Stats.EnumSplits)
-				}
-				if got.Stats.Considered != base.Stats.Considered || got.Stats.Stored != base.Stats.Stored {
-					t.Errorf("%s: Considered/Stored %d/%d vs serial %d/%d",
-						label, got.Stats.Considered, got.Stats.Stored, base.Stats.Considered, base.Stats.Stored)
-				}
+			if string(gotJSON) != string(baseJSON) {
+				t.Errorf("%s: best plan differs from serial run:\n%s\nvs\n%s", label, gotJSON, baseJSON)
+			}
+			if got.Stats.EnumSets != base.Stats.EnumSets || got.Stats.EnumSplits != base.Stats.EnumSplits {
+				t.Errorf("%s: EnumSets/EnumSplits %d/%d vs serial %d/%d",
+					label, got.Stats.EnumSets, got.Stats.EnumSplits, base.Stats.EnumSets, base.Stats.EnumSplits)
+			}
+			if got.Stats.Considered != base.Stats.Considered || got.Stats.Stored != base.Stats.Stored {
+				t.Errorf("%s: Considered/Stored %d/%d vs serial %d/%d",
+					label, got.Stats.Considered, got.Stats.Stored, base.Stats.Considered, base.Stats.Stored)
 			}
 		}
 	}
@@ -113,7 +111,7 @@ func TestPoolSpawnsOncePerRun(t *testing.T) {
 	w := objective.UniformWeights(threeObjs)
 	const workers = 4
 	before := poolSpawned.Load()
-	if _, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 1.5, Workers: workers, Enumeration: EnumGraph}); err != nil {
+	if _, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 1.5, Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	if got := poolSpawned.Load() - before; got != workers-1 {
@@ -129,7 +127,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	_, q := synthetic.MustBuild(synthetic.Spec{Shape: synthetic.Chain, Tables: 20, MaxRows: 1e5, Seed: 1})
 	m := costmodel.NewDefault(q)
 	w := objective.UniformWeights(threeObjs)
-	opts := Options{Objectives: threeObjs, Alpha: 1.5, Workers: 4, Enumeration: EnumGraph}
+	opts := Options{Objectives: threeObjs, Alpha: 1.5, Workers: 4}
 	if _, err := RTA(m, w, opts); err != nil {
 		b.Fatal(err)
 	}

@@ -25,7 +25,9 @@ import (
 //     checked against ReferenceEXA's optimum within the α guarantee.
 //
 // It is sequential and supports no timeout, cancellation or degraded
-// mode — it certifies the exhaustive candidate loop only.
+// mode. It walks the engine's levels (enumerate) but splits each set its
+// own way — every subset, kept when a join edge crosses it — so it
+// certifies the engine's candidate loops against their definition.
 
 // ReferenceEXA runs the exact multi-objective dynamic program in the
 // pre-refactor representation (see the file comment). The result's
@@ -59,9 +61,12 @@ func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, o
 	if !w.Valid() || !b.Valid() {
 		return Result{}, fmt.Errorf("core: invalid weights or bounds")
 	}
-	start := time.Now()
 	q := m.Query()
-	enum := enumerate(q, EnumExhaustive, nil)
+	if err := q.Validate(); err != nil {
+		return Result{}, fmt.Errorf("core: %w", err)
+	}
+	start := time.Now()
+	enum := enumerate(q, nil)
 	memo := make(map[query.TableSet]*pareto.Archive, enum.total)
 	newArchive := func() *pareto.Archive {
 		if prec != nil {
@@ -122,16 +127,13 @@ func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, o
 	}, nil
 }
 
-// referenceCandidates is the pre-refactor candidate loop: every split of s
-// with stored sub-plans, every join operator and DOP, every pair of stored
-// sub-plans — each candidate built as a fresh *plan.Node.
+// referenceCandidates is the pre-refactor candidate loop: every
+// predicate-connected split of s with stored sub-plans, every join
+// operator and DOP, every pair of stored sub-plans — each candidate built
+// as a fresh *plan.Node.
 func referenceCandidates(m *costmodel.Model, opts Options, memo map[query.TableSet]*pareto.Archive, s query.TableSet, fn func(*plan.Node)) {
-	hasEdgeSplit := false
 	q := m.Query()
 	s.EachSubset(func(left, right query.TableSet) bool {
-		if opts.LeftDeepOnly && !right.Single() {
-			return true
-		}
 		al, ar := memo[left], memo[right]
 		if al == nil || ar == nil || al.Len() == 0 || ar.Len() == 0 {
 			return true
@@ -142,7 +144,6 @@ func referenceCandidates(m *costmodel.Model, opts Options, memo map[query.TableS
 		if len(q.CrossingEdges(left, right)) == 0 {
 			return true
 		}
-		hasEdgeSplit = true
 		if right.Single() {
 			if rel := right.First(); m.InnerIndexColumn(left, rel) != "" {
 				for _, pl := range al.Plans() {
@@ -156,26 +157,6 @@ func referenceCandidates(m *costmodel.Model, opts Options, memo map[query.TableS
 					for dop := 1; dop <= opts.MaxDOP; dop++ {
 						fn(m.NewJoin(alg, dop, pl, pr))
 					}
-				}
-			}
-		}
-		return true
-	})
-	if hasEdgeSplit {
-		return
-	}
-	s.EachSubset(func(left, right query.TableSet) bool {
-		if opts.LeftDeepOnly && !right.Single() {
-			return true
-		}
-		al, ar := memo[left], memo[right]
-		if al == nil || ar == nil || al.Len() == 0 || ar.Len() == 0 {
-			return true
-		}
-		for _, pl := range al.Plans() {
-			for _, pr := range ar.Plans() {
-				for dop := 1; dop <= opts.MaxDOP; dop++ {
-					fn(m.NewJoin(plan.BlockNLJoin, dop, pl, pr))
 				}
 			}
 		}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,18 +23,18 @@ import (
 //
 //   - the induced subquery on s: the relations of s at their local
 //     indexes (table identity and filter selectivity) and the join edges
-//     internal to s — query.EstimateRows, EstimateWidth, connectivity and
-//     index applicability never read anything outside s,
+//     internal to s in their declaration order — query.EstimateRows,
+//     EstimateWidth, connectivity and index applicability never read
+//     anything outside s,
 //   - the catalog statistics (fingerprinted),
 //   - the run configuration: active objectives, per-objective internal
 //     pruning precisions (exact float bits — this is what keeps RTA runs
 //     of different query sizes apart, since αi = α^(1/n) depends on n),
-//     MaxDOP, the sampling decision, the left-deep restriction, and the
-//     cost-model calibration,
+//     MaxDOP, the sampling decision, and the cost-model calibration,
 //
 // and of nothing else: the candidate enumeration order is canonical
-// across enumeration strategies, worker counts and split anchors (the
-// engine's standing invariant, pinned by the differential tests). The
+// across candidate loops, worker counts and split anchors (the engine's
+// standing invariant, pinned by the differential tests). The
 // memo key encodes exactly those inputs, so a hit substitutes an archive
 // that is bit-for-bit the one the engine would have computed — plans,
 // cost rows, insertion order, and the (table set, row index) sub-plan
@@ -105,10 +103,12 @@ func (sm *SharedMemo) Counters() (hits, misses, published int64) {
 
 // sharedEdge is one join edge prepared for subproblem-key building: the
 // edge's endpoint pair as a table set (for the "internal to s" test) and
-// its canonical fragment. The engine sorts its edges by fragment once, so
-// the fragments selected for any s stream out in an order that depends
-// only on the induced edge set — never on the order edges were added to
-// the query.
+// its canonical fragment. The fragments selected for any s stream out in
+// the order the edges were declared — the order Query.EstimateRows
+// multiplies their selectivities in (and InnerIndexColumn and
+// CrossingEdges read them in), so two queries that declare one edge set
+// in two orders, whose estimates may differ in the last bit, get two
+// keys.
 type sharedEdge struct {
 	both query.TableSet
 	frag []byte
@@ -146,9 +146,6 @@ func (e *engine) prepareShared() {
 	b = strconv.AppendInt(b, int64(e.opts.MaxDOP), 10)
 	b = append(b, "|smp="...)
 	b = strconv.AppendBool(b, e.opts.sampling())
-	if e.opts.LeftDeepOnly {
-		b = append(b, "|ld"...)
-	}
 	if p := e.m.Params(); p != costmodel.Default() {
 		b = fmt.Appendf(b, "|params=%v", p)
 	}
@@ -174,8 +171,8 @@ func (e *engine) prepareShared() {
 		e.sharedRels[i] = rb
 	}
 
-	// Edge fragments, canonicalized endpoint-low-first and sorted by
-	// content (like the public fingerprint's edge encoding).
+	// Edge fragments, canonicalized endpoint-low-first, in declaration
+	// order (see sharedEdge).
 	e.sharedEdges = make([]sharedEdge, 0, len(e.q.Edges))
 	for _, ed := range e.q.Edges {
 		l, r, lc, rc := ed.Left, ed.Right, ed.LeftCol, ed.RightCol
@@ -202,15 +199,12 @@ func (e *engine) prepareShared() {
 			frag: eb,
 		})
 	}
-	sort.Slice(e.sharedEdges, func(i, j int) bool {
-		return bytes.Compare(e.sharedEdges[i].frag, e.sharedEdges[j].frag) < 0
-	})
 }
 
 // sharedKey builds the canonical subproblem key for table set s into this
 // worker's scratch buffer: run prefix, the set's relation fragments in
-// ascending local-index order, and its internal edges in the canonical
-// sorted order. The returned slice aliases w.keyBuf and stays valid until
+// ascending local-index order, and its internal edges in declaration
+// order. The returned slice aliases w.keyBuf and stays valid until
 // the worker's next sharedKey call.
 func (w *worker) sharedKey(s query.TableSet) []byte {
 	e := w.e

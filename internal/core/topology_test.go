@@ -1,18 +1,23 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/plan"
 	"moqo/internal/query"
 	"moqo/internal/synthetic"
+	"moqo/internal/workload"
 )
 
-// differentialShapes are the topologies the graph-aware enumeration is
-// pinned against the exhaustive scan on, at sizes where the exhaustive
-// arm is still cheap.
+// differentialShapes are the topologies the engine is pinned against the
+// reference engine's exhaustive split loop on, at sizes where the
+// reference is still cheap.
 var differentialShapes = []struct {
 	shape  synthetic.Shape
 	tables int
@@ -49,212 +54,201 @@ func sameFrontier(t *testing.T, label string, a, b *Frontier) {
 	}
 }
 
-// TestEnumerateGraphMatchesExhaustiveLevels: on connected graphs both
-// strategies must materialize identical levels (same sets, same order,
-// hence same dense ids), while the graph-aware traversal scans only the
-// sets it keeps.
+// TestEnumerateGraphMatchesExhaustiveLevels: the connected-subgraph walk
+// must materialize exactly the levels of the brute-force definition —
+// every subset of each cardinality, ascending, kept when Connected — so
+// the same sets get the same dense ids, while visiting only the sets it
+// keeps.
 func TestEnumerateGraphMatchesExhaustiveLevels(t *testing.T) {
 	for _, tc := range differentialShapes {
 		for seed := int64(1); seed <= 3; seed++ {
 			q := buildShape(t, tc.shape, tc.tables, seed)
-			ex := enumerate(q, EnumExhaustive, nil)
-			gr := enumerate(q, EnumGraph, nil)
-			if !gr.graphAware || ex.graphAware {
-				t.Fatalf("%s: strategies resolved to graphAware=%v/%v", tc.shape, gr.graphAware, ex.graphAware)
-			}
-			if gr.total != ex.total {
-				t.Fatalf("%s-%d: totals differ: %d vs %d", tc.shape, tc.tables, gr.total, ex.total)
-			}
-			for k := 1; k <= ex.n; k++ {
-				if len(gr.levels[k]) != len(ex.levels[k]) {
-					t.Fatalf("%s-%d level %d: %d vs %d sets", tc.shape, tc.tables, k, len(gr.levels[k]), len(ex.levels[k]))
-				}
-				for i := range ex.levels[k] {
-					if gr.levels[k][i] != ex.levels[k][i] {
-						t.Fatalf("%s-%d level %d[%d]: %v vs %v (order must be Gosper-identical)",
-							tc.shape, tc.tables, k, i, gr.levels[k][i], ex.levels[k][i])
-					}
+			e := enumerate(q, nil)
+			want := make([][]query.TableSet, e.n+1)
+			for s := query.TableSet(1); s <= q.AllTables(); s++ {
+				if q.Connected(s) {
+					want[s.Len()] = append(want[s.Len()], s)
 				}
 			}
-			if gr.scanned != gr.total {
-				t.Errorf("%s-%d: graph traversal scanned %d sets, materialized %d — must touch only what it keeps",
-					tc.shape, tc.tables, gr.scanned, gr.total)
+			total := 0
+			for k := 1; k <= e.n; k++ {
+				total += len(want[k])
+				if fmt.Sprint(e.levels[k]) != fmt.Sprint(want[k]) {
+					t.Fatalf("%s-%d seed %d level %d:\n got  %v\n want %v", tc.shape, tc.tables, seed, k, e.levels[k], want[k])
+				}
 			}
-			if ex.scanned != (1<<uint(ex.n))-1 {
-				t.Errorf("%s-%d: exhaustive scan visited %d sets, want 2^n-1 = %d",
-					tc.shape, tc.tables, ex.scanned, (1<<uint(ex.n))-1)
+			if e.total != total || e.scanned != total {
+				t.Errorf("%s-%d seed %d: total %d, scanned %d, want both %d",
+					tc.shape, tc.tables, seed, e.total, e.scanned, total)
 			}
 		}
 	}
 }
 
-// TestEnumerateGraphFallsBackWhenDisconnected: an explicitly requested
-// graph strategy must fall back to the exhaustive scan on a disconnected
-// join graph — Cartesian products are unavoidable there and every subset
-// has to be treated.
-func TestEnumerateGraphFallsBackWhenDisconnected(t *testing.T) {
-	q := disconnectedQuery(t)
-	e := enumerate(q, EnumGraph, nil)
-	if e.graphAware {
-		t.Fatal("graph strategy did not fall back on a disconnected join graph")
+// exhaustiveSplits is the candidate-loop work of an exhaustive
+// enumeration of q: 2^|s| - 2 ordered splits for every connected set s
+// with |s| >= 2 (bench.ExhaustiveWork is the same count for -fig
+// topology).
+func exhaustiveSplits(q *query.Query) int {
+	n := 0
+	for _, level := range enumerate(q, nil).levels[2:] {
+		for _, s := range level {
+			n += 1<<s.Len() - 2
+		}
 	}
-	if want := 1<<3 - 1; e.total != want {
-		t.Fatalf("fallback enumerated %d sets, want %d (all non-empty subsets)", e.total, want)
-	}
+	return n
 }
 
-// TestGraphEnumerationMatchesExhaustiveEXA is the differential proof of
-// the acceptance criterion: on random chain, star, cycle, clique and
-// tree graphs the graph-aware and exhaustive strategies produce
-// identical exact Pareto frontiers (canonical order), identical
-// candidate and stored counts — while the graph-aware arm scans strictly
-// fewer split pairs on every non-clique topology.
+// timeLoss keeps the reference engine's runs short while still admitting
+// sampling scans (tuple loss is active) and leaving frontiers of a few
+// dozen plans.
+var timeLoss = objective.NewSet(objective.TotalTime, objective.TupleLoss)
+
+// TestGraphEnumerationMatchesExhaustiveEXA is the differential proof on
+// random chain, star, cycle, clique and tree graphs: the engine's exact
+// frontier, candidate and stored counts equal the reference engine's,
+// whose candidate loop tries every subset and keeps those a join edge
+// crosses — while the engine visits no more split pairs than that loop,
+// and strictly fewer on every non-clique topology.
 func TestGraphEnumerationMatchesExhaustiveEXA(t *testing.T) {
-	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.TupleLoss)
-	w := objective.UniformWeights(objs)
+	w := objective.UniformWeights(timeLoss)
+	opts := Options{Objectives: timeLoss, MaxDOP: 2}
 	for _, tc := range differentialShapes {
 		for seed := int64(1); seed <= 3; seed++ {
 			q := buildShape(t, tc.shape, tc.tables, seed)
 			m := costmodel.NewDefault(q)
-
-			opts := Options{Objectives: objs, MaxDOP: 2, Enumeration: EnumExhaustive}
-			ex, err := EXA(m, w, objective.NoBounds(), opts)
+			got, err := EXA(m, w, objective.NoBounds(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Enumeration = EnumGraph
-			gr, err := EXA(m, w, objective.NoBounds(), opts)
+			want, err := ReferenceEXA(m, w, objective.NoBounds(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			label := tc.shape.String()
-			sameFrontier(t, label, gr.Frontier, ex.Frontier)
-			if gr.Stats.Considered != ex.Stats.Considered {
-				t.Errorf("%s seed %d: considered %d (graph) vs %d (exhaustive) — candidate sets must match",
-					label, seed, gr.Stats.Considered, ex.Stats.Considered)
+			label := fmt.Sprintf("%s seed %d", tc.shape, seed)
+			compareRuns(t, label, got, want)
+			scan := exhaustiveSplits(q)
+			if got.Stats.EnumSplits > scan {
+				t.Errorf("%s: the engine visited MORE splits (%d) than the exhaustive loop (%d)",
+					label, got.Stats.EnumSplits, scan)
 			}
-			if gr.Stats.Stored != ex.Stats.Stored {
-				t.Errorf("%s seed %d: stored %d vs %d", label, seed, gr.Stats.Stored, ex.Stats.Stored)
-			}
-			if gr.Best.Cost != ex.Best.Cost {
-				t.Errorf("%s seed %d: best plan costs differ", label, seed)
-			}
-			if gr.Stats.EnumSplits > ex.Stats.EnumSplits {
-				t.Errorf("%s seed %d: graph strategy scanned MORE splits (%d) than exhaustive (%d)",
-					label, seed, gr.Stats.EnumSplits, ex.Stats.EnumSplits)
-			}
-			if tc.shape != synthetic.Clique && gr.Stats.EnumSplits >= ex.Stats.EnumSplits {
-				t.Errorf("%s seed %d: expected a strict split-scan reduction, got %d vs %d",
-					label, seed, gr.Stats.EnumSplits, ex.Stats.EnumSplits)
+			if tc.shape != synthetic.Clique && got.Stats.EnumSplits >= scan {
+				t.Errorf("%s: expected a strict split-scan reduction, got %d vs %d",
+					label, got.Stats.EnumSplits, scan)
 			}
 		}
 	}
 }
 
-// TestGraphEnumerationMatchesExhaustiveRTA: approximately pruned
-// archives depend on candidate insertion order, so this pins the
-// stronger property the graph-aware loop provides by emitting its
-// splits in the exhaustive scan's canonical order — RTA results are
-// bit-for-bit identical across strategies, representatives included.
-// (That order-equivalence is also why the plan cache key can ignore
-// the enumeration knob, like Workers.)
+// TestGraphEnumerationMatchesExhaustiveRTA: approximately pruned archives
+// depend on candidate insertion order, so this pins the stronger property
+// the engine's candidate loops provide by emitting their splits in the
+// subset scan's canonical order — RTA results are bit-for-bit the
+// reference engine's, representatives and archive counters included.
 func TestGraphEnumerationMatchesExhaustiveRTA(t *testing.T) {
 	w := objective.UniformWeights(threeObjs)
+	opts := Options{Objectives: threeObjs, MaxDOP: 2, Alpha: 1.5}
 	for _, tc := range differentialShapes {
 		for seed := int64(1); seed <= 2; seed++ {
 			q := buildShape(t, tc.shape, tc.tables, seed)
 			m := costmodel.NewDefault(q)
-			opts := Options{Objectives: threeObjs, MaxDOP: 2, Alpha: 1.5, Enumeration: EnumExhaustive}
-			ex, err := RTA(m, w, opts)
+			got, err := RTA(m, w, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Enumeration = EnumGraph
-			gr, err := RTA(m, w, opts)
+			want, err := ReferenceRTA(m, w, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := tc.shape.String()
-			sameFrontier(t, label, gr.Frontier, ex.Frontier)
-			if gr.Best.Cost != ex.Best.Cost {
-				t.Errorf("%s seed %d: RTA best plans differ", label, seed)
-			}
-			if gr.Stats.Considered != ex.Stats.Considered || gr.Stats.Stored != ex.Stats.Stored {
-				t.Errorf("%s seed %d: RTA considered/stored %d/%d vs %d/%d — candidate order must match",
-					label, seed, gr.Stats.Considered, gr.Stats.Stored, ex.Stats.Considered, ex.Stats.Stored)
-			}
-			gi, grj, gev := gr.Frontier.Stats()
-			ei, erj, eev := ex.Frontier.Stats()
-			if gi != ei || grj != erj || gev != eev {
-				t.Errorf("%s seed %d: archive counters (ins=%d rej=%d ev=%d) vs (ins=%d rej=%d ev=%d)",
-					label, seed, gi, grj, gev, ei, erj, eev)
-			}
+			compareRuns(t, fmt.Sprintf("%s seed %d", tc.shape, seed), got, want)
 		}
 	}
 }
 
-// TestAutoEnumerationMatchesExhaustive pins the density-adaptive strategy
-// (EnumAuto: per-set scan vs edge-cut vs traversal) bit-for-bit against
-// the exhaustive scan under approximate pruning — the most order-sensitive
-// setting, since RTA archives depend on candidate insertion order. The
-// heuristic may only change the scanning work (EnumSplits), never the
-// candidates: frontiers, representatives, archive counters and
-// considered/stored counts must all match.
+// TestAutoEnumerationMatchesExhaustive is the white-box half of the
+// enumeration's equivalence: the per-set dispatch (forEachCandidateAuto)
+// may route a table set to the subset scan, the csg-cmp traversal or — on
+// a set spanning a tree — the edge-cut loop, so each of them must emit
+// exactly the definition's ordered split sequence: EachSubset order, kept
+// when both halves are connected. All three are driven on every connected
+// set of each query, not only where the dispatch picks them, and the
+// dispatch itself on top.
 func TestAutoEnumerationMatchesExhaustive(t *testing.T) {
-	w := objective.UniformWeights(threeObjs)
-	for _, tc := range differentialShapes {
-		for seed := int64(1); seed <= 2; seed++ {
-			q := buildShape(t, tc.shape, tc.tables, seed)
-			m := costmodel.NewDefault(q)
-			opts := Options{Objectives: threeObjs, MaxDOP: 2, Alpha: 1.5, Enumeration: EnumExhaustive}
-			ex, err := RTA(m, w, opts)
-			if err != nil {
-				t.Fatal(err)
+	var queries []*query.Query
+	for _, shape := range []synthetic.Shape{synthetic.Chain, synthetic.Cycle, synthetic.Star, synthetic.Clique, synthetic.RandomTree} {
+		for _, n := range []int{6, 10} {
+			for seed := int64(1); seed <= 2; seed++ {
+				queries = append(queries, buildShape(t, shape, n, seed))
 			}
-			opts.Enumeration = EnumAuto
-			au, err := RTA(m, w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := "auto-" + tc.shape.String()
-			sameFrontier(t, label, au.Frontier, ex.Frontier)
-			if au.Best.Cost != ex.Best.Cost {
-				t.Errorf("%s seed %d: best plans differ", label, seed)
-			}
-			if au.Stats.Considered != ex.Stats.Considered || au.Stats.Stored != ex.Stats.Stored {
-				t.Errorf("%s seed %d: considered/stored %d/%d vs %d/%d — candidate order must match",
-					label, seed, au.Stats.Considered, au.Stats.Stored, ex.Stats.Considered, ex.Stats.Stored)
-			}
-			ai, arj, aev := au.Frontier.Stats()
-			ei, erj, eev := ex.Frontier.Stats()
-			if ai != ei || arj != erj || aev != eev {
-				t.Errorf("%s seed %d: archive counters (ins=%d rej=%d ev=%d) vs (ins=%d rej=%d ev=%d)",
-					label, seed, ai, arj, aev, ei, erj, eev)
-			}
-			if au.Stats.EnumSplits > ex.Stats.EnumSplits {
-				t.Errorf("%s seed %d: adaptive strategy scanned MORE splits (%d) than exhaustive (%d)",
-					label, seed, au.Stats.EnumSplits, ex.Stats.EnumSplits)
+		}
+	}
+	cat := catalog.TPCH(1)
+	for _, num := range []int{2, 5, 7, 8, 9, 10} {
+		queries = append(queries, workload.MustQuery(num, cat))
+	}
+	for _, q := range queries {
+		// One plan per set (the scalar program) is all the loops need to
+		// find both halves stored; the splits they visit are read back off
+		// the candidates' entries.
+		opts, err := Options{Objectives: objective.NewSet(objective.TotalTime), MaxDOP: 1}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, 1, objective.SingleWeight(objective.TotalTime))
+		e.runScalar(func(v objective.Vector) float64 { return v[objective.TotalTime] })
+		w := &e.workers[0]
+		type loop func(query.TableSet, func(query.TableSet) splitView, candidateFn) bool
+		splits := func(run loop, s query.TableSet) []splitPair {
+			var out []splitPair
+			run(s, e.viewMemo, func(_ *objective.Vector, ent plan.Entry) bool {
+				if p := (splitPair{ent.LeftSet, ent.RightSet}); len(out) == 0 || out[len(out)-1] != p {
+					out = append(out, p)
+				}
+				return true
+			})
+			return out
+		}
+		for _, level := range e.enum.levels[2:] {
+			for _, s := range level {
+				var want []splitPair
+				s.EachSubset(func(sub, rest query.TableSet) bool {
+					if q.Connected(sub) && q.Connected(rest) {
+						want = append(want, splitPair{sub, rest})
+					}
+					return true
+				})
+				loops := map[string]loop{
+					"scan":  w.forEachCandidateScan,
+					"graph": w.forEachCandidateGraph,
+					"auto":  w.forEachCandidateAuto,
+				}
+				if q.EdgeCount(s) == s.Len()-1 {
+					loops["tree"] = w.forEachCandidateTree
+				}
+				for name, run := range loops {
+					if got := splits(run, s); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s set %v, %s loop:\n got  %v\n want %v", q.Name, s, name, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestGraphEnumerationMatchesReference pins the graph-aware engine
-// against the preserved pre-refactor engine, closing the loop oracle →
-// exhaustive flat engine → graph-aware flat engine.
+// TestGraphEnumerationMatchesReference pins the engine against the
+// preserved pre-refactor engine on two sparse shapes at a second seed.
 func TestGraphEnumerationMatchesReference(t *testing.T) {
 	objs := threeObjs
 	w := objective.UniformWeights(objs)
 	for _, shape := range []synthetic.Shape{synthetic.Chain, synthetic.Cycle} {
 		q := buildShape(t, shape, 6, 5)
 		m := costmodel.NewDefault(q)
-		opts := Options{Objectives: objs, MaxDOP: 2, Enumeration: EnumGraph}
+		opts := Options{Objectives: objs, MaxDOP: 2}
 		got, err := EXA(m, w, objective.NoBounds(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ReferenceEXA(m, w, objective.NoBounds(), Options{Objectives: objs, MaxDOP: 2})
+		want, err := ReferenceEXA(m, w, objective.NoBounds(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,42 +259,20 @@ func TestGraphEnumerationMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGraphEnumerationLeftDeep: the LeftDeepOnly ablation must restrict
-// both strategies to the same (left-deep) plan space.
-func TestGraphEnumerationLeftDeep(t *testing.T) {
-	q := buildShape(t, synthetic.Cycle, 6, 2)
-	m := costmodel.NewDefault(q)
-	w := objective.UniformWeights(threeObjs)
-	opts := Options{Objectives: threeObjs, MaxDOP: 2, LeftDeepOnly: true, Enumeration: EnumExhaustive}
-	ex, err := EXA(m, w, objective.NoBounds(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Enumeration = EnumGraph
-	gr, err := EXA(m, w, objective.NoBounds(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFrontier(t, "leftdeep", gr.Frontier, ex.Frontier)
-	if gr.Stats.Considered != ex.Stats.Considered {
-		t.Errorf("considered %d vs %d under LeftDeepOnly", gr.Stats.Considered, ex.Stats.Considered)
-	}
-}
-
-// TestGraphEnumerationParallelDeterminism: the graph-aware strategy must
-// keep the engine's determinism guarantee — identical frontiers for any
-// Workers value (this test doubles as the -race exercise of the csg-cmp
-// loops under the concurrent level schedule).
+// TestGraphEnumerationParallelDeterminism: the enumeration must keep the
+// engine's determinism guarantee — identical frontiers for any Workers
+// value (this test doubles as the -race exercise of the csg-cmp loops
+// under the concurrent level schedule).
 func TestGraphEnumerationParallelDeterminism(t *testing.T) {
 	q := buildShape(t, synthetic.Cycle, 8, 3)
 	m := costmodel.NewDefault(q)
 	w := objective.UniformWeights(threeObjs)
-	base, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 1.5, Workers: 1, Enumeration: EnumGraph})
+	base, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 1.5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 8} {
-		got, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 1.5, Workers: workers, Enumeration: EnumGraph})
+		got, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 1.5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,8 +285,7 @@ func TestGraphEnumerationParallelDeterminism(t *testing.T) {
 }
 
 // TestGraphEnumerationRTAGuarantee: the RTA's weighted-cost guarantee
-// must hold under the graph-aware strategy even though approximate
-// pruning may keep different representatives than the exhaustive order.
+// must hold on every shape.
 func TestGraphEnumerationRTAGuarantee(t *testing.T) {
 	const alpha = 1.5
 	for _, tc := range differentialShapes {
@@ -325,13 +296,13 @@ func TestGraphEnumerationRTAGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := RTA(m, w, Options{Objectives: threeObjs, MaxDOP: 2, Alpha: alpha, Enumeration: EnumGraph})
+		approx, err := RTA(m, w, Options{Objectives: threeObjs, MaxDOP: 2, Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
 		best, guarantee := w.Cost(approx.Best.Cost), alpha*w.Cost(exact.Best.Cost)
 		if best > guarantee*(1+1e-9) {
-			t.Errorf("%s: graph-aware RTA weighted cost %g exceeds alpha*optimum %g", tc.shape, best, guarantee)
+			t.Errorf("%s: RTA weighted cost %g exceeds alpha*optimum %g", tc.shape, best, guarantee)
 		}
 	}
 }
@@ -343,7 +314,7 @@ func TestGraphEnumerationDegradedTimeout(t *testing.T) {
 	q := buildShape(t, synthetic.Chain, 14, 1)
 	m := costmodel.NewDefault(q)
 	w := objective.UniformWeights(threeObjs)
-	res, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 2, Timeout: time.Nanosecond, Enumeration: EnumGraph})
+	res, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 2, Timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}

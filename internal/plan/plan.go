@@ -125,15 +125,6 @@ func (n *Node) Depth() int {
 	return r + 1
 }
 
-// LeftDeep reports whether the plan is left-deep: every right join operand
-// is a base-table scan.
-func (n *Node) LeftDeep() bool {
-	if n.IsScan() {
-		return true
-	}
-	return n.Right.IsScan() && n.Left.LeftDeep()
-}
-
 // Scans returns the scan leaves of the plan in left-to-right order.
 func (n *Node) Scans() []*Node {
 	if n.IsScan() {

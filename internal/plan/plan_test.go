@@ -76,13 +76,6 @@ func TestTreeShapeAccessors(t *testing.T) {
 	if got := full.Depth(); got != 3 {
 		t.Errorf("Depth = %d, want 3", got)
 	}
-	if !full.LeftDeep() {
-		t.Error("left-deep plan not recognized")
-	}
-	bushy := join(HashJoin, 1, c, join(HashJoin, 1, o, l))
-	if bushy.LeftDeep() {
-		t.Error("bushy plan misreported left-deep")
-	}
 	scans := full.Scans()
 	if len(scans) != 3 || scans[0] != c || scans[1] != o || scans[2] != l {
 		t.Errorf("Scans order wrong: %v", scans)

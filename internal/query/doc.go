@@ -7,25 +7,25 @@
 //
 // Table sets are represented as 64-bit bitsets (TableSet), the unit the
 // dynamic programs of internal/core enumerate over: subset iteration,
-// connectivity of the join graph, and the Cartesian-product fallback test
-// all operate on these bitsets.
+// connectivity of the join graph, and the crossing-edge test all operate
+// on these bitsets.
 //
 // Two families of search-space enumeration are provided on top of them:
 //
-//   - TableSet.EachSubset — the exhaustive 2-split iteration over all
-//     2^|s| - 2 subsets of a set, used by the engine's exhaustive
-//     strategy and by the Cartesian fallback for disconnected graphs;
+//   - TableSet.EachSubset — the 2-split iteration over all 2^|s| - 2
+//     subsets of a set, in the canonical order every candidate loop of
+//     the engine emits its splits in (the engine's scan loop on dense
+//     sets, and the reference engine's split loop);
 //   - the join-graph traversal primitives (traverse.go):
 //     Query.EachConnectedSubset enumerates every connected subgraph of a
 //     region exactly once by BFS-ordered neighborhood expansion
-//     (Moerkotte & Neumann's EnumerateCsg) — the engine's graph-aware
-//     strategy builds both its level materialization and its candidate
-//     loop on it — and Query.EachConnectedSplit derives from it the
-//     csg-cmp splits (partitions into two connected halves), serving as
-//     the specification form of the split enumeration the engine
-//     inlines. On sparse topologies (chains, cycles, stars, trees)
-//     these touch polynomially many sets where the subset scan
-//     touches 2^n.
+//     (Moerkotte & Neumann's EnumerateCsg) — the engine builds both its
+//     level materialization and its traversal candidate loop on it — and
+//     Query.EachConnectedSplit derives from it the csg-cmp splits
+//     (partitions into two connected halves), serving as the
+//     specification form of the split enumeration the engine inlines. On
+//     sparse topologies (chains, cycles, stars, trees) these touch
+//     polynomially many sets where the subset scan touches 2^n.
 //
 // The package also provides the cardinality estimator used by the cost
 // model: textbook selectivity-based estimation over table-set bitsets.

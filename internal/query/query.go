@@ -191,10 +191,10 @@ func (q *Query) EstimateWidth(s TableSet) int {
 	return w
 }
 
-// Validate checks structural well-formedness: at least one relation, all
-// edges in range, and a connected join graph (the TPC-H queries are all
-// connected; disconnected queries would force Cartesian products, which the
-// enumerator supports but the shipped workload never needs).
+// Validate checks structural well-formedness: at least one relation and a
+// connected join graph (the TPC-H queries are all connected; a disconnected
+// one would force Cartesian products, which the optimizer does not
+// enumerate — internal/core refuses such a query with this error).
 func (q *Query) Validate() error {
 	if len(q.Relations) == 0 {
 		return fmt.Errorf("query %s: no relations", q.Name)

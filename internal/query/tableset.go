@@ -84,9 +84,11 @@ func (s TableSet) Relations() []int {
 }
 
 // EachSubset calls fn for every non-empty proper subset of s, paired with
-// its complement within s. Each unordered split {a,b} is visited twice (as
-// (a,b) and (b,a)), which is what the join enumeration wants: join operators
-// can be asymmetric, so both operand orders must be considered.
+// its complement within s, in descending subset order. Each unordered
+// split {a,b} is visited twice (as (a,b) and (b,a)), which is what the join
+// enumeration wants: join operators can be asymmetric, so both operand
+// orders must be considered. The order is the canonical split order of the
+// engine: every candidate loop of internal/core emits its splits in it.
 func (s TableSet) EachSubset(fn func(sub, rest TableSet) bool) {
 	if s == 0 {
 		return

@@ -3,7 +3,7 @@ package query
 import "math/bits"
 
 // This file provides the join-graph traversal primitives behind the
-// optimizer's graph-aware enumeration strategy: connected-subgraph
+// optimizer's enumeration: connected-subgraph
 // (csg) enumeration by BFS-ordered neighborhood expansion, following
 // Moerkotte & Neumann's EnumerateCsg, and the derived connected-split
 // (csg-cmp) enumeration the dynamic program uses instead of scanning
