@@ -21,6 +21,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -90,11 +92,11 @@ func main() {
 	}
 
 	if *asJSON {
-		raw, err := res.PlanJSON()
+		out, err := planJSON(res)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Println(string(raw))
+		fmt.Println(string(out))
 		return
 	}
 
@@ -125,6 +127,20 @@ func main() {
 			fmt.Printf("  %s\n", v.FormatOn(objs))
 		}
 	}
+}
+
+// planJSON renders the selected plan for -json: the library's compact JSON
+// indented by two spaces per level, one field per line.
+func planJSON(res *moqo.Result) ([]byte, error) {
+	raw, err := res.PlanJSON()
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, raw, "", "  "); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
 
 func algName(req moqo.Request) string {

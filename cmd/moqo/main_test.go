@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"testing"
+	"time"
 
 	"moqo"
 )
@@ -65,5 +68,39 @@ func TestAlgName(t *testing.T) {
 	// is AlgoAuto, not AlgoEXA.
 	if got := algName(moqo.Request{Algorithm: moqo.AlgoEXA}); got != "exa" {
 		t.Errorf("algName explicit = %q", got)
+	}
+}
+
+// TestPlanJSONOutput pins -json to the bytes the CLI printed when the
+// library rendered indented JSON itself: testdata/q5.json is the output of
+//
+//	moqo -query 5 -json -workers 1 -alpha 1.5 \
+//	     -objectives total_time,energy,tuple_loss,cores -weights total_time=1,energy=0.5
+func TestPlanJSONOutput(t *testing.T) {
+	q, err := moqo.TPCHQuery(5, moqo.TPCHCatalog(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := moqo.Optimize(moqo.Request{
+		Query:      q,
+		Alpha:      1.5,
+		Timeout:    30 * time.Second,
+		Workers:    1,
+		Objectives: []moqo.Objective{moqo.TotalTime, moqo.Energy, moqo.TupleLoss, moqo.Cores},
+		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.Energy: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := planJSON(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/q5.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(out, '\n'); !bytes.Equal(got, want) {
+		t.Errorf("-json output differs from testdata/q5.json:\n%s", got)
 	}
 }

@@ -141,7 +141,7 @@ func (f *Frontier) Plans() []*plan.Node {
 	return f.plans
 }
 
-// PlanJSON returns the indented JSON rendering of row i's plan for q, with
+// PlanJSON returns the compact JSON rendering of row i's plan for q, with
 // the costs of objs (plan.Node.JSON): rendered on the first request, the
 // same bytes on every later one. The returned slice is shared and must not
 // be modified.

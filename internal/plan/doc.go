@@ -11,6 +11,7 @@
 // in O(1) space — an operator descriptor, two child pointers and the
 // vector — which is what the memory accounting of the paper's Theorem 1
 // assumes. The package also renders plans: indented operator trees,
-// EXPLAIN-style trees with per-node cardinalities and costs, and a JSON
-// encoding used by the cmd/moqo CLI and the moqod service.
+// EXPLAIN-style trees with per-node cardinalities and costs, and a compact
+// JSON encoding used by the cmd/moqo CLI and the moqod service, appended
+// byte by byte and identical to what encoding/json writes for the same tree.
 package plan

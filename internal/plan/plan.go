@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"moqo/internal/objective"
@@ -92,17 +93,27 @@ func (n *Node) IsScan() bool { return n.Left == nil }
 
 // OperatorLabel renders the node's operator with its parameters, e.g.
 // "HashJ(dop=2)" or "SampleScan(3%)".
-func (n *Node) OperatorLabel() string {
+func (n *Node) OperatorLabel() string { return string(n.appendOperatorLabel(nil)) }
+
+// appendOperatorLabel appends the node's OperatorLabel to b: the one label
+// writer behind Explain, Format, Signature and the JSON rendering.
+func (n *Node) appendOperatorLabel(b []byte) []byte {
 	if n.IsScan() {
+		b = append(b, n.Scan.String()...)
 		if n.Scan == SampleScan {
-			return fmt.Sprintf("%s(%.0f%%)", n.Scan, n.SampleRate*100)
+			b = append(b, '(')
+			b = strconv.AppendFloat(b, n.SampleRate*100, 'f', 0, 64)
+			b = append(b, "%)"...)
 		}
-		return n.Scan.String()
+		return b
 	}
+	b = append(b, n.Join.String()...)
 	if n.DOP > 1 {
-		return fmt.Sprintf("%s(dop=%d)", n.Join, n.DOP)
+		b = append(b, "(dop="...)
+		b = strconv.AppendInt(b, int64(n.DOP), 10)
+		b = append(b, ')')
 	}
-	return n.Join.String()
+	return b
 }
 
 // NumOperators returns the number of operator nodes in the plan tree.

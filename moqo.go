@@ -285,7 +285,7 @@ func (r *Result) PlanText() string { return r.Plan.Format(r.q) }
 // estimated cardinalities and per-node costs for the active objectives.
 func (r *Result) Explain() string { return r.Plan.Explain(r.q, r.objs) }
 
-// PlanJSON renders the selected plan as indented JSON (operators,
+// PlanJSON renders the selected plan as compact JSON (operators,
 // parameters, estimated rows, per-node costs). The caller owns the returned
 // slice. Behind it each frontier plan is rendered once: results that share
 // a frontier — every Reoptimize answer from one FrontierSnapshot — copy the
