@@ -1,7 +1,7 @@
 // Command moqod runs the moqo optimization service: a long-running HTTP
 // server that answers multi-objective query optimization requests through
-// a sharded, single-flight plan cache — the paper's multi-user Cloud
-// provider scenario as a daemon.
+// a sharded, single-flight cache of Pareto frontiers — the paper's
+// multi-user Cloud provider scenario as a daemon.
 //
 // Usage:
 //
@@ -98,8 +98,8 @@ import (
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		cacheCap       = flag.Int("cache", 1024, "exact-result plan cache capacity in entries (negative disables caching entirely)")
-		frontierCap    = flag.Int("frontier-cache", 512, "frontier snapshot cache capacity in entries (negative disables the tier); weight/bound changes on a cached frontier are served without re-optimizing")
+		cacheCap       = flag.Int("cache", 1024, "exact-result plan cache capacity in entries; it serves only the single-objective baselines (selinger, weightedsum), exa/rta/ira use the frontier cache (negative disables caching entirely)")
+		frontierCap    = flag.Int("frontier-cache", 512, "frontier snapshot cache capacity in entries (negative disables the tier); exa/rta/ira requests for a cached query shape, repeats and weight/bound changes alike, are served without re-optimizing")
 		cacheShards    = flag.Int("cache-shards", 0, "plan cache shard count (0 = default)")
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "optimization timeout for requests without timeout_ms")
 		maxTimeout     = flag.Duration("max-timeout", 2*time.Minute, "upper clamp on per-request timeouts")

@@ -397,10 +397,11 @@ func (b Bounds) With(o ID, x float64) Bounds {
 	return b
 }
 
-// Unbounded reports whether no finite bound is set on any active objective.
+// Unbounded reports whether no finite bound is set on any active objective;
+// like Respects it walks the set's bits and allocates nothing.
 func (b Bounds) Unbounded(objs Set) bool {
-	for _, o := range objs.IDs() {
-		if !math.IsInf(b[o], 1) {
+	for s := objs & AllSet(); s != 0; s &= s - 1 {
+		if !math.IsInf(b[bits.TrailingZeros16(uint16(s))], 1) {
 			return false
 		}
 	}

@@ -143,7 +143,7 @@ func TestBatchDedupeAndReuse(t *testing.T) {
 		t.Fatalf("status %d: %s", status, raw)
 	}
 	if !resp.Members[1].Result.Cached {
-		t.Error("duplicate member not served from the exact tier")
+		t.Error("duplicate member not served from the leader's stored result")
 	}
 	if !resp.Members[2].Result.Stats.ReusedFrontier {
 		t.Error("re-weight member not served from the frontier snapshot")

@@ -591,9 +591,9 @@ func TestChaosBudgetExhaustedWhileQueued(t *testing.T) {
 }
 
 // TestChaosCoalescedShed: two identical cold requests arriving together at
-// a full queue both get the structured 503 — whichever of the two nested
-// single-flight tiers coalesced them, the follower neither hangs nor gets
-// a zero response — and neither tier caches the shed: once the slot frees,
+// a full queue both get the structured 503 — if the frontier tier's
+// single-flight coalesced them, the follower neither hangs nor gets a
+// zero response — and the tier does not cache the shed: once the slot frees,
 // the same request is a clean miss that runs its dynamic program.
 func TestChaosCoalescedShed(t *testing.T) {
 	w := newWedgedServer(t, 1)

@@ -12,8 +12,8 @@ import (
 
 // Example demonstrates a cache-warm/hit round trip against the moqod
 // service: the first request runs the optimizer engine, the second —
-// identical — request is answered from the plan cache with the same plan
-// and costs.
+// identical — request is answered from its cached Pareto frontier with the
+// same plan and costs.
 func Example() {
 	svc := httptest.NewServer(server.New(server.Options{}).Handler())
 	defer svc.Close()
@@ -38,7 +38,7 @@ func Example() {
 	}
 
 	warm := ask() // computes: the cache is cold
-	hit := ask()  // identical request: served from the plan cache
+	hit := ask()  // identical request: served from the cached frontier
 
 	fmt.Println("first cached: ", warm.Cached)
 	fmt.Println("second cached:", hit.Cached)

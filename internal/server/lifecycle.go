@@ -131,7 +131,7 @@ func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries m
 		}
 	}
 	if wire.TPCH != 0 {
-		q, err = moqo.TPCHQuery(wire.TPCH, cat)
+		q, err = s.tpchQuery(wire.TPCH, cat)
 	} else {
 		q, err = buildQuery(wire.Query, cat)
 	}

@@ -41,14 +41,14 @@
 //     latency; a failure is classified by Server.serveFailure, the one
 //     switch from a serve error to (wire code, HTTP status, reason).
 //     Nothing a client wrote gets this far, so its default is a 500.
-//   - tiers (tiers.Serve): the ladder exact plan cache (keyed by
-//     moqo.Resolved.CacheKey) → frontier tier (keyed by FrontierKey, its
-//     weight/bound-free prefix, so the paper's Figure 3 re-weighting
-//     scenario is a SelectBest scan over a snapshot, microseconds instead
-//     of a dynamic program) → disk store → cold dynamic program. Both memory tiers
-//     coalesce concurrent identical keys (single-flight), so a burst for
-//     one query shape, even under distinct weights, runs the engine once;
-//     only the cold dynamic program waits for a fair-scheduler slot.
+//   - tiers (tiers.Serve): one memory tier per request. exa, rta and ira
+//     walk frontier tier (keyed by moqo.Resolved.FrontierKey, the
+//     weight/bound-free request prefix, so a repeat or the paper's Figure 3
+//     re-weighting is a SelectBest scan, microseconds instead of a dynamic
+//     program) → disk store → cold dynamic program; the baselines use the
+//     exact plan cache (keyed by CacheKey). Each tier coalesces concurrent
+//     identical keys (single-flight), so a burst for one query shape runs
+//     the engine once; only the cold dynamic program waits for a slot.
 //   - encode (Server.writeJSON / writeFailure; a batch's emit): the
 //     response, or the failure's status line and structured body.
 //
@@ -76,9 +76,9 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// CacheCapacity bounds the exact-result tier of the plan cache
-	// (entries). 0 means the default (1024); negative disables caching
-	// entirely (both tiers).
+	// CacheCapacity bounds the exact-result tier (entries), which serves
+	// only the single-objective baselines. 0 means the default (1024);
+	// negative disables caching entirely (both tiers).
 	CacheCapacity int
 	// CacheShards is the shard count of the plan cache (rounded up to a
 	// power of two; 0 picks the cache default). Applies to both tiers.
@@ -177,8 +177,8 @@ type Server struct {
 	opts  Options
 	start time.Time
 
-	// tiers answers resolved requests: plan cache → frontier tier → disk
-	// store → cold dynamic program.
+	// tiers answers resolved requests: frontier tier → disk store → cold
+	// dynamic program, or for the baselines plan cache → cold run.
 	tiers *tiers
 
 	// tenants resolves identities, enforces quotas and keeps per-tenant
@@ -191,6 +191,9 @@ type Server struct {
 
 	catMu    sync.Mutex
 	catalogs map[float64]*moqo.Catalog // TPC-H catalogs by scale factor
+	// tpchQueries holds, per memoized TPC-H catalog, the queries built over
+	// it by number: a built query is only read, so one object serves all.
+	tpchQueries map[*moqo.Catalog]map[int]*moqo.Query
 
 	requests      atomic.Uint64
 	batchRequests atomic.Uint64
@@ -229,11 +232,12 @@ func New(opts Options) *Server {
 func NewE(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:     opts,
-		start:    time.Now(),
-		catalogs: make(map[float64]*moqo.Catalog),
-		latency:  tenant.NewWindow(latencyWindow),
-		tenants:  opts.Tenants,
+		opts:        opts,
+		start:       time.Now(),
+		catalogs:    make(map[float64]*moqo.Catalog),
+		tpchQueries: make(map[*moqo.Catalog]map[int]*moqo.Query),
+		latency:     tenant.NewWindow(latencyWindow),
+		tenants:     opts.Tenants,
 	}
 	if s.tenants == nil {
 		s.tenants = tenant.NewRegistry(nil)
@@ -312,8 +316,25 @@ func (s *Server) tpchCatalog(sf float64) *moqo.Catalog {
 	cat := moqo.TPCHCatalog(sf)
 	if len(s.catalogs) < maxCachedCatalogs {
 		s.catalogs[sf] = cat
+		s.tpchQueries[cat] = make(map[int]*moqo.Query)
 	}
 	return cat
+}
+
+// tpchQuery returns TPC-H query n over cat: the memoized object when cat is
+// a memoized TPC-H catalog, a freshly built one otherwise.
+func (s *Server) tpchQuery(n int, cat *moqo.Catalog) (*moqo.Query, error) {
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
+	memo := s.tpchQueries[cat]
+	if q, ok := memo[n]; ok {
+		return q, nil
+	}
+	q, err := moqo.TPCHQuery(n, cat)
+	if err == nil && memo != nil {
+		memo[n] = q
+	}
+	return q, err
 }
 
 // decode reads the request's JSON body into v, bounded by limit and

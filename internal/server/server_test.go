@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"moqo/internal/core"
 )
 
 func newTestServer(t *testing.T, opts Options) *httptest.Server {
@@ -138,7 +140,8 @@ func TestCachedMatchesUncached(t *testing.T) {
 // ratio, with hits far faster to serve than the original optimizations.
 func TestRepeatedWorkloadHitRatio(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	// 5 distinct requests, each repeated 20 times → 5 misses, 95 hits.
+	// 5 weightings of one query shape, each repeated 20 times → one
+	// frontier-tier miss (the shape's dynamic program) and 99 hits.
 	for round := 0; round < 20; round++ {
 		for variant := 0; variant < 5; variant++ {
 			body := fmt.Sprintf(`{
@@ -153,11 +156,11 @@ func TestRepeatedWorkloadHitRatio(t *testing.T) {
 		}
 	}
 	m := metrics(t, ts)
-	if m.Cache.Misses != 5 {
-		t.Errorf("misses = %d, want 5 (one per distinct request)", m.Cache.Misses)
+	if m.FrontierCache.Misses != 1 {
+		t.Errorf("misses = %d, want 1 (one per distinct query shape)", m.FrontierCache.Misses)
 	}
-	if m.Cache.HitRatio < 0.9 {
-		t.Errorf("hit ratio = %.3f, want >= 0.90", m.Cache.HitRatio)
+	if m.FrontierCache.HitRatio < 0.9 {
+		t.Errorf("hit ratio = %.3f, want >= 0.90", m.FrontierCache.HitRatio)
 	}
 }
 
@@ -188,9 +191,9 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 		}
 	}
 	m := metrics(t, ts)
-	if m.Cache.Misses != 1 {
+	if m.FrontierCache.Misses != 1 {
 		t.Errorf("engine ran %d times for %d identical concurrent requests, want 1 (single-flight)",
-			m.Cache.Misses, n)
+			m.FrontierCache.Misses, n)
 	}
 }
 
@@ -393,8 +396,8 @@ func TestReweightServedFromFrontier(t *testing.T) {
 	if !warm.Stats.ReusedFrontier {
 		t.Fatal("re-weight was not served from the frontier tier")
 	}
-	if warm.Cached {
-		t.Error("re-weight reported an exact-tier hit")
+	if !warm.Cached {
+		t.Error("re-weight derived from a cached snapshot did not report cached")
 	}
 	// The reused answer is a real answer: compare against an uncached
 	// cold run at the same weights.
@@ -409,15 +412,6 @@ func TestReweightServedFromFrontier(t *testing.T) {
 		if warm.Cost[k] != v {
 			t.Errorf("frontier-served cost[%s] = %v, cold %v", k, warm.Cost[k], v)
 		}
-	}
-
-	// Exact repeat of the re-weight: now the exact tier answers.
-	status, again, _ := post(t, ts, reweightRequest(2))
-	if status != http.StatusOK {
-		t.Fatal("repeat failed")
-	}
-	if !again.Cached {
-		t.Error("exact repeat missed the exact-result tier")
 	}
 
 	m := metrics(t, ts)
@@ -439,6 +433,15 @@ func TestReweightServedFromFrontier(t *testing.T) {
 	if m.FrontierCache.SnapshotBytes <= 0 {
 		t.Errorf("snapshot_bytes=%d, want > 0", m.FrontierCache.SnapshotBytes)
 	}
+
+	// Exact repeat of the re-weight: the frontier tier answers it again.
+	status, again, _ := post(t, ts, reweightRequest(2))
+	if status != http.StatusOK {
+		t.Fatal("repeat failed")
+	}
+	if !again.Cached || !again.Stats.ReusedFrontier {
+		t.Error("exact repeat was not served from the frontier tier")
+	}
 }
 
 // aliasRequest renders one inline two-table shape whose relations are named
@@ -446,6 +449,17 @@ func TestReweightServedFromFrontier(t *testing.T) {
 // plan JSON and not in either key, so every such request shares a
 // FrontierKey, and two with equal weights share a CacheKey.
 func aliasRequest(prefix string, energy float64) string {
+	return aliasShape(prefix, energy, `"algorithm": "exa"`)
+}
+
+// boundedAliasRequest is aliasRequest's shape as a bounded IRA request,
+// whose frontier-tier hits go through the seeded refinement.
+func boundedAliasRequest(prefix string, energy float64) string {
+	return aliasShape(prefix, energy, `"algorithm": "ira", "alpha": 1.5, "bounds": {"total_time": 1e12}`)
+}
+
+// aliasShape renders the alias shape under the given algorithm knobs.
+func aliasShape(prefix string, energy float64, knobs string) string {
 	return fmt.Sprintf(`{
 		"catalog": {
 			"tables": [
@@ -461,10 +475,10 @@ func aliasRequest(prefix string, energy float64) string {
 			],
 			"joins": [{"left": 0, "right": 1, "left_col": "id", "right_col": "user_id", "selectivity": 0.00001}]
 		},
-		"algorithm": "exa",
+		%[3]s,
 		"objectives": ["total_time", "energy"],
 		"weights": {"total_time": 1, "energy": %[2]g}
-	}`, prefix, energy)
+	}`, prefix, energy, knobs)
 }
 
 // TestReweightKeepsRequestAliases: the frontier tier answers a re-weight
@@ -481,7 +495,7 @@ func TestReweightKeepsRequestAliases(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, raw)
 		}
-		if !resp.Stats.ReusedFrontier || resp.Cached {
+		if !resp.Stats.ReusedFrontier || !resp.Cached {
 			t.Fatalf("request %d (%s): reused_frontier %v, cached %v; want a re-weight", i, prefix, resp.Stats.ReusedFrontier, resp.Cached)
 		}
 		other := map[string]string{"x": "y", "y": "x"}[prefix]
@@ -491,6 +505,78 @@ func TestReweightKeepsRequestAliases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExactRepeatKeepsRequestAliases: requests that differ only in their
+// relation aliases share both keys, so a repeat under identical weights is
+// an exact repeat of another requester's request. It is answered from the
+// stored frontier, cached, and with the requester's own names — on an EXA
+// shape and on a bounded IRA one, whose hits take the seeded path.
+func TestExactRepeatKeepsRequestAliases(t *testing.T) {
+	for name, body := range map[string]func(string, float64) string{"exa": aliasRequest, "bounded ira": boundedAliasRequest} {
+		t.Run(name, func(t *testing.T) {
+			ts := newTestServer(t, Options{})
+			for i, prefix := range []string{"x", "y", "x"} {
+				status, resp, raw := post(t, ts, body(prefix, 0.5))
+				if status != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, status, raw)
+				}
+				if repeat := i > 0; resp.Cached != repeat {
+					t.Errorf("request %d (%s): cached %v, want %v", i, prefix, resp.Cached, repeat)
+				}
+				other := map[string]string{"x": "y", "y": "x"}[prefix]
+				for _, n := range []string{"1", "2"} {
+					if !bytes.Contains(resp.Plan, []byte(`"`+prefix+n+`"`)) || bytes.Contains(resp.Plan, []byte(`"`+other+n+`"`)) {
+						t.Errorf("request %d wrote %s1,%s2; its plan names other relations:\n%s", i, prefix, prefix, resp.Plan)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOneMemoryTierPerRequest: the resolved algorithm picks the one memory
+// tier a request uses. A repeated baseline is an exact-tier hit that leaves
+// the frontier tier alone; exa, rta and ira traffic never enters the exact
+// tier; and a bounded IRA exact repeat is answered from its snapshot
+// without a dynamic program.
+func TestOneMemoryTierPerRequest(t *testing.T) {
+	t.Run("baseline", func(t *testing.T) {
+		ts := newTestServer(t, Options{})
+		before := metrics(t, ts)
+		body := `{"tpch": 3, "algorithm": "selinger", "objectives": ["total_time"]}`
+		for i := 0; i < 2; i++ {
+			if status, resp, raw := post(t, ts, body); status != http.StatusOK || resp.Cached != (i == 1) {
+				t.Fatalf("request %d: status %d, cached %v: %s", i, status, resp.Cached, raw)
+			}
+		}
+		m := metrics(t, ts)
+		if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
+			t.Errorf("cache hits=%d misses=%d, want 1 and 1", m.Cache.Hits, m.Cache.Misses)
+		}
+		if m.FrontierCache != before.FrontierCache {
+			t.Errorf("a baseline moved the frontier tier: %+v, was %+v", m.FrontierCache, before.FrontierCache)
+		}
+	})
+	t.Run("reusable frontier", func(t *testing.T) {
+		ts := newTestServer(t, Options{})
+		for _, body := range []string{q3Request, q3Request, reweightRequest(1), reweightRequest(2), iraRequest(1), aliasRequest("x", 0.5), boundedAliasRequest("x", 0.5)} {
+			if status, _, raw := post(t, ts, body); status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, raw)
+			}
+		}
+		runs := core.EngineRuns()
+		status, resp, raw := post(t, ts, boundedAliasRequest("x", 0.5))
+		if status != http.StatusOK || !resp.Cached {
+			t.Fatalf("bounded IRA exact repeat: status %d, cached %v: %s", status, resp.Cached, raw)
+		}
+		if ran := core.EngineRuns() - runs; ran != 0 {
+			t.Errorf("bounded IRA exact repeat ran %d dynamic programs, want 0", ran)
+		}
+		if m := metrics(t, ts); m.Cache.Hits+m.Cache.Misses != 0 {
+			t.Errorf("exa/rta/ira traffic entered the exact tier: hits=%d misses=%d", m.Cache.Hits, m.Cache.Misses)
+		}
+	})
 }
 
 // TestFrontierSingleFlightUnderConcurrentReweights: concurrent requests
@@ -695,8 +781,8 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	if !warm.Stats.ReusedFrontier {
 		t.Fatal("restarted server re-ran the dynamic program instead of serving from disk")
 	}
-	if warm.Cached {
-		t.Error("restarted server reported an exact-tier hit")
+	if !warm.Cached {
+		t.Error("answer derived from the stored snapshot did not report cached")
 	}
 	sameAnswer(t, "warm restart", cold, warm)
 	if len(warm.Frontier) != len(cold.Frontier) {

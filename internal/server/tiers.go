@@ -9,19 +9,20 @@ import (
 	"moqo/internal/tenant"
 )
 
-// tiers is the ladder every resolved request walks — exact plan cache →
-// frontier tier → disk store → cold dynamic program — the same for every
+// tiers picks one memory tier per resolved request. EXA, RTA and IRA walk
+// frontier tier → disk store → cold dynamic program, the same for every
 // weight vector because the Pareto frontier never looks at weights (paper
-// §3). It owns both memory caches, the disk tier, their eviction hooks and
-// the tier counters; the one thing it asks of its owner is a cold-DP slot.
+// §3), so an exact repeat is a re-weight rendered with its own query; the
+// baselines use the exact plan cache. It owns both memory caches, the disk
+// tier, their eviction hooks and the tier counters; the one thing it asks
+// of its owner is a cold-DP slot.
 type tiers struct {
 	// exact is keyed by moqo.Resolved.CacheKey (nil when caching is
-	// disabled): a repeat of the identical request is a lookup.
+	// disabled) and serves only the baselines.
 	exact *cache.Cache[OptimizeResponse]
 	// frontier is the snapshot tier, keyed by moqo.Resolved.FrontierKey
-	// (nil when disabled). It is consulted on exact-tier misses for
-	// algorithms with reusable frontiers; a hit serves the request by a
-	// SelectBest scan over the cached snapshot (moqo.Resolved.Reoptimize).
+	// (nil when disabled); a hit serves the request by a SelectBest scan
+	// over the cached snapshot (moqo.Resolved.Reoptimize).
 	frontier *cache.Cache[frontierEntry]
 	// disk persists the frontier tier's snapshots across restarts (nil
 	// when disabled; every method is nil-safe): the store, its breaker and
@@ -123,26 +124,27 @@ func cacheMetrics(st cache.Stats) CacheMetrics {
 }
 
 // Serve answers one resolved request — a single /optimize or one batch
-// member — from the exact tier, whose single-flight makes identical
-// requests run one dynamic program; a miss goes down the ladder. noCache
-// (the request's no_cache) bypasses every tier.
+// member — through its algorithm's memory tier; noCache (the request's
+// no_cache) bypasses every tier.
 func (t *tiers) Serve(ctx context.Context, req *moqo.Resolved, ten string, noCache bool) (OptimizeResponse, error) {
-	if t.exact == nil || noCache {
-		resp, _, err := t.serveCold(ctx, req, ten)
-		return resp, err
+	switch {
+	case noCache || t.exact == nil:
+		return t.serveCold(ctx, req, ten)
+	case req.ReusableFrontier():
+		return t.serveFrontier(ctx, req, ten)
 	}
 	resp, src, err := t.exact.Do(ctx, req.CacheKey(), func(cctx context.Context) (OptimizeResponse, bool, error) {
-		resp, store, err := t.serveFrontier(cctx, req, ten)
-		if err == nil && store {
-			// Stamp and attribute a storable result to the computing
-			// tenant before the tier stores it, so the eviction hook can
-			// charge the departure back exactly. The stamp is an
-			// unexported field: it never serializes, and answers stay
-			// bit-for-bit tenant-independent.
-			resp.tenant = ten
-			t.tenants.CacheAdd(ten, respSizeBytes(resp))
+		resp, err := t.serveCold(cctx, req, ten)
+		if err != nil || resp.Stats.TimedOut {
+			return resp, false, err // a degraded result is not stored
 		}
-		return resp, store, err
+		// Stamp and attribute a storable result to the computing tenant
+		// before the tier stores it, so the eviction hook can charge the
+		// departure back exactly. The stamp is an unexported field: it
+		// never serializes, and answers stay bit-for-bit tenant-independent.
+		resp.tenant = ten
+		t.tenants.CacheAdd(ten, respSizeBytes(resp))
+		return resp, true, nil
 	})
 	if err != nil {
 		return OptimizeResponse{}, err
@@ -175,16 +177,14 @@ func (t *tiers) newFrontierEntry(sn *moqo.FrontierSnapshot, frontier []map[strin
 	return frontierEntry{snap: sn, frontier: frontier, ten: ten}
 }
 
-// serveFrontier serves an exact-tier miss through the frontier tier: if a
-// snapshot for the request's weight/bound-free FrontierKey is cached (or
-// being computed by a concurrent request for the same shape under
-// different weights — the tier's single-flight coalesces them), the
-// request is answered by a SelectBest scan over the snapshot in
-// microseconds. Otherwise this caller fills the tier, and its snapshot
-// serves every later re-weight. The bool reports whether the response may
-// be cached (degraded results may not).
-func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, bool, error) {
-	if t.frontier == nil || !req.ReusableFrontier() {
+// serveFrontier serves an EXA, RTA or IRA request through the frontier tier
+// (cold when it is disabled): if a snapshot for the request's FrontierKey is
+// cached (or being computed by a concurrent request for the same shape — the
+// tier's single-flight coalesces them), the request is answered by a
+// SelectBest scan over the snapshot in microseconds. Otherwise this caller
+// fills the tier, and its snapshot serves every later request for the shape.
+func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, error) {
+	if t.frontier == nil {
 		return t.serveCold(ctx, req, ten)
 	}
 	fkey := req.FrontierKey()
@@ -195,20 +195,19 @@ func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten strin
 		return filled, filled.snap != nil, err
 	})
 	if err != nil {
-		return OptimizeResponse{}, false, err
+		return OptimizeResponse{}, err
 	}
 	if lead != nil {
 		// This caller ran the cold DP (leader, or a retrier after a
 		// non-shareable outcome): answer from its own full result.
-		resp, rerr := toResponse(lead)
-		return resp, !lead.Stats.TimedOut, rerr
+		return toResponse(lead)
 	}
 	if ent.snap == nil {
 		return t.serveCold(ctx, req, ten)
 	}
 	res, newSnap, err := req.Reoptimize(ctx, ent.snap)
 	if err != nil {
-		return OptimizeResponse{}, false, err
+		return OptimizeResponse{}, err
 	}
 	t.reweightServed.Add(1)
 	shared := ent.frontier
@@ -222,7 +221,8 @@ func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten strin
 		t.disk.Put(newSnap)
 	}
 	resp, err := toResponseWithFrontier(res, shared)
-	return resp, !res.Stats.TimedOut, err
+	resp.Cached = res.Stats.ReusedFrontier // derived from a stored snapshot
+	return resp, err
 }
 
 // fillFrontier produces the frontier-tier entry for a memory miss: from
@@ -250,18 +250,16 @@ func (t *tiers) fillFrontier(ctx context.Context, req *moqo.Resolved, fkey, ten 
 	return t.newFrontierEntry(sn, renderFrontier(res.Objectives(), res.FrontierVectors()), ten), res, nil
 }
 
-// serveCold runs one optimization, under a cold-DP slot, and renders it;
-// the bool reports whether the response may be cached.
-func (t *tiers) serveCold(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, bool, error) {
+// serveCold runs one optimization, under a cold-DP slot, and renders it.
+func (t *tiers) serveCold(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, error) {
 	release, err := t.acquire(ctx, ten)
 	if err != nil {
-		return OptimizeResponse{}, false, err
+		return OptimizeResponse{}, err
 	}
 	defer release()
 	res, err := req.Optimize(ctx)
 	if err != nil {
-		return OptimizeResponse{}, false, err
+		return OptimizeResponse{}, err
 	}
-	resp, err := toResponse(res)
-	return resp, !res.Stats.TimedOut, err
+	return toResponse(res)
 }

@@ -45,9 +45,9 @@ type OptimizeRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// MaxDOP caps operator parallelism in produced plans (default 4).
 	MaxDOP int `json:"max_dop,omitempty"`
-	// NoCache bypasses the plan cache for this request (it neither reads
-	// nor populates it) — chiefly for measuring, or for forcing a fresh
-	// optimization.
+	// NoCache bypasses every cache tier and the store for this request (it
+	// neither reads nor populates them) — chiefly for measuring, or for
+	// forcing a fresh optimization.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Frontier includes the (approximate) Pareto frontier's cost vectors
 	// in the response.
@@ -219,10 +219,11 @@ type OptimizeResponse struct {
 	// frontier; present only when the request asked for it.
 	Frontier []map[string]float64 `json:"frontier,omitempty"`
 	// Stats describes the optimization run that produced the plan. For a
-	// cache hit these are the stats of the original computation.
+	// cached answer these are the stats of the original computation.
 	Stats StatsResponse `json:"stats"`
-	// Cached reports whether the response was served from the plan cache
-	// (or coalesced onto a concurrent identical computation).
+	// Cached reports an answer derived from a stored result: for exa, rta
+	// and ira a cached frontier snapshot (stats.reused_frontier), for the
+	// baselines the exact plan cache or a coalesced identical computation.
 	Cached bool `json:"cached"`
 
 	// tenant is the identity of the request that computed a stored entry,
@@ -336,8 +337,8 @@ type RequestMetrics struct {
 	Panics uint64 `json:"panics"`
 }
 
-// CacheMetrics snapshots the plan cache (all-zero when the cache is
-// disabled).
+// CacheMetrics snapshots a cache tier; as MetricsResponse.Cache, the exact
+// plan cache of the baselines (all-zero when caching is disabled).
 type CacheMetrics struct {
 	Enabled   bool    `json:"enabled"`
 	Hits      uint64  `json:"hits"`
@@ -352,8 +353,7 @@ type CacheMetrics struct {
 // FrontierCacheMetrics snapshots the frontier tier of the plan cache
 // (all-zero when the tier is disabled). Hits/Misses/Coalesced/Evictions
 // count tier lookups like CacheMetrics does for the exact-result tier;
-// the tier is only consulted on exact-tier misses for algorithms with
-// reusable frontiers (exa, rta, ira).
+// every cacheable exa, rta and ira request looks the tier up once.
 type FrontierCacheMetrics struct {
 	CacheMetrics
 	// ReweightServed counts requests answered from a cached snapshot —
@@ -659,8 +659,9 @@ func toResponseWithFrontier(res *moqo.Result, frontier []map[string]float64) (Op
 	if err != nil {
 		return OptimizeResponse{}, err
 	}
-	cost := make(map[string]float64, len(res.Objectives()))
-	for _, o := range res.Objectives() {
+	objs := res.Objectives()
+	cost := make(map[string]float64, len(objs))
+	for _, o := range objs {
 		cost[o.String()] = res.Cost(o)
 	}
 	return OptimizeResponse{
