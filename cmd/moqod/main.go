@@ -54,7 +54,7 @@
 //
 // Resilience: store disk errors feed a circuit breaker — after
 // -breaker-threshold consecutive failures the disk is quarantined and
-// serving degrades to memory-only (both cache tiers keep answering;
+// serving degrades to memory-only (the frontier tier keeps answering;
 // nothing fails), probing recovery every -breaker-cooldown with
 // exponential backoff. -max-queue bounds the cold-DP admission queue,
 // the one place a request can wait: arrivals past the bound are shed
@@ -98,9 +98,9 @@ import (
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		cacheCap       = flag.Int("cache", 1024, "exact-result plan cache capacity in entries; it serves only the single-objective baselines (selinger, weightedsum), exa/rta/ira use the frontier cache (negative disables caching entirely)")
-		frontierCap    = flag.Int("frontier-cache", 512, "frontier snapshot cache capacity in entries (negative disables the tier); exa/rta/ira requests for a cached query shape, repeats and weight/bound changes alike, are served without re-optimizing")
-		cacheShards    = flag.Int("cache-shards", 0, "plan cache shard count (0 = default)")
+		cacheCap       = flag.Int("cache", 1024, "kept for compatibility: there is no exact-result plan cache any more, so the value is ignored, except that a negative one disables caching entirely")
+		frontierCap    = flag.Int("frontier-cache", 512, "frontier snapshot cache capacity in entries; exa/rta/ira requests for a cached query shape, repeats and weight/bound changes alike, are served without re-optimizing (negative disables the tier and with it all caching: every request, a repeat included, re-optimizes)")
+		cacheShards    = flag.Int("cache-shards", 0, "frontier cache shard count (0 = default)")
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "optimization timeout for requests without timeout_ms")
 		maxTimeout     = flag.Duration("max-timeout", 2*time.Minute, "upper clamp on per-request timeouts")
 		workers        = flag.Int("workers", runtime.NumCPU(), "default optimizer worker goroutines per request")
@@ -156,7 +156,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpServer.ListenAndServe() }()
-	fmt.Printf("moqod: listening on %s (cache=%d workers=%d)\n", *addr, *cacheCap, *workers)
+	fmt.Printf("moqod: listening on %s (frontier-cache=%d workers=%d)\n", *addr, *frontierCap, *workers)
 
 	// SIGHUP hot-reloads the tenant config in place: counters and
 	// in-flight work are untouched, only quotas change. A file that no

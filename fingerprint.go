@@ -27,8 +27,8 @@ import (
 //
 // CacheKey is FrontierKey plus a suffix containing only the "|w=" and
 // "|b=" components — structurally: both are slices of the one string
-// Resolved builds — so the exact-result tier and the frontier tier always
-// agree on what a request is.
+// Resolved builds — so a key for the result and a key for its frontier
+// always agree on what a request is.
 //
 // Note the *resolved* algorithm is part of the prefix: an AlgoAuto
 // request resolves to RTA or IRA depending on whether bounds are
@@ -48,8 +48,8 @@ func (req Request) FrontierKey() (string, error) {
 // resolved algorithm, alpha, objectives, precisions, MaxDOP, sampling,
 // cost-model calibration) plus the weight/bound suffix. Two requests with
 // equal cache keys produce identical plans, frontiers and cost vectors, so
-// the key is safe to use as a plan-cache key (internal/cache, the moqod
-// service).
+// the key is safe to use as a result-cache key (OptimizeBatch dedupes
+// members by it).
 //
 // Deliberately excluded:
 //

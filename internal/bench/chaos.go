@@ -264,15 +264,15 @@ func chaosOps(inj *fault.Injector) uint64 {
 // chaosBody renders shape i's /optimize request: distinct filter
 // selectivities are distinct query shapes (distinct FrontierKeys), and
 // distinct bufferWeights are distinct re-weights of one shape — the
-// same FrontierKey but a fresh exact-tier cache key.
+// same FrontierKey under other weights.
 func chaosBody(spec ChaosSpec, i int, bufferWeight float64) string {
 	return chainBody(spec.Tables, 0.2+0.1*float64(i), "rta", 1.2,
 		[]string{"total_time", "buffer_footprint"}, bufferWeight, false)
 }
 
 // chaosStream is the measured request sequence: re-weights cycling over
-// the shapes, every request a fresh weight so the exact cache tier
-// never answers it. Each serve must consult the frontier tier — which
+// the shapes, every request a fresh weight. Each serve must consult the
+// frontier tier — which
 // holds 2 of the Shapes snapshots — and on a memory miss retries the
 // store: a read against a known key, then (when that fails) a re-run
 // DP's write-through. That is what puts a dead disk on the hot path.

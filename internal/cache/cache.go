@@ -1,18 +1,15 @@
-// Package cache provides the sharded, bounded, concurrency-safe plan cache
+// Package cache provides the sharded, bounded, concurrency-safe cache
 // that the moqod optimization service puts in front of the optimizer
 // engine. The paper's Cloud-provider scenario (Trummer & Koch, SIGMOD
 // 2014, Section 1) has the optimizer invoked over and over with varying
-// weights and bounds on recurring query shapes; a cache keyed by the
-// canonical request fingerprint (moqo.Request.CacheKey) turns every
-// repetition into a lookup.
+// weights and bounds on recurring query shapes; a cache keyed by a
+// canonical request fingerprint turns every repetition into a lookup.
 //
-// moqod composes two instances of this cache into a two-tier plan cache:
-// an exact-result tier keyed by moqo.Request.CacheKey, and a frontier
-// tier keyed by the weight/bound-free moqo.Request.FrontierKey whose
-// FrontierSnapshot values answer weight and bound changes with a
-// SelectBest scan instead of a new optimization (the paper's Figure 3
-// re-weighting scenario). The OnEvict hook feeds the frontier tier's
-// snapshot-bytes gauge.
+// moqod's frontier tier is one instance, keyed by the weight/bound-free
+// moqo.Request.FrontierKey: its FrontierSnapshot values answer exact
+// repeats and weight and bound changes alike with a SelectBest scan
+// instead of a new optimization (the paper's Figure 3 re-weighting
+// scenario). The OnEvict hook feeds the tier's snapshot-bytes gauge.
 //
 // Design:
 //

@@ -10,6 +10,6 @@
 // parameter m of the paper's complexity analysis (Theorems 1-5).
 //
 // Catalog.Fingerprint hashes the full contents into a stable version
-// identifier; the moqod plan cache keys on it, so cached plans are
-// invalidated the moment statistics change.
+// identifier; the moqod frontier cache keys on it, so cached frontiers
+// are invalidated the moment statistics change.
 package catalog

@@ -103,7 +103,7 @@ func NewDefault(q *query.Query) *Model { return New(q, Default()) }
 func (m *Model) Query() *query.Query { return m.q }
 
 // Params returns the model's calibration constants. Anything that caches
-// or shares results across models (the plan cache's fingerprints, the
+// or shares results across models (the request fingerprints, the
 // batch path's shared memo) folds them into its keys, since two models
 // with different calibrations cost the same plan differently.
 func (m *Model) Params() Params { return m.p }

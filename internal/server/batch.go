@@ -72,7 +72,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchMembers.Add(uint64(len(wire.Members)))
 
 	// One catalog for the whole batch: inline, or TPC-H at scale_factor.
-	cat, err := s.catalogFor(wire.Catalog, wire.ScaleFactor)
+	cat, _, err := s.catalogFor(wire.Catalog, wire.ScaleFactor, 0)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

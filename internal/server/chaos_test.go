@@ -508,7 +508,7 @@ func shedMember(t *testing.T, m BatchMemberResponse, reason string) {
 // TestChaosQueueBoundSheds: with the one cold-DP slot held and the queue at
 // its bound, the next cold arrival is shed immediately — 503, Retry-After,
 // code "overload", reason "queue_full" — instead of queuing unboundedly,
-// while a plan-cache hit and a frontier re-weight still answer 200: cache
+// while an exact repeat and a frontier re-weight still answer 200: cache
 // hits never queue. In a batch the shed is the member's: the envelope is
 // 200, the cold member carries the failure and its cached siblings their
 // results.
@@ -519,7 +519,7 @@ func TestChaosQueueBoundSheds(t *testing.T) {
 
 		status, hit, raw := post(t, w.ts, chainBody(5, warmSel, "rta", warmWeights))
 		if status != http.StatusOK || !hit.Cached {
-			t.Errorf("plan-cache hit behind a full queue: status %d cached %v: %s", status, hit.Cached, raw)
+			t.Errorf("exact repeat behind a full queue: status %d cached %v: %s", status, hit.Cached, raw)
 		}
 		status, rew, raw := post(t, w.ts, chainBody(5, warmSel, "rta", reweightWeights))
 		if status != http.StatusOK || !rew.Stats.ReusedFrontier {

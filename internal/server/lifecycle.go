@@ -83,18 +83,20 @@ func (s *Server) build(m *member, wire *OptimizeRequest, tenantName string, cat 
 }
 
 // catalogFor resolves a request's — or a whole batch's — catalog: the
-// inline one, or TPC-H at the scale factor (default 1).
-func (s *Server) catalogFor(spec *CatalogSpec, sf float64) (*moqo.Catalog, error) {
+// inline one, or TPC-H at the scale factor (default 1), with TPC-H query
+// n over it when n is not 0 (otherwise the query is nil).
+func (s *Server) catalogFor(spec *CatalogSpec, sf float64, n int) (*moqo.Catalog, *moqo.Query, error) {
 	if spec != nil {
-		return buildCatalog(spec)
+		cat, err := buildCatalog(spec)
+		return cat, nil, err
 	}
 	if sf < 0 {
-		return nil, fmt.Errorf("scale_factor must be positive")
+		return nil, nil, fmt.Errorf("scale_factor must be positive")
 	}
 	if sf == 0 {
 		sf = 1
 	}
-	return s.tpchCatalog(sf), nil
+	return s.tpch(sf, n)
 }
 
 // memberQuery resolves the request's query — a TPC-H number or an inline
@@ -109,8 +111,9 @@ func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries m
 		return nil, fmt.Errorf("either tpch or query is required")
 	}
 	if cat == nil {
-		if cat, err = s.catalogFor(wire.Catalog, wire.ScaleFactor); err != nil {
-			return nil, err
+		// A TPC-H request's query comes with its catalog, from one memo.
+		if cat, q, err = s.catalogFor(wire.Catalog, wire.ScaleFactor, wire.TPCH); err != nil || q != nil {
+			return q, err
 		}
 	}
 	var key string
@@ -131,7 +134,7 @@ func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries m
 		}
 	}
 	if wire.TPCH != 0 {
-		q, err = s.tpchQuery(wire.TPCH, cat)
+		q, err = moqo.TPCHQuery(wire.TPCH, cat)
 	} else {
 		q, err = buildQuery(wire.Query, cat)
 	}

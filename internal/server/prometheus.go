@@ -41,14 +41,20 @@ func (s *Server) handleMetricsPrometheus(w http.ResponseWriter, r *http.Request)
 	p.sample("moqo_latency_quantile_ms", labels{{"quantile", "0.5"}}, m.Latency.P50)
 	p.sample("moqo_latency_quantile_ms", labels{{"quantile", "0.99"}}, m.Latency.P99)
 
-	p.family("moqo_cache_hits_total", "counter", "Plan-cache hits, by tier.")
-	p.family("moqo_cache_misses_total", "counter", "Plan-cache misses, by tier.")
+	// /metrics' cache block stands for the exact-result cache, which is
+	// gone; it reads zero and is not exported here.
+	p.family("moqo_cache_hits_total", "counter", "Frontier-cache hits, by tier.")
+	p.family("moqo_cache_misses_total", "counter", "Frontier-cache misses, by tier.")
 	p.family("moqo_cache_coalesced_total", "counter", "Lookups served by waiting on an in-flight identical computation, by tier.")
-	p.family("moqo_cache_evictions_total", "counter", "Plan-cache LRU evictions, by tier.")
-	p.family("moqo_cache_entries", "gauge", "Plan-cache entries, by tier.")
-	p.cacheTier("exact", m.Cache)
+	p.family("moqo_cache_evictions_total", "counter", "Frontier-cache LRU evictions, by tier.")
+	p.family("moqo_cache_entries", "gauge", "Frontier-cache entries, by tier.")
 	if f := m.FrontierCache; f.Enabled {
-		p.cacheTier("frontier", f.CacheMetrics)
+		tier := labels{{"tier", "frontier"}}
+		p.sample("moqo_cache_hits_total", tier, float64(f.Hits))
+		p.sample("moqo_cache_misses_total", tier, float64(f.Misses))
+		p.sample("moqo_cache_coalesced_total", tier, float64(f.Coalesced))
+		p.sample("moqo_cache_evictions_total", tier, float64(f.Evictions))
+		p.sample("moqo_cache_entries", tier, float64(f.Entries))
 		p.metric("moqo_reweight_served_total", "counter", "Requests answered from a cached frontier snapshot instead of a dynamic program.", float64(f.ReweightServed))
 		p.metric("moqo_snapshot_bytes", "gauge", "Estimated bytes of frontier snapshots cached in memory.", float64(f.SnapshotBytes))
 	}
@@ -125,20 +131,6 @@ type promWriter struct{ b *strings.Builder }
 // family writes a metric family's HELP and TYPE header.
 func (p promWriter) family(name, typ, help string) {
 	fmt.Fprintf(p.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// cacheTier writes one enabled plan-cache tier's samples under the shared
-// moqo_cache_* families.
-func (p promWriter) cacheTier(name string, c CacheMetrics) {
-	if !c.Enabled {
-		return
-	}
-	tier := labels{{"tier", name}}
-	p.sample("moqo_cache_hits_total", tier, float64(c.Hits))
-	p.sample("moqo_cache_misses_total", tier, float64(c.Misses))
-	p.sample("moqo_cache_coalesced_total", tier, float64(c.Coalesced))
-	p.sample("moqo_cache_evictions_total", tier, float64(c.Evictions))
-	p.sample("moqo_cache_entries", tier, float64(c.Entries))
 }
 
 // metric writes a family of one unlabeled sample.

@@ -41,14 +41,14 @@
 //     latency; a failure is classified by Server.serveFailure, the one
 //     switch from a serve error to (wire code, HTTP status, reason).
 //     Nothing a client wrote gets this far, so its default is a 500.
-//   - tiers (tiers.Serve): one memory tier per request. exa, rta and ira
-//     walk frontier tier (keyed by moqo.Resolved.FrontierKey, the
-//     weight/bound-free request prefix, so a repeat or the paper's Figure 3
-//     re-weighting is a SelectBest scan, microseconds instead of a dynamic
-//     program) → disk store → cold dynamic program; the baselines use the
-//     exact plan cache (keyed by CacheKey). Each tier coalesces concurrent
-//     identical keys (single-flight), so a burst for one query shape runs
-//     the engine once; only the cold dynamic program waits for a slot.
+//   - tiers (tiers.Serve): exa, rta and ira walk frontier tier (keyed by
+//     moqo.Resolved.FrontierKey, the weight/bound-free request prefix, so
+//     a repeat or the paper's Figure 3 re-weighting is a SelectBest scan,
+//     microseconds instead of a dynamic program) → disk store → cold
+//     dynamic program; the baselines run cold. The frontier tier coalesces
+//     concurrent identical keys (single-flight), so a burst for one query
+//     shape runs the engine once; only the cold dynamic program waits for
+//     a slot.
 //   - encode (Server.writeJSON / writeFailure; a batch's emit): the
 //     response, or the failure's status line and structured body.
 //
@@ -76,18 +76,20 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// CacheCapacity bounds the exact-result tier (entries), which serves
-	// only the single-objective baselines. 0 means the default (1024);
-	// negative disables caching entirely (both tiers).
+	// CacheCapacity is kept for callers of the exact-result plan cache,
+	// which is gone: a negative value disables caching entirely, any other
+	// value is ignored.
 	CacheCapacity int
-	// CacheShards is the shard count of the plan cache (rounded up to a
-	// power of two; 0 picks the cache default). Applies to both tiers.
+	// CacheShards is the shard count of the frontier tier (rounded up to a
+	// power of two; 0 picks the cache default).
 	CacheShards int
 	// FrontierCacheCapacity bounds the frontier tier: FrontierSnapshots
 	// keyed by the weight/bound-free moqo.Resolved.FrontierKey, from which
-	// weight/bound changes are answered with a SelectBest scan instead of
-	// a new optimization. 0 means the default (512); negative disables
-	// the tier (re-weight requests then always recompute).
+	// exact repeats and weight/bound changes are answered with a SelectBest
+	// scan instead of a new optimization. 0 means the default (512);
+	// negative disables the tier, and with it all caching: every exa, rta
+	// and ira request, an exact repeat included, then runs its dynamic
+	// program.
 	FrontierCacheCapacity int
 	// DefaultTimeout applies to requests without timeout_ms (default 30s).
 	DefaultTimeout time.Duration
@@ -120,7 +122,7 @@ type Options struct {
 	// store breaker (0 = the fault package default, 5). A configured store
 	// always has one: every store operation passes a Closed/Open/HalfOpen
 	// breaker, repeated disk errors trip it, serving degrades to
-	// memory-only (both cache tiers keep answering), and half-open probes
+	// memory-only (the frontier tier keeps answering), and half-open probes
 	// with exponential backoff retry the disk.
 	BreakerThreshold int
 	// BreakerCooldown is the first open window before a half-open
@@ -150,9 +152,6 @@ type Options struct {
 
 // withDefaults fills in the documented defaults.
 func (o Options) withDefaults() Options {
-	if o.CacheCapacity == 0 {
-		o.CacheCapacity = 1024
-	}
 	if o.FrontierCacheCapacity == 0 {
 		o.FrontierCacheCapacity = 512
 	}
@@ -178,7 +177,7 @@ type Server struct {
 	start time.Time
 
 	// tiers answers resolved requests: frontier tier → disk store → cold
-	// dynamic program, or for the baselines plan cache → cold run.
+	// dynamic program, or for the baselines a cold run.
 	tiers *tiers
 
 	// tenants resolves identities, enforces quotas and keeps per-tenant
@@ -190,10 +189,7 @@ type Server struct {
 	sched   *tenant.Scheduler
 
 	catMu    sync.Mutex
-	catalogs map[float64]*moqo.Catalog // TPC-H catalogs by scale factor
-	// tpchQueries holds, per memoized TPC-H catalog, the queries built over
-	// it by number: a built query is only read, so one object serves all.
-	tpchQueries map[*moqo.Catalog]map[int]*moqo.Query
+	catalogs map[float64]*tpchMemo // TPC-H by scale factor
 
 	requests      atomic.Uint64
 	batchRequests atomic.Uint64
@@ -232,12 +228,11 @@ func New(opts Options) *Server {
 func NewE(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:        opts,
-		start:       time.Now(),
-		catalogs:    make(map[float64]*moqo.Catalog),
-		tpchQueries: make(map[*moqo.Catalog]map[int]*moqo.Query),
-		latency:     tenant.NewWindow(latencyWindow),
-		tenants:     opts.Tenants,
+		opts:     opts,
+		start:    time.Now(),
+		catalogs: make(map[float64]*tpchMemo),
+		latency:  tenant.NewWindow(latencyWindow),
+		tenants:  opts.Tenants,
 	}
 	if s.tenants == nil {
 		s.tenants = tenant.NewRegistry(nil)
@@ -298,43 +293,42 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// maxCachedCatalogs bounds the per-scale-factor TPC-H catalog memo; a
-// client iterating over arbitrary scale factors must not grow the daemon
-// without limit. Overflowing scale factors get a freshly built catalog
-// per request — correctness is unaffected, since the plan cache keys on
+// maxCachedCatalogs bounds the per-scale-factor TPC-H memo; a client
+// iterating over arbitrary scale factors must not grow the daemon without
+// limit. Overflowing scale factors get a freshly built catalog and query
+// per request — correctness is unaffected, since the frontier tier keys on
 // the catalog's content fingerprint, not its pointer.
 const maxCachedCatalogs = 16
 
-// tpchCatalog returns the (shared, immutable) TPC-H catalog for a scale
-// factor, building it on first use.
-func (s *Server) tpchCatalog(sf float64) *moqo.Catalog {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	if cat, ok := s.catalogs[sf]; ok {
-		return cat
-	}
-	cat := moqo.TPCHCatalog(sf)
-	if len(s.catalogs) < maxCachedCatalogs {
-		s.catalogs[sf] = cat
-		s.tpchQueries[cat] = make(map[int]*moqo.Query)
-	}
-	return cat
+// tpchMemo is TPC-H at one scale factor: the catalog and the queries built
+// over it by number, guarded by Server.catMu. Both are only read once
+// built, so one object serves every request.
+type tpchMemo struct {
+	cat     *moqo.Catalog
+	queries map[int]*moqo.Query
 }
 
-// tpchQuery returns TPC-H query n over cat: the memoized object when cat is
-// a memoized TPC-H catalog, a freshly built one otherwise.
-func (s *Server) tpchQuery(n int, cat *moqo.Catalog) (*moqo.Query, error) {
+// tpch returns the TPC-H catalog at scale factor sf and, when n is not 0,
+// TPC-H query n over it, building either on first use.
+func (s *Server) tpch(sf float64, n int) (*moqo.Catalog, *moqo.Query, error) {
 	s.catMu.Lock()
 	defer s.catMu.Unlock()
-	memo := s.tpchQueries[cat]
-	if q, ok := memo[n]; ok {
-		return q, nil
+	memo, ok := s.catalogs[sf]
+	if !ok {
+		memo = &tpchMemo{cat: moqo.TPCHCatalog(sf), queries: make(map[int]*moqo.Query)}
+		if len(s.catalogs) < maxCachedCatalogs {
+			s.catalogs[sf] = memo
+		}
 	}
-	q, err := moqo.TPCHQuery(n, cat)
-	if err == nil && memo != nil {
-		memo[n] = q
+	q, ok := memo.queries[n]
+	if n != 0 && !ok {
+		var err error
+		if q, err = moqo.TPCHQuery(n, memo.cat); err != nil {
+			return nil, nil, err
+		}
+		memo.queries[n] = q
 	}
-	return q, err
+	return memo.cat, q, nil
 }
 
 // decode reads the request's JSON body into v, bounded by limit and
@@ -407,7 +401,7 @@ func (s *Server) metricsSnapshot() MetricsResponse {
 		},
 		Tenants: s.tenantMetrics(),
 	}
-	m.Cache, m.FrontierCache, m.FrontierStore = s.tiers.Metrics()
+	m.FrontierCache, m.FrontierStore = s.tiers.Metrics()
 	s.latMu.Lock()
 	m.Latency.Window, m.Latency.P50, m.Latency.P99 = s.latency.Quantiles()
 	s.latMu.Unlock()

@@ -315,13 +315,9 @@ func TestPerRequestTimeoutDegrades(t *testing.T) {
 	if !degraded.Stats.TimedOut {
 		t.Skip("machine too fast to observe the 1ms timeout")
 	}
-	// Degraded results must be rejected by BOTH cache tiers: the exact
-	// result tier (no entry to hit) and the frontier tier (no snapshot —
-	// a truncated frontier must never serve re-weights).
+	// A degraded result must not enter the frontier tier (no snapshot — a
+	// truncated frontier must never serve a repeat or a re-weight).
 	m := metrics(t, ts)
-	if m.Cache.Entries != 0 {
-		t.Errorf("degraded result entered the exact-result tier (%d entries)", m.Cache.Entries)
-	}
 	if m.FrontierCache.Entries != 0 {
 		t.Errorf("degraded frontier entered the frontier tier (%d entries)", m.FrontierCache.Entries)
 	}
@@ -535,26 +531,24 @@ func TestExactRepeatKeepsRequestAliases(t *testing.T) {
 	}
 }
 
-// TestOneMemoryTierPerRequest: the resolved algorithm picks the one memory
-// tier a request uses. A repeated baseline is an exact-tier hit that leaves
-// the frontier tier alone; exa, rta and ira traffic never enters the exact
-// tier; and a bounded IRA exact repeat is answered from its snapshot
-// without a dynamic program.
+// TestOneMemoryTierPerRequest: the resolved algorithm picks how a request is
+// served. A repeated baseline runs cold each time and leaves the frontier
+// tier alone; a bounded IRA exact repeat is answered from its snapshot
+// without a dynamic program; and the exact-result cache metrics read zero.
 func TestOneMemoryTierPerRequest(t *testing.T) {
 	t.Run("baseline", func(t *testing.T) {
 		ts := newTestServer(t, Options{})
-		before := metrics(t, ts)
+		before, runs := metrics(t, ts), core.EngineRuns()
 		body := `{"tpch": 3, "algorithm": "selinger", "objectives": ["total_time"]}`
 		for i := 0; i < 2; i++ {
-			if status, resp, raw := post(t, ts, body); status != http.StatusOK || resp.Cached != (i == 1) {
+			if status, resp, raw := post(t, ts, body); status != http.StatusOK || resp.Cached {
 				t.Fatalf("request %d: status %d, cached %v: %s", i, status, resp.Cached, raw)
 			}
 		}
-		m := metrics(t, ts)
-		if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
-			t.Errorf("cache hits=%d misses=%d, want 1 and 1", m.Cache.Hits, m.Cache.Misses)
+		if ran := core.EngineRuns() - runs; ran != 2 {
+			t.Errorf("two baseline requests ran %d dynamic programs, want 2", ran)
 		}
-		if m.FrontierCache != before.FrontierCache {
+		if m := metrics(t, ts); m.FrontierCache != before.FrontierCache {
 			t.Errorf("a baseline moved the frontier tier: %+v, was %+v", m.FrontierCache, before.FrontierCache)
 		}
 	})
@@ -573,8 +567,8 @@ func TestOneMemoryTierPerRequest(t *testing.T) {
 		if ran := core.EngineRuns() - runs; ran != 0 {
 			t.Errorf("bounded IRA exact repeat ran %d dynamic programs, want 0", ran)
 		}
-		if m := metrics(t, ts); m.Cache.Hits+m.Cache.Misses != 0 {
-			t.Errorf("exa/rta/ira traffic entered the exact tier: hits=%d misses=%d", m.Cache.Hits, m.Cache.Misses)
+		if m := metrics(t, ts); m.Cache != (CacheMetrics{}) {
+			t.Errorf("the exact-result cache metrics moved: %+v", m.Cache)
 		}
 	})
 }
@@ -631,13 +625,22 @@ func TestFrontierSingleFlightUnderConcurrentReweights(t *testing.T) {
 }
 
 // TestFrontierTierDisabled: a negative FrontierCacheCapacity turns the
-// tier off — re-weights recompute, metrics stay disabled.
+// tier off, and with it all caching — re-weights and exact repeats
+// recompute, metrics stay disabled.
 func TestFrontierTierDisabled(t *testing.T) {
 	ts := newTestServer(t, Options{FrontierCacheCapacity: -1})
 	post(t, ts, reweightRequest(1))
 	_, warm, _ := post(t, ts, reweightRequest(2))
 	if warm.Stats.ReusedFrontier {
 		t.Error("re-weight served from a disabled frontier tier")
+	}
+	runs := core.EngineRuns()
+	_, again, _ := post(t, ts, reweightRequest(2))
+	if again.Cached || again.Stats.ReusedFrontier {
+		t.Error("exact repeat served from a cache with the frontier tier disabled")
+	}
+	if core.EngineRuns() == runs {
+		t.Error("exact repeat ran no dynamic program with the frontier tier disabled")
 	}
 	m := metrics(t, ts)
 	if m.FrontierCache.Enabled {
@@ -658,8 +661,8 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled: a negative capacity disables caching; everything
-// still works, nothing reports cached.
+// TestCacheDisabled: a negative CacheCapacity disables caching entirely;
+// everything still works, nothing reports cached.
 func TestCacheDisabled(t *testing.T) {
 	ts := newTestServer(t, Options{CacheCapacity: -1})
 	for i := 0; i < 2; i++ {
@@ -671,7 +674,7 @@ func TestCacheDisabled(t *testing.T) {
 			t.Error("cached response from a cache-disabled server")
 		}
 	}
-	if m := metrics(t, ts); m.Cache.Enabled {
+	if m := metrics(t, ts); m.Cache.Enabled || m.FrontierCache.Enabled {
 		t.Error("metrics report an enabled cache")
 	}
 }

@@ -601,21 +601,23 @@ var promSeries = map[string]string{
 	"latency_ms.p50":    `moqo_latency_quantile_ms{quantile="0.5"}`,
 	"latency_ms.p99":    `moqo_latency_quantile_ms{quantile="0.99"}`,
 
-	"cache.hits":      `moqo_cache_hits_total{tier="exact"}`,
-	"cache.misses":    `moqo_cache_misses_total{tier="exact"}`,
-	"cache.coalesced": `moqo_cache_coalesced_total{tier="exact"}`,
-	"cache.evictions": `moqo_cache_evictions_total{tier="exact"}`,
-	"cache.entries":   `moqo_cache_entries{tier="exact"}`,
-	"cache.capacity":  "", // configuration, not a measurement
-	"cache.hit_ratio": "", // derivable from hits, misses and coalesced
+	// The cache block stands for the exact-result cache, which is gone: it
+	// reads zero and is not exported.
+	"cache.hits":      "",
+	"cache.misses":    "",
+	"cache.coalesced": "",
+	"cache.evictions": "",
+	"cache.entries":   "",
+	"cache.capacity":  "",
+	"cache.hit_ratio": "",
 
 	"frontier_cache.hits":            `moqo_cache_hits_total{tier="frontier"}`,
 	"frontier_cache.misses":          `moqo_cache_misses_total{tier="frontier"}`,
 	"frontier_cache.coalesced":       `moqo_cache_coalesced_total{tier="frontier"}`,
 	"frontier_cache.evictions":       `moqo_cache_evictions_total{tier="frontier"}`,
 	"frontier_cache.entries":         `moqo_cache_entries{tier="frontier"}`,
-	"frontier_cache.capacity":        "",
-	"frontier_cache.hit_ratio":       "",
+	"frontier_cache.capacity":        "", // configuration, not a measurement
+	"frontier_cache.hit_ratio":       "", // derivable from hits, misses and coalesced
 	"frontier_cache.reweight_served": "moqo_reweight_served_total",
 	"frontier_cache.snapshot_bytes":  "moqo_snapshot_bytes",
 
@@ -716,7 +718,7 @@ func TestPrometheusExposition(t *testing.T) {
 		`moqo_tenant_requests_total{tenant="acme"} 2`,
 		`moqo_tenant_admitted_total{tenant="acme"} 1`,
 		`moqo_tenant_rejected_total{tenant="acme",reason="tables"} 1`,
-		`moqo_cache_hits_total{tier="exact"}`,
+		`moqo_cache_hits_total{tier="frontier"}`,
 		"# TYPE moqo_tenant_latency_quantile_ms gauge",
 		"moqo_uptime_seconds",
 	} {

@@ -45,16 +45,3 @@ func (s *Server) acquireCold(ctx context.Context, ten string) (func(), error) {
 	}
 	return func() { s.sched.Release(ten) }, nil
 }
-
-// respSizeBytes estimates an exact-tier entry's memory footprint for the
-// per-tenant cache-partition accounting: the plan JSON dominates, plus
-// the rendered frontier points and a fixed struct overhead. The estimate
-// is computed identically at attribution and eviction time, so each
-// tenant's gauge balances to zero when its entries leave.
-func respSizeBytes(v OptimizeResponse) int64 {
-	n := int64(len(v.Plan)) + 256
-	for _, point := range v.Frontier {
-		n += int64(len(point)) * 32
-	}
-	return n
-}

@@ -9,17 +9,14 @@ import (
 	"moqo/internal/tenant"
 )
 
-// tiers picks one memory tier per resolved request. EXA, RTA and IRA walk
-// frontier tier → disk store → cold dynamic program, the same for every
-// weight vector because the Pareto frontier never looks at weights (paper
-// §3), so an exact repeat is a re-weight rendered with its own query; the
-// baselines use the exact plan cache. It owns both memory caches, the disk
-// tier, their eviction hooks and the tier counters; the one thing it asks
-// of its owner is a cold-DP slot.
+// tiers answers resolved requests. EXA, RTA and IRA walk frontier tier →
+// disk store → cold dynamic program, the same for every weight vector
+// because the Pareto frontier never looks at weights (paper §3), so an exact
+// repeat is a re-weight rendered with its own query; the single-objective
+// baselines always run cold. It owns the memory cache, the disk tier, the
+// eviction hook and the tier counters; the one thing it asks of its owner
+// is a cold-DP slot.
 type tiers struct {
-	// exact is keyed by moqo.Resolved.CacheKey (nil when caching is
-	// disabled) and serves only the baselines.
-	exact *cache.Cache[OptimizeResponse]
 	// frontier is the snapshot tier, keyed by moqo.Resolved.FrontierKey
 	// (nil when disabled); a hit serves the request by a SelectBest scan
 	// over the cached snapshot (moqo.Resolved.Reoptimize).
@@ -50,20 +47,7 @@ type tiers struct {
 // Options.StorePath is set.
 func newTiers(opts Options, tenants *tenant.Registry, acquire func(context.Context, string) (func(), error)) (*tiers, error) {
 	t := &tiers{tenants: tenants, acquire: acquire}
-	if opts.CacheCapacity <= 0 {
-		return t, nil
-	}
-	t.exact = cache.New[OptimizeResponse](opts.CacheCapacity, opts.CacheShards)
-	// Cache-partition accounting: each stored response carries the
-	// tenant whose request computed it, so its departure is charged
-	// back exactly (attribution only — keys and values are
-	// tenant-free, tenancy never changes what a lookup returns).
-	t.exact.OnEvict(func(_ string, v OptimizeResponse, reason cache.EvictReason) {
-		if v.tenant != "" {
-			tenants.CacheEvict(v.tenant, respSizeBytes(v), reason == cache.Evicted)
-		}
-	})
-	if opts.FrontierCacheCapacity <= 0 {
+	if opts.CacheCapacity < 0 || opts.FrontierCacheCapacity <= 0 {
 		return t, nil
 	}
 	t.frontier = cache.New[frontierEntry](opts.FrontierCacheCapacity, opts.CacheShards)
@@ -94,63 +78,37 @@ func newTiers(opts Options, tenants *tenant.Registry, acquire func(context.Conte
 // Close syncs and closes the disk store; safe without one and more than once.
 func (t *tiers) Close() error { return t.disk.Close() }
 
-// Metrics snapshots each tier's counters (all-zero for a disabled tier).
-func (t *tiers) Metrics() (exact CacheMetrics, frontier FrontierCacheMetrics, disk FrontierStoreMetrics) {
-	if t.exact != nil {
-		exact = cacheMetrics(t.exact.Stats())
-	}
+// Metrics snapshots the frontier tier's and the disk tier's counters
+// (all-zero for a disabled tier).
+func (t *tiers) Metrics() (frontier FrontierCacheMetrics, disk FrontierStoreMetrics) {
 	if t.frontier != nil {
+		st := t.frontier.Stats()
 		frontier = FrontierCacheMetrics{
-			CacheMetrics:   cacheMetrics(t.frontier.Stats()),
+			CacheMetrics: CacheMetrics{
+				Enabled:   true,
+				Hits:      st.Hits,
+				Misses:    st.Misses,
+				Coalesced: st.Coalesced,
+				Evictions: st.Evictions,
+				Entries:   st.Entries,
+				Capacity:  st.Capacity,
+				HitRatio:  st.HitRatio(),
+			},
 			ReweightServed: t.reweightServed.Load(),
 			SnapshotBytes:  t.snapshotBytes.Load(),
 		}
 	}
-	return exact, frontier, t.disk.Stats()
-}
-
-// cacheMetrics renders one enabled cache tier's counters.
-func cacheMetrics(st cache.Stats) CacheMetrics {
-	return CacheMetrics{
-		Enabled:   true,
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Coalesced: st.Coalesced,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-		Capacity:  st.Capacity,
-		HitRatio:  st.HitRatio(),
-	}
+	return frontier, t.disk.Stats()
 }
 
 // Serve answers one resolved request — a single /optimize or one batch
-// member — through its algorithm's memory tier; noCache (the request's
-// no_cache) bypasses every tier.
+// member. EXA, RTA and IRA go through the frontier tier; the baselines, and
+// any request with no_cache (noCache), run cold.
 func (t *tiers) Serve(ctx context.Context, req *moqo.Resolved, ten string, noCache bool) (OptimizeResponse, error) {
-	switch {
-	case noCache || t.exact == nil:
+	if noCache || !req.ReusableFrontier() {
 		return t.serveCold(ctx, req, ten)
-	case req.ReusableFrontier():
-		return t.serveFrontier(ctx, req, ten)
 	}
-	resp, src, err := t.exact.Do(ctx, req.CacheKey(), func(cctx context.Context) (OptimizeResponse, bool, error) {
-		resp, err := t.serveCold(cctx, req, ten)
-		if err != nil || resp.Stats.TimedOut {
-			return resp, false, err // a degraded result is not stored
-		}
-		// Stamp and attribute a storable result to the computing tenant
-		// before the tier stores it, so the eviction hook can charge the
-		// departure back exactly. The stamp is an unexported field: it
-		// never serializes, and answers stay bit-for-bit tenant-independent.
-		resp.tenant = ten
-		t.tenants.CacheAdd(ten, respSizeBytes(resp))
-		return resp, true, nil
-	})
-	if err != nil {
-		return OptimizeResponse{}, err
-	}
-	resp.Cached = src != cache.Miss
-	return resp, nil
+	return t.serveFrontier(ctx, req, ten)
 }
 
 // frontierEntry is one frontier-tier record: the snapshot plus its

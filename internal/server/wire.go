@@ -221,16 +221,9 @@ type OptimizeResponse struct {
 	// Stats describes the optimization run that produced the plan. For a
 	// cached answer these are the stats of the original computation.
 	Stats StatsResponse `json:"stats"`
-	// Cached reports an answer derived from a stored result: for exa, rta
-	// and ira a cached frontier snapshot (stats.reused_frontier), for the
-	// baselines the exact plan cache or a coalesced identical computation.
+	// Cached reports an answer derived from a cached frontier snapshot
+	// (stats.reused_frontier). The baselines are never cached.
 	Cached bool `json:"cached"`
-
-	// tenant is the identity of the request that computed a stored entry,
-	// read back by the exact tier's eviction hook for per-tenant cache
-	// accounting. Unexported: it never serializes, so answers stay
-	// bit-for-bit identical with and without tenancy.
-	tenant string
 }
 
 // StatsResponse mirrors moqo.Stats on the wire.
@@ -279,7 +272,9 @@ type ErrorResponse struct {
 type MetricsResponse struct {
 	UptimeMs float64        `json:"uptime_ms"`
 	Requests RequestMetrics `json:"requests"`
-	Cache    CacheMetrics   `json:"cache"`
+	// Cache is all-zero: it stands for the exact-result plan cache, which
+	// is gone, and stays on the wire for the clients that read it.
+	Cache CacheMetrics `json:"cache"`
 	// FrontierCache snapshots the frontier tier (all-zero when disabled):
 	// cached Pareto-frontier snapshots keyed by the weight/bound-free
 	// request prefix, from which re-weight traffic is served without
@@ -337,8 +332,8 @@ type RequestMetrics struct {
 	Panics uint64 `json:"panics"`
 }
 
-// CacheMetrics snapshots a cache tier; as MetricsResponse.Cache, the exact
-// plan cache of the baselines (all-zero when caching is disabled).
+// CacheMetrics snapshots a cache tier. As MetricsResponse.Cache, the
+// exact-result plan cache the server no longer has, it always reads zero.
 type CacheMetrics struct {
 	Enabled   bool    `json:"enabled"`
 	Hits      uint64  `json:"hits"`
@@ -350,10 +345,9 @@ type CacheMetrics struct {
 	HitRatio  float64 `json:"hit_ratio"`
 }
 
-// FrontierCacheMetrics snapshots the frontier tier of the plan cache
-// (all-zero when the tier is disabled). Hits/Misses/Coalesced/Evictions
-// count tier lookups like CacheMetrics does for the exact-result tier;
-// every cacheable exa, rta and ira request looks the tier up once.
+// FrontierCacheMetrics snapshots the frontier tier (all-zero when the tier
+// is disabled). Hits/Misses/Coalesced/Evictions count tier lookups; every
+// cacheable exa, rta and ira request looks the tier up once.
 type FrontierCacheMetrics struct {
 	CacheMetrics
 	// ReweightServed counts requests answered from a cached snapshot —
