@@ -2,6 +2,7 @@ package moqo
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"moqo/internal/batchplan"
@@ -49,17 +50,20 @@ type BatchOptions struct {
 // BatchItem is the outcome of one batch member.
 type BatchItem struct {
 	// Result is the member's optimization result, nil on error. Members
-	// whose requests resolve to the same cache key share one *Result —
-	// treat it as read-only, as with any cached result.
+	// whose requests resolve to the same cache key and whose queries name
+	// their relations alike (equal aliases and join edges, position by
+	// position) share one *Result — treat it as read-only, as with any
+	// cached result. A member that differs only in its aliases gets its
+	// own, in its own names.
 	Result *Result
 	// Err is the member's error (validation, cancellation); nil on
 	// success. Member errors are independent — one invalid member never
 	// fails the batch.
 	Err error
 	// Reused reports the member was answered without running its own
-	// dynamic program: either an exact duplicate (cache key) of another
-	// member, or a re-weight/re-bound of one, answered from that member's
-	// Pareto frontier.
+	// dynamic program: either an exact duplicate (cache key and rendering)
+	// of another member, or a re-weight/re-bound or renaming of one,
+	// answered from that member's Pareto frontier.
 	Reused bool
 }
 
@@ -67,11 +71,11 @@ type BatchItem struct {
 // everything its members have in common. Compared to a loop over
 // Optimize:
 //
-//   - members resolving to the same cache key run one dynamic program
-//     (the duplicates share the leader's Result),
-//   - members differing only in weights or bounds (same FrontierKey,
-//     EXA/RTA) run one dynamic program; the others are answered from its
-//     Pareto frontier by a SelectBest scan,
+//   - members resolving to the same cache key whose queries render alike
+//     run one dynamic program (the duplicates share the leader's Result),
+//   - members differing only in weights, bounds or relation aliases (same
+//     FrontierKey, EXA/RTA) run one dynamic program; the others are
+//     answered from its Pareto frontier by a SelectBest scan,
 //   - all members publish solved subproblems to a shared memo, so
 //     overlapping-but-distinct queries (a star sharing its core with a
 //     larger star, a chain extending another) skip each other's completed
@@ -113,9 +117,9 @@ func OptimizeBatchStream(ctx context.Context, reqs []Request, opts BatchOptions,
 	})
 }
 
-// batchUnit is one distinct cache key of the batch: the representative
+// batchUnit is one distinct answer of the batch: the representative
 // request that runs (or is re-weighted), and the indexes of every member
-// resolving to that key.
+// resolving to its cache key with a query that renders like its own.
 type batchUnit struct {
 	r       Resolved
 	members []int
@@ -138,12 +142,12 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 		shared = NewSharedMemo()
 	}
 
-	// Resolve members into distinct-cache-key units, and units into
-	// frontier groups: units sharing a FrontierKey differ only in weights
-	// and bounds, so one dynamic program serves the whole group. Invalid
-	// members fail immediately and independently.
-	byCK := make(map[string]*batchUnit)
-	byFK := make(map[string]int) // FrontierKey -> index into groups
+	// Resolve members into units of one answer, and units into frontier
+	// groups: units sharing a FrontierKey differ only in weights, bounds
+	// and relation aliases, so one dynamic program serves the whole group.
+	// Invalid members fail immediately and independently.
+	byCK := make(map[string][]*batchUnit) // CacheKey -> its units, one per rendering
+	byFK := make(map[string]int)          // FrontierKey -> index into groups
 	var groups []batchGroup
 	for i, req := range reqs {
 		req.Shared = shared
@@ -152,13 +156,18 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 			done(i, BatchItem{Err: err})
 			continue
 		}
+		// A duplicate shares its unit's Result, plan JSON included, and
+		// CacheKey leaves out what the rendering reads of the query besides
+		// it: the relation aliases and the order the edges were declared in.
 		ck := r.CacheKey()
-		if u, ok := byCK[ck]; ok {
+		same := func(u *batchUnit) bool { return core.SameRendering(u.r.req.Query, r.req.Query) }
+		if k := slices.IndexFunc(byCK[ck], same); k >= 0 {
+			u := byCK[ck][k]
 			u.members = append(u.members, i)
 			continue
 		}
 		u := &batchUnit{r: r, members: []int{i}}
-		byCK[ck] = u
+		byCK[ck] = append(byCK[ck], u)
 		if r.alg != AlgoEXA && r.alg != AlgoRTA {
 			groups = append(groups, batchGroup{u})
 			continue
@@ -186,7 +195,8 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 }
 
 // runGroup executes one scheduling unit: the leader's dynamic program,
-// then the group's re-weights from the leader's frontier snapshot.
+// then the group's other units — re-weights, re-bounds, renamings — from
+// the leader's frontier snapshot.
 func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) {
 	leader := g[0]
 	var res *Result
@@ -202,7 +212,8 @@ func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) {
 	for _, u := range g[1:] {
 		if err == nil && snap != nil {
 			// A pure SelectBest scan over the snapshot — no dynamic program,
-			// bit-for-bit the cold answer at the unit's weights/bounds.
+			// bit-for-bit the cold answer at the unit's weights/bounds, in
+			// its own relation names.
 			r, _, e := u.r.Reoptimize(ctx, snap)
 			emitUnit(u, r, e, true, done)
 			continue
@@ -215,8 +226,7 @@ func runGroup(ctx context.Context, g batchGroup, done func(int, BatchItem)) {
 }
 
 // emitUnit fans one unit's outcome out to all its members: the first
-// member owns the run, the rest are cache-key duplicates sharing its
-// Result.
+// member owns the run, the rest are duplicates sharing its Result.
 func emitUnit(u *batchUnit, res *Result, err error, reused bool, done func(int, BatchItem)) {
 	for k, i := range u.members {
 		done(i, BatchItem{Result: res, Err: err, Reused: reused || k > 0})

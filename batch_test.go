@@ -1,6 +1,7 @@
 package moqo_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -169,6 +170,63 @@ func TestBatchSharedMemoKeepsEdgeOrder(t *testing.T) {
 		t.Errorf("member B took %d shared hits, want 3 (A's pairs, not its triangle)", hits)
 	}
 	assertSameAnswer(t, "member B", items[1].Result, alone)
+}
+
+// TestBatchDuplicateKeepsMemberAliases: two members that differ only in
+// their relation aliases share a cache key, so a dedupe by that key alone
+// handed the second member the first one's Result, whose plan names the
+// first member's relations. Each member must get the plan it gets alone,
+// in its own names; under EXA and RTA the second is still answered from
+// the first one's frontier, without a dynamic program of its own.
+func TestBatchDuplicateKeepsMemberAliases(t *testing.T) {
+	cat := moqo.NewCatalog()
+	cat.AddTable("users", 100000, 120, "id")
+	cat.AddTable("events", 5000000, 64, "eid")
+	named := func(prefix string) *moqo.Query {
+		q := moqo.NewQuery("alias", cat)
+		q.AddRelation("users", prefix+"1", 0.1)
+		q.AddRelation("events", prefix+"2", 1)
+		q.AddJoin(0, 1, "id", "user_id", 0.00001)
+		return q
+	}
+	objs := []moqo.Objective{moqo.TotalTime, moqo.Energy}
+	weights := map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.Energy: 0.5}
+	for _, alg := range []moqo.Algorithm{moqo.AlgoEXA, moqo.AlgoRTA, moqo.AlgoIRA} {
+		t.Run(alg.String(), func(t *testing.T) {
+			prefixes := []string{"x", "y", "x"}
+			reqs := make([]moqo.Request, len(prefixes))
+			for i, prefix := range prefixes {
+				reqs[i] = moqo.Request{Query: named(prefix), Algorithm: alg, Alpha: 1.5, Objectives: objs, Weights: weights}
+			}
+			items := moqo.OptimizeBatch(reqs)
+			for i, it := range items {
+				if it.Err != nil {
+					t.Fatalf("member %d: %v", i, it.Err)
+				}
+				raw, err := it.Result.PlanJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				prefix, other := prefixes[i], map[string]string{"x": "y", "y": "x"}[prefixes[i]]
+				for _, n := range []string{"1", "2"} {
+					if !bytes.Contains(raw, []byte(`"`+prefix+n+`"`)) || bytes.Contains(raw, []byte(`"`+other+n+`"`)) {
+						t.Errorf("member %d wrote %s1,%s2; its plan names other relations:\n%s", i, prefix, prefix, raw)
+					}
+				}
+				alone, err := moqo.Optimize(reqs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameAnswer(t, fmt.Sprintf("member %d", i), it.Result, alone)
+			}
+			if items[2].Result != items[0].Result || !items[2].Reused {
+				t.Error("the exact duplicate (same key, same names) was not deduped")
+			}
+			if alg != moqo.AlgoIRA && !items[1].Reused {
+				t.Error("the renamed member was not answered from the first member's frontier")
+			}
+		})
+	}
 }
 
 // TestBatchInvalidMemberIsIndependent pins that one invalid member fails

@@ -129,10 +129,17 @@ func (f *Frontier) SelectBest(w objective.Weights, b objective.Bounds) int32 {
 // Plans returns the frontier's plan trees in canonical order, sharing
 // common subtrees. They are materialized on the first call — the only
 // point where *plan.Node trees are allocated — and shared by every later
-// one; the returned slice must not be modified.
+// one; the returned slice must not be modified. A snapshot's closed
+// sub-memo materializes as a plan.DenseMemo; a run's memo table is not
+// closed and keeps the materializer's map.
 func (f *Frontier) Plans() []*plan.Node {
 	f.materialize.Do(func() {
-		mt := plan.NewMaterializer(frontierMemo{f})
+		var mt *plan.Materializer
+		if subs, ok := f.memo.(subMemo); ok {
+			mt = plan.NewDenseMaterializer(snapshotMemo{frontierMemo{f}, subs})
+		} else {
+			mt = plan.NewMaterializer(frontierMemo{f})
+		}
 		f.plans = make([]*plan.Node, f.Len())
 		for i := range f.plans {
 			f.plans[i] = mt.Plan(f.all, int32(i))
@@ -152,14 +159,14 @@ func (f *Frontier) Plans() []*plan.Node {
 // aliases, and the order the join edges were declared in (the order
 // Query.EstimateRows multiplies selectivities in, so the last bit of a
 // "rows" field). A slot therefore remembers what it was rendered for and
-// serves only that query, or one that sameRendering as it, under those
+// serves only that query, or one that SameRendering as it, under those
 // objectives; any other request renders afresh and takes the slot over.
 // Two goroutines rendering one row at once both render, to the same bytes
 // for the same request.
 func (f *Frontier) PlanJSON(i int32, q *query.Query, objs objective.Set) ([]byte, error) {
 	f.renderOnce.Do(func() { f.rendered = make([]atomic.Pointer[rendering], f.Len()) })
 	slot := &f.rendered[i]
-	if r := slot.Load(); r != nil && r.objs == objs && sameRendering(r.q, q) {
+	if r := slot.Load(); r != nil && r.objs == objs && SameRendering(r.q, q) {
 		return r.json, nil
 	}
 	raw, err := f.Plans()[i].JSON(q, objs)
@@ -170,10 +177,11 @@ func (f *Frontier) PlanJSON(i int32, q *query.Query, objs objective.Set) ([]byte
 	return raw, nil
 }
 
-// sameRendering reports whether two queries answered by one frontier render
+// SameRendering reports whether two queries answered by one frontier render
 // its plans to the same bytes: the same query, or equal aliases and equal
-// edges, position by position.
-func sameRendering(a, b *query.Query) bool {
+// edges, position by position. Two requests with one key answer alike only
+// if their queries also render alike.
+func SameRendering(a, b *query.Query) bool {
 	return a == b || slices.Equal(a.Edges, b.Edges) &&
 		slices.EqualFunc(a.Relations, b.Relations, func(x, y query.Relation) bool { return x.Alias == y.Alias })
 }

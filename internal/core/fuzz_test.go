@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,7 +23,9 @@ const corpusDir = "testdata/snapshots"
 
 // corpusSnapshots produces one snapshot per algorithm family the capture
 // path supports: exact (EXA), uniform-α (RTA), per-objective precision
-// (RTAVector), and iterative refinement (IRA).
+// (RTAVector), and iterative refinement (IRA), over three objectives; and
+// one over all nine. Each holds several sub-memo sections and
+// index-nested-loop joins, whose index-probe inners are not stored plans.
 func corpusSnapshots(t testing.TB) map[string]*FrontierSnapshot {
 	t.Helper()
 	w := objective.UniformWeights(threeObjs)
@@ -60,6 +63,13 @@ func corpusSnapshots(t testing.TB) map[string]*FrontierSnapshot {
 	res, err = IRA(costmodel.NewDefault(chainQuery(t)), w, objective.NoBounds(), iraOpts)
 	capture("ira-chain", res, err)
 
+	// Every objective: full-width cost rows in every section.
+	nineOpts := smallOpts(objective.AllSet())
+	nineOpts.Alpha = 2
+	nineOpts.CaptureSnapshot = true
+	res, err = RTA(costmodel.NewDefault(chainQuery(t)), objective.UniformWeights(objective.AllSet()), nineOpts)
+	capture("rta9-chain", res, err)
+
 	return out
 }
 
@@ -85,7 +95,10 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 
 // TestCorpusSeedsDecode pins the committed corpus to the current format:
 // every seed must decode cleanly and re-encode to the identical bytes.
-// If this fails after a format change, regenerate the corpus.
+// If this fails after a format change, regenerate the corpus. It also
+// holds the corpus to what the fuzzer's materialization differential
+// needs to start from: a nine-objective snapshot of several sections, and
+// an index-nested-loop join.
 func TestCorpusSeedsDecode(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*.bin"))
 	if err != nil {
@@ -94,6 +107,7 @@ func TestCorpusSeedsDecode(t *testing.T) {
 	if len(files) < 4 {
 		t.Fatalf("committed corpus has %d seeds; want at least 4 (one per algorithm family)", len(files))
 	}
+	var nine, probe bool
 	for _, path := range files {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -110,6 +124,12 @@ func TestCorpusSeedsDecode(t *testing.T) {
 		if !bytes.Equal(data, again) {
 			t.Fatalf("%s: decode/encode is not an identity", path)
 		}
+		nine = nine || snap.objs == objective.AllSet() && len(snap.subs) > 1
+		_, probes := snapshotMemo{frontierMemo{&snap.Frontier}, snap.subs}.Size()
+		probe = probe || probes > 0
+	}
+	if !nine || !probe {
+		t.Errorf("corpus lacks a seed: nine objectives over several sections %v, an index-probe inner %v", nine, probe)
 	}
 }
 
@@ -204,12 +224,57 @@ func TestUnmarshalRejectsCraftedCorruption(t *testing.T) {
 	}
 }
 
+// sameTrees fails the test unless got and want are the same plan trees:
+// the same shapes and operator fields, the same cost bits, and shared
+// alike. Pairing each node of got with the node of want in its place must
+// be one-to-one, so a sub-plan that is one node in want — a (set, index)
+// referenced twice — is one node in got, and nodes apart in want — every
+// index-probe inner — are apart in got.
+func sameTrees(t *testing.T, got, want []*plan.Node) {
+	t.Helper()
+	pair := make(map[*plan.Node]*plan.Node) // got → want
+	back := make(map[*plan.Node]*plan.Node) // want → got
+	var same func(g, w *plan.Node) bool
+	same = func(g, w *plan.Node) bool {
+		if g == nil || w == nil {
+			return g == w
+		}
+		if p, ok := pair[g]; ok {
+			return p == w
+		}
+		if _, ok := back[w]; ok {
+			return false
+		}
+		pair[g], back[w] = w, g
+		if g.Tables != w.Tables || g.Scan != w.Scan || g.Relation != w.Relation || g.Join != w.Join || g.DOP != w.DOP ||
+			math.Float64bits(g.SampleRate) != math.Float64bits(w.SampleRate) {
+			return false
+		}
+		for o := range g.Cost {
+			if math.Float64bits(g.Cost[o]) != math.Float64bits(w.Cost[o]) {
+				return false
+			}
+		}
+		return same(g.Left, w.Left) && same(g.Right, w.Right)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d plans, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !same(got[i], want[i]) {
+			t.Fatalf("plan %d: the dense materialization differs from the map-cached one", i)
+		}
+	}
+}
+
 // FuzzFrontierSnapshotUnmarshal hammers the snapshot decoder with corrupt
 // inputs. The contract under test: decode either returns an error or a
 // snapshot every downstream consumer can use safely — no panics, no
 // unbounded allocation from corrupt counts, no reference cycles that
 // would hang plan materialization, and Marshal∘Unmarshal as the identity
-// on whatever decodes successfully.
+// on whatever decodes successfully. Every snapshot that decodes also
+// materializes, through its dense memo, the trees the map-cached path
+// builds (sameTrees).
 func FuzzFrontierSnapshotUnmarshal(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*.bin"))
 	if err != nil {
@@ -251,6 +316,14 @@ func FuzzFrontierSnapshotUnmarshal(f *testing.F) {
 			}
 			snap.CostAt(int32(i))
 		}
+		// Differential: the snapshot materializes through its dense memo;
+		// the same frontier through the map-cached path is the oracle.
+		mt := plan.NewMaterializer(frontierMemo{&snap.Frontier})
+		oracle := make([]*plan.Node, snap.Len())
+		for i := range oracle {
+			oracle[i] = mt.Plan(snap.all, int32(i))
+		}
+		sameTrees(t, plans, oracle)
 		w := objective.UniformWeights(snap.Objectives())
 		if best := snap.SelectBest(w, objective.NoBounds()); best < 0 || int(best) >= snap.Len() {
 			t.Fatalf("SelectBest returned out-of-range index %d", best)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -57,6 +58,10 @@ type snapshotSet struct {
 	set     query.TableSet
 	costs   []float64
 	entries []plan.Entry
+	// off numbers the set's first row in the snapshot's dense numbering
+	// (snapshotMemo): the frontier rows first, then every retained set's
+	// rows, sets ascending.
+	off int
 }
 
 // subMemo is a snapshot's closed sub-memo as a plan.Memo.
@@ -70,6 +75,44 @@ func (m subMemo) find(t query.TableSet) *snapshotSet {
 		return &m[i]
 	}
 	return nil
+}
+
+// snapshotMemo is the plan.DenseMemo a snapshot's frontier materializes
+// through: the frontier rows are slots 0 to Len()-1, and each retained
+// set's rows follow from its off. Closed and densely re-indexed, the
+// sub-memo numbers every plan a materialization can reach.
+type snapshotMemo struct {
+	frontierMemo
+	subs subMemo
+}
+
+var _ plan.DenseMemo = snapshotMemo{}
+
+// Lookup implements plan.DenseMemo.
+func (m snapshotMemo) Lookup(t query.TableSet, idx int32) (int, plan.Entry, *objective.Vector) {
+	i := int(idx)
+	if t == m.f.all {
+		return i, m.f.entries[i], (*objective.Vector)(m.f.costs[i*costStride:])
+	}
+	sub := m.subs.find(t)
+	return sub.off + i, sub.entries[i], (*objective.Vector)(sub.costs[i*costStride:])
+}
+
+// Size implements plan.DenseMemo.
+func (m snapshotMemo) Size() (plans, probes int) {
+	count := func(ents []plan.Entry) {
+		plans += len(ents)
+		for _, ent := range ents {
+			if ent.RightIdx == plan.SyntheticInner {
+				probes++
+			}
+		}
+	}
+	count(m.f.entries)
+	for i := range m.subs {
+		count(m.subs[i].entries)
+	}
+	return plans, probes
 }
 
 // EntryAt implements plan.Memo.
@@ -146,10 +189,11 @@ func (f *Frontier) snapshot(setAlpha float64, cfg *pareto.FlatConfig, st Stats) 
 	}
 
 	// Transitive reachability over the memo, from the frontier entries
-	// down. Index-nested-loop inners (SyntheticInner) are synthetic index
-	// probes, not stored sub-plans, and carry no reference.
-	needed := make(map[query.TableSet]map[int32]bool)
-	var stack []planRef
+	// down: refs lists every reached sub-plan once. Index-nested-loop
+	// inners (SyntheticInner) are synthetic index probes, not stored
+	// sub-plans, and carry no reference.
+	remap := make(map[planRef]int32)
+	var refs, stack []planRef
 	push := func(ent plan.Entry) {
 		if ent.IsScan() {
 			return
@@ -165,44 +209,41 @@ func (f *Frontier) snapshot(setAlpha float64, cfg *pareto.FlatConfig, st Stats) 
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		m := needed[r.set]
-		if m == nil {
-			m = make(map[int32]bool)
-			needed[r.set] = m
-		}
-		if m[r.idx] {
+		if _, ok := remap[r]; ok {
 			continue
 		}
-		m[r.idx] = true
+		remap[r] = 0
+		refs = append(refs, r)
 		push(f.memo.EntryAt(r.set, r.idx))
 	}
 
-	// Dense re-indexing: sets ascending, retained indices ascending.
-	sets := make([]query.TableSet, 0, len(needed))
-	for t := range needed {
-		sets = append(sets, t)
+	// Dense re-indexing: sets ascending, retained indices ascending. Every
+	// set's rows are a capped sub-slice of one entry array and one cost
+	// array, as a decoded snapshot's are.
+	slices.SortFunc(refs, func(a, b planRef) int {
+		return cmp.Or(cmp.Compare(a.set, b.set), cmp.Compare(a.idx, b.idx))
+	})
+	nsets := 0
+	for i, r := range refs {
+		if i == 0 || r.set != refs[i-1].set {
+			nsets++
+		}
 	}
-	slices.Sort(sets)
-	remap := make(map[planRef]int32, len(needed))
-	s.subs = make(subMemo, len(sets))
-	for si, t := range sets {
-		idxs := make([]int32, 0, len(needed[t]))
-		for idx := range needed[t] {
-			idxs = append(idxs, idx)
+	s.subs = make(subMemo, 0, nsets)
+	ents, costs := make([]plan.Entry, len(refs)), make([]float64, len(refs)*costStride)
+	first := 0 // refs index of the current set's first row
+	for i, r := range refs {
+		if i == 0 || r.set != refs[i-1].set {
+			s.subs = append(s.subs, snapshotSet{set: r.set, off: len(f.entries) + i})
+			first = i
 		}
-		slices.Sort(idxs)
-		sub := snapshotSet{
-			set:     t,
-			entries: make([]plan.Entry, len(idxs)),
-			costs:   make([]float64, 0, len(idxs)*costStride),
-		}
-		for ni, oi := range idxs {
-			remap[planRef{t, oi}] = int32(ni)
-			sub.entries[ni] = f.memo.EntryAt(t, oi)
-			v := f.memo.CostAt(t, oi)
-			sub.costs = append(sub.costs, v[:]...)
-		}
-		s.subs[si] = sub
+		remap[r] = int32(i - first)
+		ents[i] = f.memo.EntryAt(r.set, r.idx)
+		v := f.memo.CostAt(r.set, r.idx)
+		copy(costs[i*costStride:], v[:])
+		sub := &s.subs[len(s.subs)-1]
+		end := i + 1
+		sub.entries, sub.costs = ents[first:end:end], costs[first*costStride:end*costStride:end*costStride]
 	}
 	rewrite := func(ent plan.Entry) plan.Entry {
 		if ent.IsScan() {
@@ -214,10 +255,8 @@ func (f *Frontier) snapshot(setAlpha float64, cfg *pareto.FlatConfig, st Stats) 
 		}
 		return ent
 	}
-	for i := range s.subs {
-		for j := range s.subs[i].entries {
-			s.subs[i].entries[j] = rewrite(s.subs[i].entries[j])
-		}
+	for i := range ents {
+		ents[i] = rewrite(ents[i])
 	}
 	s.entries = make([]plan.Entry, len(f.entries))
 	for i, ent := range f.entries {
@@ -312,6 +351,7 @@ func UnmarshalFrontierSnapshot(data []byte) (*FrontierSnapshot, error) {
 	s.stats.EnumSets = int(r.u64())
 	s.stats.EnumSplits = int(r.u64())
 	s.stats.Iterations = int(r.u64())
+	r.rows()
 	s.entries, s.costs = r.section()
 	nsubs := int(r.u32())
 	if r.err == nil && nsubs > r.remaining()/8 {
@@ -319,9 +359,12 @@ func UnmarshalFrontierSnapshot(data []byte) (*FrontierSnapshot, error) {
 	}
 	if r.err == nil {
 		s.subs = make(subMemo, nsubs)
+		off := len(s.entries)
 		for i := 0; i < nsubs && r.err == nil; i++ {
 			s.subs[i].set = query.TableSet(r.u64())
 			s.subs[i].entries, s.subs[i].costs = r.section()
+			s.subs[i].off = off
+			off += len(s.subs[i].entries)
 		}
 	}
 	if r.err != nil {
@@ -512,6 +555,27 @@ type binReader struct {
 	buf []byte
 	off int
 	err error
+	// ents and costs are the rows not yet handed to a section (see rows).
+	ents  []plan.Entry
+	costs []float64
+}
+
+// rowBytes is the encoded size of one stored plan: its entry (op and two
+// indexes as 32-bit words, two table sets as 64-bit ones) and its cost
+// row.
+const rowBytes = 28 + 8*costStride
+
+// rows allocates the one entry array and the one cost array every section
+// that follows is carved from: room for as many rows as the rest of the
+// payload can encode. A section is carved only when all its bytes are
+// there (see section), after those of the sections before it, so the rows
+// left over always hold it.
+func (r *binReader) rows() {
+	if r.err != nil {
+		return
+	}
+	n := r.remaining() / rowBytes
+	r.ents, r.costs = make([]plan.Entry, n), make([]float64, n*costStride)
 }
 
 func (r *binReader) remaining() int { return len(r.buf) - r.off }
@@ -532,27 +596,35 @@ func (r *binReader) u32() uint32  { return binary.LittleEndian.Uint32(r.raw(4)) 
 func (r *binReader) u64() uint64  { return binary.LittleEndian.Uint64(r.raw(8)) }
 func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// section reads one (entries, costs) archive slice.
+// section reads one (entries, costs) archive slice into the next n rows
+// of the arrays rows allocated, capped so nothing appends into the next
+// section's. A section whose n rows are not all in the payload is
+// rejected before any of it is read.
 func (r *binReader) section() ([]plan.Entry, []float64) {
 	n := int(r.u32())
-	const perEntry = 28 + 8*costStride // encoded bytes per stored plan
-	if r.err != nil || n > r.remaining()/perEntry+1 {
+	if r.err != nil || n > r.remaining()/rowBytes {
 		if r.err == nil {
 			r.err = fmt.Errorf("entry count %d exceeds payload at offset %d", n, r.off)
 		}
 		return nil, nil
 	}
-	ents := make([]plan.Entry, n)
+	ents, costs := r.ents[:n:n], r.costs[:n*costStride:n*costStride]
+	r.ents, r.costs = r.ents[n:], r.costs[n*costStride:]
+	b := r.raw(n * rowBytes)
+	le := binary.LittleEndian
 	for i := range ents {
-		ents[i].Op = int32(r.u32())
-		ents[i].LeftIdx = int32(r.u32())
-		ents[i].RightIdx = int32(r.u32())
-		ents[i].LeftSet = query.TableSet(r.u64())
-		ents[i].RightSet = query.TableSet(r.u64())
+		e := b[28*i : 28*i+28]
+		ents[i] = plan.Entry{
+			Op:       int32(le.Uint32(e)),
+			LeftIdx:  int32(le.Uint32(e[4:])),
+			RightIdx: int32(le.Uint32(e[8:])),
+			LeftSet:  query.TableSet(le.Uint64(e[12:])),
+			RightSet: query.TableSet(le.Uint64(e[20:])),
+		}
 	}
-	costs := make([]float64, n*costStride)
+	b = b[28*n:]
 	for i := range costs {
-		costs[i] = r.f64()
+		costs[i] = math.Float64frombits(le.Uint64(b[8*i:]))
 	}
 	return ents, costs
 }

@@ -8,10 +8,12 @@ import (
 	"sync"
 	"testing"
 
+	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 	"moqo/internal/plan"
 	"moqo/internal/query"
+	"moqo/internal/workload"
 )
 
 // snapRTA runs RTA with snapshot capture and returns both.
@@ -282,6 +284,54 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		if a.Best.Cost != b.Best.Cost || a.Best.Format(q) != b.Best.Format(q) {
 			t.Fatalf("trial %d: decoded snapshot serves a different plan", trial)
+		}
+	}
+}
+
+// snapshotServeAllocs bounds what serving a stored snapshot allocates
+// before any selection: the decode (the snapshot, its precision, one entry
+// array and one cost array for every section, the sub-memo index) and the
+// one materialization of its frontier trees (the dense memo view, its slot
+// cache, one slab of nodes and the plans slice). 9 measured on go1.24.
+const snapshotServeAllocs = 12
+
+// TestSnapshotServeAllocs: decoding a snapshot and materializing its
+// frontier allocates one small constant, the same for every snapshot —
+// however many frontier rows, retained sets and rows per set it holds. A
+// term that grows with the snapshot (a slice per section, a map entry or a
+// node per plan) shows as counts that differ between the snapshots.
+func TestSnapshotServeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs RTA on TPC-H at up to nine objectives")
+	}
+	cat := catalog.TPCH(1)
+	var first float64
+	for _, objs := range []int{3, 6, 9} {
+		set := objective.NewSet(objective.All()[:objs]...)
+		for _, num := range []int{2, 3, 5, 7, 8, 9, 10} {
+			label := fmt.Sprintf("q%d/%dobj", num, objs)
+			opts := smallOpts(set)
+			opts.Alpha = 1.5
+			_, snap := snapRTA(t, costmodel.NewDefault(workload.MustQuery(num, cat)), objective.UniformWeights(set), opts)
+			data, err := snap.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				back, err := UnmarshalFrontierSnapshot(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back.Plans()
+			})
+			t.Logf("%s: %d frontier rows, %d retained sets, %.0f allocs", label, snap.Len(), len(snap.subs), allocs)
+			if first == 0 {
+				first = allocs
+			}
+			if allocs != first || allocs > snapshotServeAllocs {
+				t.Errorf("%s: decode + Plans allocates %.0f objects; want %.0f like every other snapshot, at most %d",
+					label, allocs, first, snapshotServeAllocs)
+			}
 		}
 	}
 }

@@ -109,13 +109,42 @@ type Memo interface {
 	CostAt(s query.TableSet, idx int32) objective.Vector
 }
 
+// DenseMemo is a closed memo whose stored plans are numbered densely, from
+// 0 to Size's plans-1: every reference an entry holds resolves inside it.
+// A materializer over a DenseMemo (NewDenseMaterializer) caches sub-plans
+// by number in a slice instead of a map, resolves each reference with one
+// Lookup instead of EntryAt and CostAt, and takes all its nodes from one
+// slab sized up front.
+type DenseMemo interface {
+	// Lookup returns the number, the entry and the cost vector of the
+	// idx-th plan stored for table set s. The vector is the memo's own and
+	// must not be modified.
+	Lookup(s query.TableSet, idx int32) (slot int, e Entry, cost *objective.Vector)
+	// Size returns how many plans the memo stores, and how many of them
+	// are index-nested-loop joins: each materializes one node more, its
+	// index-probe inner.
+	Size() (plans, probes int)
+}
+
 // Materializer reconstructs Node trees from compact entries. Sub-plans are
 // cached by (table set, index), so plans extracted from the same memo share
 // their common subtrees bottom-up — the O(1)-space-per-stored-plan sharing
 // of the dynamic program (proof of Theorem 1) survives materialization.
+// Index-probe inners are the exception: every index-nested-loop join gets
+// its own.
+//
+// Over a DenseMemo the nodes come from one slab holding every node a full
+// materialization can need; over any other memo each node is its own
+// allocation.
 type Materializer struct {
+	// Exactly one of memo and dense is set: memo's sub-plans are cached
+	// in cache, dense's in slots.
 	memo  Memo
 	cache map[planRef]*Node
+	dense DenseMemo
+	slots []*Node
+	// slab holds the dense path's nodes not yet handed out.
+	slab []Node
 }
 
 type planRef struct {
@@ -128,46 +157,63 @@ func NewMaterializer(m Memo) *Materializer {
 	return &Materializer{memo: m, cache: make(map[planRef]*Node)}
 }
 
+// NewDenseMaterializer creates a materializer over a closed, densely
+// numbered memo.
+func NewDenseMaterializer(d DenseMemo) *Materializer {
+	plans, probes := d.Size()
+	return &Materializer{dense: d, slots: make([]*Node, plans), slab: make([]Node, plans+probes)}
+}
+
+// node hands out the next node of the dense path's slab, or a new node
+// over any other memo. The slab never runs dry: each stored plan is built
+// once, with at most one index-probe inner.
+func (mt *Materializer) node() *Node {
+	if mt.dense == nil {
+		return new(Node)
+	}
+	n := &mt.slab[0]
+	mt.slab = mt.slab[1:]
+	return n
+}
+
 // Plan reconstructs the Node tree of the idx-th plan stored for table set s.
 func (mt *Materializer) Plan(s query.TableSet, idx int32) *Node {
+	if mt.dense != nil {
+		slot, e, cost := mt.dense.Lookup(s, idx)
+		if mt.slots[slot] == nil {
+			mt.slots[slot] = mt.build(s, e, cost)
+		}
+		return mt.slots[slot]
+	}
 	ref := planRef{s, idx}
-	if n, ok := mt.cache[ref]; ok {
+	n, ok := mt.cache[ref]
+	if !ok {
+		cost := mt.memo.CostAt(s, idx)
+		n = mt.build(s, mt.memo.EntryAt(s, idx), &cost)
+		mt.cache[ref] = n
+	}
+	return n
+}
+
+// build makes the node of one stored plan of table set s, materializing
+// its operands through Plan.
+func (mt *Materializer) build(s query.TableSet, e Entry, cost *objective.Vector) *Node {
+	n := mt.node()
+	n.Tables, n.Cost = s, *cost
+	if e.IsScan() {
+		n.Scan, n.SampleRate = e.ScanOp()
+		n.Relation = s.First()
 		return n
 	}
-	e := mt.memo.EntryAt(s, idx)
-	var n *Node
-	if e.IsScan() {
-		alg, rate := e.ScanOp()
-		n = &Node{
-			Tables:     s,
-			Scan:       alg,
-			Relation:   s.First(),
-			SampleRate: rate,
-			Cost:       mt.memo.CostAt(s, idx),
-		}
+	n.Join, n.DOP = e.JoinOp()
+	if e.RightIdx == SyntheticInner {
+		// Index-nested-loop inner: a plain index-probe marker whose cost
+		// is folded into the join (see costmodel.NewIndexNL).
+		n.Right = mt.node()
+		*n.Right = Node{Tables: e.RightSet, Scan: IndexScan, Relation: e.RightSet.First()}
 	} else {
-		alg, dop := e.JoinOp()
-		var right *Node
-		if e.RightIdx == SyntheticInner {
-			// Index-nested-loop inner: a plain index-probe marker whose
-			// cost is folded into the join (see costmodel.NewIndexNL).
-			right = &Node{
-				Tables:   e.RightSet,
-				Scan:     IndexScan,
-				Relation: e.RightSet.First(),
-			}
-		} else {
-			right = mt.Plan(e.RightSet, e.RightIdx)
-		}
-		n = &Node{
-			Tables: s,
-			Join:   alg,
-			Left:   mt.Plan(e.LeftSet, e.LeftIdx),
-			Right:  right,
-			DOP:    dop,
-			Cost:   mt.memo.CostAt(s, idx),
-		}
+		n.Right = mt.Plan(e.RightSet, e.RightIdx)
 	}
-	mt.cache[ref] = n
+	n.Left = mt.Plan(e.LeftSet, e.LeftIdx)
 	return n
 }

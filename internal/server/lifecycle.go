@@ -162,8 +162,9 @@ func (s *Server) clampWorkers(workers int) int {
 	return min(workers, runtime.NumCPU())
 }
 
-// serve answers a resolved member: deadline budget → tiers → strip
-// frontier → latency, or the failure's class.
+// serve answers a resolved member: deadline budget → tiers → render (the
+// frontier only if the member asked for it) → latency, or the failure's
+// class.
 //
 // The member's wall budget starts at started — arrival for /optimize, its
 // turn in the schedule for a batch member — and is carried by the context,
@@ -174,12 +175,13 @@ func (s *Server) clampWorkers(workers int) int {
 func (s *Server) serve(ctx context.Context, m *member, started time.Time) (OptimizeResponse, *failure) {
 	ctx, cancelBudget := context.WithDeadline(ctx, started.Add(m.req.Request().Timeout))
 	defer cancelBudget()
-	resp, err := s.tiers.Serve(ctx, &m.req, m.ten, m.noCache)
+	res, err := s.tiers.Serve(ctx, &m.req, m.ten, m.noCache)
 	if err != nil {
 		return OptimizeResponse{}, s.serveFailure(err)
 	}
-	if !m.frontier {
-		resp.Frontier = nil // field-level copy; the cached value keeps its slice
+	resp, err := toResponse(res, m.frontier)
+	if err != nil {
+		return OptimizeResponse{}, s.serveFailure(err)
 	}
 	ms := float64(time.Since(started)) / float64(time.Millisecond)
 	s.latMu.Lock()

@@ -37,11 +37,13 @@
 //     (so who leads a shape is not a race), on `parallel` claimers of
 //     which the handler is one — the same schedule moqo.OptimizeBatch
 //     runs the library's batches under.
-//   - serve (Server.serve): deadline budget, tiers, frontier stripping,
+//   - serve (Server.serve): deadline budget, tiers, rendering the result
+//     (toResponse; the frontier only for a request that asked for it),
 //     latency; a failure is classified by Server.serveFailure, the one
 //     switch from a serve error to (wire code, HTTP status, reason).
 //     Nothing a client wrote gets this far, so its default is a 500.
-//   - tiers (tiers.Serve): exa, rta and ira walk frontier tier (keyed by
+//   - tiers (tiers.Serve, which answers with a moqo.Result): exa, rta and
+//     ira walk frontier tier (keyed by
 //     moqo.Resolved.FrontierKey, the weight/bound-free request prefix, so
 //     a repeat or the paper's Figure 3 re-weighting is a SelectBest scan,
 //     microseconds instead of a dynamic program) → disk store → cold

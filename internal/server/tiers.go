@@ -9,10 +9,11 @@ import (
 	"moqo/internal/tenant"
 )
 
-// tiers answers resolved requests. EXA, RTA and IRA walk frontier tier →
-// disk store → cold dynamic program, the same for every weight vector
-// because the Pareto frontier never looks at weights (paper §3), so an exact
-// repeat is a re-weight rendered with its own query; the single-objective
+// tiers answers resolved requests with results; rendering them on the wire
+// is the caller's (toResponse). EXA, RTA and IRA walk frontier tier → disk
+// store → cold dynamic program, the same for every weight vector because
+// the Pareto frontier never looks at weights (paper §3), so an exact repeat
+// is a re-weight rendered with its own query; the single-objective
 // baselines always run cold. It owns the memory cache, the disk tier, the
 // eviction hook and the tier counters; the one thing it asks of its owner
 // is a cold-DP slot.
@@ -104,22 +105,18 @@ func (t *tiers) Metrics() (frontier FrontierCacheMetrics, disk FrontierStoreMetr
 // Serve answers one resolved request — a single /optimize or one batch
 // member. EXA, RTA and IRA go through the frontier tier; the baselines, and
 // any request with no_cache (noCache), run cold.
-func (t *tiers) Serve(ctx context.Context, req *moqo.Resolved, ten string, noCache bool) (OptimizeResponse, error) {
+func (t *tiers) Serve(ctx context.Context, req *moqo.Resolved, ten string, noCache bool) (*moqo.Result, error) {
 	if noCache || !req.ReusableFrontier() {
 		return t.serveCold(ctx, req, ten)
 	}
 	return t.serveFrontier(ctx, req, ten)
 }
 
-// frontierEntry is one frontier-tier record: the snapshot plus its
-// response-form frontier, rendered once when the entry is stored. Every
-// re-weight answered from the snapshot shares the rendered slice (it is
-// weight-independent and never mutated — serve strips the field on its
-// response copy), so the fast path does not rebuild O(frontier) maps per
-// request.
+// frontierEntry is one frontier-tier record: the snapshot, and nothing
+// rendered from it — a response renders the frontier from its own result,
+// and only when its request asked for it.
 type frontierEntry struct {
-	snap     *moqo.FrontierSnapshot
-	frontier []map[string]float64
+	snap *moqo.FrontierSnapshot
 	// ten is the tenant whose request populated the entry — partition
 	// accounting only, never part of the key or the answer.
 	ten string
@@ -128,11 +125,11 @@ type frontierEntry struct {
 // newFrontierEntry builds the frontier-tier record for a snapshot about
 // to enter the tier and accounts its arrival (bytes gauge, tenant
 // attribution); the tier's eviction hook accounts the departure.
-func (t *tiers) newFrontierEntry(sn *moqo.FrontierSnapshot, frontier []map[string]float64, ten string) frontierEntry {
+func (t *tiers) newFrontierEntry(sn *moqo.FrontierSnapshot, ten string) frontierEntry {
 	size := int64(sn.SizeBytes())
 	t.snapshotBytes.Add(size)
 	t.tenants.CacheAdd(ten, size)
-	return frontierEntry{snap: sn, frontier: frontier, ten: ten}
+	return frontierEntry{snap: sn, ten: ten}
 }
 
 // serveFrontier serves an EXA, RTA or IRA request through the frontier tier
@@ -141,7 +138,7 @@ func (t *tiers) newFrontierEntry(sn *moqo.FrontierSnapshot, frontier []map[strin
 // tier's single-flight coalesces them), the request is answered by a
 // SelectBest scan over the snapshot in microseconds. Otherwise this caller
 // fills the tier, and its snapshot serves every later request for the shape.
-func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, error) {
+func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten string) (*moqo.Result, error) {
 	if t.frontier == nil {
 		return t.serveCold(ctx, req, ten)
 	}
@@ -153,34 +150,29 @@ func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten strin
 		return filled, filled.snap != nil, err
 	})
 	if err != nil {
-		return OptimizeResponse{}, err
+		return nil, err
 	}
 	if lead != nil {
 		// This caller ran the cold DP (leader, or a retrier after a
 		// non-shareable outcome): answer from its own full result.
-		return toResponse(lead)
+		return lead, nil
 	}
 	if ent.snap == nil {
 		return t.serveCold(ctx, req, ten)
 	}
 	res, newSnap, err := req.Reoptimize(ctx, ent.snap)
 	if err != nil {
-		return OptimizeResponse{}, err
+		return nil, err
 	}
 	t.reweightServed.Add(1)
-	shared := ent.frontier
 	if newSnap != nil && newSnap != ent.snap {
 		// A seeded IRA refined past the cached snapshot: keep the finer
-		// frontier (Put's eviction hook releases the replaced one), and
-		// re-render the wire form the refined result implies. The store
-		// gets the finer snapshot too, superseding its seed on disk.
-		shared = renderFrontier(res.Objectives(), res.FrontierVectors())
-		t.frontier.Put(fkey, t.newFrontierEntry(newSnap, shared, ten))
+		// frontier (Put's eviction hook releases the replaced one). The
+		// store gets it too, superseding its seed on disk.
+		t.frontier.Put(fkey, t.newFrontierEntry(newSnap, ten))
 		t.disk.Put(newSnap)
 	}
-	resp, err := toResponseWithFrontier(res, shared)
-	resp.Cached = res.Stats.ReusedFrontier // derived from a stored snapshot
-	return resp, err
+	return res, nil
 }
 
 // fillFrontier produces the frontier-tier entry for a memory miss: from
@@ -190,7 +182,7 @@ func (t *tiers) serveFrontier(ctx context.Context, req *moqo.Resolved, ten strin
 // and an empty entry, which is stored in neither tier nor on disk.
 func (t *tiers) fillFrontier(ctx context.Context, req *moqo.Resolved, fkey, ten string) (ent frontierEntry, lead *moqo.Result, err error) {
 	if sn := t.disk.Get(fkey); sn != nil {
-		return t.newFrontierEntry(sn, renderFrontier(sn.Objectives(), sn.FrontierVectors()), ten), nil, nil
+		return t.newFrontierEntry(sn, ten), nil, nil
 	}
 	release, err := t.acquire(ctx, ten)
 	if err != nil {
@@ -205,19 +197,15 @@ func (t *tiers) fillFrontier(ctx context.Context, req *moqo.Resolved, fkey, ten 
 	// so a restart replays the tier from disk instead of re-running
 	// dynamic programs.
 	t.disk.Put(sn)
-	return t.newFrontierEntry(sn, renderFrontier(res.Objectives(), res.FrontierVectors()), ten), res, nil
+	return t.newFrontierEntry(sn, ten), res, nil
 }
 
-// serveCold runs one optimization, under a cold-DP slot, and renders it.
-func (t *tiers) serveCold(ctx context.Context, req *moqo.Resolved, ten string) (OptimizeResponse, error) {
+// serveCold runs one optimization, under a cold-DP slot.
+func (t *tiers) serveCold(ctx context.Context, req *moqo.Resolved, ten string) (*moqo.Result, error) {
 	release, err := t.acquire(ctx, ten)
 	if err != nil {
-		return OptimizeResponse{}, err
+		return nil, err
 	}
 	defer release()
-	res, err := req.Optimize(ctx)
-	if err != nil {
-		return OptimizeResponse{}, err
-	}
-	return toResponse(res)
+	return req.Optimize(ctx)
 }

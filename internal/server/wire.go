@@ -620,35 +620,13 @@ func (m *BatchMemberRequest) asOptimizeRequest(catalog *CatalogSpec) OptimizeReq
 	}
 }
 
-// renderFrontier renders frontier points on the wire. The rendered slice
-// depends only on the frontier (not on the request's weights or bounds),
-// and a result and the snapshot of its run carry the same vectors in the
-// same canonical order — so the frontier tier renders it once per snapshot,
-// from whichever of the two it holds, and shares it across every re-weight
-// response.
-func renderFrontier(objs []moqo.Objective, vecs []moqo.CostVector) []map[string]float64 {
-	frontier := make([]map[string]float64, len(vecs))
-	for i, v := range vecs {
-		point := make(map[string]float64, len(objs))
-		for _, o := range objs {
-			point[o.String()] = v.Get(o)
-		}
-		frontier[i] = point
-	}
-	return frontier
-}
-
-// toResponse renders an optimization result on the wire. The frontier is
-// always rendered; serve strips it when the request did not ask for it, so
-// cached entries can serve both shapes.
-func toResponse(res *moqo.Result) (OptimizeResponse, error) {
-	return toResponseWithFrontier(res, renderFrontier(res.Objectives(), res.FrontierVectors()))
-}
-
-// toResponseWithFrontier renders a result around an already rendered
-// (possibly shared, read-only) frontier — the re-weight fast path, where
-// only the selected plan and the stats differ per request.
-func toResponseWithFrontier(res *moqo.Result, frontier []map[string]float64) (OptimizeResponse, error) {
+// toResponse renders an optimization result on the wire, on every route
+// alike. The frontier is rendered only when the request asked for it
+// (withFrontier), straight from the result's frontier plans: a result
+// served from a snapshot carries the snapshot's rows, so nothing rendered
+// is kept with a tier's entry. Cached is stats.reused_frontier: an answer
+// derived from a stored snapshot.
+func toResponse(res *moqo.Result, withFrontier bool) (OptimizeResponse, error) {
 	planJSON, err := res.PlanJSON()
 	if err != nil {
 		return OptimizeResponse{}, err
@@ -657,6 +635,17 @@ func toResponseWithFrontier(res *moqo.Result, frontier []map[string]float64) (Op
 	cost := make(map[string]float64, len(objs))
 	for _, o := range objs {
 		cost[o.String()] = res.Cost(o)
+	}
+	var frontier []map[string]float64
+	if withFrontier {
+		frontier = make([]map[string]float64, len(res.Frontier))
+		for i, p := range res.Frontier {
+			point := make(map[string]float64, len(objs))
+			for _, o := range objs {
+				point[o.String()] = p.Cost.Get(o)
+			}
+			frontier[i] = point
+		}
 	}
 	return OptimizeResponse{
 		Algorithm: res.Algorithm.String(),
@@ -676,5 +665,6 @@ func toResponseWithFrontier(res *moqo.Result, frontier []map[string]float64) (Op
 			ReusedFrontier: res.Stats.ReusedFrontier,
 			SharedMemoHits: res.Stats.SharedMemoHits,
 		},
+		Cached: res.Stats.ReusedFrontier,
 	}, nil
 }
