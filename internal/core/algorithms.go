@@ -28,9 +28,10 @@ type Result struct {
 	Frontier *Frontier
 	// Stats reports the optimization effort.
 	Stats Stats
-	// Snapshot is the compact, weight/bound-free frontier extraction, set
-	// only when Options.CaptureSnapshot was on and the run completed
-	// without degrading (see FrontierSnapshot).
+	// Snapshot is Frontier with the run's precision and effort: the
+	// weight/bound-free form a frontier cache stores (see FrontierSnapshot).
+	// Set by EXA, RTA, RTAVector and IRA when the run completed without
+	// degrading; nil for a degraded run and for the scalar baselines.
 	Snapshot *FrontierSnapshot
 }
 
@@ -384,10 +385,12 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	}
 	// The scalar program keeps one plan per set: its frontier is that plan
 	// (row 0, BestRow's zero value), and — being weight-specific — is never
-	// captured as a snapshot.
-	res := Result{Frontier: e.newFrontier(flat), Stats: e.stats(start)}
-	if res.Frontier.Len() > 0 {
-		res.Best = res.Frontier.Plans()[0]
+	// returned as a snapshot.
+	f := &Frontier{}
+	e.extract(f, flat)
+	res := Result{Frontier: f, Stats: e.stats(start)}
+	if f.Len() > 0 {
+		res.Best = f.Plans()[0]
 	}
 	return res, nil
 }

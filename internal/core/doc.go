@@ -46,9 +46,10 @@
 //   - a level-synchronized worker pool (pool.go) that shards each
 //     cardinality level across Options.Workers goroutines without
 //     weakening any approximation guarantee;
-//   - a deferred materializer (internal/plan) that rebuilds *plan.Node
-//     trees from the memo's compact entries only when an extracted
-//     Frontier's plans are read.
+//   - one frontier extraction per run (engine.extract) that closes the
+//     final frontier over the sub-plans it reaches, and a deferred
+//     materializer (internal/plan) that rebuilds *plan.Node trees from
+//     that closed memo only when the Frontier's plans are read.
 //
 // The candidate loop is allocation-free: a candidate is a cost vector in
 // the worker's scratch and a plan.Entry value, offered to a flat archive
@@ -88,12 +89,19 @@
 // candidates are offered one by one with one slot between them.
 //
 // A finished frontier has one form, Frontier (frontier.go): the full
-// set's cost rows and compact entries in canonical order, the memo that
-// resolves them, and the archive counters. EXA, RTA, RTAVector and IRA
-// share one epilogue (engine.finish) that orders the final archive once
-// (pareto.FlatArchive.Canonical), selects over the rows
-// (pareto.SelectBestRows) and takes Result.Best from the frontier's one,
-// memoized materialization — so results are byte-for-byte reproducible
+// set's cost rows and compact entries in canonical order, closed over the
+// sub-memo they reference — every reached (table set, index), sets
+// ascending, densely re-indexed, carved from the same entry array and
+// cost array as the rows — and the archive counters. Every run, the
+// scalar baselines and degraded runs included, extracts it once
+// (engine.extract), so a Result holds what its frontier reaches and never
+// the run's memo, and every frontier materializes one way
+// (plan.NewDenseMaterializer: slots, one slab of nodes). EXA, RTA,
+// RTAVector and IRA share one epilogue (engine.finish) that extracts the
+// final archive in canonical order (pareto.FlatArchive.CanonicalOrder),
+// selects over the rows (pareto.SelectBestRows) and takes Result.Best
+// from the frontier's one, memoized materialization — so results are
+// byte-for-byte reproducible
 // across worker counts and schedules, and Best is always
 // Frontier.Plans()[Frontier.SelectBest(w, b)]. The pre-refactor
 // tree-allocating engine is preserved (reference.go: ReferenceEXA,
@@ -115,13 +123,13 @@
 //
 // Because archive pruning never reads the user's weights or bounds, the
 // final frontier of a completed run is reusable across weight and bound
-// changes. Options.CaptureSnapshot extracts it as a FrontierSnapshot —
-// the same Frontier closed over the sub-memo its entries reference
-// (sharing the run's canonical rows), plus the set-level precision, the
-// run's origin and effort, and a versioned binary serialization — and
-// Result.Snapshot returns it. SelectFromSnapshot answers a re-weighted
-// request from a snapshot with a SelectBest scan over those rows
-// (bit-for-bit the cold EXA/RTA answer, the plan taken from the
+// changes. Every completed EXA, RTA, RTAVector and IRA run returns it as
+// Result.Snapshot, a FrontierSnapshot: the run's Frontier itself plus the
+// set-level precision, the run's origin and effort, and a versioned
+// binary serialization. A degraded run's frontier is extracted the same
+// way and never returned as a snapshot. SelectFromSnapshot answers a
+// re-weighted request from a snapshot with a SelectBest scan over those
+// rows (bit-for-bit the cold EXA/RTA answer, the plan taken from the
 // snapshot's one materialization), and IRASeededContext seeds the
 // bounded refinement loop from one (the Theorem 6 stopping condition
 // evaluated at the snapshot's recorded precision). The moqo package and

@@ -3,9 +3,7 @@ package core
 import (
 	"sort"
 
-	"moqo/internal/objective"
 	"moqo/internal/pareto"
-	"moqo/internal/plan"
 	"moqo/internal/query"
 )
 
@@ -142,8 +140,8 @@ const memoDenseMaxRelations = 22
 //
 // Workers of one level write disjoint ids and only read archives of lower
 // levels, which are immutable after the level barrier — the memo needs no
-// locking. The memo also implements plan.Memo, so the materializer can
-// rebuild plan trees from the stored compact entries at extraction time.
+// locking. A finished run's frontier is extracted from it once (extract),
+// closed over the rows the frontier reaches; no result keeps the memo.
 type memoTable struct {
 	archives []*pareto.FlatArchive // indexed by dense id
 	dense    []int32               // bitset -> id (+1; 0 = not enumerated); nil when sparse
@@ -189,14 +187,4 @@ func (t *memoTable) lookup(s query.TableSet) *pareto.FlatArchive {
 		return nil
 	}
 	return t.archives[id]
-}
-
-// EntryAt implements plan.Memo: the idx-th compact entry stored for s.
-func (t *memoTable) EntryAt(s query.TableSet, idx int32) plan.Entry {
-	return t.archives[t.id(s)].EntryAt(idx)
-}
-
-// CostAt implements plan.Memo: the idx-th stored cost vector for s.
-func (t *memoTable) CostAt(s query.TableSet, idx int32) objective.Vector {
-	return t.archives[t.id(s)].CostAt(idx)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +20,9 @@ const costStride = int(objective.NumObjectives)
 // Frontier is the flat, canonically ordered (α-approximate) Pareto
 // frontier of the full table set — the paper's "Pareto frontier as
 // byproduct of optimization" — and the one form a finished frontier takes
-// in this package: every run returns it, and a FrontierSnapshot is the
-// same value over a closed sub-memo. Rows are sorted by
+// in this package: every run extracts it once, closed over the sub-plans
+// its rows reference, and a FrontierSnapshot is the same value with the
+// run's precision and effort. Rows are sorted by
 // pareto.CompareCanonical (stably, so insertion order breaks ties), which
 // makes the frontier, and the tie-breaking of SelectBest over it,
 // independent of Options.Workers and of any internal scheduling.
@@ -31,9 +34,10 @@ type Frontier struct {
 	// costs/entries are the frontier rows in canonical order.
 	costs   []float64
 	entries []plan.Entry
-	// memo resolves the sub-plan references of entries: the engine's memo
-	// table for a run's result, the closed sub-memo for a snapshot.
-	memo plan.Memo
+	// subs is the closed sub-memo the entries reference: every (table
+	// set, index) they transitively reach, sets ascending, densely
+	// re-indexed (see extract).
+	subs subMemo
 	// inserted/rejected/evicted are the full set's archive counters.
 	inserted, rejected, evicted int
 
@@ -60,35 +64,147 @@ type rendering struct {
 	json []byte
 }
 
-// newFrontier extracts the canonically ordered frontier of a finished
-// run's full-set archive (nil for a run that stored nothing).
-func (e *engine) newFrontier(flat *pareto.FlatArchive) *Frontier {
-	f := &Frontier{objs: e.opts.Objectives, all: e.enum.all, memo: e.memo}
-	if flat != nil {
-		f.costs, f.entries = flat.Canonical()
-		f.inserted, f.rejected, f.evicted = flat.Stats()
-	}
-	return f
-}
-
-// finish is the shared epilogue of EXA, RTA, RTAVector and IRA: order the
-// final archive canonically once, select over the canonical rows, take the
-// selected plan from the frontier's one materialization, and — when
-// Options.CaptureSnapshot is on and the run did not degrade — capture the
-// snapshot from the same ordering. setAlpha is the set-level precision the
-// snapshot records.
+// finish is the shared epilogue of EXA, RTA, RTAVector and IRA: extract the
+// final archive's frontier once, select over its canonical rows, take the
+// selected plan from the frontier's one materialization, and — unless the
+// run degraded — return the frontier as the run's snapshot too. setAlpha
+// is the set-level precision the snapshot records.
 func (e *engine) finish(flat *pareto.FlatArchive, w objective.Weights, b objective.Bounds, setAlpha float64, st Stats) Result {
-	f := e.newFrontier(flat)
-	res := Result{Frontier: f, Stats: st}
-	if f.Len() == 0 {
+	snap := &FrontierSnapshot{setAlpha: setAlpha, pruneAlpha: e.cfg.Alpha(), prec: e.cfg.Precision(), stats: st}
+	e.extract(&snap.Frontier, flat)
+	res := Result{Frontier: &snap.Frontier, Stats: st}
+	if snap.Len() == 0 {
 		return res
 	}
-	res.BestRow = f.SelectBest(w, b)
-	res.Best = f.Plans()[res.BestRow]
-	if e.opts.CaptureSnapshot && !st.TimedOut {
-		res.Snapshot = f.snapshot(setAlpha, e.cfg, st)
+	res.BestRow = snap.SelectBest(w, b)
+	res.Best = snap.Plans()[res.BestRow]
+	if !st.TimedOut {
+		res.Snapshot = snap
 	}
 	return res
+}
+
+// beforeExtract, when set (by tests), sees every finished run's engine and
+// final archive before extract closes the frontier over its memo.
+var beforeExtract func(e *engine, flat *pareto.FlatArchive)
+
+// extract fills f with the canonically ordered frontier of a finished
+// run's full-set archive, closed over the sub-plans its entries
+// transitively reference: the frontier rows first, then every reached
+// set's rows, sets ascending and indexes ascending within a set, all
+// carved from one entry array and one cost array, with every reference
+// rewritten to the new numbering. That is the layout a decoded snapshot
+// has, so every frontier materializes the same way, and a result holds
+// only what its frontier reaches, not the run's memo.
+func (e *engine) extract(f *Frontier, flat *pareto.FlatArchive) {
+	f.objs, f.all = e.opts.Objectives, e.enum.all
+	if flat == nil || flat.Len() == 0 {
+		return
+	}
+	if beforeExtract != nil {
+		beforeExtract(e, flat)
+	}
+	f.inserted, f.rejected, f.evicted = flat.Stats()
+
+	// Every stored row of the memo has a number, base[id]+idx. mark holds,
+	// per row, zero until the row is reached, and after renumbering its new
+	// index within its set plus one; cnt counts a set's reached rows.
+	archives := e.memo.archives
+	total := 0
+	for _, a := range archives {
+		if a != nil {
+			total += a.Len()
+		}
+	}
+	buf := make([]int32, 2*len(archives)+1+total)
+	base, cnt, mark := buf[:len(archives)+1], buf[len(archives)+1:2*len(archives)+1], buf[2*len(archives)+1:]
+	for id, a := range archives {
+		base[id+1] = base[id]
+		if a != nil {
+			base[id+1] += int32(a.Len())
+		}
+	}
+	row := func(s query.TableSet, idx int32) *int32 { return &mark[base[e.memo.id(s)]+idx] }
+	reach := func(ent plan.Entry) {
+		if ent.IsScan() {
+			return
+		}
+		*row(ent.LeftSet, ent.LeftIdx) = 1
+		if ent.RightIdx != plan.SyntheticInner {
+			*row(ent.RightSet, ent.RightIdx) = 1
+		}
+	}
+
+	// Reachability, largest sets first: an entry references only proper
+	// subsets of its own set, so by the time a set's rows are read, every
+	// row that reaches them has been.
+	n := flat.Len()
+	for i := range n {
+		reach(flat.EntryAt(int32(i)))
+	}
+	nsets, reached := 0, 0
+	for k := e.enum.n; k >= 1; k-- {
+		for _, s := range e.enum.levels[k] {
+			id := e.memo.id(s)
+			a := archives[id]
+			if a == nil {
+				continue
+			}
+			for i, m := range mark[base[id]:base[id+1]] {
+				if m != 0 {
+					cnt[id]++
+					reach(a.EntryAt(int32(i)))
+				}
+			}
+			if cnt[id] > 0 {
+				nsets++
+				reached += int(cnt[id])
+			}
+		}
+	}
+
+	ents, costs := make([]plan.Entry, n+reached), make([]float64, (n+reached)*costStride)
+	f.entries, f.costs = ents[:n:n], costs[:n*costStride:n*costStride]
+	for i, oi := range flat.CanonicalOrder() {
+		ents[i] = flat.EntryAt(oi)
+		copy(costs[i*costStride:], flat.CostRow(oi)[:])
+	}
+	f.subs = make(subMemo, 0, nsets)
+	for k := 1; k <= e.enum.n; k++ {
+		for _, s := range e.enum.levels[k] {
+			if cnt[e.memo.id(s)] > 0 {
+				f.subs = append(f.subs, memoSet{set: s})
+			}
+		}
+	}
+	slices.SortFunc(f.subs, func(a, b memoSet) int { return cmp.Compare(a.set, b.set) })
+	off := n
+	for i := range f.subs {
+		sub := &f.subs[i]
+		id := e.memo.id(sub.set)
+		a, end := archives[id], off+int(cnt[id])
+		sub.off = off
+		sub.entries, sub.costs = ents[off:end:end], costs[off*costStride:end*costStride:end*costStride]
+		j := int32(0)
+		for idx, m := range mark[base[id]:base[id+1]] {
+			if m != 0 {
+				mark[base[id]+int32(idx)] = j + 1
+				sub.entries[j] = a.EntryAt(int32(idx))
+				copy(sub.costs[int(j)*costStride:], a.CostRow(int32(idx))[:])
+				j++
+			}
+		}
+		off = end
+	}
+	for i, ent := range ents {
+		if ent.IsScan() {
+			continue
+		}
+		ents[i].LeftIdx = *row(ent.LeftSet, ent.LeftIdx) - 1
+		if ent.RightIdx != plan.SyntheticInner {
+			ents[i].RightIdx = *row(ent.RightSet, ent.RightIdx) - 1
+		}
+	}
 }
 
 // Len returns the number of frontier plans.
@@ -128,18 +244,11 @@ func (f *Frontier) SelectBest(w objective.Weights, b objective.Bounds) int32 {
 
 // Plans returns the frontier's plan trees in canonical order, sharing
 // common subtrees. They are materialized on the first call — the only
-// point where *plan.Node trees are allocated — and shared by every later
-// one; the returned slice must not be modified. A snapshot's closed
-// sub-memo materializes as a plan.DenseMemo; a run's memo table is not
-// closed and keeps the materializer's map.
+// point where *plan.Node trees are allocated, one slab for all of them —
+// and shared by every later one; the returned slice must not be modified.
 func (f *Frontier) Plans() []*plan.Node {
 	f.materialize.Do(func() {
-		var mt *plan.Materializer
-		if subs, ok := f.memo.(subMemo); ok {
-			mt = plan.NewDenseMaterializer(snapshotMemo{frontierMemo{f}, subs})
-		} else {
-			mt = plan.NewMaterializer(frontierMemo{f})
-		}
+		mt := plan.NewDenseMaterializer(denseMemo{f})
 		f.plans = make([]*plan.Node, f.Len())
 		for i := range f.plans {
 			f.plans[i] = mt.Plan(f.all, int32(i))
@@ -186,22 +295,61 @@ func SameRendering(a, b *query.Query) bool {
 		slices.EqualFunc(a.Relations, b.Relations, func(x, y query.Relation) bool { return x.Alias == y.Alias })
 }
 
-// frontierMemo is the plan.Memo the materializer reads a frontier
-// through: the full set resolves to the canonical rows, every other set
-// to the frontier's memo. (The frontier accessor CostAt(i) and the memo's
-// CostAt(set, i) differ in signature, hence the separate type.)
-type frontierMemo struct{ f *Frontier }
-
-func (m frontierMemo) EntryAt(t query.TableSet, idx int32) plan.Entry {
-	if t == m.f.all {
-		return m.f.entries[idx]
-	}
-	return m.f.memo.EntryAt(t, idx)
+// memoSet is the retained slice of one table set's archive.
+type memoSet struct {
+	set     query.TableSet
+	costs   []float64
+	entries []plan.Entry
+	// off numbers the set's first row in the frontier's dense numbering
+	// (denseMemo): the frontier rows first, then every retained set's rows,
+	// sets ascending.
+	off int
 }
 
-func (m frontierMemo) CostAt(t query.TableSet, idx int32) objective.Vector {
-	if t == m.f.all {
-		return m.f.CostAt(idx)
+// subMemo is a frontier's closed sub-memo, sets ascending.
+type subMemo []memoSet
+
+// find returns the retained slice for a table set (nil when absent, as
+// for the full set, which lives in the frontier rows).
+func (m subMemo) find(t query.TableSet) *memoSet {
+	i := sort.Search(len(m), func(i int) bool { return m[i].set >= t })
+	if i < len(m) && m[i].set == t {
+		return &m[i]
 	}
-	return m.f.memo.CostAt(t, idx)
+	return nil
+}
+
+// denseMemo is the plan.DenseMemo a frontier materializes through: the
+// frontier rows are slots 0 to Len()-1, and each retained set's rows
+// follow from its off. Closed and densely re-indexed, the sub-memo numbers
+// every plan a materialization can reach.
+type denseMemo struct{ f *Frontier }
+
+var _ plan.DenseMemo = denseMemo{}
+
+// Lookup implements plan.DenseMemo.
+func (m denseMemo) Lookup(t query.TableSet, idx int32) (int, plan.Entry, *objective.Vector) {
+	i := int(idx)
+	if t == m.f.all {
+		return i, m.f.entries[i], (*objective.Vector)(m.f.costs[i*costStride:])
+	}
+	sub := m.f.subs.find(t)
+	return sub.off + i, sub.entries[i], (*objective.Vector)(sub.costs[i*costStride:])
+}
+
+// Size implements plan.DenseMemo.
+func (m denseMemo) Size() (plans, probes int) {
+	count := func(ents []plan.Entry) {
+		plans += len(ents)
+		for _, ent := range ents {
+			if ent.RightIdx == plan.SyntheticInner {
+				probes++
+			}
+		}
+	}
+	count(m.f.entries)
+	for i := range m.f.subs {
+		count(m.f.subs[i].entries)
+	}
+	return plans, probes
 }

@@ -21,8 +21,8 @@ import (
 // seeds to mutate its way past the magic/version checks).
 const corpusDir = "testdata/snapshots"
 
-// corpusSnapshots produces one snapshot per algorithm family the capture
-// path supports: exact (EXA), uniform-α (RTA), per-objective precision
+// corpusSnapshots produces one snapshot per algorithm family that returns
+// one: exact (EXA), uniform-α (RTA), per-objective precision
 // (RTAVector), and iterative refinement (IRA), over three objectives; and
 // one over all nine. Each holds several sub-memo sections and
 // index-nested-loop joins, whose index-probe inners are not stored plans.
@@ -35,38 +35,31 @@ func corpusSnapshots(t testing.TB) map[string]*FrontierSnapshot {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if res.Snapshot == nil {
-			t.Fatalf("%s: no snapshot captured", name)
+			t.Fatalf("%s: no snapshot returned", name)
 		}
 		out[name] = res.Snapshot
 	}
 
-	exaOpts := smallOpts(threeObjs)
-	exaOpts.CaptureSnapshot = true
-	res, err := EXA(costmodel.NewDefault(starQuery(t)), w, objective.NoBounds(), exaOpts)
+	res, err := EXA(costmodel.NewDefault(starQuery(t)), w, objective.NoBounds(), smallOpts(threeObjs))
 	capture("exa-star", res, err)
 
 	rtaOpts := smallOpts(threeObjs)
 	rtaOpts.Alpha = 1.5
-	rtaOpts.CaptureSnapshot = true
 	res, err = RTA(costmodel.NewDefault(chainQuery(t)), w, rtaOpts)
 	capture("rta-chain", res, err)
 
-	vecOpts := smallOpts(threeObjs)
-	vecOpts.CaptureSnapshot = true
 	prec := objective.UniformPrecision(2, threeObjs).With(objective.TotalTime, 1.2)
-	res, err = RTAVector(costmodel.NewDefault(starQuery(t)), w, prec, vecOpts)
+	res, err = RTAVector(costmodel.NewDefault(starQuery(t)), w, prec, smallOpts(threeObjs))
 	capture("rtavector-star", res, err)
 
 	iraOpts := smallOpts(threeObjs)
 	iraOpts.Alpha = 1.5
-	iraOpts.CaptureSnapshot = true
 	res, err = IRA(costmodel.NewDefault(chainQuery(t)), w, objective.NoBounds(), iraOpts)
 	capture("ira-chain", res, err)
 
 	// Every objective: full-width cost rows in every section.
 	nineOpts := smallOpts(objective.AllSet())
 	nineOpts.Alpha = 2
-	nineOpts.CaptureSnapshot = true
 	res, err = RTA(costmodel.NewDefault(chainQuery(t)), objective.UniformWeights(objective.AllSet()), nineOpts)
 	capture("rta9-chain", res, err)
 
@@ -125,7 +118,7 @@ func TestCorpusSeedsDecode(t *testing.T) {
 			t.Fatalf("%s: decode/encode is not an identity", path)
 		}
 		nine = nine || snap.objs == objective.AllSet() && len(snap.subs) > 1
-		_, probes := snapshotMemo{frontierMemo{&snap.Frontier}, snap.subs}.Size()
+		_, probes := denseMemo{&snap.Frontier}.Size()
 		probe = probe || probes > 0
 	}
 	if !nine || !probe {
@@ -262,7 +255,7 @@ func sameTrees(t *testing.T, got, want []*plan.Node) {
 	}
 	for i := range got {
 		if !same(got[i], want[i]) {
-			t.Fatalf("plan %d: the dense materialization differs from the map-cached one", i)
+			t.Fatalf("plan %d: the dense materialization differs from the map-cached oracle's", i)
 		}
 	}
 }
@@ -273,8 +266,8 @@ func sameTrees(t *testing.T, got, want []*plan.Node) {
 // unbounded allocation from corrupt counts, no reference cycles that
 // would hang plan materialization, and Marshal∘Unmarshal as the identity
 // on whatever decodes successfully. Every snapshot that decodes also
-// materializes, through its dense memo, the trees the map-cached path
-// builds (sameTrees).
+// materializes, through its dense memo, the trees the map-cached oracle
+// builds over the same rows (sameTrees).
 func FuzzFrontierSnapshotUnmarshal(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*.bin"))
 	if err != nil {
@@ -316,14 +309,9 @@ func FuzzFrontierSnapshotUnmarshal(f *testing.F) {
 			}
 			snap.CostAt(int32(i))
 		}
-		// Differential: the snapshot materializes through its dense memo;
-		// the same frontier through the map-cached path is the oracle.
-		mt := plan.NewMaterializer(frontierMemo{&snap.Frontier})
-		oracle := make([]*plan.Node, snap.Len())
-		for i := range oracle {
-			oracle[i] = mt.Plan(snap.all, int32(i))
-		}
-		sameTrees(t, plans, oracle)
+		// Differential: the snapshot materializes through its dense memo,
+		// the oracle through a map over the same rows.
+		sameTrees(t, plans, oraclePlans(frontierOracle{&snap.Frontier}, snap.all, snap.Len()))
 		w := objective.UniformWeights(snap.Objectives())
 		if best := snap.SelectBest(w, objective.NoBounds()); best < 0 || int(best) >= snap.Len() {
 			t.Fatalf("SelectBest returned out-of-range index %d", best)

@@ -14,6 +14,7 @@ import (
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/pareto"
 	"moqo/internal/synthetic"
 	"moqo/internal/workload"
 )
@@ -54,14 +55,23 @@ func frontierBits(a *Frontier) uint64 {
 	return h.Sum64()
 }
 
-func pinOf(res Result) enginePin {
+// pinRun runs one instance and pins it. The rejection sums are read from
+// the run's memo just before its frontier is extracted.
+func pinRun(run func() (Result, error)) (enginePin, Result, error) {
 	rejected, hintRejected := 0, 0
-	for _, a := range res.Frontier.memo.(*memoTable).archives {
-		if a != nil {
-			_, rej, _ := a.Stats()
-			rejected += rej
-			hintRejected += a.HintRejected()
+	beforeExtract = func(e *engine, _ *pareto.FlatArchive) {
+		for _, a := range e.memo.archives {
+			if a != nil {
+				_, rej, _ := a.Stats()
+				rejected += rej
+				hintRejected += a.HintRejected()
+			}
 		}
+	}
+	defer func() { beforeExtract = nil }()
+	res, err := run()
+	if err != nil {
+		return enginePin{}, res, err
 	}
 	return enginePin{
 		considered:   res.Stats.Considered,
@@ -72,7 +82,7 @@ func pinOf(res Result) enginePin {
 		bits:         frontierBits(res.Frontier),
 		rejected:     rejected,
 		hintRejected: hintRejected,
-	}
+	}, res, nil
 }
 
 // TestEngineInvariantsPinned pins the engine's observable work — how many
@@ -159,11 +169,11 @@ func TestEngineInvariantsPinned(t *testing.T) {
 	for _, c := range cases {
 		for _, v := range variants {
 			for _, workers := range v.workers {
-				res, err := c.run(Options{Timeout: v.timeout, Workers: workers})
+				got, res, err := pinRun(func() (Result, error) { return c.run(Options{Timeout: v.timeout, Workers: workers}) })
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: %v", c.name, v.name, workers, err)
 				}
-				if got, want := pinOf(res), c.want[v.name]; got != want {
+				if want := c.want[v.name]; got != want {
 					t.Errorf("%s/%s/w%d:\n got  %v\n want %v", c.name, v.name, workers, got, want)
 				}
 				if v.timeout > 0 && !res.Stats.TimedOut {

@@ -52,13 +52,10 @@ type Options struct {
 	// this knob is excluded from every cache key.
 	Shared *SharedMemo
 
-	// CaptureSnapshot asks the multi-objective algorithms (EXA, RTA,
-	// RTAVector, IRA) to extract a FrontierSnapshot of the final frontier
-	// into Result.Snapshot — the compact, weight/bound-free form the
-	// frontier cache stores. Degraded (timed-out) runs never produce a
-	// snapshot: their frontiers are truncated and must not be reused.
-	// The extraction is a post-pass over the finished memo; the hot path
-	// is unaffected when the flag is off.
+	// CaptureSnapshot is ignored: every completed EXA, RTA, RTAVector and
+	// IRA run returns its Result.Snapshot. The field stays only because the
+	// benchmark module still sets it (benchmark/probes.go); it goes when
+	// the benchmark stops reading the product's internals.
 	CaptureSnapshot bool
 }
 

@@ -1,37 +1,32 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"time"
 
 	"moqo/internal/objective"
-	"moqo/internal/pareto"
 	"moqo/internal/plan"
 	"moqo/internal/query"
 )
 
-// FrontierSnapshot is a self-contained Frontier: the frontier of one
-// finished run over the closed sub-memo its entries transitively
-// reference, plus the run's set-level precision, origin and effort — the
-// unit the frontier cache stores and ships. The frontier itself is
-// independent of the user's weights and bounds (the paper's central
-// observation, §3: pruning compares cost vectors, never weighted costs),
-// so a snapshot computed under one preference vector answers any later
-// weight or bound change with a SelectBest scan over its rows —
-// microseconds instead of a dynamic program.
+// FrontierSnapshot is a Frontier with what reusing it needs: the run's
+// set-level precision, origin and effort — the unit the frontier cache
+// stores and ships. The frontier itself is independent of the user's
+// weights and bounds (the paper's central observation, §3: pruning compares
+// cost vectors, never weighted costs), so a snapshot computed under one
+// preference vector answers any later weight or bound change with a
+// SelectBest scan over its rows — microseconds instead of a dynamic
+// program.
 //
-// Because the sub-memo is closed and densely re-indexed, a snapshot
-// survives serialization (MarshalBinary) and can persist to disk or ship
-// between moqod replicas; its plan trees are materialized once, on first
-// use, like any Frontier's.
+// Because every frontier is closed over its sub-memo and densely
+// re-indexed, a snapshot survives serialization (MarshalBinary) and can
+// persist to disk or ship between moqod replicas; its plan trees are
+// materialized once, on first use, like any Frontier's.
 //
-// Snapshots are never built from degraded (timed-out) runs: a truncated
-// frontier carries no reuse guarantee.
+// A degraded (timed-out) run's frontier is never returned as a snapshot:
+// a truncated frontier carries no reuse guarantee.
 type FrontierSnapshot struct {
 	Frontier
 	// setAlpha is the set-level approximation precision of the frontier:
@@ -44,85 +39,9 @@ type FrontierSnapshot struct {
 	// round-tripped, that no selection reads.
 	pruneAlpha float64
 	prec       *objective.Precision
-	// subs is the closed sub-memo (Frontier.memo reads it): every (table
-	// set, index) reachable from the frontier entries, sets ascending,
-	// densely re-indexed.
-	subs subMemo
 	// stats is the originating run's effort (reuse answers report it
 	// with ReusedFrontier set).
 	stats Stats
-}
-
-// snapshotSet is the retained slice of one table set's archive.
-type snapshotSet struct {
-	set     query.TableSet
-	costs   []float64
-	entries []plan.Entry
-	// off numbers the set's first row in the snapshot's dense numbering
-	// (snapshotMemo): the frontier rows first, then every retained set's
-	// rows, sets ascending.
-	off int
-}
-
-// subMemo is a snapshot's closed sub-memo as a plan.Memo.
-type subMemo []snapshotSet
-
-// find returns the retained slice for a table set (nil when absent, as
-// for the full set, which lives in the frontier rows).
-func (m subMemo) find(t query.TableSet) *snapshotSet {
-	i := sort.Search(len(m), func(i int) bool { return m[i].set >= t })
-	if i < len(m) && m[i].set == t {
-		return &m[i]
-	}
-	return nil
-}
-
-// snapshotMemo is the plan.DenseMemo a snapshot's frontier materializes
-// through: the frontier rows are slots 0 to Len()-1, and each retained
-// set's rows follow from its off. Closed and densely re-indexed, the
-// sub-memo numbers every plan a materialization can reach.
-type snapshotMemo struct {
-	frontierMemo
-	subs subMemo
-}
-
-var _ plan.DenseMemo = snapshotMemo{}
-
-// Lookup implements plan.DenseMemo.
-func (m snapshotMemo) Lookup(t query.TableSet, idx int32) (int, plan.Entry, *objective.Vector) {
-	i := int(idx)
-	if t == m.f.all {
-		return i, m.f.entries[i], (*objective.Vector)(m.f.costs[i*costStride:])
-	}
-	sub := m.subs.find(t)
-	return sub.off + i, sub.entries[i], (*objective.Vector)(sub.costs[i*costStride:])
-}
-
-// Size implements plan.DenseMemo.
-func (m snapshotMemo) Size() (plans, probes int) {
-	count := func(ents []plan.Entry) {
-		plans += len(ents)
-		for _, ent := range ents {
-			if ent.RightIdx == plan.SyntheticInner {
-				probes++
-			}
-		}
-	}
-	count(m.f.entries)
-	for i := range m.subs {
-		count(m.subs[i].entries)
-	}
-	return plans, probes
-}
-
-// EntryAt implements plan.Memo.
-func (m subMemo) EntryAt(t query.TableSet, idx int32) plan.Entry {
-	return m.find(t).entries[idx]
-}
-
-// CostAt implements plan.Memo.
-func (m subMemo) CostAt(t query.TableSet, idx int32) objective.Vector {
-	return objective.Vector(m.find(t).costs[int(idx)*costStride : (int(idx)+1)*costStride])
 }
 
 // SetAlpha returns the set-level approximation precision of the frontier
@@ -164,106 +83,6 @@ func SelectFromSnapshot(snap *FrontierSnapshot, w objective.Weights, b objective
 	st.ReusedFrontier = true
 	st.Duration = time.Since(start)
 	return Result{Best: best, BestRow: row, Frontier: &snap.Frontier, Stats: st, Snapshot: snap}, nil
-}
-
-// planRef identifies one stored sub-plan during snapshot extraction.
-type planRef struct {
-	set query.TableSet
-	idx int32
-}
-
-// snapshot closes a run's frontier over the sub-plans it transitively
-// reaches, densely re-indexed. The canonical rows are shared with f (both
-// are immutable); only the entries are rewritten. cfg is the originating
-// run's pruning configuration.
-func (f *Frontier) snapshot(setAlpha float64, cfg *pareto.FlatConfig, st Stats) *FrontierSnapshot {
-	s := &FrontierSnapshot{
-		Frontier: Frontier{
-			objs: f.objs, all: f.all, costs: f.costs,
-			inserted: f.inserted, rejected: f.rejected, evicted: f.evicted,
-		},
-		setAlpha:   setAlpha,
-		pruneAlpha: cfg.Alpha(),
-		prec:       cfg.Precision(),
-		stats:      st,
-	}
-
-	// Transitive reachability over the memo, from the frontier entries
-	// down: refs lists every reached sub-plan once. Index-nested-loop
-	// inners (SyntheticInner) are synthetic index probes, not stored
-	// sub-plans, and carry no reference.
-	remap := make(map[planRef]int32)
-	var refs, stack []planRef
-	push := func(ent plan.Entry) {
-		if ent.IsScan() {
-			return
-		}
-		stack = append(stack, planRef{ent.LeftSet, ent.LeftIdx})
-		if ent.RightIdx != plan.SyntheticInner {
-			stack = append(stack, planRef{ent.RightSet, ent.RightIdx})
-		}
-	}
-	for _, ent := range f.entries {
-		push(ent)
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := remap[r]; ok {
-			continue
-		}
-		remap[r] = 0
-		refs = append(refs, r)
-		push(f.memo.EntryAt(r.set, r.idx))
-	}
-
-	// Dense re-indexing: sets ascending, retained indices ascending. Every
-	// set's rows are a capped sub-slice of one entry array and one cost
-	// array, as a decoded snapshot's are.
-	slices.SortFunc(refs, func(a, b planRef) int {
-		return cmp.Or(cmp.Compare(a.set, b.set), cmp.Compare(a.idx, b.idx))
-	})
-	nsets := 0
-	for i, r := range refs {
-		if i == 0 || r.set != refs[i-1].set {
-			nsets++
-		}
-	}
-	s.subs = make(subMemo, 0, nsets)
-	ents, costs := make([]plan.Entry, len(refs)), make([]float64, len(refs)*costStride)
-	first := 0 // refs index of the current set's first row
-	for i, r := range refs {
-		if i == 0 || r.set != refs[i-1].set {
-			s.subs = append(s.subs, snapshotSet{set: r.set, off: len(f.entries) + i})
-			first = i
-		}
-		remap[r] = int32(i - first)
-		ents[i] = f.memo.EntryAt(r.set, r.idx)
-		v := f.memo.CostAt(r.set, r.idx)
-		copy(costs[i*costStride:], v[:])
-		sub := &s.subs[len(s.subs)-1]
-		end := i + 1
-		sub.entries, sub.costs = ents[first:end:end], costs[first*costStride:end*costStride:end*costStride]
-	}
-	rewrite := func(ent plan.Entry) plan.Entry {
-		if ent.IsScan() {
-			return ent
-		}
-		ent.LeftIdx = remap[planRef{ent.LeftSet, ent.LeftIdx}]
-		if ent.RightIdx != plan.SyntheticInner {
-			ent.RightIdx = remap[planRef{ent.RightSet, ent.RightIdx}]
-		}
-		return ent
-	}
-	for i := range ents {
-		ents[i] = rewrite(ents[i])
-	}
-	s.entries = make([]plan.Entry, len(f.entries))
-	for i, ent := range f.entries {
-		s.entries[i] = rewrite(ent)
-	}
-	s.memo = s.subs
-	return s
 }
 
 // Serialization: a versioned little-endian binary format, so snapshots
@@ -376,7 +195,6 @@ func UnmarshalFrontierSnapshot(data []byte) (*FrontierSnapshot, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	s.memo = s.subs
 	return s, nil
 }
 

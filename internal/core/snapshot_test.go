@@ -16,16 +16,15 @@ import (
 	"moqo/internal/workload"
 )
 
-// snapRTA runs RTA with snapshot capture and returns both.
+// snapRTA runs RTA and returns its result and snapshot.
 func snapRTA(t *testing.T, m *costmodel.Model, w objective.Weights, opts Options) (Result, *FrontierSnapshot) {
 	t.Helper()
-	opts.CaptureSnapshot = true
 	res, err := RTA(m, w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Snapshot == nil {
-		t.Fatal("RTA with CaptureSnapshot returned no snapshot")
+		t.Fatal("RTA returned no snapshot")
 	}
 	return res, res.Snapshot
 }
@@ -92,8 +91,8 @@ func roundTrip(t *testing.T, snap *FrontierSnapshot) *FrontierSnapshot {
 
 // TestSnapshotMatchesRun: for every frontier-extracting algorithm, the
 // snapshot's frontier is exactly the run's — same length, same canonical
-// order, same cost vectors, same plan trees — and capturing it changes
-// nothing about the run's answer.
+// order, same cost vectors, same plan trees — and a second run answers
+// as the first did.
 func TestSnapshotMatchesRun(t *testing.T) {
 	q := starQuery(t)
 	m := costmodel.NewDefault(q)
@@ -107,17 +106,16 @@ func TestSnapshotMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.CaptureSnapshot = true
 			res, err := alg.run(m, w, objective.NoBounds(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			snap := res.Snapshot
 			if snap == nil {
-				t.Fatalf("%s: CaptureSnapshot returned no snapshot", label)
+				t.Fatalf("%s: no snapshot returned", label)
 			}
 			if got, want := answerOf(t, label, q, res, w, objective.NoBounds()), answerOf(t, label, q, cold, w, objective.NoBounds()); got != want {
-				t.Fatalf("%s: capturing changed the answer: %+v vs %+v", label, got, want)
+				t.Fatalf("%s: a second run answered differently: %+v vs %+v", label, got, want)
 			}
 
 			if snap.Len() != res.Frontier.Len() {
@@ -137,9 +135,9 @@ func TestSnapshotMatchesRun(t *testing.T) {
 }
 
 // TestSelectFromSnapshotMatchesCold is the route matrix: {EXA, RTA,
-// RTAVector, IRA} × {cold, cold with CaptureSnapshot, SelectFromSnapshot,
-// SelectFromSnapshot after a serialization round trip}. Under random
-// weights (and bounds, where the algorithm takes them) all four routes
+// RTAVector, IRA} × {cold, SelectFromSnapshot, SelectFromSnapshot after a
+// serialization round trip}. Under random weights (and bounds, where the
+// algorithm takes them) all three routes
 // give the same frontier bits, archive counters, SelectBest index and
 // plan. For the reweightable algorithms the snapshot served is one
 // captured under different weights.
@@ -151,9 +149,7 @@ func TestSelectFromSnapshotMatchesCold(t *testing.T) {
 	for _, alg := range routeAlgorithms {
 		opts := smallOpts(threeObjs)
 		opts.Alpha = 1.5
-		capture := opts
-		capture.CaptureSnapshot = true
-		seed, err := alg.run(m, objective.UniformWeights(threeObjs), objective.NoBounds(), capture)
+		seed, err := alg.run(m, objective.UniformWeights(threeObjs), objective.NoBounds(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +164,9 @@ func TestSelectFromSnapshotMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			captured, err := alg.run(m, w, b, capture)
-			if err != nil {
-				t.Fatal(err)
-			}
 			snap := seed.Snapshot
 			if !alg.reweightable {
-				snap = captured.Snapshot
+				snap = cold.Snapshot
 			}
 			warm, err := SelectFromSnapshot(snap, w, b)
 			if err != nil {
@@ -189,7 +181,7 @@ func TestSelectFromSnapshotMatchesCold(t *testing.T) {
 				t.Fatalf("%s: reuse result not flagged ReusedFrontier", label)
 			}
 			want := answerOf(t, label+" cold", q, cold, w, b)
-			for route, res := range map[string]Result{"captured": captured, "snapshot": warm, "round trip": shipped} {
+			for route, res := range map[string]Result{"snapshot": warm, "round trip": shipped} {
 				if got := answerOf(t, label+" "+route, q, res, w, b); got != want {
 					t.Fatalf("%s: %s route answers %+v, cold %+v", label, route, got, want)
 				}
@@ -243,8 +235,8 @@ func TestSelectFromSnapshotConcurrent(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip: MarshalBinary/UnmarshalFrontierSnapshot is an
-// exact round trip — the decoded snapshot is deep-equal and serves the
-// same SelectBest answers.
+// exact round trip — the decoded snapshot, its plan trees materialized like
+// the run's, is deep-equal and serves the same SelectBest answers.
 func TestSnapshotRoundTrip(t *testing.T) {
 	q := starQuery(t)
 	m := costmodel.NewDefault(q)
@@ -260,6 +252,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	back.Plans()
 	if !reflect.DeepEqual(snap, back) {
 		t.Fatal("decoded snapshot is not deep-equal to the original")
 	}
@@ -291,8 +284,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // snapshotServeAllocs bounds what serving a stored snapshot allocates
 // before any selection: the decode (the snapshot, its precision, one entry
 // array and one cost array for every section, the sub-memo index) and the
-// one materialization of its frontier trees (the dense memo view, its slot
-// cache, one slab of nodes and the plans slice). 9 measured on go1.24.
+// one materialization of its frontier trees (its slot cache, one slab of
+// nodes and the plans slice). 7 measured on go1.24.
 const snapshotServeAllocs = 12
 
 // TestSnapshotServeAllocs: decoding a snapshot and materializing its
@@ -376,7 +369,6 @@ func TestSnapshotNotCapturedWhenDegraded(t *testing.T) {
 	opts := smallOpts(threeObjs)
 	opts.Alpha = 1.5
 	opts.Timeout = 1 // nanosecond: degrade immediately
-	opts.CaptureSnapshot = true
 	res, err := RTA(m, objective.UniformWeights(threeObjs), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +397,6 @@ func TestIRASeededGuarantee(t *testing.T) {
 	for _, alphaU := range []float64{1.15, 1.5, 2} {
 		iopts := opts
 		iopts.Alpha = alphaU
-		iopts.CaptureSnapshot = true
 
 		// Seed: one cold IRA run under arbitrary weights/bounds.
 		seedW := randomWeights(r, threeObjs)
@@ -416,7 +407,7 @@ func TestIRASeededGuarantee(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seedRes.Snapshot == nil {
-			t.Fatal("IRA with CaptureSnapshot returned no snapshot")
+			t.Fatal("IRA returned no snapshot")
 		}
 
 		for trial := 0; trial < 10; trial++ {
@@ -453,7 +444,6 @@ func TestIRASeededRejectsMismatch(t *testing.T) {
 	m := costmodel.NewDefault(chainQuery(t))
 	opts := smallOpts(threeObjs)
 	opts.Alpha = 1.5
-	opts.CaptureSnapshot = true
 	res, err := IRA(m, objective.UniformWeights(threeObjs), objective.NoBounds(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -394,11 +394,11 @@ func (a *FlatArchive) Frontier() []objective.Vector {
 // place, for read-only scans; invalidated by the next Insert or Reset.
 func (a *FlatArchive) Rows() []float64 { return a.costs }
 
-// Canonical returns a copy of the archive's cost rows and entries in
-// canonical order: sorted by CompareCanonical, stably, so rows with
-// identical cost vectors keep the archive's (deterministic) insertion
-// order. It is the one place a finished frontier is ordered.
-func (a *FlatArchive) Canonical() ([]float64, []plan.Entry) {
+// CanonicalOrder returns the archive's row indexes in canonical order:
+// sorted by CompareCanonical, stably, so rows with identical cost vectors
+// keep the archive's (deterministic) insertion order. It is the one place
+// a finished frontier is ordered.
+func (a *FlatArchive) CanonicalOrder() []int32 {
 	order := make([]int32, a.Len())
 	for i := range order {
 		order[i] = int32(i)
@@ -406,13 +406,7 @@ func (a *FlatArchive) Canonical() ([]float64, []plan.Entry) {
 	slices.SortStableFunc(order, func(i, j int32) int {
 		return CompareCanonical(a.CostAt(i), a.CostAt(j))
 	})
-	costs := make([]float64, 0, len(a.costs))
-	entries := make([]plan.Entry, len(order))
-	for ni, oi := range order {
-		costs = append(costs, a.costs[int(oi)*stride:(int(oi)+1)*stride]...)
-		entries[ni] = a.entries[oi]
-	}
-	return costs, entries
+	return order
 }
 
 // CompareCanonical orders two cost vectors lexicographically over all nine

@@ -99,22 +99,10 @@ func (e Entry) JoinOp() (JoinAlg, int) {
 	return JoinAlg(e.Op >> opShift), int(e.Op & (1<<opShift - 1))
 }
 
-// Memo gives the materializer access to the entries and cost vectors an
-// engine run stored per table set. It is implemented by the engine's memo
-// table over its flat archives.
-type Memo interface {
-	// EntryAt returns the idx-th entry stored for table set s.
-	EntryAt(s query.TableSet, idx int32) Entry
-	// CostAt returns the idx-th stored cost vector for table set s.
-	CostAt(s query.TableSet, idx int32) objective.Vector
-}
-
 // DenseMemo is a closed memo whose stored plans are numbered densely, from
 // 0 to Size's plans-1: every reference an entry holds resolves inside it.
-// A materializer over a DenseMemo (NewDenseMaterializer) caches sub-plans
-// by number in a slice instead of a map, resolves each reference with one
-// Lookup instead of EntryAt and CostAt, and takes all its nodes from one
-// slab sized up front.
+// Every finished run's frontier is one: its rows first, then the rows of
+// each table set they transitively reference.
 type DenseMemo interface {
 	// Lookup returns the number, the entry and the cost vector of the
 	// idx-th plan stored for table set s. The vector is the memo's own and
@@ -126,51 +114,30 @@ type DenseMemo interface {
 	Size() (plans, probes int)
 }
 
-// Materializer reconstructs Node trees from compact entries. Sub-plans are
-// cached by (table set, index), so plans extracted from the same memo share
-// their common subtrees bottom-up — the O(1)-space-per-stored-plan sharing
-// of the dynamic program (proof of Theorem 1) survives materialization.
-// Index-probe inners are the exception: every index-nested-loop join gets
-// its own.
-//
-// Over a DenseMemo the nodes come from one slab holding every node a full
-// materialization can need; over any other memo each node is its own
-// allocation.
+// Materializer reconstructs Node trees from the compact entries of a
+// DenseMemo. Sub-plans are cached by number, so plans extracted from the
+// same memo share their common subtrees bottom-up — the
+// O(1)-space-per-stored-plan sharing of the dynamic program (proof of
+// Theorem 1) survives materialization. Index-probe inners are the
+// exception: every index-nested-loop join gets its own. The nodes come
+// from one slab holding every node a full materialization can need.
 type Materializer struct {
-	// Exactly one of memo and dense is set: memo's sub-plans are cached
-	// in cache, dense's in slots.
-	memo  Memo
-	cache map[planRef]*Node
-	dense DenseMemo
+	memo  DenseMemo
 	slots []*Node
-	// slab holds the dense path's nodes not yet handed out.
+	// slab holds the nodes not yet handed out.
 	slab []Node
-}
-
-type planRef struct {
-	set query.TableSet
-	idx int32
-}
-
-// NewMaterializer creates a materializer over one run's memo.
-func NewMaterializer(m Memo) *Materializer {
-	return &Materializer{memo: m, cache: make(map[planRef]*Node)}
 }
 
 // NewDenseMaterializer creates a materializer over a closed, densely
 // numbered memo.
 func NewDenseMaterializer(d DenseMemo) *Materializer {
 	plans, probes := d.Size()
-	return &Materializer{dense: d, slots: make([]*Node, plans), slab: make([]Node, plans+probes)}
+	return &Materializer{memo: d, slots: make([]*Node, plans), slab: make([]Node, plans+probes)}
 }
 
-// node hands out the next node of the dense path's slab, or a new node
-// over any other memo. The slab never runs dry: each stored plan is built
-// once, with at most one index-probe inner.
+// node hands out the next node of the slab. The slab never runs dry: each
+// stored plan is built once, with at most one index-probe inner.
 func (mt *Materializer) node() *Node {
-	if mt.dense == nil {
-		return new(Node)
-	}
 	n := &mt.slab[0]
 	mt.slab = mt.slab[1:]
 	return n
@@ -178,21 +145,11 @@ func (mt *Materializer) node() *Node {
 
 // Plan reconstructs the Node tree of the idx-th plan stored for table set s.
 func (mt *Materializer) Plan(s query.TableSet, idx int32) *Node {
-	if mt.dense != nil {
-		slot, e, cost := mt.dense.Lookup(s, idx)
-		if mt.slots[slot] == nil {
-			mt.slots[slot] = mt.build(s, e, cost)
-		}
-		return mt.slots[slot]
+	slot, e, cost := mt.memo.Lookup(s, idx)
+	if mt.slots[slot] == nil {
+		mt.slots[slot] = mt.build(s, e, cost)
 	}
-	ref := planRef{s, idx}
-	n, ok := mt.cache[ref]
-	if !ok {
-		cost := mt.memo.CostAt(s, idx)
-		n = mt.build(s, mt.memo.EntryAt(s, idx), &cost)
-		mt.cache[ref] = n
-	}
-	return n
+	return mt.slots[slot]
 }
 
 // build makes the node of one stored plan of table set s, materializing

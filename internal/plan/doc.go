@@ -14,4 +14,11 @@
 // EXPLAIN-style trees with per-node cardinalities and costs, and a compact
 // JSON encoding used by the cmd/moqo CLI and the moqod service, appended
 // byte by byte and identical to what encoding/json writes for the same tree.
+//
+// The dynamic program never builds trees: it stores each candidate as a
+// compact Entry, an operator plus references to its sub-plans. A finished
+// run's frontier is a closed, densely numbered memo of such entries
+// (DenseMemo), and its trees are built once, by the one Materializer:
+// every node from one slab, sub-plans cached by number, so the frontier's
+// trees share their common subtrees.
 package plan

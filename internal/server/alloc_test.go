@@ -26,7 +26,7 @@ const requestPathAllocBudget = 120
 // trees (one slab of nodes, cached by slot) and a fresh rendering of the
 // selected row, whose memo the decoded snapshot does not have. Each of
 // these is a fixed number of allocations, whatever the frontier's or the
-// sub-memo's size: 106 measured on go1.24 for the two shapes below. A term
+// sub-memo's size: 104 measured on go1.24 for the two shapes below. A term
 // per frontier row, per sub-memo set or per plan does not fit in it: with
 // such terms these requests took 433.
 const storeHitAllocBudget = 130

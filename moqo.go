@@ -423,7 +423,7 @@ func (req Request) Resolve() (Resolved, error) {
 	// The ranges of Alpha, MaxDOP and Workers are the engine's own;
 	// AllowSampling has none, and set it spares Normalize allocating its
 	// default for a value nobody reads.
-	opts := r.coreOptions(false)
+	opts := r.coreOptions()
 	opts.AllowSampling = new(bool)
 	if _, err := opts.Normalize(); err != nil {
 		return Resolved{}, err
@@ -482,18 +482,17 @@ var ErrInternalPanic = core.ErrEnginePanic
 // of the two fires, untreated table sets get a single best-weighted plan,
 // and the call still returns a Result with Stats.TimedOut set.
 func (r *Resolved) Optimize(ctx context.Context) (*Result, error) {
-	res, _, err := r.run(ctx, false)
+	res, _, err := r.run(ctx)
 	return res, err
 }
 
-// run is the shared body of Optimize (capture=false) and OptimizeSnapshot
-// (capture=true, which additionally extracts the compact frontier snapshot
-// of the run for the frontier cache).
-func (r *Resolved) run(ctx context.Context, capture bool) (*Result, *core.FrontierSnapshot, error) {
+// run is the shared body of Optimize and OptimizeSnapshot: the result, and
+// the run's frontier snapshot (nil for a degraded run and the baselines).
+func (r *Resolved) run(ctx context.Context) (*Result, *core.FrontierSnapshot, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m, opts := r.model(), r.coreOptions(capture)
+	m, opts := r.model(), r.coreOptions()
 
 	var res core.Result
 	var err error
@@ -544,17 +543,16 @@ func (r *Resolved) model() *costmodel.Model {
 }
 
 // coreOptions is the one place a request's knobs become core.Options, so
-// every entry point (cold, snapshot-capturing, seeded re-optimization)
+// every entry point (cold, snapshot-returning, seeded re-optimization)
 // honors the same set.
-func (r *Resolved) coreOptions(capture bool) core.Options {
+func (r *Resolved) coreOptions() core.Options {
 	opts := core.Options{
-		Objectives:      r.objs,
-		Alpha:           r.alpha,
-		Timeout:         r.req.Timeout,
-		MaxDOP:          r.req.MaxDOP,
-		AllowSampling:   r.req.AllowSampling,
-		Workers:         r.req.Workers,
-		CaptureSnapshot: capture,
+		Objectives:    r.objs,
+		Alpha:         r.alpha,
+		Timeout:       r.req.Timeout,
+		MaxDOP:        r.req.MaxDOP,
+		AllowSampling: r.req.AllowSampling,
+		Workers:       r.req.Workers,
 	}
 	if r.req.Shared != nil {
 		opts.Shared = r.req.Shared.m

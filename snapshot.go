@@ -153,7 +153,7 @@ func OptimizeSnapshotContext(ctx context.Context, req Request) (*Result, *Fronti
 // Result) when the run has no reusable frontier: a degraded (timed-out)
 // run, or a single-objective baseline algorithm.
 func (r *Resolved) OptimizeSnapshot(ctx context.Context) (*Result, *FrontierSnapshot, error) {
-	res, snap, err := r.run(ctx, true)
+	res, snap, err := r.run(ctx)
 	if err != nil || snap == nil {
 		return res, nil, err
 	}
@@ -210,7 +210,7 @@ func (r *Resolved) Reoptimize(ctx context.Context, snap *FrontierSnapshot) (*Res
 	case AlgoEXA, AlgoRTA:
 		res, err = core.SelectFromSnapshot(snap.core, r.w, r.b)
 	case AlgoIRA:
-		res, err = core.IRASeededContext(ctx, r.model(), r.w, r.b, r.coreOptions(true), snap.core)
+		res, err = core.IRASeededContext(ctx, r.model(), r.w, r.b, r.coreOptions(), snap.core)
 		if err == nil && res.Snapshot != nil && res.Snapshot != snap.core {
 			// The seeded refinement produced a finer frontier; hand it back
 			// for the cache to replace the seed with.
