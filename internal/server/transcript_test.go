@@ -3,35 +3,48 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"moqo/internal/tenant"
 )
 
 // A transcript (testdata/transcript/*.txt) is a request script and the
 // answers a server gave it. Lines before the first exchange that start with
-// "#" describe the script. Then each exchange is
+// "#" describe the script; a line "#! {...}" among them sets the server's
+// options (transcriptOptions). Then each exchange is
 //
 //	>>> METHOD /path
+//	Request-Header: value (zero or more lines; only X-Moqo-Tenant is used)
 //	request body (zero or more lines)
 //	<<< STATUS Content-Type
+//	Retry-After: N (when the server sent one)
 //	response body, byte for byte
 //
-// and a line ">>> RESTART" closes the server and opens a new one on the
-// same store directory. A response body runs to the next ">>>" line; every
-// body the server writes ends in a newline, so the file needs no other
-// separator.
+// A line ">>> RESTART" closes the server and opens a new one on the same
+// store directory. ">>> HOLD SLOTS" takes every cold-DP slot, so the next
+// cold request queues; ">>> HOLD QUEUE" also fills the queue to its bound,
+// so the next one is shed; ">>> RELEASE" gives both back. A response body
+// runs to the next ">>>" line; every body the server writes ends in a
+// newline, so the file needs no other separator.
 //
 // TestTranscript replays every file against a fresh server over a store in
-// a temporary directory and compares each status, content type and body
-// with the recorded one, after masking the time-valued fields. Run it with
-// MOQO_REGEN_TRANSCRIPT=1 to record the answers of the current build.
+// a temporary directory and compares each status, content type, Retry-After
+// and body with the recorded one, after masking the time-valued fields. Run
+// it with MOQO_REGEN_TRANSCRIPT=1 to record the answers of the current
+// build.
 func TestTranscript(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "transcript", "*.txt"))
 	if err != nil || len(files) == 0 {
@@ -51,7 +64,7 @@ func TestTranscript(t *testing.T) {
 			replayTranscript(t, script)
 			if !regen {
 				for i, x := range script.exchanges {
-					if x.restart {
+					if x.directive != "" {
 						continue
 					}
 					if x.got != x.want {
@@ -91,13 +104,23 @@ func lineAt(lines []string, i int) string {
 // transcript is one parsed script.
 type transcript struct {
 	header    []string // the leading comment lines
+	opts      transcriptOptions
 	exchanges []*exchange
 }
 
-// exchange is one request of a script, or a restart.
+// transcriptOptions are the server options a script may set on its "#!"
+// line; a script without one runs on the defaults.
+type transcriptOptions struct {
+	MaxColdDPs int             `json:"max_cold_dps"`
+	MaxQueue   int             `json:"max_queue"`
+	Tenants    json.RawMessage `json:"tenants"`
+}
+
+// exchange is one request of a script, or a directive.
 type exchange struct {
-	restart      bool
+	directive    string // RESTART, HOLD SLOTS, HOLD QUEUE or RELEASE; "" for a request
 	method, path string
+	header       [][2]string // request headers, in script order
 	body         string
 	line         int // of the ">>>" line, for messages
 	// want is the recorded answer: "STATUS Content-Type\n" and the masked
@@ -105,8 +128,16 @@ type exchange struct {
 	want, got string
 }
 
-// timeValued matches the fields whose values are wall-clock readings.
-var timeValued = regexp.MustCompile(`("duration_ms":\s*)[-+0-9.eE]+`)
+// timeValued matches the fields whose values are wall-clock readings or
+// durations measured against the clock: a request's duration, a server's
+// uptime, latency quantiles, and how long to wait before retrying.
+var timeValued = regexp.MustCompile(`("(?:duration_ms|uptime_ms|p50|p99|retry_after_ms|retry_in_ms)":\s*)[-+0-9.eE]+`)
+
+// directives are the ">>>" lines that are not requests.
+var directives = map[string]bool{"RESTART": true, "HOLD SLOTS": true, "HOLD QUEUE": true, "RELEASE": true}
+
+// requestHeader matches a request-header line under a request line.
+var requestHeader = regexp.MustCompile(`^([A-Z][A-Za-z0-9-]*): (.*)$`)
 
 // maskTimes replaces every time-valued field's number with 0.
 func maskTimes(body []byte) []byte {
@@ -123,34 +154,41 @@ func parseTranscript(raw []byte) (*transcript, error) {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, ">>> "):
-			f := strings.Fields(line[4:])
 			cur = &exchange{line: n}
 			buf = nil
-			switch {
-			case len(f) == 1 && f[0] == "RESTART":
-				cur.restart = true
-			case len(f) == 2:
+			if f := strings.Fields(line[4:]); directives[strings.Join(f, " ")] {
+				cur.directive = strings.Join(f, " ")
+			} else if len(f) == 2 {
 				cur.method, cur.path = f[0], f[1]
-			default:
+			} else {
 				return nil, fmt.Errorf("line %d: bad request line %q", n, line)
 			}
 			s.exchanges = append(s.exchanges, cur)
 		case strings.HasPrefix(line, "<<< "):
-			if cur == nil || cur.restart || cur.want != "" {
+			if cur == nil || cur.directive != "" || cur.want != "" {
 				return nil, fmt.Errorf("line %d: answer without a request", n)
 			}
 			cur.body = strings.TrimSuffix(cur.body, "\n")
 			buf = &strings.Builder{}
 			buf.WriteString(line[4:] + "\n")
 		case cur == nil:
-			if !strings.HasPrefix(line, "#") && line != "" {
+			if opts, ok := strings.CutPrefix(line, "#! "); ok {
+				dec := json.NewDecoder(strings.NewReader(opts))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&s.opts); err != nil {
+					return nil, fmt.Errorf("line %d: server options: %v", n, err)
+				}
+			} else if !strings.HasPrefix(line, "#") && line != "" {
 				return nil, fmt.Errorf("line %d: text before the first request", n)
 			}
 			s.header = append(s.header, line)
 		case buf != nil:
 			buf.WriteString(line + "\n")
-		case cur.restart:
-			return nil, fmt.Errorf("line %d: a restart has no body", n)
+		case cur.directive != "":
+			return nil, fmt.Errorf("line %d: %s has no body", n, cur.directive)
+		case cur.body == "" && requestHeader.MatchString(line):
+			h := requestHeader.FindStringSubmatch(line)
+			cur.header = append(cur.header, [2]string{h[1], h[2]})
 		default:
 			cur.body += line + "\n"
 		}
@@ -168,11 +206,14 @@ func (s *transcript) render() []byte {
 		b.WriteString(line + "\n")
 	}
 	for _, x := range s.exchanges {
-		if x.restart {
-			b.WriteString(">>> RESTART\n")
+		if x.directive != "" {
+			b.WriteString(">>> " + x.directive + "\n")
 			continue
 		}
 		fmt.Fprintf(&b, ">>> %s %s\n", x.method, x.path)
+		for _, h := range x.header {
+			b.WriteString(h[0] + ": " + h[1] + "\n")
+		}
 		if body := strings.TrimRight(x.body, "\n"); body != "" {
 			b.WriteString(body + "\n")
 		}
@@ -186,17 +227,44 @@ func (s *transcript) render() []byte {
 // the exchange's got.
 func replayTranscript(t *testing.T, s *transcript) {
 	t.Helper()
-	dir := t.TempDir()
-	ts, stop := newTestServerC(t, storeOpts(dir))
+	opts := storeOpts(t.TempDir())
+	opts.MaxColdDPs, opts.MaxQueueDepth = s.opts.MaxColdDPs, s.opts.MaxQueue
+	if s.opts.Tenants != nil {
+		cfg, err := tenant.ParseConfig(s.opts.Tenants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Tenants = tenant.NewRegistry(cfg)
+	}
+	svc, ts := startTranscriptServer(t, opts)
+	var h holder
+	defer h.release(svc)
 	for _, x := range s.exchanges {
-		if x.restart {
-			stop()
-			ts, stop = newTestServerC(t, storeOpts(dir))
+		switch x.directive {
+		case "RESTART":
+			ts.Close()
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			svc, ts = startTranscriptServer(t, opts)
+			continue
+		case "HOLD SLOTS":
+			h.holdSlots(t, svc)
+			continue
+		case "HOLD QUEUE":
+			h.holdSlots(t, svc)
+			h.fillQueue(t, svc)
+			continue
+		case "RELEASE":
+			h.release(svc)
 			continue
 		}
 		req, err := http.NewRequest(x.method, ts.URL+x.path, strings.NewReader(x.body))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, kv := range x.header {
+			req.Header.Set(kv[0], kv[1])
 		}
 		res, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -210,6 +278,83 @@ func replayTranscript(t *testing.T, s *transcript) {
 		if len(body) > 0 && body[len(body)-1] != '\n' {
 			t.Fatalf("line %d: the answer does not end in a newline: %s", x.line, body)
 		}
-		x.got = strconv.Itoa(res.StatusCode) + " " + res.Header.Get("Content-Type") + "\n" + string(maskTimes(body))
+		x.got = strconv.Itoa(res.StatusCode) + " " + res.Header.Get("Content-Type") + "\n"
+		if res.Header.Get("Retry-After") != "" {
+			// Seconds until a token or a slot frees up: time-valued, masked.
+			x.got += "Retry-After: 0\n"
+		}
+		x.got += string(maskTimes(body))
+	}
+}
+
+// startTranscriptServer opens a server on opts; the script closes it at a
+// restart and the test's cleanup at the end.
+func startTranscriptServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	svc, err := NewE(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	return svc, ts
+}
+
+// holdTenant is the scheduler identity a script's HOLD takes slots and queue
+// places under: not a valid tenant name, so no request can share it and it
+// shows in no tenant's metrics.
+const holdTenant = "~hold"
+
+// holder keeps the cold-DP slots and queue places a script's HOLD took.
+type holder struct {
+	slots  int
+	cancel context.CancelFunc
+	queued sync.WaitGroup
+}
+
+// holdSlots takes every free cold-DP slot of svc.
+func (h *holder) holdSlots(t *testing.T, svc *Server) {
+	t.Helper()
+	for h.slots < svc.opts.MaxColdDPs {
+		if err := svc.sched.Acquire(context.Background(), holdTenant, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		h.slots++
+	}
+}
+
+// fillQueue queues waiters behind the held slots until the queue is at its
+// bound, and returns once they all wait.
+func (h *holder) fillQueue(t *testing.T, svc *Server) {
+	t.Helper()
+	if svc.opts.MaxQueueDepth <= 0 {
+		t.Fatal("HOLD QUEUE needs a bounded queue (max_queue)")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	h.cancel = cancel
+	for range svc.opts.MaxQueueDepth - svc.sched.Queued() {
+		h.queued.Add(1)
+		go func() {
+			defer h.queued.Done()
+			_ = svc.sched.Acquire(ctx, holdTenant, 1, 0)
+		}()
+	}
+	for svc.sched.Queued() < svc.opts.MaxQueueDepth {
+		runtime.Gosched()
+	}
+}
+
+// release withdraws the queued waiters, then gives the held slots back.
+func (h *holder) release(svc *Server) {
+	if h.cancel != nil {
+		h.cancel()
+		h.queued.Wait()
+		h.cancel = nil
+	}
+	for ; h.slots > 0; h.slots-- {
+		svc.sched.Release(holdTenant)
 	}
 }
