@@ -133,6 +133,10 @@ func (c *Catalog) Indexes(t TableID) []Index {
 	return out
 }
 
+// NumIndexes returns how many indexes table t has: Indexes' length,
+// without building and sorting the list.
+func (c *Catalog) NumIndexes(t TableID) int { return len(c.indexes[t]) }
+
 // NumTables returns the number of tables in the catalog.
 func (c *Catalog) NumTables() int { return len(c.tables) }
 

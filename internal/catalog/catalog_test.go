@@ -112,6 +112,11 @@ func TestIndexesSorted(t *testing.T) {
 			t.Errorf("indexes not sorted: %s >= %s", idx[i-1].Column, idx[i].Column)
 		}
 	}
+	for id := TableID(0); int(id) < c.NumTables(); id++ {
+		if n, want := c.NumIndexes(id), len(c.Indexes(id)); n != want {
+			t.Errorf("table %d: NumIndexes %d, Indexes lists %d", id, n, want)
+		}
+	}
 }
 
 func TestLookupMissing(t *testing.T) {

@@ -42,7 +42,10 @@
 //     the definition);
 //   - a slice-backed memo table of flat Pareto archives
 //     (pareto.FlatArchive) indexed by those ids — the candidate loops
-//     never hash;
+//     never hash. An archive keeps its rows in sum order while its set
+//     fills, so that a scan visits only the rows whose objective sum can
+//     decide it, and is sealed back into storage order (Seal) by the worker
+//     that filled it, before any other worker reads it;
 //   - a level-synchronized worker pool (pool.go) that shards each
 //     cardinality level across Options.Workers goroutines without
 //     weakening any approximation guarantee;

@@ -361,12 +361,14 @@ func (t *bestTracker) offer(c objective.Vector, e plan.Entry, scalar float64) {
 	}
 }
 
-// archive stores the tracked best (if any) into a fresh archive of e.
+// archive stores the tracked best (if any) into a fresh, sealed archive of
+// e.
 func (t *bestTracker) archive(e *engine) *pareto.FlatArchive {
 	a := e.newArchive()
 	if t.found {
 		a.Insert(t.cost, t.ent)
 	}
+	a.Seal()
 	return a
 }
 
@@ -379,6 +381,7 @@ func (w *worker) scanSet(id int32, s query.TableSet) {
 		a.Insert(cost, plan.ScanEntry(alg, rate))
 		return true
 	})
+	a.Seal()
 	e.memo.archives[id] = a
 	w.markDone(id, a.Len())
 }
@@ -430,6 +433,7 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 		a.InsertRowNear(cost, ent, w.near)
 		return !w.expired()
 	})
+	a.Seal() // before any other worker reads it, complete or not
 	w.fill = nil
 	if complete {
 		w.markDone(id, a.Len())

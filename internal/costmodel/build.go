@@ -65,7 +65,7 @@ func (m *Model) NewIndexNL(left *plan.Node, innerRel int) *plan.Node {
 func (m *Model) ScanAlternatives(rel int, allowSampling bool) []*plan.Node {
 	out := []*plan.Node{m.NewScan(rel, plan.SeqScan, 0)}
 	t := m.baseTable(rel)
-	if len(m.q.Catalog().Indexes(t.ID)) > 0 {
+	if m.q.Catalog().NumIndexes(t.ID) > 0 {
 		out = append(out, m.NewScan(rel, plan.IndexScan, 0))
 	}
 	if allowSampling {
@@ -86,7 +86,7 @@ func (m *Model) EachScanAlternative(rel int, allowSampling bool, fn func(alg pla
 		return false
 	}
 	t := m.baseTable(rel)
-	if len(m.q.Catalog().Indexes(t.ID)) > 0 {
+	if m.q.Catalog().NumIndexes(t.ID) > 0 {
 		if !fn(plan.IndexScan, 0, m.ScanCost(rel, plan.IndexScan, 0)) {
 			return false
 		}
@@ -103,16 +103,18 @@ func (m *Model) EachScanAlternative(rel int, allowSampling bool, fn func(alg pla
 
 // InnerIndexColumn returns the join column on which an index-nested-loop
 // join can probe relation innerRel when joining it to the tables of outer,
-// or "" if no crossing equi-join edge has an index on the inner side.
+// or "" if no crossing equi-join edge has an index on the inner side. The
+// edges are asked in declaration order, as query.CrossingEdges lists them,
+// but in place: the answer is a column, not a list.
 func (m *Model) InnerIndexColumn(outer query.TableSet, innerRel int) string {
 	cat := m.q.Catalog()
 	tbl := m.q.Relations[innerRel].Table
-	for _, e := range m.q.CrossingEdges(outer, query.Singleton(innerRel)) {
+	for _, e := range m.q.Edges {
 		var col string
 		switch {
-		case e.Left == innerRel:
+		case e.Left == innerRel && outer.Contains(e.Right):
 			col = e.LeftCol
-		case e.Right == innerRel:
+		case e.Right == innerRel && outer.Contains(e.Left):
 			col = e.RightCol
 		default:
 			continue

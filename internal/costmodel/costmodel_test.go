@@ -8,6 +8,7 @@ import (
 	"moqo/internal/objective"
 	"moqo/internal/plan"
 	"moqo/internal/query"
+	"moqo/internal/workload"
 )
 
 func testQuery(t testing.TB) *query.Query {
@@ -189,6 +190,70 @@ func TestInnerIndexColumnAbsent(t *testing.T) {
 		t.Errorf("InnerIndexColumn = %q, want none", col)
 	}
 }
+
+// TestInnerIndexColumnMatchesCrossingEdges holds InnerIndexColumn, which asks
+// the query's edges in place, against the list it used to build: the first
+// of query.CrossingEdges(outer, {inner}) whose inner-side column is indexed,
+// for every outer set and inner relation of the TPC-H queries with joins — and
+// pins it allocation-free.
+func TestInnerIndexColumnMatchesCrossingEdges(t *testing.T) {
+	cat := catalog.TPCH(1)
+	want := func(q *query.Query, outer query.TableSet, inner int) string {
+		tbl := q.Relations[inner].Table
+		for _, e := range q.CrossingEdges(outer, query.Singleton(inner)) {
+			col := e.RightCol
+			if e.Left == inner {
+				col = e.LeftCol
+			}
+			if cat.HasIndex(tbl, col) {
+				return col
+			}
+		}
+		return ""
+	}
+	found := 0
+	for n := 1; n <= 22; n++ {
+		q, err := workload.Query(n, cat)
+		if err != nil || len(q.Relations) > 10 {
+			continue
+		}
+		m := NewDefault(q)
+		all := query.TableSet(1)<<len(q.Relations) - 1
+		for outer := query.TableSet(1); outer <= all; outer++ {
+			for inner := range q.Relations {
+				if outer.Contains(inner) {
+					continue
+				}
+				got := m.InnerIndexColumn(outer, inner)
+				if w := want(q, outer, inner); got != w {
+					t.Fatalf("q%d outer %b inner %d: %q, want %q", n, outer, inner, got, w)
+				}
+				if got != "" {
+					found++
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no outer set ever had an indexed inner column")
+	}
+	q := testQuery(t)
+	m := NewDefault(q)
+	outer := query.Singleton(1)
+	if col := m.InnerIndexColumn(outer, 2); col == "" {
+		t.Fatal("lineitem has no index on l_orderkey")
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkColumn = m.InnerIndexColumn(outer, 2) }); n != 0 {
+		t.Errorf("InnerIndexColumn: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m.EachScanAlternative(2, true, func(plan.ScanAlg, float64, objective.Vector) bool { return true })
+	}); n != 0 {
+		t.Errorf("EachScanAlternative: %v allocs/op, want 0", n)
+	}
+}
+
+var sinkColumn string
 
 func TestScanAlternatives(t *testing.T) {
 	q := testQuery(t)

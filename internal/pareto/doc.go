@@ -23,16 +23,23 @@
 //     lets one coarse row reject the whole run), then the row a second,
 //     caller-owned hint names (InsertRowNear: the engine keeps one per
 //     inner sub-plan and operator of the split at hand). A miss of both
-//     scans, starting at the hinted row and wrapping around — the row
-//     that rejects this candidate sits close to the one that rejected the
-//     last — with a branch-free kernel at two to four active objectives
-//     and an early-exit loop above (kernels.go). Rejection is existential
-//     and changes no state but a counter, so neither hint, nor where a
-//     scan starts, ever shows in an archive's contents, order or
-//     counters. That argument needs every path to ask one question, and
-//     on a NaN the kernels' "row <= t" is not the loops' "no objective
-//     with >": an archive that has met a NaN threshold scans through the
-//     generic loops from then on (scanKind).
+//     asks the sum index: while an archive fills, its rows stand in
+//     ascending order of their active-objective sum (two-wide, of their
+//     first objective), and since floating-point + is monotone only a row
+//     whose sum is at most the thresholds' can reject the candidate and
+//     only one whose sum is at least the candidate's can be evicted by it
+//     (the presorting bound of Sort-Filter-Skyline). Each question is a
+//     binary search and one contiguous run of rows, scanned by a
+//     width-specialized loop (kernels.go); two-wide, the rows are an
+//     antichain and rejection is one row. Seal puts the rows back in
+//     storage order — every reader by index calls it, and the engine calls
+//     it once per archive, when its set is done. Rejection is existential
+//     and changes no state but a counter, so neither hint, nor where a scan
+//     starts, nor the rank order ever shows in an archive's contents,
+//     order or counters. That argument needs every sum to order its rows:
+//     an archive that meets a NaN sum (or, two-wide, a NaN or negative
+//     cost) runs insertGeneric, the oracle's whole-archive loops, from then
+//     on (FlatArchive.generic).
 //     RejectsAll and RejectsAllNear put the two hint tests to a lower
 //     bound of several candidates at once (the engine's floor under one
 //     operator's DOP variants): a yes is n rejections without a scan,

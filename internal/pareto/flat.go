@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -80,19 +81,25 @@ func (c *FlatConfig) rowRejectsFloor(row []float64, floor *objective.Vector) boo
 	return true
 }
 
-// firstRowLeq is the rejection scan over a run of stored rows: the offset,
-// within costs, of the first row within thresholds t on every active
-// objective, or -1. It is the one place a rejection kernel is called from.
-func (c *FlatConfig) firstRowLeq(costs []float64, t *[stride]float64, kind kernelKind) int {
-	switch kind {
-	case kernel2:
-		return anyRowLeq2(costs, c.o0, c.o1, t[0], t[1])
-	case kernel3:
-		return anyRowLeq3(costs, c.o0, c.o1, c.o2, t[0], t[1], t[2])
-	case kernel4:
-		return anyRowLeq4(costs, c.o0, c.o1, c.o2, c.o3, t[0], t[1], t[2], t[3])
+// keys returns the index keys of candidate v and of its thresholds t (see
+// FlatArchive), and false when the index cannot answer for them. A key is the
+// sum over the active objectives, added in ids order from zero, and
+// floating-point + is monotone, so r <= t on every active objective implies
+// key(r) <= key(t), and v <= r implies key(v) <= key(r) — unless a sum is
+// NaN (a NaN cost, or +Inf and -Inf in one vector), which orders nothing.
+// Two-wide, the key is the first active objective (the rows form an
+// antichain, rejector), which needs every cost >= 0: a NaN or a negative
+// cost is refused there.
+func (c *FlatConfig) keys(v *objective.Vector, t *[stride]float64) (vk, tk float64, ok bool) {
+	if c.kind == kernel2 {
+		x, y := v[c.o0], v[c.o1]
+		return x, t[0], x >= 0 && y >= 0
 	}
-	return anyRowLeqGeneric(costs, c.ids, t)
+	for k, o := range c.ids {
+		vk += v[o]
+		tk += t[k]
+	}
+	return vk, tk, vk == vk && tk == tk
 }
 
 // NewFlatConfig builds the shared configuration for scalar-alpha pruning
@@ -151,10 +158,21 @@ const stride = int(objective.NumObjectives)
 // Pruning semantics are bit-for-bit those of the legacy Archive:
 // approximate-dominance rejection first, then exact-dominance eviction
 // with stable compaction, then append — with identical counters.
+//
+// While an archive fills, its rows stand in rank order instead: ascending by
+// key (FlatConfig.keys — the active-objective sum, or two-wide the first
+// active objective), each record carrying its insertion sequence. Only a row
+// whose key is at most the thresholds' can reject a candidate, and only one
+// whose key is at least the candidate's can be evicted by it, so a scan visits
+// one contiguous run of ranks (kernels.go). Storage order — the stored rows by
+// insertion sequence, as the legacy Archive keeps them — is what every reader
+// sees: Seal restores it, the readers below call it, and the next insert
+// re-ranks the rows. The engine seals each archive once, when its set is
+// done, before any other worker reads it.
 type FlatArchive struct {
-	cfg     *FlatConfig
-	costs   []float64 // len = len(entries) * stride
-	entries []plan.Entry
+	cfg   *FlatConfig
+	costs []float64 // len = len(recs) * stride
+	recs  []record
 
 	// inserted and rejected count Insert outcomes for the experiment
 	// harness ("number of considered plans").
@@ -162,17 +180,30 @@ type FlatArchive struct {
 
 	// hint is the offset into costs of the row that last rejected a
 	// candidate; InsertRowNear tests it before anything else. Eviction
-	// compaction may leave it past the end (hence the bounds check) or on
-	// another row — still a stored row, so a hit is still a valid witness. The
-	// zero value names row 0. hintRejected counts the candidates rejected
-	// without a scan: by this row, by the caller's second hint, or by the gate
-	// on either (RejectsAll, RejectsAllNear).
+	// compaction, ranking and sealing may leave it past the end (hence the
+	// bounds check) or on another row — still a stored row, so a hit is still
+	// a valid witness. The zero value names row 0. hintRejected counts the
+	// candidates rejected without a scan: by this row, by the caller's second
+	// hint, or by the gate on either (RejectsAll, RejectsAllNear).
 	hint, hintRejected int
 
-	// nanSeen records that a scanning insert met a NaN threshold: from then on
-	// the archive may hold a NaN cost, and its scans run the generic loops
-	// (scanKind).
-	nanSeen bool
+	// ranked records that the rows stand in rank order (between an indexed
+	// insert and the next Seal).
+	ranked bool
+
+	// generic records that the archive has taken insertGeneric — it is the
+	// oracle's, or a scanning insert met keys the index cannot order
+	// (FlatConfig.keys) and the archive may hold such a row: it is never
+	// ranked again, and every scanning insert is insertGeneric's.
+	generic bool
+}
+
+// record is one stored row's plan entry, key and insertion sequence (storage
+// order is ascending seq). from is scratch for reorder.
+type record struct {
+	entry     plan.Entry
+	key       float64
+	seq, from int32
 }
 
 // NewFlat creates an empty flat archive sharing the run's configuration.
@@ -189,11 +220,11 @@ func NewFlat(cfg *FlatConfig) *FlatArchive { return &FlatArchive{cfg: cfg} }
 // unobservable. The candidate is therefore first tested against the hinted
 // row alone — consecutive candidates of one table set are near-copies, so the
 // row that rejected the last one rejects most of the next — then against the
-// caller's second hint (InsertRowNear), and only a miss of both scans, from
-// the hinted row onward and around (rejectingRow). The scans dispatch to a
-// width-specialized kernel picked once per configuration (kernels.go); every
-// path answers the questions insertGeneric asks, so results and counters are
-// bit-identical regardless of the path taken.
+// caller's second hint (InsertRowNear), and only a miss of both scans the
+// ranks of the sum index that can hold a rejector (rejector), then those that
+// can hold a row to evict (evict). The scans are specialized by width once per
+// configuration (kernels.go); every path answers the questions insertGeneric
+// asks, so results and counters are bit-identical regardless of the path.
 func (a *FlatArchive) Insert(c objective.Vector, e plan.Entry) bool {
 	return a.InsertRow(&c, e)
 }
@@ -229,27 +260,27 @@ func (a *FlatArchive) InsertRowNear(c *objective.Vector, e plan.Entry, near *int
 		a.hintRejected++
 		return false
 	}
+	if a.generic {
+		return a.insertGeneric(*c, e)
+	}
 	var t [stride]float64
 	cfg.thresholds(c, &t)
-	kind := a.scanKind(&t)
-	if r := a.rejectingRow(&t, kind); r >= 0 {
-		a.hint = r
-		*near = int32(r / stride)
+	ck, tk, ok := cfg.keys(c, &t)
+	if !ok {
+		return a.insertGeneric(*c, e)
+	}
+	if !a.ranked {
+		a.reorder(byKey)
+		a.ranked = true
+	}
+	if r := a.rejector(&t, tk); r >= 0 {
+		a.hint = r * stride
+		*near = int32(r)
 		a.rejected++
 		return false
 	}
-	switch kind {
-	case kernel2:
-		a.evict2(cfg.o0, cfg.o1, c[cfg.o0], c[cfg.o1])
-	case kernel3:
-		a.evict3(cfg.o0, cfg.o1, cfg.o2, c[cfg.o0], c[cfg.o1], c[cfg.o2])
-	case kernel4:
-		a.evict4(cfg.o0, cfg.o1, cfg.o2, cfg.o3, c[cfg.o0], c[cfg.o1], c[cfg.o2], c[cfg.o3])
-	default:
-		a.evictGeneric(cfg.ids, c)
-	}
-	a.entries = append(a.entries, e)
-	a.costs = append(a.costs, c[:]...)
+	lo := a.ranksBelow(ck)
+	a.store(c, e, ck, lo, a.evict(c, lo))
 	a.inserted++
 	return true
 }
@@ -292,73 +323,88 @@ func (a *FlatArchive) RejectsAllNear(floor *objective.Vector, n int, near *int32
 	return true
 }
 
-// scanKind is the kernel a scanning insert with thresholds t may use. The
-// two- to four-wide kernels ask "row <= t" and "c <= row" where the generic
-// loops — and rowRejects, objective.Vector.ApproxDominates and the reference
-// archive — ask "no objective with >". On a NaN the two differ, and which row
-// the hints happened to name would decide whether such a candidate is kept.
-// So an insert whose thresholds hold a NaN on an active objective, and every
-// scanning insert after it (the candidate may have been stored), runs the
-// generic loops, which are the oracle's own code: width-many t[k] != t[k]
-// tests per scanning insert, nothing per row. Rewriting the kernels as
-// !(row > t) instead costs cold_w1 7 % (Go emits a parity fix-up per
-// comparison).
-func (a *FlatArchive) scanKind(t *[stride]float64) kernelKind {
-	cfg := a.cfg
-	if cfg.kind == kernelGeneric || a.nanSeen {
-		return kernelGeneric
-	}
-	for k := range cfg.ids {
-		if t[k] != t[k] {
-			a.nanSeen = true
-			return kernelGeneric
-		}
-	}
-	return cfg.kind
-}
-
-// rejectingRow is the rejection scan InsertRowNear runs after both hints
-// missed: the offset of a stored row within thresholds t on every active
-// objective, or -1. Any such row is a valid witness, so the scan starts at the
-// hinted row — rejectors are neighbours: the row that rejects this candidate
-// sits on average half an archive away from row 0 but close to the one that
-// rejected the last — and wraps around to the rows before it.
-func (a *FlatArchive) rejectingRow(t *[stride]float64, kind kernelKind) int {
-	h := a.hint
-	if h >= len(a.costs) {
-		h = 0
-	}
-	if r := a.cfg.firstRowLeq(a.costs[h:], t, kind); r >= 0 {
-		return h + r
-	}
-	return a.cfg.firstRowLeq(a.costs[:h], t, kind)
-}
-
 // insertGeneric is Insert restricted to the original early-exit scalar
-// loops, regardless of the configured kernel, from row 0 and with no hint —
-// the differential oracle the hinted and specialized paths are tested against.
+// loops over the whole archive in storage order, with no hint and no index —
+// the differential oracle the hinted and indexed paths are tested against,
+// and the path of an archive whose keys stopped ordering its rows. Either
+// way the archive is generic from then on: it is never ranked again.
 func (a *FlatArchive) insertGeneric(c objective.Vector, e plan.Entry) bool {
+	a.Seal()
+	a.generic = true
 	var t [stride]float64
 	a.cfg.thresholds(&c, &t)
-	if a.cfg.firstRowLeq(a.costs, &t, kernelGeneric) >= 0 {
+	if anyRowLeqGeneric(a.costs, a.cfg.ids, &t) >= 0 {
 		a.rejected++
 		return false
 	}
 	a.evictGeneric(a.cfg.ids, &c)
-	a.entries = append(a.entries, e)
+	a.recs = append(a.recs, record{entry: e})
 	a.costs = append(a.costs, c[:]...)
 	a.inserted++
 	return true
 }
 
+// Seal puts the stored rows back in storage order, where every reader of an
+// archive by index finds them (EntryAt, CostAt, CostRow, Rows and the
+// selections call it first). The next indexed insert ranks them again. An
+// archive read by several goroutines must be sealed before they start.
+func (a *FlatArchive) Seal() {
+	if a.ranked {
+		a.reorder(bySeq)
+		a.ranked = false
+	}
+}
+
+// byKey is rank order: ascending key, and among equal keys the newest row
+// first, where an insert ranks it (store). bySeq is storage order.
+func byKey(x, y record) int {
+	if c := cmp.Compare(x.key, y.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(y.seq, x.seq)
+}
+
+func bySeq(x, y record) int { return cmp.Compare(x.seq, y.seq) }
+
+// reorder sorts the stored rows by order: the records, then the cost rows
+// after them, one cycle of the permutation at a time.
+func (a *FlatArchive) reorder(order func(x, y record) int) {
+	recs, costs := a.recs, a.costs
+	for i := range recs {
+		recs[i].from = int32(i)
+	}
+	slices.SortFunc(recs, order)
+	var first [stride]float64
+	for i := range recs {
+		if recs[i].from < 0 {
+			continue
+		}
+		copy(first[:], costs[i*stride:])
+		for j := i; ; {
+			f := int(recs[j].from)
+			recs[j].from = ^recs[j].from
+			if f == i {
+				copy(costs[j*stride:(j+1)*stride], first[:])
+				break
+			}
+			copy(costs[j*stride:(j+1)*stride], costs[f*stride:(f+1)*stride])
+			j = f
+		}
+	}
+}
+
 // Len returns the number of stored plans.
-func (a *FlatArchive) Len() int { return len(a.entries) }
+func (a *FlatArchive) Len() int { return len(a.recs) }
 
 // EntryAt returns the i-th stored entry.
-func (a *FlatArchive) EntryAt(i int32) plan.Entry { return a.entries[i] }
+func (a *FlatArchive) EntryAt(i int32) plan.Entry {
+	a.Seal()
+	return a.recs[i].entry
+}
 
 // CostAt returns a copy of the i-th stored cost vector.
 func (a *FlatArchive) CostAt(i int32) objective.Vector {
+	a.Seal()
 	var v objective.Vector
 	copy(v[:], a.costs[int(i)*stride:int(i)*stride+stride])
 	return v
@@ -368,6 +414,7 @@ func (a *FlatArchive) CostAt(i int32) objective.Vector {
 // on hot paths where CostAt's copy shows. The pointer aliases the archive's
 // backing array: it is invalidated by the next Insert or Reset.
 func (a *FlatArchive) CostRow(i int32) *objective.Vector {
+	a.Seal()
 	return (*objective.Vector)(a.costs[int(i)*stride:])
 }
 
@@ -392,7 +439,10 @@ func (a *FlatArchive) Frontier() []objective.Vector {
 
 // Rows returns the stored cost rows (stride nine, insertion order) in
 // place, for read-only scans; invalidated by the next Insert or Reset.
-func (a *FlatArchive) Rows() []float64 { return a.costs }
+func (a *FlatArchive) Rows() []float64 {
+	a.Seal()
+	return a.costs
+}
 
 // CanonicalOrder returns the archive's row indexes in canonical order:
 // sorted by CompareCanonical, stably, so rows with identical cost vectors
@@ -471,6 +521,7 @@ func (a *FlatArchive) BestBy(scalar func(objective.Vector) float64) int32 {
 // those respecting the bounds, or — if none respects the bounds — the
 // minimal weighted cost overall. Returns -1 only for an empty archive.
 func (a *FlatArchive) SelectBest(w objective.Weights, b objective.Bounds) int32 {
+	a.Seal()
 	return SelectBestRows(a.costs, w, b, a.cfg.objs)
 }
 
@@ -479,7 +530,7 @@ func (a *FlatArchive) SelectBest(w objective.Weights, b objective.Bounds) int32 
 // tests and benchmarks. The engine never resets an archive.
 func (a *FlatArchive) Reset() {
 	a.costs = a.costs[:0]
-	a.entries = a.entries[:0]
+	a.recs = a.recs[:0]
 	a.inserted, a.rejected, a.evicted = 0, 0, 0
-	a.hint, a.hintRejected, a.nanSeen = 0, 0, false
+	a.hint, a.hintRejected, a.ranked, a.generic = 0, 0, false, false
 }

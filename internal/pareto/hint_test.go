@@ -1,9 +1,11 @@
 package pareto
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"moqo/internal/objective"
@@ -11,9 +13,11 @@ import (
 )
 
 // diffArchives compares every observable of two flat archives — length,
-// the three counters, cost rows bit for bit, entries — and describes the
-// first difference ("" for none). HintRejected is deliberately not
-// compared: the oracle side has no hint.
+// the three counters, cost rows bit for bit and entries, both in storage
+// order — and describes the first difference ("" for none). It reads a
+// ranked archive in place (storageOrder) rather than sealing it, so that a
+// stream keeps its archive ranked from insert to insert. HintRejected is
+// deliberately not compared: the oracle side has no hint.
 func diffArchives(fast, oracle *FlatArchive) string {
 	if fast.Len() != oracle.Len() {
 		return fmt.Sprintf("len %d, oracle %d", fast.Len(), oracle.Len())
@@ -23,19 +27,73 @@ func diffArchives(fast, oracle *FlatArchive) string {
 	if fi != oi || fr != or || fe != oe {
 		return fmt.Sprintf("counters (ins=%d rej=%d ev=%d), oracle (ins=%d rej=%d ev=%d)", fi, fr, fe, oi, or, oe)
 	}
-	fc, oc := fast.Rows(), oracle.Rows()
-	if len(fc) != len(oc) {
-		return fmt.Sprintf("%d cost cells, oracle %d", len(fc), len(oc))
-	}
-	for i := range fc {
-		if math.Float64bits(fc[i]) != math.Float64bits(oc[i]) {
-			return fmt.Sprintf("row %d objective %d: %v, oracle %v", i/stride, i%stride, fc[i], oc[i])
+	fo, oo := storageOrder(fast), storageOrder(oracle)
+	for i := range fo {
+		f, o := fo[i], oo[i]
+		for k := 0; k < stride; k++ {
+			if x, y := fast.costs[f*stride+k], oracle.costs[o*stride+k]; math.Float64bits(x) != math.Float64bits(y) {
+				return fmt.Sprintf("row %d objective %d: %v, oracle %v", i, k, x, y)
+			}
+		}
+		if fast.recs[f].entry != oracle.recs[o].entry {
+			return fmt.Sprintf("entry %d: %+v, oracle %+v", i, fast.recs[f].entry, oracle.recs[o].entry)
 		}
 	}
-	for i := 0; i < fast.Len(); i++ {
-		if fast.EntryAt(int32(i)) != oracle.EntryAt(int32(i)) {
-			return fmt.Sprintf("entry %d: %+v, oracle %+v", i, fast.EntryAt(int32(i)), oracle.EntryAt(int32(i)))
+	return ""
+}
+
+// storageOrder lists the rows of a in storage order, by where they stand now.
+func storageOrder(a *FlatArchive) []int {
+	order := make([]int, a.Len())
+	for i := range order {
+		order[i] = i
+	}
+	if a.ranked {
+		slices.SortFunc(order, func(i, j int) int { return cmp.Compare(a.recs[i].seq, a.recs[j].seq) })
+	}
+	return order
+}
+
+// indexDiff checks the rank order of a ranked archive against its rows and
+// describes the first difference ("" for none): each row's key must be its
+// key recomputed — the active-objective sum added in ids order from zero, or
+// two-wide the first active objective — bit for bit, the keys must ascend,
+// and no two rows may share an insertion sequence. A sealed archive has its
+// rows in storage order instead, and a generic one keeps no sequences.
+func indexDiff(a *FlatArchive) string {
+	if a.generic {
+		return ""
+	}
+	if !a.ranked {
+		for i := 1; i < a.Len(); i++ {
+			if a.recs[i-1].seq >= a.recs[i].seq {
+				return fmt.Sprintf("sealed rows %d and %d out of storage order", i-1, i)
+			}
 		}
+		return ""
+	}
+	ids, n := a.cfg.ids, a.Len()
+	seqs := map[int32]bool{}
+	for i := 0; i < n; i++ {
+		row := a.costs[i*stride : i*stride+stride]
+		want := 0.0
+		if len(ids) == 2 {
+			want = row[ids[0]]
+		} else {
+			for _, o := range ids {
+				want += row[o]
+			}
+		}
+		if got := a.recs[i].key; math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Sprintf("rank %d: key %v, recomputed %v", i, got, want)
+		}
+		if i > 0 && !(a.recs[i-1].key <= a.recs[i].key) {
+			return fmt.Sprintf("ranks %d and %d out of order: keys %v, %v", i-1, i, a.recs[i-1].key, a.recs[i].key)
+		}
+		if seqs[a.recs[i].seq] {
+			return fmt.Sprintf("rank %d repeats sequence %d", i, a.recs[i].seq)
+		}
+		seqs[a.recs[i].seq] = true
 	}
 	return ""
 }
@@ -100,13 +158,16 @@ func TestHintMatchesGenericOracle(t *testing.T) {
 						if fast.Len() > 0 && fast.hint >= len(fast.costs) {
 							stale++
 						}
+						if n%97 == 50 {
+							fast.Seal() // the next insert ranks the rows again
+						}
 						hint, answered := fast.hint, fast.hintRejected
 						e := plan.Entry{Op: int32(n)}
 						gotF, gotO := fast.InsertRowNear(&v, e, near), oracle.insertGeneric(v, e)
 						if gotF != gotO {
 							t.Fatalf("seed %d insert %d: stored=%v, oracle stored=%v", seed, n, gotF, gotO)
 						}
-						if d := diffArchives(fast, oracle); d != "" {
+						if d := diffArchives(fast, oracle) + indexDiff(fast); d != "" {
 							t.Fatalf("seed %d insert %d: %s", seed, n, d)
 						}
 						if fast.hintRejected > answered && fast.hint != hint {
@@ -155,8 +216,8 @@ func TestHintMatchesGenericOracle(t *testing.T) {
 							hits += fast.HintRejected()
 							fast.Reset()
 							oracle.Reset()
-							if fast.hint != 0 || fast.HintRejected() != 0 || fast.nanSeen {
-								t.Fatalf("Reset left hint %d, hint rejections %d, nanSeen %v", fast.hint, fast.HintRejected(), fast.nanSeen)
+							if fast.hint != 0 || fast.HintRejected() != 0 || fast.generic {
+								t.Fatalf("Reset left hint %d, hint rejections %d, generic %v", fast.hint, fast.HintRejected(), fast.generic)
 							}
 						}
 					}
@@ -177,12 +238,23 @@ func TestHintMatchesGenericOracle(t *testing.T) {
 	}
 }
 
-// TestScanStartsAtHint: a rejection scan starts at the hinted row and wraps
-// around, so of two rows that both reject it finds the one after the hint, not
-// the one at row 0 — and writes it into the hint and the caller's slot. A hint
-// past the end starts the scan at row 0.
+// scanRejects reports whether some stored row of a approximately dominates v:
+// the oracle's whole-archive scan, which moves nothing.
+func scanRejects(a *FlatArchive, v *objective.Vector) bool {
+	var t [stride]float64
+	a.cfg.thresholds(v, &t)
+	return anyRowLeqGeneric(a.costs, a.cfg.ids, &t) >= 0
+}
+
+// TestScanStartsAtHint: an insert asks the hinted row first and the slot's
+// row second, and only on a miss of both scans — from the sum index's
+// boundary down, so of two rows that both reject a candidate the scan finds
+// the one with the larger sum, and a row whose sum is above the thresholds' is
+// never a witness. Whatever answers writes its row into the hint, and a scan's
+// also into the caller's slot (both name the row where it stands: the rows are
+// in rank order while the archive fills).
 func TestScanStartsAtHint(t *testing.T) {
-	for _, tc := range kernelObjSets[1:] { // three objectives and more
+	for _, tc := range kernelObjSets[1:] { // three objectives and more: sums
 		t.Run(tc.name, func(t *testing.T) {
 			ids := tc.objs.IDs()
 			vec := func(x, y, z float64) (v objective.Vector) {
@@ -192,33 +264,47 @@ func TestScanStartsAtHint(t *testing.T) {
 				v[ids[0]], v[ids[1]], v[ids[2]] = x, y, z
 				return v
 			}
+			rows := []objective.Vector{vec(1, 5, 5), vec(5, 1, 9), vec(3, 3, 1)} // sums 11, 15, 7 (plus the ones)
 			a := NewFlat(NewFlatConfig(tc.objs, 1))
-			for i, v := range []objective.Vector{vec(1, 5, 5), vec(5, 1, 9), vec(5, 5, 1)} {
+			for i, v := range rows {
 				if !a.Insert(v, plan.Entry{Op: int32(i)}) {
 					t.Fatalf("row %d not stored", i)
 				}
 			}
+			at := func(row int) int32 { // where stored row `row` stands
+				for i := 0; i < a.Len(); i++ {
+					if *(*objective.Vector)(a.costs[i*stride:]) == rows[row] {
+						return int32(i)
+					}
+				}
+				t.Fatalf("row %d not found", row)
+				return -1
+			}
 			near := int32(0)
-			offer := func(v objective.Vector, wantRow int) {
+			offer := func(v objective.Vector, wantRow int, scanned bool) {
 				t.Helper()
+				answered := a.HintRejected()
 				if a.InsertRowNear(&v, plan.Entry{}, &near) {
 					t.Fatalf("%v stored", v.FormatOn(tc.objs))
 				}
-				if a.hint != wantRow*stride || int(near) != wantRow {
-					t.Fatalf("%v: hint on row %d, slot on row %d, want both on row %d", v.FormatOn(tc.objs), a.hint/stride, near, wantRow)
+				if a.hint != int(at(wantRow))*stride {
+					t.Fatalf("%v: hint on %v, want %v", v.FormatOn(tc.objs),
+						(*objective.Vector)(a.costs[a.hint:]).FormatOn(tc.objs), rows[wantRow].FormatOn(tc.objs))
+				}
+				if scanned && (near != at(wantRow) || a.HintRejected() != answered) {
+					t.Fatalf("%v: slot on %d, %d answered without a scan; want a scan that found row %d", v.FormatOn(tc.objs), near, a.HintRejected()-answered, wantRow)
+				}
+				if !scanned && a.HintRejected() != answered+1 {
+					t.Fatalf("%v: scanned, want it answered by the hint or the slot", v.FormatOn(tc.objs))
 				}
 			}
-			offer(vec(6, 2, 10), 1) // only row 1 rejects: the hint moves there
-			offer(vec(5, 5, 5), 2)  // rows 0 and 2 reject: the scan from row 1 meets row 2
-			if a.HintRejected() != 0 {
-				t.Fatalf("%d candidates rejected without a scan, want none", a.HintRejected())
-			}
-			// Evict rows 1 and 2: two rows are left and the hint names a third.
-			if !a.Insert(vec(4.5, 0.5, 0.5), plan.Entry{}) || a.Len() != 2 || a.hint != 2*stride {
-				t.Fatalf("len %d, hint %d after the eviction, want 2 and %d", a.Len(), a.hint, 2*stride)
-			}
-			near = 7
-			offer(vec(5, 5, 5), 0) // both rows reject: a scan from row 0 meets row 0
+			offer(vec(6, 2, 10), 1, true) // only row 1 rejects: the hint moves there
+			offer(vec(5, 5, 5), 0, true)  // rows 0 and 2 reject: the scan meets row 0, the larger sum, first
+			offer(vec(5, 5, 5), 0, false) // the hint answers
+			a.hint, near = int(at(1))*stride, at(2)
+			offer(vec(5, 5, 5), 2, false) // the hint misses, the slot answers, before any scan
+			a.hint, near = int(at(1))*stride, at(1)
+			offer(vec(3, 3, 1.5), 2, true) // row 2 alone rejects; rows 0 and 1 sum above the thresholds
 		})
 	}
 }
@@ -264,9 +350,7 @@ func TestRejectsAllIsTheHintTest(t *testing.T) {
 							if group.rejected != before.rejected || group.hintRejected != before.hintRejected {
 								t.Fatal("RejectsAll said no and counted")
 							}
-							var th [stride]float64
-							group.cfg.thresholds(&v, &th)
-							if group.rejectingRow(&th, group.cfg.kind) >= 0 {
+							if scanRejects(group, &v) {
 								scanOnly++
 							}
 						}
@@ -346,9 +430,7 @@ func TestGateAsksHintThenSlot(t *testing.T) {
 							if group.rejected != before.rejected || group.hintRejected != before.hintRejected || group.hint != before.hint {
 								t.Fatal("the gate said no and counted or moved the hint")
 							}
-							var th [stride]float64
-							group.cfg.thresholds(&v, &th)
-							if group.rejectingRow(&th, group.cfg.kind) >= 0 {
+							if scanRejects(group, &v) {
 								scanOnly++
 							}
 						}
@@ -409,15 +491,31 @@ func fuzzCost(b byte) float64 {
 	return float64(b) / 8
 }
 
+// fuzzCostWide is fuzzCost's other table, for sums that overflow: a cost of
+// b*1e306 (two of 90 or more already sum to +Inf, one of 180 is +Inf), with a
+// negative zero for 0 and NaN and both infinities at the ends.
+func fuzzCostWide(b byte) float64 {
+	if b == 0 {
+		return math.Copysign(0, -1)
+	}
+	if b >= 253 {
+		return fuzzCost(b)
+	}
+	return float64(b) * 1e306
+}
+
 // FuzzFlatInsert: arbitrary bytes become an objective width, a scalar alpha
-// or a per-objective precision vector, and a stream of inserts, each a cost
+// or a per-objective precision vector, a cost table (fuzzCost, or with bit 6
+// of the second byte fuzzCostWide), and a stream of inserts, each a cost
 // per active objective and one byte naming its second hint: the low three bits
 // pick one of eight slots — two start on rows no archive has, the others are
-// left wherever earlier scans put them, stale after every eviction — and a set
-// top bit first overwrites the slot with a row index of the fuzzer's own. Twin
+// left wherever earlier scans put them, stale after every eviction — a set
+// top bit first overwrites the slot with a row index of the fuzzer's own, and
+// bits 3 to 6 all set seal the archive first (the insert ranks it again). Twin
 // archives take the stream through InsertRowNear and through insertGeneric and
-// must agree on every observable after every insert. The seeds are the files
-// under testdata/fuzz/FuzzFlatInsert.
+// must agree on every observable after every insert, and the indexed archive's
+// sum index must order exactly its stored rows (indexDiff). The seeds are the
+// files under testdata/fuzz/FuzzFlatInsert.
 func FuzzFlatInsert(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -425,8 +523,13 @@ func FuzzFlatInsert(f *testing.F) {
 		}
 		objs := kernelObjSets[int(data[0])%len(kernelObjSets)].objs
 		ids := objs.IDs()
-		// Low six bits: alpha in [1, 2.97]; top bit: vary it per objective.
+		// Low six bits: alpha in [1, 2.97]; bit 6: the wide cost table; top
+		// bit: vary alpha per objective.
 		alpha := 1 + float64(data[1]&0x3f)/32
+		cost := fuzzCost
+		if data[1]&0x40 != 0 {
+			cost = fuzzCostWide
+		}
 		newCfg := func() *FlatConfig { return NewFlatConfig(objs, alpha) }
 		if data[1]&0x80 != 0 {
 			prec := objective.UniformPrecision(1, objs)
@@ -441,7 +544,7 @@ func FuzzFlatInsert(f *testing.F) {
 		for n := 0; len(data) > len(ids); n++ {
 			var v objective.Vector
 			for k, o := range ids {
-				v[o] = fuzzCost(data[k])
+				v[o] = cost(data[k])
 			}
 			key := data[len(ids)]
 			data = data[len(ids)+1:]
@@ -449,11 +552,14 @@ func FuzzFlatInsert(f *testing.F) {
 			if key&0x80 != 0 {
 				*near = int32(key >> 3 & 0xf)
 			}
+			if key&0x78 == 0x78 {
+				fast.Seal()
+			}
 			e := plan.Entry{Op: int32(n)}
 			if gotF, gotO := fast.InsertRowNear(&v, e, near), oracle.insertGeneric(v, e); gotF != gotO {
 				t.Fatalf("insert %d (%v): stored=%v, oracle stored=%v", n, v.FormatOn(objs), gotF, gotO)
 			}
-			if d := diffArchives(fast, oracle); d != "" {
+			if d := diffArchives(fast, oracle) + indexDiff(fast); d != "" {
 				t.Fatalf("insert %d (%v): %s", n, v.FormatOn(objs), d)
 			}
 		}

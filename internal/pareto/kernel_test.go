@@ -43,13 +43,14 @@ func TestKernelDispatch(t *testing.T) {
 }
 
 // TestKernelMatchesGenericOracle drives random cost streams through the
-// specialized Insert and through insertGeneric (the retained early-exit
-// scalar loops) on twin archives, demanding identical decisions, frontiers,
-// and counters after every insert — the differential guarantee that the
-// branch-reduced kernels are bit-for-bit the generic loops. The last three
-// seeds of each configuration carry NaNs and infinities on active objectives,
-// on which the kernels' "<=" and the oracle's "no >" part ways and the archive
-// must have left the kernels (scanKind).
+// indexed Insert and through insertGeneric (the retained early-exit scalar
+// loops) on twin archives, demanding identical decisions, frontiers, and
+// counters after every insert — the differential guarantee that the
+// sum-bounded scans are bit-for-bit the generic loops — and an index that
+// orders exactly the stored rows (indexDiff). The last three seeds of each
+// configuration carry NaNs and infinities on active objectives, on which the
+// scans' "<=" and the oracle's "no >" part ways, and sums that are NaN: the
+// archive must have gone generic.
 func TestKernelMatchesGenericOracle(t *testing.T) {
 	for _, tc := range kernelObjSets {
 		for _, alpha := range []float64{1, 1.3} {
@@ -72,8 +73,8 @@ func TestKernelMatchesGenericOracle(t *testing.T) {
 						if gotF != gotO {
 							t.Fatalf("insert %d: kernel stored=%v, oracle stored=%v", i, gotF, gotO)
 						}
-						if fast.Len() != oracle.Len() {
-							t.Fatalf("insert %d: kernel len %d != oracle len %d", i, fast.Len(), oracle.Len())
+						if d := indexDiff(fast); d != "" {
+							t.Fatalf("insert %d: %s", i, d)
 						}
 					}
 					// Cost rows are compared bit for bit: a stored NaN equals itself.
@@ -91,7 +92,7 @@ func TestKernelMatchesGenericOracle(t *testing.T) {
 // (so no hint answers), the second is within every threshold that is not NaN.
 // "No objective with >" rejects the candidate, "row <= t" keeps it — so an
 // insert with a NaN threshold, and every scanning insert of that archive after
-// it, runs the generic loops. The same streams are committed fuzz seeds.
+// it, is insertGeneric's. The same streams are committed fuzz seeds.
 func TestNaNCandidateMatchesGenericOracle(t *testing.T) {
 	nan := math.NaN()
 	for _, tc := range kernelObjSets[:3] {
@@ -127,6 +128,62 @@ func TestNaNCandidateMatchesGenericOracle(t *testing.T) {
 	}
 }
 
+// TestIndexEdgeStreams drives streams built for the sum index's edge cases
+// through InsertRow and insertGeneric on twin archives, at every width and
+// both alphas, and checks after every insert that the twins agree and that the
+// index orders exactly the stored rows: equal sums (permutations of one
+// vector, and their doubles), signed zeros, +Inf costs, finite costs whose sum
+// overflows to +Inf, and +Inf beside -Inf, whose sum is NaN — the one stream
+// that must send the archive generic (two-wide, the -Inf does it first).
+func TestIndexEdgeStreams(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	pools := []struct {
+		name    string
+		values  []float64
+		generic bool
+	}{
+		{"equal sums", nil, false},
+		{"signed zeros", []float64{negZero, 0, 1, 2}, false},
+		{"+Inf", []float64{1, 2, 4, inf}, false},
+		{"overflow", []float64{1e308, 1e308, 1, 0}, false},
+		{"NaN sum", []float64{1, 2, inf, math.Inf(-1)}, true},
+	}
+	for _, tc := range kernelObjSets {
+		ids := tc.objs.IDs()
+		for _, pool := range pools {
+			for _, alpha := range []float64{1, 1.5} {
+				t.Run(fmt.Sprintf("%s/%s/alpha=%v", tc.name, pool.name, alpha), func(t *testing.T) {
+					r := rand.New(rand.NewSource(31))
+					fast, oracle := NewFlat(NewFlatConfig(tc.objs, alpha)), NewFlat(NewFlatConfig(tc.objs, alpha))
+					for i := 0; i < 300; i++ {
+						var v objective.Vector
+						if pool.values == nil {
+							scale := float64(1 + r.Intn(2))
+							for k, j := range r.Perm(len(ids)) {
+								v[ids[k]] = scale * float64(1+j)
+							}
+						} else {
+							for _, o := range ids {
+								v[o] = pool.values[r.Intn(len(pool.values))]
+							}
+						}
+						e := plan.Entry{Op: int32(i)}
+						if gotF, gotO := fast.InsertRow(&v, e), oracle.insertGeneric(v, e); gotF != gotO {
+							t.Fatalf("insert %d (%v): stored=%v, oracle stored=%v", i, v.FormatOn(tc.objs), gotF, gotO)
+						}
+						if d := diffArchives(fast, oracle) + indexDiff(fast); d != "" {
+							t.Fatalf("insert %d (%v): %s", i, v.FormatOn(tc.objs), d)
+						}
+					}
+					if fast.generic != pool.generic {
+						t.Fatalf("archive generic = %v, want %v", fast.generic, pool.generic)
+					}
+				})
+			}
+		}
+	}
+}
+
 // kernelStream pre-generates a stream for benchmarking one objective set.
 func kernelStream(objs objective.Set, n int) []objective.Vector {
 	return randomStream(rand.New(rand.NewSource(77)), n, objs)
@@ -134,8 +191,8 @@ func kernelStream(objs objective.Set, n int) []objective.Vector {
 
 // BenchmarkDominanceKernel measures the rejection scan alone — the archive
 // is frozen at a fixed size and the probe is approximately dominated by the
-// middle row only, so the scan runs halfway with no mutation. It calls
-// rejectingRow, the scan InsertRow runs after a hint miss: through Insert the
+// middle row only, so the scan runs to it with no mutation. It calls
+// rejector, the scan InsertRow runs after a hint miss: through Insert the
 // one probe would be a hint hit on every iteration but the first, and the
 // benchmark would time no scan at all. Sweeps the specialized widths and the
 // generic path across archive sizes.
@@ -165,14 +222,15 @@ func BenchmarkDominanceKernel(b *testing.B) {
 				if a.Len() != size {
 					b.Fatalf("archive size %d, want %d", a.Len(), size)
 				}
-				// A probe only the middle row rejects: the scan hits halfway.
+				// A probe only the middle row rejects.
 				probe := row(size / 2)
 				var t [stride]float64
 				cfg.thresholds(&probe, &t)
+				_, tk, _ := cfg.keys(&probe, &t)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if a.rejectingRow(&t, cfg.kind) != size/2*stride {
+					if r := a.rejector(&t, tk); r < 0 || *a.CostRow(int32(r)) != probe {
 						b.Fatal("the middle row must reject the probe")
 					}
 				}
