@@ -33,7 +33,9 @@ import (
 //	Retry-After: N (when the server sent one)
 //	response body, byte for byte
 //
-// A line ">>> RESTART" closes the server and opens a new one on the same
+// A body line "{{spaces N}}" is sent as N spaces, so a script can send a
+// body over the server's size limit without carrying it. A line
+// ">>> RESTART" closes the server and opens a new one on the same
 // store directory. ">>> HOLD SLOTS" takes every cold-DP slot, so the next
 // cold request queues; ">>> HOLD QUEUE" also fills the queue to its bound,
 // so the next one is shed; ">>> RELEASE" gives both back. A response body
@@ -42,7 +44,8 @@ import (
 //
 // TestTranscript replays every file against a fresh server over a store in
 // a temporary directory and compares each status, content type, Retry-After
-// and body with the recorded one, after masking the time-valued fields. Run
+// and body with the recorded one, after masking the time-valued fields
+// and, in the Prometheus exposition, the time-valued series. Run
 // it with MOQO_REGEN_TRANSCRIPT=1 to record the answers of the current
 // build.
 func TestTranscript(t *testing.T) {
@@ -136,12 +139,28 @@ var timeValued = regexp.MustCompile(`("(?:duration_ms|uptime_ms|p50|p99|retry_af
 // directives are the ">>>" lines that are not requests.
 var directives = map[string]bool{"RESTART": true, "HOLD SLOTS": true, "HOLD QUEUE": true, "RELEASE": true}
 
+// timeSeries matches the Prometheus samples that carry wall-clock readings:
+// the uptime and the latency quantiles, overall and per tenant.
+var timeSeries = regexp.MustCompile(`(?m)^(moqo_(?:uptime_seconds|latency_quantile_ms|tenant_latency_quantile_ms)(?:\{[^}]*\})? )\S+$`)
+
+// spaces matches a body line that stands for N spaces.
+var spaces = regexp.MustCompile(`(?m)^\{\{spaces ([0-9]+)\}\}$`)
+
+// expandBody is a script body as sent: every "{{spaces N}}" line becomes N
+// spaces.
+func expandBody(body string) string {
+	return spaces.ReplaceAllStringFunc(body, func(line string) string {
+		n, _ := strconv.Atoi(spaces.FindStringSubmatch(line)[1])
+		return strings.Repeat(" ", n)
+	})
+}
+
 // requestHeader matches a request-header line under a request line.
 var requestHeader = regexp.MustCompile(`^([A-Z][A-Za-z0-9-]*): (.*)$`)
 
-// maskTimes replaces every time-valued field's number with 0.
+// maskTimes replaces every time-valued field's or series' number with 0.
 func maskTimes(body []byte) []byte {
-	return timeValued.ReplaceAll(body, []byte("${1}0"))
+	return timeSeries.ReplaceAll(timeValued.ReplaceAll(body, []byte("${1}0")), []byte("${1}0"))
 }
 
 func parseTranscript(raw []byte) (*transcript, error) {
@@ -259,7 +278,7 @@ func replayTranscript(t *testing.T, s *transcript) {
 			h.release(svc)
 			continue
 		}
-		req, err := http.NewRequest(x.method, ts.URL+x.path, strings.NewReader(x.body))
+		req, err := http.NewRequest(x.method, ts.URL+x.path, strings.NewReader(expandBody(x.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
