@@ -45,7 +45,21 @@
 //     never hash. An archive keeps its rows in sum order while its set
 //     fills, so that a scan visits only the rows whose objective sum can
 //     decide it, and is sealed back into storage order (Seal) by the worker
-//     that filled it, before any other worker reads it;
+//     that filled it, before any other worker reads it. The archive
+//     headers sit in one slab per run, indexed by id and padded apart
+//     (memoSlot; a shared-memo hit installs a foreign archive instead),
+//     and every archive a worker fills grows in place in the worker's
+//     arena (pareto.Arena): the worker is its one writer, and where the
+//     engine seals an archive — the end of every treated set: scanSet,
+//     fullSet (complete or cut short), degradedSet, the scalar DP's sets
+//     — it also closes it (pareto.Arena.Close: len == cap, read-only from
+//     then on, the tail moved past it). A worker's first chunk holds
+//     dpRowsPerSet rows per enumerated set (one for the scalar DP, whose
+//     sets keep one plan each; at most maxFirstChunkRows), every worker's
+//     first chunk comes from one allocation, and later chunks double. The
+//     arenas live for one run and are never reused, since a
+//     SharedMemo-published archive keeps its chunk alive, and extract
+//     copies what a Result keeps;
 //   - a level-synchronized worker pool (pool.go) that shards each
 //     cardinality level across Options.Workers goroutines without
 //     weakening any approximation guarantee;

@@ -35,8 +35,9 @@ import (
 //
 // The hot path is allocation-free: candidates are (cost vector, compact
 // entry) pairs on the stack, archives store cost rows in one contiguous
-// backing array (pareto.FlatArchive), and *plan.Node trees exist only for
-// the ≤ frontier-size plans of the extracted Frontier.
+// backing array (pareto.FlatArchive) that grows in place in the worker's
+// arena (pareto.Arena), and *plan.Node trees exist only for the ≤
+// frontier-size plans of the extracted Frontier.
 //
 // All table sets of cardinality k depend only on sets of cardinality
 // < k, so levels parallelize without locks: workers write disjoint memo
@@ -283,9 +284,28 @@ func (e *engine) flatConfig() *pareto.FlatConfig {
 	return e.cfg
 }
 
-// newArchive constructs an archive with the engine's pruning precision.
-func (e *engine) newArchive() *pareto.FlatArchive {
-	return pareto.NewFlat(e.cfg)
+// dpRowsPerSet sizes the first arena chunk of a multi-objective run: rows
+// per enumerated table set, for each worker. The cold_w1 list stores 28
+// rows per set on average, so one worker's first chunk is seldom more than
+// the run fills; a set's archive grows past its chunk only on the larger
+// runs, whose next chunks double. maxFirstChunkRows (about 7.5 MB of rows)
+// caps it on enumerations of tens of thousands of sets, where a run cut
+// short by its deadline keeps one plan per set and would not fill eight.
+const (
+	dpRowsPerSet      = 8
+	maxFirstChunkRows = 1 << 16
+)
+
+// startArenas gives every worker its arena for this run, each with a first
+// chunk of rowsPerSet rows per enumerated table set, all of them carved
+// from one allocation (pareto.MakeArenas). The arenas live as long as the
+// archives in them: they are never handed to another run, since a shared
+// memo may publish an archive and keep its chunk alive.
+func (e *engine) startArenas(rowsPerSet int) {
+	arenas := pareto.MakeArenas(len(e.workers), min(rowsPerSet*e.enum.total, maxFirstChunkRows))
+	for i := range e.workers {
+		e.workers[i].arena = &arenas[i]
+	}
 }
 
 // run executes the dynamic program and returns the flat archive of the
@@ -298,6 +318,7 @@ func (e *engine) run() *pareto.FlatArchive {
 	}
 	engineRuns.Add(1)
 	e.flatConfig()
+	e.startArenas(dpRowsPerSet)
 	if e.opts.Shared != nil {
 		e.shared = e.opts.Shared
 		e.prepareShared()
@@ -331,6 +352,7 @@ func (e *engine) runScalar(scalar func(objective.Vector) float64) *pareto.FlatAr
 	}
 	engineRuns.Add(1)
 	e.flatConfig()
+	e.startArenas(1)
 	e.runLevels(func(w *worker, id int32, s query.TableSet) {
 		if s.Single() {
 			w.scanBestSet(id, s, scalar)
@@ -361,28 +383,38 @@ func (t *bestTracker) offer(c objective.Vector, e plan.Entry, scalar float64) {
 	}
 }
 
-// archive stores the tracked best (if any) into a fresh, sealed archive of
-// e.
-func (t *bestTracker) archive(e *engine) *pareto.FlatArchive {
-	a := e.newArchive()
+// archive stores the tracked best (if any) as the closed archive of set id.
+func (t *bestTracker) archive(w *worker, id int32) *pareto.FlatArchive {
+	a := w.open(id)
 	if t.found {
 		a.Insert(t.cost, t.ent)
 	}
-	a.Seal()
+	w.arena.Close(a)
+	return a
+}
+
+// open starts the archive of set id in the memo: its header is the set's
+// slot in the memo's slab, its rows start at the worker's arena tail. The
+// worker closes it (pareto.Arena.Close) where the set is done, before any
+// other worker reads it.
+func (w *worker) open(id int32) *pareto.FlatArchive {
+	m := w.e.memo
+	a := &m.slab[id].arch
+	w.arena.Open(a, w.e.cfg)
+	m.archives[id] = a
 	return a
 }
 
 // scanSet fills the archive of a singleton set with all access paths.
 func (w *worker) scanSet(id int32, s query.TableSet) {
 	e := w.e
-	a := e.newArchive()
+	a := w.open(id)
 	e.m.EachScanAlternative(s.First(), e.opts.sampling(), func(alg plan.ScanAlg, rate float64, cost objective.Vector) bool {
 		w.considered++
 		a.Insert(cost, plan.ScanEntry(alg, rate))
 		return true
 	})
-	a.Seal()
-	e.memo.archives[id] = a
+	w.arena.Close(a)
 	w.markDone(id, a.Len())
 }
 
@@ -396,8 +428,7 @@ func (w *worker) scanBestSet(id int32, s query.TableSet, scalar func(objective.V
 		t.offer(cost, plan.ScanEntry(alg, rate), scalar(cost))
 		return true
 	})
-	a := t.archive(e)
-	e.memo.archives[id] = a
+	a := t.archive(w, id)
 	w.markDone(id, a.Len())
 }
 
@@ -426,14 +457,13 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 			return
 		}
 	}
-	a := e.newArchive()
-	e.memo.archives[id] = a
+	a := w.open(id)
 	w.fill = a
 	complete := w.forEachCandidate(s, func(cost *objective.Vector, ent plan.Entry) bool {
 		a.InsertRowNear(cost, ent, w.near)
 		return !w.expired()
 	})
-	a.Seal() // before any other worker reads it, complete or not
+	w.arena.Close(a) // before any other worker reads it, complete or not
 	w.fill = nil
 	if complete {
 		w.markDone(id, a.Len())
@@ -489,7 +519,7 @@ func (w *worker) degradedSet(id int32, s query.TableSet) {
 		t.offer(*cost, ent, scalar(*cost))
 		return !w.interrupted()
 	})
-	e.memo.archives[id] = t.archive(e)
+	t.archive(w, id)
 }
 
 // bestOnlySet stores a single plan for table set s: the candidate
@@ -503,8 +533,7 @@ func (w *worker) bestOnlySet(id int32, s query.TableSet, scalar func(objective.V
 		t.offer(*cost, ent, scalar(*cost))
 		return !w.interrupted()
 	})
-	a := t.archive(w.e)
-	w.e.memo.archives[id] = a
+	a := t.archive(w, id)
 	w.markDone(id, a.Len())
 }
 

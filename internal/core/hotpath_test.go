@@ -260,6 +260,46 @@ func TestColdRunAllocsPerWorker(t *testing.T) {
 	}
 }
 
+// TestColdRunAllocs gates a cold run's allocation count against growing
+// with the plans it stores: every archive a worker fills lives in the
+// worker's arena and every archive header in the memo's slab, so a larger
+// query adds only what grows with the logarithm of its size — the
+// enumeration's one slice of sets, a worker's buffer of splits, and the
+// arena chunks past the first. An 8- and a 12-table chain, the second
+// storing more than three times the plans of the first, may differ by
+// coldRunGrowth allocations. When every archive header was an allocation
+// of its own and every archive grew by append doubling, they differed by
+// 576 (458 against 1 034).
+func TestColdRunAllocs(t *testing.T) {
+	const coldRunGrowth = 6
+	allocs := func(tables int) (float64, int) {
+		_, q := synthetic.MustBuild(synthetic.Spec{
+			Shape: synthetic.Chain, Tables: tables, MaxRows: 1e5, Seed: 1,
+		})
+		m := costmodel.NewDefault(q)
+		w := objective.UniformWeights(threeObjs)
+		opts := Options{Objectives: threeObjs, Alpha: 1.5, Workers: 1}
+		var stored int
+		n := testing.AllocsPerRun(5, func() {
+			res, err := RTA(m, w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored = res.Stats.Stored
+		})
+		return n, stored
+	}
+	small, smallStored := allocs(8)
+	large, largeStored := allocs(12)
+	t.Logf("chain-8: %v allocations, %d plans stored; chain-12: %v allocations, %d plans stored", small, smallStored, large, largeStored)
+	if largeStored < 3*smallStored {
+		t.Fatalf("chain-12 stores %d plans, chain-8 %d: the comparison needs the larger run to store more", largeStored, smallStored)
+	}
+	if large-small > coldRunGrowth {
+		t.Errorf("chain-12 allocates %v, chain-8 %v: the run grew by %v allocations, more than %d", large, small, large-small, coldRunGrowth)
+	}
+}
+
 // BenchmarkReferenceEXA is the pre-refactor arm of BenchmarkEXA: the same
 // dynamic program with per-candidate *plan.Node allocation and the
 // pointer-backed legacy archives.

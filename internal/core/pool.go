@@ -76,6 +76,9 @@ type worker struct {
 	// (candidateFn), so a candidate's costs never travel by value through
 	// the loop's call frames.
 	cost objective.Vector
+	// arena holds the rows of every archive this worker fills
+	// (worker.open), one after another, for this run only.
+	arena *pareto.Arena
 	// keyBuf is the shared-memo key scratch (sharedKey); sharedHits counts
 	// table sets this worker served from the batch's shared memo.
 	keyBuf     []byte

@@ -47,6 +47,20 @@
 //     the candidates come one by one. Neither ever scans, so that
 //     sentence still holds; HintRejected counts every candidate answered
 //     without a scan, by either row, alone or in a group.
+//     An archive's rows live where its Arena put them. The engine fills
+//     each archive once, on one worker, and then only reads it, so each
+//     worker owns an arena of chunks: Open starts an archive at the tail
+//     and the archive grows in place; Close seals it and caps both slices
+//     at their length, so len == cap, no later append can reach the next
+//     archive's rows, and the archive is read-only from then on; the tail
+//     moves past it. An archive that outgrows its chunk mid-fill is
+//     reallocated by append like any slice and leaves the tail where it
+//     was, and the next Open takes a fresh chunk twice the size of the one
+//     before. Rules: one writer per arena and one open archive at a time;
+//     an arena is never reset or reused, because whoever holds a closed
+//     archive (a shared memo, say) keeps its chunk alive. A nil *Arena is
+//     the heap (NewFlat, the tests), and where the rows live changes
+//     nothing an archive holds or decides.
 //   - Archive is the tree-backed representation the seed ran on, kept as
 //     the oracle and nothing else: the package's differential tests drive
 //     both with identical random cost streams and require identical

@@ -152,8 +152,9 @@ const stride = int(objective.NumObjectives)
 // FlatArchive is the struct-of-arrays representation of a Pareto archive:
 // cost vectors live in one contiguous []float64 backing array and plans
 // are compact entry records instead of *plan.Node trees. Insert performs
-// no allocation beyond amortized slice growth, and dominance checks walk
-// a contiguous row instead of chasing node pointers.
+// no allocation beyond slice growth — none at all while the archive fits in
+// the rest of its Arena chunk — and dominance checks walk a contiguous row
+// instead of chasing node pointers.
 //
 // Pruning semantics are bit-for-bit those of the legacy Archive:
 // approximate-dominance rejection first, then exact-dominance eviction
@@ -206,8 +207,92 @@ type record struct {
 	seq, from int32
 }
 
-// NewFlat creates an empty flat archive sharing the run's configuration.
-func NewFlat(cfg *FlatConfig) *FlatArchive { return &FlatArchive{cfg: cfg} }
+// Arena holds the rows of the archives one writer fills, one after another,
+// in chunks: a backing slice of records and one of cost rows. Open starts an
+// archive at the arena's tail, with the rest of the chunk as its capacity, so
+// the archive grows in place; Close caps the archive's slices at their length
+// (len == cap: no later append can reach the next archive's rows), after which
+// it is read-only, and moves the tail past it. An archive that outgrows the
+// rest of its chunk mid-fill is reallocated by append as any slice is and
+// leaves the tail where it was. Open takes a fresh chunk, twice the size of
+// the one before, when the rest of the current one is smaller than the
+// archive closed last. One archive is open at a time, and only its writer
+// touches the arena; closed archives may be read by anyone.
+//
+// An arena is never reused or reset: a closed archive keeps its chunk alive
+// for as long as anyone holds the archive. A nil *Arena is the heap: Open and
+// Close work on it, and every archive gets its own slices.
+type Arena struct {
+	recs  []record  // the current chunk up to the tail
+	costs []float64 // its cost rows, stride per record
+	next  int       // rows of the next chunk
+	last  int       // rows of the archive closed last
+	open  bool
+}
+
+// MakeArenas returns n arenas whose first chunks, rows rows each, are carved
+// from one backing slice of records and one of cost rows, so that the
+// arenas of a run cost two allocations however many writers it has.
+func MakeArenas(n, rows int) []Arena {
+	rows = max(rows, 1)
+	recs, costs := make([]record, n*rows), make([]float64, n*rows*stride)
+	out := make([]Arena, n)
+	for i := range out {
+		out[i] = Arena{
+			recs:  recs[i*rows : i*rows : (i+1)*rows],
+			costs: costs[i*rows*stride : i*rows*stride : (i+1)*rows*stride],
+			next:  2 * rows,
+		}
+	}
+	return out
+}
+
+// Open makes *a an empty archive sharing the run's configuration, its rows
+// starting at the arena's tail. It is the one constructor of FlatArchive.
+func (ar *Arena) Open(a *FlatArchive, cfg *FlatConfig) {
+	*a = FlatArchive{cfg: cfg}
+	if ar == nil {
+		return
+	}
+	if ar.open {
+		panic("pareto: an archive of this arena is still open")
+	}
+	ar.open = true
+	t := len(ar.recs)
+	if cap(ar.recs)-t < max(ar.last, 1) {
+		ar.recs = make([]record, 0, ar.next)
+		ar.costs = make([]float64, 0, ar.next*stride)
+		ar.next *= 2
+		t = 0
+	}
+	a.recs, a.costs = ar.recs[t:t], ar.costs[t*stride:t*stride]
+}
+
+// Close seals a finished archive (Seal) and closes it: its slices are capped
+// at their length, and if its rows still lie in the arena's chunk the tail
+// moves past them. It must be the archive Open started last.
+func (ar *Arena) Close(a *FlatArchive) {
+	a.Seal()
+	n := len(a.recs)
+	inPlace := ar != nil && cap(a.recs) == cap(ar.recs)-len(ar.recs)
+	a.recs, a.costs = a.recs[:n:n], a.costs[:n*stride:n*stride]
+	if ar == nil {
+		return
+	}
+	ar.open, ar.last = false, n
+	if inPlace {
+		ar.recs = ar.recs[:len(ar.recs)+n]
+		ar.costs = ar.costs[:len(ar.costs)+n*stride]
+	}
+}
+
+// NewFlat creates an empty archive on the heap sharing the run's
+// configuration: Open on a nil arena.
+func NewFlat(cfg *FlatConfig) *FlatArchive {
+	a := new(FlatArchive)
+	(*Arena)(nil).Open(a, cfg)
+	return a
+}
 
 // Insert offers a candidate to the archive, implementing the paper's
 // Prune(P, pN, αi): if some stored plan approximately dominates the new

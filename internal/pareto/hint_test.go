@@ -511,11 +511,15 @@ func fuzzCostWide(b byte) float64 {
 // pick one of eight slots — two start on rows no archive has, the others are
 // left wherever earlier scans put them, stale after every eviction — a set
 // top bit first overwrites the slot with a row index of the fuzzer's own, and
-// bits 3 to 6 all set seal the archive first (the insert ranks it again). Twin
-// archives take the stream through InsertRowNear and through insertGeneric and
-// must agree on every observable after every insert, and the indexed archive's
-// sum index must order exactly its stored rows (indexDiff). The seeds are the
-// files under testdata/fuzz/FuzzFlatInsert.
+// bits 3 to 6 all set seal the archive first (the insert ranks it again) — or,
+// with the top bit set too, close it and go on in a fresh neighbour opened in
+// the same arena (its first chunk four rows, so that archives outgrow their
+// room and take fresh chunks), with a fresh oracle beside it. Twin archives
+// take the stream through InsertRowNear and through insertGeneric and must
+// agree on every observable after every insert, the indexed archive's sum
+// index must order exactly its stored rows (indexDiff), and every archive
+// closed so far must read as it did when it was closed, len == cap. The seeds
+// are the files under testdata/fuzz/FuzzFlatInsert.
 func FuzzFlatInsert(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -538,7 +542,11 @@ func FuzzFlatInsert(f *testing.F) {
 			}
 			newCfg = func() *FlatConfig { return NewFlatPrecisionConfig(objs, prec) }
 		}
-		fast, oracle := NewFlat(newCfg()), NewFlat(newCfg())
+		ar := &MakeArenas(1, 4)[0]
+		fast, oracle := new(FlatArchive), NewFlat(newCfg())
+		ar.Open(fast, newCfg())
+		var closed []*FlatArchive
+		var images []closedImage
 		slots := [8]int32{6: 1 << 20, 7: -1}
 		data = data[2:]
 		for n := 0; len(data) > len(ids); n++ {
@@ -552,7 +560,13 @@ func FuzzFlatInsert(f *testing.F) {
 			if key&0x80 != 0 {
 				*near = int32(key >> 3 & 0xf)
 			}
-			if key&0x78 == 0x78 {
+			switch {
+			case key&0xf8 == 0xf8:
+				ar.Close(fast)
+				closed, images = append(closed, fast), append(images, imageOf(fast))
+				fast, oracle = new(FlatArchive), NewFlat(newCfg())
+				ar.Open(fast, newCfg())
+			case key&0x78 == 0x78:
 				fast.Seal()
 			}
 			e := plan.Entry{Op: int32(n)}
@@ -561,6 +575,11 @@ func FuzzFlatInsert(f *testing.F) {
 			}
 			if d := diffArchives(fast, oracle) + indexDiff(fast); d != "" {
 				t.Fatalf("insert %d (%v): %s", n, v.FormatOn(objs), d)
+			}
+			for i, a := range closed {
+				if d := images[i].changed(a); d != "" {
+					t.Fatalf("insert %d (%v): closed archive %d: %s", n, v.FormatOn(objs), i, d)
+				}
 			}
 		}
 	})
