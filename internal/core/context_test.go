@@ -97,16 +97,10 @@ func TestCancelPrompt(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
-	// All pool goroutines must have drained through the level barrier.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before+1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after cancel", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// All pool goroutines have drained through the level barrier and
+	// returned: the pool's shutdown waits for them.
+	if g := runtime.NumGoroutine(); g > before+1 {
+		t.Fatalf("goroutines leaked: %d before, %d after cancel", before, g)
 	}
 }
 

@@ -105,6 +105,19 @@
 // The degraded and scalar modes run the plain loop, and index-nested-loop
 // candidates are offered one by one with one slot between them.
 //
+// The formulas are monotone in the child cost vectors too, so the same
+// folded terms applied to the column minima of several sub-plans bound
+// every pair among them. In front of the pair's floor joinPairs tests
+// three coarser ones, each over a contiguous run of its enumeration — the
+// whole split, blocks of blockRows outer sub-plans against every inner one,
+// one outer sub-plan against a block of inner ones (columnMins, in fixed
+// worker arrays) — and skips a run when no poll falls in it and the hinted
+// row covers every operator's floor (worker.rejectsRun). Each pair of such
+// a run would have been rejected on that same row, so nothing moves: the
+// run is counted as its candidates' RejectsAll yeses, and the next run
+// meets the hint the pair-by-pair loop would have met. A run must be
+// contiguous for exactly that reason.
+//
 // A finished frontier has one form, Frontier (frontier.go): the full
 // set's cost rows and compact entries in canonical order, closed over the
 // sub-memo they reference — every reached (table set, index), sets

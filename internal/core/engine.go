@@ -849,6 +849,20 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 // else — both rows miss, a NaN, a group in which fn would have polled the clock
 // (pollFree) — takes the loop below, which is the whole of what the other modes
 // run.
+//
+// In front of that pair floor stand three coarser ones, each over a contiguous
+// run of the enumeration and tested where the loop reaches the run's first
+// candidate (rejectsRun): the whole split, then each block of blockRows outer
+// sub-plans against every inner one, then each outer sub-plan against a block
+// of blockRows inner ones. A run's floor is the operators' folded terms
+// applied to the column minima of its outer and of its inner sub-plans
+// (columnMins), and ApplyTo is monotone in the child vectors too, so it is
+// under every pair floor of the run. If the hinted row covers it, each pair of
+// the run would have been rejected on that row as above (or, under a NaN pair
+// floor, candidate by candidate on the hint test), which moves no hint: the
+// run is counted as that many RejectsAll yeses and skipped. A run must be
+// contiguous, because the hint it is tested on is the one the loop would meet
+// at each of its candidates only if nothing between them is offered.
 func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right query.TableSet, fn candidateFn) bool {
 	e := w.e
 	dops := e.opts.MaxDOP
@@ -859,42 +873,136 @@ func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right qu
 			n++
 		}
 	}
+	llo, lhi := vl.span()
+	rlo, rhi := vr.span()
+	nl, nr := int(lhi-llo), int(rhi-rlo)
 	gated := w.fill != nil && dops > 1
 	if gated {
 		for g := range algs {
 			w.floors[g] = costmodel.MinTerms(w.terms[g*dops : (g+1)*dops])
 		}
 	}
-	llo, lhi := vl.span()
-	rlo, rhi := vr.span()
-	clear(w.nears[:min(int(rhi-rlo)*len(algs), nearSlots)])
-	for li := llo; li < lhi; li++ {
-		cl := vl.arch.CostRow(li)
-		for ri := rlo; ri < rhi; ri++ {
-			cr := vr.arch.CostRow(ri)
-			for g := range algs {
-				near := &w.nears[(int(ri-rlo)*len(algs)+g)&(nearSlots-1)]
-				if gated && w.pollFree(dops) {
-					w.floors[g].ApplyTo(&w.cost, cl, cr)
-					if w.fill.RejectsAll(&w.cost, dops) || w.fill.RejectsAllNear(&w.cost, dops, near) {
-						w.considered += dops
-						w.floorRejected += dops
-						w.checkTick += dops
-						continue
-					}
+	clear(w.nears[:min(nr*len(algs), nearSlots)])
+	// With one pair every run is that pair, and the block tiers are idle.
+	if gated && nl*nr > 1 {
+		columnMins(vl.arch, llo, lhi, &w.lmin)
+		columnMins(vr.arch, rlo, rhi, &w.rmin)
+		if w.rejectsRun(len(algs), &w.lmin[maxBlocks], &w.rmin[maxBlocks], nl*nr*n) {
+			return true
+		}
+	}
+	for lb := 0; lb < nl; lb += blockRows {
+		lrows := min(blockRows, nl-lb)
+		// With one outer block the block is the whole split.
+		if gated && nl > blockRows && lb/blockRows < maxBlocks &&
+			w.rejectsRun(len(algs), &w.lmin[lb/blockRows], &w.rmin[maxBlocks], lrows*nr*n) {
+			continue
+		}
+		for li := llo + int32(lb); li < llo+int32(lb+lrows); li++ {
+			cl := vl.arch.CostRow(li)
+			for rb := 0; rb < nr; rb += blockRows {
+				rrows := min(blockRows, nr-rb)
+				// A one-row block is a pair; one outer row against the one
+				// inner block is the run the outer block was just tested as.
+				if gated && rrows > 1 && rb/blockRows < maxBlocks && !(lrows == 1 && rrows == nr) &&
+					w.rejectsRun(len(algs), cl, &w.rmin[rb/blockRows], rrows*n) {
+					continue
 				}
-				w.near = near
-				for k := g * dops; k < (g+1)*dops; k++ {
-					t := &w.terms[k]
-					w.considered++
-					t.ApplyTo(&w.cost, cl, cr)
-					if !fn(&w.cost, plan.JoinEntry(t.Alg, t.DOP, left, li, right, ri)) {
-						return false
+				for ri := rlo + int32(rb); ri < rlo+int32(rb+rrows); ri++ {
+					cr := vr.arch.CostRow(ri)
+					for g := range algs {
+						near := &w.nears[(int(ri-rlo)*len(algs)+g)&(nearSlots-1)]
+						if gated && w.pollFree(dops) {
+							w.floors[g].ApplyTo(&w.cost, cl, cr)
+							if w.fill.RejectsAll(&w.cost, dops) || w.fill.RejectsAllNear(&w.cost, dops, near) {
+								w.considered += dops
+								w.floorRejected += dops
+								w.checkTick += dops
+								continue
+							}
+						}
+						w.near = near
+						for k := g * dops; k < (g+1)*dops; k++ {
+							t := &w.terms[k]
+							w.considered++
+							t.ApplyTo(&w.cost, cl, cr)
+							if !fn(&w.cost, plan.JoinEntry(t.Alg, t.DOP, left, li, right, ri)) {
+								return false
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+	return true
+}
+
+// blockRows is the size of a block in joinPairs' block tiers, in sub-plans of
+// one side of a split; maxBlocks is how many blocks of a side keep their own
+// column minima — the blocks past it, on a side of more than
+// maxBlocks*blockRows sub-plans, go without a block test.
+const (
+	blockRows = 8
+	maxBlocks = 128
+)
+
+// columnMins folds the cost rows [lo, hi) of a, at least one, into column
+// minima: out[b] over the b-th block of blockRows rows for the first maxBlocks
+// blocks, out[maxBlocks] over all of the rows. Go's min propagates a NaN, so a
+// column with a NaN anywhere has a NaN minimum, which no floor test accepts.
+func columnMins(a *pareto.FlatArchive, lo, hi int32, out *[maxBlocks + 1]objective.Vector) {
+	all := &out[maxBlocks]
+	*all = *a.CostRow(lo)
+	for b, at := 0, lo; at < hi; b, at = b+1, at+blockRows {
+		end := min(at+blockRows, hi)
+		if b >= maxBlocks {
+			for i := at; i < end; i++ {
+				minInto(all, a.CostRow(i))
+			}
+			continue
+		}
+		m := &out[b]
+		*m = *a.CostRow(at)
+		for i := at + 1; i < end; i++ {
+			minInto(m, a.CostRow(i))
+		}
+		minInto(all, m)
+	}
+}
+
+func minInto(m, r *objective.Vector) {
+	for o := range m {
+		m[o] = min(m[o], r[o])
+	}
+}
+
+// rejectsRun is joinPairs' block test: the next n candidates join, under one
+// of the split's groups operators, an outer sub-plan no cheaper than cl on any
+// objective with an inner one no cheaper than cr. If fn would poll the clock
+// for none of them (pollFree) and the archive's hinted row covers every
+// operator's floor over (cl, cr), they are counted as n RejectsAll yeses —
+// considered, rejected without a scan, floorRejected and blockRejected, n
+// ticks — and rejectsRun reports true; otherwise it has changed nothing.
+func (w *worker) rejectsRun(groups int, cl, cr *objective.Vector, n int) bool {
+	if !w.pollFree(n) {
+		return false
+	}
+	last := groups - 1
+	for g := range last {
+		w.floors[g].ApplyTo(&w.cost, cl, cr)
+		if !w.fill.HintCovers(&w.cost) {
+			return false
+		}
+	}
+	w.floors[last].ApplyTo(&w.cost, cl, cr)
+	if !w.fill.RejectsAll(&w.cost, n) {
+		return false
+	}
+	w.considered += n
+	w.floorRejected += n
+	w.blockRejected += n
+	w.checkTick += n
 	return true
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/pareto"
 	"moqo/internal/plan"
 	"moqo/internal/query"
 )
@@ -166,5 +169,67 @@ func TestConsideredCountsGrowWithDOP(t *testing.T) {
 			t.Errorf("MaxDOP=%d considered %d plans, not more than %d", dop, res.Stats.Considered, prev)
 		}
 		prev = res.Stats.Considered
+	}
+}
+
+// TestColumnMins holds the block tiers' column minima (columnMins) to a
+// plain fold over the rows, on a side of more rows than have block minima of
+// their own: every kept block, and the whole side, whose minimum must take in
+// the rows past the last kept block too. A NaN in a column makes its minimum
+// NaN, as Go's min does.
+func TestColumnMins(t *testing.T) {
+	n := maxBlocks*blockRows + 3*blockRows + 5
+	a := pareto.NewFlat(pareto.NewFlatConfig(objective.AllSet(), 1))
+	r := rand.New(rand.NewSource(1))
+	for i := range n {
+		var v objective.Vector
+		for o := range v {
+			v[o] = r.Float64() * 100
+		}
+		// An antichain on the first two objectives: every row is stored.
+		v[objective.TotalTime], v[objective.StartupTime] = float64(i), float64(n-i)
+		if i == n-2 {
+			v[objective.Energy] = math.NaN()
+		}
+		if i == n-1 {
+			v[objective.CPULoad] = -1 // the side's minimum lies past the kept blocks
+		}
+		if !a.Insert(v, plan.Entry{}) {
+			t.Fatalf("row %d not stored", i)
+		}
+	}
+	fold := func(lo, hi int32) objective.Vector {
+		m := a.CostAt(lo)
+		for i := lo + 1; i < hi; i++ {
+			v := a.CostAt(i)
+			for o := range m {
+				m[o] = min(m[o], v[o])
+			}
+		}
+		return m
+	}
+	same := func(x, y objective.Vector) bool {
+		for o := range x {
+			if math.Float64bits(x[o]) != math.Float64bits(y[o]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, lo := range []int32{0, 3} {
+		var out [maxBlocks + 1]objective.Vector
+		columnMins(a, lo, int32(n), &out)
+		for b := range maxBlocks {
+			at := lo + int32(b*blockRows)
+			if want := fold(at, at+blockRows); !same(out[b], want) {
+				t.Fatalf("lo %d block %d: %v, want %v", lo, b, out[b], want)
+			}
+		}
+		if want := fold(lo, int32(n)); !same(out[maxBlocks], want) {
+			t.Fatalf("lo %d whole side: %v, want %v", lo, out[maxBlocks], want)
+		}
+		if !math.IsNaN(out[maxBlocks][objective.Energy]) || out[maxBlocks][objective.CPULoad] != -1 {
+			t.Fatalf("lo %d: the whole side's minimum missed the rows past the kept blocks: %v", lo, out[maxBlocks])
+		}
 	}
 }

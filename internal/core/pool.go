@@ -65,6 +65,13 @@ type worker struct {
 	floors        [len(joinAlgs)]costmodel.JoinTerms
 	fill          *pareto.FlatArchive
 	floorRejected int
+	// lmin and rmin are the column minima of the split's outer and inner
+	// sub-plans (columnMins), per block of blockRows and, last, per side; the
+	// floors over them let joinPairs reject a whole run of sub-plan pairs at
+	// once, and blockRejected counts the candidates rejected so (a part of
+	// floorRejected). Fixed arrays, so a run allocates nothing for them.
+	lmin, rmin    [maxBlocks + 1]objective.Vector
+	blockRejected int
 	// nears are the second hints of the split at hand, one per inner sub-plan
 	// and operator (joinPairs), and near is the one of the current candidate:
 	// fullSet's callback hands it to the archive beside cost. A fixed array
@@ -249,6 +256,8 @@ type levelPool struct {
 	deques []deque
 	wake   []chan struct{} // one per spawned worker (indices 1..nw-1)
 	wg     sync.WaitGroup
+	// exited is done when every spawned goroutine has returned (shutdown).
+	exited sync.WaitGroup
 }
 
 func newLevelPool(e *engine, treat func(w *worker, id int32, s query.TableSet)) *levelPool {
@@ -262,6 +271,7 @@ func newLevelPool(e *engine, treat func(w *worker, id int32, s query.TableSet)) 
 	for i := range p.wake {
 		p.wake[i] = make(chan struct{}, 1)
 	}
+	p.exited.Add(nw - 1)
 	for wi := 1; wi < nw; wi++ {
 		poolSpawned.Add(1)
 		go p.loop(wi)
@@ -271,18 +281,21 @@ func newLevelPool(e *engine, treat func(w *worker, id int32, s query.TableSet)) 
 
 // loop parks worker wi between levels; a closed wake channel retires it.
 func (p *levelPool) loop(wi int) {
+	defer p.exited.Done()
 	for range p.wake[wi-1] {
 		p.drain(wi)
 		p.wg.Done()
 	}
 }
 
-// shutdown retires the spawned workers. Called only after the last level's
+// shutdown retires the spawned workers and returns once each has returned:
+// a run leaves no goroutine behind. Called only after the last level's
 // wg.Wait, so every worker is parked on its wake channel.
 func (p *levelPool) shutdown() {
 	for _, c := range p.wake {
 		close(c)
 	}
+	p.exited.Wait()
 }
 
 // runLevel distributes one level across the pool and blocks until every

@@ -41,8 +41,16 @@
 // result is therefore a floor under that operator's cost at every DOP, on
 // every objective, for any pair of sub-plans — with no tenth formula
 // written down. The engine tests an archive against that floor before it
-// costs the variants (core's worker.joinPairs). TestMinTermsBoundsEveryDOP
-// checks the bound on every split the oracle covers, FuzzMinTermsFloor on
-// arbitrary terms together with the archive-side test, NaN and +Inf
-// included.
+// costs the variants (core's worker.joinPairs).
+//
+// The engine also relies on ApplyTo being monotone in the child vectors,
+// not only in the terms: the same floor applied to the column minima of a
+// set of outer and a set of inner sub-plans is at most every variant over
+// every pair of their members, which lets one test stand for a whole run
+// of pairs. That holds for the same reason — every child cost enters
+// through +, × by a non-negative term or max — and for the tuple loss
+// because a sub-plan's loss is a ratio in [0, 1], where 1-(1-a)(1-b) is
+// monotone in a and b. TestMinTermsBoundsEveryDOP checks both bounds on
+// every split the oracle covers, FuzzMinTermsFloor on arbitrary terms and
+// child sets together with the archive-side tests, NaN and +Inf included.
 package costmodel

@@ -46,7 +46,11 @@
 //     counted as such, a no — a miss or a NaN — is nothing at all, and
 //     the candidates come one by one. Neither ever scans, so that
 //     sentence still holds; HintRejected counts every candidate answered
-//     without a scan, by either row, alone or in a group.
+//     without a scan, by either row, alone or in a group. HintCovers is
+//     the hinted row's test without the count, for a run of candidates
+//     that falls under several floors (the engine's block floors, one per
+//     operator): the caller asks it of all but the last floor and
+//     RejectsAll of the last, so the run is counted once.
 //     An archive's rows live where its Arena put them. The engine fills
 //     each archive once, on one worker, and then only reads it, so each
 //     worker owns an arena of chunks: Open starts an archive at the tail

@@ -383,13 +383,21 @@ func nearOffset(near *int32) int { return int(uint32(*near)) * stride }
 // It is the hint test only, never a scan, so false means nothing: the caller
 // asks RejectsAllNear, then offers the candidates one by one.
 func (a *FlatArchive) RejectsAll(floor *objective.Vector, n int) bool {
-	h := a.hint
-	if h >= len(a.costs) || !a.cfg.rowRejectsFloor(a.costs[h:h+stride], floor) {
+	if !a.HintCovers(floor) {
 		return false
 	}
 	a.rejected += n
 	a.hintRejected += n
 	return true
+}
+
+// HintCovers is RejectsAll's test without its count: whether the hinted row
+// approximately dominates floor. A caller whose candidates fall under several
+// floors asks it of all but one and RejectsAll of the last, so that the n
+// candidates are counted once, and only when every floor is covered.
+func (a *FlatArchive) HintCovers(floor *objective.Vector) bool {
+	h := a.hint
+	return h < len(a.costs) && a.cfg.rowRejectsFloor(a.costs[h:h+stride], floor)
 }
 
 // RejectsAllNear is RejectsAll on the row the second hint names, for a caller
