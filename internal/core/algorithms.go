@@ -48,23 +48,41 @@ func EXA(m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Optio
 // into the timeout/degrade path of Options.Timeout (the run still returns
 // a — degraded — plan with Stats.TimedOut set).
 func EXAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options) (Result, error) {
-	opts, err := opts.Normalize()
+	opts, start, err := begin(ctx, opts, w, b)
 	if err != nil {
 		return Result{}, err
 	}
+	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
+	return e.result(e.run(), w, b, 1, start)
+}
+
+// begin is the prologue of every entry point that runs the dynamic
+// program: it normalizes opts, checks the weights and bounds, rejects a
+// context cancelled before any work starts (startErr), and starts the
+// clock the run's Stats.Duration is read from.
+func begin(ctx context.Context, opts Options, w objective.Weights, b objective.Bounds) (Options, time.Time, error) {
+	opts, err := opts.Normalize()
+	if err != nil {
+		return opts, time.Time{}, err
+	}
 	if !w.Valid() || !b.Valid() {
-		return Result{}, fmt.Errorf("core: invalid weights or bounds")
+		return opts, time.Time{}, fmt.Errorf("core: invalid weights or bounds")
 	}
 	if err := startErr(ctx); err != nil {
-		return Result{}, err
+		return opts, time.Time{}, err
 	}
-	start := time.Now()
-	e := newEngine(ctx, m, opts, 1, w)
-	flat := e.run()
+	return opts, time.Now(), nil
+}
+
+// result is the epilogue of EXA, RTA and RTAVector: a run abandoned by its
+// context, a worker panic or an invalid query reports that error
+// (cancelErr); any other run is extracted and selected over (finish), with
+// setAlpha the set-level precision its snapshot records.
+func (e *engine) result(flat *pareto.FlatArchive, w objective.Weights, b objective.Bounds, setAlpha float64, start time.Time) (Result, error) {
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
 	}
-	return e.finish(flat, w, b, 1, e.stats(start)), nil
+	return e.finish(flat, w, b, setAlpha, e.stats(start)), nil
 }
 
 // startErr rejects a context that is already cancelled before any work
@@ -94,22 +112,12 @@ func RTA(m *costmodel.Model, w objective.Weights, opts Options) (Result, error) 
 // RTAContext is RTA under a context (see EXAContext for the cancellation
 // and deadline semantics).
 func RTAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, opts Options) (Result, error) {
-	opts, err := opts.Normalize()
+	opts, start, err := begin(ctx, opts, w, objective.NoBounds())
 	if err != nil {
 		return Result{}, err
 	}
-	if !w.Valid() {
-		return Result{}, fmt.Errorf("core: invalid weights")
-	}
-	if err := startErr(ctx); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
 	flat, e := rtaParetoPlans(ctx, m, w, opts, opts.Alpha)
-	if err := e.cancelErr(); err != nil {
-		return Result{}, err
-	}
-	return e.finish(flat, w, objective.NoBounds(), opts.Alpha, e.stats(start)), nil
+	return e.result(flat, w, objective.NoBounds(), opts.Alpha, start)
 }
 
 // rtaParetoPlans is FindParetoPlans of Algorithm 2: it derives the internal
@@ -119,11 +127,8 @@ func RTAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, op
 // extracts a Frontier only for the iteration it actually returns.
 func rtaParetoPlans(ctx context.Context, m *costmodel.Model, w objective.Weights, opts Options, setAlpha float64) (*pareto.FlatArchive, *engine) {
 	n := m.Query().NumRelations()
-	alphaInternal := math.Pow(setAlpha, 1/float64(n))
-	if alphaInternal < 1 {
-		alphaInternal = 1
-	}
-	e := newEngine(ctx, m, opts, alphaInternal, w)
+	cfg := pareto.NewFlatConfig(opts.Objectives, max(1, math.Pow(setAlpha, 1/float64(n))))
+	e := newEngine(ctx, m, opts, cfg, w)
 	return e.run(), e
 }
 
@@ -176,20 +181,13 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts, err := opts.Normalize()
+	opts, start, err := begin(ctx, opts, w, b)
 	if err != nil {
 		return Result{}, err
-	}
-	if !w.Valid() || !b.Valid() {
-		return Result{}, fmt.Errorf("core: invalid weights or bounds")
 	}
 	if seed != nil && seed.Objectives() != opts.Objectives {
 		return Result{}, fmt.Errorf("core: frontier seed objectives %v do not match request %v", seed.Objectives(), opts.Objectives)
 	}
-	if err := startErr(ctx); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
 	alphaU := opts.Alpha
 
 	if seed != nil && (seed.setAlpha <= 1 || iraStop(seed.costs, w, b, opts.Objectives, seed.setAlpha, alphaU)) {
@@ -367,18 +365,11 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	if opts.Objectives.Len() == 0 {
 		opts.Objectives = w.Active()
 	}
-	opts, err := opts.Normalize()
+	opts, start, err := begin(ctx, opts, w, objective.NoBounds())
 	if err != nil {
 		return Result{}, err
 	}
-	if !w.Valid() {
-		return Result{}, fmt.Errorf("core: invalid weights")
-	}
-	if err := startErr(ctx); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	e := newEngine(ctx, m, opts, 1, w)
+	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
 	flat := e.runScalar(func(v objective.Vector) float64 { return w.Cost(v) })
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
@@ -430,7 +421,7 @@ func singleObjectiveMin(ctx context.Context, m *costmodel.Model, o objective.ID,
 	if err := startErr(ctx); err != nil {
 		return 0, err
 	}
-	e := newEngine(ctx, m, opts, 1, objective.SingleWeight(o))
+	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), objective.SingleWeight(o))
 	flat := e.runScalar(func(v objective.Vector) float64 { return v[o] })
 	if err := e.cancelErr(); err != nil {
 		return 0, err

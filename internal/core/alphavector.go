@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/pareto"
 )
 
 // RTAVector runs the representative-tradeoffs algorithm with
@@ -36,28 +36,19 @@ func RTAVector(m *costmodel.Model, w objective.Weights, prec objective.Precision
 // cancellation and deadline semantics).
 func RTAVectorContext(ctx context.Context, m *costmodel.Model, w objective.Weights, prec objective.Precision, opts Options) (Result, error) {
 	if !prec.Valid() {
-		return Result{}, fmt.Errorf("core: invalid precision vector (every entry must be >= 1)")
+		return Result{}, fmt.Errorf("core: invalid precision vector (every entry must be >= 1 and finite)")
 	}
 	if opts.Alpha == 0 {
 		opts.Alpha = prec.Max(opts.Objectives)
 	}
-	opts, err := opts.Normalize()
+	opts, start, err := begin(ctx, opts, w, objective.NoBounds())
 	if err != nil {
 		return Result{}, err
 	}
-	if !w.Valid() {
-		return Result{}, fmt.Errorf("core: invalid weights")
-	}
-	if err := startErr(ctx); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	alphaI := prec.Root(m.Query().NumRelations())
-	e := newEngine(ctx, m, opts, prec.Max(opts.Objectives), w)
-	e.precInternal = &alphaI
-	flat := e.run()
-	if err := e.cancelErr(); err != nil {
-		return Result{}, err
-	}
-	return e.finish(flat, w, objective.NoBounds(), prec.Max(opts.Objectives), e.stats(start)), nil
+	// prec.Root(0) is +Inf, which NewFlatPrecisionConfig refuses; an empty
+	// query is newEngine's error to report.
+	n := max(1, m.Query().NumRelations())
+	cfg := pareto.NewFlatPrecisionConfig(opts.Objectives, prec.Root(n))
+	e := newEngine(ctx, m, opts, cfg, w)
+	return e.result(e.run(), w, objective.NoBounds(), prec.Max(opts.Objectives), start)
 }

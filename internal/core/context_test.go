@@ -99,7 +99,7 @@ func TestCancelPrompt(t *testing.T) {
 	}
 	// All pool goroutines have drained through the level barrier and
 	// returned: the pool's shutdown waits for them.
-	if g := runtime.NumGoroutine(); g > before+1 {
+	if g := goroutinesSettle(before + 1); g > before+1 {
 		t.Fatalf("goroutines leaked: %d before, %d after cancel", before, g)
 	}
 }

@@ -60,8 +60,9 @@
 //     arenas live for one run and are never reused, since a
 //     SharedMemo-published archive keeps its chunk alive, and extract
 //     copies what a Result keeps;
-//   - a level-synchronized worker pool (pool.go) that shards each
-//     cardinality level across Options.Workers goroutines without
+//   - a level-synchronized worker pool (pool.go), spawned once per run,
+//     whose Options.Workers workers claim each cardinality level's sets
+//     from one atomic cursor, each in ascending id order, without
 //     weakening any approximation guarantee;
 //   - one frontier extraction per run (engine.extract) that closes the
 //     final frontier over the sub-plans it reaches, and a deferred
@@ -127,8 +128,13 @@
 // (engine.extract), so a Result holds what its frontier reaches and never
 // the run's memo, and every frontier materializes one way
 // (plan.NewDenseMaterializer: slots, one slab of nodes). EXA, RTA,
-// RTAVector and IRA share one epilogue (engine.finish) that extracts the
-// final archive in canonical order (pareto.FlatArchive.CanonicalOrder),
+// RTAVector, IRA and WeightedSumDP enter through one prologue (begin);
+// every run's caller builds its archive configuration (pareto.FlatConfig:
+// precision 1, αU^(1/|Q|), or RTAVector's component-wise root) and hands
+// it to newEngine. EXA, RTA, RTAVector and IRA share one epilogue
+// (engine.finish, behind engine.result's cancellation check) that
+// extracts the final archive in canonical order
+// (pareto.FlatArchive.CanonicalOrder),
 // selects over the rows (pareto.SelectBestRows) and takes Result.Best
 // from the frontier's one, memoized materialization — so results are
 // byte-for-byte reproducible

@@ -49,16 +49,11 @@ type engine struct {
 	m    *costmodel.Model
 	opts Options
 
-	// alphaInternal is the pruning precision αi used by the archives.
-	alphaInternal float64
-
-	// precInternal, when non-nil, replaces alphaInternal with a
-	// per-objective internal precision vector (RTAVector extension).
-	precInternal *objective.Precision
-
-	// cfg is the pruning configuration shared by every archive of the run
-	// (active-objective ids and precisions resolved once, so archive
-	// inserts never allocate).
+	// cfg is the pruning configuration shared by every archive of the run:
+	// the internal precision αi — 1 for EXA and the scalar programs,
+	// αU^(1/|Q|) for RTA and each IRA iteration, the component-wise root
+	// for RTAVector — with the active-objective ids resolved once, so
+	// archive inserts never allocate.
 	cfg *pareto.FlatConfig
 
 	// weights steer the degraded single-plan mode after a timeout.
@@ -110,6 +105,11 @@ type engine struct {
 	// enumerated, run and runScalar return at once, and cancelErr reports
 	// it before anything else.
 	invalid error
+
+	// pool schedules each level's sets onto the workers (runLevels). Its
+	// cursor is written on every claim, so it sits last, apart from the
+	// latches above that every candidate reads.
+	pool levelPool
 }
 
 // enginePanic captures one recovered worker panic.
@@ -127,7 +127,7 @@ var ErrEnginePanic = errors.New("core: panic during optimization")
 // The cancelled latch is what makes containment safe: every other
 // worker parks at its next poll, the level barrier completes, and the
 // pool shuts down through the normal path — no goroutine is left
-// holding a poisoned deque.
+// parked on a level that never ends.
 func (e *engine) recordPanic(r any) {
 	e.panicInfo.CompareAndSwap(nil, &enginePanic{val: r, stack: debug.Stack()})
 	e.cancelled.Store(true)
@@ -167,23 +167,23 @@ var cartesianAlgs = joinAlgs[2:]
 // maxSplitTerms bounds the (operator, DOP) combinations of one split.
 const maxSplitTerms = len(joinAlgs) * plan.MaxDOP
 
-// newEngine prepares an engine run. alphaInternal >= 1 is the archive
-// pruning precision (1 = exact). opts must be normalized (Workers >= 1).
-// ctx cancellation aborts the run; a ctx deadline is folded into the
-// timeout/degrade machinery (the earlier of ctx deadline and Options.
-// Timeout wins).
-func newEngine(ctx context.Context, m *costmodel.Model, opts Options, alphaInternal float64, w objective.Weights) *engine {
+// newEngine prepares an engine run whose archives prune by cfg, the
+// configuration its caller builds for opts.Objectives. opts must be
+// normalized (Workers >= 1). ctx cancellation aborts the run; a ctx
+// deadline is folded into the timeout/degrade machinery (the earlier of
+// ctx deadline and Options.Timeout wins).
+func newEngine(ctx context.Context, m *costmodel.Model, opts Options, cfg *pareto.FlatConfig, w objective.Weights) *engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e := &engine{
-		q:             m.Query(),
-		m:             m,
-		opts:          opts,
-		alphaInternal: alphaInternal,
-		weights:       w,
-		ctx:           ctx,
-		ctxDone:       ctx.Done(),
+		q:       m.Query(),
+		m:       m,
+		opts:    opts,
+		cfg:     cfg,
+		weights: w,
+		ctx:     ctx,
+		ctxDone: ctx.Done(),
 	}
 	if err := e.q.Validate(); err != nil {
 		e.invalid = fmt.Errorf("core: %w", err)
@@ -216,11 +216,7 @@ func newEngine(ctx context.Context, m *costmodel.Model, opts Options, alphaInter
 	e.viewMemo = func(s query.TableSet) splitView {
 		return splitView{arch: e.memo.lookup(s), only: -1}
 	}
-	nw := opts.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	e.workers = make([]worker, nw)
+	e.workers = make([]worker, opts.Workers)
 	for i := range e.workers {
 		e.workers[i] = worker{e: e, maxDoneID: -1}
 	}
@@ -270,20 +266,6 @@ func (e *engine) cancelErr() error {
 	return context.Canceled
 }
 
-// flatConfig lazily builds the run's shared archive configuration. It is
-// resolved at run start (not in newEngine) because RTAVector installs
-// precInternal after construction.
-func (e *engine) flatConfig() *pareto.FlatConfig {
-	if e.cfg == nil {
-		if e.precInternal != nil {
-			e.cfg = pareto.NewFlatPrecisionConfig(e.opts.Objectives, *e.precInternal)
-		} else {
-			e.cfg = pareto.NewFlatConfig(e.opts.Objectives, e.alphaInternal)
-		}
-	}
-	return e.cfg
-}
-
 // dpRowsPerSet sizes the first arena chunk of a multi-objective run: rows
 // per enumerated table set, for each worker. The cold_w1 list stores 28
 // rows per set on average, so one worker's first chunk is seldom more than
@@ -317,7 +299,6 @@ func (e *engine) run() *pareto.FlatArchive {
 		return nil
 	}
 	engineRuns.Add(1)
-	e.flatConfig()
 	e.startArenas(dpRowsPerSet)
 	if e.opts.Shared != nil {
 		e.shared = e.opts.Shared
@@ -351,7 +332,6 @@ func (e *engine) runScalar(scalar func(objective.Vector) float64) *pareto.FlatAr
 		return nil
 	}
 	engineRuns.Add(1)
-	e.flatConfig()
 	e.startArenas(1)
 	e.runLevels(func(w *worker, id int32, s query.TableSet) {
 		if s.Single() {

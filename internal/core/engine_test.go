@@ -61,8 +61,8 @@ func TestCartesianFallback(t *testing.T) {
 // TestDisconnectedJoinGraphIsAnError: the engine enumerates connected
 // table sets only, so a join graph with two components — which only a
 // Cartesian product could join — is refused by every entry point with the
-// query's validation error, and none of them panics or answers without a
-// plan. (moqo.Resolve and the server reject such a query before it gets
+// query's validation error, and none of them panics or answers with a
+// plan; so is a query with no relations. (moqo.Resolve and the server reject such a query before it gets
 // here; this is core called directly.)
 func TestDisconnectedJoinGraphIsAnError(t *testing.T) {
 	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
@@ -91,10 +91,19 @@ func TestDisconnectedJoinGraphIsAnError(t *testing.T) {
 	cross := query.New("cross", catalog.TPCH(0.01))
 	cross.AddRelation(catalog.Region, "r", 1)
 	cross.AddRelation(catalog.Nation, "n", 1)
-	for _, q := range []*query.Query{cross, disconnectedQuery(t)} {
+	invalid := []struct {
+		q    *query.Query
+		want string
+	}{
+		{cross, "join graph not connected"},
+		{disconnectedQuery(t), "join graph not connected"},
+		{query.New("empty", catalog.TPCH(0.01)), "no relations"},
+	}
+	for _, tc := range invalid {
+		q := tc.q
 		for _, entry := range entries {
 			res, err := entry.run(costmodel.NewDefault(q))
-			if err == nil || !strings.Contains(err.Error(), "join graph not connected") {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s on %s: err = %v, want the validation error", entry.name, q.Name, err)
 			}
 			if res.Best != nil {

@@ -14,7 +14,7 @@ type Options struct {
 	Objectives objective.Set
 
 	// Alpha is the user-defined approximation precision αU for RTA and
-	// IRA (>= 1). Ignored by the exact algorithms.
+	// IRA (>= 1 and finite). Ignored by the exact algorithms.
 	Alpha float64
 
 	// Timeout bounds the optimization time; zero means no timeout. When
@@ -67,8 +67,11 @@ func (o Options) Normalize() (Options, error) {
 	if o.Alpha == 0 {
 		o.Alpha = 1
 	}
-	if o.Alpha < 1 {
-		return o, fmt.Errorf("core: approximation precision %v < 1", o.Alpha)
+	if !alphaValid(o.Alpha) {
+		if o.Alpha < 1 {
+			return o, fmt.Errorf("core: approximation precision %v < 1", o.Alpha)
+		}
+		return o, fmt.Errorf("core: approximation precision %v is not finite", o.Alpha)
 	}
 	if o.MaxDOP == 0 {
 		o.MaxDOP = plan.MaxDOP

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
@@ -43,7 +44,7 @@ func TestWorkerPanicContained(t *testing.T) {
 
 	// Pool goroutines have drained through the level barrier and returned:
 	// the pool's shutdown waits for them.
-	if g := runtime.NumGoroutine(); g > before {
+	if g := goroutinesSettle(before); g > before {
 		t.Fatalf("goroutines leaked after panic: %d before, %d after", before, g)
 	}
 
@@ -53,6 +54,22 @@ func TestWorkerPanicContained(t *testing.T) {
 	res, err := RTAContext(context.Background(), m, w, opts)
 	if err != nil || res.Best == nil {
 		t.Fatalf("run after contained panic: res.Best=%v err=%v", res.Best, err)
+	}
+}
+
+// goroutinesSettle returns the number of live goroutines once it is at most
+// want, or after five seconds. levelPool.shutdown returns when every pool
+// goroutine has left its loop, and the runtime retires each a moment later:
+// read at once, runtime.NumGoroutine can still count one (a few runs in a
+// hundred under -race). A leaked goroutine never stops counting.
+func goroutinesSettle(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g := runtime.NumGoroutine()
+		if g <= want || time.Now().After(deadline) {
+			return g
+		}
+		runtime.Gosched()
 	}
 }
 

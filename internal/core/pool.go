@@ -30,8 +30,8 @@ type worker struct {
 	checkTick int
 	// maxDoneID/maxDoneLen track the last (largest-id) set this worker
 	// treated completely, feeding the "Pareto plans of the last table set
-	// treated completely" metric. Ids are handed out in ascending order,
-	// so plain assignment keeps the maximum.
+	// treated completely" metric. A worker claims ids in ascending order
+	// (levelPool.drain), so plain assignment keeps the maximum.
 	maxDoneID  int32
 	maxDoneLen int
 	// reduced is the degraded mode's per-worker scratch: the weighted-best
@@ -193,81 +193,37 @@ func (w *worker) markDone(id int32, archiveLen int) {
 // whole pool at every cardinality level.
 var poolSpawned atomic.Int64
 
-// deque is one worker's bounded work queue for the current level: a
-// contiguous index range [head, tail) into the level's set slice, packed
-// as head<<32|tail in a single atomic word. The owning worker claims from
-// the head, thieves claim from the tail; both sides CAS the same word, so
-// every index is claimed exactly once and the queue needs no lock and no
-// backing storage. Padded so neighboring deques don't share a cache line.
-type deque struct {
-	pos atomic.Uint64
-	_   [56]byte
-}
-
-func (d *deque) reset(head, tail int32) {
-	d.pos.Store(uint64(uint32(head))<<32 | uint64(uint32(tail)))
-}
-
-// popFront claims the next index for the owner; -1 when drained.
-func (d *deque) popFront() int32 {
-	for {
-		p := d.pos.Load()
-		h, t := int32(uint32(p>>32)), int32(uint32(p))
-		if h >= t {
-			return -1
-		}
-		if d.pos.CompareAndSwap(p, uint64(uint32(h+1))<<32|uint64(uint32(t))) {
-			return h
-		}
-	}
-}
-
-// popBack steals the last index from a victim; -1 when drained.
-func (d *deque) popBack() int32 {
-	for {
-		p := d.pos.Load()
-		h, t := int32(uint32(p>>32)), int32(uint32(p))
-		if h >= t {
-			return -1
-		}
-		if d.pos.CompareAndSwap(p, uint64(uint32(h))<<32|uint64(uint32(t-1))) {
-			return t - 1
-		}
-	}
-}
-
 // levelPool is the engine's persistent worker pool: nw-1 goroutines are
 // spawned once per run (the coordinator doubles as worker 0) and parked on
 // per-worker wake channels between levels. For each level the coordinator
-// partitions the level's set slice into contiguous per-worker chunks
-// (deques), wakes the pool, and participates; a worker that drains its own
-// deque steals from the tails of the others, so a straggler set no longer
-// idles the rest of the pool for the remainder of the level.
+// publishes the level's sets, resets the claim cursor, wakes as many
+// workers as the level has sets to spare, and participates; every worker
+// claims the level's next set with one atomic add on the cursor until the
+// level is drained, so a straggler set idles no other worker and each
+// worker's claims ascend over the level slice (and over memo ids).
 type levelPool struct {
 	e     *engine
 	treat func(w *worker, id int32, s query.TableSet)
 
 	// Per-level inputs, published before the wake-channel sends (the
 	// send/receive pair orders the writes for the woken workers).
-	sets   []query.TableSet
-	base   int32
-	active int // workers participating in the current level
+	sets []query.TableSet
+	base int32
+	// next is the level's claim cursor: the index into sets of the next
+	// unclaimed set.
+	next atomic.Int32
 
-	deques []deque
-	wake   []chan struct{} // one per spawned worker (indices 1..nw-1)
-	wg     sync.WaitGroup
+	wake []chan struct{} // one per spawned worker (indices 1..nw-1)
+	wg   sync.WaitGroup
 	// exited is done when every spawned goroutine has returned (shutdown).
 	exited sync.WaitGroup
 }
 
-func newLevelPool(e *engine, treat func(w *worker, id int32, s query.TableSet)) *levelPool {
+// start spawns the run's nw-1 pool goroutines; a one-worker run spawns none.
+func (p *levelPool) start(e *engine, treat func(w *worker, id int32, s query.TableSet)) {
 	nw := len(e.workers)
-	p := &levelPool{
-		e:      e,
-		treat:  treat,
-		deques: make([]deque, nw),
-		wake:   make([]chan struct{}, nw-1),
-	}
+	p.e, p.treat = e, treat
+	p.wake = make([]chan struct{}, nw-1)
 	for i := range p.wake {
 		p.wake[i] = make(chan struct{}, 1)
 	}
@@ -276,7 +232,6 @@ func newLevelPool(e *engine, treat func(w *worker, id int32, s query.TableSet)) 
 		poolSpawned.Add(1)
 		go p.loop(wi)
 	}
-	return p
 }
 
 // loop parks worker wi between levels; a closed wake channel retires it.
@@ -288,9 +243,10 @@ func (p *levelPool) loop(wi int) {
 	}
 }
 
-// shutdown retires the spawned workers and returns once each has returned:
-// a run leaves no goroutine behind. Called only after the last level's
-// wg.Wait, so every worker is parked on its wake channel.
+// shutdown retires the spawned workers and returns once each has left its
+// loop, so a run leaves no goroutine behind (the runtime retires each a
+// moment after). Called only after the last level's wg.Wait, so every
+// worker is parked on its wake channel.
 func (p *levelPool) shutdown() {
 	for _, c := range p.wake {
 		close(c)
@@ -298,80 +254,45 @@ func (p *levelPool) shutdown() {
 	p.exited.Wait()
 }
 
-// runLevel distributes one level across the pool and blocks until every
-// set of the level is treated (or the run is cancelled).
+// runLevel treats one level across the pool and blocks until every set of
+// the level is treated (or the run is cancelled). A one-set level or a
+// one-worker run wakes nobody.
 func (p *levelPool) runLevel(sets []query.TableSet, base int32) {
-	active := len(p.deques)
-	if active > len(sets) {
-		active = len(sets)
-	}
-	p.sets, p.base, p.active = sets, base, active
-	// Contiguous chunks, balanced to within one set: deque i owns
-	// [lo_i, hi_i). Contiguity keeps an owner's claims sequential over the
-	// level slice (and over memo ids), which the prefetcher likes.
-	q, r := len(sets)/active, len(sets)%active
-	lo := 0
-	for i := 0; i < active; i++ {
-		hi := lo + q
-		if i < r {
-			hi++
-		}
-		p.deques[i].reset(int32(lo), int32(hi))
-		lo = hi
-	}
-	p.wg.Add(active - 1)
-	for i := 1; i < active; i++ {
-		p.wake[i-1] <- struct{}{}
+	p.sets, p.base = sets, base
+	p.next.Store(0)
+	woken := min(len(p.wake), max(len(sets)-1, 0))
+	p.wg.Add(woken)
+	for _, c := range p.wake[:woken] {
+		c <- struct{}{}
 	}
 	p.drain(0)
 	p.wg.Wait()
 }
 
-// drain runs worker wi's share of the current level: its own deque from
-// the head, then — once empty — the other active deques from their tails
-// (stealing). Deques only shrink within a level, so one pass over every
-// victim leaves all queues empty when drain returns; sets claimed by other
-// workers may still be in flight, which runLevel's wg.Wait covers.
+// drain runs worker wi's share of the current level: it claims sets from
+// the cursor until the level is exhausted. Sets claimed by other workers
+// may still be in flight when it returns, which runLevel's wg.Wait covers.
 func (p *levelPool) drain(wi int) {
 	e := p.e
 	w := &e.workers[wi]
-	own := &p.deques[wi]
 	for {
-		i := own.popFront()
-		if i < 0 {
-			break
-		}
-		if e.cancelled.Load() {
+		i := p.next.Add(1) - 1
+		if int(i) >= len(p.sets) || e.cancelled.Load() {
 			return
 		}
 		p.treat(w, p.base+i, p.sets[i])
 	}
-	for v := 1; v < p.active; v++ {
-		victim := &p.deques[(wi+v)%p.active]
-		for {
-			i := victim.popBack()
-			if i < 0 {
-				break
-			}
-			if e.cancelled.Load() {
-				return
-			}
-			p.treat(w, p.base+i, p.sets[i])
-		}
-	}
 }
 
 // runLevels drives the level-synchronized dynamic program: for each
-// cardinality level in turn, the level's table sets are distributed to
-// the engine's workers, and the next level starts only after every set of
-// the level is treated. treat handles one table set (exhaustively,
-// degraded, or scalar-pruned, depending on the engine mode).
+// cardinality level in turn, the level's table sets are claimed by the
+// engine's workers (levelPool.runLevel), and the next level starts only
+// after every set of the level is treated. treat handles one table set
+// (exhaustively, degraded, or scalar-pruned, depending on the engine mode).
 //
-// Parallel runs go through the persistent levelPool (spawned once here,
-// retired on return); single-set levels and Workers==1 runs stay inline on
-// the coordinator, where waking the pool would cost more than the work.
-// Results are deterministic regardless of the schedule, because each
-// set's archive depends only on the immutable lower levels.
+// The pool is spawned here and retired on return. Results are
+// deterministic regardless of the schedule, because each set's archive
+// depends only on the immutable lower levels.
 // A cancelled context short-circuits the remaining levels: every worker
 // parks at the level boundary (no goroutine outlives the run) and the
 // loop returns without touching the remaining sets.
@@ -380,8 +301,8 @@ func (e *engine) runLevels(treat func(w *worker, id int32, s query.TableSet)) {
 	// here, latches the run as cancelled (cancelErr reports
 	// ErrEnginePanic), and every worker — including the spawned pool
 	// goroutines, whose panics would otherwise kill the process — parks
-	// at the next poll. One wrapper covers the pool, the inline path,
-	// and runScalar, since all of them go through this treat.
+	// at the next poll. One wrapper covers run and runScalar, since both
+	// go through this treat.
 	inner := treat
 	treat = func(w *worker, id int32, s query.TableSet) {
 		defer e.containPanic()
@@ -390,30 +311,15 @@ func (e *engine) runLevels(treat func(w *worker, id int32, s query.TableSet)) {
 		}
 		inner(w, id, s)
 	}
+	e.pool.start(e, treat)
+	defer e.pool.shutdown()
 	nextID := int32(0)
-	var pool *levelPool
-	if len(e.workers) > 1 {
-		pool = newLevelPool(e, treat)
-		defer pool.shutdown()
-	}
 	for k := 1; k <= e.enum.n; k++ {
 		if e.cancelled.Load() {
 			return
 		}
 		sets := e.enum.levels[k]
-		base := nextID
+		e.pool.runLevel(sets, nextID)
 		nextID += int32(len(sets))
-
-		if pool == nil || len(sets) <= 1 {
-			w := &e.workers[0]
-			for i, s := range sets {
-				if e.cancelled.Load() {
-					return
-				}
-				treat(w, base+int32(i), s)
-			}
-			continue
-		}
-		pool.runLevel(sets, base)
 	}
 }

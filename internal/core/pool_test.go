@@ -1,43 +1,92 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/pareto"
+	"moqo/internal/query"
 	"moqo/internal/synthetic"
 )
 
-// TestDequeClaimsEachIndexOnce hammers one deque from an owner (popFront)
-// and several thieves (popBack) and checks every index is claimed exactly
-// once — the work-stealing scheduler's single invariant.
-func TestDequeClaimsEachIndexOnce(t *testing.T) {
-	const n = 10000
-	var d deque
-	d.reset(0, n)
-	var claimed [n]int32
-	var wg sync.WaitGroup
-	grab := func(pop func() int32) {
-		defer wg.Done()
-		for {
-			i := pop()
-			if i < 0 {
-				return
+// TestLevelClaimsOnceAscending drives runLevels with a recording treat and
+// checks the claim cursor's contract: every memo id is treated exactly once,
+// with its own set; every id of level k is below every id of level k+1, and
+// level k+1 starts only after every set of level k is treated; and each
+// worker's ids strictly ascend, which worker.markDone's plain assignment
+// relies on.
+func TestLevelClaimsOnceAscending(t *testing.T) {
+	for _, tc := range []struct {
+		shape  synthetic.Shape
+		tables int
+	}{{synthetic.Chain, 12}, {synthetic.Clique, 8}} {
+		q := buildShape(t, tc.shape, tc.tables, 1)
+		for _, workers := range []int{1, 2, 4, 8} {
+			label := fmt.Sprintf("%s-%d/workers=%d", tc.shape, tc.tables, workers)
+			opts, err := Options{Objectives: threeObjs, Workers: workers}.Normalize()
+			if err != nil {
+				t.Fatal(err)
 			}
-			claimed[i]++
-		}
-	}
-	wg.Add(4)
-	go grab(d.popFront)
-	for i := 0; i < 3; i++ {
-		go grab(d.popBack)
-	}
-	wg.Wait()
-	for i, c := range claimed {
-		if c != 1 {
-			t.Fatalf("index %d claimed %d times", i, c)
+			e := newEngine(context.Background(), costmodel.NewDefault(q), opts,
+				pareto.NewFlatConfig(threeObjs, 1), objective.UniformWeights(threeObjs))
+			var sets []query.TableSet
+			var levelOf []int
+			for k, level := range e.enum.levels {
+				for _, s := range level {
+					sets = append(sets, s)
+					levelOf = append(levelOf, k)
+				}
+			}
+			// Per id: times treated, and the clock readings around its treat;
+			// per worker: the ids it claimed, appended by that worker alone.
+			treated := make([]atomic.Int32, len(sets))
+			began := make([]int64, len(sets))
+			ended := make([]int64, len(sets))
+			var clock atomic.Int64
+			claims := make([][]int32, workers)
+			e.runLevels(func(w *worker, id int32, s query.TableSet) {
+				if treated[id].Add(1) != 1 {
+					return
+				}
+				began[id] = clock.Add(1)
+				if s != sets[id] {
+					t.Errorf("%s: id %d treated as set %v, want %v", label, id, s, sets[id])
+				}
+				for wi := range e.workers {
+					if &e.workers[wi] == w {
+						claims[wi] = append(claims[wi], id)
+					}
+				}
+				ended[id] = clock.Add(1)
+			})
+			for id := range treated {
+				if n := treated[id].Load(); n != 1 {
+					t.Fatalf("%s: id %d treated %d times", label, id, n)
+				}
+			}
+			for id := 1; id < len(sets); id++ {
+				if levelOf[id] < levelOf[id-1] {
+					t.Fatalf("%s: id %d is on level %d, below id %d's level %d", label, id, levelOf[id], id-1, levelOf[id-1])
+				}
+			}
+			for a := range sets {
+				for b := range sets {
+					if levelOf[a] < levelOf[b] && ended[a] > began[b] {
+						t.Fatalf("%s: id %d (level %d) began before id %d (level %d) ended", label, b, levelOf[b], a, levelOf[a])
+					}
+				}
+			}
+			for wi, ids := range claims {
+				for i := 1; i < len(ids); i++ {
+					if ids[i] <= ids[i-1] {
+						t.Fatalf("%s: worker %d claimed id %d after id %d", label, wi, ids[i], ids[i-1])
+					}
+				}
+			}
 		}
 	}
 }
@@ -56,12 +105,11 @@ var invarianceShapes = []struct {
 	{synthetic.RandomTree, 9},
 }
 
-// TestScheduleInvariance is the work-stealing scheduler's differential
-// gate: runs with Workers 2, 4 and 8 must be bit-identical to the serial
-// run — same canonical frontier, same best plan, and same Stats counters
-// (EnumSets, EnumSplits, Considered, Stored). Under -race this also
-// exercises the persistent pool's wake, steal, and park transitions for
-// data races.
+// TestScheduleInvariance is the scheduler's differential gate: runs with
+// Workers 2, 4 and 8 must be bit-identical to the serial run — same
+// canonical frontier, same best plan, and same Stats counters (EnumSets,
+// EnumSplits, Considered, Stored). Under -race this also exercises the
+// persistent pool's wake, claim, and park transitions for data races.
 func TestScheduleInvariance(t *testing.T) {
 	w := objective.UniformWeights(threeObjs)
 	for _, tc := range invarianceShapes {

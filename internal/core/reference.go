@@ -34,7 +34,7 @@ import (
 // frontier is canonically sorted like the flat engine's, so the two are
 // directly comparable.
 func ReferenceEXA(m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options) (Result, error) {
-	return referenceRun(m, w, b, opts, 1, nil)
+	return referenceRun(m, w, b, opts, 1)
 }
 
 // ReferenceRTA runs the representative-tradeoffs algorithm in the
@@ -50,10 +50,10 @@ func ReferenceRTA(m *costmodel.Model, w objective.Weights, opts Options) (Result
 	if alphaI < 1 {
 		alphaI = 1
 	}
-	return referenceRun(m, w, objective.NoBounds(), opts, alphaI, nil)
+	return referenceRun(m, w, objective.NoBounds(), opts, alphaI)
 }
 
-func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options, alphaInternal float64, prec *objective.Precision) (Result, error) {
+func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options, alphaI float64) (Result, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return Result{}, err
@@ -68,12 +68,7 @@ func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, o
 	start := time.Now()
 	enum := enumerate(q, nil)
 	memo := make(map[query.TableSet]*pareto.Archive, enum.total)
-	newArchive := func() *pareto.Archive {
-		if prec != nil {
-			return pareto.NewPrecisionArchive(opts.Objectives, *prec)
-		}
-		return pareto.NewArchive(opts.Objectives, alphaInternal)
-	}
+	newArchive := func() *pareto.Archive { return pareto.NewArchive(opts.Objectives, alphaI) }
 
 	considered := 0
 	for k := 1; k <= enum.n; k++ {

@@ -136,9 +136,9 @@ func (e *engine) prepareShared() {
 		}
 		b = strconv.AppendInt(b, int64(o), 10)
 		b = append(b, ':')
-		alpha := e.alphaInternal
-		if e.precInternal != nil {
-			alpha = e.precInternal[o]
+		alpha := e.cfg.Alpha()
+		if p := e.cfg.Precision(); p != nil {
+			alpha = p[o]
 		}
 		b = appendHex64(b, math.Float64bits(alpha))
 	}

@@ -9,6 +9,7 @@ import (
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
+	"moqo/internal/pareto"
 	"moqo/internal/plan"
 	"moqo/internal/query"
 	"moqo/internal/synthetic"
@@ -194,7 +195,7 @@ func TestAutoEnumerationMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, 1, objective.SingleWeight(objective.TotalTime))
+		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, pareto.NewFlatConfig(opts.Objectives, 1), objective.SingleWeight(objective.TotalTime))
 		e.runScalar(func(v objective.Vector) float64 { return v[objective.TotalTime] })
 		w := &e.workers[0]
 		type loop func(query.TableSet, func(query.TableSet) splitView, candidateFn) bool

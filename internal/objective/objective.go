@@ -277,10 +277,11 @@ func (p Precision) With(o ID, alpha float64) Precision {
 	return p
 }
 
-// Valid reports whether every precision is at least 1 (rejects NaN).
+// Valid reports whether every precision is at least 1 and finite (rejects
+// NaN and +Inf).
 func (p Precision) Valid() bool {
 	for _, x := range p {
-		if !(x >= 1) {
+		if !(x >= 1) || math.IsInf(x, 1) {
 			return false
 		}
 	}

@@ -145,6 +145,18 @@ func TestVectorValid(t *testing.T) {
 	}
 }
 
+func TestPrecisionValid(t *testing.T) {
+	objs := NewSet(TotalTime, Energy)
+	if !UniformPrecision(1.5, objs).Valid() {
+		t.Error("precision 1.5 must be valid")
+	}
+	for _, x := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		if UniformPrecision(1, objs).With(Energy, x).Valid() {
+			t.Errorf("precision %v must be invalid", x)
+		}
+	}
+}
+
 // The running example of the paper (Example 1): plan p combines subplans
 // with cost (7,1) and (6,2) into (7,3) using max for time and sum for
 // energy; replacing the (7,1) subplan by (1,3) yields (6,5), which worsens

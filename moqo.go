@@ -208,15 +208,16 @@ type Request struct {
 	// unbounded. Bounds require AlgoIRA or AlgoEXA.
 	Bounds map[Objective]float64
 
-	// Alpha is the approximation precision for RTA/IRA (>= 1; default 1.2).
+	// Alpha is the approximation precision for RTA/IRA (>= 1 and finite;
+	// default 1.2).
 	Alpha float64
 
 	// Precisions optionally sets a per-objective approximation precision
-	// (>= 1) instead of the uniform Alpha: coarse on tolerant objectives,
-	// exact (1) on strict ones. Active objectives without an entry are
-	// tracked exactly. Only supported by AlgoRTA (unbounded requests);
-	// the weighted-cost guarantee is the maximum precision over the
-	// weighted objectives.
+	// (>= 1 and finite) instead of the uniform Alpha: coarse on tolerant
+	// objectives, exact (1) on strict ones. Active objectives without an
+	// entry are tracked exactly. Only supported by AlgoRTA (unbounded
+	// requests); the weighted-cost guarantee is the maximum precision over
+	// the weighted objectives.
 	Precisions map[Objective]float64
 
 	// Timeout caps optimization time (0 = none). On timeout the

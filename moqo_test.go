@@ -2,6 +2,7 @@ package moqo_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -322,6 +323,41 @@ func TestOptimizeValidation(t *testing.T) {
 	for name, req := range cases {
 		if _, err := moqo.Optimize(req); err == nil {
 			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
+// TestNonFiniteAlphaRejected: an Alpha of NaN or +Inf, or a +Inf
+// per-objective precision, is a validation error from Resolve and from every
+// entry point — never a run with no guarantee behind it, whose snapshot the
+// decoder would refuse.
+func TestNonFiniteAlphaRejected(t *testing.T) {
+	q, err := moqo.TPCHQuery(5, smallCatalog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := []moqo.Objective{moqo.TotalTime, moqo.Energy}
+	cases := map[string]moqo.Request{
+		"precision +Inf": {
+			Query: q, Algorithm: moqo.AlgoRTA, Objectives: objs,
+			Precisions: map[moqo.Objective]float64{moqo.Energy: math.Inf(1)},
+		},
+	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1)} {
+		for _, alg := range []moqo.Algorithm{moqo.AlgoAuto, moqo.AlgoEXA, moqo.AlgoRTA, moqo.AlgoIRA} {
+			req := moqo.Request{Query: q, Algorithm: alg, Alpha: alpha, Objectives: objs}
+			if alg == moqo.AlgoIRA {
+				req.Bounds = map[moqo.Objective]float64{moqo.TotalTime: 1e12}
+			}
+			cases[fmt.Sprintf("%v alpha %v", alg, alpha)] = req
+		}
+	}
+	for name, req := range cases {
+		if _, err := req.Resolve(); err == nil {
+			t.Errorf("%s: Resolve accepted it", name)
+		}
+		if res, snap, err := moqo.OptimizeSnapshot(req); err == nil {
+			t.Errorf("%s: OptimizeSnapshot answered (%d frontier rows, snapshot %v)", name, len(res.Frontier), snap != nil)
 		}
 	}
 }
