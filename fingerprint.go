@@ -1,14 +1,16 @@
 package moqo
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 	"moqo/internal/plan"
+	"moqo/internal/query"
 )
 
 // FrontierKey returns the weight- and bound-free prefix of CacheKey: a
@@ -97,8 +99,10 @@ func (r *Resolved) buildKey() {
 	// fmt verbs: it is on the serving fast path (the moqod tiers compute
 	// keys on every request, including re-weights answered in
 	// microseconds), and fmt's boxing used to dominate that path's
-	// allocations. The byte stream is unchanged.
-	buf := make([]byte, 0, 512)
+	// allocations. The byte stream is unchanged. The buffer holds every
+	// TPC-H query's key under all nine objectives (614 bytes for q8), so it
+	// is not regrown on the way.
+	buf := make([]byte, 0, 1024)
 	buf = append(buf, "moqo2|cat="...)
 	cat := req.Query.Catalog()
 	buf = appendHex16(buf, cat.Fingerprint())
@@ -121,36 +125,7 @@ func (r *Resolved) buildKey() {
 		buf = appendFloat(buf, rel.FilterSel)
 	}
 	buf = append(buf, "|e="...)
-	edges := make([]string, 0, len(req.Query.Edges))
-	var eb []byte
-	for _, e := range req.Query.Edges {
-		lo, hi, lc, rc := e.Left, e.Right, e.LeftCol, e.RightCol
-		if hi < lo {
-			lo, hi, lc, rc = hi, lo, rc, lc
-		}
-		eb = eb[:0]
-		eb = strconv.AppendInt(eb, int64(lo), 10)
-		eb = append(eb, '.')
-		eb = strconv.AppendInt(eb, int64(len(lc)), 10)
-		eb = append(eb, ':')
-		eb = append(eb, lc...)
-		eb = append(eb, '-')
-		eb = strconv.AppendInt(eb, int64(hi), 10)
-		eb = append(eb, '.')
-		eb = strconv.AppendInt(eb, int64(len(rc)), 10)
-		eb = append(eb, ':')
-		eb = append(eb, rc...)
-		eb = append(eb, '=')
-		eb = appendFloat(eb, e.Selectivity)
-		edges = append(edges, string(eb))
-	}
-	sort.Strings(edges)
-	for i, e := range edges {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, e...)
-	}
+	buf = appendEdges(buf, req.Query.Edges)
 
 	buf = append(buf, "|alg="...)
 	buf = append(buf, r.alg.String()...)
@@ -198,6 +173,53 @@ func (r *Resolved) buildKey() {
 	buf = append(buf, "|b="...)
 	buf = appendActive(buf, objs, r.b)
 	r.key = string(buf)
+}
+
+// keySpan is one encoded join edge in appendEdges' scratch: bytes
+// [lo, hi).
+type keySpan struct{ lo, hi int }
+
+// appendEdges appends the key's join-edge list: each edge canonicalized
+// endpoint-low-first and encoded once into scratch, the encodings ordered
+// as spans in byte order (the order sort.Strings gives them as strings),
+// then copied to buf comma-separated. The scratch and the spans are stack
+// arrays large enough for the graphs moqod serves, so the edges cost the
+// key no allocation of their own; a larger graph spills them to the heap.
+func appendEdges(buf []byte, edges []query.JoinEdge) []byte {
+	var scratch [1024]byte
+	var spanBuf [32]keySpan
+	eb, spans := scratch[:0], spanBuf[:0]
+	for _, e := range edges {
+		lo, hi, lc, rc := e.Left, e.Right, e.LeftCol, e.RightCol
+		if hi < lo {
+			lo, hi, lc, rc = hi, lo, rc, lc
+		}
+		start := len(eb)
+		eb = strconv.AppendInt(eb, int64(lo), 10)
+		eb = append(eb, '.')
+		eb = strconv.AppendInt(eb, int64(len(lc)), 10)
+		eb = append(eb, ':')
+		eb = append(eb, lc...)
+		eb = append(eb, '-')
+		eb = strconv.AppendInt(eb, int64(hi), 10)
+		eb = append(eb, '.')
+		eb = strconv.AppendInt(eb, int64(len(rc)), 10)
+		eb = append(eb, ':')
+		eb = append(eb, rc...)
+		eb = append(eb, '=')
+		eb = appendFloat(eb, e.Selectivity)
+		spans = append(spans, keySpan{start, len(eb)})
+	}
+	slices.SortFunc(spans, func(a, b keySpan) int {
+		return bytes.Compare(eb[a.lo:a.hi], eb[b.lo:b.hi])
+	})
+	for i, sp := range spans {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, eb[sp.lo:sp.hi]...)
+	}
+	return buf
 }
 
 // appendActive appends the active objectives' values in objective order,

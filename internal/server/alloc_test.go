@@ -8,28 +8,34 @@ import (
 )
 
 // requestPathAllocBudget bounds the allocations of one frontier-served
-// /optimize request: JSON decode of the request, building the query and the
-// keys, the SelectBest scan over the cached snapshot (allocation-free:
+// /optimize request: JSON decode of the request, building the query, the
+// keys (one buffer and the key string: the join edges are sorted in
+// place), the SelectBest scan over the cached snapshot (allocation-free:
 // pareto's TestSelectBestRowsZeroAlloc), a copy of the selected row's
-// memoized plan JSON, and the JSON response encode. None of these terms
-// grows with the frontier or with the dynamic program behind it, so the
-// budget is a fixed count: 94 measured on go1.24 for an exact repeat and a
-// re-weight alike, with headroom for a Go release moving encoding/json or
-// net/http by a few. (At 430, with 389 measured, it could
-// not see that the scan allocated one slice per frontier row: a term that
-// did grow with the frontier, under a comment that said O(1).)
-const requestPathAllocBudget = 120
+// memoized plan JSON, and the JSON response encode (through a pooled
+// encoder and buffer, so the indented body is not regrown per response).
+// The deadline budget costs one small struct and no timer: nothing on a
+// frontier hit waits, so it is never armed (TestFrontierHitArmsNoDeadline).
+// None of these terms grows with the frontier or with the dynamic program
+// behind it, so the budget is a fixed count: 64 measured on go1.24 for an
+// exact repeat and a re-weight alike, with headroom for a Go release
+// moving encoding/json or net/http by a few. (At 430, with 389 measured,
+// it could not see that the scan allocated one slice per frontier row: a
+// term that did grow with the frontier, under a comment that said O(1).)
+const requestPathAllocBudget = 85
 
 // storeHitAllocBudget bounds a request the disk store answers: the same
 // terms, plus the store read, the snapshot decode (one entry array and one
 // cost array for all its sections), one materialization of the frontier's
 // trees (one slab of nodes, cached by slot) and a fresh rendering of the
-// selected row, whose memo the decoded snapshot does not have. Each of
-// these is a fixed number of allocations, whatever the frontier's or the
-// sub-memo's size: 104 measured on go1.24 for the two shapes below. A term
-// per frontier row, per sub-memo set or per plan does not fit in it: with
-// such terms these requests took 433.
-const storeHitAllocBudget = 130
+// selected row, whose memo the decoded snapshot does not have. Its
+// deadline budget is not armed either: the store read waits on nothing.
+// Each of these is a fixed number of
+// allocations, whatever the frontier's or the sub-memo's size: 79 measured
+// on go1.24 for the two shapes below. A term per frontier row, per
+// sub-memo set or per plan does not fit in it: with such terms these
+// requests took 433.
+const storeHitAllocBudget = 100
 
 // postOK serves one /optimize body on h and fails the test unless it
 // answers 200.

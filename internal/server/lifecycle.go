@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"moqo"
@@ -168,14 +169,16 @@ func (s *Server) clampWorkers(workers int) int {
 //
 // The member's wall budget starts at started — arrival for /optimize, its
 // turn in the schedule for a batch member — and is carried by the context,
-// so the one wait downstream (the cold-DP scheduler queue, acquireCold)
-// consumes it, and the dynamic program, which folds the context deadline
-// into the §5.1 degrade path, gets exactly the remainder. A budget that
-// dies while still queued surfaces as DeadlineExceeded and is shed.
+// so every wait downstream (the frontier tier's single-flight wait, the
+// cold-DP scheduler queue, acquireCold) consumes it, and the dynamic
+// program, which folds the context deadline into the §5.1 degrade path,
+// gets exactly the remainder. A budget that dies while still queued
+// surfaces as DeadlineExceeded and is shed. The budget is armed only when
+// one of them first asks (see budget): a frontier hit never does.
 func (s *Server) serve(ctx context.Context, m *member, started time.Time) (OptimizeResponse, *failure) {
-	ctx, cancelBudget := context.WithDeadline(ctx, started.Add(m.req.Request().Timeout))
-	defer cancelBudget()
-	res, err := s.tiers.Serve(ctx, &m.req, m.ten, m.noCache)
+	b := &budget{parent: ctx, deadline: started.Add(m.req.Request().Timeout)}
+	defer b.release()
+	res, err := s.tiers.Serve(b, &m.req, m.ten, m.noCache)
 	if err != nil {
 		return OptimizeResponse{}, s.serveFailure(err)
 	}
@@ -190,6 +193,52 @@ func (s *Server) serve(ctx context.Context, m *member, started time.Time) (Optim
 	s.tenants.RecordLatency(m.ten, ms)
 	return resp, nil
 }
+
+// budget is a member's deadline budget as a context: the context
+// context.WithDeadline(parent, deadline) returns, made the first time
+// anything asks it anything. A frontier hit asks nothing — the tier's
+// lookup, the SelectBest scan and the rendering never wait — so it arms no
+// timer. Whatever can wait (the frontier tier's single-flight wait, the
+// cold-DP queue, a dynamic program, a seeded IRA refinement) asks for Done
+// or Err first, and from then on the one armed context answers every
+// question under the same absolute deadline, so it expires and sheds
+// exactly as one armed up front. A context derived from a budget finds the
+// armed context through Value and links to it as to any cancelable
+// parent, without a goroutine.
+type budget struct {
+	parent   context.Context
+	deadline time.Time
+
+	once   sync.Once
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// armed returns the budget's context, arming it on the first call.
+func (b *budget) armed() context.Context {
+	b.once.Do(func() { b.ctx, b.cancel = context.WithDeadline(b.parent, b.deadline) })
+	return b.ctx
+}
+
+func (b *budget) Deadline() (time.Time, bool) { return b.armed().Deadline() }
+func (b *budget) Done() <-chan struct{}       { return b.armed().Done() }
+func (b *budget) Err() error                  { return b.armed().Err() }
+func (b *budget) Value(key any) any           { return b.armed().Value(key) }
+
+// release ends the budget, as the cancel function of context.WithDeadline
+// does: an armed context is canceled, and an unarmed budget can no longer
+// be armed — anything asking afterwards sees a canceled context.
+func (b *budget) release() {
+	b.once.Do(func() { b.ctx, b.cancel = canceled, func() {} })
+	b.cancel()
+}
+
+// canceled is the context a budget released unarmed answers with.
+var canceled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // serveFailure classifies — and counts — a failure after admission, in the
 // tiers. Nothing a client wrote reaches it: resolve rejects every validation

@@ -62,6 +62,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -489,12 +490,40 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // internal/bench import.
 func Percentile(sorted []float64, p float64) float64 { return tenant.Percentile(sorted, p) }
 
+// jsonEncoder is a response encoder bound to its own buffer. Pooled, a
+// response reuses both the buffer and the indenting scratch json.Encoder
+// keeps instead of growing them afresh.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := new(jsonEncoder)
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
+// maxPooledBody bounds the buffer an encoder keeps in the pool: one that
+// grew past it for a large body (a batch, a rendered frontier, many
+// tenants' metrics) is dropped rather than held for every later response.
+const maxPooledBody = 64 << 10
+
+// writeJSON answers with status and v as indented JSON: the bytes a
+// json.Encoder with SetIndent("", "  ") writes, in one Write, and nothing
+// when v does not encode.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	e := jsonEncoders.Get().(*jsonEncoder)
+	if e.enc.Encode(v) == nil {
+		_, _ = w.Write(e.buf.Bytes())
+	}
+	if e.buf.Cap() <= maxPooledBody {
+		e.buf.Reset()
+		jsonEncoders.Put(e)
+	}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {

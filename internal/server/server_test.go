@@ -271,6 +271,30 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownObjectiveErrorIsStable: a body naming two unknown objectives
+// in weights, bounds or precisions gets the same 400 text every time — the
+// first unknown name in sorted order — not whichever the map ranged to
+// first.
+func TestUnknownObjectiveErrorIsStable(t *testing.T) {
+	h := New(Options{}).Handler()
+	for _, field := range []string{"weights", "bounds", "precisions"} {
+		body := `{"tpch": 3, "algorithm": "exa", "objectives": ["total_time"], "` + field + `": {"zeta": 1, "alpha": 2, "total_time": 1}}`
+		want := field + `: unknown objective "alpha"`
+		for i := 0; i < 50; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/optimize", strings.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var e ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, body %s", field, rec.Code, rec.Body)
+			}
+			if e.Error != want {
+				t.Fatalf("%s, try %d: error %q, want %q", field, i, e.Error, want)
+			}
+		}
+	}
+}
+
 // TestMethodNotAllowed: GET /optimize and POST /metrics are rejected.
 func TestMethodNotAllowed(t *testing.T) {
 	ts := newTestServer(t, Options{})

@@ -453,17 +453,28 @@ func parseObjective(name string) (moqo.Objective, error) {
 	return 0, fmt.Errorf("unknown objective %q", name)
 }
 
+// parseObjectiveMap parses a wire map keyed by objective name. Of several
+// unknown names it reports the first in sorted order, so one body always
+// gets one error text whatever order the map ranges in.
 func parseObjectiveMap(field string, m map[string]float64) (map[moqo.Objective]float64, error) {
 	if len(m) == 0 {
 		return nil, nil
 	}
 	out := make(map[moqo.Objective]float64, len(m))
+	var unknown string
+	var firstErr error
 	for name, x := range m {
 		o, err := parseObjective(name)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", field, err)
+			if firstErr == nil || name < unknown {
+				unknown, firstErr = name, err
+			}
+			continue
 		}
 		out[o] = x
+	}
+	if firstErr != nil {
+		return nil, fmt.Errorf("%s: %w", field, firstErr)
 	}
 	return out, nil
 }
