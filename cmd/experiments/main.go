@@ -1,19 +1,19 @@
 // Command experiments regenerates the evaluation of the paper: every
 // figure of "Approximation Schemes for Many-Objective Query Optimization"
 // (Trummer & Koch, SIGMOD 2014) has a corresponding section in the output,
-// next to three comparative experiments (enumeration work by join-graph
-// shape, tenant scheduling, the store circuit breaker). How fast the optimizer
-// or the service is, is measured by the scoreboard in benchmark/ instead.
+// next to the measured cover factor of its α guarantee. How fast the
+// optimizer or the service is, is measured by the scoreboard in benchmark/
+// instead.
 //
 // Usage:
 //
 //	experiments [-fig all|<arm>] [-timeout 2s] [-cases 3] [-sf 1] [-seed 1]
-//	            [-queries 1,12,3] [-workers N] [-tables 16,20] [-out dir]
+//	            [-queries 1,12,3] [-workers N] [-out dir]
 //
 // -fig takes one arm of bench.Arms; run with -h for the list. The defaults
 // are scaled down from the paper's setup (two-hour timeout, 20 test cases
 // per configuration) so the full run finishes in minutes; raise -timeout
-// and -cases to approach the original scale. Files (CSV, SVG, JSON) are
+// and -cases to approach the original scale. Files (CSV, SVG) are
 // written only with -out, next to the textual report.
 package main
 
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"moqo/internal/bench"
-	"moqo/internal/synthetic"
 )
 
 func main() {
@@ -43,14 +42,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		fig     = fs.String("fig", "all", "experiment to run: all, or one of "+armNames())
-		timeout = fs.Duration("timeout", 2*time.Second, "optimizer timeout per run (paper: 2h); topology, tenant and chaos ignore it")
+		timeout = fs.Duration("timeout", 2*time.Second, "optimizer timeout per run (paper: 2h)")
 		cases   = fs.Int("cases", 3, "test cases per configuration (paper: 20)")
 		sf      = fs.Float64("sf", 1, "TPC-H scale factor")
 		seed    = fs.Int64("seed", 1, "workload random seed")
 		queries = fs.String("queries", "", "comma-separated TPC-H query numbers (default: all 22)")
-		outDir  = fs.String("out", "", "directory for CSV/SVG/JSON output (default: write no files)")
+		outDir  = fs.String("out", "", "directory for CSV/SVG output (default: write no files)")
 		workers = fs.Int("workers", 1, "optimizer worker goroutines per run (default 1 keeps the figure experiments paper-faithful sequential)")
-		tables  = fs.String("tables", "", "comma-separated query sizes for -fig topology's chain/cycle/star/tree shapes (cliques keep 8,10)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -72,21 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var err error
 	if cfg.Queries, err = intList(*queries); err != nil {
 		return fail(2, "bad -queries entry: %v", err)
-	}
-	sizes, err := intList(*tables)
-	if err != nil {
-		return fail(2, "bad -tables entry: %v", err)
-	}
-	if len(sizes) > 0 {
-		// Cliques — every subset connected, so the enumeration can only
-		// match the exhaustive count — keep their default sizes.
-		cfg.Topology.Arms = []bench.TopologyArm{
-			{Shape: synthetic.Chain, Tables: sizes},
-			{Shape: synthetic.Cycle, Tables: sizes},
-			{Shape: synthetic.Star, Tables: sizes},
-			{Shape: synthetic.RandomTree, Tables: sizes},
-			{Shape: synthetic.Clique, Tables: []int{8, 10}},
-		}
 	}
 	var arms []bench.Arm
 	for _, a := range bench.Arms {

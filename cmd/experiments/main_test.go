@@ -9,14 +9,14 @@ import (
 )
 
 // TestUsageErrors: an unknown arm is exit status 2 with the valid arms on
-// stderr (it used to print nothing and exit 0), and so is a -tables entry
+// stderr (it used to print nothing and exit 0), and so is a -queries entry
 // that is not a number.
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if got := run([]string{"-fig", "bogus"}, &out, &errb); got != 2 {
 		t.Errorf("-fig bogus: exit %d, want 2", got)
 	}
-	for _, want := range []string{`"bogus"`, "all", "9", "topology", "chaos"} {
+	for _, want := range []string{`"bogus"`, "all", "9", "quality"} {
 		if !strings.Contains(errb.String(), want) {
 			t.Errorf("-fig bogus: stderr %q does not name %s", errb.String(), want)
 		}
@@ -24,8 +24,8 @@ func TestUsageErrors(t *testing.T) {
 	if out.Len() != 0 {
 		t.Errorf("-fig bogus printed a report: %q", out.String())
 	}
-	if got := run([]string{"-fig", "topology", "-tables", "8,x"}, &out, &errb); got != 2 {
-		t.Errorf("-tables 8,x: exit %d, want 2", got)
+	if got := run([]string{"-fig", "9", "-queries", "3,x"}, &out, &errb); got != 2 {
+		t.Errorf("-queries 3,x: exit %d, want 2", got)
 	}
 }
 

@@ -21,7 +21,7 @@ type Arm struct {
 }
 
 // Report is what an arm produced: the text for the terminal and the
-// machine-readable files (CSV, SVG, JSON) written under -out.
+// machine-readable files (CSV, SVG) written under -out.
 type Report struct {
 	Text  string
 	Files []File
@@ -36,12 +36,9 @@ type File struct {
 const exampleTitle = "Figures 1-2: running example (weighted vs bounded MOQO, Pareto frontier)"
 
 // Arms is the one list of experiments, in report order: the paper's
-// figures with their two companions (scaling, quality), then the three
-// experiments no benchmark/ workload covers: the enumeration's work across
-// join-graph shapes against the exhaustive count, a light tenant under a
-// flood, and a dead store disk under two -breaker-threshold settings.
-// How fast anything is, is the scoreboard's question (benchmark/), not
-// this table's.
+// figures and the measured cover factor of its α guarantee (quality). How
+// fast anything is, is the scoreboard's question (benchmark/), not this
+// table's.
 var Arms = []Arm{
 	{"1", exampleTitle, true, runExample},
 	{"2", exampleTitle, false, runExample}, // the same section under its other figure number
@@ -51,10 +48,6 @@ var Arms = []Arm{
 	{"7", "Figure 7: analytic time complexity (j=6, l=3, m=1e5)", true, runFigure7},
 	{"9", "Figure 9: weighted MOQO — EXA vs RTA", true, rowsArm(Figure9, "objs", "fig9.csv")},
 	{"10", "Figure 10: bounded MOQO — EXA vs IRA", true, rowsArm(Figure10, "bounds", "fig10.csv")},
-	{"scaling", "Empirical scaling (companion to Figure 7): optimization time vs #tables", true, runScaling},
-	{"topology", "Enumeration topology scaling: connected-subgraph enumeration vs the exhaustive count", true, runTopology},
-	{"tenant", "Multi-tenant serving: light-tenant latency under a flood of cold DPs", true, runTenant},
-	{"chaos", "Disk chaos: serving through a dead frontier-store disk, breaker tripping vs never", true, runChaos},
 	{"quality", "Frontier quality: measured RTA cover factor vs the alpha guarantee", true, runQuality},
 }
 
@@ -117,54 +110,7 @@ func runFigure7(Config) (Report, error) {
 	return Report{Text: RenderComplexity(Figure7(DefaultComplexityParams()))}, nil
 }
 
-func runScaling(cfg Config) (Report, error) {
-	spec := ScalingSpec{Timeout: cfg.Timeout, Seed: cfg.Seed, Workers: cfg.EngineWorkers}
-	pts, err := Scaling(spec)
-	return Report{Text: "synthetic chain queries, m=1e5, three objectives; '>' marks timeout (lower bound):\n" +
-		RenderScaling(pts, spec)}, err
-}
-
 func runQuality(cfg Config) (Report, error) {
 	rows, err := FrontierQuality(cfg)
 	return Report{Text: "(queries whose exact optimization timed out are skipped)\n" + RenderQuality(rows)}, err
-}
-
-// runTopology deliberately ignores cfg.Timeout: the flag's 2s default
-// (tuned for the paper figures) would truncate the largest star and clique
-// runs into degraded lower bounds, so the experiment keeps TopologySpec's
-// own 60s per-run ceiling.
-func runTopology(cfg Config) (Report, error) {
-	spec := cfg.Topology
-	spec.Seed, spec.Workers = cfg.Seed, cfg.EngineWorkers
-	pts, err := TopologyScaling(spec)
-	if err != nil {
-		return Report{}, err
-	}
-	file, err := benchJSON("topology", "enumeration-topology-scaling", pts, nil)
-	return Report{Text: "synthetic queries, two objectives, RTA alpha=3, Workers=1; scan splits is what an\n" +
-		"exhaustive enumeration visits on the same query (computed, not run):\n" +
-		RenderTopology(pts), Files: []File{file}}, err
-}
-
-func runTenant(cfg Config) (Report, error) {
-	pts, sum, err := TenantLoad(cfg.Tenant)
-	if err != nil {
-		return Report{}, err
-	}
-	file, err := benchJSON("tenant", "moqod-tenant-fairness", pts, sum)
-	return Report{Text: "flood = distinct cold EXA chains (nothing caches); light = re-weights of one\n" +
-		"warmed RTA chain; the fair scheduler gates only cold DPs, so re-weights never queue:\n" +
-		RenderTenantLoad(pts, sum), Files: []File{file}}, err
-}
-
-func runChaos(cfg Config) (Report, error) {
-	pts, sum, err := ChaosAvailability(cfg.Chaos)
-	if err != nil {
-		return Report{}, err
-	}
-	file, err := benchJSON("chaos", "moqod-disk-chaos-availability", pts, sum)
-	return Report{Text: "the disk hangs 10ms then fails on every operation; a tiny frontier memory tier\n" +
-		"keeps the store on the hot path; no-breaker = a threshold the stream cannot reach;\n" +
-		"answers are verified against a fault-free run:\n" +
-		RenderChaos(pts, sum), Files: []File{file}}, err
 }

@@ -1,24 +1,18 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestArms runs every arm of the table at the scaled-down configuration:
-// names are unique, every arm renders text, and every JSON file decodes
-// into the one envelope under the arm's own BENCH_<arm>.json name.
+// names are unique, every arm renders text, and every file it writes has a
+// bare, non-empty name.
 func TestArms(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Topology = smallTopologySpec()
-	cfg.Tenant = TenantSpec{LightRequests: 8, FloodClients: 2, FloodTables: 6, LightTables: 7}
-	cfg.Chaos = ChaosSpec{Requests: 12, Tables: 5, Shapes: 4, DeadDelay: time.Millisecond}
 	seen := map[string]bool{}
 	for _, a := range Arms {
 		if seen[a.Name] {
@@ -36,19 +30,6 @@ func TestArms(t *testing.T) {
 			for _, f := range rep.Files {
 				if f.Name != filepath.Base(f.Name) || len(f.Data) == 0 {
 					t.Errorf("file %q: not a bare name, or empty", f.Name)
-				}
-				if !strings.HasSuffix(f.Name, ".json") {
-					continue
-				}
-				var env envelope
-				dec := json.NewDecoder(bytes.NewReader(f.Data))
-				dec.DisallowUnknownFields()
-				if err := dec.Decode(&env); err != nil {
-					t.Fatalf("%s is not the shared envelope: %v", f.Name, err)
-				}
-				if pts, _ := env.Points.([]any); f.Name != "BENCH_"+a.Name+".json" ||
-					env.Benchmark == "" || env.NumCPU < 1 || len(pts) == 0 {
-					t.Errorf("%s: benchmark %q, num_cpu %d, %d points", f.Name, env.Benchmark, env.NumCPU, len(pts))
 				}
 			}
 		})

@@ -47,11 +47,6 @@ type Config struct {
 	// Unlike Workers, this parallelizes within a single optimization, so
 	// measured per-run times genuinely shrink.
 	EngineWorkers int
-	// Topology, Tenant and Chaos size the three comparative arms; their
-	// zero values are the published setups, tests scale them down.
-	Topology TopologySpec
-	Tenant   TenantSpec
-	Chaos    ChaosSpec
 }
 
 // DefaultConfig returns the scaled-down default setup.

@@ -22,21 +22,11 @@
 // weighted cost of the produced plan relative to the best plan any
 // algorithm produced for the same test case.
 //
-// Two companions sit next to the figures — Scaling (optimization time vs
-// table count on synthetic queries, the empirical Figure 7) and
-// FrontierQuality (measured RTA cover factor vs the α guarantee) — and
-// three experiments no scoreboard workload covers, none of which needs a
-// knob moqod does not already have:
-//
-//	TopologyScaling   — the engine's enumeration work across join-graph
-//	                    shapes next to the exhaustive count, computed
-//	                    (ExhaustiveWork; BENCH_topology.json).
-//	TenantLoad        — a light tenant's latency unloaded and under a
-//	                    flood of cold DPs (BENCH_tenant.json).
-//	ChaosAvailability — serving through a dead store disk, a breaker
-//	                    that trips vs a -breaker-threshold the stream
-//	                    cannot reach (BENCH_chaos.json).
+// One companion sits next to the figures: FrontierQuality, the measured
+// RTA cover factor against the α guarantee.
 //
 // Arms lists every experiment cmd/experiments can run. How fast a layer
-// or a request is, is measured by the scoreboard in benchmark/, not here.
+// or a request is, is measured by the scoreboard in benchmark/, not here;
+// what the serving layers guarantee (tenant fairness, the store circuit
+// breaker) is asserted by their packages' tests.
 package bench

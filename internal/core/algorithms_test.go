@@ -337,6 +337,9 @@ func TestSelingerMatchesEXASingleObjective(t *testing.T) {
 		if math.Abs(sres.Best.Cost[o]-eres.Best.Cost[o]) > 1e-9*eres.Best.Cost[o] {
 			t.Errorf("%v: Selinger %v != EXA %v", o, sres.Best.Cost[o], eres.Best.Cost[o])
 		}
+		if n := sres.Frontier.Len(); n != 1 {
+			t.Errorf("%v: Selinger kept %d plans, want exactly 1", o, n)
+		}
 		if sres.Stats.Stored >= eres.Stats.Stored && eres.Stats.Stored > q.NumRelations() {
 			// Single-objective DP stores one plan per set.
 			t.Logf("note: Selinger stored %d vs EXA %d", sres.Stats.Stored, eres.Stats.Stored)

@@ -88,8 +88,8 @@ func TestEnumerateGraphMatchesExhaustiveLevels(t *testing.T) {
 
 // exhaustiveSplits is the candidate-loop work of an exhaustive
 // enumeration of q: 2^|s| - 2 ordered splits for every connected set s
-// with |s| >= 2 (bench.ExhaustiveWork is the same count for -fig
-// topology).
+// with |s| >= 2 (TestExhaustiveWorkMatchesMeasured holds it to the last
+// such measurement).
 func exhaustiveSplits(q *query.Query) int {
 	n := 0
 	for _, level := range enumerate(q, nil).levels[2:] {
@@ -98,6 +98,28 @@ func exhaustiveSplits(q *query.Query) int {
 		}
 	}
 	return n
+}
+
+// TestExhaustiveWorkMatchesMeasured holds exhaustiveSplits against what the
+// deleted Gosper-scan enumeration measured at its last commit (the
+// "exhaustive" rows of TestEngineInvariantsPinned there): 932 splits on the
+// pinned 8-table chain, 378 on TPC-H Q5, and per IRA iteration 32 on TPC-H
+// Q10 (96 over its three).
+func TestExhaustiveWorkMatchesMeasured(t *testing.T) {
+	cat := catalog.TPCH(1)
+	for _, tc := range []struct {
+		name   string
+		q      *query.Query
+		splits int
+	}{
+		{"chain-8", buildShape(t, synthetic.Chain, 8, 7), 932},
+		{"tpch-q5", workload.MustQuery(5, cat), 378},
+		{"tpch-q10", workload.MustQuery(10, cat), 32},
+	} {
+		if got := exhaustiveSplits(tc.q); got != tc.splits {
+			t.Errorf("%s: exhaustive work %d splits, measured %d", tc.name, got, tc.splits)
+		}
+	}
 }
 
 // timeLoss keeps the reference engine's runs short while still admitting

@@ -61,3 +61,20 @@ func generate(seed int64) instance {
 	in.alpha = 1 + 2*r.Float64()
 	return in
 }
+
+// drawBounds draws the bounds of seed's instance from lo, the minimum of
+// each objective over the plan space: each active objective is bounded
+// with probability ½, at its minimum × a draw from [1, 2), so some
+// instances have a bound-respecting plan and some have none. The draws
+// come from a stream of their own, so generate's instance of a seed does
+// not depend on whether its bounds are drawn.
+func drawBounds(seed int64, objs objective.Set, lo objective.Vector) objective.Bounds {
+	r := rand.New(rand.NewSource(seed))
+	b := objective.NoBounds()
+	for _, o := range objs.IDs() {
+		if r.Intn(2) == 0 {
+			b[o] = lo[o] * (1 + r.Float64())
+		}
+	}
+	return b
+}

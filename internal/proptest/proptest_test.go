@@ -22,7 +22,11 @@ const seeds = 20
 //   - EXA's frontier is the exact Pareto set of the plan space, bit for
 //     bit on the active objectives (Algorithm 1 at precision 1);
 //   - RTA's plan costs at most α times the weighted optimum of the plan
-//     space (Theorem 3).
+//     space (Theorem 3);
+//   - under bounds B (drawBounds), IRA's plan respects B and costs at most
+//     α times the optimum over the plans that respect B, if any plan does;
+//     if none does, it costs at most α times the optimum of the plan space
+//     (Theorem 6).
 //
 // A failure names the seed; generate(seed) rebuilds its instance.
 //
@@ -38,10 +42,17 @@ func TestGuaranteesOnRandomInstances(t *testing.T) {
 		in := generate(seed)
 		exact := newParetoFilter(in.objectives)
 		minCost, plans := math.Inf(1), 0
+		var lo objective.Vector
+		for o := range lo {
+			lo[o] = math.Inf(1)
+		}
 		exhaustive(costmodel.NewDefault(in.query), in.maxDOP, in.sampling, func(v *objective.Vector) {
 			plans++
 			exact.add(v)
 			minCost = min(minCost, in.weights.Cost(*v))
+			for o := range lo {
+				lo[o] = min(lo[o], v[o])
+			}
 		})
 		opts := core.Options{Objectives: in.objectives, Alpha: in.alpha, MaxDOP: in.maxDOP, AllowSampling: &in.sampling}
 
@@ -62,7 +73,33 @@ func TestGuaranteesOnRandomInstances(t *testing.T) {
 		if c := in.weights.Cost(rta.Best.Cost); c > in.alpha*minCost {
 			t.Errorf("%v: RTA's plan costs %v, more than alpha × the optimum %v = %v", in, c, minCost, in.alpha*minCost)
 		}
-		t.Logf("%v: %d plans, Pareto set %d, RTA frontier %d", in, plans, len(want), rta.Frontier.Len())
+
+		// Every plan that respects B is weakly dominated on the active
+		// objectives by a Pareto-optimal one, which then respects B too and
+		// costs no more: the optimum over the plans that respect B is the
+		// optimum over the Pareto set's rows that do.
+		b := drawBounds(seed, in.objectives, lo)
+		minFeasible := math.Inf(1)
+		for _, v := range exact.rows() {
+			if b.Respects(v, in.objectives) {
+				minFeasible = min(minFeasible, in.weights.Cost(v))
+			}
+		}
+		ira, err := core.IRA(costmodel.NewDefault(in.query), in.weights, b, opts)
+		if err != nil {
+			t.Fatalf("%v: IRA: %v", in, err)
+		}
+		c := in.weights.Cost(ira.Best.Cost)
+		feasible := !math.IsInf(minFeasible, 1)
+		switch {
+		case feasible && !b.Respects(ira.Best.Cost, in.objectives):
+			t.Errorf("%v, bounds %v: IRA's plan %v violates the bounds, which a plan respects", in, b, ira.Best.Cost)
+		case feasible && c > in.alpha*minFeasible:
+			t.Errorf("%v, bounds %v: IRA's plan costs %v, more than alpha × the bounded optimum %v = %v", in, b, c, minFeasible, in.alpha*minFeasible)
+		case !feasible && c > in.alpha*minCost:
+			t.Errorf("%v, bounds %v: no plan respects them, and IRA's plan costs %v, more than alpha × the optimum %v = %v", in, b, c, minCost, in.alpha*minCost)
+		}
+		t.Logf("%v: %d plans, Pareto set %d, RTA frontier %d, bounds respected by some plan: %v", in, plans, len(want), rta.Frontier.Len(), feasible)
 	}
 }
 

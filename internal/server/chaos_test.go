@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -223,16 +224,59 @@ func TestChaosDifferentialRestart(t *testing.T) {
 }
 
 // TestChaosDeadDiskBreaker: kill the disk entirely under a breaker and
-// the server must keep answering every request from memory, report
-// itself degraded (alive on /healthz, not ready on /readyz), and close
-// the breaker again once the disk recovers.
+// the server must keep answering every request from memory, with the
+// fault-free server's answers, report itself degraded (alive on /healthz,
+// not ready on /readyz), and close the breaker again once the disk
+// recovers. The same dead-disk stream sent to a server whose breaker
+// threshold nothing reaches is answered just as well, but issues strictly
+// more device operations: the breaker is what keeps traffic off the disk.
 func TestChaosDeadDiskBreaker(t *testing.T) {
+	// A healthy warm-up, then the stream served with the disk dead: cold
+	// shapes, whose store lookup and write-through both fail.
+	warm := chainBody(6, 0.3, "rta", map[string]float64{"total_time": 1})
+	var stream []string
+	for i := 0; i < 6; i++ {
+		stream = append(stream, chainBody(6, 0.35+0.05*float64(i), "rta", map[string]float64{"total_time": 1}))
+	}
+	reference := make(map[string]chaosAnswer)
+	ref := newTestServer(t, Options{})
+	for _, body := range stream {
+		status, resp, raw := post(t, ref, body)
+		if status != http.StatusOK {
+			t.Fatalf("reference request failed (%d): %s", status, raw)
+		}
+		reference[body] = toChaosAnswer(resp)
+	}
+	// serveDead warms ts up, kills inj's disk and serves the stream, which
+	// must be answered in full with the reference's answers; it returns the
+	// device operations issued while the disk was dead, and leaves it dead.
+	serveDead := func(ts *httptest.Server, inj *fault.Injector) uint64 {
+		t.Helper()
+		if status, _, raw := post(t, ts, warm); status != http.StatusOK {
+			t.Fatalf("warm-up failed (%d): %s", status, raw)
+		}
+		before := deviceOps(inj)
+		inj.SetDead(true)
+		for i, body := range stream {
+			status, resp, raw := post(t, ts, body)
+			if status != http.StatusOK {
+				t.Fatalf("request %d failed on dead disk (%d): %s — must serve memory-only", i, status, raw)
+			}
+			if got, want := toChaosAnswer(resp), reference[body]; !reflect.DeepEqual(got, want) {
+				t.Errorf("request %d: answer on a dead disk differs from the fault-free answer:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+		return deviceOps(inj) - before
+	}
+
 	inj := fault.NewInjector(nil, fault.Config{Seed: 7})
 	svc, err := NewE(Options{
 		StorePath:        t.TempDir(),
 		StoreFS:          inj,
 		BreakerThreshold: 2,
-		BreakerCooldown:  5 * time.Millisecond,
+		// Long enough that the stream fits in one window: past the trip,
+		// the breaker lets no probe through while the disk is dead.
+		BreakerCooldown: 250 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,22 +288,8 @@ func TestChaosDeadDiskBreaker(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-
-	// Healthy warm-up, then the disk dies.
-	if status, _, raw := post(t, ts, chainBody(6, 0.3, "rta", map[string]float64{"total_time": 1})); status != http.StatusOK {
-		t.Fatalf("warm-up failed (%d): %s", status, raw)
-	}
-	inj.SetDead(true)
-
-	// Every request through the dead disk must still be answered: cold
-	// shapes (store lookup + write-through both fail), repeats, and
-	// re-weights. The failures trip the breaker.
-	for i := 0; i < 6; i++ {
-		sel := 0.35 + 0.05*float64(i)
-		if status, _, raw := post(t, ts, chainBody(6, sel, "rta", map[string]float64{"total_time": 1})); status != http.StatusOK {
-			t.Fatalf("request %d failed on dead disk (%d): %s — must serve memory-only", i, status, raw)
-		}
-	}
+	// The failures trip the breaker.
+	breakerOps := serveDead(ts, inj)
 	if st := svc.tiers.disk.breaker.State(); st != fault.Open {
 		t.Fatalf("breaker state %v after dead-disk traffic, want Open", st)
 	}
@@ -320,6 +350,44 @@ func TestChaosDeadDiskBreaker(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("readyz after recovery: status %d, want 200", res.StatusCode)
 	}
+
+	// The baseline: a threshold the stream cannot reach, so its breaker
+	// stays closed and every request pays the dead device.
+	binj := fault.NewInjector(nil, fault.Config{Seed: 7})
+	base, err := NewE(Options{
+		StorePath:        t.TempDir(),
+		StoreFS:          binj,
+		BreakerThreshold: math.MaxInt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bts := httptest.NewServer(base.Handler())
+	defer func() {
+		bts.Close()
+		if err := base.Close(); err != nil {
+			t.Errorf("close baseline: %v", err)
+		}
+	}()
+	baseOps := serveDead(bts, binj)
+	if b := metrics(t, bts).FrontierStore; b.Breaker == nil || b.Breaker.Trips != 0 || b.Breaker.State != "closed" || b.Skipped != 0 {
+		t.Errorf("baseline breaker moved under a threshold nothing reaches: %+v", b)
+	}
+	binj.SetDead(false)
+	if baseOps <= breakerOps {
+		t.Errorf("the baseline issued %d device operations on the dead disk, the breaker server %d: quarantine had no effect",
+			baseOps, breakerOps)
+	}
+	t.Logf("device operations on the dead disk: breaker %d, baseline %d", breakerOps, baseOps)
+}
+
+// deviceOps sums the injector's device operations over every class.
+func deviceOps(inj *fault.Injector) uint64 {
+	var total uint64
+	for _, n := range inj.Counters().Ops {
+		total += n
+	}
+	return total
 }
 
 // TestChaosWorkerPanicEndToEnd: a panic inside the optimizer's worker

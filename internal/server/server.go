@@ -118,8 +118,8 @@ type Options struct {
 	// still drops whatever was torn; nothing damaged is ever served).
 	StoreNoSync bool
 	// StoreFS is the filesystem seam handed to the frontier store (nil
-	// means the real OS). Chaos tests and the -fig chaos harness pass a
-	// fault.Injector to exercise disk failures deterministically.
+	// means the real OS). The chaos tests pass a fault.Injector to
+	// exercise disk failures deterministically.
 	StoreFS fault.FS
 	// BreakerThreshold is the consecutive-failure count that trips the
 	// store breaker (0 = the fault package default, 5). A configured store
@@ -486,8 +486,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Percentile reads the p-quantile from an ascending-sorted sample
-// (nearest-rank): tenant.Percentile, under the name benchmark/ and
-// internal/bench import.
+// (nearest-rank): tenant.Percentile, under the name benchmark/ imports.
 func Percentile(sorted []float64, p float64) float64 { return tenant.Percentile(sorted, p) }
 
 // jsonEncoder is a response encoder bound to its own buffer. Pooled, a

@@ -3,7 +3,6 @@
 // paper's complexity analysis (Theorems 1-5, Figure 7) is stated in terms
 // of the number of joined tables n and the maximal cardinality m; this
 // package provides workloads in which those parameters can be varied
-// freely, supporting the empirical scaling experiments that complement
-// the analytic curves (cmd/experiments -fig scaling and -fig parallel)
-// and the randomized cross-algorithm invariant tests of internal/core.
+// freely, supporting the randomized tests of internal/core and
+// internal/proptest and the scoreboard's synthetic workloads (benchmark/).
 package synthetic

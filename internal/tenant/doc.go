@@ -27,7 +27,7 @@
 //     free slots go to queues by smooth weighted round-robin, so one
 //     tenant flooding expensive optimizations cannot starve another's
 //     queue. Cache and frontier hits never enter the scheduler (the
-//     serving fast path bypasses it entirely); the fairness experiment
-//     (internal/bench.TenantLoad) measures what that is worth to a light
-//     tenant under a flood. It is the only place a request can queue.
+//     serving fast path bypasses it entirely); internal/server's
+//     TestTenancyFairness holds a light tenant to one cold-DP grant and a
+//     bounded p99 under a flood. It is the only place a request can queue.
 package tenant

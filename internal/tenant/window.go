@@ -36,8 +36,8 @@ func (w *Window) Quantiles() (n int, p50, p99 float64) {
 }
 
 // Percentile reads the p-quantile from an ascending-sorted sample
-// (nearest-rank). /metrics, the scoreboard and internal/bench's tenant and
-// chaos experiments all read it, so they agree on what a percentile means.
+// (nearest-rank). /metrics and the scoreboard both read it, so they agree
+// on what a percentile means.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
