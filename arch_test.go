@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,6 +29,9 @@ type archRule struct {
 	// violations are trees the rule must fire on: each is proof that the
 	// check can fail.
 	violations []map[string]string
+	// mentions are trees the rule must not fire on: the names it looks for
+	// occur only in comments and strings.
+	mentions []map[string]string
 }
 
 // archRules are the repository's fences, each named as in the design notes
@@ -222,6 +226,123 @@ import "moqo/internal/tenant"
 var _ = tenant.Percentile`},
 		},
 	},
+	{
+		// An engine run takes the archive configuration its caller built
+		// (newEngine's cfg) and claims each level's sets from one cursor: no
+		// second precision field, no lazy configuration, no deques.
+		name: "One engine run",
+		check: func(src sources) []string {
+			return forbidIdents(src.filter(nonTestIn("internal/core/")),
+				regexp.MustCompile(`deque|popFront|popBack|alphaInternal|precInternal|flatConfig`),
+				"a second run configuration or scheduler")
+		},
+		violations: []map[string]string{
+			{"internal/core/pool.go": `package core
+type deque struct{ sets []uint64 }`},
+			{"internal/core/engine.go": `package core
+func (e *engine) run() { a := e.alphaInternal; _ = a }`},
+		},
+		mentions: []map[string]string{
+			{"internal/core/pool.go": `package core
+// The deques, popFront and popBack are gone; flatConfig too.
+var gone = "alphaInternal, precInternal"`},
+		},
+	},
+	{
+		// A built query.Query is only read, so nothing takes turns on one: it
+		// holds no memo, the library's batch has no deferred pass, and
+		// estimates reach the optimizer through costmodel.Model's per-run
+		// table (plan rendering calls the pure functions directly).
+		name: "Immutable query",
+		check: func(src sources) []string {
+			var bad []string
+			for path, f := range src.filter(func(p string) bool { return p == "internal/query/query.go" }) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if _, ok := n.(*ast.MapType); ok {
+						bad = append(bad, fmt.Sprintf("%s: a query holds a map again", path))
+					}
+					return true
+				})
+			}
+			bad = append(bad, forbidIdents(src.filter(func(p string) bool { return p == "internal/query/query.go" }),
+				regexp.MustCompile(`invalidate`), "a query invalidates a memo again")...)
+			bad = append(bad, forbidIdents(src.filter(func(p string) bool { return p == "batch.go" }),
+				regexp.MustCompile(`lateMu|deferred`), "the batch serializes units on a query object again")...)
+			for path, f := range src.filter(func(p string) bool {
+				return !isTest(p) && !strings.HasPrefix(p, "benchmark/") && !strings.HasPrefix(p, "internal/query/") &&
+					!strings.HasPrefix(p, "internal/costmodel/") && !strings.HasPrefix(p, "internal/plan/")
+			}) {
+				if n := countCalls(f, anyCall("EstimateRows", "EstimateWidth")); n > 0 {
+					bad = append(bad, fmt.Sprintf("%s: %d table-set estimates outside costmodel.Model and plan rendering", path, n))
+				}
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/query/query.go": `package query
+type Query struct{ rows map[TableSet]float64 }`},
+			{"internal/query/query.go": `package query
+func (q *Query) invalidate() {}`},
+			{"batch.go": `package moqo
+var lateMu sync.Mutex`},
+			{"internal/core/engine.go": `package core
+func (e *engine) rows(s query.TableSet) float64 { return e.q.EstimateRows(s) }`},
+		},
+		mentions: []map[string]string{
+			{
+				"internal/query/query.go": `package query
+// No map[TableSet]float64 memo and nothing to invalidate.
+var note = "map[TableSet]float64, invalidate"`,
+				"batch.go": `package moqo
+// No lateMu, no deferred pass.
+var note = "lateMu deferred"`,
+				"internal/core/engine.go": `package core
+// e.q.EstimateRows(s) is costmodel.Model's to call.
+var note = "q.EstimateWidth(s)"`,
+			},
+		},
+	},
+	{
+		// The builders own every rule of a catalog and a query, and
+		// objective.ParseID every objective name: the service and the
+		// commands convert their input through the error-returning forms, so
+		// no client body reaches a builder's panic, and none keeps a second
+		// objective-name parser.
+		name: "One owner per request rule",
+		check: func(src sources) []string {
+			var bad []string
+			front := src.filter(func(p string) bool { return nonTestIn("internal/server/")(p) || nonTestIn("cmd/")(p) })
+			panicking := anyCall("AddTable", "AddIndex", "AddRelation", "AddJoin", "AddFKJoin", "MustLookup")
+			for path, f := range front {
+				if n := countCalls(f, panicking); n > 0 {
+					bad = append(bad, fmt.Sprintf("%s: %d calls of a panicking builder", path, n))
+				}
+				for _, decl := range f.Decls {
+					if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "parseObjective" {
+						bad = append(bad, fmt.Sprintf("%s: a second objective-name parser", path))
+					}
+				}
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/server/wire.go": `package server
+func buildQuery(spec *QuerySpec, cat *moqo.Catalog) *moqo.Query {
+	q := moqo.NewQuery("adhoc", cat)
+	q.AddRelation(spec.Relations[0].Table, "a", 1)
+	return q
+}`},
+			{"cmd/moqo/main.go": `package main
+func main() { id := cat.MustLookup("orders"); _ = id }`},
+			{"cmd/moqod/main.go": `package main
+func parseObjective(name string) (moqo.Objective, error) { return objective.ParseID(name) }`},
+		},
+		mentions: []map[string]string{
+			{"internal/server/wire.go": `package server
+// buildCatalog calls AddTableE, never cat.AddTable(name, rows, width, pk).
+var note = "q.AddJoin(0, 1, a, b, 0.5); cat.MustLookup(t); parseObjective"`},
+		},
+	},
 }
 
 // TestArchitecture checks every fence on the repository's own tree, and
@@ -233,30 +354,41 @@ func TestArchitecture(t *testing.T) {
 			for _, problem := range rule.check(repo) {
 				t.Error(problem)
 			}
+			// The snippets replace their namesakes in the real tree, so a rule
+			// that counts call sites sees the rest of the repository as it is.
 			for i, files := range rule.violations {
-				src := sources{}
-				fset := token.NewFileSet()
-				for path, text := range files {
-					f, err := parser.ParseFile(fset, path, text, 0)
-					if err != nil {
-						t.Fatalf("violation %d: %v", i, err)
-					}
-					src[path] = f
-				}
-				// The violating files replace their namesakes in the real
-				// tree, so a rule that counts call sites sees the rest of the
-				// repository as it is.
-				for path, f := range repo {
-					if _, ok := src[path]; !ok {
-						src[path] = f
-					}
-				}
-				if len(rule.check(src)) == 0 {
+				if len(rule.check(withFiles(t, repo, files))) == 0 {
 					t.Errorf("violation %d does not fire: %v", i, files)
+				}
+			}
+			for i, files := range rule.mentions {
+				if problems := rule.check(withFiles(t, repo, files)); len(problems) > 0 {
+					t.Errorf("mention %d fires: %v", i, problems)
 				}
 			}
 		})
 	}
+}
+
+// withFiles parses files and lays them over the repository's tree, in place
+// of their namesakes.
+func withFiles(t *testing.T, repo sources, files map[string]string) sources {
+	t.Helper()
+	src := sources{}
+	fset := token.NewFileSet()
+	for path, text := range files {
+		f, err := parser.ParseFile(fset, path, text, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		src[path] = f
+	}
+	for path, f := range repo {
+		if _, ok := src[path]; !ok {
+			src[path] = f
+		}
+	}
+	return src
 }
 
 // parseTree parses every Go file under root, skipping hidden directories
@@ -334,6 +466,29 @@ func selectorCall(x, name string) func(*ast.CallExpr) bool {
 		}
 		return false
 	}
+}
+
+// anyCall matches a call, with any arguments, of a method or package
+// function with one of the names: x.name(…).
+func anyCall(names ...string) func(*ast.CallExpr) bool {
+	return func(call *ast.CallExpr) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && slices.Contains(names, sel.Sel.Name)
+	}
+}
+
+// forbidIdents reports every identifier in src whose name matches re.
+func forbidIdents(src sources, re *regexp.Regexp, what string) []string {
+	var bad []string
+	for path, f := range src {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && re.MatchString(id.Name) {
+				bad = append(bad, fmt.Sprintf("%s: %s: %s", path, id.Name, what))
+			}
+			return true
+		})
+	}
+	return bad
 }
 
 // countCalls counts the call expressions in f that match.

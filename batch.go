@@ -27,6 +27,14 @@ type SharedMemo struct {
 // NewSharedMemo creates an empty shared memo.
 func NewSharedMemo() *SharedMemo { return &SharedMemo{m: core.NewSharedMemo()} }
 
+// core is the engine's memo behind s (nil for a nil s).
+func (s *SharedMemo) core() *core.SharedMemo {
+	if s == nil {
+		return nil
+	}
+	return s.m
+}
+
 // Subproblems returns the number of solved subproblems published so far.
 func (s *SharedMemo) Subproblems() int { return s.m.Len() }
 

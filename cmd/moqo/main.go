@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"moqo"
+	"moqo/internal/objective"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func main() {
 		Workers: *workers,
 	}
 	for _, name := range splitList(*objectives) {
-		o, err := parseObjective(name)
+		o, err := objective.ParseID(name)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -102,7 +103,7 @@ func main() {
 
 	fmt.Printf("query:     tpch-q%d (%d relations, scale factor %g)\n", *queryNum, q.NumRelations(), *sf)
 	fmt.Printf("optimizer: %s in %s (%d plans considered, %d stored",
-		algName(req), res.Stats.Duration.Round(time.Millisecond), res.Stats.Considered, res.Stats.Stored)
+		algName(req.Algorithm, res.Algorithm), res.Stats.Duration.Round(time.Millisecond), res.Stats.Considered, res.Stats.Stored)
 	if res.Stats.Iterations > 1 {
 		fmt.Printf(", %d iterations", res.Stats.Iterations)
 	}
@@ -143,23 +144,13 @@ func planJSON(res *moqo.Result) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-func algName(req moqo.Request) string {
-	if req.Algorithm != moqo.AlgoAuto {
-		return req.Algorithm.String()
+// algName labels the run with the algorithm that ran, marking one the
+// request left to the library.
+func algName(requested, ran moqo.Algorithm) string {
+	if requested == moqo.AlgoAuto {
+		return ran.String() + " (default)"
 	}
-	if len(req.Bounds) > 0 {
-		return "ira (default for bounded requests)"
-	}
-	return "rta (default)"
-}
-
-func parseObjective(name string) (moqo.Objective, error) {
-	for _, o := range moqo.AllObjectives() {
-		if o.String() == name {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown objective %q", name)
+	return ran.String()
 }
 
 func parsePairs(s string) (map[moqo.Objective]float64, error) {
@@ -169,7 +160,7 @@ func parsePairs(s string) (map[moqo.Objective]float64, error) {
 		if !ok {
 			return nil, fmt.Errorf("bad pair %q (want objective=value)", pair)
 		}
-		o, err := parseObjective(strings.TrimSpace(k))
+		o, err := objective.ParseID(strings.TrimSpace(k))
 		if err != nil {
 			return nil, err
 		}

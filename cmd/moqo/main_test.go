@@ -2,22 +2,13 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"testing"
 	"time"
 
 	"moqo"
 )
-
-func TestParseObjective(t *testing.T) {
-	o, err := parseObjective("total_time")
-	if err != nil || o != moqo.TotalTime {
-		t.Errorf("parseObjective(total_time) = %v, %v", o, err)
-	}
-	if _, err := parseObjective("nope"); err == nil {
-		t.Error("unknown objective accepted")
-	}
-}
 
 func TestParsePairs(t *testing.T) {
 	got, err := parsePairs("total_time=1, energy=0.5")
@@ -57,17 +48,33 @@ func TestIndent(t *testing.T) {
 	}
 }
 
+// TestAlgName: the header names the algorithm Resolve picked, marked as the
+// default when the request named none — an all-+Inf bound vector is
+// unbounded, so it runs RTA — and an explicit one as-is (the zero value of
+// Algorithm is AlgoAuto, not AlgoEXA).
 func TestAlgName(t *testing.T) {
-	if got := algName(moqo.Request{}); got != "rta (default)" {
-		t.Errorf("algName = %q", got)
+	q, err := moqo.TPCHQuery(3, moqo.TPCHCatalog(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := algName(moqo.Request{Bounds: map[moqo.Objective]float64{moqo.TotalTime: 1}}); got != "ira (default for bounded requests)" {
-		t.Errorf("algName bounded = %q", got)
-	}
-	// An explicit algorithm is honored as-is — the zero value of Algorithm
-	// is AlgoAuto, not AlgoEXA.
-	if got := algName(moqo.Request{Algorithm: moqo.AlgoEXA}); got != "exa" {
-		t.Errorf("algName explicit = %q", got)
+	for _, tc := range []struct {
+		alg    moqo.Algorithm
+		bounds map[moqo.Objective]float64
+		want   string
+	}{
+		{moqo.AlgoAuto, nil, "rta (default)"},
+		{moqo.AlgoAuto, map[moqo.Objective]float64{moqo.TotalTime: 1}, "ira (default)"},
+		{moqo.AlgoAuto, map[moqo.Objective]float64{moqo.TotalTime: math.Inf(1)}, "rta (default)"},
+		{moqo.AlgoEXA, nil, "exa"},
+	} {
+		req := moqo.Request{Query: q, Algorithm: tc.alg, Objectives: []moqo.Objective{moqo.TotalTime, moqo.Energy}, Bounds: tc.bounds}
+		r, err := req.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := algName(req.Algorithm, r.Algorithm()); got != tc.want {
+			t.Errorf("algName(%v, bounds %v) = %q, want %q", tc.alg, tc.bounds, got, tc.want)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
-	"moqo/internal/plan"
 	"moqo/internal/query"
 )
 
@@ -104,25 +103,17 @@ func (r *Resolved) buildKey() {
 	// is not regrown on the way.
 	buf := make([]byte, 0, 1024)
 	buf = append(buf, "moqo2|cat="...)
-	cat := req.Query.Catalog()
-	buf = appendHex16(buf, cat.Fingerprint())
+	buf = req.Query.Catalog().AppendFingerprint(buf)
 
-	// Join graph: relations in from-clause order (table identity via the
-	// catalog-stable name, plus the filter selectivity), join edges
-	// canonicalized endpoint-low-first and sorted. User-controlled strings
-	// (table and column names) are length-prefixed so no choice of names
-	// can make two different graphs encode identically.
+	// Join graph: relations in from-clause order, then join edges sorted,
+	// each encoded by the query's own encoders (Query.AppendRelationKey,
+	// JoinEdge.AppendKey), which the shared memo's subproblem keys use too.
 	buf = append(buf, "|q="...)
-	for i, rel := range req.Query.Relations {
+	for i := range req.Query.Relations {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		name := cat.Table(rel.Table).Name
-		buf = strconv.AppendInt(buf, int64(len(name)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, name...)
-		buf = append(buf, '=')
-		buf = appendFloat(buf, rel.FilterSel)
+		buf = req.Query.AppendRelationKey(buf, i)
 	}
 	buf = append(buf, "|e="...)
 	buf = appendEdges(buf, req.Query.Edges)
@@ -150,18 +141,10 @@ func (r *Resolved) buildKey() {
 		buf = appendActive(buf, objs, r.precision())
 	}
 
-	maxDOP := req.MaxDOP
-	if maxDOP == 0 {
-		maxDOP = plan.MaxDOP
-	}
-	sampling := objs.Contains(objective.TupleLoss)
-	if req.AllowSampling != nil {
-		sampling = *req.AllowSampling
-	}
 	buf = append(buf, "|dop="...)
-	buf = strconv.AppendInt(buf, int64(maxDOP), 10)
+	buf = strconv.AppendInt(buf, int64(r.opts.MaxDOP), 10)
 	buf = append(buf, "|smp="...)
-	buf = strconv.AppendBool(buf, sampling)
+	buf = strconv.AppendBool(buf, *r.opts.AllowSampling)
 
 	if req.CostParams != nil && *req.CostParams != costmodel.Default() {
 		buf = fmt.Appendf(buf, "|params=%v", *req.CostParams)
@@ -179,35 +162,19 @@ func (r *Resolved) buildKey() {
 // [lo, hi).
 type keySpan struct{ lo, hi int }
 
-// appendEdges appends the key's join-edge list: each edge canonicalized
-// endpoint-low-first and encoded once into scratch, the encodings ordered
-// as spans in byte order (the order sort.Strings gives them as strings),
-// then copied to buf comma-separated. The scratch and the spans are stack
-// arrays large enough for the graphs moqod serves, so the edges cost the
-// key no allocation of their own; a larger graph spills them to the heap.
+// appendEdges appends the key's join-edge list: each edge encoded once
+// into scratch (JoinEdge.AppendKey), the encodings ordered as spans in byte
+// order (the order sort.Strings gives them as strings), then copied to buf
+// comma-separated. The scratch and the spans are stack arrays large enough
+// for the graphs moqod serves, so the edges cost the key no allocation of
+// their own; a larger graph spills them to the heap.
 func appendEdges(buf []byte, edges []query.JoinEdge) []byte {
 	var scratch [1024]byte
 	var spanBuf [32]keySpan
 	eb, spans := scratch[:0], spanBuf[:0]
 	for _, e := range edges {
-		lo, hi, lc, rc := e.Left, e.Right, e.LeftCol, e.RightCol
-		if hi < lo {
-			lo, hi, lc, rc = hi, lo, rc, lc
-		}
 		start := len(eb)
-		eb = strconv.AppendInt(eb, int64(lo), 10)
-		eb = append(eb, '.')
-		eb = strconv.AppendInt(eb, int64(len(lc)), 10)
-		eb = append(eb, ':')
-		eb = append(eb, lc...)
-		eb = append(eb, '-')
-		eb = strconv.AppendInt(eb, int64(hi), 10)
-		eb = append(eb, '.')
-		eb = strconv.AppendInt(eb, int64(len(rc)), 10)
-		eb = append(eb, ':')
-		eb = append(eb, rc...)
-		eb = append(eb, '=')
-		eb = appendFloat(eb, e.Selectivity)
+		eb = e.AppendKey(eb)
 		spans = append(spans, keySpan{start, len(eb)})
 	}
 	slices.SortFunc(spans, func(a, b keySpan) int {
@@ -246,16 +213,4 @@ func appendFloat(b []byte, x float64) []byte {
 		return append(b, "inf"...)
 	}
 	return strconv.AppendFloat(b, x, 'g', -1, 64)
-}
-
-// appendHex16 appends a uint64 as 16 zero-padded lowercase hex digits
-// (the catalog-fingerprint field, fmt's %016x).
-func appendHex16(b []byte, x uint64) []byte {
-	const digits = "0123456789abcdef"
-	var d [16]byte
-	for i := 15; i >= 0; i-- {
-		d[i] = digits[x&0xf]
-		x >>= 4
-	}
-	return append(b, d[:]...)
 }

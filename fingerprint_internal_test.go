@@ -106,6 +106,18 @@ func stringsKey(r *Resolved) (string, int) {
 	return string(buf), fkLen
 }
 
+// appendHex16 appends a uint64 as 16 zero-padded lowercase hex digits
+// (fmt's %016x): the oracle's own copy of the catalog-fingerprint field.
+func appendHex16(b []byte, x uint64) []byte {
+	const digits = "0123456789abcdef"
+	var d [16]byte
+	for i := 15; i >= 0; i-- {
+		d[i] = digits[x&0xf]
+		x >>= 4
+	}
+	return append(b, d[:]...)
+}
+
 // keyColumns are join-column names chosen to collide if the length
 // prefixes did not separate them: digits, the separators the edge encoding
 // uses, and names that read as another name's prefix.

@@ -60,30 +60,67 @@ func New() *Catalog {
 	}
 }
 
-// AddTable registers a table and returns its ID. The primary-key column, if
-// non-empty, is automatically indexed (unique).
+// AddTable registers a table and returns its ID, panicking where AddTableE
+// returns an error.
 func (c *Catalog) AddTable(name string, rows float64, width int, pkColumn string) TableID {
-	if _, dup := c.byName[name]; dup {
-		panic(fmt.Sprintf("catalog: duplicate table %q", name))
+	id, err := c.AddTableE(name, rows, width, pkColumn)
+	if err != nil {
+		panic(err)
 	}
-	if rows < 0 || width <= 0 {
-		panic(fmt.Sprintf("catalog: invalid statistics for table %q", name))
+	return id
+}
+
+// AddTableE registers a table and returns its ID. The primary-key column,
+// if non-empty, is automatically indexed (unique). It refuses, in this
+// order, an empty name, a name already registered, negative rows and a
+// width below 1; the error texts are the moqod wire's 400 bodies.
+func (c *Catalog) AddTableE(name string, rows float64, width int, pkColumn string) (TableID, error) {
+	if name == "" {
+		return 0, fmt.Errorf("catalog: table with empty name")
+	}
+	if _, dup := c.byName[name]; dup {
+		return 0, fmt.Errorf("catalog: duplicate table %q", name)
+	}
+	if rows < 0 {
+		return 0, fmt.Errorf("catalog: table %q: negative rows", name)
+	}
+	if width <= 0 {
+		return 0, fmt.Errorf("catalog: table %q: width must be positive", name)
 	}
 	id := TableID(len(c.tables))
 	c.tables = append(c.tables, Table{ID: id, Name: name, Rows: rows, Width: width, PKColumn: pkColumn})
 	c.byName[name] = id
 	c.fp.Store(0)
 	if pkColumn != "" {
-		c.AddIndex(id, pkColumn, true)
+		c.addIndex(id, pkColumn, true)
 	}
-	return id
+	return id, nil
 }
 
-// AddIndex registers an index on a table column.
+// AddIndex registers an index on a table column, panicking where
+// AddIndexE returns an error (or t is not a table of the catalog).
 func (c *Catalog) AddIndex(t TableID, column string, unique bool) {
-	if int(t) >= len(c.tables) {
-		panic("catalog: index on unknown table")
+	if err := c.AddIndexE(c.Table(t).Name, column, unique); err != nil {
+		panic(err)
 	}
+}
+
+// AddIndexE registers an index on a column of the named table. It refuses
+// an unknown table, then an empty column name.
+func (c *Catalog) AddIndexE(table, column string, unique bool) error {
+	t, ok := c.byName[table]
+	if !ok {
+		return fmt.Errorf("catalog: index on unknown table %q", table)
+	}
+	if column == "" {
+		return fmt.Errorf("catalog: index on table %q with empty column", table)
+	}
+	c.addIndex(t, column, unique)
+	return nil
+}
+
+// addIndex registers an index the caller has validated.
+func (c *Catalog) addIndex(t TableID, column string, unique bool) {
 	m := c.indexes[t]
 	if m == nil {
 		m = make(map[string]Index)
@@ -170,6 +207,20 @@ func (c *Catalog) Fingerprint() uint64 {
 	fp := h.Sum64()
 	c.fp.Store(fp)
 	return fp
+}
+
+// AppendFingerprint appends Fingerprint as 16 zero-padded lowercase hex
+// digits (fmt's %016x): the catalog field of both the request keys and
+// the shared memo's subproblem keys.
+func (c *Catalog) AppendFingerprint(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	x := c.Fingerprint()
+	var d [16]byte
+	for i := 15; i >= 0; i-- {
+		d[i] = digits[x&0xf]
+		x >>= 4
+	}
+	return append(b, d[:]...)
 }
 
 // MaxRows returns the maximal cardinality over all base tables — the

@@ -189,3 +189,38 @@ func TestFingerprintInjection(t *testing.T) {
 		t.Fatal("delimiter-injecting table name forged another catalog's fingerprint")
 	}
 }
+
+// TestAddTableEErrors: the error-returning builders refuse what the
+// panicking ones do, in a fixed order, with the texts moqod answers 400
+// with; a refused table or index leaves the catalog unchanged.
+func TestAddTableEErrors(t *testing.T) {
+	c := New()
+	c.AddTable("a", 10, 8, "pk")
+	fp := c.Fingerprint()
+	for _, tc := range []struct {
+		name  string
+		rows  float64
+		width int
+		want  string
+	}{
+		{"", -1, 0, `catalog: table with empty name`},
+		{"a", -1, 0, `catalog: duplicate table "a"`},
+		{"b", -1, 0, `catalog: table "b": negative rows`},
+		{"b", 1, 0, `catalog: table "b": width must be positive`},
+	} {
+		if _, err := c.AddTableE(tc.name, tc.rows, tc.width, ""); err == nil || err.Error() != tc.want {
+			t.Errorf("AddTableE(%q, %v, %d) = %v, want %s", tc.name, tc.rows, tc.width, err, tc.want)
+		}
+	}
+	for _, tc := range []struct{ table, column, want string }{
+		{"z", "", `catalog: index on unknown table "z"`},
+		{"a", "", `catalog: index on table "a" with empty column`},
+	} {
+		if err := c.AddIndexE(tc.table, tc.column, false); err == nil || err.Error() != tc.want {
+			t.Errorf("AddIndexE(%q, %q) = %v, want %s", tc.table, tc.column, err, tc.want)
+		}
+	}
+	if c.NumTables() != 1 || c.NumIndexes(0) != 1 || c.Fingerprint() != fp {
+		t.Error("a refused table or index changed the catalog")
+	}
+}

@@ -80,8 +80,10 @@ func (o Options) Normalize() (Options, error) {
 		return o, fmt.Errorf("core: MaxDOP %d out of range [1,%d]", o.MaxDOP, plan.MaxDOP)
 	}
 	if o.AllowSampling == nil {
-		v := o.Objectives.Contains(objective.TupleLoss)
-		o.AllowSampling = &v
+		o.AllowSampling = &samplingOff
+		if o.Objectives.Contains(objective.TupleLoss) {
+			o.AllowSampling = &samplingOn
+		}
 	}
 	if o.Workers == 0 {
 		o.Workers = 1
@@ -91,6 +93,11 @@ func (o Options) Normalize() (Options, error) {
 	}
 	return o, nil
 }
+
+// samplingOn and samplingOff are what Normalize points a defaulted
+// AllowSampling at, so the default costs no allocation. Nothing writes
+// through an Options' AllowSampling.
+var samplingOn, samplingOff = true, false
 
 // sampling reports whether sampling scans are in the plan space.
 func (o Options) sampling() bool { return o.AllowSampling != nil && *o.AllowSampling }

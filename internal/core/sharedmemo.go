@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -41,11 +40,12 @@ import (
 // references its entries carry, which resolve identically in the
 // borrowing run because its lower levels are bit-identical too.
 //
-// Entries are published only for completely treated sets of runs that
-// neither timed out nor were cancelled (a degraded run's lower levels may
-// hold truncated archives; see engine.fullSet), and published archives
-// are immutable from then on. All methods are safe for concurrent use by
-// any number of engine runs.
+// Entries are published only for sets treated completely before their run
+// observed a timeout or cancellation (after it, lower levels may hold
+// truncated archives; see engine.fullSet): a run that degrades later has
+// published exact archives only. Published archives are immutable from
+// then on. All methods are safe for concurrent use by any number of engine
+// runs.
 type SharedMemo struct {
 	mu sync.RWMutex
 	m  map[string]*pareto.FlatArchive
@@ -103,12 +103,11 @@ func (sm *SharedMemo) Counters() (hits, misses, published int64) {
 
 // sharedEdge is one join edge prepared for subproblem-key building: the
 // edge's endpoint pair as a table set (for the "internal to s" test) and
-// its canonical fragment. The fragments selected for any s stream out in
-// the order the edges were declared — the order Query.EstimateRows
-// multiplies their selectivities in (and InnerIndexColumn and
-// CrossingEdges read them in), so two queries that declare one edge set
-// in two orders, whose estimates may differ in the last bit, get two
-// keys.
+// its fragment. The fragments selected for any s stream out in the order
+// the edges were declared — the order Query.EstimateRows multiplies their
+// selectivities in (and InnerIndexColumn and CrossingEdges read them in),
+// so two queries that declare one edge set in two orders, whose estimates
+// may differ in the last bit, get two keys.
 type sharedEdge struct {
 	both query.TableSet
 	frag []byte
@@ -117,13 +116,16 @@ type sharedEdge struct {
 // prepareShared precomputes the run-configuration key prefix and the
 // per-relation/per-edge fragments, so the per-set key of the hot path is
 // a few appends into per-worker scratch. Called once per run, after the
-// archive configuration is resolved.
+// archive configuration is resolved. Relations and edges are encoded by
+// the query's own encoders (Query.AppendRelationKey, JoinEdge.AppendKey),
+// the ones the request keys use: shortest round-trip floats, which are
+// exact to the bit.
 func (e *engine) prepareShared() {
 	cat := e.q.Catalog()
 
 	b := make([]byte, 0, 256)
 	b = append(b, "sm1|cat="...)
-	b = appendHex64(b, cat.Fingerprint())
+	b = cat.AppendFingerprint(b)
 	// Active objectives with their internal pruning precisions, exact to
 	// the float bit: RTA's αi = α^(1/n) folds the member's relation count
 	// into the precision, so only same-precision runs (EXA always; RTA/IRA
@@ -140,7 +142,7 @@ func (e *engine) prepareShared() {
 		if p := e.cfg.Precision(); p != nil {
 			alpha = p[o]
 		}
-		b = appendHex64(b, math.Float64bits(alpha))
+		b = strconv.AppendFloat(b, alpha, 'g', -1, 64)
 	}
 	b = append(b, "|dop="...)
 	b = strconv.AppendInt(b, int64(e.opts.MaxDOP), 10)
@@ -151,53 +153,27 @@ func (e *engine) prepareShared() {
 	}
 	e.sharedPrefix = b
 
-	// Relation fragments: local index, catalog-stable table name
-	// (length-prefixed, so no choice of names can alias), filter
-	// selectivity bits. The local index matters — compact plan entries
-	// address relations by query-local index, so archives are shared only
-	// between queries that agree on the mapping.
+	// Relation fragments: the local index, then the relation's key. The
+	// local index matters — compact plan entries address relations by
+	// query-local index, so archives are shared only between queries that
+	// agree on the mapping.
 	e.sharedRels = make([][]byte, len(e.q.Relations))
-	for i, r := range e.q.Relations {
-		name := cat.Table(r.Table).Name
-		rb := make([]byte, 0, len(name)+24)
+	for i := range e.q.Relations {
+		rb := make([]byte, 0, len(cat.Table(e.q.Relations[i].Table).Name)+48)
 		rb = strconv.AppendInt(rb, int64(i), 10)
 		rb = append(rb, ':')
-		rb = strconv.AppendInt(rb, int64(len(name)), 10)
-		rb = append(rb, ':')
-		rb = append(rb, name...)
-		rb = append(rb, '=')
-		rb = appendHex64(rb, math.Float64bits(r.FilterSel))
-		rb = append(rb, ';')
-		e.sharedRels[i] = rb
+		rb = e.q.AppendRelationKey(rb, i)
+		e.sharedRels[i] = append(rb, ';')
 	}
 
-	// Edge fragments, canonicalized endpoint-low-first, in declaration
-	// order (see sharedEdge).
-	e.sharedEdges = make([]sharedEdge, 0, len(e.q.Edges))
-	for _, ed := range e.q.Edges {
-		l, r, lc, rc := ed.Left, ed.Right, ed.LeftCol, ed.RightCol
-		if r < l {
-			l, r, lc, rc = r, l, rc, lc
+	// Edge fragments in declaration order (see sharedEdge).
+	e.sharedEdges = make([]sharedEdge, len(e.q.Edges))
+	for i, ed := range e.q.Edges {
+		eb := make([]byte, 0, len(ed.LeftCol)+len(ed.RightCol)+64)
+		e.sharedEdges[i] = sharedEdge{
+			both: query.Singleton(ed.Left).Add(ed.Right),
+			frag: append(ed.AppendKey(eb), ';'),
 		}
-		eb := make([]byte, 0, len(lc)+len(rc)+32)
-		eb = strconv.AppendInt(eb, int64(l), 10)
-		eb = append(eb, '.')
-		eb = strconv.AppendInt(eb, int64(len(lc)), 10)
-		eb = append(eb, ':')
-		eb = append(eb, lc...)
-		eb = append(eb, '-')
-		eb = strconv.AppendInt(eb, int64(r), 10)
-		eb = append(eb, '.')
-		eb = strconv.AppendInt(eb, int64(len(rc)), 10)
-		eb = append(eb, ':')
-		eb = append(eb, rc...)
-		eb = append(eb, '=')
-		eb = appendHex64(eb, math.Float64bits(ed.Selectivity))
-		eb = append(eb, ';')
-		e.sharedEdges = append(e.sharedEdges, sharedEdge{
-			both: query.Singleton(l).Add(r),
-			frag: eb,
-		})
 	}
 }
 
@@ -210,7 +186,7 @@ func (w *worker) sharedKey(s query.TableSet) []byte {
 	e := w.e
 	b := append(w.keyBuf[:0], e.sharedPrefix...)
 	b = append(b, "|s="...)
-	b = appendHex64(b, uint64(s))
+	b = strconv.AppendUint(b, uint64(s), 16)
 	b = append(b, "|r="...)
 	for t := s; !t.Empty(); {
 		i := t.First()
@@ -225,17 +201,6 @@ func (w *worker) sharedKey(s query.TableSet) []byte {
 	}
 	w.keyBuf = b
 	return b
-}
-
-// appendHex64 appends a uint64 as 16 zero-padded lowercase hex digits.
-func appendHex64(b []byte, x uint64) []byte {
-	const digits = "0123456789abcdef"
-	var d [16]byte
-	for i := 15; i >= 0; i-- {
-		d[i] = digits[x&0xf]
-		x >>= 4
-	}
-	return append(b, d[:]...)
 }
 
 // engineRuns counts dynamic-program executions process-wide (one per

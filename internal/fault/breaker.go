@@ -33,6 +33,14 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// The open window's cap and randomized fraction: a window is
+// cooldown * (1 ± jitter/2), deterministic from BreakerConfig.Seed so
+// tests replay, and never longer than maxCooldown.
+const (
+	maxCooldown = 30 * time.Second
+	jitter      = 0.2
+)
+
 // BreakerConfig tunes a Breaker. The zero value gets the documented
 // defaults.
 type BreakerConfig struct {
@@ -40,14 +48,8 @@ type BreakerConfig struct {
 	// breaker (default 5).
 	Threshold int
 	// Cooldown is the first open window; each successive trip without
-	// an intervening success doubles it up to MaxCooldown (default
-	// 250ms, capped at 30s).
-	Cooldown    time.Duration
-	MaxCooldown time.Duration
-	// Jitter is the fraction of the cooldown randomized (default 0.2):
-	// the effective window is cooldown * (1 ± Jitter/2), deterministic
-	// from Seed so tests replay.
-	Jitter float64
+	// an intervening success doubles it up to 30s (default 250ms).
+	Cooldown time.Duration
 	// Seed drives the jitter sequence.
 	Seed uint64
 	// Now is the clock (default time.Now); injectable for tests.
@@ -60,12 +62,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 250 * time.Millisecond
-	}
-	if c.MaxCooldown <= 0 {
-		c.MaxCooldown = 30 * time.Second
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -162,9 +158,7 @@ func (b *Breaker) Failure() {
 	case HalfOpen:
 		b.probing = false
 		b.cooldown *= 2
-		if b.cooldown > b.cfg.MaxCooldown {
-			b.cooldown = b.cfg.MaxCooldown
-		}
+		b.cooldown = min(b.cooldown, maxCooldown)
 		b.trip()
 	case Open:
 		// A straggler from before the trip; nothing to update.
@@ -178,9 +172,9 @@ func (b *Breaker) trip() {
 	b.failures = 0
 	b.trips++
 	b.rolls++
-	// window = cooldown * (1 - Jitter/2 + Jitter*u), u in [0,1).
+	// window = cooldown * (1 - jitter/2 + jitter*u), u in [0,1).
 	u := float64(mix(b.cfg.Seed^b.rolls)>>11) / (1 << 53)
-	scale := 1 - b.cfg.Jitter/2 + b.cfg.Jitter*u
+	scale := 1 - jitter/2 + jitter*u
 	b.retryAt = b.cfg.Now().Add(time.Duration(float64(b.cooldown) * scale))
 }
 

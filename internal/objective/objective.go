@@ -79,7 +79,7 @@ func ParseID(s string) (ID, error) {
 			return ID(i), nil
 		}
 	}
-	return 0, fmt.Errorf("objective: unknown objective %q", s)
+	return 0, fmt.Errorf("unknown objective %q", s)
 }
 
 // All returns the identifiers of all nine objectives in declaration order.

@@ -10,7 +10,9 @@
 // engine's answers to what it computes (EXA's frontier is the exact Pareto
 // set; RTA's plan is within α of the weighted optimum; under drawBounds'
 // bounds, IRA's plan is within α of the optimum over the plans that
-// respect them, and respects them, whenever one does).
+// respect them, and respects them, whenever one does; a run cut short by
+// its deadline returns a valid plan, no snapshot, and nothing to a shared
+// memo that a full run would not have put there).
 //
 // The instances are as small as an unpruned plan space allows: 3–4 tables
 // at MaxDOP ≤ 2, a 5-table chain at MaxDOP 1, sampling scans only at 3

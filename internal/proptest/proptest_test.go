@@ -2,15 +2,19 @@ package proptest
 
 import (
 	"cmp"
+	"context"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
+	"moqo"
 	"moqo/internal/core"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 	"moqo/internal/pareto"
+	"moqo/internal/plan"
 )
 
 // seeds is how many instances tier-1 draws.
@@ -147,5 +151,131 @@ func TestParetoFilterMatchesFilterPareto(t *testing.T) {
 		if !slices.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("trial %d: filter kept %v, FilterPareto %v", trial, got, want)
 		}
+	}
+}
+
+// degradedSeeds is how many of the tier-1 seeds degrade under an expired
+// deadline. The deadline is polled every 1024 candidate plans, so a run
+// whose plan space is smaller finishes whole; the count keeps the
+// statement below from passing on no degraded run at all.
+const degradedSeeds = 4
+
+// TestDegradedRuns holds a run cut short by its deadline to §5.1's
+// statement: EXA, RTA and IRA under an already-expired deadline, on every
+// tier-1 seed's instance. A run that reports Stats.TimedOut still returns a
+// plan for the whole query that passes Plan.Validate, and carries no
+// frontier snapshot — neither the engine's Result.Snapshot nor the
+// library's OptimizeSnapshot — so no degraded frontier can reach a cache or
+// the store.
+//
+// The shared memo it was attached to holds no degraded bit either: what it
+// published are the sets it treated in full before the deadline was
+// observed (see core.SharedMemo), so a full run borrowing them answers bit
+// for bit like a full run on an empty memo, with the same stored plans.
+func TestDegradedRuns(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	degraded := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		in := generate(seed)
+		drawn := drawBounds(seed, in.objectives, objective.Vector{})
+		seedDegraded := false
+		for _, alg := range []moqo.Algorithm{moqo.AlgoEXA, moqo.AlgoRTA, moqo.AlgoIRA} {
+			b := objective.NoBounds()
+			if alg == moqo.AlgoIRA {
+				b = drawn
+			}
+			shared := core.NewSharedMemo()
+			res := runEngine(t, expired, in, alg, b, shared)
+			if res.Stats.TimedOut {
+				seedDegraded = true
+				checkDegradedPlan(t, in, alg, res.Best, res.Snapshot != nil)
+				if shared.Len() > 0 {
+					borrowed := runEngine(t, context.Background(), in, alg, b, shared)
+					fresh := runEngine(t, context.Background(), in, alg, b, nil)
+					if !sameAnswer(borrowed, fresh, in.objectives) || borrowed.Stats.SharedMemoHits == 0 {
+						t.Errorf("%v: %v: a full run on the %d archives a degraded run published answers differently "+
+							"(%d hits, %d stored, best %v) than on an empty memo (%d stored, best %v)",
+							in, alg, shared.Len(), borrowed.Stats.SharedMemoHits, borrowed.Stats.Stored, borrowed.Best.Cost,
+							fresh.Stats.Stored, fresh.Best.Cost)
+					}
+				}
+			}
+
+			req := moqo.Request{Query: in.query, Algorithm: alg, Alpha: in.alpha, Objectives: in.objectives.IDs(),
+				MaxDOP: in.maxDOP, AllowSampling: &in.sampling,
+				Weights: map[moqo.Objective]float64{}, Bounds: map[moqo.Objective]float64{}}
+			for _, o := range req.Objectives {
+				req.Weights[o] = in.weights[o]
+				if !math.IsInf(b[o], 1) {
+					req.Bounds[o] = b[o]
+				}
+			}
+			r, err := req.Resolve()
+			if err != nil {
+				t.Fatalf("%v: %v: %v", in, alg, err)
+			}
+			out, snap, err := r.OptimizeSnapshot(expired)
+			if err != nil {
+				t.Fatalf("%v: %v: OptimizeSnapshot: %v", in, alg, err)
+			}
+			if out.Stats.TimedOut {
+				seedDegraded = true
+				checkDegradedPlan(t, in, alg, out.Plan, snap != nil)
+			}
+		}
+		if seedDegraded {
+			degraded++
+		}
+	}
+	if degraded != degradedSeeds {
+		t.Errorf("%d of %d seeds degrade under an expired deadline, want %d", degraded, seeds, degradedSeeds)
+	}
+}
+
+// runEngine runs alg on the instance under ctx with shared attached.
+func runEngine(t *testing.T, ctx context.Context, in instance, alg moqo.Algorithm, b objective.Bounds, shared *core.SharedMemo) core.Result {
+	t.Helper()
+	opts := core.Options{Objectives: in.objectives, Alpha: in.alpha, MaxDOP: in.maxDOP, AllowSampling: &in.sampling, Shared: shared}
+	m := costmodel.NewDefault(in.query)
+	var res core.Result
+	var err error
+	switch alg {
+	case moqo.AlgoEXA:
+		res, err = core.EXAContext(ctx, m, in.weights, b, opts)
+	case moqo.AlgoRTA:
+		res, err = core.RTAContext(ctx, m, in.weights, opts)
+	case moqo.AlgoIRA:
+		res, err = core.IRAContext(ctx, m, in.weights, b, opts)
+	}
+	if err != nil {
+		t.Fatalf("%v: %v: %v", in, alg, err)
+	}
+	return res
+}
+
+// sameAnswer reports whether two full runs agree bit for bit on the
+// selected plan's cost, the frontier and the number of stored plans.
+func sameAnswer(a, b core.Result, objs objective.Set) bool {
+	return a.Best.Cost == b.Best.Cost && a.Stats.Stored == b.Stats.Stored &&
+		slices.EqualFunc(project(a.Frontier.Frontier(), objs), project(b.Frontier.Frontier(), objs), slices.Equal)
+}
+
+// checkDegradedPlan reports a timed-out run's plan unless it is a valid
+// plan for the whole query, and a snapshot the run returned.
+func checkDegradedPlan(t *testing.T, in instance, alg moqo.Algorithm, best *plan.Node, snapshot bool) {
+	t.Helper()
+	switch {
+	case best == nil:
+		t.Errorf("%v: degraded %v returned no plan", in, alg)
+	case best.Tables != in.query.AllTables():
+		t.Errorf("%v: degraded %v's plan joins %v, not the whole query", in, alg, best.Tables)
+	default:
+		if err := best.Validate(in.query); err != nil {
+			t.Errorf("%v: degraded %v's plan: %v", in, alg, err)
+		}
+	}
+	if snapshot {
+		t.Errorf("%v: degraded %v returned a frontier snapshot", in, alg)
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 
 	"moqo/internal/catalog"
 )
@@ -24,6 +25,32 @@ type JoinEdge struct {
 	Left, Right       int // relation indexes
 	LeftCol, RightCol string
 	Selectivity       float64
+}
+
+// AppendKey appends the edge's key encoding, "lo.len:col-hi.len:col=sel":
+// the endpoints lower index first, so an edge declared either way round
+// encodes alike; the join columns length-prefixed, so no choice of names
+// can make two edges encode alike; the selectivity in shortest round-trip
+// form. The request keys and the shared memo's subproblem keys both encode
+// edges with it.
+func (e JoinEdge) AppendKey(b []byte) []byte {
+	lo, hi, lc, rc := e.Left, e.Right, e.LeftCol, e.RightCol
+	if hi < lo {
+		lo, hi, lc, rc = hi, lo, rc, lc
+	}
+	b = strconv.AppendInt(b, int64(lo), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(len(lc)), 10)
+	b = append(b, ':')
+	b = append(b, lc...)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(hi), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(len(rc)), 10)
+	b = append(b, ':')
+	b = append(b, rc...)
+	b = append(b, '=')
+	return strconv.AppendFloat(b, e.Selectivity, 'g', -1, 64)
 }
 
 // Query is a join query: relations plus join edges. AddRelation and AddJoin
@@ -49,37 +76,80 @@ func New(name string, cat *catalog.Catalog) *Query {
 // Catalog returns the catalog the query is defined against.
 func (q *Query) Catalog() *catalog.Catalog { return q.cat }
 
-// AddRelation appends a relation and returns its index.
+// AppendRelationKey appends relation i's key encoding, "len:name=sel":
+// the catalog-stable table name, length-prefixed like the edge columns,
+// and the filter selectivity in shortest round-trip form. The alias is not
+// part of it. The request keys and the shared memo's subproblem keys both
+// encode relations with it.
+func (q *Query) AppendRelationKey(b []byte, i int) []byte {
+	rel := &q.Relations[i]
+	name := q.cat.Table(rel.Table).Name
+	b = strconv.AppendInt(b, int64(len(name)), 10)
+	b = append(b, ':')
+	b = append(b, name...)
+	b = append(b, '=')
+	return strconv.AppendFloat(b, rel.FilterSel, 'g', -1, 64)
+}
+
+// AddRelation appends a relation and returns its index, panicking where
+// AddRelationE returns an error.
 func (q *Query) AddRelation(table string, alias string, filterSel float64) int {
-	if filterSel <= 0 || filterSel > 1 {
-		panic(fmt.Sprintf("query %s: filter selectivity %v out of (0,1] for %s", q.Name, filterSel, alias))
+	i, err := q.AddRelationE(table, alias, filterSel)
+	if err != nil {
+		panic(err)
 	}
+	return i
+}
+
+// AddRelationE appends a relation and returns its index. It refuses, in
+// this order, a query already at 64 relations (a TableSet's width), a
+// table the catalog does not have, an alias already in use and a filter
+// selectivity outside (0,1]; the error texts are the moqod wire's 400
+// bodies.
+func (q *Query) AddRelationE(table string, alias string, filterSel float64) (int, error) {
 	if len(q.Relations) >= 64 {
-		panic("query: too many relations (max 64)")
+		return 0, fmt.Errorf("query: too many relations (max 64)")
+	}
+	id, ok := q.cat.Lookup(table)
+	if !ok {
+		return 0, fmt.Errorf("query: unknown table %q", table)
 	}
 	for _, r := range q.Relations {
 		if r.Alias == alias {
-			panic(fmt.Sprintf("query %s: duplicate alias %q", q.Name, alias))
+			return 0, fmt.Errorf("query: duplicate alias %q (set an explicit alias)", alias)
 		}
 	}
-	id := q.cat.MustLookup(table)
+	if !(filterSel > 0 && filterSel <= 1) {
+		return 0, fmt.Errorf("query: relation %q: filter_sel %v out of (0,1]", alias, filterSel)
+	}
 	q.Relations = append(q.Relations, Relation{Table: id, Alias: alias, FilterSel: filterSel})
 	q.adjacency = append(q.adjacency, 0)
-	return len(q.Relations) - 1
+	return len(q.Relations) - 1, nil
 }
 
-// AddJoin appends an equi-join edge between relations l and r with the given
-// join columns and selectivity.
+// AddJoin appends an equi-join edge, panicking where AddJoinE returns an
+// error.
 func (q *Query) AddJoin(l, r int, lcol, rcol string, sel float64) {
-	if l == r || l < 0 || r < 0 || l >= len(q.Relations) || r >= len(q.Relations) {
-		panic(fmt.Sprintf("query %s: bad join edge %d-%d", q.Name, l, r))
+	if err := q.AddJoinE(l, r, lcol, rcol, sel); err != nil {
+		panic(err)
 	}
-	if sel <= 0 || sel > 1 {
-		panic(fmt.Sprintf("query %s: join selectivity %v out of (0,1]", q.Name, sel))
+}
+
+// AddJoinE appends an equi-join edge between relations l and r with the
+// given join columns and selectivity. It refuses an edge whose endpoints
+// are not two distinct relations of the query, then a selectivity outside
+// (0,1].
+func (q *Query) AddJoinE(l, r int, lcol, rcol string, sel float64) error {
+	if l == r || l < 0 || r < 0 || l >= len(q.Relations) || r >= len(q.Relations) {
+		return fmt.Errorf("query: bad join edge %d-%d", l, r)
+	}
+	if !(sel > 0 && sel <= 1) {
+		return fmt.Errorf("query: join %d-%d: selectivity %v out of (0,1]", l, r, sel)
 	}
 	q.Edges = append(q.Edges, JoinEdge{Left: l, Right: r, LeftCol: lcol, RightCol: rcol, Selectivity: sel})
 	q.adjacency[l] = q.adjacency[l].Add(r)
 	q.adjacency[r] = q.adjacency[r].Add(l)
+	return nil
 }
 
 // AddFKJoin appends a foreign-key join edge whose selectivity is derived

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -223,4 +224,67 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestAddRelationEErrors: the error-returning builders refuse what the
+// panicking ones do, in a fixed order, with the texts moqod answers 400
+// with; a refused relation or join leaves the query unchanged.
+func TestAddRelationEErrors(t *testing.T) {
+	q := New("q", catalog.TPCH(1))
+	q.AddRelation(catalog.Region, "a", 1)
+	q.AddRelation(catalog.Nation, "b", 1)
+	for _, tc := range []struct {
+		table, alias string
+		sel          float64
+		want         string
+	}{
+		{"nope", "a", 0, `query: unknown table "nope"`},
+		{catalog.Part, "a", 0, `query: duplicate alias "a" (set an explicit alias)`},
+		{catalog.Part, "c", 0, `query: relation "c": filter_sel 0 out of (0,1]`},
+		{catalog.Part, "c", math.NaN(), `query: relation "c": filter_sel NaN out of (0,1]`},
+	} {
+		if _, err := q.AddRelationE(tc.table, tc.alias, tc.sel); err == nil || err.Error() != tc.want {
+			t.Errorf("AddRelationE(%q, %q, %v) = %v, want %s", tc.table, tc.alias, tc.sel, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		l, r int
+		sel  float64
+		want string
+	}{
+		{0, 0, 0, `query: bad join edge 0-0`},
+		{0, 2, 0, `query: bad join edge 0-2`},
+		{-1, 1, 0, `query: bad join edge -1-1`},
+		{0, 1, 1.5, `query: join 0-1: selectivity 1.5 out of (0,1]`},
+	} {
+		if err := q.AddJoinE(tc.l, tc.r, "x", "y", tc.sel); err == nil || err.Error() != tc.want {
+			t.Errorf("AddJoinE(%d, %d, %v) = %v, want %s", tc.l, tc.r, tc.sel, err, tc.want)
+		}
+	}
+	if len(q.Relations) != 2 || len(q.Edges) != 0 || !q.Neighbors(Singleton(0)).Empty() {
+		t.Error("a refused relation or join changed the query")
+	}
+	full := New("full", catalog.TPCH(1))
+	for i := 0; i < 64; i++ {
+		full.AddRelation(catalog.Region, fmt.Sprint(i), 1)
+	}
+	if _, err := full.AddRelationE("nope", "x", 1); err == nil || err.Error() != "query: too many relations (max 64)" {
+		t.Errorf("the 65th relation: %v", err)
+	}
+}
+
+// TestKeyEncoders: an edge encodes alike whichever way round it was
+// declared, and a relation encodes its table's name and its filter, not
+// its alias.
+func TestKeyEncoders(t *testing.T) {
+	e := JoinEdge{Left: 3, Right: 1, LeftCol: "c:1", RightCol: "b", Selectivity: 0.25}
+	flipped := JoinEdge{Left: 1, Right: 3, LeftCol: "b", RightCol: "c:1", Selectivity: 0.25}
+	if got := string(e.AppendKey(nil)); got != "1.1:b-3.3:c:1=0.25" || got != string(flipped.AppendKey(nil)) {
+		t.Errorf("edge key %q, flipped %q", got, flipped.AppendKey(nil))
+	}
+	q := New("q", catalog.TPCH(1))
+	q.AddRelation(catalog.Nation, "n1", 0.5)
+	if got := string(q.AppendRelationKey([]byte("x,"), 0)); got != "x,6:nation=0.5" {
+		t.Errorf("relation key %q", got)
+	}
 }

@@ -24,14 +24,17 @@
 //
 //   - decode (Server.decode): the size-limited, unknown-field-rejecting
 //     JSON decode of the body.
-//   - resolve (Server.resolve): wire request → member. Tenant, catalog,
-//     query, knobs, clamped timeout and workers, then the service's one
-//     moqo.Request.Resolve call — every check a request's content can
-//     fail, its defaults and its algorithm, as one moqo.Resolved value
-//     that admission, the schedule and the tiers all ask and nothing
-//     re-derives — then admission under the resolved algorithm; fails
-//     with a classified failure (validation before admission, or
-//     admission).
+//   - resolve (Server.resolve): wire request → member. Tenant, then the
+//     catalog and the query converted through their builders' error
+//     forms (catalog.AddTableE/AddIndexE, query.AddRelationE/AddJoinE,
+//     which own every rule of an inline schema and its texts), objective
+//     names through objective.ParseID, clamped timeout and workers, then
+//     the service's one moqo.Request.Resolve call — every check left, the
+//     defaults (MaxDOP and sampling as core.Options.Normalize fills them)
+//     and the algorithm, as one moqo.Resolved value that admission, the
+//     schedule and the tiers all ask and nothing re-derives — then
+//     admission under the resolved algorithm; fails with a classified
+//     failure (validation before admission, or admission).
 //   - schedule (batchplan.New/Run, batches only): members most-expensive-
 //     first, those of one query shape one after another in that order
 //     (so who leads a shape is not a race), on `parallel` claimers of

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"time"
 
 	"moqo"
 	"moqo/internal/fault"
+	"moqo/internal/objective"
 )
 
 // OptimizeRequest is the JSON body of POST /optimize — a batch of one: the
@@ -435,22 +437,13 @@ func parseObjectives(names []string) ([]moqo.Objective, error) {
 	}
 	out := make([]moqo.Objective, 0, len(names))
 	for _, name := range names {
-		o, err := parseObjective(name)
+		o, err := objective.ParseID(name)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, o)
 	}
 	return out, nil
-}
-
-func parseObjective(name string) (moqo.Objective, error) {
-	for _, o := range moqo.AllObjectives() {
-		if o.String() == name {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown objective %q", name)
 }
 
 // parseObjectiveMap parses a wire map keyed by objective name. Of several
@@ -464,7 +457,7 @@ func parseObjectiveMap(field string, m map[string]float64) (map[moqo.Objective]f
 	var unknown string
 	var firstErr error
 	for name, x := range m {
-		o, err := parseObjective(name)
+		o, err := objective.ParseID(name)
 		if err != nil {
 			if firstErr == nil || name < unknown {
 				unknown, firstErr = name, err
@@ -479,99 +472,43 @@ func parseObjectiveMap(field string, m map[string]float64) (map[moqo.Objective]f
 	return out, nil
 }
 
-// buildCatalog validates a CatalogSpec and constructs the catalog.
+// buildCatalog converts a CatalogSpec into a catalog; the catalog's
+// builders validate every table and index.
 func buildCatalog(spec *CatalogSpec) (*moqo.Catalog, error) {
 	if len(spec.Tables) == 0 {
 		return nil, fmt.Errorf("catalog: no tables")
 	}
-	names := make(map[string]bool, len(spec.Tables))
-	for _, t := range spec.Tables {
-		if t.Name == "" {
-			return nil, fmt.Errorf("catalog: table with empty name")
-		}
-		if names[t.Name] {
-			return nil, fmt.Errorf("catalog: duplicate table %q", t.Name)
-		}
-		names[t.Name] = true
-		if t.Rows < 0 {
-			return nil, fmt.Errorf("catalog: table %q: negative rows", t.Name)
-		}
-		if t.Width <= 0 {
-			return nil, fmt.Errorf("catalog: table %q: width must be positive", t.Name)
-		}
-	}
-	for _, ix := range spec.Indexes {
-		if !names[ix.Table] {
-			return nil, fmt.Errorf("catalog: index on unknown table %q", ix.Table)
-		}
-		if ix.Column == "" {
-			return nil, fmt.Errorf("catalog: index on table %q with empty column", ix.Table)
-		}
-	}
 	cat := moqo.NewCatalog()
 	for _, t := range spec.Tables {
-		cat.AddTable(t.Name, t.Rows, t.Width, t.PK)
+		if _, err := cat.AddTableE(t.Name, t.Rows, t.Width, t.PK); err != nil {
+			return nil, err
+		}
 	}
 	for _, ix := range spec.Indexes {
-		id, _ := cat.Lookup(ix.Table)
-		cat.AddIndex(id, ix.Column, ix.Unique)
+		if err := cat.AddIndexE(ix.Table, ix.Column, ix.Unique); err != nil {
+			return nil, err
+		}
 	}
 	return cat, nil
 }
 
-// buildQuery validates a QuerySpec against its catalog and constructs the
-// query.
+// buildQuery converts a QuerySpec into a query against cat, filling the
+// wire's defaults (name "adhoc", alias the table's name, filter_sel 0 as
+// 1); the query's builders validate every relation and join.
 func buildQuery(spec *QuerySpec, cat *moqo.Catalog) (*moqo.Query, error) {
 	if len(spec.Relations) == 0 {
 		return nil, fmt.Errorf("query: no relations")
 	}
-	if len(spec.Relations) > 64 {
-		return nil, fmt.Errorf("query: too many relations (max 64)")
-	}
-	name := spec.Name
-	if name == "" {
-		name = "adhoc"
-	}
-	aliases := make(map[string]bool, len(spec.Relations))
+	q := moqo.NewQuery(cmp.Or(spec.Name, "adhoc"), cat)
 	for _, r := range spec.Relations {
-		if _, ok := cat.Lookup(r.Table); !ok {
-			return nil, fmt.Errorf("query: unknown table %q", r.Table)
-		}
-		alias := r.Alias
-		if alias == "" {
-			alias = r.Table
-		}
-		if aliases[alias] {
-			return nil, fmt.Errorf("query: duplicate alias %q (set an explicit alias)", alias)
-		}
-		aliases[alias] = true
-		if r.FilterSel < 0 || r.FilterSel > 1 {
-			return nil, fmt.Errorf("query: relation %q: filter_sel %v out of (0,1]", alias, r.FilterSel)
+		if _, err := q.AddRelationE(r.Table, cmp.Or(r.Alias, r.Table), cmp.Or(r.FilterSel, 1)); err != nil {
+			return nil, err
 		}
 	}
 	for _, j := range spec.Joins {
-		if j.Left < 0 || j.Right < 0 || j.Left >= len(spec.Relations) || j.Right >= len(spec.Relations) || j.Left == j.Right {
-			return nil, fmt.Errorf("query: bad join edge %d-%d", j.Left, j.Right)
+		if err := q.AddJoinE(j.Left, j.Right, j.LeftCol, j.RightCol, j.Selectivity); err != nil {
+			return nil, err
 		}
-		if j.Selectivity <= 0 || j.Selectivity > 1 {
-			return nil, fmt.Errorf("query: join %d-%d: selectivity %v out of (0,1]", j.Left, j.Right, j.Selectivity)
-		}
-	}
-
-	q := moqo.NewQuery(name, cat)
-	for _, r := range spec.Relations {
-		alias := r.Alias
-		if alias == "" {
-			alias = r.Table
-		}
-		sel := r.FilterSel
-		if sel == 0 {
-			sel = 1
-		}
-		q.AddRelation(r.Table, alias, sel)
-	}
-	for _, j := range spec.Joins {
-		q.AddJoin(j.Left, j.Right, j.LeftCol, j.RightCol, j.Selectivity)
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -123,11 +123,13 @@ func DefaultCostParams() CostParams { return costmodel.Default() }
 func TPCHCatalog(scaleFactor float64) *Catalog { return catalog.TPCH(scaleFactor) }
 
 // NewCatalog creates an empty catalog; add tables with AddTable and
-// indexes with AddIndex.
+// indexes with AddIndex (AddTableE and AddIndexE return the error the
+// others panic with).
 func NewCatalog() *Catalog { return catalog.New() }
 
 // NewQuery creates an empty query against a catalog; add relations with
-// AddRelation and join predicates with AddJoin/AddFKJoin.
+// AddRelation and join predicates with AddJoin/AddFKJoin (AddRelationE and
+// AddJoinE return the error the others panic with).
 func NewQuery(name string, cat *Catalog) *Query { return query.New(name, cat) }
 
 // Algorithm selects the optimization algorithm.
@@ -346,6 +348,10 @@ type Resolved struct {
 	b     objective.Bounds
 	alg   Algorithm
 	alpha float64
+	// opts are the request's knobs as the engine runs them, normalized
+	// once here: the MaxDOP and sampling defaults the keys encode are the
+	// engine's own.
+	opts core.Options
 
 	// key is the CacheKey, built on first use; its first fkLen bytes are
 	// the FrontierKey (see buildKey).
@@ -421,12 +427,19 @@ func (req Request) Resolve() (Resolved, error) {
 	if r.alpha == 0 {
 		r.alpha = 1.2
 	}
-	// The ranges of Alpha, MaxDOP and Workers are the engine's own;
-	// AllowSampling has none, and set it spares Normalize allocating its
-	// default for a value nobody reads.
-	opts := r.coreOptions()
-	opts.AllowSampling = new(bool)
-	if _, err := opts.Normalize(); err != nil {
+	// The ranges of Alpha, MaxDOP and Workers and the defaults of MaxDOP
+	// and sampling are the engine's own.
+	var err error
+	r.opts, err = core.Options{
+		Objectives:    r.objs,
+		Alpha:         r.alpha,
+		Timeout:       req.Timeout,
+		MaxDOP:        req.MaxDOP,
+		AllowSampling: req.AllowSampling,
+		Workers:       req.Workers,
+		Shared:        req.Shared.core(),
+	}.Normalize()
+	if err != nil {
 		return Resolved{}, err
 	}
 	return r, nil
@@ -438,12 +451,12 @@ func (r *Resolved) Request() Request { return r.req }
 // SetWorkers changes the Workers knob of the resolved request — the
 // selected plan, frontier, statistics and both keys are identical for
 // every value (see Request.Workers).
-func (r *Resolved) SetWorkers(n int) { r.req.Workers = n }
+func (r *Resolved) SetWorkers(n int) { r.req.Workers, r.opts.Workers = n, n }
 
 // SetShared attaches a batch's shared memo to the resolved request; like
 // Workers it changes effort, never the answer or a key (see
 // Request.Shared).
-func (r *Resolved) SetShared(m *SharedMemo) { r.req.Shared = m }
+func (r *Resolved) SetShared(m *SharedMemo) { r.req.Shared, r.opts.Shared = m, m.core() }
 
 // Algorithm reports the algorithm the request runs — AlgoAuto resolved to
 // RTA or IRA, what "|alg=" in its CacheKey says.
@@ -493,7 +506,7 @@ func (r *Resolved) run(ctx context.Context) (*Result, *core.FrontierSnapshot, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m, opts := r.model(), r.coreOptions()
+	m, opts := r.model(), r.opts
 
 	var res core.Result
 	var err error
@@ -541,24 +554,6 @@ func (r *Resolved) model() *costmodel.Model {
 		params = *r.req.CostParams
 	}
 	return costmodel.New(r.req.Query, params)
-}
-
-// coreOptions is the one place a request's knobs become core.Options, so
-// every entry point (cold, snapshot-returning, seeded re-optimization)
-// honors the same set.
-func (r *Resolved) coreOptions() core.Options {
-	opts := core.Options{
-		Objectives:    r.objs,
-		Alpha:         r.alpha,
-		Timeout:       r.req.Timeout,
-		MaxDOP:        r.req.MaxDOP,
-		AllowSampling: r.req.AllowSampling,
-		Workers:       r.req.Workers,
-	}
-	if r.req.Shared != nil {
-		opts.Shared = r.req.Shared.m
-	}
-	return opts
 }
 
 // newResult converts an engine result into the public Result.

@@ -210,7 +210,7 @@ func (r *Resolved) Reoptimize(ctx context.Context, snap *FrontierSnapshot) (*Res
 	case AlgoEXA, AlgoRTA:
 		res, err = core.SelectFromSnapshot(snap.core, r.w, r.b)
 	case AlgoIRA:
-		res, err = core.IRASeededContext(ctx, r.model(), r.w, r.b, r.coreOptions(), snap.core)
+		res, err = core.IRASeededContext(ctx, r.model(), r.w, r.b, r.opts, snap.core)
 		if err == nil && res.Snapshot != nil && res.Snapshot != snap.core {
 			// The seeded refinement produced a finer frontier; hand it back
 			// for the cache to replace the seed with.
