@@ -343,6 +343,147 @@ func parseObjective(name string) (moqo.Objective, error) { return objective.Pars
 var note = "q.AddJoin(0, 1, a, b, 0.5); cat.MustLookup(t); parseObjective"`},
 		},
 	},
+	{
+		// pareto.Archive, the tree-backed archive, is the differential oracle:
+		// only the reference engine (and the file that defines it) may name
+		// it, and nothing may convert a result back into one.
+		name: "One frontier representation",
+		check: func(src sources) []string {
+			var bad []string
+			product := src.filter(func(p string) bool {
+				return !isTest(p) && p != "internal/core/reference.go" && p != "internal/pareto/archive.go"
+			})
+			for path, f := range product {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && isIdent(sel.X, "pareto") && (sel.Sel.Name == "Archive" || sel.Sel.Name == "NewArchive") {
+						bad = append(bad, fmt.Sprintf("%s: pareto.%s: the legacy frontier representation in non-test code", path, sel.Sel.Name))
+					}
+					return true
+				})
+			}
+			return append(bad, forbidIdents(product, regexp.MustCompile(`NewMaterialized|materializeFrontier`),
+				"a result converted back into the legacy representation")...)
+		},
+		violations: []map[string]string{
+			{"internal/core/engine.go": `package core
+func (e *engine) oracle() *pareto.Archive { return nil }`},
+			{"internal/server/tiers.go": `package server
+var _ = pareto.NewArchive`},
+			{"snapshot.go": `package moqo
+func (s *FrontierSnapshot) tree() { core.NewMaterialized(s.core) }`},
+		},
+		mentions: []map[string]string{
+			{"internal/core/frontier.go": `package core
+// pareto.Archive is the oracle's; NewMaterialized and materializeFrontier are gone.
+var note = "pareto.NewArchive(objs, 1)"`},
+		},
+	},
+	{
+		// A run's frontier is extracted once into the closed, densely numbered
+		// form a decoded snapshot has, and its trees come from
+		// plan.NewDenseMaterializer alone: the map-cached materializer is the
+		// oracle of internal/core's tests. Options.CaptureSnapshot is an
+		// ignored field the benchmark module still sets, and nothing reads.
+		name: "One materializer",
+		check: func(src sources) []string {
+			var bad []string
+			engine := src.filter(func(p string) bool { return nonTestIn("internal/core/")(p) || nonTestIn("internal/plan/")(p) })
+			for path, f := range engine {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.MapType:
+						if isIdent(n.Key, "planRef") {
+							bad = append(bad, fmt.Sprintf("%s: a map-backed materializer cache", path))
+						}
+					case *ast.SelectorExpr:
+						if isIdent(n.X, "plan") && n.Sel.Name == "Memo" {
+							bad = append(bad, fmt.Sprintf("%s: plan.Memo, the map-backed memo", path))
+						}
+					}
+					return true
+				})
+			}
+			bad = append(bad, forbidIdents(engine, regexp.MustCompile(`^NewMaterializer$`), "the map-backed materializer")...)
+			for path, f := range src.filter(func(p string) bool { return !isTest(p) }) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "CaptureSnapshot" {
+						bad = append(bad, fmt.Sprintf("%s: reads CaptureSnapshot", path))
+					}
+					return true
+				})
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/core/frontier.go": `package core
+type treeCache map[planRef]*plan.Node`},
+			{"internal/plan/compact.go": `package plan
+func NewMaterializer(m DenseMemo) *Materializer { return nil }`},
+			{"internal/core/snapshot.go": `package core
+func (s *FrontierSnapshot) memo() plan.Memo { return nil }`},
+			{"moqo.go": `package moqo
+func (r *Resolved) capture() bool { return r.opts.CaptureSnapshot }`},
+		},
+		mentions: []map[string]string{
+			{"internal/core/frontier.go": `package core
+// No map[planRef] cache, no NewMaterializer(m), no plan.Memo.
+var note = "opts.CaptureSnapshot"
+var setByTheBenchmark = Options{CaptureSnapshot: true}`},
+		},
+	},
+	{
+		// The context is the only carrier of a deadline, from the wire down to
+		// the level loop: neither the engine's Options nor the library's
+		// Request has a Timeout beside it, and nothing reads one.
+		name: "One deadline",
+		check: func(src sources) []string {
+			var bad []string
+			for path, f := range src.filter(func(p string) bool {
+				return nonTestIn("internal/core/")(p) || (!isTest(p) && !strings.Contains(p, "/"))
+			}) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Field:
+						for _, name := range n.Names {
+							if name.Name == "Timeout" {
+								bad = append(bad, fmt.Sprintf("%s: declares a Timeout field beside the context's deadline", path))
+							}
+						}
+					case *ast.SelectorExpr:
+						if n.Sel.Name == "Timeout" {
+							bad = append(bad, fmt.Sprintf("%s: reads a Timeout beside the context's deadline", path))
+						}
+					}
+					return true
+				})
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/core/options.go": `package core
+type Options struct { Objectives objective.Set; Timeout time.Duration }`},
+			{"moqo.go": `package moqo
+func (r *Resolved) options(req Request) core.Options { return core.Options{Objectives: r.objs, Workers: int(req.Timeout)} }`},
+			{"internal/core/algorithms.go": `package core
+func iraDeadline(opts Options) time.Time { return time.Now().Add(opts.Timeout) }`},
+		},
+		mentions: []map[string]string{
+			{
+				"internal/core/options.go": `package core
+// Options has no Timeout: the context carries the deadline.
+var note = "opts.Timeout"`,
+				"moqo.go": `package moqo
+// Request.Timeout is gone; cmd/moqod's -max-timeout clamps timeout_ms.
+var note = "req.Timeout"`,
+			},
+		},
+	},
+}
+
+// isIdent reports whether x is the identifier name.
+func isIdent(x ast.Expr, name string) bool {
+	id, ok := x.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // TestArchitecture checks every fence on the repository's own tree, and

@@ -10,6 +10,7 @@
 package moqo_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -158,16 +159,23 @@ func BenchmarkAlgorithms(b *testing.B) {
 		objective.BufferFootprint, objective.Energy, objective.TupleLoss,
 	)
 	w := objective.UniformWeights(objs)
-	opts := core.Options{Objectives: objs, Timeout: 30 * time.Second}
+	opts := core.Options{Objectives: objs}
+	// within runs one optimizer call under a deadline of d.
+	within := func(d time.Duration, run func(ctx context.Context) (core.Result, error)) error {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		_, err := run(ctx)
+		return err
+	}
 
 	b.Run("EXA", func(b *testing.B) {
 		// The untimed exact run takes ~30s on this six-objective
 		// instance (versus ~0.1s for RTA(1.15) — the paper's orders-of-
 		// magnitude gap); cap it so the benchmark suite stays bounded.
-		o := opts
-		o.Timeout = 10 * time.Second
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EXA(m, w, objective.NoBounds(), o); err != nil {
+			if err := within(10*time.Second, func(ctx context.Context) (core.Result, error) {
+				return core.EXAContext(ctx, m, w, objective.NoBounds(), opts)
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -177,7 +185,9 @@ func BenchmarkAlgorithms(b *testing.B) {
 			o := opts
 			o.Alpha = alpha
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RTA(m, w, o); err != nil {
+				if err := within(30*time.Second, func(ctx context.Context) (core.Result, error) {
+					return core.RTAContext(ctx, m, w, o)
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,7 +195,9 @@ func BenchmarkAlgorithms(b *testing.B) {
 	}
 	b.Run("Selinger", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Selinger(m, objective.TotalTime, opts); err != nil {
+			if err := within(30*time.Second, func(ctx context.Context) (core.Result, error) {
+				return core.SelingerContext(ctx, m, objective.TotalTime, opts)
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -225,11 +237,12 @@ func BenchmarkParallelRTA(b *testing.B) {
 				opts := core.Options{
 					Objectives: objs,
 					Alpha:      1.5,
-					Timeout:    time.Minute,
 					Workers:    workers,
 				}
 				for i := 0; i < b.N; i++ {
-					res, err := core.RTA(m, w, opts)
+					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+					res, err := core.RTAContext(ctx, m, w, opts)
+					cancel()
 					if err != nil {
 						b.Fatal(err)
 					}

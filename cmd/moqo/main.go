@@ -22,6 +22,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,7 +62,6 @@ func main() {
 	req := moqo.Request{
 		Query:   q,
 		Alpha:   *alpha,
-		Timeout: *timeout,
 		Workers: *workers,
 	}
 	for _, name := range splitList(*objectives) {
@@ -87,7 +87,13 @@ func main() {
 		req.Algorithm = alg
 	}
 
-	res, err := moqo.Optimize(req)
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	res, err := moqo.OptimizeContext(ctx, req)
 	if err != nil {
 		fatalf("%v", err)
 	}

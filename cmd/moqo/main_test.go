@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -88,10 +89,11 @@ func TestPlanJSONOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := moqo.Optimize(moqo.Request{
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := moqo.OptimizeContext(ctx, moqo.Request{
 		Query:      q,
 		Alpha:      1.5,
-		Timeout:    30 * time.Second,
 		Workers:    1,
 		Objectives: []moqo.Objective{moqo.TotalTime, moqo.Energy, moqo.TupleLoss, moqo.Cores},
 		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1, moqo.Energy: 0.5},

@@ -108,10 +108,11 @@ func ExampleOptimize_bounded() {
 	// bound respected: true
 }
 
-// ExampleOptimizeContext demonstrates context-aware optimization: a
-// context deadline degrades gracefully like Request.Timeout, while a
-// cancellation (a client disconnect, an explicit cancel) aborts the
-// dynamic program promptly with the context's error.
+// ExampleOptimizeContext demonstrates context-aware optimization: the
+// context is the only carrier of a deadline, which degrades the run
+// gracefully (paper Section 5.1), while a cancellation (a client
+// disconnect, an explicit cancel) aborts the dynamic program promptly with
+// the context's error.
 func ExampleOptimizeContext() {
 	cat := moqo.TPCHCatalog(1)
 	q, err := moqo.TPCHQuery(3, cat)

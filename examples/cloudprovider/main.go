@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -57,11 +58,11 @@ func main() {
 		}
 		fmt.Printf("== TPC-H Q%d ==\n", qn)
 		for _, u := range profiles {
-			res, err := moqo.Optimize(moqo.Request{
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			res, err := moqo.OptimizeContext(ctx, moqo.Request{
 				Query:      q,
 				Algorithm:  moqo.AlgoIRA,
 				Alpha:      1.25,
-				Timeout:    30 * time.Second,
 				Objectives: []moqo.Objective{moqo.TotalTime, moqo.CPULoad, moqo.TupleLoss},
 				Weights: map[moqo.Objective]float64{
 					moqo.TotalTime: u.timeWeight,
@@ -73,6 +74,7 @@ func main() {
 					moqo.TupleLoss: u.maxLoss,
 				},
 			})
+			cancel()
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -58,15 +59,16 @@ func main() {
 		}
 
 		// Multi-objective compromise under the administrator's policy.
-		shared, err := moqo.Optimize(moqo.Request{
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		shared, err := moqo.OptimizeContext(ctx, moqo.Request{
 			Query:      q,
 			Algorithm:  moqo.AlgoIRA,
 			Alpha:      1.2,
-			Timeout:    30 * time.Second,
 			Objectives: resourceObjs,
 			Weights:    adminWeights,
 			Bounds:     adminBounds,
 		})
+		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -25,14 +26,15 @@ func main() {
 	objs := []moqo.Objective{moqo.TupleLoss, moqo.BufferFootprint, moqo.TotalTime}
 
 	for _, alpha := range []float64{2, 1.25} {
-		res, err := moqo.Optimize(moqo.Request{
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		res, err := moqo.OptimizeContext(ctx, moqo.Request{
 			Query:      q,
 			Algorithm:  moqo.AlgoRTA,
 			Alpha:      alpha,
-			Timeout:    60 * time.Second,
 			Objectives: objs,
 			Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1},
 		})
+		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}

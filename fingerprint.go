@@ -56,9 +56,9 @@ func (req Request) FrontierKey() (string, error) {
 //
 //   - Workers: results are identical for every worker count by the
 //     engine's level-synchronization design.
-//   - Timeout: a timeout changes the result only by degrading it, and
-//     degraded results must never be cached (the moqod cache skips them),
-//     so every cached result is a full result, valid under any timeout.
+//   - the context's deadline: it changes the result only by degrading it,
+//     and degraded results must never be cached (the moqod cache skips
+//     them), so every cached result is a full result, valid under any.
 //   - Shared: a batch's shared memo serves subproblems whose keys encode
 //     everything their archives depend on, so attaching one (or which
 //     one) changes effort statistics only, never the result — a batch

@@ -5,7 +5,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"moqo"
@@ -97,15 +96,13 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 }
 
 // TestCacheKeyCanonicalizes: inputs that do NOT change the result must not
-// change the key — Workers and Timeout (results are worker-invariant, and
-// degraded results are never cached), and AlgoAuto resolving to the same
-// algorithm an explicit request names.
+// change the key — Workers (results are worker-invariant), and AlgoAuto
+// resolving to the same algorithm an explicit request names.
 func TestCacheKeyCanonicalizes(t *testing.T) {
 	base := key(t, tpchRequest(t, nil)) // AlgoAuto, unbounded -> RTA
 	same := map[string]func(*moqo.Request){
 		"explicit RTA":  func(r *moqo.Request) { r.Algorithm = moqo.AlgoRTA },
 		"workers":       func(r *moqo.Request) { r.Workers = 8 },
-		"timeout":       func(r *moqo.Request) { r.Timeout = 5 * time.Second },
 		"explicit dop4": func(r *moqo.Request) { r.MaxDOP = 4 },
 	}
 	for name, mutate := range same {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -37,15 +38,8 @@ type Config struct {
 	ObjectiveCounts []int
 	// BoundCounts for Figure 10 (paper: 3/6/9).
 	BoundCounts []int
-	// Workers runs (query, configuration) cells concurrently (the paper
-	// ran five optimizer threads in parallel). 0 or 1 = sequential.
-	// Concurrent cells contend for CPU, so per-run times are inflated
-	// under load, exactly as in the paper's setup.
-	Workers int
 	// EngineWorkers shards each optimizer run's dynamic program across
 	// this many goroutines (core.Options.Workers). 0 or 1 = sequential.
-	// Unlike Workers, this parallelizes within a single optimization, so
-	// measured per-run times genuinely shrink.
 	EngineWorkers int
 }
 
@@ -66,7 +60,16 @@ func DefaultConfig() Config {
 // engine returns the optimizer options of one run over objs at precision
 // alpha (0 for the exact algorithm and single-objective minima).
 func (c Config) engine(objs objective.Set, alpha float64) core.Options {
-	return core.Options{Objectives: objs, Alpha: alpha, Timeout: c.Timeout, Workers: c.EngineWorkers}
+	return core.Options{Objectives: objs, Alpha: alpha, Workers: c.EngineWorkers}
+}
+
+// deadline returns the context one optimizer run is bounded by: Timeout
+// from now, or none when Timeout is 0.
+func (c Config) deadline() (context.Context, context.CancelFunc) {
+	if c.Timeout <= 0 {
+		return context.Background(), func() {}
+	}
+	return context.WithTimeout(context.Background(), c.Timeout)
 }
 
 // queries resolves the query list in paper order.
@@ -153,11 +156,14 @@ type caseRun struct {
 }
 
 // runAlgorithms executes every algorithm of the comparison on one test
-// case. algs maps a display name to a closure running the algorithm.
-func runAlgorithms(tc workload.TestCase, m *costmodel.Model, algs []namedAlgo) ([]caseRun, error) {
+// case, each under its own deadline. algs maps a display name to a closure
+// running the algorithm.
+func (c Config) runAlgorithms(tc workload.TestCase, m *costmodel.Model, algs []namedAlgo) ([]caseRun, error) {
 	runs := make([]caseRun, 0, len(algs))
 	for _, a := range algs {
-		res, err := a.run(m, tc)
+		ctx, cancel := c.deadline()
+		res, err := a.run(ctx, m, tc)
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s on %s: %w", a.name, tc, err)
 		}
@@ -179,15 +185,15 @@ func runAlgorithms(tc workload.TestCase, m *costmodel.Model, algs []namedAlgo) (
 
 type namedAlgo struct {
 	name string
-	run  func(*costmodel.Model, workload.TestCase) (core.Result, error)
+	run  func(context.Context, *costmodel.Model, workload.TestCase) (core.Result, error)
 }
 
 // exaAlgo builds the EXA comparator.
 func exaAlgo(cfg Config) namedAlgo {
 	return namedAlgo{
 		name: "EXA",
-		run: func(m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
-			return core.EXA(m, tc.Weights, tc.Bounds, cfg.engine(tc.Objectives, 0))
+		run: func(ctx context.Context, m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
+			return core.EXAContext(ctx, m, tc.Weights, tc.Bounds, cfg.engine(tc.Objectives, 0))
 		},
 	}
 }
@@ -196,8 +202,8 @@ func exaAlgo(cfg Config) namedAlgo {
 func rtaAlgo(alpha float64, cfg Config) namedAlgo {
 	return namedAlgo{
 		name: fmt.Sprintf("RTA(%.4g)", alpha),
-		run: func(m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
-			return core.RTA(m, tc.Weights, cfg.engine(tc.Objectives, alpha))
+		run: func(ctx context.Context, m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
+			return core.RTAContext(ctx, m, tc.Weights, cfg.engine(tc.Objectives, alpha))
 		},
 	}
 }
@@ -206,8 +212,8 @@ func rtaAlgo(alpha float64, cfg Config) namedAlgo {
 func iraAlgo(alpha float64, cfg Config) namedAlgo {
 	return namedAlgo{
 		name: fmt.Sprintf("IRA(%.4g)", alpha),
-		run: func(m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
-			return core.IRA(m, tc.Weights, tc.Bounds, cfg.engine(tc.Objectives, alpha))
+		run: func(ctx context.Context, m *costmodel.Model, tc workload.TestCase) (core.Result, error) {
+			return core.IRAContext(ctx, m, tc.Weights, tc.Bounds, cfg.engine(tc.Objectives, alpha))
 		},
 	}
 }
@@ -236,33 +242,13 @@ func aggregate(cells []Cell, perCase [][]caseRun) {
 	}
 }
 
-// runCells executes one job per (query, param) cell, sequentially or on a
-// worker pool, and returns the produced rows in deterministic (input)
-// order regardless of scheduling.
-func runCells(workers int, jobs []func() (Row, error)) ([]Row, error) {
+// runCells executes one job per (query, param) cell, in order, and returns
+// the produced rows, or the first error.
+func runCells(jobs []func() (Row, error)) ([]Row, error) {
 	rows := make([]Row, len(jobs))
-	errs := make([]error, len(jobs))
-	if workers <= 1 {
-		for i, job := range jobs {
-			rows[i], errs[i] = job()
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		done := make(chan int)
-		for i := range jobs {
-			go func(i int) {
-				sem <- struct{}{}
-				rows[i], errs[i] = jobs[i]()
-				<-sem
-				done <- i
-			}(i)
-		}
-		for range jobs {
-			<-done
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
+	for i, job := range jobs {
+		var err error
+		if rows[i], err = job(); err != nil {
 			return nil, err
 		}
 	}
@@ -289,8 +275,7 @@ func (c Config) figureRows(figure string, params []int, algs []namedAlgo,
 		for _, k := range params {
 			jobs = append(jobs, func() (Row, error) {
 				// Each job owns its model: a costmodel.Model memoizes the
-				// estimates of one run at a time and is not safe for
-				// concurrent use across cells.
+				// estimates of one run at a time.
 				q := workload.MustQuery(qn, c.catalog())
 				m := costmodel.NewDefault(q)
 				gen, err := newGen(q, m)
@@ -300,7 +285,7 @@ func (c Config) figureRows(figure string, params []int, algs []namedAlgo,
 				r := c.newRNG(figure, qn, k)
 				var perCase [][]caseRun
 				for i := 0; i < c.CasesPerConfig; i++ {
-					runs, err := runAlgorithms(gen(k, r), m, algs)
+					runs, err := c.runAlgorithms(gen(k, r), m, algs)
 					if err != nil {
 						return Row{}, err
 					}
@@ -315,7 +300,7 @@ func (c Config) figureRows(figure string, params []int, algs []namedAlgo,
 			})
 		}
 	}
-	return runCells(c.Workers, jobs)
+	return runCells(jobs)
 }
 
 // newRNG derives a deterministic RNG for one (figure, query, param) cell,

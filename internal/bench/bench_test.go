@@ -355,54 +355,11 @@ func TestScatter(t *testing.T) {
 	_ = Scatter([][2]float64{{0, 0}}, nil, 10, 5, "x", "y")
 }
 
-func TestParallelWorkersMatchSequential(t *testing.T) {
-	// With a generous timeout (no timeout nondeterminism), parallel cell
-	// execution must produce exactly the same aggregates as sequential
-	// execution, in the same order — only wall-clock durations may vary.
-	cfg := quickConfig()
-	cfg.Queries = []int{1, 12, 14, 13}
-	cfg.Timeout = 30 * time.Second
-	seq, err := Figure9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 4
-	par, err := Figure9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		s, p := seq[i], par[i]
-		if s.QueryNum != p.QueryNum || s.Param != p.Param {
-			t.Fatalf("row %d order differs: q%d/%d vs q%d/%d", i, s.QueryNum, s.Param, p.QueryNum, p.Param)
-		}
-		for j := range s.Cells {
-			sc, pc := s.Cells[j], p.Cells[j]
-			if sc.Algorithm != pc.Algorithm || sc.Cases != pc.Cases ||
-				sc.Timeouts != pc.Timeouts || sc.AvgPareto != pc.AvgPareto ||
-				sc.AvgWCostPct != pc.AvgWCostPct {
-				t.Errorf("row %d cell %s differs between sequential and parallel runs:\n%+v\nvs\n%+v",
-					i, sc.Algorithm, sc, pc)
-			}
-		}
-	}
-}
-
 func TestRunCellsPropagatesErrors(t *testing.T) {
 	boom := func() (Row, error) { return Row{}, errTest }
 	ok := func() (Row, error) { return Row{QueryNum: 1}, nil }
-	if _, err := runCells(1, []func() (Row, error){ok, boom}); err == nil {
+	if _, err := runCells([]func() (Row, error){ok, boom}); err == nil {
 		t.Error("sequential error lost")
-	}
-	if _, err := runCells(3, []func() (Row, error){ok, boom, ok}); err == nil {
-		t.Error("parallel error lost")
-	}
-	rows, err := runCells(2, []func() (Row, error){ok, ok})
-	if err != nil || len(rows) != 2 {
-		t.Errorf("clean parallel run failed: %v", err)
 	}
 }
 

@@ -31,7 +31,9 @@ func Figure10(cfg Config) ([]Row, error) {
 	return cfg.figureRows("fig10", counts, algs, func(q *query.Query, m *costmodel.Model) (caseGen, error) {
 		// Minima over all nine objectives: sampling availability must match
 		// the bounded runs, where tuple loss is active too.
-		minima, err := core.ObjectiveMinima(m, cfg.engine(objective.AllSet(), 0))
+		ctx, cancel := cfg.deadline()
+		defer cancel()
+		minima, err := core.ObjectiveMinimaContext(ctx, m, cfg.engine(objective.AllSet(), 0))
 		return func(k int, r *rand.Rand) workload.TestCase { return workload.BoundedCase(q, k, minima, r) }, err
 	})
 }

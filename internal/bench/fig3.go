@@ -37,7 +37,9 @@ func Figure3(cfg Config) ([]EvolutionStep, error) {
 	q := workload.MustQuery(3, cat)
 	m := costmodel.NewDefault(q)
 
-	minima, err := core.ObjectiveMinima(m, cfg.engine(Figure3Objectives, 0))
+	ctx, cancel := cfg.deadline()
+	minima, err := core.ObjectiveMinimaContext(ctx, m, cfg.engine(Figure3Objectives, 0))
+	cancel()
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +75,9 @@ func Figure3(cfg Config) ([]EvolutionStep, error) {
 		},
 	}
 	for i := range steps {
-		res, err := core.EXA(m, steps[i].Weights, steps[i].Bounds, cfg.engine(Figure3Objectives, 0))
+		ctx, cancel := cfg.deadline()
+		res, err := core.EXAContext(ctx, m, steps[i].Weights, steps[i].Bounds, cfg.engine(Figure3Objectives, 0))
+		cancel()
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,9 @@ func Figure4(cfg Config, alphas ...float64) ([]Figure4Result, error) {
 
 	var out []Figure4Result
 	for _, alpha := range alphas {
-		res, err := core.RTA(m, w, cfg.engine(Figure4Objectives, alpha))
+		ctx, cancel := cfg.deadline()
+		res, err := core.RTAContext(ctx, m, w, cfg.engine(Figure4Objectives, alpha))
+		cancel()
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,9 @@ func FrontierQuality(cfg Config) ([]QualityRow, error) {
 		q := workload.MustQuery(qn, cfg.catalog())
 		m := costmodel.NewDefault(q)
 		w := objective.UniformWeights(QualityObjectives)
-		exact, err := core.EXA(m, w, objective.NoBounds(), cfg.engine(QualityObjectives, 0))
+		ctx, cancel := cfg.deadline()
+		exact, err := core.EXAContext(ctx, m, w, objective.NoBounds(), cfg.engine(QualityObjectives, 0))
+		cancel()
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +56,9 @@ func FrontierQuality(cfg Config) ([]QualityRow, error) {
 		}
 		ref := exact.Frontier.Frontier()
 		for _, alpha := range cfg.Alphas {
-			approx, err := core.RTA(m, w, cfg.engine(QualityObjectives, alpha))
+			ctx, cancel := cfg.deadline()
+			approx, err := core.RTAContext(ctx, m, w, cfg.engine(QualityObjectives, alpha))
+			cancel()
 			if err != nil {
 				return nil, err
 			}

@@ -38,15 +38,16 @@ type Result struct {
 // EXA runs the exact multi-objective dynamic program of Ganguly et al.
 // (paper Algorithm 1): it computes the Pareto plan set of the query and
 // selects the best plan for the given weights and bounds. Exponential in
-// the number of possible plans (Theorems 1-2); use the timeout.
+// the number of possible plans (Theorems 1-2); bound it with a context
+// deadline (EXAContext).
 func EXA(m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options) (Result, error) {
 	return EXAContext(context.Background(), m, w, b, opts)
 }
 
 // EXAContext is EXA under a context: cancellation aborts the dynamic
-// program promptly and returns ctx's error, while a context deadline folds
-// into the timeout/degrade path of Options.Timeout (the run still returns
-// a — degraded — plan with Stats.TimedOut set).
+// program promptly and returns ctx's error, while a passed context deadline
+// degrades it (paper Section 5.1: the run still returns a — degraded — plan
+// with Stats.TimedOut set).
 func EXAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options) (Result, error) {
 	opts, start, err := begin(ctx, opts, w, b)
 	if err != nil {
@@ -87,8 +88,7 @@ func (e *engine) result(flat *pareto.FlatArchive, w objective.Weights, b objecti
 
 // startErr rejects a context that is already cancelled before any work
 // starts. A context whose *deadline* has passed is let through: the run
-// enters degraded mode immediately and still returns a plan, mirroring a
-// pre-expired Options.Timeout.
+// enters degraded mode at its first poll and still returns a plan.
 func startErr(ctx context.Context) error {
 	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		if cause := context.Cause(ctx); cause != nil {
@@ -151,8 +151,8 @@ func IRA(m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Optio
 
 // IRAContext is IRA under a context: cancellation aborts the current
 // refinement iteration and returns ctx's error; a context deadline bounds
-// the whole refinement loop exactly like Options.Timeout (the incumbent of
-// the last completed iteration is returned with Stats.TimedOut set).
+// the whole refinement loop (the incumbent of the last iteration is
+// returned with Stats.TimedOut set).
 func IRAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options) (Result, error) {
 	return iraRun(ctx, m, w, b, opts, nil)
 }
@@ -212,13 +212,6 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	var finalFlat *pareto.FlatArchive
 	var finalEngine *engine
 	lastAlpha := alphaU
-	deadline := time.Time{}
-	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
 
 	for i := 1; ; i++ {
 		// Precision refinement policy: exponent halves every 3l-3
@@ -235,28 +228,18 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 			// near-1 seed precision from skipping forever.
 			continue
 		}
+		if finalFlat != nil && deadlinePassed(ctx) {
+			// The deadline passed between iterations: return the
+			// incumbent. Without one the iteration runs anyway — an
+			// expired context degrades it at its first poll, so a deadline
+			// degrades IRA rather than failing it.
+			total.TimedOut = true
+			break
+		}
 		lastAlpha = alpha
 
-		iterOpts := opts
-		if !deadline.IsZero() {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				if finalFlat != nil {
-					total.TimedOut = true
-					break
-				}
-				// The deadline expired before the first iteration could
-				// run (a pre-expired context deadline, or a sub-
-				// microsecond Timeout). Run one iteration anyway with an
-				// immediately-expiring budget: the engine's degraded mode
-				// still produces a plan, honoring the contract that
-				// deadlines degrade rather than fail.
-				remaining = time.Nanosecond
-			}
-			iterOpts.Timeout = remaining
-		}
 		iterStart := time.Now()
-		flat, e := rtaParetoPlans(ctx, m, w, iterOpts, alpha)
+		flat, e := rtaParetoPlans(ctx, m, w, opts, alpha)
 		if err := e.cancelErr(); err != nil {
 			return Result{}, err
 		}
@@ -285,6 +268,16 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	// contract (stats.reused_frontier) covers seeded refinements too.
 	total.ReusedFrontier = seed != nil
 	return finalEngine.finish(finalFlat, w, b, lastAlpha, total), nil
+}
+
+// deadlinePassed reports whether ctx's deadline has passed: by the clock,
+// like the engine's poll, or by the error of a context that ends without
+// declaring one.
+func deadlinePassed(ctx context.Context) bool {
+	if d, ok := ctx.Deadline(); ok && time.Now().After(d) {
+		return true
+	}
+	return errors.Is(ctx.Err(), context.DeadlineExceeded)
 }
 
 // iraStop evaluates the termination condition of Algorithm 3:
@@ -356,11 +349,12 @@ func WeightedSumDP(m *costmodel.Model, w objective.Weights, opts Options) (Resul
 	return WeightedSumDPContext(context.Background(), m, w, opts)
 }
 
-// WeightedSumDPContext is WeightedSumDP under a context. The scalar
-// dynamic program has no degraded mode, so only cancellation interrupts
-// it (aborting with ctx's error); deadlines are observed solely between
-// its enumeration steps via the shared latch and never truncate the
-// candidate enumeration.
+// WeightedSumDPContext is WeightedSumDP under a context. Cancellation
+// aborts it with ctx's error. The scalar levels have no degraded mode, so a
+// deadline that passes while they run does not truncate them; one that
+// passes while the search space is still being materialized (the
+// connected-subset walk of a clique or a wide star) does: the run treats
+// the §5.1 chain fallback and returns its plan with Stats.TimedOut set.
 func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.Weights, opts Options) (Result, error) {
 	if opts.Objectives.Len() == 0 {
 		opts.Objectives = w.Active()
@@ -395,7 +389,10 @@ func ObjectiveMinima(m *costmodel.Model, opts Options) (objective.Vector, error)
 }
 
 // ObjectiveMinimaContext is ObjectiveMinima under a context; cancellation
-// aborts between (and within) the per-objective dynamic programs.
+// aborts between (and within) the per-objective dynamic programs. A minimum
+// has no degraded form — a bound drawn from a chain plan's cost would be
+// wrong, not approximate — so a deadline that cuts a program short (see
+// WeightedSumDPContext) is an error wrapping context.DeadlineExceeded.
 func ObjectiveMinimaContext(ctx context.Context, m *costmodel.Model, opts Options) (objective.Vector, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -425,6 +422,9 @@ func singleObjectiveMin(ctx context.Context, m *costmodel.Model, o objective.ID,
 	flat := e.runScalar(func(v objective.Vector) float64 { return v[o] })
 	if err := e.cancelErr(); err != nil {
 		return 0, err
+	}
+	if e.enum.chainFallback {
+		return 0, fmt.Errorf("core: minimum of %v: the deadline passed during enumeration: %w", o, context.DeadlineExceeded)
 	}
 	if flat == nil || flat.Len() == 0 {
 		return 0, fmt.Errorf("core: no plan found for objective %v", o)

@@ -380,13 +380,13 @@ func TestWeightedSumDPNeverBeatsEXA(t *testing.T) {
 }
 
 func TestTimeoutDegradation(t *testing.T) {
-	// With an absurdly small timeout the EXA must still terminate quickly
-	// and produce a plan, flagged as timed out (paper Section 5.1).
+	// Under an expired deadline the EXA must still terminate quickly and
+	// produce a plan, flagged as timed out (paper Section 5.1).
 	q := starQuery(t)
 	m := costmodel.NewDefault(q)
-	opts := Options{Objectives: threeObjs, Timeout: time.Nanosecond}
+	opts := Options{Objectives: threeObjs}
 	start := time.Now()
-	res, err := EXA(m, objective.UniformWeights(threeObjs), objective.NoBounds(), opts)
+	res, err := EXAContext(expired(t), m, objective.UniformWeights(threeObjs), objective.NoBounds(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,14 +148,15 @@
 //
 // Every algorithm has a Context variant (EXAContext, RTAContext, ...):
 // cancelling the context aborts the dynamic program promptly with the
-// context's error, while a context deadline folds into the paper's
-// timeout/degradation path (Section 5.1) — untreated table sets get a
-// single best-weighted plan and the run still returns a usable Result
-// with Stats.TimedOut set. The deadline is observed from the very first
-// phase: if it expires while the enumerator is still materializing
-// levels (an exponential connected-subset walk: a clique, a wide star),
-// the enumeration falls back to a minimal left-deep chain and the
-// degraded path still returns a plan in O(n) work.
+// context's error, while a context deadline — the only deadline; Options
+// has no timeout — is the paper's Section 5.1 timeout: untreated table sets
+// get a single best-weighted plan and the run still returns a usable
+// Result with Stats.TimedOut set. One poll (engine.stopped) reads the
+// context from the very first phase: if the deadline passes while the
+// enumerator is still materializing levels (an exponential
+// connected-subset walk: a clique, a wide star), the enumeration falls
+// back to a minimal left-deep chain and the degraded path still returns a
+// plan in O(n) work.
 //
 // Because archive pruning never reads the user's weights or bounds, the
 // final frontier of a completed run is reusable across weight and bound

@@ -75,19 +75,20 @@ type engine struct {
 
 	workers []worker
 
-	// ctx carries the caller's cancellation signal into the dynamic
-	// program; ctxDone is ctx.Done() bound once (nil for background
-	// contexts, keeping the amortized check free when no cancellation is
-	// possible).
+	// ctx carries the caller's cancellation and deadline into the dynamic
+	// program; ctxDone is ctx.Done() bound once (nil for a context that can
+	// never end — no deadline, no cancel — keeping the amortized check free).
 	ctx     context.Context
 	ctxDone <-chan struct{}
+	// deadline is ctx's deadline, zero when it has none: the poll reads the
+	// clock against it too, so a run degrades at its deadline even before
+	// the context's timer has fired.
+	deadline time.Time
 
-	deadline   time.Time
-	hasTimeout bool
-	// timedOut is shared across workers: the first worker to observe the
-	// deadline latches it, switching every worker to degraded mode. A
-	// context *deadline* folds into the same latch — the run degrades
-	// gracefully and still returns a plan, exactly as with Options.Timeout.
+	// timedOut is shared across workers: the first poll (stopped) to find
+	// the context's deadline passed latches it, switching every worker to
+	// degraded mode — the run degrades gracefully and still returns a plan
+	// (paper Section 5.1).
 	timedOut atomic.Bool
 	// cancelled is latched when the context is cancelled for any reason
 	// other than a deadline (client disconnect, explicit cancel). Unlike a
@@ -170,12 +171,8 @@ const maxSplitTerms = len(joinAlgs) * plan.MaxDOP
 // newEngine prepares an engine run whose archives prune by cfg, the
 // configuration its caller builds for opts.Objectives. opts must be
 // normalized (Workers >= 1). ctx cancellation aborts the run; a ctx
-// deadline is folded into the timeout/degrade machinery (the earlier of
-// ctx deadline and Options.Timeout wins).
+// deadline degrades it (stopped).
 func newEngine(ctx context.Context, m *costmodel.Model, opts Options, cfg *pareto.FlatConfig, w objective.Weights) *engine {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	e := &engine{
 		q:       m.Query(),
 		m:       m,
@@ -185,33 +182,19 @@ func newEngine(ctx context.Context, m *costmodel.Model, opts Options, cfg *paret
 		ctx:     ctx,
 		ctxDone: ctx.Done(),
 	}
+	e.deadline, _ = ctx.Deadline()
 	if err := e.q.Validate(); err != nil {
 		e.invalid = fmt.Errorf("core: %w", err)
 		return e
 	}
-	// The deadline is resolved before the search space is materialized:
-	// level materialization itself observes it (a clique's walk visits all
-	// 2^n subsets) and falls back to the chain enumeration of the §5.1
+	// Level materialization polls the context too (a clique's walk visits
+	// all 2^n subsets) and falls back to the chain enumeration of the §5.1
 	// degraded path.
-	if opts.Timeout > 0 {
-		e.deadline = time.Now().Add(opts.Timeout)
-		e.hasTimeout = true
-	}
-	if d, ok := ctx.Deadline(); ok && (!e.hasTimeout || d.Before(e.deadline)) {
-		e.deadline = d
-		e.hasTimeout = true
-	}
-	e.enum = enumerate(e.q, e.enumStop)
+	e.enum = enumerate(e.q, e.stopped)
 	// The one place a run's estimate table is filled: the workers cost only
 	// table sets that passed a memo lookup, all of them enumerated, so from
 	// here on they read the table and never write it.
 	m.Warm(e.enum.levels, e.enum.total)
-	if e.enum.cancelled {
-		e.cancelled.Store(true)
-	}
-	if e.enum.chainFallback {
-		e.timedOut.Store(true)
-	}
 	e.memo = newMemoTable(e.enum)
 	e.viewMemo = func(s query.TableSet) splitView {
 		return splitView{arch: e.memo.lookup(s), only: -1}
@@ -223,24 +206,27 @@ func newEngine(ctx context.Context, m *costmodel.Model, opts Options, cfg *paret
 	return e
 }
 
-// enumStop is the enumerator's stop poll (amortized by the enumerator):
-// a context cancellation abandons the run, a passed deadline — from
-// Options.Timeout or the context — triggers the chain fallback.
-func (e *engine) enumStop() enumSignal {
-	if e.ctxDone != nil {
-		select {
-		case <-e.ctxDone:
-			if errors.Is(e.ctx.Err(), context.DeadlineExceeded) {
-				return enumTimeout
-			}
-			return enumCancel
-		default:
+// stopped is the run's one stop poll, amortized by its callers (the
+// enumerator, worker.expired, worker.interrupted). It reads the context and
+// latches what it finds — a passed deadline latches timedOut, any other end
+// cancelled — so every other worker reacts at its next latch read without
+// polling, and reports whether the run must stop.
+func (e *engine) stopped() bool {
+	select {
+	case <-e.ctxDone:
+		if errors.Is(e.ctx.Err(), context.DeadlineExceeded) {
+			e.timedOut.Store(true)
+		} else {
+			e.cancelled.Store(true)
 		}
+		return true
+	default:
 	}
-	if e.hasTimeout && time.Now().After(e.deadline) {
-		return enumTimeout
+	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
+		e.timedOut.Store(true)
+		return true
 	}
-	return enumGo
+	return false
 }
 
 // cancelErr returns the context's error if the run was abandoned because

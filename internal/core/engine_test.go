@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
@@ -25,8 +24,8 @@ import (
 func TestCartesianFallback(t *testing.T) {
 	q := hubLastStar(t, 14)
 	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
-	res, err := RTA(costmodel.NewDefault(q), objective.UniformWeights(objs),
-		Options{Objectives: objs, Alpha: 3, Timeout: time.Nanosecond})
+	res, err := RTAContext(expired(t), costmodel.NewDefault(q), objective.UniformWeights(objs),
+		Options{Objectives: objs, Alpha: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,30 +28,16 @@ type enumeration struct {
 	// scanned counts the table sets visited to build the levels: exactly
 	// `total` unless the walk was interrupted (Stats.EnumSets).
 	scanned int
-	// chainFallback records that the run's deadline expired while the
+	// chainFallback records that the run's stop poll fired while the
 	// levels were still being materialized (an exponentially large
 	// connected-subset walk: a clique, a wide star). The levels were rebuilt
 	// as the minimal left-deep chain — all singletons plus the prefix
 	// sets {r0..rk} — and the engine's candidate loops peel one relation
 	// per split, so the §5.1 degraded path still produces a plan in O(n)
-	// work instead of ignoring the timeout until workers start.
+	// work instead of ignoring the deadline until workers start. (A
+	// cancelled run gets the chain too and treats none of it.)
 	chainFallback bool
-	// cancelled records that the run's context was cancelled (not a
-	// deadline) mid-materialization: there is no caller left to serve, so
-	// the levels are abandoned and the engine reports ctx.Err().
-	cancelled bool
 }
-
-// enumSignal is the enumerator's amortized stop poll: keep scanning, fall
-// back to the degraded chain enumeration (deadline), or abandon the run
-// (cancellation).
-type enumSignal int
-
-const (
-	enumGo enumSignal = iota
-	enumTimeout
-	enumCancel
-)
 
 // enumCheckMask amortizes the stop poll to one check per 4096 visited
 // sets — cheap against the per-set work, yet a pre-expired deadline stops
@@ -71,31 +57,27 @@ const enumCheckMask = 4095
 // of the sets it finds are stored by newEngine, once the levels are final,
 // in the run's cost model (costmodel.Model.Warm).
 //
-// stop is polled (amortized, every enumCheckMask+1 visited sets) during
-// materialization. An expired deadline switches to the chain-fallback
-// levels, so a query whose connected sets are exponentially many still
-// degrades promptly; a cancellation abandons the enumeration entirely.
-func enumerate(q *query.Query, stop func() enumSignal) *enumeration {
+// stop is the run's stop poll (engine.stopped), asked every
+// enumCheckMask+1 visited sets during materialization. Once it reports a
+// stop the walk switches to the chain-fallback levels, so a query whose
+// connected sets are exponentially many still degrades promptly.
+func enumerate(q *query.Query, stop func() bool) *enumeration {
 	n := q.NumRelations()
 	e := &enumeration{all: q.AllTables(), n: n}
 	var sets []query.TableSet
-	sig := enumGo
+	stopped := false
 	q.EachConnectedSubset(e.all, func(s query.TableSet) bool {
 		e.scanned++
 		sets = append(sets, s)
 		if e.scanned&enumCheckMask != 0 || stop == nil {
 			return true
 		}
-		sig = stop()
-		return sig == enumGo
+		stopped = stop()
+		return !stopped
 	})
-	switch sig {
-	case enumTimeout:
+	if stopped {
 		e.buildChainFallback()
-	case enumCancel:
-		e.cancelled = true
-		e.levels = make([][]query.TableSet, n+1)
-	default:
+	} else {
 		// Every level is a run of one slice, sorted by cardinality and
 		// ascending within it.
 		slices.SortFunc(sets, func(a, b query.TableSet) int {

@@ -44,13 +44,13 @@ func TestExhaustiveEnumerationObservesDeadline(t *testing.T) {
 	m := costmodel.NewDefault(q)
 	two := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
 	start := time.Now()
-	res, err := RTA(m, objective.UniformWeights(two), Options{Objectives: two, Alpha: 3, Timeout: time.Nanosecond})
+	res, err := RTAContext(expired(t), m, objective.UniformWeights(two), Options{Objectives: two, Alpha: 3})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats.TimedOut {
-		t.Fatal("run with a 1ns timeout on a 20-clique did not report TimedOut")
+		t.Fatal("run under an expired deadline on a 20-clique did not report TimedOut")
 	}
 	if res.Best == nil || res.Best.Tables != q.AllTables() {
 		t.Fatalf("degraded run returned no full plan: %v", res.Best)
@@ -73,7 +73,9 @@ func TestExhaustiveEnumerationChainFallbackDisconnected(t *testing.T) {
 	q := hubLastStar(t, 20)
 	m := costmodel.NewDefault(q)
 	two := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
-	res, err := EXA(m, objective.UniformWeights(two), objective.NoBounds(), Options{Objectives: two, Timeout: time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	res, err := EXAContext(ctx, m, objective.UniformWeights(two), objective.NoBounds(), Options{Objectives: two})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,46 +90,39 @@ func TestExhaustiveEnumerationChainFallbackDisconnected(t *testing.T) {
 	}
 }
 
-// TestEnumerationCancelDuringScan: a cancellation seen by the enumerator's
-// stop poll abandons the materialization there — no levels, no sets — so
-// the engine reports the context's error instead of degrading. The poll
-// is driven directly: the third one reports the cancellation.
+// TestEnumerationCancelDuringScan: the walk stops at the first poll that
+// reports a stop and falls back to the chain, whatever ended the context —
+// the engine's latches, not the enumeration, tell a deadline from a
+// cancellation, and a cancelled run treats none of the chain. The poll is
+// driven directly: the third one reports the stop.
 func TestEnumerationCancelDuringScan(t *testing.T) {
 	q := buildShape(t, synthetic.Clique, 20, 1)
 	polls := 0
-	e := enumerate(q, func() enumSignal {
+	e := enumerate(q, func() bool {
 		polls++
-		if polls == 3 {
-			return enumCancel
-		}
-		return enumGo
+		return polls == 3
 	})
-	if !e.cancelled || e.chainFallback {
-		t.Fatalf("cancelled=%v chainFallback=%v, want a cancelled enumeration", e.cancelled, e.chainFallback)
+	if !e.chainFallback {
+		t.Fatal("a stopped walk did not fall back to the chain")
 	}
 	if polls != 3 || e.scanned != 3*(enumCheckMask+1) {
 		t.Fatalf("stopped after %d polls and %d sets, want 3 and %d", polls, e.scanned, 3*(enumCheckMask+1))
 	}
-	if e.total != 0 {
-		t.Fatalf("cancelled enumeration kept %d sets", e.total)
-	}
-	for k, sets := range e.levels {
-		if len(sets) != 0 {
-			t.Fatalf("cancelled enumeration kept %d sets at level %d", len(sets), k)
-		}
+	if e.total != 2*20-1 {
+		t.Fatalf("the chain fallback holds %d sets, want %d", e.total, 2*20-1)
 	}
 }
 
-// TestEnumerationDeadlineGraphWalk: a context deadline reaches the walk
-// through the same poll as Options.Timeout — enumStop reads a passed
-// context deadline as a timeout, not a cancellation — and degrades the
-// run instead of failing it.
+// TestEnumerationDeadlineGraphWalk: the walk's poll reads a context's end
+// by its error — DeadlineExceeded degrades the run, anything else abandons
+// it — so a context that expires without declaring a Deadline (hookDeadline)
+// still degrades instead of failing.
 func TestEnumerationDeadlineGraphWalk(t *testing.T) {
 	q := buildShape(t, synthetic.Clique, 20, 1)
 	m := costmodel.NewDefault(q)
 	two := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
-	defer cancel()
+	ctx := &hookDeadline{Context: context.Background(), done: make(chan struct{})}
+	ctx.expire()
 	res, err := RTAContext(ctx, m, objective.UniformWeights(two), Options{Objectives: two, Alpha: 3})
 	if err != nil {
 		t.Fatal(err)

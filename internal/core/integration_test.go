@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -22,11 +23,9 @@ func TestAllTPCHQueriesRTA(t *testing.T) {
 	for _, qn := range workload.PaperOrder {
 		q := workload.MustQuery(qn, cat)
 		m := costmodel.NewDefault(q)
-		res, err := RTA(m, w, Options{
-			Objectives: objs,
-			Alpha:      1.5,
-			Timeout:    2 * time.Second,
-		})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		res, err := RTAContext(ctx, m, w, Options{Objectives: objs, Alpha: 1.5})
+		cancel()
 		if err != nil {
 			t.Fatalf("q%d: %v", qn, err)
 		}
@@ -58,12 +57,16 @@ func TestAllTPCHQueriesIRABounded(t *testing.T) {
 	for _, qn := range workload.PaperOrder {
 		q := workload.MustQuery(qn, cat)
 		m := costmodel.NewDefault(q)
-		minima, err := ObjectiveMinima(m, Options{Objectives: objs, Timeout: 2 * time.Second})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		minima, err := ObjectiveMinimaContext(ctx, m, Options{Objectives: objs})
+		cancel()
 		if err != nil {
 			t.Fatalf("q%d minima: %v", qn, err)
 		}
 		b := objective.NoBounds().With(objective.TotalTime, minima[objective.TotalTime]*3)
-		res, err := IRA(m, w, b, Options{Objectives: objs, Alpha: 1.5, Timeout: 2 * time.Second})
+		ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
+		res, err := IRAContext(ctx, m, w, b, Options{Objectives: objs, Alpha: 1.5})
+		cancel()
 		if err != nil {
 			t.Fatalf("q%d: %v", qn, err)
 		}

@@ -103,10 +103,10 @@ func pinRun(run func() (Result, error)) (enginePin, Result, error) {
 // rows where they stand, so other candidates are answered without a scan.
 //
 // Each instance runs with one and four workers (the pins do not depend on
-// the worker count), and degraded. The degraded run uses a 1 ns budget on
-// one worker: the deadline has passed before the first poll, so the run
-// degrades at exactly the 1024th candidate — a 1 ms budget would degrade
-// wherever the clock happened to stand.
+// the worker count), and degraded. The degraded run is under an expired
+// deadline on one worker: the deadline has passed before the first poll, so
+// the run degrades at exactly the 1024th candidate — a 1 ms budget would
+// degrade wherever the clock happened to stand.
 func TestEngineInvariantsPinned(t *testing.T) {
 	cat := catalog.TPCH(1)
 	all := objective.AllSet()
@@ -121,25 +121,25 @@ func TestEngineInvariantsPinned(t *testing.T) {
 	q10Bounds := objective.NoBounds().With(objective.TotalTime, minima[objective.TotalTime]*3)
 
 	type variant struct {
-		name    string
-		timeout time.Duration
-		workers []int
+		name     string
+		degraded bool
+		workers  []int
 	}
 	variants := []variant{
 		{name: "auto", workers: []int{1, 4}},
-		{name: "degraded", timeout: time.Nanosecond, workers: []int{1}},
+		{name: "degraded", degraded: true, workers: []int{1}},
 	}
 	cases := []struct {
 		name string
-		run  func(Options) (Result, error)
+		run  func(context.Context, Options) (Result, error)
 		want map[string]enginePin
 	}{
 		{
 			name: "chain-8/EXA/2obj",
-			run: func(o Options) (Result, error) {
+			run: func(ctx context.Context, o Options) (Result, error) {
 				_, q := synthetic.MustBuild(synthetic.Spec{Shape: synthetic.Chain, Tables: 8, Seed: 7})
 				o.Objectives = two
-				return EXA(costmodel.NewDefault(q), objective.UniformWeights(two), objective.NoBounds(), o)
+				return EXAContext(ctx, costmodel.NewDefault(q), objective.UniformWeights(two), objective.NoBounds(), o)
 			},
 			want: map[string]enginePin{
 				"auto":     {1832783, 3420, 36, 308, 341, 0xcfd520273ce2ad77, 1825376, 1813197},
@@ -148,9 +148,9 @@ func TestEngineInvariantsPinned(t *testing.T) {
 		},
 		{
 			name: "tpch-q5/RTA1.5/3obj",
-			run: func(o Options) (Result, error) {
+			run: func(ctx context.Context, o Options) (Result, error) {
 				o.Objectives, o.Alpha = three, 1.5
-				return RTA(costmodel.NewDefault(workload.MustQuery(5, cat)), objective.UniformWeights(three), o)
+				return RTAContext(ctx, costmodel.NewDefault(workload.MustQuery(5, cat)), objective.UniformWeights(three), o)
 			},
 			want: map[string]enginePin{
 				"auto":     {84073, 381, 33, 338, 28, 0xdd71b4b83bbd58da, 82905, 79102},
@@ -159,9 +159,9 @@ func TestEngineInvariantsPinned(t *testing.T) {
 		},
 		{
 			name: "tpch-q10/IRA1.5/9obj",
-			run: func(o Options) (Result, error) {
+			run: func(ctx context.Context, o Options) (Result, error) {
 				o.Objectives, o.Alpha = all, 1.5
-				return IRA(q10, objective.UniformWeights(all), q10Bounds, o)
+				return IRAContext(ctx, q10, objective.UniformWeights(all), q10Bounds, o)
 			},
 			want: map[string]enginePin{
 				"auto":     {187956, 983, 30, 96, 468, 0x4e07af44dbff7fde, 63317, 56404},
@@ -172,14 +172,18 @@ func TestEngineInvariantsPinned(t *testing.T) {
 	for _, c := range cases {
 		for _, v := range variants {
 			for _, workers := range v.workers {
-				got, res, err := pinRun(func() (Result, error) { return c.run(Options{Timeout: v.timeout, Workers: workers}) })
+				ctx := context.Background()
+				if v.degraded {
+					ctx = expired(t)
+				}
+				got, res, err := pinRun(func() (Result, error) { return c.run(ctx, Options{Workers: workers}) })
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: %v", c.name, v.name, workers, err)
 				}
 				if want := c.want[v.name]; got != want {
 					t.Errorf("%s/%s/w%d:\n got  %v\n want %v", c.name, v.name, workers, got, want)
 				}
-				if v.timeout > 0 && !res.Stats.TimedOut {
+				if v.degraded && !res.Stats.TimedOut {
 					t.Errorf("%s/%s: run did not degrade", c.name, v.name)
 				}
 			}

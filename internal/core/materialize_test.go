@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
@@ -177,7 +176,7 @@ func TestExtractMatchesMapOracle(t *testing.T) {
 			return WeightedSumDP(m, w, Options{Objectives: three})
 		}},
 		{"degraded rta", func(m *costmodel.Model) (Result, error) {
-			return RTA(m, w, Options{Objectives: three, Alpha: 1.5, Timeout: time.Nanosecond})
+			return RTAContext(expired(t), m, w, Options{Objectives: three, Alpha: 1.5})
 		}},
 	}
 	for _, num := range []int{3, 5, 8} {

@@ -17,12 +17,6 @@ type Options struct {
 	// IRA (>= 1 and finite). Ignored by the exact algorithms.
 	Alpha float64
 
-	// Timeout bounds the optimization time; zero means no timeout. When
-	// the timeout fires, the optimizer degrades as described in paper
-	// Section 5.1: every table set not yet treated gets only a single
-	// (best-weighted) plan, so optimization finishes quickly.
-	Timeout time.Duration
-
 	// AllowSampling includes the sampling scan operators in the plan
 	// space. Defaults (via Normalize) to whether tuple loss is an active
 	// objective: without loss as an objective nothing penalizes sampling,

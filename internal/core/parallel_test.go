@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
@@ -140,7 +139,7 @@ func TestParallelRace(t *testing.T) {
 	}
 }
 
-// TestTimeoutDegradesGracefully: with an immediately-expiring timeout the
+// TestTimeoutDegradesGracefully: with an already expired deadline the
 // run must still produce a full-cover plan (single-plan degraded mode,
 // paper Section 5.1) and flag the timeout, for both serial and parallel
 // engines.
@@ -152,10 +151,9 @@ func TestTimeoutDegradesGracefully(t *testing.T) {
 	w := objective.UniformWeights(threeObjs)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			res, err := RTA(m, w, Options{
+			res, err := RTAContext(expired(t), m, w, Options{
 				Objectives: threeObjs,
 				Alpha:      1.5,
-				Timeout:    time.Nanosecond,
 				Workers:    workers,
 			})
 			if err != nil {
@@ -184,16 +182,15 @@ func TestTimeoutDegradesGracefully(t *testing.T) {
 
 // TestTimeoutDegradedWeightsSteer: the degraded mode picks per table set
 // the single plan minimizing the *weighted* cost, so with an expired
-// timeout different weight vectors may pick different plans but every
+// deadline different weight vectors may pick different plans but every
 // result must remain a valid full cover.
 func TestTimeoutDegradedWeightsSteer(t *testing.T) {
 	q := starQuery(t)
 	m := costmodel.NewDefault(q)
 	for _, o := range []objective.ID{objective.TotalTime, objective.BufferFootprint} {
-		res, err := RTA(m, objective.SingleWeight(o), Options{
+		res, err := RTAContext(expired(t), m, objective.SingleWeight(o), Options{
 			Objectives: threeObjs,
 			Alpha:      1.2,
-			Timeout:    time.Nanosecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
@@ -100,71 +97,49 @@ type worker struct {
 // enough for 341 inner sub-plans under three operators before slots are shared.
 const nearSlots = 1024
 
-// observe polls the run's stop signals (amortized by the caller): the
-// context first — a cancellation latches the engine-wide cancelled flag, a
-// context deadline latches the timeout flag — then the wall-clock deadline.
-// Latching makes every other worker react promptly without re-polling.
-func (w *worker) observe() {
-	e := w.e
-	if e.ctxDone != nil {
-		select {
-		case <-e.ctxDone:
-			if errors.Is(e.ctx.Err(), context.DeadlineExceeded) {
-				e.timedOut.Store(true)
-			} else {
-				e.cancelled.Store(true)
-			}
-			return
-		default:
-		}
-	}
-	if e.hasTimeout && time.Now().After(e.deadline) {
-		e.timedOut.Store(true)
-	}
-}
-
-// expired checks the run's deadline and context (amortized: every 1024
-// calls per worker) and reports whether this worker should stop exhaustive
-// work — either to degrade (timeout) or to abandon the run (cancellation;
-// the engine's cancelled latch tells the two apart).
+// expired checks the run's context (amortized: every 1024 calls per
+// worker) and reports whether this worker should stop exhaustive work —
+// either to degrade (deadline) or to abandon the run (cancellation; the
+// engine's cancelled latch tells the two apart).
 func (w *worker) expired() bool {
 	e := w.e
 	if e.cancelled.Load() || e.timedOut.Load() {
 		return true
 	}
-	if !e.hasTimeout && e.ctxDone == nil {
+	if e.ctxDone == nil {
 		return false
 	}
 	w.checkTick++
 	if w.checkTick&1023 != 0 {
 		return false
 	}
-	w.observe()
-	return e.cancelled.Load() || e.timedOut.Load()
+	return e.stopped()
 }
 
 // pollFree reports whether fullSet's candidate callback would answer "go on"
-// to each of the next n candidates without looking at the clock or the
-// context: no stop is latched, and either nothing is armed or none of the n
-// ticks is a 1024th. Only then may joinPairs reject the n unoffered (adding n
-// to checkTick, which nothing reads when nothing is armed) and have a timeout
-// still land on the candidate it lands on when each is offered.
+// to each of the next n candidates without polling the context: no stop is
+// latched, and either the context cannot end or none of the n ticks is a
+// 1024th. Only then may joinPairs reject the n unoffered (adding n to
+// checkTick, which nothing reads when the context cannot end) and have a
+// deadline still land on the candidate it lands on when each is offered.
 func (w *worker) pollFree(n int) bool {
 	e := w.e
 	if e.cancelled.Load() || e.timedOut.Load() {
 		return false
 	}
-	if !e.hasTimeout && e.ctxDone == nil {
+	if e.ctxDone == nil {
 		return true
 	}
 	return w.checkTick&1023+n < 1024
 }
 
 // interrupted reports whether the run's context was cancelled. Unlike
-// expired it never reports a plain timeout: the scalar dynamic program has
-// no degraded mode — it must either enumerate every candidate or abort with
-// an error, since a partial enumeration would silently return a
-// non-optimal plan.
+// expired it never reports a passed deadline: the scalar dynamic program's
+// levels have no degraded mode — they must either enumerate every candidate
+// or abort with an error, since a partial enumeration would silently return
+// a non-optimal plan. (A deadline that passes while the levels are still
+// being materialized cuts the scalar run to the chain fallback, flagged
+// TimedOut; see WeightedSumDPContext.)
 func (w *worker) interrupted() bool {
 	e := w.e
 	if e.cancelled.Load() {
@@ -177,7 +152,7 @@ func (w *worker) interrupted() bool {
 	if w.checkTick&1023 != 0 {
 		return false
 	}
-	w.observe()
+	e.stopped()
 	return e.cancelled.Load()
 }
 

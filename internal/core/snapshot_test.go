@@ -368,8 +368,7 @@ func TestSnapshotNotCapturedWhenDegraded(t *testing.T) {
 	m := costmodel.NewDefault(starQuery(t))
 	opts := smallOpts(threeObjs)
 	opts.Alpha = 1.5
-	opts.Timeout = 1 // nanosecond: degrade immediately
-	res, err := RTA(m, objective.UniformWeights(threeObjs), opts)
+	res, err := RTAContext(expired(t), m, objective.UniformWeights(threeObjs), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
@@ -330,14 +329,14 @@ func TestGraphEnumerationRTAGuarantee(t *testing.T) {
 	}
 }
 
-// TestGraphEnumerationDegradedTimeout: an immediately expiring timeout
+// TestGraphEnumerationDegradedTimeout: an already expired deadline
 // must still produce a plan through the degraded path on a query large
 // enough that the lazy reduced-view narrowing matters.
 func TestGraphEnumerationDegradedTimeout(t *testing.T) {
 	q := buildShape(t, synthetic.Chain, 14, 1)
 	m := costmodel.NewDefault(q)
 	w := objective.UniformWeights(threeObjs)
-	res, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 2, Timeout: time.Nanosecond})
+	res, err := RTAContext(expired(t), m, w, Options{Objectives: threeObjs, Alpha: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@
 //
 // The package imports nothing from internal/core: its tests hold the
 // engine's answers to what it computes (EXA's frontier is the exact Pareto
-// set; RTA's plan is within α of the weighted optimum; under drawBounds'
+// set; RTA's plan is within α of the weighted optimum, and its frontier
+// on every connected induced sub-instance (induced) α-covers that
+// sub-instance's Pareto set (coverFactor); under drawBounds'
 // bounds, IRA's plan is within α of the optimum over the plans that
 // respect them, and respects them, whenever one does; a run cut short by
 // its deadline returns a valid plan, no snapshot, and nothing to a shared

@@ -15,6 +15,7 @@ import (
 	"moqo/internal/objective"
 	"moqo/internal/pareto"
 	"moqo/internal/plan"
+	"moqo/internal/query"
 )
 
 // seeds is how many instances tier-1 draws.
@@ -104,6 +105,59 @@ func TestGuaranteesOnRandomInstances(t *testing.T) {
 			t.Errorf("%v, bounds %v: no plan respects them, and IRA's plan costs %v, more than alpha × the optimum %v = %v", in, b, c, minCost, in.alpha*minCost)
 		}
 		t.Logf("%v: %d plans, Pareto set %d, RTA frontier %d, bounds respected by some plan: %v", in, plans, len(want), rta.Frontier.Len(), feasible)
+	}
+}
+
+// coveredPairs is how many (seed, table set) pairs TestRTACoversEverySubInstance
+// checks: every connected set of at least two tables of every tier-1 seed's
+// instance, the whole query included.
+const coveredPairs = 140
+
+// TestRTACoversEverySubInstance holds RTA to Theorem 3 per table subset. The
+// theorem states, by induction over the table sets, that RTA's archive for
+// a set S is an αᵢ^|S|-approximate Pareto set of S's plans, with
+// αᵢ = αU^(1/|Q|); at S = Q that is the αU of the user. For every tier-1
+// seed and every connected set S of at least two tables, the induced
+// sub-instance (the relations of S and the joins among them) is optimized
+// by RTA at precision αᵢ^|S| — its internal precision is then αᵢ again, so
+// its frontier is the archive the whole run keeps for S — and its frontier
+// must α-cover the exact Pareto set of S's plans on the active objectives:
+// every Pareto-optimal plan has a frontier row at most αᵢ^|S| times its
+// cost on each of them. A break of the principle of near-optimality on a
+// sub-join surfaces here even where the whole query's frontier still
+// covers. The check has no tolerance: a factor over αᵢ^|S| by one ulp of
+// that power's rounding fails.
+func TestRTACoversEverySubInstance(t *testing.T) {
+	pairs := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		in := generate(seed)
+		all := in.query.AllTables()
+		alphaI := math.Pow(in.alpha, 1/float64(all.Len()))
+		for s := query.TableSet(3); s <= all; s++ {
+			if s.Single() || !in.query.Connected(s) {
+				continue
+			}
+			pairs++
+			bound := in.alpha
+			if s != all {
+				bound = math.Pow(alphaI, float64(s.Len()))
+			}
+			sub := induced(in.query, s)
+			exact := newParetoFilter(in.objectives)
+			exhaustive(costmodel.NewDefault(sub), in.maxDOP, in.sampling, exact.add)
+			opts := core.Options{Objectives: in.objectives, Alpha: bound, MaxDOP: in.maxDOP, AllowSampling: &in.sampling}
+			rta, err := core.RTA(costmodel.NewDefault(sub), in.weights, opts)
+			if err != nil {
+				t.Fatalf("%v: tables %v: RTA: %v", in, s, err)
+			}
+			if f := coverFactor(rta.Frontier.Frontier(), exact.rows(), in.objectives); f > bound {
+				t.Errorf("%v: tables %v: RTA's frontier (%d rows) covers the Pareto set (%d rows) only at %v, over αᵢ^%d = %v",
+					in, s, rta.Frontier.Len(), len(exact.rows()), f, s.Len(), bound)
+			}
+		}
+	}
+	if pairs != coveredPairs {
+		t.Errorf("checked %d (seed, table set) pairs, want %d", pairs, coveredPairs)
 	}
 }
 

@@ -23,8 +23,9 @@ type member struct {
 	// algorithm decided, its keys built on first use.
 	req      moqo.Resolved
 	ten      string
-	frontier bool // include the frontier in the response
-	noCache  bool // bypass every tier
+	timeout  time.Duration // the clamped timeout_ms: serve's budget
+	frontier bool          // include the frontier in the response
+	noCache  bool          // bypass every tier
 }
 
 // failure is a member's classified error: the wire code a batch member
@@ -70,6 +71,7 @@ func (s *Server) build(m *member, wire *OptimizeRequest, tenantName string, cat 
 	}
 	s.tenants.CountRequest(m.ten)
 	m.frontier, m.noCache = wire.Frontier, wire.NoCache
+	m.timeout = s.clampTimeout(wire.TimeoutMs)
 	var req moqo.Request
 	if req.Query, err = s.memberQuery(wire, cat, queries); err != nil {
 		return err
@@ -77,7 +79,6 @@ func (s *Server) build(m *member, wire *OptimizeRequest, tenantName string, cat 
 	if err = applyKnobs(&req, wire); err != nil {
 		return err
 	}
-	req.Timeout = s.clampTimeout(wire.TimeoutMs)
 	req.Workers = s.clampWorkers(wire.Workers)
 	m.req, err = req.Resolve()
 	return err
@@ -171,12 +172,12 @@ func (s *Server) clampWorkers(workers int) int {
 // turn in the schedule for a batch member — and is carried by the context,
 // so every wait downstream (the frontier tier's single-flight wait, the
 // cold-DP scheduler queue, acquireCold) consumes it, and the dynamic
-// program, which folds the context deadline into the §5.1 degrade path,
-// gets exactly the remainder. A budget that dies while still queued
+// program, whose §5.1 degrade path the context's deadline is, gets exactly
+// the remainder. A budget that dies while still queued
 // surfaces as DeadlineExceeded and is shed. The budget is armed only when
 // one of them first asks (see budget): a frontier hit never does.
 func (s *Server) serve(ctx context.Context, m *member, started time.Time) (OptimizeResponse, *failure) {
-	b := &budget{parent: ctx, deadline: started.Add(m.req.Request().Timeout)}
+	b := &budget{parent: ctx, deadline: started.Add(m.timeout)}
 	defer b.release()
 	res, err := s.tiers.Serve(b, &m.req, m.ten, m.noCache)
 	if err != nil {

@@ -58,7 +58,7 @@
 // budget (Options.MaxBytes) evicts least-recently-used entries by
 // tombstone when exceeded, and background compaction reclaims the space
 // of superseded, deleted and evicted records once they outweigh
-// Options.CompactFraction of the log.
+// half of the log.
 //
 // Recency is kept in memory only. A Get hit and a Touch — the tier
 // above saying "this entry was in use in memory until now" — move the

@@ -53,10 +53,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it grows past this
 	// size (default 8 MiB).
 	SegmentBytes int64
-	// CompactFraction triggers background compaction once dead bytes
-	// (superseded, deleted, evicted records and tombstones) exceed this
-	// fraction of the log (default 0.5).
-	CompactFraction float64
 	// NoSync skips the fsync after each append. Throughput over
 	// durability — a crash may lose the most recent writes, but recovery
 	// still detects and drops whatever was torn.
@@ -74,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.CompactFraction == 0 {
-		o.CompactFraction = 0.5
 	}
 	if o.FS == nil {
 		o.FS = fault.OS()
@@ -610,14 +603,19 @@ func (s *Store) enforceBudget(keep string) error {
 // fires; compacting a few kilobytes is churn, not reclamation.
 const compactFloor = 1 << 20
 
+// compactFraction triggers background compaction once dead bytes
+// (superseded, deleted, evicted records and tombstones) exceed this
+// fraction of the log.
+const compactFraction = 0.5
+
 // maybeCompact starts a background compaction when dead bytes outweigh
-// the configured fraction of the log. At most one compaction runs at a
+// compactFraction of the log. At most one compaction runs at a
 // time; it serializes with writers on the store mutex, so the Put that
 // tripped the threshold returns immediately and the rewrite happens
 // behind it.
 func (s *Store) maybeCompact() {
 	total := s.liveBytes + s.deadBytes
-	if s.compacting || total < compactFloor || float64(s.deadBytes) < s.opts.CompactFraction*float64(total) {
+	if s.compacting || total < compactFloor || float64(s.deadBytes) < compactFraction*float64(total) {
 		return
 	}
 	s.compacting = true

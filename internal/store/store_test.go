@@ -250,7 +250,7 @@ func TestCompactReclaimsDeadBytes(t *testing.T) {
 }
 
 func TestBackgroundCompactionTriggers(t *testing.T) {
-	s := openT(t, t.TempDir(), func(o *Options) { o.CompactFraction = 0.4 })
+	s := openT(t, t.TempDir())
 	val := bytes.Repeat([]byte("v"), 64<<10)
 	for i := 0; i < 40; i++ { // ~2.5MB of rewrites of few keys → mostly dead
 		if err := s.Put(fmt.Sprintf("key-%d", i%4), val); err != nil {

@@ -33,8 +33,8 @@
 // provider and multi-user server scenarios.
 //
 // OptimizeContext adds cancellation (a cancelled context aborts the
-// dynamic program promptly) and deadline handling (a context deadline
-// degrades gracefully, like Request.Timeout).
+// dynamic program promptly) and a deadline, which the context alone
+// carries: it degrades the run gracefully (paper Section 5.1).
 //
 // Every entry point is Request.Resolve plus one method of the Resolved it
 // returns. Resolve is the one validator: it applies every check a
@@ -57,7 +57,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"time"
 
 	"moqo/internal/catalog"
 	"moqo/internal/core"
@@ -221,10 +220,6 @@ type Request struct {
 	// requests); the weighted-cost guarantee is the maximum precision over
 	// the weighted objectives.
 	Precisions map[Objective]float64
-
-	// Timeout caps optimization time (0 = none). On timeout the
-	// optimizer degrades gracefully and flags Stats.TimedOut.
-	Timeout time.Duration
 
 	// CostParams overrides the cost model calibration (nil = defaults).
 	CostParams *CostParams
@@ -433,7 +428,6 @@ func (req Request) Resolve() (Resolved, error) {
 	r.opts, err = core.Options{
 		Objectives:    r.objs,
 		Alpha:         r.alpha,
-		Timeout:       req.Timeout,
 		MaxDOP:        req.MaxDOP,
 		AllowSampling: req.AllowSampling,
 		Workers:       req.Workers,
@@ -491,10 +485,10 @@ var ErrInternalPanic = core.ErrEnginePanic
 // Optimize solves the resolved problem under a context. Cancelling the
 // context (a client disconnect, an explicit cancel) aborts the dynamic
 // program promptly — within about a thousand candidate plans — and returns
-// the context's error. A context *deadline* instead folds into the same
-// graceful degradation as Request.Timeout (paper Section 5.1): the earlier
-// of the two fires, untreated table sets get a single best-weighted plan,
-// and the call still returns a Result with Stats.TimedOut set.
+// the context's error. A context *deadline* instead degrades the run
+// gracefully (paper Section 5.1): untreated table sets get a single
+// best-weighted plan, and the call still returns a Result with
+// Stats.TimedOut set.
 func (r *Resolved) Optimize(ctx context.Context) (*Result, error) {
 	res, _, err := r.run(ctx)
 	return res, err

@@ -1,6 +1,7 @@
 package moqo_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -366,12 +367,13 @@ func TestOptimizeTimeout(t *testing.T) {
 	cat := moqo.TPCHCatalog(1)
 	q, _ := moqo.TPCHQuery(8, cat)
 	start := time.Now()
-	res, err := moqo.Optimize(moqo.Request{
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	res, err := moqo.OptimizeContext(ctx, moqo.Request{
 		Query:      q,
 		Algorithm:  moqo.AlgoEXA,
 		Objectives: moqo.AllObjectives(),
 		Weights:    map[moqo.Objective]float64{moqo.TotalTime: 1},
-		Timeout:    200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

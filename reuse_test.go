@@ -2,6 +2,7 @@ package moqo_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -257,9 +258,9 @@ func TestSnapshotAPISurface(t *testing.T) {
 		t.Fatal("RTA did not report a reusable frontier")
 	}
 
-	degraded := base
-	degraded.Timeout = time.Nanosecond
-	if res, snap, err := moqo.OptimizeSnapshot(degraded); err != nil {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if res, snap, err := moqo.OptimizeSnapshotContext(expired, base); err != nil {
 		t.Fatal(err)
 	} else if res.Stats.TimedOut && snap != nil {
 		t.Fatal("degraded run produced a frontier snapshot")

@@ -231,7 +231,7 @@ func (r *Resolved) Reoptimize(ctx context.Context, snap *FrontierSnapshot) (*Res
 // Reoptimize is ReoptimizeContext with a background context. For EXA and
 // RTA snapshots no dynamic program can run, so the call completes in
 // microseconds regardless; only seeded IRA refinement can take longer
-// (bound it with Request.Timeout or use ReoptimizeContext).
+// (bound it with a context deadline through ReoptimizeContext).
 func Reoptimize(req Request, snap *FrontierSnapshot) (*Result, *FrontierSnapshot, error) {
 	return ReoptimizeContext(context.Background(), req, snap)
 }
