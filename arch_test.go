@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -478,6 +479,253 @@ var note = "req.Timeout"`,
 			},
 		},
 	},
+	{
+		// A scanning insert visits only the ranks the sum index leaves it:
+		// FlatArchive.rejector is the one product rejection scan, and the
+		// width-specialized loops under it have no other caller. Only
+		// insertGeneric, the oracle, walks the whole archive in storage order
+		// (anyRowLeqGeneric, evictGeneric): a second caller of either is a
+		// storage-order scan growing back.
+		name: "One rejection scan",
+		check: func(src sources) []string {
+			pareto := src.filter(nonTestIn("internal/pareto/"))
+			var bad []string
+			for _, r := range []struct {
+				callee *regexp.Regexp
+				method bool
+				want   string
+			}{
+				{regexp.MustCompile(`^(anyRowLeqGeneric|evictGeneric)$`), false, "insertGeneric"},
+				{regexp.MustCompile(`^lastRowLeq[0-9]+$`), false, "rejector"},
+				{regexp.MustCompile(`^rejector$`), true, "InsertRowNear"},
+			} {
+				got := callers(pareto, func(call *ast.CallExpr) bool {
+					switch fun := call.Fun.(type) {
+					case *ast.Ident:
+						return !r.method && r.callee.MatchString(fun.Name)
+					case *ast.SelectorExpr:
+						return r.callee.MatchString(fun.Sel.Name)
+					}
+					return false
+				})
+				if !slices.Equal(got, []string{r.want}) {
+					bad = append(bad, fmt.Sprintf("%v is called from %v, want %s", r.callee, got, r.want))
+				}
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/pareto/scan.go": `package pareto
+func (a *FlatArchive) Dominated(t *[stride]float64) bool { return anyRowLeqGeneric(a.costs, a.cfg.ids, t) >= 0 }`},
+			{"internal/pareto/scan.go": `package pareto
+func (a *FlatArchive) Rejects(t *[stride]float64, tk int) bool { return a.rejector(t, tk) >= 0 }`},
+			{"internal/pareto/scan.go": `package pareto
+func scan3(costs []float64, t [3]float64) int { return lastRowLeq3(costs, 0, 1, 2, t[0], t[1], t[2]) }`},
+		},
+		mentions: []map[string]string{
+			{"internal/pareto/scan.go": `package pareto
+// Only InsertRowNear calls a.rejector(&t, tk); insertGeneric alone calls
+// anyRowLeqGeneric(costs, ids, t) and a.evictGeneric(ids, c).
+var note = "lastRowLeq3(costs, 0, 1, 2, t0, t1, t2)"`},
+		},
+	},
+	{
+		// The FIFO arrival gate and the breaker-less store were baselines kept
+		// in the product so a benchmark had an arm that loses. A request queues
+		// at one site (Server.acquireCold) and a configured store always has
+		// its breaker; tests may still spell the names. A string that is one of
+		// the flags' names is a flag coming back; prose that mentions one is
+		// not.
+		name: "No losing arms in the product",
+		check: func(src sources) []string {
+			product := src.filter(func(p string) bool { return !isTest(p) })
+			bad := forbidIdents(product, regexp.MustCompile(`^(FIFOScheduling|NoStoreBreaker|gateRequest)$`), "a baseline knob is back")
+			for path, f := range product {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						if isIdent(n.X, "tenant") && n.Sel.Name == "FIFO" {
+							bad = append(bad, fmt.Sprintf("%s: tenant.FIFO: a baseline knob is back", path))
+						}
+					case *ast.BasicLit:
+						if v, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil {
+							if flag := strings.TrimLeft(v, "-"); flag == "fifo" || flag == "no-store-breaker" {
+								bad = append(bad, fmt.Sprintf("%s: %s: a baseline flag is back", path, n.Value))
+							}
+						}
+					}
+					return true
+				})
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"cmd/moqod/main.go": `package main
+var fifo = flag.Bool("fifo", false, "admit in arrival order")`},
+			{"internal/server/server.go": `package server
+type Options struct { NoStoreBreaker bool }`},
+			{"internal/server/admit.go": `package server
+func (s *Server) admit() { s.gateRequest(); _ = tenant.FIFO }`},
+			{"cmd/moqod/main.go": `package main
+var arms = []string{"-no-store-breaker"}`},
+		},
+		mentions: []map[string]string{
+			{"internal/server/admit.go": `package server
+// No FIFOScheduling, no gateRequest, no tenant.FIFO, no -fifo flag.
+var note = "the fifo arm and NoStoreBreaker are gone; see no-store-breaker in the notes"`},
+		},
+	},
+	{
+		// A plan is rendered where the frontier's per-row memo is filled
+		// (core.Frontier.PlanJSON) and nowhere else: moqod, cmd/moqo and
+		// OptimizeBatch get plan JSON from Result.PlanJSON, which reads the
+		// memo, and benchmark/ keeps plan.Node.JSON as its fresh-render probe.
+		// The scoreboard's report is the one indented renderer, and
+		// plan.Node.JSON appends bytes: encoding/json's rendering of a
+		// Description tree is the oracle of internal/plan's tests. The
+		// SelectBest scan asks Bounds.Respects once per frontier row, the IRA
+		// stopping rule asks both, and Resolve asks Unbounded on every RTA or
+		// defaulted request: none may build the set's ID slice.
+		name: "One rendering per frontier row",
+		check: func(src sources) []string {
+			var bad []string
+			outside := src.filter(func(p string) bool {
+				return !isTest(p) && !strings.HasPrefix(p, "benchmark/") && !strings.HasPrefix(p, "internal/plan/")
+			})
+			sites := map[string]int{}
+			for path, f := range outside {
+				if n := countCalls(f, anyCall("Describe", "JSON")); n > 0 {
+					sites[path] = n
+				}
+			}
+			if want := map[string]int{"internal/core/frontier.go": 1}; !reflect.DeepEqual(sites, want) {
+				bad = append(bad, fmt.Sprintf("plans are rendered at %v, want only %v", sites, want))
+			}
+			for path, f := range src.filter(func(p string) bool { return !isTest(p) && !strings.HasPrefix(p, "benchmark/") }) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "MarshalIndent" {
+						bad = append(bad, fmt.Sprintf("%s: a second indented renderer", path))
+					}
+					return true
+				})
+			}
+			for path, f := range src.filter(nonTestIn("internal/plan/")) {
+				if n := countCalls(f, func(call *ast.CallExpr) bool {
+					return selectorCall("json", "Marshal")(call) || selectorCall("json", "MarshalIndent")(call)
+				}); n > 0 {
+					bad = append(bad, fmt.Sprintf("%s: internal/plan renders through encoding/json", path))
+				}
+			}
+			for path, f := range src.filter(func(p string) bool { return p == "internal/objective/objective.go" }) {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Recv == nil || len(fn.Recv.List) != 1 || !isIdent(fn.Recv.List[0].Type, "Bounds") ||
+						!slices.Contains([]string{"Respects", "RespectsRelaxed", "Unbounded"}, fn.Name.Name) {
+						continue
+					}
+					if n := countCalls(&ast.File{Decls: []ast.Decl{fn}}, methodCall("IDs")); n > 0 {
+						bad = append(bad, fmt.Sprintf("%s: Bounds.%s builds the set's ID slice", path, fn.Name.Name))
+					}
+				}
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/server/wire.go": `package server
+func render(n *plan.Node, q *query.Query, objs objective.Set) ([]byte, error) { return n.JSON(q, objs) }`},
+			{"cmd/moqo/main.go": `package main
+func show(d plan.Description) { out, _ := json.MarshalIndent(d, "", "  "); _ = out }`},
+			{"internal/plan/json.go": `package plan
+func (n *Node) render(q *query.Query) ([]byte, error) { return json.Marshal(n.Describe(q)) }`},
+			{"internal/objective/objective.go": `package objective
+type Bounds [9]float64
+func (b Bounds) Respects(v Vector, objs Set) bool {
+	for _, o := range objs.IDs() {
+		if v[o] > b[o] { return false }
+	}
+	return true
+}`},
+		},
+		mentions: []map[string]string{
+			{"internal/server/wire.go": `package server
+// Not n.JSON(q, objs), not n.Describe(q), not json.MarshalIndent(d, "", "  ").
+var note = "plan.Node.JSON(q, objs)"`},
+		},
+	},
+	{
+		// Keeping the single best plan of a table set is one set treatment
+		// (worker.keepBest), entered by §5.1's degraded branch and by the
+		// keep-best program alike, and the objective minima are Selinger runs:
+		// no second copy of the rule, and no engine of the minima's own.
+		name: "One keep-best set",
+		check: func(src sources) []string {
+			core := src.filter(nonTestIn("internal/core/"))
+			bad := forbidIdents(core, regexp.MustCompile(`^(degradedSet|bestOnlySet|singleObjectiveMin)$`), "a second keep-best set treatment")
+			found := false
+			for path, f := range core {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Recv != nil || fn.Name.Name != "ObjectiveMinimaContext" {
+						continue
+					}
+					found = true
+					body := &ast.File{Decls: []ast.Decl{fn}}
+					isCall := func(name string) func(*ast.CallExpr) bool {
+						return func(call *ast.CallExpr) bool { return isIdent(call.Fun, name) }
+					}
+					if countCalls(body, isCall("newEngine")) > 0 {
+						bad = append(bad, fmt.Sprintf("%s: ObjectiveMinimaContext starts an engine of its own", path))
+					}
+					if countCalls(body, isCall("SelingerContext")) == 0 {
+						bad = append(bad, fmt.Sprintf("%s: ObjectiveMinimaContext takes no minimum from SelingerContext", path))
+					}
+				}
+			}
+			if !found {
+				bad = append(bad, "internal/core declares no ObjectiveMinimaContext")
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/core/engine.go": `package core
+func (w *worker) degradedSet(id int32, s query.TableSet) {}`},
+			{"internal/core/algorithms.go": `package core
+func ObjectiveMinimaContext(ctx context.Context, m *costmodel.Model, opts Options) (objective.Vector, error) {
+	var minima objective.Vector
+	for _, o := range opts.Objectives.IDs() {
+		e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), objective.SingleWeight(o))
+		minima[o] = e.runScalar().CostRow(0)[o]
+	}
+	return minima, nil
+}`},
+			{"internal/core/minima.go": `package core
+func singleObjectiveMin(ctx context.Context, m *costmodel.Model, o objective.ID, opts Options) (float64, error) {
+	res, err := SelingerContext(ctx, m, o, opts)
+	return res.Frontier.CostAt(0)[o], err
+}`},
+		},
+		mentions: []map[string]string{
+			{"internal/core/engine.go": `package core
+// degradedSet, bestOnlySet and singleObjectiveMin are one keepBest now;
+// ObjectiveMinimaContext never calls newEngine(ctx, m, opts, cfg, w).
+var note = "degradedSet bestOnlySet singleObjectiveMin newEngine"`},
+		},
+	},
+}
+
+// callers returns, sorted, the names of the functions and methods in src
+// whose bodies hold a call that matches.
+func callers(src sources, match func(*ast.CallExpr) bool) []string {
+	var names []string
+	for _, f := range src {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && countCalls(&ast.File{Decls: []ast.Decl{fn}}, match) > 0 && !slices.Contains(names, fn.Name.Name) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // isIdent reports whether x is the identifier name.

@@ -145,8 +145,8 @@ type Row struct {
 	Cells     []Cell
 }
 
-// runCase runs one algorithm on one test case and returns the plan's
-// weighted cost together with the run statistics.
+// caseRun is one algorithm's run on one test case (runAlgorithms): the
+// plan's weighted cost together with the run statistics.
 type caseRun struct {
 	name  string
 	stats core.Stats
@@ -242,19 +242,6 @@ func aggregate(cells []Cell, perCase [][]caseRun) {
 	}
 }
 
-// runCells executes one job per (query, param) cell, in order, and returns
-// the produced rows, or the first error.
-func runCells(jobs []func() (Row, error)) ([]Row, error) {
-	rows := make([]Row, len(jobs))
-	for i, job := range jobs {
-		var err error
-		if rows[i], err = job(); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
 // caseGen draws one test case of a (query, param) cell.
 type caseGen func(param int, r *rand.Rand) workload.TestCase
 
@@ -270,37 +257,35 @@ func weightedCases(q *query.Query, _ *costmodel.Model) (caseGen, error) {
 // into its generator (Figure 10 computes the per-query minima there).
 func (c Config) figureRows(figure string, params []int, algs []namedAlgo,
 	newGen func(*query.Query, *costmodel.Model) (caseGen, error)) ([]Row, error) {
-	var jobs []func() (Row, error)
+	var rows []Row
 	for _, qn := range c.queries() {
 		for _, k := range params {
-			jobs = append(jobs, func() (Row, error) {
-				// Each job owns its model: a costmodel.Model memoizes the
-				// estimates of one run at a time.
-				q := workload.MustQuery(qn, c.catalog())
-				m := costmodel.NewDefault(q)
-				gen, err := newGen(q, m)
+			// Each cell owns its model: a costmodel.Model memoizes the
+			// estimates of one run at a time.
+			q := workload.MustQuery(qn, c.catalog())
+			m := costmodel.NewDefault(q)
+			gen, err := newGen(q, m)
+			if err != nil {
+				return nil, err
+			}
+			r := c.newRNG(figure, qn, k)
+			var perCase [][]caseRun
+			for i := 0; i < c.CasesPerConfig; i++ {
+				runs, err := c.runAlgorithms(gen(k, r), m, algs)
 				if err != nil {
-					return Row{}, err
+					return nil, err
 				}
-				r := c.newRNG(figure, qn, k)
-				var perCase [][]caseRun
-				for i := 0; i < c.CasesPerConfig; i++ {
-					runs, err := c.runAlgorithms(gen(k, r), m, algs)
-					if err != nil {
-						return Row{}, err
-					}
-					perCase = append(perCase, runs)
-				}
-				cells := make([]Cell, len(algs))
-				for i, a := range algs {
-					cells[i].Algorithm = a.name
-				}
-				aggregate(cells, perCase)
-				return Row{QueryNum: qn, NumTables: q.NumRelations(), Param: k, Cells: cells}, nil
-			})
+				perCase = append(perCase, runs)
+			}
+			cells := make([]Cell, len(algs))
+			for i, a := range algs {
+				cells[i].Algorithm = a.name
+			}
+			aggregate(cells, perCase)
+			rows = append(rows, Row{QueryNum: qn, NumTables: q.NumRelations(), Param: k, Cells: cells})
 		}
 	}
-	return runCells(jobs)
+	return rows, nil
 }
 
 // newRNG derives a deterministic RNG for one (figure, query, param) cell,

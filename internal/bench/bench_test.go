@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"moqo/internal/core"
+	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 	"moqo/internal/pareto"
 	"moqo/internal/workload"
@@ -355,19 +359,23 @@ func TestScatter(t *testing.T) {
 	_ = Scatter([][2]float64{{0, 0}}, nil, 10, 5, "x", "y")
 }
 
-func TestRunCellsPropagatesErrors(t *testing.T) {
-	boom := func() (Row, error) { return Row{}, errTest }
-	ok := func() (Row, error) { return Row{QueryNum: 1}, nil }
-	if _, err := runCells([]func() (Row, error){ok, boom}); err == nil {
-		t.Error("sequential error lost")
+func TestFigureRowsPropagatesErrors(t *testing.T) {
+	cfg := quickConfig()
+	calls := 0
+	boom := namedAlgo{name: "boom", run: func(context.Context, *costmodel.Model, workload.TestCase) (core.Result, error) {
+		calls++
+		return core.Result{}, errTest
+	}}
+	rows, err := cfg.figureRows("errors", []int{3}, []namedAlgo{boom}, weightedCases)
+	if !errors.Is(err, errTest) || rows != nil {
+		t.Fatalf("figureRows = %d rows, %v; want no rows and the algorithm's error", len(rows), err)
+	}
+	if calls != 1 {
+		t.Errorf("the failing algorithm ran %d times; the first error must end the experiment", calls)
 	}
 }
 
-var errTest = errTestType{}
-
-type errTestType struct{}
-
-func (errTestType) Error() string { return "test error" }
+var errTest = errors.New("test error")
 
 func TestConfigRNGDeterminism(t *testing.T) {
 	cfg := DefaultConfig()

@@ -333,7 +333,8 @@ func Selinger(m *costmodel.Model, obj objective.ID, opts Options) (Result, error
 	return SelingerContext(context.Background(), m, obj, opts)
 }
 
-// SelingerContext is Selinger under a context (see WeightedSumDPContext).
+// SelingerContext is Selinger under a context: the weighted-sum program
+// (WeightedSumDPContext) with all weight on obj.
 func SelingerContext(ctx context.Context, m *costmodel.Model, obj objective.ID, opts Options) (Result, error) {
 	opts.Objectives = objective.NewSet(obj)
 	return WeightedSumDPContext(ctx, m, objective.SingleWeight(obj), opts)
@@ -350,11 +351,11 @@ func WeightedSumDP(m *costmodel.Model, w objective.Weights, opts Options) (Resul
 }
 
 // WeightedSumDPContext is WeightedSumDP under a context. Cancellation
-// aborts it with ctx's error. The scalar levels have no degraded mode, so a
-// deadline that passes while they run does not truncate them; one that
-// passes while the search space is still being materialized (the
-// connected-subset walk of a clique or a wide star) does: the run treats
-// the §5.1 chain fallback and returns its plan with Stats.TimedOut set.
+// aborts it with ctx's error. It has no degraded levels, so a deadline that
+// passes while they run changes nothing; one that passes while the search
+// space is still being materialized (the connected-subset walk of a clique
+// or a wide star) truncates the run to the §5.1 chain fallback, and only
+// then is it Stats.TimedOut. Its answer depends on the weights: no snapshot.
 func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.Weights, opts Options) (Result, error) {
 	if opts.Objectives.Len() == 0 {
 		opts.Objectives = w.Active()
@@ -364,35 +365,24 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 		return Result{}, err
 	}
 	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
-	flat := e.runScalar(func(v objective.Vector) float64 { return w.Cost(v) })
-	if err := e.cancelErr(); err != nil {
-		return Result{}, err
-	}
-	// The scalar program keeps one plan per set: its frontier is that plan
-	// (row 0, BestRow's zero value), and — being weight-specific — is never
-	// returned as a snapshot.
-	f := &Frontier{}
-	e.extract(f, flat)
-	res := Result{Frontier: f, Stats: e.stats(start)}
-	if f.Len() > 0 {
-		res.Best = f.Plans()[0]
-	}
-	return res, nil
+	res, err := e.result(e.runScalar(), w, objective.NoBounds(), 1, start)
+	res.Snapshot = nil
+	return res, err
 }
 
 // ObjectiveMinima returns, for every active objective, the minimal
-// achievable cost over the plan space, computed by one single-objective DP
-// per objective. The paper's test-case generator draws bounds for
+// achievable cost over the plan space, computed by one Selinger run per
+// objective. The paper's test-case generator draws bounds for
 // unbounded-domain objectives from [1,2] times these minima.
 func ObjectiveMinima(m *costmodel.Model, opts Options) (objective.Vector, error) {
 	return ObjectiveMinimaContext(context.Background(), m, opts)
 }
 
 // ObjectiveMinimaContext is ObjectiveMinima under a context; cancellation
-// aborts between (and within) the per-objective dynamic programs. A minimum
-// has no degraded form — a bound drawn from a chain plan's cost would be
-// wrong, not approximate — so a deadline that cuts a program short (see
-// WeightedSumDPContext) is an error wrapping context.DeadlineExceeded.
+// aborts between (and within) the Selinger runs, each over opts normalized
+// for the full objective set (so the sampling decision is the main run's).
+// A minimum has no degraded form, so a run the deadline cut short
+// (Stats.TimedOut) is an error wrapping context.DeadlineExceeded.
 func ObjectiveMinimaContext(ctx context.Context, m *costmodel.Model, opts Options) (objective.Vector, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -400,34 +390,17 @@ func ObjectiveMinimaContext(ctx context.Context, m *costmodel.Model, opts Option
 	}
 	var minima objective.Vector
 	for _, o := range opts.Objectives.IDs() {
-		sopts := opts
-		sopts.Objectives = opts.Objectives // keep sampling decision stable
-		res, err := singleObjectiveMin(ctx, m, o, sopts)
+		res, err := SelingerContext(ctx, m, o, opts)
 		if err != nil {
 			return objective.Vector{}, err
 		}
-		minima[o] = res
+		if res.Stats.TimedOut {
+			return objective.Vector{}, fmt.Errorf("core: minimum of %v: the deadline passed during enumeration: %w", o, context.DeadlineExceeded)
+		}
+		if res.Frontier.Len() == 0 {
+			return objective.Vector{}, fmt.Errorf("core: no plan found for objective %v", o)
+		}
+		minima[o] = res.Frontier.CostAt(res.BestRow)[o]
 	}
 	return minima, nil
-}
-
-// singleObjectiveMin minimizes one objective over the plan space defined
-// by opts (including its sampling decision, which must match the main
-// run's plan space for the minima to be meaningful bounds).
-func singleObjectiveMin(ctx context.Context, m *costmodel.Model, o objective.ID, opts Options) (float64, error) {
-	if err := startErr(ctx); err != nil {
-		return 0, err
-	}
-	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), objective.SingleWeight(o))
-	flat := e.runScalar(func(v objective.Vector) float64 { return v[o] })
-	if err := e.cancelErr(); err != nil {
-		return 0, err
-	}
-	if e.enum.chainFallback {
-		return 0, fmt.Errorf("core: minimum of %v: the deadline passed during enumeration: %w", o, context.DeadlineExceeded)
-	}
-	if flat == nil || flat.Len() == 0 {
-		return 0, fmt.Errorf("core: no plan found for objective %v", o)
-	}
-	return flat.CostRow(0)[o], nil
 }

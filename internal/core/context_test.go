@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -246,5 +247,51 @@ func TestObjectiveMinimaDeadlineFails(t *testing.T) {
 	res, err := SelingerContext(expired(t), costmodel.NewDefault(q), objective.TotalTime, Options{})
 	if err != nil || !res.Stats.TimedOut || res.Best == nil {
 		t.Fatalf("SelingerContext under an expired deadline: TimedOut %v, err %v, want a degraded plan", res.Stats.TimedOut, err)
+	}
+}
+
+// TestKeepBestDeadlineAfterEnumeration: a keep-best run has no degraded
+// levels, so a deadline that passes while its levels run leaves its answer
+// complete — the same plan, cost bits and candidate count as the run
+// without one — and it must not report TimedOut.
+func TestKeepBestDeadlineAfterEnumeration(t *testing.T) {
+	_, q := synthetic.MustBuild(synthetic.Spec{Shape: synthetic.Chain, Tables: 10, MaxRows: 1e5, Seed: 3})
+	two := objective.NewSet(objective.TotalTime, objective.Energy)
+	runs := []struct {
+		name string
+		run  func(ctx context.Context) (Result, error)
+	}{
+		{"selinger", func(ctx context.Context) (Result, error) {
+			return SelingerContext(ctx, costmodel.NewDefault(q), objective.TotalTime, Options{})
+		}},
+		{"weighted sum", func(ctx context.Context) (Result, error) {
+			return WeightedSumDPContext(ctx, costmodel.NewDefault(q), objective.UniformWeights(two), Options{Objectives: two})
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			want, err := r.run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.run(deadlineAtSet(t, 30))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats.TimedOut {
+				t.Error("a complete keep-best run reports TimedOut")
+			}
+			if got.Stats.Considered != want.Stats.Considered {
+				t.Errorf("considered %d candidates, want %d", got.Stats.Considered, want.Stats.Considered)
+			}
+			if g, w := got.Best.Signature(q), want.Best.Signature(q); g != w {
+				t.Errorf("plan %s, want %s", g, w)
+			}
+			for o, c := range got.Frontier.CostAt(got.BestRow) {
+				if w := want.Frontier.CostAt(want.BestRow)[o]; math.Float64bits(c) != math.Float64bits(w) {
+					t.Errorf("cost[%d] = %v, want %v", o, c, w)
+				}
+			}
+		})
 	}
 }

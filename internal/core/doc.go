@@ -15,9 +15,11 @@
 //   - RTAVector — a beyond-paper extension of the RTA with per-objective
 //     precisions (coarse on tolerant objectives, exact on strict ones).
 //   - Single-objective baselines: a Selinger-style DP (used for the
-//     paper's single-objective measurements and for deriving per-objective
-//     minima when generating bounds) and the unsound weighted-sum DP that
-//     the paper's Example 1 rules out.
+//     paper's single-objective measurements and, one run per objective,
+//     for deriving per-objective minima when generating bounds) and the
+//     unsound weighted-sum DP that the paper's Example 1 rules out: one
+//     keep-best program, whose set treatment (keepBest) also gives the
+//     sets a timeout leaves untreated their one plan.
 //
 // All algorithms share one enumeration engine (engine.go) over one plan
 // space: bushy trees over predicate-connected splits, which is the
@@ -51,11 +53,11 @@
 //     and every archive a worker fills grows in place in the worker's
 //     arena (pareto.Arena): the worker is its one writer, and where the
 //     engine seals an archive — the end of every treated set: scanSet,
-//     fullSet (complete or cut short), degradedSet, the scalar DP's sets
-//     — it also closes it (pareto.Arena.Close: len == cap, read-only from
+//     fullSet (complete or cut short), keepBest, scanBestSet — it also
+//     closes it (pareto.Arena.Close: len == cap, read-only from
 //     then on, the tail moved past it). A worker's first chunk holds
-//     dpRowsPerSet rows per enumerated set (one for the scalar DP, whose
-//     sets keep one plan each; at most maxFirstChunkRows), every worker's
+//     dpRowsPerSet rows per enumerated set (one for the keep-best program,
+//     whose sets keep one plan each; at most maxFirstChunkRows), every worker's
 //     first chunk comes from one allocation, and later chunks double. The
 //     arenas live for one run and are never reused, since a
 //     SharedMemo-published archive keeps its chunk alive, and extract
@@ -103,7 +105,7 @@
 // poll is costed one by one (worker.pollFree), so a timeout lands on the
 // same candidate; and the floor comparison is written so that a NaN
 // fails it, sending overflowed statistics down the per-candidate path.
-// The degraded and scalar modes run the plain loop, and index-nested-loop
+// Keep-best sets (keepBest) run the plain loop, and index-nested-loop
 // candidates are offered one by one with one slot between them.
 //
 // The formulas are monotone in the child cost vectors too, so the same
@@ -124,15 +126,16 @@
 // sub-memo they reference — every reached (table set, index), sets
 // ascending, densely re-indexed, carved from the same entry array and
 // cost array as the rows — and the archive counters. Every run, the
-// scalar baselines and degraded runs included, extracts it once
+// keep-best baselines and degraded runs included, extracts it once
 // (engine.extract), so a Result holds what its frontier reaches and never
 // the run's memo, and every frontier materializes one way
 // (plan.NewDenseMaterializer: slots, one slab of nodes). EXA, RTA,
 // RTAVector, IRA and WeightedSumDP enter through one prologue (begin);
 // every run's caller builds its archive configuration (pareto.FlatConfig:
 // precision 1, αU^(1/|Q|), or RTAVector's component-wise root) and hands
-// it to newEngine. EXA, RTA, RTAVector and IRA share one epilogue
-// (engine.finish, behind engine.result's cancellation check) that
+// it to newEngine. Every algorithm shares one epilogue (engine.finish,
+// behind engine.result's cancellation check for all but IRA; the
+// keep-best baselines then drop the weight-specific snapshot) that
 // extracts the final archive in canonical order
 // (pareto.FlatArchive.CanonicalOrder),
 // selects over the rows (pareto.SelectBestRows) and takes Result.Best
@@ -156,7 +159,8 @@
 // enumerator is still materializing levels (an exponential
 // connected-subset walk: a clique, a wide star), the enumeration falls
 // back to a minimal left-deep chain and the degraded path still returns a
-// plan in O(n) work.
+// plan in O(n) work — the only truncation a keep-best run (Selinger, the
+// weighted sum) knows, and the only time it reports Stats.TimedOut.
 //
 // Because archive pruning never reads the user's weights or bounds, the
 // final frontier of a completed run is reusable across weight and bound

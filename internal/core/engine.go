@@ -50,13 +50,13 @@ type engine struct {
 	opts Options
 
 	// cfg is the pruning configuration shared by every archive of the run:
-	// the internal precision αi — 1 for EXA and the scalar programs,
+	// the internal precision αi — 1 for EXA and the keep-best programs,
 	// αU^(1/|Q|) for RTA and each IRA iteration, the component-wise root
 	// for RTAVector — with the active-objective ids resolved once, so
 	// archive inserts never allocate.
 	cfg *pareto.FlatConfig
 
-	// weights steer the degraded single-plan mode after a timeout.
+	// weights score the one plan each keep-best set keeps (keepBest).
 	weights objective.Weights
 
 	// shared, when non-nil, is the batch's cross-query archive store.
@@ -298,7 +298,7 @@ func (e *engine) run() *pareto.FlatArchive {
 			// Section 5.1). Cancellation: there is no caller left to serve,
 			// so skip the set entirely — the run reports ctx.Err().
 			if !e.cancelled.Load() {
-				w.degradedSet(id, s)
+				w.keepBest(id, s)
 			}
 		} else {
 			w.fullSet(id, s)
@@ -307,13 +307,13 @@ func (e *engine) run() *pareto.FlatArchive {
 	return e.memo.lookup(e.enum.all)
 }
 
-// runScalar executes a single-objective (scalar-pruned) dynamic program:
-// every table set keeps exactly one plan, the one minimizing the scalar
-// metric. With a scalar that reads one objective this is Selinger's
-// algorithm generalized to bushy plans; with a weighted sum over multiple
-// diverse objectives it is the unsound baseline of the paper's Example 1.
+// runScalar executes the keep-best dynamic program: every table set keeps
+// the one plan with the least weighted cost (keepBest) — Selinger's
+// algorithm for a weight on one objective, the unsound baseline of the
+// paper's Example 1 for several. It has no degraded levels: only the
+// enumeration's chain fallback truncates it, and only then is it TimedOut.
 // Returns the full table set's one-plan archive.
-func (e *engine) runScalar(scalar func(objective.Vector) float64) *pareto.FlatArchive {
+func (e *engine) runScalar() *pareto.FlatArchive {
 	if e.invalid != nil {
 		return nil
 	}
@@ -321,18 +321,19 @@ func (e *engine) runScalar(scalar func(objective.Vector) float64) *pareto.FlatAr
 	e.startArenas(1)
 	e.runLevels(func(w *worker, id int32, s query.TableSet) {
 		if s.Single() {
-			w.scanBestSet(id, s, scalar)
+			w.scanBestSet(id, s)
 		} else {
-			w.bestOnlySet(id, s, scalar)
+			w.markDone(id, w.keepBest(id, s).Len())
 		}
 	})
+	// The levels' polls may have latched a deadline they then ignored.
+	e.timedOut.Store(e.enum.chainFallback)
 	return e.memo.lookup(e.enum.all)
 }
 
-// bestTracker tracks the scalar-minimal candidate of one enumeration —
-// the shared min-tracking state of the scalar dynamic program and the
-// degraded mode. Ties break toward the earliest candidate (strict <),
-// keeping results deterministic.
+// bestTracker tracks the candidate of one enumeration with the least
+// weighted cost — the state of keepBest and scanBestSet. Ties break toward
+// the earliest candidate (strict <), keeping results deterministic.
 type bestTracker struct {
 	cost  objective.Vector
 	ent   plan.Entry
@@ -342,7 +343,7 @@ type bestTracker struct {
 
 func newBestTracker() bestTracker { return bestTracker{best: math.Inf(1)} }
 
-// offer keeps the candidate if it strictly improves the tracked scalar.
+// offer keeps the candidate if it strictly improves the tracked cost.
 func (t *bestTracker) offer(c objective.Vector, e plan.Entry, scalar float64) {
 	if scalar < t.best {
 		t.cost, t.ent, t.best, t.found = c, e, scalar, true
@@ -384,14 +385,14 @@ func (w *worker) scanSet(id int32, s query.TableSet) {
 	w.markDone(id, a.Len())
 }
 
-// scanBestSet is scanSet for the scalar dynamic program: it keeps only
-// the access path minimizing the scalar metric.
-func (w *worker) scanBestSet(id int32, s query.TableSet, scalar func(objective.Vector) float64) {
+// scanBestSet is scanSet for the keep-best dynamic program: it keeps only
+// the access path with the least weighted cost.
+func (w *worker) scanBestSet(id int32, s query.TableSet) {
 	e := w.e
 	t := newBestTracker()
 	e.m.EachScanAlternative(s.First(), e.opts.sampling(), func(alg plan.ScanAlg, rate float64, cost objective.Vector) bool {
 		w.considered++
-		t.offer(cost, plan.ScanEntry(alg, rate), scalar(cost))
+		t.offer(cost, plan.ScanEntry(alg, rate), e.weights.Cost(cost))
 		return true
 	})
 	a := t.archive(w, id)
@@ -411,8 +412,8 @@ func (w *worker) scanBestSet(id int32, s query.TableSet, scalar func(objective.V
 // lower-level archives, and the timeout latch is set before the level
 // barrier that precedes this set, so observing it unlatched here proves
 // every lower level was treated in full. Only fullSet touches the shared
-// memo — the degraded and scalar modes keep weight-dependent archives
-// that must never be shared.
+// memo — keepBest keeps weight-dependent archives that must never be
+// shared.
 func (w *worker) fullSet(id int32, s query.TableSet) {
 	e := w.e
 	if e.shared != nil {
@@ -425,7 +426,7 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	}
 	a := w.open(id)
 	w.fill = a
-	complete := w.forEachCandidate(s, func(cost *objective.Vector, ent plan.Entry) bool {
+	complete := w.forEachCandidate(s, e.viewMemo, func(cost *objective.Vector, ent plan.Entry) bool {
 		a.InsertRowNear(cost, ent, w.near)
 		return !w.expired()
 	})
@@ -440,72 +441,48 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	}
 }
 
-// degradedSet implements the paper's timeout handling (Section 5.1): table
-// sets not treated before the timeout get only one plan — the best by
-// weighted cost — so that optimization finishes quickly. To keep the
-// degraded mode cheap even when the pre-timeout archives are large, each
-// split only combines the weighted-best plan of either side rather than
-// every stored pair: the per-worker reduced scratch map narrows a
-// subset's archive to its single weighted-best entry the first time a
-// split touches it (-1 when the subset has nothing stored). Narrowing
-// lazily keeps the degraded mode proportional to the splits the candidate
-// loop actually enumerates — on sparse sets far fewer than the 2^|s|
-// subsets an eager pre-pass would have to scan, which matters precisely
-// here: the timeout path must finish fast on the large queries that
-// triggered it. Degraded sets do not update the "last table set treated
-// completely" metric.
-func (w *worker) degradedSet(id int32, s query.TableSet) {
+// keepBest stores a single plan for table set s, the candidate with the
+// least weighted cost: every set of the keep-best program (runScalar), and
+// the sets a timeout leaves untreated (paper Section 5.1). Each split
+// combines only the weighted-best plan of either side: the worker narrows a
+// subset's archive to that entry the first time a split reads it and keeps
+// the index for the run (worker.best), so a degraded set costs in
+// proportion to the splits it enumerates. A one-plan archive narrows to
+// itself. Only a cancellation stops it (worker.interrupted). It returns the
+// set's archive; the caller says whether the set counts as treated
+// completely (markDone): a keep-best program's set does, a degraded one
+// does not.
+func (w *worker) keepBest(id int32, s query.TableSet) *pareto.FlatArchive {
 	e := w.e
-	scalar := func(v objective.Vector) float64 { return e.weights.Cost(v) }
-	if w.reduced == nil {
-		w.reduced = make(map[query.TableSet]int32)
-	} else {
-		clear(w.reduced)
+	cost := e.weights.Cost
+	if w.best == nil {
+		w.best = make([]int32, e.enum.total)
 	}
 	lookup := func(t query.TableSet) splitView {
-		idx, ok := w.reduced[t]
-		if !ok {
-			idx = -1
-			if full := e.memo.lookup(t); full != nil && full.Len() > 0 {
-				idx = full.BestBy(scalar)
-			}
-			w.reduced[t] = idx
-		}
-		if idx < 0 {
+		id := e.memo.id(t)
+		if id < 0 {
 			return splitView{}
 		}
-		return splitView{arch: e.memo.lookup(t), only: idx}
+		a := e.memo.archives[id]
+		if a == nil || a.Len() == 0 {
+			return splitView{}
+		}
+		if w.best[id] == 0 {
+			w.best[id] = a.BestBy(cost) + 1
+		}
+		return splitView{arch: a, only: w.best[id] - 1}
 	}
 	t := newBestTracker()
-	// The degraded scan still visits every split of s (2^|s| on a dense
-	// set), so let a cancellation escape mid-set — there is no caller
-	// left to serve. A plain timeout keeps going: degraded
-	// mode exists to still produce a plan.
-	w.forEachCandidateFrom(s, lookup, func(cost *objective.Vector, ent plan.Entry) bool {
-		t.offer(*cost, ent, scalar(*cost))
+	w.forEachCandidate(s, lookup, func(c *objective.Vector, ent plan.Entry) bool {
+		t.offer(*c, ent, cost(*c))
 		return !w.interrupted()
 	})
-	t.archive(w, id)
-}
-
-// bestOnlySet stores a single plan for table set s: the candidate
-// minimizing the given scalar metric. Used by the scalar (single-
-// objective) dynamic program, whose archives already hold one plan each.
-// Only cancellation aborts the enumeration (see worker.interrupted): the
-// scalar DP has no degraded mode, so the timeout is ignored here.
-func (w *worker) bestOnlySet(id int32, s query.TableSet, scalar func(objective.Vector) float64) {
-	t := newBestTracker()
-	w.forEachCandidate(s, func(cost *objective.Vector, ent plan.Entry) bool {
-		t.offer(*cost, ent, scalar(*cost))
-		return !w.interrupted()
-	})
-	a := t.archive(w, id)
-	w.markDone(id, a.Len())
+	return t.archive(w, id)
 }
 
 // splitView is one side of a split during candidate enumeration: the flat
-// archive of a table set, optionally narrowed to a single entry (the
-// degraded mode's one-plan-per-subset view).
+// archive of a table set, optionally narrowed to a single entry (keepBest's
+// one-plan-per-subset view).
 type splitView struct {
 	arch *pareto.FlatArchive
 	only int32 // -1 = all entries
@@ -536,22 +513,14 @@ type candidateFn func(cost *objective.Vector, ent plan.Entry) bool
 // forEachCandidate constructs every candidate plan for table set s —
 // all splits into two connected halves, all join operators and DOPs, all
 // combinations of stored sub-plans — and yields each to fn as a (cost,
-// entry) pair. It returns false if fn aborted the enumeration.
+// entry) pair over the sub-plan view lookup (fullSet's never hashes). It
+// returns false if fn aborted the enumeration.
 //
 // s is connected, so every such split is predicate-connected: the
 // Postgres heuristic the paper kept (Cartesian products only when no
 // predicate-connected split exists) never admits a product here. Only the
 // chain fallback's prefixes can lack a predicate (forEachCandidateChain).
-func (w *worker) forEachCandidate(s query.TableSet, fn candidateFn) bool {
-	return w.forEachCandidateFrom(s, w.e.viewMemo, fn)
-}
-
-// forEachCandidateFrom is forEachCandidate over an explicit sub-plan view
-// (the degraded mode passes a reduced one-plan-per-subset view; the full
-// mode passes the slice-backed memo, so no split lookup ever hashes): the
-// chain fallback's one split per prefix, or else the per-set dispatch of
-// forEachCandidateAuto.
-func (w *worker) forEachCandidateFrom(s query.TableSet, lookup func(query.TableSet) splitView, fn candidateFn) bool {
+func (w *worker) forEachCandidate(s query.TableSet, lookup func(query.TableSet) splitView, fn candidateFn) bool {
 	if w.e.enum.chainFallback {
 		return w.forEachCandidateChain(s, lookup, fn)
 	}

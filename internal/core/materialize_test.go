@@ -146,6 +146,9 @@ func TestExtractMatchesMapOracle(t *testing.T) {
 	cat := catalog.TPCH(1)
 	three := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
 	w := objective.UniformWeights(three)
+	// The bounded IRA's bound is drawn from the query's minima, taken before
+	// the capture: their Selinger runs extract frontiers of their own.
+	var minima objective.Vector
 	algs := []struct {
 		name string
 		run  func(m *costmodel.Model) (Result, error)
@@ -162,10 +165,6 @@ func TestExtractMatchesMapOracle(t *testing.T) {
 			return RTAVector(m, w, prec, Options{Objectives: three})
 		}},
 		{"bounded ira", func(m *costmodel.Model) (Result, error) {
-			minima, err := ObjectiveMinima(m, Options{Objectives: three})
-			if err != nil {
-				return Result{}, err
-			}
 			b := objective.NoBounds().With(objective.BufferFootprint, 1.5*minima[objective.BufferFootprint])
 			return IRA(m, w, b, Options{Objectives: three, Alpha: 1.5})
 		}},
@@ -181,6 +180,10 @@ func TestExtractMatchesMapOracle(t *testing.T) {
 	}
 	for _, num := range []int{3, 5, 8} {
 		q := workload.MustQuery(num, cat)
+		var err error
+		if minima, err = ObjectiveMinima(costmodel.NewDefault(q), Options{Objectives: three}); err != nil {
+			t.Fatal(err)
+		}
 		for _, alg := range algs {
 			t.Run(fmt.Sprintf("q%d/%s", num, alg.name), func(t *testing.T) {
 				res, oracle := captureOracle(t, func() (Result, error) { return alg.run(costmodel.NewDefault(q)) })

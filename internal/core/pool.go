@@ -31,10 +31,11 @@ type worker struct {
 	// (levelPool.drain), so plain assignment keeps the maximum.
 	maxDoneID  int32
 	maxDoneLen int
-	// reduced is the degraded mode's per-worker scratch: the weighted-best
-	// entry index of every stored subset, rebuilt (capacity reused) for
-	// each degraded table set instead of allocating a fresh map.
-	reduced map[query.TableSet]int32
+	// best is keepBest's per-worker scratch, by memo id: one more than the
+	// index of a stored set's weighted-best row, 0 until a split first
+	// reads the set. A set is read only once its level is finished, after
+	// which its archive never changes, so the entries hold for the run.
+	best []int32
 	// pairs is the traversal and edge-cut candidate loops' per-worker
 	// scratch: the valid ordered splits of the current table set, buffered
 	// so they can be emitted in the subset scan's canonical order
@@ -134,12 +135,10 @@ func (w *worker) pollFree(n int) bool {
 }
 
 // interrupted reports whether the run's context was cancelled. Unlike
-// expired it never reports a passed deadline: the scalar dynamic program's
-// levels have no degraded mode — they must either enumerate every candidate
-// or abort with an error, since a partial enumeration would silently return
-// a non-optimal plan. (A deadline that passes while the levels are still
-// being materialized cuts the scalar run to the chain fallback, flagged
-// TimedOut; see WeightedSumDPContext.)
+// expired it never reports a passed deadline: a degraded set must still
+// produce its plan, and a keep-best program's set enumerates every
+// candidate or aborts, since a partial one would return a non-optimal plan.
+// The poll may still latch timedOut; runScalar resets it afterwards.
 func (w *worker) interrupted() bool {
 	e := w.e
 	if e.cancelled.Load() {

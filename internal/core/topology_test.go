@@ -217,7 +217,7 @@ func TestAutoEnumerationMatchesExhaustive(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, pareto.NewFlatConfig(opts.Objectives, 1), objective.SingleWeight(objective.TotalTime))
-		e.runScalar(func(v objective.Vector) float64 { return v[objective.TotalTime] })
+		e.runScalar()
 		w := &e.workers[0]
 		type loop func(query.TableSet, func(query.TableSet) splitView, candidateFn) bool
 		splits := func(run loop, s query.TableSet) []splitPair {

@@ -8,15 +8,13 @@
 //     (a zero-cost passthrough to the os package); tests and chaos
 //     harnesses pass an *Injector.
 //
-//   - Injector: wraps an inner FS and injects write/fsync/rename/open
-//     errors, ENOSPC, short writes, and latency. Every decision is a
-//     pure function of (seed, operation class, per-class operation
-//     index), so a schedule replays identically regardless of
-//     goroutine interleaving — the property the chaos differential
-//     tests depend on. FailAt pins a fault to exactly the Nth
-//     operation; SetDead flips the whole disk into a fail-everything
-//     mode (optionally after a per-op delay, modelling a dying disk
-//     that times out rather than errors fast).
+//   - Injector: wraps an inner FS and injects read/write/fsync/rename
+//     errors, ENOSPC and short writes. Every decision is a pure
+//     function of (seed, operation class, per-class operation index),
+//     so a schedule replays identically regardless of goroutine
+//     interleaving — the property the chaos differential tests depend
+//     on. FailWriteAt and ShortWriteAt pin a fault to exactly the Nth
+//     write; SetDead flips the whole disk into a fail-everything mode.
 //
 //   - Breaker: a Closed/Open/HalfOpen circuit breaker with a
 //     consecutive-failure trip threshold, exponential backoff with

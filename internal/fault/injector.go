@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"sync/atomic"
 	"syscall"
-	"time"
 )
 
 // Operation classes. Each class keeps its own operation counter, so a
@@ -58,7 +57,6 @@ type Config struct {
 	PWriteErr  float64
 	PReadErr   float64
 	PSyncErr   float64
-	POpenErr   float64
 	PRenameErr float64
 
 	// Of the injected write faults, the fraction modelled as ENOSPC
@@ -67,10 +65,6 @@ type Config struct {
 	// Of the injected write faults, the fraction that persist a prefix
 	// of the buffer before failing (a short write).
 	PShortWrite float64
-
-	// With probability PDelay an operation sleeps Delay before running.
-	PDelay float64
-	Delay  time.Duration
 
 	// FailWriteAt fails exactly the Nth WriteAt (1-based) with ENOSPC;
 	// ShortWriteAt persists half the buffer of the Nth WriteAt and then
@@ -83,11 +77,6 @@ type Config struct {
 	// best-effort cleanup after a failed write leaves the partial
 	// bytes on disk — the state a crash would expose.
 	FailTruncate bool
-
-	// DeadDelay is slept before every operation while the injector is
-	// dead (SetDead), modelling a dying disk that hangs before erroring
-	// rather than failing fast.
-	DeadDelay time.Duration
 }
 
 // Injector wraps an inner FS and injects faults per its Config.
@@ -111,12 +100,9 @@ func NewInjector(inner FS, cfg Config) *Injector {
 }
 
 // SetDead flips the whole disk into (or out of) a fail-everything
-// mode: every subsequent operation sleeps cfg.DeadDelay and returns
-// EIO. Models a fully failed device.
+// mode: every subsequent operation returns EIO. Models a fully failed
+// device.
 func (in *Injector) SetDead(dead bool) { in.dead.Store(dead) }
-
-// Dead reports whether the injector is in fail-everything mode.
-func (in *Injector) Dead() bool { return in.dead.Load() }
 
 // Counters is a snapshot of per-class operation and injection counts.
 type Counters struct {
@@ -156,20 +142,14 @@ func (in *Injector) roll(class, salt, n uint64, p float64) bool {
 	return float64(r>>11)/(1<<53) < p
 }
 
-// begin records one operation of class c, applies dead-disk and
-// latency handling, and returns the op's 1-based index plus a non-nil
-// error if the op must fail before reaching the inner FS.
+// begin records one operation of class c and returns the op's 1-based
+// index plus a non-nil error if the disk is dead and the op must fail
+// before reaching the inner FS.
 func (in *Injector) begin(c int) (uint64, error) {
 	n := in.ops[c].Add(1)
 	if in.dead.Load() {
-		if in.cfg.DeadDelay > 0 {
-			time.Sleep(in.cfg.DeadDelay)
-		}
 		in.injected[c].Add(1)
 		return n, &InjectedError{Op: opNames[c], N: n, Err: syscall.EIO}
-	}
-	if in.roll(uint64(c), 7, n, in.cfg.PDelay) {
-		time.Sleep(in.cfg.Delay)
 	}
 	return n, nil
 }
@@ -180,7 +160,8 @@ func (in *Injector) fail(c int, n uint64, errno error) error {
 	return &InjectedError{Op: opNames[c], N: n, Err: errno}
 }
 
-// classP returns the configured probability for class c.
+// classP returns the configured probability for class c (none for
+// opens, which fail only on a dead disk).
 func (in *Injector) classP(c int) float64 {
 	switch c {
 	case opWrite:
@@ -189,8 +170,6 @@ func (in *Injector) classP(c int) float64 {
 		return in.cfg.PReadErr
 	case opSync:
 		return in.cfg.PSyncErr
-	case opOpen:
-		return in.cfg.POpenErr
 	case opRename:
 		return in.cfg.PRenameErr
 	}
@@ -198,7 +177,7 @@ func (in *Injector) classP(c int) float64 {
 }
 
 // simple runs the common pre-check for a non-write class: dead disk,
-// latency, then the class's probabilistic fault.
+// then the class's probabilistic fault.
 func (in *Injector) simple(c int) error {
 	n, err := in.begin(c)
 	if err != nil {
@@ -324,9 +303,6 @@ func (f *injFile) ReadAt(p []byte, off int64) (int, error) {
 
 func (f *injFile) Truncate(size int64) error {
 	if f.in.dead.Load() {
-		if f.in.cfg.DeadDelay > 0 {
-			time.Sleep(f.in.cfg.DeadDelay)
-		}
 		return &InjectedError{Op: "write", N: 0, Err: syscall.EIO}
 	}
 	if f.in.cfg.FailTruncate {

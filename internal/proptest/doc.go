@@ -1,6 +1,7 @@
 // Package proptest checks the paper's guarantees against their definitions
 // rather than against a second engine. From a seed it draws a small MOQO
-// instance (generate); exhaustive costs every plan of the instance's plan
+// instance (generate: synthetic join graphs; tpchInstance: the TPC-H
+// queries of two to four relations); exhaustive costs every plan of the instance's plan
 // space — every bushy join tree without cross products, every join
 // operator and degree of parallelism, every scan alternative — with
 // costmodel and no pruning; and paretoFilter keeps the exact Pareto set of
@@ -16,8 +17,8 @@
 // its deadline returns a valid plan, no snapshot, and nothing to a shared
 // memo that a full run would not have put there).
 //
-// The instances are as small as an unpruned plan space allows: 3–4 tables
-// at MaxDOP ≤ 2, a 5-table chain at MaxDOP 1, sampling scans only at 3
+// The instances are as small as an unpruned plan space allows: 2–4 tables
+// at MaxDOP ≤ 2, a 5-table chain at MaxDOP 1, sampling scans only at ≤ 3
 // tables. A 4-table chain at MaxDOP 2 has 162 448 plans; 6 tables at
 // MaxDOP 4 have 10^10 and more.
 package proptest

@@ -33,9 +33,8 @@ var shapes = []synthetic.Shape{synthetic.Chain, synthetic.Star, synthetic.Cycle,
 // generate draws the instance of a seed: one in five is a 5-table chain at
 // MaxDOP 1; the rest are 3 or 4 tables of any topology at MaxDOP 1 or 2,
 // and at 3 tables the sampling scans are in the plan space half the time.
-// Tables have up to 10^6 rows. Two to four objectives are active, each
-// weighted by a draw from [0, 1) — the first one by at least 0.1, so the
-// weighted cost is never identically zero.
+// Tables have up to 10^6 rows. The objectives, weights and α are
+// drawObjectives'.
 func generate(seed int64) instance {
 	r := rand.New(rand.NewSource(seed))
 	in := instance{seed: seed, maxDOP: 1}
@@ -47,7 +46,25 @@ func generate(seed int64) instance {
 		in.sampling = spec.Tables == 3 && r.Intn(2) == 0
 	}
 	_, in.query = synthetic.MustBuild(spec)
+	drawObjectives(r, &in)
+	return in
+}
 
+// tpchInstance draws an instance over the TPC-H query q, from seed's own
+// stream: MaxDOP 1 or 2, the sampling scans half the time at up to 3
+// tables, and the objectives, weights and α as generate draws them.
+func tpchInstance(seed int64, q *query.Query) instance {
+	r := rand.New(rand.NewSource(seed))
+	in := instance{seed: seed, query: q, maxDOP: 1 + r.Intn(2)}
+	in.sampling = q.NumRelations() <= 3 && r.Intn(2) == 0
+	drawObjectives(r, &in)
+	return in
+}
+
+// drawObjectives draws in's two to four active objectives, each weighted
+// by a draw from [0, 1) — the first one by at least 0.1, so the weighted
+// cost is never identically zero — and αU from [1, 3).
+func drawObjectives(r *rand.Rand, in *instance) {
 	all := objective.All()
 	perm := r.Perm(len(all))
 	for i, k := range perm[:2+r.Intn(3)] {
@@ -59,7 +76,15 @@ func generate(seed int64) instance {
 		}
 	}
 	in.alpha = 1 + 2*r.Float64()
-	return in
+}
+
+// breaksOptimality reports whether in has the objective shape of ROADMAP
+// 2(a)'s known P0: startup time active and total time not. The hash and
+// sort-merge joins' startup time reads their children's total time, which
+// the archives then do not compare, so the principle of optimality that
+// EXA's exactness needs does not hold.
+func (in instance) breaksOptimality() bool {
+	return in.objectives.Contains(objective.StartupTime) && !in.objectives.Contains(objective.TotalTime)
 }
 
 // drawBounds draws the bounds of seed's instance from lo, the minimum of

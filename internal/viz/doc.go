@@ -1,9 +1,9 @@
 // Package viz renders Pareto frontiers as SVG — the counterpart of the
 // prototype feature the paper describes in Section 4: "Our prototype
 // allows to visualize two and three dimensional projections of the Pareto
-// frontier" (Figure 4). Two-dimensional projections become scatter plots
-// with axes and labels; three-dimensional frontiers are rendered as an
-// isometric projection with depth-cued markers.
+// frontier" (Figure 4). Three-dimensional projections are rendered as an
+// isometric scatter with depth-cued markers, the style of the paper's
+// Figure 4.
 //
 // Only the standard library is used; the emitted SVG is self-contained
 // and viewable in any browser.

@@ -10,45 +10,15 @@ import (
 
 // Style configures plot rendering.
 type Style struct {
-	Width, Height int    // canvas size in pixels
-	Margin        int    // axis margin
-	PointRadius   int    // marker radius
-	Color         string // marker fill color
+	Width, Height int // canvas size in pixels
+	Margin        int // axis margin
+	PointRadius   int // marker radius
 	Title         string
 }
 
 // DefaultStyle returns a reasonable plot style.
 func DefaultStyle(title string) Style {
-	return Style{Width: 640, Height: 480, Margin: 60, PointRadius: 4, Color: "#1f77b4", Title: title}
-}
-
-// Scatter2D renders the projection of cost vectors onto two objectives as
-// an SVG scatter plot. A second series (e.g. an exact frontier to compare
-// an approximation against) can be overlaid with Overlay2D.
-func Scatter2D(vs []objective.Vector, x, y objective.ID, st Style) string {
-	var b strings.Builder
-	openSVG(&b, st)
-	pts := project2D(vs, x, y)
-	drawAxes(&b, st, x.String()+" ("+x.Unit()+")", y.String()+" ("+y.Unit()+")", bounds(pts))
-	drawPoints(&b, st, pts, bounds(pts), st.Color, st.PointRadius)
-	closeSVG(&b)
-	return b.String()
-}
-
-// Overlay2D renders two series on shared axes: the base series (circles)
-// and an overlay series (crosses), e.g. exact versus approximate frontier.
-func Overlay2D(base, overlay []objective.Vector, x, y objective.ID, st Style) string {
-	var b strings.Builder
-	openSVG(&b, st)
-	pb := project2D(base, x, y)
-	po := project2D(overlay, x, y)
-	bb := bounds(append(append([][2]float64{}, pb...), po...))
-	drawAxes(&b, st, x.String()+" ("+x.Unit()+")", y.String()+" ("+y.Unit()+")", bb)
-	drawPoints(&b, st, pb, bb, st.Color, st.PointRadius)
-	drawCrosses(&b, st, po, bb, "#d62728", st.PointRadius+1)
-	legend(&b, st, []string{"base", "overlay"}, []string{st.Color, "#d62728"})
-	closeSVG(&b)
-	return b.String()
+	return Style{Width: 640, Height: 480, Margin: 60, PointRadius: 4, Title: title}
 }
 
 // Scatter3D renders the projection of cost vectors onto three objectives
@@ -107,25 +77,6 @@ func axisLabel3D(b *strings.Builder, st Style, proj func(float64, float64, float
 	fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-size="12" fill="#333">%s</text>`+"\n", px, py, escape(label))
 }
 
-func project2D(vs []objective.Vector, x, y objective.ID) [][2]float64 {
-	out := make([][2]float64, len(vs))
-	for i, v := range vs {
-		out[i] = [2]float64{v[x], v[y]}
-	}
-	return out
-}
-
-type box struct{ maxX, maxY float64 }
-
-func bounds(pts [][2]float64) box {
-	bb := box{1e-12, 1e-12}
-	for _, p := range pts {
-		bb.maxX = math.Max(bb.maxX, p[0])
-		bb.maxY = math.Max(bb.maxY, p[1])
-	}
-	return bb
-}
-
 func openSVG(b *strings.Builder, st Style) {
 	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
 		st.Width, st.Height, st.Width, st.Height)
@@ -137,55 +88,6 @@ func openSVG(b *strings.Builder, st Style) {
 }
 
 func closeSVG(b *strings.Builder) { b.WriteString("</svg>\n") }
-
-func drawAxes(b *strings.Builder, st Style, xLabel, yLabel string, bb box) {
-	m := st.Margin
-	w, h := st.Width, st.Height
-	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#333"/>`+"\n", m, h-m, w-m, h-m)
-	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#333"/>`+"\n", m, h-m, m, m)
-	fmt.Fprintf(b, `<text x="%d" y="%d" font-size="12" fill="#333">%s</text>`+"\n", w/2-30, h-m/3, escape(xLabel))
-	fmt.Fprintf(b, `<text x="%d" y="%d" font-size="12" fill="#333" transform="rotate(-90 %d %d)">%s</text>`+"\n",
-		m/3, h/2, m/3, h/2, escape(yLabel))
-	// Tick labels at the extremes.
-	fmt.Fprintf(b, `<text x="%d" y="%d" font-size="10" fill="#666">%.3g</text>`+"\n", w-m-20, h-m+15, bb.maxX)
-	fmt.Fprintf(b, `<text x="%d" y="%d" font-size="10" fill="#666">%.3g</text>`+"\n", m-25, m+5, bb.maxY)
-	fmt.Fprintf(b, `<text x="%d" y="%d" font-size="10" fill="#666">0</text>`+"\n", m-10, h-m+15)
-}
-
-func toPixel(p [2]float64, st Style, bb box) (float64, float64) {
-	m := float64(st.Margin)
-	w := float64(st.Width) - 2*m
-	h := float64(st.Height) - 2*m
-	px := m + p[0]/bb.maxX*w
-	py := float64(st.Height) - m - p[1]/bb.maxY*h
-	return px, py
-}
-
-func drawPoints(b *strings.Builder, st Style, pts [][2]float64, bb box, color string, r int) {
-	for _, p := range pts {
-		px, py := toPixel(p, st, bb)
-		fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="%d" fill="%s" fill-opacity="0.8"/>`+"\n", px, py, r, color)
-	}
-}
-
-func drawCrosses(b *strings.Builder, st Style, pts [][2]float64, bb box, color string, r int) {
-	for _, p := range pts {
-		px, py := toPixel(p, st, bb)
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"/>`+"\n",
-			px-float64(r), py-float64(r), px+float64(r), py+float64(r), color)
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"/>`+"\n",
-			px-float64(r), py+float64(r), px+float64(r), py-float64(r), color)
-	}
-}
-
-func legend(b *strings.Builder, st Style, labels, colors []string) {
-	x := st.Width - st.Margin - 110
-	y := st.Margin
-	for i, l := range labels {
-		fmt.Fprintf(b, `<circle cx="%d" cy="%d" r="4" fill="%s"/>`+"\n", x, y+i*18, colors[i])
-		fmt.Fprintf(b, `<text x="%d" y="%d" font-size="11" fill="#333">%s</text>`+"\n", x+10, y+i*18+4, escape(l))
-	}
-}
 
 func escape(s string) string {
 	s = strings.ReplaceAll(s, "&", "&amp;")

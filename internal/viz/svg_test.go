@@ -20,35 +20,6 @@ func sample() []objective.Vector {
 	}
 }
 
-func TestScatter2D(t *testing.T) {
-	svg := Scatter2D(sample(), objective.TupleLoss, objective.TotalTime, DefaultStyle("test plot"))
-	for _, want := range []string{
-		"<svg", "</svg>", "circle", "tuple_loss", "total_time", "test plot",
-	} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("SVG missing %q", want)
-		}
-	}
-	if got := strings.Count(svg, "<circle"); got != 3 {
-		t.Errorf("SVG has %d circles, want 3", got)
-	}
-}
-
-func TestOverlay2D(t *testing.T) {
-	svg := Overlay2D(sample(), sample()[:2], objective.TupleLoss, objective.TotalTime, DefaultStyle(""))
-	// Base points as circles (plus 2 legend swatches), overlay as crosses
-	// (two lines each).
-	if got := strings.Count(svg, "<circle"); got != 5 {
-		t.Errorf("SVG has %d circles, want 3 base + 2 legend", got)
-	}
-	if got := strings.Count(svg, "stroke-width=\"2\""); got != 4 {
-		t.Errorf("SVG has %d cross strokes, want 4", got)
-	}
-	if !strings.Contains(svg, "overlay") {
-		t.Error("legend missing")
-	}
-}
-
 func TestScatter3D(t *testing.T) {
 	svg := Scatter3D(sample(), objective.TupleLoss, objective.BufferFootprint, objective.TotalTime, DefaultStyle("3d"))
 	if got := strings.Count(svg, "<circle"); got != 3 {
@@ -66,19 +37,17 @@ func TestScatter3D(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	// Must not panic or divide by zero.
-	svg := Scatter2D(nil, objective.TotalTime, objective.Energy, DefaultStyle(""))
-	if !strings.Contains(svg, "</svg>") {
-		t.Error("empty plot must still be well-formed")
-	}
-	svg3 := Scatter3D(nil, objective.TotalTime, objective.Energy, objective.IOLoad, DefaultStyle(""))
-	if !strings.Contains(svg3, "</svg>") {
-		t.Error("empty 3d plot must still be well-formed")
+	for _, vs := range [][]objective.Vector{nil, {}} {
+		svg := Scatter3D(vs, objective.TotalTime, objective.Energy, objective.IOLoad, DefaultStyle(""))
+		if !strings.Contains(svg, "</svg>") {
+			t.Error("empty plot must still be well-formed")
+		}
 	}
 }
 
 func TestZeroVectors(t *testing.T) {
 	vs := []objective.Vector{{}, {}}
-	svg := Scatter2D(vs, objective.TotalTime, objective.Energy, DefaultStyle(""))
+	svg := Scatter3D(vs, objective.TotalTime, objective.Energy, objective.IOLoad, DefaultStyle(""))
 	if strings.Contains(svg, "NaN") || strings.Contains(svg, "Inf") {
 		t.Error("degenerate input produced NaN/Inf coordinates")
 	}
@@ -86,22 +55,11 @@ func TestZeroVectors(t *testing.T) {
 
 func TestEscape(t *testing.T) {
 	st := DefaultStyle("a<b & c>d")
-	svg := Scatter2D(sample(), objective.TotalTime, objective.Energy, st)
+	svg := Scatter3D(sample(), objective.TotalTime, objective.BufferFootprint, objective.TupleLoss, st)
 	if strings.Contains(svg, "a<b") {
 		t.Error("title not escaped")
 	}
 	if !strings.Contains(svg, "a&lt;b &amp; c&gt;d") {
 		t.Error("escaped title missing")
-	}
-}
-
-func TestPointsWithinCanvas(t *testing.T) {
-	st := DefaultStyle("")
-	bb := bounds(project2D(sample(), objective.TupleLoss, objective.TotalTime))
-	for _, p := range project2D(sample(), objective.TupleLoss, objective.TotalTime) {
-		px, py := toPixel(p, st, bb)
-		if px < 0 || px > float64(st.Width) || py < 0 || py > float64(st.Height) {
-			t.Errorf("point (%v,%v) outside canvas", px, py)
-		}
 	}
 }
