@@ -390,3 +390,62 @@ func TestScanShare(t *testing.T) {
 		})
 	}
 }
+
+// TestSignatureShare pins what the dominance signatures are worth to the
+// archive scans (pareto's signature.go): the share of the ranks the scans
+// visit that the signature alone dismisses, without reading the row's costs.
+// On the scoreboard's q7 EXA at three objectives, the round's largest
+// instance, and its q10 RTA at nine, it must stay near what was measured
+// (99.6 % and 89.8 %). A change that quietly turned the pre-test off — a
+// signature never stored, a constant bucket — would pass every bit-identity
+// test, since the pre-test never answers on its own; it fails here. Each
+// table set's archive sees its candidates in one order whatever the
+// schedule, so the counts are identical across worker counts.
+func TestSignatureShare(t *testing.T) {
+	cat := catalog.TPCH(1)
+	cases := []struct {
+		name  string
+		query int
+		objs  objective.Set
+		alpha float64 // 1 is EXA, above it RTA at that alpha
+		want  float64
+	}{
+		{"tpch-q7/EXA/3obj", 7, objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy), 1, 0.98},
+		{"tpch-q10/RTA1.5/9obj", 10, objective.AllSet(), 1.5, 0.85},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := costmodel.NewDefault(workload.MustQuery(tc.query, cat))
+			w := objective.UniformWeights(tc.objs)
+			visits := func(workers int) (visited, tested int) {
+				opts, err := Options{Objectives: tc.objs, Alpha: tc.alpha, Workers: workers}.Normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e *engine
+				if tc.alpha == 1 {
+					e = newEngine(context.Background(), m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
+					e.run()
+				} else {
+					_, e = rtaParetoPlans(context.Background(), m, w, opts, opts.Alpha)
+				}
+				for _, a := range e.memo.archives {
+					if a != nil {
+						v, t := a.ScanVisits()
+						visited, tested = visited+v, tested+t
+					}
+				}
+				return visited, tested
+			}
+			visited, tested := visits(1)
+			if v4, t4 := visits(4); v4 != visited || t4 != tested {
+				t.Errorf("workers=4: %d of %d visited ranks tested, workers=1: %d of %d", t4, v4, tested, visited)
+			}
+			share := 1 - float64(tested)/float64(visited)
+			t.Logf("signature dismissed %d of %d visited ranks (%.1f %%)", visited-tested, visited, 100*share)
+			if share < tc.want {
+				t.Errorf("signature share %.3f, want >= %.2f", share, tc.want)
+			}
+		})
+	}
+}

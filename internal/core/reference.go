@@ -98,7 +98,7 @@ func referenceRun(m *costmodel.Model, w objective.Weights, b objective.Bounds, o
 	// the flat path it certifies, and only then takes the result's shape.
 	plans := append([]*plan.Node(nil), final.Plans()...)
 	sort.SliceStable(plans, func(i, j int) bool {
-		return pareto.CompareCanonical(plans[i].Cost, plans[j].Cost) < 0
+		return pareto.CompareCanonical(&plans[i].Cost, &plans[j].Cost) < 0
 	})
 	f := &Frontier{objs: opts.Objectives, all: enum.all}
 	f.inserted, f.rejected, f.evicted = final.Stats()

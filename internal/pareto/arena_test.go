@@ -24,7 +24,7 @@ type closedImage struct {
 func imageOf(a *FlatArchive) closedImage {
 	img := closedImage{recLen: len(a.recs), recCap: cap(a.recs), costLen: len(a.costs), costCap: cap(a.costs)}
 	for _, r := range a.recs {
-		img.entries = append(img.entries, r.entry)
+		img.entries = append(img.entries, r.entry())
 	}
 	for _, c := range a.costs {
 		img.bits = append(img.bits, math.Float64bits(c))

@@ -7,6 +7,7 @@ import (
 
 	"moqo/internal/objective"
 	"moqo/internal/plan"
+	"moqo/internal/query"
 )
 
 // FlatConfig is the pruning configuration shared by all flat archives of
@@ -29,11 +30,19 @@ type FlatConfig struct {
 	// two- through four-wide kernels.
 	kind           kernelKind
 	o0, o1, o2, o3 int
+
+	// The dominance-signature layout (signature.go): the field width, the
+	// bucket's shift, offset and top, and the fields' guard bits. All zero
+	// for fewer than three active objectives.
+	sigBits, sigShift uint
+	sigLo, sigTop     int64
+	guards            uint64
 }
 
-// resolve fills the kernel-dispatch fields from ids; called by both
-// constructors after ids/alphas are set.
+// resolve fills the kernel-dispatch and signature fields from ids; called by
+// both constructors after ids/alphas are set.
 func (c *FlatConfig) resolve() {
+	c.resolveSignature()
 	c.kind = resolveKernel(c.ids)
 	switch c.kind {
 	case kernel2:
@@ -189,8 +198,13 @@ type FlatArchive struct {
 	hint, hintRejected int
 
 	// ranked records that the rows stand in rank order (between an indexed
-	// insert and the next Seal).
+	// insert and the next Seal), each record carrying its row's signature.
 	ranked bool
+
+	// visited counts the ranks the rejection and eviction scans of three or
+	// more objectives reached, tested those whose cost row they read: the
+	// rest the signature pre-test dismissed (ScanVisits).
+	visited, tested int
 
 	// generic records that the archive has taken insertGeneric — it is the
 	// oracle's, or a scanning insert met keys the index cannot order
@@ -199,12 +213,25 @@ type FlatArchive struct {
 	generic bool
 }
 
-// record is one stored row's plan entry, key and insertion sequence (storage
-// order is ascending seq). from is scratch for reorder.
+// record is one stored row's plan entry (flattened, so that seq fills what
+// would be its padding and a record stays 48 bytes), key, insertion sequence
+// (storage order is ascending seq) and, while the archive is ranked, the
+// row's dominance signature (signature.go). reorder borrows sig as its
+// scratch.
 type record struct {
-	entry     plan.Entry
-	key       float64
-	seq, from int32
+	op, left, right, seq int32
+	leftSet, rightSet    query.TableSet
+	key                  float64
+	sig                  uint64
+}
+
+func newRecord(e plan.Entry, key float64, seq int32, sig uint64) record {
+	return record{op: e.Op, left: e.LeftIdx, right: e.RightIdx, seq: seq,
+		leftSet: e.LeftSet, rightSet: e.RightSet, key: key, sig: sig}
+}
+
+func (r *record) entry() plan.Entry {
+	return plan.Entry{Op: r.op, LeftIdx: r.left, RightIdx: r.right, LeftSet: r.leftSet, RightSet: r.rightSet}
 }
 
 // Arena holds the rows of the archives one writer fills, one after another,
@@ -355,8 +382,7 @@ func (a *FlatArchive) InsertRowNear(c *objective.Vector, e plan.Entry, near *int
 		return a.insertGeneric(*c, e)
 	}
 	if !a.ranked {
-		a.reorder(byKey)
-		a.ranked = true
+		a.rank()
 	}
 	if r := a.rejector(&t, tk); r >= 0 {
 		a.hint = r * stride
@@ -365,7 +391,8 @@ func (a *FlatArchive) InsertRowNear(c *objective.Vector, e plan.Entry, near *int
 		return false
 	}
 	lo := a.ranksBelow(ck)
-	a.store(c, e, ck, lo, a.evict(c, lo))
+	cs := cfg.signature(c)
+	a.store(c, e, ck, cs, lo, a.evict(c, cs, lo))
 	a.inserted++
 	return true
 }
@@ -431,7 +458,7 @@ func (a *FlatArchive) insertGeneric(c objective.Vector, e plan.Entry) bool {
 		return false
 	}
 	a.evictGeneric(a.cfg.ids, &c)
-	a.recs = append(a.recs, record{entry: e})
+	a.recs = append(a.recs, newRecord(e, 0, 0, 0))
 	a.costs = append(a.costs, c[:]...)
 	a.inserted++
 	return true
@@ -448,6 +475,17 @@ func (a *FlatArchive) Seal() {
 	}
 }
 
+// rank puts the stored rows in rank order and signs them.
+func (a *FlatArchive) rank() {
+	a.reorder(byKey)
+	if a.cfg.sigBits != 0 {
+		for i := range a.recs {
+			a.recs[i].sig = a.cfg.signature((*objective.Vector)(a.costs[i*stride:]))
+		}
+	}
+	a.ranked = true
+}
+
 // byKey is rank order: ascending key, and among equal keys the newest row
 // first, where an insert ranks it (store). bySeq is storage order.
 func byKey(x, y record) int {
@@ -460,22 +498,24 @@ func byKey(x, y record) int {
 func bySeq(x, y record) int { return cmp.Compare(x.seq, y.seq) }
 
 // reorder sorts the stored rows by order: the records, then the cost rows
-// after them, one cycle of the permutation at a time.
+// after them, one cycle of the permutation at a time. Each record's sig holds
+// the rank it came from, then its complement once its cost row has moved;
+// the signatures are gone afterwards (rank re-signs).
 func (a *FlatArchive) reorder(order func(x, y record) int) {
 	recs, costs := a.recs, a.costs
 	for i := range recs {
-		recs[i].from = int32(i)
+		recs[i].sig = uint64(i)
 	}
 	slices.SortFunc(recs, order)
 	var first [stride]float64
 	for i := range recs {
-		if recs[i].from < 0 {
+		if int64(recs[i].sig) < 0 {
 			continue
 		}
 		copy(first[:], costs[i*stride:])
 		for j := i; ; {
-			f := int(recs[j].from)
-			recs[j].from = ^recs[j].from
+			f := int(recs[j].sig)
+			recs[j].sig = ^recs[j].sig
 			if f == i {
 				copy(costs[j*stride:(j+1)*stride], first[:])
 				break
@@ -492,7 +532,7 @@ func (a *FlatArchive) Len() int { return len(a.recs) }
 // EntryAt returns the i-th stored entry.
 func (a *FlatArchive) EntryAt(i int32) plan.Entry {
 	a.Seal()
-	return a.recs[i].entry
+	return a.recs[i].entry()
 }
 
 // CostAt returns a copy of the i-th stored cost vector.
@@ -521,6 +561,11 @@ func (a *FlatArchive) Stats() (inserted, rejected, evicted int) {
 // gate on either.
 func (a *FlatArchive) HintRejected() int { return a.hintRejected }
 
+// ScanVisits returns how many ranks the scans of an archive of three or more
+// active objectives have visited, and how many of those they tested on the
+// cost row: the others the dominance signature alone dismissed.
+func (a *FlatArchive) ScanVisits() (visited, tested int) { return a.visited, a.tested }
+
 // Frontier returns the cost vectors of the stored plans.
 func (a *FlatArchive) Frontier() []objective.Vector {
 	out := make([]objective.Vector, a.Len())
@@ -542,12 +587,14 @@ func (a *FlatArchive) Rows() []float64 {
 // keep the archive's (deterministic) insertion order. It is the one place
 // a finished frontier is ordered.
 func (a *FlatArchive) CanonicalOrder() []int32 {
+	a.Seal()
 	order := make([]int32, a.Len())
 	for i := range order {
 		order[i] = int32(i)
 	}
+	costs := a.costs
 	slices.SortStableFunc(order, func(i, j int32) int {
-		return CompareCanonical(a.CostAt(i), a.CostAt(j))
+		return CompareCanonical((*objective.Vector)(costs[int(i)*stride:]), (*objective.Vector)(costs[int(j)*stride:]))
 	})
 	return order
 }
@@ -555,8 +602,9 @@ func (a *FlatArchive) CanonicalOrder() []int32 {
 // CompareCanonical orders two cost vectors lexicographically over all nine
 // objectives — the canonical order of every extracted frontier. Sorting by
 // it makes a frontier independent of how the run was scheduled, which is
-// what lets a snapshot-served answer match a cold run bit for bit.
-func CompareCanonical(a, b objective.Vector) int {
+// what lets a snapshot-served answer match a cold run bit for bit. It reads
+// both vectors in place.
+func CompareCanonical(a, b *objective.Vector) int {
 	for o := 0; o < stride; o++ {
 		switch {
 		case a[o] < b[o]:
@@ -626,4 +674,5 @@ func (a *FlatArchive) Reset() {
 	a.recs = a.recs[:0]
 	a.inserted, a.rejected, a.evicted = 0, 0, 0
 	a.hint, a.hintRejected, a.ranked, a.generic = 0, 0, false, false
+	a.visited, a.tested = 0, 0
 }

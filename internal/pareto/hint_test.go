@@ -35,8 +35,8 @@ func diffArchives(fast, oracle *FlatArchive) string {
 				return fmt.Sprintf("row %d objective %d: %v, oracle %v", i, k, x, y)
 			}
 		}
-		if fast.recs[f].entry != oracle.recs[o].entry {
-			return fmt.Sprintf("entry %d: %+v, oracle %+v", i, fast.recs[f].entry, oracle.recs[o].entry)
+		if fast.recs[f].entry() != oracle.recs[o].entry() {
+			return fmt.Sprintf("entry %d: %+v, oracle %+v", i, fast.recs[f].entry(), oracle.recs[o].entry())
 		}
 	}
 	return ""
@@ -57,9 +57,10 @@ func storageOrder(a *FlatArchive) []int {
 // indexDiff checks the rank order of a ranked archive against its rows and
 // describes the first difference ("" for none): each row's key must be its
 // key recomputed — the active-objective sum added in ids order from zero, or
-// two-wide the first active objective — bit for bit, the keys must ascend,
-// and no two rows may share an insertion sequence. A sealed archive has its
-// rows in storage order instead, and a generic one keeps no sequences.
+// two-wide the first active objective — bit for bit, three or more wide its
+// signature its signature recomputed, the keys must ascend, and no two rows
+// may share an insertion sequence. A sealed archive has its rows in storage
+// order instead, and a generic one keeps no sequences.
 func indexDiff(a *FlatArchive) string {
 	if a.generic {
 		return ""
@@ -86,6 +87,9 @@ func indexDiff(a *FlatArchive) string {
 		}
 		if got := a.recs[i].key; math.Float64bits(got) != math.Float64bits(want) {
 			return fmt.Sprintf("rank %d: key %v, recomputed %v", i, got, want)
+		}
+		if got, want := a.recs[i].sig, a.cfg.signature((*objective.Vector)(row)); a.cfg.sigBits != 0 && got != want {
+			return fmt.Sprintf("rank %d: signature %#x, recomputed %#x", i, got, want)
 		}
 		if i > 0 && !(a.recs[i-1].key <= a.recs[i].key) {
 			return fmt.Sprintf("ranks %d and %d out of order: keys %v, %v", i-1, i, a.recs[i-1].key, a.recs[i].key)
@@ -504,9 +508,14 @@ func fuzzCostWide(b byte) float64 {
 	return float64(b) * 1e306
 }
 
-// FuzzFlatInsert: arbitrary bytes become an objective width, a scalar alpha
-// or a per-objective precision vector, a cost table (fuzzCost, or with bit 6
-// of the second byte fuzzCostWide), and a stream of inserts, each a cost
+// fuzzCostEdge is the table of the signatures' bucket edges (bucketEdges),
+// byte b naming edge b modulo their count.
+func fuzzCostEdge(b byte) float64 { return bucketEdges[int(b)%len(bucketEdges)] }
+
+// FuzzFlatInsert: arbitrary bytes become an objective width (the first byte's
+// low seven bits), a scalar alpha or a per-objective precision vector, a cost
+// table (fuzzCost, with bit 6 of the second byte fuzzCostWide, with the first
+// byte's top bit fuzzCostEdge), and a stream of inserts, each a cost
 // per active objective and one byte naming its second hint: the low three bits
 // pick one of eight slots — two start on rows no archive has, the others are
 // left wherever earlier scans put them, stale after every eviction — a set
@@ -525,7 +534,7 @@ func FuzzFlatInsert(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		objs := kernelObjSets[int(data[0])%len(kernelObjSets)].objs
+		objs := kernelObjSets[int(data[0]&0x7f)%len(kernelObjSets)].objs
 		ids := objs.IDs()
 		// Low six bits: alpha in [1, 2.97]; bit 6: the wide cost table; top
 		// bit: vary alpha per objective.
@@ -533,6 +542,9 @@ func FuzzFlatInsert(f *testing.F) {
 		cost := fuzzCost
 		if data[1]&0x40 != 0 {
 			cost = fuzzCostWide
+		}
+		if data[0]&0x80 != 0 {
+			cost = fuzzCostEdge
 		}
 		newCfg := func() *FlatConfig { return NewFlatConfig(objs, alpha) }
 		if data[1]&0x80 != 0 {

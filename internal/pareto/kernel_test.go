@@ -11,8 +11,9 @@ import (
 )
 
 // kernelObjSets spans every Insert dispatch path: the two- through
-// four-wide specialized kernels and the generic path at every wider
-// workload width (5, 6, 7 and all nine objectives).
+// four-wide specialized kernels and the generic path at every wider width
+// (5 to 9 objectives). w8 comes last so that the committed FuzzFlatInsert
+// seeds, which pick a width by index, keep theirs.
 var kernelObjSets = []struct {
 	name string
 	objs objective.Set
@@ -27,13 +28,15 @@ var kernelObjSets = []struct {
 	{"w7", objective.NewSet(objective.TotalTime, objective.StartupTime, objective.IOLoad,
 		objective.CPULoad, objective.DiskFootprint, objective.BufferFootprint, objective.Energy)},
 	{"w9", objective.AllSet()},
+	{"w8", objective.NewSet(objective.TotalTime, objective.StartupTime, objective.IOLoad, objective.CPULoad,
+		objective.Cores, objective.DiskFootprint, objective.BufferFootprint, objective.Energy)},
 }
 
 // TestKernelDispatch pins the kernel each objective width resolves to.
 func TestKernelDispatch(t *testing.T) {
 	want := map[string]kernelKind{
 		"w2": kernel2, "w3": kernel3, "w4": kernel4, "w5": kernelGeneric,
-		"w6": kernelGeneric, "w7": kernelGeneric, "w9": kernelGeneric,
+		"w6": kernelGeneric, "w7": kernelGeneric, "w8": kernelGeneric, "w9": kernelGeneric,
 	}
 	for _, tc := range kernelObjSets {
 		if got := NewFlatConfig(tc.objs, 1.2).kind; got != want[tc.name] {
@@ -47,22 +50,28 @@ func TestKernelDispatch(t *testing.T) {
 // loops) on twin archives, demanding identical decisions, frontiers, and
 // counters after every insert — the differential guarantee that the
 // sum-bounded scans are bit-for-bit the generic loops — and an index that
-// orders exactly the stored rows (indexDiff). The last three seeds of each
+// orders exactly the stored rows (indexDiff). Seeds 7 to 9 of each
 // configuration carry NaNs and infinities on active objectives, on which the
 // scans' "<=" and the oracle's "no >" part ways, and sums that are NaN: the
-// archive must have gone generic.
+// archive must have gone generic. Seeds 10 and 11 put a bucket edge of the
+// dominance signatures (bucketEdges) on a third of the active costs.
 func TestKernelMatchesGenericOracle(t *testing.T) {
 	for _, tc := range kernelObjSets {
 		for _, alpha := range []float64{1, 1.3} {
-			for seed := int64(0); seed < 10; seed++ {
+			for seed := int64(0); seed < 12; seed++ {
 				t.Run(fmt.Sprintf("%s/alpha=%v/seed=%d", tc.name, alpha, seed), func(t *testing.T) {
 					r := rand.New(rand.NewSource(9000 + seed))
 					stream := randomStream(r, 400, tc.objs)
-					if seed >= 7 {
-						for i := range stream {
-							if r.Intn(40) == 0 {
-								stream[i] = special(r, stream[i], tc.objs.IDs())
+					for i := range stream {
+						switch {
+						case seed >= 10:
+							for _, o := range tc.objs.IDs() {
+								if r.Intn(3) == 0 {
+									stream[i][o] = bucketEdges[r.Intn(len(bucketEdges))]
+								}
 							}
+						case seed >= 7 && r.Intn(40) == 0:
+							stream[i] = special(r, stream[i], tc.objs.IDs())
 						}
 					}
 					fast := NewFlat(NewFlatConfig(tc.objs, alpha))
@@ -134,19 +143,23 @@ func TestNaNCandidateMatchesGenericOracle(t *testing.T) {
 // index orders exactly the stored rows: equal sums (permutations of one
 // vector, and their doubles), signed zeros, +Inf costs, finite costs whose sum
 // overflows to +Inf, and +Inf beside -Inf, whose sum is NaN — the one stream
-// that must send the archive generic (two-wide, the -Inf does it first).
+// that must send the archive generic (two-wide, the -Inf does it first) — and
+// the bucket edges of the dominance signatures (bucketEdges), whose negative
+// costs send only a two-wide archive generic.
 func TestIndexEdgeStreams(t *testing.T) {
 	negZero, inf := math.Copysign(0, -1), math.Inf(1)
 	pools := []struct {
-		name    string
-		values  []float64
-		generic bool
+		name     string
+		values   []float64
+		generic  bool // wider than two
+		generic2 bool // two-wide
 	}{
-		{"equal sums", nil, false},
-		{"signed zeros", []float64{negZero, 0, 1, 2}, false},
-		{"+Inf", []float64{1, 2, 4, inf}, false},
-		{"overflow", []float64{1e308, 1e308, 1, 0}, false},
-		{"NaN sum", []float64{1, 2, inf, math.Inf(-1)}, true},
+		{"equal sums", nil, false, false},
+		{"signed zeros", []float64{negZero, 0, 1, 2}, false, false},
+		{"+Inf", []float64{1, 2, 4, inf}, false, false},
+		{"overflow", []float64{1e308, 1e308, 1, 0}, false, false},
+		{"NaN sum", []float64{1, 2, inf, math.Inf(-1)}, true, true},
+		{"bucket edges", bucketEdges, false, true},
 	}
 	for _, tc := range kernelObjSets {
 		ids := tc.objs.IDs()
@@ -175,8 +188,12 @@ func TestIndexEdgeStreams(t *testing.T) {
 							t.Fatalf("insert %d (%v): %s", i, v.FormatOn(tc.objs), d)
 						}
 					}
-					if fast.generic != pool.generic {
-						t.Fatalf("archive generic = %v, want %v", fast.generic, pool.generic)
+					want := pool.generic
+					if len(ids) == 2 {
+						want = pool.generic2
+					}
+					if fast.generic != want {
+						t.Fatalf("archive generic = %v, want %v", fast.generic, want)
 					}
 				})
 			}
@@ -230,7 +247,9 @@ func BenchmarkDominanceKernel(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if r := a.rejector(&t, tk); r < 0 || *a.CostRow(int32(r)) != probe {
+					// r is a rank: the row is read in place, as CostRow would
+					// seal the archive and read storage order.
+					if r := a.rejector(&t, tk); r < 0 || *(*objective.Vector)(a.costs[r*stride:]) != probe {
 						b.Fatal("the middle row must reject the probe")
 					}
 				}

@@ -21,8 +21,23 @@ import (
 // for a boundary and one contiguous run of rows: rejector scans the ranks
 // whose key is at most the thresholds', downward from the boundary, where a
 // rejector most often sits; evict scans the ranks from the candidate's key
-// up. Counted over the cold_w1 list, that is 8.76 M row visits per round
-// where the whole-archive scans made 19.90 M.
+// up.
+//
+// Three or more objectives wide, a scan puts each rank it visits to the
+// rank's dominance signature first (signature.go): one word in the rank's
+// record, tested against the thresholds' or the candidate's signature with one
+// subtraction and one mask, computed once per scanning insert. Only a rank
+// that passes has its cost row read. Buckets never fall as costs grow, so a
+// rank that fails cannot answer either question, and every rank read is
+// decided on the same comparisons as without the signatures: the same
+// rejector, the same rows evicted. This is the grid pre-test of the skyline
+// literature on top of the Sort-Filter-Skyline bound. Counted over the
+// cold_w1 list (31 instances, seed 1), a round's scans of three or more
+// objectives visit 8.73 M ranks and read 0.37 M cost rows of them (4.3 %),
+// and the two-wide scans read 0.03 M: the sum index alone read every one of
+// its 8.76 M visits, the whole-archive scans 19.90 M. FlatArchive.ScanVisits
+// counts visits and reads per archive, and core's TestSignatureShare pins
+// the share the signature dismisses.
 //
 // Two-wide the index does better than a bound. A candidate is stored only if
 // no row approximately dominates it, and then evicts every row it dominates,
@@ -32,10 +47,10 @@ import (
 // is the binary search and one row, and the rows to evict are one run from
 // the boundary.
 //
-// The scans are specialized by width. Three and four objectives test each row
-// with SETcc-style 0/1 flags ANDed together (b2u) and one predictable branch
-// per group of four rows; five and more leave a row at its first failing
-// objective (branch-free five-, six- and nine-wide folds measured slower).
+// The scans are specialized by width. Three and four objectives test a row's
+// costs with SETcc-style 0/1 flags ANDed together (b2u); five and more leave
+// a row at its first failing objective (branch-free five-, six- and nine-wide
+// folds measured slower). Two-wide archives carry no signature.
 //
 // The rows move while an archive fills: store opens a slot at the
 // candidate's rank and closes up the evicted rows, and FlatArchive.Seal puts
@@ -47,7 +62,8 @@ import (
 // TestKernelMatchesGenericOracle, TestHintMatchesGenericOracle,
 // TestIndexEdgeStreams and FuzzFlatInsert drive streams through both paths and
 // demand bit-identical archives and counters after every insert, and an index
-// whose every key is its row's recomputed key, in ascending order.
+// whose every key and signature is its row's recomputed one, keys ascending;
+// their streams include the signatures' bucket edges (bucketEdges).
 
 // kernelKind selects the width-specialized scans, resolved once per
 // FlatConfig so the hot loop dispatches on a plain switch.
@@ -122,116 +138,112 @@ var nanKey = math.NaN()
 
 // rejector is the rejection scan: the index of a stored row within thresholds
 // t on every active objective, or -1. tk is the thresholds' key; only the
-// ranks whose key is at most tk are visited, from the highest down.
+// ranks whose key is at most tk are visited, from the highest down, and three
+// or more objectives wide only those whose signature the thresholds' covers
+// are tested on their cost rows.
 func (a *FlatArchive) rejector(t *[stride]float64, tk float64) int {
 	cfg := a.cfg
 	p := a.ranksAtMost(tk)
-	costs := a.costs[:p*stride]
-	switch cfg.kind {
-	case kernel2:
+	if cfg.kind == kernel2 {
 		// Of the rows whose first objective is within t[0], the last has the
 		// least second objective.
-		if p > 0 && costs[(p-1)*stride+cfg.o1] <= t[1] {
+		if p > 0 && a.costs[(p-1)*stride+cfg.o1] <= t[1] {
 			return p - 1
 		}
 		return -1
+	}
+	recs, costs, ts, g := a.recs[:p], a.costs, cfg.thresholdSignature(t), cfg.guards
+	r, tested := -1, 0
+	switch cfg.kind {
 	case kernel3:
-		return lastRowLeq3(costs, cfg.o0, cfg.o1, cfg.o2, t[0], t[1], t[2])
+		r, tested = lastRowLeq3(recs, costs, ts, g, cfg.o0, cfg.o1, cfg.o2, t[0], t[1], t[2])
 	case kernel4:
-		return lastRowLeq4(costs, cfg.o0, cfg.o1, cfg.o2, cfg.o3, t[0], t[1], t[2], t[3])
-	}
-	ids := cfg.ids
-rows:
-	for i := p - 1; i >= 0; i-- {
-		row := costs[i*stride : i*stride+stride]
-		for k, o := range ids {
-			if row[o] > t[k] {
-				continue rows
+		r, tested = lastRowLeq4(recs, costs, ts, g, cfg.o0, cfg.o1, cfg.o2, cfg.o3, t[0], t[1], t[2], t[3])
+	default:
+		ids := cfg.ids
+	rows:
+		for i := p - 1; i >= 0; i-- {
+			if !sigCovers(ts, recs[i].sig, g) {
+				continue
 			}
+			tested++
+			row := costs[i*stride : i*stride+stride]
+			for k, o := range ids {
+				if row[o] > t[k] {
+					continue rows
+				}
+			}
+			r = i
+			break
 		}
-		return i
 	}
-	return -1
+	a.visited += p - max(r, 0)
+	a.tested += tested
+	return r
 }
 
-// lastRowLeq3 returns the index of the last stride-9 row in costs that is <=
-// the three thresholds on the three active objectives, or -1. Rows are
-// processed four at a time from the end; each row folds into a branch-free
-// flag, and one predictable branch tests the group.
-func lastRowLeq3(costs []float64, o0, o1, o2 int, t0, t1, t2 float64) int {
-	i := len(costs)
-	for ; i >= 4*stride; i -= 4 * stride {
-		b := i - 4*stride
-		f0 := b2u(costs[b+o0] <= t0) & b2u(costs[b+o1] <= t1) & b2u(costs[b+o2] <= t2)
-		f1 := b2u(costs[b+stride+o0] <= t0) & b2u(costs[b+stride+o1] <= t1) & b2u(costs[b+stride+o2] <= t2)
-		f2 := b2u(costs[b+2*stride+o0] <= t0) & b2u(costs[b+2*stride+o1] <= t1) & b2u(costs[b+2*stride+o2] <= t2)
-		f3 := b2u(costs[b+3*stride+o0] <= t0) & b2u(costs[b+3*stride+o1] <= t1) & b2u(costs[b+3*stride+o2] <= t2)
-		if f0|f1|f2|f3 != 0 {
-			return lastOfFour(b, f1, f2, f3)
+// lastRowLeq3 returns the last of the ranks recs whose cost row (in costs) is
+// <= the three thresholds on the three active objectives, or -1, and how many
+// rows it read: a rank whose signature ts (the thresholds', guards g set)
+// does not cover is passed over unread.
+func lastRowLeq3(recs []record, costs []float64, ts, g uint64, o0, o1, o2 int, t0, t1, t2 float64) (int, int) {
+	tested := 0
+	for i := len(recs) - 1; i >= 0; i-- {
+		if !sigCovers(ts, recs[i].sig, g) {
+			continue
+		}
+		tested++
+		row := costs[i*stride : i*stride+stride]
+		if b2u(row[o0] <= t0)&b2u(row[o1] <= t1)&b2u(row[o2] <= t2) != 0 {
+			return i, tested
 		}
 	}
-	for i -= stride; i >= 0; i -= stride {
-		if b2u(costs[i+o0] <= t0)&b2u(costs[i+o1] <= t1)&b2u(costs[i+o2] <= t2) != 0 {
-			return i / stride
-		}
-	}
-	return -1
+	return -1, tested
 }
 
 // lastRowLeq4 is lastRowLeq3 for four active objectives.
-func lastRowLeq4(costs []float64, o0, o1, o2, o3 int, t0, t1, t2, t3 float64) int {
-	i := len(costs)
-	for ; i >= 4*stride; i -= 4 * stride {
-		b := i - 4*stride
-		f0 := b2u(costs[b+o0] <= t0) & b2u(costs[b+o1] <= t1) & b2u(costs[b+o2] <= t2) & b2u(costs[b+o3] <= t3)
-		f1 := b2u(costs[b+stride+o0] <= t0) & b2u(costs[b+stride+o1] <= t1) & b2u(costs[b+stride+o2] <= t2) & b2u(costs[b+stride+o3] <= t3)
-		f2 := b2u(costs[b+2*stride+o0] <= t0) & b2u(costs[b+2*stride+o1] <= t1) & b2u(costs[b+2*stride+o2] <= t2) & b2u(costs[b+2*stride+o3] <= t3)
-		f3 := b2u(costs[b+3*stride+o0] <= t0) & b2u(costs[b+3*stride+o1] <= t1) & b2u(costs[b+3*stride+o2] <= t2) & b2u(costs[b+3*stride+o3] <= t3)
-		if f0|f1|f2|f3 != 0 {
-			return lastOfFour(b, f1, f2, f3)
+func lastRowLeq4(recs []record, costs []float64, ts, g uint64, o0, o1, o2, o3 int, t0, t1, t2, t3 float64) (int, int) {
+	tested := 0
+	for i := len(recs) - 1; i >= 0; i-- {
+		if !sigCovers(ts, recs[i].sig, g) {
+			continue
+		}
+		tested++
+		row := costs[i*stride : i*stride+stride]
+		if b2u(row[o0] <= t0)&b2u(row[o1] <= t1)&b2u(row[o2] <= t2)&b2u(row[o3] <= t3) != 0 {
+			return i, tested
 		}
 	}
-	for i -= stride; i >= 0; i -= stride {
-		if b2u(costs[i+o0] <= t0)&b2u(costs[i+o1] <= t1)&b2u(costs[i+o2] <= t2)&b2u(costs[i+o3] <= t3) != 0 {
-			return i / stride
-		}
-	}
-	return -1
-}
-
-// lastOfFour returns the index of the last of the four rows from offset b
-// whose flag is set, given that one of them is.
-func lastOfFour(b int, f1, f2, f3 uint32) int {
-	switch {
-	case f3 != 0:
-		return b/stride + 3
-	case f2 != 0:
-		return b/stride + 2
-	case f1 != 0:
-		return b/stride + 1
-	}
-	return b / stride
+	return -1, tested
 }
 
 // evict marks the rows candidate c dominates (c <= row on every active
 // objective) with a NaN key, visiting only the ranks from lo, the first whose
 // key is at least c's, and returns the first it marked (the row count if
-// none). store closes them up.
-func (a *FlatArchive) evict(c *objective.Vector, lo int) int {
+// none). Three or more objectives wide, a rank whose signature does not cover
+// cs, c's signature, is passed over unread. store closes the marked rows up.
+func (a *FlatArchive) evict(c *objective.Vector, cs uint64, lo int) int {
 	cfg, costs, recs := a.cfg, a.costs, a.recs
 	first := len(recs)
-	switch cfg.kind {
-	case kernel2:
+	if cfg.kind == kernel2 {
 		// The ranks from lo on are within c on the first objective, and their
 		// second objective falls: the dominated ones are a run from lo.
 		c1 := c[cfg.o1]
 		for i := lo; i < len(recs) && c1 <= costs[i*stride+cfg.o1]; i++ {
 			recs[i].key, first = nanKey, lo
 		}
+		return first
+	}
+	g, tested := cfg.guards, 0
+	switch cfg.kind {
 	case kernel3:
 		o0, o1, o2 := cfg.o0, cfg.o1, cfg.o2
 		c0, c1, c2 := c[o0], c[o1], c[o2]
 		for i := lo; i < len(recs); i++ {
+			if !sigCovers(recs[i].sig|g, cs, g) {
+				continue
+			}
+			tested++
 			row := costs[i*stride : i*stride+stride]
 			if b2u(c0 <= row[o0])&b2u(c1 <= row[o1])&b2u(c2 <= row[o2]) != 0 {
 				recs[i].key, first = nanKey, min(first, i)
@@ -241,6 +253,10 @@ func (a *FlatArchive) evict(c *objective.Vector, lo int) int {
 		o0, o1, o2, o3 := cfg.o0, cfg.o1, cfg.o2, cfg.o3
 		c0, c1, c2, c3 := c[o0], c[o1], c[o2], c[o3]
 		for i := lo; i < len(recs); i++ {
+			if !sigCovers(recs[i].sig|g, cs, g) {
+				continue
+			}
+			tested++
 			row := costs[i*stride : i*stride+stride]
 			if b2u(c0 <= row[o0])&b2u(c1 <= row[o1])&b2u(c2 <= row[o2])&b2u(c3 <= row[o3]) != 0 {
 				recs[i].key, first = nanKey, min(first, i)
@@ -250,6 +266,10 @@ func (a *FlatArchive) evict(c *objective.Vector, lo int) int {
 		ids := cfg.ids
 	rows:
 		for i := lo; i < len(recs); i++ {
+			if !sigCovers(recs[i].sig|g, cs, g) {
+				continue
+			}
+			tested++
 			row := costs[i*stride : i*stride+stride]
 			for _, o := range ids {
 				if c[o] > row[o] {
@@ -259,14 +279,16 @@ func (a *FlatArchive) evict(c *objective.Vector, lo int) int {
 			recs[i].key, first = nanKey, min(first, i)
 		}
 	}
+	a.visited += len(recs) - lo
+	a.tested += tested
 	return first
 }
 
-// store ranks candidate c, key ck, at lo — no rank before lo has a key of ck
-// or more, none from lo on a smaller one — and drops the rows evict marked
-// from first on: the ranks from lo to first move up one, into the first marked
-// slot, and the unmarked ranks after it close up behind them.
-func (a *FlatArchive) store(c *objective.Vector, e plan.Entry, ck float64, lo, first int) {
+// store ranks candidate c, key ck and signature cs, at lo — no rank before lo
+// has a key of ck or more, none from lo on a smaller one — and drops the rows
+// evict marked from first on: the ranks from lo to first move up one, into
+// the first marked slot, and the unmarked ranks after it close up behind them.
+func (a *FlatArchive) store(c *objective.Vector, e plan.Entry, ck float64, cs uint64, lo, first int) {
 	n := len(a.recs)
 	if first == n {
 		a.recs = append(a.recs, record{})
@@ -291,7 +313,7 @@ func (a *FlatArchive) store(c *objective.Vector, e plan.Entry, ck float64, lo, f
 		a.evicted += n + 1 - out
 		a.recs, a.costs = recs[:out], costs[:out*stride]
 	}
-	a.recs[lo] = record{entry: e, key: ck, seq: int32(a.inserted)}
+	a.recs[lo] = newRecord(e, ck, int32(a.inserted), cs)
 	copy(a.costs[lo*stride:(lo+1)*stride], c[:])
 }
 
