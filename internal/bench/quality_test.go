@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,5 +57,36 @@ func TestRenderQuality(t *testing.T) {
 	}
 	if !strings.Contains(out, "q3") || !strings.Contains(out, "q5") {
 		t.Errorf("render missing queries:\n%s", out)
+	}
+}
+
+// TestQualityMatchesCommitted re-derives three queries' rows of the committed
+// quality figure (testdata/quality.txt, the output of
+// go run ./cmd/experiments -fig quality at the default configuration) and
+// requires them byte for byte: a change that moves an RTA or EXA frontier of
+// q3, q12 or q13 at precision 1.15, 1.5 or 2 shows here. The run has no
+// deadline, so a slow machine cannot skip a query.
+func TestQualityMatchesCommitted(t *testing.T) {
+	file, err := os.ReadFile("testdata/quality.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Queries = []int{12, 13, 3}
+	cfg.Timeout = 0
+	rows, err := FrontierQuality(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(file), "\n") {
+		if strings.HasPrefix(line, "q3 ") || strings.HasPrefix(line, "q12 ") || strings.HasPrefix(line, "q13 ") {
+			want = append(want, line)
+		}
+	}
+	got := strings.Split(strings.TrimSuffix(RenderQuality(rows), "\n"), "\n")[1:]
+	if len(want) != 9 || !slices.Equal(got, want) {
+		t.Errorf("quality rows of q12, q13 and q3:\n%s\nwant (testdata/quality.txt):\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
