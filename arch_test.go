@@ -711,6 +711,58 @@ func singleObjectiveMin(ctx context.Context, m *costmodel.Model, o objective.ID,
 var note = "degradedSet bestOnlySet singleObjectiveMin newEngine"`},
 		},
 	},
+	{
+		// Every run's archives are configured once, from one precision vector:
+		// the pruning plan (newPruning) builds the run's one FlatConfig, and
+		// the set precision becomes the level precision in one seam
+		// (levelPrecision, Algorithm 2's root), called by the plan alone. A
+		// per-objective RTA is RTA under Options.Precision, not an entry point
+		// of its own.
+		name: "One pruning plan",
+		check: func(src sources) []string {
+			core := src.filter(nonTestIn("internal/core/"))
+			newConfig := func(call *ast.CallExpr) bool {
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				return ok && isIdent(sel.X, "pareto") && regexp.MustCompile(`^NewFlat.*Config$`).MatchString(sel.Sel.Name)
+			}
+			bad := wantCalls(core, "pareto.NewFlat*Config", 1, newConfig)
+			bad = append(bad, wantCalls(core, ".Root", 1, anyCall("Root"))...)
+			for _, site := range []struct {
+				what  string
+				match func(*ast.CallExpr) bool
+				in    string
+			}{
+				{"pareto.NewFlat*Config", newConfig, "newPruning"},
+				{".Root", anyCall("Root"), "levelPrecision"},
+				{"levelPrecision", func(call *ast.CallExpr) bool { return isIdent(call.Fun, "levelPrecision") }, "newPruning"},
+			} {
+				if got := callers(core, site.match); !slices.Equal(got, []string{site.in}) {
+					bad = append(bad, fmt.Sprintf("internal/core: %s is called by %v, want by %s alone", site.what, got, site.in))
+				}
+			}
+			nonTest := src.filter(func(path string) bool { return !isTest(path) })
+			return append(bad, forbidIdents(nonTest, regexp.MustCompile(`RTAVector`), "a per-objective RTA entry point besides RTA's Options.Precision")...)
+		},
+		violations: []map[string]string{
+			{"internal/core/algorithms.go": `package core
+func EXAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, b objective.Bounds, opts Options) (Result, error) {
+	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
+	return e.result(e.run(), w, b, time.Now())
+}`},
+			{"internal/core/alphavector.go": `package core
+func RTAVectorContext(ctx context.Context, m *costmodel.Model, w objective.Weights, prec objective.Precision, opts Options) (Result, error) {
+	return RTAContext(ctx, m, w, opts)
+}`},
+			{"internal/core/sharedmemo.go": `package core
+func (e *engine) prepareShared() { _ = e.prune.set.Root(e.q.NumRelations()) }`},
+		},
+		mentions: []map[string]string{
+			{"internal/core/alphavector.go": `package core
+// RTAVector and RTAVectorContext are gone: RTA reads Options.Precision, and
+// pareto.NewFlatConfig(objs, 1) and prec.Root(n) are newPruning's alone.
+var note = "RTAVectorContext(ctx, m, w, prec, opts); pareto.NewFlatPrecisionConfig(objs, prec.Root(n))"`},
+		},
+	},
 }
 
 // callers returns, sorted, the names of the functions and methods in src

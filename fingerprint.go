@@ -136,9 +136,9 @@ func (r *Resolved) buildKey() {
 		}
 		buf = append(buf, o.String()...)
 	}
-	if len(req.Precisions) > 0 {
+	if r.opts.Precision != (objective.Precision{}) {
 		buf = append(buf, "|prec="...)
-		buf = appendActive(buf, objs, r.precision())
+		buf = appendActive(buf, objs, r.opts.Precision)
 	}
 
 	buf = append(buf, "|dop="...)

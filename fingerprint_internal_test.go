@@ -81,7 +81,11 @@ func stringsKey(r *Resolved) (string, int) {
 	}
 	if len(req.Precisions) > 0 {
 		buf = append(buf, "|prec="...)
-		buf = appendActive(buf, objs, r.precision())
+		prec := objective.UniformPrecision(1, objs)
+		for o, x := range req.Precisions {
+			prec[o] = x
+		}
+		buf = appendActive(buf, objs, prec)
 	}
 	maxDOP := req.MaxDOP
 	if maxDOP == 0 {

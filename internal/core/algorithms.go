@@ -30,7 +30,7 @@ type Result struct {
 	Stats Stats
 	// Snapshot is Frontier with the run's precision and effort: the
 	// weight/bound-free form a frontier cache stores (see FrontierSnapshot).
-	// Set by EXA, RTA, RTAVector and IRA when the run completed without
+	// Set by EXA, RTA and IRA when the run completed without
 	// degrading; nil for a degraded run and for the scalar baselines.
 	Snapshot *FrontierSnapshot
 }
@@ -53,9 +53,12 @@ func EXAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, b 
 	if err != nil {
 		return Result{}, err
 	}
-	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
-	return e.result(e.run(), w, b, 1, start)
+	e := newEngine(ctx, m, opts, exact, w)
+	return e.result(e.run(), w, b, start)
 }
+
+// exact is the set precision of EXA and the keep-best programs.
+var exact = objective.UniformPrecision(1, objective.AllSet())
 
 // begin is the prologue of every entry point that runs the dynamic
 // program: it normalizes opts, checks the weights and bounds, rejects a
@@ -75,15 +78,14 @@ func begin(ctx context.Context, opts Options, w objective.Weights, b objective.B
 	return opts, time.Now(), nil
 }
 
-// result is the epilogue of EXA, RTA and RTAVector: a run abandoned by its
-// context, a worker panic or an invalid query reports that error
-// (cancelErr); any other run is extracted and selected over (finish), with
-// setAlpha the set-level precision its snapshot records.
-func (e *engine) result(flat *pareto.FlatArchive, w objective.Weights, b objective.Bounds, setAlpha float64, start time.Time) (Result, error) {
+// result is the epilogue of EXA, RTA and the keep-best programs: a run
+// abandoned by its context, a worker panic or an invalid query reports that
+// error (cancelErr); any other run is extracted and selected over (finish).
+func (e *engine) result(flat *pareto.FlatArchive, w objective.Weights, b objective.Bounds, start time.Time) (Result, error) {
 	if err := e.cancelErr(); err != nil {
 		return Result{}, err
 	}
-	return e.finish(flat, w, b, setAlpha, e.stats(start)), nil
+	return e.finish(flat, w, b, e.stats(start)), nil
 }
 
 // startErr rejects a context that is already cancelled before any work
@@ -103,8 +105,9 @@ func startErr(ctx context.Context) error {
 // approximation scheme for weighted MOQO: it computes an αU-approximate
 // Pareto set using internal pruning precision αi = αU^(1/|Q|) and selects
 // the plan with minimal weighted cost. The returned plan's weighted cost is
-// within factor αU of the optimum (Theorem 3 + Corollary 1). Bounds are not
-// supported — use IRA for bounded-weighted MOQO.
+// within factor αU of the optimum (Theorem 3 + Corollary 1). With
+// Options.Precision set, αU is that vector, taken per objective. Bounds are
+// not supported — use IRA for bounded-weighted MOQO.
 func RTA(m *costmodel.Model, w objective.Weights, opts Options) (Result, error) {
 	return RTAContext(context.Background(), m, w, opts)
 }
@@ -116,20 +119,12 @@ func RTAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, op
 	if err != nil {
 		return Result{}, err
 	}
-	flat, e := rtaParetoPlans(ctx, m, w, opts, opts.Alpha)
-	return e.result(flat, w, objective.NoBounds(), opts.Alpha, start)
-}
-
-// rtaParetoPlans is FindParetoPlans of Algorithm 2: it derives the internal
-// pruning precision αi = setAlpha^(1/|Q|) from the requested Pareto-set
-// precision and runs the shared engine. The returned archive is the DP's
-// own: IRA evaluates its stopping condition on its rows directly and
-// extracts a Frontier only for the iteration it actually returns.
-func rtaParetoPlans(ctx context.Context, m *costmodel.Model, w objective.Weights, opts Options, setAlpha float64) (*pareto.FlatArchive, *engine) {
-	n := m.Query().NumRelations()
-	cfg := pareto.NewFlatConfig(opts.Objectives, max(1, math.Pow(setAlpha, 1/float64(n))))
-	e := newEngine(ctx, m, opts, cfg, w)
-	return e.run(), e
+	set := opts.Precision
+	if set == (objective.Precision{}) {
+		set = objective.UniformPrecision(opts.Alpha, opts.Objectives)
+	}
+	e := newEngine(ctx, m, opts, set, w)
+	return e.result(e.run(), w, objective.NoBounds(), start)
 }
 
 // maxIRAIterations caps the refinement loop. Theorem 8 guarantees
@@ -181,6 +176,9 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if opts.Precision != (objective.Precision{}) {
+		return Result{}, fmt.Errorf("core: IRA takes no per-objective precision (Options.Precision is RTA's)")
+	}
 	opts, start, err := begin(ctx, opts, w, b)
 	if err != nil {
 		return Result{}, err
@@ -211,7 +209,6 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	// extracted once, for the iteration actually returned.
 	var finalFlat *pareto.FlatArchive
 	var finalEngine *engine
-	lastAlpha := alphaU
 
 	for i := 1; ; i++ {
 		// Precision refinement policy: exponent halves every 3l-3
@@ -236,10 +233,13 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 			total.TimedOut = true
 			break
 		}
-		lastAlpha = alpha
 
+		// Each iteration is RTA's FindParetoPlans at α(i); its stopping
+		// condition reads the archive's rows, and a Frontier is extracted
+		// only for the iteration returned.
 		iterStart := time.Now()
-		flat, e := rtaParetoPlans(ctx, m, w, opts, alpha)
+		e := newEngine(ctx, m, opts, objective.UniformPrecision(alpha, opts.Objectives), w)
+		flat := e.run()
 		if err := e.cancelErr(); err != nil {
 			return Result{}, err
 		}
@@ -267,7 +267,7 @@ func iraRun(ctx context.Context, m *costmodel.Model, w objective.Weights, b obje
 	// absorbed every iteration at or above its precision, and the wire
 	// contract (stats.reused_frontier) covers seeded refinements too.
 	total.ReusedFrontier = seed != nil
-	return finalEngine.finish(finalFlat, w, b, lastAlpha, total), nil
+	return finalEngine.finish(finalFlat, w, b, total), nil
 }
 
 // deadlinePassed reports whether ctx's deadline has passed: by the clock,
@@ -365,8 +365,8 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	if err != nil {
 		return Result{}, err
 	}
-	e := newEngine(ctx, m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
-	res, err := e.result(e.runScalar(), w, objective.NoBounds(), 1, start)
+	e := newEngine(ctx, m, opts, exact, w)
+	res, err := e.result(e.runScalar(), w, objective.NoBounds(), start)
 	res.Snapshot = nil
 	return res, err
 }

@@ -150,8 +150,10 @@ func TestCancelBeforeStart(t *testing.T) {
 		"EXA": func() error { _, err := EXAContext(ctx, m, w, objective.NoBounds(), opts); return err },
 		"RTA": func() error { _, err := RTAContext(ctx, m, w, opts); return err },
 		"IRA": func() error { _, err := IRAContext(ctx, m, w, objective.NoBounds(), opts); return err },
-		"RTAVector": func() error {
-			_, err := RTAVectorContext(ctx, m, w, objective.UniformPrecision(1.2, threeObjs), opts)
+		"RTA per objective": func() error {
+			vec := opts
+			vec.Precision = objective.UniformPrecision(1.2, threeObjs)
+			_, err := RTAContext(ctx, m, w, vec)
 			return err
 		},
 		"Selinger":    func() error { _, err := SelingerContext(ctx, m, objective.TotalTime, opts); return err },

@@ -12,8 +12,9 @@
 //     runs at geometrically refined precision with a stopping condition
 //     that certifies αU-approximation for bounded-weighted MOQO
 //     (Theorems 6-8).
-//   - RTAVector — a beyond-paper extension of the RTA with per-objective
-//     precisions (coarse on tolerant objectives, exact on strict ones).
+//   - RTA under Options.Precision — a beyond-paper extension with
+//     per-objective precisions (coarse on tolerant objectives, exact on
+//     strict ones).
 //   - Single-objective baselines: a Selinger-style DP (used for the
 //     paper's single-objective measurements and, one run per objective,
 //     for deriving per-objective minima when generating bounds) and the
@@ -129,13 +130,13 @@
 // keep-best baselines and degraded runs included, extracts it once
 // (engine.extract), so a Result holds what its frontier reaches and never
 // the run's memo, and every frontier materializes one way
-// (plan.NewDenseMaterializer: slots, one slab of nodes). EXA, RTA,
-// RTAVector, IRA and WeightedSumDP enter through one prologue (begin);
-// every run's caller builds its archive configuration (pareto.FlatConfig:
-// precision 1, αU^(1/|Q|), or RTAVector's component-wise root) and hands
-// it to newEngine. Every algorithm shares one epilogue (engine.finish,
-// behind engine.result's cancellation check for all but IRA; the
-// keep-best baselines then drop the weight-specific snapshot) that
+// (plan.NewDenseMaterializer: slots, one slab of nodes). EXA, RTA, IRA and
+// WeightedSumDP enter through one prologue (begin); each hands newEngine
+// its set precision, from which one pruning plan (newPruning) derives the
+// level precision (levelPrecision) and the run's one pareto.FlatConfig.
+// Every algorithm shares one epilogue (engine.finish, which records the
+// plan in the snapshot, behind engine.result's cancellation check for all
+// but IRA; the keep-best baselines then drop the weight-specific snapshot) that
 // extracts the final archive in canonical order
 // (pareto.FlatArchive.CanonicalOrder),
 // selects over the rows (pareto.SelectBestRows) and takes Result.Best
@@ -164,7 +165,7 @@
 //
 // Because archive pruning never reads the user's weights or bounds, the
 // final frontier of a completed run is reusable across weight and bound
-// changes. Every completed EXA, RTA, RTAVector and IRA run returns it as
+// changes. Every completed EXA, RTA and IRA run returns it as
 // Result.Snapshot, a FrontierSnapshot: the run's Frontier itself plus the
 // set-level precision, the run's origin and effort, and a versioned
 // binary serialization. A degraded run's frontier is extracted the same

@@ -49,12 +49,9 @@ type engine struct {
 	m    *costmodel.Model
 	opts Options
 
-	// cfg is the pruning configuration shared by every archive of the run:
-	// the internal precision αi — 1 for EXA and the keep-best programs,
-	// αU^(1/|Q|) for RTA and each IRA iteration, the component-wise root
-	// for RTAVector — with the active-objective ids resolved once, so
-	// archive inserts never allocate.
-	cfg *pareto.FlatConfig
+	// prune is the run's pruning plan (newPruning): every archive of the
+	// run prunes by its one configuration.
+	prune pruning
 
 	// weights score the one plan each keep-best set keeps (keepBest).
 	weights objective.Weights
@@ -168,16 +165,34 @@ var cartesianAlgs = joinAlgs[2:]
 // maxSplitTerms bounds the (operator, DOP) combinations of one split.
 const maxSplitTerms = len(joinAlgs) * plan.MaxDOP
 
-// newEngine prepares an engine run whose archives prune by cfg, the
-// configuration its caller builds for opts.Objectives. opts must be
-// normalized (Workers >= 1). ctx cancellation aborts the run; a ctx
-// deadline degrades it (stopped).
-func newEngine(ctx context.Context, m *costmodel.Model, opts Options, cfg *pareto.FlatConfig, w objective.Weights) *engine {
+// pruning is a run's pruning plan, the one place its archives are
+// configured: set is the precision its frontier is asked for (1 for EXA and
+// the keep-best programs, αU or Options.Precision for RTA, α(i) for an IRA
+// iteration), level = levelPrecision(set, |Q|) what every level prunes at,
+// and cfg the archives' one configuration, built from level with the
+// active-objective ids resolved once, so archive inserts never allocate.
+type pruning struct {
+	set, level objective.Precision
+	cfg        *pareto.FlatConfig
+}
+
+// newPruning builds the pruning plan of a run over objs at set precision set
+// on a query of n relations. An empty query is newEngine's error to report,
+// so n is clamped to 1 (the 0-th root is +Inf).
+func newPruning(objs objective.Set, set objective.Precision, n int) pruning {
+	level := levelPrecision(set, max(1, n))
+	return pruning{set: set, level: level, cfg: pareto.NewFlatPrecisionConfig(objs, level)}
+}
+
+// newEngine prepares an engine run over opts.Objectives at set precision set
+// (see pruning). opts must be normalized (Workers >= 1). ctx cancellation
+// aborts the run; a ctx deadline degrades it (stopped).
+func newEngine(ctx context.Context, m *costmodel.Model, opts Options, set objective.Precision, w objective.Weights) *engine {
 	e := &engine{
 		q:       m.Query(),
 		m:       m,
 		opts:    opts,
-		cfg:     cfg,
+		prune:   newPruning(opts.Objectives, set, m.Query().NumRelations()),
 		weights: w,
 		ctx:     ctx,
 		ctxDone: ctx.Done(),
@@ -367,7 +382,7 @@ func (t *bestTracker) archive(w *worker, id int32) *pareto.FlatArchive {
 func (w *worker) open(id int32) *pareto.FlatArchive {
 	m := w.e.memo
 	a := &m.slab[id].arch
-	w.arena.Open(a, w.e.cfg)
+	w.arena.Open(a, w.e.prune.cfg)
 	m.archives[id] = a
 	return a
 }

@@ -68,14 +68,15 @@ func TestDisconnectedJoinGraphIsAnError(t *testing.T) {
 	w := objective.UniformWeights(objs)
 	bounds := objective.NoBounds().With(objective.TotalTime, 1e12)
 	opts := Options{Objectives: objs, Alpha: 1.5}
-	prec := objective.UniformPrecision(1.5, objs)
+	vec := opts
+	vec.Precision = objective.UniformPrecision(1.5, objs)
 	entries := []struct {
 		name string
 		run  func(m *costmodel.Model) (Result, error)
 	}{
 		{"EXA", func(m *costmodel.Model) (Result, error) { return EXA(m, w, objective.NoBounds(), opts) }},
 		{"RTA", func(m *costmodel.Model) (Result, error) { return RTA(m, w, opts) }},
-		{"RTAVector", func(m *costmodel.Model) (Result, error) { return RTAVector(m, w, prec, opts) }},
+		{"RTA per objective", func(m *costmodel.Model) (Result, error) { return RTA(m, w, vec) }},
 		{"IRA", func(m *costmodel.Model) (Result, error) { return IRA(m, w, bounds, opts) }},
 		{"Selinger", func(m *costmodel.Model) (Result, error) { return Selinger(m, objective.TotalTime, opts) }},
 		{"WeightedSumDP", func(m *costmodel.Model) (Result, error) { return WeightedSumDP(m, w, opts) }},

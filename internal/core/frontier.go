@@ -64,13 +64,19 @@ type rendering struct {
 	json []byte
 }
 
-// finish is the shared epilogue of EXA, RTA, RTAVector and IRA: extract the
-// final archive's frontier once, select over its canonical rows, take the
-// selected plan from the frontier's one materialization, and — unless the
-// run degraded — return the frontier as the run's snapshot too. setAlpha
-// is the set-level precision the snapshot records.
-func (e *engine) finish(flat *pareto.FlatArchive, w objective.Weights, b objective.Bounds, setAlpha float64, st Stats) Result {
-	snap := &FrontierSnapshot{setAlpha: setAlpha, pruneAlpha: e.cfg.Alpha(), prec: e.cfg.Precision(), stats: st}
+// finish is the shared epilogue of EXA, RTA and IRA: extract the final
+// archive's frontier once, select over its canonical rows, take the selected
+// plan from the frontier's one materialization, and — unless the run
+// degraded — return the frontier as the run's snapshot too. The snapshot
+// records the run's pruning plan: its set and level precision, and the level
+// vector of a run under Options.Precision.
+func (e *engine) finish(flat *pareto.FlatArchive, w objective.Weights, b objective.Bounds, st Stats) Result {
+	objs := e.opts.Objectives
+	snap := &FrontierSnapshot{setAlpha: e.prune.set.Max(objs), pruneAlpha: e.prune.level.Max(objs), stats: st}
+	if e.opts.Precision != (objective.Precision{}) {
+		level := e.prune.level
+		snap.prec = &level
+	}
 	e.extract(&snap.Frontier, flat)
 	res := Result{Frontier: &snap.Frontier, Stats: st}
 	if snap.Len() == 0 {

@@ -23,7 +23,7 @@ const corpusDir = "testdata/snapshots"
 
 // corpusSnapshots produces one snapshot per algorithm family that returns
 // one: exact (EXA), uniform-α (RTA), per-objective precision
-// (RTAVector), and iterative refinement (IRA), over three objectives; and
+// (RTA under Options.Precision), and iterative refinement (IRA), over three objectives; and
 // one over all nine. Each holds several sub-memo sections and
 // index-nested-loop joins, whose index-probe inners are not stored plans.
 func corpusSnapshots(t testing.TB) map[string]*FrontierSnapshot {
@@ -48,8 +48,9 @@ func corpusSnapshots(t testing.TB) map[string]*FrontierSnapshot {
 	res, err = RTA(costmodel.NewDefault(chainQuery(t)), w, rtaOpts)
 	capture("rta-chain", res, err)
 
-	prec := objective.UniformPrecision(2, threeObjs).With(objective.TotalTime, 1.2)
-	res, err = RTAVector(costmodel.NewDefault(starQuery(t)), w, prec, smallOpts(threeObjs))
+	vecOpts := smallOpts(threeObjs)
+	vecOpts.Precision = objective.UniformPrecision(2, threeObjs).With(objective.TotalTime, 1.2)
+	res, err = RTA(costmodel.NewDefault(starQuery(t)), w, vecOpts)
 	capture("rtavector-star", res, err)
 
 	iraOpts := smallOpts(threeObjs)

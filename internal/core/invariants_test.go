@@ -249,7 +249,8 @@ func TestHintShare(t *testing.T) {
 					t.Fatal(err)
 				}
 				start := time.Now()
-				_, e := rtaParetoPlans(context.Background(), m, objective.UniformWeights(tc.objs), opts, opts.Alpha)
+				e := newEngine(context.Background(), m, opts, objective.UniformPrecision(opts.Alpha, tc.objs), objective.UniformWeights(tc.objs))
+				e.run()
 				for _, a := range e.memo.archives {
 					if a != nil {
 						hits += a.HintRejected()
@@ -312,7 +313,8 @@ func TestFloorShare(t *testing.T) {
 					t.Fatal(err)
 				}
 				start := time.Now()
-				_, e := rtaParetoPlans(context.Background(), tc.m, objective.UniformWeights(tc.objs), opts, opts.Alpha)
+				e := newEngine(context.Background(), tc.m, opts, objective.UniformPrecision(opts.Alpha, tc.objs), objective.UniformWeights(tc.objs))
+				e.run()
 				for i := range e.workers {
 					uncosted += e.workers[i].floorRejected
 					blocked += e.workers[i].blockRejected
@@ -369,7 +371,8 @@ func TestScanShare(t *testing.T) {
 					t.Fatal(err)
 				}
 				start := time.Now()
-				_, e := rtaParetoPlans(context.Background(), m, objective.UniformWeights(tc.objs), opts, opts.Alpha)
+				e := newEngine(context.Background(), m, opts, objective.UniformPrecision(opts.Alpha, tc.objs), objective.UniformWeights(tc.objs))
+				e.run()
 				for _, a := range e.memo.archives {
 					if a != nil {
 						inserted, rejected, _ := a.Stats()
@@ -422,13 +425,8 @@ func TestSignatureShare(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var e *engine
-				if tc.alpha == 1 {
-					e = newEngine(context.Background(), m, opts, pareto.NewFlatConfig(opts.Objectives, 1), w)
-					e.run()
-				} else {
-					_, e = rtaParetoPlans(context.Background(), m, w, opts, opts.Alpha)
-				}
+				e := newEngine(context.Background(), m, opts, objective.UniformPrecision(tc.alpha, tc.objs), w)
+				e.run()
 				for _, a := range e.memo.archives {
 					if a != nil {
 						v, t := a.ScanVisits()

@@ -162,7 +162,7 @@ func TestExtractMatchesMapOracle(t *testing.T) {
 		}},
 		{"rtavector", func(m *costmodel.Model) (Result, error) {
 			prec := objective.UniformPrecision(1.2, three).With(objective.Energy, 2)
-			return RTAVector(m, w, prec, Options{Objectives: three})
+			return RTA(m, w, Options{Objectives: three, Precision: prec})
 		}},
 		{"bounded ira", func(m *costmodel.Model) (Result, error) {
 			b := objective.NoBounds().With(objective.BufferFootprint, 1.5*minima[objective.BufferFootprint])

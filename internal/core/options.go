@@ -17,6 +17,15 @@ type Options struct {
 	// IRA (>= 1 and finite). Ignored by the exact algorithms.
 	Alpha float64
 
+	// Precision is RTA's per-objective αU (every entry >= 1 and finite), a
+	// beyond-paper extension: coarse on tolerant objectives, it shrinks the
+	// archives (Lemma 2's bound is a product of per-objective bucket counts)
+	// without weakening the guarantee on strict ones. The PONO holds per
+	// objective, so Theorem 3 carries over component-wise, and the weighted
+	// cost is within the largest precision of a weighted objective. The zero
+	// value means Alpha on every active objective. IRA refuses it.
+	Precision objective.Precision
+
 	// AllowSampling includes the sampling scan operators in the plan
 	// space. Defaults (via Normalize) to whether tuple loss is an active
 	// objective: without loss as an objective nothing penalizes sampling,
@@ -46,8 +55,8 @@ type Options struct {
 	// this knob is excluded from every cache key.
 	Shared *SharedMemo
 
-	// CaptureSnapshot is ignored: every completed EXA, RTA, RTAVector and
-	// IRA run returns its Result.Snapshot. The field stays only because the
+	// CaptureSnapshot is ignored: every completed EXA, RTA and IRA run
+	// returns its Result.Snapshot. The field stays only because the
 	// benchmark module still sets it (benchmark/probes.go); it goes when
 	// the benchmark stops reading the product's internals.
 	CaptureSnapshot bool
@@ -66,6 +75,9 @@ func (o Options) Normalize() (Options, error) {
 			return o, fmt.Errorf("core: approximation precision %v < 1", o.Alpha)
 		}
 		return o, fmt.Errorf("core: approximation precision %v is not finite", o.Alpha)
+	}
+	if o.Precision != (objective.Precision{}) && !o.Precision.Valid() {
+		return o, fmt.Errorf("core: invalid precision vector (every entry must be >= 1 and finite)")
 	}
 	if o.MaxDOP == 0 {
 		o.MaxDOP = plan.MaxDOP

@@ -8,7 +8,6 @@ import (
 
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
-	"moqo/internal/pareto"
 	"moqo/internal/query"
 	"moqo/internal/synthetic"
 )
@@ -32,7 +31,7 @@ func TestLevelClaimsOnceAscending(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := newEngine(context.Background(), costmodel.NewDefault(q), opts,
-				pareto.NewFlatConfig(threeObjs, 1), objective.UniformWeights(threeObjs))
+				exact, objective.UniformWeights(threeObjs))
 			var sets []query.TableSet
 			var levelOf []int
 			for k, level := range e.enum.levels {

@@ -126,8 +126,8 @@ func (e *engine) prepareShared() {
 	b := make([]byte, 0, 256)
 	b = append(b, "sm1|cat="...)
 	b = cat.AppendFingerprint(b)
-	// Active objectives with their internal pruning precisions, exact to
-	// the float bit: RTA's αi = α^(1/n) folds the member's relation count
+	// Active objectives with their level precisions (the run's pruning
+	// plan), exact to the float bit: RTA's αi = α^(1/n) folds the member's relation count
 	// into the precision, so only same-precision runs (EXA always; RTA/IRA
 	// iterations of equal α and n) ever share.
 	b = append(b, "|cfg="...)
@@ -138,11 +138,7 @@ func (e *engine) prepareShared() {
 		}
 		b = strconv.AppendInt(b, int64(o), 10)
 		b = append(b, ':')
-		alpha := e.cfg.Alpha()
-		if p := e.cfg.Precision(); p != nil {
-			alpha = p[o]
-		}
-		b = strconv.AppendFloat(b, alpha, 'g', -1, 64)
+		b = strconv.AppendFloat(b, e.prune.level[o], 'g', -1, 64)
 	}
 	b = append(b, "|dop="...)
 	b = strconv.AppendInt(b, int64(e.opts.MaxDOP), 10)

@@ -44,10 +44,9 @@ var routeAlgorithms = []struct {
 	{"RTA", false, true, func(m *costmodel.Model, w objective.Weights, _ objective.Bounds, opts Options) (Result, error) {
 		return RTA(m, w, opts)
 	}},
-	{"RTAVector", false, true, func(m *costmodel.Model, w objective.Weights, _ objective.Bounds, opts Options) (Result, error) {
-		prec := objective.UniformPrecision(1, opts.Objectives).With(objective.BufferFootprint, opts.Alpha)
-		opts.Alpha = 0
-		return RTAVector(m, w, prec, opts)
+	{"RTA per objective", false, true, func(m *costmodel.Model, w objective.Weights, _ objective.Bounds, opts Options) (Result, error) {
+		opts.Precision = objective.UniformPrecision(1, opts.Objectives).With(objective.BufferFootprint, opts.Alpha)
+		return RTA(m, w, opts)
 	}},
 	{"IRA", true, false, IRA},
 }
@@ -135,7 +134,7 @@ func TestSnapshotMatchesRun(t *testing.T) {
 }
 
 // TestSelectFromSnapshotMatchesCold is the route matrix: {EXA, RTA,
-// RTAVector, IRA} × {cold, SelectFromSnapshot, SelectFromSnapshot after a
+// RTA per objective, IRA} × {cold, SelectFromSnapshot, SelectFromSnapshot after a
 // serialization round trip}. Under random weights (and bounds, where the
 // algorithm takes them) all three routes
 // give the same frontier bits, archive counters, SelectBest index and

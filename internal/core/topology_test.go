@@ -8,7 +8,6 @@ import (
 	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
-	"moqo/internal/pareto"
 	"moqo/internal/plan"
 	"moqo/internal/query"
 	"moqo/internal/synthetic"
@@ -216,7 +215,7 @@ func TestAutoEnumerationMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, pareto.NewFlatConfig(opts.Objectives, 1), objective.SingleWeight(objective.TotalTime))
+		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, exact, objective.SingleWeight(objective.TotalTime))
 		e.runScalar()
 		w := &e.workers[0]
 		type loop func(query.TableSet, func(query.TableSet) splitView, candidateFn) bool

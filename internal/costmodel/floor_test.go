@@ -41,7 +41,7 @@ func TestMinTermsBoundsEveryDOP(t *testing.T) {
 		nan[o] = math.NaN()
 	}
 	inf[objective.TupleLoss] = 1 // a ratio: the loss formula leaves [0,1] only on garbage
-	cfg := pareto.NewFlatConfig(objective.AllSet(), 1.2)
+	const alpha = 1.2
 	for _, q := range oracleQueries(t) {
 		r := rand.New(rand.NewSource(int64(q.NumRelations())))
 		m := NewDefault(q)
@@ -122,7 +122,7 @@ func TestMinTermsBoundsEveryDOP(t *testing.T) {
 							tight[o] = min(tight[o], f[o])
 						}
 					}
-					if yes := runGate(t, cfg, []objective.Vector{tight}, floors[:], cands); yes == hasNaN {
+					if yes := runGate(t, alpha, []objective.Vector{tight}, floors[:], cands); yes == hasNaN {
 						t.Fatalf("%s %v|%v, children %v and %v: the run gate said %v on the floors' own minimum %v",
 							q.Name, left, right, ls, rs, yes, tight)
 					}
@@ -140,9 +140,11 @@ func TestMinTermsBoundsEveryDOP(t *testing.T) {
 // the twin by InsertRow and must be rejected on the hint test; the twins must
 // end with the same rows and counters, len(cands) rejections more than they
 // started with, every one without a scan. A no must have counted nothing. It
-// reports the gate's answer.
-func runGate(t *testing.T, cfg *pareto.FlatConfig, rows, floors, cands []objective.Vector) bool {
+// reports the gate's answer. Both archives prune at alpha on all nine
+// objectives.
+func runGate(t *testing.T, alpha float64, rows, floors, cands []objective.Vector) bool {
 	t.Helper()
+	cfg := pareto.NewFlatConfig(objective.AllSet(), alpha)
 	group, single := pareto.NewFlat(cfg), pareto.NewFlat(cfg)
 	for _, a := range []*pareto.FlatArchive{group, single} {
 		for _, r := range rows {
@@ -171,8 +173,8 @@ func runGate(t *testing.T, cfg *pareto.FlatConfig, rows, floors, cands []objecti
 	}
 	for _, f := range floors {
 		for o := range f {
-			if math.IsNaN(f[o]) || math.IsNaN(cfg.Alpha()) {
-				t.Fatalf("the run gate accepted a NaN on %v: floor %v alpha %v", objective.ID(o), f, cfg.Alpha())
+			if math.IsNaN(f[o]) || math.IsNaN(alpha) {
+				t.Fatalf("the run gate accepted a NaN on %v: floor %v alpha %v", objective.ID(o), f, alpha)
 			}
 		}
 	}
@@ -289,7 +291,7 @@ func FuzzMinTermsFloor(f *testing.F) {
 			inner = append(inner, in.vector())
 		}
 		cfg := pareto.NewFlatConfig(objective.AllSet(), alpha)
-		runFloors(t, all, outer, inner, sizes, cfg, onFloor, rows&4 != 0, row, other)
+		runFloors(t, all, outer, inner, sizes, alpha, onFloor, rows&4 != 0, row, other)
 
 		folded := MinTerms(terms)
 		floor := folded.Apply(&cl, &cr)
@@ -354,7 +356,7 @@ func FuzzMinTermsFloor(f *testing.F) {
 // and drives runGate with row and other stored (the floors' minimum in place
 // of row when onFloor; swapped when swap).
 func runFloors(t *testing.T, all [3][]JoinTerms, outer, inner []objective.Vector, sizes uint8,
-	cfg *pareto.FlatConfig, onFloor, swap bool, row, other objective.Vector) {
+	alpha float64, onFloor, swap bool, row, other objective.Vector) {
 	t.Helper()
 	if sizes&64 != 0 {
 		inner = append(inner, objective.Vector{})
@@ -416,5 +418,5 @@ func runFloors(t *testing.T, all [3][]JoinTerms, outer, inner []objective.Vector
 	if swap {
 		row, other = other, row
 	}
-	runGate(t, cfg, []objective.Vector{row, other}, floors[:], cands)
+	runGate(t, alpha, []objective.Vector{row, other}, floors[:], cands)
 }

@@ -15,5 +15,6 @@
 // weighted cost function C_W of weighted MOQO, and Bounds.Respects /
 // RespectsRelaxed the (relaxed) bound checks of bounded-weighted MOQO and
 // the IRA stopping condition. The Precision vector type generalizes the
-// scalar α to per-objective precisions for the RTAVector extension.
+// scalar α to per-objective precisions (RTA's Options.Precision); every run's
+// pruning plan is one such vector.
 package objective

@@ -259,14 +259,15 @@ func (v Vector) FormatOn(objs Set) string {
 type Precision [NumObjectives]float64
 
 // UniformPrecision returns precision alpha on the objectives of the set
-// and exact precision (1) elsewhere.
+// and exact precision (1) elsewhere. Like Bounds.Respects it walks the set's
+// bits and allocates nothing: every RTA and IRA run builds one.
 func UniformPrecision(alpha float64, objs Set) Precision {
 	var p Precision
 	for i := range p {
 		p[i] = 1
 	}
-	for _, o := range objs.IDs() {
-		p[o] = alpha
+	for s := objs & AllSet(); s != 0; s &= s - 1 {
+		p[bits.TrailingZeros16(uint16(s))] = alpha
 	}
 	return p
 }
@@ -288,11 +289,12 @@ func (p Precision) Valid() bool {
 	return true
 }
 
-// Max returns the largest precision over the given objectives.
+// Max returns the largest precision over the given objectives. It allocates
+// nothing.
 func (p Precision) Max(objs Set) float64 {
 	m := 1.0
-	for _, o := range objs.IDs() {
-		m = math.Max(m, p[o])
+	for s := objs & AllSet(); s != 0; s &= s - 1 {
+		m = math.Max(m, p[bits.TrailingZeros16(uint16(s))])
 	}
 	return m
 }

@@ -157,6 +157,34 @@ func TestPrecisionValid(t *testing.T) {
 	}
 }
 
+// TestPrecisionHelpersZeroAlloc pins that UniformPrecision and
+// Precision.Max walk the set's bits instead of building its ID slice: every
+// RTA and IRA run calls both, and an allocation there is one more per cold
+// run.
+func TestPrecisionHelpersZeroAlloc(t *testing.T) {
+	objs := NewSet(TotalTime, BufferFootprint, TupleLoss)
+	var p Precision
+	var m float64
+	if n := testing.AllocsPerRun(100, func() {
+		p = UniformPrecision(1.5, objs)
+		m = p.With(TupleLoss, 2).Max(objs)
+	}); n != 0 {
+		t.Errorf("UniformPrecision and Max allocate %v times, want 0", n)
+	}
+	for o := ID(0); o < NumObjectives; o++ {
+		want := 1.0
+		if objs.Contains(o) {
+			want = 1.5
+		}
+		if p[o] != want {
+			t.Errorf("UniformPrecision(1.5, %v)[%v] = %v, want %v", objs, o, p[o], want)
+		}
+	}
+	if m != 2 {
+		t.Errorf("Max = %v, want 2", m)
+	}
+}
+
 // The running example of the paper (Example 1): plan p combines subplans
 // with cost (7,1) and (6,2) into (7,3) using max for time and sum for
 // energy; replacing the (7,1) subplan by (1,3) yields (6,5), which worsens

@@ -14,7 +14,7 @@ type Archive struct {
 	objs  objective.Set
 	alpha float64
 	// prec, when non-nil, replaces the scalar alpha with a per-objective
-	// precision vector (the beyond-paper RTAVector extension).
+	// precision vector (the beyond-paper per-objective RTA extension).
 	prec  *objective.Precision
 	plans []*plan.Node
 

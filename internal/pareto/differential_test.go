@@ -85,7 +85,7 @@ func TestFlatMatchesLegacyScalarAlpha(t *testing.T) {
 }
 
 // TestFlatMatchesLegacyPrecisionVector: per-objective precision pruning
-// (the RTAVector extension) must also agree decision for decision.
+// (the per-objective RTA extension) must also agree decision for decision.
 func TestFlatMatchesLegacyPrecisionVector(t *testing.T) {
 	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
 	precs := []objective.Precision{

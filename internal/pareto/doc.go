@@ -82,8 +82,10 @@
 // from the true Pareto frontier and destroy the near-optimality guarantee;
 // package tests demonstrate that failure mode.
 //
-// Precision-vector variants (NewPrecisionArchive, NewFlatPrecisionConfig)
-// support the per-objective RTA extension of internal/core.RTAVector.
+// NewFlatPrecisionConfig is the one configuration constructor: a per-objective
+// precision vector, built by every engine run's pruning plan in
+// internal/core; NewFlatConfig is its uniform case. NewPrecisionArchive is
+// the oracle's per-objective variant.
 //
 // Canonical (ordering by CompareCanonical) and SelectBestRows are the
 // row-level primitives behind result reproducibility and frontier reuse:

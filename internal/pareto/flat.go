@@ -21,9 +21,7 @@ import (
 type FlatConfig struct {
 	objs   objective.Set
 	ids    []objective.ID
-	alpha  float64
 	alphas []float64 // pruning precision per ids entry
-	prec   *objective.Precision
 
 	// kind dispatches Insert to a width-specialized dominance kernel
 	// (see kernels.go); o0..o3 are ids resolved to plain ints for the
@@ -111,46 +109,28 @@ func (c *FlatConfig) keys(v *objective.Vector, t *[stride]float64) (vk, tk float
 	return vk, tk, vk == vk && tk == tk
 }
 
-// NewFlatConfig builds the shared configuration for scalar-alpha pruning
-// (alpha >= 1; alpha == 1 is exact Pareto pruning).
+// NewFlatConfig builds the shared configuration for uniform pruning at alpha
+// on every active objective (alpha >= 1; alpha == 1 is exact Pareto pruning).
 func NewFlatConfig(objs objective.Set, alpha float64) *FlatConfig {
-	if alpha < 1 {
-		panic("pareto: pruning precision must be >= 1")
-	}
-	ids := objs.IDs()
-	alphas := make([]float64, len(ids))
-	for i := range alphas {
-		alphas[i] = alpha
-	}
-	c := &FlatConfig{objs: objs, ids: ids, alpha: alpha, alphas: alphas}
-	c.resolve()
-	return c
+	return NewFlatPrecisionConfig(objs, objective.UniformPrecision(alpha, objs))
 }
 
-// NewFlatPrecisionConfig builds the shared configuration for per-objective
-// precision pruning (the RTAVector extension).
+// NewFlatPrecisionConfig builds the shared configuration for pruning at
+// prec[o] on each active objective o. It panics on a precision below 1, as
+// NewFlatConfig always has; a NaN one passes, and rejects nothing.
 func NewFlatPrecisionConfig(objs objective.Set, prec objective.Precision) *FlatConfig {
-	if !prec.Valid() {
-		panic("pareto: pruning precisions must be >= 1")
-	}
 	ids := objs.IDs()
 	alphas := make([]float64, len(ids))
 	for i, o := range ids {
+		if prec[o] < 1 {
+			panic("pareto: pruning precision must be >= 1")
+		}
 		alphas[i] = prec[o]
 	}
-	p := prec
-	c := &FlatConfig{objs: objs, ids: ids, alpha: prec.Max(objs), alphas: alphas, prec: &p}
+	c := &FlatConfig{objs: objs, ids: ids, alphas: alphas}
 	c.resolve()
 	return c
 }
-
-// Alpha returns the scalar pruning precision (the maximum per-objective
-// precision when a precision vector is configured).
-func (c *FlatConfig) Alpha() float64 { return c.alpha }
-
-// Precision returns the per-objective precision vector, or nil when the
-// configuration prunes with a scalar alpha.
-func (c *FlatConfig) Precision() *objective.Precision { return c.prec }
 
 // stride is the size of one cost row in the flat backing array. Full
 // nine-dimensional vectors are stored (not just the active objectives):

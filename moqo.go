@@ -410,11 +410,17 @@ func (req Request) Resolve() (Resolved, error) {
 			return Resolved{}, fmt.Errorf("moqo: precision on inactive objective %v", o)
 		}
 	}
+	var prec objective.Precision
 	if len(req.Precisions) > 0 {
 		if r.alg != AlgoRTA {
 			return Resolved{}, fmt.Errorf("moqo: Precisions requires AlgoRTA, got %v", r.alg)
 		}
-		if !r.precision().Valid() {
+		// Exact (1) on every objective Precisions does not mention.
+		prec = objective.UniformPrecision(1, r.objs)
+		for o, x := range req.Precisions {
+			prec[o] = x
+		}
+		if !prec.Valid() {
 			return Resolved{}, fmt.Errorf("moqo: precisions must be at least 1")
 		}
 	}
@@ -428,6 +434,7 @@ func (req Request) Resolve() (Resolved, error) {
 	r.opts, err = core.Options{
 		Objectives:    r.objs,
 		Alpha:         r.alpha,
+		Precision:     prec,
 		MaxDOP:        req.MaxDOP,
 		AllowSampling: req.AllowSampling,
 		Workers:       req.Workers,
@@ -508,11 +515,7 @@ func (r *Resolved) run(ctx context.Context) (*Result, *core.FrontierSnapshot, er
 	case AlgoEXA:
 		res, err = core.EXAContext(ctx, m, r.w, r.b, opts)
 	case AlgoRTA:
-		if len(r.req.Precisions) > 0 {
-			res, err = core.RTAVectorContext(ctx, m, r.w, r.precision(), opts)
-		} else {
-			res, err = core.RTAContext(ctx, m, r.w, opts)
-		}
+		res, err = core.RTAContext(ctx, m, r.w, opts)
 	case AlgoIRA:
 		res, err = core.IRAContext(ctx, m, r.w, r.b, opts)
 	case AlgoSelinger:
@@ -528,16 +531,6 @@ func (r *Resolved) run(ctx context.Context) (*Result, *core.FrontierSnapshot, er
 		return nil, nil, err
 	}
 	return out, res.Snapshot, nil
-}
-
-// precision is the request's per-objective precision vector: exact (1) on
-// every objective Precisions does not mention.
-func (r *Resolved) precision() objective.Precision {
-	prec := objective.UniformPrecision(1, r.objs)
-	for o, x := range r.req.Precisions {
-		prec = prec.With(o, x)
-	}
-	return prec
 }
 
 // model builds the request's cost model, one per run: it holds the run's
