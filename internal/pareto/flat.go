@@ -117,7 +117,7 @@ func NewFlatConfig(objs objective.Set, alpha float64) *FlatConfig {
 
 // NewFlatPrecisionConfig builds the shared configuration for pruning at
 // prec[o] on each active objective o. It panics on a precision below 1, as
-// NewFlatConfig always has; a NaN one passes, and rejects nothing.
+// NewFlatConfig always has (a NaN passes; Options.Normalize refuses it).
 func NewFlatPrecisionConfig(objs objective.Set, prec objective.Precision) *FlatConfig {
 	ids := objs.IDs()
 	alphas := make([]float64, len(ids))
