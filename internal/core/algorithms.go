@@ -53,12 +53,12 @@ func EXAContext(ctx context.Context, m *costmodel.Model, w objective.Weights, b 
 	if err != nil {
 		return Result{}, err
 	}
-	e := newEngine(ctx, m, opts, exact, w)
+	e := newEngine(ctx, m, opts, exactPrecision, w)
 	return e.result(e.run(), w, b, start)
 }
 
-// exact is the set precision of EXA and the keep-best programs.
-var exact = objective.UniformPrecision(1, objective.AllSet())
+// exactPrecision is the set precision of EXA and the keep-best programs.
+var exactPrecision = objective.UniformPrecision(1, objective.AllSet())
 
 // begin is the prologue of every entry point that runs the dynamic
 // program: it normalizes opts, checks the weights and bounds, rejects a
@@ -365,7 +365,7 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	if err != nil {
 		return Result{}, err
 	}
-	e := newEngine(ctx, m, opts, exact, w)
+	e := newEngine(ctx, m, opts, exactPrecision, w)
 	res, err := e.result(e.runScalar(), w, objective.NoBounds(), start)
 	res.Snapshot = nil
 	return res, err

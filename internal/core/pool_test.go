@@ -31,7 +31,7 @@ func TestLevelClaimsOnceAscending(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := newEngine(context.Background(), costmodel.NewDefault(q), opts,
-				exact, objective.UniformWeights(threeObjs))
+				exactPrecision, objective.UniformWeights(threeObjs))
 			var sets []query.TableSet
 			var levelOf []int
 			for k, level := range e.enum.levels {

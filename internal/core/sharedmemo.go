@@ -126,10 +126,10 @@ func (e *engine) prepareShared() {
 	b := make([]byte, 0, 256)
 	b = append(b, "sm1|cat="...)
 	b = cat.AppendFingerprint(b)
-	// Active objectives with their level precisions (the run's pruning
-	// plan), exact to the float bit: RTA's αi = α^(1/n) folds the member's relation count
-	// into the precision, so only same-precision runs (EXA always; RTA/IRA
-	// iterations of equal α and n) ever share.
+	// Active objectives with the level precisions of the run's pruning
+	// plan, exact to the float bit: RTA's αi = α^(1/n) folds the member's
+	// relation count into the precision, so only same-precision runs (EXA
+	// always; RTA/IRA iterations of equal α and n) ever share.
 	b = append(b, "|cfg="...)
 	ids := e.opts.Objectives.IDs()
 	for i, o := range ids {

@@ -215,7 +215,7 @@ func TestAutoEnumerationMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, exact, objective.SingleWeight(objective.TotalTime))
+		e := newEngine(context.Background(), costmodel.NewDefault(q), opts, exactPrecision, objective.SingleWeight(objective.TotalTime))
 		e.runScalar()
 		w := &e.workers[0]
 		type loop func(query.TableSet, func(query.TableSet) splitView, candidateFn) bool
