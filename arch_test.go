@@ -721,9 +721,10 @@ var note = "degradedSet bestOnlySet singleObjectiveMin newEngine"`},
 		name: "One pruning plan",
 		check: func(src sources) []string {
 			core := src.filter(nonTestIn("internal/core/"))
+			constructor := regexp.MustCompile(`^NewFlat.*Config$`)
 			newConfig := func(call *ast.CallExpr) bool {
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				return ok && isIdent(sel.X, "pareto") && regexp.MustCompile(`^NewFlat.*Config$`).MatchString(sel.Sel.Name)
+				return ok && isIdent(sel.X, "pareto") && constructor.MatchString(sel.Sel.Name)
 			}
 			bad := wantCalls(core, "pareto.NewFlat*Config", 1, newConfig)
 			bad = append(bad, wantCalls(core, ".Root", 1, anyCall("Root"))...)
