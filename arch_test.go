@@ -764,6 +764,48 @@ func (e *engine) prepareShared() { _ = e.prune.set.Root(e.q.NumRelations()) }`},
 var note = "RTAVectorContext(ctx, m, w, prec, opts); pareto.NewFlatPrecisionConfig(objs, prec.Root(n))"`},
 		},
 	},
+	{
+		// A join's own cost terms depend only on its operand table sets (the
+		// paper's Observation 2), so the engine reads a split's estimates once:
+		// edgeSplit and the chain fallback prepare each ordered split
+		// (costmodel.PrepareSplit), and every operator's terms at every DOP,
+		// index-NL's included, are built from that one Split. A call that
+		// prepares a split per operator or per candidate is a second path.
+		name: "One split preparation",
+		check: func(src sources) []string {
+			core := src.filter(nonTestIn("internal/core/"))
+			var bad []string
+			for path, f := range core {
+				if n := countCalls(f, anyCall("PrepareJoin", "PrepareIndexNL", "JoinCost", "JoinCostVec", "IndexNLCost", "IndexNLCostVec")); n > 0 {
+					bad = append(bad, fmt.Sprintf("%s: %d join terms not built from a prepared split", path, n))
+				}
+			}
+			if got, want := callers(core, anyCall("PrepareSplit")), []string{"edgeSplit", "forEachCandidateChain"}; !slices.Equal(got, want) {
+				bad = append(bad, fmt.Sprintf("internal/core: PrepareSplit is called by %v, want by %v alone", got, want))
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/core/costing.go": `package core
+func (w *worker) termsOf(alg plan.JoinAlg, dop int, left, right query.TableSet) costmodel.JoinTerms {
+	return w.e.m.PrepareJoin(alg, dop, left, right)
+}`},
+			{"internal/core/costing.go": `package core
+func (w *worker) indexNL(left query.TableSet, rel int) { terms := w.e.m.PrepareIndexNL(left, rel); _ = terms }`},
+			{"internal/core/costing.go": `package core
+func (w *worker) cost(left, right query.TableSet) objective.Vector {
+	return w.e.m.JoinCostVec(plan.HashJoin, 1, left, right, &w.cost, &w.cost)
+}`},
+			{"internal/core/costing.go": `package core
+func (w *worker) pairTerms(left, right query.TableSet) { split := w.e.m.PrepareSplit(left, right); _ = split.Join(plan.HashJoin, 1) }`},
+		},
+		mentions: []map[string]string{
+			{"internal/core/doc.go": `package core
+// No m.PrepareJoin(alg, dop, left, right) or PrepareIndexNL per operator:
+// terms come from one PrepareSplit.
+var note = "e.m.PrepareJoin(alg, dop, left, right); e.m.PrepareIndexNL(left, rel); e.m.PrepareSplit(l, r)"`},
+		},
+	},
 }
 
 // callers returns, sorted, the names of the functions and methods in src

@@ -75,10 +75,11 @@
 // The candidate loop is allocation-free: a candidate is a cost vector in
 // the worker's scratch and a plan.Entry value, offered to a flat archive
 // whose insert reads the vector in place and allocates nothing after
-// warm-up. Costing is split-constant: each
-// operator's terms that depend only on the operand table sets are
-// prepared once per split into worker scratch (costmodel.PrepareJoin) and
-// applied to the sub-plans' cost rows, read in place, once per candidate
+// warm-up. Costing is split-constant: a split's estimates are read once
+// (costmodel.PrepareSplit, in edgeSplit and the chain fallback), each
+// operator's terms at each DOP are built from that one Split into worker
+// scratch (costmodel.Split.Join, Split.IndexNL) and applied to the
+// sub-plans' cost rows, read in place, once per candidate
 // (costmodel.JoinTerms.ApplyTo).
 //
 // Most candidates are not costed at all. The cost formulas are sums,

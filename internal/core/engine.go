@@ -743,18 +743,23 @@ func (w *worker) forEachCandidateChain(s query.TableSet, lookup func(query.Table
 	if w.e.q.ConnectedTo(left, peel) {
 		return w.edgeSplit(vr, vl, peel, left, fn) && w.edgeSplit(vl, vr, left, peel, fn)
 	}
-	return w.joinPairs(cartesianAlgs, vr, vl, peel, left, fn) && w.joinPairs(cartesianAlgs, vl, vr, left, peel, fn)
+	pl, lp := w.e.m.PrepareSplit(peel, left), w.e.m.PrepareSplit(left, peel)
+	return w.joinPairs(cartesianAlgs, &pl, vr, vl, peel, left, fn) && w.joinPairs(cartesianAlgs, &lp, vl, vr, left, peel, fn)
 }
 
-// edgeSplit enumerates the candidates of one predicate-connected split.
+// edgeSplit enumerates the candidates of one predicate-connected split. Its
+// estimates are read once (costmodel.PrepareSplit), and every operator's
+// terms — index-NL's and each stored join's at each DOP — are built from
+// them.
 func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn candidateFn) bool {
 	e := w.e
+	split := e.m.PrepareSplit(left, right)
 	// Index-nested-loop: inner side must be a single base relation with an
 	// index on the join column; the inner lookup replaces a stored inner
 	// plan, so it is generated once per outer plan.
 	if right.Single() {
 		if rel := right.First(); e.m.InnerIndexColumn(left, rel) != "" {
-			terms := e.m.PrepareIndexNL(left, rel)
+			terms := split.IndexNL()
 			// One second hint for all of the split's index-NL candidates,
 			// zeroed like joinPairs' (which runs after this loop).
 			w.nears[0] = 0
@@ -768,13 +773,14 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 			}
 		}
 	}
-	return w.joinPairs(joinAlgs[:], vl, vr, left, right, fn)
+	return w.joinPairs(joinAlgs[:], &split, vl, vr, left, right, fn)
 }
 
 // joinPairs yields one candidate per (left plan, right plan, operator,
 // DOP), in that nesting order. The operators' cost terms do not depend on
-// the plans (the paper's Observation 2), so they are prepared once per
-// split into the worker's scratch and only applied in the loop. The cost
+// the plans (the paper's Observation 2), so they are built once per split,
+// from its prepared estimates, into the worker's scratch and only applied
+// in the loop. The cost
 // rows are read in place: both archives belong to lower levels, which fn
 // cannot touch.
 //
@@ -813,13 +819,12 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 // run is counted as that many RejectsAll yeses and skipped. A run must be
 // contiguous, because the hint it is tested on is the one the loop would meet
 // at each of its candidates only if nothing between them is offered.
-func (w *worker) joinPairs(algs []plan.JoinAlg, vl, vr splitView, left, right query.TableSet, fn candidateFn) bool {
-	e := w.e
-	dops := e.opts.MaxDOP
+func (w *worker) joinPairs(algs []plan.JoinAlg, split *costmodel.Split, vl, vr splitView, left, right query.TableSet, fn candidateFn) bool {
+	dops := w.e.opts.MaxDOP
 	n := 0
 	for _, alg := range algs {
 		for dop := 1; dop <= dops; dop++ {
-			w.terms[n] = e.m.PrepareJoin(alg, dop, left, right)
+			w.terms[n] = split.Join(alg, dop)
 			n++
 		}
 	}

@@ -8,10 +8,11 @@ import (
 )
 
 // The benchmarks split one join costing into its parts: what the engine
-// pays once per (split, operator, DOP), once per (split, operator) for the
-// floor, and per candidate — and the first and last together, as every
-// caller outside the candidate loops (and the scoreboard's
-// costmodel.joincost_ns probe) pays them.
+// pays once per split (the estimates and every operator's terms at every
+// DOP), once per (split, operator) for the floor, and per candidate — and
+// one operator's preparation and application together, as every caller
+// outside the candidate loops (and the scoreboard's costmodel.joincost_ns
+// probe) pays them.
 
 func benchJoin(b *testing.B, fn func(b *testing.B, m *Model, alg plan.JoinAlg, left, right query.TableSet)) {
 	m := NewDefault(testQuery(b))
@@ -31,6 +32,24 @@ func BenchmarkJoinPrepare(b *testing.B) {
 			sinkJoinTerms = m.PrepareJoin(alg, 2, left, right)
 		}
 	})
+}
+
+// BenchmarkPrepareSplit is what the engine's candidate loops pay per ordered
+// split before the first candidate: one PrepareSplit and the split's terms
+// for every stored-join operator at every DOP (12), in ns per split.
+func BenchmarkPrepareSplit(b *testing.B) {
+	m := NewDefault(testQuery(b))
+	left, right := query.Singleton(0).Add(1), query.Singleton(2)
+	m.PrepareJoin(plan.HashJoin, 1, left, right) // fill the cardinality memo
+	b.ReportAllocs()
+	for b.Loop() {
+		split := m.PrepareSplit(left, right)
+		for _, alg := range storedJoinAlgs {
+			for dop := 1; dop <= plan.MaxDOP; dop++ {
+				sinkJoinTerms = split.Join(alg, dop)
+			}
+		}
+	}
 }
 
 func BenchmarkJoinApply(b *testing.B) {

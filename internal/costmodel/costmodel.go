@@ -136,24 +136,6 @@ func (m *Model) estimate(s query.TableSet) estimate {
 	return e
 }
 
-// rows returns the estimated output cardinality of a table set.
-func (m *Model) rows(s query.TableSet) float64 { return m.estimate(s).rows }
-
-// bytes returns the estimated output size in bytes of a table set.
-func (m *Model) bytes(s query.TableSet) float64 {
-	e := m.estimate(s)
-	return e.rows * e.width
-}
-
-// pages returns the estimated output size in pages of a table set.
-func (m *Model) pages(s query.TableSet) float64 {
-	p := m.bytes(s) / catalog.PageSize
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // baseTable returns the catalog statistics of a relation's base table.
 func (m *Model) baseTable(rel int) *catalog.Table {
 	return m.q.Catalog().Table(m.q.Relations[rel].Table)
@@ -227,27 +209,66 @@ func (m *Model) JoinCost(alg plan.JoinAlg, dop int, left, right *plan.Node) obje
 
 // JoinCostVec is JoinCost over raw operand table sets and cost vectors:
 // PrepareJoin followed by Apply. Callers costing many sub-plan pairs of one
-// split prepare once and apply per pair instead (the engine's candidate
-// loops do); cl and cr are not retained.
+// split prepare the split once, its terms once per operator and DOP, and
+// apply per pair instead (the engine's candidate loops do); cl and cr are
+// not retained.
 func (m *Model) JoinCostVec(alg plan.JoinAlg, dop int, lt, rt query.TableSet, cl, cr *objective.Vector) objective.Vector {
 	t := m.PrepareJoin(alg, dop, lt, rt)
 	return t.Apply(cl, cr)
 }
 
+// Split is what every join over one ordered pair of operand table sets
+// reads of the query: the estimated rows and widths of the left set, the
+// right set and their union, and the logarithms the sort-merge formulas
+// take of the operands' rows. PrepareSplit looks them up once; Join and
+// IndexNL build any operator's terms from them by arithmetic alone, so a
+// caller costing all of a split's operators and DOPs reads the estimates
+// once instead of once per operator and DOP. A Split is a small value,
+// kept on the caller's stack; it reads its Model's calibration when its
+// terms are built.
+type Split struct {
+	m  *Model
+	rt query.TableSet // the right operand, the inner relation of IndexNL
+
+	lRows, lWidth float64
+	rRows, rWidth float64
+	oRows         float64 // the union's rows; its width no formula reads
+	lLog2, rLog2  float64 // math.Log2 of lRows and rRows
+}
+
+// PrepareSplit reads the estimates of joining table sets lt and rt, in
+// that order, for Join and IndexNL.
+func (m *Model) PrepareSplit(lt, rt query.TableSet) Split {
+	l, r := m.estimate(lt), m.estimate(rt)
+	return Split{
+		m: m, rt: rt,
+		lRows: l.rows, lWidth: l.width,
+		rRows: r.rows, rWidth: r.width,
+		oRows: m.estimate(lt.Union(rt)).rows,
+		lLog2: math.Log2(l.rows), rLog2: math.Log2(r.rows),
+	}
+}
+
 // JoinTerms are the split-constant terms of one join operator at one degree
 // of parallelism over one ordered pair of operand table sets — everything
 // in the join's cost formulas that the paper's Observation 2 says does not
-// depend on the sub-plans. PrepareJoin computes them from cardinality and
-// width estimates without ever seeing a child cost; Apply combines them
-// with two child cost vectors by pure arithmetic. A field an operator's
-// formulas do not use stays zero and is never read for that operator.
+// depend on the sub-plans. Split.Join computes them from the split's
+// cardinality and width estimates without ever seeing a child cost; Apply
+// combines them with two child cost vectors by pure arithmetic. A field an
+// operator's formulas do not use stays zero and is never read for that
+// operator.
 //
 // Where a formula adds a product straight to a child-dependent value
 // (child + work*factor), the two factors are stored and Apply multiplies:
 // compilers for FMA architectures fuse such a product and its addition
-// into one rounding, and a product rounded on its own in PrepareJoin would
+// into one rounding, and a product rounded on its own in Split.Join would
 // differ from that in the last bit. Products whose factor is a power of
 // two (2*pages, pages*PageSize) are exact either way and are stored whole.
+// The same reason bounds what a Split may hold: only values that come
+// whole from a lookup (rows, widths) or a library call (math.Log2), never a
+// product or sum of the formulas, so every expression is still written,
+// and fused or not, where the formula has it — a size in bytes is
+// rows*width multiplied where it is used, not stored.
 type JoinTerms struct {
 	Alg plan.JoinAlg
 	DOP int
@@ -280,11 +301,18 @@ type JoinTerms struct {
 }
 
 // PrepareJoin computes the split-constant terms of joining table sets lt
-// and rt with the given algorithm and degree of parallelism.
-func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) (t JoinTerms) {
-	out := lt.Union(rt)
-	lRows, rRows := m.rows(lt), m.rows(rt)
-	oRows := m.rows(out)
+// and rt with the given algorithm and degree of parallelism: PrepareSplit
+// followed by Join.
+func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) JoinTerms {
+	s := m.PrepareSplit(lt, rt)
+	return s.Join(alg, dop)
+}
+
+// Join computes the split-constant terms of the split's join with the given
+// algorithm and degree of parallelism.
+func (s *Split) Join(alg plan.JoinAlg, dop int) (t JoinTerms) {
+	m := s.m
+	lRows, rRows, oRows := s.lRows, s.rRows, s.oRows
 	d := float64(dop)
 
 	t = JoinTerms{Alg: alg, DOP: dop, d: d, startup: m.p.StartupMs, cpuMs: m.p.CPUTupleMs, coord: m.coordFactor(dop)}
@@ -292,7 +320,7 @@ func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) (t
 	case plan.HashJoin:
 		build := rRows * m.p.HashBuild
 		probe := lRows*m.p.HashProbe + oRows*m.p.TupleWork
-		rBytes := m.bytes(rt)
+		rBytes := rRows * s.rWidth
 		spillPages := math.Max(0, (rBytes-m.p.WorkMemBytes)/catalog.PageSize)
 		t.ownIO = 2 * spillPages // write + read spilled partitions
 		t.buildCPU = m.coordCPU(build, dop) / d
@@ -302,10 +330,10 @@ func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) (t
 		t.bufR = math.Min(rBytes, m.p.WorkMemBytes)
 
 	case plan.SortMergeJoin:
-		sortL := m.sortWork(lRows)
-		sortR := m.sortWork(rRows)
+		sortL := m.sortWork(lRows, s.lLog2)
+		sortR := m.sortWork(rRows, s.rLog2)
 		merge := (lRows+rRows)*m.p.MergeWork + oRows*m.p.TupleWork
-		lBytes, rBytes := m.bytes(lt), m.bytes(rt)
+		lBytes, rBytes := lRows*s.lWidth, rRows*s.rWidth
 		spillL := math.Max(0, (lBytes-m.p.SortMemBytes)/catalog.PageSize)
 		spillR := math.Max(0, (rBytes-m.p.SortMemBytes)/catalog.PageSize)
 		t.ownIO = 2 * (spillL + spillR) // external sort run write + read
@@ -321,7 +349,7 @@ func (m *Model) PrepareJoin(alg plan.JoinAlg, dop int, lt, rt query.TableSet) (t
 		// The inner sub-plan is re-evaluated once per block of the outer —
 		// a child cost multiplied by a per-table-set constant, the t_L*c_R
 		// term of the paper's Observation 2.
-		t.blocks = math.Max(1, math.Ceil(m.bytes(lt)/m.p.BNLBufBytes))
+		t.blocks = math.Max(1, math.Ceil(lRows*s.lWidth/m.p.BNLBufBytes))
 		pairs := lRows*rRows*m.p.PairWork + oRows*m.p.TupleWork
 		t.outCPU = m.coordCPU(pairs, dop) / d
 		t.work = pairs
@@ -462,12 +490,23 @@ type IndexNLTerms struct {
 }
 
 // PrepareIndexNL computes the terms of an index-nested-loop join of outer
-// table set lt with the inner base relation innerRel.
+// table set lt with the inner base relation innerRel: PrepareSplit followed
+// by IndexNL.
 func (m *Model) PrepareIndexNL(lt query.TableSet, innerRel int) IndexNLTerms {
-	out := lt.Add(innerRel)
-	lRows := m.rows(lt)
-	oRows := m.rows(out)
-	tbl := m.baseTable(innerRel)
+	s := m.PrepareSplit(lt, query.Singleton(innerRel))
+	return s.IndexNL()
+}
+
+// IndexNL computes the terms of an index-nested-loop join of the split's
+// left set with its right one, which must be a single base relation: the
+// inner relation the index is looked up on.
+func (s *Split) IndexNL() IndexNLTerms {
+	if !s.rt.Single() {
+		panic("costmodel: IndexNL over an inner side of more than one relation")
+	}
+	m := s.m
+	lRows, oRows := s.lRows, s.oRows
+	tbl := m.baseTable(s.rt.First())
 	tuplesPerPage := math.Max(1, catalog.PageSize/float64(tbl.Width))
 	// Matching inner tuples per outer tuple determine pages per lookup.
 	matchPerLookup := oRows / math.Max(1, lRows)
@@ -512,12 +551,13 @@ func (t *IndexNLTerms) ApplyTo(v, cl *objective.Vector) {
 	v[objective.TupleLoss] = cl[objective.TupleLoss] // inner side is loss-free
 }
 
-// sortWork returns the CPU work units to sort n tuples.
-func (m *Model) sortWork(n float64) float64 {
+// sortWork returns the CPU work units to sort n tuples; log2n is
+// math.Log2(n), which the split reads once for all of its DOPs.
+func (m *Model) sortWork(n, log2n float64) float64 {
 	if n < 2 {
 		return m.p.SortFactor
 	}
-	return m.p.SortFactor * n * math.Log2(n)
+	return m.p.SortFactor * n * log2n
 }
 
 // ownEnergy returns the energy of an operator's own work at the given DOP.

@@ -19,20 +19,27 @@
 // hold).
 //
 // The join formulas are written in the two halves Observation 2 separates.
-// PrepareJoin and PrepareIndexNL see operand table sets, never a sub-plan,
-// and return the operator's own terms — hash build and probe, sort and
-// merge, block count, spill I/O, coordinated CPU, energy, buffer and disk
-// additions — as a small value (JoinTerms, IndexNLTerms). ApplyTo sees two
-// child cost vectors, never the query, and is pure arithmetic: no
-// cardinality lookup, no logarithm; it writes into the caller's vector, and
-// Apply is ApplyTo into a fresh one. The dynamic program prepares once per
-// split and applies once per candidate, into worker scratch; JoinCost, JoinCostVec, IndexNLCost
-// and IndexNLCostVec are the two steps back to back, so every operator
-// has one formula. The split keeps each expression's shape and evaluation
-// order (oracle_test.go freezes the unsplit formulas and compares all nine
-// objectives bit for bit), because floating-point arithmetic does not
-// re-associate and the engine's differential tests compare archives
-// bitwise.
+// PrepareSplit sees an ordered pair of operand table sets, never a
+// sub-plan, and reads what every join over them needs of the query — the
+// rows and widths of both sets and of their union, and the logarithms of
+// the operands' rows — into a Split. Split.Join and Split.IndexNL turn that
+// one value, by arithmetic alone, into an operator's own terms at one DOP —
+// hash build and probe, sort and merge, block count, spill I/O, coordinated
+// CPU, energy, buffer and disk additions — as a small value (JoinTerms,
+// IndexNLTerms). ApplyTo sees two child cost vectors, never the query, and
+// is pure arithmetic: no cardinality lookup, no logarithm; it writes into
+// the caller's vector, and Apply is ApplyTo into a fresh one. The dynamic
+// program prepares each split once, builds its terms for every operator
+// and DOP once, and applies once per candidate, into worker scratch;
+// PrepareJoin and PrepareIndexNL are a split's preparation and one
+// operator's terms back to back, and JoinCost, JoinCostVec, IndexNLCost and
+// IndexNLCostVec all three steps, so every operator has one formula. The
+// halves keep each expression's shape and evaluation order (oracle_test.go
+// freezes the unsplit formulas and compares all nine objectives bit for
+// bit), because floating-point arithmetic does not re-associate and the
+// engine's differential tests compare archives bitwise; a Split therefore
+// holds only looked-up and library-computed values, never a product or sum
+// of the formulas (see JoinTerms).
 //
 // The same function family makes every formula monotone in each of its
 // terms, in floating point as on paper: rounding is monotone and every

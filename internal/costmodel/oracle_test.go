@@ -20,9 +20,26 @@ import (
 // are compared bit for bit (engine against reference engine, snapshot
 // against cold run, one enumeration strategy against another).
 
-// storedJoinAlgs are the operators JoinCostVec and PrepareJoin cost: the
+// storedJoinAlgs are the operators JoinCostVec and Split.Join cost: the
 // joins of two stored sub-plans.
 var storedJoinAlgs = []plan.JoinAlg{plan.HashJoin, plan.SortMergeJoin, plan.BlockNLJoin}
+
+// rows, bytes and frozenSortWork are the estimate readers the frozen
+// formulas call, as they stood beside them: one table lookup per call and a
+// logarithm per sort.
+func (m *Model) rows(s query.TableSet) float64 { return m.estimate(s).rows }
+
+func (m *Model) bytes(s query.TableSet) float64 {
+	e := m.estimate(s)
+	return e.rows * e.width
+}
+
+func (m *Model) frozenSortWork(n float64) float64 {
+	if n < 2 {
+		return m.p.SortFactor
+	}
+	return m.p.SortFactor * n * math.Log2(n)
+}
 
 func (m *Model) frozenJoinCostVec(alg plan.JoinAlg, dop int, lt, rt query.TableSet, cl, cr *objective.Vector) objective.Vector {
 	out := lt.Union(rt)
@@ -51,8 +68,8 @@ func (m *Model) frozenJoinCostVec(alg plan.JoinAlg, dop int, lt, rt query.TableS
 		v[objective.Energy] = cl[objective.Energy] + cr[objective.Energy] + m.ownEnergy(build+probe, ownIO, dop)
 
 	case plan.SortMergeJoin:
-		sortL := m.sortWork(lRows)
-		sortR := m.sortWork(rRows)
+		sortL := m.frozenSortWork(lRows)
+		sortR := m.frozenSortWork(rRows)
 		merge := (lRows+rRows)*m.p.MergeWork + oRows*m.p.TupleWork
 		spillL := math.Max(0, (m.bytes(lt)-m.p.SortMemBytes)/catalog.PageSize)
 		spillR := math.Max(0, (m.bytes(rt)-m.p.SortMemBytes)/catalog.PageSize)
@@ -189,13 +206,16 @@ func bitsEqual(a, b objective.Vector) bool {
 	return true
 }
 
-// TestCostingOracle holds prepare + apply (and the JoinCostVec and
-// IndexNLCostVec wrappers over them) to the frozen formulas on every
-// (operator, DOP, connected split) cell, bit for bit over all nine
-// objectives. Each split is costed under three calibrations: the default
-// one, one whose memory budgets equal the operands' sizes exactly (the
-// spill terms' max(0, ·) and min(·, budget) sit on their boundary), and
-// one a page below that (everything spills by a hair).
+// TestCostingOracle holds the engine's costing path to the frozen formulas
+// on every (operator, DOP, connected split) cell, bit for bit over all nine
+// objectives: each split is prepared once (PrepareSplit), every operator's
+// terms at every DOP and the index-NL terms are built from that one Split,
+// and each is applied to every pair of child vectors — as are the
+// JoinCostVec and IndexNLCostVec wrappers, which prepare a split per call.
+// Each split is costed under three calibrations: the default one, one whose
+// memory budgets equal the operands' sizes exactly (the spill terms'
+// max(0, ·) and min(·, budget) sit on their boundary), and one a page below
+// that (everything spills by a hair).
 func TestCostingOracle(t *testing.T) {
 	for _, q := range oracleQueries(t) {
 		r := rand.New(rand.NewSource(int64(q.NumRelations())))
@@ -212,15 +232,16 @@ func TestCostingOracle(t *testing.T) {
 			for _, p := range []Params{Default(), boundary, below} {
 				m := New(q, p)
 				children := oracleChildren(r, p)
+				split := m.PrepareSplit(left, right)
 				for _, alg := range storedJoinAlgs {
 					for dop := 1; dop <= plan.MaxDOP; dop++ {
-						terms := m.PrepareJoin(alg, dop, left, right)
+						terms := split.Join(alg, dop)
 						for i := range children {
 							for j := range children {
 								cl, cr := &children[i], &children[j]
 								want := m.frozenJoinCostVec(alg, dop, left, right, cl, cr)
 								if got := terms.Apply(cl, cr); !bitsEqual(got, want) {
-									t.Fatalf("%s %v dop %d %v|%v: prepare+apply\n%v\nfrozen\n%v", q.Name, alg, dop, left, right, got, want)
+									t.Fatalf("%s %v dop %d %v|%v: split+apply\n%v\nfrozen\n%v", q.Name, alg, dop, left, right, got, want)
 								}
 								// The engine applies into reused scratch: every
 								// entry must be overwritten, whatever was there.
@@ -240,12 +261,12 @@ func TestCostingOracle(t *testing.T) {
 					continue
 				}
 				inner := right.First()
-				terms := m.PrepareIndexNL(left, inner)
+				terms := split.IndexNL()
 				for i := range children {
 					cl := &children[i]
 					want := m.frozenIndexNLCostVec(left, cl, inner)
 					if got := terms.Apply(cl); !bitsEqual(got, want) {
-						t.Fatalf("%s IndexNL %v|%d: prepare+apply\n%v\nfrozen\n%v", q.Name, left, inner, got, want)
+						t.Fatalf("%s IndexNL %v|%d: split+apply\n%v\nfrozen\n%v", q.Name, left, inner, got, want)
 					}
 					got := nanVector()
 					if terms.ApplyTo(&got, cl); !bitsEqual(got, want) {
@@ -280,27 +301,38 @@ var (
 	sinkVector       objective.Vector
 )
 
-// TestPrepareApplyZeroAlloc pins both costing steps allocation-free: the
-// engine prepares into worker scratch and applies once per candidate.
+// TestPrepareApplyZeroAlloc pins every costing step allocation-free: the
+// engine prepares a split on its stack, builds the split's terms into worker
+// scratch and applies them once per candidate.
 func TestPrepareApplyZeroAlloc(t *testing.T) {
 	q := testQuery(t)
 	m := NewDefault(q)
 	left, right := query.Singleton(0).Add(1), query.Singleton(2)
 	cl, cr := m.ScanCost(0, plan.SeqScan, 0), m.ScanCost(2, plan.SeqScan, 0)
 	m.PrepareJoin(plan.HashJoin, 1, left, right) // fill the cardinality memo
+	split := m.PrepareSplit(left, right)
+	if n := testing.AllocsPerRun(100, func() { split = m.PrepareSplit(left, right) }); n != 0 {
+		t.Errorf("PrepareSplit: %v allocs/op, want 0", n)
+	}
 	for _, alg := range storedJoinAlgs {
+		if n := testing.AllocsPerRun(100, func() { sinkJoinTerms = split.Join(alg, 2) }); n != 0 {
+			t.Errorf("Split.Join(%v): %v allocs/op, want 0", alg, n)
+		}
 		if n := testing.AllocsPerRun(100, func() { sinkJoinTerms = m.PrepareJoin(alg, 2, left, right) }); n != 0 {
 			t.Errorf("PrepareJoin(%v): %v allocs/op, want 0", alg, n)
 		}
-		terms := m.PrepareJoin(alg, 2, left, right)
+		terms := split.Join(alg, 2)
 		if n := testing.AllocsPerRun(100, func() { terms.ApplyTo(&sinkVector, &cl, &cr) }); n != 0 {
 			t.Errorf("JoinTerms.ApplyTo(%v): %v allocs/op, want 0", alg, n)
 		}
 	}
+	if n := testing.AllocsPerRun(100, func() { sinkIndexNLTerms = split.IndexNL() }); n != 0 {
+		t.Errorf("Split.IndexNL: %v allocs/op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { sinkIndexNLTerms = m.PrepareIndexNL(left, 2) }); n != 0 {
 		t.Errorf("PrepareIndexNL: %v allocs/op, want 0", n)
 	}
-	terms := m.PrepareIndexNL(left, 2)
+	terms := split.IndexNL()
 	if n := testing.AllocsPerRun(100, func() { terms.ApplyTo(&sinkVector, &cl) }); n != 0 {
 		t.Errorf("IndexNLTerms.ApplyTo: %v allocs/op, want 0", n)
 	}
