@@ -481,22 +481,22 @@ var note = "req.Timeout"`,
 	},
 	{
 		// A scanning insert visits only the ranks the sum index leaves it:
-		// FlatArchive.rejector is the one product rejection scan, and the
-		// width-specialized loops under it have no other caller. Only
+		// FlatArchive.rejector is the one product rejection scan, and from
+		// three objectives up it and evict are one loop each, with no
+		// width-numbered copy (lastRowLeq3, evict4) beside them. Only
 		// insertGeneric, the oracle, walks the whole archive in storage order
 		// (anyRowLeqGeneric, evictGeneric): a second caller of either is a
 		// storage-order scan growing back.
 		name: "One rejection scan",
 		check: func(src sources) []string {
 			pareto := src.filter(nonTestIn("internal/pareto/"))
-			var bad []string
+			bad := forbidIdents(pareto, regexp.MustCompile(`^(lastRowLeq|anyRowLeq|evict)[0-9]+$`), "a width-numbered scan beside the one loop")
 			for _, r := range []struct {
 				callee *regexp.Regexp
 				method bool
 				want   string
 			}{
 				{regexp.MustCompile(`^(anyRowLeqGeneric|evictGeneric)$`), false, "insertGeneric"},
-				{regexp.MustCompile(`^lastRowLeq[0-9]+$`), false, "rejector"},
 				{regexp.MustCompile(`^rejector$`), true, "InsertRowNear"},
 			} {
 				got := callers(pareto, func(call *ast.CallExpr) bool {
@@ -520,13 +520,16 @@ func (a *FlatArchive) Dominated(t *[stride]float64) bool { return anyRowLeqGener
 			{"internal/pareto/scan.go": `package pareto
 func (a *FlatArchive) Rejects(t *[stride]float64, tk int) bool { return a.rejector(t, tk) >= 0 }`},
 			{"internal/pareto/scan.go": `package pareto
-func scan3(costs []float64, t [3]float64) int { return lastRowLeq3(costs, 0, 1, 2, t[0], t[1], t[2]) }`},
+func lastRowLeq3(recs []record, costs []float64, t0, t1, t2 float64) int { return -1 }`},
+			{"internal/pareto/scan.go": `package pareto
+func (a *FlatArchive) evict4(c *objective.Vector, cs uint64, lo int) int { return lo }`},
 		},
 		mentions: []map[string]string{
 			{"internal/pareto/scan.go": `package pareto
 // Only InsertRowNear calls a.rejector(&t, tk); insertGeneric alone calls
-// anyRowLeqGeneric(costs, ids, t) and a.evictGeneric(ids, c).
-var note = "lastRowLeq3(costs, 0, 1, 2, t0, t1, t2)"`},
+// anyRowLeqGeneric(costs, ids, t) and a.evictGeneric(ids, c). lastRowLeq3
+// and evict4 are gone.
+var note = "func lastRowLeq3(costs, 0, 1, 2, t0, t1, t2); func (a *FlatArchive) evict4()"`},
 		},
 	},
 	{

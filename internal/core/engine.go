@@ -423,10 +423,10 @@ func (w *worker) scanBestSet(id int32, s query.TableSet) {
 // verbatim — bit-for-bit what the enumeration below would have built
 // (see SharedMemo) — and skips the candidate loop. A miss runs the loop
 // and publishes the archive, but only when the set completed and the run
-// is neither timed out nor cancelled: degraded runs may hold truncated
-// lower-level archives, and the timeout latch is set before the level
-// barrier that precedes this set, so observing it unlatched here proves
-// every lower level was treated in full. Only fullSet touches the shared
+// is neither timed out nor cancelled (engine.publishes): degraded runs may
+// hold truncated lower-level archives, and the timeout latch is set before
+// the level barrier that precedes this set, so observing it unlatched here
+// proves every lower level was treated in full. Only fullSet touches the shared
 // memo — keepBest keeps weight-dependent archives that must never be
 // shared.
 func (w *worker) fullSet(id int32, s query.TableSet) {
@@ -449,10 +449,10 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	w.fill = nil
 	if complete {
 		w.markDone(id, a.Len())
-		// w.keyBuf still holds this set's key from the lookup above.
-		if e.shared != nil && !e.timedOut.Load() && !e.cancelled.Load() {
-			e.shared.put(w.keyBuf, a)
-		}
+	}
+	// w.keyBuf still holds this set's key from the lookup above.
+	if e.shared != nil && e.publishes(complete) {
+		e.shared.put(w.keyBuf, a)
 	}
 }
 

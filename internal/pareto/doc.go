@@ -29,10 +29,10 @@
 //     whose sum is at most the thresholds' can reject the candidate and
 //     only one whose sum is at least the candidate's can be evicted by it
 //     (the presorting bound of Sort-Filter-Skyline). Each question is a
-//     binary search and one contiguous run of rows, scanned by a
-//     width-specialized loop (kernels.go) that, three or more objectives
-//     wide, reads a row's costs only when its one-word dominance signature
-//     passes (signature.go); two-wide, the rows are an antichain and
+//     binary search and one contiguous run of rows, scanned, three or more
+//     objectives wide, by one loop (kernels.go) that reads a row's costs
+//     only when its one-word dominance signature passes (signature.go);
+//     two-wide, the rows are an antichain and
 //     rejection is one row. Seal puts the rows back in
 //     storage order — every reader by index calls it, and the engine calls
 //     it once per archive, when its set is done. Rejection is existential

@@ -23,11 +23,11 @@ type FlatConfig struct {
 	ids    []objective.ID
 	alphas []float64 // pruning precision per ids entry
 
-	// kind dispatches Insert to a width-specialized dominance kernel
-	// (see kernels.go); o0..o3 are ids resolved to plain ints for the
-	// two- through four-wide kernels.
-	kind           kernelKind
-	o0, o1, o2, o3 int
+	// antichain marks exactly two active objectives, the one width whose
+	// scans differ (kernels.go): one row to reject, one run to evict. o0 and
+	// o1 are its ids resolved to plain ints.
+	antichain bool
+	o0, o1    int
 
 	// The dominance-signature layout (signature.go): the field width, the
 	// bucket's shift, offset and top, and the fields' guard bits. All zero
@@ -37,18 +37,13 @@ type FlatConfig struct {
 	guards            uint64
 }
 
-// resolve fills the kernel-dispatch and signature fields from ids; called by
-// both constructors after ids/alphas are set.
+// resolve fills the antichain and signature fields from ids; called by
+// NewFlatPrecisionConfig after ids and alphas are set.
 func (c *FlatConfig) resolve() {
 	c.resolveSignature()
-	c.kind = resolveKernel(c.ids)
-	switch c.kind {
-	case kernel2:
+	c.antichain = len(c.ids) == 2
+	if c.antichain {
 		c.o0, c.o1 = int(c.ids[0]), int(c.ids[1])
-	case kernel3:
-		c.o0, c.o1, c.o2 = int(c.ids[0]), int(c.ids[1]), int(c.ids[2])
-	case kernel4:
-		c.o0, c.o1, c.o2, c.o3 = int(c.ids[0]), int(c.ids[1]), int(c.ids[2]), int(c.ids[3])
 	}
 }
 
@@ -98,7 +93,7 @@ func (c *FlatConfig) rowRejectsFloor(row []float64, floor *objective.Vector) boo
 // antichain, rejector), which needs every cost >= 0: a NaN or a negative
 // cost is refused there.
 func (c *FlatConfig) keys(v *objective.Vector, t *[stride]float64) (vk, tk float64, ok bool) {
-	if c.kind == kernel2 {
+	if c.antichain {
 		x, y := v[c.o0], v[c.o1]
 		return x, t[0], x >= 0 && y >= 0
 	}
@@ -314,8 +309,8 @@ func NewFlat(cfg *FlatConfig) *FlatArchive {
 // row that rejected the last one rejects most of the next — then against the
 // caller's second hint (InsertRowNear), and only a miss of both scans the
 // ranks of the sum index that can hold a rejector (rejector), then those that
-// can hold a row to evict (evict). The scans are specialized by width once per
-// configuration (kernels.go); every path answers the questions insertGeneric
+// can hold a row to evict (evict). Two-wide each scan is a step or a run, and
+// wider one loop (kernels.go); every path answers the questions insertGeneric
 // asks, so results and counters are bit-identical regardless of the path.
 func (a *FlatArchive) Insert(c objective.Vector, e plan.Entry) bool {
 	return a.InsertRow(&c, e)

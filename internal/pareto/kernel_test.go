@@ -10,10 +10,10 @@ import (
 	"moqo/internal/plan"
 )
 
-// kernelObjSets spans every Insert dispatch path: the two- through
-// four-wide specialized kernels and the generic path at every wider width
-// (5 to 9 objectives). w8 comes last so that the committed FuzzFlatInsert
-// seeds, which pick a width by index, keep theirs.
+// kernelObjSets spans every Insert dispatch path: the two-wide antichain
+// and the one scan loop at every wider width (3 to 9 objectives). w8 comes
+// last so that the committed FuzzFlatInsert seeds, which pick a width by
+// index, keep theirs.
 var kernelObjSets = []struct {
 	name string
 	objs objective.Set
@@ -32,15 +32,12 @@ var kernelObjSets = []struct {
 		objective.Cores, objective.DiskFootprint, objective.BufferFootprint, objective.Energy)},
 }
 
-// TestKernelDispatch pins the kernel each objective width resolves to.
+// TestKernelDispatch pins that only two-wide is special: every wider width
+// runs the one scan loop.
 func TestKernelDispatch(t *testing.T) {
-	want := map[string]kernelKind{
-		"w2": kernel2, "w3": kernel3, "w4": kernel4, "w5": kernelGeneric,
-		"w6": kernelGeneric, "w7": kernelGeneric, "w8": kernelGeneric, "w9": kernelGeneric,
-	}
 	for _, tc := range kernelObjSets {
-		if got := NewFlatConfig(tc.objs, 1.2).kind; got != want[tc.name] {
-			t.Errorf("%s: kernel kind %d, want %d", tc.name, got, want[tc.name])
+		if got, want := NewFlatConfig(tc.objs, 1.2).antichain, tc.name == "w2"; got != want {
+			t.Errorf("%s: antichain %v, want %v", tc.name, got, want)
 		}
 	}
 }
@@ -211,8 +208,8 @@ func kernelStream(objs objective.Set, n int) []objective.Vector {
 // middle row only, so the scan runs to it with no mutation. It calls
 // rejector, the scan InsertRow runs after a hint miss: through Insert the
 // one probe would be a hint hit on every iteration but the first, and the
-// benchmark would time no scan at all. Sweeps the specialized widths and the
-// generic path across archive sizes.
+// benchmark would time no scan at all. Sweeps the two-wide antichain and the
+// one loop of every wider width across archive sizes.
 func BenchmarkDominanceKernel(b *testing.B) {
 	for _, tc := range kernelObjSets {
 		for _, size := range []int{16, 64, 256} {
