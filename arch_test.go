@@ -809,6 +809,60 @@ func (w *worker) pairTerms(left, right query.TableSet) { split := w.e.m.PrepareS
 var note = "e.m.PrepareJoin(alg, dop, left, right); e.m.PrepareIndexNL(left, rel); e.m.PrepareSplit(l, r)"`},
 		},
 	},
+	{
+		// An objective set is walked by objective.Set.All, the one masked bit
+		// walk, which allocates nothing: the dominance relations and the
+		// oracles built on them run once per pair of vectors, and a range over
+		// IDs builds a fresh slice per call. IDs stays for callers that keep a
+		// slice, and the hand-written bit walks (All's own, and Respects'
+		// per-row loops) live in internal/objective alone.
+		name: "One set walk",
+		check: func(src sources) []string {
+			var bad []string
+			for path, f := range src.filter(func(p string) bool { return !isTest(p) && !strings.HasPrefix(p, "benchmark/") }) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if r, ok := n.(*ast.RangeStmt); ok {
+						if call, ok := r.X.(*ast.CallExpr); ok && methodCall("IDs")(call) {
+							bad = append(bad, fmt.Sprintf("%s: a range over IDs() builds a slice to walk a set; range over All()", path))
+						}
+					}
+					return true
+				})
+				if n := countCalls(f, selectorCall("bits", "TrailingZeros16")); n > 0 && !strings.HasPrefix(path, "internal/objective/") {
+					bad = append(bad, fmt.Sprintf("%s: %d hand-written set walks outside internal/objective", path, n))
+				}
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/pareto/frontier.go": `package pareto
+func CoverFactor(candidate, reference []objective.Vector, objs objective.Set) float64 {
+	f := 1.0
+	for _, o := range objs.IDs() {
+		f = math.Max(f, candidate[0][o]/reference[0][o])
+	}
+	return f
+}`},
+			{"internal/core/sharedmemo.go": `package core
+func (e *engine) prepareShared() {
+	for i, o := range e.opts.Objectives.IDs() { _, _ = i, o }
+}`},
+			{"internal/proptest/cover.go": `package proptest
+func coverFactor(approx, exact []objective.Vector, objs objective.Set) float64 {
+	f := 1.0
+	for s := uint16(objs); s != 0; s &= s - 1 {
+		o := bits.TrailingZeros16(s)
+		f = max(f, approx[0][o]/exact[0][o])
+	}
+	return f
+}`},
+		},
+		mentions: []map[string]string{
+			{"internal/pareto/frontier.go": `package pareto
+// Not "for _, o := range objs.IDs()", not bits.TrailingZeros16(uint16(s)).
+var note = "for _, o := range objs.IDs() { o = bits.TrailingZeros16(uint16(s)) }"`},
+		},
+	},
 }
 
 // callers returns, sorted, the names of the functions and methods in src

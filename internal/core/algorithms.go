@@ -390,7 +390,7 @@ func ObjectiveMinimaContext(ctx context.Context, m *costmodel.Model, opts Option
 		return objective.Vector{}, err
 	}
 	var minima objective.Vector
-	for _, o := range opts.Objectives.IDs() {
+	for o := range opts.Objectives.All() {
 		res, err := SelingerContext(ctx, m, o, opts)
 		if err != nil {
 			return objective.Vector{}, err

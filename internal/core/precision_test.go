@@ -80,6 +80,41 @@ func TestUniformPrecisionMatchesRTA(t *testing.T) {
 	}
 }
 
+// TestSharedPrefixPinned holds the shared-memo key prefix of RTA runs over
+// three, six and nine objectives, under a precision that differs per
+// objective, to its committed bytes: the |cfg= list names each active
+// objective in declaration order with its level precision, so a change to
+// how prepareShared walks the set can neither reorder nor respell a key.
+func TestSharedPrefixPinned(t *testing.T) {
+	q := chainQuery(t)
+	six := objective.NewSet(objective.TotalTime, objective.StartupTime, objective.IOLoad,
+		objective.Cores, objective.Energy, objective.TupleLoss)
+	for _, c := range []struct {
+		objs objective.Set
+		want string
+	}{
+		{threeObjs, "sm1|cat=4239655adaeb480b|cfg=0:1.040041911525952,6:1.233106037165235,8:1.2856407953291176|dop=2|smp=true"},
+		{six, "sm1|cat=4239655adaeb480b|cfg=0:1.040041911525952,1:1.077217345015942,2:1.1119900452846578,4:1.1756673438603786,7:1.259921049894873,8:1.2856407953291176|dop=2|smp=true"},
+		{objective.AllSet(), "sm1|cat=4239655adaeb480b|cfg=0:1.040041911525952,1:1.077217345015942,2:1.1119900452846578,3:1.1447142425533319,4:1.1756673438603786,5:1.2050711320876148,6:1.233106037165235,7:1.259921049894873,8:1.2856407953291176|dop=2|smp=true"},
+	} {
+		opts := smallOpts(c.objs)
+		for o := range objective.NumObjectives {
+			opts.Precision[o] = 1 + float64(o+1)/8
+		}
+		opts.Shared = NewSharedMemo()
+		var prefix []byte
+		beforeExtract = func(e *engine, _ *pareto.FlatArchive) { prefix = e.sharedPrefix }
+		_, err := RTA(costmodel.NewDefault(q), objective.UniformWeights(c.objs), opts)
+		beforeExtract = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(prefix) != c.want {
+			t.Errorf("%v: shared prefix\n%q, want\n%q", c.objs, prefix, c.want)
+		}
+	}
+}
+
 // bitsOf returns the bit patterns of xs, so that float slices compare exactly.
 func bitsOf(xs []float64) []uint64 {
 	out := make([]uint64, len(xs))

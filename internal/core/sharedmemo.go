@@ -131,9 +131,9 @@ func (e *engine) prepareShared() {
 	// relation count into the precision, so only same-precision runs (EXA
 	// always; RTA/IRA iterations of equal α and n) ever share.
 	b = append(b, "|cfg="...)
-	ids := e.opts.Objectives.IDs()
-	for i, o := range ids {
-		if i > 0 {
+	start := len(b)
+	for o := range e.opts.Objectives.All() {
+		if len(b) > start {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(o), 10)

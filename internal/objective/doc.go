@@ -17,4 +17,11 @@
 // the IRA stopping condition. The Precision vector type generalizes the
 // scalar α to per-objective precisions (RTA's Options.Precision); every run's
 // pruning plan is one such vector.
+//
+// Set.All is the one walk over an objective set: it yields the active
+// objectives in declaration order and allocates nothing, and the dominance
+// relations, the weight and precision helpers and the oracles outside this
+// package range over it. Set.IDs builds a slice, for callers that keep one.
+// Bounds.Respects and RespectsRelaxed, asked once per frontier row, walk the
+// set's bits by hand.
 package objective

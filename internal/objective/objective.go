@@ -2,8 +2,10 @@ package objective
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -116,30 +118,32 @@ func (s Set) Add(o ID) Set { return s | 1<<uint(o) }
 // Remove returns the set with objective o removed.
 func (s Set) Remove(o ID) Set { return s &^ (1 << uint(o)) }
 
-// Len returns the number of objectives in the set.
-func (s Set) Len() int {
-	n := 0
-	for v := s; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
+// Len returns the number of objectives in the set. Like All it counts only
+// the nine objectives' bits.
+func (s Set) Len() int { return bits.OnesCount16(uint16(s & AllSet())) }
 
-// IDs returns the objectives of the set in declaration order.
-func (s Set) IDs() []ID {
-	ids := make([]ID, 0, s.Len())
-	for o := ID(0); o < NumObjectives; o++ {
-		if s.Contains(o) {
-			ids = append(ids, o)
+// All yields the objectives of the set in declaration order. It is the one
+// walk over a set: it masks the set to the nine objectives' bits and
+// allocates nothing, so the dominance relations, which run once per pair of
+// vectors, range over it instead of building an ID slice.
+func (s Set) All() iter.Seq[ID] {
+	return func(yield func(ID) bool) {
+		for v := s & AllSet(); v != 0; v &= v - 1 {
+			if !yield(ID(bits.TrailingZeros16(uint16(v)))) {
+				return
+			}
 		}
 	}
-	return ids
 }
+
+// IDs returns the objectives of the set in declaration order, as a fresh
+// slice; a caller that only walks the set ranges over All instead.
+func (s Set) IDs() []ID { return slices.AppendSeq(make([]ID, 0, s.Len()), s.All()) }
 
 // String renders the set as a comma-separated list of objective names.
 func (s Set) String() string {
 	parts := make([]string, 0, s.Len())
-	for _, o := range s.IDs() {
+	for o := range s.All() {
 		parts = append(parts, o.String())
 	}
 	return "{" + strings.Join(parts, ",") + "}"
@@ -197,7 +201,7 @@ func (v Vector) Valid() bool {
 // Dominates reports whether v has lower or equal cost than w in every
 // objective of the active set (the relation written c1 <= c2 in the paper).
 func (v Vector) Dominates(w Vector, objs Set) bool {
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		if v[o] > w[o] {
 			return false
 		}
@@ -215,7 +219,7 @@ func (v Vector) StrictlyDominates(w Vector, objs Set) bool {
 // precision alpha >= 1: for every active objective, v's cost exceeds w's by
 // at most factor alpha.
 func (v Vector) ApproxDominates(w Vector, alpha float64, objs Set) bool {
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		if v[o] > w[o]*alpha {
 			return false
 		}
@@ -225,7 +229,7 @@ func (v Vector) ApproxDominates(w Vector, alpha float64, objs Set) bool {
 
 // EqualOn reports whether v and w agree on every active objective.
 func (v Vector) EqualOn(w Vector, objs Set) bool {
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		if v[o] != w[o] {
 			return false
 		}
@@ -245,7 +249,7 @@ func (v Vector) String() string {
 // FormatOn renders only the active objectives of the vector.
 func (v Vector) FormatOn(objs Set) string {
 	parts := make([]string, 0, objs.Len())
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		parts = append(parts, fmt.Sprintf("%s=%.4g", o, v[o]))
 	}
 	return "(" + strings.Join(parts, " ") + ")"
@@ -259,15 +263,15 @@ func (v Vector) FormatOn(objs Set) string {
 type Precision [NumObjectives]float64
 
 // UniformPrecision returns precision alpha on the objectives of the set
-// and exact precision (1) elsewhere. Like Bounds.Respects it walks the set's
-// bits and allocates nothing: every RTA and IRA run builds one.
+// and exact precision (1) elsewhere. It allocates nothing: every RTA and IRA
+// run builds one.
 func UniformPrecision(alpha float64, objs Set) Precision {
 	var p Precision
 	for i := range p {
 		p[i] = 1
 	}
-	for s := objs & AllSet(); s != 0; s &= s - 1 {
-		p[bits.TrailingZeros16(uint16(s))] = alpha
+	for o := range objs.All() {
+		p[o] = alpha
 	}
 	return p
 }
@@ -293,8 +297,8 @@ func (p Precision) Valid() bool {
 // nothing.
 func (p Precision) Max(objs Set) float64 {
 	m := 1.0
-	for s := objs & AllSet(); s != 0; s &= s - 1 {
-		m = math.Max(m, p[bits.TrailingZeros16(uint16(s))])
+	for o := range objs.All() {
+		m = math.Max(m, p[o])
 	}
 	return m
 }
@@ -317,7 +321,7 @@ func (p Precision) Root(n int) Precision {
 // per-objective precisions of p: for every active objective o,
 // v_o <= w_o * p_o.
 func (v Vector) ApproxDominatesBy(w Vector, p Precision, objs Set) bool {
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		if v[o] > w[o]*p[o] {
 			return false
 		}
@@ -332,7 +336,7 @@ type Weights [NumObjectives]float64
 // elsewhere.
 func UniformWeights(objs Set) Weights {
 	var w Weights
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		w[o] = 1
 	}
 	return w
@@ -400,11 +404,11 @@ func (b Bounds) With(o ID, x float64) Bounds {
 	return b
 }
 
-// Unbounded reports whether no finite bound is set on any active objective;
-// like Respects it walks the set's bits and allocates nothing.
+// Unbounded reports whether no finite bound is set on any active objective.
+// It allocates nothing.
 func (b Bounds) Unbounded(objs Set) bool {
-	for s := objs & AllSet(); s != 0; s &= s - 1 {
-		if !math.IsInf(b[bits.TrailingZeros16(uint16(s))], 1) {
+	for o := range objs.All() {
+		if !math.IsInf(b[o], 1) {
 			return false
 		}
 	}
@@ -414,7 +418,7 @@ func (b Bounds) Unbounded(objs Set) bool {
 // BoundedObjectives returns the active objectives that carry a finite bound.
 func (b Bounds) BoundedObjectives(objs Set) []ID {
 	var ids []ID
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		if !math.IsInf(b[o], 1) {
 			ids = append(ids, o)
 		}
@@ -423,9 +427,10 @@ func (b Bounds) BoundedObjectives(objs Set) []ID {
 }
 
 // Respects reports whether cost vector v respects the bounds on every
-// active objective (v_o <= B_o for all o). It walks the set's bits in
-// declaration order and allocates nothing: SelectBest asks it once per
-// frontier row.
+// active objective (v_o <= B_o for all o). It allocates nothing. SelectBest
+// asks it once per frontier row, so it walks the set's bits by hand, as All
+// does: compiled, a range over All adds a check of the loop's state per
+// objective.
 func (b Bounds) Respects(v Vector, objs Set) bool {
 	for s := objs & AllSet(); s != 0; s &= s - 1 {
 		if o := bits.TrailingZeros16(uint16(s)); v[o] > b[o] {
@@ -437,7 +442,8 @@ func (b Bounds) Respects(v Vector, objs Set) bool {
 
 // RespectsRelaxed reports whether v respects the bounds relaxed by factor
 // alpha (v <= alpha*B), the relation used in the IRA stopping condition.
-// Like Respects it allocates nothing.
+// Like Respects it allocates nothing and walks the set's bits by hand: the
+// IRA's stopping rule asks it once per frontier row.
 func (b Bounds) RespectsRelaxed(v Vector, alpha float64, objs Set) bool {
 	for s := objs & AllSet(); s != 0; s &= s - 1 {
 		if o := bits.TrailingZeros16(uint16(s)); v[o] > b[o]*alpha {

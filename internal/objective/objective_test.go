@@ -3,6 +3,7 @@ package objective
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,36 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
+// TestSetWalksAgree holds Len, IDs and All to one reading of every one of
+// the 65 536 bit patterns of a Set: only the nine objectives' bits count,
+// and All yields the objectives in declaration order, as a Contains loop
+// over the nine finds them. A range over All may also stop early.
+func TestSetWalksAgree(t *testing.T) {
+	for i := 0; i <= math.MaxUint16; i++ {
+		s := Set(i)
+		var want []ID
+		for o := ID(0); o < NumObjectives; o++ {
+			if s.Contains(o) {
+				want = append(want, o)
+			}
+		}
+		var walked []ID
+		for o := range s.All() {
+			walked = append(walked, o)
+		}
+		ids := s.IDs()
+		if s.Len() != len(want) || !slices.Equal(ids, want) || !slices.Equal(walked, want) {
+			t.Fatalf("set %#04x: Len %d, IDs %v, All %v; want %d objectives %v", i, s.Len(), ids, walked, len(want), want)
+		}
+		for o := range s.All() {
+			if o != want[0] {
+				t.Fatalf("set %#04x: All starts at %v, want %v", i, o, want[0])
+			}
+			break
+		}
+	}
+}
+
 func TestSetString(t *testing.T) {
 	s := NewSet(TotalTime, TupleLoss)
 	if got := s.String(); got != "{total_time,tuple_loss}" {
@@ -182,6 +213,31 @@ func TestPrecisionHelpersZeroAlloc(t *testing.T) {
 	}
 	if m != 2 {
 		t.Errorf("Max = %v, want 2", m)
+	}
+}
+
+// TestDominanceZeroAlloc pins that the dominance relations walk the set
+// instead of building its ID slice: the exact oracle (pareto.Archive,
+// FilterPareto) and the cover checks ask them once per pair of vectors.
+func TestDominanceZeroAlloc(t *testing.T) {
+	objs := NewSet(TotalTime, IOLoad, Energy, TupleLoss)
+	v := Vector{}.With(TotalTime, 1).With(IOLoad, 2).With(Energy, 3)
+	w := v.With(TupleLoss, 0.5)
+	p := UniformPrecision(1.5, objs)
+	var got [5]bool
+	if n := testing.AllocsPerRun(100, func() {
+		got = [5]bool{
+			v.Dominates(w, objs),
+			v.StrictlyDominates(w, objs),
+			v.ApproxDominates(w, 1.5, objs),
+			v.ApproxDominatesBy(w, p, objs),
+			v.EqualOn(w, objs),
+		}
+	}); n != 0 {
+		t.Errorf("the dominance relations allocate %v times, want 0", n)
+	}
+	if want := [5]bool{true, true, true, true, false}; got != want {
+		t.Errorf("Dominates, StrictlyDominates, ApproxDominates, ApproxDominatesBy, EqualOn = %v, want %v", got, want)
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 
 // FlatConfig is the pruning configuration shared by all flat archives of
 // one engine run: the active objectives resolved to a plain ID slice and
-// the per-objective pruning precisions aligned with it. Resolving both
-// once per run is what makes FlatArchive.Insert allocation-free — the
-// legacy Archive re-derived objs.IDs() (a fresh slice) inside every
-// dominance check. SelectBestRows was the flat path's last caller doing the
-// same, once per frontier row through Bounds.Respects, until Respects
-// walked the set's bits (TestSelectBestRowsZeroAlloc).
+// the per-objective pruning precisions aligned with it, both resolved once
+// per run, so FlatArchive.Insert indexes them instead of walking the set.
+// The legacy Archive asks the objective package's dominance relations, which
+// walk the set through objective.Set.All and allocate nothing either
+// (objective's TestDominanceZeroAlloc); SelectBestRows asks Bounds.Respects
+// once per frontier row (TestSelectBestRowsZeroAlloc).
 type FlatConfig struct {
 	objs   objective.Set
 	ids    []objective.ID

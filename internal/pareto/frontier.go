@@ -62,7 +62,7 @@ func CoverFactor(candidate, reference []objective.Vector, objs objective.Set) fl
 		for _, c := range candidate {
 			f := 1.0
 			ok := true
-			for _, o := range objs.IDs() {
+			for o := range objs.All() {
 				switch {
 				case c[o] <= ref[o]:
 					// no degradation on this objective

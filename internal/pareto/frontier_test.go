@@ -75,6 +75,24 @@ func TestCoverFactor(t *testing.T) {
 	}
 }
 
+// TestCoverZeroAlloc: IsAlphaCover and CoverFactor compare every pair of
+// rows of two frontiers and allocate nothing.
+func TestCoverZeroAlloc(t *testing.T) {
+	ref := []objective.Vector{vec(1, 4), vec(2, 2), vec(4, 1)}
+	cand := []objective.Vector{vec(1.2, 4.8), vec(4.8, 1.2)}
+	var covered bool
+	var f float64
+	if n := testing.AllocsPerRun(100, func() {
+		covered = IsAlphaCover(cand, ref, 2.4, testObjs)
+		f = CoverFactor(cand, ref, testObjs)
+	}); n != 0 {
+		t.Errorf("IsAlphaCover and CoverFactor allocate %v times, want 0", n)
+	}
+	if !covered || math.Abs(f-2.4) > 1e-12 {
+		t.Errorf("IsAlphaCover = %v, CoverFactor = %v; want true, 2.4", covered, f)
+	}
+}
+
 func TestCoverFactorZeroComponent(t *testing.T) {
 	ref := []objective.Vector{vec(0, 1)}
 	cand := []objective.Vector{vec(1, 1)}

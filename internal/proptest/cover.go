@@ -36,7 +36,7 @@ func coverFactor(approx, exact []objective.Vector, objs objective.Set) float64 {
 		best := math.Inf(1)
 		for _, a := range approx {
 			f := 1.0
-			for _, o := range objs.IDs() {
+			for o := range objs.All() {
 				if a[o] > e[o] {
 					f = max(f, a[o]/e[o]) // +Inf when e[o] is 0
 				}

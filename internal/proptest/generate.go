@@ -96,7 +96,7 @@ func (in instance) breaksOptimality() bool {
 func drawBounds(seed int64, objs objective.Set, lo objective.Vector) objective.Bounds {
 	r := rand.New(rand.NewSource(seed))
 	b := objective.NoBounds()
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		if r.Intn(2) == 0 {
 			b[o] = lo[o] * (1 + r.Float64())
 		}

@@ -48,7 +48,7 @@ func randomObjectives(r *rand.Rand, k int) objective.Set {
 // randomWeights draws uniform [0,1] weights on the objectives of the set.
 func randomWeights(r *rand.Rand, objs objective.Set) objective.Weights {
 	var w objective.Weights
-	for _, o := range objs.IDs() {
+	for o := range objs.All() {
 		w[o] = r.Float64()
 	}
 	return w
