@@ -104,3 +104,40 @@ func TestQualityMatchesCommitted(t *testing.T) {
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestQualityFileClaims asserts the paper's claims as properties of the
+// committed quality figure (testdata/quality.txt), row by row: RTA's cover
+// factor is at least 1 and at most α (Theorem 3) and marked OK, and RTA
+// keeps no more plans than the exact frontier has. It does not claim that
+// RTA keeps fewer plans as α grows: the file's q2 keeps 7 at α 1.5 and 8 at
+// α 2 (a coarser grid may keep another representative).
+func TestQualityFileClaims(t *testing.T) {
+	file, err := os.ReadFile("testdata/quality.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	inTable := false
+	for _, line := range strings.Split(strings.TrimSuffix(string(file), "\n"), "\n") {
+		if !inTable {
+			inTable = strings.HasPrefix(line, "query ")
+			continue
+		}
+		var qn, exact, approx int
+		var alpha, cover float64
+		var status string
+		if _, err := fmt.Sscanf(line, "q%d %g %d %d %g %s", &qn, &alpha, &exact, &approx, &cover, &status); err != nil {
+			t.Fatalf("testdata/quality.txt: row %q: %v", line, err)
+		}
+		rows++
+		if cover < 1 || cover > alpha || status != "OK" {
+			t.Errorf("q%d α %g: cover factor %v (%s), want within [1, α]", qn, alpha, cover, status)
+		}
+		if approx < 1 || approx > exact {
+			t.Errorf("q%d α %g: RTA keeps %d plans, the exact frontier has %d", qn, alpha, approx, exact)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("testdata/quality.txt has no rows")
+	}
+}

@@ -365,7 +365,7 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	if err != nil {
 		return Result{}, err
 	}
-	e := newEngine(ctx, m, opts, exactPrecision, w)
+	e := newEngineFor(ctx, m, opts, exactPrecision, w, "weightedsum")
 	res, err := e.result(e.runScalar(), w, objective.NoBounds(), start)
 	res.Snapshot = nil
 	return res, err

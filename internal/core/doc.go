@@ -64,9 +64,12 @@
 //     SharedMemo-published archive keeps its chunk alive, and extract
 //     copies what a Result keeps;
 //   - a level-synchronized worker pool (pool.go), spawned once per run,
-//     whose Options.Workers workers claim each cardinality level's sets
-//     from one atomic cursor, each in ascending id order, without
-//     weakening any approximation guarantee;
+//     whose workers claim each cardinality level's sets from one atomic
+//     cursor, each in ascending id order, without weakening any
+//     approximation guarantee. Options.Workers bounds their number
+//     (poolSize): a run below a PredictCost cutoff takes one worker and
+//     spawns nothing, and no run has more workers than its widest level
+//     has sets;
 //   - one frontier extraction per run (engine.extract) that closes the
 //     final frontier over the sub-plans it reaches, and a deferred
 //     materializer (internal/plan) that rebuilds *plan.Node trees from

@@ -37,12 +37,14 @@ type Options struct {
 	// Defaults to plan.MaxDOP (4 cores, as in the paper).
 	MaxDOP int
 
-	// Workers shards each cardinality level of the dynamic program across
-	// this many goroutines. All table sets of cardinality k depend only on
-	// sets of cardinality < k, so levels parallelize without weakening any
-	// approximation guarantee, and results are identical for every Workers
-	// value (modulo timeout timing). 0 defaults to 1 (sequential); pass
-	// runtime.NumCPU() to use the whole machine.
+	// Workers is the most goroutines each cardinality level of the dynamic
+	// program is sharded across. All table sets of cardinality k depend only
+	// on sets of cardinality < k, so levels parallelize without weakening
+	// any approximation guarantee, and results are identical for every
+	// Workers value (modulo timeout timing). It is an upper bound: a run
+	// whose PredictCost is small runs on one worker, and no run has more
+	// workers than its widest level has table sets. 0 defaults to 1
+	// (sequential); pass runtime.NumCPU() to use the whole machine.
 	Workers int
 
 	// Shared, when non-nil, attaches a cross-query shared memo: completed

@@ -167,6 +167,35 @@ func (w *worker) markDone(id int32, archiveLen int) {
 // whole pool at every cardinality level.
 var poolSpawned atomic.Int64
 
+// sequentialBelow is the PredictCost under which a run uses one worker,
+// whatever Options.Workers asks. On two cores every run of the scoreboard's
+// cold list at 972 and below (TPC-H q2, q3, q10 and q21 under RTA at three
+// objectives) ran at 0.52–0.86× its one-worker speed with a second worker;
+// the cutoff sits in the gap to the next run up, at 2 592
+// (BenchmarkPoolCutoff; the table is in ROADMAP item 7(a)).
+const sequentialBelow = 1500
+
+// poolForced lifts the sequentialBelow cutoff (the widest-level cap still
+// holds), so tests can drive the pool on small shapes. Only tests set it.
+var poolForced bool
+
+// poolSize is the number of workers a run of algorithm (PredictCost's name
+// for the program) over e's enumeration uses: one below sequentialBelow, and
+// otherwise Options.Workers capped at the widest level's set count, since
+// runLevel never wakes more workers than a level has sets. Options.Workers
+// is an upper bound; the answer and Stats do not depend on the count.
+func (e *engine) poolSize(algorithm string) int {
+	if e.opts.Workers == 1 || !poolForced &&
+		PredictCost(e.q.NumRelations(), e.opts.Objectives.Len(), algorithm) < sequentialBelow {
+		return 1
+	}
+	widest := 1
+	for _, level := range e.enum.levels {
+		widest = max(widest, len(level))
+	}
+	return min(e.opts.Workers, widest)
+}
+
 // levelPool is the engine's persistent worker pool: nw-1 goroutines are
 // spawned once per run (the coordinator doubles as worker 0) and parked on
 // per-worker wake channels between levels. For each level the coordinator

@@ -3,13 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"moqo/internal/catalog"
 	"moqo/internal/costmodel"
 	"moqo/internal/objective"
 	"moqo/internal/query"
 	"moqo/internal/synthetic"
+	"moqo/internal/workload"
 )
 
 // TestLevelClaimsOnceAscending drives runLevels with a recording treat and
@@ -108,11 +113,19 @@ var invarianceShapes = []struct {
 // Workers 2, 4 and 8 must be bit-identical to the serial run — same
 // canonical frontier, same best plan, and same Stats counters (EnumSets,
 // EnumSplits, Considered, Stored). Under -race this also exercises the
-// persistent pool's wake, claim, and park transitions for data races.
+// persistent pool's wake, claim, and park transitions for data races,
+// forced on (forcePool) for TPC-H q3 and q10, whose runs are below the
+// sequential cutoff and whose levels are narrower than the pool.
 func TestScheduleInvariance(t *testing.T) {
+	forcePool(t)
 	w := objective.UniformWeights(threeObjs)
+	var queries []*query.Query
 	for _, tc := range invarianceShapes {
-		q := buildShape(t, tc.shape, tc.tables, 3)
+		queries = append(queries, buildShape(t, tc.shape, tc.tables, 3))
+	}
+	cat := catalog.TPCH(1)
+	queries = append(queries, workload.MustQuery(3, cat), workload.MustQuery(10, cat))
+	for _, q := range queries {
 		m := costmodel.NewDefault(q)
 		opts := Options{Objectives: threeObjs, Alpha: 1.5, MaxDOP: 2, Workers: 1}
 		base, err := RTA(m, w, opts)
@@ -129,7 +142,7 @@ func TestScheduleInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("%s/workers=%d", tc.shape, workers)
+			label := fmt.Sprintf("%s/workers=%d", q.Name, workers)
 			sameFrontier(t, label, got.Frontier, base.Frontier)
 			gotJSON, err := got.Best.JSON(q, threeObjs)
 			if err != nil {
@@ -166,6 +179,110 @@ func TestPoolSpawnsOncePerRun(t *testing.T) {
 	}
 }
 
+// forcePool lifts the sequential cutoff (poolForced) for the rest of t, so a
+// small run still goes through the pool, capped at its widest level.
+func forcePool(t testing.TB) {
+	poolForced = true
+	t.Cleanup(func() { poolForced = false })
+}
+
+// TestSmallRunStaysSequential: a run whose PredictCost is below
+// sequentialBelow takes one worker whatever Workers asks — it spawns no pool
+// goroutine and allocates exactly what Workers=1 does — for each program's
+// algorithm term; q5, sequential under the weighted sum, is above the cutoff
+// under RTA and does spawn.
+func TestSmallRunStaysSequential(t *testing.T) {
+	cat := catalog.TPCH(1)
+	q3, q5 := workload.MustQuery(3, cat), workload.MustQuery(5, cat)
+	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
+	w := objective.UniformWeights(objs)
+	runs := []struct {
+		name string
+		run  func(workers int) (Result, error)
+	}{
+		{"tpch-q3/RTA1.5", func(n int) (Result, error) {
+			return RTA(costmodel.NewDefault(q3), w, Options{Objectives: objs, Alpha: 1.5, Workers: n})
+		}},
+		{"tpch-q3/EXA", func(n int) (Result, error) {
+			return EXA(costmodel.NewDefault(q3), w, objective.NoBounds(), Options{Objectives: objs, Workers: n})
+		}},
+		{"tpch-q5/WeightedSum", func(n int) (Result, error) {
+			return WeightedSumDP(costmodel.NewDefault(q5), w, Options{Objectives: objs, Workers: n})
+		}},
+	}
+	for _, r := range runs {
+		// The least of three counts: the malloc counter is process-wide, and
+		// now and then the runtime allocates beside a run.
+		allocs := func(workers int) float64 {
+			least := math.Inf(1)
+			for range 3 {
+				least = min(least, testing.AllocsPerRun(3, func() {
+					if _, err := r.run(workers); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return least
+		}
+		base := allocs(1)
+		for _, workers := range []int{2, 8, 64} {
+			before := poolSpawned.Load()
+			got := allocs(workers)
+			if spawned := poolSpawned.Load() - before; spawned != 0 {
+				t.Errorf("%s/workers=%d: spawned %d pool goroutines, want none", r.name, workers, spawned)
+			}
+			if got != base {
+				t.Errorf("%s/workers=%d: %v allocations per run, Workers=1 makes %v", r.name, workers, got, base)
+			}
+		}
+	}
+	before := poolSpawned.Load()
+	if _, err := RTA(costmodel.NewDefault(q5), w, Options{Objectives: objs, Alpha: 1.5, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if spawned := poolSpawned.Load() - before; spawned != 1 {
+		t.Errorf("tpch-q5/RTA1.5/workers=2 (PredictCost %v): spawned %d pool goroutines, want 1",
+			PredictCost(q5.NumRelations(), objs.Len(), "rta"), spawned)
+	}
+}
+
+// TestWorkersCappedAtWidestLevel: a pooled run never has more workers than
+// its widest level has sets, since no more can claim one. TPC-H q3's widest
+// level is its three base tables, so at Workers=64 it spawns two goroutines
+// and allocates what Workers=3 does, not 64 workers' scratch and arenas.
+func TestWorkersCappedAtWidestLevel(t *testing.T) {
+	forcePool(t)
+	q := workload.MustQuery(3, catalog.TPCH(1))
+	m := costmodel.NewDefault(q)
+	w := objective.UniformWeights(threeObjs)
+	run := func(workers int) {
+		if _, err := RTA(m, w, Options{Objectives: threeObjs, Alpha: 1.5, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 20
+	bytesPerRun := func(workers int) uint64 {
+		run(workers)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run(workers)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	before := poolSpawned.Load()
+	run(64)
+	if spawned := poolSpawned.Load() - before; spawned != 2 {
+		t.Errorf("Workers=64 spawned %d pool goroutines, want 2 (the widest level has 3 sets)", spawned)
+	}
+	capped, three := bytesPerRun(64), bytesPerRun(3)
+	t.Logf("bytes per run: Workers=64 %d, Workers=3 %d", capped, three)
+	if float64(capped) > 1.1*float64(three) {
+		t.Errorf("Workers=64 allocates %d bytes per run, Workers=3 %d", capped, three)
+	}
+}
+
 // BenchmarkSchedulerChurn is the goroutine-churn regression benchmark on a
 // 20-table chain: spawns/op must stay at Workers-1 (the old per-level
 // barrier spawned ~Workers per level, i.e. ~20x more) and allocs/op must
@@ -188,4 +305,86 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(poolSpawned.Load()-before)/float64(b.N), "spawns/op")
+}
+
+// BenchmarkPoolCutoff sizes sequentialBelow: for each instance of the
+// scoreboard's cold list (benchmark/cold.go; its two IRA instances left out,
+// since each of their iterations sizes its own pool) it times one run at
+// Workers=1 and one at Workers=2 with the pool forced on, alternately, and
+// reports both and their ratio beside the instance's PredictCost. Run it
+// with -benchtime 3s on the cores to be judged; a ratio above 1 below the
+// cutoff, or below 1 above it, argues for moving it.
+func BenchmarkPoolCutoff(b *testing.B) {
+	forcePool(b)
+	cat := catalog.TPCH(1)
+	tpch := func(n int) *query.Query { return workload.MustQuery(n, cat) }
+	synth := func(shape synthetic.Shape, tables int) *query.Query {
+		_, q := synthetic.MustBuild(synthetic.Spec{Shape: shape, Tables: tables, Seed: 7})
+		return q
+	}
+	objs2 := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
+	objs3 := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
+	objs6 := objective.NewSet(objective.TotalTime, objective.StartupTime, objective.IOLoad,
+		objective.CPULoad, objective.BufferFootprint, objective.Energy)
+	objs9 := objective.AllSet()
+	type instance struct {
+		q     *query.Query
+		objs  objective.Set
+		alpha float64 // 0: EXA
+	}
+	var list []instance
+	for _, q := range []*query.Query{tpch(2), tpch(3), tpch(10), tpch(21), synth(synthetic.Chain, 8)} {
+		objs := objs3
+		if q.NumRelations() == 8 {
+			objs = objs2
+		}
+		for _, alpha := range []float64{1.2, 1.5, 2} {
+			list = append(list, instance{q, objs, alpha})
+		}
+	}
+	list = append(list,
+		instance{tpch(2), objs3, 0}, instance{tpch(10), objs3, 0}, instance{tpch(7), objs3, 0},
+		instance{tpch(5), objs3, 1.5}, instance{tpch(8), objs3, 1.5}, instance{tpch(7), objs6, 1.5},
+		instance{tpch(9), objs6, 1.5}, instance{tpch(5), objs6, 2}, instance{tpch(10), objs9, 1.5},
+		instance{tpch(2), objs9, 2}, instance{tpch(21), objs9, 1.5}, instance{synth(synthetic.Chain, 12), objs3, 1.5},
+		instance{synth(synthetic.Cycle, 10), objs2, 0}, instance{synth(synthetic.Star, 8), objs3, 1.5})
+	for _, in := range list {
+		alg, name := "exa", fmt.Sprintf("%s/EXA/%dobj", in.q.Name, in.objs.Len())
+		if in.alpha > 0 {
+			alg, name = "rta", fmt.Sprintf("%s/RTA%g/%dobj", in.q.Name, in.alpha, in.objs.Len())
+		}
+		m := costmodel.NewDefault(in.q)
+		w := objective.UniformWeights(in.objs)
+		run := func(workers int) time.Duration {
+			start := time.Now()
+			var err error
+			if in.alpha > 0 {
+				_, err = RTA(m, w, Options{Objectives: in.objs, Alpha: in.alpha, Workers: workers})
+			} else {
+				_, err = EXA(m, w, objective.NoBounds(), Options{Objectives: in.objs, Workers: workers})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			return time.Since(start)
+		}
+		b.Run(name, func(b *testing.B) {
+			run(1)
+			run(2)
+			var one, two time.Duration
+			for i := range b.N {
+				if i%2 == 0 {
+					one += run(1)
+					two += run(2)
+				} else {
+					two += run(2)
+					one += run(1)
+				}
+			}
+			b.ReportMetric(PredictCost(in.q.NumRelations(), in.objs.Len(), alg), "predict")
+			b.ReportMetric(float64(one.Microseconds())/float64(b.N), "w1-us")
+			b.ReportMetric(float64(two.Microseconds())/float64(b.N), "w2-us")
+			b.ReportMetric(float64(one)/float64(two), "speedup")
+		})
+	}
 }

@@ -140,6 +140,20 @@ func (m *Model) frozenIndexNLCostVec(lt query.TableSet, cl *objective.Vector, in
 	return v
 }
 
+// frozenScanCPU is ScanCost's CPU work, the one per-tuple term of a scan:
+// TupleWork per tuple read (an index scan's per qualifying tuple, plus one
+// lookup).
+func (m *Model) frozenScanCPU(rel int, alg plan.ScanAlg, rate float64) float64 {
+	t := m.baseTable(rel)
+	switch alg {
+	case plan.IndexScan:
+		return t.Rows*m.q.Relations[rel].FilterSel*m.p.TupleWork + m.p.LookupWork
+	case plan.SampleScan:
+		return t.Rows * rate * m.p.TupleWork
+	}
+	return t.Rows * m.p.TupleWork
+}
+
 // oracleQueries are the oracle's inputs: four TPC-H join graphs (q2, q5,
 // q8, q10) and one seeded synthetic query per topology.
 func oracleQueries(t testing.TB) []*query.Query {
@@ -212,11 +226,18 @@ func bitsEqual(a, b objective.Vector) bool {
 // terms at every DOP and the index-NL terms are built from that one Split,
 // and each is applied to every pair of child vectors — as are the
 // JoinCostVec and IndexNLCostVec wrappers, which prepare a split per call.
-// Each split is costed under three calibrations: the default one, one whose
+// Each split is costed under four calibrations: the default one, one whose
 // memory budgets equal the operands' sizes exactly (the spill terms'
-// max(0, ·) and min(·, budget) sit on their boundary), and one a page below
-// that (everything spills by a hair).
+// max(0, ·) and min(·, budget) sit on their boundary), one a page below
+// that (everything spills by a hair), and one whose per-tuple coefficients
+// are all ≠ 1 and pairwise distinct, so a coefficient that is divided by
+// instead of multiplied with, or read in another's place, shows. Every scan's
+// CPU work is held to its per-tuple term under the default calibration and
+// the distinct one.
 func TestCostingOracle(t *testing.T) {
+	distinct := Default()
+	distinct.TupleWork, distinct.HashBuild, distinct.HashProbe = 1.7, 2.3, 1.3
+	distinct.SortFactor, distinct.MergeWork, distinct.PairWork, distinct.LookupWork = 0.45, 0.8, 0.03, 2.6
 	for _, q := range oracleQueries(t) {
 		r := rand.New(rand.NewSource(int64(q.NumRelations())))
 		cells, splits := 0, 0
@@ -229,7 +250,7 @@ func TestCostingOracle(t *testing.T) {
 			below.WorkMemBytes = math.Max(1, rBytes-catalog.PageSize)
 			below.SortMemBytes = math.Max(1, lBytes-catalog.PageSize)
 			below.BNLBufBytes = math.Max(1, lBytes-catalog.PageSize)
-			for _, p := range []Params{Default(), boundary, below} {
+			for _, p := range []Params{Default(), boundary, below, distinct} {
 				m := New(q, p)
 				children := oracleChildren(r, p)
 				split := m.PrepareSplit(left, right)
@@ -282,7 +303,39 @@ func TestCostingOracle(t *testing.T) {
 		if splits == 0 {
 			t.Fatalf("%s: no connected split", q.Name)
 		}
+		for _, p := range []Params{Default(), distinct} {
+			m := New(q, p)
+			for rel := range q.NumRelations() {
+				for _, alg := range []plan.ScanAlg{plan.SeqScan, plan.IndexScan, plan.SampleScan} {
+					rate := plan.SampleRates[0]
+					got, want := m.ScanCost(rel, alg, rate)[objective.CPULoad], m.frozenScanCPU(rel, alg, rate)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %v of relation %d: CPU load %v, frozen %v", q.Name, alg, rel, got, want)
+					}
+				}
+			}
+		}
 		t.Logf("%s: %d splits, %d (operator, dop, split, calibration) cells", q.Name, splits, cells)
+	}
+}
+
+// TestSortWorkBoundary pins sortWork's n < 2 boundary, which no split of
+// the oracle's queries reaches: fewer than two rows cost one SortFactor, two
+// rows SortFactor·2·log2(2), twice that.
+func TestSortWorkBoundary(t *testing.T) {
+	p := Default()
+	p.SortFactor = 0.45
+	m := New(testQuery(t), p)
+	for _, tc := range []struct{ n, want float64 }{
+		{0, p.SortFactor},
+		{1, p.SortFactor},
+		{math.Nextafter(2, 0), p.SortFactor},
+		{2, 2 * p.SortFactor},
+		{8, 24 * p.SortFactor},
+	} {
+		if got := m.sortWork(tc.n, math.Log2(tc.n)); got != tc.want {
+			t.Errorf("sortWork(%v) = %v, want %v", tc.n, got, tc.want)
+		}
 	}
 }
 

@@ -227,12 +227,14 @@ type Request struct {
 	// MaxDOP caps operator parallelism (default 4).
 	MaxDOP int
 
-	// Workers shards each cardinality level of the optimizer's dynamic
-	// program across this many goroutines. The selected plan, frontier,
-	// and statistics are identical for every value (the levels of the
-	// dynamic program synchronize on barriers); only wall-clock time
-	// changes. 0 defaults to 1 (sequential); pass runtime.NumCPU() to
-	// use the whole machine.
+	// Workers is the most goroutines each cardinality level of the
+	// optimizer's dynamic program is sharded across. The selected plan,
+	// frontier, and statistics are identical for every value (the levels
+	// of the dynamic program synchronize on barriers); only wall-clock time
+	// changes. It is an upper bound: a dynamic-program run whose predicted
+	// cost is below a cutoff uses one worker, and no run uses more workers
+	// than its widest level has table sets. 0 defaults to 1 (sequential);
+	// pass runtime.NumCPU() to use the whole machine.
 	Workers int
 
 	// AllowSampling overrides whether sampling scans are in the plan
