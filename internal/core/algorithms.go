@@ -365,7 +365,7 @@ func WeightedSumDPContext(ctx context.Context, m *costmodel.Model, w objective.W
 	if err != nil {
 		return Result{}, err
 	}
-	e := newEngineFor(ctx, m, opts, exactPrecision, w, "weightedsum")
+	e := newEngine(ctx, m, opts, exactPrecision, w)
 	res, err := e.result(e.runScalar(), w, objective.NoBounds(), start)
 	res.Snapshot = nil
 	return res, err

@@ -184,22 +184,11 @@ func newPruning(objs objective.Set, set objective.Precision, n int) pruning {
 	return pruning{set: set, level: level, cfg: pareto.NewFlatPrecisionConfig(objs, level)}
 }
 
-// newEngine prepares a Pareto run (run) over opts.Objectives at set
-// precision set (see pruning): EXA's at exact precision, RTA's otherwise,
-// which is also what its pool is sized for (poolSize). opts must be
-// normalized (Workers >= 1). ctx cancellation aborts the run; a ctx deadline
-// degrades it (stopped).
+// newEngine prepares an engine run over opts.Objectives at set precision set
+// (see pruning), with the workers its pool is sized for (poolSize). opts must
+// be normalized (Workers >= 1). ctx cancellation aborts the run; a ctx
+// deadline degrades it (stopped).
 func newEngine(ctx context.Context, m *costmodel.Model, opts Options, set objective.Precision, w objective.Weights) *engine {
-	algorithm := "rta"
-	if set.Max(opts.Objectives) <= 1 {
-		algorithm = "exa"
-	}
-	return newEngineFor(ctx, m, opts, set, w, algorithm)
-}
-
-// newEngineFor is newEngine with the run's program named as PredictCost
-// names it; the keep-best programs (runScalar) pass "weightedsum".
-func newEngineFor(ctx context.Context, m *costmodel.Model, opts Options, set objective.Precision, w objective.Weights, algorithm string) *engine {
 	e := &engine{
 		q:       m.Query(),
 		m:       m,
@@ -226,7 +215,7 @@ func newEngineFor(ctx context.Context, m *costmodel.Model, opts Options, set obj
 	e.viewMemo = func(s query.TableSet) splitView {
 		return splitView{arch: e.memo.lookup(s), only: -1}
 	}
-	e.workers = make([]worker, e.poolSize(algorithm))
+	e.workers = make([]worker, e.poolSize())
 	for i := range e.workers {
 		e.workers[i] = worker{e: e, maxDoneID: -1}
 	}

@@ -22,8 +22,11 @@ func frontierSignature(t testing.TB, res Result, objs objective.Set) string {
 // TestParallelMatchesSerial: the level-synchronized pool must produce
 // exactly the serial engine's results — same best plan, same frontier
 // vectors, same candidate counts — for every worker count, on every
-// topology, for both the Pareto and the scalar dynamic programs.
+// topology, for both the Pareto and the scalar dynamic programs. The pool
+// is forced on (forcePool), so the comparison holds whatever the sequential
+// cutoff makes of these shapes.
 func TestParallelMatchesSerial(t *testing.T) {
+	forcePool(t)
 	shapes := []synthetic.Shape{synthetic.Chain, synthetic.Star, synthetic.Clique}
 	for _, shape := range shapes {
 		t.Run(shape.String(), func(t *testing.T) {
@@ -88,7 +91,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestParallelIRAMatchesSerial: the iterative algorithm runs every
 // refinement iteration on the pool; results must not depend on Workers.
+// The pool is forced on (forcePool): the iterations are below the
+// sequential cutoff.
 func TestParallelIRAMatchesSerial(t *testing.T) {
+	forcePool(t)
 	q := starQuery(t)
 	m := costmodel.NewDefault(q)
 	w := objective.UniformWeights(threeObjs)
@@ -220,8 +226,10 @@ func TestWorkersValidation(t *testing.T) {
 }
 
 // TestWorkersBeyondSets: more workers than table sets per level must not
-// deadlock or change results (the pool clamps to the level size).
+// deadlock or change results (the pool clamps to the level size). The pool
+// is forced on (forcePool): the run is below the sequential cutoff.
 func TestWorkersBeyondSets(t *testing.T) {
+	forcePool(t)
 	q := chainQuery(t)
 	m := costmodel.NewDefault(q)
 	w := objective.UniformWeights(threeObjs)

@@ -171,20 +171,28 @@ var poolSpawned atomic.Int64
 // whatever Options.Workers asks. On two cores every run of the scoreboard's
 // cold list at 972 and below (TPC-H q2, q3, q10 and q21 under RTA at three
 // objectives) ran at 0.52–0.86× its one-worker speed with a second worker;
-// the cutoff sits in the gap to the next run up, at 2 592
-// (BenchmarkPoolCutoff; the table is in ROADMAP item 7(a)).
+// the cutoff sits in the gap to the next run up, at 2 592. The keep-best
+// runs it puts on one worker under EXA's term (up to four tables at one
+// objective, three at three) ran at 0.59–0.70× with a second one
+// (BenchmarkPoolCutoff; the tables are in ROADMAP item 7(a)).
 const sequentialBelow = 1500
 
 // poolForced lifts the sequentialBelow cutoff (the widest-level cap still
 // holds), so tests can drive the pool on small shapes. Only tests set it.
 var poolForced bool
 
-// poolSize is the number of workers a run of algorithm (PredictCost's name
-// for the program) over e's enumeration uses: one below sequentialBelow, and
-// otherwise Options.Workers capped at the widest level's set count, since
-// runLevel never wakes more workers than a level has sets. Options.Workers
-// is an upper bound; the answer and Stats do not depend on the count.
-func (e *engine) poolSize(algorithm string) int {
+// poolSize is the number of workers e's run uses: one when PredictCost of
+// the run is below sequentialBelow, and otherwise Options.Workers capped at
+// the widest level's set count, since runLevel never wakes more workers than
+// a level has sets. The run is priced as EXA at exact set precision (which
+// the keep-best programs share) and as RTA otherwise, so each IRA iteration
+// decides for itself. Options.Workers is an upper bound; the answer and
+// Stats do not depend on the count.
+func (e *engine) poolSize() int {
+	algorithm := "rta"
+	if e.prune.set.Max(e.opts.Objectives) <= 1 {
+		algorithm = "exa"
+	}
 	if e.opts.Workers == 1 || !poolForced &&
 		PredictCost(e.q.NumRelations(), e.opts.Objectives.Len(), algorithm) < sequentialBelow {
 		return 1

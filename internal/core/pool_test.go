@@ -188,12 +188,13 @@ func forcePool(t testing.TB) {
 
 // TestSmallRunStaysSequential: a run whose PredictCost is below
 // sequentialBelow takes one worker whatever Workers asks — it spawns no pool
-// goroutine and allocates exactly what Workers=1 does — for each program's
-// algorithm term; q5, sequential under the weighted sum, is above the cutoff
-// under RTA and does spawn.
+// goroutine and allocates exactly what Workers=1 does — under RTA's term, and
+// under EXA's for EXA and the keep-best programs (Selinger, the weighted
+// sum). q5 under RTA and q10 under EXA, above the cutoff, do spawn; q10
+// under RTA, eight times cheaper than under EXA, does not.
 func TestSmallRunStaysSequential(t *testing.T) {
 	cat := catalog.TPCH(1)
-	q3, q5 := workload.MustQuery(3, cat), workload.MustQuery(5, cat)
+	q3, q5, q10 := workload.MustQuery(3, cat), workload.MustQuery(5, cat), workload.MustQuery(10, cat)
 	objs := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
 	w := objective.UniformWeights(objs)
 	runs := []struct {
@@ -203,11 +204,17 @@ func TestSmallRunStaysSequential(t *testing.T) {
 		{"tpch-q3/RTA1.5", func(n int) (Result, error) {
 			return RTA(costmodel.NewDefault(q3), w, Options{Objectives: objs, Alpha: 1.5, Workers: n})
 		}},
+		{"tpch-q10/RTA1.5", func(n int) (Result, error) {
+			return RTA(costmodel.NewDefault(q10), w, Options{Objectives: objs, Alpha: 1.5, Workers: n})
+		}},
 		{"tpch-q3/EXA", func(n int) (Result, error) {
 			return EXA(costmodel.NewDefault(q3), w, objective.NoBounds(), Options{Objectives: objs, Workers: n})
 		}},
-		{"tpch-q5/WeightedSum", func(n int) (Result, error) {
-			return WeightedSumDP(costmodel.NewDefault(q5), w, Options{Objectives: objs, Workers: n})
+		{"tpch-q3/WeightedSum", func(n int) (Result, error) {
+			return WeightedSumDP(costmodel.NewDefault(q3), w, Options{Objectives: objs, Workers: n})
+		}},
+		{"tpch-q10/Selinger", func(n int) (Result, error) {
+			return Selinger(costmodel.NewDefault(q10), objective.TotalTime, Options{Workers: n})
 		}},
 	}
 	for _, r := range runs {
@@ -236,13 +243,26 @@ func TestSmallRunStaysSequential(t *testing.T) {
 			}
 		}
 	}
-	before := poolSpawned.Load()
-	if _, err := RTA(costmodel.NewDefault(q5), w, Options{Objectives: objs, Alpha: 1.5, Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if spawned := poolSpawned.Load() - before; spawned != 1 {
-		t.Errorf("tpch-q5/RTA1.5/workers=2 (PredictCost %v): spawned %d pool goroutines, want 1",
-			PredictCost(q5.NumRelations(), objs.Len(), "rta"), spawned)
+	for _, r := range []struct {
+		name, algorithm string
+		q               *query.Query
+		run             func() (Result, error)
+	}{
+		{"tpch-q5/RTA1.5", "rta", q5, func() (Result, error) {
+			return RTA(costmodel.NewDefault(q5), w, Options{Objectives: objs, Alpha: 1.5, Workers: 2})
+		}},
+		{"tpch-q10/EXA", "exa", q10, func() (Result, error) {
+			return EXA(costmodel.NewDefault(q10), w, objective.NoBounds(), Options{Objectives: objs, Workers: 2})
+		}},
+	} {
+		before := poolSpawned.Load()
+		if _, err := r.run(); err != nil {
+			t.Fatal(err)
+		}
+		if spawned := poolSpawned.Load() - before; spawned != 1 {
+			t.Errorf("%s/workers=2 (PredictCost %v): spawned %d pool goroutines, want 1",
+				r.name, PredictCost(r.q.NumRelations(), objs.Len(), r.algorithm), spawned)
+		}
 	}
 }
 
@@ -309,9 +329,12 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 
 // BenchmarkPoolCutoff sizes sequentialBelow: for each instance of the
 // scoreboard's cold list (benchmark/cold.go; its two IRA instances left out,
-// since each of their iterations sizes its own pool) it times one run at
-// Workers=1 and one at Workers=2 with the pool forced on, alternately, and
-// reports both and their ratio beside the instance's PredictCost. Run it
+// since each of their iterations sizes its own pool), and for Selinger (one
+// objective) and the weighted sum (three) on TPC-H and synthetic shapes up to
+// a 9-table clique, it times one run at Workers=1 and one at Workers=2 with
+// the pool forced on, alternately, and reports both and their ratio beside
+// the run's PredictCost under the term poolSize prices it with (EXA's for
+// the keep-best programs, which run at exact precision). Run it
 // with -benchtime 3s on the cores to be judged; a ratio above 1 below the
 // cutoff, or below 1 above it, argues for moving it.
 func BenchmarkPoolCutoff(b *testing.B) {
@@ -322,15 +345,18 @@ func BenchmarkPoolCutoff(b *testing.B) {
 		_, q := synthetic.MustBuild(synthetic.Spec{Shape: shape, Tables: tables, Seed: 7})
 		return q
 	}
+	objs1 := objective.NewSet(objective.TotalTime)
 	objs2 := objective.NewSet(objective.TotalTime, objective.BufferFootprint)
 	objs3 := objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy)
 	objs6 := objective.NewSet(objective.TotalTime, objective.StartupTime, objective.IOLoad,
 		objective.CPULoad, objective.BufferFootprint, objective.Energy)
 	objs9 := objective.AllSet()
+	// alpha: 0 for EXA, -1 for the keep-best program (Selinger at one
+	// objective, the weighted sum at more), else RTA's α.
 	type instance struct {
 		q     *query.Query
 		objs  objective.Set
-		alpha float64 // 0: EXA
+		alpha float64
 	}
 	var list []instance
 	for _, q := range []*query.Query{tpch(2), tpch(3), tpch(10), tpch(21), synth(synthetic.Chain, 8)} {
@@ -348,9 +374,17 @@ func BenchmarkPoolCutoff(b *testing.B) {
 		instance{tpch(9), objs6, 1.5}, instance{tpch(5), objs6, 2}, instance{tpch(10), objs9, 1.5},
 		instance{tpch(2), objs9, 2}, instance{tpch(21), objs9, 1.5}, instance{synth(synthetic.Chain, 12), objs3, 1.5},
 		instance{synth(synthetic.Cycle, 10), objs2, 0}, instance{synth(synthetic.Star, 8), objs3, 1.5})
+	for _, q := range []*query.Query{tpch(3), tpch(10), tpch(2), tpch(5), tpch(7), tpch(8), tpch(9),
+		synth(synthetic.Chain, 8), synth(synthetic.Chain, 12), synth(synthetic.Star, 8), synth(synthetic.Cycle, 10),
+		synth(synthetic.Clique, 7), synth(synthetic.Clique, 8), synth(synthetic.Clique, 9)} {
+		list = append(list, instance{q, objs1, -1}, instance{q, objs3, -1})
+	}
 	for _, in := range list {
 		alg, name := "exa", fmt.Sprintf("%s/EXA/%dobj", in.q.Name, in.objs.Len())
-		if in.alpha > 0 {
+		switch {
+		case in.alpha < 0:
+			name = fmt.Sprintf("%s/KeepBest/%dobj", in.q.Name, in.objs.Len())
+		case in.alpha > 0:
 			alg, name = "rta", fmt.Sprintf("%s/RTA%g/%dobj", in.q.Name, in.alpha, in.objs.Len())
 		}
 		m := costmodel.NewDefault(in.q)
@@ -358,10 +392,14 @@ func BenchmarkPoolCutoff(b *testing.B) {
 		run := func(workers int) time.Duration {
 			start := time.Now()
 			var err error
-			if in.alpha > 0 {
-				_, err = RTA(m, w, Options{Objectives: in.objs, Alpha: in.alpha, Workers: workers})
-			} else {
-				_, err = EXA(m, w, objective.NoBounds(), Options{Objectives: in.objs, Workers: workers})
+			opts := Options{Objectives: in.objs, Alpha: max(1, in.alpha), Workers: workers}
+			switch {
+			case in.alpha < 0:
+				_, err = WeightedSumDP(m, w, opts)
+			case in.alpha > 0:
+				_, err = RTA(m, w, opts)
+			default:
+				_, err = EXA(m, w, objective.NoBounds(), opts)
 			}
 			if err != nil {
 				b.Fatal(err)
