@@ -89,10 +89,15 @@ type BatchItem struct {
 //     larger star, a chain extending another) skip each other's completed
 //     table sets, and
 //   - distinct dynamic programs are scheduled most-expensive-first
-//     (core.PredictCost), which minimizes the makespan of the parallel
-//     fan-out and maximizes what cheap members find pre-published — the
-//     schedule of internal/batchplan, the same one moqod's
-//     POST /optimize/batch serves its members under.
+//     (core.PredictCost), which bounds the makespan of the parallel
+//     fan-out and lets cheap members find subproblems pre-published — the
+//     ticket-major schedule of internal/batchplan, the same one moqod's
+//     POST /optimize/batch serves its members under. Here each frontier
+//     group is its own lane, so every group is a leader (ticket 0) and the
+//     order is plain cost order; moqod's lanes hold several members, and
+//     it claims every lane's leader before any lane's follower, trading
+//     some pre-published subproblems (more enumeration work) for leaders
+//     that run side by side.
 //
 // Every member's result is bit-for-bit the result a standalone
 // Optimize(req) call would return — plans, cost vectors, frontiers; only
@@ -195,7 +200,8 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 	// A group is its own lane: nothing two groups share is written by a
 	// run (a built Query is immutable, each run fills its own cost model's
 	// estimate table, the shared memo locks), so the schedule only orders
-	// them — most-expensive-first.
+	// them — every group holds ticket 0, so ticket-major order is plain
+	// most-expensive-first.
 	plan := batchplan.New(len(groups),
 		func(i int) float64 { return groups[i][0].r.PredictedCost() },
 		func(i int) int { return i })

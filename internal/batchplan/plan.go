@@ -51,8 +51,12 @@ type Schedule struct {
 	lanes int
 }
 
-// New schedules units 0..n-1 most-expensive-first (stable) and hands each
-// its lane's next ticket in that order.
+// New hands each of units 0..n-1 its lane's next ticket in cost order
+// (most expensive first, stable), then schedules them ticket-major: every
+// lane's ticket 0 before any lane's ticket 1, and so on, each round most
+// expensive first. A unit cannot start before its lane's earlier tickets
+// are served, so claiming it ahead of another lane's leader would only
+// park its claimer while that leader waited for a free one.
 func New[L comparable](n int, cost func(i int) float64, lane func(i int) L) Schedule {
 	s := Schedule{slots: make([]slot, n)}
 	for i := range s.slots {
@@ -72,6 +76,7 @@ func New[L comparable](n int, cost func(i int) float64, lane func(i int) L) Sche
 		t.issued++
 	}
 	s.lanes = len(turns)
+	sort.SliceStable(s.slots, func(a, b int) bool { return s.slots[a].ticket < s.slots[b].ticket })
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestQueryTurnOrder: holders of a lane's tickets are served one at a
@@ -99,4 +100,60 @@ func TestLaneOrderIsScheduleOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLeadersBeforeFollowers: the claim order is ticket-major — every
+// lane's ticket k before any lane's ticket k+1 — and within one round
+// most expensive first, equal costs in submission order.
+func TestLeadersBeforeFollowers(t *testing.T) {
+	costs := []float64{4, 9, 9, 2, 7, 8, 3, 1}
+	lanes := []int{0, 0, 1, 1, 2, 0, 2, 3}
+	s := New(len(costs), func(i int) float64 { return costs[i] }, func(i int) int { return lanes[i] })
+	var order []int
+	s.Run(1, func(i int) { order = append(order, i) })
+	// Tickets by lane in cost order: lane 0 {1, 5, 0}, lane 1 {2, 3},
+	// lane 2 {4, 6}, lane 3 {7}. Cost order alone would claim lane 0's
+	// follower 5 before the leaders 4 and 7.
+	if want := []int{1, 2, 4, 7, 5, 6, 3, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("parallel 1 served %v, want %v", order, want)
+	}
+	ticket := make([]int, len(costs))
+	issued := map[int]int{}
+	for _, i := range order {
+		ticket[i] = issued[lanes[i]]
+		issued[lanes[i]]++
+	}
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if ticket[a] > ticket[b] {
+			t.Fatalf("unit %d (ticket %d) claimed before unit %d (ticket %d)", a, ticket[a], b, ticket[b])
+		}
+		if ticket[a] == ticket[b] && (costs[a] < costs[b] || (costs[a] == costs[b] && a > b)) {
+			t.Fatalf("round %d: unit %d (cost %v) before unit %d (cost %v)", ticket[a], a, costs[a], b, costs[b])
+		}
+	}
+}
+
+// TestRunOverlapsLaneLeaders: two lanes, A (a leader and its follower)
+// and B (a leader), on two claimers. A's leader can only finish once B's
+// leader has started, so B's leader must be claimed before A's follower:
+// a claimer parked on A's follower would leave B's leader unclaimed.
+func TestRunOverlapsLaneLeaders(t *testing.T) {
+	const aLeader, bLeader = 0, 2 // unit 1 is A's follower
+	costs := []float64{9, 8, 1}
+	lanes := []string{"A", "A", "B"}
+	s := New(len(costs), func(i int) float64 { return costs[i] }, func(i int) string { return lanes[i] })
+	bStarted := make(chan struct{})
+	s.Run(2, func(i int) {
+		switch i {
+		case aLeader:
+			select {
+			case <-bStarted:
+			case <-time.After(10 * time.Second):
+				t.Error("lane A's leader ran alone: lane B's leader was not claimed while it ran")
+			}
+		case bLeader:
+			close(bStarted)
+		}
+	})
 }

@@ -28,8 +28,9 @@ const maxBatchBody = 8 << 20
 // once; distinct member query specs build one query object each, so
 // members of the same shape share one cardinality/selectivity warm-up; all
 // members publish solved subproblems to one batch-scoped shared memo
-// (moqo.SharedMemo); and they are served most-expensive-first
-// (internal/batchplan). The tiers do the rest — identical members coalesce
+// (moqo.SharedMemo); and they are served ticket-major (internal/batchplan):
+// every shape's leader, most expensive first, before any shape's second
+// member. The tiers do the rest — identical members coalesce
 // to one dynamic program and re-weights are answered from a sibling's
 // frontier snapshot — and every member's answer is bit-for-bit its
 // standalone /optimize answer.
@@ -138,14 +139,18 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		runnable = append(runnable, i)
 	}
 
-	// Most-expensive-first, so long dynamic programs start at once and
-	// cheap overlapping members find their subproblems pre-published; one
-	// lane per query object, so the members of one shape are served in
-	// schedule order: the first runs the dynamic program, the rest answer
-	// from what it cached, the same ones on every run. (Running them side
-	// by side would be safe — a built query is only read — but who leads
-	// would be a race.) The re-weight and cache-hit paths a lane also
-	// orders are microseconds.
+	// One lane per query object, so the members of one shape are served
+	// in ticket order, most expensive first: the first runs the dynamic
+	// program, the rest answer from what it cached, the same ones on every
+	// run. (Running them side by side would be safe — a built query is
+	// only read — but who leads would be a race.) Claims are ticket-major:
+	// every lane's leader, most expensive first, before any lane's
+	// follower, so distinct dynamic programs run side by side on the cores
+	// workerShare divides below, long ones start at once, and cheap
+	// overlapping leaders find some subproblems pre-published — fewer than
+	// if they waited for the long ones, the CPU this order pays for its
+	// makespan. A follower claimed early would only park its claimer; the
+	// re-weight and cache-hit paths followers take are microseconds.
 	plan := batchplan.New(len(runnable),
 		func(k int) float64 { return members[runnable[k]].req.PredictedCost() },
 		func(k int) *moqo.Query { return members[runnable[k]].req.Request().Query })

@@ -35,9 +35,12 @@
 //     schedule and the tiers all ask and nothing re-derives — then
 //     admission under the resolved algorithm; fails with a classified
 //     failure (validation before admission, or admission).
-//   - schedule (batchplan.New/Run, batches only): members most-expensive-
-//     first, those of one query shape one after another in that order
-//     (so who leads a shape is not a race), on `parallel` claimers of
+//   - schedule (batchplan.New/Run, batches only): one lane per query
+//     shape, whose members are served one after another most expensive
+//     first (so who leads a shape is not a race); claims are ticket-major
+//     — every shape's leader, most expensive first, before any shape's
+//     second member — so distinct dynamic programs run side by side rather
+//     than a claimer parking on a follower; on `parallel` claimers of
 //     which the handler is one — the same schedule moqo.OptimizeBatch
 //     runs the library's batches under.
 //   - serve (Server.serve): deadline budget, tiers, rendering the result

@@ -520,9 +520,9 @@ func (s *Store) GetE(key string) ([]byte, bool, error) {
 	}
 	s.hits++
 	s.lru.MoveToFront(ent.el)
-	out := make([]byte, len(rec.val))
-	copy(out, rec.val)
-	return out, true, nil
+	// buf is this call's own read: nothing else holds it, so its value
+	// slice is already the caller's copy.
+	return rec.val, true, nil
 }
 
 // Touch marks key most recently used, exactly as a GetE hit does, without

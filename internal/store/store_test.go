@@ -559,3 +559,34 @@ func TestConcurrentAccess(t *testing.T) {
 		}
 	}
 }
+
+// TestGetValueIsPrivate: the value Get returns is the caller's own — every
+// byte overwritten and appended to, the next Get (and a reopened store)
+// still reads what was put — and a hit allocates no second copy of it.
+func TestGetValueIsPrivate(t *testing.T) {
+	const key = "frontier/0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	dir := t.TempDir()
+	s := openT(t, dir)
+	val := []byte("frontier-snapshot-bytes")
+	if err := s.Put(key, val); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	got, ok := s.Get(key)
+	if !ok || !bytes.Equal(got, val) {
+		t.Fatalf("Get = %q, %v; want %q, true", got, ok, val)
+	}
+	for i := range got {
+		got[i] = 'X'
+	}
+	_ = append(got, "tail-overwrite"...) // writes past the value if its capacity runs on
+	if again, ok := s.Get(key); !ok || !bytes.Equal(again, val) {
+		t.Fatalf("Get after mutating a returned value = %q, %v; want %q", again, ok, val)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.Get(key) }); allocs > 2 {
+		t.Errorf("a store hit allocates %.0f times; want at most 2 (the read buffer and the record's key)", allocs)
+	}
+	s.Close()
+	if again, ok := openT(t, dir).Get(key); !ok || !bytes.Equal(again, val) {
+		t.Fatalf("reopened Get = %q, %v; want %q", again, ok, val)
+	}
+}
