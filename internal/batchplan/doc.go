@@ -12,10 +12,9 @@
 //     subproblems already published to the batch's shared memo. Both sorts
 //     are stable, so units of equal cost keep their submission order.
 //     A follower cannot start before its lane's leader is served, so
-//     claiming it early would only park a claimer while another lane's
-//     leader waited; ticket-major order runs distinct leaders side by side
-//     instead, which is what a caller dividing the cores among the units
-//     in flight assumes. The trade-off: leaders that overlap run at once,
+//     ticket-major order runs distinct leaders side by side first, which
+//     is what a caller dividing the cores among the units in flight
+//     assumes. The trade-off: leaders that overlap run at once,
 //     so fewer of their subproblems are already published when each gets
 //     there — more enumeration work (CPU) for a shorter makespan.
 //   - Lanes: units sharing a lane are served one at a time, in ticket
@@ -29,7 +28,14 @@
 //     and the order is plain most-expensive-first.
 //   - Claimers: Run serves with `parallel` claimers, of which the caller's
 //     goroutine is one — a batch with parallel 1 spawns nothing, and
-//     otherwise the caller works instead of waiting.
+//     otherwise the caller works instead of waiting. A claimer takes the
+//     first unclaimed unit in schedule order whose lane is free (every
+//     earlier ticket served, nothing in service), so it never parks on a
+//     busy lane while another lane's unit could start: once a lane's
+//     leader is served, its followers run beside another lane's long
+//     leader. The claimer that finishes a unit takes the next free one
+//     itself, its lane's successor included, so no claimer ever waits for
+//     another: one that finds no unit free is done.
 //
 // The package knows nothing about requests, caches or tenants: a unit is
 // an index, and what serving it means is the caller's callback.

@@ -1,51 +1,19 @@
 package batchplan
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// turn serializes one lane's units in ticket order. Units are claimed in
-// schedule order, so whoever holds ticket k-1 was claimed before the holder
-// of k and is being served: a waiter only ever waits on work in progress.
-type turn struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	issued  int // tickets handed out while scheduling
-	serving int // the ticket whose turn it is
-}
-
-func newTurn() *turn {
-	t := &turn{}
-	t.cond.L = &t.mu
-	return t
-}
-
-func (t *turn) wait(ticket int) {
-	t.mu.Lock()
-	for t.serving != ticket {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
-}
-
-func (t *turn) done() {
-	t.mu.Lock()
-	t.serving++
-	t.mu.Unlock()
-	t.cond.Broadcast()
-}
 
 // slot is one unit's place in the schedule.
 type slot struct {
-	unit   int
-	turn   *turn
-	ticket int
+	unit int
+	next int // the schedule position of its lane's next ticket, -1 if none
 }
 
-// Schedule is the order n units are served in and each unit's ticket in
-// its lane. Build one with New, run it once.
+// Schedule is the order n units are served in and the lane each unit
+// follows. Build one with New, run it once.
 type Schedule struct {
 	slots []slot
 	lanes int
@@ -54,29 +22,33 @@ type Schedule struct {
 // New hands each of units 0..n-1 its lane's next ticket in cost order
 // (most expensive first, stable), then schedules them ticket-major: every
 // lane's ticket 0 before any lane's ticket 1, and so on, each round most
-// expensive first. A unit cannot start before its lane's earlier tickets
-// are served, so claiming it ahead of another lane's leader would only
-// park its claimer while that leader waited for a free one.
+// expensive first. The first Lanes() positions are therefore the lanes'
+// leaders, and every later unit follows an earlier position of its lane.
 func New[L comparable](n int, cost func(i int) float64, lane func(i int) L) Schedule {
-	s := Schedule{slots: make([]slot, n)}
-	for i := range s.slots {
-		s.slots[i].unit = i
+	units := make([]int, n)
+	for i := range units {
+		units[i] = i
 	}
-	sort.SliceStable(s.slots, func(a, b int) bool { return cost(s.slots[a].unit) > cost(s.slots[b].unit) })
-	turns := make(map[L]*turn)
-	for k := range s.slots {
-		sl := &s.slots[k]
-		l := lane(sl.unit)
-		t := turns[l]
-		if t == nil {
-			t = newTurn()
-			turns[l] = t
+	sort.SliceStable(units, func(a, b int) bool { return cost(units[a]) > cost(units[b]) })
+	ticket := make([]int, n) // by unit
+	issued := make(map[L]int)
+	for _, i := range units {
+		l := lane(i)
+		ticket[i] = issued[l]
+		issued[l]++
+	}
+	sort.SliceStable(units, func(a, b int) bool { return ticket[units[a]] < ticket[units[b]] })
+
+	s := Schedule{slots: make([]slot, n), lanes: len(issued)}
+	last := make(map[L]int, len(issued)) // each lane's latest position so far
+	for k, i := range units {
+		s.slots[k] = slot{unit: i, next: -1}
+		l := lane(i)
+		if p, ok := last[l]; ok {
+			s.slots[p].next = k
 		}
-		sl.turn, sl.ticket = t, t.issued
-		t.issued++
+		last[l] = k
 	}
-	s.lanes = len(turns)
-	sort.SliceStable(s.slots, func(a, b int) bool { return s.slots[a].ticket < s.slots[b].ticket })
 	return s
 }
 
@@ -86,21 +58,38 @@ func (s Schedule) Lanes() int { return s.lanes }
 
 // Run serves every unit exactly once: parallel claimers (at least one, at
 // most one per unit; the caller's goroutine is the first) each claim the
-// next unit in schedule order, wait for its turn in its lane, and call
-// serve. It returns when every unit has been served.
+// first unclaimed unit in schedule order that can start — its lane has
+// served every earlier ticket and has nothing in service — and call serve.
+// A claimer never parks on a busy lane while another lane's unit could
+// start, and lanes still serve in ticket order, so who leads a lane does
+// not depend on timing. Run returns when every unit has been served.
 func (s Schedule) Run(parallel int, serve func(i int)) {
-	var next atomic.Int64
+	var (
+		mu sync.Mutex
+		// ready holds, ascending, the positions that can start: the
+		// leaders at first, then each served unit's successor in its lane.
+		// The claimer that served a unit puts its successor in and takes
+		// the head in one critical section, so ready never grows: a
+		// claimer that finds it empty will find it empty again, and stops.
+		ready = make([]int, s.lanes)
+	)
+	for k := range ready {
+		ready[k] = k
+	}
 	claim := func() {
-		for {
-			k := int(next.Add(1) - 1)
-			if k >= len(s.slots) {
-				return
+		mu.Lock()
+		for len(ready) > 0 {
+			k := ready[0]
+			ready = slices.Delete(ready, 0, 1)
+			mu.Unlock()
+			serve(s.slots[k].unit)
+			mu.Lock()
+			if next := s.slots[k].next; next >= 0 {
+				at, _ := slices.BinarySearch(ready, next)
+				ready = slices.Insert(ready, at, next)
 			}
-			sl := &s.slots[k]
-			sl.turn.wait(sl.ticket)
-			serve(sl.unit)
-			sl.turn.done()
 		}
+		mu.Unlock()
 	}
 	var wg sync.WaitGroup
 	for g := 1; g < min(parallel, len(s.slots)); g++ {

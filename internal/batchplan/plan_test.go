@@ -3,39 +3,10 @@ package batchplan
 import (
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// TestQueryTurnOrder: holders of a lane's tickets are served one at a
-// time in ticket order, whatever order they arrive in (the appends below
-// are unsynchronized but for the turn: -race checks the exclusion).
-func TestQueryTurnOrder(t *testing.T) {
-	qt := newTurn()
-	const n = 64
-	var order []int
-	var wg sync.WaitGroup
-	for k := n - 1; k >= 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			qt.wait(k)
-			order = append(order, k)
-			qt.done()
-		}()
-	}
-	wg.Wait()
-	for k, got := range order {
-		if got != k {
-			t.Fatalf("served %v, want tickets in order", order)
-		}
-	}
-	if len(order) != n {
-		t.Fatalf("served %d of %d", len(order), n)
-	}
-}
 
 // TestRunServesEveryUnitOnce: every index is served exactly once for any
 // parallel, including more claimers than units and none at all.
@@ -154,6 +125,38 @@ func TestRunOverlapsLaneLeaders(t *testing.T) {
 			}
 		case bLeader:
 			close(bStarted)
+		}
+	})
+}
+
+// TestRunSkipsBusyLane: lanes A (leader A0, follower A1) and B (leader
+// B0, follower B1), scheduled A0, B0, A1, B1 on two claimers. A0 can only
+// finish once B1 has started, so the claimer that served B0 must pass
+// over A1, whose lane is busy, and take B1: parked on A1, it would leave
+// B1 unclaimed until A0 gave up.
+func TestRunSkipsBusyLane(t *testing.T) {
+	const a0, a1, b0, b1 = 0, 1, 2, 3
+	costs := []float64{9, 2, 8, 1}
+	lanes := []string{"A", "A", "B", "B"}
+	s := New(len(costs), func(i int) float64 { return costs[i] }, func(i int) string { return lanes[i] })
+	var order []int
+	s.Run(1, func(i int) { order = append(order, i) })
+	if want := []int{a0, b0, a1, b1}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("parallel 1 served %v, want the schedule %v", order, want)
+	}
+
+	b1Started := make(chan struct{})
+	s = New(len(costs), func(i int) float64 { return costs[i] }, func(i int) string { return lanes[i] })
+	s.Run(2, func(i int) {
+		switch i {
+		case a0:
+			select {
+			case <-b1Started:
+			case <-time.After(10 * time.Second):
+				t.Error("B1 was not claimed while A0 ran: a claimer parked on A1, whose lane was busy")
+			}
+		case b1:
+			close(b1Started)
 		}
 	})
 }

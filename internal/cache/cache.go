@@ -101,6 +101,9 @@ type call[V any] struct {
 	val   V
 	store bool
 	err   error
+	// waiters counts the callers that joined the flight (under flightMu),
+	// so a test can tell when they have reached it.
+	waiters int
 }
 
 // Cache is a sharded, bounded, concurrency-safe LRU cache with
@@ -273,6 +276,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func(context.Cont
 
 		c.flightMu.Lock()
 		if fl, inFlight := c.flights[key]; inFlight && coalesce {
+			fl.waiters++
 			c.flightMu.Unlock()
 			select {
 			case <-fl.done:

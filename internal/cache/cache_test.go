@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,6 +136,28 @@ func TestCapacityBound(t *testing.T) {
 	}
 }
 
+// awaitWaiters waits until n callers have joined the flight for key,
+// failing the test if they have not within ten seconds.
+func awaitWaiters[V any](t *testing.T, c *Cache[V], key string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.flightMu.Lock()
+		got := 0
+		if fl := c.flights[key]; fl != nil {
+			got = fl.waiters
+		}
+		c.flightMu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers joined the flight for %q", got, n, key)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestSingleFlight: N concurrent Do calls for one key run compute exactly
 // once; everyone gets the same value. Run with -race.
 func TestSingleFlight(t *testing.T) {
@@ -161,7 +184,7 @@ func TestSingleFlight(t *testing.T) {
 			sources[i], values[i] = src, v
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond) // let all callers reach Do
+	awaitWaiters(t, c, "key", n-1) // let all callers reach Do
 	close(release)
 	wg.Wait()
 
@@ -217,7 +240,7 @@ func TestWaiterRetriesOnPrivateResult(t *testing.T) {
 		}
 		waiterDone <- v
 	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter coalesce
+	awaitWaiters(t, c, "k", 1) // let the waiter coalesce
 	close(release)
 
 	if v := <-leaderDone; v != "degraded" {
@@ -257,7 +280,7 @@ func TestWaiterRetriesOnLeaderCancel(t *testing.T) {
 		}
 		waiterDone <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter coalesce
+	awaitWaiters(t, c, "k", 1) // let the waiter coalesce
 	disconnect()
 
 	if err := <-waiterDone; err != nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -30,14 +29,18 @@ const maxBatchBody = 8 << 20
 // members publish solved subproblems to one batch-scoped shared memo
 // (moqo.SharedMemo); and they are served ticket-major (internal/batchplan):
 // every shape's leader, most expensive first, before any shape's second
-// member. The tiers do the rest — identical members coalesce
+// member, each claimer taking the first member whose shape has nothing in
+// service. Each member is encoded where it finishes, on the claimer that
+// served it, so encoding overlaps the dynamic programs still running.
+// The tiers do the rest — identical members coalesce
 // to one dynamic program and re-weights are answered from a sibling's
 // frontier snapshot — and every member's answer is bit-for-bit its
 // standalone /optimize answer.
 //
 // With "stream": true the response is NDJSON — one BatchMemberResponse
 // per line in completion order, flushed as members finish; otherwise one
-// BatchResponse collects every member in member order.
+// BatchResponse collects every member in member order, written in one
+// Write as the bytes json.Encoder would write for it (writeBatch).
 func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -79,37 +82,43 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Emit serialized: the streaming writer and the collecting slice are
-	// both single-writer under this mutex.
+	// Each member is rendered where it finishes, on the claimer that
+	// served it: as an NDJSON line, written under emitMu, or at its depth
+	// in the collected body, whose encoder is held until the body is
+	// written.
 	var (
-		emitMu  sync.Mutex
-		results []BatchMemberResponse
-		errs    int
-		flusher http.Flusher
-		enc     *json.Encoder
+		emitMu   sync.Mutex
+		flusher  http.Flusher
+		results  []BatchMemberResponse // collected mode, by member
+		rendered []*jsonEncoder        // results[i] rendered; nil if it did not encode
 	)
 	if wire.Stream {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		flusher, _ = w.(http.Flusher)
-		enc = json.NewEncoder(w)
 	} else {
 		results = make([]BatchMemberResponse, len(wire.Members))
+		rendered = make([]*jsonEncoder, len(wire.Members))
 	}
 	emit := func(resp BatchMemberResponse) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if resp.Error != "" {
-			errs++
-		}
-		if wire.Stream {
-			_ = enc.Encode(resp) // one JSON object per line
-			if flusher != nil {
-				flusher.Flush()
-			}
+		if !wire.Stream {
+			// Each member is emitted once: its slots need no lock.
+			results[resp.Member] = resp
+			rendered[resp.Member] = renderMember(&results[resp.Member], memberEncoders)
 			return
 		}
-		results[resp.Member] = resp
+		line := resp // a copy, so only a streamed response goes to the heap
+		e := renderMember(&line, lineEncoders)
+		if e == nil {
+			return
+		}
+		emitMu.Lock()
+		defer emitMu.Unlock()
+		_, _ = w.Write(e.buf.Bytes())
+		e.release()
+		if flusher != nil {
+			flusher.Flush()
+		}
 	}
 	emitFailure := func(i int, f *failure) {
 		emit(BatchMemberResponse{
@@ -149,8 +158,11 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	// workerShare divides below, long ones start at once, and cheap
 	// overlapping leaders find some subproblems pre-published — fewer than
 	// if they waited for the long ones, the CPU this order pays for its
-	// makespan. A follower claimed early would only park its claimer; the
-	// re-weight and cache-hit paths followers take are microseconds.
+	// makespan. A claimer takes the first member whose lane is free — its
+	// earlier members served, none in service — and never parks on a busy
+	// lane: while a long leader runs, the other claimers serve
+	// the short lanes' leaders, then their followers (re-weights and cache
+	// hits, microseconds each), and render each member as it finishes.
 	plan := batchplan.New(len(runnable),
 		func(k int) float64 { return members[runnable[k]].req.PredictedCost() },
 		func(k int) *moqo.Query { return members[runnable[k]].req.Request().Query })
@@ -182,17 +194,82 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	if wire.Stream {
 		return
 	}
+	errs := 0
+	for _, m := range results {
+		if m.Error != "" {
+			errs++
+		}
+	}
 	hits, _, published := shared.Counters()
-	s.writeJSON(w, http.StatusOK, BatchResponse{
-		Members: results,
-		Stats: BatchStatsResponse{
-			Members:           len(members),
-			Errors:            errs,
-			SharedSubproblems: int(published),
-			SharedHits:        hits,
-			DurationMs:        float64(time.Since(started)) / float64(time.Millisecond),
-		},
+	s.writeBatch(w, rendered, BatchStatsResponse{
+		Members:           len(members),
+		Errors:            errs,
+		SharedSubproblems: int(published),
+		SharedHits:        hits,
+		DurationMs:        float64(time.Since(started)) / float64(time.Millisecond),
 	})
+}
+
+// renderMember renders resp with an encoder from pool: memberEncoders
+// for writeBatch, lineEncoders for an NDJSON line. It returns nil when resp
+// does not encode; otherwise the caller releases the encoder once its
+// bytes are written.
+func renderMember(resp *BatchMemberResponse, pool *sync.Pool) *jsonEncoder {
+	e := pool.Get().(*jsonEncoder)
+	if e.enc.Encode(resp) != nil {
+		e.release()
+		return nil
+	}
+	return e
+}
+
+// batchHead opens a BatchResponse body, up to its members array's bracket.
+const batchHead = "{\n  \"members\": ["
+
+// writeBatch answers a collected batch with the bytes writeJSON writes
+// for the whole BatchResponse: members' renderings, in member order,
+// spliced into the envelope that stats encodes to, in one Write — and no
+// body when a member or stats did not encode. It releases the members'
+// encoders.
+func (s *Server) writeBatch(w http.ResponseWriter, members []*jsonEncoder, stats BatchStatsResponse) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	defer func() {
+		for _, e := range members {
+			if e != nil {
+				e.release()
+			}
+		}
+	}()
+	size := 0
+	for _, e := range members {
+		if e == nil {
+			return
+		}
+		size += len(",\n    ") + e.buf.Len()
+	}
+	env := jsonEncoders.Get().(*jsonEncoder)
+	defer env.release()
+	if env.enc.Encode(&BatchResponse{Members: []BatchMemberResponse{}, Stats: stats}) != nil {
+		return
+	}
+	// env reads {"members": [], "stats": ...}: the members go between the
+	// brackets, each at its depth, without its encoder's newline.
+	tail := env.buf.Bytes()[len(batchHead):]
+	body := make([]byte, 0, len(batchHead)+size+len("\n  ")+len(tail))
+	body = append(body, batchHead...)
+	for k, e := range members {
+		if k > 0 {
+			body = append(body, ',')
+		}
+		frag := e.buf.Bytes()
+		body = append(body, "\n    "...)
+		body = append(body, frag[:len(frag)-1]...)
+	}
+	if len(members) > 0 {
+		body = append(body, "\n  "...)
+	}
+	_, _ = w.Write(append(body, tail...))
 }
 
 // workerShare is the most workers one member's dynamic program gets when

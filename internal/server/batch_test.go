@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -343,5 +345,113 @@ func TestBatchWorkerShare(t *testing.T) {
 		if c.inFlight > 0 && c.inFlight <= c.cpus && workerShare(c.cpus, c.inFlight)*c.inFlight > c.cpus {
 			t.Errorf("%d members x %d workers oversubscribe %d cores", c.inFlight, workerShare(c.cpus, c.inFlight), c.cpus)
 		}
+	}
+}
+
+// TestBatchBodyMatchesEncoder: a collected body assembled from members
+// rendered one by one (renderMember, writeBatch) is byte for byte what a
+// json.Encoder with SetIndent("", "  ") writes for the whole
+// BatchResponse, and each NDJSON line is its compact json.Encoder line;
+// a member that does not encode leaves the body empty, as it leaves the
+// encoder's.
+func TestBatchBodyMatchesEncoder(t *testing.T) {
+	plan := json.RawMessage(`{"operator":"HashJoin","rows":12,"cost":{"total_time":3.5},` +
+		`"children":[{"operator":"Scan","relation":"a<b","rows":3,"cost":{}},{"operator":"Scan","relation":"c&d","rows":4,"cost":{"total_time":0}}]}`)
+	result := func(k int, frontier bool) *OptimizeResponse {
+		r := &OptimizeResponse{
+			Algorithm: "rta",
+			Plan:      plan,
+			Cost:      map[string]float64{"total_time": float64(k) + 0.25, "energy": 1e-9 * float64(k)},
+			Stats:     StatsResponse{DurationMs: 0.5 * float64(k), Considered: 100 * k, ReusedFrontier: k%2 == 1},
+			Cached:    k%3 == 0,
+		}
+		if frontier {
+			r.Frontier = []map[string]float64{{"total_time": 1, "energy": 2}, {"total_time": 2.5, "energy": 0.125}}
+		}
+		return r
+	}
+	failed := func(k int, msg string) BatchMemberResponse {
+		return BatchMemberResponse{Member: k, Error: fmt.Sprintf("member %d: %s", k, msg),
+			ErrorCode: CodeAdmission, Reason: "rate", RetryAfterMs: int64(k)}
+	}
+	stats := BatchStatsResponse{Members: 1, Errors: 0, SharedSubproblems: 3, SharedHits: 2, DurationMs: 1.0625}
+
+	one := BatchResponse{Members: []BatchMemberResponse{{Member: 0, Result: result(0, true)}}, Stats: stats}
+	twelve := BatchResponse{Stats: stats}
+	for k := range 12 {
+		switch k % 4 {
+		case 0:
+			twelve.Members = append(twelve.Members, BatchMemberResponse{Member: k, Result: result(k, true)})
+		case 1:
+			twelve.Members = append(twelve.Members, BatchMemberResponse{Member: k, Result: result(k, false)})
+		case 2:
+			twelve.Members = append(twelve.Members, failed(k, `tenant "a<b&c" — quota über <script>`))
+		case 3:
+			r := result(k, false)
+			r.Cost = map[string]float64{}
+			twelve.Members = append(twelve.Members, BatchMemberResponse{Member: k, Result: r})
+		}
+	}
+	twelve.Stats.Members, twelve.Stats.Errors = 12, 3
+	allFailed := BatchResponse{Members: []BatchMemberResponse{failed(0, `"quoted" & <tagged> ✓`)}, Stats: stats}
+
+	encode := func(v any, indent bool) ([]byte, error) {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		if indent {
+			enc.SetIndent("", "  ")
+		}
+		err := enc.Encode(v)
+		return buf.Bytes(), err
+	}
+	var s Server
+	for name, want := range map[string]BatchResponse{"one": one, "twelve": twelve, "failed": allFailed} {
+		rendered := make([]*jsonEncoder, len(want.Members))
+		for k := range want.Members {
+			rendered[k] = renderMember(&want.Members[k], memberEncoders)
+			line := renderMember(&want.Members[k], lineEncoders)
+			if rendered[k] == nil || line == nil {
+				t.Fatalf("%s: member %d did not encode", name, k)
+			}
+			wantLine, _ := encode(want.Members[k], false)
+			if !bytes.Equal(line.buf.Bytes(), wantLine) {
+				t.Errorf("%s: member %d line\n%s\nwant\n%s", name, k, line.buf.Bytes(), wantLine)
+			}
+			line.release()
+		}
+		rec := httptest.NewRecorder()
+		s.writeBatch(rec, rendered, want.Stats)
+		wantBody, err := encode(want, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, wantBody) {
+			t.Errorf("%s: body\n%s\nwant\n%s", name, got, wantBody)
+		}
+		if got := rec.Header().Get("Content-Type"); got != "application/json" {
+			t.Errorf("%s: Content-Type %q", name, got)
+		}
+	}
+
+	// A member that does not encode: no line, and no body at all.
+	bad := twelve
+	bad.Members = append([]BatchMemberResponse(nil), twelve.Members...)
+	r := result(5, false)
+	r.Cost["total_time"] = math.Inf(1)
+	bad.Members[5].Result = r
+	if _, err := encode(bad, true); err == nil {
+		t.Fatal("json.Encoder encoded +Inf")
+	}
+	rendered := make([]*jsonEncoder, len(bad.Members))
+	for k := range bad.Members {
+		rendered[k] = renderMember(&bad.Members[k], memberEncoders)
+		if (rendered[k] == nil) != (k == 5) {
+			t.Fatalf("member %d: rendered %v", k, rendered[k] != nil)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.writeBatch(rec, rendered, bad.Stats)
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("unencodable member: status %d, body %q; want 200 and no body", rec.Code, rec.Body.Bytes())
 	}
 }

@@ -39,10 +39,11 @@
 //     shape, whose members are served one after another most expensive
 //     first (so who leads a shape is not a race); claims are ticket-major
 //     — every shape's leader, most expensive first, before any shape's
-//     second member — so distinct dynamic programs run side by side rather
-//     than a claimer parking on a follower; on `parallel` claimers of
-//     which the handler is one — the same schedule moqo.OptimizeBatch
-//     runs the library's batches under.
+//     second member — so distinct dynamic programs run side by side; on
+//     `parallel` claimers of which the handler is one, each taking the
+//     first member whose shape has nothing in service, so none parks on
+//     a busy shape — the same schedule moqo.OptimizeBatch runs the
+//     library's batches under.
 //   - serve (Server.serve): deadline budget, tiers, rendering the result
 //     (toResponse; the frontier only for a request that asked for it),
 //     latency; a failure is classified by Server.serveFailure, the one
@@ -57,7 +58,9 @@
 //     concurrent identical keys (single-flight), so a burst for one query
 //     shape runs the engine once; only the cold dynamic program waits for
 //     a slot.
-//   - encode (Server.writeJSON / writeFailure; a batch's emit): the
+//   - encode (Server.writeJSON / writeFailure; a batch's emit, which
+//     renders each member on the claimer that served it, and writeBatch,
+//     which splices a collected batch's renderings into one body): the
 //     response, or the failure's status line and structured body.
 //
 // Cancellations propagate: a client disconnect aborts the in-flight
@@ -499,21 +502,47 @@ func Percentile(sorted []float64, p float64) float64 { return tenant.Percentile(
 // response reuses both the buffer and the indenting scratch json.Encoder
 // keeps instead of growing them afresh.
 type jsonEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	pool *sync.Pool
 }
 
-var jsonEncoders = sync.Pool{New: func() any {
-	e := new(jsonEncoder)
-	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
-	return e
-}}
+// encoderPool hands out encoders that indent by two spaces from prefix,
+// or write compact JSON when indent is false.
+func encoderPool(prefix string, indent bool) *sync.Pool {
+	p := new(sync.Pool)
+	p.New = func() any {
+		e := &jsonEncoder{pool: p}
+		e.enc = json.NewEncoder(&e.buf)
+		if indent {
+			e.enc.SetIndent(prefix, "  ")
+		}
+		return e
+	}
+	return p
+}
+
+var (
+	// jsonEncoders render whole bodies.
+	jsonEncoders = encoderPool("", true)
+	// memberEncoders render one batch member at its depth in a
+	// BatchResponse body; lineEncoders render one NDJSON line.
+	memberEncoders = encoderPool("    ", true)
+	lineEncoders   = encoderPool("", false)
+)
 
 // maxPooledBody bounds the buffer an encoder keeps in the pool: one that
-// grew past it for a large body (a batch, a rendered frontier, many
-// tenants' metrics) is dropped rather than held for every later response.
+// grew past it for a large body (a rendered frontier, many tenants'
+// metrics) is dropped rather than held for every later response.
 const maxPooledBody = 64 << 10
+
+// release returns e to its pool, unless its buffer outgrew maxPooledBody.
+func (e *jsonEncoder) release() {
+	if e.buf.Cap() <= maxPooledBody {
+		e.buf.Reset()
+		e.pool.Put(e)
+	}
+}
 
 // writeJSON answers with status and v as indented JSON: the bytes a
 // json.Encoder with SetIndent("", "  ") writes, in one Write, and nothing
@@ -525,10 +554,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	if e.enc.Encode(v) == nil {
 		_, _ = w.Write(e.buf.Bytes())
 	}
-	if e.buf.Cap() <= maxPooledBody {
-		e.buf.Reset()
-		jsonEncoders.Put(e)
-	}
+	e.release()
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
