@@ -14,9 +14,11 @@ import (
 // Requests over the same catalog whose queries join overlapping table
 // sets solve overlapping subproblems; a shared memo lets each request
 // publish the Pareto archives of the table sets it completed and serve
-// later requests' identical subproblems from them, bit-for-bit (the
+// other requests' identical subproblems from them, bit-for-bit (the
 // archive keys encode everything a subproblem's answer depends on — see
-// internal/core.SharedMemo for the soundness argument).
+// internal/core.SharedMemo for the soundness argument). A request that
+// reaches a subproblem another is still solving waits for it instead of
+// solving it again.
 //
 // A SharedMemo is safe for concurrent use and grows monotonically; scope
 // it to one batch (or one catalog generation) and drop it as a whole.
@@ -84,20 +86,21 @@ type BatchItem struct {
 //   - members differing only in weights, bounds or relation aliases (same
 //     FrontierKey, EXA/RTA) run one dynamic program; the others are
 //     answered from its Pareto frontier by a SelectBest scan,
-//   - all members publish solved subproblems to a shared memo, so
+//   - all members solve their subproblems through a shared memo, so
 //     overlapping-but-distinct queries (a star sharing its core with a
-//     larger star, a chain extending another) skip each other's completed
-//     table sets, and
+//     larger star, a chain extending another) skip each other's table
+//     sets: each is solved once, by the first member to reach it, and a
+//     member that reaches a set another is still solving waits for it
+//     rather than solving it again, and
 //   - distinct dynamic programs are scheduled most-expensive-first
 //     (core.PredictCost), which bounds the makespan of the parallel
-//     fan-out and lets cheap members find subproblems pre-published — the
-//     ticket-major schedule of internal/batchplan, the same one moqod's
-//     POST /optimize/batch serves its members under. Here each frontier
-//     group is its own lane, so every group is a leader (ticket 0) and the
-//     order is plain cost order; moqod's lanes hold several members, and
-//     it claims every lane's leader before any lane's follower, trading
-//     some pre-published subproblems (more enumeration work) for leaders
-//     that run side by side.
+//     fan-out — the ticket-major schedule of internal/batchplan, the same
+//     one moqod's POST /optimize/batch serves its members under. Here each
+//     frontier group is its own lane, so every group is a leader (ticket
+//     0) and the order is plain cost order; moqod's lanes hold several
+//     members, and it claims every lane's leader before any lane's
+//     follower, so leaders run side by side and overlapping ones split
+//     their common subproblems between them.
 //
 // Every member's result is bit-for-bit the result a standalone
 // Optimize(req) call would return — plans, cost vectors, frontiers; only

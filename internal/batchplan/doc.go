@@ -7,16 +7,14 @@
 //     first by the caller's predicted cost (core.PredictCost), and units
 //     are claimed round by round: every lane's ticket 0 (its leader) before
 //     any lane's ticket 1, each round most expensive first — the LPT
-//     makespan heuristic over the units that can actually start, which
-//     also lets the cheap overlapping units that follow find their
-//     subproblems already published to the batch's shared memo. Both sorts
+//     makespan heuristic over the units that can actually start. Both sorts
 //     are stable, so units of equal cost keep their submission order.
 //     A follower cannot start before its lane's leader is served, so
 //     ticket-major order runs distinct leaders side by side first, which
 //     is what a caller dividing the cores among the units in flight
-//     assumes. The trade-off: leaders that overlap run at once,
-//     so fewer of their subproblems are already published when each gets
-//     there — more enumeration work (CPU) for a shorter makespan.
+//     assumes. Leaders that overlap cost no extra enumeration work for
+//     running at once: the batch's shared memo has each subproblem solved
+//     by the first run to reach it while the others wait for it.
 //   - Lanes: units sharing a lane are served one at a time, in ticket
 //     order rather than in whatever order their claimers get there. A lane
 //     protects nothing — runs share no unlocked state — it decides who

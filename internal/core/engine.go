@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,6 +64,11 @@ type engine struct {
 	sharedPrefix []byte
 	sharedRels   [][]byte
 	sharedEdges  []sharedEdge
+	// awaitOnce registers, the first time a worker of the run waits on
+	// another run's key, the wake of the shared memo's waiters when ctx
+	// ends (armWake); stopAwait unregisters it when the run returns.
+	awaitOnce sync.Once
+	stopAwait func() bool
 
 	enum *enumeration
 	memo *memoTable
@@ -131,16 +137,22 @@ func (e *engine) recordPanic(r any) {
 	e.cancelled.Store(true)
 }
 
-// containPanic is deferred around every treated set.
-func (e *engine) containPanic() {
+// containPanic is deferred around every set w treats. A set w owns in the
+// shared memo is abandoned, so no other run waits on it forever.
+func (e *engine) containPanic(w *worker) {
 	if r := recover(); r != nil {
 		e.recordPanic(r)
+		if w.owned != "" {
+			e.shared.release(w.owned, nil)
+			w.owned = ""
+		}
 	}
 }
 
 // panicHook is a chaos-test seam: when set, it is called with each
 // treated set's memo id before the set is treated, from whichever
-// worker goroutine claims the set. Install via SetPanicHook.
+// worker goroutine claims the set — once per set, not again when a set
+// deferred to another run's owner is resumed. Install via SetPanicHook.
 var panicHook atomic.Pointer[func(id int32)]
 
 // SetPanicHook installs (nil clears) a function invoked for every
@@ -310,17 +322,25 @@ func (e *engine) run() *pareto.FlatArchive {
 		if s.Single() {
 			w.scanSet(id, s)
 		} else if w.expired() {
-			// Timeout: degrade to a single best-weighted plan (paper
-			// Section 5.1). Cancellation: there is no caller left to serve,
-			// so skip the set entirely — the run reports ctx.Err().
-			if !e.cancelled.Load() {
-				w.keepBest(id, s)
-			}
+			w.stoppedSet(id, s)
 		} else {
 			w.fullSet(id, s)
 		}
 	})
+	if e.stopAwait != nil {
+		e.stopAwait()
+	}
 	return e.memo.lookup(e.enum.all)
+}
+
+// stoppedSet treats a set the run reaches after its stop: a timeout
+// degrades it to a single best-weighted plan (paper Section 5.1); after a
+// cancellation there is no caller left to serve, so the set is skipped
+// entirely — the run reports ctx.Err().
+func (w *worker) stoppedSet(id int32, s query.TableSet) {
+	if !w.e.cancelled.Load() {
+		w.keepBest(id, s)
+	}
 }
 
 // runScalar executes the keep-best dynamic program: every table set keeps
@@ -419,24 +439,47 @@ func (w *worker) scanBestSet(id int32, s query.TableSet) {
 // into its archive. If the timeout fires mid-set, the set's archive is
 // kept as-is and completion is not recorded.
 //
-// With a shared memo attached, the set is first looked up by its
-// canonical subproblem key: a hit installs the published archive
-// verbatim — bit-for-bit what the enumeration below would have built
-// (see SharedMemo) — and skips the candidate loop. A miss runs the loop
-// and publishes the archive, but only when the set completed and the run
-// is neither timed out nor cancelled (engine.publishes): degraded runs may
-// hold truncated lower-level archives, and the timeout latch is set before
-// the level barrier that precedes this set, so observing it unlatched here
-// proves every lower level was treated in full. Only fullSet touches the shared
-// memo — keepBest keeps weight-dependent archives that must never be
-// shared.
+// With a shared memo attached, the set is first acquired by its canonical
+// subproblem key (SharedMemo.acquire): a hit installs the published
+// archive verbatim — bit-for-bit what the enumeration below would have
+// built (see SharedMemo) — and skips the candidate loop. A key in flight
+// in another run defers the set (levelPool.drain resumes it once the level
+// has nothing left to claim, and the resumed lookup waits). Otherwise the
+// worker owns the key, runs the loop, and releases the key: it publishes
+// the archive only when the set completed and the run is neither timed out
+// nor cancelled (engine.publishes), and abandons the key otherwise, since
+// degraded runs may hold truncated lower-level archives. The timeout latch
+// is set before the level barrier that precedes this set, so observing it
+// unlatched here proves every lower level was treated in full. Only
+// fullSet touches the shared memo — keepBest keeps weight-dependent
+// archives that must never be shared.
 func (w *worker) fullSet(id int32, s query.TableSet) {
 	e := w.e
 	if e.shared != nil {
-		if a := e.shared.get(w.sharedKey(s)); a != nil {
+		a, owned := e.shared.acquire(w.sharedKey(s), nil)
+		if a == nil && owned == "" && w.resuming {
+			// Still in flight now that the level has nothing left to claim:
+			// wait for it.
+			e.armWake()
+			a, owned = e.shared.acquire(w.keyBuf, e.waitOver)
+		}
+		switch {
+		case a != nil:
 			e.memo.archives[id] = a
 			w.sharedHits++
 			w.markDone(id, a.Len())
+			return
+		case owned != "":
+			w.owned = owned
+		case !w.resuming:
+			if w.deferred == nil {
+				w.deferred = make([]deferredSet, 0, len(e.enum.levels[s.Len()]))
+			}
+			w.deferred = append(w.deferred, deferredSet{id, s})
+			return
+		default: // the run's context ended while the worker waited
+			e.stopped()
+			w.stoppedSet(id, s)
 			return
 		}
 	}
@@ -451,9 +494,39 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	if complete {
 		w.markDone(id, a.Len())
 	}
-	// w.keyBuf still holds this set's key from the lookup above.
-	if e.shared != nil && e.publishes(complete) {
-		e.shared.put(w.keyBuf, a)
+	if w.owned != "" {
+		var published *pareto.FlatArchive
+		if e.publishes(complete) {
+			published = a
+		}
+		e.shared.release(w.owned, published)
+		w.owned = ""
+	}
+}
+
+// armWake arranges, once per run and only for a run that has to wait on
+// another run's key, for the shared memo to wake its waiters when the
+// run's context ends, so a waiter sees waitOver turn true.
+func (e *engine) armWake() {
+	if e.ctxDone != nil {
+		e.awaitOnce.Do(func() { e.stopAwait = context.AfterFunc(e.ctx, e.shared.wake) })
+	}
+}
+
+// waitOver reports whether a worker waiting on another run's key must stop
+// waiting: a stop is latched, or the run's context has ended (fullSet then
+// latches which, with stopped). The shared memo is locked while it runs,
+// so it reads the latches and the Done channel and calls nothing of the
+// context's.
+func (e *engine) waitOver() bool {
+	if e.cancelled.Load() || e.timedOut.Load() {
+		return true
+	}
+	select {
+	case <-e.ctxDone:
+		return true
+	default:
+		return false
 	}
 }
 

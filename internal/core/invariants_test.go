@@ -403,7 +403,9 @@ func TestScanShare(t *testing.T) {
 // signature never stored, a constant bucket — would pass every bit-identity
 // test, since the pre-test never answers on its own; it fails here. Each
 // table set's archive sees its candidates in one order whatever the
-// schedule, so the counts are identical across worker counts.
+// schedule, so the counts are identical across worker counts, and they are
+// pinned exactly: a scan that visited more ranks than it needs, or counted
+// them wrong, moves them without moving an answer.
 func TestSignatureShare(t *testing.T) {
 	cat := catalog.TPCH(1)
 	cases := []struct {
@@ -412,9 +414,11 @@ func TestSignatureShare(t *testing.T) {
 		objs  objective.Set
 		alpha float64 // 1 is EXA, above it RTA at that alpha
 		want  float64
+		// visited and tested are the exact ScanVisits sums.
+		visited, tested int
 	}{
-		{"tpch-q7/EXA/3obj", 7, objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy), 1, 0.98},
-		{"tpch-q10/RTA1.5/9obj", 10, objective.AllSet(), 1.5, 0.85},
+		{"tpch-q7/EXA/3obj", 7, objective.NewSet(objective.TotalTime, objective.BufferFootprint, objective.Energy), 1, 0.98, 4166004, 18087},
+		{"tpch-q10/RTA1.5/9obj", 10, objective.AllSet(), 1.5, 0.85, 360191, 36573},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -443,6 +447,9 @@ func TestSignatureShare(t *testing.T) {
 			t.Logf("signature dismissed %d of %d visited ranks (%.1f %%)", visited-tested, visited, 100*share)
 			if share < tc.want {
 				t.Errorf("signature share %.3f, want >= %.2f", share, tc.want)
+			}
+			if visited != tc.visited || tested != tc.tested {
+				t.Errorf("ScanVisits sums (%d, %d), want (%d, %d)", visited, tested, tc.visited, tc.tested)
 			}
 		})
 	}

@@ -28,7 +28,8 @@ type worker struct {
 	// maxDoneID/maxDoneLen track the last (largest-id) set this worker
 	// treated completely, feeding the "Pareto plans of the last table set
 	// treated completely" metric. A worker claims ids in ascending order
-	// (levelPool.drain), so plain assignment keeps the maximum.
+	// (levelPool.drain), but the sets it defers finish after the level's
+	// later ones, so markDone keeps the maximum.
 	maxDoneID  int32
 	maxDoneLen int
 	// best is keepBest's per-worker scratch, by memo id: one more than the
@@ -88,6 +89,13 @@ type worker struct {
 	// table sets this worker served from the batch's shared memo.
 	keyBuf     []byte
 	sharedHits int
+	// owned is the shared-memo key of the set this worker is solving, ""
+	// when it owns none; deferred are the sets of the current level it
+	// found in flight in another run (fullSet), reused across levels; and
+	// resuming is set while levelPool.drain treats them again.
+	owned    string
+	deferred []deferredSet
+	resuming bool
 	// Workers sit side by side in engine.workers and each writes its own
 	// cost and considered once per candidate; the pad keeps the tail of one
 	// worker and the head of the next on different cache lines.
@@ -155,10 +163,18 @@ func (w *worker) interrupted() bool {
 	return e.cancelled.Load()
 }
 
+// deferredSet is a table set fullSet deferred: its memo id and its set.
+type deferredSet struct {
+	id int32
+	s  query.TableSet
+}
+
 // markDone records a completely treated set.
 func (w *worker) markDone(id int32, archiveLen int) {
-	w.maxDoneID = id
-	w.maxDoneLen = archiveLen
+	if id > w.maxDoneID {
+		w.maxDoneID = id
+		w.maxDoneLen = archiveLen
+	}
 }
 
 // poolSpawned counts worker-goroutine launches process-wide. The
@@ -281,18 +297,30 @@ func (p *levelPool) runLevel(sets []query.TableSet, base int32) {
 }
 
 // drain runs worker wi's share of the current level: it claims sets from
-// the cursor until the level is exhausted. Sets claimed by other workers
-// may still be in flight when it returns, which runLevel's wg.Wait covers.
+// the cursor until the level is exhausted, then treats again the sets it
+// deferred because another run was solving them (fullSet), this time
+// waiting for each: a worker waits only once it has nothing left to claim.
+// Sets claimed by other workers may still be in flight when it returns,
+// which runLevel's wg.Wait covers.
 func (p *levelPool) drain(wi int) {
 	e := p.e
 	w := &e.workers[wi]
 	for {
 		i := p.next.Add(1) - 1
 		if int(i) >= len(p.sets) || e.cancelled.Load() {
-			return
+			break
 		}
 		p.treat(w, p.base+i, p.sets[i])
 	}
+	w.resuming = true
+	for _, d := range w.deferred {
+		if e.cancelled.Load() {
+			break
+		}
+		p.treat(w, d.id, d.s)
+	}
+	w.resuming = false
+	w.deferred = w.deferred[:0]
 }
 
 // runLevels drives the level-synchronized dynamic program: for each
@@ -316,8 +344,8 @@ func (e *engine) runLevels(treat func(w *worker, id int32, s query.TableSet)) {
 	// go through this treat.
 	inner := treat
 	treat = func(w *worker, id int32, s query.TableSet) {
-		defer e.containPanic()
-		if hp := panicHook.Load(); hp != nil {
+		defer e.containPanic(w)
+		if hp := panicHook.Load(); hp != nil && !w.resuming {
 			(*hp)(id)
 		}
 		inner(w, id, s)

@@ -21,8 +21,7 @@ import (
 // checks the claim cursor's contract: every memo id is treated exactly once,
 // with its own set; every id of level k is below every id of level k+1, and
 // level k+1 starts only after every set of level k is treated; and each
-// worker's ids strictly ascend, which worker.markDone's plain assignment
-// relies on.
+// worker's claims strictly ascend.
 func TestLevelClaimsOnceAscending(t *testing.T) {
 	for _, tc := range []struct {
 		shape  synthetic.Shape

@@ -40,6 +40,16 @@ import (
 // references its entries carry, which resolve identically in the
 // borrowing run because its lower levels are bit-identical too.
 //
+// Every key has one owner at a time (single flight): the first run to look
+// a missing key up takes it (acquire marks it in flight), solves the set,
+// and releases it — publishing the archive, or abandoning the key when the
+// set may not be published, so the next run to look it up takes it. A run
+// that finds a key in flight in another run defers the set, treats the rest
+// of its level, and only then waits for the owner's release. Owners never
+// wait while holding a key, and a run waits only once it has nothing left
+// to claim, so no wait cycle can form: every subproblem of a batch is
+// solved once.
+//
 // Entries are published only for sets treated completely before their run
 // observed a timeout or cancellation (after it, lower levels may hold
 // truncated archives; see engine.fullSet): a run that degrades later has
@@ -47,56 +57,91 @@ import (
 // then on. All methods are safe for concurrent use by any number of engine
 // runs.
 type SharedMemo struct {
-	mu sync.RWMutex
-	m  map[string]*pareto.FlatArchive
+	mu sync.Mutex
+	// cond is signalled when a key is released, and when the context of a
+	// run waiting on the memo ends (engine.armWake).
+	cond sync.Cond
+	// m holds the published archives, and inFlight under every key an
+	// owner is solving.
+	m map[string]*pareto.FlatArchive
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	published atomic.Int64
 }
 
+// inFlight marks a key whose owner is solving it: one sentinel for every
+// key, so taking ownership allocates nothing beyond the key string the map
+// keeps anyway.
+var inFlight = new(pareto.FlatArchive)
+
 // NewSharedMemo creates an empty shared memo. Scope it to one batch (one
 // catalog generation): the memo grows monotonically and is dropped as a
 // whole when the batch completes.
 func NewSharedMemo() *SharedMemo {
-	return &SharedMemo{m: make(map[string]*pareto.FlatArchive)}
+	sm := &SharedMemo{m: make(map[string]*pareto.FlatArchive)}
+	sm.cond.L = &sm.mu
+	return sm
 }
 
-// get returns the archive published under key, or nil. The []byte key
-// avoids allocating on the (frequent) lookup path.
-func (sm *SharedMemo) get(key []byte) *pareto.FlatArchive {
-	sm.mu.RLock()
-	a := sm.m[string(key)]
-	sm.mu.RUnlock()
-	if a != nil {
-		sm.hits.Add(1)
-	} else {
-		sm.misses.Add(1)
-	}
-	return a
-}
-
-// put publishes a completed archive under key. First publisher wins;
-// concurrent publishers of one key computed bit-identical archives, so
-// dropping the loser changes nothing.
-func (sm *SharedMemo) put(key []byte, a *pareto.FlatArchive) {
+// acquire looks key up. A published archive is a hit. A missing key
+// becomes the caller's: it is marked in flight and the returned owned is
+// the key string the map holds, which the caller hands to release once the
+// set is done. A key in flight in another run returns neither at once when
+// stop is nil; otherwise acquire waits until the owner releases the key
+// (then as above) or stop reports true (then neither). stop is called with
+// the memo locked, so it must only read the caller's own state. The []byte
+// key avoids allocating on the (frequent) lookup path.
+func (sm *SharedMemo) acquire(key []byte, stop func() bool) (a *pareto.FlatArchive, owned string) {
 	sm.mu.Lock()
-	if _, ok := sm.m[string(key)]; !ok {
-		sm.m[string(key)] = a
-		sm.published.Add(1)
+	defer sm.mu.Unlock()
+	for {
+		switch a := sm.m[string(key)]; a {
+		case nil:
+			owned = string(key)
+			sm.m[owned] = inFlight
+			sm.misses.Add(1)
+			return nil, owned
+		case inFlight:
+			if stop == nil || stop() {
+				return nil, ""
+			}
+			sm.cond.Wait()
+		default:
+			sm.hits.Add(1)
+			return a, ""
+		}
 	}
+}
+
+// release ends the ownership of key (acquire's owned): it publishes a, or
+// abandons the key when a is nil, and wakes the waiting runs.
+func (sm *SharedMemo) release(key string, a *pareto.FlatArchive) {
+	sm.mu.Lock()
+	if a != nil {
+		sm.m[key] = a
+		sm.published.Add(1)
+	} else {
+		delete(sm.m, key)
+	}
+	sm.mu.Unlock()
+	sm.cond.Broadcast()
+}
+
+// wake wakes every waiting run to re-check its stop condition. Holding the
+// lock orders the wake after any waiter's check of that condition.
+func (sm *SharedMemo) wake() {
+	sm.mu.Lock()
+	sm.cond.Broadcast()
 	sm.mu.Unlock()
 }
 
 // Len returns the number of published archives.
-func (sm *SharedMemo) Len() int {
-	sm.mu.RLock()
-	defer sm.mu.RUnlock()
-	return len(sm.m)
-}
+func (sm *SharedMemo) Len() int { return int(sm.published.Load()) }
 
 // Counters reports cumulative lookup hits, lookup misses, and published
-// archives.
+// archives. A lookup that finds its key in flight counts once it resolves:
+// a hit when the owner publishes, a miss when the waiter takes the key over.
 func (sm *SharedMemo) Counters() (hits, misses, published int64) {
 	return sm.hits.Load(), sm.misses.Load(), sm.published.Load()
 }

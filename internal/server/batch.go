@@ -155,14 +155,15 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	// only read — but who leads would be a race.) Claims are ticket-major:
 	// every lane's leader, most expensive first, before any lane's
 	// follower, so distinct dynamic programs run side by side on the cores
-	// workerShare divides below, long ones start at once, and cheap
-	// overlapping leaders find some subproblems pre-published — fewer than
-	// if they waited for the long ones, the CPU this order pays for its
-	// makespan. A claimer takes the first member whose lane is free — its
-	// earlier members served, none in service — and never parks on a busy
-	// lane: while a long leader runs, the other claimers serve
-	// the short lanes' leaders, then their followers (re-weights and cache
-	// hits, microseconds each), and render each member as it finishes.
+	// workerShare divides below, long ones start at once, and overlapping
+	// leaders split their common subproblems: each is solved once, by the
+	// first to reach it, and the other waits for it (core.SharedMemo)
+	// instead of solving it again. A claimer takes the first member whose
+	// lane is free — its earlier members served, none in service — and
+	// never parks on a busy lane: while a long leader runs, the other
+	// claimers serve the short lanes' leaders, then their followers
+	// (re-weights and cache hits, microseconds each), and render each
+	// member as it finishes.
 	plan := batchplan.New(len(runnable),
 		func(k int) float64 { return members[runnable[k]].req.PredictedCost() },
 		func(k int) *moqo.Query { return members[runnable[k]].req.Request().Query })
