@@ -41,7 +41,8 @@ var archRules = []archRule{
 	{
 		// /optimize is a batch of one: both endpoints admit a request through
 		// one Admit call and serve it under one deadline budget, and the
-		// claim loop's turn-taking lives only in the planner package.
+		// claim rule (a claimer takes the next lane and serves it whole)
+		// lives only in the planner package.
 		name: "One request lifecycle",
 		check: func(src sources) []string {
 			var bad []string

@@ -94,13 +94,13 @@ type BatchItem struct {
 //     rather than solving it again, and
 //   - distinct dynamic programs are scheduled most-expensive-first
 //     (core.PredictCost), which bounds the makespan of the parallel
-//     fan-out — the ticket-major schedule of internal/batchplan, the same
-//     one moqod's POST /optimize/batch serves its members under. Here each
-//     frontier group is its own lane, so every group is a leader (ticket
-//     0) and the order is plain cost order; moqod's lanes hold several
-//     members, and it claims every lane's leader before any lane's
-//     follower, so leaders run side by side and overlapping ones split
-//     their common subproblems between them.
+//     fan-out — the schedule of internal/batchplan, the same one moqod's
+//     POST /optimize/batch serves its members under: a claimer takes the
+//     next lane and serves it whole. Here each frontier group is its own
+//     lane, so the order is plain cost order; moqod's lanes hold the
+//     members of one query shape, its leader first, so leaders run side by
+//     side and overlapping ones split their common subproblems between
+//     them.
 //
 // Every member's result is bit-for-bit the result a standalone
 // Optimize(req) call would return — plans, cost vectors, frontiers; only
@@ -203,8 +203,7 @@ func runBatch(ctx context.Context, reqs []Request, opts BatchOptions, done func(
 	// A group is its own lane: nothing two groups share is written by a
 	// run (a built Query is immutable, each run fills its own cost model's
 	// estimate table, the shared memo locks), so the schedule only orders
-	// them — every group holds ticket 0, so ticket-major order is plain
-	// most-expensive-first.
+	// them — a lane of one group, claimed most expensive first.
 	plan := batchplan.New(len(groups),
 		func(i int) float64 { return groups[i][0].r.PredictedCost() },
 		func(i int) int { return i })

@@ -3,6 +3,7 @@ package batchplan
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,35 +74,20 @@ func TestLaneOrderIsScheduleOrder(t *testing.T) {
 	}
 }
 
-// TestLeadersBeforeFollowers: the claim order is ticket-major — every
-// lane's ticket k before any lane's ticket k+1 — and within one round
-// most expensive first, equal costs in submission order.
-func TestLeadersBeforeFollowers(t *testing.T) {
-	costs := []float64{4, 9, 9, 2, 7, 8, 3, 1}
-	lanes := []int{0, 0, 1, 1, 2, 0, 2, 3}
+// TestLanesServedWhole: with parallel 1 each lane is served whole, its
+// units contiguous and most expensive first, the lanes in the order of
+// their most expensive unit, equal costs in submission order.
+func TestLanesServedWhole(t *testing.T) {
+	costs := []float64{4, 9, 9, 2, 7, 8, 3, 1, 4}
+	lanes := []int{0, 0, 1, 1, 2, 0, 2, 3, 0}
 	s := New(len(costs), func(i int) float64 { return costs[i] }, func(i int) int { return lanes[i] })
 	var order []int
 	s.Run(1, func(i int) { order = append(order, i) })
-	// Tickets by lane in cost order: lane 0 {1, 5, 0}, lane 1 {2, 3},
-	// lane 2 {4, 6}, lane 3 {7}. Cost order alone would claim lane 0's
-	// follower 5 before the leaders 4 and 7.
-	if want := []int{1, 2, 4, 7, 5, 6, 3, 0}; !reflect.DeepEqual(order, want) {
+	// Lanes by cost: 0 {1, 5, 0, 8}, 1 {2, 3}, 2 {4, 6}, 3 {7}; lanes 0 and
+	// 1 tie on their leaders' 9 and keep submission order. Claiming every
+	// leader first would serve 1, 2, 4, 7 before lane 0's follower 5.
+	if want := []int{1, 5, 0, 8, 2, 3, 4, 6, 7}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("parallel 1 served %v, want %v", order, want)
-	}
-	ticket := make([]int, len(costs))
-	issued := map[int]int{}
-	for _, i := range order {
-		ticket[i] = issued[lanes[i]]
-		issued[lanes[i]]++
-	}
-	for k := 1; k < len(order); k++ {
-		a, b := order[k-1], order[k]
-		if ticket[a] > ticket[b] {
-			t.Fatalf("unit %d (ticket %d) claimed before unit %d (ticket %d)", a, ticket[a], b, ticket[b])
-		}
-		if ticket[a] == ticket[b] && (costs[a] < costs[b] || (costs[a] == costs[b] && a > b)) {
-			t.Fatalf("round %d: unit %d (cost %v) before unit %d (cost %v)", ticket[a], a, costs[a], b, costs[b])
-		}
 	}
 }
 
@@ -130,10 +116,10 @@ func TestRunOverlapsLaneLeaders(t *testing.T) {
 }
 
 // TestRunSkipsBusyLane: lanes A (leader A0, follower A1) and B (leader
-// B0, follower B1), scheduled A0, B0, A1, B1 on two claimers. A0 can only
-// finish once B1 has started, so the claimer that served B0 must pass
-// over A1, whose lane is busy, and take B1: parked on A1, it would leave
-// B1 unclaimed until A0 gave up.
+// B0, follower B1) on two claimers. A0 can only finish once B1 has
+// started, so the claimer that holds lane B must serve B1 while A0 runs:
+// a claimer parked on A1, whose lane is busy, would leave B1 unclaimed
+// until A0 gave up.
 func TestRunSkipsBusyLane(t *testing.T) {
 	const a0, a1, b0, b1 = 0, 1, 2, 3
 	costs := []float64{9, 2, 8, 1}
@@ -141,8 +127,8 @@ func TestRunSkipsBusyLane(t *testing.T) {
 	s := New(len(costs), func(i int) float64 { return costs[i] }, func(i int) string { return lanes[i] })
 	var order []int
 	s.Run(1, func(i int) { order = append(order, i) })
-	if want := []int{a0, b0, a1, b1}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("parallel 1 served %v, want the schedule %v", order, want)
+	if want := []int{a0, a1, b0, b1}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("parallel 1 served %v, want the lanes whole %v", order, want)
 	}
 
 	b1Started := make(chan struct{})
@@ -159,4 +145,42 @@ func TestRunSkipsBusyLane(t *testing.T) {
 			close(b1Started)
 		}
 	})
+}
+
+// TestRunSpawnsOnePerLane: with parallel above Lanes(), Run spawns at
+// most Lanes()-1 goroutines — one claimer per lane, the caller's goroutine
+// included. Every leader waits until all of them are in service, so the
+// lanes do run side by side, each lane's claimer alive at once.
+func TestRunSpawnsOnePerLane(t *testing.T) {
+	const lanes = 3
+	s := New(2*lanes, func(i int) float64 { return float64(i) }, func(i int) int { return i % lanes })
+	if s.Lanes() != lanes {
+		t.Fatalf("Lanes() = %d, want %d", s.Lanes(), lanes)
+	}
+	before := runtime.NumGoroutine()
+	var (
+		mu      sync.Mutex
+		most    int
+		leaders atomic.Int32
+		all     = make(chan struct{})
+	)
+	s.Run(16, func(i int) {
+		mu.Lock()
+		most = max(most, runtime.NumGoroutine()-before)
+		mu.Unlock()
+		if i < lanes { // a follower: its leader was served
+			return
+		}
+		if leaders.Add(1) == lanes {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			t.Error("the lanes' leaders were not in service at once")
+		}
+	})
+	if most > lanes-1 {
+		t.Fatalf("parallel 16 over %d lanes ran %d goroutines besides the caller, want at most %d", lanes, most, lanes-1)
+	}
 }

@@ -223,8 +223,12 @@ func TestSharedMemoWaiterTakesOverAbandonedKey(t *testing.T) {
 // TestSharedMemoOwnerDeadlineAbandons: an owner whose deadline passes
 // mid-set abandons its key instead of publishing a truncated archive, and
 // a run waiting on it, side by side, solves the set itself and answers bit
-// for bit. Each repetition expires the owner's deadline as the twentieth
-// set of the two runs together is about to be treated.
+// for bit. Each repetition lets the owner treat its first 19 sets alone;
+// as it is about to treat the twentieth, its deadline passes and the
+// waiter starts. The owner runs ahead by construction, so its next poll
+// lands inside that set's candidate loop however many cores there are. (A
+// waiter started beside it could, on one core, solve and publish every set
+// first, and the owner, served from the memo, would never poll.)
 func TestSharedMemoOwnerDeadlineAbandons(t *testing.T) {
 	m := midSetModel(t)
 	w := objective.UniformWeights(threeObjs)
@@ -235,17 +239,27 @@ func TestSharedMemoOwnerDeadlineAbandons(t *testing.T) {
 	}
 	for rep := range 10 {
 		opts.Shared = NewSharedMemo()
-		owner := deadlineAtSet(t, 20)
+		owner := &hookDeadline{Context: context.Background(), done: make(chan struct{})}
+		start, ownerDone := make(chan struct{}), make(chan struct{})
+		cancelAtSet(t, 20, func() {
+			owner.expire()
+			close(start)
+		})
 		var degraded, got Result
 		var ownerErr, waiterErr error
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
+			defer close(ownerDone)
 			degraded, ownerErr = RTAContext(owner, m, w, opts)
 		}()
 		go func() {
 			defer wg.Done()
+			select {
+			case <-start:
+			case <-ownerDone: // the owner never reached its twentieth set
+			}
 			got, waiterErr = RTA(m, w, opts)
 		}()
 		wg.Wait()

@@ -154,6 +154,42 @@ func (m *Model) frozenScanCPU(rel int, alg plan.ScanAlg, rate float64) float64 {
 	return t.Rows * m.p.TupleWork
 }
 
+// frozenScanCost is ScanCost formula by formula, all nine objectives: the
+// pages read (sequential, random or sampled), the CPU work of
+// frozenScanCPU, the time and startup time they cost, the operator's
+// buffer, and the energy of its CPU work and I/O.
+func (m *Model) frozenScanCost(rel int, alg plan.ScanAlg, rate float64) objective.Vector {
+	t := m.baseTable(rel)
+	cpu := m.frozenScanCPU(rel, alg, rate)
+	var v objective.Vector
+	switch alg {
+	case plan.SeqScan:
+		io := t.Pages()
+		v[objective.IOLoad] = io
+		v[objective.TotalTime] = io*m.p.SeqPageMs + cpu*m.p.CPUTupleMs + m.p.StartupMs
+		v[objective.StartupTime] = m.p.StartupMs + m.p.SeqPageMs
+		v[objective.BufferFootprint] = m.p.ScanBufBytes
+	case plan.IndexScan:
+		tuplesPerPage := math.Max(1, catalog.PageSize/float64(t.Width))
+		io := 2 + math.Max(1, t.Rows*m.q.Relations[rel].FilterSel/tuplesPerPage)
+		v[objective.IOLoad] = io
+		v[objective.TotalTime] = io*m.p.RandPageMs + cpu*m.p.CPUTupleMs + m.p.StartupMs
+		v[objective.StartupTime] = m.p.StartupMs + 3*m.p.RandPageMs
+		v[objective.BufferFootprint] = m.p.IndexBufBytes
+	case plan.SampleScan:
+		io := math.Max(1, t.Pages()*rate)
+		v[objective.IOLoad] = io
+		v[objective.TotalTime] = io*m.p.SeqPageMs + cpu*m.p.CPUTupleMs + m.p.StartupMs
+		v[objective.StartupTime] = m.p.StartupMs + m.p.SeqPageMs
+		v[objective.BufferFootprint] = m.p.ScanBufBytes
+		v[objective.TupleLoss] = 1 - rate
+	}
+	v[objective.CPULoad] = cpu
+	v[objective.Cores] = 1
+	v[objective.Energy] = cpu*m.p.CPUEnergyJ + v[objective.IOLoad]*m.p.IOEnergyJ
+	return v
+}
+
 // oracleQueries are the oracle's inputs: four TPC-H join graphs (q2, q5,
 // q8, q10) and one seeded synthetic query per topology.
 func oracleQueries(t testing.TB) []*query.Query {
@@ -231,13 +267,16 @@ func bitsEqual(a, b objective.Vector) bool {
 // max(0, ·) and min(·, budget) sit on their boundary), one a page below
 // that (everything spills by a hair), and one whose per-tuple coefficients
 // are all ≠ 1 and pairwise distinct, so a coefficient that is divided by
-// instead of multiplied with, or read in another's place, shows. Every scan's
-// CPU work is held to its per-tuple term under the default calibration and
-// the distinct one.
+// instead of multiplied with, or read in another's place, shows; its time
+// and energy coefficients differ from the default ones too. The scans of
+// each split's single inner (every relation is one) are held to
+// frozenScanCost, all nine objectives, under the same four calibrations.
 func TestCostingOracle(t *testing.T) {
 	distinct := Default()
 	distinct.TupleWork, distinct.HashBuild, distinct.HashProbe = 1.7, 2.3, 1.3
 	distinct.SortFactor, distinct.MergeWork, distinct.PairWork, distinct.LookupWork = 0.45, 0.8, 0.03, 2.6
+	distinct.StartupMs, distinct.SeqPageMs, distinct.RandPageMs, distinct.CPUTupleMs = 0.35, 0.07, 0.9, 0.0013
+	distinct.CPUEnergyJ, distinct.IOEnergyJ = 0.0000037, 0.00041
 	for _, q := range oracleQueries(t) {
 		r := rand.New(rand.NewSource(int64(q.NumRelations())))
 		cells, splits := 0, 0
@@ -282,6 +321,13 @@ func TestCostingOracle(t *testing.T) {
 					continue
 				}
 				inner := right.First()
+				for _, alg := range []plan.ScanAlg{plan.SeqScan, plan.IndexScan, plan.SampleScan} {
+					for _, rate := range plan.SampleRates {
+						if got, want := m.ScanCost(inner, alg, rate), m.frozenScanCost(inner, alg, rate); !bitsEqual(got, want) {
+							t.Fatalf("%s %v of relation %d at rate %v:\n%v\nfrozen\n%v", q.Name, alg, inner, rate, got, want)
+						}
+					}
+				}
 				terms := split.IndexNL()
 				for i := range children {
 					cl := &children[i]
@@ -302,18 +348,6 @@ func TestCostingOracle(t *testing.T) {
 		})
 		if splits == 0 {
 			t.Fatalf("%s: no connected split", q.Name)
-		}
-		for _, p := range []Params{Default(), distinct} {
-			m := New(q, p)
-			for rel := range q.NumRelations() {
-				for _, alg := range []plan.ScanAlg{plan.SeqScan, plan.IndexScan, plan.SampleScan} {
-					rate := plan.SampleRates[0]
-					got, want := m.ScanCost(rel, alg, rate)[objective.CPULoad], m.frozenScanCPU(rel, alg, rate)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s %v of relation %d: CPU load %v, frozen %v", q.Name, alg, rel, got, want)
-					}
-				}
-			}
 		}
 		t.Logf("%s: %d splits, %d (operator, dop, split, calibration) cells", q.Name, splits, cells)
 	}

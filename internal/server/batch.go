@@ -27,11 +27,11 @@ const maxBatchBody = 8 << 20
 // once; distinct member query specs build one query object each, so
 // members of the same shape share one cardinality/selectivity warm-up; all
 // members publish solved subproblems to one batch-scoped shared memo
-// (moqo.SharedMemo); and they are served ticket-major (internal/batchplan):
-// every shape's leader, most expensive first, before any shape's second
-// member, each claimer taking the first member whose shape has nothing in
-// service. Each member is encoded where it finishes, on the claimer that
-// served it, so encoding overlaps the dynamic programs still running.
+// (moqo.SharedMemo); and they are served one shape at a time per claimer
+// (internal/batchplan): a claimer takes the next shape, shapes in the
+// order of their most expensive member, and serves its members whole,
+// leader first. Each member is encoded where it finishes, on the claimer
+// that served it, so encoding overlaps the dynamic programs still running.
 // The tiers do the rest — identical members coalesce
 // to one dynamic program and re-weights are answered from a sibling's
 // frontier snapshot — and every member's answer is bit-for-bit its
@@ -148,22 +148,18 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		runnable = append(runnable, i)
 	}
 
-	// One lane per query object, so the members of one shape are served
-	// in ticket order, most expensive first: the first runs the dynamic
-	// program, the rest answer from what it cached, the same ones on every
-	// run. (Running them side by side would be safe — a built query is
-	// only read — but who leads would be a race.) Claims are ticket-major:
-	// every lane's leader, most expensive first, before any lane's
-	// follower, so distinct dynamic programs run side by side on the cores
-	// workerShare divides below, long ones start at once, and overlapping
-	// leaders split their common subproblems: each is solved once, by the
-	// first to reach it, and the other waits for it (core.SharedMemo)
-	// instead of solving it again. A claimer takes the first member whose
-	// lane is free — its earlier members served, none in service — and
-	// never parks on a busy lane: while a long leader runs, the other
-	// claimers serve the short lanes' leaders, then their followers
-	// (re-weights and cache hits, microseconds each), and render each
-	// member as it finishes.
+	// One lane per query object, and a claimer takes the next lane and
+	// serves it whole, most expensive member first: the first runs the
+	// dynamic program, the rest answer from what it cached (re-weights and
+	// cache hits, microseconds each), the same ones on every run. (Running
+	// them side by side would be safe — a built query is only read — but
+	// who leads would be a race.) Lanes are claimed in the order of their
+	// most expensive member, so distinct dynamic programs run side by side
+	// on the cores workerShare divides below, long ones start at once, and
+	// overlapping leaders split their common subproblems: each is solved
+	// once, by the first to reach it, and the other waits for it
+	// (core.SharedMemo) instead of solving it again. No claimer waits for
+	// another, and each renders a member as it finishes.
 	plan := batchplan.New(len(runnable),
 		func(k int) float64 { return members[runnable[k]].req.PredictedCost() },
 		func(k int) *moqo.Query { return members[runnable[k]].req.Request().Query })
@@ -174,7 +170,8 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	// gets its share of the cores, not all of them: the two levels of
 	// parallelism do not multiply into more runnable threads than the
 	// machine has, and a batch's latency does not hang on how many cores
-	// happen to be idle. At most one member per lane is in flight.
+	// happen to be idle. A lane is one claimer's, so at most one member
+	// per lane is in flight.
 	share := workerShare(runtime.NumCPU(), min(parallel, plan.Lanes()))
 	for _, i := range runnable {
 		req := &members[i].req

@@ -104,7 +104,7 @@ func (s *Server) catalogFor(spec *CatalogSpec, sf float64, n int) (*moqo.Catalog
 // memberQuery resolves the request's query — a TPC-H number or an inline
 // spec — against cat (nil: the request's own catalog). With a dedupe map,
 // identical specs resolve to one query object: built once, and one lane of
-// the batch schedule.
+// the batch schedule, served whole by one claimer.
 func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries map[string]*moqo.Query) (q *moqo.Query, err error) {
 	switch {
 	case wire.TPCH != 0 && (wire.Catalog != nil || wire.Query != nil):

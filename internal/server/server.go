@@ -37,13 +37,12 @@
 //     failure (validation before admission, or admission).
 //   - schedule (batchplan.New/Run, batches only): one lane per query
 //     shape, whose members are served one after another most expensive
-//     first (so who leads a shape is not a race); claims are ticket-major
-//     — every shape's leader, most expensive first, before any shape's
-//     second member — so distinct dynamic programs run side by side; on
-//     `parallel` claimers of which the handler is one, each taking the
-//     first member whose shape has nothing in service, so none parks on
-//     a busy shape — the same schedule moqo.OptimizeBatch runs the
-//     library's batches under.
+//     first (so who leads a shape is not a race); on `parallel` claimers
+//     of which the handler is one, each taking the next shape, in the
+//     order of their most expensive member, and serving it whole, so
+//     distinct dynamic programs run side by side and no claimer waits for
+//     another — the same schedule moqo.OptimizeBatch runs the library's
+//     batches under.
 //   - serve (Server.serve): deadline budget, tiers, rendering the result
 //     (toResponse; the frontier only for a request that asked for it),
 //     latency; a failure is classified by Server.serveFailure, the one
