@@ -106,9 +106,11 @@
 // existential: which stored row witnesses it, a hint's or a scan's,
 // changes nothing that can be observed. Two details make the gate
 // bit-identical and not just equivalent: a skipped group advances the
-// amortized deadline tick by its size and a group that would contain a
-// poll is costed one by one (worker.pollFree), so a timeout lands on the
-// same candidate; and the floor comparison is written so that a NaN
+// amortized deadline tick by its size, and a group that holds a poll is
+// skipped only if a peek at the context (engine.ended, which latches
+// nothing) finds it running, or else costed one by one, so a timeout lands
+// on the same candidate and a deadline far off skips what no deadline does
+// (worker.pollFree); and the floor comparison is written so that a NaN
 // fails it, sending overflowed statistics down the per-candidate path.
 // Keep-best sets (keepBest) run the plain loop, and index-nested-loop
 // candidates are offered one by one with one slot between them.
@@ -119,8 +121,9 @@
 // three coarser ones, each over a contiguous run of its enumeration — the
 // whole split, blocks of blockRows outer sub-plans against every inner one,
 // one outer sub-plan against a block of inner ones (columnMins, in fixed
-// worker arrays) — and skips a run when no poll falls in it and the hinted
-// row covers every operator's floor (worker.rejectsRun). Each pair of such
+// worker arrays) — and skips a run when a poll falling in it would answer
+// "go on" (as for a group) and the hinted row covers every operator's floor
+// (worker.rejectsRun). Each pair of such
 // a run would have been rejected on that same row, so nothing moves: the
 // run is counted as its candidates' RejectsAll yeses, and the next run
 // meets the hint the pair-by-pair loop would have met. A run must be

@@ -257,6 +257,17 @@ func (e *engine) stopped() bool {
 	return false
 }
 
+// ended reports whether the run's context has ended, as stopped would, but
+// latches nothing: it is the peek pollFree stands in for a poll with.
+func (e *engine) ended() bool {
+	select {
+	case <-e.ctxDone:
+		return true
+	default:
+	}
+	return !e.deadline.IsZero() && time.Now().After(e.deadline)
+}
+
 // cancelErr returns the context's error if the run was abandoned because
 // of a cancellation (not a deadline — deadlines degrade and still produce
 // a result). Called by the algorithms after run()/runScalar() return.
@@ -876,9 +887,9 @@ func (w *worker) edgeSplit(vl, vr splitView, left, right query.TableSet, fn cand
 // does (RejectsAllNear), it dominates each variant — InsertRowNear would have
 // rejected every one on a hint test, which moves nothing but two counters, so
 // the group is counted as considered and rejected and never costed. Anything
-// else — both rows miss, a NaN, a group in which fn would have polled the clock
-// (pollFree) — takes the loop below, which is the whole of what the other modes
-// run.
+// else — both rows miss, a NaN, a group in which fn would have polled a context
+// that has ended (pollFree) — takes the loop below, which is the whole of what
+// the other modes run.
 //
 // In front of that pair floor stand three coarser ones, each over a contiguous
 // run of the enumeration and tested where the loop reaches the run's first
@@ -1008,11 +1019,13 @@ func minInto(m, r *objective.Vector) {
 
 // rejectsRun is joinPairs' block test: the next n candidates join, under one
 // of the split's groups operators, an outer sub-plan no cheaper than cl on any
-// objective with an inner one no cheaper than cr. If fn would poll the clock
-// for none of them (pollFree) and the archive's hinted row covers every
-// operator's floor over (cl, cr), they are counted as n RejectsAll yeses —
-// considered, rejected without a scan, floorRejected and blockRejected, n
-// ticks — and rejectsRun reports true; otherwise it has changed nothing.
+// objective with an inner one no cheaper than cr. If fn would answer "go on"
+// to each of them (pollFree: no stop latched, and a poll among them would find
+// the context running, so a far deadline skips runs as no deadline does) and
+// the archive's hinted row covers every operator's floor over (cl, cr), they
+// are counted as n RejectsAll yeses — considered, rejected without a scan,
+// floorRejected and blockRejected, n ticks — and rejectsRun reports true;
+// otherwise it has changed nothing.
 func (w *worker) rejectsRun(groups int, cl, cr *objective.Vector, n int) bool {
 	if !w.pollFree(n) {
 		return false

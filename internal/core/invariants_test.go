@@ -282,7 +282,9 @@ func TestHintShare(t *testing.T) {
 // turned the gate off, or back to one row, would still pass every bit-identity
 // test; it fails here. Whether
 // a group is gated depends on its table set's archive alone, so the count is
-// identical across worker counts.
+// identical across worker counts, and under a deadline that does not pass
+// during the run: a poll that would fall inside a block is answered by a
+// peek at the context, which finds it running, so the block is still skipped.
 //
 // Of those, the block tiers — one floor over the column minima of a run of
 // sub-plan pairs — must take the most on the chain and a fifth on q5 (measured:
@@ -307,13 +309,13 @@ func TestFloorShare(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			floored := func(workers int) (uncosted, blocked, considered int) {
+			floored := func(ctx context.Context, workers int) (uncosted, blocked, considered int) {
 				opts, err := Options{Objectives: tc.objs, Alpha: 1.5, Workers: workers}.Normalize()
 				if err != nil {
 					t.Fatal(err)
 				}
 				start := time.Now()
-				e := newEngine(context.Background(), tc.m, opts, objective.UniformPrecision(opts.Alpha, tc.objs), objective.UniformWeights(tc.objs))
+				e := newEngine(ctx, tc.m, opts, objective.UniformPrecision(opts.Alpha, tc.objs), objective.UniformWeights(tc.objs))
 				e.run()
 				for i := range e.workers {
 					uncosted += e.workers[i].floorRejected
@@ -321,10 +323,16 @@ func TestFloorShare(t *testing.T) {
 				}
 				return uncosted, blocked, e.stats(start).Considered
 			}
-			uncosted, blocked, considered := floored(1)
-			if u4, b4, c4 := floored(4); u4 != uncosted || b4 != blocked || c4 != considered {
+			uncosted, blocked, considered := floored(context.Background(), 1)
+			if u4, b4, c4 := floored(context.Background(), 4); u4 != uncosted || b4 != blocked || c4 != considered {
 				t.Errorf("workers=4: %d of %d candidates rejected uncosted, %d by a block, workers=1: %d of %d, %d",
 					u4, c4, b4, uncosted, considered, blocked)
+			}
+			far, cancel := context.WithTimeout(context.Background(), time.Hour)
+			defer cancel()
+			if uf, bf, cf := floored(far, 1); uf != uncosted || bf != blocked || cf != considered {
+				t.Errorf("far deadline: %d of %d candidates rejected uncosted, %d by a block, no deadline: %d of %d, %d",
+					uf, cf, bf, uncosted, considered, blocked)
 			}
 			share := float64(uncosted) / float64(considered)
 			block := float64(blocked) / float64(uncosted)

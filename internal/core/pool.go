@@ -126,20 +126,23 @@ func (w *worker) expired() bool {
 }
 
 // pollFree reports whether fullSet's candidate callback would answer "go on"
-// to each of the next n candidates without polling the context: no stop is
-// latched, and either the context cannot end or none of the n ticks is a
-// 1024th. Only then may joinPairs reject the n unoffered (adding n to
+// to each of the next n candidates: no stop is latched, and either the
+// context cannot end, none of the n ticks is a 1024th, or the context has not
+// ended at a peek (engine.ended) that stands in for the poll the run would
+// make among them. Only then may joinPairs reject the n unoffered (adding n to
 // checkTick, which nothing reads when the context cannot end) and have a
-// deadline still land on the candidate it lands on when each is offered.
+// deadline still land on the candidate it lands on when each is offered: a
+// peek latches nothing, so a context that has ended sends the n down the
+// per-candidate path, whose poll latches the stop where it always did.
 func (w *worker) pollFree(n int) bool {
 	e := w.e
 	if e.cancelled.Load() || e.timedOut.Load() {
 		return false
 	}
-	if e.ctxDone == nil {
+	if e.ctxDone == nil || w.checkTick&1023+n < 1024 {
 		return true
 	}
-	return w.checkTick&1023+n < 1024
+	return !e.ended()
 }
 
 // interrupted reports whether the run's context was cancelled. Unlike

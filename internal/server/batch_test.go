@@ -5,10 +5,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"moqo"
+	"moqo/internal/core"
 )
 
 // postBatch sends a batch request and decodes the collected response.
@@ -451,5 +456,211 @@ func TestBatchBodyMatchesEncoder(t *testing.T) {
 	s.writeBatch(rec, rendered, bad.Stats)
 	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
 		t.Fatalf("unencodable member: status %d, body %q; want 200 and no body", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// serveBatch posts body to a fresh server's /optimize/batch through its
+// handler.
+func serveBatch(t *testing.T, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	s := New(Options{})
+	t.Cleanup(func() { _ = s.Close() })
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/optimize/batch", strings.NewReader(body)))
+	return rec
+}
+
+// TestBatchDecodeErrorTexts pins the status and text of bodies that do not
+// decode to what a plain decode of the whole body into a BatchRequest
+// answers (Server.decode). decodeBatch decodes each member's spec on its
+// own, but an error is reported as the whole body's: the field named by its
+// path from the body's root, and the first error in document order, whether
+// it lies in a spec or around one.
+func TestBatchDecodeErrorTexts(t *testing.T) {
+	const ok = `{"relations": [{"table": "t0"}, {"table": "t1"}], "joins": [{"left": 0, "right": 1, "left_col": "id", "right_col": "id", "selectivity": 0.5}]}`
+	member := func(spec, extra string) string {
+		return `{"query": ` + spec + `, "objectives": ["total_time"]` + extra + `}`
+	}
+	batch := func(members ...string) string {
+		return `{"catalog": {"tables": [{"name": "t0", "rows": 10, "width": 8}, {"name": "t1", "rows": 20, "width": 8}]}, ` +
+			`"members": [` + strings.Join(members, ", ") + `]}`
+	}
+	cases := []struct {
+		name, body string
+		status     int
+		want       string
+	}{
+		{"type error in a spec", batch(member(ok, ""), member(`{"relations": [{"table": 5}]}`, "")), http.StatusBadRequest,
+			"decode request: json: cannot unmarshal number into Go struct field RelationSpec.members.query.relations.table of type string"},
+		{"unknown field in a spec", batch(member(`{"relations": [{"table": "t0"}], "wat": 1}`, "")), http.StatusBadRequest,
+			`decode request: json: unknown field "wat"`},
+		{"spec error before a member error", batch(member(`{"relations": [{"table": "t0", "filter_sel": "x"}]}`, ""), member(ok, `, "wat": 1`)), http.StatusBadRequest,
+			"decode request: json: cannot unmarshal string into Go struct field RelationSpec.members.query.relations.filter_sel of type float64"},
+		{"member error before a spec error", batch(member(ok, `, "workers": "2"`), member(`{"relations": [{"table": 5}]}`, "")), http.StatusBadRequest,
+			"decode request: json: cannot unmarshal string into Go struct field BatchMemberRequest.members.workers of type int"},
+		{"a spec that is no object", batch(member(`5`, "")), http.StatusBadRequest,
+			"decode request: json: cannot unmarshal number into Go struct field BatchMemberRequest.members.query of type server.QuerySpec"},
+		{"stream not a bool", `{"stream": "yes", "members": [` + member(ok, "") + `]}`, http.StatusBadRequest,
+			"decode request: json: cannot unmarshal string into Go struct field BatchRequest.stream of type bool"},
+		{"truncated", batch(member(ok, ""))[:60], http.StatusBadRequest,
+			"decode request: unexpected EOF"},
+		{"oversized", `{"members": [` + strings.Repeat(" ", maxBatchBody) + `]}`, http.StatusRequestEntityTooLarge,
+			"decode request: http: request body too large"},
+	}
+	for _, tc := range cases {
+		rec := serveBatch(t, tc.body)
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: %v: %s", tc.name, err, rec.Body.String())
+		}
+		if rec.Code != tc.status || e.Error != tc.want {
+			t.Errorf("%s: %d %q\nwant %d %q", tc.name, rec.Code, e.Error, tc.status, tc.want)
+		}
+	}
+}
+
+// The same four-table chain query, spelled byte for byte as json.Marshal
+// writes chainQuery(4, 0.5), and respelt: keys reordered, whitespace added,
+// 1 written 1.0 and 0.01 written 1e-2.
+const (
+	chain4Spec    = `{"name":"chain","relations":[{"table":"t0","filter_sel":0.5},{"table":"t1","filter_sel":1},{"table":"t2","filter_sel":1},{"table":"t3","filter_sel":1}],"joins":[{"left":0,"right":1,"left_col":"id","right_col":"id","selectivity":0.01},{"left":1,"right":2,"left_col":"id","right_col":"id","selectivity":0.01},{"left":2,"right":3,"left_col":"id","right_col":"id","selectivity":0.01}]}`
+	chain4Respelt = `{ "joins": [ {"selectivity": 1e-2, "right_col": "id", "left_col": "id", "right": 1, "left": 0},
+		{"left": 1, "right": 2, "left_col": "id", "right_col": "id", "selectivity": 0.010},
+		{"left": 2, "right": 3, "left_col": "id", "right_col": "id", "selectivity": 0.01} ],
+	  "relations": [ {"filter_sel": 0.50, "table": "t0"}, {"table": "t1", "filter_sel": 1.0}, {"table": "t2", "filter_sel": 1}, {"table": "t3", "filter_sel": 1e0} ],
+	  "name": "chain" }`
+)
+
+// specBatch is an exact batch over chainCatalog(4) with one member per spec,
+// each under its own weights.
+func specBatch(t testing.TB, specs ...string) string {
+	t.Helper()
+	cat, err := json.Marshal(chainCatalog(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]string, len(specs))
+	for i, spec := range specs {
+		members[i] = fmt.Sprintf(`{"query": %s, "algorithm": "exa", "objectives": ["total_time", "buffer_footprint"], `+
+			`"weights": {"total_time": 1, "buffer_footprint": %g}}`, spec, 0.1*float64(i+1))
+	}
+	return `{"catalog": ` + string(cat) + `, "members": [` + strings.Join(members, ", ") + `]}`
+}
+
+// resolveBatch takes a batch body through the steps handleOptimizeBatch
+// takes before its schedule: decodeBatch, the batch catalog, and every
+// member's resolve against one dedupe map, which it returns with the
+// members.
+func resolveBatch(t *testing.T, s *Server, w http.ResponseWriter, r *http.Request) (BatchRequest, []member, map[queryKey]*moqo.Query) {
+	t.Helper()
+	var wire BatchRequest
+	if !s.decodeBatch(w, r, &wire) {
+		t.Fatal("the body did not decode")
+	}
+	cat, _, err := s.catalogFor(wire.Catalog, wire.ScaleFactor, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make(map[queryKey]*moqo.Query)
+	members := make([]member, len(wire.Members))
+	for i := range wire.Members {
+		view := wire.Members[i].asOptimizeRequest(wire.Catalog)
+		if f := s.resolve(&members[i], &view, "", cat, queries); f != nil {
+			t.Fatalf("member %d: %v", i, f.err)
+		}
+	}
+	return wire, members, queries
+}
+
+// TestBatchInternsQuerySpecs: members whose specs are spelled byte for byte
+// alike, or differently but canonically alike, share one decoded spec, build
+// one query object and run one dynamic program; distinct specs share none.
+func TestBatchInternsQuerySpecs(t *testing.T) {
+	chain3, err := json.Marshal(chainQuery(3, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.Marshal(chainQuery(4, 0.5)); string(want) != chain4Spec {
+		t.Fatalf("chain4Spec is not chainQuery(4, 0.5): %s", want)
+	}
+	cases := []struct {
+		name   string
+		specs  []string
+		shared bool
+	}{
+		{"byte-identical", []string{chain4Spec, chain4Spec, chain4Spec}, true},
+		{"respelt", []string{chain4Spec, chain4Respelt, chain4Spec}, true},
+		{"distinct", []string{chain4Spec, string(chain3)}, false},
+	}
+	for _, tc := range cases {
+		body := specBatch(t, tc.specs...)
+		s := New(Options{})
+		wire, members, queries := resolveBatch(t, s, httptest.NewRecorder(),
+			httptest.NewRequest(http.MethodPost, "/optimize/batch", strings.NewReader(body)))
+		_ = s.Close()
+		for i := 1; i < len(wire.Members); i++ {
+			if spec := wire.Members[i].Query == wire.Members[0].Query; spec != tc.shared {
+				t.Errorf("%s: member %d shares member 0's spec: %v, want %v", tc.name, i, spec, tc.shared)
+			}
+			if q := members[i].req.Request().Query == members[0].req.Request().Query; q != tc.shared {
+				t.Errorf("%s: member %d shares member 0's query object: %v, want %v", tc.name, i, q, tc.shared)
+			}
+		}
+		want := len(wire.Members)
+		if tc.shared {
+			want = 1
+		}
+		if len(queries) != want {
+			t.Errorf("%s: %d query objects built, want %d", tc.name, len(queries), want)
+		}
+
+		runs := core.EngineRuns()
+		if rec := serveBatch(t, body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.String())
+		}
+		if got := core.EngineRuns() - runs; got != int64(want) {
+			t.Errorf("%s: %d dynamic programs, want %d", tc.name, got, want)
+		}
+	}
+}
+
+// batchDecodeAllocBudget bounds the allocations of decoding and resolving a
+// batch of twelve members over three distinct specs (a ten-table chain and
+// its eight- and six-table prefixes, each spec four times): the body read
+// and kept, the envelope with one copy of each member's spec bytes, one
+// decode and one json.Marshal per distinct spelling, the catalog, and each
+// member's resolution, with one query built per distinct spec: 484 measured
+// on go1.24. Decoding every member's own spec and marshaling it again for a
+// dedupe key, as a plain decode and a key per member did, took 728.
+const batchDecodeAllocBudget = 560
+
+// TestBatchDecodeAllocs holds a batch's work before its first dynamic
+// program (resolveBatch) to batchDecodeAllocBudget.
+func TestBatchDecodeAllocs(t *testing.T) {
+	var wire BatchRequest
+	wire.Catalog = chainCatalog(10)
+	for i := range 12 {
+		wire.Members = append(wire.Members, BatchMemberRequest{
+			Query: chainQuery(10-2*(i%3), 0.5), Algorithm: "exa", Objectives: []string{"total_time", "buffer_footprint"},
+			Weights: map[string]float64{"total_time": 1, "buffer_footprint": 0.1 * float64(i+1)},
+		})
+	}
+	body, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{})
+	defer s.Close()
+	r := httptest.NewRequest(http.MethodPost, "/optimize/batch", nil)
+	w := httptest.NewRecorder()
+	allocs := testing.AllocsPerRun(50, func() {
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		if _, _, queries := resolveBatch(t, s, w, r); len(queries) != 3 {
+			t.Fatalf("%d query objects, want 3", len(queries))
+		}
+	})
+	t.Logf("decode and resolve of a %d-byte, 12-member, 3-spec batch: %.0f allocations (budget %d)", len(body), allocs, batchDecodeAllocBudget)
+	if allocs > batchDecodeAllocBudget {
+		t.Errorf("%.0f allocations, budget %d", allocs, batchDecodeAllocBudget)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -45,7 +44,7 @@ type failure struct {
 // batch's catalog (nil on /optimize, where the request names its own) and
 // queries dedupes a batch's query objects (nil on /optimize). A non-nil
 // failure means the member must not be served.
-func (s *Server) resolve(m *member, wire *OptimizeRequest, tenantName string, cat *moqo.Catalog, queries map[string]*moqo.Query) *failure {
+func (s *Server) resolve(m *member, wire *OptimizeRequest, tenantName string, cat *moqo.Catalog, queries map[queryKey]*moqo.Query) *failure {
 	err := s.build(m, wire, tenantName, cat, queries)
 	if err != nil {
 		s.errors.Add(1)
@@ -65,7 +64,7 @@ func (s *Server) resolve(m *member, wire *OptimizeRequest, tenantName string, ca
 
 // build is resolve up to admission; every error it returns — the wire's
 // or Resolve's — is a validation failure.
-func (s *Server) build(m *member, wire *OptimizeRequest, tenantName string, cat *moqo.Catalog, queries map[string]*moqo.Query) (err error) {
+func (s *Server) build(m *member, wire *OptimizeRequest, tenantName string, cat *moqo.Catalog, queries map[queryKey]*moqo.Query) (err error) {
 	if m.ten, err = s.tenants.Resolve(tenantName); err != nil {
 		return err
 	}
@@ -103,9 +102,10 @@ func (s *Server) catalogFor(spec *CatalogSpec, sf float64, n int) (*moqo.Catalog
 
 // memberQuery resolves the request's query — a TPC-H number or an inline
 // spec — against cat (nil: the request's own catalog). With a dedupe map,
-// identical specs resolve to one query object: built once, and one lane of
-// the batch schedule, served whole by one claimer.
-func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries map[string]*moqo.Query) (q *moqo.Query, err error) {
+// members of one TPC-H number, or of one spec pointer (decodeBatch interns
+// canonically equal specs to one), resolve to one query object: built once,
+// and one lane of the batch schedule, served whole by one claimer.
+func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries map[queryKey]*moqo.Query) (q *moqo.Query, err error) {
 	switch {
 	case wire.TPCH != 0 && (wire.Catalog != nil || wire.Query != nil):
 		return nil, fmt.Errorf("tpch and an inline catalog or query are mutually exclusive")
@@ -118,22 +118,9 @@ func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries m
 			return q, err
 		}
 	}
-	var key string
-	if queries != nil {
-		if wire.TPCH != 0 {
-			key = "t:" + strconv.Itoa(wire.TPCH)
-		} else {
-			// Struct marshaling is deterministic, so equal specs dedupe to
-			// one query object.
-			raw, merr := json.Marshal(wire.Query)
-			if merr != nil {
-				return nil, merr
-			}
-			key = "q:" + string(raw)
-		}
-		if known, ok := queries[key]; ok {
-			return known, nil
-		}
+	key := queryKey{wire.TPCH, wire.Query}
+	if known, ok := queries[key]; ok {
+		return known, nil
 	}
 	if wire.TPCH != 0 {
 		q, err = moqo.TPCHQuery(wire.TPCH, cat)
@@ -144,6 +131,13 @@ func (s *Server) memberQuery(wire *OptimizeRequest, cat *moqo.Catalog, queries m
 		queries[key] = q
 	}
 	return q, err
+}
+
+// queryKey is a batch member's query as memberQuery dedupes it: a TPC-H
+// number, or an interned inline spec.
+type queryKey struct {
+	tpch int
+	spec *QuerySpec
 }
 
 // clampTimeout resolves a request's timeout_ms against the server limits.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -299,20 +300,44 @@ var batchOfOneSeed = func() string {
 	return string(b)
 }()
 
+// specSeed is a two-member batch over a two-table catalog whose members
+// spell their queries as given.
+func specSeed(a, b string) string {
+	return `{"catalog": {"tables": [{"name": "t0", "rows": 10, "width": 8}, {"name": "t1", "rows": 20, "width": 8}]}, "members": [` +
+		`{"query": ` + a + `, "objectives": ["total_time"]}, {"query": ` + b + `, "objectives": ["total_time"]}]}`
+}
+
 // FuzzBatchBody: no /optimize/batch body panics the handler or gets a
 // status outside {200, 400, 413, 429, 503}, and a 200 — collected or
 // streamed — answers every member exactly once, with exactly one of
-// result and error, never error_code "internal".
+// result and error, never error_code "internal". The batch decode
+// (decodeBatch) agrees with a plain decode of the body into a BatchRequest
+// (checkInternedDecode).
 func FuzzBatchBody(f *testing.F) {
+	const spec = `{"relations": [{"table": "t0", "filter_sel": 1}, {"table": "t1"}], "joins": [{"left": 0, "right": 1, "left_col": "id", "right_col": "id", "selectivity": 0.5}]}`
 	for _, seed := range []string{
 		tpchBatch, `{"stream": true,` + tpchBatch[1:], batchOfOneSeed,
 		`{"members": []}`, `{"members": [{}]}`, `{`, `{"scale_factor": -1, "members": [{"tpch": 3, "objectives": ["total_time"]}]}`,
 		`{"parallel": 3, "members": [{"tpch": 3, "tenant": "not a name", "objectives": ["total_time"]}, {"tpch": 99, "objectives": ["total_time"]}]}`,
+		specSeed(spec, spec),
+		specSeed(spec, `{"joins": [{"selectivity": 0.5, "right_col": "id", "left_col": "id", "right": 1, "left": 0}], "relations": [{"filter_sel": 1, "table": "t0"}, {"table": "t1"}]}`),
+		specSeed(spec, "{\n\t\"relations\" : [ {\"table\":\"t0\",\"filter_sel\":1} , {\"table\":\"t1\"} ],\r\n \"joins\":[{\"left\":0,\"right\":1,\"left_col\":\"id\",\"right_col\":\"id\",\"selectivity\":0.5}] }"),
+		specSeed(spec, strings.Replace(spec, `"filter_sel": 1`, `"filter_sel": 1.0`, 1)),
+		specSeed(spec, `{"relations": [{"table": "t0", "filter_sel": "1"}]}`),
+		specSeed(spec, spec) + ` {"members": []} trailing`,
+		specSeed(`null`, spec),
+		strings.Replace(specSeed(spec, spec), `"query": `, `"query": {"name": "first", "joins": []}, "query": `, 1),
+		`{"members": [{"tpch": 3, "objectives": ["total_time"]}], "members": [{"query": null}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
+	// The members spelled twice: each spec is decoded a second time into the
+	// first one's, so two equal specs reach the plain decode's interning.
+	twice := specSeed(spec, spec)
+	f.Add([]byte(twice[:len(twice)-1] + ", " + twice[strings.Index(twice, `"members"`):]))
 	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkInternedDecode(t, s, body)
 		rec := fuzzPost(t, s, "/optimize/batch", body)
 		if rec.Code != http.StatusOK {
 			return
@@ -348,4 +373,44 @@ func FuzzBatchBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkInternedDecode holds decodeBatch to a plain decode of body into a
+// BatchRequest, as Server.decode makes it: both fail with one text, or both
+// succeed with deep-equal requests, and two members' specs are one pointer
+// exactly when they marshal alike.
+func checkInternedDecode(t *testing.T, s *Server, body []byte) {
+	var plain BatchRequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), maxBatchBody))
+	dec.DisallowUnknownFields()
+	plainErr := dec.Decode(&plain)
+
+	var wire BatchRequest
+	rec := httptest.NewRecorder()
+	ok := s.decodeBatch(rec, httptest.NewRequest(http.MethodPost, "/optimize/batch", bytes.NewReader(body)), &wire)
+	if plainErr != nil {
+		var e ErrorResponse
+		if ok || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error != "decode request: "+plainErr.Error() {
+			t.Fatalf("plain decode failed with %q, the batch decode answered %v: %s", plainErr, ok, rec.Body.String())
+		}
+		return
+	}
+	if !ok {
+		t.Fatalf("plain decode succeeded, the batch decode answered %s", rec.Body.String())
+	}
+	if !reflect.DeepEqual(wire, plain) {
+		t.Fatalf("the batch decode differs from a plain decode:\n%+v\nwant\n%+v", wire, plain)
+	}
+	for i, a := range wire.Members {
+		for j, b := range wire.Members[:i] {
+			if a.Query == nil || b.Query == nil {
+				continue
+			}
+			ra, _ := json.Marshal(a.Query)
+			rb, _ := json.Marshal(b.Query)
+			if (a.Query == b.Query) != bytes.Equal(ra, rb) {
+				t.Fatalf("members %d and %d share a spec: %v; marshal alike: %v", j, i, a.Query == b.Query, bytes.Equal(ra, rb))
+			}
+		}
+	}
 }

@@ -23,7 +23,9 @@
 // Each arrow is a single function:
 //
 //   - decode (Server.decode): the size-limited, unknown-field-rejecting
-//     JSON decode of the body.
+//     JSON decode of the body. A batch's (Server.decodeBatch) decodes each
+//     distinct spelling of a member's query spec once and interns equal
+//     specs, with Server.decode's request and error texts.
 //   - resolve (Server.resolve): wire request → member. Tenant, then the
 //     catalog and the query converted through their builders' error
 //     forms (catalog.AddTableE/AddIndexE, query.AddRelationE/AddJoinE,
@@ -74,6 +76,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -346,7 +349,12 @@ func (s *Server) tpch(sf float64, n int) (*moqo.Catalog, *moqo.Query, error) {
 // rejecting unknown fields; on failure it answers 400 (413 past the limit)
 // and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	return s.decodeFrom(w, http.MaxBytesReader(w, r.Body, limit), v)
+}
+
+// decodeFrom is decode over a body already limited.
+func (s *Server) decodeFrom(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
