@@ -3,6 +3,7 @@ package moqo_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build/constraint"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -718,7 +719,7 @@ var note = "degradedSet bestOnlySet singleObjectiveMin newEngine"`},
 	{
 		// Every run's archives are configured once, from one precision vector:
 		// the pruning plan (newPruning) builds the run's one FlatConfig, and
-		// the set precision becomes the level precision in one seam
+		// the set precision becomes the level precision in one function
 		// (levelPrecision, Algorithm 2's root), called by the plan alone. A
 		// per-objective RTA is RTA under Options.Precision, not an entry point
 		// of its own.
@@ -864,6 +865,44 @@ func coverFactor(approx, exact []objective.Vector, objs objective.Set) float64 {
 var note = "for _, o := range objs.IDs() { o = bits.TrailingZeros16(uint16(s)) }"`},
 		},
 	},
+	{
+		// The product builds one way: no non-test file of the root module
+		// carries a build constraint, so every test, benchmark and binary
+		// builds the code that ships. A committed mutant is an overlay that
+		// tools/mutate lays over an unmodified tree, not a tagged file beside
+		// a seam. benchmark/ and tools/ are modules of their own.
+		name: "One build of the product",
+		check: func(src sources) []string {
+			var bad []string
+			for path, f := range src.filter(func(p string) bool {
+				return !isTest(p) && !strings.HasPrefix(p, "benchmark/") && !strings.HasPrefix(p, "tools/")
+			}) {
+				for _, g := range f.Comments {
+					for _, c := range g.List {
+						if c.Pos() < f.Package && (constraint.IsGoBuild(c.Text) || constraint.IsPlusBuild(c.Text)) {
+							bad = append(bad, fmt.Sprintf("%s: %s: a second build of the product", path, c.Text))
+						}
+					}
+				}
+			}
+			return bad
+		},
+		violations: []map[string]string{
+			{"internal/core/mutant_rtalevel.go": `//go:build moqo_mutant_rtalevel
+
+package core
+
+func levelPrecision(set objective.Precision, _ int) objective.Precision { return set }`},
+		},
+		mentions: []map[string]string{
+			{"internal/core/engine.go": `package core
+
+// A mutant is an overlay, not a file that begins
+//
+//	//go:build moqo_mutant_rtalevel
+var note = "//go:build moqo_mutant_rtalevel"`},
+		},
+	},
 }
 
 // callers returns, sorted, the names of the functions and methods in src
@@ -952,7 +991,7 @@ func parseTree(t *testing.T, root string) sources {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}

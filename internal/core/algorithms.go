@@ -307,7 +307,6 @@ func deadlinePassed(ctx context.Context) bool {
 // of it — and stopping with the weighted-cost fallback is sound.
 func iraStop(rows []float64, w objective.Weights, b objective.Bounds,
 	objs objective.Set, alpha, alphaU float64) bool {
-	b = iraStopBounds(b)
 	threshold := math.Inf(1)
 	for i := 0; i < len(rows); i += costStride {
 		v := objective.Vector(rows[i : i+costStride])

@@ -196,6 +196,12 @@ func newPruning(objs objective.Set, set objective.Precision, n int) pruning {
 	return pruning{set: set, level: level, cfg: pareto.NewFlatPrecisionConfig(objs, level)}
 }
 
+// levelPrecision turns a run's set precision into the precision every level
+// prunes at: the component-wise n-th root, n = |Q| (Algorithm 2's
+// αi = αU^(1/|Q|); by Theorem 3's induction the full set is then
+// set-approximate).
+func levelPrecision(set objective.Precision, n int) objective.Precision { return set.Root(n) }
+
 // newEngine prepares an engine run over opts.Objectives at set precision set
 // (see pruning), with the workers its pool is sized for (poolSize). opts must
 // be normalized (Workers >= 1). ctx cancellation aborts the run; a ctx
@@ -458,8 +464,8 @@ func (w *worker) scanBestSet(id int32, s query.TableSet) {
 // has nothing left to claim, and the resumed lookup waits). Otherwise the
 // worker owns the key, runs the loop, and releases the key: it publishes
 // the archive only when the set completed and the run is neither timed out
-// nor cancelled (engine.publishes), and abandons the key otherwise, since
-// degraded runs may hold truncated lower-level archives. The timeout latch
+// nor cancelled, and abandons the key otherwise, since degraded runs may
+// hold truncated lower-level archives. The timeout latch
 // is set before the level barrier that precedes this set, so observing it
 // unlatched here proves every lower level was treated in full. Only
 // fullSet touches the shared memo — keepBest keeps weight-dependent
@@ -507,7 +513,7 @@ func (w *worker) fullSet(id int32, s query.TableSet) {
 	}
 	if w.owned != "" {
 		var published *pareto.FlatArchive
-		if e.publishes(complete) {
+		if complete && !e.timedOut.Load() && !e.cancelled.Load() {
 			published = a
 		}
 		e.shared.release(w.owned, published)

@@ -71,7 +71,7 @@ func (c *FlatConfig) resolveSignature() {
 // sign bit set below zero, where the lower clamp catches it.
 func (c *FlatConfig) bucket(x float64) uint64 {
 	b := int64(math.Float64bits(x))>>c.sigShift - c.sigLo
-	return uint64(clampTop(max(b, 0), c.sigTop))
+	return uint64(min(max(b, 0), c.sigTop))
 }
 
 // signature is the signature of cost vector v: field k holds the bucket of

@@ -317,7 +317,7 @@ func parseRecord(data []byte, off int64) (record, int64, int) {
 	}
 	body := data[off+recHeadSize : off+recHeadSize+keyLen+valLen]
 	bodyCRC := binary.LittleEndian.Uint32(data[off+n-recTailSize : off+n])
-	if !bodyIntact(body, bodyCRC) {
+	if crc32.Checksum(body, castagnoli) != bodyCRC {
 		return record{}, n, recBadBody
 	}
 	return record{typ: typ, key: string(body[:keyLen]), val: body[keyLen:]}, n, recOK
