@@ -1,14 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -213,132 +209,6 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		SharedHits:        hits,
 		DurationMs:        float64(time.Since(started)) / float64(time.Millisecond),
 	})
-}
-
-// decodeBatch is s.decode of a /optimize/batch body into wire — the same
-// limit, the same request, the same 400 and 413 texts — except that each
-// distinct spelling of a member's query spec is decoded once, and specs that
-// are canonically equal are one *QuerySpec: equal json.Marshal output (struct
-// marshaling is deterministic), computed once per spelling. memberQuery keys
-// a batch's query objects by that pointer, so no member's spec is decoded or
-// marshaled on its own.
-//
-// The envelope is decoded with each member's query kept as its bytes
-// (batchEnvelope), and the bytes read from the body are kept as they are
-// read. When the envelope or a spelling does not decode, or a member spells
-// its query twice (the second spelling merges into the spec the first one
-// decoded to, which only a plain decode reproduces), those bytes and the rest
-// of the body are decoded again into a BatchRequest as s.decode would: the
-// error is then its error, the first in document order, with the field path
-// of the whole body.
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, wire *BatchRequest) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
-	read := readBuffers.Get().(*bytes.Buffer)
-	defer func() {
-		if read.Cap() <= maxPooledBody {
-			read.Reset()
-			readBuffers.Put(read)
-		}
-	}()
-	dec := json.NewDecoder(io.TeeReader(body, read))
-	dec.DisallowUnknownFields()
-	var env batchEnvelope
-	if dec.Decode(&env) == nil && env.intern(wire) {
-		return true
-	}
-	*wire = BatchRequest{}
-	if !s.decodeFrom(w, io.MultiReader(read, body), wire) {
-		return false
-	}
-	seen := make(map[string]*QuerySpec)
-	for i := range wire.Members {
-		wire.Members[i].Query = canonical(seen, wire.Members[i].Query)
-	}
-	return true
-}
-
-// readBuffers hold what a batch decode has read of its body.
-var readBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// batchEnvelope is a BatchRequest whose members' query specs are still the
-// bytes that spell them. Its Members, and memberEnvelope's Query, shadow the
-// embedded fields of the same JSON name, so the rest of the body decodes
-// into BatchRequest's and BatchMemberRequest's own fields, unknown ones
-// rejected alike.
-type batchEnvelope struct {
-	BatchRequest
-	Members []memberEnvelope `json:"members"`
-}
-
-type memberEnvelope struct {
-	BatchMemberRequest
-	Query specSpelling `json:"query"`
-}
-
-// specSpelling is a member's query spec as its bytes, "" when the member
-// has none, and whether the member spelled one more than once.
-type specSpelling struct {
-	raw     string
-	respelt bool
-}
-
-func (s *specSpelling) UnmarshalJSON(b []byte) error {
-	s.respelt = s.respelt || s.raw != ""
-	s.raw = string(b)
-	return nil
-}
-
-// intern sets wire to env with each distinct spelling decoded once and
-// canonically equal specs shared. It reports false, with wire to be
-// decoded again, when a member spelled its query twice or a spelling does
-// not decode.
-func (env *batchEnvelope) intern(wire *BatchRequest) bool {
-	*wire = env.BatchRequest
-	if env.Members == nil {
-		return true
-	}
-	wire.Members = make([]BatchMemberRequest, len(env.Members))
-	bySpelling := make(map[string]*QuerySpec)
-	seen := make(map[string]*QuerySpec)
-	for i := range env.Members {
-		m := &env.Members[i]
-		if m.Query.respelt {
-			return false
-		}
-		wire.Members[i] = m.BatchMemberRequest
-		if m.Query.raw == "" {
-			continue
-		}
-		spec, ok := bySpelling[m.Query.raw]
-		if !ok {
-			dec := json.NewDecoder(strings.NewReader(m.Query.raw))
-			dec.DisallowUnknownFields()
-			if dec.Decode(&spec) != nil {
-				return false
-			}
-			spec = canonical(seen, spec)
-			bySpelling[m.Query.raw] = spec
-		}
-		wire.Members[i].Query = spec
-	}
-	return true
-}
-
-// canonical returns the first spec in seen that marshals as spec does, and
-// records spec if there is none.
-func canonical(seen map[string]*QuerySpec, spec *QuerySpec) *QuerySpec {
-	if spec == nil {
-		return nil
-	}
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		return spec
-	}
-	if known, ok := seen[string(raw)]; ok {
-		return known
-	}
-	seen[string(raw)] = spec
-	return spec
 }
 
 // renderMember renders resp with an encoder from pool: memberEncoders

@@ -627,16 +627,19 @@ func TestBatchInternsQuerySpecs(t *testing.T) {
 // batchDecodeAllocBudget bounds the allocations of decoding and resolving a
 // batch of twelve members over three distinct specs (a ten-table chain and
 // its eight- and six-table prefixes, each spec four times): the body read
-// and kept, the envelope with one copy of each member's spec bytes, one
-// decode and one json.Marshal per distinct spelling, the catalog, and each
-// member's resolution, with one query built per distinct spec: 484 measured
-// on go1.24. Decoding every member's own spec and marshaling it again for a
-// dedupe key, as a plain decode and a key per member did, took 728.
-const batchDecodeAllocBudget = 560
+// into a pooled buffer, the envelope around the specs, one decode and one
+// json.Marshal per distinct spelling, the catalog, and each member's
+// resolution, with one query built per distinct spec: 456 measured on
+// go1.24. Keeping a copy of each member's spec bytes, as the envelope did
+// before the structural pass, took 484; decoding every member's own spec
+// and marshaling it again for a dedupe key took 728.
+const batchDecodeAllocBudget = 500
 
-// TestBatchDecodeAllocs holds a batch's work before its first dynamic
-// program (resolveBatch) to batchDecodeAllocBudget.
-func TestBatchDecodeAllocs(t *testing.T) {
+// sizingBatch is the body TestBatchDecodeAllocs and BenchmarkBatchDecode
+// decode: twelve exact members over chainCatalog(10), their specs a
+// ten-table chain and its eight- and six-table prefixes, each four times.
+func sizingBatch(tb testing.TB) []byte {
+	tb.Helper()
 	var wire BatchRequest
 	wire.Catalog = chainCatalog(10)
 	for i := range 12 {
@@ -647,8 +650,15 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	}
 	body, err := json.Marshal(wire)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return body
+}
+
+// TestBatchDecodeAllocs holds a batch's work before its first dynamic
+// program (resolveBatch) to batchDecodeAllocBudget.
+func TestBatchDecodeAllocs(t *testing.T) {
+	body := sizingBatch(t)
 	s := New(Options{})
 	defer s.Close()
 	r := httptest.NewRequest(http.MethodPost, "/optimize/batch", nil)
@@ -662,5 +672,24 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	t.Logf("decode and resolve of a %d-byte, 12-member, 3-spec batch: %.0f allocations (budget %d)", len(body), allocs, batchDecodeAllocBudget)
 	if allocs > batchDecodeAllocBudget {
 		t.Errorf("%.0f allocations, budget %d", allocs, batchDecodeAllocBudget)
+	}
+}
+
+// BenchmarkBatchDecode times decodeBatch alone on sizingBatch's body:
+// go test -run '^$' -bench BatchDecode ./internal/server.
+func BenchmarkBatchDecode(b *testing.B) {
+	body := sizingBatch(b)
+	s := New(Options{})
+	defer s.Close()
+	r := httptest.NewRequest(http.MethodPost, "/optimize/batch", nil)
+	w := httptest.NewRecorder()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var wire BatchRequest
+		if !s.decodeBatch(w, r, &wire) || len(wire.Members) != 12 {
+			b.Fatalf("the body did not decode: %s", w.Body.String())
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -207,40 +206,48 @@ func TestAdmissionCostsResolvedAlgorithm(t *testing.T) {
 	}
 }
 
-// fuzzServer is the fuzz targets' server: a tight deadline keeps every
+// fuzzTarget is a fuzz target's server: a tight deadline keeps every
 // execution short (a deadline degrades the answer, it never fails it),
 // and a default quota puts admission rejections within the fuzzer's reach.
-func fuzzServer(f *testing.F) *Server {
+// Its handler is built once, and it keeps the tenants' admissions as the
+// last execution left them: a fuzzing process runs one execution at a
+// time, so one tenant snapshot per execution tells what it admitted.
+type fuzzTarget struct {
+	s        *Server
+	handler  http.Handler
+	admitted uint64
+}
+
+func newFuzzTarget(f *testing.F) *fuzzTarget {
 	cfg, err := tenant.ParseConfig([]byte(`{"default": {"max_tables": 6, "max_predicted_cost": 20000}}`))
 	if err != nil {
 		f.Fatal(err)
 	}
-	return New(Options{
+	s := New(Options{
 		Tenants:        tenant.NewRegistry(cfg),
 		DefaultTimeout: 5 * time.Millisecond,
 		MaxTimeout:     5 * time.Millisecond,
 	})
+	return &fuzzTarget{s: s, handler: s.Handler()}
 }
 
-// fuzzPost sends one fuzzed body and checks what holds for every answer: a
+// post sends one fuzzed body and checks what holds for every answer: a
 // 400 was refused before admission — no tenant was charged and no dynamic
 // program started.
-func fuzzPost(t *testing.T, s *Server, path string, body []byte) *httptest.ResponseRecorder {
-	admitted := func() (n uint64) {
-		for _, snap := range s.tenants.Snapshots() {
-			n += snap.Admitted
-		}
-		return n
-	}
-	admittedBefore, runsBefore := admitted(), core.EngineRuns()
+func (ft *fuzzTarget) post(t *testing.T, path string, body []byte) *httptest.ResponseRecorder {
+	admittedBefore, runsBefore := ft.admitted, core.EngineRuns()
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	ft.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	ft.admitted = 0
+	for _, snap := range ft.s.tenants.Snapshots() {
+		ft.admitted += snap.Admitted
+	}
 	if !fuzzStatusOK(rec.Code) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	if rec.Code == http.StatusBadRequest && (admitted() != admittedBefore || core.EngineRuns() != runsBefore) {
+	if rec.Code == http.StatusBadRequest && (ft.admitted != admittedBefore || core.EngineRuns() != runsBefore) {
 		t.Fatalf("a 400 was admitted or ran an engine: admitted %d -> %d, engine runs %d -> %d: %s",
-			admittedBefore, admitted(), runsBefore, core.EngineRuns(), rec.Body.String())
+			admittedBefore, ft.admitted, runsBefore, core.EngineRuns(), rec.Body.String())
 	}
 	return rec
 }
@@ -273,9 +280,9 @@ func FuzzOptimizeBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	s := fuzzServer(f)
+	ft := newFuzzTarget(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := fuzzPost(t, s, "/optimize", body)
+		rec := ft.post(t, "/optimize", body)
 		if rec.Code == http.StatusOK {
 			var resp OptimizeResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Plan) == 0 {
@@ -307,15 +314,15 @@ func specSeed(a, b string) string {
 		`{"query": ` + a + `, "objectives": ["total_time"]}, {"query": ` + b + `, "objectives": ["total_time"]}]}`
 }
 
-// FuzzBatchBody: no /optimize/batch body panics the handler or gets a
-// status outside {200, 400, 413, 429, 503}, and a 200 — collected or
-// streamed — answers every member exactly once, with exactly one of
-// result and error, never error_code "internal". The batch decode
-// (decodeBatch) agrees with a plain decode of the body into a BatchRequest
-// (checkInternedDecode).
-func FuzzBatchBody(f *testing.F) {
+// batchSeeds are the batch fuzz targets' seeds: valid batches, envelope
+// and member errors, and query specs spelled alike, respelt, mistyped,
+// null and twice.
+func batchSeeds() []string {
 	const spec = `{"relations": [{"table": "t0", "filter_sel": 1}, {"table": "t1"}], "joins": [{"left": 0, "right": 1, "left_col": "id", "right_col": "id", "selectivity": 0.5}]}`
-	for _, seed := range []string{
+	// The members spelled twice: each spec is decoded a second time into the
+	// first one's, so two equal specs reach the plain decode's interning.
+	twice := specSeed(spec, spec)
+	return []string{
 		tpchBatch, `{"stream": true,` + tpchBatch[1:], batchOfOneSeed,
 		`{"members": []}`, `{"members": [{}]}`, `{`, `{"scale_factor": -1, "members": [{"tpch": 3, "objectives": ["total_time"]}]}`,
 		`{"parallel": 3, "members": [{"tpch": 3, "tenant": "not a name", "objectives": ["total_time"]}, {"tpch": 99, "objectives": ["total_time"]}]}`,
@@ -328,17 +335,22 @@ func FuzzBatchBody(f *testing.F) {
 		specSeed(`null`, spec),
 		strings.Replace(specSeed(spec, spec), `"query": `, `"query": {"name": "first", "joins": []}, "query": `, 1),
 		`{"members": [{"tpch": 3, "objectives": ["total_time"]}], "members": [{"query": null}]}`,
-	} {
+		twice[:len(twice)-1] + ", " + twice[strings.Index(twice, `"members"`):],
+	}
+}
+
+// FuzzBatchBody: no /optimize/batch body panics the handler or gets a
+// status outside {200, 400, 413, 429, 503}, and a 200 — collected or
+// streamed — answers every member exactly once, with exactly one of
+// result and error, never error_code "internal". FuzzBatchDecode holds the
+// batch decode to a plain one.
+func FuzzBatchBody(f *testing.F) {
+	for _, seed := range batchSeeds() {
 		f.Add([]byte(seed))
 	}
-	// The members spelled twice: each spec is decoded a second time into the
-	// first one's, so two equal specs reach the plain decode's interning.
-	twice := specSeed(spec, spec)
-	f.Add([]byte(twice[:len(twice)-1] + ", " + twice[strings.Index(twice, `"members"`):]))
-	s := fuzzServer(f)
+	ft := newFuzzTarget(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkInternedDecode(t, s, body)
-		rec := fuzzPost(t, s, "/optimize/batch", body)
+		rec := ft.post(t, "/optimize/batch", body)
 		if rec.Code != http.StatusOK {
 			return
 		}
@@ -373,44 +385,4 @@ func FuzzBatchBody(f *testing.F) {
 			}
 		}
 	})
-}
-
-// checkInternedDecode holds decodeBatch to a plain decode of body into a
-// BatchRequest, as Server.decode makes it: both fail with one text, or both
-// succeed with deep-equal requests, and two members' specs are one pointer
-// exactly when they marshal alike.
-func checkInternedDecode(t *testing.T, s *Server, body []byte) {
-	var plain BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), maxBatchBody))
-	dec.DisallowUnknownFields()
-	plainErr := dec.Decode(&plain)
-
-	var wire BatchRequest
-	rec := httptest.NewRecorder()
-	ok := s.decodeBatch(rec, httptest.NewRequest(http.MethodPost, "/optimize/batch", bytes.NewReader(body)), &wire)
-	if plainErr != nil {
-		var e ErrorResponse
-		if ok || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error != "decode request: "+plainErr.Error() {
-			t.Fatalf("plain decode failed with %q, the batch decode answered %v: %s", plainErr, ok, rec.Body.String())
-		}
-		return
-	}
-	if !ok {
-		t.Fatalf("plain decode succeeded, the batch decode answered %s", rec.Body.String())
-	}
-	if !reflect.DeepEqual(wire, plain) {
-		t.Fatalf("the batch decode differs from a plain decode:\n%+v\nwant\n%+v", wire, plain)
-	}
-	for i, a := range wire.Members {
-		for j, b := range wire.Members[:i] {
-			if a.Query == nil || b.Query == nil {
-				continue
-			}
-			ra, _ := json.Marshal(a.Query)
-			rb, _ := json.Marshal(b.Query)
-			if (a.Query == b.Query) != bytes.Equal(ra, rb) {
-				t.Fatalf("members %d and %d share a spec: %v; marshal alike: %v", j, i, a.Query == b.Query, bytes.Equal(ra, rb))
-			}
-		}
-	}
 }

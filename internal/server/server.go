@@ -23,8 +23,9 @@
 // Each arrow is a single function:
 //
 //   - decode (Server.decode): the size-limited, unknown-field-rejecting
-//     JSON decode of the body. A batch's (Server.decodeBatch) decodes each
-//     distinct spelling of a member's query spec once and interns equal
+//     JSON decode of the body. A batch's (Server.decodeBatch) finds the
+//     members' query specs in one structural pass, decodes the envelope
+//     around them and each distinct spelling once, and interns equal
 //     specs, with Server.decode's request and error texts.
 //   - resolve (Server.resolve): wire request → member. Tenant, then the
 //     catalog and the query converted through their builders' error
