@@ -1,11 +1,9 @@
 package pareto
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"moqo/internal/objective"
@@ -43,13 +41,29 @@ func diffArchives(fast, oracle *FlatArchive) string {
 }
 
 // storageOrder lists the rows of a in storage order, by where they stand now.
+// A ranked archive's insertion sequences are distinct and below inserted, so
+// its rows are scattered into a table indexed by sequence and read back in
+// order.
 func storageOrder(a *FlatArchive) []int {
 	order := make([]int, a.Len())
-	for i := range order {
-		order[i] = i
+	if !a.ranked {
+		for i := range order {
+			order[i] = i
+		}
+		return order
 	}
-	if a.ranked {
-		slices.SortFunc(order, func(i, j int) int { return cmp.Compare(a.recs[i].seq, a.recs[j].seq) })
+	bySeq := make([]int, a.inserted)
+	for i := range bySeq {
+		bySeq[i] = -1
+	}
+	for i := range order {
+		bySeq[a.recs[i].seq] = i
+	}
+	order = order[:0]
+	for _, i := range bySeq {
+		if i >= 0 {
+			order = append(order, i)
+		}
 	}
 	return order
 }

@@ -24,9 +24,10 @@ const maxBatchBody = 8 << 20
 // handleOptimizeBatch serves POST /optimize/batch: decode, N members
 // through the lifecycle /optimize sends one through, under one schedule.
 // What the members share is what makes it a batch: the catalog is resolved
-// once; each distinct spelling of a member's query spec is decoded once and
-// canonically equal specs are one (decodeBatch), so the work before the
-// first dynamic program grows with the distinct specs, not the members;
+// once; a member's query spec that repeats an earlier one byte for byte is
+// not decoded again and canonically equal specs are one (decodeBatch), so
+// the work before the first dynamic program grows with the distinct specs,
+// not the members;
 // distinct specs build one query object each, so members of the same shape
 // share one cardinality/selectivity warm-up; all
 // members publish solved subproblems to one batch-scoped shared memo

@@ -627,13 +627,14 @@ func TestBatchInternsQuerySpecs(t *testing.T) {
 // batchDecodeAllocBudget bounds the allocations of decoding and resolving a
 // batch of twelve members over three distinct specs (a ten-table chain and
 // its eight- and six-table prefixes, each spec four times): the body read
-// into a pooled buffer, the envelope around the specs, one decode and one
-// json.Marshal per distinct spelling, the catalog, and each member's
-// resolution, with one query built per distinct spec: 456 measured on
-// go1.24. Keeping a copy of each member's spec bytes, as the envelope did
-// before the structural pass, took 484; decoding every member's own spec
-// and marshaling it again for a dedupe key took 728.
-const batchDecodeAllocBudget = 500
+// into a pooled buffer, one decode of it with each repeated spec elided,
+// one json.Marshal per distinct spelling, the catalog, and each member's
+// resolution, with one query built per distinct spec: 418 measured on
+// go1.24. Decoding an envelope of placeholders and each distinct spelling
+// on its own took 456; keeping a copy of each member's spec bytes, as the
+// envelope did before the structural pass, took 484; decoding every
+// member's own spec and marshaling it again for a dedupe key took 728.
+const batchDecodeAllocBudget = 460
 
 // sizingBatch is the body TestBatchDecodeAllocs and BenchmarkBatchDecode
 // decode: twelve exact members over chainCatalog(10), their specs a

@@ -6,161 +6,120 @@ import (
 	"hash/maphash"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"unicode/utf8"
 )
 
 // decodeBatch is s.decode of a /optimize/batch body into wire — the same
-// limit, the same request, the same 400 and 413 texts — except that
-// encoding/json reads each member's query spec once per distinct spelling,
-// and canonically equal specs are one *QuerySpec: equal json.Marshal output
-// (struct marshaling is deterministic), computed once per spelling.
-// memberQuery keys a batch's query objects by that pointer, so no member's
-// spec is decoded or marshaled on its own.
+// limit, the same request, the same 400 and 413 texts — except that a
+// member's query spec that repeats an earlier member's byte for byte is not
+// decoded again, and canonically equal specs are one *QuerySpec: equal
+// json.Marshal output (struct marshaling is deterministic), computed once
+// per distinct spec. memberQuery keys a batch's query objects by that
+// pointer, so no repeated spec is decoded or marshaled on its own.
 //
 // The body is read whole into a pooled buffer, and one structural pass over
-// it (batchDecoder.scan) finds each member's query value; encoding/json
-// then decodes the envelope with those values replaced by short
-// placeholders, and each distinct spelling from its place in the buffer.
-// Anything the pass does not follow exactly as encoding/json would — a key
-// at the body's or a member's level that holds an escape or a non-ASCII
-// byte, or equals "members" or "query" only under case folding; a repeated
-// "members" or "query" key; a spelling that is not one JSON value; an
-// envelope that does not decode; a read that reaches the limit or fails —
-// sends the bytes read, and the rest of the body, through a plain decode
-// into a BatchRequest, as s.decode would: the error is then its error, the
-// first in document order, with the field path of the whole body.
+// it (batchDecoder.scan) finds each member's query value and replaces each
+// one that repeats an earlier value with null; s.decodeFrom then decodes
+// that body into wire, and each elided member takes the spec of the member
+// it repeats. The errors stay s.decode's: a repeat's errors are those of its
+// first spelling, which comes earlier in the body, so the first error in
+// document order is the same. A body the pass does not follow exactly as
+// encoding/json would — a key at the body's or a member's level that holds
+// an escape or a non-ASCII byte, or equals "members" or "query" only under
+// case folding; a repeated "members" or "query" key — is decoded as read,
+// and a read that reaches the limit or fails decodes the bytes read and the
+// rest of the body, as s.decode would.
 func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, wire *BatchRequest) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
 	d := batchDecoders.Get().(*batchDecoder)
 	defer d.release()
-	if _, err := d.read.ReadFrom(body); err == nil && d.decode(wire) {
-		return true
+	var in io.Reader
+	if _, err := d.read.ReadFrom(body); err != nil {
+		in = io.MultiReader(&d.read, body)
+	} else {
+		in = bytes.NewReader(d.elide())
 	}
-	*wire = BatchRequest{}
-	if !s.decodeFrom(w, io.MultiReader(&d.read, body), wire) {
+	if !s.decodeFrom(w, in, wire) {
 		return false
 	}
-	seen := make(map[string]*QuerySpec)
-	for i := range wire.Members {
-		wire.Members[i].Query = canonical(seen, wire.Members[i].Query)
+	if d.restore(wire) {
+		return true
 	}
-	return true
+	// The decode read the body's structure otherwise than the pass did:
+	// decode the body as read.
+	*wire = BatchRequest{}
+	d.repeats = d.repeats[:0]
+	return s.decodeFrom(w, bytes.NewReader(d.read.Bytes()), wire) && d.restore(wire)
 }
 
 // batchDecoder is one batch decode's buffers, pooled.
 type batchDecoder struct {
-	read  bytes.Buffer // the body as read
-	env   []byte       // its first value, each query value a placeholder
-	specs []specAt     // the members' query values, in body order
+	read    bytes.Buffer       // the body as read
+	elided  []byte             // the body with each repeated query value null
+	firsts  map[uint64]queryAt // a spelling's hash → its first query value
+	repeats []queryAt          // the query values that repeat an earlier one, in body order
 }
 
-// specAt is where one member's query value lies in the body, and the spec
-// it decodes to.
-type specAt struct {
-	start, end int
-	spec       *QuerySpec
-}
+// queryAt is a member's query value in the body, b[start:end], and the
+// member of that value's first spelling.
+type queryAt struct{ member, of, start, end int }
 
-var batchDecoders = sync.Pool{New: func() any { return new(batchDecoder) }}
+var batchDecoders = sync.Pool{New: func() any {
+	return &batchDecoder{firsts: make(map[uint64]queryAt)}
+}}
 
 // specHashes hashes spellings to find the repeated ones.
 var specHashes = maphash.MakeSeed()
 
 func (d *batchDecoder) release() {
-	if d.read.Cap() > maxPooledBody {
+	if d.read.Cap() > maxPooledBody || cap(d.elided) > maxPooledBody {
 		return
 	}
 	d.read.Reset()
-	clear(d.specs) // drop the decoded specs
-	d.specs = d.specs[:0]
+	clear(d.firsts)
+	d.repeats = d.repeats[:0]
 	batchDecoders.Put(d)
 }
 
-// batchEnvelope is a BatchRequest whose members' query specs are
-// placeholders: the k-th query value in the body is the number k (from 1).
-// Its Members, and memberEnvelope's Query, shadow the embedded fields of the
-// same JSON name, so the rest of the body decodes into BatchRequest's and
-// BatchMemberRequest's own fields, unknown ones rejected alike.
-type batchEnvelope struct {
-	BatchRequest
-	Members []memberEnvelope `json:"members"`
-}
-
-type memberEnvelope struct {
-	BatchMemberRequest
-	Query int `json:"query"`
-}
-
-// decode sets wire to the body in d.read, or reports false, with wire to
-// be decoded again, where the pass or a decode did not go through.
-func (d *batchDecoder) decode(wire *BatchRequest) bool {
+// elide returns the body in d.read with each repeated query value replaced
+// by null, or the body as read when the pass cannot vouch for it or no
+// value repeats.
+func (d *batchDecoder) elide() []byte {
 	b := d.read.Bytes()
-	start, end := d.scan(b)
-	if end < 0 {
-		return false
+	if !d.scan(b) || len(d.repeats) == 0 {
+		d.repeats = d.repeats[:0]
+		return b
 	}
-	d.env = d.env[:0]
-	for k, sp := range d.specs {
-		d.env = append(d.env, b[start:sp.start]...)
-		d.env = strconv.AppendInt(d.env, int64(k+1), 10)
-		start = sp.end
+	d.elided = d.elided[:0]
+	prev := 0
+	for _, q := range d.repeats {
+		d.elided = append(append(d.elided, b[prev:q.start]...), "null"...)
+		prev = q.end
 	}
-	d.env = append(d.env, b[start:end]...)
-	var env batchEnvelope
-	if !decodeExactly(d.env, &env) {
-		return false
-	}
-
-	first := make(map[uint64]int) // a spelling's hash → its first place in d.specs
-	seen := make(map[string]*QuerySpec)
-	for k := range d.specs {
-		sp := &d.specs[k]
-		raw := b[sp.start:sp.end]
-		h := maphash.Bytes(specHashes, raw)
-		if j, ok := first[h]; ok && bytes.Equal(raw, b[d.specs[j].start:d.specs[j].end]) {
-			sp.spec = d.specs[j].spec
-			continue
-		} else if !ok {
-			first[h] = k
-		}
-		if !decodeExactly(raw, &sp.spec) {
-			return false
-		}
-		sp.spec = canonical(seen, sp.spec)
-	}
-
-	*wire = env.BatchRequest
-	if env.Members == nil {
-		return true
-	}
-	wire.Members = make([]BatchMemberRequest, len(env.Members))
-	// The placeholders come back in body order, each once, unless the pass
-	// and encoding/json read the body's structure differently: then the
-	// plain decode answers.
-	next := 0 // the next query value's place in d.specs
-	for i := range env.Members {
-		m := &env.Members[i]
-		wire.Members[i] = m.BatchMemberRequest
-		if m.Query == 0 {
-			continue
-		}
-		if m.Query != next+1 {
-			return false
-		}
-		wire.Members[i].Query = d.specs[next].spec
-		next++
-	}
-	return next == len(d.specs)
+	d.elided = append(d.elided, b[prev:]...)
+	return d.elided
 }
 
-// decodeExactly decodes raw into v, unknown fields rejected, and reports
-// whether raw is exactly one JSON value that decodes.
-func decodeExactly(raw []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v) == nil && dec.InputOffset() == int64(len(raw))
+// restore gives each elided member of wire the spec of the member it
+// repeats and interns the others' (canonical), or reports false where an
+// elided member's query did not decode to nil.
+func (d *batchDecoder) restore(wire *BatchRequest) bool {
+	seen := make(map[string]*QuerySpec)
+	k := 0 // the next repeat in d.repeats
+	for i := range wire.Members {
+		m := &wire.Members[i]
+		if k == len(d.repeats) || d.repeats[k].member != i {
+			m.Query = canonical(seen, m.Query)
+			continue
+		}
+		if m.Query != nil {
+			return false
+		}
+		m.Query = wire.Members[d.repeats[k].of].Query
+		k++
+	}
+	return k == len(d.repeats)
 }
 
 // canonical returns the first spec in seen that marshals as spec does, and
@@ -180,17 +139,15 @@ func canonical(seen map[string]*QuerySpec, spec *QuerySpec) *QuerySpec {
 	return spec
 }
 
-// scan is the one structural pass over a batch body b: it returns where
-// b's first value starts and ends, and records in d.specs where each
-// member's query value lies, or returns end -1 where the envelope decode
-// could read b otherwise than the plain one. It follows strings, escapes
-// and nesting, and the grammar of the body's and each member's object, but
-// validates nothing else: the decodes after it do.
-func (d *batchDecoder) scan(b []byte) (start, end int) {
-	d.specs = d.specs[:0]
-	start = skipSpace(b, 0)
+// scan is the one structural pass over a batch body b: it records in
+// d.repeats each member's query value that repeats an earlier one byte for
+// byte, or reports false where encoding/json could read b's structure
+// otherwise. It follows strings, escapes and nesting, and the grammar of the
+// body's and each member's object, but validates nothing else: the decode
+// after it does.
+func (d *batchDecoder) scan(b []byte) bool {
 	members := false
-	end = walkObject(b, start, func(key []byte, p int) int {
+	return walkObject(b, skipSpace(b, 0), func(key []byte, p int) int {
 		if string(key) != "members" {
 			return skipValue(b, p)
 		}
@@ -199,8 +156,7 @@ func (d *batchDecoder) scan(b []byte) (start, end int) {
 		}
 		members = true
 		return d.scanMembers(b, p)
-	})
-	return start, end
+	}) >= 0
 }
 
 // scanMembers skips the members value at b[p] and returns its end,
@@ -213,9 +169,9 @@ func (d *batchDecoder) scanMembers(b []byte, p int) int {
 	if p < len(b) && b[p] == ']' {
 		return p + 1
 	}
-	for {
+	for i := 0; ; i++ {
 		if p < len(b) && b[p] == '{' {
-			p = d.scanMember(b, p)
+			p = d.scanMember(b, p, i)
 		} else {
 			p = skipValue(b, p)
 		}
@@ -236,9 +192,9 @@ func (d *batchDecoder) scanMembers(b []byte, p int) int {
 	}
 }
 
-// scanMember skips the member object at b[p] and returns its end,
-// recording its query value.
-func (d *batchDecoder) scanMember(b []byte, p int) int {
+// scanMember skips the object of member i at b[p] and returns its end,
+// recording its query value if it repeats an earlier one.
+func (d *batchDecoder) scanMember(b []byte, p, i int) int {
 	query := false
 	return walkObject(b, p, func(key []byte, p int) int {
 		if string(key) != "query" {
@@ -249,8 +205,16 @@ func (d *batchDecoder) scanMember(b []byte, p int) int {
 		}
 		query = true
 		end := skipValue(b, p)
-		if end >= 0 {
-			d.specs = append(d.specs, specAt{start: p, end: end})
+		if end < 0 {
+			return -1
+		}
+		h := maphash.Bytes(specHashes, b[p:end])
+		first, ok := d.firsts[h]
+		switch {
+		case !ok:
+			d.firsts[h] = queryAt{member: i, of: i, start: p, end: end}
+		case bytes.Equal(b[p:end], b[first.start:first.end]):
+			d.repeats = append(d.repeats, queryAt{member: i, of: first.member, start: p, end: end})
 		}
 		return end
 	})

@@ -15,8 +15,8 @@ import (
 const decodeSpec = `{"relations": [{"table": "t0"}, {"table": "t1"}], "joins": [{"left": 0, "right": 1, "left_col": "id", "right_col": "id", "selectivity": 0.5}]}`
 
 // decodeCases are bodies at the edges of decodeBatch's structural pass:
-// whether the pass takes them (fast) or leaves them to the plain decode,
-// and whether they decode at all.
+// whether the pass elides a repeated query spec (fast) or leaves the body
+// as read, and whether they decode at all.
 var decodeCases = []struct {
 	name     string
 	body     string
@@ -28,8 +28,8 @@ var decodeCases = []struct {
 	{"a body key that folds to members", strings.Replace(specSeed(decodeSpec, decodeSpec), `"members"`, `"memberſ"`, 1), false, true},
 	{"an escaped query key", strings.Replace(specSeed(decodeSpec, decodeSpec), `"query"`, `"\u0071uery"`, 1), false, true},
 	{"a spec string holding brackets, quotes and backslashes",
-		specSeed(`{"name": "a}b]c\"d\\e{[\\", `+decodeSpec[1:], decodeSpec), true, true},
-	{"query as a value", specSeed(`{"name": "query", `+decodeSpec[1:], decodeSpec), true, true},
+		specSeed(`{"name": "a}b]c\"d\\e{[\\", `+decodeSpec[1:], `{"name": "a}b]c\"d\\e{[\\", `+decodeSpec[1:]), true, true},
+	{"query as a value", specSeed(`{"name": "query", `+decodeSpec[1:], `{"name": "query", `+decodeSpec[1:]), true, true},
 	{"query as a member's value",
 		strings.Replace(specSeed(decodeSpec, decodeSpec), `"objectives"`, `"tenant": "query", "objectives"`, 1), true, true},
 	{"query as an unknown key in a spec", specSeed(decodeSpec, `{"relations": [{"table": "t0", "query": {"query": 1}}]}`), false, false},
@@ -37,42 +37,56 @@ var decodeCases = []struct {
 		`{"query": ` + decodeSpec + `, "objectives": ["total_time"], "tenant": "a"}, ` +
 		`{"objectives": ["total_time"], "query": ` + decodeSpec + `, "tenant": "a"}, ` +
 		`{"objectives": ["total_time"], "tenant": "a", "query": ` + decodeSpec + `}]}`, true, true},
-	{"whitespace around a spec", strings.Replace(specSeed(decodeSpec, decodeSpec), `"query": `, "\"query\"\t:\r\n ", 1), true, true},
-	{"a null spec and a null member", strings.Replace(specSeed(`null`, decodeSpec), `"members": [`, `"members": [null, `, 1), true, true},
+	{"whitespace around a spec", strings.ReplaceAll(specSeed(decodeSpec+" \n", decodeSpec+"\t"), `"query": `, "\"query\"\t:\r\n "), true, true},
+	{"a null spec and a null member", strings.Replace(specSeed(`null`, `null`), `"members": [`, `"members": [null, `, 1), true, true},
 	{"nullx as a query", specSeed(`nullx`, decodeSpec), false, false},
 	{"a spec that is two values", specSeed(`{} {}`, decodeSpec), false, false},
 	{"a query spelled twice", strings.Replace(specSeed(decodeSpec, decodeSpec), `"query": `, `"query": null, "query": `, 1), false, true},
+	{"a repeat in a member that spells query twice", replaceLast(specSeed(decodeSpec, decodeSpec), `"query": `, `"query": null, "query": `), false, true},
+	{"a repeat in a member that also has a Query key", replaceLast(specSeed(decodeSpec, decodeSpec), `"query": `, `"Query": null, "query": `), false, true},
 	{"members twice", `{"members": [{"tpch": 3, "objectives": ["total_time"]}], "members": [{"query": null}]}`, false, true},
 	{"a type error in a spec", specSeed(decodeSpec, `{"relations": [{"table": 5}]}`), false, false},
+	{"a repeated spec that holds an unknown field", specSeed(`{"relations": [{"table": "t0"}], "wat": 1}`, `{"relations": [{"table": "t0"}], "wat": 1}`), true, false},
+	{"a repeated spec with a type error, an envelope type error between the copies",
+		strings.Replace(specSeed(`{"relations": [{"table": 5}]}`, `{"relations": [{"table": 5}]}`), `"objectives": ["total_time"]`, `"objectives": ["total_time"], "workers": "2"`, 1), true, false},
+	{"three copies with a null member between them", strings.Replace(specSeed(decodeSpec, decodeSpec), `}, {"query"`, `}, null, {"query": `+decodeSpec+`, "objectives": ["total_time"]}, {"query"`, 1), true, true},
 	{"a trailing value", specSeed(decodeSpec, decodeSpec) + ` {"members": []} trailing`, true, true},
 	{"a valid batch and more than the limit of whitespace", specSeed(decodeSpec, decodeSpec) + strings.Repeat(" ", maxBatchBody+1), false, true},
 }
 
-// fastDecode reports whether decodeBatch answers body from its structural
-// pass, without a plain decode.
-func fastDecode(body string) bool {
+// replaceLast replaces the last old in s with new.
+func replaceLast(s, old, new string) string {
+	i := strings.LastIndex(s, old)
+	return s[:i] + new + s[i+len(old):]
+}
+
+// elides reports whether decodeBatch's structural pass elides a repeated
+// query spec in body.
+func elides(body string) bool {
 	if len(body) > maxBatchBody {
 		return false // the read reaches the limit
 	}
-	d := new(batchDecoder)
+	d := batchDecoders.Get().(*batchDecoder)
+	defer d.release()
 	d.read.WriteString(body)
-	var wire BatchRequest
-	return d.decode(&wire)
+	d.elide()
+	return len(d.repeats) > 0
 }
 
-// TestBatchDecodeFallbacks pins which bodies decodeBatch's structural pass
-// takes and which it leaves to the plain decode, and holds both to a plain
-// decode of the body (checkInternedDecode). A valid batch followed by more
-// than the body limit of whitespace is answered, as a plain decode that
-// stops at the end of the first value answers it, never with a 413.
+// TestBatchDecodeFallbacks pins in which bodies decodeBatch's structural
+// pass elides a repeated spec and which it leaves as read, and holds both
+// to a plain decode of the body (checkInternedDecode). A valid batch
+// followed by more than the body limit of whitespace is answered, as a
+// plain decode that stops at the end of the first value answers it, never
+// with a 413.
 func TestBatchDecodeFallbacks(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	for _, tc := range decodeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkInternedDecode(t, s, []byte(tc.body))
-			if fast := fastDecode(tc.body); fast != tc.fast {
-				t.Errorf("the structural pass took it: %v, want %v", fast, tc.fast)
+			if fast := elides(tc.body); fast != tc.fast {
+				t.Errorf("the structural pass elided a repeat: %v, want %v", fast, tc.fast)
 			}
 			var wire BatchRequest
 			rec := httptest.NewRecorder()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -56,11 +57,11 @@ func toChaosAnswer(r OptimizeResponse) chaosAnswer {
 	return chaosAnswer{Algorithm: r.Algorithm, Plan: string(r.Plan), Cost: r.Cost, Frontier: r.Frontier}
 }
 
-// waitFor polls cond every millisecond until it holds; the test fails if
-// it has not within timeout.
+// waitFor yields until cond holds; the test fails if it has not within
+// timeout.
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(timeout); !cond(); runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}

@@ -24,9 +24,10 @@
 //
 //   - decode (Server.decode): the size-limited, unknown-field-rejecting
 //     JSON decode of the body. A batch's (Server.decodeBatch) finds the
-//     members' query specs in one structural pass, decodes the envelope
-//     around them and each distinct spelling once, and interns equal
-//     specs, with Server.decode's request and error texts.
+//     members' query specs in one structural pass, replaces each that
+//     repeats an earlier one byte for byte with null before the one
+//     decode, gives the elided members the spec they repeat, and interns
+//     equal specs, with Server.decode's request and error texts.
 //   - resolve (Server.resolve): wire request → member. Tenant, then the
 //     catalog and the query converted through their builders' error
 //     forms (catalog.AddTableE/AddIndexE, query.AddRelationE/AddJoinE,

@@ -498,13 +498,8 @@ func TestTenancyFairness(t *testing.T) {
 	// Wait until the flood demonstrably occupies the scheduler. Granted()
 	// is monotonic, so this cannot miss a transient window the way
 	// polling instantaneous queue depth can.
-	deadline := time.Now().Add(30 * time.Second)
-	for svc.sched.Granted()["flood"] < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("flood never saturated the scheduler")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, 30*time.Second, "the flood to saturate the scheduler",
+		func() bool { return svc.sched.Granted()["flood"] >= 2 })
 
 	// The light tenant's re-weights run while the flood is queued. Each
 	// is a frontier hit; none may wait for a DP slot.

@@ -62,8 +62,7 @@ type OptimizeRequest struct {
 // scale_factor; it is resolved once, and every member query is built
 // against the same catalog object, so members share its statistics and
 // fingerprint, and — per distinct query shape — one built query object.
-// The handler decodes each distinct spelling of a member's query once, and
-// members whose specs are equal (equal json.Marshal output, whatever their
+// Members whose specs are equal (equal json.Marshal output, whatever their
 // key order, whitespace or number spelling) share one *QuerySpec.
 // Members additionally share a batch-scoped subproblem memo (see
 // moqo.SharedMemo): overlapping queries skip each other's solved table

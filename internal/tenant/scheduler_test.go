@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,17 @@ func drain(t *testing.T, s *Scheduler, tenant string, weight, maxConc, n int, wg
 	}
 }
 
+// waitFor yields until cond holds; the test fails if it has not within
+// five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // TestSchedulerGrantsMatchWeights: two tenants flooding one slot are
 // granted in proportion to their weights — the claim-count accounting
 // the fairness guarantee rests on.
@@ -39,16 +51,10 @@ func TestSchedulerGrantsMatchWeights(t *testing.T) {
 	const n = 30
 	drain(t, s, "heavy", 1, 0, n, &wg, 0)
 	drain(t, s, "light", 3, 0, n, &wg, 0)
-	for deadline := time.Now().Add(5 * time.Second); ; {
+	waitFor(t, "the queues to fill", func() bool {
 		depths := s.QueueDepths()
-		if depths["heavy"] == n && depths["light"] == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queues never filled: %v", depths)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return depths["heavy"] == n && depths["light"] == n
+	})
 	s.Release("warm")
 	wg.Wait()
 
@@ -83,16 +89,10 @@ func TestSchedulerGrantsMatchWeights(t *testing.T) {
 			}()
 		}
 	}
-	for deadline := time.Now().Add(5 * time.Second); ; {
+	waitFor(t, "the queues to fill", func() bool {
 		d := s2.QueueDepths()
-		if d["heavy"] == n && d["light"] == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queues never filled: %v", d)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return d["heavy"] == n && d["light"] == n
+	})
 	s2.Release("warm")
 	wg2.Wait()
 	close(done)
@@ -191,12 +191,7 @@ func TestSchedulerAcquireCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- s.Acquire(ctx, "b", 1, 0) }()
-	for deadline := time.Now().Add(5 * time.Second); s.QueueDepths()["b"] != 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the waiter to queue", func() bool { return s.QueueDepths()["b"] == 1 })
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("cancelled Acquire returned %v", err)
@@ -223,12 +218,7 @@ func TestSchedulerQueueBoundSheds(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go s.Acquire(ctx, "b", 1, 0)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.Queued() != 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("waiters never queued (queued=%d)", s.Queued())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "two waiters to queue", func() bool { return s.Queued() == 2 })
 
 	// The third waiter is shed immediately, without blocking.
 	if err := s.Acquire(context.Background(), "c", 1, 0); err != ErrQueueFull {
@@ -241,12 +231,7 @@ func TestSchedulerQueueBoundSheds(t *testing.T) {
 	// Draining the queue reopens admission; raising the bound to 0
 	// removes it.
 	cancel()
-	for deadline := time.Now().Add(5 * time.Second); s.Queued() != 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("cancelled waiters never left the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the cancelled waiters to leave the queue", func() bool { return s.Queued() == 0 })
 	s.Release("a")
 	if err := s.Acquire(context.Background(), "c", 1, 0); err != nil {
 		t.Fatalf("Acquire after drain: %v", err)
